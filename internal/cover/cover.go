@@ -34,10 +34,7 @@ func (p Pair) String() string {
 type Coverage struct {
 	mu    sync.Mutex
 	pairs map[Pair]int
-	// Scratch maps reused across AddTrace calls; the access hot path
-	// (PR 5) made per-trial allocation the dominant cost here.
-	scratchLast  map[uint64]lastAccess
-	scratchLocal map[Pair]bool
+	own   Walker // scratch of the standalone AddTrace, guarded by mu
 }
 
 // New returns an empty accumulator.
@@ -52,35 +49,8 @@ func New() *Coverage {
 func (c *Coverage) AddTrace(tr *trace.Trace) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	last := clearLast(c.scratchLast)
-	c.scratchLast = last
-	local := c.scratchLocal
-	if local == nil {
-		local = make(map[Pair]bool)
-		c.scratchLocal = local
-	} else {
-		clear(local)
-	}
-	for i, n := 0, tr.Len(); i < n; i++ {
-		if tr.StackAt(i) || tr.AtomicAt(i) {
-			continue
-		}
-		ins, thread, isWrite := tr.InsAt(i), tr.ThreadAt(i), tr.IsWriteAt(i)
-		for b := tr.AddrAt(i); b < tr.EndAt(i); b++ {
-			if prev, ok := last[b]; ok && prev.thread != thread && (prev.write || isWrite) {
-				local[Pair{First: prev.ins, Second: ins}] = true
-			}
-			last[b] = lastAccess{ins: ins, thread: thread, write: isWrite}
-		}
-	}
-	fresh := 0
-	for p := range local {
-		if c.pairs[p] == 0 {
-			fresh++
-		}
-		c.pairs[p]++
-	}
-	return fresh
+	c.own.walk(tr, true, false)
+	return addCounts(c.pairs, c.own.pairs)
 }
 
 // Merge folds other's accumulated pairs into c (counts add) and returns
@@ -94,14 +64,7 @@ func (c *Coverage) Merge(other Metric) int {
 	defer o.mu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fresh := 0
-	for p, n := range o.pairs {
-		if c.pairs[p] == 0 {
-			fresh++
-		}
-		c.pairs[p] += n
-	}
-	return fresh
+	return addCounts(c.pairs, o.pairs)
 }
 
 // Len returns the number of distinct pairs covered so far.

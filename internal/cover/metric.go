@@ -28,18 +28,15 @@ type Metric interface {
 	Len() int
 }
 
-// lastAccess tracks the most recent access per byte while walking a trace.
-type lastAccess struct {
-	ins    trace.Ins
-	thread int
-	write  bool
-}
-
-// clearLast resets a scratch last-access map for reuse across trials.
-func clearLast(m map[uint64]lastAccess) map[uint64]lastAccess {
-	if m == nil {
-		return make(map[uint64]lastAccess)
+// addCounts adds src's hit counts into dst and returns how many of its
+// units were new to dst.
+func addCounts[K comparable](dst, src map[K]int) int {
+	fresh := 0
+	for k, n := range src {
+		if dst[k] == 0 {
+			fresh++
+		}
+		dst[k] += n
 	}
-	clear(m)
-	return m
+	return fresh
 }

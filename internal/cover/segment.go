@@ -50,9 +50,7 @@ type SegmentCount struct {
 type Segments struct {
 	mu   sync.Mutex
 	segs map[Segment]int
-	// Reusable per-call scratch, mirroring Coverage's zero-alloc path.
-	scratchLast map[uint64]lastAccess
-	scratchSeen map[Segment]bool
+	own  Walker // scratch of the standalone AddTrace, guarded by mu
 }
 
 // NewSegments returns an empty accumulator.
@@ -68,47 +66,8 @@ func NewSegments() *Segments {
 func (s *Segments) AddTrace(tr *trace.Trace) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	last := clearLast(s.scratchLast)
-	s.scratchLast = last
-	seen := s.scratchSeen
-	if seen == nil {
-		seen = make(map[Segment]bool)
-		s.scratchSeen = seen
-	} else {
-		clear(seen)
-	}
-	var prev Comm
-	havePrev := false
-	for i, n := 0, tr.Len(); i < n; i++ {
-		if tr.StackAt(i) || tr.AtomicAt(i) {
-			continue
-		}
-		ins, thread, isWrite := tr.InsAt(i), tr.ThreadAt(i), tr.IsWriteAt(i)
-		comm := Comm{}
-		haveComm := false
-		for b := tr.AddrAt(i); b < tr.EndAt(i); b++ {
-			if p, ok := last[b]; ok && p.thread != thread && (p.write || isWrite) && !haveComm {
-				comm = Comm{Write: trace.RegionOf(p.ins), Read: trace.RegionOf(ins)}
-				haveComm = true
-			}
-			last[b] = lastAccess{ins: ins, thread: thread, write: isWrite}
-		}
-		if !haveComm || (havePrev && comm == prev) {
-			continue
-		}
-		if havePrev {
-			seen[Segment{First: prev, Second: comm}] = true
-		}
-		prev, havePrev = comm, true
-	}
-	fresh := 0
-	for seg := range seen {
-		if s.segs[seg] == 0 {
-			fresh++
-		}
-		s.segs[seg]++
-	}
-	return fresh
+	s.own.walk(tr, false, true)
+	return addCounts(s.segs, s.own.segs)
 }
 
 // Merge folds other's segments into s (counts add) and returns how many
@@ -120,14 +79,7 @@ func (s *Segments) Merge(other Metric) int {
 	defer o.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fresh := 0
-	for seg, n := range o.segs {
-		if s.segs[seg] == 0 {
-			fresh++
-		}
-		s.segs[seg] += n
-	}
-	return fresh
+	return addCounts(s.segs, o.segs)
 }
 
 // Len returns the number of distinct segments covered so far.

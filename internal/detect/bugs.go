@@ -135,14 +135,12 @@ func matchFn(pattern, fn string) bool {
 	return pattern == "" || pattern == fn
 }
 
-// classifyPanic attributes a crash to a Table 2 row using the faulting
-// thread's last recorded access.
-func classifyPanic(is *Issue, lastAccess map[int]trace.Ins) {
-	fns := make([]string, 0, len(lastAccess))
+// classifyPanic attributes a crash to a Table 2 row using each thread's
+// last recorded access, in ascending thread id: when two threads sit in
+// different known-faulty functions, the lower thread decides.
+func classifyPanic(is *Issue, lastAccess []trace.Ins) {
 	for _, ins := range lastAccess {
-		fns = append(fns, funcOf(ins))
-	}
-	for _, fn := range fns {
+		fn := funcOf(ins) // NoIns (a thread with no access) names no function
 		switch {
 		case strings.HasPrefix(fn, "rht_ptr"), strings.HasPrefix(fn, "ipcget"), strings.HasPrefix(fn, "rhashtable"):
 			is.BugID, is.Harmful = 1, true

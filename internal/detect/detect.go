@@ -5,7 +5,6 @@
 package detect
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -64,13 +63,31 @@ type Issue struct {
 // ID returns a stable deduplication key for the issue.
 func (i Issue) ID() string {
 	if i.Kind == KindDataRace {
-		pfx := "race"
+		pfx := "race:"
 		if i.Torn {
-			pfx = "torn"
+			pfx = "torn:"
 		}
-		return fmt.Sprintf("%s:%s/%s", pfx, i.WriteIns.Name(), i.ReadIns.Name())
+		return pfx + i.WriteIns.Name() + "/" + i.ReadIns.Name()
 	}
-	return fmt.Sprintf("%s:%s", i.Kind, i.Desc)
+	return i.Kind.String() + ":" + i.Desc
+}
+
+// IssueKey is the comparable form of ID: two issues have equal keys exactly
+// when their IDs are equal (instruction names are unique per Ins). Dedup
+// sets key on it, so an ID string is built per distinct issue, not per sighting.
+type IssueKey struct {
+	kind IssueKind
+	torn bool
+	w, r trace.Ins
+	desc string
+}
+
+// Key returns the issue's comparable deduplication key.
+func (i Issue) Key() IssueKey {
+	if i.Kind == KindDataRace {
+		return IssueKey{kind: i.Kind, torn: i.Torn, w: i.WriteIns, r: i.ReadIns}
+	}
+	return IssueKey{kind: i.Kind, desc: i.Desc}
 }
 
 // funcOf strips the ":operation" suffix from an instruction name, leaving
@@ -101,9 +118,9 @@ func CrashLevel(k IssueKind) bool {
 }
 
 // CheckConsole scans console lines for crash and corruption signatures.
-// lastAccess maps thread id -> the final access recorded before a fault,
-// used to attribute panics to a kernel function.
-func CheckConsole(lines []string, lastAccess map[int]trace.Ins) []Issue {
+// lastAccess holds, indexed by thread id, the final access recorded before
+// a fault (NoIns for none), used to attribute panics to a kernel function.
+func CheckConsole(lines []string, lastAccess []trace.Ins) []Issue {
 	var out []Issue
 	for _, l := range lines {
 		switch {

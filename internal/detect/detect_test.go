@@ -28,7 +28,7 @@ func traceOf(accs ...trace.Access) *trace.Trace {
 }
 
 func TestConsolePanicClassification(t *testing.T) {
-	last := map[int]trace.Ins{1: trace.DefIns("l2tp_xmit_core:load_tunnel_sock")}
+	last := []trace.Ins{1: trace.DefIns("l2tp_xmit_core:load_tunnel_sock")}
 	issues := CheckConsole([]string{"BUG: kernel NULL pointer dereference, address: 0x0"}, last)
 	if len(issues) != 1 || issues[0].Kind != KindPanic {
 		t.Fatalf("issues: %+v", issues)
@@ -405,6 +405,24 @@ func TestFindRacesShuffleInvariant(t *testing.T) {
 	for run := 0; run < 50; run++ {
 		if got := FindRaces(traceOf(accs...)); !reflect.DeepEqual(got, base) {
 			t.Fatalf("run %d: race order diverged", run)
+		}
+	}
+}
+
+// Regression: classifyPanic ranged over a thread → last-access map, so a
+// panic with one thread in configfs_lookup and the other in l2tp code was
+// filed as #11 or #12 by map iteration order. Threads are now consulted in
+// ascending id.
+func TestPanicClassificationThreadOrder(t *testing.T) {
+	tr := traceOf(
+		acc(1, trace.Read, trace.DefIns("l2tp_xmit_core:load_tunnel_sock"), 0x100, 8, 0),
+		acc(0, trace.Read, trace.DefIns("configfs_lookup:load_dirent"), 0x200, 8, 0),
+	)
+	in := TrialInput{Console: []string{"BUG: kernel NULL pointer dereference, address: 0x0"}, Trace: tr}
+	for i := 0; i < 200; i++ {
+		issues := Analyze(in, Options{Console: true})
+		if len(issues) != 1 || issues[0].BugID != 11 {
+			t.Fatalf("run %d: want one panic filed as #11 (thread 0 decides), got %+v", i, issues)
 		}
 	}
 }

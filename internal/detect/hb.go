@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"slices"
+
 	"snowboard/internal/trace"
 )
 
@@ -23,17 +25,18 @@ import (
 
 // vclock is a dynamically sized vector clock: component i is thread i's
 // logical time, with absent entries implicitly zero. Clocks grow on
-// demand, so the analysis has no fixed thread-count ceiling.
-type vclock []uint64
+// demand, so the analysis has no fixed thread-count ceiling. A component
+// ticks at most once per traced access, so 32 bits cannot overflow.
+type vclock []uint32
 
-func (v vclock) get(t int) uint64 {
+func (v vclock) get(t int) uint32 {
 	if t < len(v) {
 		return v[t]
 	}
 	return 0
 }
 
-func (v *vclock) set(t int, c uint64) {
+func (v *vclock) set(t int, c uint32) {
 	for len(*v) <= t {
 		*v = append(*v, 0)
 	}
@@ -48,155 +51,216 @@ func (v *vclock) join(o vclock) {
 	}
 }
 
-func (v vclock) clone() vclock { return append(vclock(nil), v...) }
-
-// epoch is a (thread, clock) pair identifying one access.
-type epoch struct {
-	t int
-	c uint64
-}
-
-// happenedBefore reports whether the epoch is ordered before the clock.
-func (e epoch) happenedBefore(v vclock) bool { return e.c <= v.get(e.t) }
-
-// readRec is one thread's most recent read of a byte (clock 0 = none).
-type readRec struct {
-	clock  uint64
+// prior is an earlier access to a byte: its last write, or one thread's
+// most recent read (clock 0 = none).
+type prior struct {
+	clock  uint32
 	ins    trace.Ins
+	thread uint16
 	marked bool
 }
 
-type byteState struct {
-	lastWrite   epoch
-	hasWrite    bool
-	writeIns    trace.Ins
-	writeMarked bool
-	reads       []readRec // indexed by thread, grown on demand
+// unordered reports whether p conflicts with, and does not happen before,
+// an access by thread t whose clock is vc.
+func (p prior) unordered(t int, marked bool, vc vclock) bool {
+	return p.clock != 0 && int(p.thread) != t && !(p.marked && marked) && p.clock > vc.get(int(p.thread))
 }
 
-func (st *byteState) setRead(t int, r readRec) {
-	for len(st.reads) <= t {
-		st.reads = append(st.reads, readRec{})
+// inlineReaders is how many threads' reads a byte keeps inline: the two
+// executor threads of a concurrent test. Higher thread ids spill.
+const inlineReaders = 2
+
+// byteState is the access history of one byte: its last write and the last
+// read per thread.
+type byteState struct {
+	write prior
+	spill uint32 // 1 + index into hbState.spill, 0 = no reads by threads ≥ inlineReaders
+	reads [inlineReaders]prior
+}
+
+// clockRef locates a clock copy in the arena (n == 0: none taken).
+type clockRef struct{ off, n uint32 }
+
+// syncClocks are the clocks attached to one address: the releaser's clock
+// when it is a lock word, the publisher's when a marked store hit it.
+type syncClocks struct{ lock, pub clockRef }
+
+// raceKey deduplicates reports per (write site, read site, access
+// address): the same racy pair on a different object is a distinct finding.
+type raceKey struct {
+	w, r trace.Ins
+	addr uint64
+}
+
+// hbState is the state of FindRacesHB, all of it reset in O(1) and reused
+// from trial to trial.
+type hbState struct {
+	bytes  trace.ByteShadow[byteState]
+	sync   trace.Shadow[syncClocks] // keyed by exact address
+	arena  []uint32                 // clock copies referenced by sync
+	clocks []vclock                 // per thread; empty = not yet started
+	spill  [][]prior                // per spilled byte, indexed by thread - inlineReaders
+	seen   map[raceKey]bool
+	out    []RaceReport
+}
+
+func (s *hbState) reset() {
+	s.bytes.Reset()
+	s.sync.Reset()
+	s.arena = s.arena[:0]
+	for i := range s.clocks {
+		s.clocks[i] = s.clocks[i][:0]
 	}
-	st.reads[t] = r
+	s.spill = s.spill[:0]
+	if s.seen == nil {
+		s.seen = make(map[raceKey]bool)
+	}
+	clear(s.seen)
+	s.out = s.out[:0]
+}
+
+// clockOf returns thread t's clock, starting it at time 1 on first use.
+func (s *hbState) clockOf(t int) *vclock {
+	for len(s.clocks) <= t {
+		s.clocks = append(s.clocks, nil)
+	}
+	vc := &s.clocks[t]
+	if len(*vc) == 0 {
+		vc.set(t, 1)
+	}
+	return vc
+}
+
+// save copies vc into the arena, reusing ref's storage when it fits.
+func (s *hbState) save(ref *clockRef, vc vclock) {
+	if int(ref.n) != len(vc) {
+		ref.off, ref.n = uint32(len(s.arena)), uint32(len(vc))
+		s.arena = append(s.arena, vc...)
+		return
+	}
+	copy(s.arena[ref.off:], vc)
+}
+
+func (s *hbState) saved(ref clockRef) vclock { return s.arena[ref.off : ref.off+ref.n] }
+
+// spilled returns the read record of thread t ≥ inlineReaders on st,
+// growing the byte's spill list on demand.
+func (s *hbState) spilled(st *byteState, t int) *prior {
+	if st.spill == 0 {
+		// Extend by one list, keeping the storage of a previous trial's.
+		s.spill = slices.Grow(s.spill, 1)[:len(s.spill)+1]
+		s.spill[len(s.spill)-1] = s.spill[len(s.spill)-1][:0]
+		st.spill = uint32(len(s.spill))
+	}
+	list := &s.spill[st.spill-1]
+	for len(*list) <= t-inlineReaders {
+		*list = append(*list, prior{})
+	}
+	return &(*list)[t-inlineReaders]
+}
+
+// report files the race on byte b between the access at trace index i and
+// p, an unordered earlier access of the given kind. The report's Write side
+// is whichever of the two is the (earlier) write.
+func (s *hbState) report(tr *trace.Trace, i int, b uint64, kind trace.Kind, p prior) {
+	k := raceKey{w: p.ins, r: tr.InsAt(i), addr: tr.AddrAt(i)}
+	if kind == trace.Read {
+		k.w, k.r = k.r, k.w
+	}
+	if s.seen[k] {
+		return
+	}
+	s.seen[k] = true
+	rep := RaceReport{Read: tr.At(i), Write: trace.Access{
+		Thread: int(p.thread), Ins: p.ins, Kind: kind, Addr: b, Size: 1, Marked: p.marked}}
+	if kind == trace.Read {
+		rep.Write, rep.Read = rep.Read, rep.Write
+	}
+	s.out = append(s.out, rep)
 }
 
 // FindRacesHB runs the happens-before race analysis over the trial trace.
 func FindRacesHB(tr *trace.Trace) []RaceReport {
-	var clocks []vclock
-	clockOf := func(t int) *vclock {
-		for len(clocks) <= t {
-			clocks = append(clocks, nil)
-		}
-		if clocks[t] == nil {
-			var v vclock
-			v.set(t, 1)
-			clocks[t] = v
-		}
-		return &clocks[t]
-	}
-	lockVC := make(map[uint64]vclock)
-	pubVC := make(map[uint64]vclock) // per published address
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return append([]RaceReport(nil), sc.FindRacesHB(tr)...)
+}
 
-	bytes := make(map[uint64]*byteState)
+// FindRacesHB is the package-level FindRacesHB on reused state. The
+// returned slice is overwritten by the next call on the same Scratch.
+func (sc *Scratch) FindRacesHB(tr *trace.Trace) []RaceReport {
+	s := &sc.hb
+	s.reset()
+	for i, n := 0, tr.Len(); i < n; i++ {
+		t := tr.ThreadAt(i)
+		vc := s.clockOf(t)
+		addr, isWrite, marked := tr.AddrAt(i), tr.IsWriteAt(i), tr.MarkedAt(i)
 
-	// Reports are deduplicated per (write site, read site, access address):
-	// the same racy pair on a different object is a distinct finding.
-	type pairKey struct {
-		w, r trace.Ins
-		addr uint64
-	}
-	seen := make(map[pairKey]bool)
-	var out []RaceReport
-
-	report := func(w, r *trace.Access, addr uint64) {
-		k := pairKey{w: w.Ins, r: r.Ins, addr: addr}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		out = append(out, RaceReport{Write: *w, Read: *r})
-	}
-
-	n := tr.Len()
-	for i := 0; i < n; i++ {
-		a := tr.At(i)
-		t := a.Thread
-		if t < 0 {
-			continue
-		}
-		vc := clockOf(t)
-
-		if a.Atomic {
+		if tr.AtomicAt(i) {
 			// Lock-word traffic: value != 0 is an acquire, 0 is a release.
-			if a.Kind == trace.Write && a.Val == 0 {
-				lockVC[a.Addr] = vc.clone()
+			if !isWrite {
+				continue
+			}
+			if tr.ValAt(i) == 0 {
+				s.save(&s.sync.Slot(addr).lock, *vc)
 				vc.set(t, vc.get(t)+1)
-			} else if a.Kind == trace.Write {
-				if lv := lockVC[a.Addr]; lv != nil {
-					vc.join(lv)
-				}
+			} else if sy := s.sync.Get(addr); sy != nil && sy.lock.n != 0 {
+				vc.join(s.saved(sy.lock))
 			}
 			continue
 		}
-		if a.Marked && a.Kind == trace.Write {
-			pubVC[a.Addr] = vc.clone()
+		if marked && isWrite {
+			s.save(&s.sync.Slot(addr).pub, *vc)
 			vc.set(t, vc.get(t)+1)
 			// Marked writes also participate in conflict checks below (a
 			// plain access on the other side is still a race).
 		}
-		if a.Kind == trace.Read {
+		if !isWrite {
 			// Any read of a published location — marked or plain — joins
 			// the publisher's clock: RCU readers reach published objects
 			// through an address dependency, which orders the publisher's
 			// earlier initialization before the reader's dereferences.
-			if pv := pubVC[a.Addr]; pv != nil {
-				vc.join(pv)
+			if sy := s.sync.Get(addr); sy != nil && sy.pub.n != 0 {
+				vc.join(s.saved(sy.pub))
 			}
 		}
-		if a.Stack {
+		if tr.StackAt(i) {
 			continue
 		}
 
-		cur := epoch{t: t, c: vc.get(t)}
-		for b := a.Addr; b < a.End(); b++ {
-			st := bytes[b]
-			if st == nil {
-				st = &byteState{}
-				bytes[b] = st
+		cur := prior{clock: vc.get(t), ins: tr.InsAt(i), thread: uint16(t), marked: marked}
+		var run []byteState // states of the bytes from b to the end of b's word
+		for b, end := addr, tr.EndAt(i); b < end; b++ {
+			if len(run) == 0 {
+				run = s.bytes.Run(b, end)
 			}
-			if a.Kind == trace.Read {
-				if st.hasWrite && st.lastWrite.t != t &&
-					!(st.writeMarked && a.Marked) &&
-					!st.lastWrite.happenedBefore(*vc) {
-					w := trace.Access{Thread: st.lastWrite.t, Ins: st.writeIns, Kind: trace.Write, Addr: b, Size: 1, Marked: st.writeMarked}
-					report(&w, &a, a.Addr)
+			st := &run[0]
+			run = run[1:]
+			if st.write.unordered(t, marked, *vc) {
+				s.report(tr, i, b, trace.Write, st.write)
+			}
+			if !isWrite {
+				if t < inlineReaders {
+					st.reads[t] = cur
+				} else {
+					*s.spilled(st, t) = cur
 				}
-				st.setRead(t, readRec{clock: cur.c, ins: a.Ins, marked: a.Marked})
-			} else {
-				if st.hasWrite && st.lastWrite.t != t &&
-					!(st.writeMarked && a.Marked) &&
-					!st.lastWrite.happenedBefore(*vc) {
-					w := trace.Access{Thread: st.lastWrite.t, Ins: st.writeIns, Kind: trace.Write, Addr: b, Size: 1, Marked: st.writeMarked}
-					report(&w, &a, a.Addr)
+				continue
+			}
+			for _, r := range st.reads {
+				if r.unordered(t, marked, *vc) {
+					s.report(tr, i, b, trace.Read, r)
 				}
-				for ot := range st.reads {
-					rr := st.reads[ot]
-					if ot == t || rr.clock == 0 {
-						continue
-					}
-					re := epoch{t: ot, c: rr.clock}
-					if !(rr.marked && a.Marked) && !re.happenedBefore(*vc) {
-						r := trace.Access{Thread: ot, Ins: rr.ins, Kind: trace.Read, Addr: b, Size: 1, Marked: rr.marked}
-						report(&a, &r, a.Addr)
+			}
+			if st.spill != 0 {
+				for _, r := range s.spill[st.spill-1] {
+					if r.unordered(t, marked, *vc) {
+						s.report(tr, i, b, trace.Read, r)
 					}
 				}
-				st.hasWrite = true
-				st.lastWrite = cur
-				st.writeIns = a.Ins
-				st.writeMarked = a.Marked
 			}
+			st.write = cur
 		}
 	}
-	return out
+	return s.out
 }

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"sync"
+
 	"snowboard/internal/obs"
 	"snowboard/internal/trace"
 )
@@ -46,24 +48,49 @@ type TrialInput struct {
 	Deadlock bool
 }
 
+// Scratch is the reusable state of the trial oracles. An explorer keeps one
+// and analyzes every trial through it, so a warm trial allocates only for
+// what it finds. The zero value is ready to use; not safe for concurrent use.
+type Scratch struct {
+	hb   hbState
+	last []trace.Ins
+	seen map[IssueKey]bool
+	out  []Issue
+}
+
+// scratchPool backs the package-level Analyze and FindRacesHB, whose
+// callers (triage replays, sbrepro) keep no state between traces.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
 // Analyze runs the enabled oracles over one trial and returns deduplicated,
 // classified issues.
 func Analyze(in TrialInput, opt Options) []Issue {
-	var out []Issue
-	seen := make(map[string]bool)
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return append([]Issue(nil), sc.Analyze(in, opt)...)
+}
+
+// Analyze is the package-level Analyze on reused state. The returned slice
+// is overwritten by the next call on the same Scratch.
+func (sc *Scratch) Analyze(in TrialInput, opt Options) []Issue {
+	if sc.seen == nil {
+		sc.seen = make(map[IssueKey]bool)
+	}
+	clear(sc.seen)
+	sc.out = sc.out[:0]
 	add := func(is Issue) {
-		if !seen[is.ID()] {
-			seen[is.ID()] = true
-			out = append(out, is)
+		if k := is.Key(); !sc.seen[k] {
+			sc.seen[k] = true
+			sc.out = append(sc.out, is)
 		}
 	}
 
 	if opt.Console {
-		last := lastAccessByThread(in.Trace)
-		for _, is := range CheckConsole(in.Console, last) {
+		sc.last = lastAccessByThread(in.Trace, sc.last[:0])
+		for _, is := range CheckConsole(in.Console, sc.last) {
 			add(is)
 		}
-		for _, is := range CheckConsole(in.PostScan, last) {
+		for _, is := range CheckConsole(in.PostScan, sc.last) {
 			add(is)
 		}
 	}
@@ -72,7 +99,7 @@ func Analyze(in TrialInput, opt Options) []Issue {
 		if opt.RaceMode == RaceLockset {
 			races = FindRaces(in.Trace)
 		} else {
-			races = FindRacesHB(in.Trace)
+			races = sc.FindRacesHB(in.Trace)
 		}
 		for _, r := range races {
 			add(ClassifyRace(r))
@@ -95,34 +122,36 @@ func Analyze(in TrialInput, opt Options) []Issue {
 	if in.Hung {
 		add(Issue{Kind: KindHang, Desc: "hang: step budget exhausted"})
 	}
-	mReports.Add(int64(len(out)))
-	for _, is := range out {
+	mReports.Add(int64(len(sc.out)))
+	for _, is := range sc.out {
 		if is.Harmful {
 			mHarmful.Inc()
 		}
 		// Flight-record crash-level findings only: exploration breaks off on
 		// a crash, so these stay bounded, while benign races show up in
 		// nearly every trial and would flood the ring.
-		switch is.Kind {
-		case KindPanic, KindFSError, KindIOError, KindDeadlock:
+		if CrashLevel(is.Kind) {
 			obs.Emit(obs.EvRaceFound, obs.A("kind", is.Kind.String()),
 				obs.A("harmful", is.Harmful), obs.A("desc", is.Desc))
 		}
 	}
-	return out
+	return sc.out
 }
 
-// lastAccessByThread maps each thread to the instruction of its final
-// recorded access, used to attribute faults.
-func lastAccessByThread(tr *trace.Trace) map[int]trace.Ins {
-	out := make(map[int]trace.Ins)
+// lastAccessByThread appends to last, indexed by thread id, the instruction
+// of each thread's final recorded access (NoIns for none), to attribute faults.
+func lastAccessByThread(tr *trace.Trace, last []trace.Ins) []trace.Ins {
 	if tr == nil {
-		return out
+		return last
 	}
 	for i, n := 0, tr.Len(); i < n; i++ {
-		out[tr.ThreadAt(i)] = tr.InsAt(i)
+		t := tr.ThreadAt(i)
+		for len(last) <= t {
+			last = append(last, trace.NoIns)
+		}
+		last[t] = tr.InsAt(i)
 	}
-	return out
+	return last
 }
 
 // Harmless reports whether every issue found is a known-benign one, useful

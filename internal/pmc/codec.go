@@ -204,6 +204,16 @@ func pmcLess(a, b PMC) bool {
 	return !a.DFLeader && b.DFLeader
 }
 
+// sortedPMCs returns the set's PMCs in canonical order.
+func (s *Set) sortedPMCs() []PMC {
+	keys := make([]PMC, 0, len(s.Entries))
+	for k := range s.Entries {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return pmcLess(keys[i], keys[j]) })
+	return keys
+}
+
 // EncodeSet writes the PMC database to w in the compact canonical format:
 // entries sorted by (write key, read key, DFLeader), so equal sets — no
 // matter the identification sharding or merge order that built them —
@@ -237,11 +247,7 @@ func EncodeSet(w io.Writer, s *Set) error {
 	if err := putU(uint64(s.TotalCombinations)); err != nil {
 		return err
 	}
-	keys := make([]PMC, 0, len(s.Entries))
-	for k := range s.Entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return pmcLess(keys[i], keys[j]) })
+	keys := s.sortedPMCs()
 	if err := putU(uint64(len(keys))); err != nil {
 		return err
 	}

@@ -8,6 +8,8 @@ package pmc
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"snowboard/internal/obs"
 	"snowboard/internal/par"
@@ -107,6 +109,52 @@ type Set struct {
 	// combinations observed, the analogue of the paper's headline PMC
 	// count.
 	TotalCombinations int64
+
+	// byWrite is the lazily built write-key index behind ByWrite.
+	byWrite   atomic.Pointer[writeIndex]
+	byWriteMu sync.Mutex
+}
+
+// writeIndex groups a Set's PMCs by write key: pmcs is in canonical
+// (pmcLess) order, so each write key owns one contiguous span.
+type writeIndex struct {
+	entries int // len(Set.Entries) when built
+	pmcs    []PMC
+	spans   map[Key][2]int
+}
+
+// ByWrite returns the PMCs whose write side is exactly k, in canonical
+// order. The index behind it is built on first use — stage 4 is its only
+// caller, so identification and set-up never pay for it — and rebuilt when
+// the set has grown since (entries are never removed, so an equal entry
+// count means an equal key set). Safe for concurrent use by readers; the
+// returned slice must not be modified.
+func (s *Set) ByWrite(k Key) []PMC {
+	idx := s.byWrite.Load()
+	if idx == nil || idx.entries != len(s.Entries) {
+		idx = s.buildByWrite()
+	}
+	span := idx.spans[k]
+	return idx.pmcs[span[0]:span[1]]
+}
+
+func (s *Set) buildByWrite() *writeIndex {
+	s.byWriteMu.Lock()
+	defer s.byWriteMu.Unlock()
+	if idx := s.byWrite.Load(); idx != nil && idx.entries == len(s.Entries) {
+		return idx
+	}
+	idx := &writeIndex{entries: len(s.Entries), pmcs: s.sortedPMCs(), spans: make(map[Key][2]int)}
+	for lo := 0; lo < len(idx.pmcs); {
+		hi := lo + 1
+		for hi < len(idx.pmcs) && idx.pmcs[hi].Write == idx.pmcs[lo].Write {
+			hi++
+		}
+		idx.spans[idx.pmcs[lo].Write] = [2]int{lo, hi}
+		lo = hi
+	}
+	s.byWrite.Store(idx)
+	return idx
 }
 
 // NewSet returns an empty database.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"snowboard/internal/corpus"
@@ -118,6 +119,69 @@ type Explorer struct {
 	// (a distributed worker sets it from the leased job; empty falls back to
 	// the process-local campaign).
 	Trace string
+
+	// scratch is the reusable per-trial state, created on first use. A copy
+	// of a used Explorer shares it (NewFleet clears it in each worker).
+	scratch *scratch
+}
+
+// scratch is everything a trial needs that does not outlive it, kept
+// behind each Explorer so a warm trial allocates for little beyond the
+// guest execution itself.
+type scratch struct {
+	tr     trace.Trace
+	rng    *rand.Rand
+	oracle detect.Scratch
+	walk   cover.Walker
+	flags  map[sig]bool
+	seen   map[detect.IssueKey]bool
+
+	// findIncidental: the trial's distinct write and read keys, executions
+	// per access signature, and the candidate list.
+	writes, reads map[pmc.Key]struct{}
+	sigCount      map[sig]int
+	candidates    []candidate
+}
+
+// scratchFor returns the explorer's scratch reset for a new concurrent
+// test, creating it on first use.
+func (x *Explorer) scratchFor() *scratch {
+	sc := x.scratch
+	if sc == nil {
+		sc = &scratch{
+			rng:      rand.New(rand.NewSource(0)),
+			flags:    make(map[sig]bool),
+			seen:     make(map[detect.IssueKey]bool),
+			writes:   make(map[pmc.Key]struct{}),
+			reads:    make(map[pmc.Key]struct{}),
+			sigCount: make(map[sig]int),
+		}
+		x.scratch = sc
+	}
+	clear(sc.flags)
+	clear(sc.seen)
+	return sc
+}
+
+// record folds one trial's issues into out, keeping those new to this test,
+// and reports whether a fresh one is crash-level. Benign races (e.g. the
+// ubiquitous slab counter, issue #13) show up in almost every trial and must
+// not end exploration; a crash-level finding does — the kernel is wedged.
+func (sc *scratch) record(out *Outcome, trial int, issues []detect.Issue) (crashed bool) {
+	for _, is := range issues {
+		k := is.Key()
+		if sc.seen[k] {
+			continue
+		}
+		sc.seen[k] = true
+		out.Issues = append(out.Issues, is)
+		out.IssueTrial[is.ID()] = trial
+		if out.ExposedTrial < 0 {
+			out.ExposedTrial = trial
+		}
+		crashed = crashed || detect.CrashLevel(is.Kind)
+	}
+	return crashed
 }
 
 // Outcome summarizes the exploration of one concurrent test.
@@ -192,9 +256,8 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		}
 		currentPMCs = append(currentPMCs, ct.Extra[i])
 	}
-	flags := make(map[sig]bool)
-	seen := make(map[string]bool)
-	var tr trace.Trace
+	sc := x.scratchFor()
+	flags, tr, rng := sc.flags, &sc.tr, sc.rng
 
 	// Mutable yield-schedule seeds: pre-trial state + preemption points of
 	// trials that discovered new segments (MutateSchedules only).
@@ -209,21 +272,23 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		trialSeed := x.Seed + int64(trial)
 		var pretrial *ReproState
 		var policy *SnowboardPolicy
-		rng := rand.New(rand.NewSource(trialSeed))
+		// Reseeding yields the stream of a fresh rand.NewSource(trialSeed)
+		// without allocating its ~5 kB state per trial.
+		rng.Seed(trialSeed)
 		mutated := false
 		var res exec.Result
 		var switches int
 		switch x.Mode {
 		case ModeSKI:
 			p := NewSKIPolicy(rng, ct.Hint)
-			res = x.Env.RunPair(ct.Writer, ct.Reader, p, &tr)
+			res = x.Env.RunPair(ct.Writer, ct.Reader, p, tr)
 			switches = p.Switches
 		case ModeRandomWalk:
 			p := NewRandomWalkPolicy(rng, 20)
-			res = x.Env.RunPair(ct.Writer, ct.Reader, p, &tr)
+			res = x.Env.RunPair(ct.Writer, ct.Reader, p, tr)
 		case ModePCT:
 			p := NewPCTPolicy(rng, 3, 4096)
-			res = x.Env.RunPair(ct.Writer, ct.Reader, p, &tr)
+			res = x.Env.RunPair(ct.Writer, ct.Reader, p, tr)
 		default:
 			if mutating && len(seeds) > 0 && trial%2 == 1 {
 				// Mutation trial: perturb a segment-discovering schedule
@@ -251,7 +316,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 				policy.FlagDenom = x.FlagDenom
 			}
 			policy.RecordSwitches = mutating
-			res = x.Env.RunPair(ct.Writer, ct.Reader, policy, &tr)
+			res = x.Env.RunPair(ct.Writer, ct.Reader, policy, tr)
 			switches = policy.Switches
 		}
 		x.Env.M.SetTrace(nil)
@@ -260,26 +325,21 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		out.Steps += res.Steps
 		mTrials.Inc()
 		mSwitches.Add(int64(switches))
-		if x.Coverage != nil {
-			out.NewCoverPairs += x.Coverage.AddTrace(&tr)
-		}
-		if out.Segments != nil {
-			if fresh := out.Segments.AddTrace(&tr); fresh > 0 {
-				out.NewSegments += fresh
-				if mutating && policy != nil && len(policy.SwitchEvents) > 0 {
-					seeds = append(seeds, schedSeed{
-						state:    pretrial,
-						switches: append([]int(nil), policy.SwitchEvents...),
-					})
-					if len(seeds) > maxSchedSeeds {
-						seeds = seeds[1:]
-					}
-				}
+		freshPairs, freshSegs := sc.walk.AddTrace(tr, x.Coverage, out.Segments)
+		out.NewCoverPairs += freshPairs
+		out.NewSegments += freshSegs
+		if freshSegs > 0 && mutating && policy != nil && len(policy.SwitchEvents) > 0 {
+			seeds = append(seeds, schedSeed{
+				state:    pretrial,
+				switches: append([]int(nil), policy.SwitchEvents...),
+			})
+			if len(seeds) > maxSchedSeeds {
+				seeds = seeds[1:]
 			}
 		}
 
 		// Channel witness: did the hinted communication actually happen?
-		if ct.Hint != nil && !out.Exercised && ChannelExercised(&tr, ct.Hint) {
+		if ct.Hint != nil && !out.Exercised && ChannelExercised(tr, ct.Hint) {
 			out.Exercised = true
 			out.ExercisedTrial = trial
 			mChannelHit.Inc()
@@ -287,37 +347,14 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 
 		in := detect.TrialInput{
 			Console:  res.Console,
-			Trace:    &tr,
+			Trace:    tr,
 			Hung:     res.Hung,
 			Deadlock: res.Deadlock,
 		}
 		if x.Fsck != nil {
 			in.PostScan = x.Fsck()
 		}
-		issues := detect.Analyze(in, x.Detect)
-		var freshIssues []detect.Issue
-		for _, is := range issues {
-			if !seen[is.ID()] {
-				seen[is.ID()] = true
-				out.Issues = append(out.Issues, is)
-				out.IssueTrial[is.ID()] = trial
-				freshIssues = append(freshIssues, is)
-			}
-		}
-		if len(freshIssues) > 0 && out.ExposedTrial < 0 {
-			out.ExposedTrial = trial
-		}
-		// Benign races (e.g. the ubiquitous slab counter, issue #13) show
-		// up in almost every trial and must not end exploration; a
-		// crash-level finding does — the kernel is wedged at that point.
-		crashed := false
-		for _, is := range freshIssues {
-			switch is.Kind {
-			case detect.KindPanic, detect.KindFSError, detect.KindIOError, detect.KindDeadlock:
-				crashed = true
-			}
-		}
-		if crashed {
+		if sc.record(&out, trial, sc.oracle.Analyze(in, x.Detect)) {
 			out.Repro = pretrial
 			break
 		}
@@ -329,7 +366,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		// hint is meant to open. Mutation trials replay historical state
 		// and do not advance the live PMC set.
 		if !mutated && !x.DisableIncidental && x.Mode == ModeSnowboard && len(currentPMCs) < maxCurrentPMCs {
-			if inc, ok := x.findIncidental(&tr, currentPMCs, rng); ok {
+			if inc, ok := x.findIncidental(tr, currentPMCs, rng); ok {
 				currentPMCs = append(currentPMCs, inc)
 				mIncidental.Inc()
 			}
@@ -379,89 +416,75 @@ func mutateFlips(rng *rand.Rand, base, switches []int) []int {
 // trial's accesses but not yet under test, choosing deterministically among
 // the candidates with the trial rng.
 func (x *Explorer) findIncidental(tr *trace.Trace, current []pmc.PMC, rng *rand.Rand) (pmc.PMC, bool) {
-	curSet := make(map[sig]bool, len(current)*2)
-	for _, p := range current {
-		curSet[sigOfKey(trace.Write, p.Write)] = true
-		curSet[sigOfKey(trace.Read, p.Read)] = true
-	}
 	if x.KnownPMCs == nil {
 		return pmc.PMC{}, false
 	}
-	writesSeen := make(map[pmc.Key]int)
-	readsSeen := make(map[pmc.Key]int)
-	sigCount := make(map[sig]int)
+	sc := x.scratch
+	writesSeen, readsSeen, sigCount := sc.writes, sc.reads, sc.sigCount
+	clear(writesSeen)
+	clear(readsSeen)
+	clear(sigCount)
 	for i, n := 0, tr.Len(); i < n; i++ {
-		a := tr.At(i)
-		if a.Stack || a.Atomic {
+		if tr.StackAt(i) || tr.AtomicAt(i) {
 			continue
 		}
-		k := pmc.Key{Ins: a.Ins, Addr: a.Addr, Size: a.Size, Val: a.Val}
-		if a.Kind == trace.Write {
-			writesSeen[k]++
+		k := pmc.Key{Ins: tr.InsAt(i), Addr: tr.AddrAt(i), Size: tr.SizeAt(i), Val: tr.ValAt(i)}
+		if tr.IsWriteAt(i) {
+			writesSeen[k] = struct{}{}
 		} else {
-			readsSeen[k]++
+			readsSeen[k] = struct{}{}
 		}
-		sigCount[sigOf(&a)]++
+		sigCount[sigOfKey(tr.KindAt(i), k)]++
 	}
-	var candidates []pmc.PMC
-	for key, e := range x.KnownPMCs.Entries {
-		if writesSeen[key.Write] > 0 && readsSeen[key.Read] > 0 {
-			if curSet[sigOfKey(trace.Write, key.Write)] && curSet[sigOfKey(trace.Read, key.Read)] {
+	// A PMC is under test when both its sides are (sides of different
+	// current PMCs count: the scheduler matches accesses, not pairs).
+	underTest := func(s sig) bool {
+		return slices.ContainsFunc(current, func(p pmc.PMC) bool {
+			return sigOfKey(trace.Write, p.Write) == s || sigOfKey(trace.Read, p.Read) == s
+		})
+	}
+	candidates := sc.candidates[:0]
+	for w := range writesSeen {
+		ws := sigOfKey(trace.Write, w)
+		wUnderTest, wCount := underTest(ws), sigCount[ws]
+		for _, p := range x.KnownPMCs.ByWrite(w) {
+			rs := sigOfKey(trace.Read, p.Read)
+			if _, ok := readsSeen[p.Read]; !ok || (wUnderTest && underTest(rs)) {
 				continue
 			}
-			candidates = append(candidates, e.PMC)
+			df := uint64(0)
+			if p.DFLeader {
+				df = 1
+			}
+			candidates = append(candidates, candidate{p, [...]uint64{
+				uint64(wCount + sigCount[rs]),
+				uint64(p.Write.Ins), p.Write.Addr, uint64(p.Read.Ins), p.Read.Addr,
+				p.Write.Val, p.Read.Val, uint64(p.Write.Size), uint64(p.Read.Size), df,
+			}})
 		}
 	}
+	sc.candidates = candidates
 	if len(candidates) == 0 {
 		return pmc.PMC{}, false
 	}
-	// Prefer the least-frequently-executed candidate (the uncommon-first
-	// philosophy of §4.3 applied to adoption): hot allocator channels fire
-	// on every kmalloc, and adopting one floods the schedule with
-	// preemption points. Sort for determinism — map iteration is random.
-	freq := func(p pmc.PMC) int {
-		return sigCount[sigOfKey(trace.Write, p.Write)] + sigCount[sigOfKey(trace.Read, p.Read)]
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		a, b := candidates[i], candidates[j]
-		fa, fb := freq(a), freq(b)
-		if fa != fb {
-			return fa < fb
-		}
-		if a.Write.Ins != b.Write.Ins {
-			return a.Write.Ins < b.Write.Ins
-		}
-		if a.Write.Addr != b.Write.Addr {
-			return a.Write.Addr < b.Write.Addr
-		}
-		if a.Read.Ins != b.Read.Ins {
-			return a.Read.Ins < b.Read.Ins
-		}
-		if a.Read.Addr != b.Read.Addr {
-			return a.Read.Addr < b.Read.Addr
-		}
-		if a.Write.Val != b.Write.Val {
-			return a.Write.Val < b.Write.Val
-		}
-		if a.Read.Val != b.Read.Val {
-			return a.Read.Val < b.Read.Val
-		}
-		// Size completes the order: candidates are distinct map keys, so
-		// two that agree on every field above differ in a Size — without
-		// this the sort is not total and the unstable sort.Slice leaks map
-		// iteration order into which PMC gets adopted.
-		if a.Write.Size != b.Write.Size {
-			return a.Write.Size < b.Write.Size
-		}
-		if a.Read.Size != b.Read.Size {
-			return a.Read.Size < b.Read.Size
-		}
-		return !a.DFLeader && b.DFLeader
-	})
+	slices.SortFunc(candidates, func(a, b candidate) int { return slices.Compare(a.rank[:], b.rank[:]) })
 	// Draw among the least-frequent quartile to retain Algorithm 2's
 	// random choice without re-admitting the hot channels.
 	n := (len(candidates) + 3) / 4
-	return candidates[rng.Intn(n)], true
+	return candidates[rng.Intn(n)].PMC, true
+}
+
+// candidate is a PMC eligible for adoption with its rank, compared
+// lexicographically. First comes how often the trial executed its two
+// access signatures: the least-frequently-executed candidate is preferred
+// (the uncommon-first philosophy of §4.3 applied to adoption), because hot
+// allocator channels fire on every kmalloc and adopting one floods the
+// schedule with preemption points. The PMC's own fields follow only to make
+// the order total — candidates are distinct PMCs, so some field differs —
+// which keeps map iteration order out of which PMC gets adopted.
+type candidate struct {
+	pmc.PMC
+	rank [10]uint64
 }
 
 // ChannelExercised reports whether the trial trace contains the hinted

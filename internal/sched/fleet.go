@@ -24,9 +24,10 @@ type Fleet struct {
 // NewFleet builds one Explorer per env, copied from template. Template
 // fields (Trials, Mode, Detect, KnownPMCs, …) are shared — KnownPMCs is
 // read-only during exploration — but each worker gets its own Env, a
-// fresh coverage accumulator when the template carries one, and its own
-// Fsck bound to its env via fsck (nil for no post-mortem scan). The
-// template's own Env and Fsck are ignored.
+// fresh coverage accumulator when the template carries one, its own
+// scratch (a template that has already explored must not lend its tables to
+// several goroutines), and its own Fsck bound to its env via fsck (nil for
+// no post-mortem scan). The template's own Env and Fsck are ignored.
 func NewFleet(template Explorer, envs []*exec.Env, fsck func(*exec.Env) []string) *Fleet {
 	f := &Fleet{merged: template.Coverage}
 	for _, env := range envs {
@@ -34,6 +35,7 @@ func NewFleet(template Explorer, envs []*exec.Env, fsck func(*exec.Env) []string
 		x.Env = env
 		x.Coverage = nil
 		x.Fsck = nil
+		x.scratch = nil
 		if template.Coverage != nil {
 			x.Coverage = cover.New()
 			f.covs = append(f.covs, x.Coverage)

@@ -1,0 +1,206 @@
+package sched
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"snowboard/internal/cover"
+	"snowboard/internal/detect"
+	"snowboard/internal/exec"
+	"snowboard/internal/kernel"
+	"snowboard/internal/pmc"
+	"snowboard/internal/trace"
+)
+
+// refFindIncidental is the brute-force lookup findIncidental replaced —
+// three fresh maps per trial and a scan of every KnownPMCs entry — kept as
+// the differential oracle. Same candidate set, same total order, same
+// single rng draw.
+func refFindIncidental(known *pmc.Set, tr *trace.Trace, current []pmc.PMC, rng *rand.Rand) (pmc.PMC, bool) {
+	curSet := make(map[sig]bool, len(current)*2)
+	for _, p := range current {
+		curSet[sigOfKey(trace.Write, p.Write)] = true
+		curSet[sigOfKey(trace.Read, p.Read)] = true
+	}
+	writesSeen := make(map[pmc.Key]int)
+	readsSeen := make(map[pmc.Key]int)
+	sigCount := make(map[sig]int)
+	for i, n := 0, tr.Len(); i < n; i++ {
+		a := tr.At(i)
+		if a.Stack || a.Atomic {
+			continue
+		}
+		k := pmc.Key{Ins: a.Ins, Addr: a.Addr, Size: a.Size, Val: a.Val}
+		if a.Kind == trace.Write {
+			writesSeen[k]++
+		} else {
+			readsSeen[k]++
+		}
+		sigCount[sigOf(&a)]++
+	}
+	var candidates []pmc.PMC
+	for key, e := range known.Entries {
+		if writesSeen[key.Write] > 0 && readsSeen[key.Read] > 0 {
+			if curSet[sigOfKey(trace.Write, key.Write)] && curSet[sigOfKey(trace.Read, key.Read)] {
+				continue
+			}
+			candidates = append(candidates, e.PMC)
+		}
+	}
+	if len(candidates) == 0 {
+		return pmc.PMC{}, false
+	}
+	freq := func(p pmc.PMC) int {
+		return sigCount[sigOfKey(trace.Write, p.Write)] + sigCount[sigOfKey(trace.Read, p.Read)]
+	}
+	sort.Slice(candidates, func(i, j int) bool {
+		a, b := candidates[i], candidates[j]
+		fa, fb := freq(a), freq(b)
+		if fa != fb {
+			return fa < fb
+		}
+		if a.Write.Ins != b.Write.Ins {
+			return a.Write.Ins < b.Write.Ins
+		}
+		if a.Write.Addr != b.Write.Addr {
+			return a.Write.Addr < b.Write.Addr
+		}
+		if a.Read.Ins != b.Read.Ins {
+			return a.Read.Ins < b.Read.Ins
+		}
+		if a.Read.Addr != b.Read.Addr {
+			return a.Read.Addr < b.Read.Addr
+		}
+		if a.Write.Val != b.Write.Val {
+			return a.Write.Val < b.Write.Val
+		}
+		if a.Read.Val != b.Read.Val {
+			return a.Read.Val < b.Read.Val
+		}
+		if a.Write.Size != b.Write.Size {
+			return a.Write.Size < b.Write.Size
+		}
+		if a.Read.Size != b.Read.Size {
+			return a.Read.Size < b.Read.Size
+		}
+		return !a.DFLeader && b.DFLeader
+	})
+	return candidates[rng.Intn((len(candidates)+3)/4)], true
+}
+
+// TestFindIncidentalEqualsBruteForce replays 50 seeds of real trials and,
+// on each, grows the set under test through the indexed lookup and the
+// brute-force scan side by side: every trial must adopt the same PMC.
+func TestFindIncidentalEqualsBruteForce(t *testing.T) {
+	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+	set, hint := identifyL2TP(t, env)
+	ct := ConcurrentTest{Writer: l2tpWriterProg(), Reader: l2tpReaderProg(), Hint: &hint}
+	x := &Explorer{Env: env, KnownPMCs: set}
+	x.scratchFor()
+	var tr trace.Trace
+	adopted := 0
+	for seed := int64(1); seed <= 50; seed++ {
+		current := []pmc.PMC{hint}
+		for len(current) < maxCurrentPMCs {
+			Replay(env, ct, &ReproState{Seed: seed, PMCs: current}, &tr)
+			env.M.SetTrace(nil)
+			want, wantOK := refFindIncidental(set, &tr, current, rand.New(rand.NewSource(seed)))
+			got, gotOK := x.findIncidental(&tr, current, rand.New(rand.NewSource(seed)))
+			if got != want || gotOK != wantOK {
+				t.Fatalf("seed %d with %d PMCs under test: indexed lookup adopted %v (%v), brute force %v (%v)",
+					seed, len(current), got, gotOK, want, wantOK)
+			}
+			if !gotOK {
+				break
+			}
+			current = append(current, got)
+			adopted++
+		}
+	}
+	if adopted < 50 {
+		t.Fatalf("only %d adoptions over 50 seeds; the comparison lost its teeth", adopted)
+	}
+}
+
+// TestFleetWorkersOwnScratch: NewFleet copies the template Explorer by
+// value, so a template that has already explored (and therefore carries
+// scratch) must not lend one set of tables to several goroutines. Two
+// fleets built from one used template run under -race and must agree with
+// a fresh serial explorer.
+func TestFleetWorkersOwnScratch(t *testing.T) {
+	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+	set, hint := identifyL2TP(t, env)
+	ct := ConcurrentTest{Writer: l2tpWriterProg(), Reader: l2tpReaderProg(), Hint: &hint}
+	template := Explorer{Env: env, Trials: 4, Mode: ModeSnowboard, Detect: detect.DefaultOptions(),
+		KnownPMCs: set, TrackSegments: true}
+	template.Explore(ct) // the template now owns scratch
+	if template.scratch == nil {
+		t.Fatal("template did not create scratch")
+	}
+
+	tests := []ConcurrentTest{ct, ct, ct, ct, ct, ct}
+	seeds := []int64{11, 12, 13, 14, 15, 16}
+	serial := &Explorer{Env: env.Clone(), Trials: 4, Mode: ModeSnowboard, Detect: detect.DefaultOptions(),
+		KnownPMCs: set, TrackSegments: true}
+	var want []Outcome
+	for i := range tests {
+		serial.Seed = seeds[i]
+		want = append(want, serial.Explore(tests[i]))
+	}
+	for round := 0; round < 2; round++ {
+		envs := []*exec.Env{env.Clone(), env.Clone(), env.Clone()}
+		fleet := NewFleet(template, envs, nil)
+		for i, w := range fleet.workers {
+			if w.scratch != nil {
+				t.Fatalf("fleet %d worker %d shares the template's scratch", round, i)
+			}
+		}
+		for i, got := range fleet.ExploreAll(tests, seeds) {
+			if got.Trials != want[i].Trials || got.Steps != want[i].Steps || got.Switches != want[i].Switches ||
+				len(got.Issues) != len(want[i].Issues) || got.NewSegments != want[i].NewSegments {
+				t.Fatalf("fleet %d test %d: got %+v, want %+v", round, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestTrialAllocBudget is the allocation gate on the per-trial analysis, in
+// the mould of vm.TestRecordAllocBudget: with a warm explorer, a trial —
+// guest execution, both oracles, both coverage metrics, incidental lookup —
+// stays within 300 allocations (~1,070 before the flat shadow tables), and
+// detect.Analyze on a race-free trace within 8 (~828 before).
+func TestTrialAllocBudget(t *testing.T) {
+	env := exec.NewEnv(kernel.Config{Version: kernel.V5_3_10})
+	set, hint := identifyL2TP(t, env)
+	ct := ConcurrentTest{Writer: l2tpWriterProg(), Reader: l2tpReaderProg(), Hint: &hint}
+	const trials = 8
+	x := &Explorer{
+		Env: env, Trials: trials, Seed: 3, Mode: ModeSnowboard, Detect: detect.DefaultOptions(),
+		KnownPMCs: set, Coverage: cover.New(), TrackSegments: true,
+		Fsck: func() []string { return env.K.FsckHost() },
+	}
+	ran := x.Explore(ct).Trials // warm the scratch
+	perExplore := testing.AllocsPerRun(5, func() { x.Explore(ct) })
+	perTrial := perExplore / float64(ran)
+	t.Logf("warm trial: %.0f allocs (%.0f per %d-trial Explore)", perTrial, perExplore, ran)
+	if perTrial > 300 {
+		t.Fatalf("a warm trial allocates %.0f times (%.0f per %d-trial Explore), budget 300", perTrial, perExplore, ran)
+	}
+
+	// A single-threaded (hence race-free) trace through a warm oracle
+	// scratch.
+	var tr trace.Trace
+	res := env.RunSequential(ct.Reader, &tr)
+	env.M.SetTrace(nil)
+	in := detect.TrialInput{Console: res.Console, Trace: &tr}
+	var sc detect.Scratch
+	if issues := sc.Analyze(in, detect.DefaultOptions()); len(issues) != 0 {
+		t.Fatalf("single-threaded trace is not race-free: %+v", issues)
+	}
+	n := testing.AllocsPerRun(20, func() { sc.Analyze(in, detect.DefaultOptions()) })
+	t.Logf("Analyze on a race-free trace of %d accesses: %.0f allocs", tr.Len(), n)
+	if n > 8 {
+		t.Fatalf("Analyze on a race-free trace allocates %.0f times, budget 8", n)
+	}
+}

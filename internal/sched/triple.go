@@ -1,12 +1,9 @@
 package sched
 
 import (
-	"math/rand"
-
 	"snowboard/internal/corpus"
 	"snowboard/internal/detect"
 	"snowboard/internal/pmc"
-	"snowboard/internal/trace"
 )
 
 // Three-thread exploration — the §6 extension. A TripleTest runs one writer
@@ -38,13 +35,12 @@ func (x *Explorer) ExploreTriple(tt TripleTest) Outcome {
 			pmc.PMC{Write: tt.Hint.Write, Read: tt.Hint.ReadB},
 		)
 	}
-	flags := make(map[sig]bool)
-	seen := make(map[string]bool)
-	var tr trace.Trace
+	sc := x.scratchFor()
+	flags, tr, rng := sc.flags, &sc.tr, sc.rng
 	progs := []*corpus.Prog{tt.Writer, tt.ReaderA, tt.ReaderB}
 
 	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(x.Seed + int64(trial)))
+		rng.Seed(x.Seed + int64(trial))
 		policy := NewSnowboardPolicy(rng, currentPMCs, flags)
 		if x.PerformedDenom > 0 {
 			policy.PerformedDenom = x.PerformedDenom
@@ -52,7 +48,7 @@ func (x *Explorer) ExploreTriple(tt TripleTest) Outcome {
 		if x.FlagDenom > 0 {
 			policy.FlagDenom = x.FlagDenom
 		}
-		res := x.Env.RunMany(progs, policy, &tr)
+		res := x.Env.RunMany(progs, policy, tr)
 		x.Env.M.SetTrace(nil)
 		out.Trials = trial + 1
 		out.Switches += policy.Switches
@@ -61,7 +57,7 @@ func (x *Explorer) ExploreTriple(tt TripleTest) Outcome {
 		if tt.Hint != nil && !out.Exercised {
 			a := pmc.PMC{Write: tt.Hint.Write, Read: tt.Hint.ReadA}
 			b := pmc.PMC{Write: tt.Hint.Write, Read: tt.Hint.ReadB}
-			if ChannelExercised(&tr, &a) && ChannelExercised(&tr, &b) {
+			if ChannelExercised(tr, &a) && ChannelExercised(tr, &b) {
 				out.Exercised = true
 				out.ExercisedTrial = trial
 			}
@@ -69,34 +65,14 @@ func (x *Explorer) ExploreTriple(tt TripleTest) Outcome {
 
 		in := detect.TrialInput{
 			Console:  res.Console,
-			Trace:    &tr,
+			Trace:    tr,
 			Hung:     res.Hung,
 			Deadlock: res.Deadlock,
 		}
 		if x.Fsck != nil {
 			in.PostScan = x.Fsck()
 		}
-		issues := detect.Analyze(in, x.Detect)
-		var fresh []detect.Issue
-		for _, is := range issues {
-			if !seen[is.ID()] {
-				seen[is.ID()] = true
-				out.Issues = append(out.Issues, is)
-				out.IssueTrial[is.ID()] = trial
-				fresh = append(fresh, is)
-			}
-		}
-		if len(fresh) > 0 && out.ExposedTrial < 0 {
-			out.ExposedTrial = trial
-		}
-		crashed := false
-		for _, is := range fresh {
-			switch is.Kind {
-			case detect.KindPanic, detect.KindFSError, detect.KindIOError, detect.KindDeadlock:
-				crashed = true
-			}
-		}
-		if crashed {
+		if sc.record(&out, trial, sc.oracle.Analyze(in, x.Detect)) {
 			break
 		}
 	}
