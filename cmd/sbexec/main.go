@@ -46,12 +46,11 @@ import (
 	"time"
 
 	"snowboard"
+	"snowboard/internal/core"
 	"snowboard/internal/corpus"
-	"snowboard/internal/detect"
 	"snowboard/internal/obs"
 	"snowboard/internal/par"
 	"snowboard/internal/queue"
-	"snowboard/internal/sched"
 )
 
 var mPoisoned = obs.C(obs.MWorkerPoisoned)
@@ -161,52 +160,26 @@ func (cc *corpusCache) get(hex string) (*corpus.Corpus, error) {
 	return c, nil
 }
 
-// keepLease extends a lease at half-TTL intervals until the returned stop
-// function is called, so explorations longer than the coordinator's lease
-// timeout are not reaped out from under a live worker.
-func keepLease(client *queue.Client, ls queue.Lease) (stop func()) {
-	ttl := time.Until(ls.Deadline)
-	if ttl < 100*time.Millisecond {
-		ttl = 100 * time.Millisecond
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(ttl / 2)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if _, err := client.Extend(ls.ID, 0); err != nil {
-					// Lease gone (expired or settled elsewhere); the
-					// coordinator deduplicates, nothing more to keep alive.
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(done) }
-}
-
-// workLoop is one explorer goroutine: it owns a private simulated-kernel
-// environment and leases jobs from the shared (mutex-guarded) client until
-// the queue closes or stays empty past the idle deadline. Job seeds come
-// from the job ID, not the goroutine, so placement — and redelivery —
-// cannot change results. Failures are contained: poisoned jobs are nacked,
-// network errors are retried inside the client, and only an exhausted
-// retry budget ends the loop (never the whole process via log.Fatal).
+// workLoop is one explorer goroutine: it owns a core.Worker on a private
+// simulated-kernel environment and leases jobs from the shared
+// (mutex-guarded) client until the queue closes or stays empty past the
+// idle deadline. What a job computes, and how it settles, is
+// core.Worker.Do — shared with every other front door. Network errors are
+// retried inside the client, and only an exhausted retry budget ends the
+// loop (never the whole process via log.Fatal).
 func workLoop(client *queue.Client, cache *corpusCache, version snowboard.Version, trials int, name string, idleExit time.Duration, jobs *atomic.Int64) {
-	diag := obs.Diag
-	env := snowboard.NewEnv(version)
-	x := &snowboard.Explorer{
-		Env:    env,
-		Trials: trials,
-		Mode:   snowboard.ModeSnowboard,
-		Detect: detect.DefaultOptions(),
-		Fsck:   func() []string { return env.K.FsckHost() },
-	}
-
+	w := core.NewWorker(snowboard.NewEnv(version), trials, name, func(job *queue.Job) error {
+		c, err := cache.get(job.Corpus)
+		if err == nil {
+			err = job.Resolve(c)
+		}
+		if err != nil {
+			// Poisoned job: nacked, so the coordinator redelivers it (maybe
+			// another worker has the store) or dead-letters it.
+			mPoisoned.Inc()
+		}
+		return err
+	})
 	idleSince := time.Now()
 	for {
 		ls, err := client.Lease()
@@ -222,66 +195,12 @@ func workLoop(client *queue.Client, cache *corpusCache, version snowboard.Versio
 		case err != nil:
 			// The client already reconnected with backoff and gave up: the
 			// coordinator is unreachable. Leased work redelivers elsewhere.
-			diag.Printf("lease: %v — worker goroutine exiting", err)
+			obs.Diag.Printf("lease: %v — worker goroutine exiting", err)
 			return
 		}
 		idleSince = time.Now()
 		jobs.Add(1)
-		job := ls.Job
-
-		if !job.Inline() {
-			c, rerr := cache.get(job.Corpus)
-			if rerr == nil {
-				rerr = job.Resolve(c)
-			}
-			if rerr != nil {
-				// Poisoned job: hand it back so the coordinator redelivers
-				// it (maybe another worker has the store) or dead-letters it
-				// with this reason — never crash the whole worker process.
-				mPoisoned.Inc()
-				diag.Printf("job %d unresolvable: %v — nacking", job.ID, rerr)
-				if nerr := client.Nack(ls.ID, rerr.Error()); nerr != nil && !errors.Is(nerr, queue.ErrUnknownLease) {
-					diag.Printf("nack job %d: %v", job.ID, nerr)
-				}
-				continue
-			}
-		}
-
-		stopKeep := keepLease(client, ls)
-		x.Seed = int64(job.ID)*1009 + 1
-		// Stitch this job's spans and events to the originating campaign's
-		// trace, so a distributed run's timeline reads end-to-end.
-		x.Trace = job.Trace
-		out := x.Explore(sched.ConcurrentTest{
-			Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,
-		})
-		stopKeep()
-		res := queue.JobResult{
-			JobID:     job.ID,
-			Trials:    out.Trials,
-			Exercised: out.Exercised,
-			Worker:    name,
-		}
-		for _, is := range out.Issues {
-			res.IssueIDs = append(res.IssueIDs, is.ID())
-			if is.BugID != 0 {
-				res.BugIDs = append(res.BugIDs, is.BugID)
-			}
-		}
-		if err := client.Report(res); err != nil {
-			// Result never landed: nack so the job redelivers and reports
-			// from a healthier worker.
-			diag.Printf("report job %d: %v — nacking for redelivery", job.ID, err)
-			if nerr := client.Nack(ls.ID, "report failed: "+err.Error()); nerr != nil && !errors.Is(nerr, queue.ErrUnknownLease) {
-				diag.Printf("nack job %d: %v", job.ID, nerr)
-			}
-			continue
-		}
-		if err := client.Ack(ls.ID); err != nil && !errors.Is(err, queue.ErrUnknownLease) {
-			// ErrUnknownLease is benign: the lease expired and the job was
-			// redelivered; the coordinator folds the duplicate away.
-			diag.Printf("ack job %d: %v", job.ID, err)
-		}
+		w.Do(client, ls)
 	}
 }
 

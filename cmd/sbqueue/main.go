@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"snowboard"
+	"snowboard/internal/core"
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
 )
@@ -148,18 +149,8 @@ func main() {
 		stopWatch = startWatch(q)
 	}
 
-	for i, ct := range cts {
-		// Every job carries the campaign trace, so worker spans and the
-		// queue's delivery events stitch back to this run end-to-end.
-		job := queue.Job{ID: i, Hint: ct.Hint, Pair: ct.Pair, Trace: obs.CurrentTrace()}
-		if corpusDigest != "" {
-			job.Corpus = corpusDigest
-		} else {
-			job.Writer, job.Reader = ct.Writer, ct.Reader
-		}
-		if err := q.Push(job); err != nil {
-			log.Fatal(err)
-		}
+	if err := core.PushTests(q, cts, corpusDigest, obs.CurrentTrace()); err != nil {
+		log.Fatal(err)
 	}
 
 	// Wait for every job to settle: acked or dead-lettered. Pending jobs

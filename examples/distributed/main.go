@@ -19,9 +19,8 @@ import (
 	"time"
 
 	"snowboard"
-	"snowboard/internal/detect"
+	"snowboard/internal/core"
 	"snowboard/internal/queue"
-	"snowboard/internal/sched"
 )
 
 func main() {
@@ -54,10 +53,8 @@ func main() {
 	}
 	defer srv.Close()
 
-	for i, ct := range tests {
-		if err := q.Push(queue.Job{ID: i, Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint, Pair: ct.Pair}); err != nil {
-			log.Fatal(err)
-		}
+	if err := core.PushTests(q, tests, "", ""); err != nil {
+		log.Fatal(err)
 	}
 
 	// Fleet: four workers over TCP, each with a private simulated kernel.
@@ -73,12 +70,7 @@ func main() {
 				log.Fatal(err)
 			}
 			defer c.Close()
-			env := snowboard.NewEnv(opts.Version)
-			x := &snowboard.Explorer{
-				Env: env, Trials: 12, Mode: snowboard.ModeSnowboard,
-				Detect: detect.DefaultOptions(),
-				Fsck:   func() []string { return env.K.FsckHost() },
-			}
+			worker := core.NewWorker(snowboard.NewEnv(opts.Version), 12, fmt.Sprintf("worker-%d", id), nil)
 			crashed := false
 			for {
 				ls, err := c.Lease()
@@ -105,23 +97,9 @@ func main() {
 					fmt.Printf("worker-0 crashed holding job %d (attempt %d); the lease will expire\n", ls.Job.ID, ls.Attempt)
 					continue
 				}
-				job := ls.Job
-				x.Seed = int64(job.ID)*1009 + 1
-				out := x.Explore(sched.ConcurrentTest{
-					Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,
-				})
-				res := queue.JobResult{JobID: job.ID, Trials: out.Trials, Exercised: out.Exercised, Worker: fmt.Sprintf("worker-%d", id)}
-				for _, is := range out.Issues {
-					if is.BugID != 0 {
-						res.BugIDs = append(res.BugIDs, is.BugID)
-					}
-				}
-				if err := c.Report(res); err != nil {
-					log.Fatal(err)
-				}
-				if err := c.Ack(ls.ID); err != nil && !errors.Is(err, queue.ErrUnknownLease) {
-					log.Fatal(err)
-				}
+				// Explore, report and ack (or nack) exactly as sbexec and
+				// sbd do: one core.Worker behind every front door.
+				worker.Do(c, ls)
 			}
 		}(w)
 	}

@@ -9,11 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"snowboard/internal/detect"
 	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
-	"snowboard/internal/sched"
 	"snowboard/internal/store"
 )
 
@@ -460,40 +458,18 @@ func (c *Campaign) reportKey() store.Digest {
 	return store.Key(campaignKeyPrefix, "report", string(c.manifest))
 }
 
-func (c *Campaign) loadReport(st *store.Store) (*Report, bool) {
-	sr, err := st.GetStage(c.reportKey())
-	if err != nil {
-		return nil, false
+// restoreCounters sets the progress counters from a finished report, so a
+// resumed campaign's /campaigns status equals the one its original run
+// ended with.
+func (c *Campaign) restoreCounters(r *Report) {
+	expected, executed, exercised, dead := r.TestedTests, r.TestedTests, r.Exercised, 0
+	if d := r.Distributed; d != nil {
+		expected, executed, exercised, dead = d.Expected, d.Reported, d.Exercised, len(d.DeadJobs)
 	}
-	payload, err := st.Get(store.KindReport, sr.Out)
-	if err != nil {
-		return nil, false
-	}
-	var r Report
-	if err := json.Unmarshal(payload, &r); err != nil {
-		obs.Diag.Printf("campaign %s: discarding undecodable report memo: %v", c.ID, err)
-		return nil, false
-	}
-	if r.Issues == nil {
-		r.Issues = make(map[int]IssueRecord)
-	}
-	return &r, true
-}
-
-func (c *Campaign) saveReport(st *store.Store, r *Report) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		obs.Diag.Printf("campaign %s: encode report: %v", c.ID, err)
-		return
-	}
-	d, err := st.Put(store.KindReport, payload)
-	if err != nil {
-		obs.Diag.Printf("campaign %s: persist report: %v", c.ID, err)
-		return
-	}
-	if err := st.PutStage(c.reportKey(), store.StageResult{Kind: store.KindReport, Out: d}); err != nil {
-		obs.Diag.Printf("campaign %s: persist report memo: %v", c.ID, err)
-	}
+	c.expected.Store(int64(expected))
+	c.executed.Store(int64(executed))
+	c.exercised.Store(int64(exercised))
+	c.dead.Store(int64(dead))
 }
 
 // run is the campaign goroutine: local stages 1–3 (memoized through the
@@ -511,19 +487,17 @@ func (c *Campaign) run() {
 		return
 	}
 	p := NewPipeline(opts)
-	var st *store.Store
 	if c.env.StateDir != "" {
-		st, err = store.Open(c.env.StateDir)
+		st, err := store.Open(c.env.StateDir)
 		if err != nil {
 			c.finish(nil, err)
 			return
 		}
 		p.UseStore(st)
-		if r, ok := c.loadReport(st); ok {
+		if r, ok := p.loadReportMemo("campaign", c.reportKey()); ok {
 			// The whole campaign is memoized: resume instantly with the
 			// stored report, byte-for-byte what the uninterrupted run wrote.
-			c.expected.Store(int64(c.Spec.TestBudget))
-			c.executed.Store(int64(c.Spec.TestBudget))
+			c.restoreCounters(r)
 			c.finish(r, nil)
 			return
 		}
@@ -548,6 +522,7 @@ func (c *Campaign) run() {
 		// skipped.
 		p.RunFeedback(r, opts.TestBudget)
 		p.TriageReport(r)
+		c.restoreCounters(r)
 	} else if err := c.runDistributed(p, r, opts); err != nil {
 		c.finish(nil, err)
 		return
@@ -556,8 +531,8 @@ func (c *Campaign) run() {
 	// Metrics deliberately stay uncaptured: the obs registry is shared by
 	// every tenant and varies run to run, and the campaign report memo
 	// must be byte-identical across resumes.
-	if st != nil {
-		c.saveReport(st, r)
+	if p.store != nil {
+		p.saveReportMemo("campaign", c.reportKey(), r)
 	}
 	c.finish(r, nil)
 }
@@ -568,20 +543,10 @@ func (c *Campaign) run() {
 func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	cts := p.GenerateTests(r, opts.TestBudget)
 	q := c.env.Registry.Open(c.QueueName())
-	corpusDigest := ""
-	if p.store != nil {
-		corpusDigest, _, _ = p.ArtifactDigests()
-	}
-	for i, ct := range cts {
-		job := queue.Job{ID: i, Hint: ct.Hint, Pair: ct.Pair, Trace: c.Trace}
-		if corpusDigest != "" {
-			job.Corpus = corpusDigest
-		} else {
-			job.Writer, job.Reader = ct.Writer, ct.Reader
-		}
-		if err := q.Push(job); err != nil {
-			return fmt.Errorf("campaign %s: push job %d: %w", c.ID, i, err)
-		}
+	// Empty without a store: the jobs then carry their programs inline.
+	corpusDigest, _, _ := p.ArtifactDigests()
+	if err := PushTests(q, cts, corpusDigest, c.Trace); err != nil {
+		return fmt.Errorf("campaign %s: %w", c.ID, err)
 	}
 	c.expected.Store(int64(len(cts)))
 
@@ -608,59 +573,12 @@ func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	return nil
 }
 
-// jobLeaser abstracts where the executor leases from: the registry
-// listener over TCP (the production path, chaos-injectable via env.Dial)
-// or the in-process queue when the env has no listener.
-type jobLeaser interface {
-	Lease() (queue.Lease, error)
-	Ack(id uint64) error
-	Nack(id uint64, reason string) error
-	Extend(id uint64, d time.Duration) (time.Time, error)
-	Report(res queue.JobResult) error
-	Close() error
-}
-
-type localLeaser struct{ q *queue.Queue }
-
-func (l localLeaser) Lease() (queue.Lease, error)         { return l.q.TryLease() }
-func (l localLeaser) Ack(id uint64) error                 { return l.q.Ack(id) }
-func (l localLeaser) Nack(id uint64, reason string) error { return l.q.Nack(id, reason) }
-func (l localLeaser) Extend(id uint64, d time.Duration) (time.Time, error) {
-	return l.q.Extend(id, d)
-}
-func (l localLeaser) Report(res queue.JobResult) error { return l.q.Report(res) }
-func (l localLeaser) Close() error                     { return nil }
-
-// keepLease extends a lease at half-TTL intervals until stopped, so
-// explorations longer than the queue's lease timeout are not reaped out
-// from under a live executor (mirrors sbexec).
-func keepLease(lsr jobLeaser, ls queue.Lease) (stop func()) {
-	ttl := time.Until(ls.Deadline)
-	if ttl < 20*time.Millisecond {
-		ttl = 20 * time.Millisecond
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(ttl / 2)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if _, err := lsr.Extend(ls.ID, 0); err != nil {
-					// Lease gone (expired or settled); the fold dedups.
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(done) }
-}
-
-func (c *Campaign) dialLeaser(q *queue.Queue) (jobLeaser, error) {
+// dialLeaser picks where the executor leases from: the registry listener
+// over TCP (the production path, chaos-injectable via env.Dial) or the
+// in-process queue when the env has no listener.
+func (c *Campaign) dialLeaser(q *queue.Queue) (Leaser, error) {
 	if c.env.Addr == "" {
-		return localLeaser{q: q}, nil
+		return localLeaser{q}, nil
 	}
 	cl, err := queue.DialOpts(c.env.Addr, queue.DialOptions{
 		Queue:      c.QueueName(),
@@ -675,19 +593,15 @@ func (c *Campaign) dialLeaser(q *queue.Queue) (jobLeaser, error) {
 }
 
 // executeLoop drains the campaign's queue in fair-scheduler slices until
-// every job is settled. Exploration mirrors sbexec: per-job seeds derive
-// from the job ID alone, so redelivery — to this executor or a future
-// incarnation after a restart — reproduces byte-identical results.
-func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr jobLeaser) {
-	env := p.Env
-	x := &sched.Explorer{
-		Env:    env,
-		Trials: c.Spec.Trials,
-		Mode:   sched.ModeSnowboard,
-		Detect: detect.DefaultOptions(),
-		Fsck:   func() []string { return env.K.FsckHost() },
-		Trace:  c.Trace,
-	}
+// every job is settled. The turn-taking, the pause gate and the Fault hook
+// are the campaign's; what a job computes is Worker.Do's, so redelivery —
+// to this executor or a future incarnation after a restart — reproduces
+// byte-identical results.
+func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr Leaser) {
+	// By-reference jobs resolve against the pipeline's in-memory corpus,
+	// no store round-trip needed.
+	w := NewWorker(p.Env, c.Spec.Trials, "sbd/"+c.ID,
+		func(job *queue.Job) error { return job.Resolve(p.Corpus) })
 	mExec := c.scope.C("exec.tests")
 	mFaults := c.scope.C("exec.faults")
 	slice := c.env.slice()
@@ -709,7 +623,21 @@ func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr jobLeaser) {
 				obs.Diag.Printf("campaign %s: lease: %v", c.ID, err)
 				break
 			}
-			c.executeJob(p, x, lsr, ls, mExec, mFaults)
+			if c.env.Fault != nil && c.env.Fault(ls.Job.ID, ls.Attempt) {
+				// Simulated worker crash: walk away mid-lease. The reaper
+				// expires it and the job redelivers or dead-letters.
+				mFaults.Inc()
+				continue
+			}
+			out, reported := w.Do(lsr, ls)
+			if !reported {
+				continue
+			}
+			c.executed.Add(1)
+			if out.Exercised {
+				c.exercised.Add(1)
+			}
+			mExec.Inc()
 		}
 		if c.env.Turns != nil {
 			c.env.Turns.Release()
@@ -721,59 +649,4 @@ func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr jobLeaser) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-}
-
-func (c *Campaign) executeJob(p *Pipeline, x *sched.Explorer, lsr jobLeaser, ls queue.Lease, mExec, mFaults *obs.Counter) {
-	job := ls.Job
-	if c.env.Fault != nil && c.env.Fault(job.ID, ls.Attempt) {
-		// Simulated worker crash: walk away mid-lease. The reaper expires
-		// it and the job redelivers (or dead-letters) — never vanishes.
-		mFaults.Inc()
-		return
-	}
-	if !job.Inline() {
-		// By-reference job: the executor shares the pipeline's in-memory
-		// corpus, no store round-trip needed.
-		if err := job.Resolve(p.Corpus); err != nil {
-			if nerr := lsr.Nack(ls.ID, err.Error()); nerr != nil && !errors.Is(nerr, queue.ErrUnknownLease) {
-				obs.Diag.Printf("campaign %s: nack job %d: %v", c.ID, job.ID, nerr)
-			}
-			return
-		}
-	}
-	stopKeep := keepLease(lsr, ls)
-	x.Seed = int64(job.ID)*1009 + 1
-	out := x.Explore(sched.ConcurrentTest{
-		Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,
-	})
-	stopKeep()
-	res := queue.JobResult{
-		JobID:     job.ID,
-		Trials:    out.Trials,
-		Exercised: out.Exercised,
-		Worker:    "sbd/" + c.ID,
-	}
-	for _, is := range out.Issues {
-		res.IssueIDs = append(res.IssueIDs, is.ID())
-		if is.BugID != 0 {
-			res.BugIDs = append(res.BugIDs, is.BugID)
-		}
-	}
-	if err := lsr.Report(res); err != nil {
-		obs.Diag.Printf("campaign %s: report job %d: %v — nacking", c.ID, job.ID, err)
-		if nerr := lsr.Nack(ls.ID, "report failed: "+err.Error()); nerr != nil && !errors.Is(nerr, queue.ErrUnknownLease) {
-			obs.Diag.Printf("campaign %s: nack job %d: %v", c.ID, job.ID, nerr)
-		}
-		return
-	}
-	if err := lsr.Ack(ls.ID); err != nil && !errors.Is(err, queue.ErrUnknownLease) {
-		// ErrUnknownLease is benign: the lease expired and the job was
-		// redelivered; the fold deduplicates by job ID.
-		obs.Diag.Printf("campaign %s: ack job %d: %v", c.ID, job.ID, err)
-	}
-	c.executed.Add(1)
-	if out.Exercised {
-		c.exercised.Add(1)
-	}
-	mExec.Inc()
 }

@@ -186,9 +186,17 @@ func settleCampaign(t *testing.T, c *Campaign, cond func() bool) {
 func TestCampaignReportMemoByteIdentical(t *testing.T) {
 	// The same spec against the same state dir must produce byte-identical
 	// report JSON — the second run resumes from the campaign-level memo
-	// without executing anything.
+	// without executing anything — and serve the same progress counters at
+	// /campaigns, for a queue-delivered campaign and a feedback one alike.
+	oneShot, feedback := smallSpec("memo", 7), smallSpec("memo-feedback", 7)
+	feedback.Feedback = true
+	for _, spec := range []CampaignSpec{oneShot, feedback} {
+		t.Run(spec.Name, func(t *testing.T) { testReportMemo(t, spec) })
+	}
+}
+
+func testReportMemo(t *testing.T, spec CampaignSpec) {
 	dir := t.TempDir()
-	spec := smallSpec("memo", 7)
 
 	run := func() ([]byte, *Campaign) {
 		reg := queue.NewRegistry(queue.Options{})
@@ -219,6 +227,17 @@ func TestCampaignReportMemoByteIdentical(t *testing.T) {
 	// The memoized resume executed nothing: its queue was never opened.
 	if c2.Status().QueueDepth != 0 {
 		t.Fatal("memoized resume touched the queue")
+	}
+	// A run and its own resume report the same progress.
+	counters := func(st CampaignStatus) [5]int64 {
+		return [5]int64{st.Expected, st.Executed, st.Exercised, st.DeadLetters, int64(st.Issues)}
+	}
+	cold, warm := counters(c1.Status()), counters(c2.Status())
+	if cold != warm {
+		t.Fatalf("status counters (expected, executed, exercised, dead, issues) differ: cold %v, warm %v", cold, warm)
+	}
+	if cold[0] == 0 || cold[1] != cold[0] {
+		t.Fatalf("finished campaign reports expected=%d executed=%d", cold[0], cold[1])
 	}
 
 	// The manifest is persisted for restart enumeration.

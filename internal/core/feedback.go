@@ -85,14 +85,8 @@ func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 	if p.store == nil {
 		return nil
 	}
-	cd, err := p.ensureCorpusDigest()
-	if err != nil {
-		obs.Diag.Printf("stage feedback: corpus digest: %v", err)
-		return nil
-	}
-	pd, err := p.ensurePMCDigest()
-	if err != nil {
-		obs.Diag.Printf("stage feedback: PMC digest: %v", err)
+	cd, pd, ok := p.stage4Inputs("feedback")
+	if !ok {
 		return nil
 	}
 	m := p.Opts.Method

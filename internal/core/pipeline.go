@@ -123,7 +123,7 @@ func (p *Pipeline) BuildCorpus(r *Report) {
 		}
 		mStoreMisses.Inc()
 	}
-	res := fuzz.CampaignSharded(p.workerEnvs(p.workers()), p.Opts.Seed, p.Opts.FuzzBudget, p.Opts.CorpusCap)
+	res := fuzz.CampaignShardedFunc(p.workerEnvs(p.workers()), p.Opts.Seed, p.Opts.FuzzBudget, p.Opts.CorpusCap, nil)
 	p.Corpus = res.Corpus
 	p.corpusDigest = store.Digest{}
 	r.CorpusSize = p.Corpus.Len()
@@ -209,8 +209,8 @@ func (p *Pipeline) SetProfiles(profiles []pmc.Profile) {
 // restores the stored PMC set outright; otherwise identification runs
 // incrementally against the longest stored batch-chain prefix (see
 // identifyIncremental), so a resumed campaign with a grown corpus pays
-// only for the delta. Without a store it is a plain one-shot
-// identification — the two paths produce deep-equal sets.
+// only for the delta. Without a store there is no chain to resume and the
+// same engine identifies every profile as one batch.
 func (p *Pipeline) IdentifyPMCs(r *Report) {
 	span := obs.StartSpan("stage.identify", obs.A("profiles", len(p.Profiles)))
 	var profilesDigest store.Digest
@@ -228,11 +228,7 @@ func (p *Pipeline) IdentifyPMCs(r *Report) {
 		}
 		mStoreMisses.Inc()
 	}
-	if p.store != nil {
-		p.PMCs = p.identifyIncremental()
-	} else {
-		p.PMCs = pmc.IdentifyParallel(p.Profiles, p.Opts.PMC, p.workers())
-	}
+	p.PMCs = p.identifyIncremental()
 	p.pmcDigest = store.Digest{}
 	r.DistinctPMCs = p.PMCs.Len()
 	r.PMCCombinations = p.PMCs.TotalCombinations

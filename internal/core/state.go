@@ -379,8 +379,12 @@ func (p *Pipeline) saveIdentifyStage(r *Report, profilesDigest store.Digest) {
 const identifyBatchSize = 16
 
 // identifyChainKeys returns the chain key of every full identifyBatchSize
-// batch of the current profiles (nil on encoding failure).
+// batch of the current profiles (nil on encoding failure, and with no
+// store attached: nothing to resume from or persist to).
 func (p *Pipeline) identifyChainKeys() []store.Digest {
+	if p.store == nil {
+		return nil
+	}
 	full := len(p.Profiles) / identifyBatchSize
 	keys := make([]store.Digest, 0, full)
 	prev := store.Digest{}
@@ -475,113 +479,106 @@ func (p *Pipeline) identifyIncremental() *pmc.Set {
 	return set
 }
 
-// ensureCorpusDigest returns the content digest of the current corpus,
-// encoding and persisting the artifact if it is not yet known (e.g. the
-// corpus was installed with SetCorpus rather than built by BuildCorpus).
-func (p *Pipeline) ensureCorpusDigest() (store.Digest, error) {
-	if !p.corpusDigest.IsZero() {
-		return p.corpusDigest, nil
+// ensureDigest returns *d, the content digest of one of the pipeline's
+// current artifacts, encoding and persisting the artifact first if it is
+// not yet content-addressed (e.g. it was installed with SetCorpus rather
+// than built by BuildCorpus).
+func (p *Pipeline) ensureDigest(d *store.Digest, kind store.Kind, encode func(*bytes.Buffer) error) (store.Digest, error) {
+	if d.IsZero() {
+		var buf bytes.Buffer
+		if err := encode(&buf); err != nil {
+			return store.Digest{}, err
+		}
+		put, err := p.store.Put(kind, buf.Bytes())
+		if err != nil {
+			return store.Digest{}, err
+		}
+		*d = put
 	}
+	return *d, nil
+}
+
+func (p *Pipeline) ensureCorpusDigest() (store.Digest, error) {
 	if p.Corpus == nil {
 		return store.Digest{}, errors.New("core: no corpus")
 	}
-	var buf bytes.Buffer
-	if err := corpus.EncodeCorpus(&buf, p.Corpus); err != nil {
-		return store.Digest{}, err
-	}
-	d, err := p.store.Put(store.KindCorpus, buf.Bytes())
-	if err != nil {
-		return store.Digest{}, err
-	}
-	p.corpusDigest = d
-	return d, nil
+	return p.ensureDigest(&p.corpusDigest, store.KindCorpus,
+		func(b *bytes.Buffer) error { return corpus.EncodeCorpus(b, p.Corpus) })
 }
 
-// ensureProfilesDigest mirrors ensureCorpusDigest for the profile set.
 func (p *Pipeline) ensureProfilesDigest() (store.Digest, error) {
-	if !p.profilesDigest.IsZero() {
-		return p.profilesDigest, nil
-	}
-	var buf bytes.Buffer
-	if err := pmc.EncodeProfiles(&buf, p.Profiles); err != nil {
-		return store.Digest{}, err
-	}
-	d, err := p.store.Put(store.KindProfiles, buf.Bytes())
-	if err != nil {
-		return store.Digest{}, err
-	}
-	p.profilesDigest = d
-	return d, nil
+	return p.ensureDigest(&p.profilesDigest, store.KindProfiles,
+		func(b *bytes.Buffer) error { return pmc.EncodeProfiles(b, p.Profiles) })
 }
 
-// ensurePMCDigest mirrors ensureCorpusDigest for the PMC set.
 func (p *Pipeline) ensurePMCDigest() (store.Digest, error) {
-	if !p.pmcDigest.IsZero() {
-		return p.pmcDigest, nil
-	}
 	if p.PMCs == nil {
 		return store.Digest{}, errors.New("core: no PMC set")
 	}
-	var buf bytes.Buffer
-	if err := pmc.EncodeSet(&buf, p.PMCs); err != nil {
-		return store.Digest{}, err
-	}
-	d, err := p.store.Put(store.KindPMCs, buf.Bytes())
-	if err != nil {
-		return store.Digest{}, err
-	}
-	p.pmcDigest = d
-	return d, nil
+	return p.ensureDigest(&p.pmcDigest, store.KindPMCs,
+		func(b *bytes.Buffer) error { return pmc.EncodeSet(b, p.PMCs) })
 }
 
-// loadReportStage attempts a full generate+execute cache hit: on success
-// the stored report — findings, timings, frozen metrics and all — is
-// returned verbatim.
-func (p *Pipeline) loadReportStage(budget int) (*Report, bool) {
-	cd, err := p.ensureCorpusDigest()
-	if err != nil {
-		return nil, false
-	}
-	pd, err := p.ensurePMCDigest()
-	if err != nil {
-		return nil, false
-	}
-	payload, _, out, ok := p.loadStage("execute", p.reportKey(cd, pd, budget), store.KindReport)
+// loadReportMemo decodes the report memoized under key — findings,
+// timings, frozen metrics and all, verbatim. It is the one report codec:
+// the pipeline's execute stage and the campaign-level memo both store a
+// JSON Report under KindReport plus a stage memo entry.
+func (p *Pipeline) loadReportMemo(name string, key store.Digest) (*Report, bool) {
+	payload, _, out, ok := p.loadStage(name, key, store.KindReport)
 	if !ok {
 		return nil, false
 	}
 	var r Report
 	if err := json.Unmarshal(payload, &r); err != nil {
-		obs.Diag.Printf("stage execute: discarding undecodable report artifact %s: %v", out.Short(), err)
+		obs.Diag.Printf("stage %s: discarding undecodable report artifact %s: %v", name, out.Short(), err)
 		return nil, false
 	}
 	if r.Issues == nil {
 		r.Issues = make(map[int]IssueRecord)
 	}
-	obs.Diag.Printf("stage execute: cache hit (report %s, %d issues)", out.Short(), len(r.Issues))
+	obs.Diag.Printf("stage %s: cache hit (report %s, %d issues)", name, out.Short(), len(r.Issues))
 	return &r, true
+}
+
+// saveReportMemo persists the finished report under key.
+func (p *Pipeline) saveReportMemo(name string, key store.Digest, r *Report) {
+	payload, err := json.Marshal(r)
+	if err != nil {
+		obs.Diag.Printf("stage %s: encode report: %v", name, err)
+		return
+	}
+	if d := p.saveStage(name, key, store.KindReport, payload, nil); !d.IsZero() {
+		obs.Diag.Printf("stage %s: report artifact %s persisted", name, d.Short())
+	}
+}
+
+// stage4Inputs returns the content digests of the current corpus and PMC
+// set — what every stage-4 memo key pins — persisting either artifact if
+// it is not yet content-addressed. A failure is diagnosed under stage.
+func (p *Pipeline) stage4Inputs(stage string) (cd, pd store.Digest, ok bool) {
+	cd, err := p.ensureCorpusDigest()
+	if err == nil {
+		pd, err = p.ensurePMCDigest()
+	}
+	if err != nil {
+		obs.Diag.Printf("stage %s: artifact digests: %v", stage, err)
+	}
+	return cd, pd, err == nil
+}
+
+// loadReportStage attempts a full generate+execute cache hit.
+func (p *Pipeline) loadReportStage(budget int) (*Report, bool) {
+	cd, pd, ok := p.stage4Inputs("execute")
+	if !ok {
+		return nil, false
+	}
+	return p.loadReportMemo("execute", p.reportKey(cd, pd, budget))
 }
 
 // saveReportStage persists the finished report.
 func (p *Pipeline) saveReportStage(r *Report, budget int) {
-	cd, err := p.ensureCorpusDigest()
-	if err != nil {
-		obs.Diag.Printf("stage execute: corpus digest: %v", err)
-		return
-	}
-	pd, err := p.ensurePMCDigest()
-	if err != nil {
-		obs.Diag.Printf("stage execute: PMC digest: %v", err)
-		return
-	}
-	payload, err := json.Marshal(r)
-	if err != nil {
-		obs.Diag.Printf("stage execute: encode report: %v", err)
-		return
-	}
-	d := p.saveStage("execute", p.reportKey(cd, pd, budget), store.KindReport, payload, nil)
-	if !d.IsZero() {
-		obs.Diag.Printf("stage execute: report artifact %s persisted", d.Short())
+	if cd, pd, ok := p.stage4Inputs("execute"); ok {
+		p.saveReportMemo("execute", p.reportKey(cd, pd, budget), r)
 	}
 }
 

@@ -33,26 +33,17 @@ type CampaignResult struct {
 // mirrors the paper's setup: the generator produces a large redundant
 // stream; only tests contributing new edge coverage are kept (§4.1.1).
 func Campaign(env *exec.Env, seed int64, budget, maxKeep int) CampaignResult {
-	return CampaignSharded([]*exec.Env{env}, seed, budget, maxKeep)
+	return CampaignShardedFunc([]*exec.Env{env}, seed, budget, maxKeep, nil)
 }
 
 // batchSize is the number of candidate programs produced per
-// synchronization round of CampaignSharded. Candidates within a round are
+// synchronization round of a campaign. Candidates within a round are
 // generated against the round-start corpus and executed in parallel; the
 // coverage/selection fold between rounds stays sequential in unit order.
 // The size is fixed — never derived from the worker count — so the
 // candidate stream, and therefore the resulting corpus, is identical for
 // any number of workers.
 const batchSize = 32
-
-// CampaignSharded is Campaign fanned out across len(envs) worker
-// environments (one goroutine per env). Each candidate program derives its
-// generator from par.UnitSeed(seed, StageFuzz, unit), where unit is the
-// candidate's global index in the campaign — not a per-worker counter — so
-// results are bit-identical to CampaignSharded with a single env.
-func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) CampaignResult {
-	return CampaignShardedFunc(envs, seed, budget, maxKeep, nil)
-}
 
 // RoundFunc observes one synchronization round of a sharded campaign:
 // round is the 0-based round index and admitted lists the programs the
@@ -66,11 +57,14 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 // not mutate the campaign's corpus.
 type RoundFunc func(round int, admitted []*corpus.Prog)
 
-// CampaignShardedFunc is CampaignSharded with a per-round observer
-// callback (nil behaves exactly like CampaignSharded). fn is invoked after
-// every round's selection fold — including the final, possibly truncated
-// round when the corpus cap fills mid-fold — so it sees every admitted
-// program exactly once.
+// CampaignShardedFunc is Campaign fanned out across len(envs) worker
+// environments (one goroutine per env). Each candidate program derives its
+// generator from par.UnitSeed(seed, StageFuzz, unit), where unit is the
+// candidate's global index in the campaign — not a per-worker counter — so
+// results are bit-identical to a single env's. fn, when non-nil, observes
+// each round: it is invoked after every round's selection fold — including
+// the final, possibly truncated round when the corpus cap fills mid-fold —
+// so it sees every admitted program exactly once.
 func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn RoundFunc) CampaignResult {
 	cov := cover.NewEdges()
 	out := CampaignResult{Corpus: corpus.NewCorpus()}

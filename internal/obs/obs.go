@@ -102,7 +102,6 @@ const (
 	// every queue in the process (each queue contributes deltas); per-queue
 	// depth lives in "queue.<name>.depth" gauges.
 	MQueuePush       = "queue.push"                // counter: jobs enqueued
-	MQueuePop        = "queue.pop"                 // counter: jobs dequeued
 	MQueueReport     = "queue.report"              // counter: results recorded
 	MQueueDepth      = "queue.depth"               // gauge: jobs waiting, summed over all queues
 	MQueueLease      = "queue.lease"               // counter: leases granted
@@ -114,7 +113,6 @@ const (
 	MQueueNetConns   = "queue.net.conns"           // counter: TCP connections accepted
 	MQueueNetInFl    = "queue.net.inflight"        // gauge: connections currently served
 	MQueueNetBadReq  = "queue.net.bad_requests"    // counter: malformed/unknown requests answered
-	MQueueNetPop     = "queue.net.pop"             // counter: pop ops served
 	MQueueNetPush    = "queue.net.push"            // counter: push ops served
 	MQueueNetReport  = "queue.net.report"          // counter: report ops served
 	MQueueNetLease   = "queue.net.lease"           // counter: lease ops served

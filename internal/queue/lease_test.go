@@ -180,22 +180,6 @@ func TestBlockingLeaseWakesOnRedelivery(t *testing.T) {
 	}
 }
 
-func TestPopIsLeaseThenAck(t *testing.T) {
-	// Legacy Pop keeps at-most-once semantics on top of the lease machinery.
-	q := NewWithOptions(Options{Name: "pop-compat"})
-	defer q.Close()
-	if err := q.Push(testJob(2)); err != nil {
-		t.Fatal(err)
-	}
-	j, err := q.TryPop()
-	if err != nil || j.ID != 2 {
-		t.Fatalf("pop: %v %v", j.ID, err)
-	}
-	if st := q.Stats(); st.Done != 1 || st.Leased != 0 {
-		t.Fatalf("stats after pop = %+v", st)
-	}
-}
-
 func TestReadFrameCap(t *testing.T) {
 	read := func(input string, max int) ([]byte, error) {
 		return readFrame(bufio.NewReaderSize(strings.NewReader(input), 16), max)

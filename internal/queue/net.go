@@ -22,7 +22,6 @@ var (
 	mNetConns    = obs.C(obs.MQueueNetConns)
 	mNetInFlight = obs.G(obs.MQueueNetInFl)
 	mNetBadReq   = obs.C(obs.MQueueNetBadReq)
-	mNetPop      = obs.C(obs.MQueueNetPop)
 	mNetPush     = obs.C(obs.MQueueNetPush)
 	mNetReport   = obs.C(obs.MQueueNetReport)
 	mNetLease    = obs.C(obs.MQueueNetLease)
@@ -43,7 +42,6 @@ var (
 //	{"op":"ack","lease":7,"v":2}      -> {"ok":true} | {"ok":false,"err":"queue: unknown lease"}
 //	{"op":"nack","lease":7,"reason":"...","v":2} -> {"ok":true}
 //	{"op":"extend","lease":7,"ms":30000,"v":2}   -> {"ok":true,"ttl_ms":30000}
-//	{"op":"pop"}                      -> v1 at-most-once dequeue (legacy)
 //	{"op":"push","job":{...}}         -> {"ok":true}
 //	{"op":"report","result":{...}}    -> {"ok":true}
 //
@@ -371,19 +369,6 @@ func (s *Server) serveOp(enc *json.Encoder, req wireReq) {
 		}
 		_ = enc.Encode(wireResp{V: ProtoVersion, OK: true, Lease: req.Lease,
 			TTLMs: time.Until(deadline).Milliseconds()})
-	case "pop":
-		mNetPop.Inc()
-		job, err := q.TryPop()
-		if err != nil {
-			fail(err)
-			return
-		}
-		raw, err := EncodeJob(job)
-		if err != nil {
-			fail(err)
-			return
-		}
-		_ = enc.Encode(wireResp{V: ProtoVersion, OK: true, Job: raw})
 	case "push":
 		mNetPush.Inc()
 		job, err := DecodeJob(req.Job)
@@ -674,20 +659,6 @@ func (c *Client) Extend(id uint64, d time.Duration) (time.Time, error) {
 		return time.Time{}, respError(resp)
 	}
 	return time.Now().Add(time.Duration(resp.TTLMs) * time.Millisecond), nil
-}
-
-// Pop fetches the next job with legacy at-most-once semantics; ErrEmpty
-// when none are queued, ErrClosed when the queue has shut down. New workers
-// use Lease/Ack.
-func (c *Client) Pop() (Job, error) {
-	resp, err := c.roundTrip(wireReq{Op: "pop"})
-	if err != nil {
-		return Job{}, err
-	}
-	if !resp.OK {
-		return Job{}, respError(resp)
-	}
-	return DecodeJob(resp.Job)
 }
 
 // Push enqueues a job remotely.

@@ -63,21 +63,37 @@ func TestTCPBadRequest(t *testing.T) {
 	}
 
 	// The connection stays usable: a valid request afterwards still works.
-	if _, err := conn.Write([]byte(`{"op":"pop"}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	resp = readResp(t, r)
 	if resp.OK || resp.Err != ErrEmpty.Error() {
-		t.Fatalf("pop after bad request = %+v, want err %q", resp, ErrEmpty)
+		t.Fatalf("lease after bad request = %+v, want err %q", resp, ErrEmpty)
 	}
 
-	// Unknown ops get their own explicit error.
-	if _, err := conn.Write([]byte(`{"op":"flush"}` + "\n")); err != nil {
+	// Unknown ops get their own explicit error — including the retired v1
+	// "pop", which must not dequeue anything — and the connection
+	// survives them.
+	if err := q.Push(testJob(1)); err != nil {
 		t.Fatal(err)
 	}
-	resp = readResp(t, r)
-	if resp.OK || !strings.Contains(resp.Err, `unknown op "flush"`) {
-		t.Fatalf("unknown op response = %+v", resp)
+	for _, op := range []string{"flush", "pop"} {
+		if _, err := conn.Write([]byte(`{"op":"` + op + `"}` + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		resp = readResp(t, r)
+		if resp.OK || !strings.Contains(resp.Err, `unknown op "`+op+`"`) {
+			t.Fatalf("unknown op %q response = %+v", op, resp)
+		}
+	}
+	if st := q.Stats(); st.Pending != 1 || st.Leased != 0 || st.Done != 0 {
+		t.Fatalf("unknown ops touched the queue: %+v", st)
+	}
+	if _, err := conn.Write([]byte(`{"op":"lease","v":2}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if resp = readResp(t, r); !resp.OK || resp.Lease == 0 {
+		t.Fatalf("lease after unknown ops = %+v", resp)
 	}
 }
 
@@ -90,7 +106,8 @@ func TestTCPOpCounters(t *testing.T) {
 	defer srv.Close()
 
 	pushBefore := obs.C(obs.MQueueNetPush).Value()
-	popBefore := obs.C(obs.MQueueNetPop).Value()
+	leaseBefore := obs.C(obs.MQueueNetLease).Value()
+	ackBefore := obs.C(obs.MQueueNetAck).Value()
 	reportBefore := obs.C(obs.MQueueNetReport).Value()
 
 	c, err := Dial(srv.Addr())
@@ -102,7 +119,11 @@ func TestTCPOpCounters(t *testing.T) {
 	if err := c.Push(testJob(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Pop(); err != nil {
+	ls, err := c.Lease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ack(ls.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Report(JobResult{JobID: 1}); err != nil {
@@ -112,8 +133,11 @@ func TestTCPOpCounters(t *testing.T) {
 	if got := obs.C(obs.MQueueNetPush).Value(); got != pushBefore+1 {
 		t.Errorf("net push counter = %d, want %d", got, pushBefore+1)
 	}
-	if got := obs.C(obs.MQueueNetPop).Value(); got != popBefore+1 {
-		t.Errorf("net pop counter = %d, want %d", got, popBefore+1)
+	if got := obs.C(obs.MQueueNetLease).Value(); got != leaseBefore+1 {
+		t.Errorf("net lease counter = %d, want %d", got, leaseBefore+1)
+	}
+	if got := obs.C(obs.MQueueNetAck).Value(); got != ackBefore+1 {
+		t.Errorf("net ack counter = %d, want %d", got, ackBefore+1)
 	}
 	if got := obs.C(obs.MQueueNetReport).Value(); got != reportBefore+1 {
 		t.Errorf("net report counter = %d, want %d", got, reportBefore+1)
@@ -143,14 +167,14 @@ func TestQueueDepthGaugePerQueue(t *testing.T) {
 	if got := agg.Value() - aggBefore; got != 4 {
 		t.Fatalf("aggregate depth delta = %d, want 4", got)
 	}
-	if _, err := a.Pop(); err != nil {
+	if _, err := a.TryLease(); err != nil {
 		t.Fatal(err)
 	}
 	if da.Value() != 2 || db.Value() != 1 {
-		t.Fatalf("per-queue depths after pop = %d,%d, want 2,1", da.Value(), db.Value())
+		t.Fatalf("per-queue depths after lease = %d,%d, want 2,1", da.Value(), db.Value())
 	}
 	if got := agg.Value() - aggBefore; got != 3 {
-		t.Fatalf("aggregate depth delta after pop = %d, want 3", got)
+		t.Fatalf("aggregate depth delta after lease = %d, want 3", got)
 	}
 	a.Close()
 	b.Close()
@@ -168,7 +192,7 @@ func TestServerClosePromptWithIdleClient(t *testing.T) {
 	conn, r := rawDial(t, srv.Addr())
 	defer conn.Close()
 	// One round-trip proves the handler is live before it goes idle.
-	if _, err := conn.Write([]byte(`{"op":"pop"}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	readResp(t, r)
@@ -215,12 +239,12 @@ func TestFrameTooLargeClamp(t *testing.T) {
 	}
 
 	// The connection stays in sync: a small valid request still works.
-	if _, err := conn.Write([]byte(`{"op":"pop"}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	resp = readResp(t, r)
 	if resp.OK || resp.Err != ErrEmpty.Error() {
-		t.Fatalf("pop after oversized frame = %+v, want err %q", resp, ErrEmpty)
+		t.Fatalf("lease after oversized frame = %+v, want err %q", resp, ErrEmpty)
 	}
 }
 
@@ -233,7 +257,7 @@ func TestUnsupportedProtocolVersion(t *testing.T) {
 	defer srv.Close()
 	conn, r := rawDial(t, srv.Addr())
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"op":"pop","v":99}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":99}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	resp := readResp(t, r)

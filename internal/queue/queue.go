@@ -33,7 +33,6 @@ import (
 // never clobber one another), and the lease-age histogram.
 var (
 	mPush      = obs.C(obs.MQueuePush)
-	mPop       = obs.C(obs.MQueuePop)
 	mReport    = obs.C(obs.MQueueReport)
 	mDepth     = obs.G(obs.MQueueDepth)
 	mLease     = obs.C(obs.MQueueLease)
@@ -111,7 +110,7 @@ type JobResult struct {
 // ErrClosed is returned by operations on a closed queue.
 var ErrClosed = errors.New("queue: closed")
 
-// ErrEmpty is returned by TryPop/TryLease on an empty queue.
+// ErrEmpty is returned by TryLease on an empty queue.
 var ErrEmpty = errors.New("queue: empty")
 
 // ErrUnknownLease is returned by Ack/Nack/Extend when the lease ID is not
@@ -489,32 +488,6 @@ func (q *Queue) Extend(id uint64, d time.Duration) (time.Time, error) {
 	return l.deadline, nil
 }
 
-// Pop dequeues the next job with legacy at-most-once semantics (the lease
-// is acked immediately, so a crashed consumer loses the job), blocking
-// until one is available or the queue closes. Fault-tolerant consumers use
-// Lease/Ack instead.
-func (q *Queue) Pop() (Job, error) {
-	ls, err := q.Lease()
-	if err != nil {
-		return Job{}, err
-	}
-	_ = q.Ack(ls.ID)
-	mPop.Inc()
-	return ls.Job, nil
-}
-
-// TryPop dequeues without blocking, with the same at-most-once semantics as
-// Pop.
-func (q *Queue) TryPop() (Job, error) {
-	ls, err := q.TryLease()
-	if err != nil {
-		return Job{}, err
-	}
-	_ = q.Ack(ls.ID)
-	mPop.Inc()
-	return ls.Job, nil
-}
-
 // Report records a worker's result.
 func (q *Queue) Report(r JobResult) error {
 	q.mu.Lock()
@@ -575,14 +548,7 @@ func (q *Queue) Stats() Stats {
 	return s
 }
 
-// Len reports the number of queued (pending, unleased) jobs.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.jobs)
-}
-
-// Close wakes all blocked Leases/Pops and stops the reaper; subsequent
+// Close wakes all blocked Leases and stops the reaper; subsequent
 // Pushes fail. Outstanding leases can still be acked or nacked while
 // workers drain.
 func (q *Queue) Close() {

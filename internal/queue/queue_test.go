@@ -34,24 +34,27 @@ func TestQueueFIFO(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if q.Len() != 3 {
-		t.Fatalf("len %d", q.Len())
+	if n := q.Stats().Pending; n != 3 {
+		t.Fatalf("pending %d", n)
 	}
 	for i := 0; i < 3; i++ {
-		j, err := q.Pop()
-		if err != nil || j.ID != i {
-			t.Fatalf("pop %d: %v %v", i, j.ID, err)
+		ls, err := q.Lease()
+		if err != nil || ls.Job.ID != i {
+			t.Fatalf("lease %d: %v %v", i, ls.Job.ID, err)
+		}
+		if err := q.Ack(ls.ID); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-func TestTryPopEmpty(t *testing.T) {
+func TestTryLeaseEmpty(t *testing.T) {
 	q := New()
-	if _, err := q.TryPop(); !errors.Is(err, ErrEmpty) {
+	if _, err := q.TryLease(); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("err: %v", err)
 	}
 	q.Close()
-	if _, err := q.TryPop(); !errors.Is(err, ErrClosed) {
+	if _, err := q.TryLease(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err after close: %v", err)
 	}
 	if err := q.Push(testJob(1)); !errors.Is(err, ErrClosed) {
@@ -59,13 +62,13 @@ func TestTryPopEmpty(t *testing.T) {
 	}
 }
 
-func TestPopBlocksUntilPushOrClose(t *testing.T) {
+func TestLeaseBlocksUntilPushOrClose(t *testing.T) {
 	q := New()
 	got := make(chan Job, 1)
 	go func() {
-		j, err := q.Pop()
+		ls, err := q.Lease()
 		if err == nil {
-			got <- j
+			got <- ls.Job
 		}
 		close(got)
 	}()
@@ -76,16 +79,16 @@ func TestPopBlocksUntilPushOrClose(t *testing.T) {
 	select {
 	case j, ok := <-got:
 		if !ok || j.ID != 7 {
-			t.Fatalf("blocked pop result: %v %v", j.ID, ok)
+			t.Fatalf("blocked lease result: %v %v", j.ID, ok)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("pop never woke")
+		t.Fatal("lease never woke")
 	}
 
-	// A pop blocked on an empty queue wakes on Close.
+	// A lease blocked on an empty queue wakes on Close.
 	done := make(chan error, 1)
 	go func() {
-		_, err := q.Pop()
+		_, err := q.Lease()
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -96,7 +99,7 @@ func TestPopBlocksUntilPushOrClose(t *testing.T) {
 			t.Fatalf("err: %v", err)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("pop never woke on close")
+		t.Fatal("lease never woke on close")
 	}
 }
 
@@ -148,15 +151,18 @@ func TestTCPRoundtrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.Pop(); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("pop on empty: %v", err)
+	if _, err := c.Lease(); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("lease on empty: %v", err)
 	}
 	if err := c.Push(testJob(9)); err != nil {
 		t.Fatal(err)
 	}
-	j, err := c.Pop()
-	if err != nil || j.ID != 9 {
-		t.Fatalf("pop: %v %v", j.ID, err)
+	ls, err := c.Lease()
+	if err != nil || ls.Job.ID != 9 {
+		t.Fatalf("lease: %v %v", ls.Job.ID, err)
+	}
+	if err := c.Ack(ls.ID); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.Report(JobResult{JobID: 9, Trials: 3, Exercised: true, BugIDs: []int{12}}); err != nil {
 		t.Fatal(err)
@@ -196,11 +202,16 @@ func TestTCPMultipleWorkers(t *testing.T) {
 			}
 			defer c.Close()
 			for {
-				j, err := c.Pop()
+				ls, err := c.Lease()
 				if errors.Is(err, ErrEmpty) {
 					return
 				}
 				if err != nil {
+					t.Error(err)
+					return
+				}
+				j := ls.Job
+				if err := c.Ack(ls.ID); err != nil {
 					t.Error(err)
 					return
 				}
