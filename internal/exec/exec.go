@@ -9,6 +9,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"snowboard/internal/corpus"
 	"snowboard/internal/kernel"
@@ -124,8 +125,10 @@ func (e *Env) prepare(tr *trace.Trace) {
 func (e *Env) procBody(prog *corpus.Prog, slot int, rets *[]int64) func(*vm.Thread) {
 	return func(t *vm.Thread) {
 		p := kernel.NewProc(e.K, t, slot)
+		var args []uint64 // reused across calls: Invoke copies what it keeps
 		for _, call := range prog.Calls {
-			args := make([]uint64, len(call.Args))
+			args = slices.Grow(args[:0], len(call.Args))[:len(call.Args)]
+			clear(args)
 			for i, a := range call.Args {
 				switch a.Kind {
 				case corpus.ConstArg:
@@ -182,7 +185,8 @@ func (e *Env) RunSequential(prog *corpus.Prog, tr *trace.Trace) Result {
 // thread 1 / user slot 1, matching the paper's two test-executor vCPUs.
 func (e *Env) RunPair(writer, reader *corpus.Prog, sched vm.Scheduler, tr *trace.Trace) Result {
 	e.prepare(tr)
-	var wrets, rrets []int64
+	wrets := make([]int64, 0, len(writer.Calls))
+	rrets := make([]int64, 0, len(reader.Calls))
 	e.M.Spawn("executor-0", kernel.StackFor(0), e.procBody(writer, 0, &wrets))
 	e.M.Spawn("executor-1", kernel.StackFor(1), e.procBody(reader, 1, &rrets))
 	err := e.M.Run(sched, e.maxSteps())

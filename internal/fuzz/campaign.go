@@ -58,8 +58,8 @@ const batchSize = 32
 type RoundFunc func(round int, admitted []*corpus.Prog)
 
 // CampaignShardedFunc is Campaign fanned out across len(envs) worker
-// environments (one goroutine per env). Each candidate program derives its
-// generator from par.UnitSeed(seed, StageFuzz, unit), where unit is the
+// environments (one goroutine per env). Each candidate program reseeds its
+// shard's generator with par.UnitSeed(seed, StageFuzz, unit), where unit is the
 // candidate's global index in the campaign — not a per-worker counter — so
 // results are bit-identical to a single env's. fn, when non-nil, observes
 // each round: it is invoked after every round's selection fold — including
@@ -69,6 +69,10 @@ func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn R
 	cov := cover.NewEdges()
 	out := CampaignResult{Corpus: corpus.NewCorpus()}
 	traces := make([]trace.Trace, len(envs))
+	gens := make([]*Generator, len(envs))
+	for w := range gens {
+		gens[w] = NewGenerator(0)
+	}
 
 	type unit struct {
 		prog    *corpus.Prog
@@ -86,7 +90,8 @@ func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn R
 		snapshot := append([]*corpus.Prog(nil), out.Corpus.Progs...)
 		base := out.Executed
 		units := par.Map(len(envs), n, func(w, i int) unit {
-			g := NewGenerator(par.UnitSeed(seed, par.StageFuzz, base+i))
+			g := gens[w]
+			g.rng.Seed(par.UnitSeed(seed, par.StageFuzz, base+i))
 			var p *corpus.Prog
 			// Mostly mutate existing corpus entries once one exists, like
 			// Syzkaller; otherwise generate fresh.

@@ -11,6 +11,7 @@ import (
 
 	"snowboard/internal/corpus"
 	"snowboard/internal/kernel"
+	"snowboard/internal/lazyrand"
 )
 
 // Generator produces random, structurally valid programs.
@@ -21,7 +22,7 @@ type Generator struct {
 
 // NewGenerator returns a deterministic generator for the seed.
 func NewGenerator(seed int64) *Generator {
-	return &Generator{rng: rand.New(rand.NewSource(seed)), MaxCalls: 6}
+	return &Generator{rng: lazyrand.New(seed), MaxCalls: 6}
 }
 
 // retKindOf computes the descriptor kind a call produces.

@@ -9,6 +9,7 @@ import (
 	"snowboard/internal/cover"
 	"snowboard/internal/detect"
 	"snowboard/internal/exec"
+	"snowboard/internal/lazyrand"
 	"snowboard/internal/obs"
 	"snowboard/internal/pmc"
 	"snowboard/internal/trace"
@@ -130,11 +131,18 @@ type Explorer struct {
 // guest execution itself.
 type scratch struct {
 	tr     trace.Trace
-	rng    *rand.Rand
+	rng    *rand.Rand // over a lazyrand.Source: reseeding per trial is free
 	oracle detect.Scratch
 	walk   cover.Walker
 	flags  map[sig]bool
 	seen   map[detect.IssueKey]bool
+
+	// The Snowboard-mode trial scheduler, the flags as they stood before
+	// the running trial (a ReproState is built from them only if the trial
+	// is kept), and the throwaway flag set of a mutated trial.
+	policy   SnowboardPolicy
+	preFlags []sig
+	mutFlags map[sig]bool
 
 	// findIncidental: the trial's distinct write and read keys, executions
 	// per access signature, and the candidate list.
@@ -149,9 +157,10 @@ func (x *Explorer) scratchFor() *scratch {
 	sc := x.scratch
 	if sc == nil {
 		sc = &scratch{
-			rng:      rand.New(rand.NewSource(0)),
+			rng:      lazyrand.New(0),
 			flags:    make(map[sig]bool),
 			seen:     make(map[detect.IssueKey]bool),
+			mutFlags: make(map[sig]bool),
 			writes:   make(map[pmc.Key]struct{}),
 			reads:    make(map[pmc.Key]struct{}),
 			sigCount: make(map[sig]int),
@@ -270,10 +279,17 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 
 	for trial := 0; trial < trials; trial++ {
 		trialSeed := x.Seed + int64(trial)
+		// policy is set in Snowboard mode only. pretrial stays nil (a
+		// mutated trial runs from a synthesized one) until keep materialises
+		// it for a trial worth keeping.
 		var pretrial *ReproState
 		var policy *SnowboardPolicy
-		// Reseeding yields the stream of a fresh rand.NewSource(trialSeed)
-		// without allocating its ~5 kB state per trial.
+		keep := func() *ReproState {
+			if pretrial == nil && policy != nil {
+				pretrial = snapshotRepro(trialSeed, trial, currentPMCs, sc.preFlags)
+			}
+			return pretrial
+		}
 		rng.Seed(trialSeed)
 		mutated := false
 		var res exec.Result
@@ -290,11 +306,14 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 			p := NewPCTPolicy(rng, 3, 4096)
 			res = x.Env.RunPair(ct.Writer, ct.Reader, p, tr)
 		default:
+			policy = &sc.policy
 			if mutating && len(seeds) > 0 && trial%2 == 1 {
 				// Mutation trial: perturb a segment-discovering schedule
 				// near its preemption points instead of exploring fresh.
 				// The trial is a pure function of its synthesized
-				// ReproState, so it replays like any recorded trial.
+				// ReproState, so it replays like any recorded trial. The
+				// explorer's rng has no draw left to make in such a trial,
+				// so it is reseeded to drive the policy.
 				sd := seeds[rng.Intn(len(seeds))]
 				pretrial = &ReproState{
 					Seed:  sd.state.Seed,
@@ -303,11 +322,14 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 					Flags: sd.state.Flags,
 					Flips: mutateFlips(rng, sd.state.Flips, sd.switches),
 				}
-				policy = policyFromState(pretrial)
+				policy.loadState(pretrial, rng, sc.mutFlags)
 				mutated = true
 			} else {
-				pretrial = snapshotRepro(trialSeed, trial, currentPMCs, flags)
-				policy = NewSnowboardPolicy(rng, currentPMCs, flags)
+				sc.preFlags = sc.preFlags[:0]
+				for f := range flags {
+					sc.preFlags = append(sc.preFlags, f)
+				}
+				policy.reset(rng, currentPMCs, flags)
 			}
 			if x.PerformedDenom > 0 {
 				policy.PerformedDenom = x.PerformedDenom
@@ -328,9 +350,9 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		freshPairs, freshSegs := sc.walk.AddTrace(tr, x.Coverage, out.Segments)
 		out.NewCoverPairs += freshPairs
 		out.NewSegments += freshSegs
-		if freshSegs > 0 && mutating && policy != nil && len(policy.SwitchEvents) > 0 {
+		if freshSegs > 0 && mutating && len(policy.SwitchEvents) > 0 {
 			seeds = append(seeds, schedSeed{
-				state:    pretrial,
+				state:    keep(),
 				switches: append([]int(nil), policy.SwitchEvents...),
 			})
 			if len(seeds) > maxSchedSeeds {
@@ -355,7 +377,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 			in.PostScan = x.Fsck()
 		}
 		if sc.record(&out, trial, sc.oracle.Analyze(in, x.Detect)) {
-			out.Repro = pretrial
+			out.Repro = keep()
 			break
 		}
 

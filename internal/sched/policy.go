@@ -107,20 +107,33 @@ type SnowboardPolicy struct {
 // NewSnowboardPolicy builds the trial scheduler. flags persists across
 // trials of the same concurrent test and is updated in place.
 func NewSnowboardPolicy(rng *rand.Rand, currentPMCs []pmc.PMC, flags map[sig]bool) *SnowboardPolicy {
-	cur := make([]sig, 0, 2*len(currentPMCs))
-	for _, p := range currentPMCs {
-		cur = append(cur, sigOfKey(trace.Write, p.Write), sigOfKey(trace.Read, p.Read))
+	p := &SnowboardPolicy{}
+	p.reset(rng, currentPMCs, flags)
+	return p
+}
+
+// reset makes p the scheduler of a new trial, keeping only its storage: an
+// explorer runs every trial through one policy.
+func (p *SnowboardPolicy) reset(rng *rand.Rand, currentPMCs []pmc.PMC, flags map[sig]bool) {
+	cur := p.current[:0]
+	for _, pm := range currentPMCs {
+		cur = append(cur, sigOfKey(trace.Write, pm.Write), sigOfKey(trace.Read, pm.Read))
 	}
-	flagIns := make(map[trace.Ins]bool, len(flags))
+	if p.flagIns == nil {
+		p.flagIns, p.fired = make(map[trace.Ins]bool, len(flags)), make(map[sig]bool)
+	}
+	clear(p.flagIns)
+	clear(p.fired)
+	clear(p.FlipAt)
 	for f := range flags {
-		flagIns[f.ins] = true
+		p.flagIns[f.ins] = true
 	}
-	return &SnowboardPolicy{
+	*p = SnowboardPolicy{
 		rng:     rng,
 		current: cur,
 		flags:   flags,
-		flagIns: flagIns,
-		fired:   make(map[sig]bool),
+		flagIns: p.flagIns,
+		fired:   p.fired,
 		// Algorithm 2 leaves random()'s bias unspecified; these defaults
 		// came out of a 30-seed sweep on the Figure 1 bug (mean
 		// trials-to-expose 35 vs 53 for a fair coin): switching somewhat
@@ -128,6 +141,8 @@ func NewSnowboardPolicy(rng *rand.Rand, currentPMCs []pmc.PMC, flags map[sig]boo
 		// just opened.
 		PerformedDenom: 4,
 		FlagDenom:      4,
+		FlipAt:         p.FlipAt,
+		SwitchEvents:   p.SwitchEvents[:0],
 	}
 }
 

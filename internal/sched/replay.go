@@ -1,13 +1,13 @@
 package sched
 
 import (
+	"math/rand"
 	"sort"
 
 	"snowboard/internal/exec"
+	"snowboard/internal/lazyrand"
 	"snowboard/internal/pmc"
 	"snowboard/internal/trace"
-
-	"math/rand"
 )
 
 // Deterministic reproduction (§6 "Bug Diagnosis and Deterministic
@@ -45,14 +45,15 @@ type ReproState struct {
 	Flips []int `json:"flips,omitempty"`
 }
 
-// snapshotRepro captures the pre-trial scheduler state.
-func snapshotRepro(seed int64, trial int, pmcs []pmc.PMC, flags map[sig]bool) *ReproState {
+// snapshotRepro materialises the pre-trial scheduler state of a trial worth
+// keeping, from the flags as they stood before the trial ran.
+func snapshotRepro(seed int64, trial int, pmcs []pmc.PMC, flags []sig) *ReproState {
 	st := &ReproState{
 		Seed:  seed,
 		Trial: trial,
 		PMCs:  append([]pmc.PMC(nil), pmcs...),
 	}
-	for f := range flags {
+	for _, f := range flags {
 		st.Flags = append(st.Flags, exportSig(f))
 	}
 	sort.Slice(st.Flags, func(i, j int) bool {
@@ -71,25 +72,30 @@ func snapshotRepro(seed int64, trial int, pmcs []pmc.PMC, flags map[sig]bool) *R
 	return st
 }
 
-// policyFromState rebuilds the exact scheduler a recorded trial ran with:
-// rng seeded from the trial seed, flags and PMCs from the snapshot, and
-// any mutation flips re-applied. Both Replay and the explorer's mutated
-// trials construct their policy through this, so a mutated trial is
-// replayable from its ReproState alone.
-func policyFromState(st *ReproState) *SnowboardPolicy {
-	flags := make(map[sig]bool, len(st.Flags))
+// loadState makes p the exact scheduler a recorded trial ran with: r
+// reseeded from the trial seed, flags (emptied first) and PMCs from the
+// snapshot, and any mutation flips re-applied. Both Replay and the
+// explorer's mutated trials construct their policy through this, so a
+// mutated trial is replayable from its ReproState alone.
+func (p *SnowboardPolicy) loadState(st *ReproState, r *rand.Rand, flags map[sig]bool) {
+	clear(flags)
 	for _, f := range st.Flags {
 		flags[importSig(f)] = true
 	}
-	rng := rand.New(rand.NewSource(st.Seed))
-	policy := NewSnowboardPolicy(rng, st.PMCs, flags)
-	if len(st.Flips) > 0 {
-		policy.FlipAt = make(map[int]bool, len(st.Flips))
-		for _, i := range st.Flips {
-			policy.FlipAt[i] = true
-		}
+	r.Seed(st.Seed)
+	p.reset(r, st.PMCs, flags)
+	if len(st.Flips) > 0 && p.FlipAt == nil {
+		p.FlipAt = make(map[int]bool, len(st.Flips))
 	}
-	return policy
+	for _, i := range st.Flips {
+		p.FlipAt[i] = true
+	}
+}
+
+func policyFromState(st *ReproState) *SnowboardPolicy {
+	p := &SnowboardPolicy{}
+	p.loadState(st, lazyrand.New(0), make(map[sig]bool, len(st.Flags)))
+	return p
 }
 
 // Replay re-executes exactly one trial from the recorded state and returns

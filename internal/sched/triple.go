@@ -41,7 +41,8 @@ func (x *Explorer) ExploreTriple(tt TripleTest) Outcome {
 
 	for trial := 0; trial < trials; trial++ {
 		rng.Seed(x.Seed + int64(trial))
-		policy := NewSnowboardPolicy(rng, currentPMCs, flags)
+		policy := &sc.policy
+		policy.reset(rng, currentPMCs, flags)
 		if x.PerformedDenom > 0 {
 			policy.PerformedDenom = x.PerformedDenom
 		}

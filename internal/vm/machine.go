@@ -66,9 +66,8 @@ type Machine struct {
 	runMax   int        // step budget of the current Run
 	runnable []*Thread  // scratch buffer reused by Runnable
 
-	steps     int
-	deadlocks int
-	faults    []string
+	steps  int
+	faults []string
 }
 
 // NewMachine returns a machine with empty memory.
@@ -237,7 +236,6 @@ func (m *Machine) Run(s Scheduler, maxSteps int) error {
 			return nil
 		}
 		if len(m.Runnable()) == 0 {
-			m.deadlocks++
 			return ErrDeadlock
 		}
 		t := s.Pick(m, last, ev)
@@ -270,17 +268,17 @@ func (m *Machine) Shutdown() {
 		t.state = Done
 		t.resume <- struct{}{}
 	}
-	m.threads = nil
+	m.threads = m.threads[:0]
 }
 
 // ResetRuntime clears thread and synchronization state (but not memory),
 // preparing the machine for a fresh set of threads after a snapshot restore.
 func (m *Machine) ResetRuntime() {
 	m.Shutdown()
-	m.lockHolder = make(map[Addr]*Thread)
-	m.lockWaiters = make(map[Addr][]*Thread)
+	clear(m.lockHolder)
+	clear(m.lockWaiters)
 	m.rcuReaders = 0
-	m.rcuWaiters = nil
+	m.rcuWaiters = m.rcuWaiters[:0]
 	m.faults = nil
 	m.steps = 0
 	m.Console.Reset()

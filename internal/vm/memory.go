@@ -22,8 +22,12 @@ const PageSize = 4096
 // mapped).
 type Addr = uint64
 
+// page is one guest page. owner is the Memory that may write it in place;
+// nil once a Snapshot references it, after which it is immutable and every
+// writer copies first.
 type page struct {
-	data [PageSize]byte
+	data  [PageSize]byte
+	owner *Memory
 }
 
 // Region is a half-open range [Lo, Hi) of valid guest addresses. Accesses
@@ -39,18 +43,22 @@ func (r Region) Contains(addr Addr) bool { return addr >= r.Lo && addr < r.Hi }
 
 // Memory is the guest address space: sparse pages plus the set of valid
 // regions. Pages referenced by a Snapshot are shared and copied on write.
+//
+// A Memory remembers the snapshot its page table was derived from (base)
+// and the pages it has privately materialised since (dirty), so restoring
+// base again — what every trial does — rewinds only those pages and keeps
+// their buffers on a free list for the next trial's copies.
 type Memory struct {
 	pages   map[uint64]*page
-	owned   map[uint64]bool // pages writable in place (not shared with a snapshot)
 	regions []Region
+	base    *Snapshot // pages minus dirty equals base.pages; nil before the first Snapshot/Restore
+	dirty   []uint64  // numbers of the pages this Memory owns
+	free    []*page   // recycled buffers, owner already set
 }
 
 // NewMemory returns an empty address space with no valid regions.
 func NewMemory() *Memory {
-	return &Memory{
-		pages: make(map[uint64]*page),
-		owned: make(map[uint64]bool),
-	}
+	return &Memory{pages: make(map[uint64]*page)}
 }
 
 // AddRegion declares [lo, hi) valid. Regions must not overlap.
@@ -90,34 +98,49 @@ func (m *Memory) RegionOf(addr Addr) (Region, bool) {
 	return Region{}, false
 }
 
+// newPage returns a page owned by m, registered as dirty at pn, with
+// unspecified contents.
+func (m *Memory) newPage(pn uint64) *page {
+	var p *page
+	if n := len(m.free); n > 0 {
+		p, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		p = &page{owner: m}
+	}
+	m.pages[pn] = p
+	m.dirty = append(m.dirty, pn)
+	return p
+}
+
 func (m *Memory) pageFor(addr Addr, forWrite bool) *page {
 	pn := addr / PageSize
 	p := m.pages[pn]
 	if p == nil {
-		p = &page{}
-		m.pages[pn] = p
-		m.owned[pn] = true
+		p = m.newPage(pn)
+		p.data = [PageSize]byte{}
 		return p
 	}
-	if forWrite && !m.owned[pn] {
-		cp := *p
-		p = &cp
-		m.pages[pn] = p
-		m.owned[pn] = true
+	if forWrite && p.owner != m {
+		shared := p
+		p = m.newPage(pn)
+		p.data = shared.data
 	}
 	return p
+}
+
+// read fills dst with the bytes at addr.
+func (m *Memory) read(addr Addr, dst []byte) {
+	for i := 0; i < len(dst); {
+		p := m.pageFor(addr+uint64(i), false)
+		i += copy(dst[i:], p.data[(addr+uint64(i))%PageSize:])
+	}
 }
 
 // ReadBytes copies size bytes at addr into a fresh slice. The range must be
 // valid; callers (the Thread access path) check validity first.
 func (m *Memory) ReadBytes(addr Addr, size int) []byte {
 	out := make([]byte, size)
-	for i := 0; i < size; {
-		p := m.pageFor(addr+uint64(i), false)
-		off := int((addr + uint64(i)) % PageSize)
-		n := copy(out[i:], p.data[off:])
-		i += n
-	}
+	m.read(addr, out)
 	return out
 }
 
@@ -125,16 +148,14 @@ func (m *Memory) ReadBytes(addr Addr, size int) []byte {
 func (m *Memory) WriteBytes(addr Addr, b []byte) {
 	for i := 0; i < len(b); {
 		p := m.pageFor(addr+uint64(i), true)
-		off := int((addr + uint64(i)) % PageSize)
-		n := copy(p.data[off:], b[i:])
-		i += n
+		i += copy(p.data[(addr+uint64(i))%PageSize:], b[i:])
 	}
 }
 
 // Read returns the little-endian value of the size bytes at addr (size 1..8).
 func (m *Memory) Read(addr Addr, size int) uint64 {
 	var buf [8]byte
-	copy(buf[:size], m.ReadBytes(addr, size))
+	m.read(addr, buf[:size])
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
@@ -153,7 +174,9 @@ type Snapshot struct {
 	regions []Region
 }
 
-// Snapshot freezes the current state.
+// Snapshot freezes the current state. The pages m owned now belong to the
+// snapshot — other Memories may come to share them — so they leave the
+// dirty list without reaching the free list.
 func (m *Memory) Snapshot() *Snapshot {
 	s := &Snapshot{
 		pages:   make(map[uint64]*page, len(m.pages)),
@@ -161,19 +184,38 @@ func (m *Memory) Snapshot() *Snapshot {
 	}
 	for pn, p := range m.pages {
 		s.pages[pn] = p
-		m.owned[pn] = false // page now shared with the snapshot
 	}
+	for _, pn := range m.dirty {
+		m.pages[pn].owner = nil
+	}
+	m.dirty = m.dirty[:0]
+	m.base = s
 	return s
 }
 
-// Restore resets memory to exactly the snapshot state.
+// Restore resets memory to exactly the snapshot state. Restoring the
+// snapshot the page table already derives from costs O(pages touched since):
+// each dirty page is dropped or pointed back at the snapshot's, and its
+// buffer recycled. Any other snapshot rebuilds the table.
 func (m *Memory) Restore(s *Snapshot) {
-	m.pages = make(map[uint64]*page, len(s.pages))
-	for pn, p := range s.pages {
-		m.pages[pn] = p
+	if s == m.base {
+		for _, pn := range m.dirty {
+			m.free = append(m.free, m.pages[pn])
+			if p := s.pages[pn]; p != nil {
+				m.pages[pn] = p
+			} else {
+				delete(m.pages, pn)
+			}
+		}
+	} else {
+		m.pages = make(map[uint64]*page, len(s.pages))
+		for pn, p := range s.pages {
+			m.pages[pn] = p
+		}
+		m.base = s
 	}
-	m.owned = make(map[uint64]bool)
-	m.regions = append([]Region(nil), s.regions...)
+	m.dirty = m.dirty[:0]
+	m.regions = append(m.regions[:0], s.regions...)
 }
 
 // Pages reports how many pages are materialized (for tests and stats).

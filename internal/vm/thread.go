@@ -65,13 +65,12 @@ type Thread struct {
 	ID   int
 	Name string
 
-	m       *Machine
-	state   ThreadState
-	waitOn  Addr // lock address when BlockedLock
-	resume  chan struct{}
-	events  chan Event
-	started bool
-	killed  bool
+	m      *Machine
+	state  ThreadState
+	waitOn Addr // lock address when BlockedLock
+	resume chan struct{}
+	events chan Event
+	killed bool
 
 	stackLo Addr // kernel stack region [stackLo, stackLo+trace.StackSize)
 	sp      Addr // current stack pointer (grows down)
