@@ -121,6 +121,12 @@ func TestControlPlaneHTTP(t *testing.T) {
 	if code, _ := postJSON(t, base+"/campaigns", core.CampaignSpec{Method: "NOPE"}); code != http.StatusBadRequest {
 		t.Fatalf("bad method: status %d, want 400", code)
 	}
+	// "5.12" is neither simulated kernel: it would boot one with none of
+	// the version-gated bugs and memoize a report under that label.
+	if code, body := postJSON(t, base+"/campaigns", core.CampaignSpec{Version: "5.12"}); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "unknown kernel version") {
+		t.Fatalf("bad version: status %d body %q, want 400 naming the version", code, body)
+	}
 
 	// Pause stalls the executed counter; resume lets it finish.
 	if code, _ := postJSON(t, base+"/campaigns/"+sub.ID+"/pause", struct{}{}); code != http.StatusOK {

@@ -72,6 +72,10 @@ func main() {
 	flag.Parse()
 	diag := obs.Diag
 	diag.SetPrefix("sbexec[" + *name + "]")
+	kver, err := snowboard.ParseVersion(*version)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	if *events != "" {
 		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -118,7 +122,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			workLoop(client, cache, snowboard.Version(*version), *trials, *name, *idleExit, &jobs)
+			workLoop(client, cache, kver, *trials, *name, *idleExit, &jobs)
 		}()
 	}
 	wg.Wait()

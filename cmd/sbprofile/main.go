@@ -7,13 +7,8 @@
 // Usage:
 //
 //	sbprofile [-version 5.12-rc3] [-seed 1] [-fuzz 400] [-corpus 120]
-//	          [-workers 0] [-state dir] [-stream] [-top 10] [-dump-tests]
+//	          [-workers 0] [-state dir] [-top 10] [-dump-tests]
 //	          [-http :0] [-progress 10s]
-//
-// With -stream, the three stages run as one streaming campaign: each fuzz
-// round's newly admitted programs are profiled and identified incrementally
-// while the next round fuzzes, producing the same corpus, profiles, and PMC
-// set as the staged path.
 //
 // With -state, the corpus, profile-set, and PMC-set artifacts are persisted
 // into the content-addressed store rooted there and their digests printed,
@@ -41,7 +36,6 @@ func main() {
 		corpusN  = flag.Int("corpus", 120, "corpus size cap")
 		workers  = flag.Int("workers", 0, "parallel worker goroutines per stage (0 = one per CPU)")
 		stateDir = flag.String("state", "", "artifact store directory: persist corpus/profile/PMC artifacts and resume from them")
-		stream   = flag.Bool("stream", false, "streaming mode: profile and identify each fuzz round's programs as they are admitted, instead of running the three stages back to back")
 		top      = flag.Int("top", 10, "hottest channels to print")
 		dump     = flag.Bool("dump-tests", false, "print every corpus program")
 		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/vars, /debug/pprof) on this address")
@@ -63,39 +57,35 @@ func main() {
 	stopSampler := obs.StartSampler(time.Second)
 	defer stopSampler()
 
+	kver, err := snowboard.ParseVersion(*version)
+	if err != nil {
+		log.Fatal(err)
+	}
 	opts := snowboard.DefaultOptions()
-	opts.Version = snowboard.Version(*version)
+	opts.Version = kver
 	opts.Seed = *seed
 	opts.FuzzBudget = *fuzzN
 	opts.CorpusCap = *corpusN
 	opts.Workers = *workers
+	opts.StateDir = *stateDir
 
-	p := snowboard.NewPipeline(opts)
-	if *stateDir != "" {
-		st, err := snowboard.OpenStore(*stateDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		p.UseStore(st)
+	p, err := snowboard.OpenPipeline(opts)
+	if err != nil {
+		log.Fatal(err)
 	}
 	r := p.NewReport()
-	if *stream {
-		if err := p.StreamCampaign(r); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		p.BuildCorpus(r)
-		if err := p.ProfileAll(r); err != nil {
-			log.Fatal(err)
-		}
-		p.IdentifyPMCs(r)
+	p.BuildCorpus(r)
+	if err := p.ProfileAll(r); err != nil {
+		log.Fatal(err)
 	}
+	p.IdentifyPMCs(r)
 
 	fmt.Printf("kernel %s, seed %d\n", opts.Version, opts.Seed)
 	fmt.Printf("corpus: %d tests selected from %d executions\n", r.CorpusSize, r.FuzzExecutions)
 	fmt.Printf("syscall histogram: %v\n", p.Corpus.SyscallHistogram())
+	// An exhausted fuzz budget selects no tests; 0/0 would print NaN.
 	fmt.Printf("profiling: %d shared accesses in %v (%.0f accesses/test)\n",
-		r.ProfiledAccesses, r.ProfileTime, float64(r.ProfiledAccesses)/float64(r.CorpusSize))
+		r.ProfiledAccesses, r.ProfileTime, float64(r.ProfiledAccesses)/float64(max(r.CorpusSize, 1)))
 	fmt.Printf("PMCs: %d distinct keys, %d combinations, identified in %v\n",
 		r.DistinctPMCs, r.PMCCombinations, r.IdentifyTime)
 	if *stateDir != "" {

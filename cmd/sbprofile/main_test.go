@@ -46,6 +46,17 @@ func TestSbprofileUsage(t *testing.T) {
 	}
 }
 
+// TestSbprofileUnknownVersion: a version that is neither simulated kernel
+// is a usage error, not a kernel silently booted without the version-gated
+// bugs.
+func TestSbprofileUnknownVersion(t *testing.T) {
+	bin := buildTool(t, "snowboard/cmd/sbprofile")
+	stdout, stderr, err := runTool(t, bin, "-version", "5.12", "-progress", "0")
+	if err == nil || !strings.Contains(stderr, `unknown kernel version "5.12"`) || stdout != "" {
+		t.Fatalf("err=%v stdout=%q stderr=%q, want a non-zero exit naming the version", err, stdout, stderr)
+	}
+}
+
 // TestSbprofileStats is the end-to-end smoke: a tiny profiling run must
 // exit 0 and print the corpus/PMC statistics on stdout with no diagnostic
 // chatter mixed in.
@@ -63,5 +74,15 @@ func TestSbprofileStats(t *testing.T) {
 	}
 	if strings.Contains(stdout, "sbprofile:") {
 		t.Fatalf("diagnostic chatter leaked to stdout:\n%s", stdout)
+	}
+
+	// An exhausted fuzz budget selects no tests: 0 accesses over 0 tests
+	// is 0 per test, not NaN.
+	stdout, stderr, err = runTool(t, bin, "-fuzz", "0", "-progress", "0")
+	if err != nil {
+		t.Fatalf("empty budget: exit error: %v\nstderr:\n%s", err, stderr)
+	}
+	if !strings.Contains(stdout, "(0 accesses/test)") {
+		t.Fatalf("empty budget: stdout missing \"(0 accesses/test)\":\n%s", stdout)
 	}
 }

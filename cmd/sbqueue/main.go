@@ -86,25 +86,26 @@ func main() {
 	stopProgress := obs.StartProgress(*progress, diag)
 	defer stopProgress()
 
+	kver, err := snowboard.ParseVersion(*version)
+	if err != nil {
+		log.Fatal(err)
+	}
 	opts := snowboard.DefaultOptions()
-	opts.Version = snowboard.Version(*version)
+	opts.Version = kver
 	opts.Seed = *seed
 	opts.FuzzBudget = *fuzzN
 	opts.CorpusCap = *corpusN
 	opts.Workers = *workers
+	opts.StateDir = *stateDir
 	m, ok := snowboard.MethodByName(*method)
 	if !ok {
 		log.Fatalf("unknown method %q", *method)
 	}
 	opts.Method = m
 
-	p := snowboard.NewPipeline(opts)
-	if *stateDir != "" {
-		st, err := snowboard.OpenStore(*stateDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		p.UseStore(st)
+	p, err := snowboard.OpenPipeline(opts)
+	if err != nil {
+		log.Fatal(err)
 	}
 	r := p.NewReport()
 	p.BuildCorpus(r)

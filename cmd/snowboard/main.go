@@ -10,9 +10,8 @@
 //	          [-feedback] [-rounds 4] [-workers 0] [-json] [-http :8080]
 //	          [-progress 10s] [-trace spans.jsonl] [-events events.jsonl] [-v]
 //
-// With -mode compare (or the legacy -compare flag), every generation
-// method of the paper's Table 3 runs on the same profiled corpus and one
-// row is printed per method.
+// With -mode compare, every generation method of the paper's Table 3 runs
+// on the same profiled corpus and one row is printed per method.
 //
 // Only the report is written to stdout (plain text, or JSON with -json);
 // every progress and diagnostic line goes to stderr. With -http, a live
@@ -49,7 +48,6 @@ func main() {
 		feedback = flag.Bool("feedback", false, "close the loop: allocate the test budget in rounds across PMC clusters by recent interleaving-segment yield, composing independent PMCs and mutating segment-discovering schedules")
 		rounds   = flag.Int("rounds", 0, "budget-allocation rounds for -feedback (0 = default 4)")
 		stateDir = flag.String("state", "", "artifact store directory: persist every stage's output and resume from unchanged stages on re-run")
-		compare  = flag.Bool("compare", false, "legacy alias for -mode compare")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")
 		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /debug/vars, /debug/pprof) on this address")
 		progress = flag.Duration("progress", 10*time.Second, "interval between one-line progress reports on stderr (0 disables)")
@@ -61,16 +59,13 @@ func main() {
 	flag.Parse()
 	diag := obs.Diag
 
-	opts := snowboard.DefaultOptions()
-	switch *version {
-	case string(snowboard.V5_3_10):
-		opts.Version = snowboard.V5_3_10
-	case string(snowboard.V5_12_RC3):
-		opts.Version = snowboard.V5_12_RC3
-	default:
-		fmt.Fprintf(os.Stderr, "snowboard: unknown kernel version %q\n", *version)
+	kver, err := snowboard.ParseVersion(*version)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
 		os.Exit(2)
 	}
+	opts := snowboard.DefaultOptions()
+	opts.Version = kver
 	opts.Seed = *seed
 	opts.FuzzBudget = *fuzzN
 	opts.CorpusCap = *corpusN
@@ -115,7 +110,7 @@ func main() {
 	stopProgress := obs.StartProgress(*progress, diag)
 	defer stopProgress()
 
-	if *compare || *mode == "compare" {
+	if *mode == "compare" {
 		runComparison(opts, *verbose, *jsonOut)
 		return
 	}

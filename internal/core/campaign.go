@@ -77,6 +77,9 @@ func (s CampaignSpec) WithDefaults() CampaignSpec {
 // Validate rejects specs that cannot build Options. Call on the defaulted
 // spec.
 func (s CampaignSpec) Validate() error {
+	if _, err := kernel.ParseVersion(s.Version); err != nil {
+		return fmt.Errorf("campaign: %w", err)
+	}
 	if _, ok := MethodByName(s.Method); !ok {
 		return fmt.Errorf("campaign: unknown method %q", s.Method)
 	}
@@ -486,21 +489,18 @@ func (c *Campaign) run() {
 		c.finish(nil, err)
 		return
 	}
-	p := NewPipeline(opts)
-	if c.env.StateDir != "" {
-		st, err := store.Open(c.env.StateDir)
-		if err != nil {
-			c.finish(nil, err)
-			return
-		}
-		p.UseStore(st)
-		if r, ok := p.loadReportMemo("campaign", c.reportKey()); ok {
-			// The whole campaign is memoized: resume instantly with the
-			// stored report, byte-for-byte what the uninterrupted run wrote.
-			c.restoreCounters(r)
-			c.finish(r, nil)
-			return
-		}
+	p, err := OpenPipeline(opts)
+	if err != nil {
+		c.finish(nil, err)
+		return
+	}
+	if r, out, ok := loadMemo(p, "campaign", c.reportKey(), reportCodec, nil); ok {
+		// The whole campaign is memoized: resume instantly with the
+		// stored report, byte-for-byte what the uninterrupted run wrote.
+		obs.Diag.Printf("stage campaign: cache hit (report %s, %d issues)", out.Short(), len(r.Issues))
+		c.restoreCounters(r)
+		c.finish(r, nil)
+		return
 	}
 
 	r := p.NewReport()
@@ -531,8 +531,8 @@ func (c *Campaign) run() {
 	// Metrics deliberately stay uncaptured: the obs registry is shared by
 	// every tenant and varies run to run, and the campaign report memo
 	// must be byte-identical across resumes.
-	if p.store != nil {
-		p.saveReportMemo("campaign", c.reportKey(), r)
+	if d := saveMemo(p, "campaign", c.reportKey(), reportCodec, r, nil); !d.IsZero() {
+		obs.Diag.Printf("stage campaign: report artifact %s persisted", d.Short())
 	}
 	c.finish(r, nil)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +55,13 @@ func TestCampaignSpecIdentity(t *testing.T) {
 	}
 	if _, err := (CampaignSpec{Method: "NOPE"}).ID(); err == nil {
 		t.Fatal("unknown method validated")
+	}
+	bad := CampaignSpec{Version: "5.12"}
+	if _, err := bad.ID(); err == nil || !strings.Contains(err.Error(), `unknown kernel version "5.12"`) {
+		t.Fatalf("unknown kernel version validated: %v", err)
+	}
+	if _, err := bad.BuildOptions(""); err == nil {
+		t.Fatal("BuildOptions accepted an unknown kernel version")
 	}
 }
 

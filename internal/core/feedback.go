@@ -80,13 +80,11 @@ type feedbackRoundState struct {
 // feedbackKeys derives the digest-linked chain key of every round, in the
 // style of the identify chain: round r's key pins the corpus, the PMC
 // set, every option that shapes the loop, and — through prev — the whole
-// round prefix. Returns nil when no store is attached or digests fail.
+// round prefix. Returns nil when the inputs are not content-addressed (no
+// store attached, or persisting them failed).
 func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
-	if p.store == nil {
-		return nil
-	}
-	cd, pd, ok := p.stage4Inputs("feedback")
-	if !ok {
+	cd, pd := p.stage4Inputs("feedback")
+	if cd.IsZero() || pd.IsZero() {
 		return nil
 	}
 	m := p.Opts.Method
@@ -113,34 +111,26 @@ func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 	return keys
 }
 
-// loadFeedbackRounds probes the chain keys newest-first and restores the
-// most recent persisted round: report, credits, segments, cursors. It
-// returns the next round to run (0 when nothing usable is stored) and the
-// restored exploration-walk cursor.
-func (p *Pipeline) loadFeedbackRounds(keys []store.Digest, r *Report, credits []int64) (int, int) {
+// resumeFeedback probes the chain keys newest-first and restores the most
+// recent persisted round: report, credits, segments, cursors. It returns
+// the next round to run (0 when nothing usable is stored) and the restored
+// exploration-walk cursor.
+func (p *Pipeline) resumeFeedback(keys []store.Digest, r *Report, credits []int64) (int, int) {
 	for round := len(keys) - 1; round >= 0; round-- {
-		payload, _, out, ok := p.loadStage("feedback", keys[round], store.KindFeedback)
+		st, out, ok := loadMemo(p, "feedback", keys[round], roundCodec, nil)
 		if !ok {
-			continue
-		}
-		var st feedbackRoundState
-		if err := json.Unmarshal(payload, &st); err != nil {
-			obs.Diag.Printf("stage feedback: discarding undecodable round artifact %s: %v", out.Short(), err)
 			continue
 		}
 		if st.Round != round || len(st.Credits) != len(credits) {
 			obs.Diag.Printf("stage feedback: discarding round artifact %s: shape mismatch", out.Short())
 			continue
 		}
-		var nr Report
-		if err := json.Unmarshal(st.Report, &nr); err != nil {
+		nr, err := reportCodec.decode(st.Report)
+		if err != nil {
 			obs.Diag.Printf("stage feedback: discarding round artifact %s: bad report: %v", out.Short(), err)
 			continue
 		}
-		if nr.Issues == nil {
-			nr.Issues = make(map[int]IssueRecord)
-		}
-		*r = nr
+		*r = *nr
 		copy(credits, st.Credits)
 		p.segs = cover.ImportSegments(st.Segments)
 		p.genCalls = st.GenCalls
@@ -155,14 +145,14 @@ func (p *Pipeline) loadFeedbackRounds(keys []store.Digest, r *Report, credits []
 	return 0, 0
 }
 
-// saveFeedbackRound checkpoints the loop after one round.
-func (p *Pipeline) saveFeedbackRound(key store.Digest, round, testsDone, cursor int, credits []int64, r *Report) {
-	payload, err := json.Marshal(r)
+// checkpointFeedback persists the loop's state after one round.
+func (p *Pipeline) checkpointFeedback(key store.Digest, round, testsDone, cursor int, credits []int64, r *Report) {
+	payload, err := reportCodec.encode(r)
 	if err != nil {
 		obs.Diag.Printf("stage feedback: encode round report: %v", err)
 		return
 	}
-	st := feedbackRoundState{
+	saveMemo(p, "feedback", key, roundCodec, &feedbackRoundState{
 		Round:        round,
 		TestsDone:    testsDone,
 		Cursor:       cursor,
@@ -171,13 +161,7 @@ func (p *Pipeline) saveFeedbackRound(key store.Digest, round, testsDone, cursor 
 		Credits:      append([]int64(nil), credits...),
 		Segments:     p.segments().Export(),
 		Report:       payload,
-	}
-	blob, err := json.Marshal(&st)
-	if err != nil {
-		obs.Diag.Printf("stage feedback: encode round state: %v", err)
-		return
-	}
-	p.saveStage("feedback", key, store.KindFeedback, blob, nil)
+	}, nil)
 }
 
 // allocateBudget splits budget across positive-credit clusters
@@ -366,18 +350,13 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 
 	credits := make([]int64, len(cs))
 	testsDone := 0
-	startRound := 0
-	cursor := 0 // next uncommon-first cluster the exploration walk visits
 	keys := p.feedbackKeys(budget, rounds)
-	if keys != nil {
-		var restored int
-		startRound, restored = p.loadFeedbackRounds(keys, r, credits)
-		if startRound > 0 {
-			// Recompute testsDone from the restored report rather than
-			// trusting the artifact alone.
-			testsDone = r.TestedTests
-			cursor = restored
-		}
+	// cursor is the next uncommon-first cluster the exploration walk visits.
+	startRound, cursor := p.resumeFeedback(keys, r, credits)
+	if startRound > 0 {
+		// Recompute testsDone from the restored report rather than
+		// trusting the artifact alone.
+		testsDone = r.TestedTests
 	}
 
 	for round := startRound; round < rounds; round++ {
@@ -470,7 +449,7 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 			obs.A("composed", composed), obs.A("segments", newSegments),
 			obs.A("issues", len(r.Issues)-issuesBefore))
 		if keys != nil {
-			p.saveFeedbackRound(keys[round], round, testsDone, cursor, credits, r)
+			p.checkpointFeedback(keys[round], round, testsDone, cursor, credits, r)
 		}
 	}
 	span.End(obs.A("tests", testsDone), obs.A("segments", r.CoverSegments))

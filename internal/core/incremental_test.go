@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -139,70 +138,5 @@ func TestResumeHalfThenFullEqualsSingleShot(t *testing.T) {
 	}
 	if single.TestedTests == 0 {
 		t.Error("single-shot run executed no tests; comparison is vacuous")
-	}
-}
-
-// TestStreamCampaignEqualsStaged: the streaming path (profile+identify per
-// fuzz round) must land on byte-identical artifacts — corpus, profile set,
-// PMC set — and the same report counts as the staged path.
-func TestStreamCampaignEqualsStaged(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Seed = 5
-	opts.FuzzBudget = 60
-	opts.CorpusCap = 200
-
-	staged := NewPipeline(opts)
-	r1 := staged.NewReport()
-	staged.BuildCorpus(r1)
-	if err := staged.ProfileAll(r1); err != nil {
-		t.Fatal(err)
-	}
-	staged.IdentifyPMCs(r1)
-
-	streamed := NewPipeline(opts)
-	r2 := streamed.NewReport()
-	if err := streamed.StreamCampaign(r2); err != nil {
-		t.Fatal(err)
-	}
-
-	if r2.CorpusSize != r1.CorpusSize || r2.FuzzExecutions != r1.FuzzExecutions {
-		t.Errorf("stream corpus %d/%d execs, staged %d/%d", r2.CorpusSize, r2.FuzzExecutions, r1.CorpusSize, r1.FuzzExecutions)
-	}
-	if r2.ProfiledAccesses != r1.ProfiledAccesses {
-		t.Errorf("stream profiled %d accesses, staged %d", r2.ProfiledAccesses, r1.ProfiledAccesses)
-	}
-	if r2.DistinctPMCs != r1.DistinctPMCs || r2.PMCCombinations != r1.PMCCombinations {
-		t.Errorf("stream identified %d/%d, staged %d/%d", r2.DistinctPMCs, r2.PMCCombinations, r1.DistinctPMCs, r1.PMCCombinations)
-	}
-
-	// Artifact-level equality: the canonical codecs make deep equality a
-	// byte comparison.
-	var p1, p2, s1, s2 bytes.Buffer
-	if err := pmc.EncodeProfiles(&p1, staged.Profiles); err != nil {
-		t.Fatal(err)
-	}
-	if err := pmc.EncodeProfiles(&p2, streamed.Profiles); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p1.Bytes(), p2.Bytes()) {
-		t.Error("streamed profile set differs from staged")
-	}
-	if err := pmc.EncodeSet(&s1, staged.PMCs); err != nil {
-		t.Fatal(err)
-	}
-	if err := pmc.EncodeSet(&s2, streamed.PMCs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(s1.Bytes(), s2.Bytes()) {
-		if d := difftest.Diff(staged.PMCs, streamed.PMCs); d != "" {
-			t.Errorf("streamed PMC set differs from staged:\n%s", d)
-		} else {
-			t.Error("streamed PMC encoding differs from staged despite equal sets")
-		}
-	}
-	for i, prog := range staged.Corpus.Progs {
-		if streamed.Corpus.Progs[i].String() != prog.String() {
-			t.Fatalf("streamed corpus diverges at program %d", i)
-		}
 	}
 }

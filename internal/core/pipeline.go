@@ -72,6 +72,20 @@ type Pipeline struct {
 	pmcDigest      store.Digest
 }
 
+// OpenPipeline is NewPipeline plus, when opts.StateDir is set, the artifact
+// store rooted there attached with UseStore.
+func OpenPipeline(opts Options) (*Pipeline, error) {
+	p := NewPipeline(opts)
+	if opts.StateDir != "" {
+		s, err := store.Open(opts.StateDir)
+		if err != nil {
+			return nil, err
+		}
+		p.UseStore(s)
+	}
+	return p, nil
+}
+
 // NewPipeline boots the simulated kernel for the configured version. It
 // also joins (or starts) the process-wide campaign, so every event the
 // pipeline flight-records is stitched to one trace ID.
@@ -114,24 +128,29 @@ func (p *Pipeline) workers() int { return par.Workers(p.Opts.Workers) }
 // is skipped.
 func (p *Pipeline) BuildCorpus(r *Report) {
 	span := obs.StartSpan("stage.fuzz", obs.A("budget", p.Opts.FuzzBudget), obs.A("workers", p.workers()))
-	if p.store != nil {
-		if p.loadCorpusStage(r) {
-			mStoreHits.Inc()
-			d := span.End(obs.A("cache", "hit"), obs.A("corpus", r.CorpusSize))
-			p.stageDone("fuzz", true, d)
-			return
-		}
-		mStoreMisses.Inc()
+	key := p.fuzzKey()
+	var meta fuzzMeta
+	if c, out, ok := loadMemo(p, "fuzz", key, corpusCodec, &meta); p.countStage(ok) {
+		p.Corpus = c
+		p.corpusDigest = out
+		r.CorpusSize = meta.CorpusSize
+		r.FuzzExecutions = meta.FuzzExecutions
+		r.FuzzTime = time.Duration(meta.FuzzTimeNs)
+		obs.Diag.Printf("stage fuzz: cache hit (corpus %s, %d tests)", out.Short(), c.Len())
+		d := span.End(obs.A("cache", "hit"), obs.A("corpus", r.CorpusSize))
+		p.stageDone("fuzz", true, d)
+		return
 	}
-	res := fuzz.CampaignShardedFunc(p.workerEnvs(p.workers()), p.Opts.Seed, p.Opts.FuzzBudget, p.Opts.CorpusCap, nil)
+	res := fuzz.CampaignSharded(p.workerEnvs(p.workers()), p.Opts.Seed, p.Opts.FuzzBudget, p.Opts.CorpusCap)
 	p.Corpus = res.Corpus
-	p.corpusDigest = store.Digest{}
 	r.CorpusSize = p.Corpus.Len()
 	r.FuzzExecutions = res.Executed
 	r.FuzzTime = span.End(obs.A("executed", res.Executed), obs.A("corpus", r.CorpusSize))
-	if p.store != nil {
-		p.saveCorpusStage(r)
-	}
+	p.corpusDigest = saveMemo(p, "fuzz", key, corpusCodec, p.Corpus, fuzzMeta{
+		CorpusSize:     r.CorpusSize,
+		FuzzExecutions: r.FuzzExecutions,
+		FuzzTimeNs:     int64(r.FuzzTime),
+	})
 	p.stageDone("fuzz", false, r.FuzzTime)
 }
 
@@ -149,20 +168,17 @@ func (p *Pipeline) SetCorpus(c *corpus.Corpus) {
 // one is reported, as serially.
 func (p *Pipeline) ProfileAll(r *Report) error {
 	span := obs.StartSpan("stage.profile", obs.A("tests", p.Corpus.Len()), obs.A("workers", p.workers()))
-	var corpusDigest store.Digest
-	if p.store != nil {
-		var err error
-		if corpusDigest, err = p.ensureCorpusDigest(); err == nil {
-			if p.loadProfileStage(r, corpusDigest) {
-				mStoreHits.Inc()
-				d := span.End(obs.A("cache", "hit"), obs.A("accesses", r.ProfiledAccesses))
-				p.stageDone("profile", true, d)
-				return nil
-			}
-		} else {
-			obs.Diag.Printf("stage profile: corpus digest: %v", err)
-		}
-		mStoreMisses.Inc()
+	key := p.profileKey(contentAddress(p, "profile", &p.corpusDigest, corpusCodec, p.Corpus))
+	var meta profileMeta
+	if profiles, out, ok := loadMemo(p, "profile", key, profilesCodec, &meta); p.countStage(ok) {
+		p.Profiles = profiles
+		p.profilesDigest = out
+		r.ProfiledAccesses += meta.ProfiledAccesses
+		r.ProfileTime = time.Duration(meta.ProfileTimeNs)
+		obs.Diag.Printf("stage profile: cache hit (profiles %s, %d tests)", out.Short(), len(profiles))
+		d := span.End(obs.A("cache", "hit"), obs.A("accesses", r.ProfiledAccesses))
+		p.stageDone("profile", true, d)
+		return nil
 	}
 	envs := p.workerEnvs(p.workers())
 	type profiled struct {
@@ -191,9 +207,10 @@ func (p *Pipeline) ProfileAll(r *Report) error {
 	}
 	r.ProfiledAccesses += accesses
 	r.ProfileTime = span.End(obs.A("accesses", r.ProfiledAccesses))
-	if p.store != nil && !corpusDigest.IsZero() {
-		p.saveProfileStage(corpusDigest, accesses, r.ProfileTime)
-	}
+	p.profilesDigest = saveMemo(p, "profile", key, profilesCodec, p.Profiles, profileMeta{
+		ProfiledAccesses: accesses,
+		ProfileTimeNs:    int64(r.ProfileTime),
+	})
 	p.stageDone("profile", false, r.ProfileTime)
 	return nil
 }
@@ -213,29 +230,28 @@ func (p *Pipeline) SetProfiles(profiles []pmc.Profile) {
 // same engine identifies every profile as one batch.
 func (p *Pipeline) IdentifyPMCs(r *Report) {
 	span := obs.StartSpan("stage.identify", obs.A("profiles", len(p.Profiles)))
-	var profilesDigest store.Digest
-	if p.store != nil {
-		var err error
-		if profilesDigest, err = p.ensureProfilesDigest(); err == nil {
-			if p.loadIdentifyStage(r, profilesDigest) {
-				mStoreHits.Inc()
-				d := span.End(obs.A("cache", "hit"), obs.A("pmcs", r.DistinctPMCs))
-				p.stageDone("identify", true, d)
-				return
-			}
-		} else {
-			obs.Diag.Printf("stage identify: profiles digest: %v", err)
-		}
-		mStoreMisses.Inc()
+	key := p.identifyKey(contentAddress(p, "identify", &p.profilesDigest, profilesCodec, p.Profiles))
+	var meta identifyMeta
+	if set, out, ok := loadMemo(p, "identify", key, pmcSetCodec, &meta); p.countStage(ok) {
+		p.PMCs = set
+		p.pmcDigest = out
+		r.DistinctPMCs = meta.DistinctPMCs
+		r.PMCCombinations = meta.PMCCombinations
+		r.IdentifyTime = time.Duration(meta.IdentifyTimeNs)
+		obs.Diag.Printf("stage identify: cache hit (pmcs %s, %d keys)", out.Short(), set.Len())
+		d := span.End(obs.A("cache", "hit"), obs.A("pmcs", r.DistinctPMCs))
+		p.stageDone("identify", true, d)
+		return
 	}
 	p.PMCs = p.identifyIncremental()
-	p.pmcDigest = store.Digest{}
 	r.DistinctPMCs = p.PMCs.Len()
 	r.PMCCombinations = p.PMCs.TotalCombinations
 	r.IdentifyTime = span.End(obs.A("pmcs", r.DistinctPMCs))
-	if p.store != nil && !profilesDigest.IsZero() {
-		p.saveIdentifyStage(r, profilesDigest)
-	}
+	p.pmcDigest = saveMemo(p, "identify", key, pmcSetCodec, p.PMCs, identifyMeta{
+		DistinctPMCs:    r.DistinctPMCs,
+		PMCCombinations: r.PMCCombinations,
+		IdentifyTimeNs:  int64(r.IdentifyTime),
+	})
 	p.stageDone("identify", false, r.IdentifyTime)
 }
 
@@ -430,13 +446,9 @@ func crashLevel(k detect.IssueKind) bool { return detect.CrashLevel(k) }
 // re-run with equivalent options resumes at the first stage whose inputs
 // changed, and a fully cached run returns the stored report verbatim.
 func Run(opts Options) (*Report, error) {
-	p := NewPipeline(opts)
-	if opts.StateDir != "" {
-		s, err := store.Open(opts.StateDir)
-		if err != nil {
-			return nil, err
-		}
-		p.UseStore(s)
+	p, err := OpenPipeline(opts)
+	if err != nil {
+		return nil, err
 	}
 	r := p.NewReport()
 	p.BuildCorpus(r)
@@ -444,14 +456,14 @@ func Run(opts Options) (*Report, error) {
 		return nil, err
 	}
 	p.IdentifyPMCs(r)
-	if p.store != nil {
-		if cached, ok := p.loadReportStage(opts.TestBudget); ok {
-			mStoreHits.Inc()
-			obs.Emit(obs.EvCampaignDone, obs.A("cache", true), obs.A("issues", len(cached.Issues)))
-			p.saveSeries()
-			return cached, nil
-		}
-		mStoreMisses.Inc()
+	cd, pd := p.stage4Inputs("execute")
+	key := p.reportKey(cd, pd, opts.TestBudget)
+	if cached, out, ok := loadMemo(p, "execute", key, reportCodec, nil); p.countStage(ok) {
+		// Findings, timings, frozen metrics and all, verbatim.
+		obs.Diag.Printf("stage execute: cache hit (report %s, %d issues)", out.Short(), len(cached.Issues))
+		obs.Emit(obs.EvCampaignDone, obs.A("cache", true), obs.A("issues", len(cached.Issues)))
+		p.saveSeries()
+		return cached, nil
 	}
 	if opts.Feedback {
 		p.RunFeedback(r, opts.TestBudget)
@@ -461,8 +473,8 @@ func Run(opts Options) (*Report, error) {
 	}
 	p.TriageReport(r)
 	r.CaptureMetrics()
-	if p.store != nil {
-		p.saveReportStage(r, opts.TestBudget)
+	if d := saveMemo(p, "execute", key, reportCodec, r, nil); !d.IsZero() {
+		obs.Diag.Printf("stage execute: report artifact %s persisted", d.Short())
 	}
 	obs.Emit(obs.EvCampaignDone, obs.A("cache", false), obs.A("issues", len(r.Issues)))
 	p.saveSeries()

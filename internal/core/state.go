@@ -5,27 +5,34 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
+	"io"
 
 	"snowboard/internal/corpus"
 	"snowboard/internal/obs"
 	"snowboard/internal/pmc"
 	"snowboard/internal/store"
 	"snowboard/internal/trace"
+	"snowboard/internal/triage"
 )
 
 // Stage-graph memoization over the content-addressed artifact store.
 //
 // Each pipeline stage is a pure, bit-identical function of (input
 // artifacts, the Options fields that matter to it, seed) — the determinism
-// contract internal/par established. So every stage declares a key: a
+// contract internal/par established — so a memo hit and a recomputation
+// are indistinguishable. There is one memo, and this file is the only
+// place that talks to the store's stage index: a stage names a key (a
 // digest over its name, codec versions, input artifact digests, and
-// relevant option fields. Before running, the stage looks the key up in
-// the store; on a hit it decodes the stored output artifact and restores
-// its report fragment instead of executing. On a miss (or a corrupt
-// artifact, which is diagnosed and treated as a miss) it runs, persists
-// the output artifact and a memo entry, and the next invocation — in this
-// process or any other — resumes from it.
+// relevant option fields), the codec of the artifact kind it produces, and
+// its report fragment, and calls loadMemo before computing and saveMemo
+// after. loadMemo owns the lookup, the decode, every corrupt-entry
+// diagnostic (each is treated as a miss, so the stage transparently
+// re-runs) and the fragment's restore; saveMemo owns the encode and the
+// persist; both own the rule that a pipeline without a store misses and
+// saves nothing, so no stage forks on whether one is attached. The corpus,
+// profile, PMC-set and report stages, the SBPI chain, feedback round
+// checkpoints, triage bundles, the campaign report and the time-series all
+// go through that pair.
 //
 // What is deliberately NOT in any key: Options.Workers (a pure performance
 // knob; reports are bit-identical at any worker count) and Options.StateDir
@@ -37,7 +44,9 @@ import (
 // includes the *content digest* of the corpus, so two different fuzz
 // budgets that happen to select the same corpus share one profile artifact
 // — exactly how the paper reused one 40-hour profile corpus across all
-// eleven Table 3 generation strategies.
+// eleven Table 3 generation strategies. A key derived from an input that
+// has no content digest (no store, or persisting it failed) is the zero
+// key, which never hits and files no memo entry.
 
 // Stage-cache metrics.
 var (
@@ -75,6 +84,9 @@ func (p *Pipeline) fuzzKey() store.Digest {
 
 // profileKey identifies the profiling output for a given corpus.
 func (p *Pipeline) profileKey(corpusDigest store.Digest) store.Digest {
+	if corpusDigest.IsZero() {
+		return store.Digest{}
+	}
 	return store.Key(keyPrefix, "profile",
 		fmt.Sprintf("profiles-codec=%d", pmc.ProfilesCodecVersion),
 		fmt.Sprintf("trace-codec=%d", trace.CodecVersion),
@@ -85,6 +97,9 @@ func (p *Pipeline) profileKey(corpusDigest store.Digest) store.Digest {
 
 // identifyKey identifies the Algorithm 1 output for a given profile set.
 func (p *Pipeline) identifyKey(profilesDigest store.Digest) store.Digest {
+	if profilesDigest.IsZero() {
+		return store.Digest{}
+	}
 	return store.Key(keyPrefix, "identify",
 		fmt.Sprintf("set-codec=%d", pmc.SetCodecVersion),
 		"profiles="+profilesDigest.String(),
@@ -96,6 +111,9 @@ func (p *Pipeline) identifyKey(profilesDigest store.Digest) store.Digest {
 // reportKey identifies the generate+execute output (the full report) for a
 // given corpus and PMC set.
 func (p *Pipeline) reportKey(corpusDigest, pmcDigest store.Digest, budget int) store.Digest {
+	if corpusDigest.IsZero() || pmcDigest.IsZero() {
+		return store.Digest{}
+	}
 	m := p.Opts.Method
 	d := p.Opts.Detect
 	return store.Key(keyPrefix, "execute",
@@ -142,13 +160,8 @@ func (p *Pipeline) seriesKey() store.Digest {
 // DefaultSeries. Merge dedups by timestamp, so repeated loads — the compare
 // mode attaches eleven pipelines to one store — are idempotent.
 func (p *Pipeline) loadSeries() {
-	payload, _, out, ok := p.loadStage("timeseries", p.seriesKey(), store.KindSeries)
+	samples, out, ok := loadMemo(p, "timeseries", p.seriesKey(), seriesCodec, nil)
 	if !ok {
-		return
-	}
-	samples, err := obs.DecodeSeries(bytes.NewReader(payload))
-	if err != nil {
-		obs.Diag.Printf("stage timeseries: discarding undecodable series artifact %s: %v", out.Short(), err)
 		return
 	}
 	obs.DefaultSeries.Merge(samples)
@@ -166,15 +179,9 @@ func (p *Pipeline) loadSeries() {
 // campaign loses at most one stage's trajectory.
 func (p *Pipeline) saveSeries() {
 	obs.RecordSample()
-	if p.store == nil {
-		return
+	if p.store != nil { // or the series would be copied out for nothing
+		saveMemo(p, "timeseries", p.seriesKey(), seriesCodec, obs.DefaultSeries.Samples(), nil)
 	}
-	var buf bytes.Buffer
-	if err := obs.EncodeSeries(&buf, obs.DefaultSeries.Samples()); err != nil {
-		obs.Diag.Printf("stage timeseries: encode series: %v", err)
-		return
-	}
-	p.saveStage("timeseries", p.seriesKey(), store.KindSeries, buf.Bytes(), nil)
 }
 
 // Per-stage report fragments persisted in the memo entry, so a cache hit
@@ -197,163 +204,164 @@ type identifyMeta struct {
 	IdentifyTimeNs  int64 `json:"identify_time_ns"`
 }
 
-// loadStage resolves one stage memo entry and its output artifact payload.
-// Any failure below a clean miss — corrupt memo, missing artifact, corrupt
-// artifact — is diagnosed on stderr and reported as a miss so the caller
-// transparently re-runs the stage.
-func (p *Pipeline) loadStage(name string, key store.Digest, kind store.Kind) (payload []byte, meta json.RawMessage, out store.Digest, ok bool) {
+// codec is the stored form of one artifact kind: where the store files it,
+// what diagnostics call it, and its canonical encoding.
+type codec[T any] struct {
+	kind   store.Kind
+	noun   string
+	encode func(T) ([]byte, error)
+	decode func([]byte) (T, error)
+}
+
+// binaryCodec adapts a Writer/Reader pair of one of the SB** binary formats.
+func binaryCodec[T any](kind store.Kind, noun string, enc func(io.Writer, T) error, dec func(io.Reader) (T, error)) codec[T] {
+	return codec[T]{kind, noun,
+		func(v T) ([]byte, error) {
+			var buf bytes.Buffer
+			err := enc(&buf, v)
+			return buf.Bytes(), err
+		},
+		func(b []byte) (T, error) { return dec(bytes.NewReader(b)) },
+	}
+}
+
+// One codec per artifact kind the pipeline memoizes. The SBPI snapshot's
+// decoder needs the run's PMC options, so its codec is built per pipeline
+// (sbpiCodec). An SBRB bundle travels as the bytes triage.Encode produced:
+// TriageReport needs them anyway to put the bundle's digest in the report,
+// with or without a store, so this codec only validates on the way back.
+var (
+	corpusCodec   = binaryCodec(store.KindCorpus, "corpus", corpus.EncodeCorpus, corpus.DecodeCorpus)
+	profilesCodec = binaryCodec(store.KindProfiles, "profile", pmc.EncodeProfiles, pmc.DecodeProfiles)
+	pmcSetCodec   = binaryCodec(store.KindPMCs, "PMC", pmc.EncodeSet, pmc.DecodeSet)
+	seriesCodec   = binaryCodec(store.KindSeries, "series", obs.EncodeSeries, obs.DecodeSeries)
+	reportCodec   = codec[*Report]{store.KindReport, "report",
+		func(r *Report) ([]byte, error) { return json.Marshal(r) },
+		func(b []byte) (*Report, error) {
+			r := new(Report)
+			err := json.Unmarshal(b, r)
+			if r.Issues == nil {
+				r.Issues = make(map[int]IssueRecord)
+			}
+			return r, err
+		},
+	}
+	roundCodec = codec[*feedbackRoundState]{store.KindFeedback, "round",
+		func(st *feedbackRoundState) ([]byte, error) { return json.Marshal(st) },
+		func(b []byte) (*feedbackRoundState, error) {
+			st := new(feedbackRoundState)
+			return st, json.Unmarshal(b, st)
+		},
+	}
+	bundleCodec = codec[[]byte]{store.KindRepro, "bundle",
+		func(b []byte) ([]byte, error) { return b, nil },
+		func(b []byte) ([]byte, error) {
+			_, err := triage.Decode(b)
+			return b, err
+		},
+	}
+)
+
+func sbpiCodec(opt pmc.Options) codec[*pmc.Incremental] {
+	return binaryCodec(store.KindPMCIndex, "SBPI", pmc.EncodeIncremental,
+		func(r io.Reader) (*pmc.Incremental, error) { return pmc.DecodeIncremental(r, opt) })
+}
+
+// loadMemo resolves key to the artifact memoized under it and, when meta
+// is non-nil, unmarshals the memo entry's report fragment into it. With no
+// store attached, or a zero key (an input that is not content-addressed),
+// it is a miss. Any failure below a clean miss — corrupt memo, missing or
+// corrupt artifact, bad meta — is diagnosed on stderr and reported as a
+// miss, so the caller transparently re-runs the stage.
+func loadMemo[T any](p *Pipeline, stage string, key store.Digest, c codec[T], meta any) (v T, out store.Digest, ok bool) {
+	if p.store == nil || key.IsZero() {
+		return v, out, false
+	}
 	res, err := p.store.GetStage(key)
 	if err != nil {
 		if !errors.Is(err, store.ErrNotFound) {
-			obs.Diag.Printf("stage %s: discarding unreadable memo entry: %v", name, err)
+			obs.Diag.Printf("stage %s: discarding unreadable memo entry: %v", stage, err)
 		}
-		return nil, nil, store.Digest{}, false
+		return v, out, false
 	}
-	payload, err = p.store.Get(kind, res.Out)
+	payload, err := p.store.Get(c.kind, res.Out)
 	if err != nil {
-		obs.Diag.Printf("stage %s: discarding artifact %s: %v", name, res.Out.Short(), err)
-		return nil, nil, store.Digest{}, false
+		obs.Diag.Printf("stage %s: discarding artifact %s: %v", stage, res.Out.Short(), err)
+		return v, out, false
 	}
-	return payload, res.Meta, res.Out, true
+	if v, err = c.decode(payload); err != nil {
+		obs.Diag.Printf("stage %s: discarding undecodable %s artifact %s: %v", stage, c.noun, res.Out.Short(), err)
+		return v, out, false
+	}
+	if meta != nil {
+		if err := json.Unmarshal(res.Meta, meta); err != nil {
+			obs.Diag.Printf("stage %s: discarding memo with bad meta: %v", stage, err)
+			return v, out, false
+		}
+	}
+	return v, res.Out, true
 }
 
-// saveStage persists one stage's output artifact and memo entry. Store
+// saveMemo persists v as a content-addressed artifact plus, under a
+// non-zero key, the memo entry (with meta, the stage's report fragment)
+// that lets loadMemo find it; it returns the artifact's digest. With no
+// store attached it does nothing and returns the zero digest. Store
 // failures (disk full, permissions) degrade to a warning: the run's
 // results are unaffected, only resumability is lost.
-func (p *Pipeline) saveStage(name string, key store.Digest, kind store.Kind, payload []byte, meta any) store.Digest {
-	d, err := p.store.Put(kind, payload)
-	if err != nil {
-		obs.Diag.Printf("stage %s: persist artifact: %v", name, err)
+func saveMemo[T any](p *Pipeline, stage string, key store.Digest, c codec[T], v T, meta any) store.Digest {
+	if p.store == nil {
 		return store.Digest{}
+	}
+	payload, err := c.encode(v)
+	if err != nil {
+		obs.Diag.Printf("stage %s: encode %s: %v", stage, c.noun, err)
+		return store.Digest{}
+	}
+	d, err := p.store.Put(c.kind, payload)
+	if err != nil {
+		obs.Diag.Printf("stage %s: persist artifact: %v", stage, err)
+		return store.Digest{}
+	}
+	if key.IsZero() {
+		return d
 	}
 	var rawMeta json.RawMessage
 	if meta != nil {
-		rawMeta, err = json.Marshal(meta)
-		if err != nil {
-			obs.Diag.Printf("stage %s: persist meta: %v", name, err)
+		if rawMeta, err = json.Marshal(meta); err != nil {
+			obs.Diag.Printf("stage %s: persist meta: %v", stage, err)
 			return d
 		}
 	}
-	if err := p.store.PutStage(key, store.StageResult{Kind: kind, Out: d, Meta: rawMeta}); err != nil {
-		obs.Diag.Printf("stage %s: persist memo: %v", name, err)
+	if err := p.store.PutStage(key, store.StageResult{Kind: c.kind, Out: d, Meta: rawMeta}); err != nil {
+		obs.Diag.Printf("stage %s: persist memo: %v", stage, err)
 	}
 	return d
 }
 
-// loadCorpusStage attempts a fuzz-stage cache hit.
-func (p *Pipeline) loadCorpusStage(r *Report) bool {
-	payload, rawMeta, out, ok := p.loadStage("fuzz", p.fuzzKey(), store.KindCorpus)
-	if !ok {
-		return false
+// contentAddress returns *d, the digest of one of the pipeline's current
+// artifacts, persisting the artifact first if it is not yet
+// content-addressed (e.g. it was installed with SetCorpus rather than built
+// by BuildCorpus). The digest stays zero without a store.
+func contentAddress[T any](p *Pipeline, stage string, d *store.Digest, c codec[T], v T) store.Digest {
+	if d.IsZero() {
+		*d = saveMemo(p, stage, store.Digest{}, c, v, nil)
 	}
-	c, err := corpus.DecodeCorpus(bytes.NewReader(payload))
-	if err != nil {
-		obs.Diag.Printf("stage fuzz: discarding undecodable corpus artifact %s: %v", out.Short(), err)
-		return false
-	}
-	var meta fuzzMeta
-	if err := json.Unmarshal(rawMeta, &meta); err != nil {
-		obs.Diag.Printf("stage fuzz: discarding memo with bad meta: %v", err)
-		return false
-	}
-	p.Corpus = c
-	p.corpusDigest = out
-	r.CorpusSize = meta.CorpusSize
-	r.FuzzExecutions = meta.FuzzExecutions
-	r.FuzzTime = time.Duration(meta.FuzzTimeNs)
-	obs.Diag.Printf("stage fuzz: cache hit (corpus %s, %d tests)", out.Short(), c.Len())
-	return true
+	return *d
 }
 
-// saveCorpusStage persists the fuzz stage output.
-func (p *Pipeline) saveCorpusStage(r *Report) {
-	var buf bytes.Buffer
-	if err := corpus.EncodeCorpus(&buf, p.Corpus); err != nil {
-		obs.Diag.Printf("stage fuzz: encode corpus: %v", err)
-		return
+// countStage accounts one of the four memoized stages (fuzz, profile,
+// identify, execute) as a store hit or miss and returns hit. Chain probes,
+// round checkpoints, triage and campaign memos are not stages; a run
+// without a store moves neither counter.
+func (p *Pipeline) countStage(hit bool) bool {
+	if p.store != nil {
+		if hit {
+			mStoreHits.Inc()
+		} else {
+			mStoreMisses.Inc()
+		}
 	}
-	p.corpusDigest = p.saveStage("fuzz", p.fuzzKey(), store.KindCorpus, buf.Bytes(), fuzzMeta{
-		CorpusSize:     r.CorpusSize,
-		FuzzExecutions: r.FuzzExecutions,
-		FuzzTimeNs:     int64(r.FuzzTime),
-	})
-}
-
-// loadProfileStage attempts a profile-stage cache hit for corpusDigest.
-func (p *Pipeline) loadProfileStage(r *Report, corpusDigest store.Digest) bool {
-	payload, rawMeta, out, ok := p.loadStage("profile", p.profileKey(corpusDigest), store.KindProfiles)
-	if !ok {
-		return false
-	}
-	profiles, err := pmc.DecodeProfiles(bytes.NewReader(payload))
-	if err != nil {
-		obs.Diag.Printf("stage profile: discarding undecodable profile artifact %s: %v", out.Short(), err)
-		return false
-	}
-	var meta profileMeta
-	if err := json.Unmarshal(rawMeta, &meta); err != nil {
-		obs.Diag.Printf("stage profile: discarding memo with bad meta: %v", err)
-		return false
-	}
-	p.Profiles = profiles
-	p.profilesDigest = out
-	r.ProfiledAccesses += meta.ProfiledAccesses
-	r.ProfileTime = time.Duration(meta.ProfileTimeNs)
-	obs.Diag.Printf("stage profile: cache hit (profiles %s, %d tests)", out.Short(), len(profiles))
-	return true
-}
-
-// saveProfileStage persists the profile stage output.
-func (p *Pipeline) saveProfileStage(corpusDigest store.Digest, accesses int, dur time.Duration) {
-	var buf bytes.Buffer
-	if err := pmc.EncodeProfiles(&buf, p.Profiles); err != nil {
-		obs.Diag.Printf("stage profile: encode profiles: %v", err)
-		return
-	}
-	p.profilesDigest = p.saveStage("profile", p.profileKey(corpusDigest), store.KindProfiles, buf.Bytes(), profileMeta{
-		ProfiledAccesses: accesses,
-		ProfileTimeNs:    int64(dur),
-	})
-}
-
-// loadIdentifyStage attempts an identify-stage cache hit for
-// profilesDigest.
-func (p *Pipeline) loadIdentifyStage(r *Report, profilesDigest store.Digest) bool {
-	payload, rawMeta, out, ok := p.loadStage("identify", p.identifyKey(profilesDigest), store.KindPMCs)
-	if !ok {
-		return false
-	}
-	set, err := pmc.DecodeSet(bytes.NewReader(payload))
-	if err != nil {
-		obs.Diag.Printf("stage identify: discarding undecodable PMC artifact %s: %v", out.Short(), err)
-		return false
-	}
-	var meta identifyMeta
-	if err := json.Unmarshal(rawMeta, &meta); err != nil {
-		obs.Diag.Printf("stage identify: discarding memo with bad meta: %v", err)
-		return false
-	}
-	p.PMCs = set
-	p.pmcDigest = out
-	r.DistinctPMCs = meta.DistinctPMCs
-	r.PMCCombinations = meta.PMCCombinations
-	r.IdentifyTime = time.Duration(meta.IdentifyTimeNs)
-	obs.Diag.Printf("stage identify: cache hit (pmcs %s, %d keys)", out.Short(), set.Len())
-	return true
-}
-
-// saveIdentifyStage persists the identify stage output.
-func (p *Pipeline) saveIdentifyStage(r *Report, profilesDigest store.Digest) {
-	var buf bytes.Buffer
-	if err := pmc.EncodeSet(&buf, p.PMCs); err != nil {
-		obs.Diag.Printf("stage identify: encode PMC set: %v", err)
-		return
-	}
-	p.pmcDigest = p.saveStage("identify", p.identifyKey(profilesDigest), store.KindPMCs, buf.Bytes(), identifyMeta{
-		DistinctPMCs:    r.DistinctPMCs,
-		PMCCombinations: r.PMCCombinations,
-		IdentifyTimeNs:  int64(r.IdentifyTime),
-	})
+	return hit
 }
 
 // Incremental identification memo chain. The monolithic identify memo
@@ -389,8 +397,8 @@ func (p *Pipeline) identifyChainKeys() []store.Digest {
 	keys := make([]store.Digest, 0, full)
 	prev := store.Digest{}
 	for b := 0; b < full; b++ {
-		var buf bytes.Buffer
-		if err := pmc.EncodeProfiles(&buf, p.Profiles[b*identifyBatchSize:(b+1)*identifyBatchSize]); err != nil {
+		batch, err := profilesCodec.encode(p.Profiles[b*identifyBatchSize : (b+1)*identifyBatchSize])
+		if err != nil {
 			obs.Diag.Printf("stage identify: encode chain batch %d: %v", b, err)
 			return nil
 		}
@@ -402,51 +410,11 @@ func (p *Pipeline) identifyChainKeys() []store.Digest {
 			fmt.Sprintf("self-pairs=%t", p.Opts.PMC.AllowSelfPairs),
 			fmt.Sprintf("skip-value-filter=%t", p.Opts.PMC.SkipValueFilter),
 			"prev="+prev.String(),
-			"batch="+store.Sum(buf.Bytes()).String(),
+			"batch="+store.Sum(batch).String(),
 		)
 		keys = append(keys, prev)
 	}
 	return keys
-}
-
-// loadIncrementalStage probes the chain keys longest-prefix-first for a
-// stored SBPI snapshot and returns a resumable incremental identifier plus
-// the number of batches it already covers (a fresh identifier and 0 when
-// nothing usable is stored). Probes are not stage cache hits or misses —
-// the identify stage as a whole accounts those — so this bumps neither
-// counter.
-func (p *Pipeline) loadIncrementalStage(keys []store.Digest) (*pmc.Incremental, int) {
-	for b := len(keys) - 1; b >= 0; b-- {
-		payload, _, out, ok := p.loadStage("identify-chain", keys[b], store.KindPMCIndex)
-		if !ok {
-			continue
-		}
-		inc, err := pmc.DecodeIncremental(bytes.NewReader(payload), p.Opts.PMC)
-		if err != nil {
-			obs.Diag.Printf("stage identify: discarding undecodable SBPI artifact %s: %v", out.Short(), err)
-			continue
-		}
-		if inc.Profiles() != (b+1)*identifyBatchSize {
-			obs.Diag.Printf("stage identify: discarding SBPI artifact %s: covers %d profiles, chain key expects %d",
-				out.Short(), inc.Profiles(), (b+1)*identifyBatchSize)
-			continue
-		}
-		obs.Diag.Printf("stage identify: SBPI index loaded (%s, %d batches, %d profiles, %d PMCs)",
-			out.Short(), inc.Batches(), inc.Profiles(), inc.Set().Len())
-		return inc, b + 1
-	}
-	return pmc.NewIncremental(p.Opts.PMC), 0
-}
-
-// saveIncrementalStage persists the SBPI snapshot under the chain key of
-// the last full batch it covers.
-func (p *Pipeline) saveIncrementalStage(key store.Digest, inc *pmc.Incremental) {
-	var buf bytes.Buffer
-	if err := pmc.EncodeIncremental(&buf, inc); err != nil {
-		obs.Diag.Printf("stage identify: encode SBPI snapshot: %v", err)
-		return
-	}
-	p.saveStage("identify-chain", key, store.KindPMCIndex, buf.Bytes(), nil)
 }
 
 // identifyIncremental runs Algorithm 1 as a chain of profile-batch deltas:
@@ -455,16 +423,35 @@ func (p *Pipeline) saveIncrementalStage(key store.Digest, inc *pmc.Incremental) 
 // fold in the sub-batch tail. The result is deep-equal to
 // pmc.IdentifyParallel over the whole profile set — Set merges are order-
 // independent, so partitioning into batches cannot change the outcome.
+// Snapshot probes are not stage cache hits or misses — the identify stage
+// as a whole accounts those.
 func (p *Pipeline) identifyIncremental() *pmc.Set {
 	keys := p.identifyChainKeys()
-	inc, resume := p.loadIncrementalStage(keys)
+	sbpi := sbpiCodec(p.Opts.PMC)
+	inc, resume := pmc.NewIncremental(p.Opts.PMC), 0
+	for b := len(keys) - 1; b >= 0; b-- {
+		got, out, ok := loadMemo(p, "identify-chain", keys[b], sbpi, nil)
+		if !ok {
+			continue
+		}
+		if got.Profiles() != (b+1)*identifyBatchSize {
+			obs.Diag.Printf("stage identify: discarding SBPI artifact %s: covers %d profiles, chain key expects %d",
+				out.Short(), got.Profiles(), (b+1)*identifyBatchSize)
+			continue
+		}
+		obs.Diag.Printf("stage identify: SBPI index loaded (%s, %d batches, %d profiles, %d PMCs)",
+			out.Short(), got.Batches(), got.Profiles(), got.Set().Len())
+		inc, resume = got, b+1
+		break
+	}
 	start := resume * identifyBatchSize
 	workers := p.workers()
 	for b := resume; b < len(keys); b++ {
 		inc.AddBatchParallel(p.Profiles[b*identifyBatchSize:(b+1)*identifyBatchSize], workers)
 	}
 	if resume < len(keys) {
-		p.saveIncrementalStage(keys[len(keys)-1], inc)
+		// One snapshot per run, under the chain key of the last full batch.
+		saveMemo(p, "identify-chain", keys[len(keys)-1], sbpi, inc, nil)
 	}
 	if tail := p.Profiles[len(keys)*identifyBatchSize:]; len(tail) > 0 {
 		inc.AddBatchParallel(tail, workers)
@@ -479,107 +466,13 @@ func (p *Pipeline) identifyIncremental() *pmc.Set {
 	return set
 }
 
-// ensureDigest returns *d, the content digest of one of the pipeline's
-// current artifacts, encoding and persisting the artifact first if it is
-// not yet content-addressed (e.g. it was installed with SetCorpus rather
-// than built by BuildCorpus).
-func (p *Pipeline) ensureDigest(d *store.Digest, kind store.Kind, encode func(*bytes.Buffer) error) (store.Digest, error) {
-	if d.IsZero() {
-		var buf bytes.Buffer
-		if err := encode(&buf); err != nil {
-			return store.Digest{}, err
-		}
-		put, err := p.store.Put(kind, buf.Bytes())
-		if err != nil {
-			return store.Digest{}, err
-		}
-		*d = put
-	}
-	return *d, nil
-}
-
-func (p *Pipeline) ensureCorpusDigest() (store.Digest, error) {
-	if p.Corpus == nil {
-		return store.Digest{}, errors.New("core: no corpus")
-	}
-	return p.ensureDigest(&p.corpusDigest, store.KindCorpus,
-		func(b *bytes.Buffer) error { return corpus.EncodeCorpus(b, p.Corpus) })
-}
-
-func (p *Pipeline) ensureProfilesDigest() (store.Digest, error) {
-	return p.ensureDigest(&p.profilesDigest, store.KindProfiles,
-		func(b *bytes.Buffer) error { return pmc.EncodeProfiles(b, p.Profiles) })
-}
-
-func (p *Pipeline) ensurePMCDigest() (store.Digest, error) {
-	if p.PMCs == nil {
-		return store.Digest{}, errors.New("core: no PMC set")
-	}
-	return p.ensureDigest(&p.pmcDigest, store.KindPMCs,
-		func(b *bytes.Buffer) error { return pmc.EncodeSet(b, p.PMCs) })
-}
-
-// loadReportMemo decodes the report memoized under key — findings,
-// timings, frozen metrics and all, verbatim. It is the one report codec:
-// the pipeline's execute stage and the campaign-level memo both store a
-// JSON Report under KindReport plus a stage memo entry.
-func (p *Pipeline) loadReportMemo(name string, key store.Digest) (*Report, bool) {
-	payload, _, out, ok := p.loadStage(name, key, store.KindReport)
-	if !ok {
-		return nil, false
-	}
-	var r Report
-	if err := json.Unmarshal(payload, &r); err != nil {
-		obs.Diag.Printf("stage %s: discarding undecodable report artifact %s: %v", name, out.Short(), err)
-		return nil, false
-	}
-	if r.Issues == nil {
-		r.Issues = make(map[int]IssueRecord)
-	}
-	obs.Diag.Printf("stage %s: cache hit (report %s, %d issues)", name, out.Short(), len(r.Issues))
-	return &r, true
-}
-
-// saveReportMemo persists the finished report under key.
-func (p *Pipeline) saveReportMemo(name string, key store.Digest, r *Report) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		obs.Diag.Printf("stage %s: encode report: %v", name, err)
-		return
-	}
-	if d := p.saveStage(name, key, store.KindReport, payload, nil); !d.IsZero() {
-		obs.Diag.Printf("stage %s: report artifact %s persisted", name, d.Short())
-	}
-}
-
 // stage4Inputs returns the content digests of the current corpus and PMC
 // set — what every stage-4 memo key pins — persisting either artifact if
-// it is not yet content-addressed. A failure is diagnosed under stage.
-func (p *Pipeline) stage4Inputs(stage string) (cd, pd store.Digest, ok bool) {
-	cd, err := p.ensureCorpusDigest()
-	if err == nil {
-		pd, err = p.ensurePMCDigest()
-	}
-	if err != nil {
-		obs.Diag.Printf("stage %s: artifact digests: %v", stage, err)
-	}
-	return cd, pd, err == nil
-}
-
-// loadReportStage attempts a full generate+execute cache hit.
-func (p *Pipeline) loadReportStage(budget int) (*Report, bool) {
-	cd, pd, ok := p.stage4Inputs("execute")
-	if !ok {
-		return nil, false
-	}
-	return p.loadReportMemo("execute", p.reportKey(cd, pd, budget))
-}
-
-// saveReportStage persists the finished report.
-func (p *Pipeline) saveReportStage(r *Report, budget int) {
-	if cd, pd, ok := p.stage4Inputs("execute"); ok {
-		p.saveReportMemo("execute", p.reportKey(cd, pd, budget), r)
-	}
+// it is not yet content-addressed.
+func (p *Pipeline) stage4Inputs(stage string) (cd, pd store.Digest) {
+	cd = contentAddress(p, stage, &p.corpusDigest, corpusCodec, p.Corpus)
+	pd = contentAddress(p, stage, &p.pmcDigest, pmcSetCodec, p.PMCs)
+	return cd, pd
 }
 
 // ArtifactDigests reports the content digests of the pipeline's current

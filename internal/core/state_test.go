@@ -8,7 +8,11 @@ import (
 	"testing"
 
 	"snowboard/internal/obs"
+	"snowboard/internal/pmc"
+	"snowboard/internal/sched"
 	"snowboard/internal/store"
+	"snowboard/internal/trace"
+	"snowboard/internal/triage"
 )
 
 // stateTestOptions is a small, fast configuration used by the resume tests.
@@ -263,5 +267,99 @@ func TestResumeIgnoresTruncatedStore(t *testing.T) {
 	}
 	if _, err := Run(opts); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStageKeysGolden pins the on-disk contract a deployed state dir
+// depends on: every memo key and every memo-entry meta encoding, for fixed
+// options and fixed input digests, as computed at the commit before the
+// typed stage memo replaced the per-stage load/save pairs. The resume tests
+// run cold and warm under one binary, so a refactor that reorders a
+// store.Key part (or renames a meta field) would orphan every existing
+// state dir with all of them green; this one fails.
+func TestStageKeysGolden(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Seed = 9
+	opts.Feedback = true
+	cd := store.Key("golden", "corpus")
+	fd := store.Key("golden", "profiles")
+	pd := store.Key("golden", "pmcs")
+	p := &Pipeline{Opts: opts, store: st, corpusDigest: cd, pmcDigest: pd}
+	for i := 0; i < identifyBatchSize; i++ {
+		var accs trace.Block
+		accs.Append(trace.Access{Ins: trace.Ins(0x100 + i), Kind: trace.Write, Addr: 0x1000 + 8*uint64(i), Size: 8, Val: uint64(i)})
+		accs.Append(trace.Access{Ins: trace.Ins(0x200 + i), Kind: trace.Read, Addr: 0x1000 + 8*uint64((i+1)%identifyBatchSize), Size: 8, Val: 7})
+		p.Profiles = append(p.Profiles, pmc.Profile{TestID: i, Accesses: accs, DFLeader: map[int]bool{1: i%2 == 0}})
+	}
+	triageKey, err := p.triageKey(11, IssueRecord{
+		Test:  sched.ConcurrentTest{Pair: pmc.Pair{Writer: 1, Reader: 2}},
+		Repro: &sched.ReproState{Seed: 42, Trial: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	marshal := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"fuzzKey", p.fuzzKey().String(), "4540fcdf5fbe30241f31defe0a1ab72ea813d58ffbac831b240d8fd109672ac0"},
+		{"profileKey", p.profileKey(cd).String(), "583a68ec96ad2d8e6959da0cbdb245136e03a899cd7259accfef022997c6de58"},
+		{"identifyKey", p.identifyKey(fd).String(), "98c8d44fe7c7d276bf8992ef2708238f98ce918b265c52a04f611d020671a036"},
+		{"reportKey", p.reportKey(cd, pd, opts.TestBudget).String(), "42c2273dd7169410dba4be3cf85bacbf7af808c37626043891647f6507286b7d"},
+		{"seriesKey", p.seriesKey().String(), "52eb8f1fbfd42d41124d39d124b4ce865ebbcb87cfc372cd3a31500df73b2a22"},
+		{"identifyChainKeys[0]", p.identifyChainKeys()[0].String(), "23c9dfd52cf0ebc5e26a1ee0893a5c7529f15174d6c03ed9fc310a18379a2d12"},
+		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "748de131d89d4ed3fa0ac56464d9ab768ca880373eae082e315963e9d5c4a331"},
+		{"triageKey", triageKey.String(), "774c1e55f31e3c0451000edc723f7fd921290f89b969597e073fd12c3ad208ed"},
+		{"fuzzMeta", marshal(fuzzMeta{CorpusSize: 1, FuzzExecutions: 2, FuzzTimeNs: 3}), `{"corpus_size":1,"fuzz_executions":2,"fuzz_time_ns":3}`},
+		{"profileMeta", marshal(profileMeta{ProfiledAccesses: 4, ProfileTimeNs: 5}), `{"profiled_accesses":4,"profile_time_ns":5}`},
+		{"identifyMeta", marshal(identifyMeta{DistinctPMCs: 6, PMCCombinations: 7, IdentifyTimeNs: 8}), `{"distinct_pmcs":6,"pmc_combinations":7,"identify_time_ns":8}`},
+		{"TriageSummary", marshal(&TriageSummary{Signature: "sig", Bundle: "b0", Stats: triage.Stats{Replays: 9, DecisionsOrig: 10, DecisionsMin: 1}}), `{"signature":"sig","bundle":"b0","stats":{"replays":9,"decisions_orig":10,"decisions_min":1,"switches_orig":0,"switches_min":0,"writer_calls_orig":0,"writer_calls_min":0,"reader_calls_orig":0,"reader_calls_min":0}}`},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s — stored state dirs written before this change would no longer resume", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestStoreAttachedChangesNothing is the differential test for the one
+// memo: every stage runs the same code with or without a store, so the
+// same options with and without StateDir must give the same report — and
+// only the stored run may touch the stage-cache counters.
+func TestStoreAttachedChangesNothing(t *testing.T) {
+	for _, feedback := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			opts := stateTestOptions(t)
+			opts.Feedback = feedback
+			opts.Workers = workers
+			stored, err := Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.StateDir = ""
+			h0, m0 := counters()
+			bare, err := Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h1, m1 := counters(); h1 != h0 || m1 != m0 {
+				t.Errorf("feedback=%t workers=%d: store-less run moved the stage-cache counters (hits +%d, misses +%d)",
+					feedback, workers, h1-h0, m1-m0)
+			}
+			if !reflect.DeepEqual(normalizeTimings(stored), normalizeTimings(bare)) {
+				t.Errorf("feedback=%t workers=%d: report with a store differs from the report without one:\n%+v\nvs\n%+v",
+					feedback, workers, normalizeTimings(stored), normalizeTimings(bare))
+			}
+			if stored.TestedTests == 0 {
+				t.Error("no tests executed; comparison is vacuous")
+			}
+		}
 	}
 }

@@ -52,26 +52,6 @@ func (p *Pipeline) triageKey(id int, rec IssueRecord) (store.Digest, error) {
 	), nil
 }
 
-// loadTriageStage attempts a per-finding triage cache hit.
-func (p *Pipeline) loadTriageStage(id int, key store.Digest) (*TriageSummary, bool) {
-	payload, rawMeta, out, ok := p.loadStage("triage", key, store.KindRepro)
-	if !ok {
-		return nil, false
-	}
-	if _, err := triage.Decode(payload); err != nil {
-		obs.Diag.Printf("stage triage: discarding undecodable bundle %s: %v", out.Short(), err)
-		return nil, false
-	}
-	var sum TriageSummary
-	if err := json.Unmarshal(rawMeta, &sum); err != nil {
-		obs.Diag.Printf("stage triage: discarding unreadable memo meta: %v", err)
-		return nil, false
-	}
-	obs.Diag.Printf("stage triage: cache hit for issue #%d (bundle %s)", id, out.Short())
-	mTriageCached.Inc()
-	return &sum, true
-}
-
 // TriageReport runs the post-detect triage stage over the report's
 // crash-level findings: each finding with recorded repro state is
 // minimized (schedule ddmin + syscall dropping), packaged as an SBRB
@@ -104,17 +84,17 @@ func (p *Pipeline) TriageReport(r *Report) {
 	minimized := 0
 	for _, id := range ids {
 		rec := r.Issues[id]
-		var key store.Digest
-		if p.store != nil {
-			if k, err := p.triageKey(id, rec); err == nil {
-				key = k
-				if sum, ok := p.loadTriageStage(id, key); ok {
-					rec.Triage = sum
-					r.Issues[id] = rec
-					minimized++
-					continue
-				}
-			}
+		// A finding whose key cannot be derived stays zero-keyed: it is
+		// minimized and its bundle stored, but not memoized.
+		key, _ := p.triageKey(id, rec)
+		var sum TriageSummary
+		if _, out, ok := loadMemo(p, "triage", key, bundleCodec, &sum); ok {
+			obs.Diag.Printf("stage triage: cache hit for issue #%d (bundle %s)", id, out.Short())
+			mTriageCached.Inc()
+			rec.Triage = &sum
+			r.Issues[id] = rec
+			minimized++
+			continue
 		}
 		res, err := triage.Minimize(p.Env, triage.Finding{Test: rec.Test, State: rec.Repro, BugID: id},
 			triage.Options{Detect: p.Opts.Detect})
@@ -150,14 +130,8 @@ func (p *Pipeline) TriageReport(r *Report) {
 		minimized++
 		mTriageFindings.Inc()
 		mTriageReplays.Add(int64(res.Stats.Replays))
-		if p.store != nil {
-			if _, err := p.store.Put(store.KindRepro, payload); err != nil {
-				obs.Diag.Printf("stage triage: persist bundle #%d: %v", id, err)
-			} else if !key.IsZero() {
-				if err := p.store.PutStage(key, store.StageResult{Kind: store.KindRepro, Out: digest, Meta: mustJSON(rec.Triage)}); err != nil {
-					obs.Diag.Printf("stage triage: persist memo #%d: %v", id, err)
-				}
-			}
+		// Only a bundle that reached the store joins the signature index.
+		if !saveMemo(p, "triage", key, bundleCodec, payload, rec.Triage).IsZero() {
 			if entry, fresh, err := triage.Register(p.store, res.Signature, digest, campaign); err != nil {
 				obs.Diag.Printf("stage triage: signature index: %v", err)
 			} else if !fresh {
@@ -175,12 +149,4 @@ func (p *Pipeline) TriageReport(r *Report) {
 	}
 	d := span.End(obs.A("minimized", minimized))
 	p.stageDone("triage", false, d)
-}
-
-func mustJSON(v any) json.RawMessage {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil
-	}
-	return b
 }

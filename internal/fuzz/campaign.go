@@ -33,7 +33,7 @@ type CampaignResult struct {
 // mirrors the paper's setup: the generator produces a large redundant
 // stream; only tests contributing new edge coverage are kept (§4.1.1).
 func Campaign(env *exec.Env, seed int64, budget, maxKeep int) CampaignResult {
-	return CampaignShardedFunc([]*exec.Env{env}, seed, budget, maxKeep, nil)
+	return CampaignSharded([]*exec.Env{env}, seed, budget, maxKeep)
 }
 
 // batchSize is the number of candidate programs produced per
@@ -45,27 +45,12 @@ func Campaign(env *exec.Env, seed int64, budget, maxKeep int) CampaignResult {
 // any number of workers.
 const batchSize = 32
 
-// RoundFunc observes one synchronization round of a sharded campaign:
-// round is the 0-based round index and admitted lists the programs the
-// round added to the corpus, in admission order. Because admission is
-// in-order, the concatenation of all admitted slices IS the final corpus —
-// which is what lets a streaming consumer (core.StreamCampaign) profile
-// and identify each round's programs while the next round fuzzes, and
-// still end up with the exact corpus a staged run builds.
-//
-// The callback runs on the coordinating goroutine between rounds; it must
-// not mutate the campaign's corpus.
-type RoundFunc func(round int, admitted []*corpus.Prog)
-
-// CampaignShardedFunc is Campaign fanned out across len(envs) worker
+// CampaignSharded is Campaign fanned out across len(envs) worker
 // environments (one goroutine per env). Each candidate program reseeds its
 // shard's generator with par.UnitSeed(seed, StageFuzz, unit), where unit is the
 // candidate's global index in the campaign — not a per-worker counter — so
-// results are bit-identical to a single env's. fn, when non-nil, observes
-// each round: it is invoked after every round's selection fold — including
-// the final, possibly truncated round when the corpus cap fills mid-fold —
-// so it sees every admitted program exactly once.
-func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn RoundFunc) CampaignResult {
+// results are bit-identical to a single env's.
+func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) CampaignResult {
 	cov := cover.NewEdges()
 	out := CampaignResult{Corpus: corpus.NewCorpus()}
 	traces := make([]trace.Trace, len(envs))
@@ -79,7 +64,6 @@ func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn R
 		edges   *cover.Edges
 		crashed bool
 	}
-	round := 0
 	for out.Executed < budget {
 		n := budget - out.Executed
 		if n > batchSize {
@@ -114,7 +98,6 @@ func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn R
 			return unit{prog: p, edges: e}
 		})
 		full := false
-		var admitted []*corpus.Prog
 		for _, u := range units {
 			out.Executed++
 			mExecs.Inc()
@@ -130,9 +113,6 @@ func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn R
 					mCorpus.Set(int64(out.Corpus.Len()))
 					obs.Emit(obs.EvCoverNew, obs.A("edges", n),
 						obs.A("corpus", out.Corpus.Len()))
-					if fn != nil {
-						admitted = append(admitted, u.prog)
-					}
 				}
 			}
 			if maxKeep > 0 && out.Corpus.Len() >= maxKeep {
@@ -140,10 +120,6 @@ func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn R
 				break
 			}
 		}
-		if fn != nil {
-			fn(round, admitted)
-		}
-		round++
 		if full {
 			break
 		}

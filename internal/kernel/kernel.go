@@ -43,6 +43,17 @@ const (
 	V5_12_RC3 Version = "5.12-rc3"
 )
 
+// ParseVersion resolves a version string from outside the program (a flag,
+// a campaign spec) to one of the simulated kernels; any other string would
+// boot a kernel that carries none of the version-gated issues.
+func ParseVersion(s string) (Version, error) {
+	switch v := Version(s); v {
+	case V5_3_10, V5_12_RC3:
+		return v, nil
+	}
+	return "", fmt.Errorf("unknown kernel version %q", s)
+}
+
 // Config selects the simulated kernel build.
 type Config struct {
 	Version Version

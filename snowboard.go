@@ -37,7 +37,6 @@ import (
 	"snowboard/internal/detect"
 	"snowboard/internal/diagnose"
 	"snowboard/internal/exec"
-	"snowboard/internal/fuzz"
 	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
 	"snowboard/internal/pmc"
@@ -45,8 +44,6 @@ import (
 	"snowboard/internal/sched"
 	"snowboard/internal/store"
 	"snowboard/internal/trace"
-	"snowboard/internal/triage"
-	"snowboard/internal/vm"
 )
 
 // Version identifies the simulated kernel build under test.
@@ -57,6 +54,10 @@ const (
 	V5_3_10   = kernel.V5_3_10
 	V5_12_RC3 = kernel.V5_12_RC3
 )
+
+// ParseVersion resolves a version string (a -version flag) to one of the
+// simulated kernels, rejecting anything else.
+func ParseVersion(s string) (Version, error) { return kernel.ParseVersion(s) }
 
 // Pipeline configuration and reporting.
 type (
@@ -71,8 +72,6 @@ type (
 	Method = core.Method
 	// Pipeline exposes the four stages individually.
 	Pipeline = core.Pipeline
-	// IssueRecord tracks when an issue was first found.
-	IssueRecord = core.IssueRecord
 )
 
 // Test representation.
@@ -84,24 +83,18 @@ type (
 	Call = corpus.Call
 	// Arg is one syscall argument.
 	Arg = corpus.Arg
-	// Corpus is a deduplicated collection of sequential tests.
-	Corpus = corpus.Corpus
 )
 
 // PMC analysis.
 type (
 	// PMC is a potential memory communication (§2.2).
 	PMC = pmc.PMC
-	// PMCKey is one side of a PMC: instruction, range, value.
-	PMCKey = pmc.Key
 	// PMCSet is the identified PMC database.
 	PMCSet = pmc.Set
 	// Profile is the shared-access set of one sequential test.
 	Profile = pmc.Profile
 	// Strategy is a Table 1 clustering strategy.
 	Strategy = cluster.Strategy
-	// Cluster is one group of equivalent PMCs.
-	Cluster = cluster.Cluster
 )
 
 // Execution and detection.
@@ -122,23 +115,10 @@ type (
 	KnownBug = detect.KnownBug
 	// Trace is an ordered memory-access trace.
 	Trace = trace.Trace
-	// Access is one memory access record.
-	Access = trace.Access
-	// Scheduler decides which simulated thread runs next.
-	Scheduler = vm.Scheduler
 )
 
-// Higher-dimension testing (§6 extension) and reproduction.
-type (
-	// Triple is a write+2-read PMC for three-thread tests.
-	Triple = pmc.Triple
-	// TripleEntry aggregates a triple's concrete test combinations.
-	TripleEntry = pmc.TripleEntry
-	// TripleTest is a three-thread concurrent test.
-	TripleTest = sched.TripleTest
-	// ReproState pins one bug-exposing trial for deterministic replay.
-	ReproState = sched.ReproState
-)
+// ReproState pins one bug-exposing trial for deterministic replay.
+type ReproState = sched.ReproState
 
 // Distributed execution. Delivery is at-least-once: workers lease jobs,
 // ack on success, nack on failure; expired leases redeliver, exhausted
@@ -149,11 +129,6 @@ type (
 	// QueueOptions configure a queue's lease timeout, retry budget, and
 	// metrics name.
 	QueueOptions = queue.Options
-	// Job is one queued concurrent test.
-	Job = queue.Job
-	// JobLease is one granted delivery of a job: the job plus the handle
-	// used to Ack/Nack/Extend it.
-	JobLease = queue.Lease
 	// DeadJob is a job that exhausted its delivery attempts.
 	DeadJob = queue.DeadJob
 	// JobResult carries a worker's findings back.
@@ -188,13 +163,8 @@ type (
 
 // Artifact kinds stored by the pipeline.
 const (
-	KindCorpus   = store.KindCorpus
-	KindProfiles = store.KindProfiles
-	KindPMCs     = store.KindPMCs
-	KindReport   = store.KindReport
-	KindSeries   = store.KindSeries
-	KindRepro    = store.KindRepro
-	KindCampaign = store.KindCampaign
+	KindCorpus = store.KindCorpus
+	KindReport = store.KindReport
 )
 
 // OpenStore opens (creating if needed) an artifact store rooted at dir.
@@ -213,46 +183,7 @@ type (
 	ObsProgress = obs.Progress
 	// ObsServer is a running introspection HTTP server.
 	ObsServer = obs.Server
-	// ObsEvent is one flight-recorder entry (served at /events).
-	ObsEvent = obs.Event
-	// ObsSample is one point of the campaign coverage time-series.
-	ObsSample = obs.Sample
-	// ObsCampaign identifies one logical testing campaign (its trace ID).
-	ObsCampaign = obs.Campaign
 )
-
-// Triage (internal/triage): post-detection schedule/test minimization,
-// fleet-scale crash-signature dedup, and canonical SBRB repro bundles.
-type (
-	// TriageSignature is the stable crash-site + communication-channel
-	// identity findings dedup on, across trials and campaigns.
-	TriageSignature = triage.Signature
-	// TriageBundle is the canonical SBRB repro artifact replayed by
-	// `sbrepro -state <dir> -min <digest>`.
-	TriageBundle = triage.Bundle
-	// TriageStats records minimization effort and effect.
-	TriageStats = triage.Stats
-	// TriageSummary is the per-finding triage record attached to
-	// crash-level IssueRecords in a Report.
-	TriageSummary = core.TriageSummary
-	// TriageFinding is one crash-level finding to minimize.
-	TriageFinding = triage.Finding
-	// TriageOptions tunes minimization.
-	TriageOptions = triage.Options
-	// TriageResult is a minimized finding plus its signature and stats.
-	TriageResult = triage.Result
-)
-
-// MinimizeFinding delta-debugs one crash-level finding: it shrinks the
-// yield schedule and both test programs while re-replaying each candidate,
-// keeping a change only if the same crash signature recurs.
-func MinimizeFinding(env *Env, f TriageFinding, opt TriageOptions) (*TriageResult, error) {
-	return triage.Minimize(env, f, opt)
-}
-
-// DecodeReproBundle parses a canonical SBRB repro bundle, distinguishing
-// stale (format-version mismatch) from corrupt input.
-func DecodeReproBundle(data []byte) (*TriageBundle, error) { return triage.Decode(data) }
 
 // SnapshotMetrics freezes the process-wide metrics registry: every
 // counter, gauge, and stage-duration histogram the pipeline has bumped so
@@ -270,67 +201,11 @@ func ObsProgressNow() ObsProgress { return obs.ProgressNow() }
 // time-series), /campaign, /debug/vars (expvar), and /debug/pprof/.
 func StartObsServer(addr string) (*ObsServer, error) { return obs.StartHTTP(addr) }
 
-// EventsSince returns the flight recorder's retained events with sequence
-// numbers strictly greater than n, ascending — the /events?since=N page.
-func EventsSince(n uint64) []ObsEvent { return obs.Events.Since(n) }
-
-// CoverageSeries returns a copy of the campaign coverage time-series
-// accumulated so far (and persisted as an SBTS artifact with -state).
-func CoverageSeries() []ObsSample { return obs.DefaultSeries.Samples() }
-
-// CurrentCampaign returns the process-wide campaign identity, or nil before
-// any pipeline started one.
-func CurrentCampaign() *ObsCampaign { return obs.CurrentCampaign() }
-
-// Campaign control plane (cmd/sbd): long-lived multi-tenant campaign
-// hosting. Each campaign is identified by the digest of its canonical
-// manifest (idempotent submission), shards its concurrent tests across a
-// named per-campaign queue, persists through the artifact store for
-// byte-identical restart resume, and shares execution fairly with every
-// other live campaign through a FIFO turn scheduler.
-type (
-	// CampaignSpec is the JSON campaign submission: kernel version, seed,
-	// budgets, and generation method.
-	CampaignSpec = core.CampaignSpec
-	// Campaign is one running (or finished) campaign handle.
-	Campaign = core.Campaign
-	// CampaignEnv is the shared infrastructure campaigns run in: state
-	// dir, queue registry, wire address, and fair scheduler.
-	CampaignEnv = core.CampaignEnv
-	// CampaignStatus is a live point-in-time campaign summary (the
-	// GET /campaigns element).
-	CampaignStatus = core.CampaignStatus
-	// TurnScheduler grants execution turns FIFO across campaigns.
-	TurnScheduler = core.TurnScheduler
-	// QueueRegistry serves many named job queues on one TCP listener.
-	QueueRegistry = queue.Registry
-)
-
-// StartCampaign validates, persists, and launches a campaign in env.
-func StartCampaign(spec CampaignSpec, env CampaignEnv) (*Campaign, error) {
-	return core.StartCampaign(spec, env)
-}
-
-// LoadCampaignSpecs enumerates every campaign manifest persisted under
-// stateDir — the restart-resume inventory.
-func LoadCampaignSpecs(stateDir string) ([]CampaignSpec, error) {
-	return core.LoadCampaignSpecs(stateDir)
-}
-
-// NewTurnScheduler returns a FIFO fair scheduler allowing slots campaigns
-// to execute concurrently.
-func NewTurnScheduler(slots int) *TurnScheduler { return core.NewTurnScheduler(slots) }
-
-// NewQueueRegistry returns a registry that mints named queues on demand,
-// each cloning the template options.
-func NewQueueRegistry(template QueueOptions) *QueueRegistry { return queue.NewRegistry(template) }
-
 // Exploration modes for the Explorer.
 const (
 	ModeSnowboard  = sched.ModeSnowboard
 	ModeSKI        = sched.ModeSKI
 	ModeRandomWalk = sched.ModeRandomWalk
-	ModePCT        = sched.ModePCT
 )
 
 // Run executes the full four-stage pipeline.
@@ -342,6 +217,10 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 
 // NewPipeline boots a simulated kernel and prepares stage-by-stage runs.
 func NewPipeline(opts Options) *Pipeline { return core.NewPipeline(opts) }
+
+// OpenPipeline is NewPipeline plus, when opts.StateDir is set, the artifact
+// store rooted there, attached so every stage memoizes through it.
+func OpenPipeline(opts Options) (*Pipeline, error) { return core.OpenPipeline(opts) }
 
 // Methods lists the eleven generation methods of the paper's Table 3.
 func Methods() []Method { return core.Methods() }
@@ -365,12 +244,6 @@ func Identify(profiles []Profile) *PMCSet {
 	return pmc.Identify(profiles, pmc.DefaultOptions())
 }
 
-// FuzzCorpus runs a coverage-guided sequential fuzzing campaign on env and
-// returns the selected corpus (the Syzkaller stand-in, §4.1.1).
-func FuzzCorpus(env *Env, seed int64, budget, maxKeep int) *Corpus {
-	return fuzz.Campaign(env, seed, budget, maxKeep).Corpus
-}
-
 // Table2 returns the catalogue of known issues carried by the simulated
 // kernel, mirroring the paper's Table 2.
 func Table2() []KnownBug { return detect.Table2 }
@@ -380,16 +253,6 @@ func Const(v uint64) Arg { return corpus.Const(v) }
 
 // Result builds a resource-reference argument (r0, r1, … of earlier calls).
 func ResultArg(ref int) Arg { return corpus.Result(ref) }
-
-// NewQueue returns an empty in-process job queue; see queue.Serve/Dial for
-// the TCP transport used to fan exploration out across workers.
-func NewQueue() *Queue { return queue.New() }
-
-// IdentifyTriples derives write+2-read PMC triples for three-thread tests
-// (the §6 extension). maxTriples caps the output; 0 means unlimited.
-func IdentifyTriples(set *PMCSet, maxTriples int) []TripleEntry {
-	return pmc.IdentifyTriples(set, maxTriples)
-}
 
 // Replay deterministically re-executes a bug-exposing trial recorded in an
 // exploration outcome's Repro state (§6 "Deterministic Reproduction").
