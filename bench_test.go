@@ -128,6 +128,7 @@ func BenchmarkFigure1L2TPBug(b *testing.B) {
 			"l2tp_tunnel_register:list_add_rcu", "l2tp_tunnel_get:rcu_dereference_list")
 		n, _ := trialsToIssue(env, set, snowboard.ConcurrentTest{Writer: writer, Reader: reader, Hint: hint},
 			snowboard.ModeSnowboard, int64(i)*7919+1, 1024, 12, detect.KindPanic)
+		env.Close()
 		total += n
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "trials/expose")
@@ -153,6 +154,7 @@ func BenchmarkFigure3MACRace(b *testing.B) {
 		set, hint := identifyPair(b, env, writer, reader, "eth_commit_mac_addr_change", "dev_ifsioc_locked:memcpy")
 		n, out := trialsToIssue(env, set, snowboard.ConcurrentTest{Writer: writer, Reader: reader, Hint: hint},
 			snowboard.ModeSnowboard, int64(i)*13+1, 256, 9, detect.KindDataRace)
+		env.Close()
 		totalTrials += n
 		for _, is := range out.Issues {
 			if is.BugID == 9 && len(is.Desc) >= 4 && is.Desc[:4] == "Torn" {
@@ -176,6 +178,7 @@ func BenchmarkFigure4Rhashtable(b *testing.B) {
 		set, hint := identifyPair(b, env, writer, reader, "rht_assign_unlock", "rht_ptr")
 		n, _ := trialsToIssue(env, set, snowboard.ConcurrentTest{Writer: writer, Reader: reader, Hint: hint},
 			snowboard.ModeSnowboard, int64(i)*31+1, 1024, 1, detect.KindPanic)
+		env.Close()
 		total += n
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "trials/expose")
@@ -231,6 +234,7 @@ func BenchmarkTable3StrategyComparison(b *testing.B) {
 				r := p.NewReport()
 				tests := p.GenerateTests(r, opts.TestBudget)
 				p.ExecuteTests(r, tests)
+				p.Close()
 				issues += len(r.BugIDs())
 				exemplars = r.ExemplarPMCs
 				tested += r.TestedTests
@@ -269,6 +273,7 @@ func BenchmarkPMCPrecision(b *testing.B) {
 		r := p.NewReport()
 		tests := p.GenerateTests(r, opts.TestBudget)
 		p.ExecuteTests(r, tests)
+		p.Close()
 		exercised += r.Exercised
 		tested += r.TestedPMCs
 	}
@@ -370,6 +375,7 @@ func BenchmarkInterleavingsToExpose(b *testing.B) {
 					"l2tp_tunnel_register:list_add_rcu", "l2tp_tunnel_get:rcu_dereference_list")
 				n, _ := trialsToIssue(env, set, snowboard.ConcurrentTest{Writer: writer, Reader: reader, Hint: hint},
 					mode, int64(i)*7919+1, 4096, 12, detect.KindPanic)
+				env.Close()
 				total += n
 			}
 			b.ReportMetric(float64(total)/float64(b.N), "trials/expose")
@@ -483,6 +489,7 @@ func BenchmarkAblationIncidentalPMCs(b *testing.B) {
 					KnownPMCs: set, DisableIncidental: disable,
 				}
 				out := x.Explore(snowboard.ConcurrentTest{Writer: writer, Reader: reader, Hint: hint})
+				env.Close()
 				n := 1025
 				for _, is := range out.Issues {
 					if is.BugID == 12 && is.Kind == detect.KindPanic {
@@ -629,6 +636,7 @@ func BenchmarkFeedbackVsUncommonFirst(b *testing.B) {
 					cts := p.GenerateTests(r, opts.TestBudget)
 					p.ExecuteTests(r, cts)
 				}
+				p.Close()
 				issues += len(r.BugIDs())
 				segments += r.CoverSegments
 				composed += r.ComposedTests
@@ -670,6 +678,7 @@ func BenchmarkAblationClusterOrder(b *testing.B) {
 				r := p.NewReport()
 				tests := p.GenerateTests(r, opts.TestBudget)
 				p.ExecuteTests(r, tests)
+				p.Close()
 				issues += len(r.BugIDs())
 			}
 			b.ReportMetric(float64(issues)/float64(b.N), "issues/run")

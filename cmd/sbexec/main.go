@@ -172,7 +172,9 @@ func (cc *corpusCache) get(hex string) (*corpus.Corpus, error) {
 // retried inside the client, and only an exhausted retry budget ends the
 // loop (never the whole process via log.Fatal).
 func workLoop(client *queue.Client, cache *corpusCache, version snowboard.Version, trials int, name string, idleExit time.Duration, jobs *atomic.Int64) {
-	w := core.NewWorker(snowboard.NewEnv(version), trials, name, func(job *queue.Job) error {
+	env := snowboard.NewEnv(version)
+	defer env.Close()
+	w := core.NewWorker(env, trials, name, func(job *queue.Job) error {
 		c, err := cache.get(job.Corpus)
 		if err == nil {
 			err = job.Resolve(c)

@@ -73,6 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer p.Close()
 	r := p.NewReport()
 	p.BuildCorpus(r)
 	if err := p.ProfileAll(r); err != nil {

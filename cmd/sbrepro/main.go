@@ -209,6 +209,7 @@ func replayBundle(w *strings.Builder, path string, quiet bool) (stale bool, err 
 // the detected issues so callers can recompute crash signatures.
 func replayState(w *strings.Builder, version snowboard.Version, ct sched.ConcurrentTest, st *sched.ReproState, quiet bool) (stale bool, issues []detect.Issue) {
 	env := snowboard.NewEnv(version)
+	defer env.Close()
 	var tr trace.Trace
 	res := sched.Replay(env, ct, st, &tr)
 	env.M.SetTrace(nil)

@@ -42,6 +42,7 @@ func ExampleRun() {
 // and explores interleavings until the null dereference fires.
 func ExampleExplorer_Explore() {
 	env := snowboard.NewEnv(snowboard.V5_12_RC3)
+	defer env.Close()
 
 	writer := &snowboard.Prog{Calls: []snowboard.Call{
 		{Nr: kernel.SysSocketNr, Args: []snowboard.Arg{snowboard.Const(kernel.AFPppox), snowboard.Const(kernel.SockDgram), snowboard.Const(kernel.PxProtoOL2TP)}},

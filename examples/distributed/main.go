@@ -30,6 +30,7 @@ func main() {
 	opts.FuzzBudget = 500
 	opts.CorpusCap = 120
 	p := snowboard.NewPipeline(opts)
+	defer p.Close()
 	r := p.NewReport()
 	p.BuildCorpus(r)
 	if err := p.ProfileAll(r); err != nil {
@@ -70,7 +71,9 @@ func main() {
 				log.Fatal(err)
 			}
 			defer c.Close()
-			worker := core.NewWorker(snowboard.NewEnv(opts.Version), 12, fmt.Sprintf("worker-%d", id), nil)
+			env := snowboard.NewEnv(opts.Version)
+			defer env.Close()
+			worker := core.NewWorker(env, 12, fmt.Sprintf("worker-%d", id), nil)
 			crashed := false
 			for {
 				ls, err := c.Lease()

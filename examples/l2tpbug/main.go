@@ -45,6 +45,7 @@ func readerTest() *snowboard.Prog {
 
 func main() {
 	env := snowboard.NewEnv(snowboard.V5_12_RC3)
+	defer env.Close()
 
 	writer, reader := writerTest(), readerTest()
 	fmt.Println("Test 1 (writer):")

@@ -71,6 +71,7 @@ func main() {
 				x.Mode = snowboard.ModeRandomWalk
 			}
 			out := x.Explore(snowboard.ConcurrentTest{Writer: writer, Reader: reader, Hint: hint})
+			env.Close()
 			n := maxTrials + 1
 			for _, is := range out.Issues {
 				if is.BugID == 12 && is.Kind == detect.KindPanic {

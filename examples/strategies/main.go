@@ -29,6 +29,7 @@ func main() {
 	// Build corpus, profiles, and the PMC database once; all methods share
 	// them, as the paper shares machine C's profiling output.
 	shared := snowboard.NewPipeline(base)
+	defer shared.Close()
 	warm := shared.NewReport()
 	shared.BuildCorpus(warm)
 	if err := shared.ProfileAll(warm); err != nil {
@@ -49,6 +50,7 @@ func main() {
 		r := p.NewReport()
 		tests := p.GenerateTests(r, opts.TestBudget)
 		p.ExecuteTests(r, tests)
+		p.Close()
 
 		ids := r.BugIDs()
 		sort.Ints(ids)

@@ -475,40 +475,44 @@ func (c *Campaign) restoreCounters(r *Report) {
 	c.dead.Store(int64(dead))
 }
 
-// run is the campaign goroutine: local stages 1–3 (memoized through the
-// shared store), then stage 4 through the campaign's named queue under
-// the fair scheduler. The finished report is memoized campaign-level, so
-// a restarted server resumes completed campaigns byte-identically and
-// in-flight ones re-run only what the stage memos don't cover.
+// run is the campaign goroutine.
 func (c *Campaign) run() {
 	c.gate()
 	c.setState(CampaignRunning)
+	c.finish(c.execute())
+}
 
+// execute is local stages 1–3 (memoized through the shared store), then
+// stage 4 through the campaign's named queue under the fair scheduler.
+// The finished report is memoized campaign-level, so a restarted server
+// resumes completed campaigns byte-identically and in-flight ones re-run
+// only what the stage memos don't cover.
+func (c *Campaign) execute() (*Report, error) {
 	opts, err := c.Spec.BuildOptions(c.env.StateDir)
 	if err != nil {
-		c.finish(nil, err)
-		return
+		return nil, err
 	}
 	p, err := OpenPipeline(opts)
 	if err != nil {
-		c.finish(nil, err)
-		return
+		return nil, err
 	}
+	// Before finish reports the campaign done. Covers the feedback path's
+	// worker environments and the queue path's Worker, which explores on
+	// p.Env.
+	defer p.Close()
 	if r, out, ok := loadMemo(p, "campaign", c.reportKey(), reportCodec, nil); ok {
 		// The whole campaign is memoized: resume instantly with the
 		// stored report, byte-for-byte what the uninterrupted run wrote.
 		obs.Diag.Printf("stage campaign: cache hit (report %s, %d issues)", out.Short(), len(r.Issues))
 		c.restoreCounters(r)
-		c.finish(r, nil)
-		return
+		return r, nil
 	}
 
 	r := p.NewReport()
 	p.BuildCorpus(r)
 	c.gate()
 	if err := p.ProfileAll(r); err != nil {
-		c.finish(nil, err)
-		return
+		return nil, err
 	}
 	c.gate()
 	p.IdentifyPMCs(r)
@@ -524,8 +528,7 @@ func (c *Campaign) run() {
 		p.TriageReport(r)
 		c.restoreCounters(r)
 	} else if err := c.runDistributed(p, r, opts); err != nil {
-		c.finish(nil, err)
-		return
+		return nil, err
 	}
 
 	// Metrics deliberately stay uncaptured: the obs registry is shared by
@@ -534,7 +537,7 @@ func (c *Campaign) run() {
 	if d := saveMemo(p, "campaign", c.reportKey(), reportCodec, r, nil); !d.IsZero() {
 		obs.Diag.Printf("stage campaign: report artifact %s persisted", d.Short())
 	}
-	c.finish(r, nil)
+	return r, nil
 }
 
 // runDistributed pushes the generated tests onto the campaign's named

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -149,6 +151,56 @@ func TestCampaignRunsToCompletion(t *testing.T) {
 	}
 	if st.Trace == "" || st.ID != c.ID {
 		t.Fatalf("status identity incomplete: %+v", st)
+	}
+}
+
+// TestCampaignsLeaveNoGoroutines: a pipeline's machines park one coroutine
+// per guest thread slot between trials, so every path that builds a
+// pipeline has to close it — core.Run, and a campaign's queue (one-shot)
+// and local (feedback) paths. Run under -race in CI.
+func TestCampaignsLeaveNoGoroutines(t *testing.T) {
+	settle := func(what string, baseline int) {
+		t.Helper()
+		// Queue reapers and lease keepers exit on their own, shortly.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: goroutines %d -> %d\n%s", what, baseline, n, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	baseline := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2} {
+		for i := int64(0); i < 3; i++ {
+			opts, err := smallSpec("leak", 20+i).BuildOptions("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Workers = workers
+			opts.Feedback = i == 2
+			if r, err := Run(opts); err != nil || r.TrialsRun == 0 {
+				t.Fatalf("Run: %v, report %+v", err, r)
+			}
+		}
+		settle(fmt.Sprintf("core.Run, workers=%d", workers), baseline)
+
+		reg := queue.NewRegistry(queue.Options{})
+		for i := int64(0); i < 3; i++ {
+			spec := smallSpec("leak", 30+i)
+			spec.Workers = workers
+			spec.Feedback = i == 2
+			c, err := StartCampaign(spec, CampaignEnv{Registry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r, err := c.Wait(); err != nil || r.TrialsRun == 0 && r.Distributed.Trials == 0 {
+				t.Fatalf("campaign: %v, report %+v", err, r)
+			}
+		}
+		reg.Close()
+		settle(fmt.Sprintf("StartCampaign, workers=%d", workers), baseline)
 	}
 }
 

@@ -100,6 +100,16 @@ func NewPipeline(opts Options) *Pipeline {
 	}
 }
 
+// Close closes the pipeline's environments (exec.Env.Close): a pipeline
+// that has run guests and is dropped unclosed leaks their parked vCPU
+// coroutines. Its artifacts stay readable. Idempotent.
+func (p *Pipeline) Close() {
+	p.Env.Close()
+	for _, e := range p.envs {
+		e.Close()
+	}
+}
+
 // stageDone flight-records a stage completion and checkpoints the campaign
 // time-series, so a killed run's trajectory resumes where it stopped.
 func (p *Pipeline) stageDone(stage string, cached bool, dur time.Duration) {
@@ -450,6 +460,7 @@ func Run(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.Close()
 	r := p.NewReport()
 	p.BuildCorpus(r)
 	if err := p.ProfileAll(r); err != nil {

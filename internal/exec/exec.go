@@ -33,7 +33,7 @@ const DefaultMaxSteps = 1 << 20
 
 // Env owns a machine with a booted kernel and the boot-time snapshot.
 // An Env is single-goroutine: one test (or one concurrent pair) runs at a
-// time, exactly like one emulated guest.
+// time, exactly like one emulated guest. Close it when done with it.
 type Env struct {
 	M    *vm.Machine
 	K    *kernel.Kernel
@@ -64,6 +64,10 @@ func (e *Env) Clone() *Env {
 	return &Env{M: m, K: k, Snap: e.Snap, Cfg: e.Cfg, MaxSteps: e.MaxSteps}
 }
 
+// Close stops the machine's parked vCPU coroutines (vm.Machine.Close). An
+// Env that has run a test and is dropped unclosed leaks them. Idempotent.
+func (e *Env) Close() { e.M.Close() }
+
 // NewEnvWithSetup boots a kernel, runs setup once sequentially, and
 // snapshots the *resulting* state as the environment's fixed starting
 // point. This implements §4.1's growth of initial kernel states: "some
@@ -79,6 +83,7 @@ func NewEnvWithSetup(cfg kernel.Config, setup *corpus.Prog) (*Env, error) {
 	}
 	res := e.RunSequential(setup, nil)
 	if res.Crashed() || res.Hung || res.Deadlock {
+		e.Close()
 		return nil, fmt.Errorf("exec: setup program failed: faults=%v hung=%v deadlock=%v",
 			res.Faults, res.Hung, res.Deadlock)
 	}
@@ -125,7 +130,7 @@ func (e *Env) prepare(tr *trace.Trace) {
 func (e *Env) procBody(prog *corpus.Prog, slot int, rets *[]int64) func(*vm.Thread) {
 	return func(t *vm.Thread) {
 		p := kernel.NewProc(e.K, t, slot)
-		var args []uint64 // reused across calls: Invoke copies what it keeps
+		var args []uint64 // reused across calls: Invoke only reads it
 		for _, call := range prog.Calls {
 			args = slices.Grow(args[:0], len(call.Args))[:len(call.Args)]
 			clear(args)

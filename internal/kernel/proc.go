@@ -67,7 +67,8 @@ type Proc struct {
 	T    *vm.Thread
 	Slot int // user-region slot
 
-	fds []FDesc
+	fds  []FDesc
+	args [maxSyscallArgs]uint64 // Invoke's argument spill for the running syscall
 }
 
 // NewProc binds a process context to a kernel thread and user slot.

@@ -1,6 +1,10 @@
 package kernel
 
-import "snowboard/internal/trace"
+import (
+	"fmt"
+
+	"snowboard/internal/trace"
+)
 
 // The system-call table: dispatch plus the argument metadata the sequential
 // test generator (internal/fuzz) uses to produce well-formed programs. The
@@ -255,6 +259,18 @@ var Syscalls = [NumSyscalls]Spec{
 	},
 }
 
+// maxSyscallArgs bounds the arguments of one syscall, so Invoke can spill
+// them into an array its Proc owns.
+const maxSyscallArgs = 6
+
+func init() {
+	for i := range Syscalls {
+		if n := len(Syscalls[i].Args); n > maxSyscallArgs {
+			panic(fmt.Sprintf("kernel: syscall %s takes %d arguments, maxSyscallArgs is %d", Syscalls[i].Name, n, maxSyscallArgs))
+		}
+	}
+}
+
 // SyscallByName resolves a syscall number from its name.
 func SyscallByName(name string) (int, bool) {
 	for i := range Syscalls {
@@ -268,7 +284,9 @@ func SyscallByName(name string) (int, bool) {
 // Invoke dispatches syscall nr with resolved argument values. The entry
 // path spills the syscall number and arguments to the kernel stack and
 // reloads them, as the compiled syscall prologue does — these accesses are
-// what the ESP-based stack filter (§4.1.1) prunes from profiles.
+// what the ESP-based stack filter (§4.1.1) prunes from profiles. a is only
+// read: the syscall body sees the reloaded values, in an array of p's that
+// the next Invoke on p overwrites.
 func (k *Kernel) Invoke(p *Proc, nr int, a []uint64) int64 {
 	if nr < 0 || nr >= NumSyscalls {
 		return errRet(EINVAL)
@@ -278,7 +296,8 @@ func (k *Kernel) Invoke(p *Proc, nr int, a []uint64) int64 {
 	frameSz := 8 * (len(spec.Args) + 1)
 	frame := t.PushFrame(frameSz)
 	t.Store(insSyscallSaveNr, frame, 8, uint64(nr))
-	full := make([]uint64, len(spec.Args))
+	full := p.args[:len(spec.Args)]
+	clear(full)
 	copy(full, a)
 	for i, v := range full {
 		t.Store(insSyscallSpill, frame+8*uint64(i+1), 8, v)

@@ -168,9 +168,10 @@ func TestFleetWorkersOwnScratch(t *testing.T) {
 // TestTrialAllocBudget is the allocation gate on the per-trial analysis, in
 // the mould of vm.TestRecordAllocBudget: with a warm explorer, a trial —
 // guest execution, both oracles, both coverage metrics, incidental lookup —
-// stays within 120 allocations (~1,070 before the flat shadow tables, ~218
-// before the dirty-page restore and the lazily seeded rng; ~35 measured),
-// and detect.Analyze on a race-free trace within 8 (~828 before).
+// stays within 60 allocations (~1,070 before the flat shadow tables, ~218
+// before the dirty-page restore and the lazily seeded rng, ~35 before the
+// vCPU coroutines and the Proc-owned syscall arguments; ~22 measured), and
+// detect.Analyze on a race-free trace within 8 (~828 before).
 func TestTrialAllocBudget(t *testing.T) {
 	env := exec.NewEnv(kernel.Config{Version: kernel.V5_3_10})
 	set, hint := identifyL2TP(t, env)
@@ -185,8 +186,8 @@ func TestTrialAllocBudget(t *testing.T) {
 	perExplore := testing.AllocsPerRun(5, func() { x.Explore(ct) })
 	perTrial := perExplore / float64(ran)
 	t.Logf("warm trial: %.0f allocs (%.0f per %d-trial Explore)", perTrial, perExplore, ran)
-	if perTrial > 120 {
-		t.Fatalf("a warm trial allocates %.0f times (%.0f per %d-trial Explore), budget 120", perTrial, perExplore, ran)
+	if perTrial > 60 {
+		t.Fatalf("a warm trial allocates %.0f times (%.0f per %d-trial Explore), budget 60", perTrial, perExplore, ran)
 	}
 
 	// A single-threaded (hence race-free) trace through a warm oracle

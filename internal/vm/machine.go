@@ -30,9 +30,9 @@ type AccessInfo struct {
 }
 
 // AccessSink is the scheduler fast path. A scheduler that implements it has
-// OnAccess invoked synchronously on the running thread's goroutine for every
+// OnAccess invoked synchronously on the running thread's coroutine for every
 // memory access; returning false means "keep running the same thread" and
-// skips the channel round-trip through the machine loop entirely. Returning
+// skips the switch back to the machine loop entirely. Returning
 // true falls back to a regular EvAccess yield so Pick can switch threads.
 // Schedulers that never preempt on accesses (or only rarely) become
 // allocation- and handoff-free on the access path.
@@ -55,6 +55,7 @@ type Machine struct {
 	Console *Console
 
 	threads []*Thread
+	cpus    []*vcpu // one coroutine per thread slot, kept across runs
 	trace   *trace.Trace
 
 	lockHolder  map[Addr]*Thread
@@ -122,50 +123,48 @@ func (m *Machine) AllDone() bool {
 
 // Spawn creates a thread whose body is fn, with an 8KB kernel stack carved
 // at stackBase (which must be trace.StackSize aligned and inside a valid
-// region). The thread does not run until the scheduler picks it.
+// region). The thread does not run until the scheduler picks it. Its body
+// runs on the coroutine of its slot, which the machine keeps until Close.
 func (m *Machine) Spawn(name string, stackBase Addr, fn func(*Thread)) *Thread {
 	if stackBase%trace.StackSize != 0 {
 		panic(fmt.Sprintf("vm: stack base %#x not %d-aligned", stackBase, trace.StackSize))
 	}
+	id := len(m.threads)
+	if id == len(m.cpus) {
+		m.cpus = append(m.cpus, newVCPU())
+	}
 	t := &Thread{
-		ID:      len(m.threads),
+		ID:      id,
 		Name:    name,
 		m:       m,
+		cpu:     m.cpus[id],
 		state:   Runnable,
-		resume:  make(chan struct{}),
-		events:  make(chan Event),
 		stackLo: stackBase,
 		sp:      stackBase + trace.StackSize,
 	}
+	t.cpu.t, t.cpu.fn = t, fn
 	m.threads = append(m.threads, t)
-	go func() {
-		defer func() {
-			switch r := recover().(type) {
-			case nil:
-				t.events <- Event{Kind: EvDone}
-			case threadKilled:
-				// Unwound by Shutdown; nobody is listening.
-			case threadFault:
-				t.faultMsg = r.msg
-				t.events <- Event{Kind: EvFault, Fault: r.msg}
-			default:
-				panic(r)
-			}
-		}()
-		<-t.resume
-		if t.killed {
-			panic(threadKilled{})
-		}
-		fn(t)
-	}()
 	return t
+}
+
+// resume switches to thread t's coroutine until the body's next event. A
+// body that panicked with anything but a kernel fault is gone by then, its
+// coroutine parked; the panic is re-raised here, on the goroutine driving
+// the machine, and the other threads stay where they are until Shutdown.
+func (m *Machine) resume(t *Thread) Event {
+	ev, _ := t.cpu.next()
+	if p := t.cpu.crash; p != nil {
+		t.cpu.crash = nil
+		t.state = Done
+		panic(p)
+	}
+	return ev
 }
 
 // step resumes thread t until its next event and applies the event's state
 // transition.
 func (m *Machine) step(t *Thread) Event {
-	t.resume <- struct{}{}
-	ev := <-t.events
+	ev := m.resume(t)
 	switch ev.Kind {
 	case EvDone:
 		t.state = Done
@@ -216,11 +215,15 @@ func (m *Machine) releaseDead(t *Thread) {
 // runnable. maxSteps <= 0 means a generous default of 1<<22.
 //
 // If the scheduler also implements AccessSink, memory accesses are reported
-// through OnAccess on the running thread's goroutine; the thread only
+// through OnAccess on the running thread's coroutine; the thread only
 // yields back to this loop when the sink asks for a preemption (or the step
-// budget runs out), so uninterrupted stretches of accesses cost no channel
-// handoffs at all. Step accounting is identical either way: every access is
+// budget runs out), so uninterrupted stretches of accesses cost no
+// switches at all. Step accounting is identical either way: every access is
 // counted exactly once (by record), every other event once (here).
+//
+// A thread body that panics with anything but a kernel fault makes Run
+// panic with a *GuestPanic on the caller's goroutine; the machine stays
+// usable (ResetRuntime, then Spawn).
 func (m *Machine) Run(s Scheduler, maxSteps int) error {
 	if maxSteps <= 0 {
 		maxSteps = 1 << 22
@@ -256,19 +259,38 @@ func (m *Machine) Run(s Scheduler, maxSteps int) error {
 	}
 }
 
-// Shutdown unwinds any unfinished thread goroutines. It must be called when
-// a Run ends early (step limit, deadlock, scheduler stop) before the machine
-// is dropped, otherwise goroutines leak.
+// Shutdown ends every unfinished thread and leaves all slots parked for the
+// next Spawn. It must be called when a Run ends early (step limit,
+// deadlock, scheduler stop) before new threads are spawned. A thread that
+// has run is resumed once with killed set and unwinds its body; one that
+// never ran is just disarmed.
 func (m *Machine) Shutdown() {
 	for _, t := range m.threads {
 		if t.state == Done {
 			continue
 		}
-		t.killed = true
 		t.state = Done
-		t.resume <- struct{}{}
+		if t.cpu.t == t { // never resumed: the slot still holds its body
+			t.cpu.t, t.cpu.fn = nil, nil
+		} else {
+			t.killed = true
+			m.resume(t)
+		}
 	}
 	m.threads = m.threads[:0]
+}
+
+// Close shuts the machine down and stops its parked coroutines. A machine
+// that has run threads must be closed before it is dropped, otherwise its
+// coroutines — goroutines, to the runtime — stay parked forever. Close is
+// idempotent, and a closed machine starts new coroutines if it is used
+// again.
+func (m *Machine) Close() {
+	m.Shutdown()
+	for _, c := range m.cpus {
+		c.stop()
+	}
+	m.cpus = nil
 }
 
 // ResetRuntime clears thread and synchronization state (but not memory),

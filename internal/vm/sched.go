@@ -23,7 +23,7 @@ func (SeqScheduler) Pick(m *Machine, last *Thread, ev Event) *Thread {
 
 // OnAccess implements AccessSink. Sequential profiling never preempts on an
 // access, so the running thread just keeps going: the entire profiling run
-// proceeds without per-access channel handoffs.
+// proceeds without per-access switches.
 func (SeqScheduler) OnAccess(m *Machine, t *Thread, a AccessInfo) bool { return false }
 
 // FuncScheduler adapts a function to the Scheduler interface, convenient in

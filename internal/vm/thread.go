@@ -49,27 +49,26 @@ type Event struct {
 	Fault  string       // valid when Kind == EvFault
 }
 
-// threadKilled is panicked through a thread goroutine to unwind it when the
+// threadKilled is panicked through a thread body to unwind it when the
 // machine shuts down a run early.
 type threadKilled struct{}
 
-// threadFault unwinds a thread goroutine after a simulated kernel crash.
+// threadFault unwinds a thread body after a simulated kernel crash.
 type threadFault struct{ msg string }
 
 // Thread is one simulated kernel thread (the kernel side of a vCPU). Its
-// body runs on a dedicated goroutine, but the machine guarantees that at
-// most one thread goroutine executes at any moment: control is handed back
-// and forth over unbuffered channels, so the simulation is fully
+// body runs on the coroutine of its slot (see vcpu), and at most one body
+// executes at any moment: the machine loop and the bodies switch to each
+// other directly and never run side by side, so the simulation is fully
 // deterministic and free of host-level data races.
 type Thread struct {
 	ID   int
 	Name string
 
 	m      *Machine
+	cpu    *vcpu
 	state  ThreadState
 	waitOn Addr // lock address when BlockedLock
-	resume chan struct{}
-	events chan Event
 	killed bool
 
 	stackLo Addr // kernel stack region [stackLo, stackLo+trace.StackSize)
@@ -94,11 +93,11 @@ func (t *Thread) Accesses() int { return t.accesses }
 // Machine returns the owning machine.
 func (t *Thread) Machine() *Machine { return t.m }
 
-// yield transfers control to the machine loop and blocks until resumed.
+// yield switches to the machine loop and returns when the thread is
+// resumed. A killed thread unwinds instead, and keeps unwinding if a
+// deferred call of its body gets here again.
 func (t *Thread) yield(ev Event) {
-	t.events <- ev
-	<-t.resume
-	if t.killed {
+	if t.killed || !t.cpu.yield(ev) || t.killed {
 		panic(threadKilled{})
 	}
 }
@@ -125,7 +124,7 @@ func (t *Thread) checkRange(addr Addr, size int) {
 // allocations once the block is warm), counts the access against the run's
 // step budget, and consults the scheduler's AccessSink if it has one:
 // unless the sink requests a preemption, control never leaves this
-// goroutine — no Event is built and no channel handoff happens.
+// coroutine — no Event is built and no switch happens.
 func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val uint64, atomic, marked bool) {
 	t.accesses++
 	m := t.m
@@ -156,7 +155,7 @@ func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val
 			Size:   uint8(size),
 			Stack:  stack,
 		}) {
-			return // fast path: keep running, no channel round-trip
+			return // fast path: keep running, no switch
 		}
 	}
 	t.yield(Event{Kind: EvAccess, Access: a})

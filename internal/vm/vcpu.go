@@ -1,0 +1,82 @@
+package vm
+
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
+
+// vcpu is one thread slot of a machine: a coroutine that runs the bodies of
+// the threads spawned into the slot, one per run, and lives across runs.
+// The machine loop resumes it with next and the running body hands an event
+// back with yield; iter.Pull makes each of those a direct switch between
+// the two goroutines, without a trip through the Go scheduler, and keeping
+// the coroutine across runs is what pays for creating it.
+//
+// Between runs the coroutine is parked in loop's yield and holds neither a
+// thread nor its machine. Spawn arms it with the next thread; the first
+// next after that starts the body. A thread that must not finish (Shutdown)
+// is resumed with killed set and unwinds to the same parked state, so a
+// slot is never lost. Only stop, from Machine.Close, ends the coroutine.
+type vcpu struct {
+	next  func() (Event, bool)
+	stop  func()
+	yield func(Event) bool // set once the coroutine has started
+
+	// Armed by Spawn, taken by the coroutine when it starts the body.
+	t  *Thread
+	fn func(*Thread)
+
+	// crash is a body's non-fault panic, re-raised by step on the
+	// goroutine that called Run.
+	crash *GuestPanic
+}
+
+func newVCPU() *vcpu {
+	c := &vcpu{}
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+// loop is the coroutine: run the armed body, report its last event, park.
+func (c *vcpu) loop(yield func(Event) bool) {
+	c.yield = yield
+	for yield(c.run()) {
+	}
+}
+
+// run executes the armed thread body and returns the event that ends it.
+func (c *vcpu) run() (ev Event) {
+	t, fn := c.t, c.fn
+	c.t, c.fn = nil, nil
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+			ev = Event{Kind: EvDone}
+		case threadKilled:
+			// Unwound by Shutdown, which ignores the event.
+		case threadFault:
+			t.faultMsg = r.msg
+			ev = Event{Kind: EvFault, Fault: r.msg}
+		default:
+			c.crash = &GuestPanic{Thread: t.Name, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	fn(t)
+	return
+}
+
+// GuestPanic is what Run panics with when a thread body panicked with
+// anything but a simulated kernel fault: a bug in the guest code or in a
+// scheduler's AccessSink, not in the guest kernel. It carries the stack of
+// the panicking body, which is gone by the time the panic reaches Run's
+// caller.
+type GuestPanic struct {
+	Thread string // name of the thread whose body panicked
+	Value  any    // the value the body panicked with
+	Stack  []byte // the body's stack at the panic
+}
+
+func (p *GuestPanic) Error() string {
+	return fmt.Sprintf("vm: thread %s panicked: %v\n%s", p.Thread, p.Value, p.Stack)
+}

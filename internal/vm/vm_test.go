@@ -3,9 +3,9 @@ package vm
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"snowboard/internal/trace"
 )
@@ -298,25 +298,194 @@ func TestStepLimit(t *testing.T) {
 	m.Shutdown()
 }
 
+// spinTo runs one never-finishing thread on m up to the step limit.
+func spinTo(m *Machine, steps int) {
+	m.ResetRuntime()
+	m.Spawn("spin", testStackBase, func(th *Thread) {
+		for {
+			th.Load(insT, testRegionBase, 8)
+		}
+	})
+	_ = m.Run(SeqScheduler{}, steps)
+}
+
+// TestShutdownNoGoroutineLeak: a machine's coroutines are goroutines to the
+// runtime. One machine keeps the same ones however many runs end early on
+// it, and Close gives them back.
 func TestShutdownNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
+	m := newTestMachine()
+	spinTo(m, 50)
+	held := runtime.NumGoroutine()
+	if held <= before {
+		t.Fatalf("goroutines %d -> %d: the thread body runs on no goroutine of its own?", before, held)
+	}
+	for i := 0; i < 20; i++ {
+		spinTo(m, 50)
+	}
+	if n := runtime.NumGoroutine(); n != held {
+		t.Fatalf("20 runs on one machine: goroutines %d -> %d", held, n)
+	}
+	m.Close()
+	m.Close() // idempotent
+
 	for i := 0; i < 20; i++ {
 		m := newTestMachine()
-		m.Spawn("spin", testStackBase, func(th *Thread) {
-			for {
-				th.Load(insT, testRegionBase, 8)
-			}
-		})
-		_ = m.Run(SeqScheduler{}, 50)
-		m.Shutdown()
+		spinTo(m, 50)
+		m.Close()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines leaked past Close: %d -> %d", before, after)
 	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutines leaked: %d -> %d", before, after)
+
+	// A closed machine is still a machine.
+	if err := runOne(m, func(th *Thread) { th.Store(insT, testRegionBase, 8, 1) }); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+}
+
+// TestKillNeverStartedThread: Shutdown of a thread the scheduler never
+// picked must not run its body, and the slot must take the next one.
+func TestKillNeverStartedThread(t *testing.T) {
+	m := newTestMachine()
+	defer m.Close()
+	ran := false
+	m.Spawn("picked", testStackBase, func(th *Thread) { th.Load(insT, testRegionBase, 8) })
+	m.Spawn("never", testStackBase+8192, func(th *Thread) { ran = true })
+	first := FuncScheduler(func(mm *Machine, last *Thread, ev Event) *Thread {
+		if th := mm.Threads()[0]; th.State() == Runnable {
+			return th
+		}
+		return nil // stop with thread 1 untouched
+	})
+	if err := m.Run(first, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.ResetRuntime()
+	if ran {
+		t.Fatal("Shutdown ran the body of a thread that was never picked")
+	}
+	// Same slots, new bodies: both must run theirs, not a stale one.
+	var got [2]bool
+	m.Spawn("a", testStackBase, func(th *Thread) { got[0] = true })
+	m.Spawn("b", testStackBase+8192, func(th *Thread) { got[1] = true })
+	if err := m.Run(SeqScheduler{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ran || got != [2]bool{true, true} {
+		t.Fatalf("after reset: stale body ran=%v, new bodies ran=%v", ran, got)
+	}
+}
+
+// TestKillParkedThread: Shutdown of a thread parked mid-body unwinds it —
+// deferred calls run, even ones that access memory, nothing after the
+// parking point does — and the slot takes the next body.
+func TestKillParkedThread(t *testing.T) {
+	m := newTestMachine()
+	defer m.Close()
+	var unwound, resumed bool
+	m.Spawn("parked", testStackBase, func(th *Thread) {
+		defer func() {
+			unwound = true
+			th.Store(insT, testRegionBase+8, 8, 1) // a killed thread must not park again
+		}()
+		th.CPURelax()
+		resumed = true
+	})
+	once := FuncScheduler(func(mm *Machine, last *Thread, ev Event) *Thread {
+		if last == nil {
+			return mm.Threads()[0]
+		}
+		return nil
+	})
+	if err := m.Run(once, 0); err != nil {
+		t.Fatal(err)
+	}
+	if unwound || m.AllDone() {
+		t.Fatal("thread did not park at its yield")
+	}
+	m.Shutdown()
+	if !unwound || resumed {
+		t.Fatalf("kill: deferred ran=%v, body continued=%v", unwound, resumed)
+	}
+	ok := false
+	if err := runOne(m, func(th *Thread) { ok = true }); err != nil || !ok {
+		t.Fatalf("slot unusable after a kill: err=%v ran=%v", err, ok)
+	}
+}
+
+// TestGuestPanicReachesRunCaller: a body that panics with anything but a
+// kernel fault is a bug outside the guest kernel. It must surface on the
+// goroutine that called Run, where callers can recover it, and leave the
+// machine and every coroutine reusable.
+func TestGuestPanicReachesRunCaller(t *testing.T) {
+	m := newTestMachine()
+	defer m.Close()
+	m.Spawn("bystander", testStackBase, func(th *Thread) {
+		th.CPURelax()
+		th.CPURelax()
+	})
+	m.Spawn("buggy", testStackBase+8192, func(th *Thread) {
+		th.Load(insT, testRegionBase, 8)
+		panic("guest bug")
+	})
+	alternate := FuncScheduler(func(mm *Machine, last *Thread, ev Event) *Thread {
+		r := mm.Runnable()
+		if last != nil && len(r) == 2 {
+			return r[1-last.ID]
+		}
+		return r[0]
+	})
+	goroutines := runtime.NumGoroutine()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = m.Run(alternate, 0)
+	}()
+	gp, ok := got.(*GuestPanic)
+	if !ok {
+		t.Fatalf("Run panicked with %T (%v), want *GuestPanic", got, got)
+	}
+	if gp.Value != "guest bug" || gp.Thread != "buggy" {
+		t.Fatalf("GuestPanic = thread %q value %v", gp.Thread, gp.Value)
+	}
+	if !strings.Contains(string(gp.Stack), "TestGuestPanicReachesRunCaller") {
+		t.Fatalf("stack does not show the panicking body:\n%s", gp.Stack)
+	}
+
+	// The bystander is still parked mid-body; a reset kills it and both
+	// slots run new bodies on the coroutines they had.
+	m.ResetRuntime()
+	n := 0
+	body := func(th *Thread) { th.Load(insT, testRegionBase, 8); n++ }
+	m.Spawn("a", testStackBase, body)
+	m.Spawn("b", testStackBase+8192, body)
+	if err := m.Run(alternate, 0); err != nil || n != 2 {
+		t.Fatalf("after a guest panic: err=%v, %d of 2 bodies ran", err, n)
+	}
+	if g := runtime.NumGoroutine(); g != goroutines {
+		t.Fatalf("goroutines %d -> %d: a coroutine was lost or replaced", goroutines, g)
+	}
+}
+
+// TestSpawnAllocBudget: a warm Spawn + run + ResetRuntime cycle allocates
+// the Thread and the caller's closure and nothing else — the coroutine, its
+// stack and the machine's scratch are kept from the run before.
+func TestSpawnAllocBudget(t *testing.T) {
+	m := newTestMachine()
+	defer m.Close()
+	sum := uint64(0)
+	cycle := func() {
+		m.Spawn("t", testStackBase, func(th *Thread) { sum += th.Load(insT, testRegionBase, 8) })
+		if err := m.Run(SeqScheduler{}, 0); err != nil {
+			t.Fatal(err)
+		}
+		m.ResetRuntime()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 2 {
+		t.Fatalf("warm Spawn+Run+ResetRuntime allocates %.0f objects, want ≤ 2 (Thread, closure)", allocs)
 	}
 }
 

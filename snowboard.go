@@ -216,6 +216,7 @@ func Run(opts Options) (*Report, error) { return core.Run(opts) }
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // NewPipeline boots a simulated kernel and prepares stage-by-stage runs.
+// Close the Pipeline when done with it (Run does so itself).
 func NewPipeline(opts Options) *Pipeline { return core.NewPipeline(opts) }
 
 // OpenPipeline is NewPipeline plus, when opts.StateDir is set, the artifact
@@ -233,7 +234,8 @@ func MethodByName(name string) (Method, bool) { return core.MethodByName(name) }
 func Strategies() []Strategy { return cluster.Strategies }
 
 // NewEnv boots a fresh simulated kernel of the given version and takes the
-// fixed snapshot all tests start from.
+// fixed snapshot all tests start from. Close the Env when done with it: its
+// machine keeps a parked coroutine per guest thread slot between runs.
 func NewEnv(version kernel.Version) *Env {
 	return exec.NewEnv(kernel.Config{Version: version})
 }

@@ -99,6 +99,7 @@ func findHint(t *testing.T, set *snowboard.PMCSet, spec hintSpec) *snowboard.PMC
 func exploreCase(t *testing.T, tc table2Case) *snowboard.ExploreOutcome {
 	t.Helper()
 	env := snowboard.NewEnv(tc.version)
+	defer env.Close()
 	var profiles []snowboard.Profile
 	for i, p := range []*snowboard.Prog{tc.writer, tc.reader} {
 		accs, df, res := env.Profile(p)
