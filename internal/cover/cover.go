@@ -49,7 +49,8 @@ func New() *Coverage {
 func (c *Coverage) AddTrace(tr *trace.Trace) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.own.walk(tr, true, false)
+	c.own.view.Build(tr)
+	c.own.walk(&c.own.view, true, false)
 	return addCounts(c.pairs, c.own.pairs)
 }
 

@@ -66,7 +66,8 @@ func NewSegments() *Segments {
 func (s *Segments) AddTrace(tr *trace.Trace) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.own.walk(tr, false, true)
+	s.own.view.Build(tr)
+	s.own.walk(&s.own.view, false, true)
 	return addCounts(s.segs, s.own.segs)
 }
 

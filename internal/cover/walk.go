@@ -11,24 +11,26 @@ type lastAccess struct {
 }
 
 // Walker is the reusable scratch of the one trace walk behind both
-// concurrency metrics: the last access per byte in a flat shadow table and
-// the trace's distinct alias pairs and interleaving segments. An explorer
-// owns one and feeds both of its accumulators from a single pass per trial.
-// The zero value is ready to use; a Walker is not safe for concurrent use.
+// concurrency metrics: the last access per byte, indexed by the trial
+// view's word ids, and the trace's distinct alias pairs and interleaving
+// segments. An explorer owns one and feeds both of its accumulators from a
+// single pass per trial. The zero value is ready to use; a Walker is not
+// safe for concurrent use.
 type Walker struct {
-	last  trace.ByteShadow[lastAccess]
+	view  trace.View // built by the standalone Coverage.AddTrace and Segments.AddTrace
+	last  [][8]lastAccess
 	pairs map[Pair]int // the trace's distinct pairs, each counted once
 	segs  map[Segment]int
 }
 
-// AddTrace walks one trial trace once and folds it into c and s, either of
-// which may be nil, returning how many new pairs and segments it
-// contributed — what c.AddTrace(tr) and s.AddTrace(tr) would have.
-func (w *Walker) AddTrace(tr *trace.Trace, c *Coverage, s *Segments) (freshPairs, freshSegs int) {
+// AddTrace walks one trial trace once, through its view, and folds it into
+// c and s, either of which may be nil, returning how many new pairs and
+// segments it contributed — what c.AddTrace(tr) and s.AddTrace(tr) would have.
+func (w *Walker) AddTrace(v *trace.View, c *Coverage, s *Segments) (freshPairs, freshSegs int) {
 	if c == nil && s == nil {
 		return 0, 0
 	}
-	w.walk(tr, c != nil, s != nil)
+	w.walk(v, c != nil, s != nil)
 	if c != nil {
 		c.mu.Lock()
 		freshPairs = addCounts(c.pairs, w.pairs)
@@ -44,32 +46,36 @@ func (w *Walker) AddTrace(tr *trace.Trace, c *Coverage, s *Segments) (freshPairs
 
 // walk collects the trace's distinct pairs and/or segments into w. A
 // communication is a non-stack, non-atomic access to a byte whose previous
-// access came from another thread, at least one of the two being a write.
-func (w *Walker) walk(tr *trace.Trace, wantPairs, wantSegs bool) {
+// access came from another thread, at least one of the two being a write —
+// so only accesses to memory a second thread touched (View.Shared) are
+// looked at: no other access communicates, or is the predecessor of one
+// that does.
+func (w *Walker) walk(v *trace.View, wantPairs, wantSegs bool) {
 	if w.pairs == nil {
 		w.pairs = make(map[Pair]int)
 		w.segs = make(map[Segment]int)
 	}
-	w.last.Reset()
+	tr := v.Trace()
+	w.last = trace.Cells(v, w.last)
 	clear(w.pairs)
 	clear(w.segs)
 	var prev Comm
 	havePrev := false
 	for i, n := 0, tr.Len(); i < n; i++ {
-		if tr.StackAt(i) || tr.AtomicAt(i) {
+		if !v.Shared(i) {
 			continue
 		}
 		ins, isWrite := tr.InsAt(i), tr.IsWriteAt(i)
 		cur := lastAccess{ins: ins, thread: uint16(tr.ThreadAt(i)), write: isWrite, set: true}
 		var first, pair trace.Ins // predecessor of the first / latest communication
 		haveFirst, havePair := false, false
-		var run []lastAccess // the bytes from b to the end of b's word
+		id, second := v.WordsAt(i)
+		word := &w.last[id]
 		for b, end := tr.AddrAt(i), tr.EndAt(i); b < end; b++ {
-			if len(run) == 0 {
-				run = w.last.Run(b, end)
+			if b&7 == 0 && b != tr.AddrAt(i) {
+				word = &w.last[second]
 			}
-			p := &run[0]
-			run = run[1:]
+			p := &word[b&7]
 			if p.set && p.thread != cur.thread && (p.write || isWrite) {
 				if !haveFirst {
 					first, haveFirst = p.ins, true

@@ -65,16 +65,21 @@ func refSegments(tr *trace.Trace) map[Segment]int {
 	return seen
 }
 
-// randTrace builds a trace of n accesses by up to four threads over a few
-// adjacent words (sizes 1–8, so accesses straddle and partially overlap),
-// with the occasional stack/atomic access and, when far is set, a spread
-// wide enough to grow the shadow table mid-walk.
+// randTrace builds a trace of n accesses by four threads — ids 0, 1, 2 and
+// 32, the last exactly the width of the view's thread mask — with sizes 1–8, so
+// accesses straddle and partially overlap, over the regions the view's
+// private-word skip must get right: a few adjacent words every thread
+// reaches (where the occasional stack or atomic access lands too); words
+// only one thread touches, straddled by nobody else; per thread, a word
+// only it touches followed by one every thread does; and, when far is set,
+// a spread wide enough to grow the tables mid-walk.
 func randTrace(rng *rand.Rand, n int, far bool) *trace.Trace {
 	sites := []trace.Ins{cvW, cvR, cvX, segAW, segBR, segCW, segDR, segA2, segB2}
 	tr := &trace.Trace{}
 	for i := 0; i < n; i++ {
+		slot := uint64(rng.Intn(4))
 		a := trace.Access{
-			Thread: rng.Intn(4),
+			Thread: []int{0, 1, 2, 32}[slot],
 			Kind:   trace.Kind(rng.Intn(2)),
 			Ins:    sites[rng.Intn(len(sites))],
 			Addr:   0x1000 + uint64(rng.Intn(40)),
@@ -82,12 +87,76 @@ func randTrace(rng *rand.Rand, n int, far bool) *trace.Trace {
 			Stack:  rng.Intn(16) == 0,
 			Atomic: rng.Intn(16) == 0,
 		}
-		if far && rng.Intn(2) == 0 {
+		switch region := rng.Intn(8); {
+		case a.Stack || a.Atomic:
+		case region == 0:
+			a.Addr = 0x2000 + 0x100*slot + uint64(rng.Intn(40))
+		case region == 1:
+			a.Addr = 0x3000 + 0x20*slot + uint64(rng.Intn(16))
+		case region == 2: // the shared word of some thread's pair
+			a.Addr, a.Size = 0x3008+0x20*uint64(rng.Intn(4)), uint8(1+rng.Intn(8))
+		case far && region < 6:
 			a.Addr = 0x8000 + uint64(rng.Intn(4096))
 		}
 		tr.Append(a)
 	}
 	return tr
+}
+
+// teeth counts, over the generated traces, the shapes the private-word skip
+// has to get right; a generator that stops producing one has lost its teeth.
+type teeth struct {
+	skipped, analysed int // data accesses the view calls private / shared
+	straddleOnly      int // straddling accesses over two words no second thread touches
+	mixed             int // straddling accesses over one such word and one shared word
+	wide              int // data accesses by thread ids past the view's mask
+	stack, atomic     int // stack / lock-word accesses to words data accesses share
+}
+
+func (k *teeth) add(v *trace.View) {
+	tr := v.Trace()
+	words := func(i int) (lo, hi uint64) { return tr.AddrAt(i) >> 3, (tr.EndAt(i) - 1) >> 3 }
+	owners := make(map[uint64]map[int]bool) // word → threads of its data accesses
+	for i := 0; i < tr.Len(); i++ {
+		if tr.StackAt(i) || tr.AtomicAt(i) {
+			continue
+		}
+		lo, hi := words(i)
+		for _, w := range []uint64{lo, hi} {
+			if owners[w] == nil {
+				owners[w] = make(map[int]bool)
+			}
+			owners[w][tr.ThreadAt(i)] = true
+		}
+	}
+	for i := 0; i < tr.Len(); i++ {
+		lo, hi := words(i)
+		one, other := len(owners[lo]) > 1, len(owners[hi]) > 1
+		switch {
+		case tr.StackAt(i):
+			k.stack += btoi(one)
+		case tr.AtomicAt(i):
+			k.atomic += btoi(one)
+		default:
+			k.analysed += btoi(v.Shared(i))
+			k.skipped += btoi(!v.Shared(i))
+			k.wide += btoi(tr.ThreadAt(i) >= 32)
+			k.straddleOnly += btoi(lo != hi && !one && !other)
+			k.mixed += btoi(lo != hi && one != other)
+		}
+	}
+}
+
+func (k teeth) lost() bool {
+	return k.skipped == 0 || k.analysed == 0 || k.straddleOnly == 0 || k.mixed == 0 ||
+		k.wide == 0 || k.stack == 0 || k.atomic == 0
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestFusedWalkEqualsReference: the one-pass walk feeding both
@@ -97,13 +166,17 @@ func randTrace(rng *rand.Rand, n int, far bool) *trace.Trace {
 func TestFusedWalkEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var w Walker
+	var v trace.View
+	var k teeth
 	fusedC, fusedS := New(), NewSegments()
 	soloC, soloS := New(), NewSegments()
 	refC, refS := New(), NewSegments()
 	for iter := 0; iter < 400; iter++ {
 		tr := randTrace(rng, 1+rng.Intn(120), iter%20 == 0)
 		wantP, wantS := addCounts(refC.pairs, refPairs(tr)), addCounts(refS.segs, refSegments(tr))
-		gotP, gotS := w.AddTrace(tr, fusedC, fusedS)
+		v.Build(tr)
+		k.add(&v)
+		gotP, gotS := w.AddTrace(&v, fusedC, fusedS)
 		if gotP != wantP || gotS != wantS {
 			t.Fatalf("iter %d: fused fresh (%d pairs, %d segments), reference (%d, %d)", iter, gotP, gotS, wantP, wantS)
 		}
@@ -111,12 +184,13 @@ func TestFusedWalkEqualsReference(t *testing.T) {
 			t.Fatalf("iter %d: standalone fresh (%d pairs, %d segments), reference (%d, %d)", iter, p, s, wantP, wantS)
 		}
 		// Either accumulator may be nil.
-		if p, s := w.AddTrace(tr, nil, nil); p != 0 || s != 0 {
+		if p, s := w.AddTrace(&v, nil, nil); p != 0 || s != 0 {
 			t.Fatalf("iter %d: nil accumulators reported (%d, %d)", iter, p, s)
 		}
 	}
-	if refS.Len() == 0 || refC.Len() == 0 {
-		t.Fatal("generator produced no communication")
+	t.Logf("%d pairs, %d segments; %+v", refC.Len(), refS.Len(), k)
+	if refS.Len() == 0 || refC.Len() == 0 || k.lost() {
+		t.Fatalf("generator lost its teeth: %d pairs, %d segments, %+v", refC.Len(), refS.Len(), k)
 	}
 	for name, got := range map[string]*Segments{"fused": fusedS, "standalone": soloS} {
 		if !reflect.DeepEqual(got.Export(), refS.Export()) {

@@ -92,20 +92,24 @@ type raceKey struct {
 	addr uint64
 }
 
-// hbState is the state of FindRacesHB, all of it reset in O(1) and reused
-// from trial to trial.
+// hbState is the state of FindRacesHB, reused from trial to trial.
 type hbState struct {
-	bytes  trace.ByteShadow[byteState]
+	bytes  [][8]byteState           // indexed by the trial view's word ids
 	sync   trace.Shadow[syncClocks] // keyed by exact address
 	arena  []uint32                 // clock copies referenced by sync
 	clocks []vclock                 // per thread; empty = not yet started
 	spill  [][]prior                // per spilled byte, indexed by thread - inlineReaders
 	seen   map[raceKey]bool
 	out    []RaceReport
+
+	// The report just filed and the access it was filed for: the adjacent
+	// bytes of one access mostly repeat it, and skip the seen map.
+	filed   raceKey
+	filedAt int
 }
 
-func (s *hbState) reset() {
-	s.bytes.Reset()
+func (s *hbState) reset(v *trace.View) {
+	s.bytes = trace.Cells(v, s.bytes)
 	s.sync.Reset()
 	s.arena = s.arena[:0]
 	for i := range s.clocks {
@@ -117,6 +121,7 @@ func (s *hbState) reset() {
 	}
 	clear(s.seen)
 	s.out = s.out[:0]
+	s.filedAt = -1
 }
 
 // clockOf returns thread t's clock, starting it at time 1 on first use.
@@ -167,10 +172,11 @@ func (s *hbState) report(tr *trace.Trace, i int, b uint64, kind trace.Kind, p pr
 	if kind == trace.Read {
 		k.w, k.r = k.r, k.w
 	}
-	if s.seen[k] {
+	if (i == s.filedAt && k == s.filed) || s.seen[k] {
 		return
 	}
 	s.seen[k] = true
+	s.filed, s.filedAt = k, i
 	rep := RaceReport{Read: tr.At(i), Write: trace.Access{
 		Thread: int(p.thread), Ins: p.ins, Kind: kind, Addr: b, Size: 1, Marked: p.marked}}
 	if kind == trace.Read {
@@ -189,8 +195,18 @@ func FindRacesHB(tr *trace.Trace) []RaceReport {
 // FindRacesHB is the package-level FindRacesHB on reused state. The
 // returned slice is overwritten by the next call on the same Scratch.
 func (sc *Scratch) FindRacesHB(tr *trace.Trace) []RaceReport {
-	s := &sc.hb
-	s.reset()
+	sc.view.Build(tr)
+	return sc.hb.findRaces(&sc.view)
+}
+
+// findRaces walks the view's trace. Synchronization is tracked for every
+// access; the per-byte conflict check runs only for accesses to memory that
+// a second thread touched (View.Shared). That loses nothing: an unordered
+// prior is always another thread's, and the state a skipped access would
+// have left is read only by accesses to the same, equally private, word.
+func (s *hbState) findRaces(v *trace.View) []RaceReport {
+	tr := v.Trace()
+	s.reset(v)
 	for i, n := 0, tr.Len(); i < n; i++ {
 		t := tr.ThreadAt(i)
 		vc := s.clockOf(t)
@@ -224,18 +240,18 @@ func (sc *Scratch) FindRacesHB(tr *trace.Trace) []RaceReport {
 				vc.join(s.saved(sy.pub))
 			}
 		}
-		if tr.StackAt(i) {
+		if !v.Shared(i) { // stack accesses included
 			continue
 		}
 
 		cur := prior{clock: vc.get(t), ins: tr.InsAt(i), thread: uint16(t), marked: marked}
-		var run []byteState // states of the bytes from b to the end of b's word
+		first, second := v.WordsAt(i)
+		word := &s.bytes[first]
 		for b, end := addr, tr.EndAt(i); b < end; b++ {
-			if len(run) == 0 {
-				run = s.bytes.Run(b, end)
+			if b&7 == 0 && b != addr {
+				word = &s.bytes[second]
 			}
-			st := &run[0]
-			run = run[1:]
+			st := &word[b&7]
 			if st.write.unordered(t, marked, *vc) {
 				s.report(tr, i, b, trace.Write, st.write)
 			}

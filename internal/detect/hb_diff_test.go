@@ -14,26 +14,49 @@ var diffIns = []trace.Ins{
 }
 
 // genTrace decodes a small trace from fuzz bytes, three per access: thread,
-// operation, address. The first byte picks the thread count (2–9). The
-// operations cover what the detector distinguishes: plain and marked reads
-// and writes of 1–8 bytes at offsets that straddle 8-byte words, lock
-// acquire/release on a few lock words, publication (marked store) and
-// stack accesses; a "far" operation spreads over up to 256 words so a long
-// trace grows the shadow table mid-walk.
+// operation, address. The first byte picks the thread count (2–9) and, with
+// bit 6, spreads the ids eight apart, up to 64: past the inline readers and
+// past the width of the view's thread mask, some a multiple of it apart. The operations cover what the
+// detector distinguishes — plain and marked reads and writes of 1–8 bytes,
+// lock acquire/release, publication (marked store), stack accesses — over
+// regions that cover what the view's private-word skip must get right:
+//
+//   - 0x1000: four adjacent words every thread reaches, at offsets that
+//     straddle them; stack and lock-word (atomic) accesses land here too;
+//   - 0x2000 + 0x100·thread: words only that thread touches, straddled by
+//     nobody else — private, or shared only through a straddling access;
+//   - 0x3000 + 0x20·k: a word only thread k touches followed by one every
+//     thread does, so an unaligned access of k's covers one of each;
+//   - a "far" operation over up to 256 words, so a long trace grows the
+//     tables mid-walk.
 func genTrace(data []byte) *trace.Trace {
 	tr := &trace.Trace{}
 	if len(data) == 0 {
 		return tr
 	}
-	threads := 2 + int(data[0])%8
+	threads, stride := 2+int(data[0])%8, 1+7*int(data[0]>>6&1)
 	for data = data[1:]; len(data) >= 3; data = data[3:] {
-		th, op, sel := int(data[0])%threads, data[1], data[2]
+		slot, op, sel := int(data[0])%threads, data[1], data[2]
+		th, off := slot*stride, uint64(sel&0x1f)
 		a := trace.Access{
 			Thread: th,
 			Ins:    diffIns[int(op>>4)%len(diffIns)],
-			Addr:   0x1000 + uint64(sel&0x1f), // four adjacent words
+			Addr:   0x1000 + off,
 			Size:   1 + (sel>>5)&7,
 			Val:    uint64(sel),
+		}
+		switch op >> 6 {
+		case 2:
+			a.Addr = 0x2000 + 0x100*uint64(slot) + off
+		case 3:
+			a.Addr = 0x3000 + 0x20*uint64(slot) + off&0xf
+			if off >= 16 { // the shared word of some thread's pair
+				a.Addr = 0x3008 + 0x20*(off&7%uint64(threads))
+			}
+		}
+		lock := 0x800 + uint64(sel&3)*8
+		if sel&4 != 0 {
+			lock = 0x1000 + uint64(sel&3)*8 // a lock word among the shared data
 		}
 		switch op & 0xf {
 		case 0, 1, 2:
@@ -45,11 +68,11 @@ func genTrace(data []byte) *trace.Trace {
 		case 7:
 			a.Kind, a.Marked = trace.Write, true
 		case 8: // acquire
-			a.Kind, a.Atomic, a.Addr, a.Size, a.Val = trace.Write, true, 0x800+uint64(sel&3)*8, 8, 1
+			a.Kind, a.Atomic, a.Addr, a.Size, a.Val = trace.Write, true, lock, 8, 1
 		case 9: // release
-			a.Kind, a.Atomic, a.Addr, a.Size, a.Val = trace.Write, true, 0x800+uint64(sel&3)*8, 8, 0
+			a.Kind, a.Atomic, a.Addr, a.Size, a.Val = trace.Write, true, lock, 8, 0
 		case 10:
-			a.Kind, a.Atomic, a.Addr, a.Size = trace.Read, true, 0x800+uint64(sel&3)*8, 8
+			a.Kind, a.Atomic, a.Addr, a.Size = trace.Read, true, lock, 8
 		case 11:
 			a.Kind, a.Stack = trace.Write, true
 		case 12:
@@ -64,15 +87,75 @@ func genTrace(data []byte) *trace.Trace {
 	return tr
 }
 
+// teeth counts, over the generated traces, the shapes the private-word skip
+// has to get right; a generator that stops producing one has lost its teeth.
+type teeth struct {
+	skipped, analysed int // data accesses the view calls private / shared
+	straddleOnly      int // straddling accesses over two words no second thread touches
+	mixed             int // straddling accesses over one such word and one shared word
+	wide              int // data accesses by thread ids past the view's mask
+	stack, atomic     int // stack / lock-word accesses to words data accesses share
+}
+
+func (k *teeth) add(v *trace.View) {
+	tr := v.Trace()
+	words := func(i int) (lo, hi uint64) { return tr.AddrAt(i) >> 3, (tr.EndAt(i) - 1) >> 3 }
+	owners := make(map[uint64]map[int]bool) // word → threads of its data accesses
+	for i := 0; i < tr.Len(); i++ {
+		if tr.StackAt(i) || tr.AtomicAt(i) {
+			continue
+		}
+		lo, hi := words(i)
+		for _, w := range []uint64{lo, hi} {
+			if owners[w] == nil {
+				owners[w] = make(map[int]bool)
+			}
+			owners[w][tr.ThreadAt(i)] = true
+		}
+	}
+	for i := 0; i < tr.Len(); i++ {
+		lo, hi := words(i)
+		one, other := len(owners[lo]) > 1, len(owners[hi]) > 1
+		switch {
+		case tr.StackAt(i):
+			k.stack += btoi(one)
+		case tr.AtomicAt(i):
+			k.atomic += btoi(one)
+		default:
+			k.analysed += btoi(v.Shared(i))
+			k.skipped += btoi(!v.Shared(i))
+			k.wide += btoi(tr.ThreadAt(i) >= 32)
+			k.straddleOnly += btoi(lo != hi && !one && !other)
+			k.mixed += btoi(lo != hi && one != other)
+		}
+	}
+}
+
+func (k teeth) lost() bool {
+	return k.skipped == 0 || k.analysed == 0 || k.straddleOnly == 0 || k.mixed == 0 ||
+		k.wide == 0 || k.stack == 0 || k.atomic == 0
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // checkHBEqualsReference runs both halves of data, as two consecutive
 // traces, through one scratch (so the second proves the reset) and
 // compares each against the map-based reference: same reports, same order.
-func checkHBEqualsReference(t *testing.T, sc *Scratch, data []byte) {
+// k, when set, takes the census of what the traces exercised.
+func checkHBEqualsReference(t *testing.T, sc *Scratch, data []byte, k *teeth) {
 	t.Helper()
 	half := len(data) / 2
 	for _, part := range [][]byte{data[:half], data[half:]} {
 		tr := genTrace(part)
 		want, got := refFindRacesHB(tr), sc.FindRacesHB(tr)
+		if k != nil {
+			k.add(&sc.view)
+		}
 		if len(want) == 0 && len(got) == 0 {
 			continue
 		}
@@ -85,19 +168,19 @@ func checkHBEqualsReference(t *testing.T, sc *Scratch, data []byte) {
 func TestRacesHBFlatEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var sc Scratch
-	reports, grown := 0, false
+	reports, k := 0, teeth{}
 	for iter := 0; iter < 3000; iter++ {
 		data := make([]byte, 2+rng.Intn(60)*3)
 		if iter%50 == 0 {
 			data = make([]byte, 2+1200*3) // long: far accesses outgrow the initial table
 		}
 		rng.Read(data)
-		checkHBEqualsReference(t, &sc, data)
+		checkHBEqualsReference(t, &sc, data, &k)
 		reports += len(sc.hb.out)
-		grown = grown || sc.hb.bytes.Len() > 64
 	}
-	if reports == 0 || !grown {
-		t.Fatalf("generator lost its teeth: %d reports, table grown: %v", reports, grown)
+	t.Logf("%d reports; %+v", reports, k)
+	if reports == 0 || k.lost() {
+		t.Fatalf("generator lost its teeth: %d reports, %+v", reports, k)
 	}
 }
 
@@ -110,6 +193,6 @@ func FuzzRacesHB(f *testing.F) {
 		if len(data) > 1<<12 {
 			return
 		}
-		checkHBEqualsReference(t, new(Scratch), data)
+		checkHBEqualsReference(t, new(Scratch), data, nil)
 	})
 }

@@ -43,6 +43,7 @@ func DefaultOptions() Options {
 type TrialInput struct {
 	Console  []string     // guest console lines (includes fault oopses)
 	Trace    *trace.Trace // full access trace of the trial
+	View     *trace.View  // the trial's view built over Trace, if the caller has one; nil builds one
 	PostScan []string     // host-side post-mortem messages (e.g. fsck)
 	Hung     bool
 	Deadlock bool
@@ -52,6 +53,7 @@ type TrialInput struct {
 // and analyzes every trial through it, so a warm trial allocates only for
 // what it finds. The zero value is ready to use; not safe for concurrent use.
 type Scratch struct {
+	view trace.View // of a trace that arrived without one
 	hb   hbState
 	last []trace.Ins
 	seen map[IssueKey]bool
@@ -85,7 +87,7 @@ func (sc *Scratch) Analyze(in TrialInput, opt Options) []Issue {
 		}
 	}
 
-	if opt.Console {
+	if opt.Console && len(in.Console)+len(in.PostScan) > 0 {
 		sc.last = lastAccessByThread(in.Trace, sc.last[:0])
 		for _, is := range CheckConsole(in.Console, sc.last) {
 			add(is)
@@ -98,6 +100,8 @@ func (sc *Scratch) Analyze(in TrialInput, opt Options) []Issue {
 		var races []RaceReport
 		if opt.RaceMode == RaceLockset {
 			races = FindRaces(in.Trace)
+		} else if in.View != nil {
+			races = sc.hb.findRaces(in.View)
 		} else {
 			races = sc.FindRacesHB(in.Trace)
 		}

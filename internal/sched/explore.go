@@ -131,6 +131,7 @@ type Explorer struct {
 // guest execution itself.
 type scratch struct {
 	tr     trace.Trace
+	view   trace.View // of tr, built once per trial for the oracles and the coverage walk
 	rng    *rand.Rand // over a lazyrand.Source: reseeding per trial is free
 	oracle detect.Scratch
 	walk   cover.Walker
@@ -144,11 +145,11 @@ type scratch struct {
 	preFlags []sig
 	mutFlags map[sig]bool
 
-	// findIncidental: the trial's distinct write and read keys, executions
-	// per access signature, and the candidate list.
-	writes, reads map[pmc.Key]struct{}
-	sigCount      map[sig]int
-	candidates    []candidate
+	// findIncidental: per (site, address) the latest data access (1 + its
+	// index), per access the previous one of its chain, and the candidates.
+	sites      trace.Shadow[int32]
+	chain      []int32
+	candidates []candidate
 }
 
 // scratchFor returns the explorer's scratch reset for a new concurrent
@@ -161,9 +162,6 @@ func (x *Explorer) scratchFor() *scratch {
 			flags:    make(map[sig]bool),
 			seen:     make(map[detect.IssueKey]bool),
 			mutFlags: make(map[sig]bool),
-			writes:   make(map[pmc.Key]struct{}),
-			reads:    make(map[pmc.Key]struct{}),
-			sigCount: make(map[sig]int),
 		}
 		x.scratch = sc
 	}
@@ -347,7 +345,8 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		out.Steps += res.Steps
 		mTrials.Inc()
 		mSwitches.Add(int64(switches))
-		freshPairs, freshSegs := sc.walk.AddTrace(tr, x.Coverage, out.Segments)
+		sc.view.Build(tr)
+		freshPairs, freshSegs := sc.walk.AddTrace(&sc.view, x.Coverage, out.Segments)
 		out.NewCoverPairs += freshPairs
 		out.NewSegments += freshSegs
 		if freshSegs > 0 && mutating && len(policy.SwitchEvents) > 0 {
@@ -370,6 +369,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		in := detect.TrialInput{
 			Console:  res.Console,
 			Trace:    tr,
+			View:     &sc.view,
 			Hung:     res.Hung,
 			Deadlock: res.Deadlock,
 		}
@@ -442,71 +442,132 @@ func (x *Explorer) findIncidental(tr *trace.Trace, current []pmc.PMC, rng *rand.
 		return pmc.PMC{}, false
 	}
 	sc := x.scratch
-	writesSeen, readsSeen, sigCount := sc.writes, sc.reads, sc.sigCount
-	clear(writesSeen)
-	clear(readsSeen)
-	clear(sigCount)
+	// Chain the trial's data accesses by site and address, so that executed
+	// answers from the trace columns, without a per-trial map of keys. Two
+	// chains may share a key: executed compares every column it visits.
+	sc.sites.Reset()
+	sc.chain = slices.Grow(sc.chain[:0], tr.Len())
 	for i, n := 0, tr.Len(); i < n; i++ {
-		if tr.StackAt(i) || tr.AtomicAt(i) {
-			continue
+		prev := int32(0)
+		if !tr.StackAt(i) && !tr.AtomicAt(i) {
+			head := sc.sites.Slot(uint64(tr.InsAt(i))<<32 ^ tr.AddrAt(i))
+			prev, *head = *head, int32(i+1)
 		}
-		k := pmc.Key{Ins: tr.InsAt(i), Addr: tr.AddrAt(i), Size: tr.SizeAt(i), Val: tr.ValAt(i)}
-		if tr.IsWriteAt(i) {
-			writesSeen[k] = struct{}{}
-		} else {
-			readsSeen[k] = struct{}{}
-		}
-		sigCount[sigOfKey(tr.KindAt(i), k)]++
+		sc.chain = append(sc.chain, prev)
 	}
 	// A PMC is under test when both its sides are (sides of different
 	// current PMCs count: the scheduler matches accesses, not pairs).
-	underTest := func(s sig) bool {
+	underTest := func(kind trace.Kind, k pmc.Key) bool {
+		s := sigOfKey(kind, k)
 		return slices.ContainsFunc(current, func(p pmc.PMC) bool {
 			return sigOfKey(trace.Write, p.Write) == s || sigOfKey(trace.Read, p.Read) == s
 		})
 	}
 	candidates := sc.candidates[:0]
-	for w := range writesSeen {
-		ws := sigOfKey(trace.Write, w)
-		wUnderTest, wCount := underTest(ws), sigCount[ws]
-		for _, p := range x.KnownPMCs.ByWrite(w) {
-			rs := sigOfKey(trace.Read, p.Read)
-			if _, ok := readsSeen[p.Read]; !ok || (wUnderTest && underTest(rs)) {
+	for i, n := 0, tr.Len(); i < n; i++ {
+		if !tr.IsWriteAt(i) || tr.StackAt(i) || tr.AtomicAt(i) {
+			continue
+		}
+		w := pmc.Key{Ins: tr.InsAt(i), Addr: tr.AddrAt(i), Size: tr.SizeAt(i), Val: tr.ValAt(i)}
+		wCount, first := sc.executed(tr, trace.Write, &w)
+		if first != i {
+			continue // each distinct write key once
+		}
+		wUnderTest := underTest(trace.Write, w)
+		known := x.KnownPMCs.ByWrite(w)
+		for j := range known {
+			p := &known[j]
+			rCount, first := sc.executed(tr, trace.Read, &p.Read)
+			if first < 0 || (wUnderTest && underTest(trace.Read, p.Read)) {
 				continue
 			}
-			df := uint64(0)
-			if p.DFLeader {
-				df = 1
-			}
-			candidates = append(candidates, candidate{p, [...]uint64{
-				uint64(wCount + sigCount[rs]),
-				uint64(p.Write.Ins), p.Write.Addr, uint64(p.Read.Ins), p.Read.Addr,
-				p.Write.Val, p.Read.Val, uint64(p.Write.Size), uint64(p.Read.Size), df,
-			}})
+			candidates = append(candidates, candidate{p, wCount + rCount})
 		}
 	}
 	sc.candidates = candidates
 	if len(candidates) == 0 {
 		return pmc.PMC{}, false
 	}
-	slices.SortFunc(candidates, func(a, b candidate) int { return slices.Compare(a.rank[:], b.rank[:]) })
 	// Draw among the least-frequent quartile to retain Algorithm 2's
 	// random choice without re-admitting the hot channels.
-	n := (len(candidates) + 3) / 4
-	return candidates[rng.Intn(n)].PMC, true
+	return *selectNth(candidates, rng.Intn((len(candidates)+3)/4)).PMC, true
 }
 
-// candidate is a PMC eligible for adoption with its rank, compared
-// lexicographically. First comes how often the trial executed its two
+// executed returns how many of the trial's data accesses have k's signature
+// as a kind access, and the index of the first of them that moved k's value
+// as well — that is k — or -1.
+func (sc *scratch) executed(tr *trace.Trace, kind trace.Kind, k *pmc.Key) (n, first int) {
+	first = -1
+	if head := sc.sites.Get(uint64(k.Ins)<<32 ^ k.Addr); head != nil {
+		for at := *head; at != 0; at = sc.chain[at-1] {
+			if i := int(at - 1); sigAt(tr, i, kind, k) {
+				n++
+				if tr.ValAt(i) == k.Val {
+					first = i
+				}
+			}
+		}
+	}
+	return n, first
+}
+
+// sigAt reports whether the i-th access has k's signature as a kind access:
+// sigOf(&a) == sigOfKey(kind, k) on the trace columns, no row built.
+func sigAt(tr *trace.Trace, i int, kind trace.Kind, k *pmc.Key) bool {
+	return tr.InsAt(i) == k.Ins && tr.AddrAt(i) == k.Addr && tr.SizeAt(i) == k.Size && tr.KindAt(i) == kind
+}
+
+// candidate is a PMC eligible for adoption (it points into KnownPMCs' write
+// index, which is never modified) with how often the trial executed its two
 // access signatures: the least-frequently-executed candidate is preferred
 // (the uncommon-first philosophy of §4.3 applied to adoption), because hot
 // allocator channels fire on every kmalloc and adopting one floods the
-// schedule with preemption points. The PMC's own fields follow only to make
-// the order total — candidates are distinct PMCs, so some field differs —
-// which keeps map iteration order out of which PMC gets adopted.
+// schedule with preemption points.
 type candidate struct {
-	pmc.PMC
-	rank [10]uint64
+	*pmc.PMC
+	freq int
+}
+
+// before orders candidates by frequency, then by the PMC's own fields only
+// to make the order total — candidates are distinct PMCs, so some field
+// differs — which keeps the order they were found in out of which PMC gets
+// adopted.
+func (a candidate) before(b candidate) bool {
+	rank := func(c candidate) [10]uint64 {
+		df := uint64(0)
+		if c.DFLeader {
+			df = 1
+		}
+		return [...]uint64{uint64(c.freq), uint64(c.Write.Ins), c.Write.Addr, uint64(c.Read.Ins), c.Read.Addr,
+			c.Write.Val, c.Read.Val, uint64(c.Write.Size), uint64(c.Read.Size), df}
+	}
+	ra, rb := rank(a), rank(b)
+	return slices.Compare(ra[:], rb[:]) < 0
+}
+
+// selectNth reorders c just enough to return the candidate a full sort by
+// before would leave at index k (quickselect, in place).
+func selectNth(c []candidate, k int) candidate {
+	for lo, hi := 0, len(c)-1; lo < hi; {
+		c[(lo+hi)/2], c[hi] = c[hi], c[(lo+hi)/2] // the pivot
+		p := lo
+		for i := lo; i < hi; i++ {
+			if c[i].before(c[hi]) {
+				c[i], c[p] = c[p], c[i]
+				p++
+			}
+		}
+		c[p], c[hi] = c[hi], c[p]
+		switch {
+		case k < p:
+			hi = p - 1
+		case k > p:
+			lo = p + 1
+		default:
+			return c[k]
+		}
+	}
+	return c[k]
 }
 
 // ChannelExercised reports whether the trial trace contains the hinted
@@ -514,35 +575,33 @@ type candidate struct {
 // matching the hint's read site from a different thread that observed the
 // written bytes, with no intervening write to the overlap.
 func ChannelExercised(tr *trace.Trace, hint *pmc.PMC) bool {
-	ws := sigOfKey(trace.Write, hint.Write)
-	rs := sigOfKey(trace.Read, hint.Read)
 	lastWrite := -1
 	for i, n := 0, tr.Len(); i < n; i++ {
-		a := tr.At(i)
-		if sigOf(&a) == ws {
+		if sigAt(tr, i, trace.Write, &hint.Write) {
 			lastWrite = i
 			continue
 		}
-		if lastWrite >= 0 && sigOf(&a) == rs && a.Thread != tr.ThreadAt(lastWrite) {
-			w := tr.At(lastWrite)
-			if !a.Overlaps(&w) {
-				continue
+		if lastWrite < 0 || !sigAt(tr, i, trace.Read, &hint.Read) || tr.ThreadAt(i) == tr.ThreadAt(lastWrite) {
+			continue
+		}
+		a, w := tr.At(i), tr.At(lastWrite)
+		if !a.Overlaps(&w) {
+			continue
+		}
+		lo, hi := a.OverlapRange(&w)
+		if a.ProjectVal(lo, hi) != w.ProjectVal(lo, hi) {
+			continue // someone else overwrote in between
+		}
+		// Verify no intervening write touched the overlap.
+		clean := true
+		for j := lastWrite + 1; j < i; j++ {
+			if tr.IsWriteAt(j) && tr.AddrAt(j) < hi && tr.EndAt(j) > lo {
+				clean = false
+				break
 			}
-			lo, hi := a.OverlapRange(&w)
-			if a.ProjectVal(lo, hi) != w.ProjectVal(lo, hi) {
-				continue // someone else overwrote in between
-			}
-			// Verify no intervening write touched the overlap.
-			clean := true
-			for j := lastWrite + 1; j < i; j++ {
-				if tr.IsWriteAt(j) && tr.AddrAt(j) < hi && tr.EndAt(j) > lo {
-					clean = false
-					break
-				}
-			}
-			if clean {
-				return true
-			}
+		}
+		if clean {
+			return true
 		}
 	}
 	return false

@@ -13,10 +13,10 @@ import (
 	"snowboard/internal/trace"
 )
 
-// refFindIncidental is the brute-force lookup findIncidental replaced —
-// three fresh maps per trial and a scan of every KnownPMCs entry — kept as
-// the differential oracle. Same candidate set, same total order, same
-// single rng draw.
+// refFindIncidental is the brute-force lookup findIncidental first replaced
+// — three fresh maps per trial and a scan of every KnownPMCs entry — kept as
+// a differential oracle beside prevFindIncidental. Same candidate set, same
+// total order, same single rng draw.
 func refFindIncidental(known *pmc.Set, tr *trace.Trace, current []pmc.PMC, rng *rand.Rand) (pmc.PMC, bool) {
 	curSet := make(map[sig]bool, len(current)*2)
 	for _, p := range current {
@@ -90,8 +90,9 @@ func refFindIncidental(known *pmc.Set, tr *trace.Trace, current []pmc.PMC, rng *
 }
 
 // TestFindIncidentalEqualsBruteForce replays 50 seeds of real trials and,
-// on each, grows the set under test through the indexed lookup and the
-// brute-force scan side by side: every trial must adopt the same PMC.
+// on each, grows the set under test through the columnar lookup, the
+// map-and-sort lookup it replaced and the brute-force scan side by side:
+// every trial must adopt the same PMC.
 func TestFindIncidentalEqualsBruteForce(t *testing.T) {
 	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 	set, hint := identifyL2TP(t, env)
@@ -106,10 +107,11 @@ func TestFindIncidentalEqualsBruteForce(t *testing.T) {
 			Replay(env, ct, &ReproState{Seed: seed, PMCs: current}, &tr)
 			env.M.SetTrace(nil)
 			want, wantOK := refFindIncidental(set, &tr, current, rand.New(rand.NewSource(seed)))
+			prev, prevOK := prevFindIncidental(set, &tr, current, rand.New(rand.NewSource(seed)))
 			got, gotOK := x.findIncidental(&tr, current, rand.New(rand.NewSource(seed)))
-			if got != want || gotOK != wantOK {
-				t.Fatalf("seed %d with %d PMCs under test: indexed lookup adopted %v (%v), brute force %v (%v)",
-					seed, len(current), got, gotOK, want, wantOK)
+			if got != want || gotOK != wantOK || got != prev || gotOK != prevOK {
+				t.Fatalf("seed %d with %d PMCs under test: columnar lookup adopted %v (%v), map-and-sort lookup %v (%v), brute force %v (%v)",
+					seed, len(current), got, gotOK, prev, prevOK, want, wantOK)
 			}
 			if !gotOK {
 				break
@@ -165,13 +167,12 @@ func TestFleetWorkersOwnScratch(t *testing.T) {
 	}
 }
 
-// TestTrialAllocBudget is the allocation gate on the per-trial analysis, in
-// the mould of vm.TestRecordAllocBudget: with a warm explorer, a trial —
-// guest execution, both oracles, both coverage metrics, incidental lookup —
-// stays within 60 allocations (~1,070 before the flat shadow tables, ~218
-// before the dirty-page restore and the lazily seeded rng, ~35 before the
-// vCPU coroutines and the Proc-owned syscall arguments; ~22 measured), and
-// detect.Analyze on a race-free trace within 8 (~828 before).
+// TestTrialAllocBudget is the allocation gate on a whole warm trial, in the
+// mould of vm.TestRecordAllocBudget: guest execution, the trial view, both
+// oracles, both coverage metrics, incidental lookup — within 30 allocations
+// (~1,070 before the flat shadow tables, ~218 before the dirty-page restore
+// and the lazily seeded rng, ~35 before the vCPU coroutines and the
+// Proc-owned syscall arguments; ~22 measured, the guest's and the findings').
 func TestTrialAllocBudget(t *testing.T) {
 	env := exec.NewEnv(kernel.Config{Version: kernel.V5_3_10})
 	set, hint := identifyL2TP(t, env)
@@ -186,23 +187,38 @@ func TestTrialAllocBudget(t *testing.T) {
 	perExplore := testing.AllocsPerRun(5, func() { x.Explore(ct) })
 	perTrial := perExplore / float64(ran)
 	t.Logf("warm trial: %.0f allocs (%.0f per %d-trial Explore)", perTrial, perExplore, ran)
-	if perTrial > 60 {
-		t.Fatalf("a warm trial allocates %.0f times (%.0f per %d-trial Explore), budget 60", perTrial, perExplore, ran)
+	if perTrial > 30 {
+		t.Fatalf("a warm trial allocates %.0f times (%.0f per %d-trial Explore), budget 30", perTrial, perExplore, ran)
 	}
+}
 
-	// A single-threaded (hence race-free) trace through a warm oracle
-	// scratch.
+// TestViewAllocBudget pins everything that runs after a trial that found
+// nothing — the view build, every oracle, the fused coverage walk, the
+// channel witness, the incidental lookup — at zero allocations once warm
+// (~828 for detect.Analyze alone before the flat shadow tables). The trace
+// is single-threaded, hence race-free.
+func TestViewAllocBudget(t *testing.T) {
+	env := exec.NewEnv(kernel.Config{Version: kernel.V5_3_10})
+	set, hint := identifyL2TP(t, env)
 	var tr trace.Trace
-	res := env.RunSequential(ct.Reader, &tr)
+	res := env.RunSequential(l2tpReaderProg(), &tr)
 	env.M.SetTrace(nil)
-	in := detect.TrialInput{Console: res.Console, Trace: &tr}
-	var sc detect.Scratch
-	if issues := sc.Analyze(in, detect.DefaultOptions()); len(issues) != 0 {
-		t.Fatalf("single-threaded trace is not race-free: %+v", issues)
+	x := &Explorer{KnownPMCs: set}
+	sc := x.scratchFor()
+	cov, segs, rng := cover.New(), cover.NewSegments(), rand.New(rand.NewSource(1))
+	analyse := func() int {
+		sc.view.Build(&tr)
+		sc.walk.AddTrace(&sc.view, cov, segs)
+		ChannelExercised(&tr, &hint)
+		x.findIncidental(&tr, nil, rng)
+		return len(sc.oracle.Analyze(detect.TrialInput{Console: res.Console, Trace: &tr, View: &sc.view}, detect.DefaultOptions()))
 	}
-	n := testing.AllocsPerRun(20, func() { sc.Analyze(in, detect.DefaultOptions()) })
-	t.Logf("Analyze on a race-free trace of %d accesses: %.0f allocs", tr.Len(), n)
-	if n > 8 {
-		t.Fatalf("Analyze on a race-free trace allocates %.0f times, budget 8", n)
+	if issues := analyse(); issues != 0 {
+		t.Fatalf("single-threaded trace is not finding-free: %d issues", issues)
+	}
+	n := testing.AllocsPerRun(20, func() { analyse() })
+	t.Logf("view build and analysis of a finding-free trace of %d accesses: %.0f allocs", tr.Len(), n)
+	if n != 0 {
+		t.Fatalf("view build and analysis of a finding-free trace allocates %.0f times, budget 0", n)
 	}
 }

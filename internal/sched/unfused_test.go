@@ -1,0 +1,308 @@
+package sched
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"snowboard/internal/cluster"
+	"snowboard/internal/cover"
+	"snowboard/internal/detect"
+	"snowboard/internal/exec"
+	"snowboard/internal/fuzz"
+	"snowboard/internal/kernel"
+	"snowboard/internal/pmc"
+	"snowboard/internal/trace"
+)
+
+// The per-consumer functions the explorer ran after every trial before they
+// moved onto trace columns and one shared trace.View, kept verbatim
+// (identifiers prefixed) as differential oracles.
+
+// prevFindIncidental refills three struct-keyed maps from every access and
+// sorts the whole candidate list by a [10]uint64 rank.
+func prevFindIncidental(known *pmc.Set, tr *trace.Trace, current []pmc.PMC, rng *rand.Rand) (pmc.PMC, bool) {
+	type ranked struct {
+		pmc.PMC
+		rank [10]uint64
+	}
+	writesSeen, readsSeen := make(map[pmc.Key]struct{}), make(map[pmc.Key]struct{})
+	sigCount := make(map[sig]int)
+	for i, n := 0, tr.Len(); i < n; i++ {
+		if tr.StackAt(i) || tr.AtomicAt(i) {
+			continue
+		}
+		k := pmc.Key{Ins: tr.InsAt(i), Addr: tr.AddrAt(i), Size: tr.SizeAt(i), Val: tr.ValAt(i)}
+		if tr.IsWriteAt(i) {
+			writesSeen[k] = struct{}{}
+		} else {
+			readsSeen[k] = struct{}{}
+		}
+		sigCount[sigOfKey(tr.KindAt(i), k)]++
+	}
+	underTest := func(s sig) bool {
+		return slices.ContainsFunc(current, func(p pmc.PMC) bool {
+			return sigOfKey(trace.Write, p.Write) == s || sigOfKey(trace.Read, p.Read) == s
+		})
+	}
+	var candidates []ranked
+	for w := range writesSeen {
+		ws := sigOfKey(trace.Write, w)
+		wUnderTest, wCount := underTest(ws), sigCount[ws]
+		for _, p := range known.ByWrite(w) {
+			rs := sigOfKey(trace.Read, p.Read)
+			if _, ok := readsSeen[p.Read]; !ok || (wUnderTest && underTest(rs)) {
+				continue
+			}
+			df := uint64(0)
+			if p.DFLeader {
+				df = 1
+			}
+			candidates = append(candidates, ranked{p, [...]uint64{
+				uint64(wCount + sigCount[rs]),
+				uint64(p.Write.Ins), p.Write.Addr, uint64(p.Read.Ins), p.Read.Addr,
+				p.Write.Val, p.Read.Val, uint64(p.Write.Size), uint64(p.Read.Size), df,
+			}})
+		}
+	}
+	if len(candidates) == 0 {
+		return pmc.PMC{}, false
+	}
+	slices.SortFunc(candidates, func(a, b ranked) int { return slices.Compare(a.rank[:], b.rank[:]) })
+	n := (len(candidates) + 3) / 4
+	return candidates[rng.Intn(n)].PMC, true
+}
+
+// prevChannelExercised materializes a row per access and compares sigs.
+func prevChannelExercised(tr *trace.Trace, hint *pmc.PMC) bool {
+	ws := sigOfKey(trace.Write, hint.Write)
+	rs := sigOfKey(trace.Read, hint.Read)
+	lastWrite := -1
+	for i, n := 0, tr.Len(); i < n; i++ {
+		a := tr.At(i)
+		if sigOf(&a) == ws {
+			lastWrite = i
+			continue
+		}
+		if lastWrite >= 0 && sigOf(&a) == rs && a.Thread != tr.ThreadAt(lastWrite) {
+			w := tr.At(lastWrite)
+			if !a.Overlaps(&w) {
+				continue
+			}
+			lo, hi := a.OverlapRange(&w)
+			if a.ProjectVal(lo, hi) != w.ProjectVal(lo, hi) {
+				continue // someone else overwrote in between
+			}
+			clean := true
+			for j := lastWrite + 1; j < i; j++ {
+				if tr.IsWriteAt(j) && tr.AddrAt(j) < hi && tr.EndAt(j) > lo {
+					clean = false
+					break
+				}
+			}
+			if clean {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// unfusedExplore is Explorer.Explore (Snowboard mode, no schedule mutation)
+// with every post-trial consumer on its own: the standalone coverage
+// metrics and detect.Analyze each index the trace for themselves, the
+// channel witness and the incidental lookup are the retained ones above. It
+// also returns the PMCs under test as the last trial ran, and shows every
+// trial's trace to each.
+func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace)) (Outcome, []pmc.PMC) {
+	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1, IssueTrial: make(map[string]int), Segments: cover.NewSegments()}
+	current := []pmc.PMC{*ct.Hint}
+	flags := make(map[sig]bool)
+	seen := make(map[string]bool)
+	var tr trace.Trace
+	for trial := 0; trial < x.Trials; trial++ {
+		var preFlags []sig
+		for f := range flags {
+			preFlags = append(preFlags, f)
+		}
+		underTest := slices.Clone(current)
+		rng := rand.New(rand.NewSource(x.Seed + int64(trial)))
+		policy := NewSnowboardPolicy(rng, current, flags)
+		res := x.Env.RunPair(ct.Writer, ct.Reader, policy, &tr)
+		x.Env.M.SetTrace(nil)
+		each(&tr)
+		out.Trials = trial + 1
+		out.Switches += policy.Switches
+		out.Steps += res.Steps
+		out.NewCoverPairs += x.Coverage.AddTrace(&tr)
+		out.NewSegments += out.Segments.AddTrace(&tr)
+		if !out.Exercised && prevChannelExercised(&tr, ct.Hint) {
+			out.Exercised, out.ExercisedTrial = true, trial
+		}
+		crashed := false
+		for _, is := range detect.Analyze(detect.TrialInput{Console: res.Console, Trace: &tr,
+			PostScan: x.Fsck(), Hung: res.Hung, Deadlock: res.Deadlock}, x.Detect) {
+			if seen[is.ID()] {
+				continue
+			}
+			seen[is.ID()] = true
+			out.Issues = append(out.Issues, is)
+			out.IssueTrial[is.ID()] = trial
+			if out.ExposedTrial < 0 {
+				out.ExposedTrial = trial
+			}
+			crashed = crashed || detect.CrashLevel(is.Kind)
+		}
+		if crashed {
+			out.Repro = snapshotRepro(x.Seed+int64(trial), trial, current, preFlags)
+			return out, underTest
+		}
+		if len(current) < maxCurrentPMCs {
+			if inc, ok := prevFindIncidental(x.KnownPMCs, &tr, current, rng); ok {
+				current = append(current, inc)
+			}
+		}
+		if trial == x.Trials-1 {
+			return out, underTest
+		}
+	}
+	return out, nil
+}
+
+// realTests runs stages 1–3 at the given seed on a small budget — fuzz,
+// profile, identify, S-INS-PAIR clusters uncommon first — and returns the
+// PMC set and the hinted concurrent tests generated from it.
+func realTests(t *testing.T, env *exec.Env, seed int64) (*pmc.Set, []ConcurrentTest) {
+	t.Helper()
+	progs := fuzz.Campaign(env, seed, 300, 60).Corpus.Progs
+	var profiles []pmc.Profile
+	for i, p := range progs {
+		accs, df, _ := env.Profile(p)
+		profiles = append(profiles, pmc.Profile{TestID: i, Accesses: accs, DFLeader: df})
+	}
+	set := pmc.Identify(profiles, pmc.DefaultOptions())
+	rng := rand.New(rand.NewSource(seed))
+	cs := cluster.Clusters(set, cluster.SInsPair)
+	cluster.OrderClusters(cs, cluster.UncommonFirst, rng)
+	var tests []ConcurrentTest
+	for i := range cs {
+		hint := cluster.Exemplar(&cs[i], rng)
+		pairs := set.Entries[hint].Pairs
+		if len(pairs) == 0 || len(tests) == 40 {
+			continue
+		}
+		pair := pairs[rng.Intn(len(pairs))]
+		tests = append(tests, ConcurrentTest{Writer: progs[pair.Writer], Reader: progs[pair.Reader], Hint: &hint, Pair: pair})
+	}
+	if len(tests) < 20 {
+		t.Fatalf("seed %d: only %d tests generated", seed, len(tests))
+	}
+	return set, tests
+}
+
+// TestExploreEqualsUnfused: over real tests of two seeds, the explorer —
+// one view per trial under every consumer — must produce the Outcome of
+// unfusedExplore, field by field, and adopt the same incidental PMCs in the
+// same order.
+func TestExploreEqualsUnfused(t *testing.T) {
+	adoptions, exercised, issues, repros := 0, 0, 0, 0
+	// What the trials' traces are made of (EXPERIMENTS.md "Trial analysis").
+	var trials, accesses, stack, atomic, private, prefix int
+	var v trace.View
+	composition := func(tr *trace.Trace) {
+		v.Build(tr)
+		trials++
+		accesses += tr.Len()
+		sequential := true
+		for i := 0; i < tr.Len(); i++ {
+			stack += btoi(tr.StackAt(i))
+			atomic += btoi(tr.AtomicAt(i) && !tr.StackAt(i))
+			private += btoi(!tr.StackAt(i) && !tr.AtomicAt(i) && !v.Shared(i))
+			sequential = sequential && tr.ThreadAt(i) == tr.ThreadAt(0)
+			prefix += btoi(sequential)
+		}
+	}
+	for _, seed := range []int64{3, 7} {
+		env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+		set, tests := realTests(t, env, seed)
+		fsck := func() []string { return env.K.FsckHost() }
+		for i, ct := range tests {
+			got := &Explorer{Env: env, Trials: 12, Seed: seed*1000 + int64(i), Mode: ModeSnowboard,
+				Detect: detect.DefaultOptions(), KnownPMCs: set, Coverage: cover.New(), TrackSegments: true, Fsck: fsck}
+			ref := *got
+			ref.Coverage, ref.scratch = cover.New(), nil
+			want, wantPMCs := unfusedExplore(&ref, ct, composition)
+			have := got.Explore(ct)
+			if !reflect.DeepEqual(have.Segments.Export(), want.Segments.Export()) {
+				t.Fatalf("seed %d test %d: segment sets differ", seed, i)
+			}
+			have.Segments, want.Segments = nil, nil
+			if !reflect.DeepEqual(have, want) {
+				t.Fatalf("seed %d test %d:\nexplorer %+v\nunfused  %+v", seed, i, have, want)
+			}
+			// The policy still holds the signatures of the PMCs the last
+			// trial ran under, in adoption order.
+			var wantSigs []sig
+			for _, p := range wantPMCs {
+				wantSigs = append(wantSigs, sigOfKey(trace.Write, p.Write), sigOfKey(trace.Read, p.Read))
+			}
+			if !slices.Equal(got.scratch.policy.current, wantSigs) {
+				t.Fatalf("seed %d test %d: PMCs under test %v, unfused %v", seed, i, got.scratch.policy.current, wantSigs)
+			}
+			adoptions += len(wantPMCs) - 1
+			exercised += btoi(want.Exercised)
+			issues += len(want.Issues)
+			repros += btoi(want.Repro != nil)
+		}
+	}
+	t.Logf("%d adoptions, %d tests exercised their channel, %d issues, %d crash repros", adoptions, exercised, issues, repros)
+	data := accesses - stack - atomic
+	t.Logf("%d trials, %.0f accesses each: %.0f%% stack, %.0f%% lock words, %.0f%% data, of which %.0f%% to words one thread touched; %.0f%% precede the first thread change",
+		trials, float64(accesses)/float64(trials), 100*float64(stack)/float64(accesses), 100*float64(atomic)/float64(accesses),
+		100*float64(data)/float64(accesses), 100*float64(private)/float64(data), 100*float64(prefix)/float64(accesses))
+	if adoptions == 0 || exercised == 0 || issues == 0 || repros == 0 {
+		t.Fatalf("comparison lost its teeth: %d adoptions, %d exercised, %d issues, %d crash repros", adoptions, exercised, issues, repros)
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestSelectNthEqualsSort: at every index, quickselect must return what a
+// full sort by the same order leaves there.
+func TestSelectNthEqualsSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for iter := 0; iter < 300; iter++ {
+		pmcs := make([]pmc.PMC, 1+rng.Intn(60))
+		var cands []candidate
+		for i := range pmcs {
+			// Few distinct values per field, so ties run deep into the rank.
+			pmcs[i] = pmc.PMC{
+				Write:    pmc.Key{Ins: trace.Ins(rng.Intn(3)), Addr: uint64(rng.Intn(3)), Size: uint8(rng.Intn(2)), Val: uint64(i)},
+				Read:     pmc.Key{Ins: trace.Ins(rng.Intn(3)), Addr: uint64(rng.Intn(3))},
+				DFLeader: rng.Intn(2) == 0,
+			}
+			cands = append(cands, candidate{&pmcs[i], rng.Intn(4)})
+		}
+		sorted := slices.Clone(cands)
+		slices.SortFunc(sorted, func(a, b candidate) int {
+			if a.before(b) {
+				return -1
+			}
+			return 1
+		})
+		for k := range cands {
+			shuffled := slices.Clone(cands)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			if got := selectNth(shuffled, k); got != sorted[k] {
+				t.Fatalf("iter %d: selectNth(%d of %d) = %v (freq %d), sort leaves %v (freq %d)",
+					iter, k, len(cands), got.PMC, got.freq, sorted[k].PMC, sorted[k].freq)
+			}
+		}
+	}
+}

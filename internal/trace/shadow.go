@@ -1,10 +1,10 @@
 package trace
 
 // Shadow is a flat shadow-memory table: an open-addressed hash table from a
-// 64-bit key — a byte address, or an 8-byte word address whose value holds
-// per-byte sub-state — to a value of type T. It exists for the per-trial
-// analyses (the happens-before race oracle, the coverage walk), which build
-// per-address state from scratch for every trial: Reset is O(1) (a
+// 64-bit key — an address, or an 8-byte word address — to a value of type T.
+// It exists for the per-trial analyses (the trial View that interns word
+// addresses, the happens-before oracle's lock and publication clocks), which
+// build per-address state from scratch for every trial: Reset is O(1) (a
 // generation stamp invalidates every slot at once), storage grows by
 // doubling and is kept across trials, so a warm table never allocates.
 //
@@ -101,20 +101,4 @@ func (s *Shadow[T]) resize(n int) {
 			s.slots[s.index(old[i].key)] = old[i]
 		}
 	}
-}
-
-// ByteShadow is a Shadow with one T per byte address, stored eight to a
-// slot under the address of their 8-byte word: an access of up to 8 bytes
-// costs one or two probes rather than one per byte.
-type ByteShadow[T any] struct {
-	Shadow[[8]T]
-}
-
-// Run returns the states of the leading bytes of [addr, end) that share
-// addr's word — at least one when addr < end — inserting zero states for a
-// word not seen yet. The caller continues at addr + len(run); the slice is
-// valid until the next Run or Reset.
-func (s *ByteShadow[T]) Run(addr, end uint64) []T {
-	lo := addr & 7
-	return s.Slot(addr >> 3)[lo:min(8, lo+end-addr)]
 }

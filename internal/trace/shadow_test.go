@@ -60,29 +60,3 @@ func TestShadowGenerationWrap(t *testing.T) {
 		t.Fatal("slot reused across the wrap kept its value")
 	}
 }
-
-func TestByteShadowRun(t *testing.T) {
-	var s ByteShadow[uint8]
-	// An 8-byte access at 0x1005 covers 3 bytes of one word and 5 of the next.
-	addr, end := uint64(0x1005), uint64(0x100d)
-	var lens []int
-	for b := addr; b < end; {
-		run := s.Run(b, end)
-		for j := range run {
-			run[j] = uint8(b) + uint8(j)
-		}
-		lens = append(lens, len(run))
-		b += uint64(len(run))
-	}
-	if len(lens) != 2 || lens[0] != 3 || lens[1] != 5 || s.Len() != 2 {
-		t.Fatalf("runs %v over %d words, want [3 5] over 2", lens, s.Len())
-	}
-	for b := addr; b < end; b++ {
-		if got := s.Run(b, b+1); len(got) != 1 || got[0] != uint8(b) {
-			t.Fatalf("byte %#x reads back %v", b, got)
-		}
-	}
-	if got := s.Run(0x1004, 0x1005); got[0] != 0 {
-		t.Fatalf("untouched neighbour byte holds %d", got[0])
-	}
-}
