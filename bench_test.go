@@ -15,15 +15,12 @@ package snowboard_test
 
 import (
 	"fmt"
-	"io"
 	"testing"
-	"time"
 
 	"snowboard"
 	"snowboard/internal/cluster"
 	"snowboard/internal/detect"
 	"snowboard/internal/kernel"
-	"snowboard/internal/obs"
 	"snowboard/internal/pmc"
 	"snowboard/internal/sched"
 	"snowboard/internal/trace"
@@ -282,24 +279,6 @@ func BenchmarkPMCPrecision(b *testing.B) {
 
 // --- §5.4: stage performance ---
 
-// BenchmarkProfilingThroughput measures sequential tests profiled per
-// second (the paper profiled 129,876 tests in ~40 hours ≈ 0.9 tests/s on
-// its hypervisor; the simulator is far faster, so only the metric's
-// existence and stability are comparable).
-func BenchmarkProfilingThroughput(b *testing.B) {
-	shared := analysisFor(b, snowboard.V5_12_RC3, 600, 150)
-	env := shared.pipe.Env
-	progs := shared.pipe.Corpus.Progs
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog := progs[i%len(progs)]
-		if _, _, res := env.Profile(prog); res.Crashed() {
-			b.Fatalf("profiling crashed: %v", res.Faults)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tests/s")
-}
-
 // BenchmarkPMCIdentification measures Algorithm 1 runtime over the shared
 // corpus profile (paper: ~80 machine-hours dominated by S-FULL sorting).
 func BenchmarkPMCIdentification(b *testing.B) {
@@ -379,39 +358,6 @@ func BenchmarkInterleavingsToExpose(b *testing.B) {
 				total += n
 			}
 			b.ReportMetric(float64(total)/float64(b.N), "trials/expose")
-		})
-	}
-}
-
-// --- Parallel sharded execution (internal/par) ---
-
-// BenchmarkPipelineParallel measures the sharded profiling stage — the
-// pipeline's dominant per-unit cost — at several worker counts over the
-// same corpus. Results are identical at every width (the determinism
-// golden test checks that); this benchmark records what the width buys in
-// wall-clock. BENCH_par.json and the EXPERIMENTS.md speedup table come
-// from this benchmark; speedup tracks the host's core count, so a
-// single-vCPU host times all widths alike.
-func BenchmarkPipelineParallel(b *testing.B) {
-	shared := analysisFor(b, snowboard.V5_12_RC3, 600, 150)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := shared.pipe.Opts
-			opts.Workers = workers
-			p := snowboard.NewPipeline(opts)
-			p.SetCorpus(shared.pipe.Corpus)
-			// The first call boots the per-worker environment clones;
-			// keep that one-time cost out of the timed region.
-			if err := p.ProfileAll(p.NewReport()); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.ProfileAll(p.NewReport()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(shared.pipe.Corpus.Len())*float64(b.N)/b.Elapsed().Seconds(), "tests/s")
 		})
 	}
 }
@@ -503,109 +449,15 @@ func BenchmarkAblationIncidentalPMCs(b *testing.B) {
 	}
 }
 
-// BenchmarkObsOverhead runs the same small full-pipeline campaign with the
-// observability layer enabled and disabled and reports the relative cost.
-// The layer's budget is ≤5% of end-to-end runtime: counters are single
-// atomic adds and stage spans amortize over whole stages.
-func BenchmarkObsOverhead(b *testing.B) {
-	defer obs.SetEnabled(true)
-	runOnce := func(seed int64) {
-		opts := snowboard.DefaultOptions()
-		opts.Seed = seed
-		opts.FuzzBudget = 400
-		opts.CorpusCap = 100
-		opts.TestBudget = 40
-		opts.Trials = 8
-		if _, err := snowboard.Run(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	runOnce(1) // warm up code paths before timing either arm
-	var onNS, offNS int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		obs.SetEnabled(true)
-		t0 := time.Now()
-		runOnce(int64(i) + 5)
-		onNS += int64(time.Since(t0))
-
-		obs.SetEnabled(false)
-		t0 = time.Now()
-		runOnce(int64(i) + 5)
-		offNS += int64(time.Since(t0))
-	}
-	obs.SetEnabled(true)
-	if offNS > 0 {
-		b.ReportMetric(100*(float64(onNS)-float64(offNS))/float64(offNS), "overhead-%")
-	}
-	b.ReportMetric(float64(onNS)/float64(b.N)/1e6, "ms/run-enabled")
-	b.ReportMetric(float64(offNS)/float64(b.N)/1e6, "ms/run-disabled")
-}
-
-// BenchmarkEventLogOverhead isolates the flight recorder's cost at both
-// granularities: the raw per-emit price of the lock-free ring (with and
-// without a JSONL sink attached), and the end-to-end campaign delta with
-// the recorder live versus the whole obs layer off. The budget for the
-// campaign arm is ≤5% (BENCH_obs2.json); the emit arm is the per-event
-// price the budget buys.
-func BenchmarkEventLogOverhead(b *testing.B) {
-	b.Run("emit", func(b *testing.B) {
-		l := obs.NewEventLog(1024)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			l.EmitTrace("bench-trace", obs.EvPMCTested, obs.A("i", i), obs.A("mode", "bench"))
-		}
-	})
-	b.Run("emit-sink", func(b *testing.B) {
-		l := obs.NewEventLog(1024)
-		l.SetSink(io.Discard)
-		defer l.SetSink(nil)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			l.EmitTrace("bench-trace", obs.EvPMCTested, obs.A("i", i), obs.A("mode", "bench"))
-		}
-	})
-	b.Run("campaign", func(b *testing.B) {
-		defer obs.SetEnabled(true)
-		runOnce := func(seed int64) {
-			opts := snowboard.DefaultOptions()
-			opts.Seed = seed
-			opts.FuzzBudget = 400
-			opts.CorpusCap = 100
-			opts.TestBudget = 40
-			opts.Trials = 8
-			if _, err := snowboard.Run(opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-		runOnce(1) // warm up code paths before timing either arm
-		var onNS, offNS int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			obs.SetEnabled(true)
-			t0 := time.Now()
-			runOnce(int64(i) + 5)
-			onNS += int64(time.Since(t0))
-
-			obs.SetEnabled(false)
-			t0 = time.Now()
-			runOnce(int64(i) + 5)
-			offNS += int64(time.Since(t0))
-		}
-		obs.SetEnabled(true)
-		if offNS > 0 {
-			b.ReportMetric(100*(float64(onNS)-float64(offNS))/float64(offNS), "overhead-%")
-		}
-		b.ReportMetric(float64(onNS)/float64(b.N)/1e6, "ms/run-enabled")
-		b.ReportMetric(float64(offNS)/float64(b.N)/1e6, "ms/run-disabled")
-	})
-}
-
 // BenchmarkFeedbackVsUncommonFirst is the BENCH_feedback.json ablation: the
 // round-based segment-yield feedback scheduler against the one-shot
-// uncommon-first scheduler on a shared analysis at a fixed execution budget.
-// Under -short it drops to a smoke scale (the CI feedback job) that checks
-// the loop runs, composes tests, and reports rounds — not the yield gap.
+// uncommon-first scheduler on a shared analysis, both handed the same
+// TestBudget. The arms do NOT spend it equally — uncommon-first generates one
+// test per cluster and stops when the clusters run out — so each arm reports
+// the budget it actually spent (tests/run, trials/run) and its yield per
+// 1k trials beside the raw totals. Under -short it drops to a smoke scale
+// (the CI paper-reproduction smoke) that checks the loop runs, composes
+// tests, and reports rounds — not the yield gap.
 func BenchmarkFeedbackVsUncommonFirst(b *testing.B) {
 	tests, trials := 400, 24
 	if testing.Short() {
@@ -618,7 +470,7 @@ func BenchmarkFeedbackVsUncommonFirst(b *testing.B) {
 			name = "feedback"
 		}
 		b.Run(name, func(b *testing.B) {
-			issues, segments, composed := 0, 0, 0
+			issues, segments, composed, ran, trialsRun := 0, 0, 0, 0, 0
 			for i := 0; i < b.N; i++ {
 				opts := shared.pipe.Opts
 				opts.Seed = int64(i) + 3
@@ -640,6 +492,8 @@ func BenchmarkFeedbackVsUncommonFirst(b *testing.B) {
 				issues += len(r.BugIDs())
 				segments += r.CoverSegments
 				composed += r.ComposedTests
+				ran += r.TestedTests
+				trialsRun += r.TrialsRun
 				if feedback && r.FeedbackRounds == 0 {
 					b.Fatal("feedback arm reported zero rounds")
 				}
@@ -647,6 +501,9 @@ func BenchmarkFeedbackVsUncommonFirst(b *testing.B) {
 			b.ReportMetric(float64(issues)/float64(b.N), "issues/run")
 			b.ReportMetric(float64(segments)/float64(b.N), "segments/run")
 			b.ReportMetric(float64(composed)/float64(b.N), "composed/run")
+			b.ReportMetric(float64(ran)/float64(b.N), "tests/run")
+			b.ReportMetric(float64(trialsRun)/float64(b.N), "trials/run")
+			b.ReportMetric(1000*float64(segments)/float64(trialsRun), "segments/ktrial")
 		})
 	}
 }

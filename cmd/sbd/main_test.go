@@ -128,6 +128,21 @@ func TestControlPlaneHTTP(t *testing.T) {
 		t.Fatalf("bad version: status %d body %q, want 400 naming the version", code, body)
 	}
 
+	// A body past the 1 MiB bound is refused before it is decoded, let
+	// alone started.
+	huge := []byte(`{"name":"` + strings.Repeat("a", 2<<20) + `"}`)
+	resp, err := http.Post(base+"/campaigns", "application/json", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want 413", resp.StatusCode)
+	}
+	if n := len(s.list()); n != 1 {
+		t.Fatalf("oversized spec left %d campaigns, want 1", n)
+	}
+
 	// Pause stalls the executed counter; resume lets it finish.
 	if code, _ := postJSON(t, base+"/campaigns/"+sub.ID+"/pause", struct{}{}); code != http.StatusOK {
 		t.Fatalf("pause: status %d", code)
@@ -176,7 +191,7 @@ func TestControlPlaneHTTP(t *testing.T) {
 	if !kinds[obs.EvCampaignStart] || !kinds[obs.EvCampaignDone] {
 		t.Fatalf("campaign stream missing lifecycle events: %v", kinds)
 	}
-	resp, err := http.Get(base + "/campaigns/" + sub.ID + "/events?since=banana")
+	resp, err = http.Get(base + "/campaigns/" + sub.ID + "/events?since=banana")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +225,6 @@ func TestChaosFleetFairAndLossless(t *testing.T) {
 		Registry: reg,
 		Turns:    core.NewTurnScheduler(2),
 		Slice:    2,
-		Retries:  10,
 		Dial:     queue.FlakyDialer(queue.FlakyOptions{Seed: 42, FailProb: 0.03, DelayProb: 0.1, MaxDelay: 3 * time.Millisecond}, nil),
 		ExecGate: gate,
 		Fault:    func(jobID, attempt int) bool { return attempt == 1 && jobID == 0 },
@@ -305,51 +319,6 @@ func TestChaosFleetFairAndLossless(t *testing.T) {
 	}
 	if min*2 < max {
 		t.Fatalf("unfair scheduling: exec counters %v (max %d > 2x min %d)", sample, max, min)
-	}
-}
-
-// BenchmarkCampaignFleetThroughput measures control-plane scaling: N
-// simultaneous campaigns with equal budgets through one queue listener
-// and one fair scheduler. Reported exec/min is the aggregate across the
-// fleet (EXPERIMENTS.md "Control plane" table).
-func BenchmarkCampaignFleetThroughput(b *testing.B) {
-	for _, fleet := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("campaigns=%d", fleet), func(b *testing.B) {
-			var executed int64
-			for i := 0; i < b.N; i++ {
-				reg := queue.NewRegistry(queue.Options{})
-				qsrv, err := queue.ServeRegistry(reg, "127.0.0.1:0", queue.ServerOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s := newServer(core.CampaignEnv{
-					Registry: reg,
-					Addr:     qsrv.Addr(),
-					Turns:    core.NewTurnScheduler(2),
-					Slice:    4,
-				})
-				for j := 0; j < fleet; j++ {
-					// Unique seeds per campaign and per iteration so no two
-					// submissions collapse to the same manifest digest.
-					spec := testSpec(fmt.Sprintf("bench-%d-%d", i, j), int64(1000+i*fleet+j))
-					if _, _, err := s.submit(spec); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := s.waitAll(); err != nil {
-					b.Fatal(err)
-				}
-				for _, st := range s.list() {
-					executed += st.Executed
-				}
-				qsrv.Close()
-				reg.Close()
-			}
-			mins := b.Elapsed().Minutes()
-			if mins > 0 {
-				b.ReportMetric(float64(executed)/mins, "exec/min")
-			}
-		})
 	}
 }
 

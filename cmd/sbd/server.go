@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -117,14 +118,21 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
+// maxSpecBytes bounds a POST /campaigns body; a spec is a few hundred bytes.
+const maxSpecBytes = 1 << 20
+
 func (s *server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, s.list())
 	case http.MethodPost:
 		var spec core.CampaignSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			http.Error(w, "bad campaign spec: "+err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+			code := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "bad campaign spec: "+err.Error(), code)
 			return
 		}
 		c, created, err := s.submit(spec)

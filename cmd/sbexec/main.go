@@ -51,6 +51,7 @@ import (
 	"snowboard/internal/obs"
 	"snowboard/internal/par"
 	"snowboard/internal/queue"
+	"snowboard/internal/store"
 )
 
 var mPoisoned = obs.C(obs.MWorkerPoisoned)
@@ -108,7 +109,7 @@ func main() {
 
 	cache := &corpusCache{m: make(map[string]*corpus.Corpus)}
 	if *stateDir != "" {
-		cache.st, err = snowboard.OpenStore(*stateDir)
+		cache.st, err = store.Open(*stateDir)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func main() {
 // corpusCache resolves corpus artifacts referenced by jobs, decoding each
 // digest at most once per process; safe for concurrent explorer goroutines.
 type corpusCache struct {
-	st *snowboard.Store
+	st *store.Store
 	mu sync.Mutex
 	m  map[string]*corpus.Corpus
 }
@@ -148,11 +149,11 @@ func (cc *corpusCache) get(hex string) (*corpus.Corpus, error) {
 	if c, ok := cc.m[hex]; ok {
 		return c, nil
 	}
-	d, err := snowboard.ParseDigest(hex)
+	d, err := store.ParseDigest(hex)
 	if err != nil {
 		return nil, fmt.Errorf("bad corpus digest %q: %v", hex, err)
 	}
-	payload, err := cc.st.Get(snowboard.KindCorpus, d)
+	payload, err := cc.st.Get(store.KindCorpus, d)
 	if err != nil {
 		return nil, fmt.Errorf("corpus artifact %.12s…: %v", hex, err)
 	}

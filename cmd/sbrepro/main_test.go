@@ -2,16 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"snowboard/internal/sched"
 	"snowboard/internal/store"
 	"snowboard/internal/triage"
 )
@@ -25,6 +24,15 @@ func buildTool(t *testing.T, pkg string) string {
 		t.Fatalf("build %s: %v\n%s", pkg, err, out)
 	}
 	return bin
+}
+
+// exitCode is the process exit status behind runTool's error.
+func exitCode(err error) int {
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return ee.ExitCode()
+	}
+	return 0
 }
 
 func runTool(t *testing.T, bin string, args ...string) (string, string, error) {
@@ -45,7 +53,7 @@ func runTool(t *testing.T, bin string, args ...string) (string, string, error) {
 func TestSbreproUsage(t *testing.T) {
 	bin := buildTool(t, "snowboard/cmd/sbrepro")
 	stdout, stderr, _ := runTool(t, bin, "-h")
-	if !strings.Contains(stderr, "-bundle") || !strings.Contains(stderr, "-state") {
+	if !strings.Contains(stderr, "-min") || !strings.Contains(stderr, "-state") {
 		t.Fatalf("usage text missing flags:\n%s", stderr)
 	}
 	if stdout != "" {
@@ -91,8 +99,6 @@ func TestClassifyExit(t *testing.T) {
 		err  error
 		want int
 	}{
-		{"sched stale", fmt.Errorf("load: %w", sched.ErrBundleStale), exitStaleBundle},
-		{"sched corrupt", fmt.Errorf("load: %w", sched.ErrBundleCorrupt), exitCorruptBundle},
 		{"triage stale", fmt.Errorf("bundle: %w", triage.ErrStale), exitStaleBundle},
 		{"triage corrupt", fmt.Errorf("bundle: %w", triage.ErrCorrupt), exitCorruptBundle},
 		{"store corrupt", fmt.Errorf("get: %w", store.ErrCorrupt), exitCorruptBundle},
@@ -106,68 +112,43 @@ func TestClassifyExit(t *testing.T) {
 	}
 }
 
-// writeFileBundle drops raw bytes where replayBundle will read them.
-func writeFileBundle(t *testing.T, data string) string {
+// plant files raw bytes as a repro artifact, bypassing triage.Encode's
+// validation, exactly like an old or damaged fleet member would leave them.
+func plant(t *testing.T, s *store.Store, data string) store.Digest {
 	t.Helper()
-	p := filepath.Join(t.TempDir(), "bundle.json")
-	if err := os.WriteFile(p, []byte(data), 0o644); err != nil {
+	d, err := s.Put(store.KindRepro, []byte(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return d
 }
 
-// TestReplayBundleStaleVsCorrupt drives the file-bundle path through each
-// failure class and asserts the error classifies to the right exit code
-// with distinguishable errors.Is identities.
-func TestReplayBundleStaleVsCorrupt(t *testing.T) {
-	cases := []struct {
-		name     string
-		data     string
-		wantExit int
-		wantIs   error
-	}{
-		{"garbage", "not json", exitCorruptBundle, sched.ErrBundleCorrupt},
-		{"no format field", `{"version":"5.12-rc3"}`, exitStaleBundle, sched.ErrBundleStale},
-		{"future format", `{"format":99,"version":"5.12-rc3"}`, exitStaleBundle, sched.ErrBundleStale},
-		{"right format, invalid body", `{"format":1}`, exitCorruptBundle, sched.ErrBundleCorrupt},
+// ambiguousPrefix plants junk repro artifacts until two stored digests
+// share their first hex digit, and returns that digit.
+func ambiguousPrefix(t *testing.T, s *store.Store) string {
+	t.Helper()
+	seen := map[byte]bool{}
+	for _, d := range s.List(store.KindRepro) {
+		seen[d.String()[0]] = true
 	}
-	for _, tc := range cases {
-		var sb strings.Builder
-		_, err := replayBundle(&sb, writeFileBundle(t, tc.data), true)
-		if err == nil {
-			t.Fatalf("%s: no error", tc.name)
+	for i := 0; i <= 16; i++ {
+		c := plant(t, s, fmt.Sprintf("junk-%d", i)).String()[0]
+		if seen[c] {
+			return string(c)
 		}
-		if !errors.Is(err, tc.wantIs) {
-			t.Errorf("%s: error %v is not %v", tc.name, err, tc.wantIs)
-		}
-		if got := classifyExit(err); got != tc.wantExit {
-			t.Errorf("%s: exit %d, want %d", tc.name, got, tc.wantExit)
-		}
+		seen[c] = true
 	}
-	// A missing file is a usage error, not a corrupt bundle.
-	var sb strings.Builder
-	_, err := replayBundle(&sb, filepath.Join(t.TempDir(), "nope.json"), true)
-	if err == nil || classifyExit(err) != exitUsage {
-		t.Fatalf("missing file: err=%v exit=%d, want usage", err, classifyExit(err))
-	}
+	t.Fatal("17 digests without a shared first digit")
+	return ""
 }
 
-// TestLoadMinBundleStaleVsCorrupt covers the -min store path: SBRB bundles
+// TestLoadMinBundleStaleVsCorrupt covers the -min load path: SBRB bundles
 // written under other format versions are stale; damaged payloads are
-// corrupt. (The artifacts are planted directly in the store, bypassing
-// triage.SaveBundle's validation, exactly like an old or damaged fleet
-// member would leave them.)
+// corrupt.
 func TestLoadMinBundleStaleVsCorrupt(t *testing.T) {
 	s, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
-	}
-	put := func(data string) store.Digest {
-		d, err := s.Put(store.KindRepro, []byte(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
 	}
 	cases := []struct {
 		name   string
@@ -181,7 +162,7 @@ func TestLoadMinBundleStaleVsCorrupt(t *testing.T) {
 		{"right format, invalid body", `{"format":1}`, triage.ErrCorrupt, exitCorruptBundle},
 	}
 	for _, tc := range cases {
-		d := put(tc.data)
+		d := plant(t, s, tc.data)
 		_, err := triage.LoadBundle(s, d)
 		if err == nil {
 			t.Fatalf("%s: no error", tc.name)
@@ -189,42 +170,112 @@ func TestLoadMinBundleStaleVsCorrupt(t *testing.T) {
 		if !errors.Is(err, tc.wantIs) {
 			t.Errorf("%s: error %v is not %v", tc.name, err, tc.wantIs)
 		}
-		if got := classifyExit(err); got != tc.exit {
-			t.Errorf("%s: exit %d, want %d", tc.name, got, tc.exit)
+		if got := replayMin(s, d.String(), true); got != tc.exit {
+			t.Errorf("%s: replayMin exit %d, want %d", tc.name, got, tc.exit)
 		}
 	}
 }
 
-// TestReplayMinUsagePaths: no match and ambiguous digest prefixes are
-// usage errors (2), never reported as stale or corrupt.
-func TestReplayMinUsagePaths(t *testing.T) {
-	dir := t.TempDir()
-	s, err := store.Open(dir)
+// TestResolveUsagePaths: no match and ambiguous digest prefixes are usage
+// errors (2) for either artifact kind, never reported as stale or corrupt.
+func TestResolveUsagePaths(t *testing.T) {
+	s, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replayMin(dir, "deadbeef", true) != exitUsage {
+	if replayMin(s, "deadbeef", true) != exitUsage || replayReport(s, "deadbeef", 1, true) != exitUsage {
 		t.Fatal("no-match prefix should be a usage error")
 	}
-	d1, err := s.Put(store.KindRepro, []byte("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := s.Put(store.KindRepro, []byte("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	common := ""
-	for i := 0; i < len(d1.String()); i++ {
-		if d1.String()[i] != d2.String()[i] {
-			break
-		}
-		common = d1.String()[:i+1]
-	}
-	if common == "" {
-		t.Skip("digests share no common prefix to make ambiguous")
-	}
-	if replayMin(dir, common, true) != exitUsage {
+	if replayMin(s, ambiguousPrefix(t, s), true) != exitUsage {
 		t.Fatal("ambiguous prefix should be a usage error")
+	}
+	if _, code, ok := resolve(s, store.KindRepro, "min", s.List(store.KindRepro)[0].String(), nil); !ok || code != exitOK {
+		t.Fatalf("a full digest must resolve: ok=%v code=%d", ok, code)
+	}
+}
+
+// TestSbreproMinAndReport drives the built binaries end to end: a campaign
+// that triages its findings into a state dir, then every stored bundle
+// through `-state -min` and the stored report through `-state -report`,
+// both over the one digest-prefix resolver.
+func TestSbreproMinAndReport(t *testing.T) {
+	pipeline := buildTool(t, "snowboard/cmd/snowboard")
+	repro := buildTool(t, "snowboard/cmd/sbrepro")
+	state := t.TempDir()
+
+	stdout, stderr, err := runTool(t, pipeline,
+		"-method", "S-CH-NULL", "-seed", "3", "-fuzz", "400", "-corpus", "100", "-tests", "60", "-trials", "24",
+		"-state", state, "-json", "-progress", "0")
+	if err != nil {
+		t.Fatalf("pipeline exit error: %v\nstderr:\n%s", err, stderr)
+	}
+	var report struct {
+		Issues map[string]struct {
+			Triage *struct {
+				Signature string `json:"signature"`
+				Bundle    string `json:"bundle"`
+			}
+		}
+	}
+	if err := json.Unmarshal([]byte(stdout), &report); err != nil {
+		t.Fatalf("report JSON: %v", err)
+	}
+	s, err := store.Open(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every bundle the report names replays to its recorded signature.
+	bundles := 0
+	for id, rec := range report.Issues {
+		if rec.Triage == nil {
+			continue
+		}
+		bundles++
+		out, errOut, err := runTool(t, repro, "-state", state, "-min", rec.Triage.Bundle[:16], "-quiet")
+		if err != nil {
+			t.Fatalf("issue #%s: -min exit %d\nstderr:\n%s", id, exitCode(err), errOut)
+		}
+		if want := "signature: " + rec.Triage.Signature + "\n"; !strings.Contains(out, want) {
+			t.Fatalf("issue #%s: -min output lacks %q:\n%s", id, want, out)
+		}
+	}
+	if bundles == 0 || bundles != len(s.List(store.KindRepro)) {
+		t.Fatalf("report names %d bundles, store holds %d", bundles, len(s.List(store.KindRepro)))
+	}
+	if out, _, err := runTool(t, repro, "-state", state, "-min", ""); err != nil || strings.Count(out, "\n") != bundles+1 {
+		t.Fatalf("-min listing: err=%v\n%s", err, out)
+	}
+
+	// The stored report replays every finding that recorded a trial.
+	reports := s.List(store.KindReport)
+	if len(reports) != 1 {
+		t.Fatalf("store holds %d reports, want 1", len(reports))
+	}
+	out, errOut, err := runTool(t, repro, "-state", state, "-report", reports[0].Short(), "-quiet")
+	if err != nil {
+		t.Fatalf("-report exit %d\nstderr:\n%s", exitCode(err), errOut)
+	}
+	if n := strings.Count(out, "replaying report "); n != bundles {
+		t.Fatalf("-report replayed %d findings, want %d:\n%s", n, bundles, out)
+	}
+
+	// Usage (2), stale (3) and corrupt (4) through the same door.
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"no -state", []string{"-min", reports[0].String()}, exitUsage},
+		{"positional path", []string{"-state", state, "finding.json"}, exitUsage},
+		{"no bundle match", []string{"-state", state, "-min", "deadbeef"}, exitUsage},
+		{"no report match", []string{"-state", state, "-report", "deadbeef"}, exitUsage},
+		{"stale bundle", []string{"-state", state, "-min", plant(t, s, `{"format":2}`).String()}, exitStaleBundle},
+		{"corrupt bundle", []string{"-state", state, "-min", plant(t, s, "not a bundle").String()}, exitCorruptBundle},
+		{"ambiguous prefix", []string{"-state", state, "-min", ambiguousPrefix(t, s)}, exitUsage},
+	} {
+		if _, errOut, err := runTool(t, repro, tc.args...); exitCode(err) != tc.want {
+			t.Errorf("%s: exit %d, want %d\nstderr:\n%s", tc.name, exitCode(err), tc.want, errOut)
+		}
 	}
 }

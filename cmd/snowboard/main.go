@@ -25,13 +25,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"snowboard"
 	"snowboard/internal/obs"
-	"snowboard/internal/sched"
 )
 
 func main() {
@@ -47,14 +45,13 @@ func main() {
 		workers  = flag.Int("workers", 0, "parallel worker goroutines per stage (0 = one per CPU); results are identical for any value")
 		feedback = flag.Bool("feedback", false, "close the loop: allocate the test budget in rounds across PMC clusters by recent interleaving-segment yield, composing independent PMCs and mutating segment-discovering schedules")
 		rounds   = flag.Int("rounds", 0, "budget-allocation rounds for -feedback (0 = default 4)")
-		stateDir = flag.String("state", "", "artifact store directory: persist every stage's output and resume from unchanged stages on re-run")
+		stateDir = flag.String("state", "", "artifact store directory: persist every stage's output (replayable SBRB bundles included; see sbrepro) and resume from unchanged stages on re-run")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")
 		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /debug/vars, /debug/pprof) on this address")
 		progress = flag.Duration("progress", 10*time.Second, "interval between one-line progress reports on stderr (0 disables)")
 		traceOut = flag.String("trace", "", "append JSONL span events to this file")
 		events   = flag.String("events", "", "append flight-recorder events to this file as JSONL")
 		verbose  = flag.Bool("v", false, "verbose per-issue output")
-		reproDir = flag.String("repro-dir", "", "write reproduction bundles for crash-level findings here")
 	)
 	flag.Parse()
 	diag := obs.Diag
@@ -137,10 +134,7 @@ func main() {
 	if *jsonOut {
 		printJSON(report)
 	} else {
-		printReport(report, *verbose)
-	}
-	if *reproDir != "" {
-		writeBundles(report, opts.Version, *reproDir)
+		printReport(report, *stateDir, *verbose)
 	}
 }
 
@@ -166,36 +160,9 @@ func printJSON(r *snowboard.Report) {
 	}
 }
 
-// writeBundles saves a reproduction bundle per crash-level finding that
-// recorded a replayable trial.
-func writeBundles(r *snowboard.Report, version snowboard.Version, dir string) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
-		return
-	}
-	for id, rec := range r.Issues {
-		if rec.Repro == nil {
-			continue
-		}
-		b := &sched.ReproBundle{
-			Version: version,
-			Writer:  rec.Test.Writer,
-			Reader:  rec.Test.Reader,
-			Hint:    rec.Test.Hint,
-			State:   rec.Repro,
-			Finding: rec.Issue.Desc,
-			BugID:   id,
-		}
-		path := filepath.Join(dir, fmt.Sprintf("issue-%02d.json", id))
-		if err := sched.SaveBundle(path, b); err != nil {
-			fmt.Fprintf(os.Stderr, "snowboard: bundle for #%d: %v\n", id, err)
-			continue
-		}
-		obs.Diag.Printf("repro bundle written: %s (replay with: sbrepro -bundle %s)", path, path)
-	}
-}
-
-func printReport(r *snowboard.Report, verbose bool) {
+// printReport renders the Table 3-style text report. stateDir, when set, is
+// where the run kept its replayable SBRB bundles.
+func printReport(r *snowboard.Report, stateDir string, verbose bool) {
 	fmt.Printf("kernel %s, method %s\n", r.Version, r.Method)
 	fmt.Printf("  corpus: %d tests (%d fuzz executions in %v), %d shared accesses profiled in %v\n",
 		r.CorpusSize, r.FuzzExecutions, r.FuzzTime, r.ProfiledAccesses, r.ProfileTime)
@@ -219,8 +186,11 @@ func printReport(r *snowboard.Report, verbose bool) {
 			minimized++
 		}
 	}
-	if minimized > 0 {
-		fmt.Printf("  triage: %d finding(s) minimized into repro bundles (replay with: sbrepro -state <dir> -min <digest>)\n", minimized)
+	switch {
+	case minimized > 0 && stateDir != "":
+		fmt.Printf("  triage: %d finding(s) minimized into repro bundles (replay with: sbrepro -state %s -min <digest>)\n", minimized, stateDir)
+	case minimized > 0:
+		fmt.Printf("  triage: %d finding(s) minimized; run with -state to keep replayable bundles\n", minimized)
 	}
 	if verbose {
 		printIssues(r)

@@ -187,7 +187,6 @@ type CampaignEnv struct {
 	Registry *queue.Registry // named per-campaign queues (required)
 	Addr     string          // the registry listener's TCP address ("" = lease in-process)
 	Slice    int             // jobs executed per fair-scheduler turn (default 4)
-	Retries  int             // queue-client reconnect budget (default 8)
 
 	// Turns, when set, arbitrates execution fairly across campaigns; nil
 	// lets every campaign run unthrottled.
@@ -215,12 +214,8 @@ func (e CampaignEnv) slice() int {
 	return e.Slice
 }
 
-func (e CampaignEnv) retries() int {
-	if e.Retries <= 0 {
-		return 8
-	}
-	return e.Retries
-}
+// queueRetries is the queue client's reconnect budget.
+const queueRetries = 8
 
 // Campaign states.
 const (
@@ -585,7 +580,7 @@ func (c *Campaign) dialLeaser(q *queue.Queue) (Leaser, error) {
 	}
 	cl, err := queue.DialOpts(c.env.Addr, queue.DialOptions{
 		Queue:      c.QueueName(),
-		MaxRetries: c.env.retries(),
+		MaxRetries: queueRetries,
 		Dial:       c.env.Dial,
 		Seed:       c.Spec.Seed,
 	})

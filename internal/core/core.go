@@ -82,9 +82,6 @@ type Options struct {
 	Trials     int // interleaving trials per concurrent test
 	Detect     detect.Options
 
-	// DisableIncidental forwards to the explorer (ablation).
-	DisableIncidental bool
-
 	// Feedback closes the loop (stage 3+4 interleaved): instead of one
 	// GenerateTests pass over the uncommon-first ranking, the test budget
 	// is spent in rounds, each allocating tests across PMC clusters

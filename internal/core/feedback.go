@@ -88,7 +88,6 @@ func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 		return nil
 	}
 	m := p.Opts.Method
-	d := p.Opts.Detect
 	prev := store.Digest{}
 	keys := make([]store.Digest, rounds)
 	for i := range keys {
@@ -101,8 +100,8 @@ func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 			fmt.Sprintf("budget=%d", budget),
 			fmt.Sprintf("rounds=%d", rounds),
 			fmt.Sprintf("trials=%d", p.Opts.Trials),
-			fmt.Sprintf("detect=%t/%t/%t/%d", d.Console, d.Races, d.TornReads, d.RaceMode),
-			fmt.Sprintf("no-incidental=%t", p.Opts.DisableIncidental),
+			detectPart(p.Opts.Detect),
+			"no-incidental=false", // retired option; stored keys keep the part
 			"prev="+prev.String(),
 			fmt.Sprintf("round=%d", i),
 		)

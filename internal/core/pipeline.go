@@ -370,14 +370,13 @@ func (p *Pipeline) executeTests(r *Report, tests []sched.ConcurrentTest) []int {
 		obs.A("workers", p.workers()))
 	cov := cover.New()
 	template := sched.Explorer{
-		Trials:            p.Opts.Trials,
-		Mode:              sched.ModeSnowboard,
-		Detect:            p.Opts.Detect,
-		KnownPMCs:         p.PMCs,
-		DisableIncidental: p.Opts.DisableIncidental,
-		Coverage:          cov,
-		TrackSegments:     true,
-		MutateSchedules:   p.Opts.Feedback,
+		Trials:          p.Opts.Trials,
+		Mode:            sched.ModeSnowboard,
+		Detect:          p.Opts.Detect,
+		KnownPMCs:       p.PMCs,
+		Coverage:        cov,
+		TrackSegments:   true,
+		MutateSchedules: p.Opts.Feedback,
 	}
 	fleet := sched.NewFleet(template, p.workerEnvs(p.workers()),
 		func(e *exec.Env) []string { return e.K.FsckHost() })

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"snowboard/internal/corpus"
+	"snowboard/internal/detect"
 	"snowboard/internal/obs"
 	"snowboard/internal/pmc"
 	"snowboard/internal/store"
@@ -64,9 +65,6 @@ func (p *Pipeline) UseStore(s *store.Store) {
 	p.loadSeries()
 }
 
-// ArtifactStore returns the attached store (nil when running in-memory).
-func (p *Pipeline) ArtifactStore() *store.Store { return p.store }
-
 // keyPrefix versions the whole key schema; bump to orphan every memo
 // entry at once.
 const keyPrefix = "snowboard-stage-v1"
@@ -108,6 +106,13 @@ func (p *Pipeline) identifyKey(profilesDigest store.Digest) store.Digest {
 	)
 }
 
+// detectPart is the detector-suite part of every stage-4 key. The fourth
+// slot was the race-analysis mode; happens-before is the only one left and
+// the slot stays 0 so state dirs written by earlier binaries still hit.
+func detectPart(d detect.Options) string {
+	return fmt.Sprintf("detect=%t/%t/%t/0", d.Console, d.Races, d.TornReads)
+}
+
 // reportKey identifies the generate+execute output (the full report) for a
 // given corpus and PMC set.
 func (p *Pipeline) reportKey(corpusDigest, pmcDigest store.Digest, budget int) store.Digest {
@@ -115,7 +120,6 @@ func (p *Pipeline) reportKey(corpusDigest, pmcDigest store.Digest, budget int) s
 		return store.Digest{}
 	}
 	m := p.Opts.Method
-	d := p.Opts.Detect
 	return store.Key(keyPrefix, "execute",
 		"corpus="+corpusDigest.String(),
 		"pmcs="+pmcDigest.String(),
@@ -124,8 +128,8 @@ func (p *Pipeline) reportKey(corpusDigest, pmcDigest store.Digest, budget int) s
 		fmt.Sprintf("method=%d/%s/%s/%d", m.Kind, m.Name, m.Strategy.Name, m.Order),
 		fmt.Sprintf("budget=%d", budget),
 		fmt.Sprintf("trials=%d", p.Opts.Trials),
-		fmt.Sprintf("detect=%t/%t/%t/%d", d.Console, d.Races, d.TornReads, d.RaceMode),
-		fmt.Sprintf("no-incidental=%t", p.Opts.DisableIncidental),
+		detectPart(p.Opts.Detect),
+		"no-incidental=false", // retired option; stored keys keep the part
 		// Resolved feedback parameters: a feedback run and a one-shot run
 		// spend the same budget through different schedulers, so their
 		// reports must never share a key. Non-feedback runs pin rounds=0

@@ -42,12 +42,11 @@ func (p *Pipeline) triageKey(id int, rec IssueRecord) (store.Digest, error) {
 	if err != nil {
 		return store.Digest{}, err
 	}
-	d := p.Opts.Detect
 	return store.Key(keyPrefix, "triage",
 		fmt.Sprintf("sbrb-format=%d", triage.FormatVersion),
 		fmt.Sprintf("version=%s", p.Opts.Version),
 		fmt.Sprintf("bug=%d", id),
-		fmt.Sprintf("detect=%t/%t/%t/%d", d.Console, d.Races, d.TornReads, d.RaceMode),
+		detectPart(p.Opts.Detect),
 		"finding="+store.Sum(blob).String(),
 	), nil
 }

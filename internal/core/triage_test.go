@@ -8,9 +8,7 @@ import (
 	"snowboard/internal/exec"
 	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
-	"snowboard/internal/sched"
 	"snowboard/internal/store"
-	"snowboard/internal/trace"
 	"snowboard/internal/triage"
 )
 
@@ -80,6 +78,34 @@ func TestTriageWorkerInvariant(t *testing.T) {
 	}
 }
 
+// replayStoredBundle loads the SBRB bundle a triage summary names and
+// replays it in a brand-new environment through triage.Replay — the door
+// sbrepro -min uses: the replay must reproduce exactly the signature
+// recorded in the bundle and in the report.
+func replayStoredBundle(t *testing.T, s *store.Store, id int, sum *TriageSummary, opt detect.Options) {
+	t.Helper()
+	d, err := store.ParseDigest(sum.Bundle)
+	if err != nil {
+		t.Fatalf("issue #%d: bad bundle digest: %v", id, err)
+	}
+	b, err := triage.LoadBundle(s, d)
+	if err != nil {
+		t.Fatalf("issue #%d: load bundle: %v", id, err)
+	}
+	if b.Signature.Key() != sum.Signature {
+		t.Fatalf("issue #%d: bundle signature %q != report %q", id, b.Signature.Key(), sum.Signature)
+	}
+	env := exec.NewEnv(kernel.Config{Version: b.Kernel})
+	defer env.Close()
+	sig, ok := triage.SignatureOfIssues(triage.Replay(env, b.Test(), b.State, opt).Issues, b.Hint, b.BugID)
+	if !ok {
+		t.Fatalf("issue #%d: fresh replay exposed no crash-level issue", id)
+	}
+	if sig != b.Signature {
+		t.Fatalf("issue #%d: fresh replay signature %q != bundle %q", id, sig.Key(), b.Signature.Key())
+	}
+}
+
 // TestTriageBundleReplaysInFreshEnv round-trips a bundle through the store
 // and replays it in a brand-new environment: the replay must reproduce the
 // exact crash signature recorded in the bundle.
@@ -96,42 +122,57 @@ func TestTriageBundleReplaysInFreshEnv(t *testing.T) {
 	}
 	replayed := 0
 	for id, rec := range r.Issues {
-		if rec.Triage == nil {
-			continue
+		if rec.Triage != nil {
+			replayStoredBundle(t, s, id, rec.Triage, opts.Detect)
+			replayed++
 		}
-		d, err := store.ParseDigest(rec.Triage.Bundle)
-		if err != nil {
-			t.Fatalf("issue #%d: bad bundle digest: %v", id, err)
-		}
-		b, err := triage.LoadBundle(s, d)
-		if err != nil {
-			t.Fatalf("issue #%d: load bundle: %v", id, err)
-		}
-		if b.Signature.Key() != rec.Triage.Signature {
-			t.Fatalf("issue #%d: bundle signature %q != report %q", id, b.Signature.Key(), rec.Triage.Signature)
-		}
-		env := exec.NewEnv(kernel.Config{Version: b.Kernel})
-		var tr trace.Trace
-		res := sched.Replay(env, b.Test(), b.State, &tr)
-		env.M.SetTrace(nil)
-		issues := detect.Analyze(detect.TrialInput{
-			Console:  res.Console,
-			Trace:    &tr,
-			PostScan: env.K.FsckHost(),
-			Hung:     res.Hung,
-			Deadlock: res.Deadlock,
-		}, opts.Detect)
-		sig, ok := triage.SignatureOfIssues(issues, b.Hint, b.BugID)
-		if !ok {
-			t.Fatalf("issue #%d: fresh replay exposed no crash-level issue", id)
-		}
-		if sig != b.Signature {
-			t.Fatalf("issue #%d: fresh replay signature %q != bundle %q", id, sig.Key(), b.Signature.Key())
-		}
-		replayed++
 	}
 	if replayed == 0 {
 		t.Fatal("no bundles to replay")
+	}
+}
+
+// TestEveryFindingReplays is the campaign-level replay property (the paper's
+// §6 promise): over seeds 3 and 7, one-shot and closed-loop, every recorded
+// trial replays through the one door to a crash-level issue, and every
+// minimized bundle loads from the state dir and replays in a fresh kernel
+// to exactly its recorded signature.
+func TestEveryFindingReplays(t *testing.T) {
+	for _, seed := range []int64{3, 7} {
+		for _, feedback := range []bool{false, true} {
+			opts := triageOpts(seed)
+			opts.Feedback = feedback
+			opts.StateDir = t.TempDir()
+			r, err := Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := store.Open(opts.StateDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := exec.NewEnv(kernel.Config{Version: opts.Version})
+			trials, bundles := 0, 0
+			for id, rec := range r.Issues {
+				if rec.Repro != nil {
+					rp := triage.Replay(env, rec.Test, rec.Repro, opts.Detect)
+					if _, ok := triage.SignatureOfIssues(rp.Issues, rec.Test.Hint, id); !ok {
+						t.Errorf("seed %d feedback=%t issue #%d: recorded trial replays to no crash-level issue: %v",
+							seed, feedback, id, rp.Issues)
+					}
+					trials++
+				}
+				if rec.Triage != nil {
+					replayStoredBundle(t, s, id, rec.Triage, opts.Detect)
+					bundles++
+				}
+			}
+			env.Close()
+			if trials == 0 || bundles != trials || bundles != len(s.List(store.KindRepro)) {
+				t.Fatalf("seed %d feedback=%t: %d recorded trials, %d bundles in the report, %d in the store; want equal and non-zero",
+					seed, feedback, trials, bundles, len(s.List(store.KindRepro)))
+			}
+		}
 	}
 }
 

@@ -13,30 +13,19 @@ var (
 	mHarmful = obs.C(obs.MDetectHarmful)
 )
 
-// RaceMode selects the data race analysis.
-type RaceMode uint8
-
-// Race analysis modes.
-const (
-	// RaceHB is the precise happens-before (FastTrack-style) analysis.
-	RaceHB RaceMode = iota
-	// RaceLockset is the Eraser-style lockset analysis: more predictive,
-	// but it flags correctly published RCU initialization as racy. Kept as
-	// an ablation mode.
-	RaceLockset
-)
-
-// Options toggles individual oracles.
+// Options toggles individual oracles. Races is the precise happens-before
+// (FastTrack-style) analysis; the Eraser-style lockset analysis (FindRaces)
+// is more predictive but flags correctly published RCU initialization as
+// racy, and is kept as a cross-check outside the suite.
 type Options struct {
 	Console   bool
 	Races     bool
 	TornReads bool
-	RaceMode  RaceMode
 }
 
-// DefaultOptions enables every oracle with happens-before race analysis.
+// DefaultOptions enables every oracle.
 func DefaultOptions() Options {
-	return Options{Console: true, Races: true, TornReads: true, RaceMode: RaceHB}
+	return Options{Console: true, Races: true, TornReads: true}
 }
 
 // TrialInput is everything a trial hands to the oracles.
@@ -98,9 +87,7 @@ func (sc *Scratch) Analyze(in TrialInput, opt Options) []Issue {
 	}
 	if opt.Races && in.Trace != nil {
 		var races []RaceReport
-		if opt.RaceMode == RaceLockset {
-			races = FindRaces(in.Trace)
-		} else if in.View != nil {
+		if in.View != nil {
 			races = sc.hb.findRaces(in.View)
 		} else {
 			races = sc.FindRacesHB(in.Trace)

@@ -107,9 +107,6 @@ func (p *Proc) CloseFD(n uint64) bool {
 	return true
 }
 
-// FDs exposes the descriptor table (for tests).
-func (p *Proc) FDs() []FDesc { return p.fds }
-
 // --- socket creation ---
 
 // Address families (Linux values).

@@ -279,18 +279,6 @@ func TestNewTraceIDUnique(t *testing.T) {
 	}
 }
 
-func TestEventLogDisabled(t *testing.T) {
-	SetEnabled(false)
-	defer SetEnabled(true)
-	l := NewEventLog(8)
-	if seq := l.Emit(EvCampaignStart); seq != 0 {
-		t.Fatalf("disabled Emit returned seq %d, want 0", seq)
-	}
-	if got := l.Since(0); len(got) != 0 {
-		t.Fatalf("disabled log retained %d events", len(got))
-	}
-}
-
 // TestSinceShuffleInvariant pins Since ordering: sequence numbers are
 // unique by construction, so repeated calls must return the identical
 // strictly-increasing event list even after concurrent emission.

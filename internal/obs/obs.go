@@ -12,9 +12,8 @@
 //
 // Counters and gauges are single atomic words; bumping one from the
 // VM/scheduler hot path costs a few nanoseconds and never allocates (see
-// BenchmarkCounterInc). The whole layer can be switched off with
-// SetEnabled(false), which turns every bump into a checked no-op — used by
-// BenchmarkObsOverhead to bound the instrumentation cost.
+// BenchmarkCounterInc); bench/'s obs.*.ns and trace_overhead_pct metrics
+// bound the instrumentation cost.
 package obs
 
 import (
@@ -147,25 +146,12 @@ func (s Scope) G(name string) *Gauge { return G(string(s) + "." + name) }
 // H resolves a scoped histogram.
 func (s Scope) H(name string) *Histogram { return H(string(s) + "." + name) }
 
-// enabled gates every bump and span; on by default.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled switches the whole layer on or off. Disabled, every counter
-// bump, gauge store, histogram observation, and span becomes a checked
-// no-op; the registry keeps its contents.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether the layer is active.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) {
-	if c == nil || !enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.v.Add(n)
@@ -187,7 +173,7 @@ type Gauge struct{ v atomic.Int64 }
 
 // Set stores v.
 func (g *Gauge) Set(v int64) {
-	if g == nil || !enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.v.Store(v)
@@ -195,7 +181,7 @@ func (g *Gauge) Set(v int64) {
 
 // Add adjusts the gauge by n (useful for in-flight tracking).
 func (g *Gauge) Add(n int64) {
-	if g == nil || !enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.v.Add(n)
@@ -248,7 +234,7 @@ func BucketUpper(i int) int64 {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	if h == nil || !enabled.Load() {
+	if h == nil {
 		return
 	}
 	h.count.Add(1)
@@ -371,14 +357,6 @@ type HistogramSnapshot struct {
 	Count   int64   `json:"count"`
 	Sum     int64   `json:"sum"`
 	Buckets []int64 `json:"buckets,omitempty"` // log2 buckets, trailing zeros trimmed
-}
-
-// Mean returns the mean observation, or 0 with no observations.
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
 }
 
 // Quantile estimates the q-quantile (q in [0,1], e.g. 0.5 or 0.99) from the

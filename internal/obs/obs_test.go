@@ -189,26 +189,6 @@ func TestSnapshotUnderConcurrentBumps(t *testing.T) {
 	wg.Wait()
 }
 
-func TestSetEnabled(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("c")
-	SetEnabled(false)
-	c.Inc()
-	reg.Gauge("g").Set(1)
-	reg.Histogram("h").Observe(1)
-	if sp := StartSpan("x"); sp != nil {
-		t.Error("StartSpan must return nil while disabled")
-	}
-	SetEnabled(true)
-	if c.Value() != 0 || reg.Gauge("g").Value() != 0 || reg.Histogram("h").Count() != 0 {
-		t.Fatal("bumps while disabled must be no-ops")
-	}
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatal("re-enabled counter must bump")
-	}
-}
-
 func TestNilSafety(t *testing.T) {
 	var c *Counter
 	var g *Gauge

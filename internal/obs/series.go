@@ -124,7 +124,7 @@ var DefaultSeries = NewSeries(DefaultSeriesCap)
 // Append records one sample. Out-of-order appends are tolerated (the series
 // re-sorts); overflow drops the oldest sample.
 func (s *Series) Append(sm Sample) {
-	if s == nil || !enabled.Load() {
+	if s == nil {
 		return
 	}
 	s.mu.Lock()

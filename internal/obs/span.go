@@ -57,8 +57,7 @@ func SetTraceSink(w io.Writer) {
 	}
 }
 
-// Span is one in-flight timed region. A nil span (tracing disabled) is
-// safe to End.
+// Span is one in-flight timed region. A nil span is safe to End.
 type Span struct {
 	tr    *Tracer
 	name  string
@@ -66,15 +65,11 @@ type Span struct {
 	attrs []Attr
 }
 
-// StartSpan begins a span on the default tracer. Returns nil when the
-// layer is disabled.
+// StartSpan begins a span on the default tracer.
 func StartSpan(name string, attrs ...Attr) *Span { return defaultTracer.Start(name, attrs...) }
 
 // Start begins a span.
 func (t *Tracer) Start(name string, attrs ...Attr) *Span {
-	if !enabled.Load() {
-		return nil
-	}
 	return &Span{tr: t, name: name, start: time.Now(), attrs: attrs}
 }
 

@@ -109,87 +109,57 @@ func EncodeProfiles(w io.Writer, profiles []Profile) error {
 // DecodeProfiles parses a compact profile set. DFLeader marks must index
 // into the profile's accesses and be strictly increasing.
 func DecodeProfiles(r io.Reader) ([]Profile, error) {
-	// Clamp the preallocation: the count is untrusted until profiles arrive.
-	out := make([]Profile, 0, 1024)
-	err := StreamProfiles(r, func(p Profile) error {
-		out = append(out, p)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// errStopStream signals early termination requested by a StreamProfiles
-// callback (distinguished from a decode failure).
-var errStopStream = errors.New("pmc: profile stream stopped")
-
-// StopStream, returned from a StreamProfiles callback, terminates the
-// stream early without error.
-func StopStream() error { return errStopStream }
-
-// StreamProfiles parses an SBPS profile set one profile at a time, calling
-// fn for each — the streaming core DecodeProfiles is built on. The whole
-// set is never materialized, so identification can ingest corpora of any
-// size in bounded memory (Incremental.IngestStream). fn may return
-// StopStream() to end the scan early; any other error aborts the stream
-// and is returned as-is.
-func StreamProfiles(r io.Reader, fn func(Profile) error) error {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadProfiles, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadProfiles, err)
 	}
 	if string(magic[:]) != profilesMagic {
-		return fmt.Errorf("%w: bad magic %q", ErrBadProfiles, magic)
+		return nil, fmt.Errorf("%w: bad magic %q", ErrBadProfiles, magic)
 	}
 	ver, err := br.ReadByte()
 	if err != nil || ver != profilesVersion {
-		return fmt.Errorf("%w: version %d", ErrBadProfiles, ver)
+		return nil, fmt.Errorf("%w: version %d", ErrBadProfiles, ver)
 	}
 	count, err := binary.ReadUvarint(br)
 	if err != nil || count > maxProfiles {
-		return fmt.Errorf("%w: profile count", ErrBadProfiles)
+		return nil, fmt.Errorf("%w: profile count", ErrBadProfiles)
 	}
+	// Clamp the preallocation: the count is untrusted until profiles arrive.
+	out := make([]Profile, 0, 1024)
 	for i := uint64(0); i < count; i++ {
 		testID, err := binary.ReadUvarint(br)
 		if err != nil || testID > maxDecodedTestID {
-			return fmt.Errorf("%w: profile %d: test id", ErrBadProfiles, i)
+			return nil, fmt.Errorf("%w: profile %d: test id", ErrBadProfiles, i)
 		}
 		accs, err := trace.ReadBlock(br)
 		if err != nil {
-			return fmt.Errorf("%w: profile %d: %v", ErrBadProfiles, i, err)
+			return nil, fmt.Errorf("%w: profile %d: %v", ErrBadProfiles, i, err)
 		}
 		nmarks, err := binary.ReadUvarint(br)
 		if err != nil || nmarks > uint64(accs.Len()) {
-			return fmt.Errorf("%w: profile %d: mark count", ErrBadProfiles, i)
+			return nil, fmt.Errorf("%w: profile %d: mark count", ErrBadProfiles, i)
 		}
 		df := make(map[int]bool, nmarks)
 		idx, first := 0, true
 		for m := uint64(0); m < nmarks; m++ {
 			d, err := binary.ReadUvarint(br)
 			if err != nil {
-				return fmt.Errorf("%w: profile %d: mark %d", ErrBadProfiles, i, m)
+				return nil, fmt.Errorf("%w: profile %d: mark %d", ErrBadProfiles, i, m)
 			}
 			if !first && d == 0 {
-				return fmt.Errorf("%w: profile %d: marks not strictly increasing", ErrBadProfiles, i)
+				return nil, fmt.Errorf("%w: profile %d: marks not strictly increasing", ErrBadProfiles, i)
 			}
 			idx += int(d)
 			first = false
 			if idx < 0 || idx >= accs.Len() {
-				return fmt.Errorf("%w: profile %d: mark index %d out of range", ErrBadProfiles, i, idx)
+				return nil, fmt.Errorf("%w: profile %d: mark index %d out of range", ErrBadProfiles, i, idx)
 			}
 			df[idx] = true
 		}
-		if err := fn(Profile{TestID: int(testID), Accesses: accs, DFLeader: df}); err != nil {
-			if errors.Is(err, errStopStream) {
-				return nil
-			}
-			return err
-		}
+		out = append(out, Profile{TestID: int(testID), Accesses: accs, DFLeader: df})
 	}
-	return nil
+	return out, nil
 }
 
 // pmcLess orders PMCs canonically (keyLess is shared with triple.go):

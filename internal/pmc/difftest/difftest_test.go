@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -64,32 +63,6 @@ func TestIncrementalEquivalence(t *testing.T) {
 					t.Fatalf("trial %d k=%d order %v: shuffled batch order diverges:\n%s",
 						trial, k, order, d)
 				}
-			}
-		}
-	}
-}
-
-// TestIngestStreamEquivalence feeds the SBPS encoding of a corpus through
-// Incremental.IngestStream at several batch sizes and checks the result
-// against a one-shot Identify — the streaming decode path must classify
-// exactly like the materialized one.
-func TestIngestStreamEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 6; trial++ {
-		opt := pmc.DefaultOptions()
-		profiles := GenCorpus(rng, 5+rng.Intn(12))
-		want := pmc.Identify(profiles, opt)
-		var buf bytes.Buffer
-		if err := pmc.EncodeProfiles(&buf, profiles); err != nil {
-			t.Fatalf("trial %d: encode: %v", trial, err)
-		}
-		for _, batchSize := range []int{1, 3, 64} {
-			inc := pmc.NewIncremental(opt)
-			if err := inc.IngestStream(bytes.NewReader(buf.Bytes()), batchSize, 2); err != nil {
-				t.Fatalf("trial %d batch=%d: ingest: %v", trial, batchSize, err)
-			}
-			if d := Diff(want, inc.Set()); d != "" {
-				t.Fatalf("trial %d batch=%d: streamed ingest diverges:\n%s", trial, batchSize, d)
 			}
 		}
 	}

@@ -33,8 +33,7 @@ import (
 // Memory stays bounded by the analysis state, not the traces: ingested
 // profiles are compacted to readerViews (read accesses only) and
 // self-contained index write records; the profile blocks themselves are
-// not retained and can be streamed from the SBPS codec one profile at a
-// time (IngestStream).
+// not retained.
 
 // Incremental metrics (process-wide registry, resolved once).
 var (
@@ -216,30 +215,6 @@ func (inc *Incremental) AddBatchParallel(batch []Profile, workers int) {
 	obs.Emit(obs.EvPMCIncremental, obs.A("batch", inc.batches),
 		obs.A("profiles", len(batch)), obs.A("delta", scanned),
 		obs.A("keys", inc.set.Len()))
-}
-
-// IngestStream feeds an SBPS-encoded profile set (EncodeProfiles) into the
-// identifier, decoding and compacting one batch of at most batchSize
-// profiles at a time — at no point is the whole profile slice
-// materialized, so memory stays bounded at any corpus size.
-func (inc *Incremental) IngestStream(r io.Reader, batchSize, workers int) error {
-	if batchSize <= 0 {
-		batchSize = 64
-	}
-	batch := make([]Profile, 0, batchSize)
-	err := StreamProfiles(r, func(p Profile) error {
-		batch = append(batch, p)
-		if len(batch) >= batchSize {
-			inc.AddBatchParallel(batch, workers)
-			batch = batch[:0]
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	inc.AddBatchParallel(batch, workers)
-	return nil
 }
 
 // SBPI snapshot codec. An Incremental serializes as the cumulative Set

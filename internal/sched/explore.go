@@ -84,11 +84,6 @@ type Explorer struct {
 	// (Algorithm 2 lines 26–27), for the ablation bench.
 	DisableIncidental bool
 
-	// PerformedDenom / FlagDenom override the Snowboard policy's switch
-	// probabilities (0 uses the defaults).
-	PerformedDenom int
-	FlagDenom      int
-
 	// KnownPMCs, when set, is consulted to recognize incidental PMCs
 	// observed during trials.
 	KnownPMCs *pmc.Set
@@ -328,12 +323,6 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 					sc.preFlags = append(sc.preFlags, f)
 				}
 				policy.reset(rng, currentPMCs, flags)
-			}
-			if x.PerformedDenom > 0 {
-				policy.PerformedDenom = x.PerformedDenom
-			}
-			if x.FlagDenom > 0 {
-				policy.FlagDenom = x.FlagDenom
 			}
 			policy.RecordSwitches = mutating
 			res = x.Env.RunPair(ct.Writer, ct.Reader, policy, tr)

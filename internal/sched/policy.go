@@ -62,6 +62,15 @@ func keepOrFirst(m *vm.Machine, cur *vm.Thread) *vm.Thread {
 	return pickOther(m, cur)
 }
 
+// switchDenom is the denominator of the switch probability after a
+// performed PMC access and at a flagged predecessor access (1/4 each).
+// Algorithm 2 leaves random()'s bias unspecified; this came out of a
+// 30-seed sweep on the Figure 1 bug (mean trials-to-expose 35 vs 53 for a
+// fair coin): switching somewhat less often preserves the windows that the
+// preceding PMC switch just opened. A recorded trial replays only under the
+// value it ran with, which is why it is not an option.
+const switchDenom = 4
+
 // SnowboardPolicy is the Algorithm 2 scheduler for one trial: it lets
 // threads run freely and induces non-deterministic yields only around the
 // accesses of the PMCs under test — after a PMC access is performed, and
@@ -76,13 +85,6 @@ type SnowboardPolicy struct {
 	last     [16]sig            // last access per thread
 	haveLast [16]bool
 	streak   int // consecutive events without a switch (liveness)
-
-	// PerformedDenom is the denominator of the switch probability after a
-	// performed PMC access (default 2 → probability 1/2).
-	PerformedDenom int
-	// FlagDenom is the denominator of the switch probability at a flagged
-	// predecessor access (default 2).
-	FlagDenom int
 
 	// FlipAt inverts the rng-drawn switch decision at the listed access
 	// indices (0-based, counting every OnAccess event). This is the
@@ -129,20 +131,13 @@ func (p *SnowboardPolicy) reset(rng *rand.Rand, currentPMCs []pmc.PMC, flags map
 		p.flagIns[f.ins] = true
 	}
 	*p = SnowboardPolicy{
-		rng:     rng,
-		current: cur,
-		flags:   flags,
-		flagIns: p.flagIns,
-		fired:   p.fired,
-		// Algorithm 2 leaves random()'s bias unspecified; these defaults
-		// came out of a 30-seed sweep on the Figure 1 bug (mean
-		// trials-to-expose 35 vs 53 for a fair coin): switching somewhat
-		// less often preserves the windows that the preceding PMC switch
-		// just opened.
-		PerformedDenom: 4,
-		FlagDenom:      4,
-		FlipAt:         p.FlipAt,
-		SwitchEvents:   p.SwitchEvents[:0],
+		rng:          rng,
+		current:      cur,
+		flags:        flags,
+		flagIns:      p.flagIns,
+		fired:        p.fired,
+		FlipAt:       p.FlipAt,
+		SwitchEvents: p.SwitchEvents[:0],
 	}
 }
 
@@ -177,13 +172,13 @@ func (p *SnowboardPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo)
 				p.flags[f] = true
 				p.flagIns[f.ins] = true
 			}
-			doSwitch = p.rng.Intn(p.PerformedDenom) == 0
+			doSwitch = p.rng.Intn(switchDenom) == 0
 		} else if p.flagIns[s.ins] && p.flags[s] && !p.fired[s] {
 			// pmc_access_coming: the next access is likely a PMC access.
 			// Each flag fires once per trial; many flags are on hot
 			// allocator sites and would otherwise thrash the schedule.
 			p.fired[s] = true
-			doSwitch = p.rng.Intn(p.FlagDenom) == 0
+			doSwitch = p.rng.Intn(switchDenom) == 0
 		}
 		if a.Thread < len(p.last) {
 			p.last[a.Thread] = s

@@ -84,8 +84,8 @@ func TestModeStrings(t *testing.T) {
 
 func TestSnowboardPolicyDefaults(t *testing.T) {
 	p := NewSnowboardPolicy(rand.New(rand.NewSource(1)), []pmc.PMC{*hintPMC()}, map[sig]bool{})
-	if p.PerformedDenom < 2 || p.FlagDenom < 2 {
-		t.Fatalf("implausible defaults: %d %d", p.PerformedDenom, p.FlagDenom)
+	if switchDenom < 2 {
+		t.Fatalf("implausible switch probability 1/%d", switchDenom)
 	}
 	if !p.isCurrent(sigOfKey(trace.Write, hintPMC().Write)) {
 		t.Fatal("hint write not in current set")

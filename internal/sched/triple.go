@@ -43,12 +43,6 @@ func (x *Explorer) ExploreTriple(tt TripleTest) Outcome {
 		rng.Seed(x.Seed + int64(trial))
 		policy := &sc.policy
 		policy.reset(rng, currentPMCs, flags)
-		if x.PerformedDenom > 0 {
-			policy.PerformedDenom = x.PerformedDenom
-		}
-		if x.FlagDenom > 0 {
-			policy.FlagDenom = x.FlagDenom
-		}
 		res := x.Env.RunMany(progs, policy, tr)
 		x.Env.M.SetTrace(nil)
 		out.Trials = trial + 1

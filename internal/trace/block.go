@@ -142,12 +142,6 @@ func (b *Block) MarkedAt(i int) bool { return b.meta[i]&metaMarked != 0 }
 // StackAt reports whether the i-th access hits the accessor's stack.
 func (b *Block) StackAt(i int) bool { return b.meta[i]&metaStack != 0 }
 
-// RCUAt reports whether the i-th access ran inside an RCU read section.
-func (b *Block) RCUAt(i int) bool { return b.meta[i]&metaRCU != 0 }
-
-// LocksAt returns the interned lockset held during the i-th access.
-func (b *Block) LocksAt(i int) LockSet { return b.locks[i] }
-
 // OverlapsAt reports whether accesses i and j touch at least one common byte.
 func (b *Block) OverlapsAt(i, j int) bool {
 	return b.addrs[i] < b.EndAt(j) && b.addrs[j] < b.EndAt(i)

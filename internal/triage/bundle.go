@@ -111,15 +111,6 @@ func Decode(data []byte) (*Bundle, error) {
 	return &b, nil
 }
 
-// SaveBundle persists the bundle content-addressed and returns its digest.
-func SaveBundle(s *store.Store, b *Bundle) (store.Digest, error) {
-	data, err := Encode(b)
-	if err != nil {
-		return store.Digest{}, err
-	}
-	return s.Put(store.KindRepro, data)
-}
-
 // LoadBundle fetches and decodes a bundle by digest. Store-level
 // corruption (bad envelope/checksum) surfaces as store.ErrCorrupt; decode
 // failures as ErrStale/ErrCorrupt.

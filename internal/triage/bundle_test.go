@@ -87,7 +87,11 @@ func TestBundleStoreAndIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := SaveBundle(s, b)
+	data, err := Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.Put(store.KindRepro, data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,13 +154,11 @@ type Options struct {
 	// Detect configures the detector suite run after each replay. Must
 	// match the campaign's options or signatures will not line up.
 	Detect detect.Options
-	// MaxReplays caps the replays spent in the reduction loops
-	// (0 = DefaultMaxReplays). The final 1-minimality pass always runs
-	// to completion so the guarantee holds even when the cap bites.
-	MaxReplays int
 }
 
-// DefaultMaxReplays bounds the reduction-phase replay budget.
+// DefaultMaxReplays caps the replays spent in the reduction loops. The
+// final 1-minimality pass always runs to completion so the guarantee holds
+// even when the cap bites.
 const DefaultMaxReplays = 512
 
 // Stats records pre/post minimization sizes and the replay cost.
@@ -198,42 +196,66 @@ type Result struct {
 // crash-level issue on replay (nothing to minimize against).
 var ErrNoCrash = errors.New("triage: original trial does not reproduce a crash-level finding")
 
+// Replayed is one re-executed trial and the detector suite's verdict on it.
+type Replayed struct {
+	Result exec.Result
+	Trace  trace.Trace
+	// Switches are the access indices at which the replayed schedule
+	// switched threads, in occurrence order.
+	Switches []int
+	Issues   []detect.Issue
+}
+
+// Replay is the one way a recorded trial is re-executed and judged: replay
+// (ct, st) in env with preemption recording, detach the trace, and run the
+// detector suite (host-side fsck included) over the result. The minimizer,
+// sbrepro and the replay tests all go through it, so a finding that
+// reproduces for one reproduces for all.
+func Replay(env *exec.Env, ct sched.ConcurrentTest, st *sched.ReproState, opt detect.Options) *Replayed {
+	r := &Replayed{}
+	r.Result, r.Switches = sched.ReplayRecorded(env, ct, st, &r.Trace)
+	env.M.SetTrace(nil)
+	r.Issues = detect.Analyze(detect.TrialInput{
+		Console:  r.Result.Console,
+		Trace:    &r.Trace,
+		PostScan: env.K.FsckHost(),
+		Hung:     r.Result.Hung,
+		Deadlock: r.Result.Deadlock,
+	}, opt)
+	return r
+}
+
 type minimizer struct {
 	env     *exec.Env
 	opt     Options
-	budget  int
 	replays int
 }
 
-// replayRecord replays (ct, st) with preemption recording and runs the
-// detector suite, returning the recorded switch indices and the issues.
+// replayRecord replays (ct, st) and returns the recorded switch indices
+// and the issues.
 func (m *minimizer) replayRecord(ct sched.ConcurrentTest, st *sched.ReproState) ([]int, []detect.Issue) {
 	m.replays++
-	var tr trace.Trace
-	res, events := sched.ReplayRecorded(m.env, ct, st, &tr)
-	m.env.M.SetTrace(nil)
-	issues := detect.Analyze(detect.TrialInput{
-		Console:  res.Console,
-		Trace:    &tr,
-		PostScan: m.env.K.FsckHost(),
-		Hung:     res.Hung,
-		Deadlock: res.Deadlock,
-	}, m.opt.Detect)
-	return events, issues
+	r := Replay(m.env, ct, st, m.opt.Detect)
+	return r.Switches, r.Issues
 }
 
-// reproduces reports whether replaying (ct, st) still exposes target.
-func (m *minimizer) reproduces(ct sched.ConcurrentTest, st *sched.ReproState, target Signature) bool {
-	_, issues := m.replayRecord(ct, st)
+// exposes reports whether issues hold a crash-level issue signed target.
+func exposes(issues []detect.Issue, hint *pmc.PMC, target Signature) bool {
 	for _, is := range issues {
-		if detect.CrashLevel(is.Kind) && SignatureOf(is, ct.Hint) == target {
+		if detect.CrashLevel(is.Kind) && SignatureOf(is, hint) == target {
 			return true
 		}
 	}
 	return false
 }
 
-func (m *minimizer) exhausted() bool { return m.replays >= m.budget }
+// reproduces reports whether replaying (ct, st) still exposes target.
+func (m *minimizer) reproduces(ct sched.ConcurrentTest, st *sched.ReproState, target Signature) bool {
+	_, issues := m.replayRecord(ct, st)
+	return exposes(issues, ct.Hint, target)
+}
+
+func (m *minimizer) exhausted() bool { return m.replays >= DefaultMaxReplays }
 
 // Minimize reduces one crash finding: first the two test programs, then
 // the preemption schedule, re-replaying each candidate and keeping it only
@@ -247,11 +269,7 @@ func Minimize(env *exec.Env, f Finding, opt Options) (*Result, error) {
 	if f.Test.Writer == nil || f.Test.Reader == nil {
 		return nil, errors.New("triage: finding has no test programs")
 	}
-	budget := opt.MaxReplays
-	if budget <= 0 {
-		budget = DefaultMaxReplays
-	}
-	m := &minimizer{env: env, opt: opt, budget: budget}
+	m := &minimizer{env: env, opt: opt}
 
 	// Baseline replay: establish the target signature and the original
 	// schedule footprint.
@@ -297,14 +315,7 @@ func Minimize(env *exec.Env, f Finding, opt Options) (*Result, error) {
 	// Final verify: the minimized bundle must reproduce, and its replay
 	// gives the minimized switch count.
 	events, issues = m.replayRecord(ct, st)
-	verified := false
-	for _, is := range issues {
-		if detect.CrashLevel(is.Kind) && SignatureOf(is, ct.Hint) == target {
-			verified = true
-			break
-		}
-	}
-	if !verified {
+	if !exposes(issues, ct.Hint, target) {
 		// Cannot happen: every accepted reduction step re-verified the
 		// signature, and replay is deterministic. Guard anyway so a
 		// regression surfaces as an error, not a bogus bundle.

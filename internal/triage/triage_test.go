@@ -88,7 +88,7 @@ func TestMinimizeNeverGrowsAndReproduces(t *testing.T) {
 	}
 	// The minimized finding replays to the same signature in a fresh env.
 	env2 := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
-	m := &minimizer{env: env2, opt: Options{Detect: detect.DefaultOptions()}, budget: DefaultMaxReplays}
+	m := &minimizer{env: env2, opt: Options{Detect: detect.DefaultOptions()}}
 	if !m.reproduces(res.Test, res.State, res.Signature) {
 		t.Fatal("minimized finding does not reproduce in a fresh environment")
 	}
@@ -108,7 +108,7 @@ func TestMinimizeNeverGrowsAndReproduces(t *testing.T) {
 // crash signature.
 func TestScheduleOneMinimal(t *testing.T) {
 	env, f := l2tpFinding(t, 1)
-	m := &minimizer{env: env, opt: Options{Detect: detect.DefaultOptions()}, budget: DefaultMaxReplays}
+	m := &minimizer{env: env, opt: Options{Detect: detect.DefaultOptions()}}
 	events, issues := m.replayRecord(f.Test, f.State)
 	target, ok := SignatureOfIssues(issues, f.Test.Hint, f.BugID)
 	if !ok {

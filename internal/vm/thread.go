@@ -77,15 +77,11 @@ type Thread struct {
 	locks    trace.LockSet // interned set of lock addresses held
 	rcuDepth int
 
-	faultMsg string
 	accesses int // accesses performed by this thread in the current run
 }
 
 // State returns the scheduling state.
 func (t *Thread) State() ThreadState { return t.state }
-
-// FaultMsg returns the crash message if the thread died on a fault.
-func (t *Thread) FaultMsg() string { return t.faultMsg }
 
 // Accesses returns how many memory accesses this thread has performed.
 func (t *Thread) Accesses() int { return t.accesses }
@@ -192,23 +188,6 @@ func (t *Thread) StoreMarked(ins trace.Ins, addr Addr, size int, val uint64) {
 	t.checkRange(addr, size)
 	t.m.Mem.Write(addr, size, val)
 	t.record(ins, trace.Write, addr, size, val, false, true)
-}
-
-// LoadAtomic is Load with the access marked as a synchronization operation,
-// which the race detector ignores and the PMC filter drops by default.
-func (t *Thread) LoadAtomic(ins trace.Ins, addr Addr, size int) uint64 {
-	t.checkRange(addr, size)
-	v := t.m.Mem.Read(addr, size)
-	t.record(ins, trace.Read, addr, size, v, true, false)
-	return v
-}
-
-// StoreAtomic is Store with the access marked as a synchronization
-// operation.
-func (t *Thread) StoreAtomic(ins trace.Ins, addr Addr, size int, val uint64) {
-	t.checkRange(addr, size)
-	t.m.Mem.Write(addr, size, val)
-	t.record(ins, trace.Write, addr, size, val, true, false)
 }
 
 // CPURelax models a PAUSE/HALT-style instruction: a voluntary yield that the
@@ -355,6 +334,3 @@ func (t *Thread) SynchronizeRCU() {
 		t.yield(Event{Kind: EvBlocked})
 	}
 }
-
-// RCUDepth returns the current read-side nesting depth (for tests).
-func (t *Thread) RCUDepth() int { return t.rcuDepth }

@@ -56,7 +56,6 @@ func (c *vcpu) run() (ev Event) {
 		case threadKilled:
 			// Unwound by Shutdown, which ignores the event.
 		case threadFault:
-			t.faultMsg = r.msg
 			ev = Event{Kind: EvFault, Fault: r.msg}
 		default:
 			c.crash = &GuestPanic{Thread: t.Name, Value: r, Stack: debug.Stack()}

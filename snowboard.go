@@ -38,11 +38,9 @@ import (
 	"snowboard/internal/diagnose"
 	"snowboard/internal/exec"
 	"snowboard/internal/kernel"
-	"snowboard/internal/obs"
 	"snowboard/internal/pmc"
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
-	"snowboard/internal/store"
 	"snowboard/internal/trace"
 )
 
@@ -148,58 +146,6 @@ func NewQueueWithOptions(o QueueOptions) *Queue { return queue.NewWithOptions(o)
 func AggregateResults(expected int, results []JobResult, dead []DeadJob) DistSummary {
 	return core.AggregateResults(expected, results, dead)
 }
-
-// Checkpoint & resume: the content-addressed artifact store every stage
-// memoizes through when Options.StateDir is set (or a store is attached
-// with Pipeline.UseStore).
-type (
-	// Store is an on-disk, versioned, checksummed artifact store holding
-	// corpus, profile-set, PMC-set, and report artifacts addressed by the
-	// SHA-256 of their canonical encoding.
-	Store = store.Store
-	// Digest is a content address: the SHA-256 of an artifact's payload.
-	Digest = store.Digest
-)
-
-// Artifact kinds stored by the pipeline.
-const (
-	KindCorpus = store.KindCorpus
-	KindReport = store.KindReport
-)
-
-// OpenStore opens (creating if needed) an artifact store rooted at dir.
-func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
-
-// ParseDigest parses the 64-hex-digit form of a content digest.
-func ParseDigest(s string) (Digest, error) { return store.ParseDigest(s) }
-
-// Observability (internal/obs): the process-wide metrics registry every
-// pipeline stage reports into, plus the live introspection server.
-type (
-	// ObsSnapshot is a point-in-time view of the metrics registry
-	// (counters, gauges, log-scale histograms).
-	ObsSnapshot = obs.Snapshot
-	// ObsProgress is the live campaign summary served at /progress.
-	ObsProgress = obs.Progress
-	// ObsServer is a running introspection HTTP server.
-	ObsServer = obs.Server
-)
-
-// SnapshotMetrics freezes the process-wide metrics registry: every
-// counter, gauge, and stage-duration histogram the pipeline has bumped so
-// far. Subtract two snapshots (Snapshot.Sub) to scope the registry to one
-// run.
-func SnapshotMetrics() ObsSnapshot { return obs.Default.Snapshot() }
-
-// ObsProgressNow derives the live campaign progress summary (corpus size,
-// PMCs, tests executed/exercised, issues found, exec/min) from the
-// registry.
-func ObsProgressNow() ObsProgress { return obs.ProgressNow() }
-
-// StartObsServer serves live introspection on addr: /metrics (Prometheus
-// text), /progress (JSON), /events (flight recorder), /coverage (campaign
-// time-series), /campaign, /debug/vars (expvar), and /debug/pprof/.
-func StartObsServer(addr string) (*ObsServer, error) { return obs.StartHTTP(addr) }
 
 // Exploration modes for the Explorer.
 const (
