@@ -37,8 +37,11 @@
 //
 // The -queue listener serves every campaign's named queue on one TCP
 // endpoint (protocol v2 with the "queue" request field); campaign
-// executors lease their own jobs through it, and external sbexec workers
-// can join a campaign with -addr <queue> and the campaign's queue name.
+// executors lease their own jobs through it, and external workers join a
+// campaign with `sbexec -addr <queue listener> -queue campaign.<id>`. A
+// result is the test's whole outcome, folded in job order as a local run
+// folds it: reports carry findings with replayable trials and, with -state,
+// minimized SBRB bundles (sbrepro -state). Feedback campaigns run locally.
 package main
 
 import (

@@ -160,13 +160,7 @@ func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case sub == "" && r.Method == http.MethodGet:
-		detail := campaignDetail{Status: c.Status()}
-		select {
-		case <-c.Done():
-			detail.Report = c.Report()
-		default:
-		}
-		writeJSON(w, http.StatusOK, detail)
+		writeJSON(w, http.StatusOK, campaignDetail{Status: c.Status(), Report: c.Report()})
 	case sub == "events" && r.Method == http.MethodGet:
 		since := uint64(0)
 		if q := r.URL.Query().Get("since"); q != "" {

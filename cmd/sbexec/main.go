@@ -1,13 +1,19 @@
 // Command sbexec is a Snowboard execution worker: it connects to an
-// sbqueue coordinator, leases concurrent-test jobs, explores each with the
-// PMC-hinted scheduler, and reports findings back. Run one per core or per
-// machine, as the paper distributes testing across its machine-B fleet.
+// sbqueue coordinator or an sbd control plane, leases concurrent-test jobs,
+// explores each with the PMC-hinted scheduler, and reports the outcomes
+// back. Run one per core or per machine, as the paper distributes testing
+// across its machine-B fleet.
 //
 // Usage:
 //
-//	sbexec -addr 127.0.0.1:7070 [-version 5.12-rc3] [-trials 64]
-//	       [-workers 0] [-state dir] [-name worker-1] [-idle-exit 5s]
-//	       [-retries 8] [-http :0] [-progress 10s]
+//	sbexec -addr 127.0.0.1:7070 [-queue campaign.<id>] [-version 5.12-rc3]
+//	       [-trials 64] [-workers 0] [-state dir] [-name worker-1]
+//	       [-idle-exit 5s] [-retries 8] [-http :0] [-progress 10s]
+//
+// An sbd listener serves one named queue per campaign and no default one:
+// -queue names the campaign to drain ("campaign.<id>", as GET /campaigns
+// lists ids). With -trials set to the campaign's budget, sbd folds this
+// worker's results into the report it would have produced alone.
 //
 // Delivery is at-least-once: each job arrives under a lease that the worker
 // acks after reporting (or nacks on failure, so the coordinator redelivers
@@ -27,8 +33,9 @@
 //
 // With -workers N the process runs N explorer goroutines against one
 // shared queue connection, each with its own simulated-kernel environment.
-// Per-job seeds derive from the job ID alone, so findings are identical no
-// matter how jobs land on workers — or how often a job is redelivered.
+// A job carries its exploration seed and its result is the whole outcome
+// (issues, trials, a crashing trial's replayable state), so findings are
+// identical however jobs land on workers and however often one redelivers.
 //
 // All worker chatter goes to stderr; with -http, the worker's own metrics
 // (exec.tests, sched.trials, channel hits, …) are served live.
@@ -59,6 +66,7 @@ var mPoisoned = obs.C(obs.MWorkerPoisoned)
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "queue coordinator address")
+		qname    = flag.String("queue", "", "named queue to drain on an sbd listener (campaign.<id>); empty is sbqueue's only queue")
 		version  = flag.String("version", string(snowboard.V5_12_RC3), "simulated kernel version")
 		trials   = flag.Int("trials", 64, "interleaving trials per test")
 		workers  = flag.Int("workers", 0, "explorer goroutines in this process (0 = one per CPU)")
@@ -101,7 +109,7 @@ func main() {
 	stopProgress := obs.StartProgress(*progress, diag)
 	defer stopProgress()
 
-	client, err := queue.DialOpts(*addr, queue.DialOptions{MaxRetries: *retries})
+	client, err := queue.DialOpts(*addr, queue.DialOptions{MaxRetries: *retries, Queue: *qname})
 	if err != nil {
 		log.Fatal(err)
 	}

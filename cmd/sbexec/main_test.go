@@ -3,13 +3,18 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"snowboard/internal/core"
+	"snowboard/internal/queue"
 )
 
 func buildTool(t *testing.T, pkg string) string {
@@ -34,7 +39,8 @@ func TestSbexecUsage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !strings.Contains(stderr.String(), "-idle-exit") || !strings.Contains(stderr.String(), "-trials") {
+	if !strings.Contains(stderr.String(), "-idle-exit") || !strings.Contains(stderr.String(), "-trials") ||
+		!strings.Contains(stderr.String(), "-queue") {
 		t.Fatalf("usage text missing flags:\n%s", stderr.String())
 	}
 	if stdout.Len() != 0 {
@@ -102,5 +108,68 @@ func TestSbexecProcessesJobs(t *testing.T) {
 	}
 	if !strings.Contains(cOut.String(), "2/2 jobs reported") {
 		t.Fatalf("coordinator summary missing job accounting:\n%s", cOut.String())
+	}
+}
+
+// TestSbexecDrainsNamedCampaignQueue: `sbexec -queue campaign.<id>` joins
+// one campaign on a multi-queue listener, as the sbd docs promise. The
+// campaign's own executor is held at its start gate until the external
+// worker has drained the queue, so every result folded into the report is
+// sbexec's — and the report must equal the one the in-process executor
+// produces alone.
+func TestSbexecDrainsNamedCampaignQueue(t *testing.T) {
+	worker := buildTool(t, "snowboard/cmd/sbexec")
+	spec := core.CampaignSpec{Name: "joined", Seed: 3, FuzzBudget: 150, CorpusCap: 40, TestBudget: 6, Trials: 4}
+
+	run := func(external bool) []byte {
+		reg := queue.NewRegistry(queue.Options{})
+		defer reg.Close()
+		srv, err := queue.ServeRegistry(reg, "127.0.0.1:0", queue.ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		gate := make(chan struct{})
+		c, err := core.StartCampaign(spec, core.CampaignEnv{Registry: reg, Addr: srv.Addr(), ExecGate: gate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if external {
+			deadline := time.Now().Add(60 * time.Second)
+			for c.Status().Expected == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("campaign never pushed its jobs")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			var wErr bytes.Buffer
+			wcmd := exec.Command(worker, "-addr", srv.Addr(), "-queue", c.QueueName(),
+				"-trials", strconv.Itoa(spec.Trials), "-workers", "1", "-idle-exit", "200ms", "-progress", "0")
+			wcmd.Stderr = &wErr
+			if err := wcmd.Run(); err != nil {
+				t.Fatalf("worker exit error: %v\nstderr:\n%s", err, wErr.String())
+			}
+			if st := reg.Get(c.QueueName()).Stats(); st.Pending != 0 || st.Leased != 0 || st.Done != spec.TestBudget {
+				t.Fatalf("sbexec left the campaign queue unsettled: %+v\nstderr:\n%s", st, wErr.String())
+			}
+		}
+		close(gate)
+		r, err := c.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Status(); st.Executed != int64(spec.TestBudget) || r.TestedTests != spec.TestBudget {
+			t.Fatalf("status says %d executed, report folded %d of %d tests", st.Executed, r.TestedTests, spec.TestBudget)
+		}
+		r.FuzzTime, r.ProfileTime, r.IdentifyTime, r.ClusterTime, r.ExecTime = 0, 0, 0, 0, 0
+		payload, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	alone, joined := run(false), run(true)
+	if !bytes.Equal(alone, joined) {
+		t.Fatalf("report folded from sbexec's results differs from the in-process executor's:\n%s\nvs\n%s", joined, alone)
 	}
 }

@@ -1,7 +1,8 @@
 // Command sbqueue is the coordinator of a distributed Snowboard run
 // (§4.4.1's lightweight distributed queue): it builds the corpus, profiles
 // it, identifies and clusters PMCs, enqueues the generated concurrent
-// tests on a TCP queue, and aggregates results reported by sbexec workers.
+// tests on a TCP queue, and folds the outcomes sbexec workers report into
+// the report a local run of the same tests would have produced.
 //
 // Usage:
 //
@@ -10,28 +11,34 @@
 //	        [-state dir] [-lease 30s] [-retries 3] [-wait 30s]
 //	        [-http :8080] [-progress 10s] [-watch]
 //
-// Jobs are delivered at-least-once: a worker leases a job for -lease and
-// acks it after reporting; a crashed or preempted worker's lease expires
-// and the job is redelivered (up to -retries attempts) instead of being
-// silently lost. Jobs that exhaust their attempts land on the dead-letter
-// list, which is dumped with the final summary — a poisoned job can
-// neither vanish nor retry forever. Redelivered jobs are folded into the
-// results exactly once (worker seeds derive from the job ID, so duplicate
-// reports are byte-identical).
+// A job carries one concurrent test and the exploration seed `snowboard
+// -seed` would have used for it; a result carries the test's whole outcome
+// (issues, the trial each surfaced on, a crashing trial's replayable
+// state). Jobs are delivered at-least-once: a worker leases a job for
+// -lease and acks it after reporting; a crashed or preempted worker's lease
+// expires and the job is redelivered (up to -retries attempts) instead of
+// being silently lost. Jobs that exhaust their attempts land on the
+// dead-letter list, dumped with the final summary — a poisoned job can
+// neither vanish nor retry forever. The first result of each job is folded,
+// in job order, with the fold local execution uses (a redelivered job's
+// copies are byte-identical), and crash-level findings are triaged.
 //
 // With -state, the local stages resume from the content-addressed artifact
-// store rooted there, and jobs go on the wire *by reference* — a corpus
+// store rooted there, minimized SBRB repro bundles are kept in it (replay
+// with sbrepro -state), and jobs go on the wire *by reference* — a corpus
 // digest plus two pair indices instead of two inline programs — so workers
 // started with the same -state (a shared directory) resolve programs from
 // the store and the wire format stays a few dozen bytes per job.
 //
-// Operational chatter goes to stderr; only the final summary is written to
-// stdout. With -http, the live introspection server exposes the queue's
-// per-op counters and latency histograms, depth, flight-recorder events
-// (/events), and the campaign coverage time-series (/coverage) alongside
-// the pipeline metrics. With -watch, a live terminal dashboard on stderr
-// shows queue state, lease ages, exec throughput and latency percentiles,
-// coverage growth, and the tail of the flight recorder.
+// Operational chatter goes to stderr; stdout gets the final summary: the
+// delivery accounting, then the issue table as `snowboard -v` prints it
+// (Table 2 id, test index, trial, minimized bundle). With -http, the live
+// introspection server exposes the queue's per-op counters and latency
+// histograms, depth, flight-recorder events (/events), and the campaign
+// coverage time-series (/coverage) alongside the pipeline metrics. With
+// -watch, a live terminal dashboard on stderr shows queue state, lease
+// ages, exec throughput and latency percentiles, coverage growth, and the
+// tail of the flight recorder.
 package main
 
 import (
@@ -43,7 +50,6 @@ import (
 	"time"
 
 	"snowboard"
-	"snowboard/internal/core"
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
 )
@@ -117,18 +123,6 @@ func main() {
 	cts := p.GenerateTests(r, *tests)
 	diag.Printf("corpus=%d pmcs=%d generated=%d concurrent tests", r.CorpusSize, r.DistinctPMCs, len(cts))
 
-	// With a store attached, jobs reference the persisted corpus artifact by
-	// digest instead of inlining both programs.
-	corpusDigest := ""
-	if *stateDir != "" {
-		corpusDigest, _, _ = p.ArtifactDigests()
-		if corpusDigest == "" {
-			diag.Printf("warning: corpus artifact not persisted; falling back to inline jobs")
-		} else {
-			diag.Printf("jobs reference corpus artifact %.12s…; workers need -state %s", corpusDigest, *stateDir)
-		}
-	}
-
 	q := queue.NewWithOptions(queue.Options{
 		Name:         "coordinator",
 		LeaseTimeout: *lease,
@@ -139,8 +133,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
+	// With a store attached, jobs reference the persisted corpus artifact by
+	// digest instead of inlining both programs, and workers need the store.
 	hint := ""
-	if corpusDigest != "" {
+	if corpusDigest, _, _ := p.ArtifactDigests(); corpusDigest != "" {
 		hint = " -state " + *stateDir
 	}
 	diag.Printf("queue listening on %s — start workers with: sbexec -addr %s -version %s%s",
@@ -151,7 +147,7 @@ func main() {
 		stopWatch = startWatch(q)
 	}
 
-	if err := core.PushTests(q, cts, corpusDigest, obs.CurrentTrace()); err != nil {
+	if err := p.PushTests(q, cts, obs.CurrentTrace()); err != nil {
 		log.Fatal(err)
 	}
 
@@ -182,18 +178,19 @@ func main() {
 
 	stopWatch()
 
-	// Fold worker results exactly once per job (redelivered duplicates are
-	// byte-identical and discarded) and surface the dead-letter list.
-	st := q.Stats()
-	sum := snowboard.AggregateResults(len(cts), q.Results(), q.DeadLetters())
-	r.Distributed = &sum
-
+	// Fold as local execution would have, triage, surface the dead letters.
+	st, dead := q.Stats(), q.DeadLetters()
+	if err := p.FoldResults(r, cts, q.Results(), dead); err != nil {
+		log.Fatal(err)
+	}
+	sum := r.Distributed
 	fmt.Printf("%d/%d jobs reported (%d redeliveries, %d duplicate reports folded), %d exercised their PMC channel\n",
 		sum.Reported, sum.Expected, st.Redelivered, sum.Duplicates, sum.Exercised)
 	fmt.Printf("issues found (Table 2 numbers): %v\n", sum.BugIDs)
+	fmt.Print(r.IssueTable())
 	if len(sum.DeadJobs) > 0 {
 		fmt.Printf("dead-lettered jobs after %d attempts: %v\n", *retries, sum.DeadJobs)
-		for _, d := range q.DeadLetters() {
+		for _, d := range dead {
 			diag.Printf("dead job %d (%d attempts): %s", d.Job.ID, d.Attempts, d.Reason)
 		}
 	}

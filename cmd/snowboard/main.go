@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"snowboard"
@@ -193,28 +192,7 @@ func printReport(r *snowboard.Report, stateDir string, verbose bool) {
 		fmt.Printf("  triage: %d finding(s) minimized; run with -state to keep replayable bundles\n", minimized)
 	}
 	if verbose {
-		printIssues(r)
-	}
-}
-
-func printIssues(r *snowboard.Report) {
-	ids := r.BugIDs()
-	sort.Ints(ids)
-	for _, id := range ids {
-		rec := r.Issues[id]
-		fmt.Printf("    #%-2d after %3d tests (trial %2d): [%s] %s\n",
-			id, rec.TestIndex, rec.Trial, rec.Issue.Kind, rec.Issue.Desc)
-		if t := rec.Triage; t != nil {
-			st := t.Stats
-			fmt.Printf("         minimized: %s  bundle %s\n", t.Signature, t.Bundle)
-			fmt.Printf("         schedule %d->%d decisions, syscalls %d+%d -> %d+%d (%d replays)\n",
-				st.DecisionsOrig, st.DecisionsMin,
-				st.WriterCallsOrig, st.ReaderCallsOrig, st.WriterCallsMin, st.ReaderCallsMin,
-				st.Replays)
-		}
-	}
-	for _, u := range r.Unknown {
-		fmt.Printf("    UNCLASSIFIED: [%s] %s\n", u.Kind, u.Desc)
+		fmt.Print(r.IssueTable())
 	}
 }
 
@@ -239,7 +217,7 @@ func runComparison(base snowboard.Options, verbose, jsonOut bool) {
 		}
 		fmt.Printf("%-20s %12d %10d %10d  %s\n", r.Method, r.ExemplarPMCs, r.TestedTests, r.Exercised, issueSummary(r))
 		if verbose {
-			printIssues(r)
+			fmt.Print(r.IssueTable())
 		}
 	}
 	if jsonOut {
@@ -253,10 +231,8 @@ func runComparison(base snowboard.Options, verbose, jsonOut bool) {
 }
 
 func issueSummary(r *snowboard.Report) string {
-	ids := r.BugIDs()
-	sort.Ints(ids)
 	s := ""
-	for i, id := range ids {
+	for i, id := range r.BugIDs() {
 		if i > 0 {
 			s += ", "
 		}

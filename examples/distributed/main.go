@@ -1,14 +1,14 @@
 // distributed demonstrates the §4.4.1 deployment shape: a coordinator
 // generates concurrent tests and serves them over the lightweight TCP
 // queue; worker goroutines (each owning its own simulated kernel, like the
-// paper's machine-B fleet) lease jobs, explore interleavings, report
-// findings back, and ack. Delivery is at-least-once: worker 0 deliberately
-// "crashes" (abandons its lease) on the first job it receives, which the
-// queue redelivers after the lease expires — the final aggregate still
-// counts every job exactly once, because worker seeds derive from the job
-// ID and duplicate reports are folded away. In production the workers
-// would be separate processes on separate machines (see cmd/sbqueue and
-// cmd/sbexec).
+// paper's machine-B fleet) lease jobs, explore interleavings, report each
+// test's whole outcome back, and ack. Delivery is at-least-once: worker 0
+// deliberately "crashes" (abandons its lease) on the first job it receives,
+// which the queue redelivers after the lease expires — the folded report
+// still counts every job exactly once, and equals what a local run of the
+// same tests would have found, because a job carries its seed. In
+// production the workers would be separate processes on separate machines
+// (see cmd/sbqueue and cmd/sbexec).
 package main
 
 import (
@@ -43,7 +43,7 @@ func main() {
 
 	// A short lease keeps the demo snappy: the abandoned job redelivers
 	// after 300ms instead of the production default of 30s.
-	q := snowboard.NewQueueWithOptions(snowboard.QueueOptions{
+	q := queue.NewWithOptions(queue.Options{
 		Name:         "example",
 		LeaseTimeout: 300 * time.Millisecond,
 		MaxAttempts:  3,
@@ -54,7 +54,7 @@ func main() {
 	}
 	defer srv.Close()
 
-	if err := core.PushTests(q, tests, "", ""); err != nil {
+	if err := p.PushTests(q, tests, ""); err != nil {
 		log.Fatal(err)
 	}
 
@@ -108,11 +108,15 @@ func main() {
 	}
 	wg.Wait()
 
-	// Aggregate exactly once per job: redelivered duplicates fold away.
+	// Fold exactly once per job, as a local run would have.
 	st := q.Stats()
-	sum := snowboard.AggregateResults(len(tests), q.Results(), q.DeadLetters())
+	if err := p.FoldResults(r, tests, q.Results(), q.DeadLetters()); err != nil {
+		log.Fatal(err)
+	}
+	sum := r.Distributed
 	fmt.Printf("fleet: %d trials total, %d/%d tests exercised their channel\n", sum.Trials, sum.Exercised, len(tests))
 	fmt.Printf("delivery: %d/%d reported, %d redeliveries, %d duplicate reports folded, %d dead-lettered, lost=%v\n",
 		sum.Reported, sum.Expected, st.Redelivered, sum.Duplicates, len(sum.DeadJobs), sum.Lost())
 	fmt.Printf("issues found across the fleet (Table 2 numbers): %v\n", sum.BugIDs)
+	fmt.Print(r.IssueTable())
 }

@@ -237,6 +237,7 @@ type Campaign struct {
 	env      CampaignEnv
 	manifest []byte
 	scope    obs.Scope
+	started  time.Time // submission: the base of the live exec_per_min
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -248,7 +249,6 @@ type Campaign struct {
 	expected  atomic.Int64 // jobs pushed for execution
 	executed  atomic.Int64 // jobs this campaign's executor settled
 	exercised atomic.Int64
-	dead      atomic.Int64
 
 	done chan struct{}
 }
@@ -265,7 +265,7 @@ type CampaignStatus struct {
 	DeadLetters int64        `json:"dead_letters"`
 	Issues      int          `json:"issues"`
 	QueueDepth  int64        `json:"queue_depth"`
-	ExecPerMin  float64      `json:"exec_per_min"`
+	ExecPerMin  float64      `json:"exec_per_min"` // tests/min since submission; Report.ExecPerMin once done
 	Error       string       `json:"error,omitempty"`
 	Distributed *DistSummary `json:"distributed,omitempty"`
 }
@@ -303,6 +303,7 @@ func StartCampaign(spec CampaignSpec, env CampaignEnv) (*Campaign, error) {
 		env:      env,
 		manifest: manifest,
 		scope:    obs.CampaignScope(id),
+		started:  oc.StartedAt,
 		state:    CampaignPending,
 		done:     make(chan struct{}),
 	}
@@ -392,34 +393,36 @@ func (c *Campaign) Executed() int64 { return c.executed.Load() }
 // QueueName returns the campaign's queue name in the shared registry.
 func (c *Campaign) QueueName() string { return "campaign." + c.ID }
 
-// Status snapshots live progress.
+// Status snapshots progress: live counters while the campaign runs, the
+// report's once done, so a memo-resumed campaign's status equals its run's.
 func (c *Campaign) Status() CampaignStatus {
 	c.mu.Lock()
 	state, err, r := c.state, c.err, c.report
 	c.mu.Unlock()
 	st := CampaignStatus{
-		ID:          c.ID,
-		Name:        c.Spec.Name,
-		Trace:       c.Trace,
-		State:       state,
-		Expected:    c.expected.Load(),
-		Executed:    c.executed.Load(),
-		Exercised:   c.exercised.Load(),
-		DeadLetters: c.dead.Load(),
-		ExecPerMin:  float64(c.scope.C("exec.tests").Value()),
+		ID:        c.ID,
+		Name:      c.Spec.Name,
+		Trace:     c.Trace,
+		State:     state,
+		Expected:  c.expected.Load(),
+		Executed:  c.executed.Load(),
+		Exercised: c.exercised.Load(),
+	}
+	if r != nil {
+		if st.Distributed = r.Distributed; r.Distributed != nil {
+			st.DeadLetters = int64(len(r.Distributed.DeadJobs))
+		}
+		st.Executed, st.Exercised = int64(r.TestedTests), int64(r.Exercised)
+		st.Expected = st.Executed + st.DeadLetters
+		st.Issues, st.ExecPerMin = len(r.Issues), r.ExecPerMin()
+	} else {
+		st.ExecPerMin = float64(st.Executed) / time.Since(c.started).Minutes()
 	}
 	if q := c.env.Registry.Get(c.QueueName()); q != nil {
 		st.QueueDepth = int64(q.Stats().Pending)
 	}
 	if err != nil {
 		st.Error = err.Error()
-	}
-	if r != nil {
-		st.Issues = len(r.Issues)
-		st.Distributed = r.Distributed
-		if r.Distributed != nil {
-			st.Issues = len(r.Distributed.BugIDs)
-		}
 	}
 	return st
 }
@@ -451,23 +454,10 @@ func (c *Campaign) finish(r *Report, err error) {
 	close(c.done)
 }
 
-// reportKey memoizes the whole campaign: same manifest, same report.
+// reportKey memoizes the whole campaign: same manifest, same report. v2
+// reports carry their findings; an older sbd's v1 memo is left unserved.
 func (c *Campaign) reportKey() store.Digest {
-	return store.Key(campaignKeyPrefix, "report", string(c.manifest))
-}
-
-// restoreCounters sets the progress counters from a finished report, so a
-// resumed campaign's /campaigns status equals the one its original run
-// ended with.
-func (c *Campaign) restoreCounters(r *Report) {
-	expected, executed, exercised, dead := r.TestedTests, r.TestedTests, r.Exercised, 0
-	if d := r.Distributed; d != nil {
-		expected, executed, exercised, dead = d.Expected, d.Reported, d.Exercised, len(d.DeadJobs)
-	}
-	c.expected.Store(int64(expected))
-	c.executed.Store(int64(executed))
-	c.exercised.Store(int64(exercised))
-	c.dead.Store(int64(dead))
+	return store.Key(campaignKeyPrefix, "report-v2", string(c.manifest))
 }
 
 // run is the campaign goroutine.
@@ -499,7 +489,6 @@ func (c *Campaign) execute() (*Report, error) {
 		// The whole campaign is memoized: resume instantly with the
 		// stored report, byte-for-byte what the uninterrupted run wrote.
 		obs.Diag.Printf("stage campaign: cache hit (report %s, %d issues)", out.Short(), len(r.Issues))
-		c.restoreCounters(r)
 		return r, nil
 	}
 
@@ -514,14 +503,11 @@ func (c *Campaign) execute() (*Report, error) {
 	c.gate()
 
 	if c.Spec.Feedback {
-		// Feedback interleaves generation and execution round by round;
-		// its budget allocation depends on each round's results, so it
-		// cannot ship as a static job set. It runs locally (stage memos
-		// still checkpoint each round) and only stage-4 distribution is
-		// skipped.
+		// Feedback stays local: each round's budget depends on the last
+		// round's segment yields, and queue workers run the bare template,
+		// which tracks no segments (see ExecuteTests). Rounds still memoize.
 		p.RunFeedback(r, opts.TestBudget)
 		p.TriageReport(r)
-		c.restoreCounters(r)
 	} else if err := c.runDistributed(p, r, opts); err != nil {
 		return nil, err
 	}
@@ -536,14 +522,12 @@ func (c *Campaign) execute() (*Report, error) {
 }
 
 // runDistributed pushes the generated tests onto the campaign's named
-// queue and executes them through the control plane's own wire path,
-// taking fair-scheduler turns between slices.
+// queue, executes them through the control plane's own wire path, taking
+// fair-scheduler turns between slices, and folds what came back.
 func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	cts := p.GenerateTests(r, opts.TestBudget)
 	q := c.env.Registry.Open(c.QueueName())
-	// Empty without a store: the jobs then carry their programs inline.
-	corpusDigest, _, _ := p.ArtifactDigests()
-	if err := PushTests(q, cts, corpusDigest, c.Trace); err != nil {
+	if err := p.PushTests(q, cts, c.Trace); err != nil {
 		return fmt.Errorf("campaign %s: %w", c.ID, err)
 	}
 	c.expected.Store(int64(len(cts)))
@@ -557,15 +541,15 @@ func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	if c.env.ExecGate != nil {
 		<-c.env.ExecGate
 	}
+	span := obs.StartSpan("stage.exec", obs.A("tests", len(cts)), obs.A("trials", opts.Trials))
 	c.executeLoop(p, q, lsr)
+	r.ExecTime += span.End()
 
-	// Every job settled (acked or dead-lettered): fold results exactly
-	// once per job — redelivered duplicates are byte-identical (seeds
-	// derive from job IDs) and discarded — and surface dead letters.
-	sum := AggregateResults(len(cts), q.Results(), q.DeadLetters())
-	r.Distributed = &sum
-	c.dead.Store(int64(len(sum.DeadJobs)))
-	if sum.Lost() {
+	// Every job settled, by this executor or an sbexec that joined the queue.
+	if err := p.FoldResults(r, cts, q.Results(), q.DeadLetters()); err != nil {
+		return fmt.Errorf("campaign %s: %w", c.ID, err)
+	}
+	if sum := r.Distributed; sum.Lost() {
 		return fmt.Errorf("campaign %s: jobs neither reported nor dead-lettered: %v", c.ID, sum.Missing)
 	}
 	return nil
@@ -642,8 +626,8 @@ func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr Leaser) {
 		}
 		st = q.Stats()
 		if st.Pending == 0 && st.Leased > 0 {
-			// Stragglers: abandoned (Fault-injected) leases waiting for the
-			// reaper. Yield until they redeliver or dead-letter.
+			// Stragglers: leases abandoned (Fault) or held by a joined
+			// sbexec. Yield until they settle or the reaper takes them.
 			time.Sleep(5 * time.Millisecond)
 		}
 	}

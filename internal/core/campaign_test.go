@@ -152,6 +152,18 @@ func TestCampaignRunsToCompletion(t *testing.T) {
 	if st.Trace == "" || st.ID != c.ID {
 		t.Fatalf("status identity incomplete: %+v", st)
 	}
+	// The report is the local fold of what the queue delivered, and the
+	// status reads from it.
+	if r.TestedTests != sum.Reported || r.TrialsRun != sum.Trials || st.Issues != len(r.Issues) {
+		t.Fatalf("report (%d tests, %d trials, %d issues) disagrees with summary %+v / status %+v",
+			r.TestedTests, r.TrialsRun, len(r.Issues), sum, st)
+	}
+	// exec_per_min is a rate — the report's, once done — not the raw count
+	// of executed tests.
+	if r.ExecTime <= 0 || st.ExecPerMin != r.ExecPerMin() || st.ExecPerMin == float64(st.Executed) {
+		t.Fatalf("exec_per_min = %v with %d tests executed in %v (report says %v/min)",
+			st.ExecPerMin, st.Executed, r.ExecTime, r.ExecPerMin())
+	}
 }
 
 // TestCampaignsLeaveNoGoroutines: a pipeline's machines park one coroutine
@@ -195,7 +207,7 @@ func TestCampaignsLeaveNoGoroutines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r, err := c.Wait(); err != nil || r.TrialsRun == 0 && r.Distributed.Trials == 0 {
+			if r, err := c.Wait(); err != nil || r.TrialsRun == 0 {
 				t.Fatalf("campaign: %v, report %+v", err, r)
 			}
 		}
@@ -344,17 +356,17 @@ func TestCampaignFaultInjectionLosesNothing(t *testing.T) {
 	if sum.Reported != sum.Expected || sum.Lost() || len(sum.DeadJobs) != 0 {
 		t.Fatalf("crash-injected campaign did not settle cleanly: %+v", sum)
 	}
-	// Exactly-once fold: the executed counter counts settled jobs, never
-	// the abandoned first deliveries.
-	if c.Executed() != int64(sum.Expected) {
-		t.Fatalf("executed %d, want %d (double-counted redeliveries?)", c.Executed(), sum.Expected)
+	// Exactly-once fold: the report counts settled jobs, never the
+	// abandoned first deliveries.
+	if r.TestedTests != sum.Expected || c.Executed() != int64(sum.Expected) {
+		t.Fatalf("folded %d tests, executed %d, want %d (double-counted redeliveries?)", r.TestedTests, c.Executed(), sum.Expected)
 	}
 }
 
 func TestCampaignFaultResultsAreDeterministic(t *testing.T) {
 	// Redelivered jobs must report byte-identical results: a crashy run's
-	// aggregate equals an undisturbed run's.
-	clean := func(fault func(int, int) bool, lease time.Duration) DistSummary {
+	// whole report equals an undisturbed run's.
+	clean := func(fault func(int, int) bool, lease time.Duration) []byte {
 		reg := queue.NewRegistry(queue.Options{LeaseTimeout: lease, MaxAttempts: 6})
 		defer reg.Close()
 		c, err := StartCampaign(smallSpec("det", 9), CampaignEnv{Registry: reg, Fault: fault})
@@ -365,17 +377,20 @@ func TestCampaignFaultResultsAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum := *r.Distributed
-		// Duplicates counts redeliveries — the only legitimately
-		// nondeterministic field under fault injection.
-		sum.Duplicates = 0
-		return sum
+		// Duplicates counts redeliveries that reported twice and the stage
+		// timings are wall clock — the only legitimately nondeterministic
+		// fields under fault injection.
+		r.Distributed.Duplicates = 0
+		r.FuzzTime, r.ProfileTime, r.IdentifyTime, r.ClusterTime, r.ExecTime = 0, 0, 0, 0, 0
+		payload, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
 	}
 	undisturbed := clean(nil, 0)
 	crashy := clean(func(jobID, attempt int) bool { return attempt == 1 && jobID%2 == 0 }, 80*time.Millisecond)
-	a, _ := json.Marshal(undisturbed)
-	b, _ := json.Marshal(crashy)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("fault injection changed results:\n%s\nvs\n%s", a, b)
+	if !bytes.Equal(undisturbed, crashy) {
+		t.Fatalf("fault injection changed the report:\n%s\nvs\n%s", undisturbed, crashy)
 	}
 }

@@ -9,6 +9,8 @@ package core
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"snowboard/internal/cluster"
@@ -195,9 +197,9 @@ type Report struct {
 	Unknown []detect.Issue      // findings not matching Table 2
 
 	// Distributed, when the run fanned out over the queue, is the
-	// exactly-once fold of worker results — including the dead-letter list,
-	// so a job that exhausted its delivery attempts is surfaced in the
-	// final report rather than silently dropped (see AggregateResults).
+	// exactly-once delivery accounting of worker results — including the
+	// dead-letter list, so a job that exhausted its delivery attempts is
+	// surfaced in the final report, not silently dropped (see FoldResults).
 	Distributed *DistSummary `json:",omitempty"`
 
 	// Notes records degraded-mode decisions (e.g. generation skipped on an
@@ -240,12 +242,31 @@ func (r *Report) BugIDs() []int {
 	for id := range r.Issues {
 		out = append(out, id)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	sort.Ints(out)
+	return out
+}
+
+// IssueTable renders the findings one per line — Table 2 id, tests run so
+// far, trial, and triage's minimized bundle — as `snowboard -v` prints them.
+func (r *Report) IssueTable() string {
+	var b strings.Builder
+	for _, id := range r.BugIDs() {
+		rec := r.Issues[id]
+		fmt.Fprintf(&b, "    #%-2d after %3d tests (trial %2d): [%s] %s\n",
+			id, rec.TestIndex, rec.Trial, rec.Issue.Kind, rec.Issue.Desc)
+		if t := rec.Triage; t != nil {
+			st := t.Stats
+			fmt.Fprintf(&b, "         minimized: %s  bundle %s\n", t.Signature, t.Bundle)
+			fmt.Fprintf(&b, "         schedule %d->%d decisions, syscalls %d+%d -> %d+%d (%d replays)\n",
+				st.DecisionsOrig, st.DecisionsMin,
+				st.WriterCallsOrig, st.ReaderCallsOrig, st.WriterCallsMin, st.ReaderCallsMin,
+				st.Replays)
 		}
 	}
-	return out
+	for _, u := range r.Unknown {
+		fmt.Fprintf(&b, "    UNCLASSIFIED: [%s] %s\n", u.Kind, u.Desc)
+	}
+	return b.String()
 }
 
 // String renders the report as a Table 3-style row.

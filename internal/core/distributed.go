@@ -1,26 +1,29 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
 	"sort"
 
 	"snowboard/internal/queue"
+	"snowboard/internal/sched"
 )
 
 // DistSummary is the distributed-mode portion of a campaign report: the
-// deterministic fold of every worker JobResult plus the queue's dead-letter
-// list. At-least-once delivery means a redelivered job can report more than
-// once; each job is counted exactly once here, and because worker seeds
-// derive from the job ID alone, every copy of a job's result is identical —
-// so the summary is byte-for-byte the same whether or not any worker
-// crashed mid-campaign.
+// delivery accounting of every worker JobResult plus the queue's
+// dead-letter list, and what the fold of those results added to the report.
+// At-least-once delivery means a redelivered job can report more than once;
+// each job is counted exactly once here, and because a job carries its
+// seed, every copy of a job's result is identical — so the summary is
+// byte-for-byte the same whether or not any worker crashed mid-campaign.
 type DistSummary struct {
 	Expected   int      `json:"expected"`             // jobs enqueued
 	Reported   int      `json:"reported"`             // distinct jobs with a result
 	Duplicates int      `json:"duplicates,omitempty"` // redelivered copies folded away
-	Exercised  int      `json:"exercised"`            // distinct jobs whose PMC channel occurred
+	Exercised  int      `json:"exercised"`            // folded jobs whose PMC channel occurred
 	Trials     int      `json:"trials"`               // interleaving trials, each job counted once
-	BugIDs     []int    `json:"bug_ids,omitempty"`    // sorted distinct Table 2 ids
-	IssueIDs   []string `json:"issue_ids,omitempty"`  // sorted distinct issue ids
+	BugIDs     []int    `json:"bug_ids,omitempty"`    // the folded report's Table 2 ids, sorted
+	IssueIDs   []string `json:"issue_ids,omitempty"`  // the folded report's issue ids, sorted
 	DeadJobs   []int    `json:"dead_jobs,omitempty"`  // job IDs that exhausted delivery attempts
 	Missing    []int    `json:"missing,omitempty"`    // job IDs neither reported nor dead-lettered
 }
@@ -30,44 +33,29 @@ type DistSummary struct {
 // always be false once the queue settles.
 func (s *DistSummary) Lost() bool { return len(s.Missing) > 0 }
 
-// AggregateResults folds worker results into a deterministic summary,
-// counting each of the `expected` jobs (IDs 0..expected-1, as enqueued by
-// the coordinator) exactly once no matter how many times the queue
-// redelivered it. The first result per job ID is taken as representative
-// (any copy is — see DistSummary); later copies only bump Duplicates.
-// Dead-lettered jobs are surfaced so a poisoned job is never silently
-// dropped from the report.
-func AggregateResults(expected int, results []queue.JobResult, dead []queue.DeadJob) DistSummary {
+// AggregateResults is the delivery accounting of a distributed run: each of
+// the `expected` jobs (IDs 0..expected-1, as enqueued by PushTests) counts
+// exactly once no matter how many times the queue redelivered it. The first
+// result per job ID is representative (any copy is — see DistSummary) and
+// returned in job-ID order; later copies only bump Duplicates, a result
+// naming no enqueued job is dropped, and dead-lettered jobs are surfaced so
+// a poisoned job never silently leaves the report.
+func AggregateResults(expected int, results []queue.JobResult, dead []queue.DeadJob) (DistSummary, []queue.JobResult) {
 	sum := DistSummary{Expected: expected}
 	seen := make(map[int]bool, len(results))
-	bugs := make(map[int]bool)
-	issues := make(map[string]bool)
+	var first []queue.JobResult
 	for _, res := range results {
-		if seen[res.JobID] {
+		switch {
+		case res.JobID < 0 || res.JobID >= expected:
+		case seen[res.JobID]:
 			sum.Duplicates++
-			continue
-		}
-		seen[res.JobID] = true
-		sum.Reported++
-		sum.Trials += res.Trials
-		if res.Exercised {
-			sum.Exercised++
-		}
-		for _, id := range res.BugIDs {
-			bugs[id] = true
-		}
-		for _, id := range res.IssueIDs {
-			issues[id] = true
+		default:
+			seen[res.JobID] = true
+			first = append(first, res)
 		}
 	}
-	for id := range bugs {
-		sum.BugIDs = append(sum.BugIDs, id)
-	}
-	sort.Ints(sum.BugIDs)
-	for id := range issues {
-		sum.IssueIDs = append(sum.IssueIDs, id)
-	}
-	sort.Strings(sum.IssueIDs)
+	sum.Reported = len(first)
+	sort.Slice(first, func(i, j int) bool { return first[i].JobID < first[j].JobID })
 	deadSet := make(map[int]bool, len(dead))
 	for _, d := range dead {
 		if !deadSet[d.Job.ID] {
@@ -81,5 +69,34 @@ func AggregateResults(expected int, results []queue.JobResult, dead []queue.Dead
 			sum.Missing = append(sum.Missing, id)
 		}
 	}
-	return sum
+	return sum, first
+}
+
+// FoldResults is the coordinator's half of queue-delivered stage 4, run
+// once the queue PushTests filled has settled: account for delivery, fold
+// the first outcome each job reported — in job order, with the fold local
+// execution uses — triage the findings, and attach r.Distributed.
+func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) error {
+	sum, first := AggregateResults(len(tests), results, dead)
+	folded := make([]sched.ConcurrentTest, len(first))
+	outs := make([]sched.Outcome, len(first))
+	for i, res := range first {
+		folded[i] = tests[res.JobID]
+		if err := json.Unmarshal(res.Outcome, &outs[i]); err != nil {
+			return fmt.Errorf("job %d: decode outcome reported by %q: %w", res.JobID, res.Worker, err)
+		}
+	}
+	trials, exercised := r.TrialsRun, r.Exercised
+	p.foldOutcomes(r, folded, outs)
+	p.TriageReport(r)
+	sum.Trials, sum.Exercised, sum.BugIDs = r.TrialsRun-trials, r.Exercised-exercised, r.BugIDs()
+	for _, rec := range r.Issues {
+		sum.IssueIDs = append(sum.IssueIDs, rec.Issue.ID())
+	}
+	for _, is := range r.Unknown {
+		sum.IssueIDs = append(sum.IssueIDs, is.ID())
+	}
+	sort.Strings(sum.IssueIDs)
+	r.Distributed = &sum
+	return nil
 }

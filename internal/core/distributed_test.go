@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"net"
@@ -12,6 +11,7 @@ import (
 
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
+	"snowboard/internal/store"
 )
 
 // drain runs one core.Worker over lsr until every job on q has settled
@@ -46,10 +46,12 @@ func drain(t *testing.T, q *queue.Queue, lsr Leaser, w *Worker, crashFirst bool)
 	}
 }
 
-// pushedQueue returns a queue holding tests as jobs. The lease is short so
-// an abandoned job redelivers quickly, yet long enough that keepLease's
-// half-TTL extends never race the reaper on a loaded machine.
-func pushedQueue(t *testing.T, tests []sched.ConcurrentTest, corpusDigest string, maxAttempts int) *queue.Queue {
+// pushedQueue returns a queue holding tests as jobs seeded from the start
+// of p's cursor, so every call enqueues the same (test, seed) pairs. The
+// lease is short so an abandoned job redelivers quickly, yet long enough
+// that keepLease's half-TTL extends never race the reaper on a loaded
+// machine.
+func pushedQueue(t *testing.T, p *Pipeline, tests []sched.ConcurrentTest, maxAttempts int) *queue.Queue {
 	t.Helper()
 	q := queue.NewWithOptions(queue.Options{
 		Name:         "core-test",
@@ -57,54 +59,92 @@ func pushedQueue(t *testing.T, tests []sched.ConcurrentTest, corpusDigest string
 		MaxAttempts:  maxAttempts,
 	})
 	t.Cleanup(q.Close)
-	if err := PushTests(q, tests, corpusDigest, ""); err != nil {
+	p.exploreUnits = 0
+	if err := p.PushTests(q, tests, ""); err != nil {
 		t.Fatal(err)
 	}
 	return q
 }
 
-// runCampaign drains every queued test through a single in-process
-// core.Worker — the engine behind sbd, sbexec and the example.
-func runCampaign(t *testing.T, p *Pipeline, opts Options, tests []sched.ConcurrentTest, crashFirst bool) (DistSummary, queue.Stats) {
+// foldReport folds a settled queue's results into a copy of base (the
+// report as stages 1–3 left it) and returns it with the delivery-dependent
+// duplicate count split off.
+func foldReport(t *testing.T, p *Pipeline, base *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) (*Report, int) {
 	t.Helper()
-	q := pushedQueue(t, tests, "", 5)
-	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), opts.Trials, "core-test", nil), crashFirst)
-	return AggregateResults(len(tests), q.Results(), q.DeadLetters()), q.Stats()
+	r := freshCopy(base)
+	if err := p.FoldResults(r, tests, results, dead); err != nil {
+		t.Fatal(err)
+	}
+	sum := r.Distributed
+	if sum.Lost() || len(sum.DeadJobs) != 0 || sum.Reported != len(tests) {
+		t.Fatalf("campaign did not settle cleanly: %+v", sum)
+	}
+	if r.TestedTests != sum.Reported || r.TrialsRun != sum.Trials {
+		t.Fatalf("report counts %d tests / %d trials, its summary %+v", r.TestedTests, r.TrialsRun, sum)
+	}
+	dups := sum.Duplicates
+	sum.Duplicates = 0
+	return r, dups
 }
 
-// smallCampaign builds the shared fixture: a profiled pipeline and a few
-// generated concurrent tests.
-func smallCampaign(t *testing.T) (*Pipeline, *Report, Options, []sched.ConcurrentTest) {
-	t.Helper()
-	opts := DefaultOptions()
-	opts.Seed = 3
-	opts.FuzzBudget = 150
-	opts.CorpusCap = 40
-	opts.Trials = 4
+// freshCopy copies a report as stages 1–3 left it, with an issue map of its
+// own, for one more stage-4 fold.
+func freshCopy(base *Report) *Report {
+	r := *base
+	r.Issues = make(map[int]IssueRecord)
+	return &r
+}
 
+// runCampaign drains every queued test through a single in-process
+// core.Worker — the engine behind sbd, sbexec and the example — and folds.
+func runCampaign(t *testing.T, p *Pipeline, base *Report, opts Options, tests []sched.ConcurrentTest, crashFirst bool) (*Report, queue.Stats) {
+	t.Helper()
+	q := pushedQueue(t, p, tests, 5)
+	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), opts.Trials, "core-test", nil), crashFirst)
+	r, _ := foldReport(t, p, base, tests, q.Results(), q.DeadLetters())
+	return r, q.Stats()
+}
+
+// campaignFixture builds a profiled pipeline and its generated tests.
+func campaignFixture(t *testing.T, opts Options) (*Pipeline, *Report, []sched.ConcurrentTest) {
+	t.Helper()
 	p := NewPipeline(opts)
+	t.Cleanup(p.Close)
 	r := p.NewReport()
 	p.BuildCorpus(r)
 	if err := p.ProfileAll(r); err != nil {
 		t.Fatal(err)
 	}
 	p.IdentifyPMCs(r)
-	tests := p.GenerateTests(r, 6)
+	tests := p.GenerateTests(r, opts.TestBudget)
 	if len(tests) == 0 {
 		t.Fatal("no concurrent tests generated")
 	}
+	return p, r, tests
+}
+
+// smallCampaign is the shared cheap fixture: a few tests, a few trials.
+func smallCampaign(t *testing.T) (*Pipeline, *Report, Options, []sched.ConcurrentTest) {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.Seed = 3
+	opts.FuzzBudget = 150
+	opts.CorpusCap = 40
+	opts.TestBudget = 6
+	opts.Trials = 4
+	p, r, tests := campaignFixture(t, opts)
 	return p, r, opts, tests
 }
 
 // TestCrashRedeliveryByteIdenticalReport is the end-to-end lost-job
 // regression test: a worker that dies holding a lease must not lose the job,
-// and because per-job seeds derive from the job ID, the campaign summary
-// after redelivery must be byte-for-byte identical to a crash-free run.
+// and because a job carries its seed, the whole campaign report after
+// redelivery must be byte-for-byte identical to a crash-free run.
 func TestCrashRedeliveryByteIdenticalReport(t *testing.T) {
 	p, r, opts, tests := smallCampaign(t)
 
-	baseline, baseStats := runCampaign(t, p, opts, tests, false)
-	crashy, crashStats := runCampaign(t, p, opts, tests, true)
+	baseline, baseStats := runCampaign(t, p, r, opts, tests, false)
+	crashy, crashStats := runCampaign(t, p, r, opts, tests, true)
 
 	if baseStats.Redelivered != 0 {
 		t.Errorf("baseline redeliveries = %d, want 0", baseStats.Redelivered)
@@ -112,13 +152,6 @@ func TestCrashRedeliveryByteIdenticalReport(t *testing.T) {
 	if crashStats.Redelivered != 1 {
 		t.Errorf("crashy redeliveries = %d, want 1", crashStats.Redelivered)
 	}
-	if crashy.Lost() || len(crashy.DeadJobs) != 0 {
-		t.Fatalf("crashy campaign lost jobs: %+v", crashy)
-	}
-	if crashy.Reported != len(tests) {
-		t.Fatalf("crashy reported %d/%d jobs", crashy.Reported, len(tests))
-	}
-
 	want, err := json.Marshal(baseline)
 	if err != nil {
 		t.Fatal(err)
@@ -128,99 +161,167 @@ func TestCrashRedeliveryByteIdenticalReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(want) != string(got) {
-		t.Fatalf("campaign summary changed under worker crash:\nbaseline: %s\ncrashy:   %s", want, got)
+		t.Fatalf("campaign report changed under worker crash:\nbaseline: %s\ncrashy:   %s", want, got)
 	}
+}
 
-	// The summary rides the campaign report as its distributed section.
-	r.Distributed = &crashy
-	if _, err := json.Marshal(r); err != nil {
-		t.Fatalf("report with distributed summary does not marshal: %v", err)
+// flakyDial is the seeded fault-injecting transport of the door tests.
+func flakyDial(seed int64) func(string) (net.Conn, error) {
+	return queue.FlakyDialer(queue.FlakyOptions{
+		Seed:      seed,
+		FailProb:  0.03,
+		DelayProb: 0.05,
+		MaxDelay:  2 * time.Millisecond,
+	}, nil)
+}
+
+// serveQueue serves q over loopback TCP and returns a client of it.
+func serveQueue(t *testing.T, q *queue.Queue, seed int64, dial func(string) (net.Conn, error)) *queue.Client {
+	t.Helper()
+	srv, err := queue.Serve(q, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	cl, err := queue.DialOpts(srv.Addr(), queue.DialOptions{
+		MaxRetries: 8,
+		BaseDelay:  time.Millisecond,
+		MaxDelay:   20 * time.Millisecond,
+		Seed:       seed,
+		Dial:       dial,
+	})
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cl.Close()
+		srv.Close()
+	})
+	return cl
 }
 
 // TestWorkerFrontDoorsAgree is the front-door differential: the same
 // generated tests through core.Worker over the in-process leaser, a TCP
 // queue client, and a fault-injected TCP client that also abandons a lease
-// must yield the same per-job results and the same folded summary — what a
-// queue-delivered test computes may not depend on how it was delivered.
+// must yield the same outcome bytes per job and the same folded report —
+// what a queue-delivered test computes may not depend on how it was
+// delivered.
 func TestWorkerFrontDoorsAgree(t *testing.T) {
-	p, _, opts, tests := smallCampaign(t)
+	p, base, opts, tests := smallCampaign(t)
 
-	// run drains the tests through one door and returns each job's result
-	// (Worker cleared: it names the door, not the work) plus the summary
-	// JSON with the legitimately delivery-dependent duplicate count zeroed.
-	run := func(name string, tcp bool, dial func(string) (net.Conn, error), crashFirst bool) (map[int]queue.JobResult, []byte) {
-		q := pushedQueue(t, tests, "", 50)
+	// run drains the tests through one door and returns each job's outcome
+	// bytes plus the folded report.
+	run := func(name string, tcp bool, dial func(string) (net.Conn, error), crashFirst bool) (map[int]string, *Report) {
+		q := pushedQueue(t, p, tests, 50)
 		var lsr Leaser = localLeaser{q}
 		if tcp {
-			srv, err := queue.Serve(q, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			cl, err := queue.DialOpts(srv.Addr(), queue.DialOptions{
-				MaxRetries: 8,
-				BaseDelay:  time.Millisecond,
-				MaxDelay:   20 * time.Millisecond,
-				Seed:       opts.Seed,
-				Dial:       dial,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			lsr = cl
+			lsr = serveQueue(t, q, opts.Seed, dial)
 		}
 		drain(t, q, lsr, NewWorker(p.Env.Clone(), opts.Trials, name, nil), crashFirst)
 		if st := q.Stats(); crashFirst && st.Redelivered == 0 {
 			t.Errorf("%s: the abandoned lease was never redelivered: %+v", name, st)
 		}
-
-		results, dead := q.Results(), q.DeadLetters()
-		perJob := make(map[int]queue.JobResult, len(tests))
+		results := q.Results()
+		perJob := make(map[int]string, len(tests))
 		for _, res := range results {
 			if res.Worker != name {
 				t.Errorf("%s: result for job %d names worker %q", name, res.JobID, res.Worker)
 			}
-			res.Worker = ""
-			if first, dup := perJob[res.JobID]; dup && !reflect.DeepEqual(first, res) {
-				t.Errorf("%s: redelivered copy of job %d differs:\n%+v\nvs\n%+v", name, res.JobID, first, res)
+			if first, dup := perJob[res.JobID]; dup && first != string(res.Outcome) {
+				t.Errorf("%s: redelivered copy of job %d differs:\n%s\nvs\n%s", name, res.JobID, first, res.Outcome)
 			}
-			perJob[res.JobID] = res
+			perJob[res.JobID] = string(res.Outcome)
 		}
-		sum := AggregateResults(len(tests), results, dead)
-		if sum.Lost() || len(sum.DeadJobs) != 0 || sum.Reported != len(tests) {
-			t.Fatalf("%s: campaign did not settle cleanly: %+v", name, sum)
-		}
-		sum.Duplicates = 0
-		payload, err := json.Marshal(sum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return perJob, payload
+		r, _ := foldReport(t, p, base, tests, results, q.DeadLetters())
+		return perJob, r
 	}
 
-	wantJobs, wantSum := run("local", false, nil, false)
-	flaky := queue.FlakyDialer(queue.FlakyOptions{
-		Seed:      opts.Seed,
-		FailProb:  0.03,
-		DelayProb: 0.05,
-		MaxDelay:  2 * time.Millisecond,
-	}, nil)
+	wantJobs, wantReport := run("local", false, nil, false)
 	for _, door := range []struct {
 		name       string
 		dial       func(string) (net.Conn, error)
 		crashFirst bool
 	}{
 		{"tcp", nil, false},
-		{"flaky-tcp", flaky, true},
+		{"flaky-tcp", flakyDial(opts.Seed), true},
 	} {
-		gotJobs, gotSum := run(door.name, true, door.dial, door.crashFirst)
+		gotJobs, gotReport := run(door.name, true, door.dial, door.crashFirst)
 		if !reflect.DeepEqual(gotJobs, wantJobs) {
-			t.Errorf("%s: per-job results differ from the in-process door:\n%+v\nvs\n%+v", door.name, gotJobs, wantJobs)
+			t.Errorf("%s: per-job outcomes differ from the in-process door:\n%+v\nvs\n%+v", door.name, gotJobs, wantJobs)
 		}
-		if !bytes.Equal(gotSum, wantSum) {
-			t.Errorf("%s: summary differs from the in-process door:\n%s\nvs\n%s", door.name, gotSum, wantSum)
+		if !reflect.DeepEqual(gotReport, wantReport) {
+			t.Errorf("%s: folded report differs from the in-process door:\n%+v\nvs\n%+v", door.name, gotReport, wantReport)
+		}
+	}
+}
+
+// dupLeaser reports its first result twice — the at-least-once duplicate.
+type dupLeaser struct {
+	Leaser
+	duplicated bool
+}
+
+func (d *dupLeaser) Report(res queue.JobResult) error {
+	if !d.duplicated {
+		d.duplicated = true
+		if err := d.Leaser.Report(res); err != nil {
+			return err
+		}
+	}
+	return d.Leaser.Report(res)
+}
+
+// TestQueueFoldEqualsLocalFold: the same tests and seeds explored
+// in-process by the shared recipe with the queue template and folded, and
+// pushed through PushTests → flaky TCP → Worker.Do with one abandoned lease
+// and one duplicated report, yield deep-equal reports — issues, repro
+// state, triage, unknowns and counters: the queue adds delivery, nothing
+// else.
+func TestQueueFoldEqualsLocalFold(t *testing.T) {
+	for _, seed := range []int64{3, 7} {
+		opts := triageOpts(seed)
+		p, base, tests := campaignFixture(t, opts)
+
+		env := p.Env.Clone()
+		x := stage4Explorer(env, opts.Trials, opts.Detect)
+		outs := make([]sched.Outcome, len(tests))
+		for i, s := range p.exploreSeeds(len(tests)) {
+			x.Seed = s
+			outs[i] = x.Explore(tests[i])
+		}
+		env.Close()
+		local := freshCopy(base)
+		p.foldOutcomes(local, tests, outs)
+		p.TriageReport(local)
+
+		q := pushedQueue(t, p, tests, 50)
+		lsr := &dupLeaser{Leaser: serveQueue(t, q, seed, flakyDial(seed))}
+		wenv := p.Env.Clone()
+		drain(t, q, lsr, NewWorker(wenv, opts.Trials, "queue", nil), true)
+		wenv.Close()
+		if st := q.Stats(); st.Redelivered == 0 {
+			t.Errorf("seed %d: the abandoned lease was never redelivered: %+v", seed, st)
+		}
+		queued, dups := foldReport(t, p, base, tests, q.Results(), q.DeadLetters())
+		if dups == 0 {
+			t.Errorf("seed %d: the duplicated report was not counted", seed)
+		}
+
+		crash := 0
+		for id, rec := range queued.Issues {
+			if rec.Repro != nil {
+				crash++
+				if rec.Triage == nil {
+					t.Errorf("seed %d: issue #%d has a recorded trial but no triage summary", seed, id)
+				}
+			}
+		}
+		if crash == 0 {
+			t.Fatalf("seed %d: no crash-level finding to compare", seed)
+		}
+		queued.Distributed = nil
+		if !reflect.DeepEqual(queued, local) {
+			t.Errorf("seed %d: queue fold differs from the local fold:\n%+v\nvs\n%+v", seed, queued, local)
 		}
 	}
 }
@@ -230,7 +331,8 @@ func TestWorkerFrontDoorsAgree(t *testing.T) {
 // budget lands on the dead-letter list — accounted for, never lost.
 func TestWorkerNacksUnresolvableJobs(t *testing.T) {
 	p, _, opts, tests := smallCampaign(t)
-	q := pushedQueue(t, tests, strings.Repeat("ab", 32), 2)
+	p.corpusDigest = store.Sum([]byte("a corpus only the coordinator has"))
+	q := pushedQueue(t, p, tests, 2)
 	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), opts.Trials, "no-store", nil), false)
 
 	dead := q.DeadLetters()
@@ -242,43 +344,43 @@ func TestWorkerNacksUnresolvableJobs(t *testing.T) {
 			t.Errorf("dead job %d: attempts=%d reason=%q", d.Job.ID, d.Attempts, d.Reason)
 		}
 	}
-	sum := AggregateResults(len(tests), q.Results(), dead)
+	sum, _ := AggregateResults(len(tests), q.Results(), dead)
 	if sum.Reported != 0 || len(sum.DeadJobs) != len(tests) || sum.Lost() {
 		t.Fatalf("unresolvable jobs not fully accounted for: %+v", sum)
 	}
 }
 
-// TestAggregateResultsFolds pins the pure fold: duplicates collapse to the
-// first copy, bug/issue IDs union sorted, dead-lettered and missing jobs are
-// surfaced instead of silently dropped.
+// TestAggregateResultsFolds pins the delivery accounting: duplicates
+// collapse to the first copy, the first copies come back in job order,
+// dead-lettered and missing jobs are surfaced instead of silently dropped,
+// and a result naming no enqueued job counts for nothing.
 func TestAggregateResultsFolds(t *testing.T) {
 	results := []queue.JobResult{
-		{JobID: 2, Trials: 4, Exercised: true, BugIDs: []int{9, 3}, IssueIDs: []string{"b"}},
-		{JobID: 0, Trials: 2, BugIDs: []int{3}},
-		{JobID: 2, Trials: 4, Exercised: true, BugIDs: []int{9, 3}, IssueIDs: []string{"b"}}, // redelivered copy
-		{JobID: 1, Trials: 1, Exercised: true, IssueIDs: []string{"a"}},
+		{JobID: 2, Trials: 4, Worker: "a"},
+		{JobID: 0, Trials: 2},
+		{JobID: 2, Trials: 4, Worker: "b"}, // redelivered copy
+		{JobID: 1, Trials: 1},
+		{JobID: 6, Trials: 9},
 	}
 	dead := []queue.DeadJob{{Job: queue.Job{ID: 4}, Attempts: 3, Reason: "poisoned"}}
-	sum := AggregateResults(6, results, dead)
+	sum, first := AggregateResults(6, results, dead)
 	want := DistSummary{
 		Expected:   6,
 		Reported:   3,
 		Duplicates: 1,
-		Exercised:  2,
-		Trials:     7,
-		BugIDs:     []int{3, 9},
-		IssueIDs:   []string{"a", "b"},
 		DeadJobs:   []int{4},
 		Missing:    []int{3, 5},
 	}
 	if !reflect.DeepEqual(sum, want) {
 		t.Fatalf("AggregateResults = %+v, want %+v", sum, want)
 	}
+	if !reflect.DeepEqual(first, []queue.JobResult{results[1], results[3], results[0]}) {
+		t.Fatalf("first results = %+v, want jobs 0, 1, 2 with job 2 from worker a", first)
+	}
 	if !sum.Lost() {
 		t.Fatal("Lost() = false with missing jobs")
 	}
-	clean := AggregateResults(3, results, nil)
-	if clean.Lost() {
+	if clean, _ := AggregateResults(3, results, nil); clean.Lost() {
 		t.Fatalf("Lost() = true for fully-settled campaign: %+v", clean)
 	}
 }

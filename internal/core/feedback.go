@@ -158,7 +158,7 @@ func (p *Pipeline) checkpointFeedback(key store.Digest, round, testsDone, cursor
 		GenCalls:     p.genCalls,
 		ExploreUnits: p.exploreUnits,
 		Credits:      append([]int64(nil), credits...),
-		Segments:     p.segments().Export(),
+		Segments:     p.segs.Export(),
 		Report:       payload,
 	}, nil)
 }
@@ -430,7 +430,7 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 		mGenTests.Add(int64(len(tests)))
 
 		issuesBefore := len(r.Issues)
-		yields := p.executeTests(r, tests)
+		yields := p.ExecuteTests(r, tests)
 		newSegments := 0
 		for ti, y := range yields {
 			newSegments += y

@@ -206,7 +206,7 @@ func feedbackDigestOf(p *Pipeline, r *Report) feedbackDigest {
 		d.Issues[id] = fmt.Sprintf("%s|test=%d|trial=%d|count=%d|repro=%v",
 			rec.Issue.ID(), rec.TestIndex, rec.Trial, rec.Count, rec.Repro != nil)
 	}
-	for _, sc := range p.segments().Export() {
+	for _, sc := range p.segs.Export() {
 		d.SegmentsHash = fnv1a(d.SegmentsHash, fmt.Sprintf("%d:%d:%d:%d:%d",
 			sc.Seg.First.Write, sc.Seg.First.Read, sc.Seg.Second.Write, sc.Seg.Second.Read, sc.N))
 	}

@@ -52,8 +52,8 @@ type Pipeline struct {
 	envs []*exec.Env
 
 	// genCalls counts GenerateTests invocations and exploreUnits counts
-	// concurrent tests executed, so repeated stage calls keep drawing
-	// fresh — but deterministic — seeds, like the old shared rng did.
+	// concurrent tests seeded (exploreSeeds), so repeated stage calls keep
+	// drawing fresh — but deterministic — seeds, like the old shared rng did.
 	genCalls     int
 	exploreUnits int
 
@@ -61,6 +61,7 @@ type Pipeline struct {
 	// ExecuteTests call of this pipeline. Per-test outcomes are folded in
 	// test order, so its contents — and the per-test fresh-segment yields
 	// the feedback scheduler allocates budget by — are worker-invariant.
+	// RunFeedback replaces it when resuming round state.
 	segs *cover.Segments
 
 	// store, when attached with UseStore, memoizes stages through the
@@ -97,6 +98,7 @@ func NewPipeline(opts Options) *Pipeline {
 	return &Pipeline{
 		Opts: opts,
 		Env:  exec.NewEnv(kernel.Config{Version: opts.Version}),
+		segs: cover.NewSegments(),
 	}
 }
 
@@ -343,55 +345,45 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 	return out
 }
 
-// segments returns the pipeline-cumulative segment accumulator, creating
-// it on first use (RunFeedback replaces it when resuming round state).
-func (p *Pipeline) segments() *cover.Segments {
-	if p.segs == nil {
-		p.segs = cover.NewSegments()
-	}
-	return p.segs
-}
-
 // ExecuteTests explores each concurrent test (stage 4) across a fleet of
 // per-worker explorers, folding findings into the report in test order —
 // the fold is byte-for-byte the serial one, because each test's outcome is
-// a pure function of (test, derived seed).
-func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) {
-	p.executeTests(r, tests)
-}
-
-// executeTests is ExecuteTests, additionally returning each test's
-// fresh-segment yield against the pipeline-cumulative segment accumulator.
-// Yields are computed in the sequential test-order fold — a pure function
-// of test order, independent of worker placement — which is what the
-// feedback scheduler allocates the next round's budget by.
-func (p *Pipeline) executeTests(r *Report, tests []sched.ConcurrentTest) []int {
+// a pure function of (test, derived seed). It returns each test's
+// fresh-segment yield against the pipeline-cumulative segment accumulator,
+// which the feedback scheduler allocates the next round's budget by.
+func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 	span := obs.StartSpan("stage.exec", obs.A("tests", len(tests)), obs.A("trials", p.Opts.Trials),
 		obs.A("workers", p.workers()))
 	cov := cover.New()
-	template := sched.Explorer{
-		Trials:          p.Opts.Trials,
-		Mode:            sched.ModeSnowboard,
-		Detect:          p.Opts.Detect,
-		KnownPMCs:       p.PMCs,
-		Coverage:        cov,
-		TrackSegments:   true,
-		MutateSchedules: p.Opts.Feedback,
-	}
+	template := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
+	// The only difference between local and queue-delivered stage 4: a
+	// queue worker (NewWorker) runs the bare template. Giving it these
+	// layers too cost bench `fleet` trials_per_s −17…−23% for KnownPMCs,
+	// −11…−13% for Coverage+TrackSegments, −23…−33% for all three with
+	// wall_s +29…+50%, past BENCHMARK.json's 0.25 bound (EXPERIMENTS.md).
+	template.KnownPMCs, template.Coverage, template.TrackSegments = p.PMCs, cov, true
+	template.MutateSchedules = p.Opts.Feedback
 	fleet := sched.NewFleet(template, p.workerEnvs(p.workers()),
 		func(e *exec.Env) []string { return e.K.FsckHost() })
-	seeds := make([]int64, len(tests))
-	for i := range seeds {
-		seeds[i] = par.UnitSeed(p.Opts.Seed, par.StageExplore, p.exploreUnits+i)
-	}
-	p.exploreUnits += len(tests)
+	yields := p.foldOutcomes(r, tests, fleet.ExploreAll(tests, p.exploreSeeds(len(tests))))
+	r.CoverPairs += cov.Len()
+	mCoverPairs.Set(int64(r.CoverPairs))
+	d := span.End(obs.A("issues", len(r.Issues)), obs.A("segments", r.CoverSegments))
+	r.ExecTime += d
+	p.stageDone("exec", false, d)
+	return yields
+}
+
+// foldOutcomes is the one place an Outcome turns into IssueRecords,
+// Unknown, counters and segment yields: outs[i] is tests[i]'s outcome,
+// explored by the local fleet or reported through a queue (FoldResults).
+func (p *Pipeline) foldOutcomes(r *Report, tests []sched.ConcurrentTest, outs []sched.Outcome) []int {
 	unknownSeen := make(map[string]struct{}, len(r.Unknown))
 	for _, u := range r.Unknown {
 		unknownSeen[u.ID()] = struct{}{}
 	}
-	outs := fleet.ExploreAll(tests, seeds)
 	yields := make([]int, len(outs))
-	segs := p.segments()
+	segs := p.segs
 	for i, out := range outs {
 		ct := tests[i]
 		if out.Segments != nil {
@@ -418,7 +410,7 @@ func (p *Pipeline) executeTests(r *Report, tests []sched.ConcurrentTest) []int {
 						Repro:     out.Repro,
 						Test:      ct,
 					}
-				} else if rec.Repro == nil && out.Repro != nil && crashLevel(is.Kind) {
+				} else if rec.Repro == nil && out.Repro != nil && detect.CrashLevel(is.Kind) {
 					// The bug was first seen as its data-race shadow; a
 					// later crash-level observation carries the replayable
 					// trial — upgrade the record.
@@ -437,18 +429,10 @@ func (p *Pipeline) executeTests(r *Report, tests []sched.ConcurrentTest) []int {
 		}
 		mIssuesFound.Set(int64(len(r.Issues)))
 	}
-	r.CoverPairs += cov.Len()
 	r.CoverSegments = segs.Len()
-	mCoverPairs.Set(int64(r.CoverPairs))
 	mCoverSegments.Set(int64(r.CoverSegments))
-	d := span.End(obs.A("issues", len(r.Issues)), obs.A("segments", r.CoverSegments))
-	r.ExecTime += d
-	p.stageDone("exec", false, d)
 	return yields
 }
-
-// crashLevel reports whether the issue kind wedges or corrupts the kernel.
-func crashLevel(k detect.IssueKind) bool { return detect.CrashLevel(k) }
 
 // Run executes the full pipeline. With Options.StateDir set, every stage
 // memoizes through the content-addressed artifact store rooted there: a

@@ -8,6 +8,7 @@ import (
 	"snowboard/internal/exec"
 	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
+	"snowboard/internal/queue"
 	"snowboard/internal/store"
 	"snowboard/internal/triage"
 )
@@ -133,17 +134,33 @@ func TestTriageBundleReplaysInFreshEnv(t *testing.T) {
 }
 
 // TestEveryFindingReplays is the campaign-level replay property (the paper's
-// §6 promise): over seeds 3 and 7, one-shot and closed-loop, every recorded
-// trial replays through the one door to a crash-level issue, and every
-// minimized bundle loads from the state dir and replays in a fresh kernel
-// to exactly its recorded signature.
+// §6 promise): over seeds 3 and 7 — one-shot, closed-loop, and delivered
+// through a campaign's queue as sbd runs it — every recorded trial replays
+// through the one door to a crash-level issue, and every minimized bundle
+// loads from the state dir and replays in a fresh kernel to exactly its
+// recorded signature.
 func TestEveryFindingReplays(t *testing.T) {
 	for _, seed := range []int64{3, 7} {
-		for _, feedback := range []bool{false, true} {
+		for _, cell := range []string{"one-shot", "feedback", "sbd"} {
 			opts := triageOpts(seed)
-			opts.Feedback = feedback
+			opts.Feedback = cell == "feedback"
 			opts.StateDir = t.TempDir()
-			r, err := Run(opts)
+			var r *Report
+			var err error
+			if cell == "sbd" {
+				reg := queue.NewRegistry(queue.Options{})
+				var c *Campaign
+				c, err = StartCampaign(CampaignSpec{
+					Method: opts.Method.Name, Seed: seed, FuzzBudget: opts.FuzzBudget,
+					CorpusCap: opts.CorpusCap, TestBudget: opts.TestBudget, Trials: opts.Trials,
+				}, CampaignEnv{Registry: reg, StateDir: opts.StateDir})
+				if err == nil {
+					r, err = c.Wait()
+				}
+				reg.Close()
+			} else {
+				r, err = Run(opts)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,8 +174,8 @@ func TestEveryFindingReplays(t *testing.T) {
 				if rec.Repro != nil {
 					rp := triage.Replay(env, rec.Test, rec.Repro, opts.Detect)
 					if _, ok := triage.SignatureOfIssues(rp.Issues, rec.Test.Hint, id); !ok {
-						t.Errorf("seed %d feedback=%t issue #%d: recorded trial replays to no crash-level issue: %v",
-							seed, feedback, id, rp.Issues)
+						t.Errorf("seed %d %s issue #%d: recorded trial replays to no crash-level issue: %v",
+							seed, cell, id, rp.Issues)
 					}
 					trials++
 				}
@@ -169,8 +186,8 @@ func TestEveryFindingReplays(t *testing.T) {
 			}
 			env.Close()
 			if trials == 0 || bundles != trials || bundles != len(s.List(store.KindRepro)) {
-				t.Fatalf("seed %d feedback=%t: %d recorded trials, %d bundles in the report, %d in the store; want equal and non-zero",
-					seed, feedback, trials, bundles, len(s.List(store.KindRepro)))
+				t.Fatalf("seed %d %s: %d recorded trials, %d bundles in the report, %d in the store; want equal and non-zero",
+					seed, cell, trials, bundles, len(s.List(store.KindRepro)))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -8,34 +9,53 @@ import (
 	"snowboard/internal/detect"
 	"snowboard/internal/exec"
 	"snowboard/internal/obs"
+	"snowboard/internal/par"
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 )
 
-// This file is the one definition of queue-delivered stage 4, shared by
-// sbd's campaign executor, cmd/sbexec, cmd/sbqueue and
-// examples/distributed: how tests become jobs (PushTests), how a job's
-// seed is derived (JobSeed), and how one leased job is explored, reported
-// and settled (Worker.Do). Any copy of a job's result is byte-identical
-// because it is computed here and nowhere else, which is what makes the
-// exactly-once fold (AggregateResults) sound.
+// This file is the one recipe of stage 4, local or queue-delivered: the
+// explorer template, the per-test seeds, how tests become jobs carrying
+// them (PushTests), and how a leased job is explored, reported whole and
+// settled (Worker.Do) — shared by sbd, cmd/sbexec, cmd/sbqueue and
+// examples/distributed. An outcome is a pure function of (test, seed), so
+// FoldResults over each job's first result equals local execution.
 
-// JobSeed derives a job's exploration seed from its ID alone, never from
-// the worker or the delivery attempt, so placement and redelivery cannot
-// change a result.
-func JobSeed(jobID int) int64 { return int64(jobID)*1009 + 1 }
+// stage4Explorer is the explorer both ExecuteTests' fleet and queue
+// workers copy: Algorithm 2 with the suite's oracles and the host fsck.
+func stage4Explorer(env *exec.Env, trials int, opt detect.Options) sched.Explorer {
+	return sched.Explorer{
+		Env:    env,
+		Trials: trials,
+		Mode:   sched.ModeSnowboard,
+		Detect: opt,
+		Fsck:   func() []string { return env.K.FsckHost() },
+	}
+}
+
+// exploreSeeds draws the next n per-test exploration seeds, the same
+// whether the tests then run here or travel through a queue.
+func (p *Pipeline) exploreSeeds(n int) []int64 {
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = par.UnitSeed(p.Opts.Seed, par.StageExplore, p.exploreUnits+i)
+	}
+	p.exploreUnits += n
+	return seeds
+}
 
 // PushTests enqueues tests as jobs 0..len(tests)-1, the ID space
-// AggregateResults folds over: by reference (corpus digest plus pair
-// indices, resolved by the worker) when corpusDigest is set, with both
-// programs inline otherwise. Every job carries trace, so worker spans and
-// delivery events stitch back to the originating campaign.
-func PushTests(q *queue.Queue, tests []sched.ConcurrentTest, corpusDigest, trace string) error {
+// FoldResults folds over, each carrying its exploration seed: by reference
+// (corpus digest plus pair indices, resolved by the worker) when the
+// pipeline's corpus is a stored artifact, with both programs inline
+// otherwise. Every job carries trace, so worker spans and delivery events
+// stitch back to the originating campaign.
+func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace string) error {
+	corpusDigest, _, _ := p.ArtifactDigests()
+	seeds := p.exploreSeeds(len(tests))
 	for i, ct := range tests {
-		job := queue.Job{ID: i, Hint: ct.Hint, Pair: ct.Pair, Trace: trace}
-		if corpusDigest != "" {
-			job.Corpus = corpusDigest
-		} else {
+		job := queue.Job{ID: i, Seed: seeds[i], Corpus: corpusDigest, Hint: ct.Hint, Pair: ct.Pair, Trace: trace}
+		if corpusDigest == "" {
 			job.Writer, job.Reader = ct.Writer, ct.Reader
 		}
 		if err := q.Push(job); err != nil {
@@ -106,13 +126,8 @@ func NewWorker(env *exec.Env, trials int, name string, resolve func(job *queue.J
 			return fmt.Errorf("job %d references corpus artifact %.12s… but worker %s has no resolver", job.ID, job.Corpus, name)
 		}
 	}
-	return &Worker{name: name, resolve: resolve, x: &sched.Explorer{
-		Env:    env,
-		Trials: trials,
-		Mode:   sched.ModeSnowboard,
-		Detect: detect.DefaultOptions(),
-		Fsck:   func() []string { return env.K.FsckHost() },
-	}}
+	x := stage4Explorer(env, trials, detect.DefaultOptions())
+	return &Worker{name: name, resolve: resolve, x: &x}
 }
 
 // nack hands a lease back with a reason, so the job redelivers (maybe to
@@ -125,10 +140,10 @@ func (w *Worker) nack(lsr Leaser, ls queue.Lease, reason string) {
 }
 
 // Do runs one lease to settlement: resolve the job, explore it under a
-// kept-alive lease with the job-derived seed, report the result, and ack.
-// It returns the exploration outcome and whether a result was reported;
-// false means the job was nacked instead — unresolvable, or its report
-// never landed. Failures are contained to the job, never the process.
+// kept-alive lease with the seed the job carries, report the whole outcome,
+// and ack. It returns the outcome and whether a result was reported; false
+// means the job was nacked instead — unresolvable, or its report never
+// landed. Failures are contained to the job, never the process.
 func (w *Worker) Do(lsr Leaser, ls queue.Lease) (sched.Outcome, bool) {
 	job := ls.Job
 	if !job.Inline() {
@@ -138,7 +153,7 @@ func (w *Worker) Do(lsr Leaser, ls queue.Lease) (sched.Outcome, bool) {
 		}
 	}
 	stopKeep := keepLease(lsr, ls)
-	w.x.Seed = JobSeed(job.ID)
+	w.x.Seed = job.Seed
 	// Tag this job's spans and events with the originating campaign's
 	// trace, so a distributed run's timeline reads end-to-end.
 	w.x.Trace = job.Trace
@@ -146,14 +161,11 @@ func (w *Worker) Do(lsr Leaser, ls queue.Lease) (sched.Outcome, bool) {
 		Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,
 	})
 	stopKeep()
-	res := queue.JobResult{JobID: job.ID, Trials: out.Trials, Exercised: out.Exercised, Worker: w.name}
-	for _, is := range out.Issues {
-		res.IssueIDs = append(res.IssueIDs, is.ID())
-		if is.BugID != 0 {
-			res.BugIDs = append(res.BugIDs, is.BugID)
-		}
+	payload, err := json.Marshal(&out)
+	if err == nil {
+		err = lsr.Report(queue.JobResult{JobID: job.ID, Trials: out.Trials, Outcome: payload, Worker: w.name})
 	}
-	if err := lsr.Report(res); err != nil {
+	if err != nil {
 		w.nack(lsr, ls, "report failed: "+err.Error())
 		return out, false
 	}

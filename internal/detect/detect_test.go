@@ -353,21 +353,6 @@ func TestAnalyzeHangAndDeadlock(t *testing.T) {
 	if !hang || !dead {
 		t.Fatalf("hang/deadlock not reported: %+v", issues)
 	}
-	if Harmless(issues) {
-		t.Fatal("deadlock considered harmless")
-	}
-}
-
-func TestHarmless(t *testing.T) {
-	if !Harmless([]Issue{{Kind: KindDataRace, BugID: 13}}) {
-		t.Fatal("benign race not harmless")
-	}
-	if Harmless([]Issue{{Kind: KindDataRace, BugID: 9, Harmful: true}}) {
-		t.Fatal("harmful race harmless")
-	}
-	if Harmless([]Issue{{Kind: KindPanic}}) {
-		t.Fatal("panic harmless")
-	}
 }
 
 func TestIssueIDDistinguishesTorn(t *testing.T) {

@@ -144,17 +144,3 @@ func lastAccessByThread(tr *trace.Trace, last []trace.Ins) []trace.Ins {
 	}
 	return last
 }
-
-// Harmless reports whether every issue found is a known-benign one, useful
-// for tests asserting that a trial surfaced nothing alarming.
-func Harmless(issues []Issue) bool {
-	for _, is := range issues {
-		if is.Harmful {
-			return false
-		}
-		if is.Kind == KindPanic || is.Kind == KindDeadlock {
-			return false
-		}
-	}
-	return true
-}

@@ -131,11 +131,3 @@ func Map[R any](workers, n int, fn func(worker, unit int) R) []R {
 	wg.Wait()
 	return results
 }
-
-// ForEach is Map for side-effecting units with no result value.
-func ForEach(workers, n int, fn func(worker, unit int)) {
-	Map(workers, n, func(worker, unit int) struct{} {
-		fn(worker, unit)
-		return struct{}{}
-	})
-}

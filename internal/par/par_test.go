@@ -82,14 +82,6 @@ func TestMapClampsWorkersToUnits(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	ForEach(3, 10, func(worker, unit int) { sum.Add(int64(unit)) })
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d, want 45", sum.Load())
-	}
-}
-
 func TestUnitSeedDeterministicAndDistinct(t *testing.T) {
 	if UnitSeed(7, StageFuzz, 3) != UnitSeed(7, StageFuzz, 3) {
 		t.Fatal("UnitSeed is not deterministic")

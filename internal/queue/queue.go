@@ -9,9 +9,9 @@
 // reaper redelivers jobs whose lease expired — a preempted or crashed
 // worker can never silently lose work — and a job that fails MaxAttempts
 // deliveries lands on the dead-letter list instead of retrying forever.
-// Because worker seeds derive from the job ID alone, a redelivered job
-// produces a byte-identical result, so coordinators fold duplicates away
-// and campaign reports match an uninterrupted run exactly.
+// Because a job carries its exploration seed, a redelivered job produces
+// a byte-identical result, so coordinators fold duplicates away and
+// campaign reports match an uninterrupted run exactly.
 package queue
 
 import (
@@ -51,16 +51,19 @@ var (
 // a fleet of workers share one corpus artifact instead of receiving every
 // program inline.
 type Job struct {
-	ID     int          `json:"id"`
+	ID int `json:"id"`
+	// Seed is the exploration seed the coordinator drew for this test —
+	// the one local execution would have used — so a result depends on
+	// neither the worker nor the delivery attempt.
+	Seed   int64        `json:"seed"`
 	Writer *corpus.Prog `json:"writer,omitempty"`
 	Reader *corpus.Prog `json:"reader,omitempty"`
 	// Corpus, when non-empty, is the hex content digest of a corpus
 	// artifact (store.KindCorpus); Writer/Reader are then resolved from
 	// Pair against that corpus via Resolve.
-	Corpus string         `json:"corpus,omitempty"`
-	Hint   *pmc.PMC       `json:"hint,omitempty"`
-	Pair   pmc.Pair       `json:"pair"`
-	Meta   map[string]any `json:"meta,omitempty"`
+	Corpus string   `json:"corpus,omitempty"`
+	Hint   *pmc.PMC `json:"hint,omitempty"`
+	Pair   pmc.Pair `json:"pair"`
 	// Trace stitches the job to its originating campaign: workers tag
 	// their spans and flight-recorder events with it, so a distributed
 	// run's timeline reads end-to-end. Optional field, so the v2 wire
@@ -96,15 +99,15 @@ func (j *Job) Resolve(c *corpus.Corpus) error {
 
 // JobResult carries a worker's findings back. A redelivered job may report
 // more than once; everything except Worker is a pure function of the job
-// (worker seeds derive from the job ID), so coordinators deduplicate by
-// JobID and any copy is representative.
+// (which carries its seed), so coordinators deduplicate by JobID and any
+// copy is representative.
 type JobResult struct {
-	JobID     int      `json:"job_id"`
-	Trials    int      `json:"trials"`
-	Exercised bool     `json:"exercised"`
-	IssueIDs  []string `json:"issue_ids,omitempty"`
-	BugIDs    []int    `json:"bug_ids,omitempty"`
-	Worker    string   `json:"worker,omitempty"`
+	JobID  int `json:"job_id"`
+	Trials int `json:"trials"`
+	// Outcome is the whole exploration outcome (JSON of sched.Outcome),
+	// encoded once by the worker and decoded once by the coordinator's fold.
+	Outcome json.RawMessage `json:"outcome,omitempty"`
+	Worker  string          `json:"worker,omitempty"`
 }
 
 // ErrClosed is returned by operations on a closed queue.

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -164,11 +165,11 @@ func TestTCPRoundtrip(t *testing.T) {
 	if err := c.Ack(ls.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Report(JobResult{JobID: 9, Trials: 3, Exercised: true, BugIDs: []int{12}}); err != nil {
+	if err := c.Report(JobResult{JobID: 9, Trials: 3, Outcome: json.RawMessage(`{"Trials":3}`)}); err != nil {
 		t.Fatal(err)
 	}
 	rs := q.Results()
-	if len(rs) != 1 || rs[0].JobID != 9 || !rs[0].Exercised || rs[0].BugIDs[0] != 12 {
+	if len(rs) != 1 || rs[0].JobID != 9 || string(rs[0].Outcome) != `{"Trials":3}` {
 		t.Fatalf("results: %+v", rs)
 	}
 }

@@ -196,18 +196,19 @@ type Outcome struct {
 	IssueTrial     map[string]int // issue ID -> trial on which it first surfaced
 	Switches       int            // total induced preemptions
 	Steps          int            // total events across trials
-	NewCoverPairs  int            // fresh alias instruction pairs covered (if Coverage set)
+	NewCoverPairs  int            `json:",omitempty"` // fresh alias instruction pairs covered (if Coverage set)
 
 	// Segments accumulates this test's interleaving segments (set when
 	// the explorer's TrackSegments is on); NewSegments counts those new
 	// to this test's own accumulator. Both are pure functions of
-	// (test, seed), independent of worker placement.
-	Segments    *cover.Segments
-	NewSegments int
+	// (test, seed), independent of worker placement. The JSON form (a
+	// queue worker's result) does not carry Segments.
+	Segments    *cover.Segments `json:"-"`
+	NewSegments int             `json:",omitempty"`
 
 	// Repro pins the first trial that surfaced a crash-level issue, for
 	// deterministic reproduction via Replay (§6). Nil when no such trial.
-	Repro *ReproState
+	Repro *ReproState `json:",omitempty"`
 }
 
 // TrialOf returns the trial on which the given issue first surfaced, or -1.

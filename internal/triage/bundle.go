@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"snowboard/internal/corpus"
 	"snowboard/internal/kernel"
@@ -139,6 +140,10 @@ type IndexEntry struct {
 	Count int `json:"count"`
 }
 
+// registerMu serialises Register. One lock for every store root: each
+// pipeline opens its own *store.Store, and two paths can name one root.
+var registerMu sync.Mutex
+
 // indexKey addresses a signature's index row. Deliberately excludes seed,
 // trial, and campaign identity so different campaigns land on the same row.
 func indexKey(sig Signature) store.Digest {
@@ -150,7 +155,15 @@ func indexKey(sig Signature) store.Digest {
 // registration pins the canonical bundle; later ones only fold their
 // campaign label and bump the count. Returns the updated row and whether
 // the signature was fresh (first ever registration).
+//
+// The row update is a read-modify-write, so registrations are serialised
+// within the process (registerMu): sbd's campaigns triage into one store
+// concurrently, and two of them registering one signature must not drop a
+// label or a count. Across processes sharing a state dir it stays
+// best-effort — the last writer's row wins.
 func Register(s *store.Store, sig Signature, bundle store.Digest, campaign string) (IndexEntry, bool, error) {
+	registerMu.Lock()
+	defer registerMu.Unlock()
 	entry, ok := Lookup(s, sig)
 	fresh := !ok
 	if fresh {

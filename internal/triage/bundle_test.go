@@ -2,6 +2,8 @@ package triage
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"snowboard/internal/detect"
@@ -130,5 +132,39 @@ func TestBundleStoreAndIndex(t *testing.T) {
 	}
 	if _, ok := Lookup(s, Signature{Kind: "panic", Site: "elsewhere"}); ok {
 		t.Fatal("lookup invented an entry")
+	}
+}
+
+// TestRegisterConcurrentTenants: eight campaigns, each with its own handle
+// on one state dir (as sbd's pipelines have), register one signature at
+// once; the row must keep every count and every label. Run under -race.
+func TestRegisterConcurrentTenants(t *testing.T) {
+	dir := t.TempDir()
+	sig := Signature{Kind: "panic", Site: "l2tp_session_delete", Channel: "w/r"}
+	bundle := store.Sum([]byte("bundle"))
+	const tenants = 8
+	var wg sync.WaitGroup
+	for i := 0; i < tenants; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, err := store.Open(dir)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, _, err := Register(s, sig, bundle, fmt.Sprintf("campaign-%d", i)); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, ok := Lookup(s, sig)
+	if !ok || entry.Count != tenants || len(entry.Campaigns) != tenants {
+		t.Fatalf("index row after %d concurrent registrations: %+v (found %v)", tenants, entry, ok)
 	}
 }

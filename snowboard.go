@@ -39,7 +39,6 @@ import (
 	"snowboard/internal/exec"
 	"snowboard/internal/kernel"
 	"snowboard/internal/pmc"
-	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 	"snowboard/internal/trace"
 )
@@ -117,35 +116,6 @@ type (
 
 // ReproState pins one bug-exposing trial for deterministic replay.
 type ReproState = sched.ReproState
-
-// Distributed execution. Delivery is at-least-once: workers lease jobs,
-// ack on success, nack on failure; expired leases redeliver, exhausted
-// attempts dead-letter, and coordinators fold results exactly once.
-type (
-	// Queue is the lightweight distributed test queue.
-	Queue = queue.Queue
-	// QueueOptions configure a queue's lease timeout, retry budget, and
-	// metrics name.
-	QueueOptions = queue.Options
-	// DeadJob is a job that exhausted its delivery attempts.
-	DeadJob = queue.DeadJob
-	// JobResult carries a worker's findings back.
-	JobResult = queue.JobResult
-	// DistSummary is the exactly-once fold of a distributed campaign's
-	// worker results plus its dead-letter list.
-	DistSummary = core.DistSummary
-)
-
-// NewQueueWithOptions returns an empty job queue with explicit delivery
-// options (lease timeout, max delivery attempts).
-func NewQueueWithOptions(o QueueOptions) *Queue { return queue.NewWithOptions(o) }
-
-// AggregateResults folds distributed worker results into a deterministic
-// summary, counting each job exactly once no matter how often at-least-once
-// delivery redelivered it.
-func AggregateResults(expected int, results []JobResult, dead []DeadJob) DistSummary {
-	return core.AggregateResults(expected, results, dead)
-}
 
 // Exploration modes for the Explorer.
 const (
