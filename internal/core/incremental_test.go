@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"snowboard/internal/obs"
-	"snowboard/internal/pmc"
 	"snowboard/internal/pmc/difftest"
 	"snowboard/internal/store"
 )
@@ -49,8 +48,8 @@ func runAnalysis(t *testing.T, opts Options) *Pipeline {
 // end: a half-budget campaign persists an SBPI snapshot; a full-budget
 // campaign over the same state re-identifies ONLY the profiles past the
 // snapshot — measured exactly via the pmc.incremental.delta_pairs counter
-// — and still produces the set a from-scratch identification over the full
-// corpus would.
+// — and still produces the set the per-access reference identifies over
+// the full corpus.
 func TestResumeIncrementalDelta(t *testing.T) {
 	opts := incrTestOptions(t)
 	half := runAnalysis(t, opts)
@@ -95,18 +94,17 @@ func TestResumeIncrementalDelta(t *testing.T) {
 
 	// Delta accounting: combinations scanned during the resumed run equal
 	// the full total minus what the snapshot already carried.
-	prefixSet := pmc.Identify(full.Profiles[:snapshot], opts.PMC)
+	prefixSet := difftest.Reference(full.Profiles[:snapshot], opts.PMC)
 	wantDelta := full.PMCs.TotalCombinations - prefixSet.TotalCombinations
 	if deltaPairs != wantDelta {
 		t.Errorf("delta scans identified %d combinations, want %d (= full %d - snapshot prefix %d)",
 			deltaPairs, wantDelta, full.PMCs.TotalCombinations, prefixSet.TotalCombinations)
 	}
 
-	// And the headline: the resumed incremental set deep-equals a
-	// from-scratch one-shot identification of the full profile set.
-	fresh := pmc.IdentifyParallel(full.Profiles, opts.PMC, 2)
-	if d := difftest.Diff(fresh, full.PMCs); d != "" {
-		t.Errorf("resumed incremental set diverges from from-scratch identification:\n%s", d)
+	// And the headline: the resumed incremental set deep-equals the
+	// per-access reference over the full profile set.
+	if d := difftest.Diff(difftest.Reference(full.Profiles, opts.PMC), full.PMCs); d != "" {
+		t.Errorf("resumed incremental set diverges from the reference:\n%s", d)
 	}
 }
 

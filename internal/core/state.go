@@ -424,9 +424,10 @@ func (p *Pipeline) identifyChainKeys() []store.Digest {
 // identifyIncremental runs Algorithm 1 as a chain of profile-batch deltas:
 // resume from the longest stored snapshot prefix, identify only the
 // remaining batches, persist a snapshot covering the full batches, then
-// fold in the sub-batch tail. The result is deep-equal to
-// pmc.IdentifyParallel over the whole profile set — Set merges are order-
-// independent, so partitioning into batches cannot change the outcome.
+// fold in the sub-batch tail. The result is deep-equal to pmc.Identify
+// over the whole profile set — the engine's Set is a function of the
+// multiset of observations fed so far, so partitioning into batches cannot
+// change the outcome.
 // Snapshot probes are not stage cache hits or misses — the identify stage
 // as a whole accounts those.
 func (p *Pipeline) identifyIncremental() *pmc.Set {
@@ -449,16 +450,15 @@ func (p *Pipeline) identifyIncremental() *pmc.Set {
 		break
 	}
 	start := resume * identifyBatchSize
-	workers := p.workers()
 	for b := resume; b < len(keys); b++ {
-		inc.AddBatchParallel(p.Profiles[b*identifyBatchSize:(b+1)*identifyBatchSize], workers)
+		inc.AddBatch(p.Profiles[b*identifyBatchSize : (b+1)*identifyBatchSize])
 	}
 	if resume < len(keys) {
 		// One snapshot per run, under the chain key of the last full batch.
 		saveMemo(p, "identify-chain", keys[len(keys)-1], sbpi, inc, nil)
 	}
 	if tail := p.Profiles[len(keys)*identifyBatchSize:]; len(tail) > 0 {
-		inc.AddBatchParallel(tail, workers)
+		inc.AddBatch(tail)
 	}
 	set := inc.Set()
 	obs.Diag.Printf("stage identify: delta identification: %d/%d profiles identified incrementally (%d resumed from snapshot)",

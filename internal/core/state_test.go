@@ -276,7 +276,10 @@ func TestResumeIgnoresTruncatedStore(t *testing.T) {
 // typed stage memo replaced the per-stage load/save pairs. The resume tests
 // run cold and warm under one binary, so a refactor that reorders a
 // store.Key part (or renames a meta field) would orphan every existing
-// state dir with all of them green; this one fails.
+// state dir with all of them green; this one fails. identifyChainKeys[0]
+// was re-pinned when SBPI went to version 2: the chain key mixes the codec
+// version in precisely so that old snapshots are orphaned, not misdecoded,
+// and a state dir still answers stage 3 from the identifyKey memo.
 func TestStageKeysGolden(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -315,7 +318,7 @@ func TestStageKeysGolden(t *testing.T) {
 		{"identifyKey", p.identifyKey(fd).String(), "98c8d44fe7c7d276bf8992ef2708238f98ce918b265c52a04f611d020671a036"},
 		{"reportKey", p.reportKey(cd, pd, opts.TestBudget).String(), "42c2273dd7169410dba4be3cf85bacbf7af808c37626043891647f6507286b7d"},
 		{"seriesKey", p.seriesKey().String(), "52eb8f1fbfd42d41124d39d124b4ce865ebbcb87cfc372cd3a31500df73b2a22"},
-		{"identifyChainKeys[0]", p.identifyChainKeys()[0].String(), "23c9dfd52cf0ebc5e26a1ee0893a5c7529f15174d6c03ed9fc310a18379a2d12"},
+		{"identifyChainKeys[0]", p.identifyChainKeys()[0].String(), "37d66d42a860ae55d2b4b5a98efc3c4eedc92b8283105dc931d76350c635832b"},
 		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "748de131d89d4ed3fa0ac56464d9ab768ca880373eae082e315963e9d5c4a331"},
 		{"triageKey", triageKey.String(), "774c1e55f31e3c0451000edc723f7fd921290f89b969597e073fd12c3ad208ed"},
 		{"fuzzMeta", marshal(fuzzMeta{CorpusSize: 1, FuzzExecutions: 2, FuzzTimeNs: 3}), `{"corpus_size":1,"fuzz_executions":2,"fuzz_time_ns":3}`},

@@ -7,63 +7,84 @@ import (
 	"snowboard/internal/pmc"
 )
 
+// allOptions is the four Options combinations every equivalence is held
+// over.
+var allOptions = []pmc.Options{
+	{AllowSelfPairs: true},
+	{},
+	{AllowSelfPairs: true, SkipValueFilter: true},
+	{SkipValueFilter: true},
+}
+
 // TestIncrementalEquivalence is the differential harness proper: for many
-// seeded corpora and option variants, feeding the corpus to an Incremental
-// in k batches — for k spanning one batch, a few, and one-profile-per-
-// batch, in corpus order and in shuffled batch orders, at worker counts 1,
-// 2, and 8 — must produce a set deep-equal (entries, DFLeader, bounded
-// pair lists, pair counts, TotalCombinations) to a one-shot Identify over
-// the whole corpus. Run under -race, this also exercises the parallel
-// delta scans for data races.
+// seeded corpora and all four option combinations, the keyed engine —
+// one-shot, and fed the corpus in k batches for k spanning one batch, a
+// few, and one-profile-per-batch, in corpus order and in shuffled batch
+// orders, through an SBPI round trip after a quarter of the batches — must
+// produce a
+// set deep-equal (entries, DFLeader, bounded pair lists, pair counts,
+// TotalCombinations) to the per-access Reference. The corpora must contain
+// every Case, or the equivalence is vacuous.
 func TestIncrementalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	trials := 10 // full matrix per trial: 4 partitions × (3 worker counts + 2 shuffles)
+	trials := 10
 	if testing.Short() {
 		trials = 4
 	}
+	seen := Cases{}
 	for trial := 0; trial < trials; trial++ {
-		opt := pmc.DefaultOptions()
-		if trial%3 == 1 {
-			opt.AllowSelfPairs = false
-		}
-		if trial%5 == 2 {
-			opt.SkipValueFilter = true
-		}
 		profiles := GenCorpus(rng, 6+rng.Intn(10))
-		want := pmc.Identify(profiles, opt)
-
-		for _, k := range []int{1, 2, 7, len(profiles)} {
-			batches := Partition(profiles, k)
-
-			// Corpus order, at several worker counts.
-			for _, workers := range []int{1, 2, 8} {
-				inc := pmc.NewIncremental(opt)
-				for _, b := range batches {
-					inc.AddBatchParallel(b, workers)
-				}
-				if d := Diff(want, inc.Set()); d != "" {
-					t.Fatalf("trial %d k=%d workers=%d: incremental diverges from one-shot Identify:\n%s",
-						trial, k, workers, d)
-				}
-				if inc.Profiles() != len(profiles) || inc.Batches() != len(batches) {
-					t.Fatalf("trial %d k=%d: accounting: %d profiles in %d batches, want %d in %d",
-						trial, k, inc.Profiles(), inc.Batches(), len(profiles), len(batches))
-				}
+		seen.Add(profiles)
+		for _, opt := range allOptions {
+			want, got := Reference(profiles, opt), pmc.Identify(profiles, opt)
+			if d := Diff(want, got); d != "" {
+				t.Fatalf("trial %d %+v: one-shot Identify diverges from the reference:\n%s", trial, opt, d)
 			}
 
-			// Shuffled batch orders: identification is order-independent, so
-			// any arrival permutation must land on the same set.
-			for s := 0; s < 2; s++ {
-				order := rng.Perm(len(batches))
-				inc := pmc.NewIncremental(opt)
-				for _, i := range order {
-					inc.AddBatch(batches[i])
+			for _, k := range []int{1, 2, 7, len(profiles)} {
+				batches := Partition(profiles, k)
+				orders := [][]int{nil, rng.Perm(len(batches)), rng.Perm(len(batches))}
+				for i := range batches {
+					orders[0] = append(orders[0], i) // corpus order first
 				}
-				if d := Diff(want, inc.Set()); d != "" {
-					t.Fatalf("trial %d k=%d order %v: shuffled batch order diverges:\n%s",
-						trial, k, order, d)
+				for _, order := range orders {
+					inc := pmc.NewIncremental(opt)
+					for _, i := range order {
+						inc.AddBatch(batches[i])
+						if rng.Intn(4) == 0 {
+							inc = RoundTrip(t, inc, opt)
+						}
+					}
+					if d := Diff(want, inc.Set()); d != "" {
+						t.Fatalf("trial %d %+v k=%d order %v: incremental diverges from the reference:\n%s",
+							trial, opt, k, order, d)
+					}
+					if inc.Profiles() != len(profiles) || inc.Batches() != len(batches) {
+						t.Fatalf("trial %d k=%d: accounting: %d profiles in %d batches, want %d in %d",
+							trial, k, inc.Profiles(), inc.Batches(), len(profiles), len(batches))
+					}
 				}
 			}
+		}
+	}
+	if m := seen.Missing(); len(m) > 0 {
+		t.Fatalf("GenCorpus never emitted: %v", m)
+	}
+}
+
+// TestCaseSeedHasEveryCase pins the fuzz targets' starting point: the
+// FromBytes corpus of CaseSeed contains every case, and the engine agrees
+// with the reference on it.
+func TestCaseSeedHasEveryCase(t *testing.T) {
+	profiles := FromBytes(CaseSeed())
+	seen := Cases{}
+	seen.Add(profiles)
+	if m := seen.Missing(); len(m) > 0 {
+		t.Fatalf("CaseSeed corpus lacks: %v", m)
+	}
+	for _, opt := range allOptions {
+		if d := Diff(Reference(profiles, opt), pmc.Identify(profiles, opt)); d != "" {
+			t.Fatalf("%+v: Identify diverges from the reference on CaseSeed:\n%s", opt, d)
 		}
 	}
 }
@@ -101,7 +122,7 @@ func TestPartitionCoversCorpus(t *testing.T) {
 func TestDiffDetectsDivergence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	profiles := GenCorpus(rng, 8)
-	a := pmc.Identify(profiles, pmc.DefaultOptions())
+	a := Reference(profiles, pmc.DefaultOptions())
 	b := pmc.Identify(profiles, pmc.DefaultOptions())
 	if d := Diff(a, b); d != "" {
 		t.Fatalf("equal sets diff non-empty:\n%s", d)

@@ -1,17 +1,19 @@
-package pmc
+package pmc_test
 
 import (
 	"testing"
 
+	"snowboard/internal/pmc"
+	"snowboard/internal/pmc/difftest"
 	"snowboard/internal/trace"
 )
 
 // profilesFromBytes decodes an arbitrary byte string into profiles: seven
 // bytes per access (kind, instruction, address offset, size, value,
 // profile slot, self-pair salt), clamped into the ranges Identify accepts.
-func profilesFromBytes(data []byte) []Profile {
+func profilesFromBytes(data []byte) []pmc.Profile {
 	const perAccess = 7
-	profiles := make([]Profile, 1+len(data)/(perAccess*4))
+	profiles := make([]pmc.Profile, 1+len(data)/(perAccess*4))
 	for i := range profiles {
 		profiles[i].TestID = i
 	}
@@ -35,19 +37,27 @@ func profilesFromBytes(data []byte) []Profile {
 }
 
 // FuzzPMCIdentify checks Algorithm 1's core soundness invariants on
-// arbitrary profiles: identification never panics, and every identified
-// PMC has (a) genuinely overlapping writer/reader byte ranges and (b)
-// differing values projected onto the overlap (unless the value filter is
-// ablated), with pair accounting consistent under the bounded lists.
+// arbitrary profiles: identification never panics, equals the per-access
+// reference, and every identified PMC has (a) genuinely overlapping
+// writer/reader byte ranges and (b) differing values projected onto the
+// overlap, with pair accounting consistent under the bounded lists.
 func FuzzPMCIdentify(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte{0, 1, 0, 7, 42, 0, 0, 1, 2, 0, 7, 7, 1, 0}, false)
 	f.Add([]byte{0, 1, 3, 1, 9, 0, 0, 1, 2, 4, 3, 9, 1, 0}, true)
 	f.Fuzz(func(t *testing.T, data []byte, selfPairs bool) {
+		if len(data) > 2048 {
+			// The reference is quadratic in colliding accesses; bound the
+			// corpus so no single input dominates a fuzzing session.
+			data = data[:2048]
+		}
 		profiles := profilesFromBytes(data)
-		opt := DefaultOptions()
+		opt := pmc.DefaultOptions()
 		opt.AllowSelfPairs = selfPairs
-		set := Identify(profiles, opt)
+		set := pmc.Identify(profiles, opt)
+		if d := difftest.Diff(difftest.Reference(profiles, opt), set); d != "" {
+			t.Fatalf("Identify diverges from the per-access reference:\n%s", d)
+		}
 		var total int64
 		for key, e := range set.Entries {
 			w := trace.Access{Ins: key.Write.Ins, Kind: trace.Write, Addr: key.Write.Addr, Size: key.Write.Size, Val: key.Write.Val}
@@ -66,11 +76,11 @@ func FuzzPMCIdentify(f *testing.F) {
 					}
 				}
 			}
-			if int64(len(e.Pairs)) > e.PairCount || len(e.Pairs) > MaxPairsPerPMC {
+			if int64(len(e.Pairs)) > e.PairCount || len(e.Pairs) > pmc.MaxPairsPerPMC {
 				t.Fatalf("pair accounting broken: %d listed, %d counted", len(e.Pairs), e.PairCount)
 			}
 			for i := 1; i < len(e.Pairs); i++ {
-				if pairLess(e.Pairs[i], e.Pairs[i-1]) {
+				if a, b := e.Pairs[i], e.Pairs[i-1]; a.Writer < b.Writer || (a.Writer == b.Writer && a.Reader < b.Reader) {
 					t.Fatalf("pair list not canonically sorted: %v", e.Pairs)
 				}
 			}

@@ -2,7 +2,6 @@ package pmc
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,30 +9,25 @@ import (
 	"sort"
 
 	"snowboard/internal/obs"
-	"snowboard/internal/par"
 	"snowboard/internal/trace"
 )
 
-// Incremental identification: the paper computes 169 billion PMCs over
-// 129,876 profiles, and re-pairing the whole corpus per campaign is
-// O(corpus²). Incremental instead maintains a cumulative PMC Set plus one
-// appendable write index, and on each new batch of profiles runs exactly
-// two delta scans:
+// Keyed identification: the paper computes 169 billion PMCs over 129,876
+// profiles and keeps only per-key aggregates (§4.2), and everything a Set
+// records about a PMC — its pair count and its canonically smallest pairs —
+// is a function of how often each test performed the read key and the
+// write key, not of the individual accesses. Incremental therefore keeps,
+// per side, the distinct access keys bucketed by start address, each with a
+// test-sorted (test, count) list, and classifies every overlapping (read
+// key, write key) pair exactly once: work grows with the keys, not with
+// profiles². A new batch folds into the aggregate and only the entries of
 //
-//	new readers × all writes (including the batch's own), and
-//	old readers × new writes.
+//	(dirty read key × overlapping write keys) ∪ (clean read key × dirty write keys)
 //
-// Every (reader access, indexed write) candidate of the union is therefore
-// scanned exactly once across the lifetime of the Incremental, no matter
-// how the corpus is partitioned into batches or in which order the batches
-// arrive — so the resulting Set is deep-equal to a one-shot batch Identify
-// over the union (the difftest package proves this property under -race at
-// several worker counts).
-//
-// Memory stays bounded by the analysis state, not the traces: ingested
-// profiles are compacted to readerViews (read accesses only) and
-// self-contained index write records; the profile blocks themselves are
-// not retained.
+// are recomputed, so the Set is a function of the multiset of observations
+// fed so far — deep-equal to the per-access reference (difftest.Reference)
+// however the corpus is partitioned into batches and in whatever order the
+// batches arrive. Profile blocks are not retained.
 
 // Incremental metrics (process-wide registry, resolved once).
 var (
@@ -42,81 +36,132 @@ var (
 	mIncrReuse      = obs.G(obs.MIncrReuse)
 )
 
-// readerView is the compact retained form of one ingested profile: just
-// the read accesses (the four features Algorithm 1 needs) plus the
-// double-fetch leader marks, in columnar layout. Writes live in the
-// cumulative index; the full profile block is dropped after ingestion.
-type readerView struct {
-	test  int32
-	ins   []trace.Ins
-	addrs []uint64
-	vals  []uint64
-	sizes []uint8
-	df    []bool
+// maxAccessSize is the largest single access the VM can produce.
+const maxAccessSize = 8
+
+// accessKey is one side of a PMC as the aggregate keys it: Algorithm 1's
+// read_key/write_key plus, for reads, the double-fetch leader mark that is
+// part of the PMC's identity (always false for writes).
+type accessKey struct {
+	Key
+	df bool
 }
 
-// newReaderView compacts a profile into its reader view.
-func newReaderView(p *Profile) readerView {
-	n := 0
-	for ai := 0; ai < p.Accesses.Len(); ai++ {
-		if p.Accesses.KindAt(ai) == trace.Read {
-			n++
-		}
+// accessLess is the canonical order of one side's keys: keyLess, then df.
+func accessLess(a, b accessKey) bool {
+	if a.Key != b.Key {
+		return keyLess(a.Key, b.Key)
 	}
-	rv := readerView{
-		test:  int32(p.TestID),
-		ins:   make([]trace.Ins, 0, n),
-		addrs: make([]uint64, 0, n),
-		vals:  make([]uint64, 0, n),
-		sizes: make([]uint8, 0, n),
-		df:    make([]bool, 0, n),
-	}
-	for ai := 0; ai < p.Accesses.Len(); ai++ {
-		if p.Accesses.KindAt(ai) != trace.Read {
-			continue
-		}
-		rv.ins = append(rv.ins, p.Accesses.InsAt(ai))
-		rv.addrs = append(rv.addrs, p.Accesses.AddrAt(ai))
-		rv.vals = append(rv.vals, p.Accesses.ValAt(ai))
-		rv.sizes = append(rv.sizes, p.Accesses.SizeAt(ai))
-		rv.df = append(rv.df, p.DFLeader[ai])
-	}
-	return rv
+	return !a.df && b.df
 }
 
-// scan runs this reader's accesses against a sealed write index, adding
-// every identified PMC to set — the incremental analogue of
-// identifyReader, classifying through the same shared helper.
-func (rv *readerView) scan(ix *index, opt Options, set *Set) {
-	for i := range rv.addrs {
-		r := trace.Access{Ins: rv.ins[i], Kind: trace.Read, Addr: rv.addrs[i], Size: rv.sizes[i], Val: rv.vals[i]}
-		ix.overlapping(r.Addr, r.End(), func(w writeRec) {
-			classify(&r, w, rv.df[i], int(rv.test), opt, set)
-		})
+func (k *accessKey) end() uint64 { return k.Addr + uint64(k.Size) }
+
+// testCount says one test performed an access key n times.
+type testCount struct {
+	test int
+	n    int64
+}
+
+// keyObs is every observation of one access key: who performed it, how
+// often, and the total.
+type keyObs struct {
+	accessKey
+	tests []testCount // ascending by test
+	total int64
+	dirty bool // observed since the last recompute
+}
+
+// keyIndex is one side's distinct access keys. Every access is at most
+// maxAccessSize bytes, so a range [a, a+n) can only overlap keys whose
+// start address lies in (a-maxAccessSize, a+n): bucketing by start address
+// makes the overlap query a bounded number of bucket probes.
+type keyIndex struct {
+	byKey  map[accessKey]*keyObs
+	byAddr map[uint64][]*keyObs
+	dirty  []*keyObs
+}
+
+func newKeyIndex() keyIndex {
+	return keyIndex{byKey: make(map[accessKey]*keyObs), byAddr: make(map[uint64][]*keyObs)}
+}
+
+// insert adds the record of a key the index does not hold yet, dirty.
+func (ix *keyIndex) insert(o *keyObs) {
+	o.dirty = true
+	ix.byKey[o.accessKey] = o
+	ix.byAddr[o.Addr] = append(ix.byAddr[o.Addr], o)
+	ix.dirty = append(ix.dirty, o)
+}
+
+// observe records one more access with key k by test.
+func (ix *keyIndex) observe(k accessKey, test int) {
+	o := ix.byKey[k]
+	if o == nil {
+		o = &keyObs{accessKey: k}
+		ix.insert(o)
+	} else if !o.dirty {
+		o.dirty = true
+		ix.dirty = append(ix.dirty, o)
 	}
+	o.total++
+	// Profiles arrive mostly in test order, so the test is usually the last
+	// one or a new largest; any other position is a sorted insert.
+	i := len(o.tests)
+	if i > 0 && o.tests[i-1].test >= test {
+		if o.tests[i-1].test > test {
+			i = sort.Search(i, func(j int) bool { return o.tests[j].test >= test })
+		} else {
+			i--
+		}
+		if o.tests[i].test == test {
+			o.tests[i].n++
+			return
+		}
+	}
+	o.tests = append(o.tests, testCount{})
+	copy(o.tests[i+1:], o.tests[i:])
+	o.tests[i] = testCount{test: test, n: 1}
+}
+
+// overlapping invokes fn for every key whose range overlaps [addr, end).
+func (ix *keyIndex) overlapping(addr, end uint64, fn func(*keyObs)) {
+	lo := uint64(0)
+	if addr > maxAccessSize {
+		lo = addr - maxAccessSize + 1
+	}
+	for a := lo; a < end; a++ { // keys starting at or past end cannot overlap
+		for _, o := range ix.byAddr[a] {
+			if o.Addr < end && addr < o.end() {
+				fn(o)
+			}
+		}
+	}
+}
+
+// clean ends a recompute: nothing is dirty any more.
+func (ix *keyIndex) clean() {
+	for _, o := range ix.dirty {
+		o.dirty = false
+	}
+	ix.dirty = ix.dirty[:0]
 }
 
 // Incremental is a PMC database that accretes: feed it profile batches
 // with AddBatch and Set() is always deep-equal to Identify over every
 // profile fed so far.
 type Incremental struct {
-	opt     Options
-	set     *Set
-	idx     *index
-	readers []readerView
+	opt           Options
+	set           *Set
+	reads, writes keyIndex
 
 	batches  int
 	profiles int
-
-	// loaded is the TotalCombinations carried in from a decoded snapshot
-	// (zero for a fresh Incremental); the reuse-ratio gauge reports how
-	// much of the cumulative result the latest batch did not re-scan.
-	loaded int64
 }
 
 // NewIncremental returns an empty incremental identifier.
 func NewIncremental(opt Options) *Incremental {
-	return &Incremental{opt: opt, set: NewSet(), idx: newIndex()}
+	return &Incremental{opt: opt, set: NewSet(), reads: newKeyIndex(), writes: newKeyIndex()}
 }
 
 // Set returns the cumulative PMC database. The caller must not mutate it
@@ -130,77 +175,30 @@ func (inc *Incremental) Batches() int { return inc.batches }
 // Profiles reports how many profiles have been ingested.
 func (inc *Incremental) Profiles() int { return inc.profiles }
 
-// Generation reports the write-index generation (one per seal, i.e. one
-// per non-empty ingested batch plus snapshot restores).
-func (inc *Incremental) Generation() uint64 { return inc.idx.gen }
-
-// AddBatch ingests one batch of profiles serially.
-func (inc *Incremental) AddBatch(batch []Profile) { inc.AddBatchParallel(batch, 1) }
-
-// AddBatchParallel ingests one batch of profiles, fanning the two delta
-// scans across workers goroutines (0 = GOMAXPROCS). Shard merges fold in
-// deterministic order, so the cumulative Set is identical for any worker
-// count — the same contract IdentifyParallel has.
-func (inc *Incremental) AddBatchParallel(batch []Profile, workers int) {
+// AddBatch ingests one batch of profiles.
+func (inc *Incremental) AddBatch(batch []Profile) {
 	if len(batch) == 0 {
 		return
 	}
 	before := inc.set.TotalCombinations
-
-	// Index the batch's writes on their own: old readers diff against
-	// exactly these, never against writes they have already seen.
-	delta := newIndex()
 	for pi := range batch {
 		p := &batch[pi]
-		for ai := 0; ai < p.Accesses.Len(); ai++ {
+		for ai, n := 0, p.Accesses.Len(); ai < n; ai++ {
+			k := accessKey{Key: Key{
+				Ins:  p.Accesses.InsAt(ai),
+				Addr: p.Accesses.AddrAt(ai),
+				Size: p.Accesses.SizeAt(ai),
+				Val:  p.Accesses.ValAt(ai),
+			}}
 			if p.Accesses.IsWriteAt(ai) {
-				delta.addWrite(writeRec{
-					addr: p.Accesses.AddrAt(ai),
-					val:  p.Accesses.ValAt(ai),
-					ins:  p.Accesses.InsAt(ai),
-					size: p.Accesses.SizeAt(ai),
-					test: int32(p.TestID),
-				})
+				inc.writes.observe(k, p.TestID)
+			} else {
+				k.df = p.DFLeader[ai]
+				inc.reads.observe(k, p.TestID)
 			}
 		}
 	}
-	delta.seal()
-
-	// Old readers × new writes.
-	if delta.writeCount() > 0 && len(inc.readers) > 0 {
-		shards := par.Map(workers, len(inc.readers), func(_, i int) *Set {
-			s := NewSet()
-			inc.readers[i].scan(delta, inc.opt, s)
-			return s
-		})
-		for _, s := range shards {
-			inc.set.Merge(s)
-		}
-	}
-
-	// Fold the new writes into the cumulative index (amortized re-seal:
-	// merged starts, dirty-bucket resorts only).
-	for _, b := range delta.buckets {
-		for _, w := range b.writes {
-			inc.idx.addWrite(w)
-		}
-	}
-	inc.idx.seal()
-
-	// New readers × all writes (old and new alike).
-	views := make([]readerView, len(batch))
-	for i := range batch {
-		views[i] = newReaderView(&batch[i])
-	}
-	shards := par.Map(workers, len(views), func(_, i int) *Set {
-		s := NewSet()
-		views[i].scan(inc.idx, inc.opt, s)
-		return s
-	})
-	for _, s := range shards {
-		inc.set.Merge(s)
-	}
-	inc.readers = append(inc.readers, views...)
+	inc.recompute()
 	inc.batches++
 	inc.profiles += len(batch)
 
@@ -217,19 +215,112 @@ func (inc *Incremental) AddBatchParallel(batch []Profile, workers int) {
 		obs.A("keys", inc.set.Len()))
 }
 
-// SBPI snapshot codec. An Incremental serializes as the cumulative Set
-// (embedded SBPM blob), the compacted reader views, and the flat write
-// records of the index — everything needed to resume delta identification
-// in another process. Readers sort by test id and writes by (addr, size,
-// ins, val, test) before encoding, so two Incrementals in the same logical
-// state encode to identical bytes regardless of the batch order that built
-// them, and content addresses are stable.
+// recompute brings the Set up to date with the aggregate: every entry with
+// a dirty side is classified again, each exactly once.
+func (inc *Incremental) recompute() {
+	for _, r := range inc.reads.dirty {
+		inc.writes.overlapping(r.Addr, r.end(), func(w *keyObs) { inc.classify(r, w) })
+	}
+	for _, w := range inc.writes.dirty {
+		inc.reads.overlapping(w.Addr, w.end(), func(r *keyObs) {
+			if !r.dirty {
+				inc.classify(r, w)
+			}
+		})
+	}
+	inc.reads.clean()
+	inc.writes.clean()
+}
+
+// classify applies Algorithm 1 lines 9–14 to one overlapping (read key,
+// write key) pair and writes the entry all of its observations amount to:
+// the projected-value inequality check, then the pair count and the
+// canonically smallest pairs from the two test lists.
+func (inc *Incremental) classify(r, w *keyObs) {
+	if !inc.opt.SkipValueFilter {
+		ra, wa := r.access(trace.Read), w.access(trace.Write)
+		lo, hi := ra.OverlapRange(&wa)
+		if ra.ProjectVal(lo, hi) == wa.ProjectVal(lo, hi) {
+			return // the write would not change what the read sees
+		}
+	}
+	count := r.total * w.total
+	if !inc.opt.AllowSelfPairs {
+		count -= sameTest(r.tests, w.tests)
+	}
+	if count == 0 {
+		return
+	}
+	p := PMC{Write: w.Key, Read: r.Key, DFLeader: r.df}
+	e := inc.set.Entries[p]
+	if e == nil {
+		e = &Entry{PMC: p, Pairs: make([]Pair, 0, min(count, MaxPairsPerPMC))}
+		inc.set.Entries[p] = e
+	}
+	inc.set.TotalCombinations += count - e.PairCount
+	e.PairCount = count
+	e.Pairs = firstPairs(e.Pairs[:0], w.tests, r.tests, inc.opt.AllowSelfPairs)
+}
+
+// access renders the key as the access it stands for.
+func (k Key) access(kind trace.Kind) trace.Access {
+	return trace.Access{Ins: k.Ins, Kind: kind, Addr: k.Addr, Size: k.Size, Val: k.Val}
+}
+
+// sameTest counts the (read, write) combinations both sides of which one
+// test performed — the diagonal AllowSelfPairs=false takes out.
+func sameTest(rt, wt []testCount) int64 {
+	var n int64
+	for i, j := 0, 0; i < len(rt) && j < len(wt); {
+		switch {
+		case rt[i].test < wt[j].test:
+			i++
+		case rt[i].test > wt[j].test:
+			j++
+		default:
+			n += rt[i].n * wt[j].n
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// firstPairs appends the first MaxPairsPerPMC elements, in pairLess order
+// and with multiplicity, of the cross product of the two test lists.
+func firstPairs(dst []Pair, wt, rt []testCount, selfPairs bool) []Pair {
+	for _, w := range wt {
+		for _, r := range rt {
+			if !selfPairs && w.test == r.test {
+				continue
+			}
+			for m := w.n * r.n; m > 0; m-- {
+				if len(dst) == MaxPairsPerPMC {
+					return dst
+				}
+				dst = append(dst, Pair{Writer: w.test, Reader: r.test})
+			}
+		}
+	}
+	return dst
+}
+
+// SBPI snapshot codec. An Incremental serializes as its aggregate: the
+// batch and profile counts, then the read keys and the write keys in
+// canonical order (accessLess), each with its (test, count) list —
+// everything needed to resume identification in another process. The Set
+// is not stored: DecodeIncremental derives it from the aggregate, so a
+// snapshot cannot carry a set that disagrees with its own observations.
+// Two Incrementals in the same logical state encode to identical bytes
+// regardless of the batch order that built them, so content addresses are
+// stable.
 
 const (
 	incrementalMagic   = "SBPI"
-	incrementalVersion = 1
+	incrementalVersion = 2
 
-	maxIncrementalSet    = 1 << 31
+	// Caps on one side's summed counts; together they keep a pair count
+	// (read total × write total) inside int64.
 	maxIncrementalReads  = 1 << 28
 	maxIncrementalWrites = 1 << 30
 )
@@ -243,133 +334,59 @@ var ErrBadIncremental = errors.New("pmc: malformed incremental index encoding")
 
 // EncodeIncremental writes the SBPI snapshot of inc to w.
 func EncodeIncremental(w io.Writer, inc *Incremental) error {
+	// A bufio.Writer's first error sticks and is what Flush returns, so the
+	// writes in between go unchecked.
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(incrementalMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(incrementalVersion); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	putU := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if err := putU(uint64(inc.batches)); err != nil {
-		return err
-	}
-	if err := putU(uint64(inc.profiles)); err != nil {
-		return err
-	}
+	bw.WriteString(incrementalMagic)
+	bw.WriteByte(incrementalVersion)
+	putUvarint(bw, uint64(inc.batches))
+	putUvarint(bw, uint64(inc.profiles))
+	encodeKeys(bw, &inc.reads, true)
+	encodeKeys(bw, &inc.writes, false)
+	return bw.Flush()
+}
 
-	// Cumulative set as a length-prefixed SBPM blob (the nested codec
-	// buffers independently, so it cannot share the stream position).
-	var setBuf bytes.Buffer
-	if err := EncodeSet(&setBuf, inc.set); err != nil {
-		return err
-	}
-	if err := putU(uint64(setBuf.Len())); err != nil {
-		return err
-	}
-	if _, err := bw.Write(setBuf.Bytes()); err != nil {
-		return err
-	}
+func putUvarint(bw *bufio.Writer, v uint64) {
+	bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
+}
 
-	// Reader views, canonically ordered by test id (stable, so equal test
-	// ids keep their relative order).
-	order := make([]int, len(inc.readers))
-	for i := range order {
-		order[i] = i
+// encodeKeys writes one side of an SBPI snapshot: the keys in canonical
+// order, each with its (test, count) list; read keys carry their df mark.
+func encodeKeys(bw *bufio.Writer, ix *keyIndex, withDF bool) {
+	keys := make([]*keyObs, 0, len(ix.byKey))
+	for _, o := range ix.byKey {
+		keys = append(keys, o)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return inc.readers[order[a]].test < inc.readers[order[b]].test })
-	if err := putU(uint64(len(inc.readers))); err != nil {
-		return err
-	}
-	for _, i := range order {
-		rv := &inc.readers[i]
-		if err := putU(uint64(rv.test)); err != nil {
-			return err
-		}
-		if err := putU(uint64(len(rv.addrs))); err != nil {
-			return err
-		}
-		for j := range rv.addrs {
-			if err := putU(uint64(rv.ins[j])); err != nil {
-				return err
-			}
-			if err := putU(rv.addrs[j]); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(rv.sizes[j]); err != nil {
-				return err
-			}
-			if err := putU(rv.vals[j]); err != nil {
-				return err
-			}
+	sort.Slice(keys, func(i, j int) bool { return accessLess(keys[i].accessKey, keys[j].accessKey) })
+	putUvarint(bw, uint64(len(keys)))
+	for _, o := range keys {
+		putUvarint(bw, uint64(o.Ins))
+		putUvarint(bw, o.Addr)
+		bw.WriteByte(o.Size)
+		putUvarint(bw, o.Val)
+		if withDF {
 			var df byte
-			if rv.df[j] {
+			if o.df {
 				df = 1
 			}
-			if err := bw.WriteByte(df); err != nil {
-				return err
-			}
+			bw.WriteByte(df)
+		}
+		putUvarint(bw, uint64(len(o.tests)))
+		for _, tc := range o.tests {
+			putUvarint(bw, uint64(tc.test))
+			putUvarint(bw, uint64(tc.n))
 		}
 	}
-
-	// Index writes, flat and canonically ordered; addresses delta-code
-	// since the order is address-major.
-	writes := make([]writeRec, 0, inc.idx.writeCount())
-	for _, b := range inc.idx.buckets {
-		writes = append(writes, b.writes...)
-	}
-	sort.Slice(writes, func(i, j int) bool {
-		a, b := writes[i], writes[j]
-		if a.addr != b.addr {
-			return a.addr < b.addr
-		}
-		if a.size != b.size {
-			return a.size < b.size
-		}
-		if a.ins != b.ins {
-			return a.ins < b.ins
-		}
-		if a.val != b.val {
-			return a.val < b.val
-		}
-		return a.test < b.test
-	})
-	if err := putU(uint64(len(writes))); err != nil {
-		return err
-	}
-	prev := uint64(0)
-	for _, wr := range writes {
-		if err := putU(wr.addr - prev); err != nil {
-			return err
-		}
-		prev = wr.addr
-		if err := bw.WriteByte(wr.size); err != nil {
-			return err
-		}
-		if err := putU(uint64(wr.ins)); err != nil {
-			return err
-		}
-		if err := putU(wr.val); err != nil {
-			return err
-		}
-		if err := putU(uint64(wr.test)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // DecodeIncremental parses an SBPI snapshot and returns a resumable
 // Incremental configured with opt (options are not serialized: the memo
-// key that addresses a snapshot already pins them). The decoder is
-// hardened like the other artifact codecs: structural violations yield
-// errors wrapping ErrBadIncremental, never panics, and counts are
-// sanity-capped before allocation.
+// key that addresses a snapshot already pins them), its Set derived from
+// the decoded aggregate. The decoder is hardened like the other artifact
+// codecs: structural violations — keys or tests out of canonical order, a
+// zero count, a size outside 1..8, counts past the caps, trailing bytes —
+// yield errors wrapping ErrBadIncremental, never panics, and nothing is
+// allocated from an unchecked count.
 func DecodeIncremental(r io.Reader, opt Options) (*Incremental, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -383,140 +400,90 @@ func DecodeIncremental(r io.Reader, opt Options) (*Incremental, error) {
 	if err != nil || ver != incrementalVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBadIncremental, ver)
 	}
-	getU := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %s: %v", ErrBadIncremental, what, err)
-		}
-		return v, nil
-	}
-	batches, err := getU("batch count")
+	batches, err := binary.ReadUvarint(br)
 	if err != nil || batches > maxProfiles {
 		return nil, fmt.Errorf("%w: batch count", ErrBadIncremental)
 	}
-	profiles, err := getU("profile count")
+	profiles, err := binary.ReadUvarint(br)
 	if err != nil || profiles > maxProfiles {
 		return nil, fmt.Errorf("%w: profile count", ErrBadIncremental)
 	}
-
-	setLen, err := getU("set length")
-	if err != nil || setLen > maxIncrementalSet {
-		return nil, fmt.Errorf("%w: set length", ErrBadIncremental)
+	inc := NewIncremental(opt)
+	inc.batches, inc.profiles = int(batches), int(profiles)
+	if err := decodeKeys(br, &inc.reads, true, maxIncrementalReads); err != nil {
+		return nil, fmt.Errorf("%w: read keys: %v", ErrBadIncremental, err)
 	}
-	setBlob := make([]byte, setLen)
-	if _, err := io.ReadFull(br, setBlob); err != nil {
-		return nil, fmt.Errorf("%w: set blob: %v", ErrBadIncremental, err)
-	}
-	set, err := DecodeSet(bytes.NewReader(setBlob))
-	if err != nil {
-		return nil, fmt.Errorf("%w: embedded set: %v", ErrBadIncremental, err)
-	}
-
-	inc := &Incremental{opt: opt, set: set, idx: newIndex(),
-		batches: int(batches), profiles: int(profiles), loaded: set.TotalCombinations}
-
-	readerCount, err := getU("reader count")
-	if err != nil || readerCount != profiles {
-		return nil, fmt.Errorf("%w: reader count", ErrBadIncremental)
-	}
-	capHint := readerCount
-	if capHint > 1024 {
-		capHint = 1024
-	}
-	inc.readers = make([]readerView, 0, capHint)
-	totalReads := uint64(0)
-	for i := uint64(0); i < readerCount; i++ {
-		test, err := getU("reader test id")
-		if err != nil || test > maxDecodedTestID {
-			return nil, fmt.Errorf("%w: reader %d: test id", ErrBadIncremental, i)
-		}
-		nreads, err := getU("read count")
-		if err != nil {
-			return nil, err
-		}
-		if totalReads += nreads; totalReads > maxIncrementalReads {
-			return nil, fmt.Errorf("%w: reader %d: read count", ErrBadIncremental, i)
-		}
-		readCap := nreads
-		if readCap > 4096 {
-			readCap = 4096
-		}
-		rv := readerView{
-			test:  int32(test),
-			ins:   make([]trace.Ins, 0, readCap),
-			addrs: make([]uint64, 0, readCap),
-			vals:  make([]uint64, 0, readCap),
-			sizes: make([]uint8, 0, readCap),
-			df:    make([]bool, 0, readCap),
-		}
-		for j := uint64(0); j < nreads; j++ {
-			ins, err := getU("read ins")
-			if err != nil {
-				return nil, err
-			}
-			addr, err := getU("read addr")
-			if err != nil {
-				return nil, err
-			}
-			size, err := br.ReadByte()
-			if err != nil || size == 0 || size > maxAccessSize {
-				return nil, fmt.Errorf("%w: reader %d read %d: size", ErrBadIncremental, i, j)
-			}
-			val, err := getU("read val")
-			if err != nil {
-				return nil, err
-			}
-			df, err := br.ReadByte()
-			if err != nil || df > 1 {
-				return nil, fmt.Errorf("%w: reader %d read %d: df flag", ErrBadIncremental, i, j)
-			}
-			rv.ins = append(rv.ins, trace.Ins(ins))
-			rv.addrs = append(rv.addrs, addr)
-			rv.vals = append(rv.vals, val)
-			rv.sizes = append(rv.sizes, size)
-			rv.df = append(rv.df, df == 1)
-		}
-		inc.readers = append(inc.readers, rv)
-	}
-
-	writeCount, err := getU("write count")
-	if err != nil || writeCount > maxIncrementalWrites {
-		return nil, fmt.Errorf("%w: write count", ErrBadIncremental)
-	}
-	prev := uint64(0)
-	for i := uint64(0); i < writeCount; i++ {
-		d, err := getU("write addr delta")
-		if err != nil {
-			return nil, err
-		}
-		addr := prev + d
-		if addr < prev {
-			return nil, fmt.Errorf("%w: write %d: address overflow", ErrBadIncremental, i)
-		}
-		prev = addr
-		size, err := br.ReadByte()
-		if err != nil || size == 0 || size > maxAccessSize {
-			return nil, fmt.Errorf("%w: write %d: size", ErrBadIncremental, i)
-		}
-		ins, err := getU("write ins")
-		if err != nil {
-			return nil, err
-		}
-		val, err := getU("write val")
-		if err != nil {
-			return nil, err
-		}
-		test, err := getU("write test id")
-		if err != nil || test > maxDecodedTestID {
-			return nil, fmt.Errorf("%w: write %d: test id", ErrBadIncremental, i)
-		}
-		inc.idx.addWrite(writeRec{addr: addr, val: val, ins: trace.Ins(ins), size: size, test: int32(test)})
-	}
-	if writeCount > 0 || len(inc.readers) > 0 {
-		inc.idx.seal()
+	if err := decodeKeys(br, &inc.writes, false, maxIncrementalWrites); err != nil {
+		return nil, fmt.Errorf("%w: write keys: %v", ErrBadIncremental, err)
 	}
 	if extra, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("%w: %d trailing bytes (first %#x)", ErrBadIncremental, br.Buffered()+1, extra)
 	}
+	inc.recompute()
 	return inc, nil
+}
+
+// decodeKeys reads what encodeKeys wrote into ix, every key dirty, and
+// rejects anything encodeKeys could not have written.
+func decodeKeys(br *bufio.Reader, ix *keyIndex, withDF bool, maxTotal int64) error {
+	var fail error
+	getU := func() uint64 {
+		v, err := binary.ReadUvarint(br)
+		if err != nil && fail == nil {
+			fail = err
+		}
+		return v
+	}
+	getB := func() byte {
+		b, err := br.ReadByte()
+		if err != nil && fail == nil {
+			fail = err
+		}
+		return b
+	}
+	nkeys := getU()
+	var prev accessKey
+	var total int64
+	for i := uint64(0); i < nkeys; i++ {
+		o := &keyObs{}
+		o.Ins, o.Addr, o.Size, o.Val = trace.Ins(getU()), getU(), getB(), getU()
+		if withDF {
+			df := getB()
+			if df > 1 {
+				return fmt.Errorf("key %d: df flag %d", i, df)
+			}
+			o.df = df == 1
+		}
+		ntests := getU()
+		if fail != nil {
+			return fail
+		}
+		if o.Size == 0 || o.Size > maxAccessSize {
+			return fmt.Errorf("key %d: size %d", i, o.Size)
+		}
+		if i > 0 && !accessLess(prev, o.accessKey) {
+			return fmt.Errorf("key %d: keys not strictly ascending", i)
+		}
+		prev = o.accessKey
+		if ntests == 0 {
+			return fmt.Errorf("key %d: no observations", i)
+		}
+		for j := uint64(0); j < ntests; j++ {
+			test, n := getU(), getU()
+			if fail != nil {
+				return fail
+			}
+			if test > maxDecodedTestID || (j > 0 && int(test) <= o.tests[j-1].test) {
+				return fmt.Errorf("key %d: test %d: ids not strictly ascending", i, j)
+			}
+			if n == 0 || n > uint64(maxTotal) || total+int64(n) > maxTotal {
+				return fmt.Errorf("key %d: test %d: count %d", i, j, n)
+			}
+			total += int64(n)
+			o.total += int64(n)
+			o.tests = append(o.tests, testCount{test: int(test), n: int64(n)})
+		}
+		ix.insert(o)
+	}
+	return fail
 }

@@ -11,59 +11,45 @@ import (
 
 // FuzzIncrementalIdentify is the fuzz-driven face of the differential
 // harness (external test package, so it can import difftest without a
-// cycle): for arbitrary byte-derived corpora and batch counts, incremental
-// identification must deep-equal the one-shot batch Identify, and the SBPI
-// snapshot codec must round-trip the incremental state exactly —
-// decode(encode(x)) re-encodes to the same bytes and resumes to the same
-// final set. CI runs this for a short smoke; longer local runs explore
-// deeper.
+// cycle): for arbitrary byte-derived corpora, batch counts and options,
+// incremental identification must deep-equal the per-access reference, and
+// the SBPI snapshot codec must round-trip the incremental state exactly —
+// decode(encode(x)) derives the same set and re-encodes to the same bytes.
+// k's high bit ablates the value filter. CI runs this for a short smoke;
+// longer local runs explore deeper.
 func FuzzIncrementalIdentify(f *testing.F) {
 	f.Add([]byte{}, uint8(1), false)
 	f.Add([]byte{1, 1, 0, 7, 42, 0, 0, 0, 0, 2, 0, 7, 7, 0, 1, 0}, uint8(2), false)
 	f.Add([]byte{3, 1, 3, 1, 9, 0, 0, 0, 0, 2, 4, 3, 9, 0, 1, 0}, uint8(7), true)
+	f.Add(difftest.CaseSeed(), uint8(3), false)
+	f.Add(difftest.CaseSeed(), uint8(0x83), true)
 	f.Fuzz(func(t *testing.T, data []byte, k uint8, selfPairs bool) {
 		if len(data) > 2048 {
-			// Identification is quadratic in colliding accesses; bound the
+			// The reference is quadratic in colliding accesses; bound the
 			// corpus so no single input dominates a fuzzing session.
 			data = data[:2048]
 		}
 		profiles := difftest.FromBytes(data)
 		opt := pmc.DefaultOptions()
 		opt.AllowSelfPairs = selfPairs
-		want := pmc.Identify(profiles, opt)
+		opt.SkipValueFilter = k&0x80 != 0
+		want := difftest.Reference(profiles, opt)
 
 		batches := difftest.Partition(profiles, 1+int(k)%len(profiles))
 		inc := pmc.NewIncremental(opt)
 		for _, b := range batches {
-			inc.AddBatchParallel(b, 1+int(k)%3)
+			inc.AddBatch(b)
 		}
 		if d := difftest.Diff(want, inc.Set()); d != "" {
-			t.Fatalf("incremental (k=%d) diverges from batch Identify:\n%s", len(batches), d)
+			t.Fatalf("incremental (k=%d) diverges from the reference:\n%s", len(batches), d)
 		}
 
 		// SBPI round-trip: decode(encode(x)) must restore equal state and
 		// re-encode byte-identically.
+		difftest.RoundTrip(t, inc, opt)
 		var buf bytes.Buffer
 		if err := pmc.EncodeIncremental(&buf, inc); err != nil {
 			t.Fatalf("encode: %v", err)
-		}
-		dec, err := pmc.DecodeIncremental(bytes.NewReader(buf.Bytes()), opt)
-		if err != nil {
-			t.Fatalf("decode(encode(x)): %v", err)
-		}
-		if d := difftest.Diff(inc.Set(), dec.Set()); d != "" {
-			t.Fatalf("decoded snapshot set differs:\n%s", d)
-		}
-		if dec.Profiles() != inc.Profiles() || dec.Batches() != inc.Batches() {
-			t.Fatalf("decoded accounting %d/%d, want %d/%d",
-				dec.Profiles(), dec.Batches(), inc.Profiles(), inc.Batches())
-		}
-		var buf2 bytes.Buffer
-		if err := pmc.EncodeIncremental(&buf2, dec); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-			t.Fatal("SBPI encoding not canonical across a decode cycle")
 		}
 
 		// Truncation hardening rides along for free: any strict prefix must

@@ -16,8 +16,8 @@ import (
 // invariant underpins the whole incremental engine.
 func TestAddPairBoundedKSmallest(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	key := PMC{Write: Key{Ins: insW1, Addr: 0x100, Size: 8, Val: 1},
-		Read: Key{Ins: insR1, Addr: 0x100, Size: 8, Val: 2}}
+	key := PMC{Write: Key{Ins: 1, Addr: 0x100, Size: 8, Val: 1},
+		Read: Key{Ins: 2, Addr: 0x100, Size: 8, Val: 2}}
 	for trial := 0; trial < 200; trial++ {
 		// Stream lengths around the cap matter most: under, at, and far
 		// over MaxPairsPerPMC, from pools narrow enough to force duplicates.

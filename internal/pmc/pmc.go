@@ -1,9 +1,9 @@
 // Package pmc implements potential memory communication (PMC)
 // identification — Algorithm 1 of the paper. It gathers the shared memory
-// accesses profiled from every sequential test, indexes them with an
-// ordered nested index, scans read/write range overlaps, and classifies an
-// overlapping pair as a PMC when the values projected onto the shared bytes
-// differ.
+// accesses profiled from every sequential test, aggregates them per
+// distinct access key (incremental.go), scans read/write range overlaps
+// between keys, and classifies an overlapping pair as a PMC when the
+// values projected onto the shared bytes differ.
 package pmc
 
 import (
@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"snowboard/internal/obs"
-	"snowboard/internal/par"
 	"snowboard/internal/trace"
 )
 
@@ -75,9 +74,9 @@ func pairLess(a, b Pair) bool {
 // Pairs holds the MaxPairsPerPMC canonically smallest (writer, reader)
 // observations, with multiplicity. Keeping the k smallest — rather than
 // the first k encountered — makes the bound independent of observation
-// order: the k smallest of a union equal the k smallest of the per-shard
-// k-smallest lists, which is what lets Set.Merge combine shard results in
-// any order and still match a whole-set identification.
+// order, so the list is a function of the multiset of observations — which
+// is what lets the keyed engine write it down from per-key test counts
+// (firstPairs) without replaying the observations.
 type Entry struct {
 	PMC       PMC
 	Pairs     []Pair // the MaxPairsPerPMC canonically smallest test pairs
@@ -167,32 +166,9 @@ func (s *Set) Add(p PMC, pair Pair) {
 		e = &Entry{PMC: p}
 		s.Entries[p] = e
 	}
-	if p.DFLeader && !e.PMC.DFLeader {
-		e.PMC.DFLeader = true
-	}
 	e.addPair(pair)
 	e.PairCount++
 	s.TotalCombinations++
-}
-
-// Merge folds other into s. Entries merge key-wise: pair counts add and
-// the bounded pair lists keep the canonically smallest MaxPairsPerPMC
-// observations, so Merge is commutative and associative and merging
-// per-shard identifications equals identifying over the whole profile set.
-// other is not modified.
-func (s *Set) Merge(other *Set) {
-	for key, oe := range other.Entries {
-		e := s.Entries[key]
-		if e == nil {
-			e = &Entry{PMC: oe.PMC}
-			s.Entries[key] = e
-		}
-		for _, pair := range oe.Pairs {
-			e.addPair(pair)
-		}
-		e.PairCount += oe.PairCount
-	}
-	s.TotalCombinations += other.TotalCombinations
 }
 
 // Len returns the number of distinct PMC keys.
@@ -223,90 +199,17 @@ func Identify(profiles []Profile, opt Options) *Set {
 	return IdentifyParallel(profiles, opt, 1)
 }
 
-// IdentifyParallel runs Algorithm 1 sharded by reader profile across
-// workers goroutines (0 means GOMAXPROCS). All workers scan a shared
-// read-only write index; each produces a per-shard Set which is merged in
-// profile order. Because Set.Merge keeps canonical bounded pair lists, the
-// result is identical to a serial Identify regardless of worker count.
+// IdentifyParallel is Identify: a fresh Incremental fed the profiles as
+// one batch. workers is unused — the keyed engine classifies each (read
+// key, write key) pair once, which leaves nothing worth sharding — and is
+// kept only because bench/ pins this signature.
 func IdentifyParallel(profiles []Profile, opt Options, workers int) *Set {
-	idx := buildIndex(profiles)
-	shards := par.Map(workers, len(profiles), func(_, pi int) *Set {
-		shard := NewSet()
-		identifyReader(idx, &profiles[pi], opt, shard)
-		return shard
-	})
-	set := NewSet()
-	for _, shard := range shards {
-		set.Merge(shard)
-	}
+	inc := NewIncremental(opt)
+	inc.AddBatch(profiles)
+	set := inc.Set()
 	obs.G(obs.MPMCIdentified).Set(int64(set.Len()))
 	obs.G(obs.MPMCCombinations).Set(set.TotalCombinations)
 	obs.Emit(obs.EvPMCIdentified, obs.A("keys", set.Len()),
 		obs.A("combinations", set.TotalCombinations))
 	return set
-}
-
-// buildIndex gathers every write access of the profiles into a sealed
-// ordered index, safe for concurrent overlap queries. It iterates the
-// columnar profiles directly and stores self-contained value records, so
-// the index never holds pointers into (or forces materialization of) the
-// profile blocks.
-func buildIndex(profiles []Profile) *index {
-	idx := newIndex()
-	for pi := range profiles {
-		p := &profiles[pi]
-		n := p.Accesses.Len()
-		for ai := 0; ai < n; ai++ {
-			if p.Accesses.IsWriteAt(ai) {
-				idx.addWrite(writeRec{
-					addr: p.Accesses.AddrAt(ai),
-					val:  p.Accesses.ValAt(ai),
-					ins:  p.Accesses.InsAt(ai),
-					size: p.Accesses.SizeAt(ai),
-					test: int32(p.TestID),
-				})
-			}
-		}
-	}
-	idx.seal()
-	return idx
-}
-
-// identifyReader scans one reader profile against the sealed write index,
-// adding every identified PMC to set (Algorithm 1 lines 6–14).
-func identifyReader(idx *index, p *Profile, opt Options, set *Set) {
-	n := p.Accesses.Len()
-	for ai := 0; ai < n; ai++ {
-		if p.Accesses.KindAt(ai) != trace.Read {
-			continue
-		}
-		r := p.Accesses.At(ai)
-		idx.overlapping(r.Addr, r.End(), func(w writeRec) {
-			classify(&r, w, p.DFLeader[ai], p.TestID, opt, set)
-		})
-	}
-}
-
-// classify applies Algorithm 1 lines 9–14 to one overlapping (read, write)
-// candidate: the self-pair filter, the projected-value inequality check,
-// and the Set insertion. It is shared between the batch path
-// (identifyReader) and the incremental path (readerView.scan), so the two
-// classify identically by construction.
-func classify(r *trace.Access, w writeRec, dfLeader bool, readerTest int, opt Options, set *Set) {
-	if !opt.AllowSelfPairs && int(w.test) == readerTest {
-		return
-	}
-	wAcc := trace.Access{Ins: w.ins, Kind: trace.Write, Addr: w.addr, Size: w.size, Val: w.val}
-	lo, hi := r.OverlapRange(&wAcc)
-	if !opt.SkipValueFilter {
-		if r.ProjectVal(lo, hi) == wAcc.ProjectVal(lo, hi) {
-			return // the write would not change what the read sees
-		}
-	}
-	pmc := PMC{
-		Write:    Key{Ins: w.ins, Addr: w.addr, Size: w.size, Val: w.val},
-		Read:     Key{Ins: r.Ins, Addr: r.Addr, Size: r.Size, Val: r.Val},
-		DFLeader: dfLeader,
-	}
-	set.Add(pmc, Pair{Writer: int(w.test), Reader: readerTest})
 }

@@ -1,9 +1,10 @@
-package pmc
+package pmc_test
 
 import (
-	"math/rand"
 	"testing"
 
+	"snowboard/internal/pmc"
+	"snowboard/internal/pmc/difftest"
 	"snowboard/internal/trace"
 )
 
@@ -22,12 +23,23 @@ func rAcc(ins trace.Ins, addr uint64, size uint8, val uint64) trace.Access {
 	return trace.Access{Ins: ins, Kind: trace.Read, Addr: addr, Size: size, Val: val}
 }
 
+// identify runs the keyed engine and holds it to the per-access reference,
+// so every expectation below is checked on both.
+func identify(t *testing.T, profiles []pmc.Profile, opt pmc.Options) *pmc.Set {
+	t.Helper()
+	set := pmc.Identify(profiles, opt)
+	if d := difftest.Diff(difftest.Reference(profiles, opt), set); d != "" {
+		t.Fatalf("Identify diverges from the per-access reference:\n%s", d)
+	}
+	return set
+}
+
 func TestIdentifyBasicPMC(t *testing.T) {
-	profiles := []Profile{
+	profiles := []pmc.Profile{
 		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 42))},
 		{TestID: 1, Accesses: trace.BlockOf(rAcc(insR1, 0x100, 8, 7))},
 	}
-	set := Identify(profiles, DefaultOptions())
+	set := identify(t, profiles, pmc.DefaultOptions())
 	if set.Len() != 1 {
 		t.Fatalf("PMCs: %d, want 1", set.Len())
 	}
@@ -35,7 +47,7 @@ func TestIdentifyBasicPMC(t *testing.T) {
 		if key.Write.Ins != insW1 || key.Read.Ins != insR1 {
 			t.Fatalf("wrong key: %v", key)
 		}
-		if e.PairCount != 1 || e.Pairs[0] != (Pair{Writer: 0, Reader: 1}) {
+		if e.PairCount != 1 || e.Pairs[0] != (pmc.Pair{Writer: 0, Reader: 1}) {
 			t.Fatalf("wrong pairs: %+v", e)
 		}
 	}
@@ -43,16 +55,16 @@ func TestIdentifyBasicPMC(t *testing.T) {
 
 func TestIdentifyValueFilter(t *testing.T) {
 	// Same value written and read: the write would not change the read.
-	profiles := []Profile{
+	profiles := []pmc.Profile{
 		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 42))},
 		{TestID: 1, Accesses: trace.BlockOf(rAcc(insR1, 0x100, 8, 42))},
 	}
-	if set := Identify(profiles, DefaultOptions()); set.Len() != 0 {
+	if set := identify(t, profiles, pmc.DefaultOptions()); set.Len() != 0 {
 		t.Fatalf("equal-value pair classified as PMC")
 	}
-	opt := DefaultOptions()
+	opt := pmc.DefaultOptions()
 	opt.SkipValueFilter = true
-	if set := Identify(profiles, opt); set.Len() != 1 {
+	if set := identify(t, profiles, opt); set.Len() != 1 {
 		t.Fatal("ablation did not disable the value filter")
 	}
 }
@@ -60,49 +72,49 @@ func TestIdentifyValueFilter(t *testing.T) {
 func TestIdentifyPartialOverlapProjection(t *testing.T) {
 	// Write [0x100,0x108)=0xAA...AA, read [0x104,0x106): projected bytes
 	// equal -> no PMC; projected bytes differ -> PMC.
-	profiles := []Profile{
+	profiles := []pmc.Profile{
 		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 0xAAAA_BBBB_CCCC_DDDD))},
 		{TestID: 1, Accesses: trace.BlockOf(rAcc(insR1, 0x104, 2, 0xBBBB))},
 	}
-	if set := Identify(profiles, DefaultOptions()); set.Len() != 0 {
+	if set := identify(t, profiles, pmc.DefaultOptions()); set.Len() != 0 {
 		t.Fatal("projection-equal pair classified as PMC")
 	}
 	profiles[1].Accesses = trace.BlockOf(rAcc(insR1, 0x104, 2, 0x1234))
-	if set := Identify(profiles, DefaultOptions()); set.Len() != 1 {
+	if set := identify(t, profiles, pmc.DefaultOptions()); set.Len() != 1 {
 		t.Fatal("projection-different pair missed")
 	}
 }
 
 func TestIdentifyNoOverlapNoPMC(t *testing.T) {
-	profiles := []Profile{
+	profiles := []pmc.Profile{
 		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 4, 1))},
 		{TestID: 1, Accesses: trace.BlockOf(rAcc(insR1, 0x104, 4, 2))},
 	}
-	if set := Identify(profiles, DefaultOptions()); set.Len() != 0 {
+	if set := identify(t, profiles, pmc.DefaultOptions()); set.Len() != 0 {
 		t.Fatal("disjoint ranges produced a PMC")
 	}
 }
 
 func TestIdentifySelfPairs(t *testing.T) {
-	profiles := []Profile{
+	profiles := []pmc.Profile{
 		{TestID: 0, Accesses: trace.BlockOf(
 			wAcc(insW1, 0x100, 8, 1),
 			rAcc(insR1, 0x100, 8, 2),
 		)},
 	}
-	set := Identify(profiles, DefaultOptions())
+	set := identify(t, profiles, pmc.DefaultOptions())
 	if set.Len() != 1 {
 		t.Fatalf("self pair missed: %d", set.Len())
 	}
-	opt := DefaultOptions()
+	opt := pmc.DefaultOptions()
 	opt.AllowSelfPairs = false
-	if set := Identify(profiles, opt); set.Len() != 0 {
+	if set := identify(t, profiles, opt); set.Len() != 0 {
 		t.Fatal("self pair kept despite AllowSelfPairs=false")
 	}
 }
 
 func TestIdentifyDFLeaderPropagates(t *testing.T) {
-	profiles := []Profile{
+	profiles := []pmc.Profile{
 		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 1))},
 		{
 			TestID:   1,
@@ -110,7 +122,7 @@ func TestIdentifyDFLeaderPropagates(t *testing.T) {
 			DFLeader: map[int]bool{0: true},
 		},
 	}
-	set := Identify(profiles, DefaultOptions())
+	set := identify(t, profiles, pmc.DefaultOptions())
 	var leaders, nonLeaders int
 	for key := range set.Entries {
 		if key.DFLeader {
@@ -130,21 +142,21 @@ func TestIdentifyDFLeaderPropagates(t *testing.T) {
 func TestPairCapAndCount(t *testing.T) {
 	// One PMC key shared by many test pairs: the pair list is capped but
 	// the count is exact.
-	var profiles []Profile
-	n := MaxPairsPerPMC + 10
+	var profiles []pmc.Profile
+	n := pmc.MaxPairsPerPMC + 10
 	for i := 0; i < n; i++ {
 		profiles = append(profiles,
-			Profile{TestID: 2 * i, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 1))},
-			Profile{TestID: 2*i + 1, Accesses: trace.BlockOf(rAcc(insR1, 0x100, 8, 2))},
+			pmc.Profile{TestID: 2 * i, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 1))},
+			pmc.Profile{TestID: 2*i + 1, Accesses: trace.BlockOf(rAcc(insR1, 0x100, 8, 2))},
 		)
 	}
-	set := Identify(profiles, DefaultOptions())
+	set := identify(t, profiles, pmc.DefaultOptions())
 	if set.Len() != 1 {
 		t.Fatalf("keys: %d", set.Len())
 	}
 	for _, e := range set.Entries {
-		if len(e.Pairs) != MaxPairsPerPMC {
-			t.Fatalf("pair list %d, want cap %d", len(e.Pairs), MaxPairsPerPMC)
+		if len(e.Pairs) != pmc.MaxPairsPerPMC {
+			t.Fatalf("pair list %d, want cap %d", len(e.Pairs), pmc.MaxPairsPerPMC)
 		}
 		if e.PairCount != int64(n*n) {
 			t.Fatalf("pair count %d, want %d", e.PairCount, n*n)
@@ -155,57 +167,10 @@ func TestPairCapAndCount(t *testing.T) {
 	}
 }
 
-// TestIndexAgainstBruteForce cross-checks the ordered nested index against
-// an O(n^2) scan on random access sets.
-func TestIndexAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 50; round++ {
-		var writes []trace.Access
-		var reads []trace.Access
-		for i := 0; i < 60; i++ {
-			addr := 0x100 + uint64(rng.Intn(64))
-			size := uint8(rng.Intn(8) + 1)
-			if rng.Intn(2) == 0 {
-				writes = append(writes, wAcc(insW1, addr, size, uint64(i)))
-			} else {
-				reads = append(reads, rAcc(insR1, addr, size, uint64(1000+i)))
-			}
-		}
-		ix := newIndex()
-		for i := range writes {
-			w := &writes[i]
-			ix.addWrite(writeRec{addr: w.Addr, val: w.Val, ins: w.Ins, size: w.Size, test: int32(i)})
-		}
-		ix.seal()
-		if ix.writeCount() != len(writes) {
-			t.Fatalf("write count %d != %d", ix.writeCount(), len(writes))
-		}
-		for ri := range reads {
-			r := &reads[ri]
-			got := make(map[int]int)
-			ix.overlapping(r.Addr, r.End(), func(w writeRec) { got[int(w.test)]++ })
-			want := make(map[int]int)
-			for wi := range writes {
-				if writes[wi].Overlaps(r) {
-					want[wi]++
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("round %d read %d: got %d overlaps, want %d", round, ri, len(got), len(want))
-			}
-			for k, v := range want {
-				if got[k] != v {
-					t.Fatalf("round %d: write %d seen %d times, want %d", round, k, got[k], v)
-				}
-			}
-		}
-	}
-}
-
 func TestPMCStrings(t *testing.T) {
-	p := PMC{
-		Write:    Key{Ins: insW1, Addr: 0x100, Size: 8, Val: 1},
-		Read:     Key{Ins: insR1, Addr: 0x100, Size: 8, Val: 2},
+	p := pmc.PMC{
+		Write:    pmc.Key{Ins: insW1, Addr: 0x100, Size: 8, Val: 1},
+		Read:     pmc.Key{Ins: insR1, Addr: 0x100, Size: 8, Val: 2},
 		DFLeader: true,
 	}
 	s := p.String()
@@ -217,11 +182,11 @@ func TestPMCStrings(t *testing.T) {
 func TestIdentifyIgnoresWriteWritePairs(t *testing.T) {
 	// Two writes never form a PMC by themselves (the paper: "such
 	// situations still require a read after a write").
-	profiles := []Profile{
+	profiles := []pmc.Profile{
 		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 1))},
 		{TestID: 1, Accesses: trace.BlockOf(wAcc(insW2, 0x100, 8, 2))},
 	}
-	if set := Identify(profiles, DefaultOptions()); set.Len() != 0 {
+	if set := identify(t, profiles, pmc.DefaultOptions()); set.Len() != 0 {
 		t.Fatal("write/write pair classified as PMC")
 	}
 }

@@ -68,8 +68,8 @@ const (
 	// coverage-over-time trajectory a resumed campaign appends to.
 	KindSeries
 	// KindPMCIndex is an SBPI incremental-identification snapshot
-	// (pmc.EncodeIncremental): the cumulative PMC set plus the write index
-	// and reader views needed to identify only new profiles on resume.
+	// (pmc.EncodeIncremental): the per-key observation aggregate that
+	// identifies only new profiles on resume, and the PMC set derives from.
 	KindPMCIndex
 	// KindFeedback is a JSON feedback-round checkpoint (core.RunFeedback):
 	// per-cluster credits, cumulative segment coverage, pipeline cursors,
