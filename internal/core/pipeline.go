@@ -359,7 +359,8 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 	// queue worker (NewWorker) runs the bare template. Giving it these
 	// layers too cost bench `fleet` trials_per_s −17…−23% for KnownPMCs,
 	// −11…−13% for Coverage+TrackSegments, −23…−33% for all three with
-	// wall_s +29…+50%, past BENCHMARK.json's 0.25 bound (EXPERIMENTS.md).
+	// wall_s +29…+50%, past BENCHMARK.json's 0.25 bound (EXPERIMENTS.md);
+	// re-measured on a fleet twice as fast: −21%, −8%, −22% with wall_s +30%.
 	template.KnownPMCs, template.Coverage, template.TrackSegments = p.PMCs, cov, true
 	template.MutateSchedules = p.Opts.Feedback
 	fleet := sched.NewFleet(template, p.workerEnvs(p.workers()),

@@ -189,6 +189,39 @@ func BenchmarkCoverageAddTrace(b *testing.B) {
 	}
 }
 
+// BenchmarkWalkAllUnaligned is the walk's worst case since its cells went
+// word-granular: two threads sharing 64 words through accesses that all
+// cover part of a word or straddle two, so every word is split once per
+// trace and every access walks per-byte cells, as all did before. Compare
+// with the parent commit; the aligned twin shows what the common case saves.
+func BenchmarkWalkAllUnaligned(b *testing.B) { benchWalk(b, false) }
+
+// BenchmarkWalkAllAligned is the same trace with every access the aligned
+// 8-byte access of its first word.
+func BenchmarkWalkAllAligned(b *testing.B) { benchWalk(b, true) }
+
+func benchWalk(b *testing.B, aligned bool) {
+	sites := []trace.Ins{cvW, cvR, cvX}
+	tr := &trace.Trace{}
+	for i := 0; i < 2048; i++ {
+		a := trace.Access{Thread: i & 1, Kind: trace.Kind(i >> 1 & 1), Ins: sites[i%3],
+			Addr: 0x1000 + uint64(i*37%512) | 1, Size: uint8(2 + i%7)}
+		if aligned {
+			a.Addr, a.Size = a.Addr&^7, 8
+		}
+		tr.Append(a)
+	}
+	c, s := New(), NewSegments()
+	c.AddTrace(tr)
+	s.AddTrace(tr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AddTrace(tr)
+		s.AddTrace(tr)
+	}
+}
+
 // --- Segment metric golden tests (hand-built traces) ---
 
 var (

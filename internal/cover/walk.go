@@ -11,14 +11,14 @@ type lastAccess struct {
 }
 
 // Walker is the reusable scratch of the one trace walk behind both
-// concurrency metrics: the last access per byte, indexed by the trial
-// view's word ids, and the trace's distinct alias pairs and interleaving
-// segments. An explorer owns one and feeds both of its accumulators from a
-// single pass per trial. The zero value is ready to use; a Walker is not
-// safe for concurrent use.
+// concurrency metrics: the last access per byte — per word, for a word only
+// ever accessed whole — indexed by the trial view's word ids, and the
+// trace's distinct alias pairs and interleaving segments. An explorer owns
+// one and feeds both of its accumulators from a single pass per trial. The
+// zero value is ready to use; a Walker is not safe for concurrent use.
 type Walker struct {
 	view  trace.View // built by the standalone Coverage.AddTrace and Segments.AddTrace
-	last  [][8]lastAccess
+	last  trace.WordCells[lastAccess]
 	pairs map[Pair]int // the trace's distinct pairs, each counted once
 	segs  map[Segment]int
 }
@@ -56,7 +56,7 @@ func (w *Walker) walk(v *trace.View, wantPairs, wantSegs bool) {
 		w.segs = make(map[Segment]int)
 	}
 	tr := v.Trace()
-	w.last = trace.Cells(v, w.last)
+	w.last.Reset(v)
 	clear(w.pairs)
 	clear(w.segs)
 	var prev Comm
@@ -70,24 +70,26 @@ func (w *Walker) walk(v *trace.View, wantPairs, wantSegs bool) {
 		var first, pair trace.Ins // predecessor of the first / latest communication
 		haveFirst, havePair := false, false
 		id, second := v.WordsAt(i)
-		word := &w.last[id]
-		for b, end := tr.AddrAt(i), tr.EndAt(i); b < end; b++ {
-			if b&7 == 0 && b != tr.AddrAt(i) {
-				word = &w.last[second]
-			}
-			p := &word[b&7]
-			if p.set && p.thread != cur.thread && (p.write || isWrite) {
-				if !haveFirst {
-					first, haveFirst = p.ins, true
+		for b, end := tr.AddrAt(i), tr.EndAt(i); b < end; id = second {
+			// One cell per byte, or one for all eight bytes of a word only
+			// ever accessed whole, whose bytes share one predecessor.
+			cells, n, _ := w.last.At(id, b, end)
+			for k := range cells {
+				p := &cells[k]
+				if p.set && p.thread != cur.thread && (p.write || isWrite) {
+					if !haveFirst {
+						first, haveFirst = p.ins, true
+					}
+					// Adjacent bytes mostly share a predecessor: skip the
+					// map for a pair just recorded.
+					if wantPairs && !(havePair && p.ins == pair) {
+						pair, havePair = p.ins, true
+						w.pairs[Pair{First: pair, Second: ins}] = 1
+					}
 				}
-				// Adjacent bytes mostly share a predecessor: skip the map
-				// for a pair just recorded.
-				if wantPairs && !(havePair && p.ins == pair) {
-					pair, havePair = p.ins, true
-					w.pairs[Pair{First: pair, Second: ins}] = 1
-				}
+				*p = cur
 			}
-			*p = cur
+			b += n
 		}
 		if !wantSegs || !haveFirst {
 			continue

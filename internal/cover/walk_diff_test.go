@@ -72,7 +72,9 @@ func refSegments(tr *trace.Trace) map[Segment]int {
 // reaches (where the occasional stack or atomic access lands too); words
 // only one thread touches, straddled by nobody else; per thread, a word
 // only it touches followed by one every thread does; and, when far is set,
-// a spread wide enough to grow the tables mid-walk.
+// a spread wide enough to grow the tables mid-walk. Half of the accesses are
+// then made the aligned 8-byte access of their word, as a kernel's nearly all
+// are, so words gather whole-word history before a partial access splits them.
 func randTrace(rng *rand.Rand, n int, far bool) *trace.Trace {
 	sites := []trace.Ins{cvW, cvR, cvX, segAW, segBR, segCW, segDR, segA2, segB2}
 	tr := &trace.Trace{}
@@ -98,19 +100,30 @@ func randTrace(rng *rand.Rand, n int, far bool) *trace.Trace {
 		case far && region < 6:
 			a.Addr = 0x8000 + uint64(rng.Intn(4096))
 		}
+		if rng.Intn(2) == 0 {
+			a.Addr, a.Size = a.Addr&^7, 8
+		}
 		tr.Append(a)
 	}
 	return tr
 }
 
 // teeth counts, over the generated traces, the shapes the private-word skip
-// has to get right; a generator that stops producing one has lost its teeth.
+// and the word-granular cells have to get right; a generator that stops
+// producing one has lost its teeth.
 type teeth struct {
 	skipped, analysed int // data accesses the view calls private / shared
 	straddleOnly      int // straddling accesses over two words no second thread touches
 	mixed             int // straddling accesses over one such word and one shared word
 	wide              int // data accesses by thread ids past the view's mask
 	stack, atomic     int // stack / lock-word accesses to words data accesses share
+
+	// Of the analysed accesses. A word is whole until the first of them to
+	// cover only part of it, split from then on.
+	wholeFast       int // aligned 8-byte accesses to a word still whole
+	splitAfterWhole int // partial accesses that split a word with whole-word history
+	wholeAfterSplit int // aligned 8-byte accesses to a split word
+	halfSplit       int // straddling accesses over one split word and one still whole
 }
 
 func (k *teeth) add(v *trace.View) {
@@ -129,6 +142,8 @@ func (k *teeth) add(v *trace.View) {
 			owners[w][tr.ThreadAt(i)] = true
 		}
 	}
+	type history struct{ whole, split bool }
+	hist := make(map[uint64]*history)
 	for i := 0; i < tr.Len(); i++ {
 		lo, hi := words(i)
 		one, other := len(owners[lo]) > 1, len(owners[hi]) > 1
@@ -144,12 +159,32 @@ func (k *teeth) add(v *trace.View) {
 			k.straddleOnly += btoi(lo != hi && !one && !other)
 			k.mixed += btoi(lo != hi && one != other)
 		}
+		if !v.Shared(i) {
+			continue
+		}
+		for _, w := range []uint64{lo, hi} {
+			if hist[w] == nil {
+				hist[w] = &history{}
+			}
+		}
+		if tr.AddrAt(i)&7 == 0 && tr.SizeAt(i) == 8 {
+			k.wholeFast += btoi(!hist[lo].split)
+			k.wholeAfterSplit += btoi(hist[lo].split)
+			hist[lo].whole = true
+			continue
+		}
+		k.halfSplit += btoi(hist[lo].split != hist[hi].split)
+		for _, h := range []*history{hist[lo], hist[hi]} {
+			k.splitAfterWhole += btoi(!h.split && h.whole)
+			h.split = true
+		}
 	}
 }
 
 func (k teeth) lost() bool {
 	return k.skipped == 0 || k.analysed == 0 || k.straddleOnly == 0 || k.mixed == 0 ||
-		k.wide == 0 || k.stack == 0 || k.atomic == 0
+		k.wide == 0 || k.stack == 0 || k.atomic == 0 ||
+		k.wholeFast == 0 || k.splitAfterWhole == 0 || k.wholeAfterSplit == 0 || k.halfSplit == 0
 }
 
 func btoi(b bool) int {

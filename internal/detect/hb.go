@@ -94,11 +94,11 @@ type raceKey struct {
 
 // hbState is the state of FindRacesHB, reused from trial to trial.
 type hbState struct {
-	bytes  [][8]byteState           // indexed by the trial view's word ids
-	sync   trace.Shadow[syncClocks] // keyed by exact address
-	arena  []uint32                 // clock copies referenced by sync
-	clocks []vclock                 // per thread; empty = not yet started
-	spill  [][]prior                // per spilled byte, indexed by thread - inlineReaders
+	hist   trace.WordCells[byteState] // indexed by the trial view's word ids
+	sync   trace.Shadow[syncClocks]   // keyed by exact address
+	arena  []uint32                   // clock copies referenced by sync
+	clocks []vclock                   // per thread; empty = not yet started
+	spill  [][]prior                  // per spilled byte, indexed by thread - inlineReaders
 	seen   map[raceKey]bool
 	out    []RaceReport
 
@@ -109,7 +109,7 @@ type hbState struct {
 }
 
 func (s *hbState) reset(v *trace.View) {
-	s.bytes = trace.Cells(v, s.bytes)
+	s.hist.Reset(v)
 	s.sync.Reset()
 	s.arena = s.arena[:0]
 	for i := range s.clocks {
@@ -148,14 +148,20 @@ func (s *hbState) save(ref *clockRef, vc vclock) {
 
 func (s *hbState) saved(ref clockRef) vclock { return s.arena[ref.off : ref.off+ref.n] }
 
+// newSpill returns 1 + the index of a fresh spill list holding a copy of
+// readers, on the storage of a previous trial's list.
+func (s *hbState) newSpill(readers []prior) uint32 {
+	s.spill = slices.Grow(s.spill, 1)[:len(s.spill)+1]
+	last := &s.spill[len(s.spill)-1]
+	*last = append((*last)[:0], readers...)
+	return uint32(len(s.spill))
+}
+
 // spilled returns the read record of thread t ≥ inlineReaders on st,
 // growing the byte's spill list on demand.
 func (s *hbState) spilled(st *byteState, t int) *prior {
 	if st.spill == 0 {
-		// Extend by one list, keeping the storage of a previous trial's.
-		s.spill = slices.Grow(s.spill, 1)[:len(s.spill)+1]
-		s.spill[len(s.spill)-1] = s.spill[len(s.spill)-1][:0]
-		st.spill = uint32(len(s.spill))
+		st.spill = s.newSpill(nil)
 	}
 	list := &s.spill[st.spill-1]
 	for len(*list) <= t-inlineReaders {
@@ -245,37 +251,46 @@ func (s *hbState) findRaces(v *trace.View) []RaceReport {
 		}
 
 		cur := prior{clock: vc.get(t), ins: tr.InsAt(i), thread: uint16(t), marked: marked}
-		first, second := v.WordsAt(i)
-		word := &s.bytes[first]
-		for b, end := addr, tr.EndAt(i); b < end; b++ {
-			if b&7 == 0 && b != addr {
-				word = &s.bytes[second]
-			}
-			st := &word[b&7]
-			if st.write.unordered(t, marked, *vc) {
-				s.report(tr, i, b, trace.Write, st.write)
-			}
-			if !isWrite {
-				if t < inlineReaders {
-					st.reads[t] = cur
-				} else {
-					*s.spilled(st, t) = cur
-				}
-				continue
-			}
-			for _, r := range st.reads {
-				if r.unordered(t, marked, *vc) {
-					s.report(tr, i, b, trace.Read, r)
+		id, second := v.WordsAt(i)
+		for b, end := addr, tr.EndAt(i); b < end; id = second {
+			// One history per byte, or one for all eight bytes of a word
+			// only ever accessed whole: each byte would file the reports of
+			// the first again, which report drops, and take the same update.
+			cells, n, fresh := s.hist.At(id, b, end)
+			if fresh && cells[0].spill != 0 {
+				// A word just split: its bytes must not share a spill list.
+				for k, bytes := 1, s.hist.Bytes(id); k < len(bytes); k++ {
+					bytes[k].spill = s.newSpill(s.spill[bytes[0].spill-1])
 				}
 			}
-			if st.spill != 0 {
-				for _, r := range s.spill[st.spill-1] {
+			for k := range cells {
+				st, b := &cells[k], b+uint64(k)
+				if st.write.unordered(t, marked, *vc) {
+					s.report(tr, i, b, trace.Write, st.write)
+				}
+				if !isWrite {
+					if t < inlineReaders {
+						st.reads[t] = cur
+					} else {
+						*s.spilled(st, t) = cur
+					}
+					continue
+				}
+				for _, r := range st.reads {
 					if r.unordered(t, marked, *vc) {
 						s.report(tr, i, b, trace.Read, r)
 					}
 				}
+				if st.spill != 0 {
+					for _, r := range s.spill[st.spill-1] {
+						if r.unordered(t, marked, *vc) {
+							s.report(tr, i, b, trace.Read, r)
+						}
+					}
+				}
+				st.write = cur
 			}
-			st.write = cur
+			b += n
 		}
 	}
 	return s.out

@@ -47,6 +47,36 @@ type Scratch struct {
 	last []trace.Ins
 	seen map[IssueKey]bool
 	out  []Issue
+
+	// classified remembers ClassifyRace per racing pair: the same few pairs
+	// race trial after trial, and classifying one builds strings.
+	classified map[racePair]Issue
+}
+
+// racePair keys the classification memo: ClassifyRace reads nothing else of
+// a report, and a torn read differs from a race of its pair by the prefix.
+type racePair struct {
+	w, r trace.Ins
+	torn bool
+}
+
+// classify is ClassifyRace (marked and described as a torn read when torn)
+// of a report between the two sites, remembered.
+func (sc *Scratch) classify(w, r trace.Ins, torn bool) Issue {
+	k := racePair{w, r, torn}
+	is, ok := sc.classified[k]
+	if !ok {
+		is = ClassifyRace(RaceReport{Write: trace.Access{Ins: w}, Read: trace.Access{Ins: r}})
+		if torn {
+			is.Torn = true
+			is.Desc = "Torn read: " + is.Desc
+		}
+		if sc.classified == nil {
+			sc.classified = make(map[racePair]Issue)
+		}
+		sc.classified[k] = is
+	}
+	return is
 }
 
 // scratchPool backs the package-level Analyze and FindRacesHB, whose
@@ -93,18 +123,12 @@ func (sc *Scratch) Analyze(in TrialInput, opt Options) []Issue {
 			races = sc.FindRacesHB(in.Trace)
 		}
 		for _, r := range races {
-			add(ClassifyRace(r))
+			add(sc.classify(r.Write.Ins, r.Read.Ins, false))
 		}
 	}
 	if opt.TornReads && in.Trace != nil {
 		for _, t := range FindTornReads(in.Trace) {
-			is := ClassifyRace(RaceReport{
-				Write: trace.Access{Ins: t.WriteIns, Kind: trace.Write, Addr: t.Addr, Size: 1},
-				Read:  trace.Access{Ins: t.ReadIns, Kind: trace.Read, Addr: t.Addr, Size: 1, Thread: 1},
-			})
-			is.Torn = true
-			is.Desc = "Torn read: " + is.Desc
-			add(is)
+			add(sc.classify(t.WriteIns, t.ReadIns, true))
 		}
 	}
 	if in.Deadlock {

@@ -73,7 +73,7 @@ func TestMutateFlipsTogglesXOR(t *testing.T) {
 
 // TestReproStateFlipsRoundTrip checks that Flips survive the JSON encoding
 // a Report's repro records go through, and that policyFromState rebuilds
-// the same FlipAt set.
+// the same FlipAt list.
 func TestReproStateFlipsRoundTrip(t *testing.T) {
 	st := &ReproState{Seed: 42, Trial: 3, Flips: []int{2, 7, 19}}
 	blob, err := json.Marshal(st)
@@ -87,14 +87,13 @@ func TestReproStateFlipsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(st.Flips, back.Flips) {
 		t.Fatalf("flips changed across JSON: %v vs %v", st.Flips, back.Flips)
 	}
-	policy := policyFromState(&back)
-	if len(policy.FlipAt) != len(st.Flips) {
-		t.Fatalf("FlipAt has %d entries, want %d", len(policy.FlipAt), len(st.Flips))
+	if policy := policyFromState(&back); !reflect.DeepEqual(policy.FlipAt, st.Flips) {
+		t.Fatalf("FlipAt rebuilt as %v, want %v", policy.FlipAt, st.Flips)
 	}
-	for _, f := range st.Flips {
-		if !policy.FlipAt[f] {
-			t.Fatalf("flip %d not rebuilt", f)
-		}
+	// The cursor wants them ascending and distinct, whatever order a state
+	// lists them in; an index no access can have is dropped.
+	if policy := policyFromState(&ReproState{Flips: []int{19, 2, -1, 7, 2}}); !reflect.DeepEqual(policy.FlipAt, st.Flips) {
+		t.Fatalf("FlipAt rebuilt from an unsorted list as %v, want %v", policy.FlipAt, st.Flips)
 	}
 }
 

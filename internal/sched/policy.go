@@ -16,10 +16,12 @@ import (
 // range. Values are deliberately excluded — during a successfully exercised
 // channel the read observes a *different* value than profiled, and the
 // scheduler must still recognize it (see §4.4's performed_pmc_access).
+// The fields sit back to back, widest first, so that the flag maps hash and
+// compare a sig as one run of bytes.
 type sig struct {
-	kind trace.Kind
-	ins  trace.Ins
 	addr uint64
+	ins  trace.Ins
+	kind trace.Kind
 	size uint8
 }
 
@@ -78,22 +80,22 @@ const switchDenom = 4
 // "coming").
 type SnowboardPolicy struct {
 	rng      *rand.Rand
-	current  []sig              // accesses of the PMCs under test (small; linear scan)
-	flags    map[sig]bool       // predecessors that announce a PMC access
-	flagIns  map[trace.Ins]bool // instructions appearing in flags (fast reject)
-	fired    map[sig]bool       // flags that already fired this trial
-	last     [16]sig            // last access per thread
+	current  []sig        // accesses of the PMCs under test (small; linear scan)
+	flags    map[sig]bool // predecessors that announce a PMC access
+	fired    map[sig]bool // flags that already fired this trial
+	watched  insFilter    // instructions of current and of flags: every other access skips all three
+	last     [16]sig      // last access per thread
 	haveLast [16]bool
 	streak   int // consecutive events without a switch (liveness)
 
 	// FlipAt inverts the rng-drawn switch decision at the listed access
-	// indices (0-based, counting every OnAccess event). This is the
-	// schedule-mutation mechanism: a trial that discovered new
+	// indices (0-based, counting every OnAccess event; ascending, distinct).
+	// This is the schedule-mutation mechanism: a trial that discovered new
 	// interleaving segments is replayed with a few decisions flipped near
 	// its recorded preemption points instead of exploring from scratch.
 	// The liveness force still applies after the flip, so a mutated
 	// schedule can never starve a thread.
-	FlipAt map[int]bool
+	FlipAt []int
 	// RecordSwitches enables SwitchEvents collection.
 	RecordSwitches bool
 	// SwitchEvents lists the access indices at which a preemption was
@@ -101,10 +103,23 @@ type SnowboardPolicy struct {
 	SwitchEvents []int
 
 	accessIndex int // events seen so far (indexes FlipAt/SwitchEvents)
+	nextFlip    int // FlipAt entries already consumed
 
 	// Switches counts induced preemptions, for reporting.
 	Switches int
 }
+
+// insFilter is a set of instructions kept as a bitset over the low bits of
+// their ids: a superset test. Ids are name hashes, so the few dozen
+// instructions a trial watches leave most of the bits clear, and a false
+// hit only costs the exact lookups the filter stands in front of.
+type insFilter [insFilterBits / 64]uint64
+
+const insFilterBits = 2048
+
+func (f *insFilter) add(i trace.Ins) { f[i%insFilterBits/64] |= 1 << (i % 64) }
+
+func (f *insFilter) has(i trace.Ins) bool { return f[i%insFilterBits/64]&(1<<(i%64)) != 0 }
 
 // NewSnowboardPolicy builds the trial scheduler. flags persists across
 // trials of the same concurrent test and is updated in place.
@@ -121,23 +136,23 @@ func (p *SnowboardPolicy) reset(rng *rand.Rand, currentPMCs []pmc.PMC, flags map
 	for _, pm := range currentPMCs {
 		cur = append(cur, sigOfKey(trace.Write, pm.Write), sigOfKey(trace.Read, pm.Read))
 	}
-	if p.flagIns == nil {
-		p.flagIns, p.fired = make(map[trace.Ins]bool, len(flags)), make(map[sig]bool)
+	if p.fired == nil {
+		p.fired = make(map[sig]bool)
 	}
-	clear(p.flagIns)
 	clear(p.fired)
-	clear(p.FlipAt)
-	for f := range flags {
-		p.flagIns[f.ins] = true
-	}
 	*p = SnowboardPolicy{
 		rng:          rng,
 		current:      cur,
 		flags:        flags,
-		flagIns:      p.flagIns,
 		fired:        p.fired,
-		FlipAt:       p.FlipAt,
+		FlipAt:       p.FlipAt[:0],
 		SwitchEvents: p.SwitchEvents[:0],
+	}
+	for _, s := range cur {
+		p.watched.add(s.ins)
+	}
+	for f := range flags {
+		p.watched.add(f.ins)
 	}
 }
 
@@ -164,16 +179,19 @@ func (p *SnowboardPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo)
 		// Stack accesses are excluded from memory tracking (§4.4.1);
 		// they are not PMC accesses, not flags, and not predecessors.
 		s := sigOfInfo(&a)
-		if p.isCurrent(s) {
+		if !p.watched.has(s.ins) {
+			// Neither under test nor flagged: the common access.
+		} else if p.isCurrent(s) {
 			// performed_pmc_access: remember the predecessor as a flag for
 			// future trials and maybe reschedule now.
 			if a.Thread < len(p.haveLast) && p.haveLast[a.Thread] {
-				f := p.last[a.Thread]
-				p.flags[f] = true
-				p.flagIns[f.ins] = true
+				if f := p.last[a.Thread]; !p.flags[f] {
+					p.flags[f] = true
+					p.watched.add(f.ins)
+				}
 			}
 			doSwitch = p.rng.Intn(switchDenom) == 0
-		} else if p.flagIns[s.ins] && p.flags[s] && !p.fired[s] {
+		} else if p.flags[s] && !p.fired[s] {
 			// pmc_access_coming: the next access is likely a PMC access.
 			// Each flag fires once per trial; many flags are on hot
 			// allocator sites and would otherwise thrash the schedule.
@@ -185,7 +203,8 @@ func (p *SnowboardPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo)
 			p.haveLast[a.Thread] = true
 		}
 	}
-	if p.FlipAt != nil && p.FlipAt[idx] {
+	if p.nextFlip < len(p.FlipAt) && p.FlipAt[p.nextFlip] == idx {
+		p.nextFlip++
 		doSwitch = !doSwitch
 	}
 	p.streak++

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"snowboard/internal/exec"
@@ -84,11 +85,13 @@ func (p *SnowboardPolicy) loadState(st *ReproState, r *rand.Rand, flags map[sig]
 	}
 	r.Seed(st.Seed)
 	p.reset(r, st.PMCs, flags)
-	if len(st.Flips) > 0 && p.FlipAt == nil {
-		p.FlipAt = make(map[int]bool, len(st.Flips))
-	}
-	for _, i := range st.Flips {
-		p.FlipAt[i] = true
+	// OnAccess consumes the flips with a cursor: ascending, each index once,
+	// none that no access can have.
+	p.FlipAt = append(p.FlipAt, st.Flips...)
+	slices.Sort(p.FlipAt)
+	p.FlipAt = slices.Compact(p.FlipAt)
+	for len(p.FlipAt) > 0 && p.FlipAt[0] < 0 {
+		p.FlipAt = p.FlipAt[1:]
 	}
 }
 

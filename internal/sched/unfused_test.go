@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -14,6 +16,7 @@ import (
 	"snowboard/internal/kernel"
 	"snowboard/internal/pmc"
 	"snowboard/internal/trace"
+	"snowboard/internal/vm"
 )
 
 // The per-consumer functions the explorer ran after every trial before they
@@ -304,5 +307,245 @@ func TestSelectNthEqualsSort(t *testing.T) {
 					iter, k, len(cands), got.PMC, got.freq, sorted[k].PMC, sorted[k].freq)
 			}
 		}
+	}
+}
+
+// prevPolicy is SnowboardPolicy as it was when every access probed maps —
+// the PMC signatures, a map of flagged instructions in front of the flags,
+// the fired flags, a map of flip indices — kept verbatim (identifiers
+// prefixed) as the differential oracle of the instruction filter and the
+// flip cursor.
+type prevPolicy struct {
+	rng          *rand.Rand
+	current      []sig
+	flags        map[sig]bool
+	flagIns      map[trace.Ins]bool
+	fired        map[sig]bool
+	last         [16]sig
+	haveLast     [16]bool
+	streak       int
+	flipAt       map[int]bool
+	switchEvents []int
+	accessIndex  int
+	switches     int
+}
+
+func newPrevPolicy(rng *rand.Rand, currentPMCs []pmc.PMC, flags map[sig]bool, flips []int) *prevPolicy {
+	p := &prevPolicy{rng: rng, flags: flags, flagIns: make(map[trace.Ins]bool), fired: make(map[sig]bool), flipAt: make(map[int]bool)}
+	for _, pm := range currentPMCs {
+		p.current = append(p.current, sigOfKey(trace.Write, pm.Write), sigOfKey(trace.Read, pm.Read))
+	}
+	for f := range flags {
+		p.flagIns[f.ins] = true
+	}
+	for _, i := range flips {
+		p.flipAt[i] = true
+	}
+	return p
+}
+
+func (p *prevPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo) bool {
+	idx := p.accessIndex
+	p.accessIndex++
+	doSwitch := false
+	if !a.Stack {
+		s := sigOfInfo(&a)
+		if slices.Contains(p.current, s) {
+			if a.Thread < len(p.haveLast) && p.haveLast[a.Thread] {
+				f := p.last[a.Thread]
+				p.flags[f] = true
+				p.flagIns[f.ins] = true
+			}
+			doSwitch = p.rng.Intn(switchDenom) == 0
+		} else if p.flagIns[s.ins] && p.flags[s] && !p.fired[s] {
+			p.fired[s] = true
+			doSwitch = p.rng.Intn(switchDenom) == 0
+		}
+		if a.Thread < len(p.last) {
+			p.last[a.Thread] = s
+			p.haveLast[a.Thread] = true
+		}
+	}
+	if p.flipAt[idx] {
+		doSwitch = !doSwitch
+	}
+	p.streak++
+	if p.streak >= livenessWindow {
+		doSwitch = true
+	}
+	if doSwitch {
+		p.streak = 0
+		p.switches++
+		p.switchEvents = append(p.switchEvents, idx)
+		return true
+	}
+	return false
+}
+
+func (p *prevPolicy) Pick(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
+	switch ev.Kind {
+	case vm.EvStart:
+		runnable := m.Runnable()
+		if len(runnable) == 0 {
+			return nil
+		}
+		return runnable[p.rng.Intn(len(runnable))]
+	case vm.EvBlocked, vm.EvDone, vm.EvFault, vm.EvYield:
+		p.streak = 0
+		return pickOther(m, last)
+	case vm.EvAccess:
+		return pickOther(m, last)
+	}
+	return keepOrFirst(m, last)
+}
+
+// countedSource counts the draws made from a seeded source.
+type countedSource struct {
+	rand.Source64
+	draws int
+}
+
+func (c *countedSource) Int63() int64   { c.draws++; return c.Source64.Int63() }
+func (c *countedSource) Uint64() uint64 { c.draws++; return c.Source64.Uint64() }
+
+func countedRand(seed int64) (*rand.Rand, *countedSource) {
+	src := &countedSource{Source64: rand.NewSource(seed).(rand.Source64)}
+	return rand.New(src), src
+}
+
+// trialScheduler is what a trial runs under: either policy.
+type trialScheduler interface {
+	vm.Scheduler
+	vm.AccessSink
+}
+
+// policyPair runs one trial under SnowboardPolicy and under prevPolicy,
+// each on its own flags and its own rng of one seed, and fails unless both
+// induced the same preemptions, left the same flags and drew from the rng
+// equally often. run drives a scheduler through the trial. A trial with
+// flips is set up the way a mutated or replayed one is, by loadState. It
+// returns the policy, for its preemption points and its filter.
+func policyPair(t *testing.T, what string, seed int64, pmcs []pmc.PMC, flags, prevFlags map[sig]bool, flips []int, run func(trialScheduler)) *SnowboardPolicy {
+	t.Helper()
+	rng, src := countedRand(seed)
+	prevRng, prevSrc := countedRand(seed)
+	policy := &SnowboardPolicy{}
+	if flips == nil {
+		policy.reset(rng, pmcs, flags)
+	} else {
+		st := snapshotRepro(seed, 0, pmcs, slices.Collect(maps.Keys(flags)))
+		st.Flips = flips
+		policy.loadState(st, rng, flags)
+	}
+	policy.RecordSwitches = true
+	run(policy)
+	prev := newPrevPolicy(prevRng, pmcs, prevFlags, flips)
+	run(prev)
+	if !slices.Equal(policy.SwitchEvents, prev.switchEvents) || policy.Switches != prev.switches {
+		t.Fatalf("%s: preemptions at %v, the map policy's at %v", what, policy.SwitchEvents, prev.switchEvents)
+	}
+	if !maps.Equal(flags, prevFlags) {
+		t.Fatalf("%s: flags %v, the map policy's %v", what, flags, prevFlags)
+	}
+	if src.draws != prevSrc.draws {
+		t.Fatalf("%s: %d rng draws, the map policy %d", what, src.draws, prevSrc.draws)
+	}
+	return policy
+}
+
+// TestPolicyEqualsMapPolicy: over real tests of two seeds, trial after trial
+// on flags that persist and a PMC set that grows by adoption, and in trials
+// that replay the last one with decisions flipped, SnowboardPolicy behind
+// its instruction filter must schedule exactly as the map-probing policy.
+func TestPolicyEqualsMapPolicy(t *testing.T) {
+	var switches, learned, mutated, adopted int
+	for _, seed := range []int64{3, 7} {
+		env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+		set, tests := realTests(t, env, seed)
+		var tr trace.Trace
+		for i, ct := range tests {
+			flags, prevFlags := make(map[sig]bool), make(map[sig]bool)
+			current := []pmc.PMC{*ct.Hint}
+			run := func(s trialScheduler) { env.RunPair(ct.Writer, ct.Reader, s, &tr) }
+			for trial := 0; trial < 8; trial++ {
+				trialSeed := seed*1000 + int64(i)*10 + int64(trial)
+				at := policyPair(t, fmt.Sprintf("seed %d test %d trial %d", seed, i, trial), trialSeed, current, flags, prevFlags, nil, run).SwitchEvents
+				switches += len(at)
+				if inc, ok := prevFindIncidental(set, &tr, current, rand.New(rand.NewSource(trialSeed))); ok && len(current) < maxCurrentPMCs {
+					current = append(current, inc)
+					adopted++
+				}
+				if len(at) == 0 || trial%2 == 0 {
+					continue
+				}
+				// A mutated trial runs on flags of its own, as the explorer's do.
+				flips := mutateFlips(rand.New(rand.NewSource(trialSeed)), nil, at)
+				policyPair(t, fmt.Sprintf("seed %d test %d trial %d mutated at %v", seed, i, trial, flips), trialSeed,
+					current, maps.Clone(flags), maps.Clone(prevFlags), flips, run)
+				mutated++
+			}
+			learned += len(flags)
+		}
+		env.Close()
+	}
+	t.Logf("%d preemptions, %d flags learned, %d adoptions, %d mutated trials", switches, learned, adopted, mutated)
+	if switches == 0 || learned == 0 || adopted == 0 || mutated == 0 {
+		t.Fatal("comparison lost its teeth")
+	}
+}
+
+// TestPolicyFilterFalseHit forces what a campaign meets once in a few
+// hundred accesses: two instructions on one bit of the filter, one flagged
+// and one not. The unflagged one must pass the filter, fail the exact
+// lookup behind it and change nothing.
+func TestPolicyFilterFalseHit(t *testing.T) {
+	flagged := trace.DefIns("policy_test:flagged")
+	twin := flagged + insFilterBits // same bit; never the predecessor of a PMC access
+	filler := trace.DefIns("policy_test:filler")
+	hint := hintPMC()
+	access := func(thread int, kind trace.Kind, ins trace.Ins, addr uint64) vm.AccessInfo {
+		return vm.AccessInfo{Thread: thread, Ins: ins, Kind: kind, Addr: addr, Size: 8}
+	}
+	// What a thread does next: reach a PMC access through the flagged
+	// instruction, or run the twin — followed by a filler, so that no PMC
+	// access ever comes right after it — at an address the flag also has.
+	atoms := func(th int) [][]vm.AccessInfo {
+		return [][]vm.AccessInfo{
+			{access(th, trace.Read, flagged, 0x200), access(th, trace.Write, hint.Write.Ins, hint.Write.Addr)},
+			{access(th, trace.Read, flagged, 0x208), access(th, trace.Read, hint.Read.Ins, hint.Read.Addr)},
+			{access(th, trace.Read, twin, 0x200), access(th, trace.Read, filler, 0x300)},
+			{access(th, trace.Read, flagged, 0x210), access(th, trace.Read, filler, 0x300)},
+			{{Thread: th, Ins: filler, Addr: 0x400, Size: 8, Stack: true}},
+		}
+	}
+	flags, prevFlags := make(map[sig]bool), make(map[sig]bool)
+	falseHits := 0
+	for trial := 0; trial < 12; trial++ {
+		gen := rand.New(rand.NewSource(int64(trial)))
+		var stream []vm.AccessInfo
+		for len(stream) < 300 {
+			th := gen.Intn(2)
+			stream = append(stream, atoms(th)[gen.Intn(5)]...)
+		}
+		var flips []int
+		if trial%3 == 2 {
+			flips = []int{40, 3, 41, 299, 1000, 3} // as a hand-written state may list them
+		}
+		policy := policyPair(t, fmt.Sprintf("trial %d", trial), int64(trial), []pmc.PMC{*hint}, flags, prevFlags, flips, func(s trialScheduler) {
+			for _, a := range stream {
+				s.OnAccess(nil, nil, a)
+			}
+		})
+		for _, a := range stream {
+			falseHits += btoi(a.Ins == twin && policy.watched.has(twin))
+		}
+	}
+	for f := range flags {
+		if f.ins == twin {
+			t.Fatalf("the twin got flagged: %v", f)
+		}
+	}
+	if falseHits == 0 || len(flags) == 0 {
+		t.Fatalf("%d accesses of the twin passed the filter, %d flags learned: the case was not forced", falseHits, len(flags))
 	}
 }

@@ -59,11 +59,17 @@ func packMeta(thread int, kind Kind, size uint8, atomic, marked, stack, rcu bool
 // Append records one access. The access's Seq field is ignored; its
 // sequence number is its position.
 func (b *Block) Append(a Access) {
-	b.ins = append(b.ins, a.Ins)
-	b.addrs = append(b.addrs, a.Addr)
-	b.vals = append(b.vals, a.Val)
-	b.meta = append(b.meta, packMeta(a.Thread, a.Kind, a.Size, a.Atomic, a.Marked, a.Stack, a.RCU))
-	b.locks = append(b.locks, a.Locks)
+	b.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
+}
+
+// Record is Append from the access's fields: the VM's access path has them
+// as scalars and builds no row value for an access that ends in no yield.
+func (b *Block) Record(thread int, ins Ins, kind Kind, addr uint64, size uint8, val uint64, atomic, marked, stack, rcu bool, locks LockSet) {
+	b.ins = append(b.ins, ins)
+	b.addrs = append(b.addrs, addr)
+	b.vals = append(b.vals, val)
+	b.meta = append(b.meta, packMeta(thread, kind, size, atomic, marked, stack, rcu))
+	b.locks = append(b.locks, locks)
 }
 
 // Len returns the number of recorded accesses.

@@ -11,8 +11,10 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Ins identifies a static memory-access site in the simulated kernel, the
@@ -28,6 +30,12 @@ var insRegistry = struct {
 	sync.RWMutex
 	byID   map[Ins]string
 	byName map[string]Ins
+
+	// names is an immutable copy of byID for Name, which post-trial code
+	// calls from every worker at once: nil after a registration, copied
+	// again by the next Name. Sites register at package init, so a running
+	// campaign reads one copy and takes no lock.
+	names atomic.Pointer[map[Ins]string]
 }{
 	byID:   make(map[Ins]string),
 	byName: make(map[string]Ins),
@@ -65,15 +73,22 @@ func DefIns(name string) Ins {
 	}
 	insRegistry.byID[id] = name
 	insRegistry.byName[name] = id
+	insRegistry.names.Store(nil)
 	return id
 }
 
 // Name returns the symbolic name of the instruction, or a hex placeholder
 // for IDs that were never registered (e.g. decoded from a foreign trace).
 func (i Ins) Name() string {
-	insRegistry.RLock()
-	defer insRegistry.RUnlock()
-	if n, ok := insRegistry.byID[i]; ok {
+	names := insRegistry.names.Load()
+	if names == nil {
+		insRegistry.RLock()
+		c := maps.Clone(insRegistry.byID)
+		insRegistry.names.Store(&c)
+		insRegistry.RUnlock()
+		names = &c
+	}
+	if n, ok := (*names)[i]; ok {
 		return n
 	}
 	return fmt.Sprintf("ins_%#x", uint32(i))
@@ -95,10 +110,11 @@ func LookupIns(name string) (Ins, bool) {
 // IDs are stable across processes, which lets segment state be serialized
 // into the artifact store and resumed byte-identically.
 var regionState = struct {
-	once  sync.Once
-	mu    sync.RWMutex
-	cache map[Ins]Ins
-}{cache: make(map[Ins]Ins)}
+	once   sync.Once
+	seeded map[Ins]Ins // every instruction registered at first use; read-only after once
+	mu     sync.RWMutex
+	late   map[Ins]Ins // instructions first seen after that
+}{late: make(map[Ins]Ins)}
 
 // regionName trims a site name to its owning-region prefix.
 func regionName(name string) string {
@@ -116,27 +132,36 @@ func regionName(name string) string {
 // order regardless of which traces it happens to observe first — open
 // addressing in DefIns then resolves identically everywhere.
 func seedRegions() {
-	for _, id := range RegisteredIns() {
-		regionState.mu.Lock()
-		regionState.cache[id] = DefIns(regionName(id.Name()))
-		regionState.mu.Unlock()
+	ids := RegisteredIns()
+	regions := make([]string, len(ids)) // named before any is registered: DefIns drops Name's table
+	for k, id := range ids {
+		regions[k] = regionName(id.Name())
+	}
+	regionState.seeded = make(map[Ins]Ins, len(ids))
+	for k, id := range ids {
+		regionState.seeded[id] = DefIns(regions[k])
 	}
 }
 
 // RegionOf returns the interned ID of the instruction's owning region.
 // Unregistered instructions map to a region named after their hex
-// placeholder, so the result is still deterministic.
+// placeholder, so the result is still deterministic. An instruction
+// registered before the first call — every kernel site — is answered from
+// a table nothing writes any more, without a lock.
 func RegionOf(i Ins) Ins {
 	regionState.once.Do(seedRegions)
+	if r, ok := regionState.seeded[i]; ok {
+		return r
+	}
 	regionState.mu.RLock()
-	r, ok := regionState.cache[i]
+	r, ok := regionState.late[i]
 	regionState.mu.RUnlock()
 	if ok {
 		return r
 	}
 	r = DefIns(regionName(i.Name()))
 	regionState.mu.Lock()
-	regionState.cache[i] = r
+	regionState.late[i] = r
 	regionState.mu.Unlock()
 	return r
 }

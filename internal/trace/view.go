@@ -7,7 +7,7 @@ import "slices"
 // stack nor lock-word traffic (§4.4.1) — touch into dense ids, with one
 // Shadow probe per access, and records which threads touched each word. An
 // analysis then keeps its per-byte state in flat arrays indexed by word id
-// (Cells) instead of hashing addresses again, and skips outright every
+// (WordCells) instead of hashing addresses again, and skips outright every
 // access whose words a single thread touched: such an access can neither
 // race nor communicate.
 //
@@ -87,11 +87,60 @@ func (v *View) Shared(i int) bool {
 	return m&(m-1) != 0
 }
 
-// Cells returns cells resized to one zeroed [8]T — a T per byte — for every
-// word of v, reusing its storage: the per-trial reset of an analysis that
-// indexes its state by word id.
-func Cells[T any](v *View, cells [][8]T) [][8]T {
-	cells = slices.Grow(cells[:0], v.Words())[:v.Words()]
-	clear(cells)
-	return cells
+// WordCells is the per-trial state of an analysis that keeps a history per
+// byte of shared memory, indexed by the word ids of a View. Nearly every
+// shared data access of a kernel is an aligned 8-byte load or store, and
+// while every access to a word has covered all of it, its eight bytes have
+// one history: such a word keeps a single T. The first access to cover
+// only part of a word splits it into eight copies of that T, one per byte,
+// which it keeps for the rest of the trial. Storage is kept across trials.
+type WordCells[T any] struct {
+	cells []T      // the words' single cells by id, then eight cells per split word
+	split []uint32 // per id: where in cells the word's eight start; 0 = not split
+}
+
+// Reset empties c and sizes it for the words of v.
+func (c *WordCells[T]) Reset(v *View) {
+	n := v.Words()
+	c.cells = slices.Grow(c.cells[:0], n)[:n]
+	clear(c.cells)
+	c.split = slices.Grow(c.split[:0], n)[:n]
+	clear(c.split)
+}
+
+// At returns the cells an access over bytes [b, end) reads and updates in
+// word id, which holds b, and how many bytes they stand for: one cell per
+// byte up to end or the word's last — or, when the access covers the whole
+// of a word not split so far, the word's single cell for all eight. A
+// caller that visits the cells in order and leaves equal cells equal gets
+// what a cell per byte would have given it. fresh reports that the call
+// split the word, for a T that owns storage a plain copy must not share
+// (Bytes returns the eight copies).
+func (c *WordCells[T]) At(id uint32, b, end uint64) (cells []T, n uint64, fresh bool) {
+	n = min(end, b|7+1) - b
+	off := c.split[id]
+	if off == 0 {
+		if n == 8 {
+			return c.cells[id : id+1], 8, false
+		}
+		off, fresh = c.splitWord(id), true
+	}
+	at := uint64(off) + b&7
+	return c.cells[at : at+n], n, fresh
+}
+
+func (c *WordCells[T]) splitWord(id uint32) uint32 {
+	off := len(c.cells)
+	c.cells = slices.Grow(c.cells, 8)[:off+8]
+	for k := off; k < off+8; k++ {
+		c.cells[k] = c.cells[id]
+	}
+	c.split[id] = uint32(off)
+	return uint32(off)
+}
+
+// Bytes returns the eight per-byte cells of a split word.
+func (c *WordCells[T]) Bytes(id uint32) []T {
+	off := c.split[id]
+	return c.cells[off : off+8]
 }

@@ -58,10 +58,9 @@ type Machine struct {
 	cpus    []*vcpu // one coroutine per thread slot, kept across runs
 	trace   *trace.Trace
 
-	lockHolder  map[Addr]*Thread
-	lockWaiters map[Addr][]*Thread
-	rcuReaders  int
-	rcuWaiters  []*Thread
+	lockMemo   trace.Shadow[lockEdge] // LockSet.With results, kept across runs
+	rcuReaders int
+	rcuWaiters []*Thread
 
 	sink     AccessSink // scheduler fast path for the current Run, if any
 	runMax   int        // step budget of the current Run
@@ -74,10 +73,37 @@ type Machine struct {
 // NewMachine returns a machine with empty memory.
 func NewMachine() *Machine {
 	return &Machine{
-		Mem:         NewMemory(),
-		Console:     &Console{},
-		lockHolder:  make(map[Addr]*Thread),
-		lockWaiters: make(map[Addr][]*Thread),
+		Mem:     NewMemory(),
+		Console: &Console{},
+	}
+}
+
+// lockEdge is one remembered LockSet.With: set extended by addr is with.
+type lockEdge struct {
+	set, with trace.LockSet
+	addr      Addr
+}
+
+// lockWith is set.With(addr) through the machine's memo. Interned sets are
+// process-wide and immutable, so an edge once learned holds for every later
+// run, and a thread taking a lock reaches the process-wide intern table
+// only the first time this machine sees the (set, lock) pair. Two pairs
+// that hash alike evict each other, which costs a lookup and nothing else.
+func (m *Machine) lockWith(set trace.LockSet, addr Addr) trace.LockSet {
+	e := m.lockMemo.Slot(uint64(set)<<40 ^ addr)
+	if e.with == 0 || e.set != set || e.addr != addr {
+		*e = lockEdge{set: set, with: set.With(addr), addr: addr}
+	}
+	return e.with
+}
+
+// wakeLockWaiters makes runnable every thread blocked on the lock at addr.
+func (m *Machine) wakeLockWaiters(addr Addr) {
+	for _, w := range m.threads {
+		if w.state == BlockedLock && w.waitOn == addr {
+			w.state = Runnable
+			w.waitOn = 0
+		}
 	}
 }
 
@@ -142,7 +168,7 @@ func (m *Machine) Spawn(name string, stackBase Addr, fn func(*Thread)) *Thread {
 		stackLo: stackBase,
 		sp:      stackBase + trace.StackSize,
 	}
-	t.cpu.t, t.cpu.fn = t, fn
+	t.cpu.t, t.cpu.fn, t.cpu.held = t, fn, t.cpu.held[:0]
 	m.threads = append(m.threads, t)
 	return t
 }
@@ -184,18 +210,11 @@ func (m *Machine) step(t *Thread) Event {
 // thread so the sibling thread can still run (mirrors a crashed CPU being
 // fenced off; without this every fault would cascade into a deadlock).
 func (m *Machine) releaseDead(t *Thread) {
-	for _, l := range t.locks.Addrs() {
-		m.Mem.Write(l, 8, 0)
-		delete(m.lockHolder, l)
-		for _, w := range m.lockWaiters[l] {
-			if w.state == BlockedLock && w.waitOn == l {
-				w.state = Runnable
-				w.waitOn = 0
-			}
-		}
-		delete(m.lockWaiters, l)
+	for _, h := range t.cpu.held {
+		m.Mem.Write(h.addr, 8, 0)
+		m.wakeLockWaiters(h.addr)
 	}
-	t.locks = 0
+	t.locks, t.cpu.held = 0, t.cpu.held[:0]
 	if t.rcuDepth > 0 {
 		m.rcuReaders -= t.rcuDepth
 		t.rcuDepth = 0
@@ -297,8 +316,6 @@ func (m *Machine) Close() {
 // preparing the machine for a fresh set of threads after a snapshot restore.
 func (m *Machine) ResetRuntime() {
 	m.Shutdown()
-	clear(m.lockHolder)
-	clear(m.lockWaiters)
 	m.rcuReaders = 0
 	m.rcuWaiters = m.rcuWaiters[:0]
 	m.faults = nil

@@ -44,26 +44,118 @@ func (r Region) Contains(addr Addr) bool { return addr >= r.Lo && addr < r.Hi }
 // Memory is the guest address space: sparse pages plus the set of valid
 // regions. Pages referenced by a Snapshot are shared and copied on write.
 //
+// Pages hang off a two-level table indexed by page number — a root of
+// leaves, each covering leafPages adjacent pages — so the lookup under
+// every guest load and store is two array indexings, and the table of a
+// booted kernel is a handful of leaves.
+//
 // A Memory remembers the snapshot its page table was derived from (base)
 // and the pages it has privately materialised since (dirty), so restoring
 // base again — what every trial does — rewinds only those pages and keeps
 // their buffers on a free list for the next trial's copies.
 type Memory struct {
-	pages   map[uint64]*page
+	root    pageTable
 	regions []Region
-	base    *Snapshot // pages minus dirty equals base.pages; nil before the first Snapshot/Restore
+	base    *Snapshot // the table minus dirty equals base's; nil before the first Snapshot/Restore
 	dirty   []uint64  // numbers of the pages this Memory owns
 	free    []*page   // recycled buffers, owner already set
 }
 
-// NewMemory returns an empty address space with no valid regions.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*page)}
+const (
+	pageShift = 12 // log2(PageSize)
+	leafShift = 9  // log2(leafPages)
+	leafPages = 1 << leafShift
+
+	// AddrLimit bounds guest addresses, so that the root of the page table
+	// stays a short slice: one entry per 2 MB, 32k entries at the limit.
+	AddrLimit Addr = 1 << 36
+)
+
+// leaf maps leafPages adjacent page numbers to their pages, nil for a page
+// nobody has touched.
+type leaf [leafPages]*page
+
+// pageTable is the two-level table of a Memory or a Snapshot. The root is
+// indexed by page number >> leafShift and grows to the highest leaf in use;
+// n counts the materialised pages.
+type pageTable struct {
+	leaves []*leaf
+	n      int
 }
 
-// AddRegion declares [lo, hi) valid. Regions must not overlap.
+// get returns the page numbered pn, or nil.
+func (t *pageTable) get(pn uint64) *page {
+	if li := pn >> leafShift; li < uint64(len(t.leaves)) {
+		if l := t.leaves[li]; l != nil {
+			return l[pn&(leafPages-1)]
+		}
+	}
+	return nil
+}
+
+// slot returns the table entry of page pn, growing the root and creating
+// the leaf as needed.
+func (t *pageTable) slot(pn uint64) **page {
+	li := pn >> leafShift
+	if li >= uint64(len(t.leaves)) {
+		if pn >= uint64(AddrLimit>>pageShift) {
+			panic(fmt.Sprintf("vm: address %#x beyond the guest address space (limit %#x)", pn<<pageShift, AddrLimit))
+		}
+		t.leaves = append(t.leaves, make([]*leaf, li+1-uint64(len(t.leaves)))...)
+	}
+	l := t.leaves[li]
+	if l == nil {
+		l = new(leaf)
+		t.leaves[li] = l
+	}
+	return &l[pn&(leafPages-1)]
+}
+
+// set points entry pn at p (nil unmaps it), keeping the page count.
+func (t *pageTable) set(pn uint64, p *page) {
+	e := t.slot(pn)
+	switch {
+	case *e == nil && p != nil:
+		t.n++
+	case *e != nil && p == nil:
+		t.n--
+	}
+	*e = p
+}
+
+// copyFrom makes t an independent copy of o, leaf by leaf, reusing the
+// leaves t already has.
+func (t *pageTable) copyFrom(o *pageTable) {
+	for len(t.leaves) < len(o.leaves) {
+		t.leaves = append(t.leaves, nil)
+	}
+	for li, l := range t.leaves {
+		var src *leaf
+		if li < len(o.leaves) {
+			src = o.leaves[li]
+		}
+		switch {
+		case src == nil && l != nil:
+			*l = leaf{}
+		case src != nil && l == nil:
+			c := *src
+			t.leaves[li] = &c
+		case src != nil:
+			*l = *src
+		}
+	}
+	t.n = o.n
+}
+
+// NewMemory returns an empty address space with no valid regions.
+func NewMemory() *Memory {
+	return &Memory{}
+}
+
+// AddRegion declares [lo, hi) valid. Regions must not overlap, and end at
+// or below AddrLimit.
 func (m *Memory) AddRegion(name string, lo, hi Addr) Region {
-	if lo >= hi {
+	if lo >= hi || hi > AddrLimit {
 		panic(fmt.Sprintf("vm: bad region %s [%#x,%#x)", name, lo, hi))
 	}
 	for _, r := range m.regions {
@@ -107,14 +199,17 @@ func (m *Memory) newPage(pn uint64) *page {
 	} else {
 		p = &page{owner: m}
 	}
-	m.pages[pn] = p
+	m.root.set(pn, p)
 	m.dirty = append(m.dirty, pn)
 	return p
 }
 
+// pageFor returns the page holding addr, for reading or for writing in
+// place. An untouched page is materialised zeroed either way; a page a
+// snapshot shares is copied before the first write.
 func (m *Memory) pageFor(addr Addr, forWrite bool) *page {
-	pn := addr / PageSize
-	p := m.pages[pn]
+	pn := addr >> pageShift
+	p := m.root.get(pn)
 	if p == nil {
 		p = m.newPage(pn)
 		p.data = [PageSize]byte{}
@@ -154,6 +249,14 @@ func (m *Memory) WriteBytes(addr Addr, b []byte) {
 
 // Read returns the little-endian value of the size bytes at addr (size 1..8).
 func (m *Memory) Read(addr Addr, size int) uint64 {
+	if off := addr % PageSize; off <= PageSize-8 && uint(size) <= 8 {
+		// Inside one page with room for a whole word: one load, masked.
+		v := binary.LittleEndian.Uint64(m.pageFor(addr, false).data[off:])
+		if size < 8 {
+			v &= 1<<(8*uint(size)) - 1
+		}
+		return v
+	}
 	var buf [8]byte
 	m.read(addr, buf[:size])
 	return binary.LittleEndian.Uint64(buf[:])
@@ -161,16 +264,21 @@ func (m *Memory) Read(addr Addr, size int) uint64 {
 
 // Write stores the low size bytes of val at addr, little-endian.
 func (m *Memory) Write(addr Addr, size int, val uint64) {
+	if off := addr % PageSize; off <= PageSize-8 && size == 8 {
+		binary.LittleEndian.PutUint64(m.pageFor(addr, true).data[off:], val)
+		return
+	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], val)
 	m.WriteBytes(addr, buf[:size])
 }
 
-// Snapshot captures the current memory contents. All current pages become
-// shared: subsequent writes through any Memory that references them copy
-// first. Taking a snapshot is O(pages) in map size only, not in bytes.
+// Snapshot captures memory contents and valid regions at one moment. Its
+// pages are shared: a write through any Memory that references one copies
+// it first. Taking a snapshot copies the page table, leaf by leaf, never
+// page contents.
 type Snapshot struct {
-	pages   map[uint64]*page
+	root    pageTable
 	regions []Region
 }
 
@@ -178,15 +286,10 @@ type Snapshot struct {
 // snapshot — other Memories may come to share them — so they leave the
 // dirty list without reaching the free list.
 func (m *Memory) Snapshot() *Snapshot {
-	s := &Snapshot{
-		pages:   make(map[uint64]*page, len(m.pages)),
-		regions: append([]Region(nil), m.regions...),
-	}
-	for pn, p := range m.pages {
-		s.pages[pn] = p
-	}
+	s := &Snapshot{regions: append([]Region(nil), m.regions...)}
+	s.root.copyFrom(&m.root)
 	for _, pn := range m.dirty {
-		m.pages[pn].owner = nil
+		m.root.get(pn).owner = nil
 	}
 	m.dirty = m.dirty[:0]
 	m.base = s
@@ -196,22 +299,15 @@ func (m *Memory) Snapshot() *Snapshot {
 // Restore resets memory to exactly the snapshot state. Restoring the
 // snapshot the page table already derives from costs O(pages touched since):
 // each dirty page is dropped or pointed back at the snapshot's, and its
-// buffer recycled. Any other snapshot rebuilds the table.
+// buffer recycled. Any other snapshot rebuilds the table, leaf by leaf.
 func (m *Memory) Restore(s *Snapshot) {
 	if s == m.base {
 		for _, pn := range m.dirty {
-			m.free = append(m.free, m.pages[pn])
-			if p := s.pages[pn]; p != nil {
-				m.pages[pn] = p
-			} else {
-				delete(m.pages, pn)
-			}
+			m.free = append(m.free, m.root.get(pn))
+			m.root.set(pn, s.root.get(pn))
 		}
 	} else {
-		m.pages = make(map[uint64]*page, len(s.pages))
-		for pn, p := range s.pages {
-			m.pages[pn] = p
-		}
+		m.root.copyFrom(&s.root)
 		m.base = s
 	}
 	m.dirty = m.dirty[:0]
@@ -219,4 +315,4 @@ func (m *Memory) Restore(s *Snapshot) {
 }
 
 // Pages reports how many pages are materialized (for tests and stats).
-func (m *Memory) Pages() int { return len(m.pages) }
+func (m *Memory) Pages() int { return m.root.n }

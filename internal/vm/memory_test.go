@@ -2,86 +2,148 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"testing"
 )
 
-// The address window of the memory differential test: a handful of pages,
-// so a random program keeps landing on the same ones and on their borders.
+// The address windows of the memory differential test: three runs of three
+// pages, each ending one page past a boundary between two leaves of the page
+// table, so a random program keeps landing on the same few pages, on page
+// borders inside a leaf and on page borders between leaves, in six leaves.
 const (
-	diffBase  = testRegionBase
-	diffPages = 6
-	diffSize  = diffPages * PageSize
+	diffWins    = 3
+	diffWinSize = 3 * PageSize
+	leafSpan    = leafPages * PageSize
 )
 
-// modelMem is the naive model a Memory is checked against: the whole window
-// as one flat buffer, a snapshot a full copy of it.
-type modelMem [diffSize]byte
+func diffWinBase(w int) uint64 { return uint64(w+1)*3*leafSpan - 2*PageSize }
+
+// modelMem is the naive model a Memory is checked against: each window as
+// one flat buffer, plus the set of pages anything has touched (a read
+// materialises a zero page just as a write does); a snapshot is a full copy.
+type modelMem struct {
+	data   [diffWins][diffWinSize]byte
+	mapped map[uint64]bool // by page number
+}
+
+func (m *modelMem) clone() modelMem {
+	c := modelMem{data: m.data, mapped: make(map[uint64]bool, len(m.mapped))}
+	for pn := range m.mapped {
+		c.mapped[pn] = true
+	}
+	return c
+}
+
+// touch marks the pages of [off, off+n) in window w as materialised.
+func (m *modelMem) touch(w, off, n int) {
+	for a := diffWinBase(w) + uint64(off); a < diffWinBase(w)+uint64(off+n); a = (a/PageSize + 1) * PageSize {
+		m.mapped[a/PageSize] = true
+	}
+}
 
 type snapPair struct {
 	real  *Snapshot
 	model modelMem
+	by    int // the Memory that took it
 }
 
 // TestMemoryEqualsFullCopyModel drives two Memories that share one pool of
-// snapshots through a seeded random program of Write / WriteBytes /
-// Snapshot / Restore and, after every step, compares each byte for byte
-// (through Read and ReadBytes) with a model that copies everything. The
-// program reaches every case the dirty-page Restore distinguishes: restore
-// of the base snapshot, of an older one, of one the other Memory took, a
-// Snapshot with dirty pages outstanding, pages born after the snapshot (two
-// of the window's pages are never written before the first Snapshot), and
-// accesses that straddle a page boundary.
+// snapshots through a seeded random program of Write / WriteBytes / Read /
+// ReadBytes / Snapshot / Restore and, after every step, compares each —
+// every page the model says is materialised, byte for byte, the scalars
+// across every page border, and the page count — with a model that copies
+// everything. The program reaches every case the dirty-page Restore and the
+// two-level page table distinguish: restore of the base snapshot, of an
+// older one, of one the other Memory took, a Snapshot with dirty pages
+// outstanding, pages born after the snapshot (one window is never touched
+// before the first Snapshot), reads of pages nobody has written, and
+// accesses that straddle a page border inside a leaf and between two.
 func TestMemoryEqualsFullCopyModel(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
+	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		mems := [2]*Memory{NewMemory(), NewMemory()}
-		var models [2]modelMem
+		models := [2]modelMem{{mapped: map[uint64]bool{}}, {mapped: map[uint64]bool{}}}
 		for _, m := range mems {
-			m.AddRegion("win", diffBase, diffBase+diffSize)
+			for w := 0; w < diffWins; w++ {
+				m.AddRegion("win", diffWinBase(w), diffWinBase(w)+diffWinSize)
+			}
 		}
-		// Both start from one boot image covering pages 0..3 only.
-		boot := make([]byte, 4*PageSize)
-		rng.Read(boot)
-		for i, m := range mems {
-			m.WriteBytes(diffBase, boot)
-			copy(models[i][:], boot)
+		// Both start from one boot image covering the first two windows only.
+		for w := 0; w < diffWins-1; w++ {
+			boot := make([]byte, diffWinSize)
+			rng.Read(boot)
+			for i, m := range mems {
+				m.WriteBytes(diffWinBase(w), boot)
+				copy(models[i].data[w][:], boot)
+				models[i].touch(w, 0, diffWinSize)
+			}
 		}
-		snaps := []snapPair{{mems[0].Snapshot(), models[0]}}
+		snaps := []snapPair{{mems[0].Snapshot(), models[0].clone(), 0}}
 		mems[1].Restore(snaps[0].real)
 
-		var restoredBase, restoredOther, snapDirty, straddled int
+		var restoredBase, restoredOlder, restoredForeign, snapDirty, pageStraddles, leafStraddles, coldReads int
+		straddle := func(w, off, n int) {
+			first, last := (diffWinBase(w)+uint64(off))/PageSize, (diffWinBase(w)+uint64(off+n-1))/PageSize
+			if first != last {
+				pageStraddles++
+			}
+			if first/leafPages != last/leafPages {
+				leafStraddles++
+			}
+		}
 		for step := 0; step < 1500; step++ {
-			w := rng.Intn(2)
-			m, model := mems[w], &models[w]
-			switch op := rng.Intn(20); {
+			who := rng.Intn(2)
+			m, model := mems[who], &models[who]
+			w := rng.Intn(diffWins)
+			switch op := rng.Intn(24); {
 			case op < 9: // Write, biased towards page borders
 				size := rng.Intn(8) + 1
-				off := rng.Intn(diffSize - 8)
+				off := rng.Intn(diffWinSize - 8)
 				if rng.Intn(3) == 0 {
-					off = (rng.Intn(diffPages-1)+1)*PageSize - rng.Intn(8)
+					off = (rng.Intn(2)+1)*PageSize - rng.Intn(8)
 				}
-				if off/PageSize != (off+size-1)/PageSize {
-					straddled++
-				}
+				straddle(w, off, size)
 				val := rng.Uint64()
-				m.Write(diffBase+uint64(off), size, val)
+				m.Write(diffWinBase(w)+uint64(off), size, val)
 				for i := 0; i < size; i++ {
-					model[off+i] = byte(val >> (8 * i))
+					model.data[w][off+i] = byte(val >> (8 * i))
 				}
+				model.touch(w, off, size)
 			case op < 13: // WriteBytes, up to two page crossings
 				n := rng.Intn(2*PageSize+100) + 1
-				off := rng.Intn(diffSize - n)
+				off := rng.Intn(diffWinSize - n)
 				b := make([]byte, n)
 				rng.Read(b)
-				m.WriteBytes(diffBase+uint64(off), b)
-				copy(model[off:], b)
-			case op < 15: // Snapshot
+				straddle(w, off, n)
+				m.WriteBytes(diffWinBase(w)+uint64(off), b)
+				copy(model.data[w][off:], b)
+				model.touch(w, off, n)
+			case op < 17: // Read or ReadBytes, of pages nobody may have touched yet
+				n := rng.Intn(8) + 1
+				if op == 16 {
+					n = rng.Intn(PageSize+100) + 1
+				}
+				off := rng.Intn(diffWinSize - n)
+				if !model.mapped[(diffWinBase(w)+uint64(off))/PageSize] {
+					coldReads++
+				}
+				got := m.ReadBytes(diffWinBase(w)+uint64(off), n)
+				if n <= 8 && op != 16 {
+					var buf [8]byte
+					binary.LittleEndian.PutUint64(buf[:], m.Read(diffWinBase(w)+uint64(off), n))
+					got = buf[:n]
+				}
+				if want := model.data[w][off : off+n]; !bytes.Equal(got, want) {
+					t.Fatalf("seed %d step %d: memory %d read of %d bytes at window %d offset %#x: %x, want %x", seed, step, who, n, w, off, got, want)
+				}
+				model.touch(w, off, n)
+			case op < 19: // Snapshot
 				if len(m.dirty) > 0 {
 					snapDirty++
 				}
-				snaps = append(snaps, snapPair{m.Snapshot(), *model})
+				snaps = append(snaps, snapPair{m.Snapshot(), model.clone(), who})
 			default: // Restore
 				s := snaps[rng.Intn(len(snaps))]
 				if rng.Intn(2) == 0 && m.base != nil {
@@ -91,40 +153,90 @@ func TestMemoryEqualsFullCopyModel(t *testing.T) {
 						}
 					}
 				}
-				if s.real == m.base {
+				switch {
+				case s.real == m.base:
 					restoredBase++
-				} else {
-					restoredOther++
+				case s.by != who:
+					restoredForeign++
+				default:
+					restoredOlder++
 				}
 				m.Restore(s.real)
-				*model = s.model
+				*model = s.model.clone()
 			}
 			for i, m := range mems {
-				if got := m.ReadBytes(diffBase, diffSize); !bytes.Equal(got, models[i][:]) {
-					at := 0
-					for got[at] == models[i][at] {
-						at++
-					}
-					t.Fatalf("seed %d step %d: memory %d differs from the model at offset %#x: %#x, want %#x",
-						seed, step, i, at, got[at], models[i][at])
+				if m.Pages() != len(models[i].mapped) {
+					t.Fatalf("seed %d step %d: memory %d has %d pages, the model %d", seed, step, i, m.Pages(), len(models[i].mapped))
 				}
-				// A scalar read across each page border.
-				for p := 1; p < diffPages; p++ {
-					off := p*PageSize - 3
-					var want uint64
-					for k := 7; k >= 0; k-- {
-						want = want<<8 | uint64(models[i][off+k])
+				for w := 0; w < diffWins; w++ {
+					for p := 0; p < diffWinSize/PageSize; p++ {
+						base := diffWinBase(w) + uint64(p*PageSize)
+						if !models[i].mapped[base/PageSize] {
+							continue
+						}
+						want := models[i].data[w][p*PageSize : (p+1)*PageSize]
+						if got := m.ReadBytes(base, PageSize); !bytes.Equal(got, want) {
+							at := 0
+							for got[at] == want[at] {
+								at++
+							}
+							t.Fatalf("seed %d step %d: memory %d differs from the model at %#x: %#x, want %#x",
+								seed, step, i, base+uint64(at), got[at], want[at])
+						}
+						// A scalar read across the border to the next page.
+						if p+1 < diffWinSize/PageSize && models[i].mapped[base/PageSize+1] {
+							off := (p+1)*PageSize - 3
+							want := binary.LittleEndian.Uint64(models[i].data[w][off:])
+							if got := m.Read(diffWinBase(w)+uint64(off), 8); got != want {
+								t.Fatalf("seed %d step %d: memory %d Read across page %d of window %d: %#x, want %#x", seed, step, i, p+1, w, got, want)
+							}
+						}
 					}
-					if got := m.Read(diffBase+uint64(off), 8); got != want {
-						t.Fatalf("seed %d step %d: memory %d Read across page %d: %#x, want %#x", seed, step, i, p, got, want)
-					}
+				}
+				if m.Pages() != len(models[i].mapped) {
+					t.Fatalf("seed %d step %d: reading materialised pages of memory %d materialised more", seed, step, i)
 				}
 			}
 		}
-		if restoredBase == 0 || restoredOther == 0 || snapDirty == 0 || straddled == 0 {
-			t.Fatalf("seed %d: program missed a case: %d base restores, %d other restores, %d snapshots over dirty pages, %d straddling writes",
-				seed, restoredBase, restoredOther, snapDirty, straddled)
+		// Pages the model never saw touched read as zero.
+		for i, m := range mems {
+			for w := 0; w < diffWins; w++ {
+				if got := m.ReadBytes(diffWinBase(w), diffWinSize); !bytes.Equal(got, models[i].data[w][:]) {
+					t.Fatalf("seed %d: memory %d window %d differs from the model once every page is read", seed, i, w)
+				}
+			}
 		}
+		if restoredBase == 0 || restoredOlder == 0 || restoredForeign == 0 || snapDirty == 0 ||
+			pageStraddles == leafStraddles || leafStraddles == 0 || coldReads == 0 {
+			t.Fatalf("seed %d: program missed a case: %d base, %d older and %d foreign restores, %d snapshots over dirty pages, %d straddling writes of which %d between leaves, %d reads of untouched pages",
+				seed, restoredBase, restoredOlder, restoredForeign, snapDirty, pageStraddles, leafStraddles, coldReads)
+		}
+	}
+}
+
+// TestMemoryAddressLimit: the page table's root is sized by the highest
+// address in use, so a region may not end past AddrLimit, and a direct
+// access past it panics instead of growing the root without bound.
+func TestMemoryAddressLimit(t *testing.T) {
+	m := NewMemory()
+	m.AddRegion("top", AddrLimit-PageSize, AddrLimit)
+	m.Write(AddrLimit-8, 8, 7)
+	if got := m.Read(AddrLimit-8, 8); got != 7 || m.Pages() != 1 {
+		t.Fatalf("last word of the address space reads %d over %d pages", got, m.Pages())
+	}
+	for name, f := range map[string]func(){
+		"region past the limit": func() { m.AddRegion("past", AddrLimit, AddrLimit+PageSize) },
+		"write past the limit":  func() { m.Write(AddrLimit, 8, 1) },
+		"read past the limit":   func() { m.Read(1<<60, 8) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

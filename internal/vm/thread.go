@@ -74,10 +74,16 @@ type Thread struct {
 	stackLo Addr // kernel stack region [stackLo, stackLo+trace.StackSize)
 	sp      Addr // current stack pointer (grows down)
 
-	locks    trace.LockSet // interned set of lock addresses held
+	locks    trace.LockSet // interned set of lock addresses held; cpu.held lists them
 	rcuDepth int
 
 	accesses int // accesses performed by this thread in the current run
+}
+
+// heldLock is one lock a thread holds and the set it held before taking it.
+type heldLock struct {
+	addr Addr
+	prev trace.LockSet
 }
 
 // State returns the scheduling state.
@@ -120,26 +126,14 @@ func (t *Thread) checkRange(addr Addr, size int) {
 // allocations once the block is warm), counts the access against the run's
 // step budget, and consults the scheduler's AccessSink if it has one:
 // unless the sink requests a preemption, control never leaves this
-// coroutine — no Event is built and no switch happens.
+// coroutine — no Event, not even the access's row value, is built and no
+// switch happens.
 func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val uint64, atomic, marked bool) {
 	t.accesses++
 	m := t.m
 	stack := addr >= t.stackLo && addr < t.stackLo+trace.StackSize
-	a := trace.Access{
-		Thread: t.ID,
-		Ins:    ins,
-		Kind:   kind,
-		Addr:   addr,
-		Size:   uint8(size),
-		Val:    val,
-		Atomic: atomic,
-		Marked: marked,
-		Stack:  stack,
-		RCU:    t.rcuDepth > 0,
-		Locks:  t.locks,
-	}
 	if m.trace != nil {
-		m.trace.Append(a)
+		m.trace.Record(t.ID, ins, kind, addr, uint8(size), val, atomic, marked, stack, t.rcuDepth > 0, t.locks)
 	}
 	m.steps++ // safe: the machine loop is blocked in step() while we run
 	if m.steps < m.runMax && m.sink != nil {
@@ -154,7 +148,19 @@ func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val
 			return // fast path: keep running, no switch
 		}
 	}
-	t.yield(Event{Kind: EvAccess, Access: a})
+	t.yield(Event{Kind: EvAccess, Access: trace.Access{
+		Thread: t.ID,
+		Ins:    ins,
+		Kind:   kind,
+		Addr:   addr,
+		Size:   uint8(size),
+		Val:    val,
+		Atomic: atomic,
+		Marked: marked,
+		Stack:  stack,
+		RCU:    t.rcuDepth > 0,
+		Locks:  t.locks,
+	}})
 }
 
 // Load reads size bytes at addr as a little-endian value and reports the
@@ -222,17 +228,42 @@ func (t *Thread) SP() Addr { return t.sp }
 
 // --- Locks ---
 
+// holdLock pushes addr on the stack of held locks and extends the lockset,
+// through the machine's memo of LockSet.With.
 func (t *Thread) holdLock(addr Addr) {
-	t.locks = t.locks.With(addr)
+	t.cpu.held = append(t.cpu.held, heldLock{addr: addr, prev: t.locks})
+	t.locks = t.m.lockWith(t.locks, addr)
 }
 
+// dropLock removes addr, which the thread holds. Releasing the latest lock
+// taken restores the set held before it; a release out of order takes addr
+// out of every set recorded since as well.
 func (t *Thread) dropLock(addr Addr) {
+	held := t.cpu.held
+	top := len(held) - 1
+	if held[top].addr == addr {
+		t.locks, t.cpu.held = held[top].prev, held[:top]
+		return
+	}
+	i := top
+	for held[i].addr != addr {
+		i--
+	}
+	for j := i + 1; j <= top; j++ {
+		held[j].prev = held[j].prev.Without(addr)
+	}
+	t.cpu.held = append(held[:i], held[i+1:]...)
 	t.locks = t.locks.Without(addr)
 }
 
 // HoldsLock reports whether the thread currently holds the lock at addr.
 func (t *Thread) HoldsLock(addr Addr) bool {
-	return t.locks.Has(addr)
+	for _, h := range t.cpu.held {
+		if h.addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // Lock acquires the lock word at addr (spinlock and mutex behave identically
@@ -248,14 +279,12 @@ func (t *Thread) Lock(ins trace.Ins, addr Addr) {
 		if t.m.Mem.Read(addr, 8) == 0 {
 			t.m.Mem.Write(addr, 8, uint64(t.ID)+1)
 			t.holdLock(addr)
-			t.m.lockHolder[addr] = t
 			t.record(ins, trace.Write, addr, 8, uint64(t.ID)+1, true, false)
 			return
 		}
 		// Contended: block until the holder releases.
 		t.state = BlockedLock
 		t.waitOn = addr
-		t.m.lockWaiters[addr] = append(t.m.lockWaiters[addr], t)
 		t.yield(Event{Kind: EvBlocked})
 	}
 }
@@ -267,14 +296,7 @@ func (t *Thread) Unlock(ins trace.Ins, addr Addr) {
 	}
 	t.m.Mem.Write(addr, 8, 0)
 	t.dropLock(addr)
-	delete(t.m.lockHolder, addr)
-	for _, w := range t.m.lockWaiters[addr] {
-		if w.state == BlockedLock && w.waitOn == addr {
-			w.state = Runnable
-			w.waitOn = 0
-		}
-	}
-	delete(t.m.lockWaiters, addr)
+	t.m.wakeLockWaiters(addr)
 	t.record(ins, trace.Write, addr, 8, 0, true, false)
 }
 
@@ -290,7 +312,6 @@ func (t *Thread) TryLock(ins trace.Ins, addr Addr) bool {
 	}
 	t.m.Mem.Write(addr, 8, uint64(t.ID)+1)
 	t.holdLock(addr)
-	t.m.lockHolder[addr] = t
 	t.record(ins, trace.Write, addr, 8, uint64(t.ID)+1, true, false)
 	return true
 }

@@ -27,6 +27,12 @@ type vcpu struct {
 	t  *Thread
 	fn func(*Thread)
 
+	// held is the stack of locks the slot's current thread holds, in
+	// acquisition order, each with the set held before it: releasing the
+	// latest restores that set without a table lookup. The storage belongs
+	// to the slot, so a trial's threads allocate nothing to take locks.
+	held []heldLock
+
 	// crash is a body's non-fault panic, re-raised by step on the
 	// goroutine that called Run.
 	crash *GuestPanic

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"snowboard/internal/trace"
 )
@@ -313,7 +314,13 @@ func spinTo(m *Machine, steps int) {
 // runtime. One machine keeps the same ones however many runs end early on
 // it, and Close gives them back.
 func TestShutdownNoGoroutineLeak(t *testing.T) {
+	// The goroutine the previous test ran on may still be exiting: under
+	// load it was counted here and gone by the next reading.
 	before := runtime.NumGoroutine()
+	for settled := false; !settled; {
+		time.Sleep(time.Millisecond)
+		settled, before = runtime.NumGoroutine() == before, runtime.NumGoroutine()
+	}
 	m := newTestMachine()
 	spinTo(m, 50)
 	held := runtime.NumGoroutine()
