@@ -233,12 +233,10 @@ func (p *Pipeline) SetProfiles(profiles []pmc.Profile) {
 	p.profilesDigest = store.Digest{}
 }
 
-// IdentifyPMCs runs Algorithm 1 over the profiles (stage 2). With a store
-// attached, an exact-profile-set match restores the stored PMC set
-// outright; otherwise identification runs incrementally against the longest
-// stored batch-chain prefix (see identifyIncremental), so a resumed campaign
-// with a grown corpus pays only for the delta. Without a store there is no
-// chain to resume and the same engine identifies every profile as one batch.
+// IdentifyPMCs runs Algorithm 1 over the profiles (stage 2): an
+// exact-profile-set memo hit restores the stored PMC set outright, and
+// anything else — no store, or a profile set not identified before, however
+// close to one that was — identifies every profile as one batch.
 func (p *Pipeline) IdentifyPMCs(r *Report) {
 	span := obs.StartSpan("stage.identify", obs.A("profiles", len(p.Profiles)))
 	key := p.identifyKey(contentAddress(p, "identify", &p.profilesDigest, profilesCodec, p.Profiles))
@@ -254,7 +252,7 @@ func (p *Pipeline) IdentifyPMCs(r *Report) {
 		p.stageDone("identify", true, d)
 		return
 	}
-	p.PMCs = p.identifyIncremental()
+	p.PMCs = pmc.Identify(p.Profiles, p.Opts.PMC)
 	r.DistinctPMCs = p.PMCs.Len()
 	r.PMCCombinations = p.PMCs.TotalCombinations
 	r.IdentifyTime = span.End(obs.A("pmcs", r.DistinctPMCs))

@@ -31,9 +31,9 @@ import (
 // re-runs) and the fragment's restore; saveMemo owns the encode and the
 // persist; both own the rule that a pipeline without a store misses and
 // saves nothing, so no stage forks on whether one is attached. The corpus,
-// profile, PMC-set and report stages, the SBPI chain, feedback round
-// checkpoints, triage bundles, the campaign report and the time-series all
-// go through that pair.
+// profile, PMC-set and report stages, feedback round checkpoints, triage
+// bundles, the campaign report and the time-series all go through that
+// pair.
 //
 // What is deliberately NOT in any key: Options.Workers (a pure performance
 // knob; reports are bit-identical at any worker count) and Options.StateDir
@@ -229,11 +229,10 @@ func binaryCodec[T any](kind store.Kind, noun string, enc func(io.Writer, T) err
 	}
 }
 
-// One codec per artifact kind the pipeline memoizes. The SBPI snapshot's
-// decoder needs the run's PMC options, so its codec is built per pipeline
-// (sbpiCodec). An SBRB bundle travels as the bytes triage.Encode produced:
-// TriageReport needs them anyway to put the bundle's digest in the report,
-// with or without a store, so this codec only validates on the way back.
+// One codec per artifact kind the pipeline memoizes. An SBRB bundle travels
+// as the bytes triage.Encode produced: TriageReport needs them anyway to
+// put the bundle's digest in the report, with or without a store, so this
+// codec only validates on the way back.
 var (
 	corpusCodec   = binaryCodec(store.KindCorpus, "corpus", corpus.EncodeCorpus, corpus.DecodeCorpus)
 	profilesCodec = binaryCodec(store.KindProfiles, "profile", pmc.EncodeProfiles, pmc.DecodeProfiles)
@@ -265,11 +264,6 @@ var (
 		},
 	}
 )
-
-func sbpiCodec(opt pmc.Options) codec[*pmc.Incremental] {
-	return binaryCodec(store.KindPMCIndex, "SBPI", pmc.EncodeIncremental,
-		func(r io.Reader) (*pmc.Incremental, error) { return pmc.DecodeIncremental(r, opt) })
-}
 
 // loadMemo resolves key to the artifact memoized under it and, when meta
 // is non-nil, unmarshals the memo entry's report fragment into it. With no
@@ -354,9 +348,9 @@ func contentAddress[T any](p *Pipeline, stage string, d *store.Digest, c codec[T
 }
 
 // countStage accounts one of the four memoized stages (fuzz, profile,
-// identify, execute) as a store hit or miss and returns hit. Chain probes,
-// round checkpoints, triage and campaign memos are not stages; a run
-// without a store moves neither counter.
+// identify, execute) as a store hit or miss and returns hit. Round
+// checkpoints, triage and campaign memos are not stages; a run without a
+// store moves neither counter.
 func (p *Pipeline) countStage(hit bool) bool {
 	if p.store != nil {
 		if hit {
@@ -366,108 +360,6 @@ func (p *Pipeline) countStage(hit bool) bool {
 		}
 	}
 	return hit
-}
-
-// Incremental identification memo chain. The monolithic identify memo
-// (identifyKey → SBPM set) answers "has this exact profile set been
-// identified before"; the chain answers the more useful resumed-campaign
-// question "how large a *prefix* of it has". Profiles split into fixed
-// identifyBatchSize batches and each full batch b gets a chain key
-//
-//	d_b = Key("identify-chain", codecs, PMC options, prev=d_{b-1}, batch=digest(batch b))
-//
-// — digest-linked like the corpus→profile→PMC chain, so a key pins the
-// entire batch prefix behind it, not just its own contents. One SBPI
-// snapshot (pmc.EncodeIncremental) is persisted per run under the key of
-// the last full batch; a resumed campaign with a longer profile set probes
-// its chain keys longest-prefix-first, loads the snapshot, and identifies
-// only the delta batches. Deterministic campaigns grow their corpus as a
-// prefix of any larger-budget run of the same seed, so the chains align
-// exactly where the work is shared.
-//
-// identifyBatchSize is fixed — never derived from worker count or corpus
-// size — because the batch boundaries are part of the chain keys: two runs
-// must slice identically to share snapshots.
-const identifyBatchSize = 16
-
-// identifyChainKeys returns the chain key of every full identifyBatchSize
-// batch of the current profiles (nil on encoding failure, and with no
-// store attached: nothing to resume from or persist to).
-func (p *Pipeline) identifyChainKeys() []store.Digest {
-	if p.store == nil {
-		return nil
-	}
-	full := len(p.Profiles) / identifyBatchSize
-	keys := make([]store.Digest, 0, full)
-	prev := store.Digest{}
-	for b := 0; b < full; b++ {
-		batch, err := profilesCodec.encode(p.Profiles[b*identifyBatchSize : (b+1)*identifyBatchSize])
-		if err != nil {
-			obs.Diag.Printf("stage identify: encode chain batch %d: %v", b, err)
-			return nil
-		}
-		prev = store.Key(keyPrefix, "identify-chain",
-			fmt.Sprintf("incr-codec=%d", pmc.IncrementalCodecVersion),
-			fmt.Sprintf("set-codec=%d", pmc.SetCodecVersion),
-			fmt.Sprintf("profiles-codec=%d", pmc.ProfilesCodecVersion),
-			fmt.Sprintf("batch-size=%d", identifyBatchSize),
-			fmt.Sprintf("self-pairs=%t", p.Opts.PMC.AllowSelfPairs),
-			fmt.Sprintf("skip-value-filter=%t", p.Opts.PMC.SkipValueFilter),
-			"prev="+prev.String(),
-			"batch="+store.Sum(batch).String(),
-		)
-		keys = append(keys, prev)
-	}
-	return keys
-}
-
-// identifyIncremental runs Algorithm 1 as a chain of profile-batch deltas:
-// resume from the longest stored snapshot prefix, identify only the
-// remaining batches, persist a snapshot covering the full batches, then
-// fold in the sub-batch tail. The result is deep-equal to pmc.Identify
-// over the whole profile set — the engine's Set is a function of the
-// multiset of observations fed so far, so partitioning into batches cannot
-// change the outcome.
-// Snapshot probes are not stage cache hits or misses — the identify stage
-// as a whole accounts those.
-func (p *Pipeline) identifyIncremental() *pmc.Set {
-	keys := p.identifyChainKeys()
-	sbpi := sbpiCodec(p.Opts.PMC)
-	inc, resume := pmc.NewIncremental(p.Opts.PMC), 0
-	for b := len(keys) - 1; b >= 0; b-- {
-		got, out, ok := loadMemo(p, "identify-chain", keys[b], sbpi, nil)
-		if !ok {
-			continue
-		}
-		if got.Profiles() != (b+1)*identifyBatchSize {
-			obs.Diag.Printf("stage identify: discarding SBPI artifact %s: covers %d profiles, chain key expects %d",
-				out.Short(), got.Profiles(), (b+1)*identifyBatchSize)
-			continue
-		}
-		obs.Diag.Printf("stage identify: SBPI index loaded (%s, %d batches, %d profiles, %d PMCs)",
-			out.Short(), got.Batches(), got.Profiles(), got.Set().Len())
-		inc, resume = got, b+1
-		break
-	}
-	start := resume * identifyBatchSize
-	for b := resume; b < len(keys); b++ {
-		inc.AddBatch(p.Profiles[b*identifyBatchSize : (b+1)*identifyBatchSize])
-	}
-	if resume < len(keys) {
-		// One snapshot per run, under the chain key of the last full batch.
-		saveMemo(p, "identify-chain", keys[len(keys)-1], sbpi, inc, nil)
-	}
-	if tail := p.Profiles[len(keys)*identifyBatchSize:]; len(tail) > 0 {
-		inc.AddBatch(tail)
-	}
-	set := inc.Set()
-	obs.Diag.Printf("stage identify: delta identification: %d/%d profiles identified incrementally (%d resumed from snapshot)",
-		len(p.Profiles)-start, len(p.Profiles), start)
-	obs.G(obs.MPMCIdentified).Set(int64(set.Len()))
-	obs.G(obs.MPMCCombinations).Set(set.TotalCombinations)
-	obs.Emit(obs.EvPMCIdentified, obs.A("keys", set.Len()),
-		obs.A("combinations", set.TotalCombinations))
-	return set
 }
 
 // stage4Inputs returns the content digests of the current corpus and PMC

@@ -11,7 +11,6 @@ import (
 	"snowboard/internal/pmc"
 	"snowboard/internal/sched"
 	"snowboard/internal/store"
-	"snowboard/internal/trace"
 	"snowboard/internal/triage"
 )
 
@@ -270,34 +269,77 @@ func TestResumeIgnoresTruncatedStore(t *testing.T) {
 	}
 }
 
+// TestResumeLeavesRetiredSnapshotsAlone: a state dir an earlier binary
+// used holds SBPI snapshots (store kind 7, filed under objects/pmcindex/)
+// and their identify-chain memo entries. Nothing looks them up any more: a
+// warm run hits all four stages, returns the cold report, and neither
+// reads, discards nor deletes the leftovers.
+func TestResumeLeavesRetiredSnapshotsAlone(t *testing.T) {
+	opts := stateTestOptions(t)
+	cold, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := store.Open(opts.StateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := store.Kind(7)
+	d, err := st.Put(retired, []byte("SBPI\x02 an aggregate no decoder is left for"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Put files an unnamed kind under objects/kind7; the binaries that wrote
+	// snapshots called the directory pmcindex.
+	objects := filepath.Join(opts.StateDir, "objects")
+	snapshot := filepath.Join(objects, "pmcindex", d.String())
+	if err := os.Rename(filepath.Join(objects, retired.String()), filepath.Dir(snapshot)); err != nil {
+		t.Fatal(err)
+	}
+	chainKey := store.Key(keyPrefix, "identify-chain", "batch="+d.String())
+	if err := st.PutStage(chainKey, store.StageResult{Kind: retired, Out: d}); err != nil {
+		t.Fatal(err)
+	}
+	chainEntry := filepath.Join(opts.StateDir, "stages", chainKey.String())
+
+	h0, _ := counters()
+	c0 := obs.C(obs.MStoreCorrupt).Value()
+	warm, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h1, _ := counters(); h1-h0 != 4 {
+		t.Errorf("warm run over an old state dir recorded %d stage hits, want 4", h1-h0)
+	}
+	if got := obs.C(obs.MStoreCorrupt).Value() - c0; got != 0 {
+		t.Errorf("warm run discarded %d artifacts as corrupt, want 0", got)
+	}
+	if !reflect.DeepEqual(normalizeMetrics(warm), normalizeMetrics(cold)) {
+		t.Error("warm report over an old state dir differs from the cold report")
+	}
+	for _, path := range []string{snapshot, chainEntry} {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("leftover of the retired snapshot chain was touched: %v", err)
+		}
+	}
+}
+
 // TestStageKeysGolden pins the on-disk contract a deployed state dir
 // depends on: every memo key and every memo-entry meta encoding, for fixed
 // options and fixed input digests, as computed at the commit before the
 // typed stage memo replaced the per-stage load/save pairs. The resume tests
 // run cold and warm under one binary, so a refactor that reorders a
 // store.Key part (or renames a meta field) would orphan every existing
-// state dir with all of them green; this one fails. identifyChainKeys[0]
-// was re-pinned when SBPI went to version 2: the chain key mixes the codec
-// version in precisely so that old snapshots are orphaned, not misdecoded,
-// and a state dir still answers stage 3 from the identifyKey memo.
+// state dir with all of them green; this one fails.
 func TestStageKeysGolden(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := DefaultOptions()
 	opts.Seed = 9
 	opts.Feedback = true
 	cd := store.Key("golden", "corpus")
 	fd := store.Key("golden", "profiles")
 	pd := store.Key("golden", "pmcs")
-	p := &Pipeline{Opts: opts, store: st, corpusDigest: cd, pmcDigest: pd}
-	for i := 0; i < identifyBatchSize; i++ {
-		var accs trace.Block
-		accs.Append(trace.Access{Ins: trace.Ins(0x100 + i), Kind: trace.Write, Addr: 0x1000 + 8*uint64(i), Size: 8, Val: uint64(i)})
-		accs.Append(trace.Access{Ins: trace.Ins(0x200 + i), Kind: trace.Read, Addr: 0x1000 + 8*uint64((i+1)%identifyBatchSize), Size: 8, Val: 7})
-		p.Profiles = append(p.Profiles, pmc.Profile{TestID: i, Accesses: accs, DFLeader: map[int]bool{1: i%2 == 0}})
-	}
+	p := &Pipeline{Opts: opts, corpusDigest: cd, pmcDigest: pd}
 	triageKey, err := p.triageKey(11, IssueRecord{
 		Test:  sched.ConcurrentTest{Pair: pmc.Pair{Writer: 1, Reader: 2}},
 		Repro: &sched.ReproState{Seed: 42, Trial: 3},
@@ -318,7 +360,6 @@ func TestStageKeysGolden(t *testing.T) {
 		{"identifyKey", p.identifyKey(fd).String(), "98c8d44fe7c7d276bf8992ef2708238f98ce918b265c52a04f611d020671a036"},
 		{"reportKey", p.reportKey(cd, pd, opts.TestBudget).String(), "42c2273dd7169410dba4be3cf85bacbf7af808c37626043891647f6507286b7d"},
 		{"seriesKey", p.seriesKey().String(), "52eb8f1fbfd42d41124d39d124b4ce865ebbcb87cfc372cd3a31500df73b2a22"},
-		{"identifyChainKeys[0]", p.identifyChainKeys()[0].String(), "37d66d42a860ae55d2b4b5a98efc3c4eedc92b8283105dc931d76350c635832b"},
 		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "748de131d89d4ed3fa0ac56464d9ab768ca880373eae082e315963e9d5c4a331"},
 		{"triageKey", triageKey.String(), "774c1e55f31e3c0451000edc723f7fd921290f89b969597e073fd12c3ad208ed"},
 		{"fuzzMeta", marshal(fuzzMeta{CorpusSize: 1, FuzzExecutions: 2, FuzzTimeNs: 3}), `{"corpus_size":1,"fuzz_executions":2,"fuzz_time_ns":3}`},
@@ -335,18 +376,23 @@ func TestStageKeysGolden(t *testing.T) {
 // TestStoreAttachedChangesNothing is the differential test for the one
 // memo: every stage runs the same code with or without a store, so the
 // same options with and without StateDir must give the same report — and
-// only the stored run may touch the stage-cache counters.
+// only the stored run may touch the stage-cache counters. Stage 3 has one
+// shape too: either arm's identify miss is exactly one AddBatch, over a
+// profile set large enough that per-16-profile batching would show.
 func TestStoreAttachedChangesNothing(t *testing.T) {
+	batches := obs.C(obs.MIncrBatches)
 	for _, feedback := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
 			opts := stateTestOptions(t)
 			opts.Feedback = feedback
 			opts.Workers = workers
+			b0 := batches.Value()
 			stored, err := Run(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts.StateDir = ""
+			b1 := batches.Value()
 			h0, m0 := counters()
 			bare, err := Run(opts)
 			if err != nil {
@@ -355,6 +401,13 @@ func TestStoreAttachedChangesNothing(t *testing.T) {
 			if h1, m1 := counters(); h1 != h0 || m1 != m0 {
 				t.Errorf("feedback=%t workers=%d: store-less run moved the stage-cache counters (hits +%d, misses +%d)",
 					feedback, workers, h1-h0, m1-m0)
+			}
+			if stored.CorpusSize < 16 {
+				t.Fatalf("corpus has %d profiles, need >= 16 for batching to be visible; raise stateTestOptions' CorpusCap", stored.CorpusSize)
+			}
+			if withStore, without := b1-b0, batches.Value()-b1; withStore != 1 || without != 1 {
+				t.Errorf("feedback=%t workers=%d: identification ran %d batches with a store and %d without, want 1 and 1",
+					feedback, workers, withStore, without)
 			}
 			if !reflect.DeepEqual(normalizeTimings(stored), normalizeTimings(bare)) {
 				t.Errorf("feedback=%t workers=%d: report with a store differs from the report without one:\n%+v\nvs\n%+v",

@@ -6,20 +6,18 @@
 // it) fed any partition of a corpus, in any batch order, produces exactly
 // the set the reference returns.
 //
-// The package is a library, not a test file, so the tests here, the
-// external tests and fuzz targets of internal/pmc and internal/core share
-// one oracle, one generator and one comparison; a divergence found by any
-// of them reproduces in the others from the same seed or byte string.
+// The package is a library, not a test file, so the tests here and the
+// external tests and fuzz targets of internal/pmc share one oracle, one
+// generator and one comparison; a divergence found by any of them
+// reproduces in the others from the same seed or byte string.
 package difftest
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
-	"testing"
 
 	"snowboard/internal/pmc"
 	"snowboard/internal/trace"
@@ -196,35 +194,6 @@ func (c Cases) Missing() []string {
 		}
 	}
 	return out
-}
-
-// RoundTrip pushes inc through the SBPI codec and returns the decoded
-// identifier, failing t unless it carries the same accounting, derives the
-// same set from the decoded aggregate, and re-encodes to the same bytes.
-func RoundTrip(t testing.TB, inc *pmc.Incremental, opt pmc.Options) *pmc.Incremental {
-	t.Helper()
-	var buf, again bytes.Buffer
-	if err := pmc.EncodeIncremental(&buf, inc); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	dec, err := pmc.DecodeIncremental(bytes.NewReader(buf.Bytes()), opt)
-	if err != nil {
-		t.Fatalf("decode(encode(x)): %v", err)
-	}
-	if dec.Profiles() != inc.Profiles() || dec.Batches() != inc.Batches() {
-		t.Fatalf("decoded accounting %d profiles/%d batches, want %d/%d",
-			dec.Profiles(), dec.Batches(), inc.Profiles(), inc.Batches())
-	}
-	if d := Diff(inc.Set(), dec.Set()); d != "" {
-		t.Fatalf("set derived from the decoded aggregate differs:\n%s", d)
-	}
-	if err := pmc.EncodeIncremental(&again, dec); err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("SBPI encoding not canonical across a decode cycle")
-	}
-	return dec
 }
 
 // Partition splits profiles into k contiguous batches whose concatenation

@@ -20,11 +20,9 @@ var allOptions = []pmc.Options{
 // seeded corpora and all four option combinations, the keyed engine —
 // one-shot, and fed the corpus in k batches for k spanning one batch, a
 // few, and one-profile-per-batch, in corpus order and in shuffled batch
-// orders, through an SBPI round trip after a quarter of the batches — must
-// produce a
-// set deep-equal (entries, DFLeader, bounded pair lists, pair counts,
-// TotalCombinations) to the per-access Reference. The corpora must contain
-// every Case, or the equivalence is vacuous.
+// orders — must produce a set deep-equal (entries, DFLeader, bounded pair
+// lists, pair counts, TotalCombinations) to the per-access Reference. The
+// corpora must contain every Case, or the equivalence is vacuous.
 func TestIncrementalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	trials := 10
@@ -51,17 +49,10 @@ func TestIncrementalEquivalence(t *testing.T) {
 					inc := pmc.NewIncremental(opt)
 					for _, i := range order {
 						inc.AddBatch(batches[i])
-						if rng.Intn(4) == 0 {
-							inc = RoundTrip(t, inc, opt)
-						}
 					}
 					if d := Diff(want, inc.Set()); d != "" {
 						t.Fatalf("trial %d %+v k=%d order %v: incremental diverges from the reference:\n%s",
 							trial, opt, k, order, d)
-					}
-					if inc.Profiles() != len(profiles) || inc.Batches() != len(batches) {
-						t.Fatalf("trial %d k=%d: accounting: %d profiles in %d batches, want %d in %d",
-							trial, k, inc.Profiles(), inc.Batches(), len(profiles), len(batches))
 					}
 				}
 			}

@@ -1,11 +1,6 @@
 package pmc
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
 	"sort"
 
 	"snowboard/internal/obs"
@@ -45,14 +40,6 @@ const maxAccessSize = 8
 type accessKey struct {
 	Key
 	df bool
-}
-
-// accessLess is the canonical order of one side's keys: keyLess, then df.
-func accessLess(a, b accessKey) bool {
-	if a.Key != b.Key {
-		return keyLess(a.Key, b.Key)
-	}
-	return !a.df && b.df
 }
 
 func (k *accessKey) end() uint64 { return k.Addr + uint64(k.Size) }
@@ -155,8 +142,7 @@ type Incremental struct {
 	set           *Set
 	reads, writes keyIndex
 
-	batches  int
-	profiles int
+	batches int
 }
 
 // NewIncremental returns an empty incremental identifier.
@@ -167,13 +153,6 @@ func NewIncremental(opt Options) *Incremental {
 // Set returns the cumulative PMC database. The caller must not mutate it
 // while more batches are being added.
 func (inc *Incremental) Set() *Set { return inc.set }
-
-// Batches reports how many batches have been ingested (including those
-// restored from a snapshot).
-func (inc *Incremental) Batches() int { return inc.batches }
-
-// Profiles reports how many profiles have been ingested.
-func (inc *Incremental) Profiles() int { return inc.profiles }
 
 // AddBatch ingests one batch of profiles.
 func (inc *Incremental) AddBatch(batch []Profile) {
@@ -200,7 +179,6 @@ func (inc *Incremental) AddBatch(batch []Profile) {
 	}
 	inc.recompute()
 	inc.batches++
-	inc.profiles += len(batch)
 
 	scanned := inc.set.TotalCombinations - before
 	mIncrBatches.Inc()
@@ -303,187 +281,4 @@ func firstPairs(dst []Pair, wt, rt []testCount, selfPairs bool) []Pair {
 		}
 	}
 	return dst
-}
-
-// SBPI snapshot codec. An Incremental serializes as its aggregate: the
-// batch and profile counts, then the read keys and the write keys in
-// canonical order (accessLess), each with its (test, count) list —
-// everything needed to resume identification in another process. The Set
-// is not stored: DecodeIncremental derives it from the aggregate, so a
-// snapshot cannot carry a set that disagrees with its own observations.
-// Two Incrementals in the same logical state encode to identical bytes
-// regardless of the batch order that built them, so content addresses are
-// stable.
-
-const (
-	incrementalMagic   = "SBPI"
-	incrementalVersion = 2
-
-	// Caps on one side's summed counts; together they keep a pair count
-	// (read total × write total) inside int64.
-	maxIncrementalReads  = 1 << 28
-	maxIncrementalWrites = 1 << 30
-)
-
-// IncrementalCodecVersion identifies the SBPI encoding; stage digests mix
-// it in so a format change invalidates stored snapshots.
-const IncrementalCodecVersion = incrementalVersion
-
-// ErrBadIncremental reports a malformed serialized incremental index.
-var ErrBadIncremental = errors.New("pmc: malformed incremental index encoding")
-
-// EncodeIncremental writes the SBPI snapshot of inc to w.
-func EncodeIncremental(w io.Writer, inc *Incremental) error {
-	// A bufio.Writer's first error sticks and is what Flush returns, so the
-	// writes in between go unchecked.
-	bw := bufio.NewWriter(w)
-	bw.WriteString(incrementalMagic)
-	bw.WriteByte(incrementalVersion)
-	putUvarint(bw, uint64(inc.batches))
-	putUvarint(bw, uint64(inc.profiles))
-	encodeKeys(bw, &inc.reads, true)
-	encodeKeys(bw, &inc.writes, false)
-	return bw.Flush()
-}
-
-func putUvarint(bw *bufio.Writer, v uint64) {
-	bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
-}
-
-// encodeKeys writes one side of an SBPI snapshot: the keys in canonical
-// order, each with its (test, count) list; read keys carry their df mark.
-func encodeKeys(bw *bufio.Writer, ix *keyIndex, withDF bool) {
-	keys := make([]*keyObs, 0, len(ix.byKey))
-	for _, o := range ix.byKey {
-		keys = append(keys, o)
-	}
-	sort.Slice(keys, func(i, j int) bool { return accessLess(keys[i].accessKey, keys[j].accessKey) })
-	putUvarint(bw, uint64(len(keys)))
-	for _, o := range keys {
-		putUvarint(bw, uint64(o.Ins))
-		putUvarint(bw, o.Addr)
-		bw.WriteByte(o.Size)
-		putUvarint(bw, o.Val)
-		if withDF {
-			var df byte
-			if o.df {
-				df = 1
-			}
-			bw.WriteByte(df)
-		}
-		putUvarint(bw, uint64(len(o.tests)))
-		for _, tc := range o.tests {
-			putUvarint(bw, uint64(tc.test))
-			putUvarint(bw, uint64(tc.n))
-		}
-	}
-}
-
-// DecodeIncremental parses an SBPI snapshot and returns a resumable
-// Incremental configured with opt (options are not serialized: the memo
-// key that addresses a snapshot already pins them), its Set derived from
-// the decoded aggregate. The decoder is hardened like the other artifact
-// codecs: structural violations — keys or tests out of canonical order, a
-// zero count, a size outside 1..8, counts past the caps, trailing bytes —
-// yield errors wrapping ErrBadIncremental, never panics, and nothing is
-// allocated from an unchecked count.
-func DecodeIncremental(r io.Reader, opt Options) (*Incremental, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadIncremental, err)
-	}
-	if string(magic[:]) != incrementalMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadIncremental, magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil || ver != incrementalVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadIncremental, ver)
-	}
-	batches, err := binary.ReadUvarint(br)
-	if err != nil || batches > maxProfiles {
-		return nil, fmt.Errorf("%w: batch count", ErrBadIncremental)
-	}
-	profiles, err := binary.ReadUvarint(br)
-	if err != nil || profiles > maxProfiles {
-		return nil, fmt.Errorf("%w: profile count", ErrBadIncremental)
-	}
-	inc := NewIncremental(opt)
-	inc.batches, inc.profiles = int(batches), int(profiles)
-	if err := decodeKeys(br, &inc.reads, true, maxIncrementalReads); err != nil {
-		return nil, fmt.Errorf("%w: read keys: %v", ErrBadIncremental, err)
-	}
-	if err := decodeKeys(br, &inc.writes, false, maxIncrementalWrites); err != nil {
-		return nil, fmt.Errorf("%w: write keys: %v", ErrBadIncremental, err)
-	}
-	if extra, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: %d trailing bytes (first %#x)", ErrBadIncremental, br.Buffered()+1, extra)
-	}
-	inc.recompute()
-	return inc, nil
-}
-
-// decodeKeys reads what encodeKeys wrote into ix, every key dirty, and
-// rejects anything encodeKeys could not have written.
-func decodeKeys(br *bufio.Reader, ix *keyIndex, withDF bool, maxTotal int64) error {
-	var fail error
-	getU := func() uint64 {
-		v, err := binary.ReadUvarint(br)
-		if err != nil && fail == nil {
-			fail = err
-		}
-		return v
-	}
-	getB := func() byte {
-		b, err := br.ReadByte()
-		if err != nil && fail == nil {
-			fail = err
-		}
-		return b
-	}
-	nkeys := getU()
-	var prev accessKey
-	var total int64
-	for i := uint64(0); i < nkeys; i++ {
-		o := &keyObs{}
-		o.Ins, o.Addr, o.Size, o.Val = trace.Ins(getU()), getU(), getB(), getU()
-		if withDF {
-			df := getB()
-			if df > 1 {
-				return fmt.Errorf("key %d: df flag %d", i, df)
-			}
-			o.df = df == 1
-		}
-		ntests := getU()
-		if fail != nil {
-			return fail
-		}
-		if o.Size == 0 || o.Size > maxAccessSize {
-			return fmt.Errorf("key %d: size %d", i, o.Size)
-		}
-		if i > 0 && !accessLess(prev, o.accessKey) {
-			return fmt.Errorf("key %d: keys not strictly ascending", i)
-		}
-		prev = o.accessKey
-		if ntests == 0 {
-			return fmt.Errorf("key %d: no observations", i)
-		}
-		for j := uint64(0); j < ntests; j++ {
-			test, n := getU(), getU()
-			if fail != nil {
-				return fail
-			}
-			if test > maxDecodedTestID || (j > 0 && int(test) <= o.tests[j-1].test) {
-				return fmt.Errorf("key %d: test %d: ids not strictly ascending", i, j)
-			}
-			if n == 0 || n > uint64(maxTotal) || total+int64(n) > maxTotal {
-				return fmt.Errorf("key %d: test %d: count %d", i, j, n)
-			}
-			total += int64(n)
-			o.total += int64(n)
-			o.tests = append(o.tests, testCount{test: int(test), n: int64(n)})
-		}
-		ix.insert(o)
-	}
-	return fail
 }

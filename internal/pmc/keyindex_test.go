@@ -16,8 +16,16 @@ func indexOf(keys []accessKey) *keyIndex {
 	return &ix
 }
 
+// sortKeys puts keys in one total order (keyLess, then df), so two
+// collections of them compare with DeepEqual.
 func sortKeys(keys []accessKey) []accessKey {
-	sort.Slice(keys, func(i, j int) bool { return accessLess(keys[i], keys[j]) })
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.Key != b.Key {
+			return keyLess(a.Key, b.Key)
+		}
+		return !a.df && b.df
+	})
 	return keys
 }
 

@@ -159,12 +159,7 @@ type Server struct {
 // Serve starts listening on addr (e.g. "127.0.0.1:0") with default
 // transport limits; the bound address is available via Addr.
 func Serve(q *Queue, addr string) (*Server, error) {
-	return ServeOpts(q, addr, ServerOptions{})
-}
-
-// ServeOpts starts listening on addr with explicit transport limits.
-func ServeOpts(q *Queue, addr string, o ServerOptions) (*Server, error) {
-	return serve(q, nil, addr, o)
+	return serve(q, nil, addr, ServerOptions{})
 }
 
 // ServeRegistry starts one listener serving every named queue in reg —

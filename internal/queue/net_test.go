@@ -215,7 +215,7 @@ func TestServerClosePromptWithIdleClient(t *testing.T) {
 
 func TestFrameTooLargeClamp(t *testing.T) {
 	q := New()
-	srv, err := ServeOpts(q, "127.0.0.1:0", ServerOptions{MaxFrame: 64})
+	srv, err := serve(q, nil, "127.0.0.1:0", ServerOptions{MaxFrame: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

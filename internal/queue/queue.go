@@ -270,9 +270,6 @@ func NewWithOptions(o Options) *Queue {
 	return q
 }
 
-// LeaseTimeout returns the configured lease duration.
-func (q *Queue) LeaseTimeout() time.Duration { return q.opts.LeaseTimeout }
-
 // setDepthLocked publishes the pending depth to the per-queue gauge and the
 // delta to the process-wide aggregate.
 func (q *Queue) setDepthLocked() {

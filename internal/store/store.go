@@ -67,10 +67,7 @@ const (
 	// KindSeries is an SBTS campaign time-series (obs.EncodeSeries), the
 	// coverage-over-time trajectory a resumed campaign appends to.
 	KindSeries
-	// KindPMCIndex is an SBPI incremental-identification snapshot
-	// (pmc.EncodeIncremental): the per-key observation aggregate that
-	// identifies only new profiles on resume, and the PMC set derives from.
-	KindPMCIndex
+	_ // 7 was the SBPI snapshot kind (objects/pmcindex); retired, never reuse
 	// KindFeedback is a JSON feedback-round checkpoint (core.RunFeedback):
 	// per-cluster credits, cumulative segment coverage, pipeline cursors,
 	// and the partial report after one budget-allocation round.
@@ -100,8 +97,6 @@ func (k Kind) String() string {
 		return "stage"
 	case KindSeries:
 		return "timeseries"
-	case KindPMCIndex:
-		return "pmcindex"
 	case KindFeedback:
 		return "feedback"
 	case KindRepro:

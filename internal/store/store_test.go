@@ -230,3 +230,34 @@ func TestParseDigest(t *testing.T) {
 		}
 	}
 }
+
+// TestKindValuesPinned pins what a deployed state dir holds of a Kind: its
+// byte, which is inside every SBAR envelope and every memo entry's "kind",
+// and its name, which is the objects/ subdirectory. Kind 7 (KindPMCIndex,
+// the SBPI snapshot) is retired in place: renumbering the kinds after it
+// would make Get discard every stored feedback checkpoint, SBRB bundle and
+// campaign manifest as corrupt.
+func TestKindValuesPinned(t *testing.T) {
+	for _, c := range []struct {
+		kind Kind
+		b    uint8
+		name string
+	}{
+		{KindCorpus, 1, "corpus"},
+		{KindProfiles, 2, "profiles"},
+		{KindPMCs, 3, "pmcs"},
+		{KindReport, 4, "report"},
+		{KindStage, 5, "stage"},
+		{KindSeries, 6, "timeseries"},
+		{KindFeedback, 8, "feedback"},
+		{KindRepro, 9, "repro"},
+		{KindCampaign, 10, "campaign"},
+	} {
+		if uint8(c.kind) != c.b || c.kind.String() != c.name {
+			t.Errorf("kind %q = %d, want %q = %d", c.kind, uint8(c.kind), c.name, c.b)
+		}
+	}
+	if got := Kind(7).String(); got != "kind7" {
+		t.Errorf("Kind(7) = %q, want the retired slot to stay unnamed (kind7)", got)
+	}
+}
