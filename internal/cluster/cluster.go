@@ -7,9 +7,9 @@
 package cluster
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"snowboard/internal/pmc"
 )
@@ -26,35 +26,53 @@ type Strategy struct {
 	MultiKey func(p pmc.PMC) []string
 }
 
+// keyField appends "<tag><v>;" with v in the given base — the bytes
+// fmt.Sprintf("<tag>%x;") or ("<tag>%d;") would print.
+func keyField(b []byte, tag string, v uint64, base int) []byte {
+	b = strconv.AppendUint(append(b, tag...), v, base)
+	return append(b, ';')
+}
+
+// keyOf builds a clustering key from the selected features. Keys are
+// report-visible and ordered as strings, so their bytes are part of the
+// report format.
 func keyOf(insW, insR bool, addrW, addrR bool, byteW, byteR bool, valW, valR bool) func(pmc.PMC) string {
 	return func(p pmc.PMC) string {
-		s := ""
+		var buf [112]byte // all eight fields at their widest are 110 bytes
+		b := buf[:0]
 		if insW {
-			s += fmt.Sprintf("iw%x;", uint32(p.Write.Ins))
+			b = keyField(b, "iw", uint64(uint32(p.Write.Ins)), 16)
 		}
 		if addrW {
-			s += fmt.Sprintf("aw%x;", p.Write.Addr)
+			b = keyField(b, "aw", p.Write.Addr, 16)
 		}
 		if byteW {
-			s += fmt.Sprintf("bw%d;", p.Write.Size)
+			b = keyField(b, "bw", uint64(p.Write.Size), 10)
 		}
 		if valW {
-			s += fmt.Sprintf("vw%x;", p.Write.Val)
+			b = keyField(b, "vw", p.Write.Val, 16)
 		}
 		if insR {
-			s += fmt.Sprintf("ir%x;", uint32(p.Read.Ins))
+			b = keyField(b, "ir", uint64(uint32(p.Read.Ins)), 16)
 		}
 		if addrR {
-			s += fmt.Sprintf("ar%x;", p.Read.Addr)
+			b = keyField(b, "ar", p.Read.Addr, 16)
 		}
 		if byteR {
-			s += fmt.Sprintf("br%d;", p.Read.Size)
+			b = keyField(b, "br", uint64(p.Read.Size), 10)
 		}
 		if valR {
-			s += fmt.Sprintf("vr%x;", p.Read.Val)
+			b = keyField(b, "vr", p.Read.Val, 16)
 		}
-		return s
+		return string(b)
 	}
+}
+
+// insKey is the S-INS cluster key of one side: side then the instruction
+// in hex.
+func insKey(side byte, ins uint32) string {
+	var buf [9]byte
+	return string(strconv.AppendUint(append(buf[:0], side), uint64(ins), 16))
 }
 
 func always(pmc.PMC) bool { return true }
@@ -100,10 +118,7 @@ var (
 		Name:   "S-INS",
 		Filter: always,
 		MultiKey: func(p pmc.PMC) []string {
-			return []string{
-				fmt.Sprintf("w%x", uint32(p.Write.Ins)),
-				fmt.Sprintf("r%x", uint32(p.Read.Ins)),
-			}
+			return []string{insKey('w', uint32(p.Write.Ins)), insKey('r', uint32(p.Read.Ins))}
 		},
 	}
 	// SInsPair clusters on the write/read instruction pair.

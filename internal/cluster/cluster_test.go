@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snowboard/internal/pmc"
@@ -290,6 +292,86 @@ func TestClustersMemberOrderDeterministic(t *testing.T) {
 		for j := range want {
 			if cs[0].PMCs[j] != want[j] {
 				t.Fatalf("iteration %d: member %d is %+v, want %+v", i, j, cs[0].PMCs[j], want[j])
+			}
+		}
+	}
+}
+
+// sprintfKeyOf is keyOf as it was written with fmt, kept as the oracle of
+// TestKeysEqualSprintf.
+func sprintfKeyOf(insW, insR bool, addrW, addrR bool, byteW, byteR bool, valW, valR bool) func(pmc.PMC) []string {
+	return func(p pmc.PMC) []string {
+		s := ""
+		if insW {
+			s += fmt.Sprintf("iw%x;", uint32(p.Write.Ins))
+		}
+		if addrW {
+			s += fmt.Sprintf("aw%x;", p.Write.Addr)
+		}
+		if byteW {
+			s += fmt.Sprintf("bw%d;", p.Write.Size)
+		}
+		if valW {
+			s += fmt.Sprintf("vw%x;", p.Write.Val)
+		}
+		if insR {
+			s += fmt.Sprintf("ir%x;", uint32(p.Read.Ins))
+		}
+		if addrR {
+			s += fmt.Sprintf("ar%x;", p.Read.Addr)
+		}
+		if byteR {
+			s += fmt.Sprintf("br%d;", p.Read.Size)
+		}
+		if valR {
+			s += fmt.Sprintf("vr%x;", p.Read.Val)
+		}
+		return []string{s}
+	}
+}
+
+// sprintfKeys maps each Table 1 strategy to its fmt-built keys.
+var sprintfKeys = map[string]func(pmc.PMC) []string{
+	"S-FULL":         sprintfKeyOf(true, true, true, true, true, true, true, true),
+	"S-CH":           sprintfKeyOf(true, true, true, true, true, true, false, false),
+	"S-CH-NULL":      sprintfKeyOf(true, true, true, true, true, true, false, false),
+	"S-CH-UNALIGNED": sprintfKeyOf(true, true, true, true, true, true, false, false),
+	"S-CH-DOUBLE":    sprintfKeyOf(true, true, true, true, true, true, false, false),
+	"S-INS-PAIR":     sprintfKeyOf(true, true, false, false, false, false, false, false),
+	"S-MEM":          sprintfKeyOf(false, false, true, true, true, true, false, false),
+	"S-INS": func(p pmc.PMC) []string {
+		return []string{
+			fmt.Sprintf("w%x", uint32(p.Write.Ins)),
+			fmt.Sprintf("r%x", uint32(p.Read.Ins)),
+		}
+	},
+}
+
+// TestKeysEqualSprintf pins the key bytes: they are report-visible and
+// order the clusters, so the strconv form must print what fmt printed.
+func TestKeysEqualSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	edge := []uint64{0, 1, 0xF, 0x10, 1<<32 - 1, 1 << 32, ^uint64(0)}
+	word := func() uint64 {
+		if rng.Intn(3) == 0 {
+			return edge[rng.Intn(len(edge))]
+		}
+		return rng.Uint64() >> uint(rng.Intn(64))
+	}
+	key := func() pmc.Key {
+		return pmc.Key{Ins: trace.Ins(word()), Addr: word(), Size: uint8(word()), Val: word()}
+	}
+	for i := 0; i < 2000; i++ {
+		p := pmc.PMC{Write: key(), Read: key(), DFLeader: rng.Intn(2) == 0}
+		for _, s := range Strategies {
+			var got []string
+			if s.MultiKey != nil {
+				got = s.MultiKey(p)
+			} else {
+				got = []string{s.Key(p)}
+			}
+			if want := sprintfKeys[s.Name](p); !slices.Equal(got, want) {
+				t.Fatalf("%s key of %+v: got %q, want %q", s.Name, p, got, want)
 			}
 		}
 	}

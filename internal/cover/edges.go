@@ -1,71 +1,56 @@
 package cover
 
-import (
-	"sync"
+import "snowboard/internal/trace"
 
-	"snowboard/internal/trace"
-)
-
-// Edge is a pair of consecutively executed access sites — the sequential
-// edge-coverage metric Syzkaller exports and Snowboard selects sequential
-// tests by. Unlike the concurrency metrics, edges deliberately include
-// stack and atomic accesses: sequential coverage cares about control flow,
-// not communication.
-type Edge [2]trace.Ins
-
-// Edges accumulates sequential edge coverage. It is safe for concurrent
-// use and implements Metric. It replaces the redundant fuzz.Coverage.
+// Edges accumulates sequential edge coverage — the metric Syzkaller exports
+// and Snowboard selects sequential tests by. An edge is a pair of
+// consecutively executed access sites, keyed uint64(prev)<<32 | uint64(cur).
+// Unlike the concurrency metrics, edges deliberately include stack and
+// atomic accesses: sequential coverage cares about control flow, not
+// communication.
+//
+// The set is a flat table with one writer and readers between writes:
+// AddTrace and Add write; Missing and Len only read (Shadow.Get writes
+// nothing), so any number of goroutines may call them at once as long as
+// no write is in flight.
 type Edges struct {
-	mu    sync.Mutex
-	edges map[Edge]bool
+	set trace.Shadow[struct{}]
 }
 
 // NewEdges returns an empty accumulator.
-func NewEdges() *Edges {
-	return &Edges{edges: make(map[Edge]bool)}
-}
+func NewEdges() *Edges { return &Edges{} }
+
+func edgeKey(prev, cur trace.Ins) uint64 { return uint64(prev)<<32 | uint64(cur) }
 
 // AddTrace folds one trace's edge set in, reporting how many were new.
 func (c *Edges) AddTrace(tr *trace.Trace) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fresh := 0
-	var prev trace.Ins
-	for i, n := 0, tr.Len(); i < n; i++ {
-		cur := tr.InsAt(i)
-		if i > 0 {
-			e := Edge{prev, cur}
-			if !c.edges[e] {
-				c.edges[e] = true
-				fresh++
-			}
-		}
-		prev = cur
+	before := c.set.Len()
+	for i, n := 1, tr.Len(); i < n; i++ {
+		c.set.Slot(edgeKey(tr.InsAt(i-1), tr.InsAt(i)))
 	}
-	return fresh
+	return c.set.Len() - before
 }
 
-// Merge folds other's edges in, reporting how many were new. Commutative
-// and associative. other must be an *Edges.
-func (c *Edges) Merge(other Metric) int {
-	o := other.(*Edges)
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fresh := 0
-	for e := range o.edges {
-		if !c.edges[e] {
-			c.edges[e] = true
-			fresh++
+// Missing appends to dst the keys of tr's edges the set does not hold and
+// returns it: nil when dst is nil and the trace adds nothing. An edge taken
+// twice may appear twice.
+func (c *Edges) Missing(tr *trace.Trace, dst []uint64) []uint64 {
+	for i, n := 1, tr.Len(); i < n; i++ {
+		if k := edgeKey(tr.InsAt(i-1), tr.InsAt(i)); c.set.Get(k) == nil {
+			dst = append(dst, k)
 		}
 	}
-	return fresh
+	return dst
+}
+
+// Add folds edge keys in, reporting how many were new.
+func (c *Edges) Add(keys []uint64) int {
+	before := c.set.Len()
+	for _, k := range keys {
+		c.set.Slot(k)
+	}
+	return c.set.Len() - before
 }
 
 // Len reports the accumulated edge count.
-func (c *Edges) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.edges)
-}
+func (c *Edges) Len() int { return c.set.Len() }

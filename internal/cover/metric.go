@@ -6,7 +6,7 @@ import "snowboard/internal/trace"
 // implementations share two contracts the pipeline depends on:
 //
 //   - AddTrace is the only observation path: it folds one trial trace in
-//     and reports how many units (pairs, segments, edges) were new to the
+//     and reports how many units (pairs, segments) were new to the
 //     accumulator.
 //   - Merge is commutative and associative on the *covered set*: merging
 //     per-worker accumulators in any order yields the same distinct-unit

@@ -42,7 +42,27 @@ type Env struct {
 
 	// MaxSteps bounds each run; 0 uses DefaultMaxSteps.
 	MaxSteps int
+
+	slots   [kernel.MaxProcs]runSlot
+	rets    [kernel.MaxProcs][]int64 // per-slot return values: Result.Rets
+	profile trace.Trace              // Profile's recording, copied out by the filter
 }
+
+// runSlot is what a run borrows for one thread slot instead of allocating
+// it. Nothing in it outlives the next run on the Env.
+type runSlot struct {
+	prog *corpus.Prog
+	proc kernel.Proc
+	args []uint64         // reused across calls: Invoke only reads it
+	body func(*vm.Thread) // runs prog as this slot's user process; made once
+}
+
+var executorNames = func() (names [kernel.MaxProcs]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("executor-%d", i)
+	}
+	return names
+}()
 
 // NewEnv boots a fresh simulated kernel and snapshots its initial state.
 func NewEnv(cfg kernel.Config) *Env {
@@ -96,12 +116,14 @@ func NewEnvWithSetup(cfg kernel.Config, setup *corpus.Prog) (*Env, error) {
 
 // Result summarizes one execution.
 type Result struct {
-	Rets     [][]int64 // per-thread syscall return values
-	Faults   []string  // kernel crash messages
-	Console  []string  // full console output
-	Steps    int       // events processed
-	Hung     bool      // step limit exceeded
-	Deadlock bool      // all threads blocked
+	// Rets holds the per-thread syscall return values. It is storage of
+	// the Env, valid until the next run on it — copy what must outlive that.
+	Rets     [][]int64
+	Faults   []string // kernel crash messages
+	Console  []string // full console output
+	Steps    int      // events processed
+	Hung     bool     // step limit exceeded
+	Deadlock bool     // all threads blocked
 }
 
 // Crashed reports whether the kernel crashed during the run.
@@ -125,34 +147,43 @@ func (e *Env) prepare(tr *trace.Trace) {
 	e.M.SetTrace(tr)
 }
 
-// procBody returns a thread body that executes prog as user process slot.
-// Return values are appended to *rets.
-func (e *Env) procBody(prog *corpus.Prog, slot int, rets *[]int64) func(*vm.Thread) {
-	return func(t *vm.Thread) {
-		p := kernel.NewProc(e.K, t, slot)
-		var args []uint64 // reused across calls: Invoke only reads it
-		for _, call := range prog.Calls {
-			args = slices.Grow(args[:0], len(call.Args))[:len(call.Args)]
-			clear(args)
-			for i, a := range call.Args {
-				switch a.Kind {
-				case corpus.ConstArg:
-					args[i] = a.Val
-				case corpus.ResultArg:
-					if a.Ref >= 0 && a.Ref < len(*rets) {
-						args[i] = uint64((*rets)[a.Ref])
-					}
+// spawn arms thread and user slot i with prog for the run being prepared.
+func (e *Env) spawn(i int, prog *corpus.Prog) {
+	s := &e.slots[i]
+	if s.body == nil {
+		s.body = func(t *vm.Thread) { e.runProg(i, t) }
+	}
+	s.prog, e.rets[i] = prog, e.rets[i][:0]
+	e.M.Spawn(executorNames[i], kernel.StackFor(i), s.body)
+}
+
+// runProg is the thread body: it executes slot i's program as user process
+// i, appending each call's return value to e.rets[i].
+func (e *Env) runProg(i int, t *vm.Thread) {
+	s := &e.slots[i]
+	s.proc.Reset(e.K, t, i)
+	for _, call := range s.prog.Calls {
+		s.args = slices.Grow(s.args[:0], len(call.Args))[:len(call.Args)]
+		args := s.args
+		clear(args)
+		for j, a := range call.Args {
+			switch a.Kind {
+			case corpus.ConstArg:
+				args[j] = a.Val
+			case corpus.ResultArg:
+				if a.Ref >= 0 && a.Ref < len(e.rets[i]) {
+					args[j] = uint64(e.rets[i][a.Ref])
 				}
 			}
-			ret := e.K.Invoke(p, call.Nr, args)
-			*rets = append(*rets, ret)
 		}
+		e.rets[i] = append(e.rets[i], e.K.Invoke(&s.proc, call.Nr, args))
 	}
 }
 
-func (e *Env) finish(err error, retsPerThread [][]int64) Result {
+// finish builds the Result of the run that just ended on the first n slots.
+func (e *Env) finish(err error, n int) Result {
 	r := Result{
-		Rets:   retsPerThread,
+		Rets:   e.rets[:n],
 		Faults: append([]string(nil), e.M.Faults()...),
 		Steps:  e.M.Steps(),
 	}
@@ -179,10 +210,9 @@ func (e *Env) finish(err error, retsPerThread [][]int64) Result {
 // primitive of §4.1.
 func (e *Env) RunSequential(prog *corpus.Prog, tr *trace.Trace) Result {
 	e.prepare(tr)
-	var rets []int64
-	e.M.Spawn("executor-0", kernel.StackFor(0), e.procBody(prog, 0, &rets))
+	e.spawn(0, prog)
 	err := e.M.Run(vm.SeqScheduler{}, e.maxSteps())
-	return e.finish(err, [][]int64{rets})
+	return e.finish(err, 1)
 }
 
 // RunPair executes writer and reader concurrently from the snapshot under
@@ -190,12 +220,10 @@ func (e *Env) RunSequential(prog *corpus.Prog, tr *trace.Trace) Result {
 // thread 1 / user slot 1, matching the paper's two test-executor vCPUs.
 func (e *Env) RunPair(writer, reader *corpus.Prog, sched vm.Scheduler, tr *trace.Trace) Result {
 	e.prepare(tr)
-	wrets := make([]int64, 0, len(writer.Calls))
-	rrets := make([]int64, 0, len(reader.Calls))
-	e.M.Spawn("executor-0", kernel.StackFor(0), e.procBody(writer, 0, &wrets))
-	e.M.Spawn("executor-1", kernel.StackFor(1), e.procBody(reader, 1, &rrets))
+	e.spawn(0, writer)
+	e.spawn(1, reader)
 	err := e.M.Run(sched, e.maxSteps())
-	return e.finish(err, [][]int64{wrets, rrets})
+	return e.finish(err, 2)
 }
 
 // RunMany executes n programs concurrently from the snapshot, one kernel
@@ -206,12 +234,11 @@ func (e *Env) RunMany(progs []*corpus.Prog, sched vm.Scheduler, tr *trace.Trace)
 		panic(fmt.Sprintf("exec: RunMany with %d programs (max %d)", len(progs), kernel.MaxProcs))
 	}
 	e.prepare(tr)
-	rets := make([][]int64, len(progs))
 	for i, prog := range progs {
-		e.M.Spawn(fmt.Sprintf("executor-%d", i), kernel.StackFor(i), e.procBody(prog, i, &rets[i]))
+		e.spawn(i, prog)
 	}
 	err := e.M.Run(sched, e.maxSteps())
-	return e.finish(err, rets)
+	return e.finish(err, len(progs))
 }
 
 // Profile runs prog sequentially and returns its shared-memory access set:
@@ -219,9 +246,9 @@ func (e *Env) RunMany(progs []*corpus.Prog, sched vm.Scheduler, tr *trace.Trace)
 // accesses (§4.1.1), plus the double-fetch leader markings used by
 // S-CH-DOUBLE.
 func (e *Env) Profile(prog *corpus.Prog) (accs trace.Block, df map[int]bool, res Result) {
-	var tr trace.Trace
-	res = e.RunSequential(prog, &tr)
-	accs = trace.DefaultFilter(0).Apply(&tr)
+	tr := &e.profile
+	res = e.RunSequential(prog, tr)
+	accs = trace.DefaultFilter(0).Apply(tr)
 	df = trace.MarkDoubleFetches(&accs)
 	e.M.SetTrace(nil)
 	mProfileTests.Inc()

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -275,5 +276,136 @@ func TestClonesRunConcurrently(t *testing.T) {
 		if !reflect.DeepEqual(accs, want) {
 			t.Fatalf("clone %d profile differs from original", i)
 		}
+	}
+}
+
+// fd0Prog uses descriptor 0 without opening anything: every call must fail
+// with EBADF, unless a descriptor table leaked in from an earlier run.
+func fd0Prog() *corpus.Prog {
+	return &corpus.Prog{Calls: []corpus.Call{
+		{Nr: kernel.SysSendmsgNr, Args: []corpus.Arg{corpus.Const(0), corpus.Const(512)}},
+		{Nr: kernel.SysCloseNr, Args: []corpus.Arg{corpus.Const(0)}},
+		{Nr: kernel.SysConnectNr, Args: []corpus.Arg{corpus.Const(0), corpus.Const(1), corpus.Const(1)}},
+	}}
+}
+
+// roundRobin is a fresh scheduler that alternates between the runnable
+// threads at every event.
+func roundRobin() vm.Scheduler {
+	i := 0
+	return vm.FuncScheduler(func(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
+		r := m.Runnable()
+		i++
+		return r[i%len(r)]
+	})
+}
+
+// sameResult compares two results by content: a thread without return
+// values has nil rets on a fresh Env and empty ones on a used Env.
+func sameResult(a, b Result) bool {
+	return slices.EqualFunc(a.Rets, b.Rets, slices.Equal[[]int64]) &&
+		slices.Equal(a.Faults, b.Faults) && slices.Equal(a.Console, b.Console) &&
+		a.Steps == b.Steps && a.Hung == b.Hung && a.Deadlock == b.Deadlock
+}
+
+// TestRunStorageIsolated holds an Env that has run anything before — more
+// threads, open descriptors, runs cut short with their bodies killed — to a
+// freshly booted one: a run borrows the Env's storage, and nothing of the
+// previous borrower may show in rets, trace or result.
+func TestRunStorageIsolated(t *testing.T) {
+	cfg := kernel.Config{Version: kernel.V5_12_RC3}
+	writer, reader := l2tpWriterProg(), l2tpReaderProg()
+
+	// The first lock the reader takes, poisoned before the first pick as if
+	// a thread that never releases it held it, blocks every thread that
+	// wants it: the run ends in a deadlock.
+	var lock uint64
+	probe := NewEnv(cfg)
+	var ptr trace.Trace
+	probe.RunSequential(reader, &ptr)
+	probe.Close()
+	for i := 0; i < ptr.Len() && lock == 0; i++ {
+		if a := ptr.At(i); a.Atomic && a.Kind == trace.Write && a.Val != 0 {
+			lock = a.Addr
+		}
+	}
+	if lock == 0 {
+		t.Fatal("the reader takes no lock")
+	}
+	poisoned := func() vm.Scheduler {
+		rr := roundRobin()
+		return vm.FuncScheduler(func(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
+			if ev.Kind == vm.EvStart {
+				m.Mem.Write(lock, 8, 99)
+			}
+			return rr.Pick(m, last, ev)
+		})
+	}
+
+	steps := []struct {
+		name string
+		run  func(e *Env, tr *trace.Trace) Result
+		want func(r Result) bool // what makes the step the case it claims to be
+	}{
+		{"opens descriptors", func(e *Env, tr *trace.Trace) Result { return e.RunSequential(reader, tr) },
+			func(r Result) bool { return len(r.Rets[0]) == 4 && r.Rets[0][0] == 0 && r.Rets[0][1] == 1 }},
+		{"fd 0 unopened", func(e *Env, tr *trace.Trace) Result { return e.RunSequential(fd0Prog(), tr) },
+			func(r Result) bool {
+				return len(r.Rets[0]) == 3 && r.Rets[0][0] < 0 && r.Rets[0][1] < 0 && r.Rets[0][2] < 0
+			}},
+		{"three programs", func(e *Env, tr *trace.Trace) Result {
+			return e.RunMany([]*corpus.Prog{writer, reader, reader}, vm.SeqScheduler{}, tr)
+		}, func(r Result) bool { return len(r.Rets) == 3 && len(r.Rets[2]) == 4 }},
+		{"pair after three", func(e *Env, tr *trace.Trace) Result { return e.RunPair(fd0Prog(), writer, roundRobin(), tr) },
+			func(r Result) bool { return len(r.Rets) == 2 && r.Rets[0][0] < 0 && len(r.Rets[1]) == 3 }},
+		{"sequential after pair", func(e *Env, tr *trace.Trace) Result { return e.RunSequential(fd0Prog(), tr) },
+			func(r Result) bool { return len(r.Rets) == 1 && r.Rets[0][1] < 0 }},
+		{"step limit", func(e *Env, tr *trace.Trace) Result {
+			e.MaxSteps = 60
+			defer func() { e.MaxSteps = 0 }()
+			return e.RunPair(reader, reader, roundRobin(), tr)
+		}, func(r Result) bool { return r.Hung && len(r.Rets[0]) < 4 }},
+		{"clean after step limit", func(e *Env, tr *trace.Trace) Result { return e.RunSequential(fd0Prog(), tr) },
+			func(r Result) bool { return !r.Hung && len(r.Rets[0]) == 3 && r.Rets[0][0] < 0 }},
+		{"deadlock", func(e *Env, tr *trace.Trace) Result { return e.RunPair(reader, reader, poisoned(), tr) },
+			func(r Result) bool { return r.Deadlock && len(r.Rets[0]) < 4 && len(r.Rets[1]) < 4 }},
+		{"clean after deadlock", func(e *Env, tr *trace.Trace) Result { return e.RunPair(writer, fd0Prog(), roundRobin(), tr) },
+			func(r Result) bool { return !r.Deadlock && len(r.Rets[0]) == 3 && r.Rets[1][0] < 0 }},
+	}
+
+	env := NewEnv(cfg)
+	defer env.Close()
+	for _, s := range steps {
+		var gotTr, wantTr trace.Trace
+		got := s.run(env, &gotTr)
+		fresh := NewEnv(cfg)
+		want := s.run(fresh, &wantTr)
+		fresh.Close()
+		if !s.want(want) {
+			t.Fatalf("%s: the fresh Env's run is not that case: %+v", s.name, want)
+		}
+		if !sameResult(got, want) {
+			t.Fatalf("%s: result on the used Env\n%+v\non a fresh one\n%+v", s.name, got, want)
+		}
+		if gotTr.Len() != wantTr.Len() {
+			t.Fatalf("%s: %d accesses on the used Env, %d on a fresh one", s.name, gotTr.Len(), wantTr.Len())
+		}
+		for i := 0; i < gotTr.Len(); i++ {
+			if a, b := gotTr.At(i), wantTr.At(i); a != b {
+				t.Fatalf("%s: access %d on the used Env\n%+v\non a fresh one\n%+v", s.name, i, a, b)
+			}
+		}
+	}
+
+	// A clone has slots of its own: its run leaves the original's Rets be.
+	clone := env.Clone()
+	defer clone.Close()
+	res := env.RunSequential(reader, nil)
+	kept := slices.Clone(res.Rets[0])
+	if cres := clone.RunSequential(fd0Prog(), nil); cres.Rets[0][0] >= 0 {
+		t.Fatalf("the clone's fd 0 is open: rets %v", cres.Rets[0])
+	}
+	if !slices.Equal(res.Rets[0], kept) {
+		t.Fatalf("the clone's run rewrote the original's rets: %v, were %v", res.Rets[0], kept)
 	}
 }

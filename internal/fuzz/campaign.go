@@ -1,6 +1,8 @@
 package fuzz
 
 import (
+	"slices"
+
 	"snowboard/internal/corpus"
 	"snowboard/internal/cover"
 	"snowboard/internal/exec"
@@ -61,7 +63,7 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 
 	type unit struct {
 		prog    *corpus.Prog
-		edges   *cover.Edges
+		edges   []uint64 // edge keys cov lacked at round start; nil for most
 		crashed bool
 	}
 	for out.Executed < budget {
@@ -70,8 +72,8 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 			n = batchSize
 		}
 		// Mutation picks reference the round-start corpus, which every
-		// worker sees identically.
-		snapshot := append([]*corpus.Prog(nil), out.Corpus.Progs...)
+		// worker sees identically: the fold appends past the clipped view.
+		snapshot := slices.Clip(out.Corpus.Progs)
 		base := out.Executed
 		units := par.Map(len(envs), n, func(w, i int) unit {
 			g := gens[w]
@@ -93,9 +95,9 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 				// sequential bugs).
 				return unit{prog: p, crashed: true}
 			}
-			e := cover.NewEdges()
-			e.AddTrace(tr)
-			return unit{prog: p, edges: e}
+			// cov is written only by the fold below, after every worker
+			// has returned, so probing it here needs no lock.
+			return unit{prog: p, edges: cov.Missing(tr, nil)}
 		})
 		full := false
 		for _, u := range units {
@@ -106,7 +108,7 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 				mCrashes.Inc()
 				continue
 			}
-			if n := cov.Merge(u.edges); n > 0 {
+			if n := cov.Add(u.edges); n > 0 {
 				if out.Corpus.Add(u.prog) {
 					out.Selected++
 					mSelected.Inc()

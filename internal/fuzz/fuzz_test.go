@@ -81,7 +81,9 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 }
 
-func TestCoverageMerge(t *testing.T) {
+// TestCoverageProbe is the fold's contract on a hand-built trace: what a
+// trace lacks against the coverage adds exactly once.
+func TestCoverageProbe(t *testing.T) {
 	i1 := trace.DefIns("fuzz_cov:a")
 	i2 := trace.DefIns("fuzz_cov:b")
 	var tr trace.Trace
@@ -89,16 +91,22 @@ func TestCoverageMerge(t *testing.T) {
 	tr.Append(trace.Access{Ins: i2})
 	tr.Append(trace.Access{Ins: i1})
 
-	unit := cover.NewEdges()
-	if n := unit.AddTrace(&tr); n != 2 { // a->b, b->a
-		t.Fatalf("edges: %d", n)
-	}
 	cov := cover.NewEdges()
-	if n := cov.Merge(unit); n != 2 {
-		t.Fatalf("first merge added %d", n)
+	missing := cov.Missing(&tr, nil)
+	if len(missing) != 2 { // a->b, b->a
+		t.Fatalf("missing edges: %d", len(missing))
 	}
-	if n := cov.Merge(unit); n != 0 {
-		t.Fatalf("second merge added %d", n)
+	if cov.Len() != 0 {
+		t.Fatalf("Missing wrote to the coverage: %d", cov.Len())
+	}
+	if n := cov.Add(missing); n != 2 {
+		t.Fatalf("first add added %d", n)
+	}
+	if n := cov.Add(missing); n != 0 {
+		t.Fatalf("second add added %d", n)
+	}
+	if again := cov.Missing(&tr, nil); again != nil {
+		t.Fatalf("covered trace still misses %v", again)
 	}
 	if cov.Len() != 2 {
 		t.Fatalf("coverage size %d", cov.Len())

@@ -76,6 +76,15 @@ func NewProc(k *Kernel, t *vm.Thread, slot int) *Proc {
 	return &Proc{K: k, T: t, Slot: slot}
 }
 
+// Reset rebinds p to a kernel thread and user slot as a fresh process: no
+// open descriptors (the table's storage is kept) and a cleared argument
+// spill.
+func (p *Proc) Reset(k *Kernel, t *vm.Thread, slot int) {
+	p.K, p.T, p.Slot = k, t, slot
+	p.fds = p.fds[:0]
+	clear(p.args[:])
+}
+
 // UserBuf returns the process's user scratch base address.
 func (p *Proc) UserBuf() uint64 { return UserRegion(p.Slot) }
 

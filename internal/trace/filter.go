@@ -39,29 +39,43 @@ func DefaultFilter(thread int) Filter {
 	return Filter{Thread: thread}
 }
 
+// keeps reports whether the filter keeps an access with packed meta m.
+func (f Filter) keeps(m uint32) bool {
+	return (f.Thread < 0 || int(m>>metaThreadShift) == f.Thread) &&
+		(m&metaStack == 0 || f.KeepStack) &&
+		(m&metaAtomic == 0 || f.KeepAtomics)
+}
+
 // Apply returns the accesses of tr that pass the filter, preserving order,
-// as a fresh columnar block.
+// as a fresh columnar block. It counts first, so each column is allocated
+// once at its final size.
 func (f Filter) Apply(tr *Trace) Block {
-	var out Block
-	n := tr.Len()
-	for i := 0; i < n; i++ {
-		m := tr.meta[i]
-		if f.Thread >= 0 && int(m>>metaThreadShift) != f.Thread {
-			continue
+	kept := 0
+	for _, m := range tr.meta {
+		if f.keeps(m) {
+			kept++
 		}
-		if m&metaStack != 0 && !f.KeepStack {
-			continue
-		}
-		if m&metaAtomic != 0 && !f.KeepAtomics {
-			continue
-		}
-		out.ins = append(out.ins, tr.ins[i])
-		out.addrs = append(out.addrs, tr.addrs[i])
-		out.vals = append(out.vals, tr.vals[i])
-		out.meta = append(out.meta, m)
-		out.locks = append(out.locks, tr.locks[i])
-		if f.MaxPerProfile > 0 && out.Len() >= f.MaxPerProfile {
-			break
+	}
+	if f.MaxPerProfile > 0 && kept > f.MaxPerProfile {
+		kept = f.MaxPerProfile
+	}
+	if kept == 0 {
+		return Block{}
+	}
+	out := Block{
+		ins:   make([]Ins, 0, kept),
+		addrs: make([]uint64, 0, kept),
+		vals:  make([]uint64, 0, kept),
+		meta:  make([]uint32, 0, kept),
+		locks: make([]LockSet, 0, kept),
+	}
+	for i := 0; len(out.meta) < kept; i++ {
+		if m := tr.meta[i]; f.keeps(m) {
+			out.ins = append(out.ins, tr.ins[i])
+			out.addrs = append(out.addrs, tr.addrs[i])
+			out.vals = append(out.vals, tr.vals[i])
+			out.meta = append(out.meta, m)
+			out.locks = append(out.locks, tr.locks[i])
 		}
 	}
 	return out

@@ -6,10 +6,12 @@ package trace
 // addresses, the happens-before oracle's lock and publication clocks), which
 // build per-address state from scratch for every trial: Reset is O(1) (a
 // generation stamp invalidates every slot at once), storage grows by
-// doubling and is kept across trials, so a warm table never allocates.
+// doubling and is kept across trials, so a warm table never allocates. With
+// T = struct{} it is a flat set of keys (cover.Edges).
 //
 // The zero value is an empty table. A Shadow is not safe for concurrent
-// use; each analysis scratch owns its own.
+// use, except that Get and Len write nothing: any number of goroutines may
+// call them between writes.
 type Shadow[T any] struct {
 	slots []shadowSlot[T]
 	shift uint   // 64 - log2(len(slots))

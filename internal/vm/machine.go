@@ -147,10 +147,13 @@ func (m *Machine) AllDone() bool {
 	return true
 }
 
-// Spawn creates a thread whose body is fn, with an 8KB kernel stack carved
+// Spawn starts a thread whose body is fn, with an 8KB kernel stack carved
 // at stackBase (which must be trace.StackSize aligned and inside a valid
 // region). The thread does not run until the scheduler picks it. Its body
-// runs on the coroutine of its slot, which the machine keeps until Close.
+// runs on the coroutine of its slot, which the machine keeps until Close,
+// and the Thread itself is the slot's too: the pointer is valid until the
+// next Spawn into the slot, after a Shutdown or ResetRuntime — callers must
+// not retain it across runs.
 func (m *Machine) Spawn(name string, stackBase Addr, fn func(*Thread)) *Thread {
 	if stackBase%trace.StackSize != 0 {
 		panic(fmt.Sprintf("vm: stack base %#x not %d-aligned", stackBase, trace.StackSize))
@@ -159,16 +162,18 @@ func (m *Machine) Spawn(name string, stackBase Addr, fn func(*Thread)) *Thread {
 	if id == len(m.cpus) {
 		m.cpus = append(m.cpus, newVCPU())
 	}
-	t := &Thread{
+	cpu := m.cpus[id]
+	t := &cpu.thread
+	*t = Thread{
 		ID:      id,
 		Name:    name,
 		m:       m,
-		cpu:     m.cpus[id],
+		cpu:     cpu,
 		state:   Runnable,
 		stackLo: stackBase,
 		sp:      stackBase + trace.StackSize,
 	}
-	t.cpu.t, t.cpu.fn, t.cpu.held = t, fn, t.cpu.held[:0]
+	cpu.t, cpu.fn, cpu.held = t, fn, cpu.held[:0]
 	m.threads = append(m.threads, t)
 	return t
 }

@@ -23,6 +23,10 @@ type vcpu struct {
 	stop  func()
 	yield func(Event) bool // set once the coroutine has started
 
+	// thread is the storage of the slot's current thread, refilled by
+	// every Spawn into the slot.
+	thread Thread
+
 	// Armed by Spawn, taken by the coroutine when it starts the body.
 	t  *Thread
 	fn func(*Thread)

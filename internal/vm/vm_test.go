@@ -477,8 +477,9 @@ func TestGuestPanicReachesRunCaller(t *testing.T) {
 }
 
 // TestSpawnAllocBudget: a warm Spawn + run + ResetRuntime cycle allocates
-// the Thread and the caller's closure and nothing else — the coroutine, its
-// stack and the machine's scratch are kept from the run before.
+// the caller's closure and nothing else — the Thread is the slot's, and the
+// coroutine, its stack and the machine's scratch are kept from the run
+// before.
 func TestSpawnAllocBudget(t *testing.T) {
 	m := newTestMachine()
 	defer m.Close()
@@ -491,8 +492,70 @@ func TestSpawnAllocBudget(t *testing.T) {
 		m.ResetRuntime()
 	}
 	cycle()
-	if allocs := testing.AllocsPerRun(100, cycle); allocs > 2 {
-		t.Fatalf("warm Spawn+Run+ResetRuntime allocates %.0f objects, want ≤ 2 (Thread, closure)", allocs)
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 1 {
+		t.Fatalf("warm Spawn+Run+ResetRuntime allocates %.0f objects, want ≤ 1 (the closure)", allocs)
+	}
+}
+
+// TestSpawnReusesNeverResumedSlot: a thread that was spawned but never
+// picked is disarmed by Shutdown, not unwound — and since a slot's Thread
+// storage is refilled by every Spawn, the next thread in that slot is the
+// same pointer. It must run its own body, and the old one never.
+func TestSpawnReusesNeverResumedSlot(t *testing.T) {
+	m := newTestMachine()
+	defer m.Close()
+	ran := ""
+	first := m.Spawn("a", testStackBase, func(th *Thread) { ran += "a" })
+	idle := m.Spawn("idle", testStackBase+8192, func(th *Thread) { ran += "idle" })
+	onlyFirst := FuncScheduler(func(mm *Machine, last *Thread, ev Event) *Thread {
+		if first.State() == Runnable {
+			return first
+		}
+		return nil
+	})
+	if err := m.Run(onlyFirst, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.Shutdown()
+	if ran != "a" {
+		t.Fatalf("bodies run before the second spawn: %q", ran)
+	}
+
+	m.Spawn("b", testStackBase, func(th *Thread) { ran += "b" })
+	again := m.Spawn("c", testStackBase+8192, func(th *Thread) { ran += "c" })
+	if again != idle {
+		t.Fatal("the slot's Thread storage was not reused")
+	}
+	if again.Name != "c" || again.State() != Runnable || again.killed {
+		t.Fatalf("reused thread not reset: %+v", again)
+	}
+	if err := m.Run(SeqScheduler{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ran != "abc" {
+		t.Fatalf("bodies run: %q, want a, then b and c", ran)
+	}
+
+	// The same after a thread that did run was killed mid-body.
+	m.ResetRuntime()
+	m.Spawn("spin", testStackBase, func(th *Thread) {
+		for {
+			th.Load(insT, testRegionBase, 8)
+		}
+	})
+	if err := m.Run(SeqScheduler{}, 50); !errors.Is(err, ErrStepLimit) {
+		t.Fatalf("err = %v, want step limit", err)
+	}
+	m.Shutdown()
+	d := m.Spawn("d", testStackBase, func(th *Thread) { ran += "d" })
+	if d.killed || d.Accesses() != 0 {
+		t.Fatalf("thread spawned after a kill carries it: %+v", d)
+	}
+	if err := m.Run(SeqScheduler{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ran != "abcd" {
+		t.Fatalf("bodies run: %q, want abcd", ran)
 	}
 }
 
