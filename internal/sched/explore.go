@@ -3,7 +3,6 @@ package sched
 import (
 	"math/rand"
 	"slices"
-	"sort"
 
 	"snowboard/internal/corpus"
 	"snowboard/internal/cover"
@@ -130,15 +129,13 @@ type scratch struct {
 	rng    *rand.Rand // over a lazyrand.Source: reseeding per trial is free
 	oracle detect.Scratch
 	walk   cover.Walker
-	flags  map[sig]bool
+	flags  flagSet
 	seen   map[detect.IssueKey]bool
 
-	// The Snowboard-mode trial scheduler, the flags as they stood before
-	// the running trial (a ReproState is built from them only if the trial
-	// is kept), and the throwaway flag set of a mutated trial.
+	// The Snowboard-mode trial scheduler and the throwaway flag set of a
+	// mutated trial.
 	policy   SnowboardPolicy
-	preFlags []sig
-	mutFlags map[sig]bool
+	mutFlags flagSet
 
 	// findIncidental: per (site, address) the latest data access (1 + its
 	// index), per access the previous one of its chain, and the candidates.
@@ -153,14 +150,12 @@ func (x *Explorer) scratchFor() *scratch {
 	sc := x.scratch
 	if sc == nil {
 		sc = &scratch{
-			rng:      lazyrand.New(0),
-			flags:    make(map[sig]bool),
-			seen:     make(map[detect.IssueKey]bool),
-			mutFlags: make(map[sig]bool),
+			rng:  lazyrand.New(0),
+			seen: make(map[detect.IssueKey]bool),
 		}
 		x.scratch = sc
 	}
-	clear(sc.flags)
+	sc.flags.reset(0)
 	clear(sc.seen)
 	return sc
 }
@@ -260,7 +255,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		currentPMCs = append(currentPMCs, ct.Extra[i])
 	}
 	sc := x.scratchFor()
-	flags, tr, rng := sc.flags, &sc.tr, sc.rng
+	flags, tr, rng := &sc.flags, &sc.tr, sc.rng
 
 	// Mutable yield-schedule seeds: pre-trial state + preemption points of
 	// trials that discovered new segments (MutateSchedules only).
@@ -275,12 +270,14 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		trialSeed := x.Seed + int64(trial)
 		// policy is set in Snowboard mode only. pretrial stays nil (a
 		// mutated trial runs from a synthesized one) until keep materialises
-		// it for a trial worth keeping.
+		// it for a trial worth keeping, from the flags the trial started
+		// with: those learned since come after them.
 		var pretrial *ReproState
 		var policy *SnowboardPolicy
+		preFlags := len(flags.list)
 		keep := func() *ReproState {
 			if pretrial == nil && policy != nil {
-				pretrial = snapshotRepro(trialSeed, trial, currentPMCs, sc.preFlags)
+				pretrial = snapshotRepro(trialSeed, trial, currentPMCs, flags.list[:preFlags])
 			}
 			return pretrial
 		}
@@ -316,13 +313,9 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 					Flags: sd.state.Flags,
 					Flips: mutateFlips(rng, sd.state.Flips, sd.switches),
 				}
-				policy.loadState(pretrial, rng, sc.mutFlags)
+				policy.loadState(pretrial, rng, &sc.mutFlags)
 				mutated = true
 			} else {
-				sc.preFlags = sc.preFlags[:0]
-				for f := range flags {
-					sc.preFlags = append(sc.preFlags, f)
-				}
 				policy.reset(rng, currentPMCs, flags)
 			}
 			policy.RecordSwitches = mutating
@@ -395,33 +388,24 @@ const maxCurrentPMCs = 4
 // evict the oldest.
 const maxSchedSeeds = 4
 
-// mutateFlips derives a mutated flip set: the base seed's flips with 1–2
+// mutateFlips derives a mutated flip set: the base seed's flips (ascending
+// and distinct, as every ReproState the explorer keeps has them) with 1–2
 // decisions toggled at points drawn within ±2 events of the seed trial's
 // recorded preemptions. Toggling (XOR) rather than adding lets a second
 // mutation of the same seed undo a harmful flip.
 func mutateFlips(rng *rand.Rand, base, switches []int) []int {
-	set := make(map[int]bool, len(base)+2)
-	for _, f := range base {
-		set[f] = true
-	}
+	var buf [16]int // toggled in place, on the stack unless a seed has more flips than any did
+	out := append(buf[:0], base...)
 	n := 1 + rng.Intn(2)
 	for k := 0; k < n; k++ {
-		at := switches[rng.Intn(len(switches))] + rng.Intn(5) - 2
-		if at < 0 {
-			at = 0
-		}
-		if set[at] {
-			delete(set, at)
+		at := max(0, switches[rng.Intn(len(switches))]+rng.Intn(5)-2)
+		if i, found := slices.BinarySearch(out, at); found {
+			out = slices.Delete(out, i, i+1)
 		} else {
-			set[at] = true
+			out = slices.Insert(out, i, at)
 		}
 	}
-	out := make([]int, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Ints(out)
-	return out
+	return slices.Clone(out)
 }
 
 // findIncidental locates a PMC from the identified set present in the
@@ -501,8 +485,8 @@ func (sc *scratch) executed(tr *trace.Trace, kind trace.Kind, k *pmc.Key) (n, fi
 	return n, first
 }
 
-// sigAt reports whether the i-th access has k's signature as a kind access:
-// sigOf(&a) == sigOfKey(kind, k) on the trace columns, no row built.
+// sigAt reports whether the i-th access has k's signature as a kind access
+// (its sig is sigOfKey(kind, k)), on the trace columns, no row built.
 func sigAt(tr *trace.Trace, i int, kind trace.Kind, k *pmc.Key) bool {
 	return tr.InsAt(i) == k.Ins && tr.AddrAt(i) == k.Addr && tr.SizeAt(i) == k.Size && tr.KindAt(i) == kind
 }

@@ -6,6 +6,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 
 	"snowboard/internal/pmc"
 	"snowboard/internal/trace"
@@ -16,17 +17,13 @@ import (
 // range. Values are deliberately excluded — during a successfully exercised
 // channel the read observes a *different* value than profiled, and the
 // scheduler must still recognize it (see §4.4's performed_pmc_access).
-// The fields sit back to back, widest first, so that the flag maps hash and
-// compare a sig as one run of bytes.
+// The fields sit back to back, widest first: a sig is 16 bytes, compared as
+// a whole.
 type sig struct {
 	addr uint64
 	ins  trace.Ins
 	kind trace.Kind
 	size uint8
-}
-
-func sigOf(a *trace.Access) sig {
-	return sig{kind: a.Kind, ins: a.Ins, addr: a.Addr, size: a.Size}
 }
 
 func sigOfInfo(a *vm.AccessInfo) sig {
@@ -57,11 +54,18 @@ func pickOther(m *vm.Machine, cur *vm.Thread) *vm.Thread {
 	return nil
 }
 
-func keepOrFirst(m *vm.Machine, cur *vm.Thread) *vm.Thread {
-	if cur != nil && cur.State() == vm.Runnable {
-		return cur
+// pickNext is the Pick of the policies that decide in OnAccess: a thread
+// drawn from rng to start with, then the other one whenever the running one
+// stops or OnAccess asked for a preemption.
+func pickNext(rng *rand.Rand, m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
+	if ev.Kind != vm.EvStart {
+		return pickOther(m, last)
 	}
-	return pickOther(m, cur)
+	runnable := m.Runnable()
+	if len(runnable) == 0 {
+		return nil
+	}
+	return runnable[rng.Intn(len(runnable))]
 }
 
 // switchDenom is the denominator of the switch probability after a
@@ -77,20 +81,21 @@ const switchDenom = 4
 // threads run freely and induces non-deterministic yields only around the
 // accesses of the PMCs under test — after a PMC access is performed, and
 // when the flagged predecessor of a PMC access is seen (the access is
-// "coming").
+// "coming"). It is asked about those only: it watches the sites of the PMCs
+// and of the flags, and the index of the next flip or liveness force.
 type SnowboardPolicy struct {
-	rng      *rand.Rand
-	current  []sig        // accesses of the PMCs under test (small; linear scan)
-	flags    map[sig]bool // predecessors that announce a PMC access
-	fired    map[sig]bool // flags that already fired this trial
-	watched  insFilter    // instructions of current and of flags: every other access skips all three
-	last     [16]sig      // last access per thread
-	haveLast [16]bool
-	streak   int // consecutive events without a switch (liveness)
+	rng     *rand.Rand
+	current []sig    // accesses of the PMCs under test (small; linear scan)
+	flags   *flagSet // predecessors that announce a PMC access, and which of them fired this trial
+	watch   vm.Watch // sites of current and of flags; the index of the next flip or liveness force
+
+	// streakStart is the index of the first access since the last switch;
+	// is_live forces a yield once there are livenessWindow of them.
+	streakStart int
 
 	// FlipAt inverts the rng-drawn switch decision at the listed access
-	// indices (0-based, counting every OnAccess event; ascending, distinct).
-	// This is the schedule-mutation mechanism: a trial that discovered new
+	// indices (vm.AccessInfo.Index; ascending, distinct). This is the
+	// schedule-mutation mechanism: a trial that discovered new
 	// interleaving segments is replayed with a few decisions flipped near
 	// its recorded preemption points instead of exploring from scratch.
 	// The liveness force still applies after the flip, so a mutated
@@ -102,144 +107,107 @@ type SnowboardPolicy struct {
 	// induced, in order (only collected when RecordSwitches is set).
 	SwitchEvents []int
 
-	accessIndex int // events seen so far (indexes FlipAt/SwitchEvents)
-	nextFlip    int // FlipAt entries already consumed
+	nextFlip int // FlipAt entries already consumed
 
 	// Switches counts induced preemptions, for reporting.
 	Switches int
 }
 
-// insFilter is a set of instructions kept as a bitset over the low bits of
-// their ids: a superset test. Ids are name hashes, so the few dozen
-// instructions a trial watches leave most of the bits clear, and a false
-// hit only costs the exact lookups the filter stands in front of.
-type insFilter [insFilterBits / 64]uint64
-
-const insFilterBits = 2048
-
-func (f *insFilter) add(i trace.Ins) { f[i%insFilterBits/64] |= 1 << (i % 64) }
-
-func (f *insFilter) has(i trace.Ins) bool { return f[i%insFilterBits/64]&(1<<(i%64)) != 0 }
-
-// NewSnowboardPolicy builds the trial scheduler. flags persists across
-// trials of the same concurrent test and is updated in place.
-func NewSnowboardPolicy(rng *rand.Rand, currentPMCs []pmc.PMC, flags map[sig]bool) *SnowboardPolicy {
-	p := &SnowboardPolicy{}
-	p.reset(rng, currentPMCs, flags)
-	return p
-}
-
 // reset makes p the scheduler of a new trial, keeping only its storage: an
-// explorer runs every trial through one policy.
-func (p *SnowboardPolicy) reset(rng *rand.Rand, currentPMCs []pmc.PMC, flags map[sig]bool) {
+// explorer runs every trial through one policy. flags persists across the
+// trials of one concurrent test and is updated in place.
+func (p *SnowboardPolicy) reset(rng *rand.Rand, currentPMCs []pmc.PMC, flags *flagSet) {
 	cur := p.current[:0]
 	for _, pm := range currentPMCs {
 		cur = append(cur, sigOfKey(trace.Write, pm.Write), sigOfKey(trace.Read, pm.Read))
 	}
-	if p.fired == nil {
-		p.fired = make(map[sig]bool)
-	}
-	clear(p.fired)
+	flags.trial++ // a new trial: no flag has fired in it
 	*p = SnowboardPolicy{
 		rng:          rng,
 		current:      cur,
 		flags:        flags,
-		fired:        p.fired,
 		FlipAt:       p.FlipAt[:0],
 		SwitchEvents: p.SwitchEvents[:0],
 	}
 	for _, s := range cur {
-		p.watched.add(s.ins)
+		p.watch.Sites.Add(s.ins, s.addr)
 	}
-	for f := range flags {
-		p.watched.add(f.ins)
+	for _, f := range flags.list {
+		p.watch.Sites.Add(f.ins, f.addr)
 	}
 }
 
-// isCurrent reports whether the access signature belongs to a PMC under
-// test. The set is tiny (≤ 2·maxCurrentPMCs) so a linear scan beats a map.
-func (p *SnowboardPolicy) isCurrent(s sig) bool {
-	for i := range p.current {
-		if p.current[i] == s {
-			return true
-		}
-	}
-	return false
+// Watch implements vm.AccessSink; by the time a run takes it, FlipAt is set.
+func (p *SnowboardPolicy) Watch() *vm.Watch {
+	p.arm()
+	return &p.watch
 }
 
-// OnAccess implements vm.AccessSink: the whole per-access policy runs on the
-// accessing thread's goroutine, and a channel yield back to the machine loop
-// happens only when a preemption is actually requested (the rng-draw
-// sequence is exactly the one the old Pick-per-access flow performed).
+// arm sets the index at which the policy must be asked whatever the access:
+// the next pending flip, or the access that completes the liveness window.
+func (p *SnowboardPolicy) arm() {
+	p.watch.Deadline = p.streakStart + livenessWindow - 1
+	if p.nextFlip < len(p.FlipAt) {
+		p.watch.Deadline = min(p.watch.Deadline, p.FlipAt[p.nextFlip])
+	}
+}
+
+// OnAccess implements vm.AccessSink: the whole policy runs on the accessing
+// thread's coroutine, and a yield back to the machine loop happens only when
+// a preemption is requested. It draws from the rng exactly where a policy
+// shown every access would.
 func (p *SnowboardPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo) bool {
-	idx := p.accessIndex
-	p.accessIndex++
 	doSwitch := false
 	if !a.Stack {
 		// Stack accesses are excluded from memory tracking (§4.4.1);
 		// they are not PMC accesses, not flags, and not predecessors.
 		s := sigOfInfo(&a)
-		if !p.watched.has(s.ins) {
-			// Neither under test nor flagged: the common access.
-		} else if p.isCurrent(s) {
+		if slices.Contains(p.current, s) {
 			// performed_pmc_access: remember the predecessor as a flag for
 			// future trials and maybe reschedule now.
-			if a.Thread < len(p.haveLast) && p.haveLast[a.Thread] {
-				if f := p.last[a.Thread]; !p.flags[f] {
-					p.flags[f] = true
-					p.watched.add(f.ins)
-				}
+			if a.Prev.Size != 0 && p.flags.add(sig{addr: a.Prev.Addr, ins: a.Prev.Ins, kind: a.Prev.Kind, size: a.Prev.Size}) {
+				p.watch.Sites.Add(a.Prev.Ins, a.Prev.Addr)
 			}
 			doSwitch = p.rng.Intn(switchDenom) == 0
-		} else if p.flags[s] && !p.fired[s] {
+		} else if p.flags.fire(s) {
 			// pmc_access_coming: the next access is likely a PMC access.
 			// Each flag fires once per trial; many flags are on hot
 			// allocator sites and would otherwise thrash the schedule.
-			p.fired[s] = true
 			doSwitch = p.rng.Intn(switchDenom) == 0
 		}
-		if a.Thread < len(p.last) {
-			p.last[a.Thread] = s
-			p.haveLast[a.Thread] = true
-		}
 	}
-	if p.nextFlip < len(p.FlipAt) && p.FlipAt[p.nextFlip] == idx {
+	if p.nextFlip < len(p.FlipAt) && p.FlipAt[p.nextFlip] == a.Index {
 		p.nextFlip++
 		doSwitch = !doSwitch
 	}
-	p.streak++
-	if p.streak >= livenessWindow {
+	if a.Index-p.streakStart+1 >= livenessWindow {
 		doSwitch = true
 	}
 	if doSwitch {
-		p.streak = 0
+		p.streakStart = a.Index + 1
 		p.Switches++
 		if p.RecordSwitches {
-			p.SwitchEvents = append(p.SwitchEvents, idx)
+			p.SwitchEvents = append(p.SwitchEvents, a.Index)
 		}
-		return true
 	}
-	return false
+	p.arm()
+	return doSwitch
 }
 
 // Pick implements vm.Scheduler. Accesses reach it only when OnAccess asked
-// for a preemption.
+// for a preemption; any other event is the running thread stopping by
+// itself, which restarts the liveness window.
 func (p *SnowboardPolicy) Pick(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
-	switch ev.Kind {
-	case vm.EvStart:
-		runnable := m.Runnable()
-		if len(runnable) == 0 {
-			return nil
-		}
-		return runnable[p.rng.Intn(len(runnable))]
-	case vm.EvBlocked, vm.EvDone, vm.EvFault, vm.EvYield:
-		p.streak = 0
-		return pickOther(m, last)
-	case vm.EvAccess:
-		return pickOther(m, last)
+	if ev.Kind != vm.EvStart && ev.Kind != vm.EvAccess {
+		p.streakStart = m.AccessIndex()
+		p.arm()
 	}
-	return keepOrFirst(m, last)
+	return pickNext(p.rng, m, last, ev)
 }
+
+// everyAccess, the zero Watch, is the baseline policies': they draw or count
+// at every access. Read only.
+var everyAccess vm.Watch
 
 // SKIPolicy is the SKI-style baseline of §5.4. Two behaviors distinguish it
 // from Algorithm 2, per the paper's comparison: it "yields thread execution
@@ -295,22 +263,15 @@ func (p *SKIPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo) bool 
 	return false
 }
 
+// Watch implements vm.AccessSink.
+func (p *SKIPolicy) Watch() *vm.Watch { return &everyAccess }
+
 // Pick implements vm.Scheduler.
 func (p *SKIPolicy) Pick(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
-	switch ev.Kind {
-	case vm.EvStart:
-		runnable := m.Runnable()
-		if len(runnable) == 0 {
-			return nil
-		}
-		return runnable[p.rng.Intn(len(runnable))]
-	case vm.EvBlocked, vm.EvDone, vm.EvFault, vm.EvYield:
+	if ev.Kind != vm.EvStart && ev.Kind != vm.EvAccess {
 		p.streak = 0
-		return pickOther(m, last)
-	case vm.EvAccess:
-		return pickOther(m, last)
 	}
-	return keepOrFirst(m, last)
+	return pickNext(p.rng, m, last, ev)
 }
 
 // RandomWalkPolicy preempts with fixed probability 1/Period at every
@@ -333,23 +294,13 @@ func (p *RandomWalkPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo
 	return p.rng.Intn(p.Period) == 0
 }
 
-// Pick implements vm.Scheduler.
+// Watch implements vm.AccessSink.
+func (p *RandomWalkPolicy) Watch() *vm.Watch { return &everyAccess }
+
+// Pick implements vm.Scheduler. OnAccess already drew for an access that
+// gets here.
 func (p *RandomWalkPolicy) Pick(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
-	switch ev.Kind {
-	case vm.EvStart:
-		runnable := m.Runnable()
-		if len(runnable) == 0 {
-			return nil
-		}
-		return runnable[p.rng.Intn(len(runnable))]
-	case vm.EvBlocked, vm.EvDone, vm.EvFault, vm.EvYield:
-		return pickOther(m, last)
-	case vm.EvAccess:
-		// OnAccess already drew and asked for this preemption.
-		return pickOther(m, last)
-	default:
-		return keepOrFirst(m, last)
-	}
+	return pickNext(p.rng, m, last, ev)
 }
 
 // PCTPolicy implements a two-thread PCT-style scheduler: one thread holds
@@ -403,6 +354,9 @@ func (p *PCTPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo) bool 
 	// runnable thread, so only yield if that is a different one.
 	return len(runnable) > 0 && runnable[0] != t
 }
+
+// Watch implements vm.AccessSink.
+func (p *PCTPolicy) Watch() *vm.Watch { return &everyAccess }
 
 // Pick implements vm.Scheduler. Accesses were already counted by OnAccess;
 // every other event advances the index here, so each event is counted once.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snowboard/internal/detect"
@@ -83,18 +84,14 @@ func TestModeStrings(t *testing.T) {
 }
 
 func TestSnowboardPolicyDefaults(t *testing.T) {
-	p := NewSnowboardPolicy(rand.New(rand.NewSource(1)), []pmc.PMC{*hintPMC()}, map[sig]bool{})
+	p := &SnowboardPolicy{}
+	p.reset(rand.New(rand.NewSource(1)), []pmc.PMC{*hintPMC()}, &flagSet{})
 	if switchDenom < 2 {
 		t.Fatalf("implausible switch probability 1/%d", switchDenom)
 	}
-	if !p.isCurrent(sigOfKey(trace.Write, hintPMC().Write)) {
-		t.Fatal("hint write not in current set")
-	}
-	if !p.isCurrent(sigOfKey(trace.Read, hintPMC().Read)) {
-		t.Fatal("hint read not in current set")
-	}
-	if p.isCurrent(sig{kind: trace.Read, ins: sIns1, addr: 0x900, size: 8}) {
-		t.Fatal("phantom current sig")
+	want := []sig{sigOfKey(trace.Write, hintPMC().Write), sigOfKey(trace.Read, hintPMC().Read)}
+	if !slices.Equal(p.current, want) {
+		t.Fatalf("PMC accesses under test %v, want the hint's write and read %v", p.current, want)
 	}
 }
 

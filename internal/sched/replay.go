@@ -78,10 +78,10 @@ func snapshotRepro(seed int64, trial int, pmcs []pmc.PMC, flags []sig) *ReproSta
 // snapshot, and any mutation flips re-applied. Both Replay and the
 // explorer's mutated trials construct their policy through this, so a
 // mutated trial is replayable from its ReproState alone.
-func (p *SnowboardPolicy) loadState(st *ReproState, r *rand.Rand, flags map[sig]bool) {
-	clear(flags)
+func (p *SnowboardPolicy) loadState(st *ReproState, r *rand.Rand, flags *flagSet) {
+	flags.reset(len(st.Flags))
 	for _, f := range st.Flags {
-		flags[importSig(f)] = true
+		flags.add(importSig(f))
 	}
 	r.Seed(st.Seed)
 	p.reset(r, st.PMCs, flags)
@@ -97,7 +97,7 @@ func (p *SnowboardPolicy) loadState(st *ReproState, r *rand.Rand, flags map[sig]
 
 func policyFromState(st *ReproState) *SnowboardPolicy {
 	p := &SnowboardPolicy{}
-	p.loadState(st, lazyrand.New(0), make(map[sig]bool, len(st.Flags)))
+	p.loadState(st, lazyrand.New(0), &flagSet{})
 	return p
 }
 

@@ -36,7 +36,7 @@ func (x *Explorer) ExploreTriple(tt TripleTest) Outcome {
 		)
 	}
 	sc := x.scratchFor()
-	flags, tr, rng := sc.flags, &sc.tr, sc.rng
+	flags, tr, rng := &sc.flags, &sc.tr, sc.rng
 	progs := []*corpus.Prog{tt.Writer, tt.ReaderA, tt.ReaderB}
 
 	for trial := 0; trial < trials; trial++ {

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -77,6 +79,10 @@ func prevFindIncidental(known *pmc.Set, tr *trace.Trace, current []pmc.PMC, rng 
 	return candidates[rng.Intn(n)].PMC, true
 }
 
+func sigOf(a *trace.Access) sig {
+	return sig{kind: a.Kind, ins: a.Ins, addr: a.Addr, size: a.Size}
+}
+
 // prevChannelExercised materializes a row per access and compares sigs.
 func prevChannelExercised(tr *trace.Trace, hint *pmc.PMC) bool {
 	ws := sigOfKey(trace.Write, hint.Write)
@@ -115,9 +121,10 @@ func prevChannelExercised(tr *trace.Trace, hint *pmc.PMC) bool {
 // unfusedExplore is Explorer.Explore (Snowboard mode, no schedule mutation)
 // with every post-trial consumer on its own: the standalone coverage
 // metrics and detect.Analyze each index the trace for themselves, the
-// channel witness and the incidental lookup are the retained ones above. It
-// also returns the PMCs under test as the last trial ran, and shows every
-// trial's trace to each.
+// channel witness and the incidental lookup are the retained ones above, and
+// every trial runs under the retained map policy below, asked about every
+// access. It also returns the PMCs under test as the last trial ran, and
+// shows every trial's trace to each.
 func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace)) (Outcome, []pmc.PMC) {
 	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1, IssueTrial: make(map[string]int), Segments: cover.NewSegments()}
 	current := []pmc.PMC{*ct.Hint}
@@ -131,12 +138,12 @@ func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace)) (Ou
 		}
 		underTest := slices.Clone(current)
 		rng := rand.New(rand.NewSource(x.Seed + int64(trial)))
-		policy := NewSnowboardPolicy(rng, current, flags)
+		policy := newPrevPolicy(rng, current, flags, nil)
 		res := x.Env.RunPair(ct.Writer, ct.Reader, policy, &tr)
 		x.Env.M.SetTrace(nil)
 		each(&tr)
 		out.Trials = trial + 1
-		out.Switches += policy.Switches
+		out.Switches += policy.switches
 		out.Steps += res.Steps
 		out.NewCoverPairs += x.Coverage.AddTrace(&tr)
 		out.NewSegments += out.Segments.AddTrace(&tr)
@@ -310,19 +317,20 @@ func TestSelectNthEqualsSort(t *testing.T) {
 	}
 }
 
-// prevPolicy is SnowboardPolicy as it was when every access probed maps —
-// the PMC signatures, a map of flagged instructions in front of the flags,
-// the fired flags, a map of flip indices — kept verbatim (identifiers
-// prefixed) as the differential oracle of the instruction filter and the
-// flip cursor.
+// prevPolicy is SnowboardPolicy as it was when it was asked about every
+// access and probed maps at each — the PMC signatures, a map of flagged
+// instructions in front of the flags, the fired flags, a map of flip indices,
+// its own count of the accesses it has seen — kept (identifiers prefixed) as
+// the differential oracle of the flag set, the flip cursor and the watch.
+// One thing is not as it was: a thread's previous access is kept per thread
+// id in a map, where an array of 16 silently stopped tracking wider ids.
 type prevPolicy struct {
 	rng          *rand.Rand
 	current      []sig
 	flags        map[sig]bool
 	flagIns      map[trace.Ins]bool
 	fired        map[sig]bool
-	last         [16]sig
-	haveLast     [16]bool
+	last         map[int]sig
 	streak       int
 	flipAt       map[int]bool
 	switchEvents []int
@@ -331,7 +339,8 @@ type prevPolicy struct {
 }
 
 func newPrevPolicy(rng *rand.Rand, currentPMCs []pmc.PMC, flags map[sig]bool, flips []int) *prevPolicy {
-	p := &prevPolicy{rng: rng, flags: flags, flagIns: make(map[trace.Ins]bool), fired: make(map[sig]bool), flipAt: make(map[int]bool)}
+	p := &prevPolicy{rng: rng, flags: flags, flagIns: make(map[trace.Ins]bool), fired: make(map[sig]bool),
+		last: make(map[int]sig), flipAt: make(map[int]bool)}
 	for _, pm := range currentPMCs {
 		p.current = append(p.current, sigOfKey(trace.Write, pm.Write), sigOfKey(trace.Read, pm.Read))
 	}
@@ -344,15 +353,20 @@ func newPrevPolicy(rng *rand.Rand, currentPMCs []pmc.PMC, flags map[sig]bool, fl
 	return p
 }
 
+// Watch is the zero watch: every access.
+func (p *prevPolicy) Watch() *vm.Watch { return &vm.Watch{} }
+
 func (p *prevPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo) bool {
 	idx := p.accessIndex
 	p.accessIndex++
+	if a.Index != idx {
+		panic(fmt.Sprintf("the machine numbers access %d of the run %d", idx, a.Index))
+	}
 	doSwitch := false
 	if !a.Stack {
 		s := sigOfInfo(&a)
 		if slices.Contains(p.current, s) {
-			if a.Thread < len(p.haveLast) && p.haveLast[a.Thread] {
-				f := p.last[a.Thread]
+			if f, ok := p.last[t.ID]; ok {
 				p.flags[f] = true
 				p.flagIns[f.ins] = true
 			}
@@ -361,10 +375,7 @@ func (p *prevPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo) bool
 			p.fired[s] = true
 			doSwitch = p.rng.Intn(switchDenom) == 0
 		}
-		if a.Thread < len(p.last) {
-			p.last[a.Thread] = s
-			p.haveLast[a.Thread] = true
-		}
+		p.last[t.ID] = s
 	}
 	if p.flipAt[idx] {
 		doSwitch = !doSwitch
@@ -392,11 +403,8 @@ func (p *prevPolicy) Pick(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Threa
 		return runnable[p.rng.Intn(len(runnable))]
 	case vm.EvBlocked, vm.EvDone, vm.EvFault, vm.EvYield:
 		p.streak = 0
-		return pickOther(m, last)
-	case vm.EvAccess:
-		return pickOther(m, last)
 	}
-	return keepOrFirst(m, last)
+	return pickOther(m, last)
 }
 
 // countedSource counts the draws made from a seeded source.
@@ -419,13 +427,23 @@ type trialScheduler interface {
 	vm.AccessSink
 }
 
-// policyPair runs one trial under SnowboardPolicy and under prevPolicy,
-// each on its own flags and its own rng of one seed, and fails unless both
-// induced the same preemptions, left the same flags and drew from the rng
-// equally often. run drives a scheduler through the trial. A trial with
-// flips is set up the way a mutated or replayed one is, by loadState. It
-// returns the policy, for its preemption points and its filter.
-func policyPair(t *testing.T, what string, seed int64, pmcs []pmc.PMC, flags, prevFlags map[sig]bool, flips []int, run func(trialScheduler)) *SnowboardPolicy {
+// pairResult is what a trial under SnowboardPolicy left behind, for the
+// assertions a case makes beyond agreement.
+type pairResult struct {
+	policy *SnowboardPolicy
+	flags  *flagSet // the set the trial ran on: the caller's, or its own if it had flips
+	draws  int
+}
+
+// policyPair runs one trial under SnowboardPolicy, shown what it watches,
+// and under prevPolicy, shown everything, each on its own flags and its own
+// rng of one seed, and fails unless both induced the same preemptions, drew
+// from the rng equally often, left the same flags and would record the same
+// ReproState for the next trial. run drives a scheduler through the trial. A
+// trial with flips is set up the way a mutated or replayed one is — by
+// loadState, on a flag set of its own filled from the state — and leaves the
+// caller's flags alone, as a mutated trial does the explorer's.
+func policyPair(t *testing.T, what string, seed int64, pmcs []pmc.PMC, flags *flagSet, prevFlags map[sig]bool, flips []int, run func(trialScheduler)) pairResult {
 	t.Helper()
 	rng, src := countedRand(seed)
 	prevRng, prevSrc := countedRand(seed)
@@ -433,8 +451,9 @@ func policyPair(t *testing.T, what string, seed int64, pmcs []pmc.PMC, flags, pr
 	if flips == nil {
 		policy.reset(rng, pmcs, flags)
 	} else {
-		st := snapshotRepro(seed, 0, pmcs, slices.Collect(maps.Keys(flags)))
+		st := snapshotRepro(seed, 0, pmcs, flags.list)
 		st.Flips = flips
+		flags, prevFlags = &flagSet{}, maps.Clone(prevFlags)
 		policy.loadState(st, rng, flags)
 	}
 	policy.RecordSwitches = true
@@ -444,32 +463,39 @@ func policyPair(t *testing.T, what string, seed int64, pmcs []pmc.PMC, flags, pr
 	if !slices.Equal(policy.SwitchEvents, prev.switchEvents) || policy.Switches != prev.switches {
 		t.Fatalf("%s: preemptions at %v, the map policy's at %v", what, policy.SwitchEvents, prev.switchEvents)
 	}
-	if !maps.Equal(flags, prevFlags) {
-		t.Fatalf("%s: flags %v, the map policy's %v", what, flags, prevFlags)
-	}
 	if src.draws != prevSrc.draws {
 		t.Fatalf("%s: %d rng draws, the map policy %d", what, src.draws, prevSrc.draws)
 	}
-	return policy
+	if len(flags.list) != len(prevFlags) || slices.ContainsFunc(flags.list, func(f sig) bool { return !prevFlags[f] }) {
+		t.Fatalf("%s: flags %v, the map policy's %v", what, flags.list, prevFlags)
+	}
+	state, _ := json.Marshal(snapshotRepro(seed, 1, pmcs, flags.list))
+	prevState, _ := json.Marshal(snapshotRepro(seed, 1, pmcs, slices.Collect(maps.Keys(prevFlags))))
+	if !bytes.Equal(state, prevState) {
+		t.Fatalf("%s: the next trial's ReproState\n%s\nfrom the map policy's flags\n%s", what, state, prevState)
+	}
+	return pairResult{policy, flags, src.draws}
 }
 
-// TestPolicyEqualsMapPolicy: over real tests of two seeds, trial after trial
-// on flags that persist and a PMC set that grows by adoption, and in trials
-// that replay the last one with decisions flipped, SnowboardPolicy behind
-// its instruction filter must schedule exactly as the map-probing policy.
+// TestPolicyEqualsMapPolicy: SnowboardPolicy, asked only about the accesses
+// it watches, must schedule exactly as the map-probing policy asked about
+// every access — over real tests of two seeds, trial after trial on flags
+// that persist and a PMC set that grows by adoption, in trials that replay
+// the last one with decisions flipped on and off the watched accesses and
+// past the end of the trial, and through the scripted cases of watch_test.go.
 func TestPolicyEqualsMapPolicy(t *testing.T) {
-	var switches, learned, mutated, adopted int
+	var switches, learned, mutated, adopted, offWatch int
 	for _, seed := range []int64{3, 7} {
 		env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 		set, tests := realTests(t, env, seed)
 		var tr trace.Trace
 		for i, ct := range tests {
-			flags, prevFlags := make(map[sig]bool), make(map[sig]bool)
+			flags, prevFlags := &flagSet{}, make(map[sig]bool)
 			current := []pmc.PMC{*ct.Hint}
 			run := func(s trialScheduler) { env.RunPair(ct.Writer, ct.Reader, s, &tr) }
 			for trial := 0; trial < 8; trial++ {
 				trialSeed := seed*1000 + int64(i)*10 + int64(trial)
-				at := policyPair(t, fmt.Sprintf("seed %d test %d trial %d", seed, i, trial), trialSeed, current, flags, prevFlags, nil, run).SwitchEvents
+				at := policyPair(t, fmt.Sprintf("seed %d test %d trial %d", seed, i, trial), trialSeed, current, flags, prevFlags, nil, run).policy.SwitchEvents
 				switches += len(at)
 				if inc, ok := prevFindIncidental(set, &tr, current, rand.New(rand.NewSource(trialSeed))); ok && len(current) < maxCurrentPMCs {
 					current = append(current, inc)
@@ -478,74 +504,30 @@ func TestPolicyEqualsMapPolicy(t *testing.T) {
 				if len(at) == 0 || trial%2 == 0 {
 					continue
 				}
-				// A mutated trial runs on flags of its own, as the explorer's do.
-				flips := mutateFlips(rand.New(rand.NewSource(trialSeed)), nil, at)
-				policyPair(t, fmt.Sprintf("seed %d test %d trial %d mutated at %v", seed, i, trial, flips), trialSeed,
-					current, maps.Clone(flags), maps.Clone(prevFlags), flips, run)
+				// What the explorer would flip, one decision anywhere in the
+				// trial, and one no access of the trial has.
+				gen := rand.New(rand.NewSource(trialSeed))
+				flips := mutateFlips(gen, nil, at)
+				flips = append(flips, gen.Intn(tr.Len()), tr.Len()+gen.Intn(100))
+				got := policyPair(t, fmt.Sprintf("seed %d test %d trial %d mutated at %v", seed, i, trial, flips), trialSeed,
+					current, flags, prevFlags, flips, run)
+				for _, f := range got.policy.FlipAt[:got.policy.nextFlip] {
+					offWatch += btoi(f < tr.Len() && !got.policy.watch.Sites.Has(tr.InsAt(f), tr.AddrAt(f)))
+				}
+				if last := got.policy.FlipAt[len(got.policy.FlipAt)-1]; got.policy.nextFlip == len(got.policy.FlipAt) && last >= tr.Len() {
+					t.Fatalf("seed %d test %d trial %d: a flip at %d was consumed by a trial of %d accesses", seed, i, trial, last, tr.Len())
+				}
 				mutated++
 			}
-			learned += len(flags)
+			learned += len(flags.list)
 		}
 		env.Close()
 	}
-	t.Logf("%d preemptions, %d flags learned, %d adoptions, %d mutated trials", switches, learned, adopted, mutated)
-	if switches == 0 || learned == 0 || adopted == 0 || mutated == 0 {
+	t.Logf("%d preemptions, %d flags learned, %d adoptions, %d mutated trials, %d flips on unwatched accesses", switches, learned, adopted, mutated, offWatch)
+	if switches == 0 || learned == 0 || adopted == 0 || mutated == 0 || offWatch == 0 {
 		t.Fatal("comparison lost its teeth")
 	}
-}
-
-// TestPolicyFilterFalseHit forces what a campaign meets once in a few
-// hundred accesses: two instructions on one bit of the filter, one flagged
-// and one not. The unflagged one must pass the filter, fail the exact
-// lookup behind it and change nothing.
-func TestPolicyFilterFalseHit(t *testing.T) {
-	flagged := trace.DefIns("policy_test:flagged")
-	twin := flagged + insFilterBits // same bit; never the predecessor of a PMC access
-	filler := trace.DefIns("policy_test:filler")
-	hint := hintPMC()
-	access := func(thread int, kind trace.Kind, ins trace.Ins, addr uint64) vm.AccessInfo {
-		return vm.AccessInfo{Thread: thread, Ins: ins, Kind: kind, Addr: addr, Size: 8}
-	}
-	// What a thread does next: reach a PMC access through the flagged
-	// instruction, or run the twin — followed by a filler, so that no PMC
-	// access ever comes right after it — at an address the flag also has.
-	atoms := func(th int) [][]vm.AccessInfo {
-		return [][]vm.AccessInfo{
-			{access(th, trace.Read, flagged, 0x200), access(th, trace.Write, hint.Write.Ins, hint.Write.Addr)},
-			{access(th, trace.Read, flagged, 0x208), access(th, trace.Read, hint.Read.Ins, hint.Read.Addr)},
-			{access(th, trace.Read, twin, 0x200), access(th, trace.Read, filler, 0x300)},
-			{access(th, trace.Read, flagged, 0x210), access(th, trace.Read, filler, 0x300)},
-			{{Thread: th, Ins: filler, Addr: 0x400, Size: 8, Stack: true}},
-		}
-	}
-	flags, prevFlags := make(map[sig]bool), make(map[sig]bool)
-	falseHits := 0
-	for trial := 0; trial < 12; trial++ {
-		gen := rand.New(rand.NewSource(int64(trial)))
-		var stream []vm.AccessInfo
-		for len(stream) < 300 {
-			th := gen.Intn(2)
-			stream = append(stream, atoms(th)[gen.Intn(5)]...)
-		}
-		var flips []int
-		if trial%3 == 2 {
-			flips = []int{40, 3, 41, 299, 1000, 3} // as a hand-written state may list them
-		}
-		policy := policyPair(t, fmt.Sprintf("trial %d", trial), int64(trial), []pmc.PMC{*hint}, flags, prevFlags, flips, func(s trialScheduler) {
-			for _, a := range stream {
-				s.OnAccess(nil, nil, a)
-			}
-		})
-		for _, a := range stream {
-			falseHits += btoi(a.Ins == twin && policy.watched.has(twin))
-		}
-	}
-	for f := range flags {
-		if f.ins == twin {
-			t.Fatalf("the twin got flagged: %v", f)
-		}
-	}
-	if falseHits == 0 || len(flags) == 0 {
-		t.Fatalf("%d accesses of the twin passed the filter, %d flags learned: the case was not forced", falseHits, len(flags))
+	for _, c := range scriptedCases() {
+		t.Run(c.name, func(t *testing.T) { c.run(t) })
 	}
 }

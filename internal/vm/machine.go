@@ -17,28 +17,76 @@ type Scheduler interface {
 	Pick(m *Machine, last *Thread, ev Event) *Thread
 }
 
-// AccessInfo is the compact access descriptor handed to AccessSink on the
-// hot path. It is a strict subset of trace.Access: the fields a scheduling
-// policy can act on without forcing the thread to yield.
+// AccessInfo is the compact access descriptor handed to AccessSink: the
+// fields of trace.Access a scheduling policy can act on without forcing the
+// thread to yield, and what the machine keeps about the accesses the sink
+// was not shown.
 type AccessInfo struct {
-	Thread int
-	Ins    trace.Ins
-	Kind   trace.Kind
-	Addr   uint64
-	Size   uint8
-	Stack  bool
+	Ins   trace.Ins
+	Kind  trace.Kind
+	Addr  uint64
+	Size  uint8
+	Stack bool
+
+	// Index numbers, from 0, the accesses of the run made while its step
+	// budget lasts: the ones a sink may be shown. Recorded flip and
+	// preemption indices are in this numbering.
+	Index int
+	// Prev is the accessing thread's previous non-stack access; Size 0 if
+	// it has made none.
+	Prev AccessSite
 }
 
-// AccessSink is the scheduler fast path. A scheduler that implements it has
-// OnAccess invoked synchronously on the running thread's coroutine for every
-// memory access; returning false means "keep running the same thread" and
-// skips the switch back to the machine loop entirely. Returning
-// true falls back to a regular EvAccess yield so Pick can switch threads.
-// Schedulers that never preempt on accesses (or only rarely) become
-// allocation- and handoff-free on the access path.
+// AccessSite is where and how an access touched memory.
+type AccessSite struct {
+	Addr uint64
+	Ins  trace.Ins
+	Kind trace.Kind
+	Size uint8
+}
+
+// AccessSink is the scheduler fast path. A scheduler that implements it is
+// asked about memory accesses synchronously, on the running thread's
+// coroutine: OnAccess returning false means "keep running the same thread"
+// and skips the switch back to the machine loop entirely; returning true
+// falls back to a regular EvAccess yield so Pick can switch threads.
+//
+// The sink says where it can answer: Run takes its Watch once, and an access
+// reaches OnAccess only if its site is in Watch.Sites or its Index has
+// reached Watch.Deadline; on any other the thread just keeps running. The
+// machine reads the Watch afresh at every access, so a sink changes it in
+// place, from OnAccess or Pick, and the change holds from the next access.
 type AccessSink interface {
 	OnAccess(m *Machine, t *Thread, a AccessInfo) bool
+	Watch() *Watch
 }
+
+// Watch is the set of accesses a sink is asked about. The zero Watch is
+// every access: no index is below its deadline.
+type Watch struct {
+	Sites    SiteSet // accesses by these instructions at these addresses
+	Deadline int     // and every access from this index on
+}
+
+// SiteSet is a set of (instruction, address) pairs kept as a bitset over the
+// low bits of instruction id plus 8-byte word number: a superset test. Ids
+// are name hashes, so the few dozen sites a trial watches leave most of the
+// bits clear, and a false hit costs the sink one call it answers false.
+type SiteSet [SiteSetBits / 64]uint64
+
+const SiteSetBits = 2048 // residues a SiteSet tells apart
+
+// site returns the word and the bit of instruction i at addr.
+func site(i trace.Ins, addr uint64) (int, uint64) {
+	b := (uint64(i) + addr>>3) % SiteSetBits
+	return int(b / 64), 1 << (b % 64)
+}
+
+// Add puts instruction i at addr in the set.
+func (s *SiteSet) Add(i trace.Ins, addr uint64) { w, b := site(i, addr); s[w] |= b }
+
+// Has reports whether i at addr, or a pair with its residue, is in the set.
+func (s *SiteSet) Has(i trace.Ins, addr uint64) bool { w, b := site(i, addr); return s[w]&b != 0 }
 
 // ErrStepLimit is returned by Run when the access budget is exhausted, the
 // machine-level backstop behind the is_live heuristic.
@@ -63,6 +111,8 @@ type Machine struct {
 	rcuWaiters []*Thread
 
 	sink     AccessSink // scheduler fast path for the current Run, if any
+	watch    *Watch     // the sink's, read at every access
+	offered  int        // accesses of the current Run that were the sink's to see
 	runMax   int        // step budget of the current Run
 	runnable []*Thread  // scratch buffer reused by Runnable
 
@@ -116,6 +166,9 @@ func (m *Machine) Trace() *trace.Trace { return m.trace }
 
 // Steps returns the number of events processed by the last Run.
 func (m *Machine) Steps() int { return m.steps }
+
+// AccessIndex returns the AccessInfo.Index of the current Run's next access.
+func (m *Machine) AccessIndex() int { return m.offered }
 
 // Faults returns the kernel crash messages raised during the last Run.
 func (m *Machine) Faults() []string { return m.faults }
@@ -238,10 +291,10 @@ func (m *Machine) releaseDead(t *Thread) {
 // scheduler returns nil, maxSteps events are processed, or no thread is
 // runnable. maxSteps <= 0 means a generous default of 1<<22.
 //
-// If the scheduler also implements AccessSink, memory accesses are reported
-// through OnAccess on the running thread's coroutine; the thread only
-// yields back to this loop when the sink asks for a preemption (or the step
-// budget runs out), so uninterrupted stretches of accesses cost no
+// If the scheduler also implements AccessSink, the accesses it watches are
+// reported through OnAccess on the running thread's coroutine; the thread
+// only yields back to this loop when the sink asks for a preemption (or the
+// step budget runs out), so uninterrupted stretches of accesses cost no
 // switches at all. Step accounting is identical either way: every access is
 // counted exactly once (by record), every other event once (here).
 //
@@ -254,8 +307,11 @@ func (m *Machine) Run(s Scheduler, maxSteps int) error {
 	}
 	m.steps = 0
 	m.runMax = maxSteps
-	m.sink, _ = s.(AccessSink)
-	defer func() { m.sink = nil }()
+	m.offered = 0
+	if sink, ok := s.(AccessSink); ok {
+		m.sink, m.watch = sink, sink.Watch()
+		defer func() { m.sink, m.watch = nil, nil }()
+	}
 	ev := Event{Kind: EvStart}
 	var last *Thread
 	for {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
 	"snowboard/internal/trace"
@@ -189,5 +190,70 @@ func TestPagesAccounting(t *testing.T) {
 	m.Mem.Write(testRegionBase+10*PageSize, 1, 1)
 	if m.Mem.Pages() != before+1 {
 		t.Fatalf("pages: %d -> %d", before, m.Mem.Pages())
+	}
+}
+
+// watchSink is consulted where its Watch says and writes down what it was
+// told; it moves its deadline on after each call it gets, the way a policy
+// re-arms, and never preempts.
+type watchSink struct {
+	SeqScheduler
+	watch Watch
+	every int // deadline distance
+	got   []AccessInfo
+}
+
+func (s *watchSink) Watch() *Watch { return &s.watch }
+
+func (s *watchSink) OnAccess(m *Machine, t *Thread, a AccessInfo) bool {
+	s.got = append(s.got, a)
+	s.watch.Deadline = a.Index + s.every
+	if m.AccessIndex() != a.Index+1 {
+		panic("AccessIndex is not the next access's index")
+	}
+	return false
+}
+
+// TestSinkWatch pins the AccessSink contract: a sink is shown the accesses
+// at the sites of its Watch and the access at its deadline, a Watch
+// changed from OnAccess holds from the next access, and Index and Prev
+// account for the accesses it was not shown — the stack ones included in
+// the one, skipped by the other.
+func TestSinkWatch(t *testing.T) {
+	watched, other := trace.DefIns("vm_test:watched"), trace.DefIns("vm_test:other")
+	m := newTestMachine()
+	defer m.Close()
+	m.Spawn("t", testStackBase, func(th *Thread) {
+		fp := th.PushFrame(8)
+		for i := uint64(0); i < 4; i++ {
+			th.Load(other, testRegionBase+8*i, 8) // index 4i
+			th.Store(other, fp, 8, i)             // 4i+1, to the stack
+			th.Load(watched, testRegionBase+0x100+8*i, 4)
+			th.Store(other, fp, 8, i)
+		}
+	})
+	s := &watchSink{every: 2}
+	for i := uint64(0); i < 4; i++ {
+		s.watch.Sites.Add(watched, testRegionBase+0x100+8*i)
+	}
+	s.watch.Deadline = 1
+	if err := m.Run(s, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The deadline at 1; the watched loads at 2, 6, 10, 14, each putting the
+	// deadline on the load after it, which puts it on the next watched one.
+	var at []int
+	for _, a := range s.got {
+		at = append(at, a.Index)
+		want := AccessSite{Addr: testRegionBase + 8*uint64(a.Index/4), Ins: other, Kind: trace.Read, Size: 8}
+		if a.Index%4 == 0 { // the watched load, a stack store back
+			want = AccessSite{Addr: testRegionBase + 0x100 + 8*uint64(a.Index/4-1), Ins: watched, Kind: trace.Read, Size: 4}
+		}
+		if a.Prev != want {
+			t.Fatalf("access %d: previous non-stack access %+v, want %+v", a.Index, a.Prev, want)
+		}
+	}
+	if want := []int{1, 2, 4, 6, 8, 10, 12, 14}; !slices.Equal(at, want) {
+		t.Fatalf("shown accesses %v, want %v", at, want)
 	}
 }

@@ -1,5 +1,7 @@
 package vm
 
+import "math"
+
 // SeqScheduler runs threads strictly one after another in spawn order: the
 // current thread keeps running until it finishes or blocks. This is the
 // policy used for sequential test profiling (§4.1), where each test executes
@@ -25,6 +27,12 @@ func (SeqScheduler) Pick(m *Machine, last *Thread, ev Event) *Thread {
 // access, so the running thread just keeps going: the entire profiling run
 // proceeds without per-access switches.
 func (SeqScheduler) OnAccess(m *Machine, t *Thread, a AccessInfo) bool { return false }
+
+// Watch implements AccessSink: with the same answer for every access, there
+// is none to ask about.
+func (SeqScheduler) Watch() *Watch { return &watchNothing }
+
+var watchNothing = Watch{Deadline: math.MaxInt} // read only
 
 // FuncScheduler adapts a function to the Scheduler interface, convenient in
 // tests.

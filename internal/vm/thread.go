@@ -77,7 +77,8 @@ type Thread struct {
 	locks    trace.LockSet // interned set of lock addresses held; cpu.held lists them
 	rcuDepth int
 
-	accesses int // accesses performed by this thread in the current run
+	accesses int        // accesses performed by this thread in the current run
+	prev     AccessSite // the latest of them off the stack (AccessInfo.Prev); Size 0 if none
 }
 
 // heldLock is one lock a thread holds and the set it held before taking it.
@@ -124,10 +125,11 @@ func (t *Thread) checkRange(addr Addr, size int) {
 
 // record is the access hot path. It appends to the trace (columnar, zero
 // allocations once the block is warm), counts the access against the run's
-// step budget, and consults the scheduler's AccessSink if it has one:
-// unless the sink requests a preemption, control never leaves this
-// coroutine — no Event, not even the access's row value, is built and no
-// switch happens.
+// step budget, and consults the scheduler's AccessSink if it has one and
+// watches this access: unless the sink requests a preemption, control never
+// leaves this coroutine — no Event, not even the access's row value, is
+// built and no switch happens. What the sink will ask about the accesses it
+// was not shown — how many, this thread's last off its stack — is kept here.
 func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val uint64, atomic, marked bool) {
 	t.accesses++
 	m := t.m
@@ -137,14 +139,14 @@ func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val
 	}
 	m.steps++ // safe: the machine loop is blocked in step() while we run
 	if m.steps < m.runMax && m.sink != nil {
-		if !m.sink.OnAccess(m, t, AccessInfo{
-			Thread: t.ID,
-			Ins:    ins,
-			Kind:   kind,
-			Addr:   addr,
-			Size:   uint8(size),
-			Stack:  stack,
-		}) {
+		idx, w := m.offered, m.watch
+		m.offered++
+		preempt := (w.Sites.Has(ins, addr) || idx >= w.Deadline) &&
+			m.sink.OnAccess(m, t, AccessInfo{Ins: ins, Kind: kind, Addr: addr, Size: uint8(size), Stack: stack, Index: idx, Prev: t.prev})
+		if !stack {
+			t.prev = AccessSite{Addr: addr, Ins: ins, Kind: kind, Size: uint8(size)}
+		}
+		if !preempt {
 			return // fast path: keep running, no switch
 		}
 	}
