@@ -74,7 +74,7 @@ func main() {
 		name     = flag.String("name", hostDefault(), "worker name in reports")
 		idleExit = flag.Duration("idle-exit", 5*time.Second, "exit after this long with an empty queue")
 		retries  = flag.Int("retries", 8, "reconnect attempts (exponential backoff) per queue operation")
-		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/vars, /debug/pprof) on this address")
+		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/pprof) on this address")
 		progress = flag.Duration("progress", 10*time.Second, "interval between one-line progress reports on stderr (0 disables)")
 		events   = flag.String("events", "", "append flight-recorder events to this file as JSONL")
 	)

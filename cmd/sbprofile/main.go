@@ -38,7 +38,7 @@ func main() {
 		stateDir = flag.String("state", "", "artifact store directory: persist corpus/profile/PMC artifacts and resume from them")
 		top      = flag.Int("top", 10, "hottest channels to print")
 		dump     = flag.Bool("dump-tests", false, "print every corpus program")
-		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/vars, /debug/pprof) on this address")
+		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/pprof) on this address")
 		progress = flag.Duration("progress", 10*time.Second, "interval between one-line progress reports on stderr (0 disables)")
 	)
 	flag.Parse()

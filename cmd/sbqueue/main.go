@@ -68,7 +68,7 @@ func main() {
 		lease    = flag.Duration("lease", 30*time.Second, "worker lease timeout before an unacked job is redelivered")
 		retries  = flag.Int("retries", 3, "delivery attempts per job before it is dead-lettered")
 		wait     = flag.Duration("wait", 30*time.Second, "how long to wait for outstanding leases to settle after the queue drains")
-		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/vars, /debug/pprof) on this address")
+		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/pprof) on this address")
 		progress = flag.Duration("progress", 10*time.Second, "interval between one-line progress reports on stderr (0 disables)")
 		watch    = flag.Bool("watch", false, "render a live terminal dashboard on stderr (suppresses -progress)")
 	)

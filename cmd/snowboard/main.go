@@ -8,7 +8,7 @@
 //	snowboard [-mode full|compare] [-version 5.12-rc3] [-method S-INS-PAIR]
 //	          [-seed 1] [-fuzz 400] [-corpus 120] [-tests 60] [-trials 16]
 //	          [-feedback] [-rounds 4] [-workers 0] [-json] [-http :8080]
-//	          [-progress 10s] [-trace spans.jsonl] [-events events.jsonl] [-v]
+//	          [-progress 10s] [-events events.jsonl] [-v]
 //
 // With -mode compare, every generation method of the paper's Table 3 runs
 // on the same profiled corpus and one row is printed per method.
@@ -16,8 +16,8 @@
 // Only the report is written to stdout (plain text, or JSON with -json);
 // every progress and diagnostic line goes to stderr. With -http, a live
 // introspection server exposes /metrics (Prometheus text), /progress
-// (JSON), /debug/vars (expvar), and /debug/pprof/ for the duration of the
-// run.
+// (JSON), /events (the flight recorder), /coverage (the time-series),
+// /campaign, and /debug/pprof/ for the duration of the run.
 package main
 
 import (
@@ -46,9 +46,8 @@ func main() {
 		rounds   = flag.Int("rounds", 0, "budget-allocation rounds for -feedback (0 = default 4)")
 		stateDir = flag.String("state", "", "artifact store directory: persist every stage's output (replayable SBRB bundles included; see sbrepro) and resume from unchanged stages on re-run")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")
-		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /debug/vars, /debug/pprof) on this address")
+		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/pprof) on this address")
 		progress = flag.Duration("progress", 10*time.Second, "interval between one-line progress reports on stderr (0 disables)")
-		traceOut = flag.String("trace", "", "append JSONL span events to this file")
 		events   = flag.String("events", "", "append flight-recorder events to this file as JSONL")
 		verbose  = flag.Bool("v", false, "verbose per-issue output")
 	)
@@ -72,16 +71,6 @@ func main() {
 	opts.Feedback = *feedback
 	opts.FeedbackRounds = *rounds
 
-	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		obs.SetTraceSink(f)
-		defer obs.SetTraceSink(nil)
-	}
 	if *events != "" {
 		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -101,7 +90,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer srv.Close()
-		diag.Printf("introspection listening on http://%s (/metrics /progress /events /coverage /campaign /debug/vars /debug/pprof)", srv.Addr())
+		diag.Printf("introspection listening on http://%s (/metrics /progress /events /coverage /campaign /debug/pprof)", srv.Addr())
 	}
 	stopProgress := obs.StartProgress(*progress, diag)
 	defer stopProgress()

@@ -236,7 +236,6 @@ type Campaign struct {
 
 	env      CampaignEnv
 	manifest []byte
-	scope    obs.Scope
 	started  time.Time // submission: the base of the live exec_per_min
 
 	mu     sync.Mutex
@@ -302,7 +301,6 @@ func StartCampaign(spec CampaignSpec, env CampaignEnv) (*Campaign, error) {
 		Trace:    oc.Trace,
 		env:      env,
 		manifest: manifest,
-		scope:    obs.CampaignScope(id),
 		started:  oc.StartedAt,
 		state:    CampaignPending,
 		done:     make(chan struct{}),
@@ -485,6 +483,9 @@ func (c *Campaign) execute() (*Report, error) {
 	// worker environments and the queue path's Worker, which explores on
 	// p.Env.
 	defer p.Close()
+	// The pipeline's stage, triage and feedback events are this tenant's,
+	// not the process default campaign's.
+	p.trace = c.Trace
 	if r, out, ok := loadMemo(p, "campaign", c.reportKey(), reportCodec, nil); ok {
 		// The whole campaign is memoized: resume instantly with the
 		// stored report, byte-for-byte what the uninterrupted run wrote.
@@ -541,7 +542,7 @@ func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	if c.env.ExecGate != nil {
 		<-c.env.ExecGate
 	}
-	span := obs.StartSpan("stage.exec", obs.A("tests", len(cts)), obs.A("trials", opts.Trials))
+	span := obs.StartSpan("stage.exec")
 	c.executeLoop(p, q, lsr)
 	r.ExecTime += span.End()
 
@@ -584,8 +585,6 @@ func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr Leaser) {
 	// no store round-trip needed.
 	w := NewWorker(p.Env, c.Spec.Trials, "sbd/"+c.ID,
 		func(job *queue.Job) error { return job.Resolve(p.Corpus) })
-	mExec := c.scope.C("exec.tests")
-	mFaults := c.scope.C("exec.faults")
 	slice := c.env.slice()
 	for {
 		st := q.Stats()
@@ -608,7 +607,6 @@ func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr Leaser) {
 			if c.env.Fault != nil && c.env.Fault(ls.Job.ID, ls.Attempt) {
 				// Simulated worker crash: walk away mid-lease. The reaper
 				// expires it and the job redelivers or dead-letters.
-				mFaults.Inc()
 				continue
 			}
 			out, reported := w.Do(lsr, ls)
@@ -619,7 +617,6 @@ func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr Leaser) {
 			if out.Exercised {
 				c.exercised.Add(1)
 			}
-			mExec.Inc()
 		}
 		if c.env.Turns != nil {
 			c.env.Turns.Release()

@@ -339,7 +339,7 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 	if rounds <= 0 {
 		return
 	}
-	span := obs.StartSpan("stage.feedback", obs.A("budget", budget), obs.A("rounds", rounds))
+	span := obs.StartSpan("stage.feedback")
 
 	cs := cluster.Clusters(p.PMCs, p.Opts.Method.Strategy)
 	// The stable uncommon-first order is the zero-credit prior; feedback
@@ -444,12 +444,12 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 		testsDone += len(tests)
 		r.FeedbackRounds = round + 1
 		mFeedbackRounds.Inc()
-		obs.Emit(obs.EvFeedbackRound, obs.A("round", round), obs.A("tests", len(tests)),
+		obs.EmitTrace(p.trace, obs.EvFeedbackRound, obs.A("round", round), obs.A("tests", len(tests)),
 			obs.A("composed", composed), obs.A("segments", newSegments),
 			obs.A("issues", len(r.Issues)-issuesBefore))
 		if keys != nil {
 			p.checkpointFeedback(keys[round], round, testsDone, cursor, credits, r)
 		}
 	}
-	span.End(obs.A("tests", testsDone), obs.A("segments", r.CoverSegments))
+	span.End()
 }

@@ -71,6 +71,15 @@ type Pipeline struct {
 	corpusDigest   store.Digest
 	profilesDigest store.Digest
 	pmcDigest      store.Digest
+
+	// trace is the campaign this pipeline's own events (stage.done,
+	// campaign.done, feedback.round, triage.minimized) and its local
+	// explorers' pmc.tested/cover.new are stitched to: the process default
+	// campaign, or an sbd tenant's (Campaign.execute). Events emitted inside
+	// fuzz, pmc, exec and detect (cover.new while fuzzing, pmc.identified,
+	// pmc.incremental, exec.crash, race.found) take no trace and stay on the
+	// process default.
+	trace string
 }
 
 // OpenPipeline is NewPipeline plus, when opts.StateDir is set, the artifact
@@ -87,18 +96,18 @@ func OpenPipeline(opts Options) (*Pipeline, error) {
 	return p, nil
 }
 
-// NewPipeline boots the simulated kernel for the configured version. It
-// also joins (or starts) the process-wide campaign, so every event the
-// pipeline flight-records is stitched to one trace ID.
+// NewPipeline boots the simulated kernel for the configured version. Its
+// events are stitched to the process default campaign, joined (or started)
+// here.
 func NewPipeline(opts Options) *Pipeline {
 	if opts.Trials <= 0 {
 		opts.Trials = 16
 	}
-	obs.EnsureCampaign("snowboard")
 	return &Pipeline{
-		Opts: opts,
-		Env:  exec.NewEnv(kernel.Config{Version: opts.Version}),
-		segs: cover.NewSegments(),
+		Opts:  opts,
+		Env:   exec.NewEnv(kernel.Config{Version: opts.Version}),
+		segs:  cover.NewSegments(),
+		trace: obs.EnsureCampaign("snowboard").Trace,
 	}
 }
 
@@ -112,11 +121,13 @@ func (p *Pipeline) Close() {
 	}
 }
 
-// stageDone flight-records a stage completion and checkpoints the campaign
-// time-series, so a killed run's trajectory resumes where it stopped.
-func (p *Pipeline) stageDone(stage string, cached bool, dur time.Duration) {
-	obs.Emit(obs.EvStageDone, obs.A("stage", stage), obs.A("cache", cached),
-		obs.A("dur_ms", dur.Milliseconds()))
+// stageDone flight-records a stage completion with its outcome attributes
+// and checkpoints the campaign time-series, so a killed run's trajectory
+// resumes where it stopped.
+func (p *Pipeline) stageDone(stage string, cached bool, dur time.Duration, outcome ...obs.Attr) {
+	attrs := append([]obs.Attr{obs.A("stage", stage), obs.A("cache", cached),
+		obs.A("dur_ms", dur.Milliseconds())}, outcome...)
+	obs.EmitTrace(p.trace, obs.EvStageDone, attrs...)
 	p.saveSeries()
 }
 
@@ -139,7 +150,7 @@ func (p *Pipeline) workers() int { return par.Workers(p.Opts.Workers) }
 // the same (version, seed, budget, cap) is loaded instead and the campaign
 // is skipped.
 func (p *Pipeline) BuildCorpus(r *Report) {
-	span := obs.StartSpan("stage.fuzz", obs.A("budget", p.Opts.FuzzBudget), obs.A("workers", p.workers()))
+	span := obs.StartSpan("stage.fuzz")
 	key := p.fuzzKey()
 	var meta fuzzMeta
 	if c, out, ok := loadMemo(p, "fuzz", key, corpusCodec, &meta); p.countStage(ok) {
@@ -149,21 +160,20 @@ func (p *Pipeline) BuildCorpus(r *Report) {
 		r.FuzzExecutions = meta.FuzzExecutions
 		r.FuzzTime = time.Duration(meta.FuzzTimeNs)
 		obs.Diag.Printf("stage fuzz: cache hit (corpus %s, %d tests)", out.Short(), c.Len())
-		d := span.End(obs.A("cache", "hit"), obs.A("corpus", r.CorpusSize))
-		p.stageDone("fuzz", true, d)
+		p.stageDone("fuzz", true, span.End(), obs.A("executed", r.FuzzExecutions), obs.A("corpus", r.CorpusSize))
 		return
 	}
 	res := fuzz.CampaignSharded(p.workerEnvs(p.workers()), p.Opts.Seed, p.Opts.FuzzBudget, p.Opts.CorpusCap)
 	p.Corpus = res.Corpus
 	r.CorpusSize = p.Corpus.Len()
 	r.FuzzExecutions = res.Executed
-	r.FuzzTime = span.End(obs.A("executed", res.Executed), obs.A("corpus", r.CorpusSize))
+	r.FuzzTime = span.End()
 	p.corpusDigest = saveMemo(p, "fuzz", key, corpusCodec, p.Corpus, fuzzMeta{
 		CorpusSize:     r.CorpusSize,
 		FuzzExecutions: r.FuzzExecutions,
 		FuzzTimeNs:     int64(r.FuzzTime),
 	})
-	p.stageDone("fuzz", false, r.FuzzTime)
+	p.stageDone("fuzz", false, r.FuzzTime, obs.A("executed", r.FuzzExecutions), obs.A("corpus", r.CorpusSize))
 }
 
 // SetCorpus installs an externally built corpus (e.g. shared across the
@@ -179,7 +189,7 @@ func (p *Pipeline) SetCorpus(c *corpus.Corpus) {
 // identical to the serial loop; if several tests crash, the lowest-indexed
 // one is reported, as serially.
 func (p *Pipeline) ProfileAll(r *Report) error {
-	span := obs.StartSpan("stage.profile", obs.A("tests", p.Corpus.Len()), obs.A("workers", p.workers()))
+	span := obs.StartSpan("stage.profile")
 	key := p.profileKey(contentAddress(p, "profile", &p.corpusDigest, corpusCodec, p.Corpus))
 	var meta profileMeta
 	if profiles, out, ok := loadMemo(p, "profile", key, profilesCodec, &meta); p.countStage(ok) {
@@ -188,8 +198,7 @@ func (p *Pipeline) ProfileAll(r *Report) error {
 		r.ProfiledAccesses += meta.ProfiledAccesses
 		r.ProfileTime = time.Duration(meta.ProfileTimeNs)
 		obs.Diag.Printf("stage profile: cache hit (profiles %s, %d tests)", out.Short(), len(profiles))
-		d := span.End(obs.A("cache", "hit"), obs.A("accesses", r.ProfiledAccesses))
-		p.stageDone("profile", true, d)
+		p.stageDone("profile", true, span.End(), obs.A("accesses", r.ProfiledAccesses))
 		return nil
 	}
 	envs := p.workerEnvs(p.workers())
@@ -211,19 +220,19 @@ func (p *Pipeline) ProfileAll(r *Report) error {
 	accesses := 0
 	for i, u := range units {
 		if u.crashed {
-			span.End(obs.A("crashed_test", i))
+			span.End()
 			return fmt.Errorf("core: corpus test %d crashed during profiling: %v", i, u.faults)
 		}
 		p.Profiles = append(p.Profiles, pmc.Profile{TestID: i, Accesses: u.accs, DFLeader: u.df})
 		accesses += u.accs.Len()
 	}
 	r.ProfiledAccesses += accesses
-	r.ProfileTime = span.End(obs.A("accesses", r.ProfiledAccesses))
+	r.ProfileTime = span.End()
 	p.profilesDigest = saveMemo(p, "profile", key, profilesCodec, p.Profiles, profileMeta{
 		ProfiledAccesses: accesses,
 		ProfileTimeNs:    int64(r.ProfileTime),
 	})
-	p.stageDone("profile", false, r.ProfileTime)
+	p.stageDone("profile", false, r.ProfileTime, obs.A("accesses", r.ProfiledAccesses))
 	return nil
 }
 
@@ -238,7 +247,7 @@ func (p *Pipeline) SetProfiles(profiles []pmc.Profile) {
 // anything else — no store, or a profile set not identified before, however
 // close to one that was — identifies every profile as one batch.
 func (p *Pipeline) IdentifyPMCs(r *Report) {
-	span := obs.StartSpan("stage.identify", obs.A("profiles", len(p.Profiles)))
+	span := obs.StartSpan("stage.identify")
 	key := p.identifyKey(contentAddress(p, "identify", &p.profilesDigest, profilesCodec, p.Profiles))
 	var meta identifyMeta
 	if set, out, ok := loadMemo(p, "identify", key, pmcSetCodec, &meta); p.countStage(ok) {
@@ -248,20 +257,19 @@ func (p *Pipeline) IdentifyPMCs(r *Report) {
 		r.PMCCombinations = meta.PMCCombinations
 		r.IdentifyTime = time.Duration(meta.IdentifyTimeNs)
 		obs.Diag.Printf("stage identify: cache hit (pmcs %s, %d keys)", out.Short(), set.Len())
-		d := span.End(obs.A("cache", "hit"), obs.A("pmcs", r.DistinctPMCs))
-		p.stageDone("identify", true, d)
+		p.stageDone("identify", true, span.End(), obs.A("pmcs", r.DistinctPMCs))
 		return
 	}
 	p.PMCs = pmc.Identify(p.Profiles, p.Opts.PMC)
 	r.DistinctPMCs = p.PMCs.Len()
 	r.PMCCombinations = p.PMCs.TotalCombinations
-	r.IdentifyTime = span.End(obs.A("pmcs", r.DistinctPMCs))
+	r.IdentifyTime = span.End()
 	p.pmcDigest = saveMemo(p, "identify", key, pmcSetCodec, p.PMCs, identifyMeta{
 		DistinctPMCs:    r.DistinctPMCs,
 		PMCCombinations: r.PMCCombinations,
 		IdentifyTimeNs:  int64(r.IdentifyTime),
 	})
-	p.stageDone("identify", false, r.IdentifyTime)
+	p.stageDone("identify", false, r.IdentifyTime, obs.A("pmcs", r.DistinctPMCs))
 }
 
 // SetPMCs installs an externally identified PMC set.
@@ -277,7 +285,7 @@ func (p *Pipeline) SetPMCs(s *pmc.Set) {
 // Generation is cheap and stays serial; its rng seed derives from the
 // invocation index, so repeated calls draw fresh deterministic streams.
 func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
-	span := obs.StartSpan("stage.generate", obs.A("method", p.Opts.Method.Name))
+	span := obs.StartSpan("stage.generate")
 	rng := rand.New(rand.NewSource(par.UnitSeed(p.Opts.Seed, par.StageGenerate, p.genCalls)))
 	p.genCalls++
 	if p.Corpus == nil || p.Corpus.Len() == 0 {
@@ -287,13 +295,13 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 		note := fmt.Sprintf("generation skipped: empty corpus (method %s)", p.Opts.Method.Name)
 		obs.Diag.Printf("stage generate: %s", note)
 		r.Notes = append(r.Notes, note)
-		span.End(obs.A("generated", 0), obs.A("empty_corpus", true))
+		span.End()
 		return nil
 	}
 	var out []sched.ConcurrentTest
 	defer func() {
 		mGenTests.Add(int64(len(out)))
-		r.ClusterTime += span.End(obs.A("generated", len(out)))
+		r.ClusterTime += span.End()
 	}()
 	switch p.Opts.Method.Kind {
 	case MethodPMC:
@@ -349,8 +357,7 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 // fresh-segment yield against the pipeline-cumulative segment accumulator,
 // which the feedback scheduler allocates the next round's budget by.
 func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
-	span := obs.StartSpan("stage.exec", obs.A("tests", len(tests)), obs.A("trials", p.Opts.Trials),
-		obs.A("workers", p.workers()))
+	span := obs.StartSpan("stage.exec")
 	cov := cover.New()
 	template := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
 	// The only difference between local and queue-delivered stage 4: a
@@ -360,15 +367,15 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 	// wall_s +29…+50%, past BENCHMARK.json's 0.25 bound (EXPERIMENTS.md);
 	// re-measured on a fleet twice as fast: −21%, −8%, −22% with wall_s +30%.
 	template.KnownPMCs, template.Coverage, template.TrackSegments = p.PMCs, cov, true
-	template.MutateSchedules = p.Opts.Feedback
+	template.MutateSchedules, template.Trace = p.Opts.Feedback, p.trace
 	fleet := sched.NewFleet(template, p.workerEnvs(p.workers()),
 		func(e *exec.Env) []string { return e.K.FsckHost() })
 	yields := p.foldOutcomes(r, tests, fleet.ExploreAll(tests, p.exploreSeeds(len(tests))))
 	r.CoverPairs += cov.Len()
 	mCoverPairs.Set(int64(r.CoverPairs))
-	d := span.End(obs.A("issues", len(r.Issues)), obs.A("segments", r.CoverSegments))
+	d := span.End()
 	r.ExecTime += d
-	p.stageDone("exec", false, d)
+	p.stageDone("exec", false, d, obs.A("issues", len(r.Issues)), obs.A("segments", r.CoverSegments))
 	return yields
 }
 
@@ -453,7 +460,7 @@ func Run(opts Options) (*Report, error) {
 	if cached, out, ok := loadMemo(p, "execute", key, reportCodec, nil); p.countStage(ok) {
 		// Findings, timings, frozen metrics and all, verbatim.
 		obs.Diag.Printf("stage execute: cache hit (report %s, %d issues)", out.Short(), len(cached.Issues))
-		obs.Emit(obs.EvCampaignDone, obs.A("cache", true), obs.A("issues", len(cached.Issues)))
+		obs.EmitTrace(p.trace, obs.EvCampaignDone, obs.A("cache", true), obs.A("issues", len(cached.Issues)))
 		p.saveSeries()
 		return cached, nil
 	}
@@ -468,7 +475,7 @@ func Run(opts Options) (*Report, error) {
 	if d := saveMemo(p, "execute", key, reportCodec, r, nil); !d.IsZero() {
 		obs.Diag.Printf("stage execute: report artifact %s persisted", d.Short())
 	}
-	obs.Emit(obs.EvCampaignDone, obs.A("cache", false), obs.A("issues", len(r.Issues)))
+	obs.EmitTrace(p.trace, obs.EvCampaignDone, obs.A("cache", false), obs.A("issues", len(r.Issues)))
 	p.saveSeries()
 	return r, nil
 }

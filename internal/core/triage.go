@@ -78,7 +78,7 @@ func (p *Pipeline) TriageReport(r *Report) {
 	if len(ids) == 0 {
 		return
 	}
-	span := obs.StartSpan("stage.triage", obs.A("findings", len(ids)))
+	span := obs.StartSpan("stage.triage")
 	campaign := fmt.Sprintf("%s/%s/seed=%d", p.Opts.Method.Name, p.Opts.Version, p.Opts.Seed)
 	minimized := 0
 	for _, id := range ids {
@@ -139,13 +139,12 @@ func (p *Pipeline) TriageReport(r *Report) {
 					id, res.Signature.Key(), len(entry.Campaigns), entry.Bundle[:12])
 			}
 		}
-		obs.Emit(obs.EvTriageMinimized,
+		obs.EmitTrace(p.trace, obs.EvTriageMinimized,
 			obs.A("bug", id),
 			obs.A("signature", res.Signature.Key()),
 			obs.A("bundle", digest.Short()),
 			obs.A("decisions", res.Stats.DecisionsMin),
 			obs.A("replays", res.Stats.Replays))
 	}
-	d := span.End(obs.A("minimized", minimized))
-	p.stageDone("triage", false, d)
+	p.stageDone("triage", false, span.End(), obs.A("minimized", minimized))
 }

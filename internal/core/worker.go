@@ -48,8 +48,8 @@ func (p *Pipeline) exploreSeeds(n int) []int64 {
 // FoldResults folds over, each carrying its exploration seed: by reference
 // (corpus digest plus pair indices, resolved by the worker) when the
 // pipeline's corpus is a stored artifact, with both programs inline
-// otherwise. Every job carries trace, so worker spans and delivery events
-// stitch back to the originating campaign.
+// otherwise. Every job carries trace, so worker and delivery events stitch
+// back to the originating campaign.
 func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace string) error {
 	corpusDigest, _, _ := p.ArtifactDigests()
 	seeds := p.exploreSeeds(len(tests))
@@ -154,8 +154,8 @@ func (w *Worker) Do(lsr Leaser, ls queue.Lease) (sched.Outcome, bool) {
 	}
 	stopKeep := keepLease(lsr, ls)
 	w.x.Seed = job.Seed
-	// Tag this job's spans and events with the originating campaign's
-	// trace, so a distributed run's timeline reads end-to-end.
+	// Tag this job's events with the originating campaign's trace, so a
+	// distributed run's timeline reads end-to-end.
 	w.x.Trace = job.Trace
 	out := w.x.Explore(sched.ConcurrentTest{
 		Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,

@@ -196,62 +196,26 @@ func EmitTrace(trace, kind string, attrs ...Attr) uint64 {
 }
 
 // Campaign identifies one logical testing campaign: the trace ID every
-// event, span, and distributed job of the run is stitched to.
+// event and distributed job of the run is stitched to.
 type Campaign struct {
 	Trace     string    `json:"trace"`
 	Name      string    `json:"name"`
 	StartedAt time.Time `json:"started_at"`
 }
 
+// campaignPtr is the process default campaign (EnsureCampaign), the trace
+// Emit falls back to.
 var campaignPtr atomic.Pointer[Campaign]
 
-// The campaign registry: every campaign started in this process, in start
-// order. One process used to mean one campaign (the campaignPtr
-// singleton); a multi-tenant control plane runs many at once, each with
-// its own trace, and this registry is what lets readers enumerate them
-// and scope the shared flight recorder per campaign (SinceTrace).
-var (
-	campaignsMu sync.Mutex
-	campaignSet []Campaign
-)
-
-func registerCampaign(c Campaign) {
-	campaignsMu.Lock()
-	campaignSet = append(campaignSet, c)
-	campaignsMu.Unlock()
-}
-
-// StartCampaign starts — and registers — a new campaign with a fresh
-// trace ID, regardless of whether one is already running. Unlike
-// EnsureCampaign it never joins an existing campaign: each call is a new
-// tenant. The first campaign started in the process also becomes the
-// default for Emit's trace stitching.
+// StartCampaign mints a new campaign with a fresh trace ID and emits its
+// campaign.start. It never joins or replaces the process default: each
+// call is one tenant of a multi-tenant control plane, and the caller
+// stitches that tenant's events to the returned trace itself (EmitTrace,
+// SinceTrace).
 func StartCampaign(name string) Campaign {
 	c := Campaign{Trace: NewTraceID(), Name: name, StartedAt: time.Now()}
-	registerCampaign(c)
-	campaignPtr.CompareAndSwap(nil, &c)
 	EmitTrace(c.Trace, EvCampaignStart, A("campaign", name), A("trace", c.Trace))
 	return c
-}
-
-// Campaigns returns every campaign started in this process, in start
-// order.
-func Campaigns() []Campaign {
-	campaignsMu.Lock()
-	defer campaignsMu.Unlock()
-	return append([]Campaign(nil), campaignSet...)
-}
-
-// CampaignByTrace resolves a registered campaign by its trace ID.
-func CampaignByTrace(trace string) (Campaign, bool) {
-	campaignsMu.Lock()
-	defer campaignsMu.Unlock()
-	for _, c := range campaignSet {
-		if c.Trace == trace {
-			return c, true
-		}
-	}
-	return Campaign{}, false
 }
 
 // NewTraceID returns a fresh 16-hex-character trace ID. Trace IDs are
@@ -266,9 +230,9 @@ func NewTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// EnsureCampaign returns the current campaign, starting one (and emitting
-// campaign.start) if none exists yet. The first caller in a process wins;
-// later pipelines in the same process join the existing campaign.
+// EnsureCampaign returns the process default campaign, starting one (and
+// emitting campaign.start) if none exists yet. The first caller in a
+// process wins; later callers join it.
 func EnsureCampaign(name string) Campaign {
 	if c := campaignPtr.Load(); c != nil {
 		return *c
@@ -277,7 +241,6 @@ func EnsureCampaign(name string) Campaign {
 	if !campaignPtr.CompareAndSwap(nil, c) {
 		return *campaignPtr.Load()
 	}
-	registerCampaign(*c)
 	Emit(EvCampaignStart, A("campaign", name), A("trace", c.Trace))
 	return *c
 }

@@ -211,8 +211,9 @@ func TestEnsureCampaignSingleton(t *testing.T) {
 func TestStartCampaignMultiTenant(t *testing.T) {
 	// Unlike EnsureCampaign, StartCampaign never joins an existing
 	// campaign: a control plane hosting many tenants gets a fresh trace
-	// per call, and every campaign lands in the process registry.
-	before := len(Campaigns())
+	// per call, and no tenant becomes the process default Emit falls back
+	// to — that fallback is what stitched one tenant's events to another's.
+	def := CurrentTrace()
 	a := StartCampaign("tenant-a")
 	b := StartCampaign("tenant-b")
 	if a.Trace == "" || b.Trace == "" {
@@ -221,19 +222,11 @@ func TestStartCampaignMultiTenant(t *testing.T) {
 	if a.Trace == b.Trace {
 		t.Fatalf("StartCampaign reused trace %s", a.Trace)
 	}
-	all := Campaigns()
-	if len(all) != before+2 {
-		t.Fatalf("registry grew by %d campaigns, want 2", len(all)-before)
+	if got := CurrentTrace(); got != def {
+		t.Fatalf("StartCampaign moved the process default trace %q -> %q", def, got)
 	}
-	if all[len(all)-2].Trace != a.Trace || all[len(all)-1].Trace != b.Trace {
-		t.Fatal("registry is not in start order")
-	}
-	got, ok := CampaignByTrace(b.Trace)
-	if !ok || got.Name != "tenant-b" {
-		t.Fatalf("CampaignByTrace(%s) = %+v, %v", b.Trace, got, ok)
-	}
-	if _, ok := CampaignByTrace("no-such-trace"); ok {
-		t.Fatal("CampaignByTrace invented a campaign")
+	if evs := Events.SinceTrace(b.Trace, 0); len(evs) != 1 || evs[0].Kind != EvCampaignStart {
+		t.Fatalf("tenant-b stream = %+v, want its one campaign.start", evs)
 	}
 }
 

@@ -2,24 +2,13 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 )
-
-// publishOnce guards the expvar registration (expvar panics on duplicates).
-var publishOnce sync.Once
-
-func publishExpvar() {
-	publishOnce.Do(func() {
-		expvar.Publish("snowboard", expvar.Func(func() any { return Default.Snapshot() }))
-	})
-}
 
 // EventsPage is the JSON shape served at /events?since=N: the retained
 // events after N plus the cursor for the next page.
@@ -94,10 +83,8 @@ func CampaignNow() CampaignView {
 //	/events        flight-recorder events (?since=N pages by sequence number)
 //	/coverage      campaign time-series with rates and plateau judgement
 //	/campaign      campaign identity, live progress, recorder cursors
-//	/debug/vars    expvar (includes the full registry under "snowboard")
 //	/debug/pprof/  runtime profiling
 func Handler() http.Handler {
-	publishExpvar()
 	writeJSON := func(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -130,7 +117,6 @@ func Handler() http.Handler {
 	mux.HandleFunc("/campaign", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, CampaignNow())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -141,7 +127,7 @@ func Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "snowboard introspection\n\n/metrics\n/progress\n/events\n/coverage\n/campaign\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, "snowboard introspection\n\n/metrics\n/progress\n/events\n/coverage\n/campaign\n/debug/pprof/\n")
 	})
 	return mux
 }

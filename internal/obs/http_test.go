@@ -53,16 +53,9 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Errorf("/progress = %+v, want tests_executed >= 1 and corpus_size 3", p)
 	}
 
-	code, body = get("/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status = %d", code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if _, ok := vars["snowboard"]; !ok {
-		t.Error("/debug/vars missing the \"snowboard\" registry export")
+	// /metrics is the one registry view: no expvar copy beside it.
+	if code, _ = get("/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("/debug/vars status = %d, want 404", code)
 	}
 
 	if code, _ = get("/debug/pprof/"); code != http.StatusOK {

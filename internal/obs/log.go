@@ -114,11 +114,17 @@ func (p Progress) String() string {
 // to l every interval (Diag when l is nil). It returns a stop function;
 // interval <= 0 disables reporting and returns a no-op stop.
 func StartProgress(interval time.Duration, l *Logger) (stop func()) {
-	if interval <= 0 {
-		return func() {}
-	}
 	if l == nil {
 		l = Diag
+	}
+	return every(interval, func() { l.Printf("%s", ProgressNow()) })
+}
+
+// every runs f on a background ticker until the returned stop is called
+// (idempotent); interval <= 0 runs nothing and returns a no-op stop.
+func every(interval time.Duration, f func()) (stop func()) {
+	if interval <= 0 {
+		return func() {}
 	}
 	done := make(chan struct{})
 	var once sync.Once
@@ -130,7 +136,7 @@ func StartProgress(interval time.Duration, l *Logger) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				l.Printf("%s", ProgressNow())
+				f()
 			}
 		}
 	}()

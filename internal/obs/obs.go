@@ -1,9 +1,10 @@
 // Package obs is the observability layer for the Snowboard pipeline: a
 // process-wide metrics registry of lock-free counters, gauges, and
-// log-scale histograms, a lightweight stage/span tracer emitting a JSONL
-// event log, a live introspection HTTP server (Prometheus text, expvar,
-// pprof, and a /progress JSON snapshot), and a stderr diagnostics logger
-// with a periodic one-line progress report.
+// log-scale histograms (spans time stages and tests into them), a flight
+// recorder of typed events with one optional JSONL sink, a live
+// introspection HTTP server (Prometheus text, /progress, /events,
+// /coverage, /campaign, pprof), and a stderr diagnostics logger with a
+// periodic one-line progress report.
 //
 // The paper's evaluation (§5.4) is built on operational numbers — tests
 // profiled per second, generated tests/s, exec/min, interleavings per
@@ -128,23 +129,6 @@ const (
 	// Introspection-server health.
 	MObsServeErrors = "obs.http.serve_errors" // counter: introspection listeners that failed while serving
 )
-
-// Scope prefixes metric names, giving one component — or one campaign in
-// a multi-tenant server — its own namespace inside the shared registry.
-type Scope string
-
-// CampaignScope returns the metric namespace for one campaign, e.g.
-// CampaignScope("c1").C("execs") resolves "campaign.c1.execs".
-func CampaignScope(id string) Scope { return Scope("campaign." + id) }
-
-// C resolves a scoped counter.
-func (s Scope) C(name string) *Counter { return C(string(s) + "." + name) }
-
-// G resolves a scoped gauge.
-func (s Scope) G(name string) *Gauge { return G(string(s) + "." + name) }
-
-// H resolves a scoped histogram.
-func (s Scope) H(name string) *Histogram { return H(string(s) + "." + name) }
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Int64 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -204,34 +203,18 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-func TestSpanFeedsHistogramAndJSONL(t *testing.T) {
-	reg := NewRegistry()
-	var buf bytes.Buffer
-	tr := NewTracer(&buf, reg)
-	sp := tr.Start("stage.demo", A("k", "v"))
+func TestSpanFeedsHistogram(t *testing.T) {
+	// A span writes no line of its own: it only feeds "<name>.duration_ns".
+	before := Default.Snapshot().Histogram("stage.demo.duration_ns")
+	sp := StartSpan("stage.demo")
 	time.Sleep(time.Millisecond)
-	dur := sp.End(A("outcome", 3))
+	dur := sp.End()
 	if dur < time.Millisecond {
 		t.Fatalf("span duration %v too short", dur)
 	}
-	h := reg.Snapshot().Histogram("stage.demo.duration_ns")
-	if h.Count != 1 || h.Sum != int64(dur) {
-		t.Fatalf("histogram = %+v, want count 1 sum %d", h, int64(dur))
-	}
-	var ev struct {
-		Event string         `json:"ev"`
-		Name  string         `json:"name"`
-		DurNS int64          `json:"dur_ns"`
-		Attrs map[string]any `json:"attrs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
-		t.Fatalf("JSONL event: %v (%q)", err, buf.String())
-	}
-	if ev.Event != "span" || ev.Name != "stage.demo" || ev.DurNS != int64(dur) {
-		t.Fatalf("event = %+v", ev)
-	}
-	if ev.Attrs["k"] != "v" || ev.Attrs["outcome"] != float64(3) {
-		t.Fatalf("attrs = %v", ev.Attrs)
+	h := Default.Snapshot().Histogram("stage.demo.duration_ns")
+	if h.Count-before.Count != 1 || h.Sum-before.Sum != int64(dur) {
+		t.Fatalf("histogram %+v -> %+v, want +1 observation of %d", before, h, int64(dur))
 	}
 }
 

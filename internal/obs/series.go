@@ -45,22 +45,28 @@ func (s *Sample) fields() [11]*int64 {
 	}
 }
 
+// sampleMetrics names the registry metric behind each Sample field, in
+// fields() order, and whether it is a counter (else a gauge).
+var sampleMetrics = [11]struct {
+	name    string
+	counter bool
+}{
+	{MFuzzExecs, true}, {MFuzzCorpus, false}, {MFuzzEdges, false}, {MProfileTests, true},
+	{MPMCIdentified, false}, {MExecTests, true}, {MSchedTrials, true}, {MCoverPairs, false},
+	{MIssuesFound, false}, {MQueueDeadLetter, true}, {MCoverSegments, false},
+}
+
 // SampleFrom derives a sample from a registry snapshot.
 func SampleFrom(s Snapshot) Sample {
-	return Sample{
-		At:            s.TakenAt.UnixNano(),
-		FuzzExecs:     s.Counter(MFuzzExecs),
-		CorpusSize:    s.Gauge(MFuzzCorpus),
-		Edges:         s.Gauge(MFuzzEdges),
-		ProfiledTests: s.Counter(MProfileTests),
-		PMCs:          s.Gauge(MPMCIdentified),
-		TestsExecuted: s.Counter(MExecTests),
-		TrialsRun:     s.Counter(MSchedTrials),
-		CoverPairs:    s.Gauge(MCoverPairs),
-		CoverSegments: s.Gauge(MCoverSegments),
-		Issues:        s.Gauge(MIssuesFound),
-		DeadLetters:   s.Counter(MQueueDeadLetter),
+	sm := Sample{At: s.TakenAt.UnixNano()}
+	for i, f := range sm.fields() {
+		if m := sampleMetrics[i]; m.counter {
+			*f = s.Counter(m.name)
+		} else {
+			*f = s.Gauge(m.name)
+		}
 	}
+	return sm
 }
 
 // RestoreCounters raises the live progress metrics to at least the values
@@ -71,27 +77,15 @@ func SampleFrom(s Snapshot) Sample {
 // series' rates). Metrics that have already passed the sample — a stage
 // that re-ran before the store was attached — are left alone.
 func RestoreCounters(last Sample) {
-	counter := func(name string, v int64) {
-		if c := C(name); c.Value() < v {
-			c.Add(v - c.Value())
+	for i, f := range last.fields() {
+		if m := sampleMetrics[i]; m.counter {
+			if c := C(m.name); c.Value() < *f {
+				c.Add(*f - c.Value())
+			}
+		} else if g := G(m.name); g.Value() < *f {
+			g.Set(*f)
 		}
 	}
-	gauge := func(name string, v int64) {
-		if g := G(name); g.Value() < v {
-			g.Set(v)
-		}
-	}
-	counter(MFuzzExecs, last.FuzzExecs)
-	gauge(MFuzzCorpus, last.CorpusSize)
-	gauge(MFuzzEdges, last.Edges)
-	counter(MProfileTests, last.ProfiledTests)
-	gauge(MPMCIdentified, last.PMCs)
-	counter(MExecTests, last.TestsExecuted)
-	counter(MSchedTrials, last.TrialsRun)
-	gauge(MCoverPairs, last.CoverPairs)
-	gauge(MCoverSegments, last.CoverSegments)
-	gauge(MIssuesFound, last.Issues)
-	counter(MQueueDeadLetter, last.DeadLetters)
 }
 
 // DefaultSeriesCap bounds the retained samples; at the 1s sampler cadence
@@ -267,24 +261,7 @@ func RecordSample() Sample {
 // to DefaultSeries every interval. Returns a stop function; interval <= 0
 // disables sampling and returns a no-op stop.
 func StartSampler(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				RecordSample()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
+	return every(interval, func() { RecordSample() })
 }
 
 // SBTS codec: the persisted form of a campaign time-series. Layout:

@@ -211,6 +211,31 @@ func TestPrometheusCountNeverBelowCumulative(t *testing.T) {
 	}
 }
 
+// TestRestoreCountersCoversEverySampleField: SampleFrom and RestoreCounters
+// read one table, so after restoring a sample that is ahead on every field
+// the registry must read at least that sample back — a field the table
+// misses or files under the wrong kind stays behind.
+func TestRestoreCountersCoversEverySampleField(t *testing.T) {
+	want := SampleFrom(Default.Snapshot())
+	for i, f := range want.fields() {
+		*f += int64(i + 1)
+	}
+	RestoreCounters(want)
+	snap := Default.Snapshot()
+	got := SampleFrom(snap)
+	wf, gf := want.fields(), got.fields()
+	for i := range wf {
+		if *gf[i] < *wf[i] {
+			t.Errorf("field %d (%s): restored %d, read back %d", i, sampleMetrics[i].name, *wf[i], *gf[i])
+		}
+	}
+	for name := range snap.Gauges {
+		if _, ok := snap.Counters[name]; ok {
+			t.Errorf("%s is registered as both a counter and a gauge", name)
+		}
+	}
+}
+
 func TestRecordSampleFeedsDefaultSeries(t *testing.T) {
 	before := DefaultSeries.Len()
 	sm := RecordSample()

@@ -111,8 +111,8 @@ type Explorer struct {
 	MutateSchedules bool
 
 	// Trace stitches this explorer's flight-recorder events to a campaign
-	// (a distributed worker sets it from the leased job; empty falls back to
-	// the process-local campaign).
+	// (the pipeline's, or a distributed worker's leased job's; empty falls
+	// back to the process default campaign).
 	Trace string
 
 	// scratch is the reusable per-trial state, created on first use. A copy
@@ -224,13 +224,12 @@ func (o *Outcome) Found() bool { return len(o.Issues) > 0 }
 func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1, IssueTrial: make(map[string]int)}
 	mTests.Inc()
-	span := obs.StartSpan("exec.test", obs.A("mode", x.Mode.String()), obs.A("hinted", ct.Hint != nil))
+	span := obs.StartSpan("exec.test")
 	defer func() {
-		span.End(obs.A("trials", out.Trials), obs.A("exercised", out.Exercised),
-			obs.A("issues", len(out.Issues)))
+		dur := span.End()
 		obs.EmitTrace(x.Trace, obs.EvPMCTested, obs.A("mode", x.Mode.String()),
 			obs.A("hinted", ct.Hint != nil), obs.A("exercised", out.Exercised),
-			obs.A("trials", out.Trials), obs.A("issues", len(out.Issues)))
+			obs.A("trials", out.Trials), obs.A("issues", len(out.Issues)), obs.A("dur_ns", int64(dur)))
 		if out.NewCoverPairs > 0 || out.NewSegments > 0 {
 			obs.EmitTrace(x.Trace, obs.EvCoverNew, obs.A("pairs", out.NewCoverPairs),
 				obs.A("segments", out.NewSegments))
