@@ -33,8 +33,8 @@
 // Operational chatter goes to stderr; stdout gets the final summary: the
 // delivery accounting, then the issue table as `snowboard -v` prints it
 // (Table 2 id, test index, trial, minimized bundle). With -http, the live
-// introspection server exposes the queue's per-op counters and latency
-// histograms, depth, flight-recorder events (/events), and the campaign
+// introspection server exposes the queue's per-op counters, depth and
+// lease-age histogram, flight-recorder events (/events), and the campaign
 // coverage time-series (/coverage) alongside the pipeline metrics. With
 // -watch, a live terminal dashboard on stderr shows queue state, lease
 // ages, exec throughput and latency percentiles, coverage growth, and the

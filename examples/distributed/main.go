@@ -66,7 +66,7 @@ func main() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := queue.Dial(srv.Addr())
+			c, err := queue.DialOpts(srv.Addr(), queue.DialOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

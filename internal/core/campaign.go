@@ -524,10 +524,13 @@ func (c *Campaign) execute() (*Report, error) {
 
 // runDistributed pushes the generated tests onto the campaign's named
 // queue, executes them through the control plane's own wire path, taking
-// fair-scheduler turns between slices, and folds what came back.
+// fair-scheduler turns between slices, and folds what came back. It closes
+// the queue on return, which stops its lease reaper and sends a joined
+// sbexec ErrClosed; starting the campaign again opens a fresh queue.
 func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	cts := p.GenerateTests(r, opts.TestBudget)
 	q := c.env.Registry.Open(c.QueueName())
+	defer q.Close()
 	if err := p.PushTests(q, cts, c.Trace); err != nil {
 		return fmt.Errorf("campaign %s: %w", c.ID, err)
 	}

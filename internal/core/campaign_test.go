@@ -169,7 +169,9 @@ func TestCampaignRunsToCompletion(t *testing.T) {
 // TestCampaignsLeaveNoGoroutines: a pipeline's machines park one coroutine
 // per guest thread slot between trials, so every path that builds a
 // pipeline has to close it — core.Run, and a campaign's queue (one-shot)
-// and local (feedback) paths. Run under -race in CI.
+// and local (feedback) paths. A finished campaign also closes its queue,
+// so its lease reaper is gone while the registry is still open. Run under
+// -race in CI.
 func TestCampaignsLeaveNoGoroutines(t *testing.T) {
 	settle := func(what string, baseline int) {
 		t.Helper()
@@ -211,8 +213,8 @@ func TestCampaignsLeaveNoGoroutines(t *testing.T) {
 				t.Fatalf("campaign: %v, report %+v", err, r)
 			}
 		}
-		reg.Close()
 		settle(fmt.Sprintf("StartCampaign, workers=%d", workers), baseline)
+		reg.Close()
 	}
 }
 

@@ -100,7 +100,9 @@ const (
 
 	// Distributed queue. MQueueDepth aggregates the pending depth across
 	// every queue in the process (each queue contributes deltas); per-queue
-	// depth lives in "queue.<name>.depth" gauges.
+	// depth lives in "queue.<name>.depth" gauges, the one per-queue series.
+	// queue.push counts in-process pushes: push is not a wire op, so there
+	// is no queue.net.push.
 	MQueuePush       = "queue.push"                // counter: jobs enqueued
 	MQueueReport     = "queue.report"              // counter: results recorded
 	MQueueDepth      = "queue.depth"               // gauge: jobs waiting, summed over all queues
@@ -113,7 +115,6 @@ const (
 	MQueueNetConns   = "queue.net.conns"           // counter: TCP connections accepted
 	MQueueNetInFl    = "queue.net.inflight"        // gauge: connections currently served
 	MQueueNetBadReq  = "queue.net.bad_requests"    // counter: malformed/unknown requests answered
-	MQueueNetPush    = "queue.net.push"            // counter: push ops served
 	MQueueNetReport  = "queue.net.report"          // counter: report ops served
 	MQueueNetLease   = "queue.net.lease"           // counter: lease ops served
 	MQueueNetAck     = "queue.net.ack"             // counter: ack ops served

@@ -10,9 +10,11 @@ import (
 )
 
 // FuzzQueueWire throws arbitrary bytes at the TCP codec as a single
-// line-delimited frame: the server must never panic, must answer exactly
-// one response per frame, and must answer every malformed frame with
-// {"ok":false,...} on the still-open connection.
+// line-delimited frame, against a registry holding one named queue and the
+// unnamed one: the server must never panic, must answer exactly one
+// response per frame, and must answer every malformed frame, every "push"
+// and every request naming a queue it does not hold with {"ok":false,...}
+// on the still-open connection.
 func FuzzQueueWire(f *testing.F) {
 	f.Add([]byte(`{"op":"pop"}`))
 	f.Add([]byte(`{"op":"push","job":{"id":1}}`))
@@ -29,6 +31,10 @@ func FuzzQueueWire(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`"pop"`))
 	f.Add([]byte("\x00\xff garbage \x7f"))
+	f.Add([]byte(`{"op":"lease","queue":"known","v":2}`))
+	f.Add([]byte(`{"op":"report","queue":"known","result":{"job_id":1}}`))
+	f.Add([]byte(`{"op":"lease","queue":"missing","v":2}`))
+	f.Add([]byte(`{"op":"push","queue":"known","v":2,"job":{"id":1,"corpus":"ab"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// One frame: the protocol is line-delimited, so embedded newlines
 		// would split the input into several requests.
@@ -37,8 +43,12 @@ func FuzzQueueWire(f *testing.F) {
 
 		// A deliberately small frame cap so the fuzzer exercises the
 		// oversized-frame discard path, not just the JSON decoder.
-		s := &Server{Q: New(), MaxFrame: 512}
-		defer s.Q.Close()
+		reg := &Registry{queues: map[string]*Queue{
+			"":      NewWithOptions(Options{Name: "fuzz"}),
+			"known": NewWithOptions(Options{Name: "fuzz.known"}),
+		}}
+		defer reg.Close()
+		s := &Server{reg: reg, frameCap: 512}
 		cli, srv := net.Pipe()
 		done := make(chan struct{})
 		go func() {
@@ -60,6 +70,9 @@ func FuzzQueueWire(f *testing.F) {
 		var req wireReq
 		if json.Unmarshal(append(frame, '\n'), &req) != nil && resp.OK {
 			t.Fatalf("malformed frame %q answered with ok=true", frame)
+		}
+		if resp.OK && (req.Op == "push" || reg.Get(req.Queue) == nil) {
+			t.Fatalf("frame %q (op %q, queue %q) answered with ok=true", frame, req.Op, req.Queue)
 		}
 		if resp.OK && resp.Err != "" {
 			t.Fatalf("contradictory response to %q: ok with err=%q", frame, resp.Err)

@@ -151,9 +151,10 @@ func TestExtendKeepsLeaseAlive(t *testing.T) {
 	}
 }
 
-func TestBlockingLeaseWakesOnRedelivery(t *testing.T) {
-	// A blocked Lease() must wake when the reaper requeues an expired
-	// lease, not just on Push/Close.
+func TestReaperRequeuesExpiredLease(t *testing.T) {
+	// The reaper alone puts an expired lease back on the pending list — no
+	// Push, Close or lease call in between — and the next TryLease gets it
+	// at attempt 2.
 	q := NewWithOptions(Options{Name: "wake", LeaseTimeout: 30 * time.Millisecond, MaxAttempts: 5})
 	defer q.Close()
 	if err := q.Push(testJob(8)); err != nil {
@@ -162,21 +163,10 @@ func TestBlockingLeaseWakesOnRedelivery(t *testing.T) {
 	if _, err := q.TryLease(); err != nil {
 		t.Fatal(err)
 	}
-	got := make(chan Lease, 1)
-	go func() {
-		ls, err := q.Lease()
-		if err == nil {
-			got <- ls
-		}
-		close(got)
-	}()
-	select {
-	case ls, ok := <-got:
-		if !ok || ls.Job.ID != 8 || ls.Attempt != 2 {
-			t.Fatalf("blocked lease got %+v (ok=%v)", ls, ok)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked Lease never woke on redelivery")
+	settle(t, 2*time.Second, func() bool { return q.Stats().Pending == 1 })
+	ls, err := q.TryLease()
+	if err != nil || ls.Job.ID != 8 || ls.Attempt != 2 {
+		t.Fatalf("lease after expiry = %+v, %v; want job 8 at attempt 2", ls, err)
 	}
 }
 
@@ -212,7 +202,7 @@ func TestTCPLeaseRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr())
+	c, err := DialOpts(srv.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +211,7 @@ func TestTCPLeaseRoundtrip(t *testing.T) {
 	if _, err := c.Lease(); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("lease on empty: %v", err)
 	}
-	if err := c.Push(testJob(11)); err != nil {
+	if err := q.Push(testJob(11)); err != nil {
 		t.Fatal(err)
 	}
 	ls, err := c.Lease()
@@ -252,7 +242,7 @@ func TestTCPLeaseRoundtrip(t *testing.T) {
 	}
 
 	// Nack path: redelivered with a bumped attempt.
-	if err := c.Push(testJob(12)); err != nil {
+	if err := q.Push(testJob(12)); err != nil {
 		t.Fatal(err)
 	}
 	ls, err = c.Lease()

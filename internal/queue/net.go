@@ -22,7 +22,6 @@ var (
 	mNetConns    = obs.C(obs.MQueueNetConns)
 	mNetInFlight = obs.G(obs.MQueueNetInFl)
 	mNetBadReq   = obs.C(obs.MQueueNetBadReq)
-	mNetPush     = obs.C(obs.MQueueNetPush)
 	mNetReport   = obs.C(obs.MQueueNetReport)
 	mNetLease    = obs.C(obs.MQueueNetLease)
 	mNetAck      = obs.C(obs.MQueueNetAck)
@@ -33,8 +32,8 @@ var (
 	mNetBigFrame = obs.C(obs.MQueueNetBigFrm)
 )
 
-// TCP transport: a Server fronts a Queue with a line-delimited JSON
-// protocol; Clients (workers on other machines) lease jobs and report
+// TCP transport: a Server fronts a Registry of queues with a line-delimited
+// JSON protocol; Clients (workers on other machines) lease jobs and report
 // results. Protocol version 2 adds leased at-least-once delivery:
 //
 //	{"op":"lease","v":2}              -> {"ok":true,"job":{...},"lease":7,"attempt":1,"ttl_ms":30000}
@@ -42,14 +41,21 @@ var (
 //	{"op":"ack","lease":7,"v":2}      -> {"ok":true} | {"ok":false,"err":"queue: unknown lease"}
 //	{"op":"nack","lease":7,"reason":"...","v":2} -> {"ok":true}
 //	{"op":"extend","lease":7,"ms":30000,"v":2}   -> {"ok":true,"ttl_ms":30000}
-//	{"op":"push","job":{...}}         -> {"ok":true}
 //	{"op":"report","result":{...}}    -> {"ok":true}
+//
+// Every request may name its queue ("queue":"campaign.<id>"); without a
+// name it addresses the unnamed queue Serve registers, and a name the
+// registry does not hold is answered with ErrUnknownQueue. Jobs are pushed
+// in-process by the producer that owns the queue (Pipeline.PushTests), so
+// push is not a wire op: a v2 peer that sends one gets
+// {"ok":false,"err":"unknown op \"push\""}, as for any unknown op.
 //
 // Requests with v greater than the server's version are rejected, so a
 // future client degrades loudly instead of mis-parsing. Frames (requests
-// and responses) are capped at MaxFrame bytes; oversized frames are
-// answered with {"ok":false,"err":"frame too large"} and discarded, the
-// same hostile-input clamp the artifact decoders apply.
+// and responses) are capped at 1 MiB; oversized frames are answered with
+// {"ok":false,"err":"frame too large"} and discarded, the same
+// hostile-input clamp the artifact decoders apply. A connection silent for
+// five minutes is dropped.
 
 // ProtoVersion is the wire protocol version this build speaks. Within v2,
 // jobs may carry an optional "trace" field stitching them to the
@@ -59,27 +65,25 @@ const ProtoVersion = 2
 
 // Transport limits.
 const (
-	// DefaultMaxFrame caps one line-delimited frame (a job inlines two
-	// programs at most, well under 1 MiB).
-	DefaultMaxFrame = 1 << 20
-	// DefaultIdleTimeout is how long the server lets a connection sit
-	// silent before dropping it. Workers poll far more often than this;
-	// only stuck or hostile peers hit it.
-	DefaultIdleTimeout = 5 * time.Minute
+	// maxFrame caps one line-delimited frame (a job inlines two programs at
+	// most, well under 1 MiB).
+	maxFrame = 1 << 20
+	// idleTimeout is how long the server lets a connection sit silent
+	// before dropping it. Workers poll far more often than this; only stuck
+	// or hostile peers hit it.
+	idleTimeout = 5 * time.Minute
 )
 
 type wireReq struct {
-	V      int             `json:"v,omitempty"`
-	Op     string          `json:"op"`
-	Job    json.RawMessage `json:"job,omitempty"`
-	Result *JobResult      `json:"result,omitempty"`
-	Lease  uint64          `json:"lease,omitempty"`
-	Ms     int64           `json:"ms,omitempty"`     // extend: requested lease TTL
-	Reason string          `json:"reason,omitempty"` // nack: failure description
-	// Queue addresses one named queue on a multi-queue server (see
-	// ServeRegistry); empty targets the server's default queue. Like Job's
-	// "trace", this stays within v2: older peers never set it and servers
-	// without a registry reject it loudly.
+	V      int        `json:"v,omitempty"`
+	Op     string     `json:"op"`
+	Result *JobResult `json:"result,omitempty"`
+	Lease  uint64     `json:"lease,omitempty"`
+	Ms     int64      `json:"ms,omitempty"`     // extend: requested lease TTL
+	Reason string     `json:"reason,omitempty"` // nack: failure description
+	// Queue names the registry queue the request addresses; empty targets
+	// the unnamed queue. Like Job's "trace", this stays within v2: older
+	// peers never set it.
 	Queue string `json:"queue,omitempty"`
 }
 
@@ -128,25 +132,15 @@ func readFrame(r *bufio.Reader, max int) ([]byte, error) {
 	}
 }
 
-// ServerOptions tune the transport limits of a Server.
-type ServerOptions struct {
-	MaxFrame    int           // request frame cap in bytes (default DefaultMaxFrame)
-	IdleTimeout time.Duration // per-connection read deadline (default DefaultIdleTimeout; <0 disables)
-}
+// ServerOptions is empty: the frame cap and idle deadline are fixed. It
+// stays so that callers passing ServerOptions{} keep compiling.
+type ServerOptions struct{}
 
-// Server exposes a Queue — or a whole Registry of named queues — over one
-// TCP listener. Requests carrying a "queue" name are routed to that
-// registry queue; requests without one go to the default queue Q.
+// Server exposes a Registry of queues over one TCP listener: a request's
+// "queue" field selects the queue it addresses.
 type Server struct {
-	Q *Queue
-	// Reg, when set, serves named queues alongside (or instead of) Q: a
-	// request's "queue" field selects the registry queue, and unknown
-	// names are answered with ErrUnknownQueue.
-	Reg *Registry
-	// MaxFrame and IdleTimeout may be set before serving traffic; zero
-	// values use the defaults.
-	MaxFrame    int
-	IdleTimeout time.Duration
+	reg      *Registry
+	frameCap int // request frame cap in bytes (maxFrame outside tests)
 
 	ln net.Listener
 	wg sync.WaitGroup
@@ -156,72 +150,41 @@ type Server struct {
 	closed bool
 }
 
-// Serve starts listening on addr (e.g. "127.0.0.1:0") with default
-// transport limits; the bound address is available via Addr.
+// Serve starts listening on addr (e.g. "127.0.0.1:0") for q, registered
+// as the unnamed queue of a registry of its own; the bound address is
+// available via Addr. Closing the server leaves q open.
 func Serve(q *Queue, addr string) (*Server, error) {
-	return serve(q, nil, addr, ServerOptions{})
+	return serve(&Registry{queues: map[string]*Queue{"": q}}, addr, maxFrame)
 }
 
-// ServeRegistry starts one listener serving every named queue in reg —
-// the control plane's multi-tenant transport. Requests must carry a
-// "queue" name (there is no default queue).
-func ServeRegistry(reg *Registry, addr string, o ServerOptions) (*Server, error) {
-	return serve(nil, reg, addr, o)
+// ServeRegistry starts one listener serving every queue in reg — the
+// control plane's multi-tenant transport. A request must name its queue
+// unless reg holds an unnamed one.
+func ServeRegistry(reg *Registry, addr string, _ ServerOptions) (*Server, error) {
+	return serve(reg, addr, maxFrame)
 }
 
-func serve(q *Queue, reg *Registry, addr string, o ServerOptions) (*Server, error) {
+func serve(reg *Registry, addr string, frameCap int) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("queue: listen: %w", err)
 	}
-	s := &Server{Q: q, Reg: reg, MaxFrame: o.MaxFrame, IdleTimeout: o.IdleTimeout, ln: ln}
+	s := &Server{reg: reg, frameCap: frameCap, ln: ln}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
 
-// queueFor resolves the queue a request addresses: the named registry
-// queue when a name is given, the default queue otherwise.
+// queueFor resolves the registry queue a request names.
 func (s *Server) queueFor(name string) (*Queue, error) {
-	if name == "" {
-		if s.Q == nil {
-			return nil, fmt.Errorf("%w: no default queue on this server (name one of %v)", ErrUnknownQueue, s.names())
-		}
-		return s.Q, nil
+	if q := s.reg.Get(name); q != nil {
+		return q, nil
 	}
-	if s.Reg == nil {
-		return nil, fmt.Errorf("%w %q: server has no queue registry", ErrUnknownQueue, name)
-	}
-	q := s.Reg.Get(name)
-	if q == nil {
-		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownQueue, name, s.names())
-	}
-	return q, nil
-}
-
-func (s *Server) names() []string {
-	if s.Reg == nil {
-		return nil
-	}
-	return s.Reg.Names()
+	return nil, fmt.Errorf("%w %q", ErrUnknownQueue, name)
 }
 
 // Addr returns the listener address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-func (s *Server) maxFrame() int {
-	if s.MaxFrame > 0 {
-		return s.MaxFrame
-	}
-	return DefaultMaxFrame
-}
-
-func (s *Server) idleTimeout() time.Duration {
-	if s.IdleTimeout != 0 {
-		return s.IdleTimeout
-	}
-	return DefaultIdleTimeout
-}
 
 // track registers a live connection; it reports false (and the caller must
 // close the conn) when the server is already shutting down.
@@ -272,10 +235,8 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	enc := json.NewEncoder(conn)
 	for {
-		if t := s.idleTimeout(); t > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(t))
-		}
-		line, readErr := readFrame(r, s.maxFrame())
+		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
+		line, readErr := readFrame(r, s.frameCap)
 		if errors.Is(readErr, errFrameTooLarge) {
 			mNetBigFrame.Inc()
 			mNetBadReq.Inc()
@@ -364,18 +325,6 @@ func (s *Server) serveOp(enc *json.Encoder, req wireReq) {
 		}
 		_ = enc.Encode(wireResp{V: ProtoVersion, OK: true, Lease: req.Lease,
 			TTLMs: time.Until(deadline).Milliseconds()})
-	case "push":
-		mNetPush.Inc()
-		job, err := DecodeJob(req.Job)
-		if err != nil {
-			fail(err)
-			return
-		}
-		if err := q.Push(job); err != nil {
-			fail(err)
-			return
-		}
-		_ = enc.Encode(wireResp{V: ProtoVersion, OK: true})
 	case "report":
 		mNetReport.Inc()
 		if req.Result == nil {
@@ -430,14 +379,11 @@ type DialOptions struct {
 	MaxDelay  time.Duration
 	// Seed fixes the jitter stream (0 picks a process-unique seed).
 	Seed int64
-	// MaxFrame caps response frames (default DefaultMaxFrame).
-	MaxFrame int
 	// Dial overrides the transport (tests inject FlakyDialer here); nil
 	// uses plain TCP.
 	Dial func(addr string) (net.Conn, error)
 	// Queue binds every request to one named queue on a multi-queue
-	// server (see ServeRegistry); empty targets the server's default
-	// queue.
+	// server (see ServeRegistry); empty targets the unnamed queue.
 	Queue string
 }
 
@@ -453,9 +399,6 @@ func (o DialOptions) withDefaults() DialOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = clientSeq.Add(1)*0x9e3779b9 + 1
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 	if o.Dial == nil {
 		o.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -480,12 +423,9 @@ type Client struct {
 	rng  *rand.Rand
 }
 
-// Dial connects to a queue server with default reconnect behaviour.
-func Dial(addr string) (*Client, error) { return DialOpts(addr, DialOptions{}) }
-
-// DialOpts connects to a queue server with explicit reconnect and
-// transport options. The initial connection is established eagerly so
-// configuration errors surface immediately.
+// DialOpts connects to a queue server with the given reconnect options
+// (the zero value takes every default). The initial connection is
+// established eagerly so configuration errors surface immediately.
 func DialOpts(addr string, o DialOptions) (*Client, error) {
 	o = o.withDefaults()
 	c := &Client{addr: addr, opts: o, rng: rand.New(rand.NewSource(o.Seed))}
@@ -561,7 +501,7 @@ func (c *Client) onceLocked(payload []byte) (wireResp, error) {
 	if _, err := c.conn.Write(payload); err != nil {
 		return wireResp{}, err
 	}
-	line, err := readFrame(c.r, c.opts.MaxFrame)
+	line, err := readFrame(c.r, maxFrame)
 	if err != nil {
 		return wireResp{}, err
 	}
@@ -583,8 +523,8 @@ func respError(resp wireResp) error {
 	case ErrUnknownLease.Error():
 		return ErrUnknownLease
 	}
-	// ErrUnknownQueue travels with the offending name and the server's
-	// known queues appended, so match on the prefix.
+	// ErrUnknownQueue travels with the offending name appended, so match
+	// on the prefix.
 	if strings.HasPrefix(resp.Err, ErrUnknownQueue.Error()) {
 		return fmt.Errorf("%w: %s", ErrUnknownQueue, strings.TrimPrefix(resp.Err, ErrUnknownQueue.Error()+" "))
 	}
@@ -654,22 +594,6 @@ func (c *Client) Extend(id uint64, d time.Duration) (time.Time, error) {
 		return time.Time{}, respError(resp)
 	}
 	return time.Now().Add(time.Duration(resp.TTLMs) * time.Millisecond), nil
-}
-
-// Push enqueues a job remotely.
-func (c *Client) Push(j Job) error {
-	raw, err := EncodeJob(j)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundTrip(wireReq{Op: "push", Job: raw})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return respError(resp)
-	}
-	return nil
 }
 
 // Report sends a result back.

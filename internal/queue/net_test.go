@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -97,6 +98,73 @@ func TestTCPBadRequest(t *testing.T) {
 	}
 }
 
+func TestWirePushIsUnknownOp(t *testing.T) {
+	// Jobs are pushed in-process by the queue's owner: a v2 peer sending
+	// "push" — even a well-formed job — gets the unknown-op answer, the
+	// queue stays untouched, and the connection stays usable.
+	q := New()
+	defer q.Close()
+	srv, err := Serve(q, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, r := rawDial(t, srv.Addr())
+	defer conn.Close()
+
+	job, err := EncodeJob(testJob(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte(`{"op":"push","v":2,"job":` + string(job) + "}\n")); err != nil {
+		t.Fatal(err)
+	}
+	if resp := readResp(t, r); resp.OK || resp.Err != `unknown op "push"` {
+		t.Fatalf("push response = %+v, want unknown op", resp)
+	}
+	if st := q.Stats(); st.Pending != 0 {
+		t.Fatalf("wire push enqueued a job: %+v", st)
+	}
+	if _, err := conn.Write([]byte(`{"op":"lease","v":2}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if resp := readResp(t, r); resp.OK || resp.Err != ErrEmpty.Error() {
+		t.Fatalf("lease after push = %+v, want err %q", resp, ErrEmpty)
+	}
+}
+
+func TestServeServesTheUnnamedQueue(t *testing.T) {
+	// Serve registers its queue under the empty name: an unnamed request
+	// reaches it, and a named one is an unknown queue.
+	q := New()
+	defer q.Close()
+	srv, err := Serve(q, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := q.Push(testJob(4)); err != nil {
+		t.Fatal(err)
+	}
+	named, err := DialOpts(srv.Addr(), DialOptions{Queue: "campaign.x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer named.Close()
+	if _, err := named.Lease(); !errors.Is(err, ErrUnknownQueue) {
+		t.Fatalf("named lease on Serve: %v, want ErrUnknownQueue", err)
+	}
+	c, err := DialOpts(srv.Addr(), DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ls, err := c.Lease()
+	if err != nil || ls.Job.ID != 4 {
+		t.Fatalf("unnamed lease = %+v, %v; want job 4", ls, err)
+	}
+}
+
 func TestTCPOpCounters(t *testing.T) {
 	q := New()
 	srv, err := Serve(q, "127.0.0.1:0")
@@ -105,18 +173,17 @@ func TestTCPOpCounters(t *testing.T) {
 	}
 	defer srv.Close()
 
-	pushBefore := obs.C(obs.MQueueNetPush).Value()
 	leaseBefore := obs.C(obs.MQueueNetLease).Value()
 	ackBefore := obs.C(obs.MQueueNetAck).Value()
 	reportBefore := obs.C(obs.MQueueNetReport).Value()
 
-	c, err := Dial(srv.Addr())
+	c, err := DialOpts(srv.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	if err := c.Push(testJob(1)); err != nil {
+	if err := q.Push(testJob(1)); err != nil {
 		t.Fatal(err)
 	}
 	ls, err := c.Lease()
@@ -130,9 +197,6 @@ func TestTCPOpCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := obs.C(obs.MQueueNetPush).Value(); got != pushBefore+1 {
-		t.Errorf("net push counter = %d, want %d", got, pushBefore+1)
-	}
 	if got := obs.C(obs.MQueueNetLease).Value(); got != leaseBefore+1 {
 		t.Errorf("net lease counter = %d, want %d", got, leaseBefore+1)
 	}
@@ -215,7 +279,7 @@ func TestServerClosePromptWithIdleClient(t *testing.T) {
 
 func TestFrameTooLargeClamp(t *testing.T) {
 	q := New()
-	srv, err := serve(q, nil, "127.0.0.1:0", ServerOptions{MaxFrame: 64})
+	srv, err := serve(&Registry{queues: map[string]*Queue{"": q}}, "127.0.0.1:0", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +363,7 @@ func TestClientReconnectBackoff(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.Push(testJob(1)); err != nil {
+	if err := q.Push(testJob(1)); err != nil {
 		t.Fatal(err)
 	}
 	// Sever the connection behind the client's back; the next round-trip

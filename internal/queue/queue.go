@@ -4,7 +4,7 @@
 // provides an in-process queue and a TCP transport (stdlib only) carrying
 // JSON-encoded jobs, so exploration work can fan out across workers.
 //
-// Delivery is at-least-once: workers Lease a job (receiving a lease ID and
+// Delivery is at-least-once: workers lease a job (receiving a lease ID and
 // deadline), then Ack it on success or Nack it on failure. A background
 // reaper redelivers jobs whose lease expired — a preempted or crashed
 // worker can never silently lose work — and a job that fails MaxAttempts
@@ -224,7 +224,6 @@ type Queue struct {
 	opts Options
 
 	mu          sync.Mutex
-	cond        *sync.Cond
 	jobs        []pendingJob
 	leases      map[uint64]*activeLease
 	dead        []DeadJob
@@ -239,15 +238,6 @@ type Queue struct {
 
 	depth *obs.Gauge // per-queue depth gauge
 	last  int64      // last depth contributed to the aggregate gauge
-
-	// Per-op latency histograms ("queue.<name>.<op>.duration_ns"),
-	// resolved once at construction like the depth gauge. They time the
-	// operation itself — for the blocking Lease, the grant, not the wait
-	// for a job to appear.
-	hLease  *obs.Histogram
-	hAck    *obs.Histogram
-	hNack   *obs.Histogram
-	hExtend *obs.Histogram
 }
 
 // New returns an empty queue with default delivery options.
@@ -256,18 +246,12 @@ func New() *Queue { return NewWithOptions(Options{}) }
 // NewWithOptions returns an empty queue with the given delivery options.
 func NewWithOptions(o Options) *Queue {
 	o = o.withDefaults()
-	q := &Queue{
-		opts:    o,
-		leases:  make(map[uint64]*activeLease),
-		stop:    make(chan struct{}),
-		depth:   obs.G("queue." + o.Name + ".depth"),
-		hLease:  obs.H("queue." + o.Name + ".lease.duration_ns"),
-		hAck:    obs.H("queue." + o.Name + ".ack.duration_ns"),
-		hNack:   obs.H("queue." + o.Name + ".nack.duration_ns"),
-		hExtend: obs.H("queue." + o.Name + ".extend.duration_ns"),
+	return &Queue{
+		opts:   o,
+		leases: make(map[uint64]*activeLease),
+		stop:   make(chan struct{}),
+		depth:  obs.G("queue." + o.Name + ".depth"),
 	}
-	q.cond = sync.NewCond(&q.mu)
-	return q
 }
 
 // setDepthLocked publishes the pending depth to the per-queue gauge and the
@@ -289,7 +273,6 @@ func (q *Queue) Push(j Job) error {
 	q.jobs = append(q.jobs, pendingJob{job: j, timeline: []JobEvent{{At: time.Now(), What: "pushed"}}})
 	mPush.Inc()
 	q.setDepthLocked()
-	q.cond.Signal()
 	return nil
 }
 
@@ -367,7 +350,6 @@ func (q *Queue) requeueLocked(l *activeLease, reason string) {
 	q.redelivered++
 	mRedeliver.Inc()
 	q.setDepthLocked()
-	q.cond.Signal()
 }
 
 // leaseLocked grants a lease on the head job.
@@ -391,24 +373,6 @@ func (q *Queue) leaseLocked() Lease {
 	return Lease{Job: p.job, ID: q.nextLease, Attempt: l.attempt, Deadline: l.deadline}
 }
 
-// Lease grants the next job under a lease, blocking until one is available
-// (including via redelivery of an expired lease) or the queue closes.
-func (q *Queue) Lease() (Lease, error) {
-	q.startReaper()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.jobs) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.jobs) == 0 {
-		return Lease{}, ErrClosed
-	}
-	start := time.Now()
-	ls := q.leaseLocked()
-	q.hLease.ObserveDuration(time.Since(start))
-	return ls, nil
-}
-
 // TryLease grants a lease without blocking; ErrEmpty when nothing is
 // pending (jobs may still be outstanding under other workers' leases).
 func (q *Queue) TryLease() (Lease, error) {
@@ -421,15 +385,11 @@ func (q *Queue) TryLease() (Lease, error) {
 		}
 		return Lease{}, ErrEmpty
 	}
-	start := time.Now()
-	ls := q.leaseLocked()
-	q.hLease.ObserveDuration(time.Since(start))
-	return ls, nil
+	return q.leaseLocked(), nil
 }
 
 // Ack settles a lease: the job is done and will not be redelivered.
 func (q *Queue) Ack(id uint64) error {
-	start := time.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	l, ok := q.leases[id]
@@ -442,14 +402,12 @@ func (q *Queue) Ack(id uint64) error {
 	mLeaseAge.ObserveDuration(time.Since(l.since))
 	obs.EmitTrace(l.job.Trace, obs.EvJobAcked, obs.A("queue", q.opts.Name),
 		obs.A("job", l.job.ID), obs.A("attempt", l.attempt))
-	q.hAck.ObserveDuration(time.Since(start))
 	return nil
 }
 
 // Nack hands a lease back for redelivery (or dead-lettering once attempts
 // are exhausted); reason is recorded on the dead-letter entry.
 func (q *Queue) Nack(id uint64, reason string) error {
-	start := time.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	l, ok := q.leases[id]
@@ -465,7 +423,6 @@ func (q *Queue) Nack(id uint64, reason string) error {
 	obs.EmitTrace(l.job.Trace, obs.EvJobNacked, obs.A("queue", q.opts.Name),
 		obs.A("job", l.job.ID), obs.A("attempt", l.attempt), obs.A("reason", reason))
 	q.requeueLocked(l, reason)
-	q.hNack.ObserveDuration(time.Since(start))
 	return nil
 }
 
@@ -476,7 +433,6 @@ func (q *Queue) Extend(id uint64, d time.Duration) (time.Time, error) {
 	if d <= 0 {
 		d = q.opts.LeaseTimeout
 	}
-	start := time.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	l, ok := q.leases[id]
@@ -484,8 +440,13 @@ func (q *Queue) Extend(id uint64, d time.Duration) (time.Time, error) {
 		return time.Time{}, ErrUnknownLease
 	}
 	l.deadline = time.Now().Add(d)
-	q.hExtend.ObserveDuration(time.Since(start))
 	return l.deadline, nil
+}
+
+func (q *Queue) isClosed() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closed
 }
 
 // Report records a worker's result.
@@ -548,9 +509,9 @@ func (q *Queue) Stats() Stats {
 	return s
 }
 
-// Close wakes all blocked Leases and stops the reaper; subsequent
-// Pushes fail. Outstanding leases can still be acked or nacked while
-// workers drain.
+// Close stops the reaper; subsequent Pushes and Reports fail, and TryLease
+// answers ErrClosed once nothing is pending. Outstanding leases can still
+// be acked or nacked while workers drain.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -559,7 +520,6 @@ func (q *Queue) Close() {
 	}
 	q.closed = true
 	close(q.stop)
-	q.cond.Broadcast()
 }
 
 // EncodeJob serializes a job for the wire.

@@ -2,7 +2,6 @@ package queue
 
 import (
 	"errors"
-	"sort"
 	"sync"
 )
 
@@ -33,12 +32,14 @@ func NewRegistry(template Options) *Registry {
 	return &Registry{template: template, queues: make(map[string]*Queue)}
 }
 
-// Open returns the named queue, creating it on first use with the
-// registry's template options.
+// Open returns the named queue, creating it with the registry's template
+// options on first use or when the queue under that name was closed — a
+// finished campaign closes its queue, so the same campaign started again
+// gets a fresh one.
 func (r *Registry) Open(name string) *Queue {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if q, ok := r.queues[name]; ok {
+	if q, ok := r.queues[name]; ok && !q.isClosed() {
 		return q
 	}
 	o := r.template
@@ -53,18 +54,6 @@ func (r *Registry) Get(name string) *Queue {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.queues[name]
-}
-
-// Names returns the opened queue names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.queues))
-	for name := range r.queues {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Close closes every opened queue.

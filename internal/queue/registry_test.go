@@ -23,13 +23,18 @@ func TestRegistryOpenIsIdempotent(t *testing.T) {
 	if reg.Get("never-opened") != nil {
 		t.Fatal("Get invented a queue for an unknown name")
 	}
-	reg.Open("campaign.b")
-	names := reg.Names()
-	if len(names) != 2 || names[0] != "campaign.a" || names[1] != "campaign.b" {
-		t.Fatalf("Names = %v, want [campaign.a campaign.b]", names)
-	}
 	if a.opts.MaxAttempts != 5 {
 		t.Fatalf("opened queue did not inherit template MaxAttempts: got %d", a.opts.MaxAttempts)
+	}
+	// A closed queue is not handed out again: the name gets a fresh queue,
+	// so a finished campaign started a second time can push.
+	a.Close()
+	b := reg.Open("campaign.a")
+	if b == a || reg.Get("campaign.a") != b {
+		t.Fatal("Open returned the closed queue")
+	}
+	if err := b.Push(testJob(1)); err != nil {
+		t.Fatalf("push on the reopened queue: %v", err)
 	}
 }
 
@@ -49,26 +54,29 @@ func TestServerRejectsUnknownQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Push(testJob(1)); !errors.Is(err, ErrUnknownQueue) {
-		t.Fatalf("push to unknown queue: %v, want ErrUnknownQueue", err)
+	if _, err := c.Lease(); !errors.Is(err, ErrUnknownQueue) {
+		t.Fatalf("lease on unknown queue: %v, want ErrUnknownQueue", err)
 	}
-	// A registry-only server has no default queue either.
+	// A registry without an unnamed queue answers unnamed requests the same.
 	d, err := DialOpts(srv.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := d.Push(testJob(2)); !errors.Is(err, ErrUnknownQueue) {
-		t.Fatalf("push to default queue of registry server: %v, want ErrUnknownQueue", err)
+	if _, err := d.Lease(); !errors.Is(err, ErrUnknownQueue) {
+		t.Fatalf("unnamed lease on registry server: %v, want ErrUnknownQueue", err)
 	}
 	// The known queue works.
+	if err := reg.Get("known").Push(testJob(3)); err != nil {
+		t.Fatal(err)
+	}
 	k, err := DialOpts(srv.Addr(), DialOptions{Queue: "known"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer k.Close()
-	if err := k.Push(testJob(3)); err != nil {
-		t.Fatal(err)
+	if ls, err := k.Lease(); err != nil || ls.Job.ID != 3 {
+		t.Fatalf("lease on known queue = %+v, %v; want job 3", ls, err)
 	}
 }
 

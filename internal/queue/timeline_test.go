@@ -1,11 +1,8 @@
 package queue
 
 import (
-	"errors"
 	"testing"
 	"time"
-
-	"snowboard/internal/obs"
 )
 
 // wants asserts that the timeline matches the expected sequence of
@@ -118,7 +115,7 @@ func TestJobTraceOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr())
+	c, err := DialOpts(srv.Addr(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +123,7 @@ func TestJobTraceOverTCP(t *testing.T) {
 
 	j := testJob(25)
 	j.Trace = "cafe0123cafe0123"
-	if err := c.Push(j); err != nil {
+	if err := q.Push(j); err != nil {
 		t.Fatal(err)
 	}
 	ls, err := c.Lease()
@@ -138,46 +135,6 @@ func TestJobTraceOverTCP(t *testing.T) {
 	}
 	if err := c.Ack(ls.ID); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPerOpLatencyHistograms(t *testing.T) {
-	q := NewWithOptions(Options{Name: "tl-hist", MaxAttempts: 3})
-	defer q.Close()
-	if err := q.Push(testJob(26)); err != nil {
-		t.Fatal(err)
-	}
-	ls, err := q.TryLease()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Extend(ls.ID, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Nack(ls.ID, "again"); err != nil {
-		t.Fatal(err)
-	}
-	ls, err = q.TryLease()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Ack(ls.ID); err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range []string{"lease", "ack", "nack", "extend"} {
-		h := obs.H("queue.tl-hist." + op + ".duration_ns")
-		if h.Count() == 0 {
-			t.Errorf("histogram queue.tl-hist.%s.duration_ns recorded nothing", op)
-		}
-	}
-	// Failed ops are not latency samples: the lease histogram counts only
-	// granted leases.
-	leases := obs.H("queue.tl-hist.lease.duration_ns").Count()
-	if _, err := q.TryLease(); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("lease on empty: %v", err)
-	}
-	if got := obs.H("queue.tl-hist.lease.duration_ns").Count(); got != leases {
-		t.Fatalf("empty TryLease bumped the lease histogram %d -> %d", leases, got)
 	}
 }
 
