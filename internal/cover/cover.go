@@ -50,8 +50,8 @@ func (c *Coverage) AddTrace(tr *trace.Trace) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.own.view.Build(tr)
-	c.own.walk(&c.own.view, true, false)
-	return addCounts(c.pairs, c.own.pairs)
+	c.own.Walk(&c.own.view)
+	return addEach(c.pairs, c.own.pairs)
 }
 
 // Merge folds other's accumulated pairs into c (counts add) and returns

@@ -40,3 +40,16 @@ func addCounts[K comparable](dst, src map[K]int) int {
 	}
 	return fresh
 }
+
+// addEach adds one hit for each of src's units, which are distinct, into
+// dst and returns how many of them were new to dst.
+func addEach[K comparable](dst map[K]int, src []K) int {
+	fresh := 0
+	for _, k := range src {
+		if dst[k] == 0 {
+			fresh++
+		}
+		dst[k]++
+	}
+	return fresh
+}

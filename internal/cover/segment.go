@@ -67,8 +67,8 @@ func (s *Segments) AddTrace(tr *trace.Trace) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.own.view.Build(tr)
-	s.own.walk(&s.own.view, false, true)
-	return addCounts(s.segs, s.own.segs)
+	s.own.Walk(&s.own.view)
+	return addEach(s.segs, s.own.segs)
 }
 
 // Merge folds other's segments into s (counts add) and returns how many

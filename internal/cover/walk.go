@@ -1,106 +1,143 @@
 package cover
 
-import "snowboard/internal/trace"
+import (
+	"slices"
 
-// lastAccess is the most recent access to one byte while walking a trace.
-type lastAccess struct {
+	"snowboard/internal/trace"
+)
+
+// Pred is a byte's coverage predecessor while a trace is walked: its last
+// data access. Whoever keeps the walk's per-byte cells keeps one in each.
+type Pred struct {
 	ins    trace.Ins
 	thread uint16
 	write  bool
 	set    bool
 }
 
-// Walker is the reusable scratch of the one trace walk behind both
-// concurrency metrics: the last access per byte — per word, for a word only
-// ever accessed whole — indexed by the trial view's word ids, and the
-// trace's distinct alias pairs and interleaving segments. An explorer owns
-// one and feeds both of its accumulators from a single pass per trial. The
-// zero value is ready to use; a Walker is not safe for concurrent use.
+// Walker derives both concurrency metrics of a trial from one walk over its
+// view's shared data accesses (trace.View.Shared), in trace order: Begin per
+// access, Step per cell in address order (trace.WordCells), End. The
+// happens-before oracle drives it on the Pred in its own cells when an
+// explorer hands it one (detect.TrialInput.Cover), Walk on cells of its own
+// otherwise; Fold adds the trial's distinct pairs and segments into the
+// accumulators. The zero value is ready to use; not safe for concurrent use.
 type Walker struct {
-	view  trace.View // built by the standalone Coverage.AddTrace and Segments.AddTrace
-	last  trace.WordCells[lastAccess]
-	pairs map[Pair]int // the trace's distinct pairs, each counted once
-	segs  map[Segment]int
+	view trace.View            // built by the standalone Coverage.AddTrace and Segments.AddTrace
+	last trace.WordCells[Pred] // Walk's own cells
+
+	cur   Pred        // the access being walked
+	preds []trace.Ins // the predecessors it communicates with, in address order
+
+	// The trial's distinct pairs (seen keys them First<<32 | Second) and
+	// segments, and its latest communication.
+	seen     trace.Shadow[struct{}]
+	pairs    []Pair
+	segs     []Segment
+	prev     Comm
+	havePrev bool
+
+	regions trace.Shadow[trace.Ins] // RegionOf by instruction, kept across trials
 }
 
-// AddTrace walks one trial trace once, through its view, and folds it into
-// c and s, either of which may be nil, returning how many new pairs and
-// segments it contributed — what c.AddTrace(tr) and s.AddTrace(tr) would have.
-func (w *Walker) AddTrace(v *trace.View, c *Coverage, s *Segments) (freshPairs, freshSegs int) {
-	if c == nil && s == nil {
-		return 0, 0
-	}
-	w.walk(v, c != nil, s != nil)
-	if c != nil {
-		c.mu.Lock()
-		freshPairs = addCounts(c.pairs, w.pairs)
-		c.mu.Unlock()
-	}
-	if s != nil {
-		s.mu.Lock()
-		freshSegs = addCounts(s.segs, w.segs)
-		s.mu.Unlock()
-	}
-	return freshPairs, freshSegs
+// reset starts a trial's walk.
+func (w *Walker) reset() {
+	w.seen.Reset()
+	w.pairs, w.segs = w.pairs[:0], w.segs[:0]
+	w.havePrev = false
 }
 
-// walk collects the trace's distinct pairs and/or segments into w. A
-// communication is a non-stack, non-atomic access to a byte whose previous
-// access came from another thread, at least one of the two being a write —
-// so only accesses to memory a second thread touched (View.Shared) are
-// looked at: no other access communicates, or is the predecessor of one
-// that does.
-func (w *Walker) walk(v *trace.View, wantPairs, wantSegs bool) {
-	if w.pairs == nil {
-		w.pairs = make(map[Pair]int)
-		w.segs = make(map[Segment]int)
+// Begin starts the walk of a shared data access by thread at ins.
+func (w *Walker) Begin(ins trace.Ins, thread int, write bool) {
+	w.cur = Pred{ins: ins, thread: uint16(thread), write: write, set: true}
+	w.preds = w.preds[:0]
+}
+
+// Step applies the current access to one cell's predecessor: one of another
+// thread communicates with it when at least one of the two is a write.
+func (w *Walker) Step(p *Pred) {
+	if p.set && p.thread != w.cur.thread && (p.write || w.cur.write) {
+		w.preds = append(w.preds, p.ins)
 	}
+	*p = w.cur
+}
+
+// End finishes the current access: each communication covers its pair, and
+// the first, abstracted to regions, follows the trial's previous one unless
+// it repeats it — two consecutive distinct communications are a segment.
+func (w *Walker) End() {
+	if len(w.preds) != 0 {
+		w.communicated()
+	}
+}
+
+func (w *Walker) communicated() {
+	for k, pred := range w.preds {
+		if k > 0 && pred == w.preds[k-1] { // adjacent bytes mostly share one
+			continue
+		}
+		n := w.seen.Len()
+		if w.seen.Slot(uint64(pred)<<32 | uint64(w.cur.ins)); w.seen.Len() > n {
+			w.pairs = append(w.pairs, Pair{First: pred, Second: w.cur.ins})
+		}
+	}
+	comm := Comm{Write: w.regionOf(w.preds[0]), Read: w.regionOf(w.cur.ins)}
+	if w.havePrev && comm == w.prev {
+		return
+	}
+	// A trial has a few dozen distinct segments at most: a list is the set.
+	if seg := (Segment{First: w.prev, Second: comm}); w.havePrev && !slices.Contains(w.segs, seg) {
+		w.segs = append(w.segs, seg)
+	}
+	w.prev, w.havePrev = comm, true
+}
+
+func (w *Walker) regionOf(ins trace.Ins) trace.Ins {
+	n := w.regions.Len()
+	r := w.regions.Slot(uint64(ins))
+	if w.regions.Len() > n {
+		*r = trace.RegionOf(ins)
+	}
+	return *r
+}
+
+// Walk collects v's pairs and segments on the walker's own cells, skipping
+// memory one thread alone touched: nothing there communicates.
+func (w *Walker) Walk(v *trace.View) {
 	tr := v.Trace()
+	w.reset()
 	w.last.Reset(v)
-	clear(w.pairs)
-	clear(w.segs)
-	var prev Comm
-	havePrev := false
 	for i, n := 0, tr.Len(); i < n; i++ {
 		if !v.Shared(i) {
 			continue
 		}
-		ins, isWrite := tr.InsAt(i), tr.IsWriteAt(i)
-		cur := lastAccess{ins: ins, thread: uint16(tr.ThreadAt(i)), write: isWrite, set: true}
-		var first, pair trace.Ins // predecessor of the first / latest communication
-		haveFirst, havePair := false, false
+		w.Begin(tr.InsAt(i), tr.ThreadAt(i), tr.IsWriteAt(i))
 		id, second := v.WordsAt(i)
 		for b, end := tr.AddrAt(i), tr.EndAt(i); b < end; id = second {
-			// One cell per byte, or one for all eight bytes of a word only
-			// ever accessed whole, whose bytes share one predecessor.
 			cells, n, _ := w.last.At(id, b, end)
 			for k := range cells {
-				p := &cells[k]
-				if p.set && p.thread != cur.thread && (p.write || isWrite) {
-					if !haveFirst {
-						first, haveFirst = p.ins, true
-					}
-					// Adjacent bytes mostly share a predecessor: skip the
-					// map for a pair just recorded.
-					if wantPairs && !(havePair && p.ins == pair) {
-						pair, havePair = p.ins, true
-						w.pairs[Pair{First: pair, Second: ins}] = 1
-					}
-				}
-				*p = cur
+				w.Step(&cells[k])
 			}
 			b += n
 		}
-		if !wantSegs || !haveFirst {
-			continue
-		}
-		comm := Comm{Write: trace.RegionOf(first), Read: trace.RegionOf(ins)}
-		if havePrev && comm == prev {
-			continue
-		}
-		if havePrev {
-			w.segs[Segment{First: prev, Second: comm}] = 1
-		}
-		prev, havePrev = comm, true
+		w.End()
 	}
+}
+
+// Fold adds the trial's pairs and segments into c and s, either of which
+// may be nil, returns how many of each were new to them, and readies the
+// walker for the next trial.
+func (w *Walker) Fold(c *Coverage, s *Segments) (freshPairs, freshSegs int) {
+	defer w.reset()
+	if c != nil {
+		c.mu.Lock()
+		freshPairs = addEach(c.pairs, w.pairs)
+		c.mu.Unlock()
+	}
+	if s != nil {
+		s.mu.Lock()
+		freshSegs = addEach(s.segs, w.segs)
+		s.mu.Unlock()
+	}
+	return freshPairs, freshSegs
 }

@@ -211,7 +211,8 @@ func TestFusedWalkEqualsReference(t *testing.T) {
 		wantP, wantS := addCounts(refC.pairs, refPairs(tr)), addCounts(refS.segs, refSegments(tr))
 		v.Build(tr)
 		k.add(&v)
-		gotP, gotS := w.AddTrace(&v, fusedC, fusedS)
+		w.Walk(&v)
+		gotP, gotS := w.Fold(fusedC, fusedS)
 		if gotP != wantP || gotS != wantS {
 			t.Fatalf("iter %d: fused fresh (%d pairs, %d segments), reference (%d, %d)", iter, gotP, gotS, wantP, wantS)
 		}
@@ -219,7 +220,7 @@ func TestFusedWalkEqualsReference(t *testing.T) {
 			t.Fatalf("iter %d: standalone fresh (%d pairs, %d segments), reference (%d, %d)", iter, p, s, wantP, wantS)
 		}
 		// Either accumulator may be nil.
-		if p, s := w.AddTrace(&v, nil, nil); p != 0 || s != 0 {
+		if p, s := w.Fold(nil, nil); p != 0 || s != 0 {
 			t.Fatalf("iter %d: nil accumulators reported (%d, %d)", iter, p, s)
 		}
 	}

@@ -3,6 +3,7 @@ package detect
 import (
 	"slices"
 
+	"snowboard/internal/cover"
 	"snowboard/internal/trace"
 )
 
@@ -76,6 +77,7 @@ type byteState struct {
 	write prior
 	spill uint32 // 1 + index into hbState.spill, 0 = no reads by threads ≥ inlineReaders
 	reads [inlineReaders]prior
+	pred  cover.Pred // for a coverage walker riding the walk
 }
 
 // clockRef locates a clock copy in the arena (n == 0: none taken).
@@ -96,6 +98,7 @@ type raceKey struct {
 type hbState struct {
 	hist   trace.WordCells[byteState] // indexed by the trial view's word ids
 	sync   trace.Shadow[syncClocks]   // keyed by exact address
+	pubs   uint64                     // pubBit of every address a marked write published
 	arena  []uint32                   // clock copies referenced by sync
 	clocks []vclock                   // per thread; empty = not yet started
 	spill  [][]prior                  // per spilled byte, indexed by thread - inlineReaders
@@ -111,6 +114,7 @@ type hbState struct {
 func (s *hbState) reset(v *trace.View) {
 	s.hist.Reset(v)
 	s.sync.Reset()
+	s.pubs = 0
 	s.arena = s.arena[:0]
 	for i := range s.clocks {
 		s.clocks[i] = s.clocks[i][:0]
@@ -126,14 +130,14 @@ func (s *hbState) reset(v *trace.View) {
 
 // clockOf returns thread t's clock, starting it at time 1 on first use.
 func (s *hbState) clockOf(t int) *vclock {
+	if t < len(s.clocks) && len(s.clocks[t]) != 0 {
+		return &s.clocks[t]
+	}
 	for len(s.clocks) <= t {
 		s.clocks = append(s.clocks, nil)
 	}
-	vc := &s.clocks[t]
-	if len(*vc) == 0 {
-		vc.set(t, 1)
-	}
-	return vc
+	s.clocks[t].set(t, 1)
+	return &s.clocks[t]
 }
 
 // save copies vc into the arena, reusing ref's storage when it fits.
@@ -147,6 +151,10 @@ func (s *hbState) save(ref *clockRef, vc vclock) {
 }
 
 func (s *hbState) saved(ref clockRef) vclock { return s.arena[ref.off : ref.off+ref.n] }
+
+// pubBit is addr's bit in hbState.pubs: a read whose bit is clear has no
+// publication clock to join.
+func pubBit(addr uint64) uint64 { return 1 << (addr * 0x9E3779B97F4A7C15 >> 58) }
 
 // newSpill returns 1 + the index of a fresh spill list holding a copy of
 // readers, on the storage of a previous trial's list.
@@ -195,14 +203,8 @@ func (s *hbState) report(tr *trace.Trace, i int, b uint64, kind trace.Kind, p pr
 func FindRacesHB(tr *trace.Trace) []RaceReport {
 	sc := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(sc)
-	return append([]RaceReport(nil), sc.FindRacesHB(tr)...)
-}
-
-// FindRacesHB is the package-level FindRacesHB on reused state. The
-// returned slice is overwritten by the next call on the same Scratch.
-func (sc *Scratch) FindRacesHB(tr *trace.Trace) []RaceReport {
 	sc.view.Build(tr)
-	return sc.hb.findRaces(&sc.view)
+	return append([]RaceReport(nil), sc.hb.findRaces(&sc.view, nil)...)
 }
 
 // findRaces walks the view's trace. Synchronization is tracked for every
@@ -210,7 +212,9 @@ func (sc *Scratch) FindRacesHB(tr *trace.Trace) []RaceReport {
 // a second thread touched (View.Shared). That loses nothing: an unordered
 // prior is always another thread's, and the state a skipped access would
 // have left is read only by accesses to the same, equally private, word.
-func (s *hbState) findRaces(v *trace.View) []RaceReport {
+// The coverage walk visits the same accesses and cells: cw, when set, rides
+// this one on the Pred of every cell.
+func (s *hbState) findRaces(v *trace.View, cw *cover.Walker) []RaceReport {
 	tr := v.Trace()
 	s.reset(v)
 	for i, n := 0, tr.Len(); i < n; i++ {
@@ -233,11 +237,12 @@ func (s *hbState) findRaces(v *trace.View) []RaceReport {
 		}
 		if marked && isWrite {
 			s.save(&s.sync.Slot(addr).pub, *vc)
+			s.pubs |= pubBit(addr)
 			vc.set(t, vc.get(t)+1)
 			// Marked writes also participate in conflict checks below (a
 			// plain access on the other side is still a race).
 		}
-		if !isWrite {
+		if !isWrite && s.pubs&pubBit(addr) != 0 {
 			// Any read of a published location — marked or plain — joins
 			// the publisher's clock: RCU readers reach published objects
 			// through an address dependency, which orders the publisher's
@@ -251,6 +256,9 @@ func (s *hbState) findRaces(v *trace.View) []RaceReport {
 		}
 
 		cur := prior{clock: vc.get(t), ins: tr.InsAt(i), thread: uint16(t), marked: marked}
+		if cw != nil {
+			cw.Begin(cur.ins, t, isWrite)
+		}
 		id, second := v.WordsAt(i)
 		for b, end := addr, tr.EndAt(i); b < end; id = second {
 			// One history per byte, or one for all eight bytes of a word
@@ -265,6 +273,9 @@ func (s *hbState) findRaces(v *trace.View) []RaceReport {
 			}
 			for k := range cells {
 				st, b := &cells[k], b+uint64(k)
+				if cw != nil {
+					cw.Step(&st.pred)
+				}
 				if st.write.unordered(t, marked, *vc) {
 					s.report(tr, i, b, trace.Write, st.write)
 				}
@@ -291,6 +302,9 @@ func (s *hbState) findRaces(v *trace.View) []RaceReport {
 				st.write = cur
 			}
 			b += n
+		}
+		if cw != nil {
+			cw.End()
 		}
 	}
 	return s.out

@@ -3,8 +3,10 @@ package detect
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"snowboard/internal/cover"
 	"snowboard/internal/trace"
 )
 
@@ -189,15 +191,27 @@ func btoi(b bool) int {
 // checkHBEqualsReference runs both halves of data, as two consecutive
 // traces, through one scratch (so the second proves the reset) and
 // compares each against the map-based reference: same reports, same order.
+// The walk is then repeated with a coverage walker riding it, which must
+// change no report and collect what the standalone coverage walk does.
 // k, when set, takes the census of what the traces exercised.
 func checkHBEqualsReference(t *testing.T, sc *Scratch, data []byte, k *teeth) {
 	t.Helper()
+	var w cover.Walker
 	half := len(data) / 2
 	for _, part := range [][]byte{data[:half], data[half:]} {
 		tr := genTrace(part)
-		want, got := refFindRacesHB(tr), sc.FindRacesHB(tr)
+		want, got := refFindRacesHB(tr), slices.Clone(findRacesHB(sc, tr))
 		if k != nil {
 			k.add(&sc.view)
+		}
+		if riding := sc.hb.findRaces(&sc.view, &w); !slices.Equal(riding, got) {
+			t.Fatalf("trace %v:\nalone  %+v\nriding %+v", tr.Accesses(), got, riding)
+		}
+		ridC, ridS, soloC, soloS := cover.New(), cover.NewSegments(), cover.New(), cover.NewSegments()
+		w.Fold(ridC, ridS)
+		if soloC.AddTrace(tr) != ridC.Len() || soloS.AddTrace(tr) != ridS.Len() ||
+			!reflect.DeepEqual(ridS.Export(), soloS.Export()) || !reflect.DeepEqual(ridC.Top(ridC.Len()), soloC.Top(soloC.Len())) {
+			t.Fatalf("trace %v: the riding walker's coverage differs from the standalone walk's", tr.Accesses())
 		}
 		if len(want) == 0 && len(got) == 0 {
 			continue
@@ -306,10 +320,17 @@ func benchRacesHB(b *testing.B, aligned bool) {
 		tr.Append(a)
 	}
 	var sc Scratch
-	sc.FindRacesHB(tr)
+	findRacesHB(&sc, tr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.FindRacesHB(tr)
+		findRacesHB(&sc, tr)
 	}
+}
+
+// findRacesHB is FindRacesHB on sc's state, without the copy: the slice is
+// overwritten by the next call.
+func findRacesHB(sc *Scratch, tr *trace.Trace) []RaceReport {
+	sc.view.Build(tr)
+	return sc.hb.findRaces(&sc.view, nil)
 }

@@ -3,6 +3,7 @@ package detect
 import (
 	"sync"
 
+	"snowboard/internal/cover"
 	"snowboard/internal/obs"
 	"snowboard/internal/trace"
 )
@@ -36,6 +37,9 @@ type TrialInput struct {
 	PostScan []string     // host-side post-mortem messages (e.g. fsck)
 	Hung     bool
 	Deadlock bool
+	// Cover, when set, collects the trial's coverage for its Fold, riding
+	// the happens-before walk — or walking the view itself if Races is off.
+	Cover *cover.Walker
 }
 
 // Scratch is the reusable state of the trial oracles. An explorer keeps one
@@ -115,15 +119,18 @@ func (sc *Scratch) Analyze(in TrialInput, opt Options) []Issue {
 			add(is)
 		}
 	}
-	if opt.Races && in.Trace != nil {
-		var races []RaceReport
-		if in.View != nil {
-			races = sc.hb.findRaces(in.View)
-		} else {
-			races = sc.FindRacesHB(in.Trace)
+	if in.Trace != nil && (opt.Races || in.Cover != nil) {
+		v := in.View
+		if v == nil {
+			sc.view.Build(in.Trace)
+			v = &sc.view
 		}
-		for _, r := range races {
-			add(sc.classify(r.Write.Ins, r.Read.Ins, false))
+		if !opt.Races {
+			in.Cover.Walk(v)
+		} else {
+			for _, r := range sc.hb.findRaces(v, in.Cover) {
+				add(sc.classify(r.Write.Ins, r.Read.Ins, false))
+			}
 		}
 	}
 	if opt.TornReads && in.Trace != nil {

@@ -8,6 +8,7 @@ package pmc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -115,11 +116,21 @@ type Set struct {
 }
 
 // writeIndex groups a Set's PMCs by write key: pmcs is in canonical
-// (pmcLess) order, so each write key owns one contiguous span.
+// (pmcLess) order, so each write key owns one contiguous span. A key whose
+// filterBit is clear has no span: about half of a trial's distinct write
+// keys have no PMC, and nearly all are answered without hashing into spans.
 type writeIndex struct {
 	entries int // len(Set.Entries) when built
 	pmcs    []PMC
 	spans   map[Key][2]int
+	filter  []uint64 // a power of two of words, at least 16 bits per entry
+}
+
+// filterBit returns k's word and bit in the filter.
+func (idx *writeIndex) filterBit(k Key) (word int, bit uint64) {
+	h := ((uint64(k.Ins)<<32^k.Addr^uint64(k.Size)<<58)*0x9E3779B97F4A7C15 ^ k.Val) * 0xBF58476D1CE4E5B9
+	h >>= 64 - 6 - bits.Len(uint(len(idx.filter)-1))
+	return int(h >> 6), 1 << (h & 63)
 }
 
 // ByWrite returns the PMCs whose write side is exactly k, in canonical
@@ -133,6 +144,9 @@ func (s *Set) ByWrite(k Key) []PMC {
 	if idx == nil || idx.entries != len(s.Entries) {
 		idx = s.buildByWrite()
 	}
+	if w, b := idx.filterBit(k); idx.filter[w]&b == 0 {
+		return nil
+	}
 	span := idx.spans[k]
 	return idx.pmcs[span[0]:span[1]]
 }
@@ -143,13 +157,16 @@ func (s *Set) buildByWrite() *writeIndex {
 	if idx := s.byWrite.Load(); idx != nil && idx.entries == len(s.Entries) {
 		return idx
 	}
-	idx := &writeIndex{entries: len(s.Entries), pmcs: s.sortedPMCs(), spans: make(map[Key][2]int)}
+	idx := &writeIndex{entries: len(s.Entries), pmcs: s.sortedPMCs(), spans: make(map[Key][2]int),
+		filter: make([]uint64, 1<<bits.Len(uint(len(s.Entries)/4)))}
 	for lo := 0; lo < len(idx.pmcs); {
 		hi := lo + 1
 		for hi < len(idx.pmcs) && idx.pmcs[hi].Write == idx.pmcs[lo].Write {
 			hi++
 		}
 		idx.spans[idx.pmcs[lo].Write] = [2]int{lo, hi}
+		w, b := idx.filterBit(idx.pmcs[lo].Write)
+		idx.filter[w] |= b
 		lo = hi
 	}
 	s.byWrite.Store(idx)

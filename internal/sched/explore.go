@@ -122,13 +122,15 @@ type Explorer struct {
 
 // scratch is everything a trial needs that does not outlive it, kept
 // behind each Explorer so a warm trial allocates for little beyond the
-// guest execution itself.
+// guest execution itself. After the guest, a trial is one view build and
+// one walk, which the coverage walker rides, and nothing hashes an access
+// the view has already indexed.
 type scratch struct {
 	tr     trace.Trace
-	view   trace.View // of tr, built once per trial for the oracles and the coverage walk
+	view   trace.View // of tr, built once per trial for every post-trial consumer
 	rng    *rand.Rand // over a lazyrand.Source: reseeding per trial is free
 	oracle detect.Scratch
-	walk   cover.Walker
+	walk   cover.Walker // handed to the oracles, folded after them
 	flags  flagSet
 	seen   map[detect.IssueKey]bool
 
@@ -137,9 +139,9 @@ type scratch struct {
 	policy   SnowboardPolicy
 	mutFlags flagSet
 
-	// findIncidental: per (site, address) the latest data access (1 + its
-	// index), per access the previous one of its chain, and the candidates.
-	sites      trace.Shadow[int32]
+	// findIncidental: chain heads by view word and kind (at 2·id + kind, 1 +
+	// the latest access's index), per-access links, and the candidates.
+	heads      []int32
 	chain      []int32
 	candidates []candidate
 }
@@ -328,7 +330,21 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		mTrials.Inc()
 		mSwitches.Add(int64(switches))
 		sc.view.Build(tr)
-		freshPairs, freshSegs := sc.walk.AddTrace(&sc.view, x.Coverage, out.Segments)
+		in := detect.TrialInput{
+			Console:  res.Console,
+			Trace:    tr,
+			View:     &sc.view,
+			Hung:     res.Hung,
+			Deadlock: res.Deadlock,
+		}
+		if x.Coverage != nil || out.Segments != nil {
+			in.Cover = &sc.walk
+		}
+		if x.Fsck != nil {
+			in.PostScan = x.Fsck()
+		}
+		issues := sc.oracle.Analyze(in, x.Detect)
+		freshPairs, freshSegs := sc.walk.Fold(x.Coverage, out.Segments)
 		out.NewCoverPairs += freshPairs
 		out.NewSegments += freshSegs
 		if freshSegs > 0 && mutating && len(policy.SwitchEvents) > 0 {
@@ -348,17 +364,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 			mChannelHit.Inc()
 		}
 
-		in := detect.TrialInput{
-			Console:  res.Console,
-			Trace:    tr,
-			View:     &sc.view,
-			Hung:     res.Hung,
-			Deadlock: res.Deadlock,
-		}
-		if x.Fsck != nil {
-			in.PostScan = x.Fsck()
-		}
-		if sc.record(&out, trial, sc.oracle.Analyze(in, x.Detect)) {
+		if sc.record(&out, trial, issues) {
 			out.Repro = keep()
 			break
 		}
@@ -370,7 +376,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		// hint is meant to open. Mutation trials replay historical state
 		// and do not advance the live PMC set.
 		if !mutated && !x.DisableIncidental && x.Mode == ModeSnowboard && len(currentPMCs) < maxCurrentPMCs {
-			if inc, ok := x.findIncidental(tr, currentPMCs, rng); ok {
+			if inc, ok := x.findIncidental(&sc.view, currentPMCs, rng); ok {
 				currentPMCs = append(currentPMCs, inc)
 				mIncidental.Inc()
 			}
@@ -408,25 +414,24 @@ func mutateFlips(rng *rand.Rand, base, switches []int) []int {
 }
 
 // findIncidental locates a PMC from the identified set present in the
-// trial's accesses but not yet under test, choosing deterministically among
-// the candidates with the trial rng.
-func (x *Explorer) findIncidental(tr *trace.Trace, current []pmc.PMC, rng *rand.Rand) (pmc.PMC, bool) {
+// accesses of v's trial but not yet under test, choosing deterministically
+// among the candidates with the trial rng.
+func (x *Explorer) findIncidental(v *trace.View, current []pmc.PMC, rng *rand.Rand) (pmc.PMC, bool) {
 	if x.KnownPMCs == nil {
 		return pmc.PMC{}, false
 	}
-	sc := x.scratch
-	// Chain the trial's data accesses by site and address, so that executed
-	// answers from the trace columns, without a per-trial map of keys. Two
-	// chains may share a key: executed compares every column it visits.
-	sc.sites.Reset()
-	sc.chain = slices.Grow(sc.chain[:0], tr.Len())
-	for i, n := 0, tr.Len(); i < n; i++ {
-		prev := int32(0)
-		if !tr.StackAt(i) && !tr.AtomicAt(i) {
-			head := sc.sites.Slot(uint64(tr.InsAt(i))<<32 ^ tr.AddrAt(i))
-			prev, *head = *head, int32(i+1)
+	sc, tr := x.scratch, v.Trace()
+	// Chain the trial's data accesses by kind and view id of the word they
+	// start in — a key's accesses all start at its address — so that
+	// executed answers from the trace columns, without a table of keys.
+	sc.heads = slices.Grow(sc.heads[:0], 2*v.Words())[:2*v.Words()]
+	clear(sc.heads)
+	sc.chain = slices.Grow(sc.chain[:0], tr.Len())[:tr.Len()]
+	for i := range sc.chain {
+		if id, _ := v.WordsAt(i); id != trace.NoWord {
+			h := &sc.heads[id<<1|uint32(tr.KindAt(i))]
+			sc.chain[i], *h = *h, int32(i+1)
 		}
-		sc.chain = append(sc.chain, prev)
 	}
 	// A PMC is under test when both its sides are (sides of different
 	// current PMCs count: the scheduler matches accesses, not pairs).
@@ -442,15 +447,19 @@ func (x *Explorer) findIncidental(tr *trace.Trace, current []pmc.PMC, rng *rand.
 			continue
 		}
 		w := pmc.Key{Ins: tr.InsAt(i), Addr: tr.AddrAt(i), Size: tr.SizeAt(i), Val: tr.ValAt(i)}
-		wCount, first := sc.executed(tr, trace.Write, &w)
+		known := x.KnownPMCs.ByWrite(w)
+		if len(known) == 0 {
+			continue
+		}
+		id, _ := v.WordsAt(i)
+		wCount, first := sc.executed(tr, id, trace.Write, &w)
 		if first != i {
 			continue // each distinct write key once
 		}
 		wUnderTest := underTest(trace.Write, w)
-		known := x.KnownPMCs.ByWrite(w)
 		for j := range known {
 			p := &known[j]
-			rCount, first := sc.executed(tr, trace.Read, &p.Read)
+			rCount, first := sc.executed(tr, v.WordOf(p.Read.Addr), trace.Read, &p.Read)
 			if first < 0 || (wUnderTest && underTest(trace.Read, p.Read)) {
 				continue
 			}
@@ -468,16 +477,17 @@ func (x *Explorer) findIncidental(tr *trace.Trace, current []pmc.PMC, rng *rand.
 
 // executed returns how many of the trial's data accesses have k's signature
 // as a kind access, and the index of the first of them that moved k's value
-// as well — that is k — or -1.
-func (sc *scratch) executed(tr *trace.Trace, kind trace.Kind, k *pmc.Key) (n, first int) {
+// as well — that is k — or -1. id is the view's word id of k.Addr.
+func (sc *scratch) executed(tr *trace.Trace, id uint32, kind trace.Kind, k *pmc.Key) (n, first int) {
 	first = -1
-	if head := sc.sites.Get(uint64(k.Ins)<<32 ^ k.Addr); head != nil {
-		for at := *head; at != 0; at = sc.chain[at-1] {
-			if i := int(at - 1); sigAt(tr, i, kind, k) {
-				n++
-				if tr.ValAt(i) == k.Val {
-					first = i
-				}
+	if id == trace.NoWord {
+		return 0, first
+	}
+	for at := sc.heads[id<<1|uint32(kind)]; at != 0; at = sc.chain[at-1] {
+		if i := int(at - 1); sigAt(tr, i, kind, k) {
+			n++
+			if tr.ValAt(i) == k.Val {
+				first = i
 			}
 		}
 	}
@@ -504,18 +514,31 @@ type candidate struct {
 // before orders candidates by frequency, then by the PMC's own fields only
 // to make the order total — candidates are distinct PMCs, so some field
 // differs — which keeps the order they were found in out of which PMC gets
-// adopted.
+// adopted. The fields are compared in place, up to the first that differs.
 func (a candidate) before(b candidate) bool {
-	rank := func(c candidate) [10]uint64 {
-		df := uint64(0)
-		if c.DFLeader {
-			df = 1
-		}
-		return [...]uint64{uint64(c.freq), uint64(c.Write.Ins), c.Write.Addr, uint64(c.Read.Ins), c.Read.Addr,
-			c.Write.Val, c.Read.Val, uint64(c.Write.Size), uint64(c.Read.Size), df}
+	if a.freq != b.freq {
+		return a.freq < b.freq
 	}
-	ra, rb := rank(a), rank(b)
-	return slices.Compare(ra[:], rb[:]) < 0
+	x, y := a.PMC, b.PMC
+	switch {
+	case x.Write.Ins != y.Write.Ins:
+		return x.Write.Ins < y.Write.Ins
+	case x.Write.Addr != y.Write.Addr:
+		return x.Write.Addr < y.Write.Addr
+	case x.Read.Ins != y.Read.Ins:
+		return x.Read.Ins < y.Read.Ins
+	case x.Read.Addr != y.Read.Addr:
+		return x.Read.Addr < y.Read.Addr
+	case x.Write.Val != y.Write.Val:
+		return x.Write.Val < y.Write.Val
+	case x.Read.Val != y.Read.Val:
+		return x.Read.Val < y.Read.Val
+	case x.Write.Size != y.Write.Size:
+		return x.Write.Size < y.Write.Size
+	case x.Read.Size != y.Read.Size:
+		return x.Read.Size < y.Read.Size
+	}
+	return !x.DFLeader && y.DFLeader
 }
 
 // selectNth reorders c just enough to return the candidate a full sort by

@@ -106,9 +106,10 @@ func TestFindIncidentalEqualsBruteForce(t *testing.T) {
 		for len(current) < maxCurrentPMCs {
 			Replay(env, ct, &ReproState{Seed: seed, PMCs: current}, &tr)
 			env.M.SetTrace(nil)
+			x.scratch.view.Build(&tr)
 			want, wantOK := refFindIncidental(set, &tr, current, rand.New(rand.NewSource(seed)))
 			prev, prevOK := prevFindIncidental(set, &tr, current, rand.New(rand.NewSource(seed)))
-			got, gotOK := x.findIncidental(&tr, current, rand.New(rand.NewSource(seed)))
+			got, gotOK := x.findIncidental(&x.scratch.view, current, rand.New(rand.NewSource(seed)))
 			if got != want || gotOK != wantOK || got != prev || gotOK != prevOK {
 				t.Fatalf("seed %d with %d PMCs under test: columnar lookup adopted %v (%v), map-and-sort lookup %v (%v), brute force %v (%v)",
 					seed, len(current), got, gotOK, prev, prevOK, want, wantOK)
@@ -211,10 +212,12 @@ func TestViewAllocBudget(t *testing.T) {
 	cov, segs, rng := cover.New(), cover.NewSegments(), rand.New(rand.NewSource(1))
 	analyse := func() int {
 		sc.view.Build(&tr)
-		sc.walk.AddTrace(&sc.view, cov, segs)
+		in := detect.TrialInput{Console: res.Console, Trace: &tr, View: &sc.view, Cover: &sc.walk}
+		issues := len(sc.oracle.Analyze(in, detect.DefaultOptions()))
+		sc.walk.Fold(cov, segs)
 		ChannelExercised(&tr, &hint)
-		x.findIncidental(&tr, nil, rng)
-		return len(sc.oracle.Analyze(detect.TrialInput{Console: res.Console, Trace: &tr, View: &sc.view}, detect.DefaultOptions()))
+		x.findIncidental(&sc.view, nil, rng)
+		return issues
 	}
 	if issues := analyse(); issues != 0 {
 		t.Fatalf("single-threaded trace is not finding-free: %d issues", issues)

@@ -214,9 +214,11 @@ func realTests(t *testing.T, env *exec.Env, seed int64) (*pmc.Set, []ConcurrentT
 // TestExploreEqualsUnfused: over real tests of two seeds, the explorer —
 // one view per trial under every consumer — must produce the Outcome of
 // unfusedExplore, field by field, and adopt the same incidental PMCs in the
-// same order.
+// same order. A second arm runs both with the race oracle off, where the
+// coverage walker cannot ride the happens-before walk and walks by itself.
 func TestExploreEqualsUnfused(t *testing.T) {
 	adoptions, exercised, issues, repros := 0, 0, 0, 0
+	racesOffPairs := 0
 	// What the trials' traces are made of (EXPERIMENTS.md "Trial analysis").
 	var trials, accesses, stack, atomic, private, prefix int
 	var v trace.View
@@ -233,38 +235,52 @@ func TestExploreEqualsUnfused(t *testing.T) {
 			prefix += btoi(sequential)
 		}
 	}
+	arms := []detect.Options{detect.DefaultOptions(), {Console: true, TornReads: true}}
 	for _, seed := range []int64{3, 7} {
 		env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 		set, tests := realTests(t, env, seed)
 		fsck := func() []string { return env.K.FsckHost() }
 		for i, ct := range tests {
-			got := &Explorer{Env: env, Trials: 12, Seed: seed*1000 + int64(i), Mode: ModeSnowboard,
-				Detect: detect.DefaultOptions(), KnownPMCs: set, Coverage: cover.New(), TrackSegments: true, Fsck: fsck}
-			ref := *got
-			ref.Coverage, ref.scratch = cover.New(), nil
-			want, wantPMCs := unfusedExplore(&ref, ct, composition)
-			have := got.Explore(ct)
-			if !reflect.DeepEqual(have.Segments.Export(), want.Segments.Export()) {
-				t.Fatalf("seed %d test %d: segment sets differ", seed, i)
+			for arm, opts := range arms {
+				got := &Explorer{Env: env, Trials: 12, Seed: seed*1000 + int64(i), Mode: ModeSnowboard,
+					Detect: opts, KnownPMCs: set, Coverage: cover.New(), TrackSegments: true, Fsck: fsck}
+				ref := *got
+				ref.Coverage, ref.scratch = cover.New(), nil
+				each := composition
+				if arm > 0 {
+					each = func(*trace.Trace) {}
+				}
+				want, wantPMCs := unfusedExplore(&ref, ct, each)
+				have := got.Explore(ct)
+				if !reflect.DeepEqual(have.Segments.Export(), want.Segments.Export()) {
+					t.Fatalf("seed %d test %d %+v: segment sets differ", seed, i, opts)
+				}
+				have.Segments, want.Segments = nil, nil
+				if !reflect.DeepEqual(have, want) {
+					t.Fatalf("seed %d test %d %+v:\nexplorer %+v\nunfused  %+v", seed, i, opts, have, want)
+				}
+				// The policy still holds the signatures of the PMCs the last
+				// trial ran under, in adoption order.
+				var wantSigs []sig
+				for _, p := range wantPMCs {
+					wantSigs = append(wantSigs, sigOfKey(trace.Write, p.Write), sigOfKey(trace.Read, p.Read))
+				}
+				if !slices.Equal(got.scratch.policy.current, wantSigs) {
+					t.Fatalf("seed %d test %d %+v: PMCs under test %v, unfused %v", seed, i, opts, got.scratch.policy.current, wantSigs)
+				}
+				if arm > 0 {
+					racesOffPairs += want.NewCoverPairs
+					continue
+				}
+				adoptions += len(wantPMCs) - 1
+				exercised += btoi(want.Exercised)
+				issues += len(want.Issues)
+				repros += btoi(want.Repro != nil)
 			}
-			have.Segments, want.Segments = nil, nil
-			if !reflect.DeepEqual(have, want) {
-				t.Fatalf("seed %d test %d:\nexplorer %+v\nunfused  %+v", seed, i, have, want)
-			}
-			// The policy still holds the signatures of the PMCs the last
-			// trial ran under, in adoption order.
-			var wantSigs []sig
-			for _, p := range wantPMCs {
-				wantSigs = append(wantSigs, sigOfKey(trace.Write, p.Write), sigOfKey(trace.Read, p.Read))
-			}
-			if !slices.Equal(got.scratch.policy.current, wantSigs) {
-				t.Fatalf("seed %d test %d: PMCs under test %v, unfused %v", seed, i, got.scratch.policy.current, wantSigs)
-			}
-			adoptions += len(wantPMCs) - 1
-			exercised += btoi(want.Exercised)
-			issues += len(want.Issues)
-			repros += btoi(want.Repro != nil)
 		}
+	}
+	if racesOffPairs == 0 {
+		t.Fatal("the races-off arm covered no pair")
 	}
 	t.Logf("%d adoptions, %d tests exercised their channel, %d issues, %d crash repros", adoptions, exercised, issues, repros)
 	data := accesses - stack - atomic

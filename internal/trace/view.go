@@ -75,6 +75,14 @@ func (v *View) Words() int { return len(v.threads) }
 // Both are NoWord for a stack or lock-word access.
 func (v *View) WordsAt(i int) (first, second uint32) { return v.ids[i][0], v.ids[i][1] }
 
+// WordOf returns the id of the word holding addr; NoWord if no access did.
+func (v *View) WordOf(addr uint64) uint32 {
+	if id := v.words.Get(addr >> 3); id != nil {
+		return *id - 1
+	}
+	return NoWord
+}
+
 // Shared reports whether the i-th access is a data access to memory that
 // more than one thread touched during the trial. Only such accesses can be
 // one side of a race or of a cross-thread communication.
