@@ -15,13 +15,15 @@
 // lists ids). With -trials set to the campaign's budget, sbd folds this
 // worker's results into the report it would have produced alone.
 //
-// Delivery is at-least-once: each job arrives under a lease that the worker
-// acks after reporting (or nacks on failure, so the coordinator redelivers
-// it elsewhere instead of losing it). Long explorations keep their lease
-// alive with periodic extends. Transient network errors never kill the
-// process: the client reconnects with exponential backoff (up to -retries
-// attempts per operation), and unresolvable by-reference jobs are nacked
-// and counted (worker.poisoned) rather than crashing the worker.
+// Delivery is at-least-once: each explorer goroutine leases a job in one
+// round trip and settles it in one more — its outcome recorded and its
+// lease released together — or nacks a job it cannot run, so the
+// coordinator redelivers it elsewhere instead of losing it. A lease keeper
+// extends the lease when an exploration runs long.
+// Transient network errors never kill the process: the client reconnects
+// with exponential backoff (up to -retries attempts per operation), and
+// unresolvable by-reference jobs are nacked and counted (worker.poisoned)
+// rather than crashing the worker.
 //
 // With -state, the worker opens the content-addressed artifact store rooted
 // there and resolves by-reference jobs (corpus digest + pair indices, as
@@ -174,12 +176,13 @@ func (cc *corpusCache) get(hex string) (*corpus.Corpus, error) {
 }
 
 // workLoop is one explorer goroutine: it owns a core.Worker on a private
-// simulated-kernel environment and leases jobs from the shared
+// simulated-kernel environment and leases one job per turn from the shared
 // (mutex-guarded) client until the queue closes or stays empty past the
-// idle deadline. What a job computes, and how it settles, is
-// core.Worker.Do — shared with every other front door. Network errors are
-// retried inside the client, and only an exhausted retry budget ends the
-// loop (never the whole process via log.Fatal).
+// idle deadline; a goroutine never holds jobs its idle siblings could run.
+// What a job computes, and how a turn settles in one frame, is
+// core.Worker.Do — shared with every other front door.
+// Network errors are retried inside the client, and only an exhausted
+// retry budget ends the loop (never the whole process via log.Fatal).
 func workLoop(client *queue.Client, cache *corpusCache, version snowboard.Version, trials int, name string, idleExit time.Duration, jobs *atomic.Int64) {
 	env := snowboard.NewEnv(version)
 	defer env.Close()
@@ -197,7 +200,7 @@ func workLoop(client *queue.Client, cache *corpusCache, version snowboard.Versio
 	})
 	idleSince := time.Now()
 	for {
-		ls, err := client.Lease()
+		leases, err := client.LeaseN(1)
 		switch {
 		case errors.Is(err, queue.ErrEmpty):
 			if time.Since(idleSince) > idleExit {
@@ -214,8 +217,8 @@ func workLoop(client *queue.Client, cache *corpusCache, version snowboard.Versio
 			return
 		}
 		idleSince = time.Now()
-		jobs.Add(1)
-		w.Do(client, ls)
+		jobs.Add(int64(len(leases)))
+		w.Do(client, leases)
 	}
 }
 

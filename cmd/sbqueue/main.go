@@ -14,10 +14,11 @@
 // A job carries one concurrent test and the exploration seed `snowboard
 // -seed` would have used for it; a result carries the test's whole outcome
 // (issues, the trial each surfaced on, a crashing trial's replayable
-// state). Jobs are delivered at-least-once: a worker leases a job for
-// -lease and acks it after reporting; a crashed or preempted worker's lease
-// expires and the job is redelivered (up to -retries attempts) instead of
-// being silently lost. Jobs that exhaust their attempts land on the
+// state). Jobs are delivered at-least-once: a worker leases a turn of jobs
+// for -lease in one round trip and settles the turn in one more, each
+// result recorded and its lease released together; a crashed or preempted
+// worker's leases expire and the jobs are redelivered (up to -retries
+// attempts) instead of being silently lost. Jobs that exhaust their attempts land on the
 // dead-letter list, dumped with the final summary — a poisoned job can
 // neither vanish nor retry forever. The first result of each job is folded,
 // in job order, with the fold local execution uses (a redelivered job's

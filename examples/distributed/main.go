@@ -1,12 +1,14 @@
 // distributed demonstrates the §4.4.1 deployment shape: a coordinator
 // generates concurrent tests and serves them over the lightweight TCP
 // queue; worker goroutines (each owning its own simulated kernel, like the
-// paper's machine-B fleet) lease jobs, explore interleavings, report each
-// test's whole outcome back, and ack. Delivery is at-least-once: worker 0
-// deliberately "crashes" (abandons its lease) on the first job it receives,
-// which the queue redelivers after the lease expires — the folded report
-// still counts every job exactly once, and equals what a local run of the
-// same tests would have found, because a job carries its seed. In
+// paper's machine-B fleet) lease a turn of jobs in one round trip, explore
+// interleavings, and settle the turn — each test's whole outcome, each
+// lease released — in one more. Delivery is at-least-once: worker 0
+// deliberately "crashes" (walks away holding its leases) on the first turn
+// it receives, which the queue redelivers after the leases expire — the
+// folded report still counts every job exactly once, and equals what a
+// local run of the same tests would have found, because a job carries its
+// seed. In
 // production the workers would be separate processes on separate machines
 // (see cmd/sbqueue and cmd/sbexec).
 package main
@@ -41,7 +43,7 @@ func main() {
 	fmt.Printf("coordinator: %d tests from %d PMCs (%d clusters)\n",
 		len(tests), r.DistinctPMCs, r.ExemplarPMCs)
 
-	// A short lease keeps the demo snappy: the abandoned job redelivers
+	// A short lease keeps the demo snappy: the abandoned turn redelivers
 	// after 300ms instead of the production default of 30s.
 	q := queue.NewWithOptions(queue.Options{
 		Name:         "example",
@@ -59,8 +61,8 @@ func main() {
 	}
 
 	// Fleet: four workers over TCP, each with a private simulated kernel.
-	// Worker 0 abandons its first lease without acking — the preempted
-	// cloud machine of §4.4.1 — and the queue redelivers that job.
+	// Worker 0 abandons its first turn without settling it — the preempted
+	// cloud machine of §4.4.1 — and the queue redelivers those jobs.
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -76,7 +78,7 @@ func main() {
 			worker := core.NewWorker(env, 12, fmt.Sprintf("worker-%d", id), nil)
 			crashed := false
 			for {
-				ls, err := c.Lease()
+				leases, err := c.LeaseN(core.TurnJobs)
 				if errors.Is(err, queue.ErrEmpty) {
 					// Jobs may still be outstanding under other workers'
 					// leases; only stop once everything has settled.
@@ -94,15 +96,18 @@ func main() {
 					log.Fatal(err)
 				}
 				if id == 0 && !crashed {
-					// Simulated preemption: walk away mid-job. The lease
-					// expires and the job redelivers to a healthy worker.
+					// Simulated preemption: walk away holding a whole turn.
+					// Its leases expire and the jobs redeliver to healthy
+					// workers.
 					crashed = true
-					fmt.Printf("worker-0 crashed holding job %d (attempt %d); the lease will expire\n", ls.Job.ID, ls.Attempt)
+					fmt.Printf("worker-0 crashed holding a turn of %d jobs (first: job %d, attempt %d); the leases will expire\n",
+						len(leases), leases[0].Job.ID, leases[0].Attempt)
 					continue
 				}
-				// Explore, report and ack (or nack) exactly as sbexec and
-				// sbd do: one core.Worker behind every front door.
-				worker.Do(c, ls)
+				// Explore the turn and settle it in one frame (or nack)
+				// exactly as sbexec and sbd do: one core.Worker behind
+				// every front door.
+				worker.Do(c, leases)
 			}
 		}(w)
 	}

@@ -186,7 +186,7 @@ type CampaignEnv struct {
 	StateDir string          // artifact store root ("" = memory only, no resume)
 	Registry *queue.Registry // named per-campaign queues (required)
 	Addr     string          // the registry listener's TCP address ("" = lease in-process)
-	Slice    int             // jobs executed per fair-scheduler turn (default 4)
+	Slice    int             // jobs leased per fair-scheduler turn (default TurnJobs)
 
 	// Turns, when set, arbitrates execution fairly across campaigns; nil
 	// lets every campaign run unthrottled.
@@ -209,7 +209,7 @@ type CampaignEnv struct {
 
 func (e CampaignEnv) slice() int {
 	if e.Slice <= 0 {
-		return 4
+		return TurnJobs
 	}
 	return e.Slice
 }
@@ -598,29 +598,23 @@ func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr Leaser) {
 		if c.env.Turns != nil {
 			c.env.Turns.Acquire(c.ID)
 		}
-		for i := 0; i < slice; i++ {
-			ls, err := lsr.Lease()
-			if errors.Is(err, queue.ErrEmpty) || errors.Is(err, queue.ErrClosed) {
-				break
-			}
-			if err != nil {
-				obs.Diag.Printf("campaign %s: lease: %v", c.ID, err)
-				break
-			}
+		// A turn is two frames: one lease for the whole slice, one settle.
+		leases, err := lsr.LeaseN(slice)
+		if err != nil && !errors.Is(err, queue.ErrEmpty) && !errors.Is(err, queue.ErrClosed) {
+			obs.Diag.Printf("campaign %s: lease: %v", c.ID, err)
+		}
+		held := leases[:0]
+		for _, ls := range leases {
 			if c.env.Fault != nil && c.env.Fault(ls.Job.ID, ls.Attempt) {
 				// Simulated worker crash: walk away mid-lease. The reaper
 				// expires it and the job redelivers or dead-letters.
 				continue
 			}
-			out, reported := w.Do(lsr, ls)
-			if !reported {
-				continue
-			}
-			c.executed.Add(1)
-			if out.Exercised {
-				c.exercised.Add(1)
-			}
+			held = append(held, ls)
 		}
+		settled, exercised := w.Do(lsr, held)
+		c.executed.Add(int64(settled))
+		c.exercised.Add(int64(exercised))
 		if c.env.Turns != nil {
 			c.env.Turns.Release()
 		}

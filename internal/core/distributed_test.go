@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,16 +17,17 @@ import (
 	"snowboard/internal/store"
 )
 
-// drain runs one core.Worker over lsr until every job on q has settled
-// (acked or dead-lettered). With crashFirst the worker abandons its first
-// lease without acking — the crashed-machine scenario — and relies on the
-// lease reaper to redeliver the job to the same loop.
+// drain runs one core.Worker over lsr, a turn of TurnJobs leases at a
+// time, until every job on q has settled (acked or dead-lettered). With
+// crashFirst the worker walks away from the first lease of its first turn
+// without settling it — the crashed-machine scenario — and relies on the
+// lease reaper to redeliver that job to the same loop.
 func drain(t *testing.T, q *queue.Queue, lsr Leaser, w *Worker, crashFirst bool) {
 	t.Helper()
 	crashed := false
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		ls, err := lsr.Lease()
+		leases, err := lsr.LeaseN(TurnJobs)
 		if err != nil {
 			st := q.Stats()
 			if errors.Is(err, queue.ErrEmpty) && st.Pending == 0 && st.Leased == 0 {
@@ -40,16 +44,16 @@ func drain(t *testing.T, q *queue.Queue, lsr Leaser, w *Worker, crashFirst bool)
 		if crashFirst && !crashed {
 			// Walk away holding the lease: the job must come back.
 			crashed = true
-			continue
+			leases = leases[1:]
 		}
-		w.Do(lsr, ls)
+		w.Do(lsr, leases)
 	}
 }
 
 // pushedQueue returns a queue holding tests as jobs seeded from the start
 // of p's cursor, so every call enqueues the same (test, seed) pairs. The
 // lease is short so an abandoned job redelivers quickly, yet long enough
-// that keepLease's half-TTL extends never race the reaper on a loaded
+// that keepTurn's half-TTL extends never race the reaper on a loaded
 // machine.
 func pushedQueue(t *testing.T, p *Pipeline, tests []sched.ConcurrentTest, maxAttempts int) *queue.Queue {
 	t.Helper()
@@ -255,20 +259,21 @@ func TestWorkerFrontDoorsAgree(t *testing.T) {
 	}
 }
 
-// dupLeaser reports its first result twice — the at-least-once duplicate.
+// dupLeaser records its first result twice — the at-least-once duplicate
+// of a settle whose answer was lost and whose retry landed again.
 type dupLeaser struct {
 	Leaser
 	duplicated bool
 }
 
-func (d *dupLeaser) Report(res queue.JobResult) error {
-	if !d.duplicated {
+func (d *dupLeaser) Settle(items []queue.Settlement) ([]error, error) {
+	if !d.duplicated && len(items) > 0 {
 		d.duplicated = true
-		if err := d.Leaser.Report(res); err != nil {
-			return err
+		if _, err := d.Leaser.Settle([]queue.Settlement{{Result: items[0].Result}}); err != nil {
+			return nil, err
 		}
 	}
-	return d.Leaser.Report(res)
+	return d.Leaser.Settle(items)
 }
 
 // TestQueueFoldEqualsLocalFold: the same tests and seeds explored
@@ -323,6 +328,150 @@ func TestQueueFoldEqualsLocalFold(t *testing.T) {
 		if !reflect.DeepEqual(queued, local) {
 			t.Errorf("seed %d: queue fold differs from the local fold:\n%+v\nvs\n%+v", seed, queued, local)
 		}
+	}
+}
+
+// frameCounter counts the frames a queue client writes, by op: the client
+// writes each frame, header line and trailer, in one Write.
+type frameCounter struct {
+	net.Conn
+	mu  *sync.Mutex
+	ops map[string]int
+}
+
+func (c frameCounter) Write(b []byte) (int, error) {
+	var hdr struct {
+		Op string `json:"op"`
+	}
+	line, _, _ := bytes.Cut(b, []byte("\n"))
+	if json.Unmarshal(line, &hdr) == nil {
+		c.mu.Lock()
+		c.ops[hdr.Op]++
+		c.mu.Unlock()
+	}
+	return c.Conn.Write(b)
+}
+
+// TestTurnIsTwoFrames: a campaign's executor pays the control plane per
+// turn, not per job — each turn of Slice jobs writes exactly one lease
+// frame and one settle frame, and nothing else crosses the wire — and the
+// report it folds equals the local fold of the same tests and seeds.
+func TestTurnIsTwoFrames(t *testing.T) {
+	const slice = 4
+	spec := smallSpec("frames", 3)
+	spec.TestBudget = 10
+	reg := queue.NewRegistry(queue.Options{})
+	defer reg.Close()
+	srv, err := queue.ServeRegistry(reg, "127.0.0.1:0", queue.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var mu sync.Mutex
+	ops := make(map[string]int)
+	dial := func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return frameCounter{Conn: conn, mu: &mu, ops: ops}, nil
+	}
+	c, err := StartCampaign(spec, CampaignEnv{Registry: reg, Addr: srv.Addr(), Slice: slice, Dial: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := r.Distributed.Expected
+	turns := (jobs + slice - 1) / slice
+	mu.Lock()
+	got := fmt.Sprint(ops)
+	mu.Unlock()
+	if want := fmt.Sprint(map[string]int{"lease": turns, "settle": turns}); jobs <= slice || got != want {
+		t.Fatalf("%d jobs in turns of %d wrote frames %s, want %s", jobs, slice, got, want)
+	}
+
+	opts, err := spec.BuildOptions("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, base, tests := campaignFixture(t, opts)
+	env := p.Env.Clone()
+	defer env.Close()
+	x := stage4Explorer(env, opts.Trials, opts.Detect)
+	outs := make([]sched.Outcome, len(tests))
+	for i, s := range p.exploreSeeds(len(tests)) {
+		x.Seed = s
+		outs[i] = x.Explore(tests[i])
+	}
+	local := freshCopy(base)
+	p.foldOutcomes(local, tests, outs)
+	p.TriageReport(local)
+	for _, rep := range []*Report{r, local} {
+		rep.FuzzTime, rep.ProfileTime, rep.IdentifyTime, rep.ClusterTime, rep.ExecTime = 0, 0, 0, 0, 0
+	}
+	r.Distributed = nil
+	if !reflect.DeepEqual(r, local) {
+		t.Fatalf("turn-settled campaign report differs from the local fold:\n%+v\nvs\n%+v", r, local)
+	}
+}
+
+// extendLeaser is a Leaser whose Extend counts its calls per lease and
+// fails for the leases marked gone.
+type extendLeaser struct {
+	Leaser
+	mu    sync.Mutex
+	calls map[uint64]int
+	gone  map[uint64]bool
+}
+
+func (l *extendLeaser) Extend(id uint64, _ time.Duration) (time.Time, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.calls[id]++
+	if l.gone[id] {
+		return time.Time{}, queue.ErrUnknownLease
+	}
+	return time.Now(), nil
+}
+
+func (l *extendLeaser) count(id uint64) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.calls[id]
+}
+
+// TestKeepTurnDropsFailedLeases: the turn's keeper extends a lease only
+// until one extend of it fails, and stops once no lease is left, so a
+// lapsed lease or an unreachable server never keeps it calling.
+func TestKeepTurnDropsFailedLeases(t *testing.T) {
+	l := &extendLeaser{calls: map[uint64]int{}, gone: map[uint64]bool{1: true}}
+	deadline := time.Now().Add(40 * time.Millisecond)
+	stop := keepTurn(l, []queue.Lease{{ID: 1, Deadline: deadline}, {ID: 2, Deadline: deadline}})
+	defer stop()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for end := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(end) {
+				t.Fatalf("keeper never %s", what)
+			}
+		}
+	}
+	waitFor("extended the live lease twice", func() bool { return l.count(2) >= 2 })
+	if n := l.count(1); n != 1 {
+		t.Fatalf("lapsed lease extended %d times, want once", n)
+	}
+	l.mu.Lock()
+	l.gone[2] = true
+	before := l.calls[2]
+	l.mu.Unlock()
+	waitFor("retried the last lease", func() bool { return l.count(2) > before })
+	settledAt := l.count(2)
+	time.Sleep(150 * time.Millisecond)
+	if n := l.count(2); n != settledAt {
+		t.Fatalf("keeper kept extending a failed lease: %d calls, then %d", settledAt, n)
 	}
 }
 

@@ -362,10 +362,11 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 	template := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
 	// The only difference between local and queue-delivered stage 4: a
 	// queue worker (NewWorker) runs the bare template. Giving it these
-	// layers too costs bench `fleet` trials_per_s −20.8% for KnownPMCs,
-	// −6.7% for Coverage+TrackSegments and −23.0% for all three, with
-	// wall_s +29.8%, past BENCHMARK.json's 0.25 bound (measured after the
-	// coverage walk moved onto the race walk; EXPERIMENTS.md has the history).
+	// layers too costs bench `fleet` trials_per_s −16.0% for KnownPMCs,
+	// −3.4% for Coverage+TrackSegments and −22.9% for all three, with
+	// wall_s +29.2%, past BENCHMARK.json's 0.25 bound (measured after a
+	// queue turn became one lease frame and one settle frame; EXPERIMENTS.md
+	// has the history).
 	template.KnownPMCs, template.Coverage, template.TrackSegments = p.PMCs, cov, true
 	template.MutateSchedules, template.Trace = p.Opts.Feedback, p.trace
 	fleet := sched.NewFleet(template, p.workerEnvs(p.workers()),

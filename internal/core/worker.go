@@ -16,8 +16,8 @@ import (
 
 // This file is the one recipe of stage 4, local or queue-delivered: the
 // explorer template, the per-test seeds, how tests become jobs carrying
-// them (PushTests), and how a leased job is explored, reported whole and
-// settled (Worker.Do) — shared by sbd, cmd/sbexec, cmd/sbqueue and
+// them (PushTests), and how a leased turn of jobs is explored and settled
+// with whole outcomes (Worker.Do) — shared by sbd, cmd/sbexec, cmd/sbqueue and
 // examples/distributed. An outcome is a pure function of (test, seed), so
 // FoldResults over each job's first result equals local execution.
 
@@ -65,15 +65,18 @@ func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace
 	return nil
 }
 
-// Leaser is where a Worker leases jobs from and settles them to: a
+// TurnJobs is how many jobs an executor leases per turn — one lease frame
+// and one settle frame — unless CampaignEnv.Slice says otherwise.
+const TurnJobs = 4
+
+// Leaser is where a Worker leases turns from and settles them to: a
 // *queue.Client over TCP (the production path, chaos-injectable through
 // its dialer) or localLeaser in-process.
 type Leaser interface {
-	Lease() (queue.Lease, error)
-	Ack(id uint64) error
+	LeaseN(n int) ([]queue.Lease, error)
+	Settle(items []queue.Settlement) ([]error, error)
 	Nack(id uint64, reason string) error
 	Extend(id uint64, d time.Duration) (time.Time, error)
-	Report(res queue.JobResult) error
 	Close() error
 }
 
@@ -81,27 +84,41 @@ type Leaser interface {
 // the wire's lease op; closing it leaves the queue open.
 type localLeaser struct{ *queue.Queue }
 
-func (l localLeaser) Lease() (queue.Lease, error) { return l.TryLease() }
-func (l localLeaser) Close() error                { return nil }
+func (l localLeaser) Settle(items []queue.Settlement) ([]error, error) {
+	return l.Queue.Settle(items), nil
+}
+func (l localLeaser) Close() error { return nil }
 
-// keepLease extends a lease at half-TTL intervals until stopped, so
-// explorations longer than the queue's lease timeout are not reaped out
-// from under a live worker.
-func keepLease(lsr Leaser, ls queue.Lease) (stop func()) {
-	ttl := max(time.Until(ls.Deadline), 20*time.Millisecond)
+// keepTurn extends a turn's leases at half-TTL intervals until stopped, so
+// a turn longer than the queue's lease timeout is not reaped out from
+// under a live worker. One keeper serves the whole turn; a lease whose
+// extend fails (expired, or the server unreachable) is dropped from it, and
+// the keeper exits once none is left, so it never holds a shared client
+// retrying leases that are already gone.
+func keepTurn(lsr Leaser, leases []queue.Lease) (stop func()) {
+	ttl := max(time.Until(leases[0].Deadline), 20*time.Millisecond)
+	live := make([]uint64, len(leases))
+	for i, ls := range leases {
+		live[i] = ls.ID
+	}
 	done := make(chan struct{})
 	go func() {
 		t := time.NewTicker(ttl / 2)
 		defer t.Stop()
-		for {
+		for len(live) > 0 {
 			select {
 			case <-done:
 				return
 			case <-t.C:
-				if _, err := lsr.Extend(ls.ID, 0); err != nil {
-					// Lease gone (expired or settled); the fold dedups.
-					return
+				// A lease gone is benign: its job redelivers and the fold
+				// dedups.
+				kept := live[:0]
+				for _, id := range live {
+					if _, err := lsr.Extend(id, 0); err == nil {
+						kept = append(kept, id)
+					}
 				}
+				live = kept
 			}
 		}
 	}()
@@ -139,40 +156,69 @@ func (w *Worker) nack(lsr Leaser, ls queue.Lease, reason string) {
 	}
 }
 
-// Do runs one lease to settlement: resolve the job, explore it under a
-// kept-alive lease with the seed the job carries, report the whole outcome,
-// and ack. It returns the outcome and whether a result was reported; false
-// means the job was nacked instead — unresolvable, or its report never
-// landed. Failures are contained to the job, never the process.
-func (w *Worker) Do(lsr Leaser, ls queue.Lease) (sched.Outcome, bool) {
-	job := ls.Job
-	if !job.Inline() {
-		if err := w.resolve(&job); err != nil {
-			w.nack(lsr, ls, err.Error())
-			return sched.Outcome{}, false
+// Do runs a turn's leases to settlement: resolve each job, explore it with
+// the seed it carries under one lease keeper for the whole turn, and settle
+// every outcome (result recorded, lease released) in one Settle. It
+// returns how many leases settled with a result and how many of those
+// exercised their channel; every other lease was nacked — its job
+// unresolvable, or its result never landed. Failures are contained to the
+// job, never the process.
+func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
+	held := make([]queue.Lease, 0, len(leases))
+	for _, ls := range leases {
+		if !ls.Job.Inline() {
+			if err := w.resolve(&ls.Job); err != nil {
+				w.nack(lsr, ls, err.Error())
+				continue
+			}
+		}
+		held = append(held, ls)
+	}
+	if len(held) == 0 {
+		return 0, 0
+	}
+	stopKeep := keepTurn(lsr, held)
+	items := make([]queue.Settlement, len(held))
+	errs := make([]error, len(held))
+	hit := make([]bool, len(held))
+	for i, ls := range held {
+		job := ls.Job
+		w.x.Seed = job.Seed
+		// Tag this job's events with the originating campaign's trace, so a
+		// distributed run's timeline reads end-to-end.
+		w.x.Trace = job.Trace
+		out := w.x.Explore(sched.ConcurrentTest{
+			Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,
+		})
+		hit[i] = out.Exercised
+		payload, err := json.Marshal(&out)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		items[i] = queue.Settlement{Lease: ls.ID, Result: &queue.JobResult{
+			JobID: job.ID, Trials: out.Trials, Outcome: payload, Worker: w.name}}
+	}
+	stopKeep()
+	landed, err := lsr.Settle(items)
+	for i, ls := range held {
+		switch {
+		case errs[i] != nil:
+		case err != nil:
+			errs[i] = err
+		default:
+			errs[i] = landed[i]
+		}
+		// ErrUnknownLease is benign: the lease expired and the job was
+		// redelivered, but the result landed; the fold deduplicates by job ID.
+		if errs[i] != nil && !errors.Is(errs[i], queue.ErrUnknownLease) {
+			w.nack(lsr, ls, "settle failed: "+errs[i].Error())
+			continue
+		}
+		settled++
+		if hit[i] {
+			exercised++
 		}
 	}
-	stopKeep := keepLease(lsr, ls)
-	w.x.Seed = job.Seed
-	// Tag this job's events with the originating campaign's trace, so a
-	// distributed run's timeline reads end-to-end.
-	w.x.Trace = job.Trace
-	out := w.x.Explore(sched.ConcurrentTest{
-		Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,
-	})
-	stopKeep()
-	payload, err := json.Marshal(&out)
-	if err == nil {
-		err = lsr.Report(queue.JobResult{JobID: job.ID, Trials: out.Trials, Outcome: payload, Worker: w.name})
-	}
-	if err != nil {
-		w.nack(lsr, ls, "report failed: "+err.Error())
-		return out, false
-	}
-	if err := lsr.Ack(ls.ID); err != nil && !errors.Is(err, queue.ErrUnknownLease) {
-		// ErrUnknownLease is benign: the lease expired and the job was
-		// redelivered; the fold deduplicates by job ID.
-		obs.Diag.Printf("worker %s: ack job %d: %v", w.name, job.ID, err)
-	}
-	return out, true
+	return settled, exercised
 }

@@ -115,9 +115,8 @@ const (
 	MQueueNetConns   = "queue.net.conns"           // counter: TCP connections accepted
 	MQueueNetInFl    = "queue.net.inflight"        // gauge: connections currently served
 	MQueueNetBadReq  = "queue.net.bad_requests"    // counter: malformed/unknown requests answered
-	MQueueNetReport  = "queue.net.report"          // counter: report ops served
-	MQueueNetLease   = "queue.net.lease"           // counter: lease ops served
-	MQueueNetAck     = "queue.net.ack"             // counter: ack ops served
+	MQueueNetLease   = "queue.net.lease"           // counter: lease frames served (one per turn)
+	MQueueNetSettle  = "queue.net.settle"          // counter: settle frames served (one per turn)
 	MQueueNetNack    = "queue.net.nack"            // counter: nack ops served
 	MQueueNetExtend  = "queue.net.extend"          // counter: extend ops served
 	MQueueNetUnknown = "queue.net.unknown_op"      // counter: unknown ops answered

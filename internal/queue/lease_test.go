@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"snowboard/internal/obs"
 )
 
 // settle polls until cond is true or the deadline passes.
@@ -45,15 +47,93 @@ func TestLeaseAck(t *testing.T) {
 	if st := q.Stats(); st.Pending != 0 || st.Leased != 1 || st.Done != 0 {
 		t.Fatalf("stats while leased = %+v", st)
 	}
-	if err := q.Ack(ls.ID); err != nil {
-		t.Fatal(err)
+	if errs := q.Settle([]Settlement{{Lease: ls.ID, Result: &JobResult{JobID: 1, Trials: 2}}}); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	if st := q.Stats(); st.Leased != 0 || st.Done != 1 {
-		t.Fatalf("stats after ack = %+v", st)
+		t.Fatalf("stats after settle = %+v", st)
 	}
-	// Double ack is an unknown lease, not silent corruption.
+	if res := q.Results(); len(res) != 1 || res[0].JobID != 1 {
+		t.Fatalf("results after settle = %+v", res)
+	}
+	// Settling twice — here as a bare Ack, a one-item settle — is an
+	// unknown lease, not silent corruption.
 	if err := q.Ack(ls.ID); !errors.Is(err, ErrUnknownLease) {
-		t.Fatalf("double ack: %v", err)
+		t.Fatalf("double settle: %v", err)
+	}
+}
+
+func TestSettleIsOneCriticalSection(t *testing.T) {
+	// A settle records each result and releases its lease together: a
+	// settled lease emits job.acked and never redelivers after its TTL, a
+	// lease that lapsed first still gets its result recorded (its item
+	// answers the benign ErrUnknownLease), and a closed queue refuses the
+	// result and leaves the lease held for the worker to nack.
+	const ttl = 100 * time.Millisecond
+	q := NewWithOptions(Options{Name: "settle", LeaseTimeout: ttl, MaxAttempts: 5})
+	defer q.Close()
+	trace := obs.NewTraceID()
+	for id := 1; id <= 3; id++ {
+		j := testJob(id)
+		j.Trace = trace
+		if err := q.Push(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	turn, err := q.LeaseN(2)
+	if err != nil || len(turn) != 2 || turn[0].Job.ID != 1 || turn[1].Job.ID != 2 {
+		t.Fatalf("LeaseN(2) = %+v, %v; want jobs 1 and 2", turn, err)
+	}
+	seq := obs.Events.Seq()
+	errs := q.Settle([]Settlement{
+		{Lease: turn[0].ID, Result: &JobResult{JobID: 1}},
+		{Lease: turn[1].ID, Result: &JobResult{JobID: 2}},
+	})
+	if errs[0] != nil || errs[1] != nil {
+		t.Fatalf("settling live leases: %v", errs)
+	}
+	acked := 0
+	for _, ev := range obs.Events.SinceTrace(trace, seq) {
+		if ev.Kind == obs.EvJobAcked {
+			acked++
+		}
+	}
+	if acked != 2 {
+		t.Fatalf("%d job.acked events for a settled turn of 2", acked)
+	}
+
+	stale, err := q.TryLease()
+	if err != nil || stale.Job.ID != 3 {
+		t.Fatalf("lease job 3: %+v, %v", stale, err)
+	}
+	settle(t, 2*time.Second, func() bool { return q.Stats().Pending == 1 })
+	if errs := q.Settle([]Settlement{{Lease: stale.ID, Result: &JobResult{JobID: 3}}}); !errors.Is(errs[0], ErrUnknownLease) {
+		t.Fatalf("settling a lapsed lease: %v, want ErrUnknownLease", errs[0])
+	}
+	var ids []int
+	for _, r := range q.Results() {
+		ids = append(ids, r.JobID)
+	}
+	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
+		t.Fatalf("recorded results for jobs %v, want [1 2 3]", ids)
+	}
+	// Several TTLs on, the settled turn has not come back: only job 3's
+	// redelivery is pending.
+	time.Sleep(4 * ttl)
+	if st := q.Stats(); st.Done != 2 || st.Pending != 1 || st.Redelivered != 1 {
+		t.Fatalf("stats after settling = %+v, want 2 done, job 3 alone redelivered", st)
+	}
+
+	re, err := q.TryLease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Close()
+	if errs := q.Settle([]Settlement{{Lease: re.ID, Result: &JobResult{JobID: 3}}}); !errors.Is(errs[0], ErrClosed) {
+		t.Fatalf("settling on a closed queue: %v, want ErrClosed", errs[0])
+	}
+	if st := q.Stats(); st.Leased != 1 || len(q.Results()) != 0 {
+		t.Fatalf("a refused settle touched the queue: %+v", st)
 	}
 }
 
@@ -239,6 +319,9 @@ func TestTCPLeaseRoundtrip(t *testing.T) {
 	}
 	if err := c.Ack(ls.ID); !errors.Is(err, ErrUnknownLease) {
 		t.Fatalf("double ack over TCP: %v", err)
+	}
+	if res := q.Results(); len(res) != 1 || res[0].JobID != 11 || res[0].Trials != 2 {
+		t.Fatalf("results after Report = %+v", res)
 	}
 
 	// Nack path: redelivered with a bumped attempt.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -22,9 +23,8 @@ var (
 	mNetConns    = obs.C(obs.MQueueNetConns)
 	mNetInFlight = obs.G(obs.MQueueNetInFl)
 	mNetBadReq   = obs.C(obs.MQueueNetBadReq)
-	mNetReport   = obs.C(obs.MQueueNetReport)
 	mNetLease    = obs.C(obs.MQueueNetLease)
-	mNetAck      = obs.C(obs.MQueueNetAck)
+	mNetSettle   = obs.C(obs.MQueueNetSettle)
 	mNetNack     = obs.C(obs.MQueueNetNack)
 	mNetExtend   = obs.C(obs.MQueueNetExtend)
 	mNetUnknown  = obs.C(obs.MQueueNetUnknown)
@@ -32,42 +32,66 @@ var (
 	mNetBigFrame = obs.C(obs.MQueueNetBigFrm)
 )
 
-// TCP transport: a Server fronts a Registry of queues with a line-delimited
-// JSON protocol; Clients (workers on other machines) lease jobs and report
-// results. Protocol version 2 adds leased at-least-once delivery:
+// TCP transport: a Server fronts a Registry of queues; Clients (workers on
+// other machines) lease jobs and settle them. A frame is one JSON header
+// line, followed — when the header declares "trailer":N — by exactly N raw
+// bytes. Protocol version 3 has four ops, and a worker's turn costs two
+// frames each way, one lease and one settle:
 //
-//	{"op":"lease","v":2}              -> {"ok":true,"job":{...},"lease":7,"attempt":1,"ttl_ms":30000}
-//	                                     | {"ok":false,"err":"queue: empty"|"queue: closed"}
-//	{"op":"ack","lease":7,"v":2}      -> {"ok":true} | {"ok":false,"err":"queue: unknown lease"}
-//	{"op":"nack","lease":7,"reason":"...","v":2} -> {"ok":true}
-//	{"op":"extend","lease":7,"ms":30000,"v":2}   -> {"ok":true,"ttl_ms":30000}
-//	{"op":"report","result":{...}}    -> {"ok":true}
+//	{"op":"lease","n":4,"v":3}
+//	  -> {"ok":true,"leases":[{"lease":7,"attempt":1,"ttl_ms":30000,"len":180},...],"trailer":N}
+//	     + N bytes: each granted job's JSON, "len" bytes apiece
+//	   | {"ok":false,"err":"queue: empty"|"queue: closed"}
+//	{"op":"settle","items":[{"lease":7,"result":{"job_id":3,"trials":64},"len":900},...],"trailer":N,"v":3}
+//	  + N bytes: each item's outcome, "len" bytes apiece
+//	  -> {"ok":true} | {"ok":true,"errs":["","queue: unknown lease",...]}
+//	{"op":"nack","lease":7,"reason":"...","v":3} -> {"ok":true}
+//	{"op":"extend","lease":7,"ms":30000,"v":3}   -> {"ok":true,"ttl_ms":30000}
+//
+// A settle records each item's result and releases its lease (an item may
+// carry either alone) in one critical section, Queue.Settle; "errs" is
+// present only when some item did not settle cleanly, one entry per item.
+// Outcome and job bytes travel verbatim in the trailer, never re-encoded
+// inside the header. v2's report and ack ops are gone (Client.Report and
+// Client.Ack are one-item settles), and push was never a wire op: jobs are
+// pushed in-process by the producer that owns the queue
+// (Pipeline.PushTests). A peer sending any of the three gets
+// {"ok":false,"err":"unknown op \"push\""}, as for any unknown op.
 //
 // Every request may name its queue ("queue":"campaign.<id>"); without a
 // name it addresses the unnamed queue Serve registers, and a name the
-// registry does not hold is answered with ErrUnknownQueue. Jobs are pushed
-// in-process by the producer that owns the queue (Pipeline.PushTests), so
-// push is not a wire op: a v2 peer that sends one gets
-// {"ok":false,"err":"unknown op \"push\""}, as for any unknown op.
+// registry does not hold is answered with ErrUnknownQueue.
 //
-// Requests with v greater than the server's version are rejected, so a
-// future client degrades loudly instead of mis-parsing. Frames (requests
-// and responses) are capped at 1 MiB; oversized frames are answered with
-// {"ok":false,"err":"frame too large"} and discarded, the same
-// hostile-input clamp the artifact decoders apply. A connection silent for
-// five minutes is dropped.
+// Requests naming any other version than the server's are rejected before
+// they touch a queue, so an older or newer peer fails loudly instead of
+// leasing jobs it would mis-parse (a v2 worker cannot read a v3 lease
+// answer). A request without v is taken as the server's version. A frame,
+// header and trailer together, is capped at 1 MiB: an oversized header
+// line or a declared trailer past the cap is answered with
+// {"ok":false,"err":"frame too large"} and discarded in O(1) memory — the
+// same hostile-input clamp the artifact decoders apply — and a trailer
+// whose item lengths are negative or do not sum to it is a bad request. A
+// lease answer's head job may fill the frame; the jobs after it are granted
+// only while the trailer stays within half the cap.
+// A connection silent for five minutes is dropped.
 
-// ProtoVersion is the wire protocol version this build speaks. Within v2,
-// jobs may carry an optional "trace" field stitching them to the
-// originating campaign; older v2 peers simply ignore it (unknown JSON
-// fields are dropped on decode), so no version bump is needed.
-const ProtoVersion = 2
+// ProtoVersion is the wire protocol version this build speaks. Within a
+// version, jobs may carry an optional "trace" field stitching them to the
+// originating campaign; peers that predate it ignore it (unknown JSON
+// fields are dropped on decode), so it needed no version bump.
+const ProtoVersion = 3
 
 // Transport limits.
 const (
-	// maxFrame caps one line-delimited frame (a job inlines two programs at
-	// most, well under 1 MiB).
+	// maxFrame caps one frame, header line plus trailer (a job inlines two
+	// programs at most, well under 1 MiB).
 	maxFrame = 1 << 20
+	// maxTurn caps the jobs one lease frame grants, so a lease answer's
+	// header stays far below the cap.
+	maxTurn = 256
+	// leaseHdrRoom bounds the header line of a one-job lease answer, so a
+	// turn's head job may take the rest of the frame.
+	leaseHdrRoom = 256
 	// idleTimeout is how long the server lets a connection sit silent
 	// before dropping it. Workers poll far more often than this; only stuck
 	// or hostile peers hit it.
@@ -75,33 +99,57 @@ const (
 )
 
 type wireReq struct {
-	V      int        `json:"v,omitempty"`
-	Op     string     `json:"op"`
-	Result *JobResult `json:"result,omitempty"`
-	Lease  uint64     `json:"lease,omitempty"`
-	Ms     int64      `json:"ms,omitempty"`     // extend: requested lease TTL
-	Reason string     `json:"reason,omitempty"` // nack: failure description
+	V       int        `json:"v,omitempty"`
+	Op      string     `json:"op"`
+	N       int        `json:"n,omitempty"`      // lease: jobs wanted (at least one)
+	Items   []wireItem `json:"items,omitempty"`  // settle: what each lease settles with
+	Lease   uint64     `json:"lease,omitempty"`  // nack, extend
+	Ms      int64      `json:"ms,omitempty"`     // extend: requested lease TTL
+	Reason  string     `json:"reason,omitempty"` // nack: failure description
+	Trailer int        `json:"trailer,omitempty"`
 	// Queue names the registry queue the request addresses; empty targets
-	// the unnamed queue. Like Job's "trace", this stays within v2: older
-	// peers never set it.
+	// the unnamed queue.
 	Queue string `json:"queue,omitempty"`
 }
 
+// wireItem is one settled lease in a settle header; its result's outcome
+// is the next Len bytes of the trailer.
+type wireItem struct {
+	Lease  uint64     `json:"lease,omitempty"`
+	Result *JobResult `json:"result,omitempty"`
+	Len    int        `json:"len,omitempty"`
+}
+
+// wireLease is one granted lease in a lease answer; its job is the next
+// Len bytes of the trailer.
+type wireLease struct {
+	Lease   uint64 `json:"lease"`
+	Attempt int    `json:"attempt"`
+	TTLMs   int64  `json:"ttl_ms"`
+	Len     int    `json:"len"`
+}
+
 type wireResp struct {
-	V       int             `json:"v,omitempty"`
-	OK      bool            `json:"ok"`
-	Err     string          `json:"err,omitempty"`
-	Job     json.RawMessage `json:"job,omitempty"`
-	Lease   uint64          `json:"lease,omitempty"`
-	Attempt int             `json:"attempt,omitempty"`
-	TTLMs   int64           `json:"ttl_ms,omitempty"` // lease/extend: time until the deadline
+	V       int         `json:"v,omitempty"`
+	OK      bool        `json:"ok"`
+	Err     string      `json:"err,omitempty"`
+	Leases  []wireLease `json:"leases,omitempty"`
+	Errs    []string    `json:"errs,omitempty"`   // settle: per item, "" when settled
+	TTLMs   int64       `json:"ttl_ms,omitempty"` // extend: time until the deadline
+	Trailer int         `json:"trailer,omitempty"`
 }
 
 // errFrameTooLarge reports a frame over the size cap.
 var errFrameTooLarge = errors.New("frame too large")
 
-// readFrame reads one newline-terminated frame of at most max bytes.
-// Oversized frames are discarded through to the newline — O(1) memory, the
+// errNegTrailer reports a negative declared trailer length.
+var errNegTrailer = errors.New("negative trailer length")
+
+// errBadItems reports settle items that do not partition the trailer.
+var errBadItems = errors.New("bad request: item lengths do not partition the trailer")
+
+// readFrame reads one newline-terminated header line of at most max bytes.
+// Oversized lines are discarded through to the newline — O(1) memory, the
 // connection stays in sync — and reported as errFrameTooLarge.
 func readFrame(r *bufio.Reader, max int) ([]byte, error) {
 	var buf []byte
@@ -132,6 +180,24 @@ func readFrame(r *bufio.Reader, max int) ([]byte, error) {
 	}
 }
 
+// readTrailer reads the n-byte trailer a header line of hdr bytes
+// declared, allocating it only when the whole frame fits max.
+func readTrailer(r *bufio.Reader, hdr, n, max int) ([]byte, error) {
+	switch {
+	case n < 0:
+		return nil, errNegTrailer
+	case n > max-hdr:
+		return nil, errFrameTooLarge
+	case n == 0:
+		return nil, nil
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, fmt.Errorf("truncated trailer: %w", err)
+	}
+	return b, nil
+}
+
 // ServerOptions is empty: the frame cap and idle deadline are fixed. It
 // stays so that callers passing ServerOptions{} keep compiling.
 type ServerOptions struct{}
@@ -140,7 +206,7 @@ type ServerOptions struct{}
 // "queue" field selects the queue it addresses.
 type Server struct {
 	reg      *Registry
-	frameCap int // request frame cap in bytes (maxFrame outside tests)
+	frameCap int // frame cap in bytes (maxFrame outside tests)
 
 	ln net.Listener
 	wg sync.WaitGroup
@@ -233,113 +299,180 @@ func (s *Server) handle(conn net.Conn) {
 	mNetInFlight.Add(1)
 	defer mNetInFlight.Add(-1)
 	r := bufio.NewReader(conn)
-	enc := json.NewEncoder(conn)
+	w := bufio.NewWriter(conn)
+	enc := json.NewEncoder(w)
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		line, readErr := readFrame(r, s.frameCap)
-		if errors.Is(readErr, errFrameTooLarge) {
-			mNetBigFrame.Inc()
-			mNetBadReq.Inc()
-			_ = enc.Encode(wireResp{V: ProtoVersion, OK: false, Err: errFrameTooLarge.Error()})
-			continue
-		}
-		if len(line) == 0 {
+		if len(line) == 0 && !errors.Is(readErr, errFrameTooLarge) {
 			// Connection drained (EOF), idle past the deadline, or failed
 			// with nothing pending.
 			return
 		}
-		var req wireReq
-		if err := json.Unmarshal(line, &req); err != nil {
-			// Malformed requests get an explicit error response on the
-			// still-open connection rather than a silent drop.
-			mNetBadReq.Inc()
-			_ = enc.Encode(wireResp{V: ProtoVersion, OK: false, Err: fmt.Sprintf("bad request: %v", err)})
-			if readErr != nil {
-				return
-			}
-			continue
-		}
-		if req.V > ProtoVersion {
-			mNetBadReq.Inc()
-			_ = enc.Encode(wireResp{V: ProtoVersion, OK: false,
-				Err: fmt.Sprintf("unsupported protocol version %d (server speaks <= %d)", req.V, ProtoVersion)})
-			if readErr != nil {
-				return
-			}
-			continue
-		}
-		s.serveOp(enc, req)
-		if readErr != nil {
+		resp, trailer, more := s.serveFrame(r, line, readErr)
+		resp.V, resp.Trailer = ProtoVersion, len(trailer)
+		_ = enc.Encode(resp)
+		_, _ = w.Write(trailer)
+		_ = w.Flush()
+		if !more {
 			return
 		}
 	}
 }
 
-// serveOp dispatches one decoded request and writes exactly one response.
-func (s *Server) serveOp(enc *json.Encoder, req wireReq) {
-	fail := func(err error) { _ = enc.Encode(wireResp{V: ProtoVersion, OK: false, Err: err.Error()}) }
+// fail is the answer to a request that did nothing.
+func fail(err error) wireResp { return wireResp{Err: err.Error()} }
+
+// serveFrame answers the frame whose header line readFrame returned
+// (reading its trailer off r), with exactly one response. Malformed frames
+// get an explicit error on the still-open connection rather than a silent
+// drop; more is false once the connection cannot carry another frame.
+func (s *Server) serveFrame(r *bufio.Reader, line []byte, readErr error) (resp wireResp, trailer []byte, more bool) {
+	if errors.Is(readErr, errFrameTooLarge) {
+		mNetBigFrame.Inc()
+		mNetBadReq.Inc()
+		return fail(errFrameTooLarge), nil, true
+	}
+	more = readErr == nil
+	var req wireReq
+	if err := json.Unmarshal(line, &req); err != nil {
+		mNetBadReq.Inc()
+		return fail(fmt.Errorf("bad request: %v", err)), nil, more
+	}
+	in, err := readTrailer(r, len(line), req.Trailer, s.frameCap)
+	switch {
+	case errors.Is(err, errFrameTooLarge):
+		mNetBigFrame.Inc()
+		mNetBadReq.Inc()
+		// Discard what the header declared, so the connection stays in
+		// sync; nothing past the cap is buffered.
+		_, err = io.CopyN(io.Discard, r, int64(req.Trailer))
+		return fail(errFrameTooLarge), nil, more && err == nil
+	case err != nil:
+		mNetBadReq.Inc()
+		return fail(fmt.Errorf("bad request: %w", err)), nil, false
+	case req.V != 0 && req.V != ProtoVersion:
+		mNetBadReq.Inc()
+		return fail(fmt.Errorf("unsupported protocol version %d (server speaks %d)", req.V, ProtoVersion)), nil, more
+	}
+	resp, trailer = s.serveOp(req, in)
+	return resp, trailer, more
+}
+
+// serveOp runs one decoded request and returns its answer and trailer.
+func (s *Server) serveOp(req wireReq, trailer []byte) (wireResp, []byte) {
 	q, err := s.queueFor(req.Queue)
 	if err != nil {
 		mNetBadReq.Inc()
-		fail(err)
-		return
+		return fail(err), nil
+	}
+	if trailer != nil && req.Op != "settle" {
+		mNetBadReq.Inc()
+		return fail(fmt.Errorf("bad request: trailer on op %q", req.Op)), nil
 	}
 	switch req.Op {
 	case "lease":
 		mNetLease.Inc()
-		ls, err := q.TryLease()
+		return s.lease(q, min(req.N, maxTurn))
+	case "settle":
+		mNetSettle.Inc()
+		items, err := settlements(req.Items, trailer)
 		if err != nil {
-			fail(err)
-			return
+			mNetBadReq.Inc()
+			return fail(err), nil
 		}
-		raw, err := EncodeJob(ls.Job)
-		if err != nil {
-			// Undeliverable on this transport; hand it back so it
-			// dead-letters instead of leaking as a leased job.
-			_ = q.Nack(ls.ID, "encode: "+err.Error())
-			fail(err)
-			return
+		resp := wireResp{OK: true}
+		for i, err := range q.Settle(items) {
+			if err != nil {
+				if resp.Errs == nil {
+					resp.Errs = make([]string, len(items))
+				}
+				resp.Errs[i] = err.Error()
+			}
 		}
-		_ = enc.Encode(wireResp{V: ProtoVersion, OK: true, Job: raw, Lease: ls.ID,
-			Attempt: ls.Attempt, TTLMs: time.Until(ls.Deadline).Milliseconds()})
-	case "ack":
-		mNetAck.Inc()
-		if err := q.Ack(req.Lease); err != nil {
-			fail(err)
-			return
-		}
-		_ = enc.Encode(wireResp{V: ProtoVersion, OK: true})
+		return resp, nil
 	case "nack":
 		mNetNack.Inc()
 		if err := q.Nack(req.Lease, req.Reason); err != nil {
-			fail(err)
-			return
+			return fail(err), nil
 		}
-		_ = enc.Encode(wireResp{V: ProtoVersion, OK: true})
+		return wireResp{OK: true}, nil
 	case "extend":
 		mNetExtend.Inc()
 		deadline, err := q.Extend(req.Lease, time.Duration(req.Ms)*time.Millisecond)
 		if err != nil {
-			fail(err)
-			return
+			return fail(err), nil
 		}
-		_ = enc.Encode(wireResp{V: ProtoVersion, OK: true, Lease: req.Lease,
-			TTLMs: time.Until(deadline).Milliseconds()})
-	case "report":
-		mNetReport.Inc()
-		if req.Result == nil {
-			fail(errors.New("missing result"))
-			return
-		}
-		if err := q.Report(*req.Result); err != nil {
-			fail(err)
-			return
-		}
-		_ = enc.Encode(wireResp{V: ProtoVersion, OK: true})
+		return wireResp{OK: true, TTLMs: time.Until(deadline).Milliseconds()}, nil
 	default:
 		mNetUnknown.Inc()
-		fail(fmt.Errorf("unknown op %q", req.Op))
+		return fail(fmt.Errorf("unknown op %q", req.Op)), nil
 	}
+}
+
+// lease grants up to n jobs, their encoded bytes in the answer's trailer.
+// The head job may fill the frame but for its header; a job after it is
+// granted only while the trailer stays within half the frame cap.
+func (s *Server) lease(q *Queue, n int) (wireResp, []byte) {
+	var jobs []byte
+	var grants []wireLease
+	var encErr error
+	leases, err := q.leaseN(n, func(j Job) bool {
+		room := s.frameCap / 2
+		if len(grants) == 0 {
+			room = s.frameCap - leaseHdrRoom
+		}
+		raw, err := EncodeJob(j)
+		if err == nil && len(jobs)+len(raw) > room {
+			err = errFrameTooLarge
+		}
+		if err != nil {
+			encErr = err
+			return false
+		}
+		jobs = append(jobs, raw...)
+		grants = append(grants, wireLease{Len: len(raw)})
+		return true
+	})
+	if err != nil {
+		return fail(err), nil
+	}
+	if len(grants) < len(leases) {
+		// The head job cannot travel on this transport; hand it back so it
+		// dead-letters instead of leaking as a leased job.
+		_ = q.Nack(leases[0].ID, "encode: "+encErr.Error())
+		return fail(encErr), nil
+	}
+	for i, ls := range leases {
+		grants[i].Lease, grants[i].Attempt = ls.ID, ls.Attempt
+		grants[i].TTLMs = time.Until(ls.Deadline).Milliseconds()
+	}
+	return wireResp{OK: true, Leases: grants}, jobs
+}
+
+// settlements checks a settle header's items against its trailer — every
+// length non-negative, carried only by an item with a result, and together
+// exactly the trailer — and hands each result its outcome bytes.
+func settlements(items []wireItem, trailer []byte) ([]Settlement, error) {
+	out := make([]Settlement, len(items))
+	off := 0
+	for i, it := range items {
+		if it.Len < 0 || it.Len > len(trailer)-off || (it.Len > 0 && it.Result == nil) {
+			return nil, errBadItems
+		}
+		if it.Result != nil {
+			it.Result.Outcome = nil
+			if it.Len > 0 {
+				it.Result.Outcome = trailer[off : off+it.Len : off+it.Len]
+			}
+		}
+		out[i] = Settlement{Lease: it.Lease, Result: it.Result}
+		off += it.Len
+	}
+	if off != len(trailer) {
+		return nil, errBadItems
+	}
+	return out, nil
 }
 
 // Close stops accepting, severs every live connection, and waits for
@@ -370,7 +503,8 @@ type DialOptions struct {
 	// MaxRetries bounds reconnect-and-retry attempts per round-trip after
 	// the first (default 5). Every queue op is safe to retry under
 	// at-least-once semantics: a lost lease expires and redelivers, and a
-	// doubled report is deduplicated by job ID.
+	// doubled settle records a duplicate result the coordinator's fold
+	// deduplicates by job ID.
 	MaxRetries int
 	// BaseDelay is the first backoff step (default 50ms); each retry
 	// doubles it up to MaxDelay (default 2s), with ±50% deterministic
@@ -457,16 +591,16 @@ func (c *Client) backoffLocked(attempt int) {
 	time.Sleep(d)
 }
 
-// roundTrip sends one request and reads one response, reconnecting and
-// retrying on I/O errors.
-func (c *Client) roundTrip(req wireReq) (wireResp, error) {
-	req.V = ProtoVersion
-	req.Queue = c.opts.Queue
+// roundTrip sends one frame — the request header and its trailer, in one
+// write — and reads one answer with its trailer, reconnecting and retrying
+// on I/O errors.
+func (c *Client) roundTrip(req wireReq, trailer []byte) (wireResp, []byte, error) {
+	req.V, req.Queue, req.Trailer = ProtoVersion, c.opts.Queue, len(trailer)
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return wireResp{}, err
+		return wireResp{}, nil, err
 	}
-	payload = append(payload, '\n')
+	payload = append(append(payload, '\n'), trailer...)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -485,37 +619,41 @@ func (c *Client) roundTrip(req wireReq) (wireResp, error) {
 			mNetReconn.Inc()
 			c.conn, c.r = conn, bufio.NewReader(conn)
 		}
-		resp, err := c.onceLocked(payload)
+		resp, out, err := c.onceLocked(payload)
 		if err != nil {
 			lastErr = err
 			c.dropConnLocked()
 			continue
 		}
-		return resp, nil
+		return resp, out, nil
 	}
-	return wireResp{}, fmt.Errorf("queue: round-trip failed after %d attempts: %w", c.opts.MaxRetries+1, lastErr)
+	return wireResp{}, nil, fmt.Errorf("queue: round-trip failed after %d attempts: %w", c.opts.MaxRetries+1, lastErr)
 }
 
 // onceLocked performs a single send/receive on the live connection.
-func (c *Client) onceLocked(payload []byte) (wireResp, error) {
+func (c *Client) onceLocked(payload []byte) (wireResp, []byte, error) {
 	if _, err := c.conn.Write(payload); err != nil {
-		return wireResp{}, err
+		return wireResp{}, nil, err
 	}
 	line, err := readFrame(c.r, maxFrame)
 	if err != nil {
-		return wireResp{}, err
+		return wireResp{}, nil, err
 	}
 	var resp wireResp
 	if err := json.Unmarshal(line, &resp); err != nil {
-		return wireResp{}, err
+		return wireResp{}, nil, err
 	}
-	return resp, nil
+	trailer, err := readTrailer(c.r, len(line), resp.Trailer, maxFrame)
+	if err != nil {
+		return wireResp{}, nil, err
+	}
+	return resp, trailer, nil
 }
 
 // respError maps a server error string back to the package sentinel errors
 // so errors.Is works across the wire.
-func respError(resp wireResp) error {
-	switch resp.Err {
+func respError(msg string) error {
+	switch msg {
 	case ErrEmpty.Error():
 		return ErrEmpty
 	case ErrClosed.Error():
@@ -525,60 +663,126 @@ func respError(resp wireResp) error {
 	}
 	// ErrUnknownQueue travels with the offending name appended, so match
 	// on the prefix.
-	if strings.HasPrefix(resp.Err, ErrUnknownQueue.Error()) {
-		return fmt.Errorf("%w: %s", ErrUnknownQueue, strings.TrimPrefix(resp.Err, ErrUnknownQueue.Error()+" "))
+	if strings.HasPrefix(msg, ErrUnknownQueue.Error()) {
+		return fmt.Errorf("%w: %s", ErrUnknownQueue, strings.TrimPrefix(msg, ErrUnknownQueue.Error()+" "))
 	}
-	return fmt.Errorf("queue: %s", resp.Err)
+	return fmt.Errorf("queue: %s", msg)
 }
 
 // Lease fetches the next job under a lease; ErrEmpty when none are pending,
 // ErrClosed when the queue has shut down.
 func (c *Client) Lease() (Lease, error) {
-	resp, err := c.roundTrip(wireReq{Op: "lease"})
+	ls, err := c.LeaseN(1)
 	if err != nil {
 		return Lease{}, err
 	}
-	if !resp.OK {
-		return Lease{}, respError(resp)
-	}
-	job, err := DecodeJob(resp.Job)
-	if err != nil {
-		// Hand the lease straight back rather than sitting on it until the
-		// reaper expires it: the job redelivers (or dead-letters, with this
-		// reason) immediately.
-		_ = c.Nack(resp.Lease, "decode: "+err.Error())
-		return Lease{}, err
-	}
-	return Lease{
-		Job:      job,
-		ID:       resp.Lease,
-		Attempt:  resp.Attempt,
-		Deadline: time.Now().Add(time.Duration(resp.TTLMs) * time.Millisecond),
-	}, nil
+	return ls[0], nil
 }
 
-// Ack settles a lease. ErrUnknownLease after a successful Report is benign:
-// the lease expired (or a retried ack already landed) and the coordinator
-// deduplicates any redelivered result.
-func (c *Client) Ack(id uint64) error {
-	resp, err := c.roundTrip(wireReq{Op: "ack", Lease: id})
+// LeaseN leases up to n jobs in one round trip — a worker's turn — with
+// Lease's errors. A job that fails to decode is nacked straight back rather
+// than left for the reaper, so it redelivers (or dead-letters, with the
+// reason) at once; its error is returned only when no job decoded.
+func (c *Client) LeaseN(n int) ([]Lease, error) {
+	resp, jobs, err := c.roundTrip(wireReq{Op: "lease", N: n}, nil)
+	if err != nil {
+		return nil, err
+	}
+	if !resp.OK {
+		return nil, respError(resp.Err)
+	}
+	now := time.Now()
+	out := make([]Lease, 0, len(resp.Leases))
+	err = ErrEmpty // what an ok answer granting nothing means
+	for _, g := range resp.Leases {
+		var raw []byte
+		if g.Len >= 0 && g.Len <= len(jobs) {
+			raw, jobs = jobs[:g.Len], jobs[g.Len:]
+		}
+		job, derr := DecodeJob(raw)
+		if derr != nil {
+			_ = c.Nack(g.Lease, "decode: "+derr.Error())
+			err = derr
+			continue
+		}
+		out = append(out, Lease{Job: job, ID: g.Lease, Attempt: g.Attempt,
+			Deadline: now.Add(time.Duration(g.TTLMs) * time.Millisecond)})
+	}
+	if len(out) == 0 {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Settle settles a turn's leases in one round trip: the server records
+// each item's result and releases its lease in one critical section
+// (Queue.Settle), and the outcomes travel as their bytes. It returns one
+// error per item — nil, or ErrUnknownLease when the lease had lapsed but
+// the result still landed — or an error for the whole call when a frame
+// went unanswered. Outcomes past half the frame cap spill into further
+// frames.
+func (c *Client) Settle(items []Settlement) ([]error, error) {
+	errs := make([]error, 0, len(items))
+	for len(items) > 0 {
+		hdr := make([]wireItem, 0, len(items))
+		var trailer []byte
+		for _, it := range items {
+			w := wireItem{Lease: it.Lease}
+			if it.Result != nil {
+				if len(hdr) > 0 && len(trailer)+len(it.Result.Outcome) > maxFrame/2 {
+					break
+				}
+				r := *it.Result
+				r.Outcome = nil
+				w.Result, w.Len = &r, len(it.Result.Outcome)
+				trailer = append(trailer, it.Result.Outcome...)
+			}
+			hdr = append(hdr, w)
+		}
+		resp, _, err := c.roundTrip(wireReq{Op: "settle", Items: hdr}, trailer)
+		if err == nil && !resp.OK {
+			err = respError(resp.Err)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for i := range hdr {
+			var e error
+			if i < len(resp.Errs) && resp.Errs[i] != "" {
+				e = respError(resp.Errs[i])
+			}
+			errs = append(errs, e)
+		}
+		items = items[len(hdr):]
+	}
+	return errs, nil
+}
+
+// settleOne is a one-item Settle.
+func (c *Client) settleOne(s Settlement) error {
+	errs, err := c.Settle([]Settlement{s})
 	if err != nil {
 		return err
 	}
-	if !resp.OK {
-		return respError(resp)
-	}
-	return nil
+	return errs[0]
 }
+
+// Ack settles a lease with no result. ErrUnknownLease after a successful
+// Report is benign: the lease expired (or a retried ack already landed)
+// and the coordinator deduplicates any redelivered result.
+func (c *Client) Ack(id uint64) error { return c.settleOne(Settlement{Lease: id}) }
+
+// Report sends a result back without settling a lease.
+func (c *Client) Report(r JobResult) error { return c.settleOne(Settlement{Result: &r}) }
 
 // Nack hands a lease back for redelivery with a reason.
 func (c *Client) Nack(id uint64, reason string) error {
-	resp, err := c.roundTrip(wireReq{Op: "nack", Lease: id, Reason: reason})
+	resp, _, err := c.roundTrip(wireReq{Op: "nack", Lease: id, Reason: reason}, nil)
 	if err != nil {
 		return err
 	}
 	if !resp.OK {
-		return respError(resp)
+		return respError(resp.Err)
 	}
 	return nil
 }
@@ -586,26 +790,14 @@ func (c *Client) Nack(id uint64, reason string) error {
 // Extend pushes a lease deadline out by d (the server's lease timeout when
 // d <= 0) and returns the new deadline.
 func (c *Client) Extend(id uint64, d time.Duration) (time.Time, error) {
-	resp, err := c.roundTrip(wireReq{Op: "extend", Lease: id, Ms: d.Milliseconds()})
+	resp, _, err := c.roundTrip(wireReq{Op: "extend", Lease: id, Ms: d.Milliseconds()}, nil)
 	if err != nil {
 		return time.Time{}, err
 	}
 	if !resp.OK {
-		return time.Time{}, respError(resp)
+		return time.Time{}, respError(resp.Err)
 	}
 	return time.Now().Add(time.Duration(resp.TTLMs) * time.Millisecond), nil
-}
-
-// Report sends a result back.
-func (c *Client) Report(r JobResult) error {
-	resp, err := c.roundTrip(wireReq{Op: "report", Result: &r})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return respError(resp)
-	}
-	return nil
 }
 
 // Close terminates the connection.

@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -26,6 +29,7 @@ func rawDial(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	return conn, bufio.NewReader(conn)
 }
 
+// readResp reads one response header and skips the trailer it declares.
 func readResp(t *testing.T, r *bufio.Reader) wireResp {
 	t.Helper()
 	line, err := r.ReadBytes('\n')
@@ -35,6 +39,9 @@ func readResp(t *testing.T, r *bufio.Reader) wireResp {
 	var resp wireResp
 	if err := json.Unmarshal(line, &resp); err != nil {
 		t.Fatalf("decode response %q: %v", line, err)
+	}
+	if _, err := io.CopyN(io.Discard, r, int64(resp.Trailer)); err != nil {
+		t.Fatalf("response %q: trailer: %v", line, err)
 	}
 	return resp
 }
@@ -90,16 +97,16 @@ func TestTCPBadRequest(t *testing.T) {
 	if st := q.Stats(); st.Pending != 1 || st.Leased != 0 || st.Done != 0 {
 		t.Fatalf("unknown ops touched the queue: %+v", st)
 	}
-	if _, err := conn.Write([]byte(`{"op":"lease","v":2}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":3}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	if resp = readResp(t, r); !resp.OK || resp.Lease == 0 {
+	if resp = readResp(t, r); !resp.OK || len(resp.Leases) != 1 || resp.Leases[0].Lease == 0 {
 		t.Fatalf("lease after unknown ops = %+v", resp)
 	}
 }
 
 func TestWirePushIsUnknownOp(t *testing.T) {
-	// Jobs are pushed in-process by the queue's owner: a v2 peer sending
+	// Jobs are pushed in-process by the queue's owner: a peer sending
 	// "push" — even a well-formed job — gets the unknown-op answer, the
 	// queue stays untouched, and the connection stays usable.
 	q := New()
@@ -116,7 +123,7 @@ func TestWirePushIsUnknownOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte(`{"op":"push","v":2,"job":` + string(job) + "}\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"push","v":3,"job":` + string(job) + "}\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); resp.OK || resp.Err != `unknown op "push"` {
@@ -125,7 +132,7 @@ func TestWirePushIsUnknownOp(t *testing.T) {
 	if st := q.Stats(); st.Pending != 0 {
 		t.Fatalf("wire push enqueued a job: %+v", st)
 	}
-	if _, err := conn.Write([]byte(`{"op":"lease","v":2}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":3}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); resp.OK || resp.Err != ErrEmpty.Error() {
@@ -166,16 +173,22 @@ func TestServeServesTheUnnamedQueue(t *testing.T) {
 }
 
 func TestTCPOpCounters(t *testing.T) {
+	// v3 has four ops. A turn costs one lease frame and one settle frame
+	// however many jobs it holds, outcomes cross as their very bytes, and
+	// Report and Ack are one-item settles.
 	q := New()
+	defer q.Close()
 	srv, err := Serve(q, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	leaseBefore := obs.C(obs.MQueueNetLease).Value()
-	ackBefore := obs.C(obs.MQueueNetAck).Value()
-	reportBefore := obs.C(obs.MQueueNetReport).Value()
+	ops := []string{obs.MQueueNetLease, obs.MQueueNetSettle, obs.MQueueNetNack, obs.MQueueNetExtend}
+	before := make(map[string]int64)
+	for _, op := range ops {
+		before[op] = obs.C(op).Value()
+	}
 
 	c, err := DialOpts(srv.Addr(), DialOptions{})
 	if err != nil {
@@ -183,28 +196,57 @@ func TestTCPOpCounters(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := q.Push(testJob(1)); err != nil {
+	for id := 1; id <= 3; id++ {
+		if err := q.Push(testJob(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	turn, err := c.LeaseN(3)
+	if err != nil || len(turn) != 3 {
+		t.Fatalf("LeaseN(3) = %+v, %v", turn, err)
+	}
+	if _, err := c.Extend(turn[0].ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	ls, err := c.Lease()
-	if err != nil {
+	if err := c.Nack(turn[2].ID, "not this one"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ack(ls.ID); err != nil {
+	// Spaces a re-encoding would compact away.
+	outcomes := []string{`{"Trials": 3}`, `{"Trials": 4, "Exercised": true}`}
+	items := make([]Settlement, 2)
+	for i := range items {
+		items[i] = Settlement{Lease: turn[i].ID, Result: &JobResult{
+			JobID: turn[i].Job.ID, Trials: 3 + i, Outcome: json.RawMessage(outcomes[i]), Worker: "w"}}
+	}
+	errs, err := c.Settle(items)
+	if err != nil || errs[0] != nil || errs[1] != nil {
+		t.Fatalf("settle: %v, %v", errs, err)
+	}
+	if err := c.Report(JobResult{JobID: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Report(JobResult{JobID: 1}); err != nil {
-		t.Fatal(err)
+	if err := c.Ack(turn[0].ID); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("ack of a settled lease: %v", err)
 	}
 
-	if got := obs.C(obs.MQueueNetLease).Value(); got != leaseBefore+1 {
-		t.Errorf("net lease counter = %d, want %d", got, leaseBefore+1)
+	res := q.Results()
+	if len(res) != 3 || res[2].JobID != 9 || res[2].Outcome != nil {
+		t.Fatalf("results = %+v", res)
 	}
-	if got := obs.C(obs.MQueueNetAck).Value(); got != ackBefore+1 {
-		t.Errorf("net ack counter = %d, want %d", got, ackBefore+1)
+	for i := range outcomes {
+		if res[i].JobID != turn[i].Job.ID || res[i].Trials != 3+i || res[i].Worker != "w" || string(res[i].Outcome) != outcomes[i] {
+			t.Errorf("result %d = %+v (outcome %s), want job %d's outcome %s verbatim",
+				i, res[i], res[i].Outcome, turn[i].Job.ID, outcomes[i])
+		}
 	}
-	if got := obs.C(obs.MQueueNetReport).Value(); got != reportBefore+1 {
-		t.Errorf("net report counter = %d, want %d", got, reportBefore+1)
+	if st := q.Stats(); st.Done != 2 || st.Pending != 1 {
+		t.Fatalf("stats = %+v, want the settled turn done and the nacked job pending", st)
+	}
+	want := map[string]int64{obs.MQueueNetLease: 1, obs.MQueueNetSettle: 3, obs.MQueueNetNack: 1, obs.MQueueNetExtend: 1}
+	for _, op := range ops {
+		if got := obs.C(op).Value() - before[op]; got != want[op] {
+			t.Errorf("%s moved by %d, want %d", op, got, want[op])
+		}
 	}
 }
 
@@ -310,23 +352,142 @@ func TestFrameTooLargeClamp(t *testing.T) {
 	if resp.OK || resp.Err != ErrEmpty.Error() {
 		t.Fatalf("lease after oversized frame = %+v, want err %q", resp, ErrEmpty)
 	}
+
+	// The cap covers header and trailer together: a short header declaring
+	// a trailer that takes the frame past it gets the same answer, its
+	// bytes are discarded unbuffered, and the connection stays in sync.
+	hdr := `{"op":"settle","trailer":40}` + "\n"
+	if len(hdr) > 64 || len(hdr)+40 <= 64 {
+		t.Fatalf("header of %d bytes does not straddle the cap", len(hdr))
+	}
+	if _, err := conn.Write(append([]byte(hdr), bytes.Repeat([]byte("{"), 40)...)); err != nil {
+		t.Fatal(err)
+	}
+	if resp = readResp(t, r); resp.OK || resp.Err != "frame too large" {
+		t.Fatalf("over-cap trailer response = %+v", resp)
+	}
+	if got := obs.C(obs.MQueueNetBigFrm).Value(); got != bigBefore+2 {
+		t.Fatalf("frame_too_large counter = %d, want %d", got, bigBefore+2)
+	}
+	if _, err := conn.Write([]byte(`{"op":"lease"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if resp = readResp(t, r); resp.OK || resp.Err != ErrEmpty.Error() {
+		t.Fatalf("lease after over-cap trailer = %+v, want err %q", resp, ErrEmpty)
+	}
 }
 
-func TestUnsupportedProtocolVersion(t *testing.T) {
+func TestTrailerClampAllocatesNothing(t *testing.T) {
+	// A declared trailer length is never trusted: readTrailer refuses a
+	// negative or over-cap one before allocating, and serveFrame answers an
+	// over-cap one by discarding the bytes through a fixed-size buffer, so
+	// its allocations do not grow with the length declared.
+	r := bufio.NewReader(bytes.NewReader(nil))
+	for _, n := range []int{-1, 65, 1 << 20, 1 << 40, math.MaxInt} {
+		var err error
+		if allocs := testing.AllocsPerRun(50, func() { _, err = readTrailer(r, 10, n, 64) }); allocs != 0 || err == nil {
+			t.Errorf("readTrailer(n=%d) allocated %v times, err %v", n, allocs, err)
+		}
+	}
+	s := &Server{frameCap: 64}
+	serveAllocs := func(n int) float64 {
+		hdr := fmt.Sprintf(`{"op":"settle","trailer":%d}`, n)
+		input := append([]byte(hdr+"\n"), bytes.Repeat([]byte("x"), n)...)
+		in := bytes.NewReader(input)
+		r := bufio.NewReaderSize(in, 4096)
+		return testing.AllocsPerRun(20, func() {
+			in.Reset(input)
+			r.Reset(in)
+			line, readErr := readFrame(r, s.frameCap)
+			resp, _, more := s.serveFrame(r, line, readErr)
+			if resp.Err != errFrameTooLarge.Error() || !more {
+				t.Fatalf("trailer of %d: answer %+v, more=%v", n, resp, more)
+			}
+		})
+	}
+	if small, big := serveAllocs(100), serveAllocs(1<<20); big > small {
+		t.Fatalf("discarding an over-cap trailer allocated %v times for 1 MiB, %v for 100 bytes", big, small)
+	}
+}
+
+func TestLeaseDeliversLargeJob(t *testing.T) {
+	// A turn's head job may fill the frame but for its header, so a job the
+	// one-job protocol delivered still travels; only the jobs after it are
+	// held to half the cap.
 	q := New()
+	defer q.Close()
+	big := Job{ID: 1, Corpus: "ab", Trace: strings.Repeat("t", 700<<10)}
+	for _, j := range []Job{big, {ID: 2, Corpus: "ab"}} {
+		if err := q.Push(j); err != nil {
+			t.Fatal(err)
+		}
+	}
 	srv, err := Serve(q, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, r := rawDial(t, srv.Addr())
-	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"op":"lease","v":99}` + "\n")); err != nil {
+	c, err := DialOpts(srv.Addr(), DialOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp := readResp(t, r)
-	if resp.OK || !strings.Contains(resp.Err, "unsupported protocol version 99") {
-		t.Fatalf("v99 response = %+v", resp)
+	defer c.Close()
+	for _, want := range []int{1, 2} {
+		leases, err := c.LeaseN(4)
+		if err != nil {
+			t.Fatalf("lease of job %d: %v", want, err)
+		}
+		if len(leases) != 1 || leases[0].Job.ID != want {
+			t.Fatalf("turn = %d leases, first job %d; want job %d alone", len(leases), leases[0].Job.ID, want)
+		}
+		if want == 1 && leases[0].Job.Trace != big.Trace {
+			t.Fatalf("large job arrived with a %d-byte trace, want %d", len(leases[0].Job.Trace), len(big.Trace))
+		}
+	}
+}
+
+func TestUnsupportedProtocolVersion(t *testing.T) {
+	// Only v3 is spoken: an older or newer version is refused loudly before
+	// it touches the queue — a v2 worker's lease, whose v3 answer it could
+	// not read, leases nothing — and v2's report and ack, folded into
+	// settle, are unknown ops even under v3. The connection survives every
+	// refusal.
+	q := New()
+	defer q.Close()
+	srv, err := Serve(q, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := q.Push(testJob(1)); err != nil {
+		t.Fatal(err)
+	}
+	conn, r := rawDial(t, srv.Addr())
+	defer conn.Close()
+	for _, tc := range []struct{ frame, want string }{
+		{`{"op":"lease","v":99}`, "unsupported protocol version 99"},
+		{`{"op":"lease","v":4}`, "unsupported protocol version 4 (server speaks 3)"},
+		{`{"op":"lease","v":2}`, "unsupported protocol version 2 (server speaks 3)"},
+		{`{"op":"lease","v":1}`, "unsupported protocol version 1 (server speaks 3)"},
+		{`{"op":"report","v":2,"result":{"job_id":1,"outcome":{}}}`, "unsupported protocol version 2"},
+		{`{"op":"report","v":3,"result":{"job_id":1,"outcome":{}}}`, `unknown op "report"`},
+		{`{"op":"ack","lease":1,"v":3}`, `unknown op "ack"`},
+	} {
+		if _, err := conn.Write([]byte(tc.frame + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		if resp := readResp(t, r); resp.OK || !strings.Contains(resp.Err, tc.want) || resp.V != ProtoVersion {
+			t.Fatalf("%s: response = %+v, want v%d err %q", tc.frame, resp, ProtoVersion, tc.want)
+		}
+	}
+	if st := q.Stats(); st.Pending != 1 || st.Leased != 0 || len(q.Results()) != 0 {
+		t.Fatalf("a refused version touched the queue: %+v, %d results", st, len(q.Results()))
+	}
+	if _, err := conn.Write([]byte(`{"op":"lease","v":3}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if resp := readResp(t, r); !resp.OK || len(resp.Leases) != 1 {
+		t.Fatalf("v3 lease after the refusals = %+v", resp)
 	}
 }
 

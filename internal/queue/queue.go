@@ -105,7 +105,9 @@ type JobResult struct {
 	JobID  int `json:"job_id"`
 	Trials int `json:"trials"`
 	// Outcome is the whole exploration outcome (JSON of sched.Outcome),
-	// encoded once by the worker and decoded once by the coordinator's fold.
+	// encoded once by the worker and decoded once by the coordinator's fold:
+	// on the wire it rides a settle frame's trailer as these very bytes,
+	// never re-encoded inside the JSON header.
 	Outcome json.RawMessage `json:"outcome,omitempty"`
 	Worker  string          `json:"worker,omitempty"`
 }
@@ -376,22 +378,87 @@ func (q *Queue) leaseLocked() Lease {
 // TryLease grants a lease without blocking; ErrEmpty when nothing is
 // pending (jobs may still be outstanding under other workers' leases).
 func (q *Queue) TryLease() (Lease, error) {
+	ls, err := q.LeaseN(1)
+	if err != nil {
+		return Lease{}, err
+	}
+	return ls[0], nil
+}
+
+// LeaseN grants leases on up to n pending jobs (at least one) without
+// blocking — a worker's whole turn; ErrEmpty or ErrClosed as TryLease.
+func (q *Queue) LeaseN(n int) ([]Lease, error) {
+	return q.leaseN(n, func(Job) bool { return true })
+}
+
+// leaseN is LeaseN granting the jobs after the head only while take
+// accepts them; the server's take encodes each job into the response
+// frame. The head job is granted whatever take answers (and nothing after
+// it when take refuses it), so a job that cannot travel is nacked out of
+// the way rather than blocking the queue.
+func (q *Queue) leaseN(n int, take func(Job) bool) ([]Lease, error) {
 	q.startReaper()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.jobs) == 0 {
 		if q.closed {
-			return Lease{}, ErrClosed
+			return nil, ErrClosed
 		}
-		return Lease{}, ErrEmpty
+		return nil, ErrEmpty
 	}
-	return q.leaseLocked(), nil
+	n = max(n, 1)
+	out := make([]Lease, 0, min(n, len(q.jobs)))
+	for len(out) < n && len(q.jobs) > 0 {
+		ok := take(q.jobs[0].job)
+		if !ok && len(out) > 0 {
+			break
+		}
+		out = append(out, q.leaseLocked())
+		if !ok {
+			break
+		}
+	}
+	return out, nil
+}
+
+// Settlement is one item of a Settle: Result, when set, is recorded, and
+// Lease, when nonzero, is released as done.
+type Settlement struct {
+	Lease  uint64
+	Result *JobResult
+}
+
+// Settle records each item's result and releases its lease, the whole
+// batch in one critical section, and returns one error per item (nil:
+// settled). An item whose lease is no longer outstanding still has its
+// result recorded and gets ErrUnknownLease, which is benign: the job was
+// redelivered and the coordinator's fold deduplicates by job ID. On a
+// closed queue an item's result is refused with ErrClosed and its lease
+// left held, for the worker to nack.
+func (q *Queue) Settle(items []Settlement) []error {
+	errs := make([]error, len(items))
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for i, it := range items {
+		if it.Result != nil {
+			if q.closed {
+				errs[i] = ErrClosed
+				continue
+			}
+			q.results = append(q.results, *it.Result)
+			mReport.Inc()
+		}
+		if it.Lease != 0 {
+			errs[i] = q.ackLocked(it.Lease)
+		}
+	}
+	return errs
 }
 
 // Ack settles a lease: the job is done and will not be redelivered.
-func (q *Queue) Ack(id uint64) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+func (q *Queue) Ack(id uint64) error { return q.Settle([]Settlement{{Lease: id}})[0] }
+
+func (q *Queue) ackLocked(id uint64) error {
 	l, ok := q.leases[id]
 	if !ok {
 		return ErrUnknownLease
@@ -450,16 +517,7 @@ func (q *Queue) isClosed() bool {
 }
 
 // Report records a worker's result.
-func (q *Queue) Report(r JobResult) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	q.results = append(q.results, r)
-	mReport.Inc()
-	return nil
-}
+func (q *Queue) Report(r JobResult) error { return q.Settle([]Settlement{{Result: &r}})[0] }
 
 // Results drains and returns all recorded results. At-least-once delivery
 // means the slice can hold several results for one redelivered job;
