@@ -36,10 +36,11 @@
 // reports without re-executing anything.
 //
 // The -queue listener serves every campaign's named queue on one TCP
-// endpoint (protocol v2 with the "queue" request field); campaign
+// endpoint (the wire protocol's "queue" request field names one); campaign
 // executors lease their own jobs through it, and external workers join a
 // campaign with `sbexec -addr <queue listener> -queue campaign.<id>`. A
-// result is the test's whole outcome, folded in job order as a local run
+// job carries its campaign's seed and trial budget, and a result is the
+// test's whole outcome, folded in job order as a local run
 // folds it: reports carry findings with replayable trials and, with -state,
 // minimized SBRB bundles (sbrepro -state). Feedback campaigns run locally.
 package main

@@ -7,13 +7,13 @@
 // Usage:
 //
 //	sbexec -addr 127.0.0.1:7070 [-queue campaign.<id>] [-version 5.12-rc3]
-//	       [-trials 64] [-workers 0] [-state dir] [-name worker-1]
+//	       [-workers 0] [-state dir] [-name worker-1]
 //	       [-idle-exit 5s] [-retries 8] [-http :0] [-progress 10s]
 //
 // An sbd listener serves one named queue per campaign and no default one:
 // -queue names the campaign to drain ("campaign.<id>", as GET /campaigns
-// lists ids). With -trials set to the campaign's budget, sbd folds this
-// worker's results into the report it would have produced alone.
+// lists ids). Every job carries its campaign's trial budget, so sbd folds
+// this worker's results into the report it would have produced alone.
 //
 // Delivery is at-least-once: each explorer goroutine leases a job in one
 // round trip and settles it in one more — its outcome recorded and its
@@ -70,7 +70,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:7070", "queue coordinator address")
 		qname    = flag.String("queue", "", "named queue to drain on an sbd listener (campaign.<id>); empty is sbqueue's only queue")
 		version  = flag.String("version", string(snowboard.V5_12_RC3), "simulated kernel version")
-		trials   = flag.Int("trials", 64, "interleaving trials per test")
 		workers  = flag.Int("workers", 0, "explorer goroutines in this process (0 = one per CPU)")
 		stateDir = flag.String("state", "", "artifact store directory for resolving by-reference jobs (must match the coordinator's -state)")
 		name     = flag.String("name", hostDefault(), "worker name in reports")
@@ -133,7 +132,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			workLoop(client, cache, kver, *trials, *name, *idleExit, &jobs)
+			workLoop(client, cache, kver, *name, *idleExit, &jobs)
 		}()
 	}
 	wg.Wait()
@@ -183,10 +182,10 @@ func (cc *corpusCache) get(hex string) (*corpus.Corpus, error) {
 // core.Worker.Do — shared with every other front door.
 // Network errors are retried inside the client, and only an exhausted
 // retry budget ends the loop (never the whole process via log.Fatal).
-func workLoop(client *queue.Client, cache *corpusCache, version snowboard.Version, trials int, name string, idleExit time.Duration, jobs *atomic.Int64) {
+func workLoop(client *queue.Client, cache *corpusCache, version snowboard.Version, name string, idleExit time.Duration, jobs *atomic.Int64) {
 	env := snowboard.NewEnv(version)
 	defer env.Close()
-	w := core.NewWorker(env, trials, name, func(job *queue.Job) error {
+	w := core.NewWorker(env, name, func(job *queue.Job) error {
 		c, err := cache.get(job.Corpus)
 		if err == nil {
 			err = job.Resolve(c)

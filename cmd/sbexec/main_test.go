@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -39,9 +38,12 @@ func TestSbexecUsage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !strings.Contains(stderr.String(), "-idle-exit") || !strings.Contains(stderr.String(), "-trials") ||
-		!strings.Contains(stderr.String(), "-queue") {
+	if !strings.Contains(stderr.String(), "-idle-exit") || !strings.Contains(stderr.String(), "-queue") {
 		t.Fatalf("usage text missing flags:\n%s", stderr.String())
+	}
+	// The trial budget travels with each job; a worker has none of its own.
+	if strings.Contains(stderr.String(), "-trials") {
+		t.Fatalf("usage text lists -trials:\n%s", stderr.String())
 	}
 	if stdout.Len() != 0 {
 		t.Fatalf("usage leaked to stdout:\n%s", stdout.String())
@@ -91,7 +93,7 @@ func TestSbexecProcessesJobs(t *testing.T) {
 
 	var wOut, wErr bytes.Buffer
 	wcmd := exec.Command(worker,
-		"-addr", addr, "-trials", "2", "-workers", "1", "-idle-exit", "2s", "-progress", "0")
+		"-addr", addr, "-workers", "1", "-idle-exit", "2s", "-progress", "0")
 	wcmd.Stdout, wcmd.Stderr = &wOut, &wErr
 	if err := wcmd.Run(); err != nil {
 		t.Fatalf("worker exit error: %v\nstderr:\n%s", err, wErr.String())
@@ -116,7 +118,8 @@ func TestSbexecProcessesJobs(t *testing.T) {
 // campaign's own executor is held at its start gate until the external
 // worker has drained the queue, so every result folded into the report is
 // sbexec's — and the report must equal the one the in-process executor
-// produces alone.
+// produces alone. The worker is given no trial budget: each job carries
+// the campaign's.
 func TestSbexecDrainsNamedCampaignQueue(t *testing.T) {
 	worker := buildTool(t, "snowboard/cmd/sbexec")
 	spec := core.CampaignSpec{Name: "joined", Seed: 3, FuzzBudget: 150, CorpusCap: 40, TestBudget: 6, Trials: 4}
@@ -144,7 +147,7 @@ func TestSbexecDrainsNamedCampaignQueue(t *testing.T) {
 			}
 			var wErr bytes.Buffer
 			wcmd := exec.Command(worker, "-addr", srv.Addr(), "-queue", c.QueueName(),
-				"-trials", strconv.Itoa(spec.Trials), "-workers", "1", "-idle-exit", "200ms", "-progress", "0")
+				"-workers", "1", "-idle-exit", "200ms", "-progress", "0")
 			wcmd.Stderr = &wErr
 			if err := wcmd.Run(); err != nil {
 				t.Fatalf("worker exit error: %v\nstderr:\n%s", err, wErr.String())

@@ -150,7 +150,7 @@ func TestSbqueueDrainsWithWorker(t *testing.T) {
 
 	var wOut, wErr bytes.Buffer
 	wcmd := exec.Command(worker,
-		"-addr", addr, "-trials", "2", "-workers", "1", "-idle-exit", "2s", "-progress", "0")
+		"-addr", addr, "-workers", "1", "-idle-exit", "2s", "-progress", "0")
 	wcmd.Stdout, wcmd.Stderr = &wOut, &wErr
 	if err := wcmd.Run(); err != nil {
 		t.Fatalf("worker exit error: %v\nstderr:\n%s", err, wErr.String())

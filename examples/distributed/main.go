@@ -75,7 +75,7 @@ func main() {
 			defer c.Close()
 			env := snowboard.NewEnv(opts.Version)
 			defer env.Close()
-			worker := core.NewWorker(env, 12, fmt.Sprintf("worker-%d", id), nil)
+			worker := core.NewWorker(env, fmt.Sprintf("worker-%d", id), nil)
 			crashed := false
 			for {
 				leases, err := c.LeaseN(core.TurnJobs)

@@ -586,7 +586,7 @@ func (c *Campaign) dialLeaser(q *queue.Queue) (Leaser, error) {
 func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr Leaser) {
 	// By-reference jobs resolve against the pipeline's in-memory corpus,
 	// no store round-trip needed.
-	w := NewWorker(p.Env, c.Spec.Trials, "sbd/"+c.ID,
+	w := NewWorker(p.Env, "sbd/"+c.ID,
 		func(job *queue.Job) error { return job.Resolve(p.Corpus) })
 	slice := c.env.slice()
 	for {

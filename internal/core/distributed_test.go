@@ -104,7 +104,7 @@ func freshCopy(base *Report) *Report {
 func runCampaign(t *testing.T, p *Pipeline, base *Report, opts Options, tests []sched.ConcurrentTest, crashFirst bool) (*Report, queue.Stats) {
 	t.Helper()
 	q := pushedQueue(t, p, tests, 5)
-	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), opts.Trials, "core-test", nil), crashFirst)
+	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), "core-test", nil), crashFirst)
 	r, _ := foldReport(t, p, base, tests, q.Results(), q.DeadLetters())
 	return r, q.Stats()
 }
@@ -221,7 +221,7 @@ func TestWorkerFrontDoorsAgree(t *testing.T) {
 		if tcp {
 			lsr = serveQueue(t, q, opts.Seed, dial)
 		}
-		drain(t, q, lsr, NewWorker(p.Env.Clone(), opts.Trials, name, nil), crashFirst)
+		drain(t, q, lsr, NewWorker(p.Env.Clone(), name, nil), crashFirst)
 		if st := q.Stats(); crashFirst && st.Redelivered == 0 {
 			t.Errorf("%s: the abandoned lease was never redelivered: %+v", name, st)
 		}
@@ -302,7 +302,7 @@ func TestQueueFoldEqualsLocalFold(t *testing.T) {
 		q := pushedQueue(t, p, tests, 50)
 		lsr := &dupLeaser{Leaser: serveQueue(t, q, seed, flakyDial(seed))}
 		wenv := p.Env.Clone()
-		drain(t, q, lsr, NewWorker(wenv, opts.Trials, "queue", nil), true)
+		drain(t, q, lsr, NewWorker(wenv, "queue", nil), true)
 		wenv.Close()
 		if st := q.Stats(); st.Redelivered == 0 {
 			t.Errorf("seed %d: the abandoned lease was never redelivered: %+v", seed, st)
@@ -479,10 +479,10 @@ func TestKeepTurnDropsFailedLeases(t *testing.T) {
 // with no resolver is handed back with the reason, and after the retry
 // budget lands on the dead-letter list — accounted for, never lost.
 func TestWorkerNacksUnresolvableJobs(t *testing.T) {
-	p, _, opts, tests := smallCampaign(t)
+	p, _, _, tests := smallCampaign(t)
 	p.corpusDigest = store.Sum([]byte("a corpus only the coordinator has"))
 	q := pushedQueue(t, p, tests, 2)
-	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), opts.Trials, "no-store", nil), false)
+	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), "no-store", nil), false)
 
 	dead := q.DeadLetters()
 	if len(dead) != len(tests) {
@@ -496,6 +496,30 @@ func TestWorkerNacksUnresolvableJobs(t *testing.T) {
 	sum, _ := AggregateResults(len(tests), q.Results(), dead)
 	if sum.Reported != 0 || len(sum.DeadJobs) != len(tests) || sum.Lost() {
 		t.Fatalf("unresolvable jobs not fully accounted for: %+v", sum)
+	}
+}
+
+// TestWorkerNacksJobsWithoutTrials: a job that carries no trial budget is
+// malformed — no worker substitutes a budget of its own — so it is nacked
+// with the reason until it dead-letters, and nothing is explored.
+func TestWorkerNacksJobsWithoutTrials(t *testing.T) {
+	p, _, _, tests := smallCampaign(t)
+	q := queue.NewWithOptions(queue.Options{Name: "no-trials", MaxAttempts: 2})
+	t.Cleanup(q.Close)
+	for i, ct := range tests {
+		if err := q.Push(queue.Job{ID: i, Seed: 1, Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), "budgetless", nil), false)
+	dead, results := q.DeadLetters(), q.Results()
+	if len(dead) != len(tests) || len(results) != 0 {
+		t.Fatalf("%d dead letters and %d results, want %d and none", len(dead), len(results), len(tests))
+	}
+	for _, d := range dead {
+		if d.Attempts != 2 || !strings.Contains(d.Reason, "trial budget 0") {
+			t.Errorf("dead job %d: attempts=%d reason=%q", d.Job.ID, d.Attempts, d.Reason)
+		}
 	}
 }
 

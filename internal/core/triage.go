@@ -26,7 +26,6 @@ var (
 	mTriageFindings = obs.C(obs.MTriageFindings)
 	mTriageReplays  = obs.C(obs.MTriageReplays)
 	mTriageCached   = obs.C(obs.MTriageCached)
-	mTriageDedup    = obs.C(obs.MTriageDedup)
 )
 
 // triageKey is the per-finding memo key: a `-state` resume skips findings
@@ -54,13 +53,11 @@ func (p *Pipeline) triageKey(id int, rec IssueRecord) (store.Digest, error) {
 // TriageReport runs the post-detect triage stage over the report's
 // crash-level findings: each finding with recorded repro state is
 // minimized (schedule ddmin + syscall dropping), packaged as an SBRB
-// bundle, registered in the cross-campaign signature index, and annotated
-// on its IssueRecord.
+// bundle, and annotated on its IssueRecord.
 //
-// Determinism: findings are processed serially in BugID order, the bundle
-// digest is the content hash of a canonical encoding (identical with or
-// without a store), and the signature index is write-only from the
-// pipeline's perspective — attaching a store never changes what a run
+// Determinism: findings are processed serially in BugID order, and the
+// bundle digest is the content hash of a canonical encoding (identical with
+// or without a store) — attaching a store never changes what a run
 // computes, only whether it can skip recomputing it.
 func (p *Pipeline) TriageReport(r *Report) {
 	// A record carries Repro exactly when its discovering exploration ended
@@ -79,7 +76,6 @@ func (p *Pipeline) TriageReport(r *Report) {
 		return
 	}
 	span := obs.StartSpan("stage.triage")
-	campaign := fmt.Sprintf("%s/%s/seed=%d", p.Opts.Method.Name, p.Opts.Version, p.Opts.Seed)
 	minimized := 0
 	for _, id := range ids {
 		rec := r.Issues[id]
@@ -129,16 +125,7 @@ func (p *Pipeline) TriageReport(r *Report) {
 		minimized++
 		mTriageFindings.Inc()
 		mTriageReplays.Add(int64(res.Stats.Replays))
-		// Only a bundle that reached the store joins the signature index.
-		if !saveMemo(p, "triage", key, bundleCodec, payload, rec.Triage).IsZero() {
-			if entry, fresh, err := triage.Register(p.store, res.Signature, digest, campaign); err != nil {
-				obs.Diag.Printf("stage triage: signature index: %v", err)
-			} else if !fresh {
-				mTriageDedup.Inc()
-				obs.Diag.Printf("stage triage: issue #%d folds into signature %s (%d campaigns, canonical bundle %s)",
-					id, res.Signature.Key(), len(entry.Campaigns), entry.Bundle[:12])
-			}
-		}
+		saveMemo(p, "triage", key, bundleCodec, payload, rec.Triage)
 		obs.EmitTrace(p.trace, obs.EvTriageMinimized,
 			obs.A("bug", id),
 			obs.A("signature", res.Signature.Key()),

@@ -16,10 +16,11 @@ import (
 
 // This file is the one recipe of stage 4, local or queue-delivered: the
 // explorer template, the per-test seeds, how tests become jobs carrying
-// them (PushTests), and how a leased turn of jobs is explored and settled
-// with whole outcomes (Worker.Do) — shared by sbd, cmd/sbexec, cmd/sbqueue and
-// examples/distributed. An outcome is a pure function of (test, seed), so
-// FoldResults over each job's first result equals local execution.
+// them and the trial budget (PushTests), and how a leased turn of jobs is
+// explored and settled with whole outcomes (Worker.Do) — shared by sbd,
+// cmd/sbexec, cmd/sbqueue and examples/distributed. An outcome is a pure
+// function of (test, seed, trials), so FoldResults over each job's first
+// result equals local execution.
 
 // stage4Explorer is the explorer both ExecuteTests' fleet and queue
 // workers copy: Algorithm 2 with the suite's oracles and the host fsck.
@@ -45,7 +46,8 @@ func (p *Pipeline) exploreSeeds(n int) []int64 {
 }
 
 // PushTests enqueues tests as jobs 0..len(tests)-1, the ID space
-// FoldResults folds over, each carrying its exploration seed: by reference
+// FoldResults folds over, each carrying its exploration seed and the
+// pipeline's trial budget: by reference
 // (corpus digest plus pair indices, resolved by the worker) when the
 // pipeline's corpus is a stored artifact, with both programs inline
 // otherwise. Every job carries trace, so worker and delivery events stitch
@@ -54,7 +56,7 @@ func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace
 	corpusDigest, _, _ := p.ArtifactDigests()
 	seeds := p.exploreSeeds(len(tests))
 	for i, ct := range tests {
-		job := queue.Job{ID: i, Seed: seeds[i], Corpus: corpusDigest, Hint: ct.Hint, Pair: ct.Pair, Trace: trace}
+		job := queue.Job{ID: i, Seed: seeds[i], Trials: p.Opts.Trials, Corpus: corpusDigest, Hint: ct.Hint, Pair: ct.Pair, Trace: trace}
 		if corpusDigest == "" {
 			job.Writer, job.Reader = ct.Writer, ct.Reader
 		}
@@ -133,17 +135,17 @@ type Worker struct {
 	resolve func(job *queue.Job) error
 }
 
-// NewWorker returns a worker exploring on env with the given trial budget;
-// name labels its results. resolve fills a by-reference job's programs
-// (queue.Job.Resolve against the corpus artifact it names); with a nil
-// resolver such jobs are nacked.
-func NewWorker(env *exec.Env, trials int, name string, resolve func(job *queue.Job) error) *Worker {
+// NewWorker returns a worker exploring on env, each job with the trial
+// budget it carries; name labels its results. resolve fills a by-reference
+// job's programs (queue.Job.Resolve against the corpus artifact it names);
+// with a nil resolver such jobs are nacked.
+func NewWorker(env *exec.Env, name string, resolve func(job *queue.Job) error) *Worker {
 	if resolve == nil {
 		resolve = func(job *queue.Job) error {
 			return fmt.Errorf("job %d references corpus artifact %.12s… but worker %s has no resolver", job.ID, job.Corpus, name)
 		}
 	}
-	x := stage4Explorer(env, trials, detect.DefaultOptions())
+	x := stage4Explorer(env, 0, detect.DefaultOptions()) // Do sets each job's seed and trials
 	return &Worker{name: name, resolve: resolve, x: &x}
 }
 
@@ -157,15 +159,19 @@ func (w *Worker) nack(lsr Leaser, ls queue.Lease, reason string) {
 }
 
 // Do runs a turn's leases to settlement: resolve each job, explore it with
-// the seed it carries under one lease keeper for the whole turn, and settle
-// every outcome (result recorded, lease released) in one Settle. It
-// returns how many leases settled with a result and how many of those
-// exercised their channel; every other lease was nacked — its job
-// unresolvable, or its result never landed. Failures are contained to the
-// job, never the process.
+// the seed and trial budget it carries under one lease keeper for the whole
+// turn, and settle every outcome (result recorded, lease released) in one
+// Settle. It returns how many leases settled with a result and how many of
+// those exercised their channel; every other lease was nacked — its job
+// malformed or unresolvable, or its result never landed. Failures are
+// contained to the job, never the process.
 func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 	held := make([]queue.Lease, 0, len(leases))
 	for _, ls := range leases {
+		if ls.Job.Trials <= 0 {
+			w.nack(lsr, ls, fmt.Sprintf("malformed job %d: trial budget %d", ls.Job.ID, ls.Job.Trials))
+			continue
+		}
 		if !ls.Job.Inline() {
 			if err := w.resolve(&ls.Job); err != nil {
 				w.nack(lsr, ls, err.Error())
@@ -183,7 +189,7 @@ func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 	hit := make([]bool, len(held))
 	for i, ls := range held {
 		job := ls.Job
-		w.x.Seed = job.Seed
+		w.x.Seed, w.x.Trials = job.Seed, job.Trials
 		// Tag this job's events with the originating campaign's trace, so a
 		// distributed run's timeline reads end-to-end.
 		w.x.Trace = job.Trace

@@ -88,32 +88,6 @@ func (e *Env) Clone() *Env {
 // Env that has run a test and is dropped unclosed leaks them. Idempotent.
 func (e *Env) Close() { e.M.Close() }
 
-// NewEnvWithSetup boots a kernel, runs setup once sequentially, and
-// snapshots the *resulting* state as the environment's fixed starting
-// point. This implements §4.1's growth of initial kernel states: "some
-// initial kernel states may not be reachable [within the test-length
-// limit]; in such cases, Snowboard can grow the number of initial kernel
-// states it utilizes to increase diversity." Tests profiled against
-// different setups see different memory layouts, so a PMC database is only
-// meaningful within one environment.
-func NewEnvWithSetup(cfg kernel.Config, setup *corpus.Prog) (*Env, error) {
-	e := NewEnv(cfg)
-	if setup == nil || len(setup.Calls) == 0 {
-		return e, nil
-	}
-	res := e.RunSequential(setup, nil)
-	if res.Crashed() || res.Hung || res.Deadlock {
-		e.Close()
-		return nil, fmt.Errorf("exec: setup program failed: faults=%v hung=%v deadlock=%v",
-			res.Faults, res.Hung, res.Deadlock)
-	}
-	// The post-setup memory becomes the new fixed initial state; runtime
-	// state (threads, console) is reset as on a fresh boot.
-	e.Snap = e.M.Mem.Snapshot()
-	e.M.ResetRuntime()
-	return e, nil
-}
-
 // Result summarizes one execution.
 type Result struct {
 	// Rets holds the per-thread syscall return values. It is storage of
@@ -224,21 +198,6 @@ func (e *Env) RunPair(writer, reader *corpus.Prog, sched vm.Scheduler, tr *trace
 	e.spawn(1, reader)
 	err := e.M.Run(sched, e.maxSteps())
 	return e.finish(err, 2)
-}
-
-// RunMany executes n programs concurrently from the snapshot, one kernel
-// thread and user slot per program — the §6 extension beyond two testing
-// threads ("Snowboard should apply to input spaces of more dimensions").
-func (e *Env) RunMany(progs []*corpus.Prog, sched vm.Scheduler, tr *trace.Trace) Result {
-	if len(progs) == 0 || len(progs) > kernel.MaxProcs {
-		panic(fmt.Sprintf("exec: RunMany with %d programs (max %d)", len(progs), kernel.MaxProcs))
-	}
-	e.prepare(tr)
-	for i, prog := range progs {
-		e.spawn(i, prog)
-	}
-	err := e.M.Run(sched, e.maxSteps())
-	return e.finish(err, len(progs))
 }
 
 // Profile runs prog sequentially and returns its shared-memory access set:

@@ -162,66 +162,6 @@ func TestPairDuplicateL2TPSequentialOrderIsSafe(t *testing.T) {
 	}
 }
 
-func TestNewEnvWithSetupChangesInitialState(t *testing.T) {
-	// The setup program registers tunnel 1; tests starting from this state
-	// find it already present, unlike from the plain boot snapshot.
-	setup := l2tpWriterProg()
-	env, err := NewEnvWithSetup(kernel.Config{Version: kernel.V5_12_RC3}, setup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := l2tpReaderProg()
-	accsSetup, _, res := env.Profile(probe)
-	if res.Crashed() {
-		t.Fatalf("probe crashed: %v", res.Faults)
-	}
-
-	plain := NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
-	accsPlain, _, res2 := plain.Profile(probe)
-	if res2.Crashed() {
-		t.Fatalf("probe crashed on plain env: %v", res2.Faults)
-	}
-	// From the enriched state the reader finds the tunnel instead of
-	// registering one, so its profile is strictly shorter.
-	if accsSetup.Len() >= accsPlain.Len() {
-		t.Fatalf("setup state did not change behavior: %d vs %d accesses", accsSetup.Len(), accsPlain.Len())
-	}
-	// And the enriched environment must be repeatable like any snapshot.
-	again, _, _ := env.Profile(probe)
-	if again.Len() != accsSetup.Len() {
-		t.Fatalf("setup snapshot not stable: %d vs %d", again.Len(), accsSetup.Len())
-	}
-}
-
-func TestNewEnvWithSetupRejectsCrashingSetup(t *testing.T) {
-	// A setup program that panics the kernel cannot define an initial state.
-	bad := &corpus.Prog{Calls: []corpus.Call{
-		{Nr: kernel.SysMsggetNr, Args: []corpus.Arg{corpus.Const(0)}}, // EINVAL, harmless
-	}}
-	if _, err := NewEnvWithSetup(kernel.Config{Version: kernel.V5_12_RC3}, bad); err != nil {
-		t.Fatalf("harmless setup rejected: %v", err)
-	}
-}
-
-func TestRunManyThreeProcs(t *testing.T) {
-	env := NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
-	progs := []*corpus.Prog{l2tpWriterProg(), l2tpReaderProg(), l2tpReaderProg()}
-	res := env.RunMany(progs, vm.SeqScheduler{}, nil)
-	if res.Crashed() {
-		t.Fatalf("sequentialized triple crashed: %v", res.Faults)
-	}
-	if len(res.Rets) != 3 {
-		t.Fatalf("rets for %d threads", len(res.Rets))
-	}
-	for i, rets := range res.Rets {
-		for j, r := range rets {
-			if r < 0 {
-				t.Fatalf("thread %d call %d failed: %d", i, j, r)
-			}
-		}
-	}
-}
-
 func TestMaxStepsHang(t *testing.T) {
 	env := NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 	env.MaxSteps = 10 // far too small for any test
@@ -353,10 +293,7 @@ func TestRunStorageIsolated(t *testing.T) {
 			func(r Result) bool {
 				return len(r.Rets[0]) == 3 && r.Rets[0][0] < 0 && r.Rets[0][1] < 0 && r.Rets[0][2] < 0
 			}},
-		{"three programs", func(e *Env, tr *trace.Trace) Result {
-			return e.RunMany([]*corpus.Prog{writer, reader, reader}, vm.SeqScheduler{}, tr)
-		}, func(r Result) bool { return len(r.Rets) == 3 && len(r.Rets[2]) == 4 }},
-		{"pair after three", func(e *Env, tr *trace.Trace) Result { return e.RunPair(fd0Prog(), writer, roundRobin(), tr) },
+		{"pair after sequential", func(e *Env, tr *trace.Trace) Result { return e.RunPair(fd0Prog(), writer, roundRobin(), tr) },
 			func(r Result) bool { return len(r.Rets) == 2 && r.Rets[0][0] < 0 && len(r.Rets[1]) == 3 }},
 		{"sequential after pair", func(e *Env, tr *trace.Trace) Result { return e.RunSequential(fd0Prog(), tr) },
 			func(r Result) bool { return len(r.Rets) == 1 && r.Rets[0][1] < 0 }},

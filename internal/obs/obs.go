@@ -85,10 +85,9 @@ const (
 	MFeedbackRounds  = "gen.rounds"  // counter: feedback rounds completed
 
 	// Post-detect triage (internal/triage via core.Pipeline.TriageReport).
-	MTriageFindings = "triage.findings"    // counter: crash-level findings minimized into bundles
-	MTriageReplays  = "triage.replays"     // counter: replays spent by schedule/test minimization
-	MTriageCached   = "triage.cache_hits"  // counter: findings restored from a stored bundle on resume
-	MTriageDedup    = "triage.dedup_folds" // counter: findings that folded into an already-registered signature
+	MTriageFindings = "triage.findings"   // counter: crash-level findings minimized into bundles
+	MTriageReplays  = "triage.replays"    // counter: replays spent by schedule/test minimization
+	MTriageCached   = "triage.cache_hits" // counter: findings restored from a stored bundle on resume
 
 	// Content-addressed artifact store (internal/store) and stage-graph
 	// memoization (internal/core).

@@ -162,8 +162,7 @@ func DecodeProfiles(r io.Reader) ([]Profile, error) {
 	return out, nil
 }
 
-// pmcLess orders PMCs canonically (keyLess is shared with triple.go):
-// write key, read key, then DFLeader.
+// pmcLess orders PMCs canonically: write key, read key, then DFLeader.
 func pmcLess(a, b PMC) bool {
 	if a.Write != b.Write {
 		return keyLess(a.Write, b.Write)
@@ -172,6 +171,20 @@ func pmcLess(a, b PMC) bool {
 		return keyLess(a.Read, b.Read)
 	}
 	return !a.DFLeader && b.DFLeader
+}
+
+// keyLess orders access keys by instruction, address, size, then value.
+func keyLess(a, b Key) bool {
+	if a.Ins != b.Ins {
+		return a.Ins < b.Ins
+	}
+	if a.Addr != b.Addr {
+		return a.Addr < b.Addr
+	}
+	if a.Size != b.Size {
+		return a.Size < b.Size
+	}
+	return a.Val < b.Val
 }
 
 // sortedPMCs returns the set's PMCs in canonical order.

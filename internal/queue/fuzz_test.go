@@ -49,7 +49,7 @@ func FuzzQueueWire(f *testing.F) {
 		`{"op":"report","result":{"id":1}}`,
 		`{"op":"lease","v":2}`,
 		`{"op":"ack","lease":1,"v":2}`,
-		`{"op":"nack","lease":7,"reason":"crash","v":3}`,
+		`{"op":"nack","lease":7,"reason":"crash","v":4}`,
 		`{"op":"extend","lease":7,"ms":500}`,
 		`{"op":"pop","v":99}`,
 		`{"op":"lease","lease":18446744073709551615}`,
@@ -59,37 +59,37 @@ func FuzzQueueWire(f *testing.F) {
 		`null`,
 		`"pop"`,
 		"\x00\xff garbage \x7f",
-		`{"op":"lease","queue":"known","v":3}`,
+		`{"op":"lease","queue":"known","v":4}`,
 		`{"op":"report","queue":"known","result":{"job_id":1}}`,
-		`{"op":"lease","queue":"missing","v":3}`,
-		`{"op":"push","queue":"known","v":3,"job":{"id":1,"corpus":"ab"}}`,
+		`{"op":"lease","queue":"missing","v":4}`,
+		`{"op":"push","queue":"known","v":4,"job":{"id":1,"corpus":"ab"}}`,
 	} {
 		f.Add([]byte(hdr), []byte(nil))
 	}
 	for _, s := range []struct{ hdr, trailer string }{
-		// Well-formed v3 frames.
-		{`{"op":"lease","n":4,"v":3}`, ``},
-		{`{"op":"lease","queue":"known","n":2,"v":3}`, ``},
-		{`{"op":"settle","queue":"known","items":[{"lease":1,"result":{"job_id":1,"trials":2},"len":5},{"lease":2}],"trailer":5,"v":3}`, `hello`},
+		// Well-formed v4 frames.
+		{`{"op":"lease","n":4,"v":4}`, ``},
+		{`{"op":"lease","queue":"known","n":2,"v":4}`, ``},
+		{`{"op":"settle","queue":"known","items":[{"lease":1,"result":{"job_id":1,"trials":2},"len":5},{"lease":2}],"trailer":5,"v":4}`, `hello`},
 		// Declared lengths over the cap.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1048576}],"trailer":1048576,"v":3}`, `x`},
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1}],"trailer":9223372036854775807,"v":3}`, `x`},
-		{`{"op":"settle","trailer":1e30,"v":3}`, `x`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1048576}],"trailer":1048576,"v":4}`, `x`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1}],"trailer":9223372036854775807,"v":4}`, `x`},
+		{`{"op":"settle","trailer":1e30,"v":4}`, `x`},
 		// Negative or overflowing item lengths.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":-3},{"result":{"job_id":2},"len":5}],"trailer":2,"v":3}`, `ab`},
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":9223372036854775807},{"result":{"job_id":2},"len":2}],"trailer":1,"v":3}`, `a`},
-		{`{"op":"settle","trailer":-5,"v":3}`, `abcde`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":-3},{"result":{"job_id":2},"len":5}],"trailer":2,"v":4}`, `ab`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":9223372036854775807},{"result":{"job_id":2},"len":2}],"trailer":1,"v":4}`, `a`},
+		{`{"op":"settle","trailer":-5,"v":4}`, `abcde`},
 		// Item lengths that do not sum to the trailer, or ride no result.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":2},{"result":{"job_id":2},"len":2}],"trailer":5,"v":3}`, `abcde`},
-		{`{"op":"settle","items":[{"lease":1,"len":3}],"trailer":3,"v":3}`, `abc`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":2},{"result":{"job_id":2},"len":2}],"trailer":5,"v":4}`, `abcde`},
+		{`{"op":"settle","items":[{"lease":1,"len":3}],"trailer":3,"v":4}`, `abc`},
 		// A truncated trailer, and a trailer on an op that takes none.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":10}],"trailer":10,"v":3}`, `abc`},
-		{`{"op":"lease","trailer":3,"v":3}`, `abc`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":10}],"trailer":10,"v":4}`, `abc`},
+		{`{"op":"lease","trailer":3,"v":4}`, `abc`},
 		// v2 report and ack frames.
 		{`{"op":"report","v":2,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
 		{`{"op":"ack","queue":"known","lease":1,"v":2}`, ``},
-		{`{"op":"report","v":3,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
-		{`{"op":"ack","queue":"known","lease":1,"v":3}`, ``},
+		{`{"op":"report","v":4,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
+		{`{"op":"ack","queue":"known","lease":1,"v":4}`, ``},
 	} {
 		f.Add([]byte(s.hdr), []byte(s.trailer))
 	}

@@ -35,18 +35,18 @@ var (
 // TCP transport: a Server fronts a Registry of queues; Clients (workers on
 // other machines) lease jobs and settle them. A frame is one JSON header
 // line, followed — when the header declares "trailer":N — by exactly N raw
-// bytes. Protocol version 3 has four ops, and a worker's turn costs two
+// bytes. Protocol version 4 has four ops, and a worker's turn costs two
 // frames each way, one lease and one settle:
 //
-//	{"op":"lease","n":4,"v":3}
+//	{"op":"lease","n":4,"v":4}
 //	  -> {"ok":true,"leases":[{"lease":7,"attempt":1,"ttl_ms":30000,"len":180},...],"trailer":N}
 //	     + N bytes: each granted job's JSON, "len" bytes apiece
 //	   | {"ok":false,"err":"queue: empty"|"queue: closed"}
-//	{"op":"settle","items":[{"lease":7,"result":{"job_id":3,"trials":64},"len":900},...],"trailer":N,"v":3}
+//	{"op":"settle","items":[{"lease":7,"result":{"job_id":3,"trials":64},"len":900},...],"trailer":N,"v":4}
 //	  + N bytes: each item's outcome, "len" bytes apiece
 //	  -> {"ok":true} | {"ok":true,"errs":["","queue: unknown lease",...]}
-//	{"op":"nack","lease":7,"reason":"...","v":3} -> {"ok":true}
-//	{"op":"extend","lease":7,"ms":30000,"v":3}   -> {"ok":true,"ttl_ms":30000}
+//	{"op":"nack","lease":7,"reason":"...","v":4} -> {"ok":true}
+//	{"op":"extend","lease":7,"ms":30000,"v":4}   -> {"ok":true,"ttl_ms":30000}
 //
 // A settle records each item's result and releases its lease (an item may
 // carry either alone) in one critical section, Queue.Settle; "errs" is
@@ -64,10 +64,12 @@ var (
 //
 // Requests naming any other version than the server's are rejected before
 // they touch a queue, so an older or newer peer fails loudly instead of
-// leasing jobs it would mis-parse (a v2 worker cannot read a v3 lease
-// answer). A request without v is taken as the server's version. A frame,
-// header and trailer together, is capped at 1 MiB: an oversized header
-// line or a declared trailer past the cap is answered with
+// leasing jobs it would mis-parse (a v2 worker cannot read a v4 lease
+// answer) or explore differently (a v3 worker ignores the trial budget a
+// v4 job carries and explores with its own). A request without v is taken
+// as the server's version. A frame, header and trailer together, is
+// capped at 1 MiB: an oversized header line or a declared trailer past
+// the cap is answered with
 // {"ok":false,"err":"frame too large"} and discarded in O(1) memory — the
 // same hostile-input clamp the artifact decoders apply — and a trailer
 // whose item lengths are negative or do not sum to it is a bad request. A
@@ -79,7 +81,7 @@ var (
 // version, jobs may carry an optional "trace" field stitching them to the
 // originating campaign; peers that predate it ignore it (unknown JSON
 // fields are dropped on decode), so it needed no version bump.
-const ProtoVersion = 3
+const ProtoVersion = 4
 
 // Transport limits.
 const (

@@ -97,7 +97,7 @@ func TestTCPBadRequest(t *testing.T) {
 	if st := q.Stats(); st.Pending != 1 || st.Leased != 0 || st.Done != 0 {
 		t.Fatalf("unknown ops touched the queue: %+v", st)
 	}
-	if _, err := conn.Write([]byte(`{"op":"lease","v":3}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":4}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp = readResp(t, r); !resp.OK || len(resp.Leases) != 1 || resp.Leases[0].Lease == 0 {
@@ -123,7 +123,7 @@ func TestWirePushIsUnknownOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte(`{"op":"push","v":3,"job":` + string(job) + "}\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"push","v":4,"job":` + string(job) + "}\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); resp.OK || resp.Err != `unknown op "push"` {
@@ -132,7 +132,7 @@ func TestWirePushIsUnknownOp(t *testing.T) {
 	if st := q.Stats(); st.Pending != 0 {
 		t.Fatalf("wire push enqueued a job: %+v", st)
 	}
-	if _, err := conn.Write([]byte(`{"op":"lease","v":3}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":4}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); resp.OK || resp.Err != ErrEmpty.Error() {
@@ -173,7 +173,7 @@ func TestServeServesTheUnnamedQueue(t *testing.T) {
 }
 
 func TestTCPOpCounters(t *testing.T) {
-	// v3 has four ops. A turn costs one lease frame and one settle frame
+	// v4 has four ops. A turn costs one lease frame and one settle frame
 	// however many jobs it holds, outcomes cross as their very bytes, and
 	// Report and Ack are one-item settles.
 	q := New()
@@ -447,11 +447,11 @@ func TestLeaseDeliversLargeJob(t *testing.T) {
 }
 
 func TestUnsupportedProtocolVersion(t *testing.T) {
-	// Only v3 is spoken: an older or newer version is refused loudly before
-	// it touches the queue — a v2 worker's lease, whose v3 answer it could
-	// not read, leases nothing — and v2's report and ack, folded into
-	// settle, are unknown ops even under v3. The connection survives every
-	// refusal.
+	// Only v4 is spoken: an older or newer version is refused loudly before
+	// it touches the queue — a v2 worker's lease, whose answer it could not
+	// read, and a v3 worker's, which would explore with a trial budget of
+	// its own, lease nothing — and v2's report and ack, folded into settle,
+	// are unknown ops even under v4. The connection survives every refusal.
 	q := New()
 	defer q.Close()
 	srv, err := Serve(q, "127.0.0.1:0")
@@ -466,12 +466,13 @@ func TestUnsupportedProtocolVersion(t *testing.T) {
 	defer conn.Close()
 	for _, tc := range []struct{ frame, want string }{
 		{`{"op":"lease","v":99}`, "unsupported protocol version 99"},
-		{`{"op":"lease","v":4}`, "unsupported protocol version 4 (server speaks 3)"},
-		{`{"op":"lease","v":2}`, "unsupported protocol version 2 (server speaks 3)"},
-		{`{"op":"lease","v":1}`, "unsupported protocol version 1 (server speaks 3)"},
+		{`{"op":"lease","v":5}`, "unsupported protocol version 5 (server speaks 4)"},
+		{`{"op":"lease","v":3}`, "unsupported protocol version 3 (server speaks 4)"},
+		{`{"op":"lease","v":2}`, "unsupported protocol version 2 (server speaks 4)"},
+		{`{"op":"lease","v":1}`, "unsupported protocol version 1 (server speaks 4)"},
 		{`{"op":"report","v":2,"result":{"job_id":1,"outcome":{}}}`, "unsupported protocol version 2"},
-		{`{"op":"report","v":3,"result":{"job_id":1,"outcome":{}}}`, `unknown op "report"`},
-		{`{"op":"ack","lease":1,"v":3}`, `unknown op "ack"`},
+		{`{"op":"report","v":4,"result":{"job_id":1,"outcome":{}}}`, `unknown op "report"`},
+		{`{"op":"ack","lease":1,"v":4}`, `unknown op "ack"`},
 	} {
 		if _, err := conn.Write([]byte(tc.frame + "\n")); err != nil {
 			t.Fatal(err)
@@ -483,11 +484,11 @@ func TestUnsupportedProtocolVersion(t *testing.T) {
 	if st := q.Stats(); st.Pending != 1 || st.Leased != 0 || len(q.Results()) != 0 {
 		t.Fatalf("a refused version touched the queue: %+v, %d results", st, len(q.Results()))
 	}
-	if _, err := conn.Write([]byte(`{"op":"lease","v":3}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":4}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); !resp.OK || len(resp.Leases) != 1 {
-		t.Fatalf("v3 lease after the refusals = %+v", resp)
+		t.Fatalf("v4 lease after the refusals = %+v", resp)
 	}
 }
 

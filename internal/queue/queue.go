@@ -55,7 +55,11 @@ type Job struct {
 	// Seed is the exploration seed the coordinator drew for this test —
 	// the one local execution would have used — so a result depends on
 	// neither the worker nor the delivery attempt.
-	Seed   int64        `json:"seed"`
+	Seed int64 `json:"seed"`
+	// Trials is the campaign's trial budget per test, set by the
+	// coordinator: an outcome is a function of (test, seed, trials), so no
+	// executor explores with a budget of its own.
+	Trials int          `json:"trials,omitempty"`
 	Writer *corpus.Prog `json:"writer,omitempty"`
 	Reader *corpus.Prog `json:"reader,omitempty"`
 	// Corpus, when non-empty, is the hex content digest of a corpus
@@ -171,23 +175,11 @@ type Lease struct {
 	Deadline time.Time
 }
 
-// JobEvent is one step of a job's delivery history: pushed, leased,
-// nacked, expired, acked, or dead-lettered, with the attempt it happened
-// on. The queue accumulates these per job so a dead letter carries its
-// full timeline — every lease attempt and why it failed.
-type JobEvent struct {
-	At      time.Time `json:"at"`
-	Attempt int       `json:"attempt"` // 1-based delivery attempt (0 for push)
-	What    string    `json:"what"`    // pushed | leased | nacked | expired | dead-lettered
-	Reason  string    `json:"reason,omitempty"`
-}
-
 // DeadJob is a job that exhausted its delivery attempts.
 type DeadJob struct {
-	Job      Job        `json:"job"`
-	Attempts int        `json:"attempts"`
-	Reason   string     `json:"reason"` // last nack reason, or "lease expired"
-	Timeline []JobEvent `json:"timeline,omitempty"`
+	Job      Job    `json:"job"`
+	Attempts int    `json:"attempts"`
+	Reason   string `json:"reason"` // last nack reason, or "lease expired"
 }
 
 // Stats is a point-in-time view of where every pushed job stands:
@@ -204,11 +196,10 @@ type Stats struct {
 	OldestLease time.Duration
 }
 
-// pendingJob carries the delivery history alongside the job.
+// pendingJob is a job waiting for delivery.
 type pendingJob struct {
-	job      Job
-	attempt  int // completed delivery attempts
-	timeline []JobEvent
+	job     Job
+	attempt int // completed delivery attempts
 }
 
 // activeLease is the server-side record of one outstanding lease.
@@ -217,7 +208,6 @@ type activeLease struct {
 	attempt  int
 	deadline time.Time
 	since    time.Time
-	timeline []JobEvent
 }
 
 // Queue is a FIFO job queue with leased at-least-once delivery and a result
@@ -272,7 +262,7 @@ func (q *Queue) Push(j Job) error {
 	if q.closed {
 		return ErrClosed
 	}
-	q.jobs = append(q.jobs, pendingJob{job: j, timeline: []JobEvent{{At: time.Now(), What: "pushed"}}})
+	q.jobs = append(q.jobs, pendingJob{job: j})
 	mPush.Inc()
 	q.setDepthLocked()
 	return nil
@@ -319,36 +309,23 @@ func (q *Queue) reapExpired(now time.Time) {
 	for _, id := range expired {
 		l := q.leases[id]
 		delete(q.leases, id)
-		l.timeline = appendEvent(l.timeline, JobEvent{At: now, Attempt: l.attempt, What: "expired"})
 		obs.EmitTrace(l.job.Trace, obs.EvJobExpired, obs.A("queue", q.opts.Name),
 			obs.A("job", l.job.ID), obs.A("attempt", l.attempt))
 		q.requeueLocked(l, "lease expired")
 	}
 }
 
-// appendEvent extends a timeline into a freshly sized clone. Timelines
-// branch: the same history can flow into both a dead-letter archive and a
-// requeued pending copy, so a plain append over shared spare capacity
-// would let a later attempt's event overwrite an already-archived one.
-// Cloning at every branch point keeps each holder's history private.
-func appendEvent(tl []JobEvent, ev JobEvent) []JobEvent {
-	out := make([]JobEvent, len(tl), len(tl)+1)
-	copy(out, tl)
-	return append(out, ev)
-}
-
 // requeueLocked returns a failed delivery to the pending list, or
 // dead-letters the job if its attempts are exhausted.
 func (q *Queue) requeueLocked(l *activeLease, reason string) {
 	if l.attempt >= q.opts.MaxAttempts {
-		tl := appendEvent(l.timeline, JobEvent{At: time.Now(), Attempt: l.attempt, What: "dead-lettered", Reason: reason})
-		q.dead = append(q.dead, DeadJob{Job: l.job, Attempts: l.attempt, Reason: reason, Timeline: tl})
+		q.dead = append(q.dead, DeadJob{Job: l.job, Attempts: l.attempt, Reason: reason})
 		mDead.Inc()
 		obs.EmitTrace(l.job.Trace, obs.EvJobDeadLetter, obs.A("queue", q.opts.Name),
 			obs.A("job", l.job.ID), obs.A("attempts", l.attempt), obs.A("reason", reason))
 		return
 	}
-	q.jobs = append(q.jobs, pendingJob{job: l.job, attempt: l.attempt, timeline: append([]JobEvent(nil), l.timeline...)})
+	q.jobs = append(q.jobs, pendingJob{job: l.job, attempt: l.attempt})
 	q.redelivered++
 	mRedeliver.Inc()
 	q.setDepthLocked()
@@ -365,7 +342,6 @@ func (q *Queue) leaseLocked() Lease {
 		attempt:  p.attempt + 1,
 		deadline: now.Add(q.opts.LeaseTimeout),
 		since:    now,
-		timeline: appendEvent(p.timeline, JobEvent{At: now, Attempt: p.attempt + 1, What: "leased"}),
 	}
 	q.leases[q.nextLease] = l
 	mLease.Inc()
@@ -486,7 +462,6 @@ func (q *Queue) Nack(id uint64, reason string) error {
 	if reason == "" {
 		reason = "nacked"
 	}
-	l.timeline = appendEvent(l.timeline, JobEvent{At: time.Now(), Attempt: l.attempt, What: "nacked", Reason: reason})
 	obs.EmitTrace(l.job.Trace, obs.EvJobNacked, obs.A("queue", q.opts.Name),
 		obs.A("job", l.job.ID), obs.A("attempt", l.attempt), obs.A("reason", reason))
 	q.requeueLocked(l, reason)
@@ -531,17 +506,12 @@ func (q *Queue) Results() []JobResult {
 }
 
 // DeadLetters returns a copy of the dead-letter list: jobs that exhausted
-// their delivery attempts, with the reason for the final failure. Timelines
-// are deep-copied, so a caller mutating a returned entry can never corrupt
-// the archived history.
+// their delivery attempts, with the reason for the final failure. A job's
+// delivery history is on its trace, as the flight recorder's job.* events.
 func (q *Queue) DeadLetters() []DeadJob {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := append([]DeadJob(nil), q.dead...)
-	for i := range out {
-		out[i].Timeline = append([]JobEvent(nil), out[i].Timeline...)
-	}
-	return out
+	return append([]DeadJob(nil), q.dead...)
 }
 
 // Stats reports where every pushed job currently stands.

@@ -3,35 +3,50 @@ package queue
 import (
 	"testing"
 	"time"
+
+	"snowboard/internal/obs"
 )
 
-// wants asserts that the timeline matches the expected sequence of
-// (what, attempt) steps.
-func wantTimeline(t *testing.T, tl []JobEvent, steps ...JobEvent) {
+// jobStep is one expected job event: its kind, its attempt (a dead
+// letter's attempts) and, if not empty, its reason.
+type jobStep struct {
+	kind    string
+	attempt int
+	reason  string
+}
+
+// wantHistory asserts that the job events on trace since seq are exactly
+// steps, in order.
+func wantHistory(t *testing.T, trace string, seq uint64, steps []jobStep) {
 	t.Helper()
-	if len(tl) != len(steps) {
-		t.Fatalf("timeline has %d events, want %d: %+v", len(tl), len(steps), tl)
+	got := obs.Events.SinceTrace(trace, seq)
+	if len(got) != len(steps) {
+		t.Fatalf("%d job events on the trace, want %d: %+v", len(got), len(steps), got)
 	}
 	for i, want := range steps {
-		if tl[i].What != want.What || tl[i].Attempt != want.Attempt {
-			t.Fatalf("timeline[%d] = %s@%d, want %s@%d",
-				i, tl[i].What, tl[i].Attempt, want.What, want.Attempt)
+		ev := got[i]
+		attempt := ev.Attrs["attempt"]
+		if ev.Kind == obs.EvJobDeadLetter {
+			attempt = ev.Attrs["attempts"]
 		}
-		if tl[i].At.IsZero() {
-			t.Fatalf("timeline[%d] has a zero timestamp", i)
+		if ev.Kind != want.kind || attempt != want.attempt {
+			t.Fatalf("event %d = %s@%v, want %s@%d", i, ev.Kind, attempt, want.kind, want.attempt)
 		}
-		if want.Reason != "" && tl[i].Reason != want.Reason {
-			t.Fatalf("timeline[%d] reason = %q, want %q", i, tl[i].Reason, want.Reason)
+		if want.reason != "" && ev.Attrs["reason"] != want.reason {
+			t.Fatalf("event %d (%s) reason = %v, want %q", i, ev.Kind, ev.Attrs["reason"], want.reason)
 		}
 	}
 }
 
-func TestDeadLetterCarriesFullTimeline(t *testing.T) {
-	// A dead letter is a diagnosis artifact: it must show every delivery
-	// attempt and why each failed, not just the final reason.
+func TestDeadLetterHistoryOnTrace(t *testing.T) {
+	// A dead letter's diagnosis is on its trace: every delivery attempt and
+	// why each failed, not just the final reason the dead letter keeps.
 	q := NewWithOptions(Options{Name: "tl-dead", MaxAttempts: 2})
 	defer q.Close()
-	if err := q.Push(testJob(21)); err != nil {
+	j := testJob(21)
+	j.Trace = obs.NewTraceID()
+	seq := obs.Events.Seq()
+	if err := q.Push(j); err != nil {
 		t.Fatal(err)
 	}
 	for attempt := 1; attempt <= 2; attempt++ {
@@ -43,39 +58,38 @@ func TestDeadLetterCarriesFullTimeline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dead := q.DeadLetters()
-	if len(dead) != 1 {
-		t.Fatalf("dead letters = %d, want 1", len(dead))
+	if dead := q.DeadLetters(); len(dead) != 1 || dead[0].Attempts != 2 || dead[0].Reason != "sim crash" {
+		t.Fatalf("dead letters = %+v, want job 21 after 2 attempts for \"sim crash\"", dead)
 	}
-	wantTimeline(t, dead[0].Timeline,
-		JobEvent{What: "pushed", Attempt: 0},
-		JobEvent{What: "leased", Attempt: 1},
-		JobEvent{What: "nacked", Attempt: 1, Reason: "sim crash"},
-		JobEvent{What: "leased", Attempt: 2},
-		JobEvent{What: "nacked", Attempt: 2, Reason: "sim crash"},
-		JobEvent{What: "dead-lettered", Attempt: 2, Reason: "sim crash"},
-	)
+	wantHistory(t, j.Trace, seq, []jobStep{
+		{obs.EvJobLeased, 1, ""},
+		{obs.EvJobNacked, 1, "sim crash"},
+		{obs.EvJobLeased, 2, ""},
+		{obs.EvJobNacked, 2, "sim crash"},
+		{obs.EvJobDeadLetter, 2, "sim crash"},
+	})
 }
 
 func TestExpiredLeaseAppearsInTimeline(t *testing.T) {
-	// A worker that silently dies shows up as "expired" steps, so the dead
-	// letter distinguishes crashes (nacked) from hangs (expired).
+	// A worker that silently dies shows up as job.expired, so the history
+	// distinguishes crashes (nacked) from hangs (expired).
 	q := NewWithOptions(Options{Name: "tl-expire", LeaseTimeout: 20 * time.Millisecond, MaxAttempts: 1})
 	defer q.Close()
-	if err := q.Push(testJob(22)); err != nil {
+	j := testJob(22)
+	j.Trace = obs.NewTraceID()
+	seq := obs.Events.Seq()
+	if err := q.Push(j); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.TryLease(); err != nil {
 		t.Fatal(err)
 	}
 	settle(t, 2*time.Second, func() bool { return q.Stats().DeadLettered == 1 })
-	dead := q.DeadLetters()
-	wantTimeline(t, dead[0].Timeline,
-		JobEvent{What: "pushed", Attempt: 0},
-		JobEvent{What: "leased", Attempt: 1},
-		JobEvent{What: "expired", Attempt: 1},
-		JobEvent{What: "dead-lettered", Attempt: 1, Reason: "lease expired"},
-	)
+	wantHistory(t, j.Trace, seq, []jobStep{
+		{obs.EvJobLeased, 1, ""},
+		{obs.EvJobExpired, 1, ""},
+		{obs.EvJobDeadLetter, 1, "lease expired"},
+	})
 }
 
 func TestJobTraceRoundTripsWire(t *testing.T) {
@@ -135,65 +149,6 @@ func TestJobTraceOverTCP(t *testing.T) {
 	}
 	if err := c.Ack(ls.ID); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTimelineBranchesNeverAlias(t *testing.T) {
-	// Timelines branch at requeue and dead-letter: the same history flows
-	// into both the archived DeadJob and (on earlier attempts) a requeued
-	// pending copy. Built with a plain append over shared spare capacity,
-	// a later attempt's event could overwrite an archived one. Drive a
-	// job through nack -> redeliver -> dead-letter and assert the
-	// timeline captured earlier never changes underneath the caller.
-	q := NewWithOptions(Options{Name: "tl-alias", MaxAttempts: 2})
-	defer q.Close()
-	if err := q.Push(testJob(28)); err != nil {
-		t.Fatal(err)
-	}
-	ls, err := q.TryLease()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Nack(ls.ID, "first failure"); err != nil {
-		t.Fatal(err)
-	}
-	// Redelivery, then exhaustion.
-	ls, err = q.TryLease()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Nack(ls.ID, "second failure"); err != nil {
-		t.Fatal(err)
-	}
-
-	dead := q.DeadLetters()
-	if len(dead) != 1 {
-		t.Fatalf("dead letters = %d, want 1", len(dead))
-	}
-	archived := dead[0].Timeline
-	snapshot := append([]JobEvent(nil), archived...)
-
-	// A caller appending to — or rewriting elements of — its returned
-	// copy must never reach the queue's archive.
-	_ = append(archived, JobEvent{What: "forged", Attempt: 9})
-	for i := range archived {
-		archived[i].What = "tampered"
-	}
-
-	fresh := q.DeadLetters()[0].Timeline
-	wantTimeline(t, fresh,
-		JobEvent{What: "pushed", Attempt: 0},
-		JobEvent{What: "leased", Attempt: 1},
-		JobEvent{What: "nacked", Attempt: 1, Reason: "first failure"},
-		JobEvent{What: "leased", Attempt: 2},
-		JobEvent{What: "nacked", Attempt: 2, Reason: "second failure"},
-		JobEvent{What: "dead-lettered", Attempt: 2, Reason: "second failure"},
-	)
-	for i := range fresh {
-		if fresh[i].What != snapshot[i].What {
-			t.Fatalf("archived timeline[%d] changed from %q to %q after caller mutation",
-				i, snapshot[i].What, fresh[i].What)
-		}
 	}
 }
 

@@ -51,8 +51,6 @@ const (
 	ModeSKI
 	// ModeRandomWalk preempts uniformly at random.
 	ModeRandomWalk
-	// ModePCT uses priority-based scheduling with random change points.
-	ModePCT
 )
 
 // String names the mode.
@@ -64,8 +62,6 @@ func (m Mode) String() string {
 		return "ski"
 	case ModeRandomWalk:
 		return "random-walk"
-	case ModePCT:
-		return "pct"
 	}
 	return "?"
 }
@@ -293,9 +289,6 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 			switches = p.Switches
 		case ModeRandomWalk:
 			p := NewRandomWalkPolicy(rng, 20)
-			res = x.Env.RunPair(ct.Writer, ct.Reader, p, tr)
-		case ModePCT:
-			p := NewPCTPolicy(rng, 3, 4096)
 			res = x.Env.RunPair(ct.Writer, ct.Reader, p, tr)
 		default:
 			policy = &sc.policy

@@ -1,7 +1,7 @@
 // Package sched implements concurrent test execution (§4.4): Algorithm 2's
 // PMC-guided interleaving exploration, plus the baseline schedulers it is
-// compared against (SKI-style instruction-triggered yielding, PCT, and a
-// random walk).
+// compared against (SKI-style instruction-triggered yielding and a random
+// walk).
 package sched
 
 import (
@@ -301,81 +301,4 @@ func (p *RandomWalkPolicy) Watch() *vm.Watch { return &everyAccess }
 // gets here.
 func (p *RandomWalkPolicy) Pick(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
 	return pickNext(p.rng, m, last, ev)
-}
-
-// PCTPolicy implements a two-thread PCT-style scheduler: one thread holds
-// the higher priority and runs whenever runnable; at d pre-chosen event
-// indices the priorities invert. This is the schedule-exploration
-// foundation Snowboard generalizes (§7).
-type PCTPolicy struct {
-	rng        *rand.Rand
-	highIsZero bool
-	changePts  map[int]bool
-	eventIndex int
-}
-
-// NewPCTPolicy builds a PCT scheduler with depth d over an expected event
-// horizon.
-func NewPCTPolicy(rng *rand.Rand, depth, horizon int) *PCTPolicy {
-	pts := make(map[int]bool, depth)
-	for i := 0; i < depth; i++ {
-		pts[rng.Intn(horizon)] = true
-	}
-	return &PCTPolicy{rng: rng, highIsZero: rng.Intn(2) == 0, changePts: pts}
-}
-
-// wantID returns the thread id currently holding the high priority.
-func (p *PCTPolicy) wantID() int {
-	if p.highIsZero {
-		return 0
-	}
-	return 1
-}
-
-// OnAccess implements vm.AccessSink. Each access advances the event index
-// (exactly as the old one-Pick-per-event flow did); a yield is requested
-// only when the running thread is no longer the one Pick would choose.
-func (p *PCTPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo) bool {
-	p.eventIndex++
-	if p.changePts[p.eventIndex] {
-		p.highIsZero = !p.highIsZero
-	}
-	want := p.wantID()
-	if t.ID == want {
-		return false
-	}
-	runnable := m.Runnable()
-	for _, th := range runnable {
-		if th.ID == want {
-			return true
-		}
-	}
-	// High-priority thread not runnable: Pick would fall back to the first
-	// runnable thread, so only yield if that is a different one.
-	return len(runnable) > 0 && runnable[0] != t
-}
-
-// Watch implements vm.AccessSink.
-func (p *PCTPolicy) Watch() *vm.Watch { return &everyAccess }
-
-// Pick implements vm.Scheduler. Accesses were already counted by OnAccess;
-// every other event advances the index here, so each event is counted once.
-func (p *PCTPolicy) Pick(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
-	if ev.Kind != vm.EvAccess {
-		p.eventIndex++
-		if p.changePts[p.eventIndex] {
-			p.highIsZero = !p.highIsZero
-		}
-	}
-	want := p.wantID()
-	runnable := m.Runnable()
-	if len(runnable) == 0 {
-		return nil
-	}
-	for _, t := range runnable {
-		if t.ID == want {
-			return t
-		}
-	}
-	return runnable[0]
 }

@@ -76,7 +76,7 @@ func TestChannelExercisedValueMismatch(t *testing.T) {
 }
 
 func TestModeStrings(t *testing.T) {
-	for _, m := range []Mode{ModeSnowboard, ModeSKI, ModeRandomWalk, ModePCT} {
+	for _, m := range []Mode{ModeSnowboard, ModeSKI, ModeRandomWalk} {
 		if m.String() == "?" {
 			t.Fatalf("mode %d has no name", m)
 		}

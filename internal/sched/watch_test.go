@@ -360,7 +360,7 @@ func TestSinkConsultedAtWatchPoints(t *testing.T) {
 		t.Fatalf("asked about %d of %d accesses, %d for flips, %d flags: the watch narrows nothing or the case lost its teeth", calls, accesses, elsewhere, len(flags.list))
 	}
 
-	for _, mode := range []Mode{ModeSKI, ModeRandomWalk, ModePCT} {
+	for _, mode := range []Mode{ModeSKI, ModeRandomWalk} {
 		rng := rand.New(rand.NewSource(1))
 		var s trialScheduler
 		switch mode {
@@ -368,8 +368,6 @@ func TestSinkConsultedAtWatchPoints(t *testing.T) {
 			s = NewSKIPolicy(rng, &hint)
 		case ModeRandomWalk:
 			s = NewRandomWalkPolicy(rng, 20)
-		case ModePCT:
-			s = NewPCTPolicy(rng, 3, 4096)
 		}
 		c := &consults{trialScheduler: s}
 		res := env.RunPair(writer, reader, c, &tr)

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"snowboard/internal/corpus"
 	"snowboard/internal/kernel"
@@ -121,89 +119,4 @@ func LoadBundle(s *store.Store, d store.Digest) (*Bundle, error) {
 		return nil, err
 	}
 	return Decode(data)
-}
-
-// IndexEntry is one signature's row in the cross-campaign dedup index: the
-// canonical (first-registered) bundle and every campaign that observed the
-// signature. The index is a fleet-level registry: campaigns register into
-// it but never consult it to decide what to compute, so attaching a store
-// cannot change what a run reports.
-type IndexEntry struct {
-	Signature Signature `json:"signature"`
-	// Bundle is the canonical SBRB digest (hex) — the first registered
-	// minimized repro for this signature.
-	Bundle string `json:"bundle"`
-	// Campaigns lists the distinct campaign labels that observed the
-	// signature, sorted.
-	Campaigns []string `json:"campaigns"`
-	// Count is the total number of registrations folded into this row.
-	Count int `json:"count"`
-}
-
-// registerMu serialises Register. One lock for every store root: each
-// pipeline opens its own *store.Store, and two paths can name one root.
-var registerMu sync.Mutex
-
-// indexKey addresses a signature's index row. Deliberately excludes seed,
-// trial, and campaign identity so different campaigns land on the same row.
-func indexKey(sig Signature) store.Digest {
-	return store.Key("snowboard-triage-v1", "signature",
-		fmt.Sprintf("format=%d", FormatVersion), sig.Kind, sig.Site, sig.Channel)
-}
-
-// Register folds one observation of sig into the dedup index. The first
-// registration pins the canonical bundle; later ones only fold their
-// campaign label and bump the count. Returns the updated row and whether
-// the signature was fresh (first ever registration).
-//
-// The row update is a read-modify-write, so registrations are serialised
-// within the process (registerMu): sbd's campaigns triage into one store
-// concurrently, and two of them registering one signature must not drop a
-// label or a count. Across processes sharing a state dir it stays
-// best-effort — the last writer's row wins.
-func Register(s *store.Store, sig Signature, bundle store.Digest, campaign string) (IndexEntry, bool, error) {
-	registerMu.Lock()
-	defer registerMu.Unlock()
-	entry, ok := Lookup(s, sig)
-	fresh := !ok
-	if fresh {
-		entry = IndexEntry{Signature: sig, Bundle: bundle.String()}
-	}
-	entry.Count++
-	if campaign != "" {
-		found := false
-		for _, c := range entry.Campaigns {
-			if c == campaign {
-				found = true
-				break
-			}
-		}
-		if !found {
-			entry.Campaigns = append(entry.Campaigns, campaign)
-			sort.Strings(entry.Campaigns)
-		}
-	}
-	meta, err := json.Marshal(entry)
-	if err != nil {
-		return entry, fresh, fmt.Errorf("triage: index row: %w", err)
-	}
-	canonical, err := store.ParseDigest(entry.Bundle)
-	if err != nil {
-		return entry, fresh, fmt.Errorf("triage: index row: %w", err)
-	}
-	err = s.PutStage(indexKey(sig), store.StageResult{Kind: store.KindRepro, Out: canonical, Meta: meta})
-	return entry, fresh, err
-}
-
-// Lookup fetches a signature's index row, if registered.
-func Lookup(s *store.Store, sig Signature) (IndexEntry, bool) {
-	res, err := s.GetStage(indexKey(sig))
-	if err != nil {
-		return IndexEntry{}, false
-	}
-	var entry IndexEntry
-	if err := json.Unmarshal(res.Meta, &entry); err != nil {
-		return IndexEntry{}, false
-	}
-	return entry, true
 }

@@ -2,8 +2,6 @@ package triage
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 
 	"snowboard/internal/detect"
@@ -83,7 +81,7 @@ func TestDecodeDistinguishesStaleFromCorrupt(t *testing.T) {
 	}
 }
 
-func TestBundleStoreAndIndex(t *testing.T) {
+func TestBundleStoreRoundTrip(t *testing.T) {
 	b := testBundle(t)
 	s, err := store.Open(t.TempDir())
 	if err != nil {
@@ -103,68 +101,5 @@ func TestBundleStoreAndIndex(t *testing.T) {
 	}
 	if got.Signature != b.Signature {
 		t.Fatalf("loaded bundle signature: %+v", got.Signature)
-	}
-
-	// First registration is fresh and pins the canonical bundle.
-	entry, fresh, err := Register(s, b.Signature, d, "campaign-a")
-	if err != nil || !fresh {
-		t.Fatalf("first register: fresh=%v err=%v", fresh, err)
-	}
-	if entry.Bundle != d.String() || entry.Count != 1 {
-		t.Fatalf("first entry: %+v", entry)
-	}
-	// A second campaign folds; the canonical bundle stays the first one.
-	other := store.Sum([]byte("different bundle"))
-	entry, fresh, err = Register(s, b.Signature, other, "campaign-b")
-	if err != nil || fresh {
-		t.Fatalf("second register: fresh=%v err=%v", fresh, err)
-	}
-	if entry.Bundle != d.String() || entry.Count != 2 || len(entry.Campaigns) != 2 {
-		t.Fatalf("folded entry: %+v", entry)
-	}
-	// Re-registering the same campaign bumps the count but not the labels.
-	entry, _, err = Register(s, b.Signature, other, "campaign-b")
-	if err != nil || entry.Count != 3 || len(entry.Campaigns) != 2 {
-		t.Fatalf("re-register: %+v err=%v", entry, err)
-	}
-	if got, ok := Lookup(s, b.Signature); !ok || got.Count != 3 {
-		t.Fatalf("lookup: %+v ok=%v", got, ok)
-	}
-	if _, ok := Lookup(s, Signature{Kind: "panic", Site: "elsewhere"}); ok {
-		t.Fatal("lookup invented an entry")
-	}
-}
-
-// TestRegisterConcurrentTenants: eight campaigns, each with its own handle
-// on one state dir (as sbd's pipelines have), register one signature at
-// once; the row must keep every count and every label. Run under -race.
-func TestRegisterConcurrentTenants(t *testing.T) {
-	dir := t.TempDir()
-	sig := Signature{Kind: "panic", Site: "l2tp_session_delete", Channel: "w/r"}
-	bundle := store.Sum([]byte("bundle"))
-	const tenants = 8
-	var wg sync.WaitGroup
-	for i := 0; i < tenants; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s, err := store.Open(dir)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, _, err := Register(s, sig, bundle, fmt.Sprintf("campaign-%d", i)); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	s, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry, ok := Lookup(s, sig)
-	if !ok || entry.Count != tenants || len(entry.Campaigns) != tenants {
-		t.Fatalf("index row after %d concurrent registrations: %+v (found %v)", tenants, entry, ok)
 	}
 }

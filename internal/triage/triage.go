@@ -38,7 +38,7 @@ import (
 // which kind of failure, at which crash site, through which inter-thread
 // communication channel. It deliberately excludes seed, trial index,
 // addresses, and any other per-run detail, so two campaigns that expose
-// the same bug produce the same Signature and fold in the dedup index.
+// the same bug produce the same Signature.
 type Signature struct {
 	// Kind is the issue kind name ("panic", "fs-error", ...).
 	Kind string `json:"kind"`

@@ -11,8 +11,8 @@ import (
 // first instruction (last == nil, ev.Kind == EvStart) and then after every
 // event a thread yields. It must return a Runnable thread of the machine, or
 // nil to stop the run early. This is the pluggable policy point: sequential
-// profiling, Snowboard's Algorithm 2, the SKI baseline, PCT, and random walk
-// are all implementations of this interface.
+// profiling, Snowboard's Algorithm 2, the SKI baseline and random walk are
+// all implementations of this interface.
 type Scheduler interface {
 	Pick(m *Machine, last *Thread, ev Event) *Thread
 }
@@ -93,7 +93,7 @@ func (s *SiteSet) Has(i trace.Ins, addr uint64) bool { w, b := site(i, addr); re
 var ErrStepLimit = errors.New("vm: step limit exceeded")
 
 // ErrDeadlock is returned when unfinished threads exist but none is
-// runnable (all blocked on locks or RCU).
+// runnable (all blocked on locks).
 var ErrDeadlock = errors.New("vm: deadlock: no runnable threads")
 
 // Machine owns guest memory, the console, and the set of threads of one
@@ -106,9 +106,7 @@ type Machine struct {
 	cpus    []*vcpu // one coroutine per thread slot, kept across runs
 	trace   *trace.Trace
 
-	lockMemo   trace.Shadow[lockEdge] // LockSet.With results, kept across runs
-	rcuReaders int
-	rcuWaiters []*Thread
+	lockMemo trace.Shadow[lockEdge] // LockSet.With results, kept across runs
 
 	sink     AccessSink // scheduler fast path for the current Run, if any
 	watch    *Watch     // the sink's, read at every access
@@ -264,8 +262,8 @@ func (m *Machine) step(t *Thread) Event {
 	return ev
 }
 
-// releaseDead force-releases locks and RCU sections held by a finished
-// thread so the sibling thread can still run (mirrors a crashed CPU being
+// releaseDead force-releases the locks held by a finished thread so the
+// sibling thread can still run (mirrors a crashed CPU being
 // fenced off; without this every fault would cascade into a deadlock).
 func (m *Machine) releaseDead(t *Thread) {
 	for _, h := range t.cpu.held {
@@ -273,18 +271,6 @@ func (m *Machine) releaseDead(t *Thread) {
 		m.wakeLockWaiters(h.addr)
 	}
 	t.locks, t.cpu.held = 0, t.cpu.held[:0]
-	if t.rcuDepth > 0 {
-		m.rcuReaders -= t.rcuDepth
-		t.rcuDepth = 0
-		if m.rcuReaders == 0 {
-			for _, w := range m.rcuWaiters {
-				if w.state == BlockedRCU {
-					w.state = Runnable
-				}
-			}
-			m.rcuWaiters = m.rcuWaiters[:0]
-		}
-	}
 }
 
 // Run drives threads under the scheduler until all threads finish, the
@@ -377,8 +363,6 @@ func (m *Machine) Close() {
 // preparing the machine for a fresh set of threads after a snapshot restore.
 func (m *Machine) ResetRuntime() {
 	m.Shutdown()
-	m.rcuReaders = 0
-	m.rcuWaiters = m.rcuWaiters[:0]
 	m.faults = nil
 	m.steps = 0
 	m.Console.Reset()

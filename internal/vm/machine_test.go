@@ -49,39 +49,6 @@ func TestFaultReleasesLocksForSibling(t *testing.T) {
 	}
 }
 
-// TestFaultReleasesRCUForSibling: a reader crashing inside an RCU section
-// must not wedge a writer in synchronize_rcu forever.
-func TestFaultReleasesRCUForSibling(t *testing.T) {
-	m := newTestMachine()
-	m.Spawn("crasher", testStackBase, func(th *Thread) {
-		th.RCUReadLock()
-		th.Load(insT, testRegionBase, 8)
-		th.Load(insT, 0x10, 8) // dies inside the section
-	})
-	synced := false
-	m.Spawn("writer", testStackBase+8192, func(th *Thread) {
-		th.Load(insT, testRegionBase, 8)
-		th.Load(insT, testRegionBase, 8) // let the crasher enter its section
-		th.SynchronizeRCU()
-		synced = true
-	})
-	i := 0
-	sched := FuncScheduler(func(mm *Machine, last *Thread, ev Event) *Thread {
-		r := mm.Runnable()
-		if len(r) == 0 {
-			return nil
-		}
-		i++
-		return r[i%len(r)]
-	})
-	if err := m.Run(sched, 0); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !synced {
-		t.Fatal("synchronize_rcu never returned after reader crash")
-	}
-}
-
 func TestResetRuntimeClearsState(t *testing.T) {
 	m := newTestMachine()
 	m.Mem.Write(testRegionBase, 8, 1)

@@ -14,8 +14,6 @@ const (
 	Runnable ThreadState = iota
 	// BlockedLock threads wait for a lock word to be released.
 	BlockedLock
-	// BlockedRCU threads wait inside synchronize_rcu for readers to drain.
-	BlockedRCU
 	// Done threads have finished (normally or by fault).
 	Done
 )
@@ -31,8 +29,8 @@ const (
 	// switch threads here, which is the paper's yield primitive placed
 	// "right before every instruction ... after a memory access" (§4.4).
 	EvAccess
-	// EvBlocked reports that the thread cannot make progress (lock held,
-	// RCU grace period pending); the scheduler must pick another thread.
+	// EvBlocked reports that the thread cannot make progress (lock held);
+	// the scheduler must pick another thread.
 	EvBlocked
 	// EvYield is a voluntary pause (HALT/PAUSE-style), a low-liveness hint.
 	EvYield
@@ -302,58 +300,15 @@ func (t *Thread) Unlock(ins trace.Ins, addr Addr) {
 	t.record(ins, trace.Write, addr, 8, 0, true, false)
 }
 
-// TryLock attempts acquisition without blocking, returning success.
-func (t *Thread) TryLock(ins trace.Ins, addr Addr) bool {
-	if t.HoldsLock(addr) {
-		return false
-	}
-	t.checkRange(addr, 8)
-	if t.m.Mem.Read(addr, 8) != 0 {
-		t.record(ins, trace.Read, addr, 8, t.m.Mem.Read(addr, 8), true, false)
-		return false
-	}
-	t.m.Mem.Write(addr, 8, uint64(t.ID)+1)
-	t.holdLock(addr)
-	t.record(ins, trace.Write, addr, 8, uint64(t.ID)+1, true, false)
-	return true
-}
-
 // --- RCU ---
 
 // RCUReadLock enters an RCU read-side critical section. Sections nest.
-func (t *Thread) RCUReadLock() {
-	t.rcuDepth++
-	t.m.rcuReaders++
-}
+func (t *Thread) RCUReadLock() { t.rcuDepth++ }
 
-// RCUReadUnlock leaves the innermost RCU read-side critical section and, if
-// the grace period drained, wakes synchronize_rcu waiters.
+// RCUReadUnlock leaves the innermost RCU read-side critical section.
 func (t *Thread) RCUReadUnlock() {
 	if t.rcuDepth == 0 {
 		t.Fault("BUG: rcu_read_unlock without rcu_read_lock on thread %d", t.ID)
 	}
 	t.rcuDepth--
-	t.m.rcuReaders--
-	if t.m.rcuReaders == 0 {
-		for _, w := range t.m.rcuWaiters {
-			if w.state == BlockedRCU {
-				w.state = Runnable
-			}
-		}
-		t.m.rcuWaiters = t.m.rcuWaiters[:0]
-	}
-}
-
-// SynchronizeRCU blocks until no other thread is inside an RCU read-side
-// critical section. Calling it from within a read-side section deadlocks by
-// construction and faults.
-func (t *Thread) SynchronizeRCU() {
-	if t.rcuDepth > 0 {
-		t.Fault("BUG: synchronize_rcu inside rcu_read_lock on thread %d", t.ID)
-	}
-	for t.m.rcuReaders > 0 {
-		t.state = BlockedRCU
-		t.m.rcuWaiters = append(t.m.rcuWaiters, t)
-		t.yield(Event{Kind: EvBlocked})
-	}
 }

@@ -237,20 +237,6 @@ func TestUnlockNotHeldFaults(t *testing.T) {
 	}
 }
 
-func TestTryLock(t *testing.T) {
-	m := newTestMachine()
-	lock := uint64(testRegionBase + 0x800)
-	_ = runOne(m, func(th *Thread) {
-		if !th.TryLock(insT, lock) {
-			t.Error("trylock on free lock failed")
-		}
-		if th.TryLock(insT, lock) {
-			t.Error("trylock on held lock succeeded")
-		}
-		th.Unlock(insT, lock)
-	})
-}
-
 func TestDeadlockDetected(t *testing.T) {
 	m := newTestMachine()
 	l1 := uint64(testRegionBase + 0x800)
@@ -556,50 +542,6 @@ func TestSpawnReusesNeverResumedSlot(t *testing.T) {
 	}
 	if ran != "abcd" {
 		t.Fatalf("bodies run: %q, want abcd", ran)
-	}
-}
-
-func TestRCUSynchronizeWaitsForReaders(t *testing.T) {
-	m := newTestMachine()
-	order := uint64(testRegionBase + 0xb00)
-	m.Spawn("reader", testStackBase, func(th *Thread) {
-		th.RCUReadLock()
-		th.Load(insT, testRegionBase, 8) // hold the section across a yield
-		th.Load(insT, testRegionBase, 8)
-		th.Store(insT, order, 8, 1) // reader-side work done
-		th.RCUReadUnlock()
-	})
-	m.Spawn("writer", testStackBase+8192, func(th *Thread) {
-		th.Load(insT, testRegionBase, 8) // let the reader enter first
-		th.SynchronizeRCU()
-		if th.Load(insT, order, 8) != 1 {
-			t.Error("synchronize_rcu returned before reader finished")
-		}
-	})
-	// Let the reader enter its RCU section (two events), then prefer the
-	// writer so it reaches SynchronizeRCU while the section is open.
-	readerEvents := 0
-	sched := FuncScheduler(func(mm *Machine, last *Thread, ev Event) *Thread {
-		if last != nil && last.ID == 0 && ev.Kind == EvAccess {
-			readerEvents++
-		}
-		r := mm.Runnable()
-		if len(r) == 0 {
-			return nil
-		}
-		want := 0
-		if readerEvents >= 1 {
-			want = 1
-		}
-		for _, th := range r {
-			if th.ID == want {
-				return th
-			}
-		}
-		return r[0]
-	})
-	if err := m.Run(sched, 0); err != nil {
-		t.Fatal(err)
 	}
 }
 
