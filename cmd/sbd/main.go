@@ -35,10 +35,11 @@
 // land on their campaign-level report memo and return byte-identical
 // reports without re-executing anything.
 //
-// The -queue listener serves every campaign's named queue on one TCP
-// endpoint (the wire protocol's "queue" request field names one); campaign
-// executors lease their own jobs through it, and external workers join a
-// campaign with `sbexec -addr <queue listener> -queue campaign.<id>`. A
+// Each campaign's executor leases its own jobs in-process, from the queue
+// that lives in this server. The -queue listener is for workers that join
+// from elsewhere: it serves every campaign's named queue on one TCP
+// endpoint (the wire protocol's "queue" request field names one), and
+// `sbexec -addr <queue listener> -queue campaign.<id>` drains one. A
 // job carries its campaign's seed and trial budget, and a result is the
 // test's whole outcome, folded in job order as a local run
 // folds it: reports carry findings with replayable trials and, with -state,
@@ -87,7 +88,6 @@ func main() {
 	s := newServer(core.CampaignEnv{
 		StateDir: *stateDir,
 		Registry: reg,
-		Addr:     qsrv.Addr(),
 		Turns:    core.NewTurnScheduler(*slots),
 		Slice:    *slice,
 	})

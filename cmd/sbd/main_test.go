@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"snowboard"
 	"snowboard/internal/core"
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
@@ -29,26 +32,24 @@ func testSpec(name string, seed int64) core.CampaignSpec {
 }
 
 // newTestPlane builds a full control plane — registry, TCP queue
-// listener, fair scheduler, HTTP server — returning the server handle,
-// its HTTP base URL, and a cleanup-registered teardown.
-func newTestPlane(t *testing.T, env core.CampaignEnv) (*server, string) {
+// listener, fair scheduler, HTTP server — returning the server handle, its
+// HTTP base URL and the queue listener's address, with teardown registered
+// on t.
+func newTestPlane(t *testing.T, env core.CampaignEnv) (s *server, base, queueAddr string) {
 	t.Helper()
 	if env.Registry == nil {
 		env.Registry = queue.NewRegistry(queue.Options{})
 	}
 	t.Cleanup(env.Registry.Close)
-	if env.Addr == "" {
-		qsrv, err := queue.ServeRegistry(env.Registry, "127.0.0.1:0", queue.ServerOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(qsrv.Close)
-		env.Addr = qsrv.Addr()
+	qsrv, err := queue.ServeRegistry(env.Registry, "127.0.0.1:0", queue.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := newServer(env)
+	t.Cleanup(qsrv.Close)
+	s = newServer(env)
 	hs := httptest.NewServer(s.handler())
 	t.Cleanup(hs.Close)
-	return s, hs.URL
+	return s, hs.URL, qsrv.Addr()
 }
 
 func postJSON(t *testing.T, url string, body any) (int, []byte) {
@@ -90,7 +91,8 @@ type detailWire struct {
 }
 
 func TestControlPlaneHTTP(t *testing.T) {
-	s, base := newTestPlane(t, core.CampaignEnv{Turns: core.NewTurnScheduler(2)})
+	dir := t.TempDir()
+	s, base, _ := newTestPlane(t, core.CampaignEnv{StateDir: dir, Turns: core.NewTurnScheduler(2)})
 
 	// Submit: 201 on first, 200 (same ID) on idempotent resubmission.
 	spec := testSpec("http", 11)
@@ -127,6 +129,14 @@ func TestControlPlaneHTTP(t *testing.T) {
 		!strings.Contains(string(body), "unknown kernel version") {
 		t.Fatalf("bad version: status %d body %q, want 400 naming the version", code, body)
 	}
+	// A budget past its ceiling would keep an executor exploring, and a
+	// restarted server resuming it, without bound.
+	unbounded := testSpec("unbounded", 11)
+	unbounded.Trials = core.MaxTrials + 1
+	if code, body := postJSON(t, base+"/campaigns", unbounded); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "ceilings") {
+		t.Fatalf("spec past a ceiling: status %d body %q, want 400 naming the ceilings", code, body)
+	}
 
 	// A body past the 1 MiB bound is refused before it is decoded, let
 	// alone started.
@@ -141,6 +151,9 @@ func TestControlPlaneHTTP(t *testing.T) {
 	}
 	if n := len(s.list()); n != 1 {
 		t.Fatalf("oversized spec left %d campaigns, want 1", n)
+	}
+	if specs, err := core.LoadCampaignSpecs(dir); err != nil || len(specs) != 1 {
+		t.Fatalf("refused specs left %d manifests (%v), want 1", len(specs), err)
 	}
 
 	// Pause stalls the executed counter; resume lets it finish.
@@ -209,30 +222,11 @@ func TestControlPlaneHTTP(t *testing.T) {
 	}
 }
 
-func TestChaosFleetFairAndLossless(t *testing.T) {
-	// The acceptance gauntlet: 8 concurrent campaigns through one control
-	// plane, every queue byte flowing through seeded FlakyConns (severs +
-	// delays), plus injected worker crashes (abandoned leases). Nothing
-	// may be lost or double-counted, and the fair scheduler must keep
-	// per-campaign exec counters within 2x of each other at equal budgets.
-	const fleet = 8
-	reg := queue.NewRegistry(queue.Options{
-		LeaseTimeout: 150 * time.Millisecond,
-		MaxAttempts:  8,
-	})
-	gate := make(chan struct{})
-	env := core.CampaignEnv{
-		Registry: reg,
-		Turns:    core.NewTurnScheduler(2),
-		Slice:    2,
-		Dial:     queue.FlakyDialer(queue.FlakyOptions{Seed: 42, FailProb: 0.03, DelayProb: 0.1, MaxDelay: 3 * time.Millisecond}, nil),
-		ExecGate: gate,
-		Fault:    func(jobID, attempt int) bool { return attempt == 1 && jobID == 0 },
-	}
-	s, base := newTestPlane(t, env)
-
+// submitFleet POSTs one chaos spec per campaign and returns their IDs.
+func submitFleet(t *testing.T, base string, fleet int) []string {
+	t.Helper()
 	ids := make([]string, fleet)
-	for i := 0; i < fleet; i++ {
+	for i := range ids {
 		code, body := postJSON(t, base+"/campaigns", testSpec(fmt.Sprintf("chaos-%d", i), int64(100+i)))
 		if code != http.StatusCreated {
 			t.Fatalf("submit %d: status %d (%s)", i, code, body)
@@ -243,6 +237,100 @@ func TestChaosFleetFairAndLossless(t *testing.T) {
 		}
 		ids[i] = sub.ID
 	}
+	return ids
+}
+
+// foldedReport is a finished campaign's report without what delivery and
+// wall clock decide: stage durations and the count of redelivered
+// duplicates the fold dropped.
+func foldedReport(t *testing.T, c *core.Campaign) []byte {
+	t.Helper()
+	r, err := c.Wait()
+	if err != nil {
+		t.Fatalf("campaign %s: %v", c.ID, err)
+	}
+	n := *r
+	n.FuzzTime, n.ProfileTime, n.IdentifyTime, n.ClusterTime, n.ExecTime = 0, 0, 0, 0, 0
+	if r.Distributed != nil {
+		d := *r.Distributed
+		d.Duplicates = 0
+		n.Distributed = &d
+	}
+	b, err := json.Marshal(&n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// joinCampaign is an sbexec-like worker joined to one campaign's queue over
+// the plane's TCP listener: every byte it sends or receives goes through
+// seeded FlakyConns (severs and delays), and it leases one job per turn next
+// to the campaign's in-process executor until the campaign closes its
+// queue. It closes first after its first turn and returns how many jobs it
+// settled.
+func joinCampaign(c *core.Campaign, addr string, seed int64, first chan<- struct{}) (int, error) {
+	name := c.QueueName()
+	env := snowboard.NewEnv(snowboard.Version(c.Spec.Version))
+	defer env.Close()
+	cl, err := queue.DialOpts(addr, queue.DialOptions{
+		Queue:      name,
+		MaxRetries: 8,
+		BaseDelay:  time.Millisecond,
+		MaxDelay:   20 * time.Millisecond,
+		Seed:       seed,
+		Dial:       queue.FlakyDialer(queue.FlakyOptions{Seed: seed, FailProb: 0.03, DelayProb: 0.1, MaxDelay: 3 * time.Millisecond}, nil),
+	})
+	if err != nil {
+		return 0, err
+	}
+	defer cl.Close()
+	w := core.NewWorker(env, "joined/"+name, nil)
+	settled := 0
+	for deadline := time.Now().Add(2 * time.Minute); time.Now().Before(deadline); {
+		leases, err := cl.LeaseN(1)
+		switch {
+		case errors.Is(err, queue.ErrClosed):
+			return settled, nil
+		case err != nil:
+			// Empty while the executor holds the last leases, or a sever
+			// that outlasted the client's retries: poll again.
+			time.Sleep(2 * time.Millisecond)
+			continue
+		}
+		n, _ := w.Do(cl, leases)
+		if settled += n; first != nil {
+			close(first)
+			first = nil
+		}
+	}
+	return settled, fmt.Errorf("queue %s never closed", name)
+}
+
+func TestChaosFleetFairAndLossless(t *testing.T) {
+	// The acceptance gauntlet, in the production mix: 8 concurrent
+	// campaigns through one control plane, each executor leasing its queue
+	// in-process with injected crashes (abandoned leases), while sbexec-like
+	// workers join two of the campaigns over the TCP listener through
+	// seeded FlakyConns. Nothing may be lost or double-counted, every
+	// report must equal a fault-free run's, and the fair scheduler must
+	// keep the other campaigns' exec counters within 2x of each other at
+	// equal budgets.
+	const fleet, joined = 8, 2
+	reg := queue.NewRegistry(queue.Options{
+		LeaseTimeout: 150 * time.Millisecond,
+		MaxAttempts:  8,
+	})
+	gate := make(chan struct{})
+	env := core.CampaignEnv{
+		Registry: reg,
+		Turns:    core.NewTurnScheduler(2),
+		Slice:    2,
+		ExecGate: gate,
+		Fault:    func(jobID, attempt int) bool { return attempt == 1 && jobID == 0 },
+	}
+	s, base, qaddr := newTestPlane(t, env)
+	ids := submitFleet(t, base, fleet)
 
 	// Open the barrier once every campaign has generated and pushed its
 	// jobs, so the fairness sample measures campaigns that started
@@ -263,16 +351,36 @@ func TestChaosFleetFairAndLossless(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// Each joined worker takes its first turn before the executors start,
+	// so the mix is there whatever the scheduling.
+	settled := make([]int, joined)
+	errs := make([]error, joined)
+	var wg sync.WaitGroup
+	for i := range settled {
+		first := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			settled[i], errs[i] = joinCampaign(s.get(ids[i]), qaddr, int64(42+i), first)
+		}()
+		select {
+		case <-first:
+		case <-time.After(time.Minute):
+			t.Fatalf("joined worker %d never took a turn", i)
+		}
+	}
 	close(gate)
 
-	// Sample all exec counters the moment the first campaign completes.
+	// Sample the other campaigns' exec counters the moment the first of
+	// them completes.
+	rest := ids[joined:]
 	var sample []int64
 	for sample == nil {
-		for _, id := range ids {
+		for _, id := range rest {
 			select {
 			case <-s.get(id).Done():
-				sample = make([]int64, fleet)
-				for j, jid := range ids {
+				sample = make([]int64, len(rest))
+				for j, jid := range rest {
 					sample[j] = s.get(jid).Executed()
 				}
 			default:
@@ -289,7 +397,14 @@ func TestChaosFleetFairAndLossless(t *testing.T) {
 	if err := s.waitAll(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil || settled[i] == 0 {
+			t.Fatalf("joined worker %d settled %d jobs: %v", i, settled[i], err)
+		}
+	}
+	reports := make([][]byte, fleet)
+	for i, id := range ids {
 		c := s.get(id)
 		r, err := c.Wait()
 		if err != nil {
@@ -303,6 +418,20 @@ func TestChaosFleetFairAndLossless(t *testing.T) {
 		// none missing, none dead-lettered.
 		if sum.Reported != sum.Expected || sum.Lost() || len(sum.DeadJobs) != 0 {
 			t.Fatalf("campaign %s lost work under chaos: %+v", id, sum)
+		}
+		reports[i] = foldedReport(t, c)
+	}
+
+	// The same specs through a plane with no crash, no flaky transport and
+	// no joined worker fold to the same reports.
+	calm, calmBase, _ := newTestPlane(t, core.CampaignEnv{Turns: core.NewTurnScheduler(2), Slice: 2})
+	calmIDs := submitFleet(t, calmBase, fleet)
+	if err := calm.waitAll(); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range calmIDs {
+		if want := foldedReport(t, calm.get(id)); !bytes.Equal(reports[i], want) {
+			t.Fatalf("campaign %s under chaos folded a different report:\n%s\nvs fault-free\n%s", id, reports[i], want)
 		}
 	}
 
@@ -332,7 +461,7 @@ func TestRestartResumesByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	specs := []core.CampaignSpec{testSpec("restart-a", 21), testSpec("restart-b", 22)}
 
-	sA, baseA := newTestPlane(t, core.CampaignEnv{StateDir: dir, Turns: core.NewTurnScheduler(2)})
+	sA, baseA, _ := newTestPlane(t, core.CampaignEnv{StateDir: dir, Turns: core.NewTurnScheduler(2)})
 	ids := make([]string, len(specs))
 	for i, spec := range specs {
 		code, body := postJSON(t, baseA+"/campaigns", spec)
@@ -362,7 +491,7 @@ func TestRestartResumesByteIdentical(t *testing.T) {
 
 	// "Restart": a brand-new server over the same state dir, no HTTP
 	// resubmission — it must find both manifests on its own.
-	sB, baseB := newTestPlane(t, core.CampaignEnv{StateDir: dir, Turns: core.NewTurnScheduler(2)})
+	sB, baseB, _ := newTestPlane(t, core.CampaignEnv{StateDir: dir, Turns: core.NewTurnScheduler(2)})
 	n, err := sB.resume()
 	if err != nil {
 		t.Fatal(err)

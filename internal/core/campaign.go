@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,6 +73,19 @@ func (s CampaignSpec) WithDefaults() CampaignSpec {
 	return s
 }
 
+// Budget ceilings: a spec past one is rejected, and a worker nacks a job
+// whose trial budget is past MaxTrials as malformed, so one bad submission
+// or job cannot keep an executor exploring — and extending its lease —
+// indefinitely. Each is at least 16× the largest budget any test, example,
+// CI job, README command or bench/ spec uses.
+const (
+	MaxTrials         = 1 << 16 // interleaving trials per test
+	MaxTestBudget     = 1 << 16 // stage-4 concurrent tests
+	MaxFuzzBudget     = 1 << 20 // stage-1 sequential executions
+	MaxCorpusCap      = 1 << 16 // stage-1 corpus size cap
+	MaxFeedbackRounds = 1 << 8  // feedback budget-allocation rounds
+)
+
 // Validate rejects specs that cannot build Options. Call on the defaulted
 // spec.
 func (s CampaignSpec) Validate() error {
@@ -86,6 +98,12 @@ func (s CampaignSpec) Validate() error {
 	if s.FuzzBudget <= 0 || s.TestBudget <= 0 || s.Trials <= 0 {
 		return fmt.Errorf("campaign: budgets must be positive (fuzz=%d tests=%d trials=%d)",
 			s.FuzzBudget, s.TestBudget, s.Trials)
+	}
+	if s.FuzzBudget > MaxFuzzBudget || s.CorpusCap > MaxCorpusCap || s.TestBudget > MaxTestBudget ||
+		s.Trials > MaxTrials || s.FeedbackRounds > MaxFeedbackRounds {
+		return fmt.Errorf("campaign: budgets over their ceilings (fuzz=%d/%d corpus=%d/%d tests=%d/%d trials=%d/%d rounds=%d/%d)",
+			s.FuzzBudget, MaxFuzzBudget, s.CorpusCap, MaxCorpusCap, s.TestBudget, MaxTestBudget,
+			s.Trials, MaxTrials, s.FeedbackRounds, MaxFeedbackRounds)
 	}
 	return nil
 }
@@ -179,22 +197,22 @@ func (t *TurnScheduler) Release() {
 }
 
 // CampaignEnv is the shared control-plane context a campaign runs in: the
-// artifact store root (durability), the multi-queue registry plus its TCP
-// address (job distribution over the real wire), and the fair turn
-// scheduler. One env is shared by every campaign on a server.
+// artifact store root (durability), the multi-queue registry, and the fair
+// turn scheduler. One env is shared by every campaign on a server. A
+// campaign's executor leases its queue in-process; workers on other
+// machines join it through whatever listener serves the registry.
 type CampaignEnv struct {
 	StateDir string          // artifact store root ("" = memory only, no resume)
 	Registry *queue.Registry // named per-campaign queues (required)
-	Addr     string          // the registry listener's TCP address ("" = lease in-process)
 	Slice    int             // jobs leased per fair-scheduler turn (default TurnJobs)
+
+	// Addr is the registry listener's TCP address. Nothing reads it: the
+	// executor leases in-process. It stays only because bench/ sets it.
+	Addr string
 
 	// Turns, when set, arbitrates execution fairly across campaigns; nil
 	// lets every campaign run unthrottled.
 	Turns *TurnScheduler
-
-	// Dial overrides the queue client transport (chaos tests inject
-	// FlakyDialer); nil uses plain TCP. Only used when Addr is set.
-	Dial func(addr string) (net.Conn, error)
 
 	// ExecGate, when set, is a start barrier: every campaign blocks here
 	// after pushing its jobs and before executing the first one, so
@@ -213,9 +231,6 @@ func (e CampaignEnv) slice() int {
 	}
 	return e.Slice
 }
-
-// queueRetries is the queue client's reconnect budget.
-const queueRetries = 8
 
 // Campaign states.
 const (
@@ -523,10 +538,11 @@ func (c *Campaign) execute() (*Report, error) {
 }
 
 // runDistributed pushes the generated tests onto the campaign's named
-// queue, executes them through the control plane's own wire path, taking
-// fair-scheduler turns between slices, and folds what came back. It closes
-// the queue on return, which stops its lease reaper and sends a joined
-// sbexec ErrClosed; starting the campaign again opens a fresh queue.
+// queue, executes them in-process, taking fair-scheduler turns between
+// slices, and folds what came back — from this executor and from any
+// worker that joined the queue over the registry's listener. It closes the
+// queue on return, which stops its lease reaper and sends a joined sbexec
+// ErrClosed; starting the campaign again opens a fresh queue.
 func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	cts := p.GenerateTests(r, opts.TestBudget)
 	q := c.env.Registry.Open(c.QueueName())
@@ -536,17 +552,11 @@ func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	}
 	c.expected.Store(int64(len(cts)))
 
-	lsr, err := c.dialLeaser(q)
-	if err != nil {
-		return err
-	}
-	defer lsr.Close()
-
 	if c.env.ExecGate != nil {
 		<-c.env.ExecGate
 	}
 	span := obs.StartSpan("stage.exec")
-	c.executeLoop(p, q, lsr)
+	c.executeLoop(p, q)
 	r.ExecTime += span.End()
 
 	// Every job settled, by this executor or an sbexec that joined the queue.
@@ -559,35 +569,19 @@ func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	return nil
 }
 
-// dialLeaser picks where the executor leases from: the registry listener
-// over TCP (the production path, chaos-injectable via env.Dial) or the
-// in-process queue when the env has no listener.
-func (c *Campaign) dialLeaser(q *queue.Queue) (Leaser, error) {
-	if c.env.Addr == "" {
-		return localLeaser{q}, nil
-	}
-	cl, err := queue.DialOpts(c.env.Addr, queue.DialOptions{
-		Queue:      c.QueueName(),
-		MaxRetries: queueRetries,
-		Dial:       c.env.Dial,
-		Seed:       c.Spec.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("campaign %s: dial queue: %w", c.ID, err)
-	}
-	return cl, nil
-}
-
 // executeLoop drains the campaign's queue in fair-scheduler slices until
-// every job is settled. The turn-taking, the pause gate and the Fault hook
-// are the campaign's; what a job computes is Worker.Do's, so redelivery —
-// to this executor or a future incarnation after a restart — reproduces
+// every job is settled, leasing and settling each turn in-process: the
+// queue lives here, so a turn costs no round trip and no job encoding. The
+// turn-taking, the pause gate and the Fault hook are the campaign's; what
+// a job computes is Worker.Do's, so redelivery — to this executor, a
+// joined worker, or a future incarnation after a restart — reproduces
 // byte-identical results.
-func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr Leaser) {
+func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue) {
 	// By-reference jobs resolve against the pipeline's in-memory corpus,
 	// no store round-trip needed.
 	w := NewWorker(p.Env, "sbd/"+c.ID,
 		func(job *queue.Job) error { return job.Resolve(p.Corpus) })
+	lsr := localLeaser{q}
 	slice := c.env.slice()
 	for {
 		st := q.Stats()
@@ -598,11 +592,9 @@ func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr Leaser) {
 		if c.env.Turns != nil {
 			c.env.Turns.Acquire(c.ID)
 		}
-		// A turn is two frames: one lease for the whole slice, one settle.
-		leases, err := lsr.LeaseN(slice)
-		if err != nil && !errors.Is(err, queue.ErrEmpty) && !errors.Is(err, queue.ErrClosed) {
-			obs.Diag.Printf("campaign %s: lease: %v", c.ID, err)
-		}
+		// A turn is one lease for the whole slice and one settle. The queue
+		// refuses a lease only as empty or closed, and either leases nothing.
+		leases, _ := lsr.LeaseN(slice)
 		held := leases[:0]
 		for _, ls := range leases {
 			if c.env.Fault != nil && c.env.Fault(ls.Job.ID, ls.Attempt) {

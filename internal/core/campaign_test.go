@@ -67,6 +67,32 @@ func TestCampaignSpecIdentity(t *testing.T) {
 	}
 }
 
+// TestCampaignSpecBudgetCeilings: every spec budget validates up to its
+// ceiling and is refused one past it.
+func TestCampaignSpecBudgetCeilings(t *testing.T) {
+	for _, b := range []struct {
+		name    string
+		ceiling int
+		set     func(*CampaignSpec, int)
+	}{
+		{"fuzz", MaxFuzzBudget, func(s *CampaignSpec, n int) { s.FuzzBudget = n }},
+		{"corpus", MaxCorpusCap, func(s *CampaignSpec, n int) { s.CorpusCap = n }},
+		{"tests", MaxTestBudget, func(s *CampaignSpec, n int) { s.TestBudget = n }},
+		{"trials", MaxTrials, func(s *CampaignSpec, n int) { s.Trials = n }},
+		{"rounds", MaxFeedbackRounds, func(s *CampaignSpec, n int) { s.FeedbackRounds = n }},
+	} {
+		spec := smallSpec("ceiling", 1)
+		b.set(&spec, b.ceiling)
+		if err := spec.WithDefaults().Validate(); err != nil {
+			t.Errorf("%s at its ceiling %d refused: %v", b.name, b.ceiling, err)
+		}
+		b.set(&spec, b.ceiling+1)
+		if err := spec.WithDefaults().Validate(); err == nil || !strings.Contains(err.Error(), "ceilings") {
+			t.Errorf("%s past its ceiling %d validated: %v", b.name, b.ceiling, err)
+		}
+	}
+}
+
 func TestTurnSchedulerFIFOFairness(t *testing.T) {
 	// Three contenders taking repeated turns through one slot must be
 	// served round-robin: no contender takes two turns while another

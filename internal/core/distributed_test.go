@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"snowboard/internal/obs"
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 	"snowboard/internal/store"
@@ -352,14 +353,36 @@ func (c frameCounter) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// TestTurnIsTwoFrames: a campaign's executor pays the control plane per
-// turn, not per job — each turn of Slice jobs writes exactly one lease
-// frame and one settle frame, and nothing else crosses the wire — and the
-// report it folds equals the local fold of the same tests and seeds.
+// framesServed is how many frames every queue listener in the process has
+// answered so far, whatever their op.
+func framesServed() int64 {
+	var n int64
+	for _, m := range []string{obs.MQueueNetLease, obs.MQueueNetSettle, obs.MQueueNetNack,
+		obs.MQueueNetExtend, obs.MQueueNetUnknown, obs.MQueueNetBadReq} {
+		n += obs.C(m).Value()
+	}
+	return n
+}
+
+// TestTurnIsTwoFrames: a campaign's executor leases its own queue
+// in-process and writes no frame to the registry's listener, even with the
+// listener's address in its env; a worker that joins the campaign over TCP
+// pays per turn, not per job — exactly one lease frame and one settle frame
+// each, nothing else — and the report folded from both equals the local
+// fold of the same tests and seeds.
 func TestTurnIsTwoFrames(t *testing.T) {
-	const slice = 4
+	const slice, joinedTurns = 4, 2
 	spec := smallSpec("frames", 3)
 	spec.TestBudget = 10
+	opts, err := spec.BuildOptions("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, base, tests := campaignFixture(t, opts)
+	if len(tests) <= joinedTurns*slice {
+		t.Fatalf("%d tests leave the campaign's executor nothing after %d joined turns", len(tests), joinedTurns)
+	}
+
 	reg := queue.NewRegistry(queue.Options{})
 	defer reg.Close()
 	srv, err := queue.ServeRegistry(reg, "127.0.0.1:0", queue.ServerOptions{})
@@ -367,6 +390,20 @@ func TestTurnIsTwoFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	before := framesServed()
+	gate := make(chan struct{})
+	c, err := StartCampaign(spec, CampaignEnv{Registry: reg, Addr: srv.Addr(), Slice: slice, ExecGate: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for end := time.Now().Add(time.Minute); c.Status().Expected == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("the campaign never pushed its jobs")
+		}
+	}
+
+	// A worker joins over TCP and takes its turns while the executor waits
+	// at the gate, so each of its leases is a full turn.
 	var mu sync.Mutex
 	ops := make(map[string]int)
 	dial := func(addr string) (net.Conn, error) {
@@ -376,28 +413,42 @@ func TestTurnIsTwoFrames(t *testing.T) {
 		}
 		return frameCounter{Conn: conn, mu: &mu, ops: ops}, nil
 	}
-	c, err := StartCampaign(spec, CampaignEnv{Registry: reg, Addr: srv.Addr(), Slice: slice, Dial: dial})
+	cl, err := queue.DialOpts(srv.Addr(), queue.DialOptions{Queue: c.QueueName(), Dial: dial})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wenv := p.Env.Clone()
+	w := NewWorker(wenv, "joined", nil)
+	for turn := 0; turn < joinedTurns; turn++ {
+		leases, err := cl.LeaseN(slice)
+		if err != nil || len(leases) != slice {
+			t.Fatalf("joined turn %d leased %d jobs (%v), want %d", turn, len(leases), err, slice)
+		}
+		if settled, _ := w.Do(cl, leases); settled != slice {
+			t.Fatalf("joined turn %d settled %d jobs, want %d", turn, settled, slice)
+		}
+	}
+	cl.Close()
+	wenv.Close()
+	close(gate)
 	r, err := c.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := r.Distributed.Expected
-	turns := (jobs + slice - 1) / slice
+
 	mu.Lock()
 	got := fmt.Sprint(ops)
 	mu.Unlock()
-	if want := fmt.Sprint(map[string]int{"lease": turns, "settle": turns}); jobs <= slice || got != want {
-		t.Fatalf("%d jobs in turns of %d wrote frames %s, want %s", jobs, slice, got, want)
+	if want := fmt.Sprint(map[string]int{"lease": joinedTurns, "settle": joinedTurns}); got != want {
+		t.Fatalf("%d joined turns of %d jobs wrote frames %s, want %s", joinedTurns, slice, got, want)
+	}
+	if served, joined := framesServed()-before, int64(2*joinedTurns); served != joined {
+		t.Fatalf("the listener answered %d frames, the joined worker wrote %d: the campaign's executor wrote %d", served, joined, served-joined)
+	}
+	if r.Distributed.Expected != len(tests) || r.Distributed.Reported != len(tests) {
+		t.Fatalf("campaign folded %+v, want all %d tests", r.Distributed, len(tests))
 	}
 
-	opts, err := spec.BuildOptions("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, base, tests := campaignFixture(t, opts)
 	env := p.Env.Clone()
 	defer env.Close()
 	x := stage4Explorer(env, opts.Trials, opts.Detect)
@@ -499,15 +550,18 @@ func TestWorkerNacksUnresolvableJobs(t *testing.T) {
 	}
 }
 
-// TestWorkerNacksJobsWithoutTrials: a job that carries no trial budget is
-// malformed — no worker substitutes a budget of its own — so it is nacked
-// with the reason until it dead-letters, and nothing is explored.
+// TestWorkerNacksJobsWithoutTrials: a job that carries no trial budget, or
+// one past MaxTrials, is malformed — no worker substitutes a budget of its
+// own or explores without bound — so it is nacked with the reason until it
+// dead-letters, and nothing is explored.
 func TestWorkerNacksJobsWithoutTrials(t *testing.T) {
 	p, _, _, tests := smallCampaign(t)
 	q := queue.NewWithOptions(queue.Options{Name: "no-trials", MaxAttempts: 2})
 	t.Cleanup(q.Close)
+	budgets := []int{0, MaxTrials + 1}
 	for i, ct := range tests {
-		if err := q.Push(queue.Job{ID: i, Seed: 1, Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint}); err != nil {
+		job := queue.Job{ID: i, Seed: 1, Trials: budgets[i%2], Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint}
+		if err := q.Push(job); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -517,8 +571,9 @@ func TestWorkerNacksJobsWithoutTrials(t *testing.T) {
 		t.Fatalf("%d dead letters and %d results, want %d and none", len(dead), len(results), len(tests))
 	}
 	for _, d := range dead {
-		if d.Attempts != 2 || !strings.Contains(d.Reason, "trial budget 0") {
-			t.Errorf("dead job %d: attempts=%d reason=%q", d.Job.ID, d.Attempts, d.Reason)
+		want := fmt.Sprintf("trial budget %d", budgets[d.Job.ID%2])
+		if d.Attempts != 2 || !strings.Contains(d.Reason, want) {
+			t.Errorf("dead job %d: attempts=%d reason=%q, want %q", d.Job.ID, d.Attempts, d.Reason, want)
 		}
 	}
 }

@@ -67,29 +67,28 @@ func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace
 	return nil
 }
 
-// TurnJobs is how many jobs an executor leases per turn — one lease frame
-// and one settle frame — unless CampaignEnv.Slice says otherwise.
+// TurnJobs is how many jobs an executor leases per turn — one lease and one
+// settle, a frame each over TCP — unless CampaignEnv.Slice says otherwise.
 const TurnJobs = 4
 
-// Leaser is where a Worker leases turns from and settles them to: a
-// *queue.Client over TCP (the production path, chaos-injectable through
-// its dialer) or localLeaser in-process.
+// Leaser is where a Worker leases turns from and settles them to:
+// localLeaser on the queue in this process (sbd's executor), or a
+// *queue.Client over TCP for a worker that joins from elsewhere (sbexec,
+// the example's fleet; chaos-injectable through its dialer).
 type Leaser interface {
 	LeaseN(n int) ([]queue.Lease, error)
 	Settle(items []queue.Settlement) ([]error, error)
 	Nack(id uint64, reason string) error
 	Extend(id uint64, d time.Duration) (time.Time, error)
-	Close() error
 }
 
 // localLeaser leases straight from an in-process queue, non-blocking like
-// the wire's lease op; closing it leaves the queue open.
+// the wire's lease op.
 type localLeaser struct{ *queue.Queue }
 
 func (l localLeaser) Settle(items []queue.Settlement) ([]error, error) {
 	return l.Queue.Settle(items), nil
 }
-func (l localLeaser) Close() error { return nil }
 
 // keepTurn extends a turn's leases at half-TTL intervals until stopped, so
 // a turn longer than the queue's lease timeout is not reaped out from
@@ -163,12 +162,13 @@ func (w *Worker) nack(lsr Leaser, ls queue.Lease, reason string) {
 // turn, and settle every outcome (result recorded, lease released) in one
 // Settle. It returns how many leases settled with a result and how many of
 // those exercised their channel; every other lease was nacked — its job
-// malformed or unresolvable, or its result never landed. Failures are
-// contained to the job, never the process.
+// malformed (a trial budget not in 1..MaxTrials) or unresolvable, or its
+// result never landed. Failures are contained to the job, never the
+// process.
 func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 	held := make([]queue.Lease, 0, len(leases))
 	for _, ls := range leases {
-		if ls.Job.Trials <= 0 {
+		if ls.Job.Trials <= 0 || ls.Job.Trials > MaxTrials {
 			w.nack(lsr, ls, fmt.Sprintf("malformed job %d: trial budget %d", ls.Job.ID, ls.Job.Trials))
 			continue
 		}
