@@ -81,7 +81,7 @@ func (s CampaignSpec) WithDefaults() CampaignSpec {
 const (
 	MaxTrials         = 1 << 16 // interleaving trials per test
 	MaxTestBudget     = 1 << 16 // stage-4 concurrent tests
-	MaxFuzzBudget     = 1 << 20 // stage-1 sequential executions
+	MaxFuzzBudget     = 1 << 20 // stage-1 fuzz candidates
 	MaxCorpusCap      = 1 << 16 // stage-1 corpus size cap
 	MaxFeedbackRounds = 1 << 8  // feedback budget-allocation rounds
 )

@@ -24,7 +24,7 @@ func TestRunEventsCarryStageOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][]string{
-		"fuzz":     {"executed", "corpus"},
+		"fuzz":     {"executed", "corpus", "repeats"},
 		"profile":  {"accesses"},
 		"identify": {"pmcs"},
 		"exec":     {"issues", "segments"},

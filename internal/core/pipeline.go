@@ -173,7 +173,8 @@ func (p *Pipeline) BuildCorpus(r *Report) {
 		FuzzExecutions: r.FuzzExecutions,
 		FuzzTimeNs:     int64(r.FuzzTime),
 	})
-	p.stageDone("fuzz", false, r.FuzzTime, obs.A("executed", r.FuzzExecutions), obs.A("corpus", r.CorpusSize))
+	p.stageDone("fuzz", false, r.FuzzTime, obs.A("executed", r.FuzzExecutions), obs.A("corpus", r.CorpusSize),
+		obs.A("repeats", res.Repeats))
 }
 
 // SetCorpus installs an externally built corpus (e.g. shared across the

@@ -6,6 +6,7 @@ import (
 	"snowboard/internal/corpus"
 	"snowboard/internal/exec"
 	"snowboard/internal/kernel"
+	"snowboard/internal/obs"
 	"snowboard/internal/par"
 	"snowboard/internal/trace"
 )
@@ -92,27 +93,48 @@ func perExecutionFold(env *exec.Env, seed int64, budget, maxKeep int) CampaignRe
 // to the per-execution build-and-merge it replaced, at any worker count.
 // Under -race it is also the proof that a probe only ever runs beside other
 // probes.
+//
+// The memo is held to the same oracle, which runs every candidate: a
+// repeat answered by it must fold as its run would have, crashed or not.
+// The "hangs" case runs on Envs whose step limit makes some candidates
+// hang, so crashing verdicts are remembered and reused too.
 func TestCampaignEqualsPerExecutionFold(t *testing.T) {
-	base := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
-	defer base.Close()
-	clones := make([]*exec.Env, 8)
-	for w := range clones {
-		clones[w] = base.Clone()
-		defer clones[w].Close()
+	envs := func(maxSteps int) (*exec.Env, []*exec.Env) {
+		base := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+		base.MaxSteps = maxSteps
+		t.Cleanup(base.Close)
+		clones := make([]*exec.Env, 8)
+		for w := range clones {
+			clones[w] = base.Clone()
+			t.Cleanup(clones[w].Close)
+		}
+		return base, clones
 	}
+	base, clones := envs(0)
+	hangBase, hangClones := envs(120)
 	for _, tc := range []struct {
 		name            string
 		seed            int64
 		budget, maxKeep int
+		hangs           bool
 	}{
-		{"budget", 5, 700, 0},
-		{"short last round", 11, 333, 0},
-		{"cap mid-round", 5, 2000, 37},
+		{"budget", 5, 700, 0, false},
+		{"short last round", 11, 333, 0, false},
+		{"cap mid-round", 5, 2000, 37, false},
+		{"hangs", 7, 1500, 0, true},
 	} {
+		base, clones := base, clones
+		if tc.hangs {
+			base, clones = hangBase, hangClones
+		}
 		want := perExecutionFold(base, tc.seed, tc.budget, tc.maxKeep)
 		if tc.maxKeep > 0 && (want.Executed%batchSize == 0 || want.Executed >= tc.budget) {
 			t.Fatalf("%s: the cap stopped the oracle at %d executions, not mid-round", tc.name, want.Executed)
 		}
+		if tc.hangs && want.Crashes == 0 {
+			t.Fatalf("%s: no candidate hung at MaxSteps %d", tc.name, base.MaxSteps)
+		}
+		t.Logf("%s: oracle executed/selected/crashes %d/%d/%d", tc.name, want.Executed, want.Selected, want.Crashes)
 		for _, workers := range []int{1, 2, 8} {
 			got := CampaignSharded(clones[:workers], tc.seed, tc.budget, tc.maxKeep)
 			if got.Executed != want.Executed || got.Selected != want.Selected ||
@@ -133,12 +155,34 @@ func TestCampaignEqualsPerExecutionFold(t *testing.T) {
 	}
 }
 
+// TestRepeatedCandidateNotRun holds the memo to its purpose: a campaign
+// whose candidate stream repeats programs answers the repeats without a
+// guest run, so its runs are its candidates less its repeats.
+func TestRepeatedCandidateNotRun(t *testing.T) {
+	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+	defer env.Close()
+	runs := obs.C(obs.MExecRuns)
+	before := runs.Value()
+	res := Campaign(env, 3, 1000, 0)
+	ran := int(runs.Value() - before)
+	t.Logf("executed=%d repeats=%d runs=%d", res.Executed, res.Repeats, ran)
+	if res.Repeats == 0 {
+		t.Fatalf("no repeats in %d candidates", res.Executed)
+	}
+	if ran != res.Executed-res.Repeats {
+		t.Fatalf("%d guest runs for %d candidates with %d repeats, want %d",
+			ran, res.Executed, res.Repeats, res.Executed-res.Repeats)
+	}
+}
+
 // TestFuzzExecAllocBudget is the allocation gate on one fuzzing execution,
 // generation to fold: the run borrows its storage from the Env and only the
 // 3% of executions that add coverage carry edge keys, so what is left is
 // the generator's (Prog.Clone, genCall, literalArgs) — 30.6 per execution
 // when every run allocated its bodies and built and merged a map of its
-// trace, 11.3 measured.
+// trace, 11.3 measured. The candidate memo leaves that at 11.3: it grows
+// one map and fills 4 KiB chunks, so its bytes (752 → 831 per candidate)
+// move and its allocation count does not.
 func TestFuzzExecAllocBudget(t *testing.T) {
 	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 	defer env.Close()

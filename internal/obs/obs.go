@@ -33,7 +33,7 @@ import (
 // readers of /metrics, /progress, and the code agree on spelling.
 const (
 	// Stage 1: sequential fuzzing and profiling.
-	MFuzzExecs     = "fuzz.execs"       // counter: sequential executions in the campaign
+	MFuzzExecs     = "fuzz.execs"       // counter: candidates folded, run or answered by the campaign's memo
 	MFuzzCrashes   = "fuzz.crashes"     // counter: discarded crashing sequential tests
 	MFuzzSelected  = "fuzz.selected"    // counter: tests kept for new coverage
 	MFuzzCorpus    = "fuzz.corpus_size" // gauge: current corpus size
@@ -54,7 +54,7 @@ const (
 	// Stage 3/4: generation and concurrent execution.
 	MGenTests        = "gen.tests"               // counter: concurrent tests generated
 	MExecTests       = "exec.tests"              // counter: concurrent tests explored
-	MExecRuns        = "exec.runs"               // counter: VM executions (sequential + pair + many)
+	MExecRuns        = "exec.runs"               // counter: VM executions (sequential + pair)
 	MExecCrashes     = "exec.crashes"            // counter: executions that crashed the kernel
 	MExecSteps       = "exec.steps"              // counter: VM events processed
 	MSchedTrials     = "sched.trials"            // counter: interleaving trials run
