@@ -377,15 +377,11 @@ func TestChaosFleetFairAndLossless(t *testing.T) {
 	var sample []int64
 	for sample == nil {
 		for _, id := range rest {
-			select {
-			case <-s.get(id).Done():
+			if st := s.get(id).Status().State; st == core.CampaignDone || st == core.CampaignFailed {
 				sample = make([]int64, len(rest))
 				for j, jid := range rest {
-					sample[j] = s.get(jid).Executed()
+					sample[j] = s.get(jid).Status().Executed
 				}
-			default:
-			}
-			if sample != nil {
 				break
 			}
 		}
@@ -394,8 +390,10 @@ func TestChaosFleetFairAndLossless(t *testing.T) {
 		}
 	}
 
-	if err := s.waitAll(); err != nil {
-		t.Fatal(err)
+	for _, id := range ids {
+		if _, err := s.get(id).Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -426,9 +424,6 @@ func TestChaosFleetFairAndLossless(t *testing.T) {
 	// no joined worker fold to the same reports.
 	calm, calmBase, _ := newTestPlane(t, core.CampaignEnv{Turns: core.NewTurnScheduler(2), Slice: 2})
 	calmIDs := submitFleet(t, calmBase, fleet)
-	if err := calm.waitAll(); err != nil {
-		t.Fatal(err)
-	}
 	for i, id := range calmIDs {
 		if want := foldedReport(t, calm.get(id)); !bytes.Equal(reports[i], want) {
 			t.Fatalf("campaign %s under chaos folded a different report:\n%s\nvs fault-free\n%s", id, reports[i], want)
@@ -474,8 +469,10 @@ func TestRestartResumesByteIdentical(t *testing.T) {
 		}
 		ids[i] = sub.ID
 	}
-	if err := sA.waitAll(); err != nil {
-		t.Fatal(err)
+	for _, id := range ids {
+		if _, err := sA.get(id).Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reportsA := make([]json.RawMessage, len(ids))
 	for i, id := range ids {
@@ -499,8 +496,10 @@ func TestRestartResumesByteIdentical(t *testing.T) {
 	if n != len(specs) {
 		t.Fatalf("resume found %d campaigns, want %d", n, len(specs))
 	}
-	if err := sB.waitAll(); err != nil {
-		t.Fatal(err)
+	for _, id := range ids {
+		if _, err := sB.get(id).Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, id := range ids {
 		var d detailWire

@@ -182,18 +182,3 @@ func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not found", http.StatusNotFound)
 	}
 }
-
-// waitAll blocks until every currently submitted campaign finishes and
-// returns the first error, if any (used by -wait mode and tests).
-func (s *server) waitAll() error {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	var firstErr error
-	for _, id := range ids {
-		if _, err := s.get(id).Wait(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}

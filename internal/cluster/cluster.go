@@ -138,16 +138,6 @@ var (
 // Strategies lists the eight Table 1 strategies in the paper's order.
 var Strategies = []Strategy{SFull, SCh, SChNull, SChUnaligned, SChDouble, SIns, SInsPair, SMem}
 
-// ByName resolves a strategy by its Table 1 name.
-func ByName(name string) (Strategy, bool) {
-	for _, s := range Strategies {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Strategy{}, false
-}
-
 // Cluster is one group of equivalent PMCs under a strategy.
 type Cluster struct {
 	Key  string

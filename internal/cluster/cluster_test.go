@@ -210,18 +210,6 @@ func TestExemplarIsMember(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, s := range Strategies {
-		got, ok := ByName(s.Name)
-		if !ok || got.Name != s.Name {
-			t.Fatalf("ByName(%q) failed", s.Name)
-		}
-	}
-	if _, ok := ByName("S-BOGUS"); ok {
-		t.Fatal("bogus strategy resolved")
-	}
-}
-
 func TestTable1StrategyCount(t *testing.T) {
 	if len(Strategies) != 8 {
 		t.Fatalf("Table 1 defines 8 strategies, have %d", len(Strategies))

@@ -381,9 +381,6 @@ func (c *Campaign) gate() {
 	c.mu.Unlock()
 }
 
-// Done is closed when the campaign finishes (or fails).
-func (c *Campaign) Done() <-chan struct{} { return c.done }
-
 // Wait blocks until the campaign finishes and returns its report.
 func (c *Campaign) Wait() (*Report, error) {
 	<-c.done
@@ -398,10 +395,6 @@ func (c *Campaign) Report() *Report {
 	defer c.mu.Unlock()
 	return c.report
 }
-
-// Executed returns the number of jobs this campaign's executor settled so
-// far — the counter fairness tests sample.
-func (c *Campaign) Executed() int64 { return c.executed.Load() }
 
 // QueueName returns the campaign's queue name in the shared registry.
 func (c *Campaign) QueueName() string { return "campaign." + c.ID }

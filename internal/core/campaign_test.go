@@ -255,9 +255,9 @@ func TestCampaignPauseResume(t *testing.T) {
 	// While paused the executor stops at the next slice boundary: the
 	// executed counter must go flat.
 	settleCampaign(t, c, func() bool { return true })
-	before := c.Executed()
+	before := c.executed.Load()
 	time.Sleep(50 * time.Millisecond)
-	if got := c.Executed(); got > before+1 {
+	if got := c.executed.Load(); got > before+1 {
 		t.Fatalf("executed advanced %d -> %d while paused", before, got)
 	}
 	if st := c.Status(); st.State != CampaignPaused && st.State != CampaignDone {
@@ -386,8 +386,8 @@ func TestCampaignFaultInjectionLosesNothing(t *testing.T) {
 	}
 	// Exactly-once fold: the report counts settled jobs, never the
 	// abandoned first deliveries.
-	if r.TestedTests != sum.Expected || c.Executed() != int64(sum.Expected) {
-		t.Fatalf("folded %d tests, executed %d, want %d (double-counted redeliveries?)", r.TestedTests, c.Executed(), sum.Expected)
+	if r.TestedTests != sum.Expected || c.executed.Load() != int64(sum.Expected) {
+		t.Fatalf("folded %d tests, executed %d, want %d (double-counted redeliveries?)", r.TestedTests, c.executed.Load(), sum.Expected)
 	}
 }
 

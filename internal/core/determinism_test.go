@@ -83,7 +83,8 @@ func digestRun(t *testing.T, workers int) reportDigest {
 	for _, prof := range p.Profiles {
 		d.ProfileSizes = append(d.ProfileSizes, prof.Accesses.Len())
 		var h uint64
-		for _, a := range prof.Accesses.Accesses() {
+		for i := 0; i < prof.Accesses.Len(); i++ {
+			a := prof.Accesses.At(i)
 			h = fnv1a(h, fmt.Sprintf("%d:%d:%d:%d:%d", a.Ins, a.Addr, a.Size, a.Val, a.Kind))
 		}
 		d.ProfileHash = append(d.ProfileHash, h)

@@ -313,19 +313,9 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 			if len(out) >= budget {
 				break
 			}
-			ex := cluster.Exemplar(&cs[i], rng)
-			entry := p.PMCs.Entries[ex]
-			if entry == nil || len(entry.Pairs) == 0 {
-				continue
+			if c, ok := p.drawCandidate(cs, i, rng); ok {
+				out = append(out, c.test)
 			}
-			pair := entry.Pairs[rng.Intn(len(entry.Pairs))]
-			hint := entry.PMC
-			out = append(out, sched.ConcurrentTest{
-				Writer: p.Corpus.Progs[pair.Writer],
-				Reader: p.Corpus.Progs[pair.Reader],
-				Hint:   &hint,
-				Pair:   pair,
-			})
 		}
 	case MethodRandomPairing:
 		for len(out) < budget {

@@ -116,18 +116,6 @@ func (p *Prog) Hash() string {
 // Marshal serializes the program to JSON.
 func (p *Prog) Marshal() ([]byte, error) { return json.Marshal(p) }
 
-// Unmarshal parses a serialized program and validates it.
-func Unmarshal(data []byte) (*Prog, error) {
-	var p Prog
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("corpus: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
 // Corpus is a deduplicated, ordered collection of programs.
 type Corpus struct {
 	Progs []*Prog

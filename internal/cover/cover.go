@@ -11,7 +11,6 @@ package cover
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"snowboard/internal/trace"
@@ -29,8 +28,7 @@ func (p Pair) String() string {
 }
 
 // Coverage accumulates alias instruction pairs across trials. It is safe
-// for concurrent use so distributed workers can share one accumulator.
-// It implements Metric.
+// for concurrent use.
 type Coverage struct {
 	mu    sync.Mutex
 	pairs map[Pair]int
@@ -54,13 +52,11 @@ func (c *Coverage) AddTrace(tr *trace.Trace) int {
 	return addEach(c.pairs, c.own.pairs)
 }
 
-// Merge folds other's accumulated pairs into c (counts add) and returns
-// how many pairs were new to c. Per-worker accumulators merged in any
-// order yield the same totals as one shared accumulator. other is not
-// modified; merging an accumulator into itself is not supported. other
-// must be a *Coverage.
-func (c *Coverage) Merge(other Metric) int {
-	o := other.(*Coverage)
+// Merge folds o's accumulated pairs into c (counts add) and returns how
+// many pairs were new to c. Per-worker accumulators merged in any order
+// yield the same totals as one shared accumulator. o is not modified;
+// merging an accumulator into itself is not supported.
+func (c *Coverage) Merge(o *Coverage) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	c.mu.Lock()
@@ -73,43 +69,4 @@ func (c *Coverage) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pairs)
-}
-
-// Top returns the n most frequently re-covered pairs, most common first —
-// the frequency ranking used to prioritize manual inspection (§5.2).
-func (c *Coverage) Top(n int) []Pair {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	type entry struct {
-		p Pair
-		n int
-	}
-	all := make([]entry, 0, len(c.pairs))
-	for p, count := range c.pairs {
-		all = append(all, entry{p, count})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		if all[i].p.First != all[j].p.First {
-			return all[i].p.First < all[j].p.First
-		}
-		return all[i].p.Second < all[j].p.Second
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]Pair, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].p
-	}
-	return out
-}
-
-// Count returns how many times the pair has been covered.
-func (c *Coverage) Count(p Pair) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pairs[p]
 }

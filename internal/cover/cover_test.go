@@ -19,7 +19,7 @@ func tAcc(th int, kind trace.Kind, ins trace.Ins, addr uint64) trace.Access {
 func trOf(accs ...trace.Access) *trace.Trace {
 	tr := &trace.Trace{}
 	for _, a := range accs {
-		tr.Append(a)
+		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
 	}
 	return tr
 }
@@ -33,7 +33,7 @@ func TestCrossThreadPairCovered(t *testing.T) {
 	if fresh != 1 || c.Len() != 1 {
 		t.Fatalf("fresh=%d len=%d", fresh, c.Len())
 	}
-	if c.Count(Pair{First: cvW, Second: cvR}) != 1 {
+	if c.pairs[Pair{First: cvW, Second: cvR}] != 1 {
 		t.Fatal("pair not counted")
 	}
 }
@@ -79,7 +79,7 @@ func TestInterveningAccessBreaksPair(t *testing.T) {
 	if fresh != 2 {
 		t.Fatalf("fresh=%d", fresh)
 	}
-	if c.Count(Pair{First: cvW, Second: cvR}) != 0 {
+	if c.pairs[Pair{First: cvW, Second: cvR}] != 0 {
 		t.Fatal("non-adjacent pair covered")
 	}
 }
@@ -110,25 +110,8 @@ func TestFreshCountsOnlyNewPairs(t *testing.T) {
 	if fresh := c.AddTrace(tr); fresh != 0 {
 		t.Fatalf("repeat counted as fresh: %d", fresh)
 	}
-	if c.Count(Pair{First: cvW, Second: cvR}) != 2 {
+	if c.pairs[Pair{First: cvW, Second: cvR}] != 2 {
 		t.Fatal("repeat not accumulated")
-	}
-}
-
-func TestTopOrdering(t *testing.T) {
-	c := New()
-	hot := trOf(tAcc(0, trace.Write, cvW, 0x100), tAcc(1, trace.Read, cvR, 0x100))
-	cold := trOf(tAcc(0, trace.Write, cvX, 0x200), tAcc(1, trace.Read, cvR, 0x200))
-	for i := 0; i < 5; i++ {
-		c.AddTrace(hot)
-	}
-	c.AddTrace(cold)
-	top := c.Top(2)
-	if len(top) != 2 || top[0] != (Pair{First: cvW, Second: cvR}) {
-		t.Fatalf("top: %v", top)
-	}
-	if got := c.Top(10); len(got) != 2 {
-		t.Fatalf("Top clamps: %d", len(got))
 	}
 }
 
@@ -141,14 +124,7 @@ func TestPartialOverlapCovered(t *testing.T) {
 	}
 }
 
-// --- Metric interface and allocation guards ---
-
-// Both accumulators implement Metric; the pipeline and fuzz loop depend on
-// swapping them behind the interface.
-var (
-	_ Metric = (*Coverage)(nil)
-	_ Metric = (*Segments)(nil)
-)
+// --- allocation guards ---
 
 // TestAddTraceSteadyStateAllocs pins the satellite fix for per-trial alloc
 // churn: once the scratch maps are warm, folding a trace whose pairs and
@@ -209,7 +185,7 @@ func benchWalk(b *testing.B, aligned bool) {
 		if aligned {
 			a.Addr, a.Size = a.Addr&^7, 8
 		}
-		tr.Append(a)
+		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
 	}
 	c, s := New(), NewSegments()
 	c.AddTrace(tr)
@@ -249,7 +225,7 @@ func TestSegmentGoldenTwoComms(t *testing.T) {
 		t.Fatalf("fresh=%d len=%d, want 1/1", fresh, s.Len())
 	}
 	want := Segment{First: comm(segAW, segBR), Second: comm(segCW, segDR)}
-	if s.Count(want) != 1 {
+	if s.segs[want] != 1 {
 		t.Fatalf("golden segment %s not covered", want)
 	}
 }
@@ -267,12 +243,12 @@ func TestSegmentCollapsesConsecutiveDuplicates(t *testing.T) {
 		tAcc(1, trace.Read, segDR, 0x300), // comm: C=>D
 	))
 	ab := comm(segAW, segBR)
-	if got := s.Count(Segment{First: ab, Second: ab}); got != 0 {
+	if got := s.segs[Segment{First: ab, Second: ab}]; got != 0 {
 		t.Fatalf("self-segment covered %d times, want 0", got)
 	}
 	want := Segment{First: ab, Second: comm(segCW, segDR)}
-	if fresh != 1 || s.Count(want) != 1 {
-		t.Fatalf("fresh=%d count(%s)=%d, want 1/1", fresh, want, s.Count(want))
+	if fresh != 1 || s.segs[want] != 1 {
+		t.Fatalf("fresh=%d count(%s)=%d, want 1/1", fresh, want, s.segs[want])
 	}
 }
 
@@ -316,7 +292,7 @@ func TestSegmentOrderDistinguished(t *testing.T) {
 
 func TestSegmentsMergeCommutative(t *testing.T) {
 	// Merging per-worker accumulators in any order must yield the same
-	// covered set and counts — the Metric contract the parallel fold needs.
+	// covered set and counts — the contract the parallel fold needs.
 	traces := []*trace.Trace{
 		trOf(
 			tAcc(0, trace.Write, segAW, 0x100),

@@ -33,7 +33,7 @@ func (m edgeModel) has(key uint64) bool {
 func insTrace(ins []trace.Ins) *trace.Trace {
 	var tr trace.Trace
 	for _, x := range ins {
-		tr.Append(trace.Access{Ins: x})
+		tr.Record(0, x, trace.Read, 0, 0, 0, false, false, false, false, 0)
 	}
 	return &tr
 }

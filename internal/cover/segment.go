@@ -46,7 +46,7 @@ type SegmentCount struct {
 }
 
 // Segments accumulates interleaving segments across trials. It is safe
-// for concurrent use and implements Metric.
+// for concurrent use.
 type Segments struct {
 	mu   sync.Mutex
 	segs map[Segment]int
@@ -71,11 +71,10 @@ func (s *Segments) AddTrace(tr *trace.Trace) int {
 	return addEach(s.segs, s.own.segs)
 }
 
-// Merge folds other's segments into s (counts add) and returns how many
-// were new to s. Commutative and associative on the covered set, like
-// Coverage.Merge. other must be a *Segments.
-func (s *Segments) Merge(other Metric) int {
-	o := other.(*Segments)
+// Merge folds o's segments into s (counts add) and returns how many were
+// new to s. Commutative and associative on the covered set, like
+// Coverage.Merge.
+func (s *Segments) Merge(o *Segments) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	s.mu.Lock()
@@ -88,13 +87,6 @@ func (s *Segments) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.segs)
-}
-
-// Count returns how many times the segment has been covered.
-func (s *Segments) Count(seg Segment) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.segs[seg]
 }
 
 // Export returns the accumulator's entries in canonical (sorted) order,

@@ -103,7 +103,7 @@ func randTrace(rng *rand.Rand, n int, far bool) *trace.Trace {
 		if rng.Intn(2) == 0 {
 			a.Addr, a.Size = a.Addr&^7, 8
 		}
-		tr.Append(a)
+		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
 	}
 	return tr
 }

@@ -22,7 +22,7 @@ func acc(th int, kind trace.Kind, ins trace.Ins, addr uint64, size uint8, val ui
 func traceOf(accs ...trace.Access) *trace.Trace {
 	tr := &trace.Trace{}
 	for _, a := range accs {
-		tr.Append(a)
+		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
 	}
 	return tr
 }

@@ -93,7 +93,7 @@ func genTrace(data []byte) *trace.Trace {
 		if whole && op&0xf >= 13 {
 			a.Addr &^= 7
 		}
-		tr.Append(a)
+		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
 	}
 	return tr
 }
@@ -205,19 +205,19 @@ func checkHBEqualsReference(t *testing.T, sc *Scratch, data []byte, k *teeth) {
 			k.add(&sc.view)
 		}
 		if riding := sc.hb.findRaces(&sc.view, &w); !slices.Equal(riding, got) {
-			t.Fatalf("trace %v:\nalone  %+v\nriding %+v", tr.Accesses(), got, riding)
+			t.Fatalf("trace %v:\nalone  %+v\nriding %+v", tr, got, riding)
 		}
 		ridC, ridS, soloC, soloS := cover.New(), cover.NewSegments(), cover.New(), cover.NewSegments()
 		w.Fold(ridC, ridS)
 		if soloC.AddTrace(tr) != ridC.Len() || soloS.AddTrace(tr) != ridS.Len() ||
-			!reflect.DeepEqual(ridS.Export(), soloS.Export()) || !reflect.DeepEqual(ridC.Top(ridC.Len()), soloC.Top(soloC.Len())) {
-			t.Fatalf("trace %v: the riding walker's coverage differs from the standalone walk's", tr.Accesses())
+			!reflect.DeepEqual(ridS.Export(), soloS.Export()) || ridC.Merge(soloC) != 0 {
+			t.Fatalf("trace %v: the riding walker's coverage differs from the standalone walk's", tr)
 		}
 		if len(want) == 0 && len(got) == 0 {
 			continue
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trace %v:\nreference %+v\nflat      %+v", tr.Accesses(), want, got)
+			t.Fatalf("trace %v:\nreference %+v\nflat      %+v", tr, want, got)
 		}
 	}
 }
@@ -317,7 +317,7 @@ func benchRacesHB(b *testing.B, aligned bool) {
 		if aligned {
 			a.Addr, a.Size = a.Addr&^7, 8
 		}
-		tr.Append(a)
+		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
 	}
 	var sc Scratch
 	findRacesHB(&sc, tr)

@@ -144,26 +144,3 @@ func Render(tr *trace.Trace, hint *pmc.PMC, issues []detect.Issue, opt Options) 
 	}
 	return b.String()
 }
-
-// Summarize produces a one-paragraph textual account of how the PMC led to
-// the issue, in the style of the paper's case studies.
-func Summarize(hint *pmc.PMC, issues []detect.Issue) string {
-	var b strings.Builder
-	if hint != nil {
-		fmt.Fprintf(&b,
-			"The writer's %s stores %#x over [%#x,+%d); run before the reader's %s (which observed %#x sequentially), the communication changes the reader's view of that memory.",
-			hint.Write.Ins.Name(), hint.Write.Val, hint.Write.Addr, hint.Write.Size,
-			hint.Read.Ins.Name(), hint.Read.Val)
-	}
-	for _, is := range issues {
-		switch is.Kind {
-		case detect.KindPanic:
-			fmt.Fprintf(&b, " The interleaving ends in a kernel crash: %s.", is.Desc)
-		case detect.KindDataRace:
-			fmt.Fprintf(&b, " The oracles flag %s.", is.Desc)
-		case detect.KindFSError, detect.KindIOError:
-			fmt.Fprintf(&b, " The kernel logs %q.", is.Desc)
-		}
-	}
-	return strings.TrimSpace(b.String())
-}

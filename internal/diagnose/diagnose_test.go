@@ -18,12 +18,12 @@ var (
 func diagTrace() *trace.Trace {
 	tr := &trace.Trace{}
 	for i := 0; i < 20; i++ {
-		tr.Append(trace.Access{Thread: 0, Kind: trace.Write, Ins: dgX, Addr: 0x900 + uint64(i), Size: 1})
+		tr.Record(0, dgX, trace.Write, 0x900+uint64(i), 1, 0, false, false, false, false, 0)
 	}
-	tr.Append(trace.Access{Thread: 0, Kind: trace.Write, Ins: dgW, Addr: 0x100, Size: 8, Val: 0x42})
-	tr.Append(trace.Access{Thread: 1, Kind: trace.Read, Ins: dgR, Addr: 0x100, Size: 8, Val: 0x42})
+	tr.Record(0, dgW, trace.Write, 0x100, 8, 0x42, false, false, false, false, 0)
+	tr.Record(1, dgR, trace.Read, 0x100, 8, 0x42, false, false, false, false, 0)
 	for i := 0; i < 20; i++ {
-		tr.Append(trace.Access{Thread: 1, Kind: trace.Read, Ins: dgX, Addr: 0x900 + uint64(i), Size: 1})
+		tr.Record(1, dgX, trace.Read, 0x900+uint64(i), 1, 0, false, false, false, false, 0)
 	}
 	return tr
 }
@@ -67,7 +67,7 @@ func TestRenderAnchorsAndElision(t *testing.T) {
 func TestRenderRowCap(t *testing.T) {
 	tr := &trace.Trace{}
 	for i := 0; i < 500; i++ {
-		tr.Append(trace.Access{Thread: 0, Kind: trace.Write, Ins: dgW, Addr: 0x100, Size: 8})
+		tr.Record(0, dgW, trace.Write, 0x100, 8, 0, false, false, false, false, 0)
 	}
 	out := Render(tr, diagHint(), nil, Options{Context: 2, MaxRows: 10})
 	if !strings.Contains(out, "(truncated: ") {
@@ -78,21 +78,12 @@ func TestRenderRowCap(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize(diagHint(), []detect.Issue{
-		{Kind: detect.KindPanic, Desc: "BUG: kernel NULL pointer dereference"},
-	})
-	if !strings.Contains(s, "diag_test:publish") || !strings.Contains(s, "kernel crash") {
-		t.Fatalf("summary: %s", s)
-	}
-}
-
 func TestRenderNilHintEmptyIssues(t *testing.T) {
 	// No hint and no issues means no anchors; the renderer must fall back
 	// to the head of the trace instead of an empty body.
 	tr := &trace.Trace{}
 	for i := 0; i < 8; i++ {
-		tr.Append(trace.Access{Thread: i % 2, Kind: trace.Write, Ins: dgW, Addr: 0x100, Size: 8})
+		tr.Record(i%2, dgW, trace.Write, 0x100, 8, 0, false, false, false, false, 0)
 	}
 	out := Render(tr, nil, nil, Options{Context: 2, MaxRows: 64})
 	if n := strings.Count(out, "diag_test:publish"); n != 8 {
@@ -106,7 +97,7 @@ func TestRenderNilHintEmptyIssues(t *testing.T) {
 func TestRenderNilHintLongTraceTruncates(t *testing.T) {
 	tr := &trace.Trace{}
 	for i := 0; i < 50; i++ {
-		tr.Append(trace.Access{Thread: 0, Kind: trace.Write, Ins: dgW, Addr: 0x100, Size: 8})
+		tr.Record(0, dgW, trace.Write, 0x100, 8, 0, false, false, false, false, 0)
 	}
 	out := Render(tr, nil, nil, Options{Context: 2, MaxRows: 10})
 	if n := strings.Count(out, "diag_test:publish"); n != 10 {
@@ -129,7 +120,7 @@ func TestRenderAnchoredTruncationCountsHiddenRows(t *testing.T) {
 	// anchored rows it hid rather than silently clipping.
 	tr := &trace.Trace{}
 	for i := 0; i < 300; i++ {
-		tr.Append(trace.Access{Thread: 0, Kind: trace.Write, Ins: dgW, Addr: 0x100, Size: 8})
+		tr.Record(0, dgW, trace.Write, 0x100, 8, 0, false, false, false, false, 0)
 	}
 	out := Render(tr, diagHint(), nil, Options{Context: 1, MaxRows: 5})
 	if !strings.Contains(out, "(truncated: ") || !strings.Contains(out, "more rows beyond the 5-row cap") {

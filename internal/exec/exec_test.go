@@ -57,7 +57,8 @@ func TestSequentialProfileCollectsSharedAccesses(t *testing.T) {
 		t.Fatal("no shared accesses profiled")
 	}
 	var sawPublishRead bool
-	for _, a := range accs.Accesses() {
+	for i := 0; i < accs.Len(); i++ {
+		a := accs.At(i)
 		if a.Stack {
 			t.Fatalf("stack access leaked through filter: %+v", a)
 		}
@@ -78,10 +79,7 @@ func TestSequentialProfileCollectsSharedAccesses(t *testing.T) {
 // (list_add_rcu), then run the reader to completion. The reader must panic
 // on the null tunnel->sock in the 5.12-rc3 build and survive in 5.3.10.
 func TestL2TPBugTriggersUnderAdversarialSchedule(t *testing.T) {
-	publishIns, ok := trace.LookupIns("l2tp_tunnel_register:list_add_rcu")
-	if !ok {
-		t.Fatal("publish instruction not registered")
-	}
+	publishIns := trace.DefIns("l2tp_tunnel_register:list_add_rcu")
 	for _, tc := range []struct {
 		version   kernel.Version
 		wantCrash bool

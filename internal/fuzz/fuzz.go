@@ -245,8 +245,3 @@ func (g *Generator) mutateOnce(p *corpus.Prog) *corpus.Prog {
 	}
 	return q
 }
-
-// The edge-coverage set the fuzz loop selects tests by lives in
-// internal/cover (cover.Edges), beside the concurrency metrics; it is not a
-// cover.Metric: a campaign probes it (Missing) and folds what was lacking
-// (Add) instead of merging accumulators.

@@ -24,31 +24,6 @@ const (
 	FDSnd  // /dev/snd/control
 )
 
-// String names the fd kind for reports.
-func (k FDKind) String() string {
-	switch k {
-	case FDSockTCP:
-		return "sock-tcp"
-	case FDSockUDP:
-		return "sock-udp"
-	case FDSockRaw6:
-		return "sock-raw6"
-	case FDSockPacket:
-		return "sock-packet"
-	case FDSockPPP:
-		return "sock-ppp"
-	case FDFile:
-		return "file"
-	case FDBlk:
-		return "blk"
-	case FDTTY:
-		return "tty"
-	case FDSnd:
-		return "snd"
-	}
-	return "none"
-}
-
 // FDesc is one open descriptor.
 type FDesc struct {
 	Kind FDKind
@@ -69,11 +44,6 @@ type Proc struct {
 
 	fds  []FDesc
 	args [maxSyscallArgs]uint64 // Invoke's argument spill for the running syscall
-}
-
-// NewProc binds a process context to a kernel thread and user slot.
-func NewProc(k *Kernel, t *vm.Thread, slot int) *Proc {
-	return &Proc{K: k, T: t, Slot: slot}
 }
 
 // Reset rebinds p to a kernel thread and user slot as a fresh process: no

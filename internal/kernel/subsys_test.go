@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"snowboard/internal/trace"
@@ -100,7 +102,7 @@ func TestCopyToUserLandsInProcRegion(t *testing.T) {
 		k.RtnlUnlock(p.T)
 		k.DevIfsiocLocked(p.T, k.G.Eth0, p.UserBuf())
 	})
-	got := m.Mem.ReadBytes(UserRegion(0), EthAlen)
+	got := binary.LittleEndian.AppendUint64(nil, m.Mem.Read(UserRegion(0), EthAlen))
 	for i := range mac {
 		if got[i] != mac[i] {
 			t.Fatalf("user buffer byte %d: %#x != %#x", i, got[i], mac[i])
@@ -163,7 +165,7 @@ func TestRemountReportsCorruption(t *testing.T) {
 			t.Fatalf("mount over corruption: %d", rc)
 		}
 	})
-	if !k.M.Console.Contains("checksum invalid") {
+	if !strings.Contains(k.M.Console.String(), "checksum invalid") {
 		t.Fatalf("console: %v", k.M.Console.Lines())
 	}
 }
@@ -213,7 +215,7 @@ func TestDoubleFetchVisibleInSequentialProfile(t *testing.T) {
 	var tr trace.Trace
 	k.M.SetTrace(&tr)
 	k.M.Spawn("test", StackFor(0), func(th *vm.Thread) {
-		p := NewProc(k, th, 0)
+		p := &Proc{K: k, T: th}
 		k.Invoke(p, SysMsggetNr, []uint64{0x5ee}) // create
 		k.Invoke(p, SysMsggetNr, []uint64{0x5ee}) // lookup: double fetch on non-empty bucket
 	})
@@ -223,7 +225,7 @@ func TestDoubleFetchVisibleInSequentialProfile(t *testing.T) {
 	k.M.SetTrace(nil)
 	accs := trace.DefaultFilter(0).Apply(&tr)
 	df := trace.MarkDoubleFetches(&accs)
-	testIns, _ := trace.LookupIns("rht_ptr:load_bkt_test")
+	testIns := trace.DefIns("rht_ptr:load_bkt_test")
 	found := false
 	for idx := range df {
 		if accs.InsAt(idx) == testIns {
@@ -242,7 +244,7 @@ func TestKernelVersionGatesRhtPtr(t *testing.T) {
 		var tr trace.Trace
 		k.M.SetTrace(&tr)
 		k.M.Spawn("test", StackFor(0), func(th *vm.Thread) {
-			p := NewProc(k, th, 0)
+			p := &Proc{K: k, T: th}
 			k.Invoke(p, SysMsggetNr, []uint64{0x5ee})
 			k.Invoke(p, SysMsggetNr, []uint64{0x5ee})
 		})
@@ -250,9 +252,10 @@ func TestKernelVersionGatesRhtPtr(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.M.SetTrace(nil)
-		testIns, _ := trace.LookupIns("rht_ptr:load_bkt_test")
-		useIns, _ := trace.LookupIns("rht_ptr:load_bkt_use")
-		for _, a := range tr.Accesses() {
+		testIns := trace.DefIns("rht_ptr:load_bkt_test")
+		useIns := trace.DefIns("rht_ptr:load_bkt_use")
+		for i := 0; i < tr.Len(); i++ {
+			a := tr.At(i)
 			if a.Ins == testIns || a.Ins == useIns {
 				if a.Marked {
 					marked++

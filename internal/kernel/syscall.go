@@ -271,16 +271,6 @@ func init() {
 	}
 }
 
-// SyscallByName resolves a syscall number from its name.
-func SyscallByName(name string) (int, bool) {
-	for i := range Syscalls {
-		if Syscalls[i].Name == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // Invoke dispatches syscall nr with resolved argument values. The entry
 // path spills the syscall number and arguments to the kernel stack and
 // reloads them, as the compiled syscall prologue does — these accesses are

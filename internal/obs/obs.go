@@ -228,22 +228,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // Registry is a named collection of metrics. The zero value is not usable;
 // call NewRegistry. The process-wide instance is Default.
 type Registry struct {
@@ -303,27 +287,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Reset zeroes every metric in place. Handles obtained earlier stay valid
-// (they are the same objects); intended for tests and benchmarks.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.hists {
-		h.count.Store(0)
-		h.sum.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-	}
-	r.start = time.Now()
 }
 
 // C returns a counter from the Default registry.
@@ -439,38 +402,6 @@ func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
 // Histogram returns a histogram from the snapshot (zero value if absent).
 func (s Snapshot) Histogram(name string) HistogramSnapshot { return s.Histograms[name] }
-
-// Sub returns the per-metric difference s - prev: counters and histogram
-// counts/sums subtract; gauges keep s's instantaneous values. Use it to
-// scope a shared registry to one pipeline run.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	out := Snapshot{
-		TakenAt:    s.TakenAt,
-		UptimeSec:  s.UptimeSec - prev.UptimeSec,
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     make(map[string]int64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(s.Histograms)),
-	}
-	for name, v := range s.Counters {
-		out.Counters[name] = v - prev.Counters[name]
-	}
-	for name, v := range s.Gauges {
-		out.Gauges[name] = v
-	}
-	for name, h := range s.Histograms {
-		p := prev.Histograms[name]
-		d := HistogramSnapshot{Count: h.Count - p.Count, Sum: h.Sum - p.Sum}
-		if len(h.Buckets) > 0 {
-			d.Buckets = make([]int64, len(h.Buckets))
-			copy(d.Buckets, h.Buckets)
-			for i := 0; i < len(p.Buckets) && i < len(d.Buckets); i++ {
-				d.Buckets[i] -= p.Buckets[i]
-			}
-		}
-		out.Histograms[name] = d
-	}
-	return out
-}
 
 // promName maps an internal dotted metric name to a valid Prometheus
 // identifier: snowboard_ prefix, invalid runes replaced with '_'.

@@ -104,9 +104,8 @@ func TestUnitSeedDeterministicAndDistinct(t *testing.T) {
 func TestMapBumpsPoolMetrics(t *testing.T) {
 	before := obs.Default.Snapshot()
 	Map(2, 7, func(worker, unit int) int { return unit })
-	diff := obs.Default.Snapshot().Sub(before)
-	if diff.Counters[obs.MParUnits] != 7 {
-		t.Fatalf("par.units delta = %d, want 7", diff.Counters[obs.MParUnits])
+	if d := obs.Default.Snapshot().Counter(obs.MParUnits) - before.Counter(obs.MParUnits); d != 7 {
+		t.Fatalf("par.units delta = %d, want 7", d)
 	}
 	if g := obs.Default.Gauge(obs.MParWorkers).Value(); g != 0 {
 		t.Fatalf("par.workers gauge = %d after Map returned, want 0", g)

@@ -37,7 +37,7 @@ func randomBlock(rng *rand.Rand, n int) trace.Block {
 			sort.Slice(locks, func(x, y int) bool { return locks[x] < locks[y] })
 			a.Locks = trace.InternLocks(locks)
 		}
-		out.Append(a)
+		out.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
 	}
 	return out
 }

@@ -31,7 +31,7 @@ func profilesFromBytes(data []byte) []pmc.Profile {
 			Val:  uint64(b[4]) | uint64(b[6])<<8,
 		}
 		slot := int(b[5]) % len(profiles)
-		profiles[slot].Accesses.Append(acc)
+		profiles[slot].Accesses.Record(acc.Thread, acc.Ins, acc.Kind, acc.Addr, acc.Size, acc.Val, acc.Atomic, acc.Marked, acc.Stack, acc.RCU, acc.Locks)
 	}
 	return profiles
 }

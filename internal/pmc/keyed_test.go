@@ -58,7 +58,8 @@ func repeated(profiles []pmc.Profile, times int) []pmc.Profile {
 				if p.DFLeader[ai] {
 					df[accs.Len()] = true
 				}
-				accs.Append(p.Accesses.At(ai))
+				a := p.Accesses.At(ai)
+				accs.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
 			}
 		}
 		out[i] = pmc.Profile{TestID: p.TestID, Accesses: accs, DFLeader: df}

@@ -15,12 +15,17 @@ var (
 	insR2 = trace.DefIns("pmc_test:read2")
 )
 
-func wAcc(ins trace.Ins, addr uint64, size uint8, val uint64) trace.Access {
-	return trace.Access{Ins: ins, Kind: trace.Write, Addr: addr, Size: size, Val: val}
+// wAcc and rAcc return a one-access profile: a write or a read.
+func wAcc(ins trace.Ins, addr uint64, size uint8, val uint64) trace.Block {
+	var b trace.Block
+	b.Record(0, ins, trace.Write, addr, size, val, false, false, false, false, 0)
+	return b
 }
 
-func rAcc(ins trace.Ins, addr uint64, size uint8, val uint64) trace.Access {
-	return trace.Access{Ins: ins, Kind: trace.Read, Addr: addr, Size: size, Val: val}
+func rAcc(ins trace.Ins, addr uint64, size uint8, val uint64) trace.Block {
+	var b trace.Block
+	b.Record(0, ins, trace.Read, addr, size, val, false, false, false, false, 0)
+	return b
 }
 
 // identify runs the keyed engine and holds it to the per-access reference,
@@ -36,8 +41,8 @@ func identify(t *testing.T, profiles []pmc.Profile, opt pmc.Options) *pmc.Set {
 
 func TestIdentifyBasicPMC(t *testing.T) {
 	profiles := []pmc.Profile{
-		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 42))},
-		{TestID: 1, Accesses: trace.BlockOf(rAcc(insR1, 0x100, 8, 7))},
+		{TestID: 0, Accesses: wAcc(insW1, 0x100, 8, 42)},
+		{TestID: 1, Accesses: rAcc(insR1, 0x100, 8, 7)},
 	}
 	set := identify(t, profiles, pmc.DefaultOptions())
 	if set.Len() != 1 {
@@ -56,8 +61,8 @@ func TestIdentifyBasicPMC(t *testing.T) {
 func TestIdentifyValueFilter(t *testing.T) {
 	// Same value written and read: the write would not change the read.
 	profiles := []pmc.Profile{
-		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 42))},
-		{TestID: 1, Accesses: trace.BlockOf(rAcc(insR1, 0x100, 8, 42))},
+		{TestID: 0, Accesses: wAcc(insW1, 0x100, 8, 42)},
+		{TestID: 1, Accesses: rAcc(insR1, 0x100, 8, 42)},
 	}
 	if set := identify(t, profiles, pmc.DefaultOptions()); set.Len() != 0 {
 		t.Fatalf("equal-value pair classified as PMC")
@@ -73,13 +78,13 @@ func TestIdentifyPartialOverlapProjection(t *testing.T) {
 	// Write [0x100,0x108)=0xAA...AA, read [0x104,0x106): projected bytes
 	// equal -> no PMC; projected bytes differ -> PMC.
 	profiles := []pmc.Profile{
-		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 0xAAAA_BBBB_CCCC_DDDD))},
-		{TestID: 1, Accesses: trace.BlockOf(rAcc(insR1, 0x104, 2, 0xBBBB))},
+		{TestID: 0, Accesses: wAcc(insW1, 0x100, 8, 0xAAAA_BBBB_CCCC_DDDD)},
+		{TestID: 1, Accesses: rAcc(insR1, 0x104, 2, 0xBBBB)},
 	}
 	if set := identify(t, profiles, pmc.DefaultOptions()); set.Len() != 0 {
 		t.Fatal("projection-equal pair classified as PMC")
 	}
-	profiles[1].Accesses = trace.BlockOf(rAcc(insR1, 0x104, 2, 0x1234))
+	profiles[1].Accesses = rAcc(insR1, 0x104, 2, 0x1234)
 	if set := identify(t, profiles, pmc.DefaultOptions()); set.Len() != 1 {
 		t.Fatal("projection-different pair missed")
 	}
@@ -87,8 +92,8 @@ func TestIdentifyPartialOverlapProjection(t *testing.T) {
 
 func TestIdentifyNoOverlapNoPMC(t *testing.T) {
 	profiles := []pmc.Profile{
-		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 4, 1))},
-		{TestID: 1, Accesses: trace.BlockOf(rAcc(insR1, 0x104, 4, 2))},
+		{TestID: 0, Accesses: wAcc(insW1, 0x100, 4, 1)},
+		{TestID: 1, Accesses: rAcc(insR1, 0x104, 4, 2)},
 	}
 	if set := identify(t, profiles, pmc.DefaultOptions()); set.Len() != 0 {
 		t.Fatal("disjoint ranges produced a PMC")
@@ -96,12 +101,9 @@ func TestIdentifyNoOverlapNoPMC(t *testing.T) {
 }
 
 func TestIdentifySelfPairs(t *testing.T) {
-	profiles := []pmc.Profile{
-		{TestID: 0, Accesses: trace.BlockOf(
-			wAcc(insW1, 0x100, 8, 1),
-			rAcc(insR1, 0x100, 8, 2),
-		)},
-	}
+	accs := wAcc(insW1, 0x100, 8, 1)
+	accs.Record(0, insR1, trace.Read, 0x100, 8, 2, false, false, false, false, 0)
+	profiles := []pmc.Profile{{TestID: 0, Accesses: accs}}
 	set := identify(t, profiles, pmc.DefaultOptions())
 	if set.Len() != 1 {
 		t.Fatalf("self pair missed: %d", set.Len())
@@ -114,13 +116,11 @@ func TestIdentifySelfPairs(t *testing.T) {
 }
 
 func TestIdentifyDFLeaderPropagates(t *testing.T) {
+	reads := rAcc(insR1, 0x100, 8, 2)
+	reads.Record(0, insR2, trace.Read, 0x100, 8, 2, false, false, false, false, 0)
 	profiles := []pmc.Profile{
-		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 1))},
-		{
-			TestID:   1,
-			Accesses: trace.BlockOf(rAcc(insR1, 0x100, 8, 2), rAcc(insR2, 0x100, 8, 2)),
-			DFLeader: map[int]bool{0: true},
-		},
+		{TestID: 0, Accesses: wAcc(insW1, 0x100, 8, 1)},
+		{TestID: 1, Accesses: reads, DFLeader: map[int]bool{0: true}},
 	}
 	set := identify(t, profiles, pmc.DefaultOptions())
 	var leaders, nonLeaders int
@@ -146,8 +146,8 @@ func TestPairCapAndCount(t *testing.T) {
 	n := pmc.MaxPairsPerPMC + 10
 	for i := 0; i < n; i++ {
 		profiles = append(profiles,
-			pmc.Profile{TestID: 2 * i, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 1))},
-			pmc.Profile{TestID: 2*i + 1, Accesses: trace.BlockOf(rAcc(insR1, 0x100, 8, 2))},
+			pmc.Profile{TestID: 2 * i, Accesses: wAcc(insW1, 0x100, 8, 1)},
+			pmc.Profile{TestID: 2*i + 1, Accesses: rAcc(insR1, 0x100, 8, 2)},
 		)
 	}
 	set := identify(t, profiles, pmc.DefaultOptions())
@@ -183,8 +183,8 @@ func TestIdentifyIgnoresWriteWritePairs(t *testing.T) {
 	// Two writes never form a PMC by themselves (the paper: "such
 	// situations still require a read after a write").
 	profiles := []pmc.Profile{
-		{TestID: 0, Accesses: trace.BlockOf(wAcc(insW1, 0x100, 8, 1))},
-		{TestID: 1, Accesses: trace.BlockOf(wAcc(insW2, 0x100, 8, 2))},
+		{TestID: 0, Accesses: wAcc(insW1, 0x100, 8, 1)},
+		{TestID: 1, Accesses: wAcc(insW2, 0x100, 8, 2)},
 	}
 	if set := identify(t, profiles, pmc.DefaultOptions()); set.Len() != 0 {
 		t.Fatal("write/write pair classified as PMC")

@@ -68,10 +68,9 @@ type Job struct {
 	Corpus string   `json:"corpus,omitempty"`
 	Hint   *pmc.PMC `json:"hint,omitempty"`
 	Pair   pmc.Pair `json:"pair"`
-	// Trace stitches the job to its originating campaign: workers tag
-	// their spans and flight-recorder events with it, so a distributed
-	// run's timeline reads end-to-end. Optional field, so the v2 wire
-	// protocol stays backward-compatible (older peers ignore it).
+	// Trace stitches the job to its originating campaign: workers tag the
+	// job's events with it, so a distributed run's timeline reads
+	// end-to-end. Optional: a job without one emits untagged events.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -119,15 +118,14 @@ type JobResult struct {
 // ErrClosed is returned by operations on a closed queue.
 var ErrClosed = errors.New("queue: closed")
 
-// ErrEmpty is returned by TryLease on an empty queue.
+// ErrEmpty is LeaseN's answer when no job is pending.
 var ErrEmpty = errors.New("queue: empty")
 
-// ErrUnknownLease is returned by Ack/Nack/Extend when the lease ID is not
+// ErrUnknownLease is returned by Settle/Nack/Extend when the lease ID is not
 // outstanding — typically because the lease already expired and the job was
 // redelivered, or because it was already settled. A worker seeing this on
-// Ack after a successful Report can treat it as benign: the result is
-// recorded and the duplicate delivery will be folded away by the
-// coordinator.
+// a settle can treat it as benign: the result is recorded and the
+// duplicate delivery will be folded away by the coordinator.
 var ErrUnknownLease = errors.New("queue: unknown lease")
 
 // Defaults for Options.
@@ -351,8 +349,7 @@ func (q *Queue) leaseLocked() Lease {
 	return Lease{Job: p.job, ID: q.nextLease, Attempt: l.attempt, Deadline: l.deadline}
 }
 
-// TryLease grants a lease without blocking; ErrEmpty when nothing is
-// pending (jobs may still be outstanding under other workers' leases).
+// TryLease is LeaseN(1) for one job, with LeaseN's errors.
 func (q *Queue) TryLease() (Lease, error) {
 	ls, err := q.LeaseN(1)
 	if err != nil {
@@ -362,7 +359,9 @@ func (q *Queue) TryLease() (Lease, error) {
 }
 
 // LeaseN grants leases on up to n pending jobs (at least one) without
-// blocking — a worker's whole turn; ErrEmpty or ErrClosed as TryLease.
+// blocking — a worker's whole turn. It answers ErrEmpty when nothing is
+// pending (jobs may still be outstanding under other workers' leases) and
+// ErrClosed on a closed queue.
 func (q *Queue) LeaseN(n int) ([]Lease, error) {
 	return q.leaseN(n, func(Job) bool { return true })
 }

@@ -212,9 +212,6 @@ func (o *Outcome) TrialOf(is detect.Issue) int {
 	return -1
 }
 
-// Found reports whether any issue surfaced.
-func (o *Outcome) Found() bool { return len(o.Issues) > 0 }
-
 // Explore runs up to Trials interleaving trials of the concurrent test,
 // following Algorithm 2: flags persist across trials, PMC accesses trigger
 // non-deterministic rescheduling, incidental PMCs observed in a trial are

@@ -67,7 +67,7 @@ func TestFleetOutcomesWorkerCountInvariant(t *testing.T) {
 	}
 	found := false
 	for _, o := range o1 {
-		if o.Found() {
+		if len(o.Issues) > 0 {
 			found = true
 		}
 	}

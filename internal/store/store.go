@@ -346,12 +346,6 @@ func (s *Store) discardCorrupt(path string, err error) error {
 	return err
 }
 
-// Has reports whether the object exists on disk (without verifying it).
-func (s *Store) Has(kind Kind, d Digest) bool {
-	_, err := os.Stat(s.objectPath(kind, d))
-	return err == nil
-}
-
 // List returns the digests of all objects of a kind, sorted, skipping
 // files whose names do not parse as digests.
 func (s *Store) List(kind Kind) []Digest {

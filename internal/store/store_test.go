@@ -28,8 +28,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("Get = %q, want %q", got, payload)
 	}
-	if !s.Has(KindCorpus, d) {
-		t.Error("Has = false after Put")
+	if l := s.List(KindCorpus); len(l) != 1 || l[0] != d {
+		t.Errorf("List = %v after Put, want [%s]", l, d)
 	}
 
 	// Re-putting identical content is idempotent and keeps the digest.

@@ -6,7 +6,7 @@ package trace
 // an access's Seq is its index. The VM appends into a Block with zero
 // steady-state allocations (Reset keeps column capacity across trials),
 // analyses iterate the columns directly, and []Access views are
-// materialized only at API boundaries (At, Accesses).
+// materialized only at API boundaries (At).
 //
 // Trace is an alias for Block: every execution — a sequential profiling run
 // or one trial of a concurrent test — records into this representation.
@@ -56,14 +56,9 @@ func packMeta(thread int, kind Kind, size uint8, atomic, marked, stack, rcu bool
 	return m
 }
 
-// Append records one access. The access's Seq field is ignored; its
-// sequence number is its position.
-func (b *Block) Append(a Access) {
-	b.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
-}
-
-// Record is Append from the access's fields: the VM's access path has them
-// as scalars and builds no row value for an access that ends in no yield.
+// Record appends one access, given by its fields: the VM's access path has
+// them as scalars and builds no row value for an access that ends in no
+// yield. Its sequence number is its position.
 func (b *Block) Record(thread int, ins Ins, kind Kind, addr uint64, size uint8, val uint64, atomic, marked, stack, rcu bool, locks LockSet) {
 	b.ins = append(b.ins, ins)
 	b.addrs = append(b.addrs, addr)
@@ -104,15 +99,6 @@ func (b *Block) At(i int) Access {
 	}
 }
 
-// Accesses materializes the whole trace as a fresh []Access row view.
-func (b *Block) Accesses() []Access {
-	out := make([]Access, b.Len())
-	for i := range out {
-		out[i] = b.At(i)
-	}
-	return out
-}
-
 // Column accessors, for analyses that iterate the columnar form directly.
 
 // ThreadAt returns the thread id of the i-th access.
@@ -151,24 +137,4 @@ func (b *Block) StackAt(i int) bool { return b.meta[i]&metaStack != 0 }
 // OverlapsAt reports whether accesses i and j touch at least one common byte.
 func (b *Block) OverlapsAt(i, j int) bool {
 	return b.addrs[i] < b.EndAt(j) && b.addrs[j] < b.EndAt(i)
-}
-
-// BlockOf builds a Block from explicit accesses — the test and boundary
-// helper mirroring the old []Access literal form.
-func BlockOf(accs ...Access) Block {
-	var b Block
-	for _, a := range accs {
-		b.Append(a)
-	}
-	return b
-}
-
-// ByThread splits the trace into per-thread row views preserving order.
-func (b *Block) ByThread() map[int][]Access {
-	out := make(map[int][]Access)
-	for i := 0; i < b.Len(); i++ {
-		a := b.At(i)
-		out[a.Thread] = append(out[a.Thread], a)
-	}
-	return out
 }

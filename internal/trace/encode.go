@@ -5,19 +5,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
-// Compact binary serialization for traces and profiles, used to ship
-// profiling output between pipeline stages and across the distributed
-// queue. The format is delta/varint coded: traces are dominated by
-// near-monotonic sequence numbers and spatially clustered addresses, so
-// zig-zag deltas shrink them by roughly an order of magnitude compared to
-// fixed-width records.
+// Compact binary serialization for trace blocks, the record stream that
+// profile-set artifacts embed (internal/pmc's codec). The format is
+// delta/varint coded: sequence numbers are implicit in record order, and
+// addresses are spatially clustered, so zig-zag address deltas shrink a
+// block by roughly an order of magnitude compared to fixed-width records.
 //
 // Layout:
 //
-//	magic "SBTR" | version u8 | count uvarint | records...
+//	count uvarint | records...
 //
 // Each record:
 //
@@ -33,15 +31,9 @@ import (
 // Locksets travel as explicit address lists: the in-memory interned
 // LockSet ids are process-local and never serialized.
 
-const (
-	encMagic   = "SBTR"
-	encVersion = 1
-)
-
-// CodecVersion identifies the trace record encoding, including the bare
-// block form embedded in profile-set artifacts; stage digests mix it in so
+// CodecVersion identifies the record encoding; stage digests mix it in so
 // a format change invalidates stored artifacts instead of misdecoding them.
-const CodecVersion = encVersion
+const CodecVersion = 1
 
 // ErrBadTrace reports a malformed serialized trace.
 var ErrBadTrace = errors.New("trace: malformed encoding")
@@ -55,25 +47,10 @@ const (
 	fLocks
 )
 
-// Encode writes the block's accesses to w in the compact format.
-func Encode(w io.Writer, b *Block) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(encMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(encVersion); err != nil {
-		return err
-	}
-	if err := WriteBlock(bw, b); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteBlock writes the bare record stream (count + delta/varint records,
-// no magic or version) to bw. It is the embeddable form of Encode: larger
-// artifact formats — profile sets, store artifacts — frame several blocks
-// inside their own envelope. The caller owns flushing bw.
+// WriteBlock writes the record stream (count + delta/varint records) to
+// bw. It carries no magic or version: the artifact formats that embed it
+// frame several blocks inside their own envelope. The caller owns flushing
+// bw.
 func WriteBlock(bw *bufio.Writer, b *Block) error {
 	var scratch [binary.MaxVarintLen64]byte
 	putU := func(v uint64) error {
@@ -145,23 +122,6 @@ func WriteBlock(bw *bufio.Writer, b *Block) error {
 		}
 	}
 	return nil
-}
-
-// Decode parses a compact trace. Sequence numbers are implicit in order.
-func Decode(r io.Reader) (Block, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return Block{}, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if string(magic[:]) != encMagic {
-		return Block{}, fmt.Errorf("%w: bad magic %q", ErrBadTrace, magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil || ver != encVersion {
-		return Block{}, fmt.Errorf("%w: version %d", ErrBadTrace, ver)
-	}
-	return ReadBlock(br)
 }
 
 // ReadBlock parses one bare record stream written by WriteBlock, leaving br

@@ -1,9 +1,9 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -29,7 +29,7 @@ func randomBlock(rng *rand.Rand, n int) Block {
 			locks = append(locks, uint64(0x100*(j+1)))
 		}
 		a.Locks = InternLocks(locks)
-		out.Append(a)
+		out.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
 	}
 	return out
 }
@@ -39,10 +39,11 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		accs := randomBlock(rng, rng.Intn(200))
 		var buf bytes.Buffer
-		if err := Encode(&buf, &accs); err != nil {
+		bw := bufio.NewWriter(&buf)
+		if err := WriteBlock(bw, &accs); err != nil || bw.Flush() != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode(&buf)
+		got, err := ReadBlock(bufio.NewReader(&buf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,30 +61,32 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
-		nil,
-		[]byte("XXXX"),
-		[]byte("SBTR\x02"),     // wrong version
-		[]byte("SBTR\x01\x05"), // truncated records
-		[]byte("SBTR\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f"), // absurd count
+		nil,                // no count
+		[]byte("XXXX"),     // 88 records claimed, three bytes of them
+		[]byte("SBTR\x02"), // a framed stream: the bare form reads 'S' as a count
+		[]byte("\x05"),     // truncated records
+		[]byte("\xff\xff\xff\xff\xff\xff\xff\xff\x7f"), // absurd count
 	}
 	for i, c := range cases {
-		if _, err := Decode(bytes.NewReader(c)); err == nil {
+		if _, err := ReadBlock(bufio.NewReader(bytes.NewReader(c))); err == nil {
 			t.Fatalf("case %d decoded", i)
 		}
 	}
 }
 
 func TestDecodeRejectsBadSize(t *testing.T) {
-	accs := BlockOf(Access{Addr: 0x100, Size: 8, Val: 1})
+	var accs Block
+	accs.Record(0, 0, Read, 0x100, 8, 1, false, false, false, false, 0)
 	var buf bytes.Buffer
-	if err := Encode(&buf, &accs); err != nil {
+	bw := bufio.NewWriter(&buf)
+	if err := WriteBlock(bw, &accs); err != nil || bw.Flush() != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	// Corrupt the size byte (it follows flags+thread+ins+addr).
 	idx := bytes.LastIndexByte(raw, 8)
 	raw[idx] = 99
-	if _, err := Decode(bytes.NewReader(raw)); err == nil {
+	if _, err := ReadBlock(bufio.NewReader(bytes.NewReader(raw))); err == nil {
 		t.Fatal("corrupted size accepted")
 	}
 }
@@ -92,7 +95,6 @@ func TestDecodeRejectsHugeThread(t *testing.T) {
 	// A thread id above the 16-bit packed-meta limit must be rejected, not
 	// silently truncated into another thread's identity.
 	var buf bytes.Buffer
-	buf.WriteString("SBTR\x01")
 	buf.WriteByte(1)                    // count
 	buf.WriteByte(0)                    // flags
 	buf.Write([]byte{0x80, 0x80, 0x08}) // thread uvarint = 0x20000
@@ -100,7 +102,7 @@ func TestDecodeRejectsHugeThread(t *testing.T) {
 	buf.WriteByte(0x02)                 // addr delta
 	buf.WriteByte(8)                    // size
 	buf.WriteByte(0x00)                 // val
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := ReadBlock(bufio.NewReader(&buf)); err == nil {
 		t.Fatal("oversized thread id accepted")
 	}
 }
@@ -110,23 +112,16 @@ func TestEncodeCompactness(t *testing.T) {
 	// smaller than the naive 40+ bytes per record.
 	var accs Block
 	for i := 0; i < 1000; i++ {
-		accs.Append(Access{
-			Ins:  Ins(0x1234),
-			Addr: 0x100000 + uint64(i%64)*8,
-			Size: 8,
-			Val:  uint64(i % 7),
-		})
+		accs.Record(0, Ins(0x1234), Read, 0x100000+uint64(i%64)*8, 8, uint64(i%7), false, false, false, false, 0)
 	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, &accs); err != nil {
+	bw := bufio.NewWriter(&buf)
+	if err := WriteBlock(bw, &accs); err != nil || bw.Flush() != nil {
 		t.Fatal(err)
 	}
 	perRecord := float64(buf.Len()) / float64(accs.Len())
 	if perRecord > 16 {
 		t.Fatalf("encoding too fat: %.1f bytes/record", perRecord)
-	}
-	if !strings.HasPrefix(buf.String(), "SBTR") {
-		t.Fatal("magic missing")
 	}
 }
 
@@ -136,15 +131,15 @@ func TestEncodeCompactness(t *testing.T) {
 // table, because Addrs always returns a fresh copy.
 func TestLockSetAliasingImmunity(t *testing.T) {
 	locks := []uint64{0x100, 0x200}
-	accs := BlockOf(
-		Access{Addr: 0x10, Size: 8, Locks: InternLocks(locks)},
-		Access{Addr: 0x20, Size: 8, Locks: InternLocks(locks)},
-	)
+	var accs Block
+	accs.Record(0, 0, Read, 0x10, 8, 0, false, false, false, false, InternLocks(locks))
+	accs.Record(0, 0, Read, 0x20, 8, 0, false, false, false, false, InternLocks(locks))
 	var buf bytes.Buffer
-	if err := Encode(&buf, &accs); err != nil {
+	bw := bufio.NewWriter(&buf)
+	if err := WriteBlock(bw, &accs); err != nil || bw.Flush() != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(&buf)
+	dec, err := ReadBlock(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}

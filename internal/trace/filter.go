@@ -1,23 +1,9 @@
 package trace
 
 // StackSize is the fixed kernel stack size per thread, 8KB (two physical
-// pages) as on Linux x86, and stacks are StackSize-aligned. The stack-range
-// computation below mirrors the paper's use of the ESP register and the
-// current_thread_info() masking trick (§4.1.1).
+// pages) as on Linux x86, and stacks are StackSize-aligned: the range the
+// paper recovers from ESP with the current_thread_info() mask (§4.1.1).
 const StackSize = 8 << 10
-
-// StackRange computes the enclosing kernel stack range [lo, hi) of a stack
-// pointer: lo = esp &^ (StackSize-1), hi = lo + StackSize.
-func StackRange(esp uint64) (lo, hi uint64) {
-	lo = esp &^ (StackSize - 1)
-	return lo, lo + StackSize
-}
-
-// InStack reports whether addr falls inside the stack that contains esp.
-func InStack(addr, esp uint64) bool {
-	lo, hi := StackRange(esp)
-	return addr >= lo && addr < hi
-}
 
 // Filter selects the subset of a raw trace that participates in PMC
 // analysis. The defaults implement the paper's pruning: only non-stack

@@ -94,14 +94,6 @@ func (i Ins) Name() string {
 	return fmt.Sprintf("ins_%#x", uint32(i))
 }
 
-// LookupIns resolves a previously registered name to its ID.
-func LookupIns(name string) (Ins, bool) {
-	insRegistry.RLock()
-	defer insRegistry.RUnlock()
-	id, ok := insRegistry.byName[name]
-	return id, ok
-}
-
 // Region abstraction: coverage metrics that want subsystem-level rather
 // than site-level identity (e.g. interleaving-segment coverage) bucket
 // instructions by their *owning region* — the kernel-function prefix of

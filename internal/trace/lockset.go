@@ -99,9 +99,6 @@ func (s LockSet) view() []uint64 {
 // Len returns the number of locks in the set.
 func (s LockSet) Len() int { return len(s.view()) }
 
-// Empty reports whether the set holds no locks.
-func (s LockSet) Empty() bool { return s == 0 }
-
 // Addrs returns the lock addresses, sorted ascending, as a fresh slice the
 // caller owns.
 func (s LockSet) Addrs() []uint64 {
@@ -110,13 +107,6 @@ func (s LockSet) Addrs() []uint64 {
 		return nil
 	}
 	return append([]uint64(nil), v...)
-}
-
-// Has reports whether the set contains addr.
-func (s LockSet) Has(addr uint64) bool {
-	v := s.view()
-	i := sort.Search(len(v), func(i int) bool { return v[i] >= addr })
-	return i < len(v) && v[i] == addr
 }
 
 // With returns the set extended by addr (interning the result).

@@ -33,17 +33,6 @@ func TestDefInsDistinctNames(t *testing.T) {
 	}
 }
 
-func TestLookupIns(t *testing.T) {
-	id := DefIns("lookup_fn:op")
-	got, ok := LookupIns("lookup_fn:op")
-	if !ok || got != id {
-		t.Fatalf("lookup failed: %v %v", got, ok)
-	}
-	if _, ok := LookupIns("never_registered:op"); ok {
-		t.Fatal("lookup of unregistered name succeeded")
-	}
-}
-
 func TestUnregisteredInsName(t *testing.T) {
 	// An Ins decoded from a foreign trace prints a stable placeholder.
 	var foreign Ins = 0x12345
@@ -195,10 +184,10 @@ func TestSharesLockAgainstNaive(t *testing.T) {
 func TestTraceAppendSeq(t *testing.T) {
 	var tr Trace
 	for i := 0; i < 5; i++ {
-		tr.Append(Access{Addr: uint64(i)})
+		tr.Record(0, 0, Read, uint64(i), 0, 0, false, false, false, false, 0)
 	}
-	for i, a := range tr.Accesses() {
-		if a.Seq != i {
+	for i := 0; i < tr.Len(); i++ {
+		if a := tr.At(i); a.Seq != i {
 			t.Fatalf("seq %d at index %d", a.Seq, i)
 		}
 	}
@@ -208,51 +197,17 @@ func TestTraceAppendSeq(t *testing.T) {
 	}
 }
 
-func TestTraceByThread(t *testing.T) {
-	var tr Trace
-	tr.Append(Access{Thread: 0, Addr: 1})
-	tr.Append(Access{Thread: 1, Addr: 2})
-	tr.Append(Access{Thread: 0, Addr: 3})
-	by := tr.ByThread()
-	if len(by[0]) != 2 || len(by[1]) != 1 {
-		t.Fatalf("split wrong: %v", by)
-	}
-	if by[0][1].Addr != 3 {
-		t.Fatal("order not preserved")
-	}
-}
-
-func TestStackRange(t *testing.T) {
-	lo, hi := StackRange(0x10_3f80)
-	if lo != 0x10_2000 || hi != 0x10_4000 {
-		t.Fatalf("stack range [%#x,%#x)", lo, hi)
-	}
-	if !InStack(0x10_2000, 0x10_3f80) || InStack(0x10_4000, 0x10_3f80) {
-		t.Fatal("InStack boundaries wrong")
-	}
-}
-
-func TestStackRangeProperty(t *testing.T) {
-	f := func(esp uint64) bool {
-		lo, hi := StackRange(esp)
-		return lo%StackSize == 0 && hi-lo == StackSize && esp >= lo && esp < hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFilterThreadStackAtomic(t *testing.T) {
 	var tr Trace
-	tr.Append(Access{Thread: 0, Addr: 1})
-	tr.Append(Access{Thread: 1, Addr: 2})
-	tr.Append(Access{Thread: 0, Addr: 3, Stack: true})
-	tr.Append(Access{Thread: 0, Addr: 4, Atomic: true})
-	tr.Append(Access{Thread: 0, Addr: 5, Marked: true})
+	tr.Record(0, 0, Read, 1, 0, 0, false, false, false, false, 0)
+	tr.Record(1, 0, Read, 2, 0, 0, false, false, false, false, 0)
+	tr.Record(0, 0, Read, 3, 0, 0, false, false, true, false, 0)
+	tr.Record(0, 0, Read, 4, 0, 0, true, false, false, false, 0)
+	tr.Record(0, 0, Read, 5, 0, 0, false, true, false, false, 0)
 
 	got := DefaultFilter(0).Apply(&tr)
 	if got.Len() != 2 || got.At(0).Addr != 1 || got.At(1).Addr != 5 {
-		t.Fatalf("default filter kept %v", got.Accesses())
+		t.Fatalf("default filter kept %d accesses", got.Len())
 	}
 
 	all := Filter{Thread: -1, KeepStack: true, KeepAtomics: true}.Apply(&tr)
@@ -266,12 +221,12 @@ func TestFilterThreadStackAtomic(t *testing.T) {
 	}
 }
 
-func mkRead(ins Ins, addr uint64, size uint8, val uint64) Access {
-	return Access{Ins: ins, Kind: Read, Addr: addr, Size: size, Val: val}
+func mkRead(b *Block, ins Ins, addr uint64, size uint8, val uint64) {
+	b.Record(0, ins, Read, addr, size, val, false, false, false, false, 0)
 }
 
-func mkWrite(ins Ins, addr uint64, size uint8, val uint64) Access {
-	return Access{Ins: ins, Kind: Write, Addr: addr, Size: size, Val: val}
+func mkWrite(b *Block, ins Ins, addr uint64, size uint8, val uint64) {
+	b.Record(0, ins, Write, addr, size, val, false, false, false, false, 0)
 }
 
 func TestMarkDoubleFetches(t *testing.T) {
@@ -280,48 +235,43 @@ func TestMarkDoubleFetches(t *testing.T) {
 	i3 := DefIns("df_test:writer")
 
 	// Classic double fetch: two reads, different instructions, same value.
-	accs := BlockOf(
-		mkRead(i1, 0x100, 8, 42),
-		mkRead(i2, 0x100, 8, 42),
-	)
+	var accs Block
+	mkRead(&accs, i1, 0x100, 8, 42)
+	mkRead(&accs, i2, 0x100, 8, 42)
 	df := MarkDoubleFetches(&accs)
 	if !df[0] || df[1] {
 		t.Fatalf("double fetch not marked on leader: %v", df)
 	}
 
 	// Intervening write kills the pairing.
-	accs = BlockOf(
-		mkRead(i1, 0x100, 8, 42),
-		mkWrite(i3, 0x100, 8, 43),
-		mkRead(i2, 0x100, 8, 43),
-	)
+	accs.Reset()
+	mkRead(&accs, i1, 0x100, 8, 42)
+	mkWrite(&accs, i3, 0x100, 8, 43)
+	mkRead(&accs, i2, 0x100, 8, 43)
 	if df := MarkDoubleFetches(&accs); len(df) != 0 {
 		t.Fatalf("marked despite intervening write: %v", df)
 	}
 
 	// Same instruction re-reading (a loop) is not a double fetch.
-	accs = BlockOf(
-		mkRead(i1, 0x100, 8, 42),
-		mkRead(i1, 0x100, 8, 42),
-	)
+	accs.Reset()
+	mkRead(&accs, i1, 0x100, 8, 42)
+	mkRead(&accs, i1, 0x100, 8, 42)
 	if df := MarkDoubleFetches(&accs); len(df) != 0 {
 		t.Fatalf("same-ins pair marked: %v", df)
 	}
 
 	// Different values on the shared range: not a double fetch.
-	accs = BlockOf(
-		mkRead(i1, 0x100, 8, 42),
-		mkRead(i2, 0x100, 8, 99),
-	)
+	accs.Reset()
+	mkRead(&accs, i1, 0x100, 8, 42)
+	mkRead(&accs, i2, 0x100, 8, 99)
 	if df := MarkDoubleFetches(&accs); len(df) != 0 {
 		t.Fatalf("different-value pair marked: %v", df)
 	}
 
 	// Partial overlap with matching projected bytes is a double fetch.
-	accs = BlockOf(
-		mkRead(i1, 0x100, 8, 0x1122334455667788),
-		mkRead(i2, 0x104, 4, 0x11223344),
-	)
+	accs.Reset()
+	mkRead(&accs, i1, 0x100, 8, 0x1122334455667788)
+	mkRead(&accs, i2, 0x104, 4, 0x11223344)
 	df = MarkDoubleFetches(&accs)
 	if !df[0] {
 		t.Fatalf("partial-overlap double fetch missed: %v", df)

@@ -23,7 +23,7 @@ func viewTrace(data []byte) *Trace {
 		if data[1]&0x80 != 0 {
 			a.Addr, a.Size = a.Addr&^7, 8
 		}
-		tr.Append(a)
+		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
 	}
 	return tr
 }

@@ -48,8 +48,8 @@ func l2tpFinding(t *testing.T, seed int64) (*exec.Env, Finding) {
 		profiles = append(profiles, pmc.Profile{TestID: i, Accesses: accs, DFLeader: df})
 	}
 	set := pmc.Identify(profiles, pmc.DefaultOptions())
-	pubIns, _ := trace.LookupIns("l2tp_tunnel_register:list_add_rcu")
-	getIns, _ := trace.LookupIns("l2tp_tunnel_get:rcu_dereference_list")
+	pubIns := trace.DefIns("l2tp_tunnel_register:list_add_rcu")
+	getIns := trace.DefIns("l2tp_tunnel_get:rcu_dereference_list")
 	var hint *pmc.PMC
 	for key := range set.Entries {
 		if key.Write.Ins == pubIns && key.Read.Ins == getIns {
@@ -194,7 +194,7 @@ func TestSignatureStability(t *testing.T) {
 	// channel — independent of the hint that exposed them.
 	isA := detect.Issue{Kind: detect.KindPanic, Desc: "BUG: kernel NULL pointer dereference at 0x0000beef", BugID: 12}
 	sigA := SignatureOf(isA, nil)
-	hintIns, _ := trace.LookupIns("l2tp_tunnel_register:list_add_rcu")
+	hintIns := trace.DefIns("l2tp_tunnel_register:list_add_rcu")
 	sigB := SignatureOf(isA, &pmc.PMC{Write: pmc.Key{Ins: hintIns}})
 	if sigA != sigB {
 		t.Fatalf("classified signature depends on the hint: %+v vs %+v", sigA, sigB)

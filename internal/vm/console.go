@@ -20,16 +20,6 @@ func (c *Console) Printf(format string, args ...any) {
 // Lines returns all console lines in emission order.
 func (c *Console) Lines() []string { return c.lines }
 
-// Contains reports whether any console line contains substr.
-func (c *Console) Contains(substr string) bool {
-	for _, l := range c.lines {
-		if strings.Contains(l, substr) {
-			return true
-		}
-	}
-	return false
-}
-
 // Reset clears the console (done on snapshot restore: the console is host
 // state, not guest memory).
 func (c *Console) Reset() { c.lines = c.lines[:0] }

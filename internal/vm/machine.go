@@ -159,9 +159,6 @@ func (m *Machine) wakeLockWaiters(addr Addr) {
 // tracing.
 func (m *Machine) SetTrace(tr *trace.Trace) { m.trace = tr }
 
-// Trace returns the current trace destination.
-func (m *Machine) Trace() *trace.Trace { return m.trace }
-
 // Steps returns the number of events processed by the last Run.
 func (m *Machine) Steps() int { return m.steps }
 
@@ -170,9 +167,6 @@ func (m *Machine) AccessIndex() int { return m.offered }
 
 // Faults returns the kernel crash messages raised during the last Run.
 func (m *Machine) Faults() []string { return m.faults }
-
-// Threads returns the live thread list.
-func (m *Machine) Threads() []*Thread { return m.threads }
 
 // Runnable returns the threads currently in the Runnable state. The
 // returned slice is a scratch buffer owned by the machine, overwritten by

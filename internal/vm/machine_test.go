@@ -60,7 +60,7 @@ func TestResetRuntimeClearsState(t *testing.T) {
 		th.Store(insT, testRegionBase, 8, 99)
 	}) // thread finishes holding the lock... it exits with lock held? no: Done releases via releaseDead
 	m.ResetRuntime()
-	if len(m.Threads()) != 0 {
+	if len(m.threads) != 0 {
 		t.Fatal("threads survive reset")
 	}
 	if len(m.Console.Lines()) != 0 {
@@ -85,26 +85,12 @@ func TestConsoleHelpers(t *testing.T) {
 	var c Console
 	c.Printf("hello %d", 42)
 	c.Printf("world")
-	if !c.Contains("hello 42") || c.Contains("absent") {
-		t.Fatal("Contains wrong")
-	}
 	if c.String() != "hello 42\nworld" {
 		t.Fatalf("String: %q", c.String())
 	}
 	c.Reset()
 	if len(c.Lines()) != 0 {
 		t.Fatal("reset failed")
-	}
-}
-
-func TestRegionOf(t *testing.T) {
-	m := newTestMachine()
-	r, ok := m.Mem.RegionOf(testRegionBase + 5)
-	if !ok || r.Name != "test" {
-		t.Fatalf("RegionOf: %+v %v", r, ok)
-	}
-	if _, ok := m.Mem.RegionOf(0x10); ok {
-		t.Fatal("null page has a region")
 	}
 }
 
@@ -153,10 +139,10 @@ func TestSchedulerStopsRun(t *testing.T) {
 
 func TestPagesAccounting(t *testing.T) {
 	m := newTestMachine()
-	before := m.Mem.Pages()
+	before := m.Mem.root.n
 	m.Mem.Write(testRegionBase+10*PageSize, 1, 1)
-	if m.Mem.Pages() != before+1 {
-		t.Fatalf("pages: %d -> %d", before, m.Mem.Pages())
+	if m.Mem.root.n != before+1 {
+		t.Fatalf("pages: %d -> %d", before, m.Mem.root.n)
 	}
 }
 

@@ -180,16 +180,6 @@ func (m *Memory) Valid(addr Addr, size int) bool {
 	return false
 }
 
-// RegionOf returns the region containing addr, if any.
-func (m *Memory) RegionOf(addr Addr) (Region, bool) {
-	for _, r := range m.regions {
-		if r.Contains(addr) {
-			return r, true
-		}
-	}
-	return Region{}, false
-}
-
 // newPage returns a page owned by m, registered as dirty at pn, with
 // unspecified contents.
 func (m *Memory) newPage(pn uint64) *page {
@@ -229,14 +219,6 @@ func (m *Memory) read(addr Addr, dst []byte) {
 		p := m.pageFor(addr+uint64(i), false)
 		i += copy(dst[i:], p.data[(addr+uint64(i))%PageSize:])
 	}
-}
-
-// ReadBytes copies size bytes at addr into a fresh slice. The range must be
-// valid; callers (the Thread access path) check validity first.
-func (m *Memory) ReadBytes(addr Addr, size int) []byte {
-	out := make([]byte, size)
-	m.read(addr, out)
-	return out
 }
 
 // WriteBytes stores b at addr.
@@ -313,6 +295,3 @@ func (m *Memory) Restore(s *Snapshot) {
 	m.dirty = m.dirty[:0]
 	m.regions = append(m.regions[:0], s.regions...)
 }
-
-// Pages reports how many pages are materialized (for tests and stats).
-func (m *Memory) Pages() int { return m.root.n }

@@ -51,7 +51,7 @@ type snapPair struct {
 
 // TestMemoryEqualsFullCopyModel drives two Memories that share one pool of
 // snapshots through a seeded random program of Write / WriteBytes / Read /
-// ReadBytes / Snapshot / Restore and, after every step, compares each —
+// byte-range read / Snapshot / Restore and, after every step, compares each —
 // every page the model says is materialised, byte for byte, the scalars
 // across every page border, and the page count — with a model that copies
 // everything. The program reaches every case the dirty-page Restore and the
@@ -120,7 +120,7 @@ func TestMemoryEqualsFullCopyModel(t *testing.T) {
 				m.WriteBytes(diffWinBase(w)+uint64(off), b)
 				copy(model.data[w][off:], b)
 				model.touch(w, off, n)
-			case op < 17: // Read or ReadBytes, of pages nobody may have touched yet
+			case op < 17: // Read or byte-range read, of pages nobody may have touched yet
 				n := rng.Intn(8) + 1
 				if op == 16 {
 					n = rng.Intn(PageSize+100) + 1
@@ -129,7 +129,8 @@ func TestMemoryEqualsFullCopyModel(t *testing.T) {
 				if !model.mapped[(diffWinBase(w)+uint64(off))/PageSize] {
 					coldReads++
 				}
-				got := m.ReadBytes(diffWinBase(w)+uint64(off), n)
+				got := make([]byte, n)
+				m.read(diffWinBase(w)+uint64(off), got)
 				if n <= 8 && op != 16 {
 					var buf [8]byte
 					binary.LittleEndian.PutUint64(buf[:], m.Read(diffWinBase(w)+uint64(off), n))
@@ -165,8 +166,8 @@ func TestMemoryEqualsFullCopyModel(t *testing.T) {
 				*model = s.model.clone()
 			}
 			for i, m := range mems {
-				if m.Pages() != len(models[i].mapped) {
-					t.Fatalf("seed %d step %d: memory %d has %d pages, the model %d", seed, step, i, m.Pages(), len(models[i].mapped))
+				if m.root.n != len(models[i].mapped) {
+					t.Fatalf("seed %d step %d: memory %d has %d pages, the model %d", seed, step, i, m.root.n, len(models[i].mapped))
 				}
 				for w := 0; w < diffWins; w++ {
 					for p := 0; p < diffWinSize/PageSize; p++ {
@@ -175,7 +176,9 @@ func TestMemoryEqualsFullCopyModel(t *testing.T) {
 							continue
 						}
 						want := models[i].data[w][p*PageSize : (p+1)*PageSize]
-						if got := m.ReadBytes(base, PageSize); !bytes.Equal(got, want) {
+						got := make([]byte, PageSize)
+						m.read(base, got)
+						if !bytes.Equal(got, want) {
 							at := 0
 							for got[at] == want[at] {
 								at++
@@ -193,7 +196,7 @@ func TestMemoryEqualsFullCopyModel(t *testing.T) {
 						}
 					}
 				}
-				if m.Pages() != len(models[i].mapped) {
+				if m.root.n != len(models[i].mapped) {
 					t.Fatalf("seed %d step %d: reading materialised pages of memory %d materialised more", seed, step, i)
 				}
 			}
@@ -201,7 +204,9 @@ func TestMemoryEqualsFullCopyModel(t *testing.T) {
 		// Pages the model never saw touched read as zero.
 		for i, m := range mems {
 			for w := 0; w < diffWins; w++ {
-				if got := m.ReadBytes(diffWinBase(w), diffWinSize); !bytes.Equal(got, models[i].data[w][:]) {
+				got := make([]byte, diffWinSize)
+				m.read(diffWinBase(w), got)
+				if !bytes.Equal(got, models[i].data[w][:]) {
 					t.Fatalf("seed %d: memory %d window %d differs from the model once every page is read", seed, i, w)
 				}
 			}
@@ -221,8 +226,8 @@ func TestMemoryAddressLimit(t *testing.T) {
 	m := NewMemory()
 	m.AddRegion("top", AddrLimit-PageSize, AddrLimit)
 	m.Write(AddrLimit-8, 8, 7)
-	if got := m.Read(AddrLimit-8, 8); got != 7 || m.Pages() != 1 {
-		t.Fatalf("last word of the address space reads %d over %d pages", got, m.Pages())
+	if got := m.Read(AddrLimit-8, 8); got != 7 || m.root.n != 1 {
+		t.Fatalf("last word of the address space reads %d over %d pages", got, m.root.n)
 	}
 	for name, f := range map[string]func(){
 		"region past the limit": func() { m.AddRegion("past", AddrLimit, AddrLimit+PageSize) },
@@ -251,8 +256,9 @@ func TestRestoreAllocBudget(t *testing.T) {
 		m.Mem.Write(testRegionBase+off, 8, off)
 	}
 	snap := m.Mem.Snapshot()
-	pages := m.Mem.Pages()
-	want := m.Mem.ReadBytes(testRegionBase, span)
+	pages := m.Mem.root.n
+	want := make([]byte, span)
+	m.Mem.read(testRegionBase, want)
 
 	lock := uint64(testRegionBase + span) // a page born after the snapshot
 	trial := func() {
@@ -295,13 +301,15 @@ func TestRestoreAllocBudget(t *testing.T) {
 	}
 	trial()
 	reset()
-	if m.Mem.Pages() != pages {
-		t.Fatalf("pages after restore: %d, snapshot has %d", m.Mem.Pages(), pages)
+	if m.Mem.root.n != pages {
+		t.Fatalf("pages after restore: %d, snapshot has %d", m.Mem.root.n, pages)
 	}
-	if got := m.Mem.ReadBytes(testRegionBase, span); !bytes.Equal(got, want) {
+	got := make([]byte, span)
+	m.Mem.read(testRegionBase, got)
+	if !bytes.Equal(got, want) {
 		t.Fatal("memory differs from the snapshot after restore")
 	}
-	if m.Mem.Pages() != pages {
+	if m.Mem.root.n != pages {
 		t.Fatal("reading snapshot pages materialised new ones")
 	}
 }

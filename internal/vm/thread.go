@@ -75,8 +75,7 @@ type Thread struct {
 	locks    trace.LockSet // interned set of lock addresses held; cpu.held lists them
 	rcuDepth int
 
-	accesses int        // accesses performed by this thread in the current run
-	prev     AccessSite // the latest of them off the stack (AccessInfo.Prev); Size 0 if none
+	prev AccessSite // the latest access off the stack (AccessInfo.Prev); Size 0 if none
 }
 
 // heldLock is one lock a thread holds and the set it held before taking it.
@@ -84,15 +83,6 @@ type heldLock struct {
 	addr Addr
 	prev trace.LockSet
 }
-
-// State returns the scheduling state.
-func (t *Thread) State() ThreadState { return t.state }
-
-// Accesses returns how many memory accesses this thread has performed.
-func (t *Thread) Accesses() int { return t.accesses }
-
-// Machine returns the owning machine.
-func (t *Thread) Machine() *Machine { return t.m }
 
 // yield switches to the machine loop and returns when the thread is
 // resumed. A killed thread unwinds instead, and keeps unwinding if a
@@ -129,7 +119,6 @@ func (t *Thread) checkRange(addr Addr, size int) {
 // built and no switch happens. What the sink will ask about the accesses it
 // was not shown — how many, this thread's last off its stack — is kept here.
 func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val uint64, atomic, marked bool) {
-	t.accesses++
 	m := t.m
 	stack := addr >= t.stackLo && addr < t.stackLo+trace.StackSize
 	if m.trace != nil {
@@ -222,9 +211,6 @@ func (t *Thread) PopFrame(size int) {
 		t.Fault("BUG: kernel stack underflow on thread %d", t.ID)
 	}
 }
-
-// SP returns the current stack pointer (the simulated ESP).
-func (t *Thread) SP() Addr { return t.sp }
 
 // --- Locks ---
 

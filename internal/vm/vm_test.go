@@ -53,7 +53,8 @@ func TestMemoryBytes(t *testing.T) {
 	m := newTestMachine()
 	data := []byte{1, 2, 3, 4, 5}
 	m.Mem.WriteBytes(testRegionBase+100, data)
-	got := m.Mem.ReadBytes(testRegionBase+100, 5)
+	got := make([]byte, 5)
+	m.Mem.read(testRegionBase+100, got)
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatalf("byte %d: %d != %d", i, got[i], data[i])
@@ -165,7 +166,7 @@ func TestNullDereferenceFaults(t *testing.T) {
 	if len(m.Faults()) != 1 {
 		t.Fatalf("faults: %v", m.Faults())
 	}
-	if !m.Console.Contains("NULL pointer dereference") {
+	if !strings.Contains(m.Console.String(), "NULL pointer dereference") {
 		t.Fatalf("console: %v", m.Console.Lines())
 	}
 }
@@ -175,7 +176,7 @@ func TestUnmappedFaults(t *testing.T) {
 	_ = runOne(m, func(th *Thread) {
 		th.Store(insT, 0xdead0000, 8, 1)
 	})
-	if !m.Console.Contains("unable to handle page fault") {
+	if !strings.Contains(m.Console.String(), "unable to handle page fault") {
 		t.Fatalf("console: %v", m.Console.Lines())
 	}
 }
@@ -222,7 +223,7 @@ func TestRecursiveLockFaults(t *testing.T) {
 		th.Lock(insT, lock)
 		th.Lock(insT, lock)
 	})
-	if !m.Console.Contains("recursive lock") {
+	if !strings.Contains(m.Console.String(), "recursive lock") {
 		t.Fatalf("console: %v", m.Console.Lines())
 	}
 }
@@ -232,7 +233,7 @@ func TestUnlockNotHeldFaults(t *testing.T) {
 	_ = runOne(m, func(th *Thread) {
 		th.Unlock(insT, testRegionBase+0x800)
 	})
-	if !m.Console.Contains("unlock of lock") {
+	if !strings.Contains(m.Console.String(), "unlock of lock") {
 		t.Fatalf("console: %v", m.Console.Lines())
 	}
 }
@@ -347,7 +348,7 @@ func TestKillNeverStartedThread(t *testing.T) {
 	m.Spawn("picked", testStackBase, func(th *Thread) { th.Load(insT, testRegionBase, 8) })
 	m.Spawn("never", testStackBase+8192, func(th *Thread) { ran = true })
 	first := FuncScheduler(func(mm *Machine, last *Thread, ev Event) *Thread {
-		if th := mm.Threads()[0]; th.State() == Runnable {
+		if th := mm.threads[0]; th.state == Runnable {
 			return th
 		}
 		return nil // stop with thread 1 untouched
@@ -388,7 +389,7 @@ func TestKillParkedThread(t *testing.T) {
 	})
 	once := FuncScheduler(func(mm *Machine, last *Thread, ev Event) *Thread {
 		if last == nil {
-			return mm.Threads()[0]
+			return mm.threads[0]
 		}
 		return nil
 	})
@@ -494,7 +495,7 @@ func TestSpawnReusesNeverResumedSlot(t *testing.T) {
 	first := m.Spawn("a", testStackBase, func(th *Thread) { ran += "a" })
 	idle := m.Spawn("idle", testStackBase+8192, func(th *Thread) { ran += "idle" })
 	onlyFirst := FuncScheduler(func(mm *Machine, last *Thread, ev Event) *Thread {
-		if first.State() == Runnable {
+		if first.state == Runnable {
 			return first
 		}
 		return nil
@@ -512,7 +513,7 @@ func TestSpawnReusesNeverResumedSlot(t *testing.T) {
 	if again != idle {
 		t.Fatal("the slot's Thread storage was not reused")
 	}
-	if again.Name != "c" || again.State() != Runnable || again.killed {
+	if again.Name != "c" || again.state != Runnable || again.killed {
 		t.Fatalf("reused thread not reset: %+v", again)
 	}
 	if err := m.Run(SeqScheduler{}, 0); err != nil {
@@ -534,7 +535,7 @@ func TestSpawnReusesNeverResumedSlot(t *testing.T) {
 	}
 	m.Shutdown()
 	d := m.Spawn("d", testStackBase, func(th *Thread) { ran += "d" })
-	if d.killed || d.Accesses() != 0 {
+	if d.killed {
 		t.Fatalf("thread spawned after a kill carries it: %+v", d)
 	}
 	if err := m.Run(SeqScheduler{}, 0); err != nil {
@@ -550,7 +551,7 @@ func TestRCUUnbalancedUnlockFaults(t *testing.T) {
 	_ = runOne(m, func(th *Thread) {
 		th.RCUReadUnlock()
 	})
-	if !m.Console.Contains("rcu_read_unlock without") {
+	if !strings.Contains(m.Console.String(), "rcu_read_unlock without") {
 		t.Fatalf("console: %v", m.Console.Lines())
 	}
 }
@@ -560,25 +561,25 @@ func TestStackFrames(t *testing.T) {
 	var tr trace.Trace
 	m.SetTrace(&tr)
 	err := runOne(m, func(th *Thread) {
-		sp0 := th.SP()
+		sp0 := th.sp
 		f := th.PushFrame(24)
-		if th.SP() != sp0-24 {
-			t.Errorf("sp after push: %#x", th.SP())
+		if th.sp != sp0-24 {
+			t.Errorf("sp after push: %#x", th.sp)
 		}
 		th.Store(insT, f, 8, 7)
 		if v := th.Load(insT, f, 8); v != 7 {
 			t.Errorf("stack slot %d", v)
 		}
 		th.PopFrame(24)
-		if th.SP() != sp0 {
-			t.Errorf("sp after pop: %#x", th.SP())
+		if th.sp != sp0 {
+			t.Errorf("sp after pop: %#x", th.sp)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range tr.Accesses() {
-		if !a.Stack {
+	for i := 0; i < tr.Len(); i++ {
+		if a := tr.At(i); !a.Stack {
 			t.Fatalf("frame access not marked stack: %+v", a)
 		}
 	}
@@ -591,7 +592,7 @@ func TestStackOverflowFaults(t *testing.T) {
 			th.PushFrame(4096)
 		}
 	})
-	if !m.Console.Contains("stack overflow") {
+	if !strings.Contains(m.Console.String(), "stack overflow") {
 		t.Fatalf("console: %v", m.Console.Lines())
 	}
 }
@@ -608,10 +609,10 @@ func TestLockWordValueVisible(t *testing.T) {
 		th.Unlock(insT, lock)
 	})
 	if tr.Len() != 2 || !tr.At(0).Atomic || !tr.At(1).Atomic {
-		t.Fatalf("lock traffic not atomic in trace: %+v", tr.Accesses())
+		t.Fatalf("lock traffic not atomic in trace: %+v", tr)
 	}
 	if tr.At(0).Val == 0 || tr.At(1).Val != 0 {
-		t.Fatalf("lock word values wrong: %+v", tr.Accesses())
+		t.Fatalf("lock word values wrong: %+v, %+v", tr.At(0), tr.At(1))
 	}
 }
 
@@ -658,7 +659,7 @@ func TestRecordAllocBudget(t *testing.T) {
 }
 
 func TestDeterministicExecution(t *testing.T) {
-	run := func() []trace.Access {
+	run := func() *trace.Trace {
 		m := newTestMachine()
 		var tr trace.Trace
 		m.SetTrace(&tr)
@@ -685,15 +686,15 @@ func TestDeterministicExecution(t *testing.T) {
 		if err := m.Run(sched, 0); err != nil {
 			t.Fatal(err)
 		}
-		return tr.Accesses()
+		return &tr
 	}
 	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
+	if a.Len() != b.Len() {
+		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a {
-		if a[i].Addr != b[i].Addr || a[i].Val != b[i].Val || a[i].Thread != b[i].Thread {
-			t.Fatalf("access %d differs: %+v vs %+v", i, a[i], b[i])
+	for i := 0; i < a.Len(); i++ {
+		if x, y := a.At(i), b.At(i); x.Addr != y.Addr || x.Val != y.Val || x.Thread != y.Thread {
+			t.Fatalf("access %d differs: %+v vs %+v", i, x, y)
 		}
 	}
 }
