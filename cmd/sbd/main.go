@@ -14,10 +14,11 @@
 //	curl -d '{"method":"S-INS-PAIR","seed":1,"test_budget":60}' \
 //	     http://127.0.0.1:8080/campaigns
 //
-// The reply carries the campaign ID (the digest of its canonical
-// manifest — resubmitting equivalent work joins the existing campaign
-// instead of starting a duplicate) and its flight-recorder trace.
-// Progress streams from:
+// A field the server does not know, or bytes after the object, is
+// answered 400. The reply carries the campaign ID (the digest of its
+// canonical manifest — resubmitting equivalent work joins the existing
+// campaign instead of starting a duplicate) and its flight-recorder
+// trace. Progress streams from:
 //
 //	GET  /campaigns               all campaigns, live counters
 //	GET  /campaigns/<id>          one campaign + report once done

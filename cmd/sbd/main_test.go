@@ -138,10 +138,25 @@ func TestControlPlaneHTTP(t *testing.T) {
 		t.Fatalf("spec past a ceiling: status %d body %q, want 400 naming the ceilings", code, body)
 	}
 
+	// A misspelt field would otherwise run the default budget, and a second
+	// object after the spec would be dropped unread.
+	if code, body := postJSON(t, base+"/campaigns", json.RawMessage(`{"seed":12,"test_budgt":5}`)); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "test_budgt") {
+		t.Fatalf("misspelt spec: status %d body %q, want 400 naming the field", code, body)
+	}
+	resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(`{"seed":12}{"seed":13}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("spec with trailing data: status %d, want 400", resp.StatusCode)
+	}
+
 	// A body past the 1 MiB bound is refused before it is decoded, let
 	// alone started.
 	huge := []byte(`{"name":"` + strings.Repeat("a", 2<<20) + `"}`)
-	resp, err := http.Post(base+"/campaigns", "application/json", bytes.NewReader(huge))
+	resp, err = http.Post(base+"/campaigns", "application/json", bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -127,7 +128,15 @@ func (s *server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.list())
 	case http.MethodPost:
 		var spec core.CampaignSpec
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		dec.DisallowUnknownFields() // a misspelt budget must not run the default
+		err := dec.Decode(&spec)
+		if err == nil {
+			if _, tail := dec.Token(); tail != io.EOF {
+				err = errors.New("data after the spec object")
+			}
+		}
+		if err != nil {
 			code := http.StatusBadRequest
 			if errors.As(err, new(*http.MaxBytesError)) {
 				code = http.StatusRequestEntityTooLarge

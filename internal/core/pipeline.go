@@ -122,13 +122,13 @@ func (p *Pipeline) Close() {
 }
 
 // stageDone flight-records a stage completion with its outcome attributes
-// and checkpoints the campaign time-series, so a killed run's trajectory
-// resumes where it stopped.
+// and appends one sample to the live time-series, so /coverage holds one
+// sample per stage boundary.
 func (p *Pipeline) stageDone(stage string, cached bool, dur time.Duration, outcome ...obs.Attr) {
 	attrs := append([]obs.Attr{obs.A("stage", stage), obs.A("cache", cached),
 		obs.A("dur_ms", dur.Milliseconds())}, outcome...)
 	obs.EmitTrace(p.trace, obs.EvStageDone, attrs...)
-	p.saveSeries()
+	obs.RecordSample()
 }
 
 // workerEnvs returns n per-worker environments, cloning from the boot
@@ -453,7 +453,7 @@ func Run(opts Options) (*Report, error) {
 		// Findings, timings, frozen metrics and all, verbatim.
 		obs.Diag.Printf("stage execute: cache hit (report %s, %d issues)", out.Short(), len(cached.Issues))
 		obs.EmitTrace(p.trace, obs.EvCampaignDone, obs.A("cache", true), obs.A("issues", len(cached.Issues)))
-		p.saveSeries()
+		obs.RecordSample()
 		return cached, nil
 	}
 	if opts.Feedback {
@@ -468,7 +468,7 @@ func Run(opts Options) (*Report, error) {
 		obs.Diag.Printf("stage execute: report artifact %s persisted", d.Short())
 	}
 	obs.EmitTrace(p.trace, obs.EvCampaignDone, obs.A("cache", false), obs.A("issues", len(r.Issues)))
-	p.saveSeries()
+	obs.RecordSample()
 	return r, nil
 }
 

@@ -32,8 +32,9 @@ import (
 // persist; both own the rule that a pipeline without a store misses and
 // saves nothing, so no stage forks on whether one is attached. The corpus,
 // profile, PMC-set and report stages, feedback round checkpoints, triage
-// bundles, the campaign report and the time-series all go through that
-// pair.
+// bundles and the campaign report all go through that pair. Metrics are
+// not among them: they describe the live process, and nothing about them
+// is persisted or restored.
 //
 // What is deliberately NOT in any key: Options.Workers (a pure performance
 // knob; reports are bit-identical at any worker count) and Options.StateDir
@@ -56,14 +57,8 @@ var (
 )
 
 // UseStore attaches an artifact store; subsequent stage runs memoize
-// through it. Attach before running any stage. A previously persisted
-// campaign time-series for this (version, seed) is merged into the live
-// series, so a killed-and-resumed campaign's coverage trajectory is one
-// continuous curve.
-func (p *Pipeline) UseStore(s *store.Store) {
-	p.store = s
-	p.loadSeries()
-}
+// through it. Attach before running any stage.
+func (p *Pipeline) UseStore(s *store.Store) { p.store = s }
 
 // keyPrefix versions the whole key schema; bump to orphan every memo
 // entry at once.
@@ -148,46 +143,6 @@ func (p *Pipeline) resolvedFeedbackRounds() int {
 	return p.feedbackRounds()
 }
 
-// seriesKey identifies the campaign time-series artifact. Deliberately
-// independent of method, workers, and budgets: one (version, seed) campaign
-// has one coverage trajectory, however many strategy comparisons or resumed
-// runs share the state directory.
-func (p *Pipeline) seriesKey() store.Digest {
-	return store.Key(keyPrefix, "timeseries",
-		fmt.Sprintf("series-codec=%d", obs.SeriesCodecVersion),
-		fmt.Sprintf("version=%s", p.Opts.Version),
-		fmt.Sprintf("seed=%d", p.Opts.Seed),
-	)
-}
-
-// loadSeries merges a prior run's persisted SBTS artifact into the live
-// DefaultSeries. Merge dedups by timestamp, so repeated loads — the compare
-// mode attaches eleven pipelines to one store — are idempotent.
-func (p *Pipeline) loadSeries() {
-	samples, out, ok := loadMemo(p, "timeseries", p.seriesKey(), seriesCodec, nil)
-	if !ok {
-		return
-	}
-	obs.DefaultSeries.Merge(samples)
-	if len(samples) > 0 {
-		// Continue the counters where the prior run stopped: cache-hit
-		// stages do no new work, so without this every resumed sample
-		// would regress the trajectory to zero.
-		obs.RestoreCounters(samples[len(samples)-1])
-	}
-	obs.Diag.Printf("stage timeseries: resumed %d samples (%s)", len(samples), out.Short())
-}
-
-// saveSeries snapshots the live metrics into the campaign time-series and
-// persists it. Pipeline stages call this at their boundaries, so a killed
-// campaign loses at most one stage's trajectory.
-func (p *Pipeline) saveSeries() {
-	obs.RecordSample()
-	if p.store != nil { // or the series would be copied out for nothing
-		saveMemo(p, "timeseries", p.seriesKey(), seriesCodec, obs.DefaultSeries.Samples(), nil)
-	}
-}
-
 // Per-stage report fragments persisted in the memo entry, so a cache hit
 // restores exactly the counters and timings the producing run measured and
 // warm reports stay deep-equal to cold ones.
@@ -237,7 +192,6 @@ var (
 	corpusCodec   = binaryCodec(store.KindCorpus, "corpus", corpus.EncodeCorpus, corpus.DecodeCorpus)
 	profilesCodec = binaryCodec(store.KindProfiles, "profile", pmc.EncodeProfiles, pmc.DecodeProfiles)
 	pmcSetCodec   = binaryCodec(store.KindPMCs, "PMC", pmc.EncodeSet, pmc.DecodeSet)
-	seriesCodec   = binaryCodec(store.KindSeries, "series", obs.EncodeSeries, obs.DecodeSeries)
 	reportCodec   = codec[*Report]{store.KindReport, "report",
 		func(r *Report) ([]byte, error) { return json.Marshal(r) },
 		func(b []byte) (*Report, error) {

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"snowboard/internal/obs"
 	"snowboard/internal/pmc"
@@ -270,10 +274,13 @@ func TestResumeIgnoresTruncatedStore(t *testing.T) {
 }
 
 // TestResumeLeavesRetiredSnapshotsAlone: a state dir an earlier binary
-// used holds SBPI snapshots (store kind 7, filed under objects/pmcindex/)
-// and their identify-chain memo entries. Nothing looks them up any more: a
-// warm run hits all four stages, returns the cold report, and neither
-// reads, discards nor deletes the leftovers.
+// used holds artifacts of two retired kinds, each with its memo entry: SBPI
+// snapshots (store kind 7, filed under objects/pmcindex/, keyed by
+// identify-chain entries) and the SBTS campaign time-series (kind 6,
+// objects/timeseries/, keyed by version and seed). Nothing looks them up
+// any more: a warm run hits all four stages, returns the cold report,
+// discards nothing as corrupt, and creates, rewrites or deletes no file in
+// the state dir — the leftovers included.
 func TestResumeLeavesRetiredSnapshotsAlone(t *testing.T) {
 	opts := stateTestOptions(t)
 	cold, err := Run(opts)
@@ -285,24 +292,33 @@ func TestResumeLeavesRetiredSnapshotsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retired := store.Kind(7)
-	d, err := st.Put(retired, []byte("SBPI\x02 an aggregate no decoder is left for"))
-	if err != nil {
-		t.Fatal(err)
+	// plant files payload as a retired kind, under the objects/ directory
+	// name the binaries that wrote it used (Put files an unnamed kind under
+	// objects/kind<N>), with a memo entry under the key keyOf derives.
+	plant := func(kind store.Kind, dir string, payload []byte, keyOf func(store.Digest) store.Digest) {
+		d, err := st.Put(kind, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects := filepath.Join(opts.StateDir, "objects")
+		if err := os.Rename(filepath.Join(objects, kind.String()), filepath.Join(objects, dir)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutStage(keyOf(d), store.StageResult{Kind: kind, Out: d}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Put files an unnamed kind under objects/kind7; the binaries that wrote
-	// snapshots called the directory pmcindex.
-	objects := filepath.Join(opts.StateDir, "objects")
-	snapshot := filepath.Join(objects, "pmcindex", d.String())
-	if err := os.Rename(filepath.Join(objects, retired.String()), filepath.Dir(snapshot)); err != nil {
-		t.Fatal(err)
-	}
-	chainKey := store.Key(keyPrefix, "identify-chain", "batch="+d.String())
-	if err := st.PutStage(chainKey, store.StageResult{Kind: retired, Out: d}); err != nil {
-		t.Fatal(err)
-	}
-	chainEntry := filepath.Join(opts.StateDir, "stages", chainKey.String())
+	plant(store.Kind(7), "pmcindex", []byte("SBPI\x02 an aggregate no decoder is left for"),
+		func(d store.Digest) store.Digest { return store.Key(keyPrefix, "identify-chain", "batch="+d.String()) })
+	// A one-sample version-2 SBTS series under the key those binaries gave
+	// this campaign's (version, seed).
+	plant(store.Kind(6), "timeseries", append([]byte("SBTS\x02\x01"), bytes.Repeat([]byte{2}, 12)...),
+		func(store.Digest) store.Digest {
+			return store.Key(keyPrefix, "timeseries", "series-codec=2",
+				fmt.Sprintf("version=%s", opts.Version), fmt.Sprintf("seed=%d", opts.Seed))
+		})
 
+	before := stateFiles(t, opts.StateDir)
 	h0, _ := counters()
 	c0 := obs.C(obs.MStoreCorrupt).Value()
 	warm, err := Run(opts)
@@ -318,11 +334,52 @@ func TestResumeLeavesRetiredSnapshotsAlone(t *testing.T) {
 	if !reflect.DeepEqual(normalizeMetrics(warm), normalizeMetrics(cold)) {
 		t.Error("warm report over an old state dir differs from the cold report")
 	}
-	for _, path := range []string{snapshot, chainEntry} {
-		if _, err := os.Stat(path); err != nil {
-			t.Errorf("leftover of the retired snapshot chain was touched: %v", err)
+	after := stateFiles(t, opts.StateDir)
+	for path, f := range after {
+		if g, ok := before[path]; !ok {
+			t.Errorf("warm run created %s", path)
+		} else if g != f {
+			t.Errorf("warm run changed %s", path)
 		}
 	}
+	for path := range before {
+		if _, ok := after[path]; !ok {
+			t.Errorf("warm run deleted %s", path)
+		}
+	}
+}
+
+// stateFile is what a warm run must leave alone of one state-dir file
+// (its bytes, so its size too).
+type stateFile struct {
+	mtime   time.Time
+	content string
+}
+
+// stateFiles maps every regular file under dir, by path relative to dir.
+func stateFiles(t *testing.T, dir string) map[string]stateFile {
+	t.Helper()
+	files := make(map[string]stateFile)
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		info, err := e.Info()
+		if err != nil {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = stateFile{info.ModTime(), string(b)}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestStageKeysGolden pins the on-disk contract a deployed state dir
@@ -359,7 +416,6 @@ func TestStageKeysGolden(t *testing.T) {
 		{"profileKey", p.profileKey(cd).String(), "583a68ec96ad2d8e6959da0cbdb245136e03a899cd7259accfef022997c6de58"},
 		{"identifyKey", p.identifyKey(fd).String(), "98c8d44fe7c7d276bf8992ef2708238f98ce918b265c52a04f611d020671a036"},
 		{"reportKey", p.reportKey(cd, pd, opts.TestBudget).String(), "42c2273dd7169410dba4be3cf85bacbf7af808c37626043891647f6507286b7d"},
-		{"seriesKey", p.seriesKey().String(), "52eb8f1fbfd42d41124d39d124b4ce865ebbcb87cfc372cd3a31500df73b2a22"},
 		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "748de131d89d4ed3fa0ac56464d9ab768ca880373eae082e315963e9d5c4a331"},
 		{"triageKey", triageKey.String(), "774c1e55f31e3c0451000edc723f7fd921290f89b969597e073fd12c3ad208ed"},
 		{"fuzzMeta", marshal(fuzzMeta{CorpusSize: 1, FuzzExecutions: 2, FuzzTimeNs: 3}), `{"corpus_size":1,"fuzz_executions":2,"fuzz_time_ns":3}`},

@@ -170,14 +170,6 @@ func (g *Gauge) Add(n int64) {
 	g.v.Add(n)
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // histBuckets is the number of log2 histogram buckets: bucket 0 holds the
 // value 0 (and negatives, clamped), bucket i≥1 holds values in
 // [2^(i-1), 2^i), i.e. upper bound 2^i-1.

@@ -107,10 +107,11 @@ func TestMapBumpsPoolMetrics(t *testing.T) {
 	if d := obs.Default.Snapshot().Counter(obs.MParUnits) - before.Counter(obs.MParUnits); d != 7 {
 		t.Fatalf("par.units delta = %d, want 7", d)
 	}
-	if g := obs.Default.Gauge(obs.MParWorkers).Value(); g != 0 {
+	after := obs.Default.Snapshot()
+	if g := after.Gauge(obs.MParWorkers); g != 0 {
 		t.Fatalf("par.workers gauge = %d after Map returned, want 0", g)
 	}
-	if g := obs.Default.Gauge(obs.MParQueueDepth).Value(); g != 0 {
+	if g := after.Gauge(obs.MParQueueDepth); g != 0 {
 		t.Fatalf("par.queue_depth gauge = %d after Map returned, want 0", g)
 	}
 }

@@ -254,8 +254,8 @@ func TestQueueDepthGaugePerQueue(t *testing.T) {
 	// Two queues in one process must not clobber each other's depth: each
 	// reports its own gauge, and the shared queue.depth gauge aggregates
 	// deltas instead of being Set by whoever moved last.
-	agg := obs.G(obs.MQueueDepth)
-	aggBefore := agg.Value()
+	gauge := func(name string) int64 { return obs.Default.Snapshot().Gauge(name) }
+	aggBefore := gauge(obs.MQueueDepth)
 	a := NewWithOptions(Options{Name: "depth-a"})
 	b := NewWithOptions(Options{Name: "depth-b"})
 	for i := 0; i < 3; i++ {
@@ -266,20 +266,21 @@ func TestQueueDepthGaugePerQueue(t *testing.T) {
 	if err := b.Push(testJob(9)); err != nil {
 		t.Fatal(err)
 	}
-	da, db := obs.G("queue.depth-a.depth"), obs.G("queue.depth-b.depth")
-	if da.Value() != 3 || db.Value() != 1 {
-		t.Fatalf("per-queue depths = %d,%d, want 3,1", da.Value(), db.Value())
+	da, db := gauge("queue.depth-a.depth"), gauge("queue.depth-b.depth")
+	if da != 3 || db != 1 {
+		t.Fatalf("per-queue depths = %d,%d, want 3,1", da, db)
 	}
-	if got := agg.Value() - aggBefore; got != 4 {
+	if got := gauge(obs.MQueueDepth) - aggBefore; got != 4 {
 		t.Fatalf("aggregate depth delta = %d, want 4", got)
 	}
 	if _, err := a.TryLease(); err != nil {
 		t.Fatal(err)
 	}
-	if da.Value() != 2 || db.Value() != 1 {
-		t.Fatalf("per-queue depths after lease = %d,%d, want 2,1", da.Value(), db.Value())
+	da, db = gauge("queue.depth-a.depth"), gauge("queue.depth-b.depth")
+	if da != 2 || db != 1 {
+		t.Fatalf("per-queue depths after lease = %d,%d, want 2,1", da, db)
 	}
-	if got := agg.Value() - aggBefore; got != 3 {
+	if got := gauge(obs.MQueueDepth) - aggBefore; got != 3 {
 		t.Fatalf("aggregate depth delta after lease = %d, want 3", got)
 	}
 	a.Close()

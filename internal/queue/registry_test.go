@@ -108,7 +108,7 @@ func TestConcurrentNamedQueuesIsolation(t *testing.T) {
 	// Fully loaded, nothing leased: every depth gauge must read exactly
 	// its own queue's backlog.
 	for i := 0; i < queues; i++ {
-		if got := obs.G("queue." + name(i) + ".depth").Value(); got != int64(jobsFor(i)) {
+		if got := obs.Default.Snapshot().Gauge("queue." + name(i) + ".depth"); got != int64(jobsFor(i)) {
 			t.Fatalf("queue %s depth gauge = %d before draining, want %d", name(i), got, jobsFor(i))
 		}
 	}
@@ -175,7 +175,7 @@ func TestConcurrentNamedQueuesIsolation(t *testing.T) {
 		}
 		// The per-queue depth gauge drained to zero and never absorbed a
 		// neighbour's backlog.
-		if got := obs.G("queue." + name(i) + ".depth").Value(); got != 0 {
+		if got := obs.Default.Snapshot().Gauge("queue." + name(i) + ".depth"); got != 0 {
 			t.Fatalf("queue %s depth gauge = %d after draining, want 0", name(i), got)
 		}
 		ids := make(map[int]bool)

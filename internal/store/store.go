@@ -64,9 +64,7 @@ const (
 	KindReport
 	// KindStage is a stage memo entry (internal; lives under stages/).
 	KindStage
-	// KindSeries is an SBTS campaign time-series (obs.EncodeSeries), the
-	// coverage-over-time trajectory a resumed campaign appends to.
-	KindSeries
+	_ // 6 was the SBTS time-series kind (objects/timeseries); retired, never reuse
 	_ // 7 was the SBPI snapshot kind (objects/pmcindex); retired, never reuse
 	// KindFeedback is a JSON feedback-round checkpoint (core.RunFeedback):
 	// per-cluster credits, cumulative segment coverage, pipeline cursors,
@@ -95,8 +93,6 @@ func (k Kind) String() string {
 		return "report"
 	case KindStage:
 		return "stage"
-	case KindSeries:
-		return "timeseries"
 	case KindFeedback:
 		return "feedback"
 	case KindRepro:

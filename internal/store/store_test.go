@@ -233,10 +233,10 @@ func TestParseDigest(t *testing.T) {
 
 // TestKindValuesPinned pins what a deployed state dir holds of a Kind: its
 // byte, which is inside every SBAR envelope and every memo entry's "kind",
-// and its name, which is the objects/ subdirectory. Kind 7 (KindPMCIndex,
-// the SBPI snapshot) is retired in place: renumbering the kinds after it
-// would make Get discard every stored feedback checkpoint, SBRB bundle and
-// campaign manifest as corrupt.
+// and its name, which is the objects/ subdirectory. Kinds 6 (KindSeries,
+// the SBTS time-series) and 7 (KindPMCIndex, the SBPI snapshot) are retired
+// in place: renumbering the kinds after them would make Get discard every
+// stored feedback checkpoint, SBRB bundle and campaign manifest as corrupt.
 func TestKindValuesPinned(t *testing.T) {
 	for _, c := range []struct {
 		kind Kind
@@ -248,7 +248,6 @@ func TestKindValuesPinned(t *testing.T) {
 		{KindPMCs, 3, "pmcs"},
 		{KindReport, 4, "report"},
 		{KindStage, 5, "stage"},
-		{KindSeries, 6, "timeseries"},
 		{KindFeedback, 8, "feedback"},
 		{KindRepro, 9, "repro"},
 		{KindCampaign, 10, "campaign"},
@@ -257,7 +256,9 @@ func TestKindValuesPinned(t *testing.T) {
 			t.Errorf("kind %q = %d, want %q = %d", c.kind, uint8(c.kind), c.name, c.b)
 		}
 	}
-	if got := Kind(7).String(); got != "kind7" {
-		t.Errorf("Kind(7) = %q, want the retired slot to stay unnamed (kind7)", got)
+	for retired, want := range map[Kind]string{6: "kind6", 7: "kind7"} {
+		if got := retired.String(); got != want {
+			t.Errorf("Kind(%d) = %q, want the retired slot to stay unnamed (%s)", uint8(retired), got, want)
+		}
 	}
 }
