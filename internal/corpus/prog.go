@@ -46,6 +46,11 @@ type Call struct {
 }
 
 // Prog is a sequential test: an ordered list of system calls.
+//
+// Nothing writes a built program's calls or their arguments: code that
+// needs a variant builds a new program (Clone copies every argument list).
+// The fuzzer relies on it: a mutant shares each call it does not rewrite
+// with its parent.
 type Prog struct {
 	Calls []Call `json:"calls"`
 }

@@ -60,6 +60,10 @@ const batchSize = 32
 // earlier round folded is not run again: it takes that run's verdict from
 // the campaign's memo. Its edges are already in cov (or it crashed), so the
 // result is the one running it would give.
+//
+// Unit i of every round is built in the campaign's i-th Candidate, so a
+// candidate the fold throws away allocates nothing; the fold copies out
+// only the programs the corpus keeps.
 func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) CampaignResult {
 	cov := cover.NewEdges()
 	seen := memo{at: make(map[uint64]uint64)}
@@ -69,11 +73,12 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 	for w := range gens {
 		gens[w] = NewGenerator(0)
 	}
+	slots := make([]Candidate, batchSize)
 
 	type unit struct {
-		prog    *corpus.Prog
-		edges   []uint64 // edge keys cov lacked at round start; nil for most
-		hash    uint64   // progHash(prog)
+		prog    *corpus.Prog // in the unit's slot, rebuilt next round
+		edges   []uint64     // edge keys cov lacked at round start; nil for most
+		hash    uint64       // progHash(prog)
 		crashed bool
 		repeat  bool // answered by seen, not run
 	}
@@ -89,14 +94,15 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 		units := par.Map(len(envs), n, func(w, i int) unit {
 			g := gens[w]
 			g.rng.Seed(par.UnitSeed(seed, par.StageFuzz, base+i))
-			var p *corpus.Prog
+			c := &slots[i]
 			// Mostly mutate existing corpus entries once one exists, like
 			// Syzkaller; otherwise generate fresh.
 			if len(snapshot) > 0 && g.rng.Intn(3) != 0 {
-				p = g.Mutate(snapshot[g.rng.Intn(len(snapshot))])
+				g.mutate(c, snapshot[g.rng.Intn(len(snapshot))])
 			} else {
-				p = g.Generate()
+				g.generate(c)
 			}
+			p := &c.Prog
 			// seen, like cov, is written only by the fold below, after
 			// every worker has returned, so probing it needs no lock. A
 			// repeat within this round is not in it yet and runs.
@@ -130,7 +136,11 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 				continue
 			}
 			if n := cov.Add(u.edges); n > 0 {
-				if out.Corpus.Add(u.prog) {
+				// u.prog lives in its slot until the next round, so the
+				// corpus keeps a copy. Add never refuses it: a program
+				// kept before ran from the same snapshot, so its edges
+				// are in cov and this one adds none.
+				if out.Corpus.Add(u.prog.Clone()) {
 					out.Selected++
 					mSelected.Inc()
 					mCorpus.Set(int64(out.Corpus.Len()))

@@ -18,6 +18,15 @@ import (
 type Generator struct {
 	rng      *rand.Rand
 	MaxCalls int // maximum calls per generated program
+
+	// Scratch reused by every build: a call's literal argument values
+	// (retKind), the calls producing an acceptable descriptor (available),
+	// the arguments of the call genCall is drawing and the (call, argument)
+	// positions of a program's constants (mutateOnce).
+	lits   []uint64
+	avail  []int
+	args   []corpus.Arg
+	consts [][2]int
 }
 
 // NewGenerator returns a deterministic generator for the seed.
@@ -25,156 +34,185 @@ func NewGenerator(seed int64) *Generator {
 	return &Generator{rng: lazyrand.New(seed), MaxCalls: 6}
 }
 
-// retKindOf computes the descriptor kind a call produces.
-func retKindOf(nr int, args []uint64) kernel.FDKind {
-	spec := &kernel.Syscalls[nr]
+// Candidate is storage a program is built in, again and again: the
+// program's call list and an arena for the arguments of the calls built
+// here. A mutant's calls that the mutation does not rewrite are its
+// parent's, shared, not copied. What was built in a candidate lives until
+// the next build in it; Prog.Clone copies out a program that must outlive
+// that.
+type Candidate struct {
+	Prog corpus.Prog
+	args []corpus.Arg
+}
+
+// reset empties the candidate for the next build.
+func (c *Candidate) reset() {
+	c.Prog.Calls = c.Prog.Calls[:0]
+	c.args = c.args[:0]
+}
+
+// push appends a call of syscall nr with a copy of args from the arena.
+func (c *Candidate) push(nr int, args ...corpus.Arg) {
+	start := len(c.args)
+	c.args = append(c.args, args...)
+	end := len(c.args)
+	c.Prog.Calls = append(c.Prog.Calls, corpus.Call{Nr: nr, Args: c.args[start:end:end]})
+}
+
+// retKind computes the descriptor kind call c produces. Only constant
+// arguments determine it; a resource reference counts as 0.
+func (g *Generator) retKind(c corpus.Call) kernel.FDKind {
+	spec := &kernel.Syscalls[c.Nr]
 	if spec.RetKind == nil {
 		return kernel.FDNone
 	}
-	return spec.RetKind(args)
-}
-
-// creatorFor returns a call that produces a descriptor of one of the wanted
-// kinds, with its literal arguments, or ok=false for kinds with no creator.
-func (g *Generator) creatorFor(kinds []kernel.FDKind) (corpus.Call, kernel.FDKind, bool) {
-	want := kinds[g.rng.Intn(len(kinds))]
-	switch want {
-	case kernel.FDSockTCP:
-		return g.socketCall(kernel.AFInet, kernel.SockStream, 0), want, true
-	case kernel.FDSockUDP:
-		return g.socketCall(kernel.AFInet, kernel.SockDgram, 0), want, true
-	case kernel.FDSockRaw6:
-		return g.socketCall(kernel.AFInet6, kernel.SockRaw, 0), want, true
-	case kernel.FDSockPacket:
-		return g.socketCall(kernel.AFPacket, kernel.SockRaw, 0), want, true
-	case kernel.FDSockPPP:
-		return g.socketCall(kernel.AFPppox, kernel.SockDgram, kernel.PxProtoOL2TP), want, true
-	case kernel.FDBlk:
-		return g.openCall(0), want, true
-	case kernel.FDTTY:
-		return g.openCall(1), want, true
-	case kernel.FDSnd:
-		return g.openCall(2), want, true
-	case kernel.FDFile:
-		return g.openCall(3 + uint64(g.rng.Intn(4))), want, true
+	g.lits = g.lits[:0]
+	for _, a := range c.Args {
+		var v uint64
+		if a.Kind == corpus.ConstArg {
+			v = a.Val
+		}
+		g.lits = append(g.lits, v)
 	}
-	return corpus.Call{}, kernel.FDNone, false
+	return spec.RetKind(g.lits)
 }
 
-func (g *Generator) socketCall(domain, typ, proto uint64) corpus.Call {
-	return corpus.Call{Nr: kernel.SysSocketNr, Args: []corpus.Arg{
-		corpus.Const(domain), corpus.Const(typ), corpus.Const(proto),
-	}}
+// pushCreator appends to c a call that produces a descriptor of one of the
+// wanted kinds, or reports false for a kind with no creator.
+func (g *Generator) pushCreator(c *Candidate, kinds []kernel.FDKind) bool {
+	switch kinds[g.rng.Intn(len(kinds))] {
+	case kernel.FDSockTCP:
+		pushSocket(c, kernel.AFInet, kernel.SockStream, 0)
+	case kernel.FDSockUDP:
+		pushSocket(c, kernel.AFInet, kernel.SockDgram, 0)
+	case kernel.FDSockRaw6:
+		pushSocket(c, kernel.AFInet6, kernel.SockRaw, 0)
+	case kernel.FDSockPacket:
+		pushSocket(c, kernel.AFPacket, kernel.SockRaw, 0)
+	case kernel.FDSockPPP:
+		pushSocket(c, kernel.AFPppox, kernel.SockDgram, kernel.PxProtoOL2TP)
+	case kernel.FDBlk:
+		pushOpen(c, 0)
+	case kernel.FDTTY:
+		pushOpen(c, 1)
+	case kernel.FDSnd:
+		pushOpen(c, 2)
+	case kernel.FDFile:
+		pushOpen(c, 3+uint64(g.rng.Intn(4)))
+	default:
+		return false
+	}
+	return true
 }
 
-func (g *Generator) openCall(path uint64) corpus.Call {
-	return corpus.Call{Nr: kernel.SysOpenNr, Args: []corpus.Arg{
-		corpus.Const(path), corpus.Const(0),
-	}}
+func pushSocket(c *Candidate, domain, typ, proto uint64) {
+	c.push(kernel.SysSocketNr, corpus.Const(domain), corpus.Const(typ), corpus.Const(proto))
 }
 
-// available lists the call indexes in prog producing a descriptor whose
-// kind is acceptable for spec (nil spec.Res accepts any descriptor).
-func available(progCalls []corpus.Call, res []kernel.FDKind) []int {
-	var out []int
-	for i, c := range progCalls {
-		args := literalArgs(c)
-		k := retKindOf(c.Nr, args)
+func pushOpen(c *Candidate, path uint64) {
+	c.push(kernel.SysOpenNr, corpus.Const(path), corpus.Const(0))
+}
+
+// available lists the call indexes in calls producing a descriptor whose
+// kind is acceptable for res (an empty res accepts any descriptor). The
+// list is generator scratch, valid until the next call.
+func (g *Generator) available(calls []corpus.Call, res []kernel.FDKind) []int {
+	g.avail = g.avail[:0]
+	for i, c := range calls {
+		k := g.retKind(c)
 		if k == kernel.FDNone {
 			continue
 		}
 		if len(res) == 0 {
-			out = append(out, i)
+			g.avail = append(g.avail, i)
 			continue
 		}
 		for _, want := range res {
 			if k == want {
-				out = append(out, i)
+				g.avail = append(g.avail, i)
 				break
 			}
 		}
 	}
-	return out
+	return g.avail
 }
 
-// literalArgs resolves constant argument values (resource refs become 0;
-// only constant args determine descriptor kinds here).
-func literalArgs(c corpus.Call) []uint64 {
-	out := make([]uint64, len(c.Args))
-	for i, a := range c.Args {
-		if a.Kind == corpus.ConstArg {
-			out[i] = a.Val
-		}
-	}
-	return out
-}
-
-// genCall generates one call of syscall nr appended to calls, inserting
-// creator calls for missing resources. Returns the extended call list.
-func (g *Generator) genCall(calls []corpus.Call, nr int) []corpus.Call {
+// genCall appends one call of syscall nr to c, inserting creator calls for
+// missing resources before it.
+func (g *Generator) genCall(c *Candidate, nr int) {
 	spec := &kernel.Syscalls[nr]
-	args := make([]corpus.Arg, len(spec.Args))
-	for i, as := range spec.Args {
+	// The arguments are drawn into scratch: a creator inserted for one of
+	// them goes into the arena first.
+	g.args = g.args[:0]
+	for _, as := range spec.Args {
 		switch as.Kind {
 		case kernel.ArgConst:
 			if len(as.Vals) == 0 {
-				args[i] = corpus.Const(0)
+				g.args = append(g.args, corpus.Const(0))
 			} else {
-				args[i] = corpus.Const(as.Vals[g.rng.Intn(len(as.Vals))])
+				g.args = append(g.args, corpus.Const(as.Vals[g.rng.Intn(len(as.Vals))]))
 			}
 		case kernel.ArgFD:
-			avail := available(calls, as.Res)
+			avail := g.available(c.Prog.Calls, as.Res)
 			if len(avail) == 0 {
-				creator, _, ok := g.creatorFor(orAnyFD(as.Res))
-				if !ok {
-					args[i] = corpus.Const(0)
+				if !g.pushCreator(c, orAnyFD(as.Res)) {
+					g.args = append(g.args, corpus.Const(0))
 					continue
 				}
-				calls = append(calls, creator)
-				avail = []int{len(calls) - 1}
+				// The pick among the one creator still draws: the
+				// candidate stream depends on it.
+				g.avail = append(g.avail[:0], len(c.Prog.Calls)-1)
+				avail = g.avail
 			}
-			args[i] = corpus.Result(avail[g.rng.Intn(len(avail))])
+			g.args = append(g.args, corpus.Result(avail[g.rng.Intn(len(avail))]))
 		}
 	}
-	return append(calls, corpus.Call{Nr: nr, Args: args})
+	c.push(nr, g.args...)
+}
+
+// anyFD is every descriptor kind some call creates.
+var anyFD = []kernel.FDKind{
+	kernel.FDSockTCP, kernel.FDSockUDP, kernel.FDSockRaw6, kernel.FDSockPacket,
+	kernel.FDSockPPP, kernel.FDFile, kernel.FDBlk, kernel.FDTTY, kernel.FDSnd,
 }
 
 func orAnyFD(res []kernel.FDKind) []kernel.FDKind {
 	if len(res) > 0 {
 		return res
 	}
-	return []kernel.FDKind{
-		kernel.FDSockTCP, kernel.FDSockUDP, kernel.FDSockRaw6, kernel.FDSockPacket,
-		kernel.FDSockPPP, kernel.FDFile, kernel.FDBlk, kernel.FDTTY, kernel.FDSnd,
-	}
+	return anyFD
 }
 
-// Generate produces a fresh random program.
+// Generate produces a fresh random program in fresh storage.
 func (g *Generator) Generate() *corpus.Prog {
+	var c Candidate
+	g.generate(&c)
+	return &c.Prog
+}
+
+// generate builds a fresh random program in c.
+func (g *Generator) generate(c *Candidate) {
+	c.reset()
 	n := 1 + g.rng.Intn(g.MaxCalls)
-	var calls []corpus.Call
-	for len(calls) < n {
-		nr := g.rng.Intn(kernel.NumSyscalls)
-		calls = g.genCall(calls, nr)
+	for len(c.Prog.Calls) < n {
+		g.genCall(c, g.rng.Intn(kernel.NumSyscalls))
 	}
-	p := &corpus.Prog{Calls: calls}
-	if err := p.Validate(); err != nil {
+	if err := c.Prog.Validate(); err != nil {
 		panic("fuzz: generated invalid program: " + err.Error())
 	}
-	return p
 }
 
 // resourceKindsOK verifies that every resource reference still points at a
 // call producing an acceptable descriptor kind — a tweak to a creator's
 // arguments (e.g. open's path) can change what it produces.
-func resourceKindsOK(p *corpus.Prog) bool {
+func (g *Generator) resourceKindsOK(p *corpus.Prog) bool {
 	for _, c := range p.Calls {
 		spec := &kernel.Syscalls[c.Nr]
 		for ai, a := range c.Args {
 			if a.Kind != corpus.ResultArg {
 				continue
 			}
-			kind := retKindOf(p.Calls[a.Ref].Nr, literalArgs(p.Calls[a.Ref]))
+			kind := g.retKind(p.Calls[a.Ref])
 			if kind == kernel.FDNone {
 				return false
 			}
@@ -196,52 +234,67 @@ func resourceKindsOK(p *corpus.Prog) bool {
 	return true
 }
 
-// Mutate derives a variant of p: argument tweak, call insertion, or tail
-// truncation (resource references always point backwards, so dropping a
-// suffix keeps programs valid). Mutations that would break resource typing
-// are retried; after a few failed attempts the original is returned
-// unchanged.
+// Mutate derives a variant of p in fresh storage: argument tweak, call
+// insertion, or tail truncation (resource references always point
+// backwards, so dropping a suffix keeps programs valid). Mutations that
+// would break resource typing are retried; after a few failed attempts
+// the original's calls are returned unchanged. The result shares every
+// call it does not rewrite with p.
 func (g *Generator) Mutate(p *corpus.Prog) *corpus.Prog {
-	for attempt := 0; attempt < 4; attempt++ {
-		q := g.mutateOnce(p)
-		if resourceKindsOK(q) {
-			return q
-		}
-	}
-	return p.Clone()
+	var c Candidate
+	g.mutate(&c, p)
+	return &c.Prog
 }
 
-func (g *Generator) mutateOnce(p *corpus.Prog) *corpus.Prog {
-	q := p.Clone()
+// mutate builds a variant of p in c; p must not be built in c.
+func (g *Generator) mutate(c *Candidate, p *corpus.Prog) {
+	for attempt := 0; attempt < 4; attempt++ {
+		g.mutateOnce(c, p)
+		if g.resourceKindsOK(&c.Prog) {
+			return
+		}
+	}
+	c.reset()
+	c.Prog.Calls = append(c.Prog.Calls, p.Calls...)
+}
+
+func (g *Generator) mutateOnce(c *Candidate, p *corpus.Prog) {
+	c.reset()
+	c.Prog.Calls = append(c.Prog.Calls, p.Calls...)
+	calls := c.Prog.Calls
 	switch g.rng.Intn(3) {
 	case 0: // tweak one constant argument
-		var idxs [][2]int
-		for ci, c := range q.Calls {
-			for ai, a := range c.Args {
+		g.consts = g.consts[:0]
+		for ci, call := range calls {
+			for ai, a := range call.Args {
 				if a.Kind == corpus.ConstArg {
-					idxs = append(idxs, [2]int{ci, ai})
+					g.consts = append(g.consts, [2]int{ci, ai})
 				}
 			}
 		}
-		if len(idxs) > 0 {
-			pick := idxs[g.rng.Intn(len(idxs))]
-			spec := &kernel.Syscalls[q.Calls[pick[0]].Nr]
-			vals := spec.Args[pick[1]].Vals
+		if len(g.consts) > 0 {
+			pick := g.consts[g.rng.Intn(len(g.consts))]
+			ci, ai := pick[0], pick[1]
+			vals := kernel.Syscalls[calls[ci].Nr].Args[ai].Vals
 			if len(vals) > 0 {
-				q.Calls[pick[0]].Args[pick[1]] = corpus.Const(vals[g.rng.Intn(len(vals))])
+				// The call is p's: rewrite a copy of it.
+				v := corpus.Const(vals[g.rng.Intn(len(vals))])
+				start := len(c.args)
+				c.args = append(c.args, calls[ci].Args...)
+				c.args[start+ai] = v
+				calls[ci].Args = c.args[start:len(c.args):len(c.args)]
 			}
 		}
 	case 1: // append a call
-		if len(q.Calls) < 2*g.MaxCalls {
-			q.Calls = g.genCall(q.Calls, g.rng.Intn(kernel.NumSyscalls))
+		if len(calls) < 2*g.MaxCalls {
+			g.genCall(c, g.rng.Intn(kernel.NumSyscalls))
 		}
 	case 2: // truncate the tail
-		if len(q.Calls) > 1 {
-			q.Calls = q.Calls[:1+g.rng.Intn(len(q.Calls)-1)]
+		if len(calls) > 1 {
+			c.Prog.Calls = calls[:1+g.rng.Intn(len(calls)-1)]
 		}
 	}
-	if err := q.Validate(); err != nil {
+	if err := c.Prog.Validate(); err != nil {
 		panic("fuzz: mutation produced invalid program: " + err.Error())
 	}
-	return q
 }
