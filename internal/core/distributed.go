@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -82,7 +81,7 @@ func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results 
 	outs := make([]sched.Outcome, len(first))
 	for i, res := range first {
 		folded[i] = tests[res.JobID]
-		if err := json.Unmarshal(res.Outcome, &outs[i]); err != nil {
+		if err := outs[i].Decode(res.Outcome); err != nil {
 			return fmt.Errorf("job %d: decode outcome reported by %q: %w", res.JobID, res.Worker, err)
 		}
 	}

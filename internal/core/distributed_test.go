@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -610,5 +611,54 @@ func TestAggregateResultsFolds(t *testing.T) {
 	}
 	if clean, _ := AggregateResults(3, results, nil); clean.Lost() {
 		t.Fatalf("Lost() = true for fully-settled campaign: %+v", clean)
+	}
+}
+
+func TestSettledJobAllocBudget(t *testing.T) {
+	// A settled job crosses the queue as its outcome's binary form, encoded
+	// into the turn's buffer by Worker.Do and decoded by FoldResults, on
+	// every leaser. One 16-job turn over localLeaser plus the fold of what
+	// it settled is counted per job, setup aside: 20.25 measured, 21.3 with
+	// each lease's copy escaping to the heap again, 41.6 with that and JSON
+	// outcomes. One queue serves every turn, so its reaper starts (and
+	// allocates) before the first measured one.
+	const turn = 16
+	opts := triageOpts(3)
+	opts.Trials = 2
+	p, base, tests := campaignFixture(t, opts)
+	tests = tests[:turn]
+	env := p.Env.Clone()
+	defer env.Close()
+	w := NewWorker(env, "budget", nil)
+	q := queue.New()
+	defer q.Close()
+	perJob := func() float64 {
+		p.exploreUnits = 0
+		if err := p.PushTests(q, tests, ""); err != nil {
+			t.Fatal(err)
+		}
+		leases, err := q.LeaseN(turn)
+		if err != nil || len(leases) != turn {
+			t.Fatalf("LeaseN(%d) = %d leases, %v", turn, len(leases), err)
+		}
+		r := freshCopy(base)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		settled, _ := w.Do(localLeaser{q}, leases)
+		err = p.FoldResults(r, tests, q.Results(), nil)
+		runtime.ReadMemStats(&after)
+		if err != nil || settled != turn || r.Distributed.Reported != turn {
+			t.Fatalf("turn settled %d of %d jobs, fold: %v", settled, turn, err)
+		}
+		return float64(after.Mallocs-before.Mallocs) / turn
+	}
+	perJob() // warm the worker's explorer scratch and start the reaper
+	best := perJob()
+	for i := 0; i < 4; i++ {
+		best = min(best, perJob())
+	}
+	t.Logf("%.2f allocations per settled job", best)
+	if best > 20.75 {
+		t.Fatalf("%.2f allocations per settled job, want ≤ 20.75", best)
 	}
 }

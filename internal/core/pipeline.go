@@ -353,11 +353,12 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 	template := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
 	// The only difference between local and queue-delivered stage 4: a
 	// queue worker (NewWorker) runs the bare template. Giving it these
-	// layers too costs bench `fleet` trials_per_s −16.0% for KnownPMCs,
-	// −3.4% for Coverage+TrackSegments and −22.9% for all three, with
-	// wall_s +29.2%, past BENCHMARK.json's 0.25 bound (measured after a
-	// queue turn became one lease frame and one settle frame; EXPERIMENTS.md
-	// has the history).
+	// layers too, with each job's segment and pair sets shipped in its
+	// binary outcome, costs bench `fleet` −29.1% trials_per_s and +42%
+	// wall_s, past BENCHMARK.json's 0.25 bound. In points of the bare
+	// rate: 27.3 on the trial side (21.1 KnownPMCs' incidental adoption,
+	// 6.2 the Coverage and TrackSegments walks) and 1.8 of transport
+	// (EXPERIMENTS.md, "What the queue path still skips", has the history).
 	template.KnownPMCs, template.Coverage, template.TrackSegments = p.PMCs, cov, true
 	template.MutateSchedules, template.Trace = p.Opts.Feedback, p.trace
 	fleet := sched.NewFleet(template, p.workerEnvs(p.workers()),
@@ -396,14 +397,14 @@ func (p *Pipeline) foldOutcomes(r *Report, tests []sched.ConcurrentTest, outs []
 		r.TrialsRun += out.Trials
 		r.Switches += out.Switches
 		r.Steps += out.Steps
-		for _, is := range out.Issues {
+		for j, is := range out.Issues {
 			if is.BugID != 0 {
 				rec, seen := r.Issues[is.BugID]
 				if !seen {
 					rec = IssueRecord{
 						Issue:     is,
 						TestIndex: r.TestedTests,
-						Trial:     out.TrialOf(is),
+						Trial:     out.IssueTrials[j],
 						Repro:     out.Repro,
 						Test:      ct,
 					}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -157,38 +156,42 @@ func (w *Worker) nack(lsr Leaser, ls queue.Lease, reason string) {
 	}
 }
 
-// Do runs a turn's leases to settlement: resolve each job, explore it with
-// the seed and trial budget it carries under one lease keeper for the whole
-// turn, and settle every outcome (result recorded, lease released) in one
-// Settle. It returns how many leases settled with a result and how many of
+// Do runs a turn's leases to settlement: resolve each job (in place, in
+// leases), explore it with the seed and trial budget it carries under one
+// lease keeper for the whole turn, and settle every outcome, in its binary
+// form (result recorded, lease released), in one Settle. It returns how many leases settled with a result and how many of
 // those exercised their channel; every other lease was nacked — its job
 // malformed (a trial budget not in 1..MaxTrials) or unresolvable, or its
 // result never landed. Failures are contained to the job, never the
 // process.
 func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 	held := make([]queue.Lease, 0, len(leases))
-	for _, ls := range leases {
+	for i := range leases {
+		ls := &leases[i]
 		if ls.Job.Trials <= 0 || ls.Job.Trials > MaxTrials {
-			w.nack(lsr, ls, fmt.Sprintf("malformed job %d: trial budget %d", ls.Job.ID, ls.Job.Trials))
+			w.nack(lsr, *ls, fmt.Sprintf("malformed job %d: trial budget %d", ls.Job.ID, ls.Job.Trials))
 			continue
 		}
 		if !ls.Job.Inline() {
 			if err := w.resolve(&ls.Job); err != nil {
-				w.nack(lsr, ls, err.Error())
+				w.nack(lsr, *ls, err.Error())
 				continue
 			}
 		}
-		held = append(held, ls)
+		held = append(held, *ls)
 	}
 	if len(held) == 0 {
 		return 0, 0
 	}
 	stopKeep := keepTurn(lsr, held)
 	items := make([]queue.Settlement, len(held))
-	errs := make([]error, len(held))
+	results := make([]queue.JobResult, len(held))
 	hit := make([]bool, len(held))
-	for i, ls := range held {
-		job := ls.Job
+	// The turn's outcomes share one buffer, each result a capped slice of
+	// it: a settled result is kept (Queue.Settle) and never written.
+	var buf []byte
+	for i := range held {
+		job := &held[i].Job
 		w.x.Seed, w.x.Trials = job.Seed, job.Trials
 		// Tag this job's events with the originating campaign's trace, so a
 		// distributed run's timeline reads end-to-end.
@@ -197,28 +200,22 @@ func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 			Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,
 		})
 		hit[i] = out.Exercised
-		payload, err := json.Marshal(&out)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		items[i] = queue.Settlement{Lease: ls.ID, Result: &queue.JobResult{
-			JobID: job.ID, Trials: out.Trials, Outcome: payload, Worker: w.name}}
+		start := len(buf)
+		buf = out.Encode(buf)
+		results[i] = queue.JobResult{JobID: job.ID, Trials: out.Trials, Outcome: buf[start:len(buf):len(buf)], Worker: w.name}
+		items[i] = queue.Settlement{Lease: held[i].ID, Result: &results[i]}
 	}
 	stopKeep()
 	landed, err := lsr.Settle(items)
 	for i, ls := range held {
-		switch {
-		case errs[i] != nil:
-		case err != nil:
-			errs[i] = err
-		default:
-			errs[i] = landed[i]
+		failed := err
+		if failed == nil {
+			failed = landed[i]
 		}
 		// ErrUnknownLease is benign: the lease expired and the job was
 		// redelivered, but the result landed; the fold deduplicates by job ID.
-		if errs[i] != nil && !errors.Is(errs[i], queue.ErrUnknownLease) {
-			w.nack(lsr, ls, "settle failed: "+errs[i].Error())
+		if failed != nil && !errors.Is(failed, queue.ErrUnknownLease) {
+			w.nack(lsr, ls, "settle failed: "+failed.Error())
 			continue
 		}
 		settled++

@@ -35,18 +35,18 @@ var (
 // TCP transport: a Server fronts a Registry of queues; Clients (workers on
 // other machines) lease jobs and settle them. A frame is one JSON header
 // line, followed — when the header declares "trailer":N — by exactly N raw
-// bytes. Protocol version 4 has four ops, and a worker's turn costs two
+// bytes. Protocol version 5 has four ops, and a worker's turn costs two
 // frames each way, one lease and one settle:
 //
-//	{"op":"lease","n":4,"v":4}
+//	{"op":"lease","n":4,"v":5}
 //	  -> {"ok":true,"leases":[{"lease":7,"attempt":1,"ttl_ms":30000,"len":180},...],"trailer":N}
 //	     + N bytes: each granted job's JSON, "len" bytes apiece
 //	   | {"ok":false,"err":"queue: empty"|"queue: closed"}
-//	{"op":"settle","items":[{"lease":7,"result":{"job_id":3,"trials":64},"len":900},...],"trailer":N,"v":4}
-//	  + N bytes: each item's outcome, "len" bytes apiece
+//	{"op":"settle","items":[{"lease":7,"result":{"job_id":3,"trials":64},"len":90},...],"trailer":N,"v":5}
+//	  + N bytes: each item's outcome in sched.Outcome's binary form, "len" bytes apiece
 //	  -> {"ok":true} | {"ok":true,"errs":["","queue: unknown lease",...]}
-//	{"op":"nack","lease":7,"reason":"...","v":4} -> {"ok":true}
-//	{"op":"extend","lease":7,"ms":30000,"v":4}   -> {"ok":true,"ttl_ms":30000}
+//	{"op":"nack","lease":7,"reason":"...","v":5} -> {"ok":true}
+//	{"op":"extend","lease":7,"ms":30000,"v":5}   -> {"ok":true,"ttl_ms":30000}
 //
 // A settle records each item's result and releases its lease (an item may
 // carry either alone) in one critical section, Queue.Settle; "errs" is
@@ -65,8 +65,9 @@ var (
 // Requests naming any other version than the server's are rejected before
 // they touch a queue, so an older or newer peer fails loudly instead of
 // leasing jobs it would mis-parse (a v2 worker cannot read a v4 lease
-// answer) or explore differently (a v3 worker ignores the trial budget a
-// v4 job carries and explores with its own). A request without v is taken
+// answer), explore differently (a v3 worker ignores the trial budget a
+// job carries and explores with its own) or settle with outcomes the fold
+// cannot read (a v4 worker sends them as JSON). A request without v is taken
 // as the server's version. A frame, header and trailer together, is
 // capped at 1 MiB: an oversized header line or a declared trailer past
 // the cap is answered with
@@ -77,11 +78,14 @@ var (
 // only while the trailer stays within half the cap.
 // A connection silent for five minutes is dropped.
 
-// ProtoVersion is the wire protocol version this build speaks. Within a
-// version, jobs may carry an optional "trace" field stitching them to the
-// originating campaign; peers that predate it ignore it (unknown JSON
-// fields are dropped on decode), so it needed no version bump.
-const ProtoVersion = 4
+// ProtoVersion is the wire protocol version this build speaks. Version 5
+// settles outcomes in sched.Outcome's binary form where version 4 sent
+// JSON, so a v4 worker is refused at its first lease, before any outcome
+// of its reaches a fold. Within a version, jobs may carry an optional
+// "trace" field stitching them to the originating campaign; peers that
+// predate it ignore it (unknown JSON fields are dropped on decode), so it
+// needed no version bump.
+const ProtoVersion = 5
 
 // Transport limits.
 const (
@@ -462,11 +466,8 @@ func settlements(items []wireItem, trailer []byte) ([]Settlement, error) {
 		if it.Len < 0 || it.Len > len(trailer)-off || (it.Len > 0 && it.Result == nil) {
 			return nil, errBadItems
 		}
-		if it.Result != nil {
-			it.Result.Outcome = nil
-			if it.Len > 0 {
-				it.Result.Outcome = trailer[off : off+it.Len : off+it.Len]
-			}
+		if it.Len > 0 {
+			it.Result.Outcome = trailer[off : off+it.Len : off+it.Len]
 		}
 		out[i] = Settlement{Lease: it.Lease, Result: it.Result}
 		off += it.Len
@@ -734,9 +735,7 @@ func (c *Client) Settle(items []Settlement) ([]error, error) {
 				if len(hdr) > 0 && len(trailer)+len(it.Result.Outcome) > maxFrame/2 {
 					break
 				}
-				r := *it.Result
-				r.Outcome = nil
-				w.Result, w.Len = &r, len(it.Result.Outcome)
+				w.Result, w.Len = it.Result, len(it.Result.Outcome)
 				trailer = append(trailer, it.Result.Outcome...)
 			}
 			hdr = append(hdr, w)

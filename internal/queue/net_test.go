@@ -97,7 +97,7 @@ func TestTCPBadRequest(t *testing.T) {
 	if st := q.Stats(); st.Pending != 1 || st.Leased != 0 || st.Done != 0 {
 		t.Fatalf("unknown ops touched the queue: %+v", st)
 	}
-	if _, err := conn.Write([]byte(`{"op":"lease","v":4}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":5}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp = readResp(t, r); !resp.OK || len(resp.Leases) != 1 || resp.Leases[0].Lease == 0 {
@@ -123,7 +123,7 @@ func TestWirePushIsUnknownOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte(`{"op":"push","v":4,"job":` + string(job) + "}\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"push","v":5,"job":` + string(job) + "}\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); resp.OK || resp.Err != `unknown op "push"` {
@@ -132,7 +132,7 @@ func TestWirePushIsUnknownOp(t *testing.T) {
 	if st := q.Stats(); st.Pending != 0 {
 		t.Fatalf("wire push enqueued a job: %+v", st)
 	}
-	if _, err := conn.Write([]byte(`{"op":"lease","v":4}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":5}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); resp.OK || resp.Err != ErrEmpty.Error() {
@@ -173,7 +173,7 @@ func TestServeServesTheUnnamedQueue(t *testing.T) {
 }
 
 func TestTCPOpCounters(t *testing.T) {
-	// v4 has four ops. A turn costs one lease frame and one settle frame
+	// v5 has four ops. A turn costs one lease frame and one settle frame
 	// however many jobs it holds, outcomes cross as their very bytes, and
 	// Report and Ack are one-item settles.
 	q := New()
@@ -211,12 +211,13 @@ func TestTCPOpCounters(t *testing.T) {
 	if err := c.Nack(turn[2].ID, "not this one"); err != nil {
 		t.Fatal(err)
 	}
-	// Spaces a re-encoding would compact away.
-	outcomes := []string{`{"Trials": 3}`, `{"Trials": 4, "Exercised": true}`}
+	// Opaque bytes, a newline and a NUL among them: the queue never reads
+	// an outcome.
+	outcomes := []string{"\x01\x06\x00\n", "\x01\x08\x01 \xff{}"}
 	items := make([]Settlement, 2)
 	for i := range items {
 		items[i] = Settlement{Lease: turn[i].ID, Result: &JobResult{
-			JobID: turn[i].Job.ID, Trials: 3 + i, Outcome: json.RawMessage(outcomes[i]), Worker: "w"}}
+			JobID: turn[i].Job.ID, Trials: 3 + i, Outcome: []byte(outcomes[i]), Worker: "w"}}
 	}
 	errs, err := c.Settle(items)
 	if err != nil || errs[0] != nil || errs[1] != nil {
@@ -448,11 +449,12 @@ func TestLeaseDeliversLargeJob(t *testing.T) {
 }
 
 func TestUnsupportedProtocolVersion(t *testing.T) {
-	// Only v4 is spoken: an older or newer version is refused loudly before
+	// Only v5 is spoken: an older or newer version is refused loudly before
 	// it touches the queue — a v2 worker's lease, whose answer it could not
-	// read, and a v3 worker's, which would explore with a trial budget of
-	// its own, lease nothing — and v2's report and ack, folded into settle,
-	// are unknown ops even under v4. The connection survives every refusal.
+	// read, a v3 worker's, which would explore with a trial budget of its
+	// own, and a v4 worker's, which would settle JSON outcomes, lease
+	// nothing — and v2's report and ack, folded into settle, are unknown
+	// ops even under v5. The connection survives every refusal.
 	q := New()
 	defer q.Close()
 	srv, err := Serve(q, "127.0.0.1:0")
@@ -467,13 +469,14 @@ func TestUnsupportedProtocolVersion(t *testing.T) {
 	defer conn.Close()
 	for _, tc := range []struct{ frame, want string }{
 		{`{"op":"lease","v":99}`, "unsupported protocol version 99"},
-		{`{"op":"lease","v":5}`, "unsupported protocol version 5 (server speaks 4)"},
-		{`{"op":"lease","v":3}`, "unsupported protocol version 3 (server speaks 4)"},
-		{`{"op":"lease","v":2}`, "unsupported protocol version 2 (server speaks 4)"},
-		{`{"op":"lease","v":1}`, "unsupported protocol version 1 (server speaks 4)"},
+		{`{"op":"lease","v":6}`, "unsupported protocol version 6 (server speaks 5)"},
+		{`{"op":"lease","v":4}`, "unsupported protocol version 4 (server speaks 5)"},
+		{`{"op":"lease","v":3}`, "unsupported protocol version 3 (server speaks 5)"},
+		{`{"op":"lease","v":2}`, "unsupported protocol version 2 (server speaks 5)"},
+		{`{"op":"lease","v":1}`, "unsupported protocol version 1 (server speaks 5)"},
 		{`{"op":"report","v":2,"result":{"job_id":1,"outcome":{}}}`, "unsupported protocol version 2"},
-		{`{"op":"report","v":4,"result":{"job_id":1,"outcome":{}}}`, `unknown op "report"`},
-		{`{"op":"ack","lease":1,"v":4}`, `unknown op "ack"`},
+		{`{"op":"report","v":5,"result":{"job_id":1,"outcome":{}}}`, `unknown op "report"`},
+		{`{"op":"ack","lease":1,"v":5}`, `unknown op "ack"`},
 	} {
 		if _, err := conn.Write([]byte(tc.frame + "\n")); err != nil {
 			t.Fatal(err)
@@ -485,11 +488,62 @@ func TestUnsupportedProtocolVersion(t *testing.T) {
 	if st := q.Stats(); st.Pending != 1 || st.Leased != 0 || len(q.Results()) != 0 {
 		t.Fatalf("a refused version touched the queue: %+v, %d results", st, len(q.Results()))
 	}
-	if _, err := conn.Write([]byte(`{"op":"lease","v":4}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":5}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); !resp.OK || len(resp.Leases) != 1 {
-		t.Fatalf("v4 lease after the refusals = %+v", resp)
+		t.Fatalf("v5 lease after the refusals = %+v", resp)
+	}
+}
+
+func TestV4WorkerRefused(t *testing.T) {
+	// A v4 worker settles its outcomes as JSON, which no v5 fold can read.
+	// Its lease is refused, so it never holds a job; a settle it sends
+	// anyway, JSON outcome in its trailer, records nothing and releases no
+	// lease; the connection stays in sync past that trailer, and the same
+	// settle under v5 lands.
+	q := New()
+	defer q.Close()
+	srv, err := Serve(q, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for id := 1; id <= 2; id++ {
+		if err := q.Push(testJob(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls, err := q.TryLease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, r := rawDial(t, srv.Addr())
+	defer conn.Close()
+	settle := func(v int, outcome string) string {
+		return fmt.Sprintf(`{"op":"settle","items":[{"lease":%d,"result":{"job_id":%d,"trials":3},"len":%d}],"trailer":%d,"v":%d}`+"\n%s",
+			ls.ID, ls.Job.ID, len(outcome), len(outcome), v, outcome)
+	}
+	for _, frame := range []string{`{"op":"lease","n":4,"v":4}` + "\n", settle(4, `{"Trials":3}`)} {
+		if _, err := conn.Write([]byte(frame)); err != nil {
+			t.Fatal(err)
+		}
+		want := "unsupported protocol version 4 (server speaks 5)"
+		if resp := readResp(t, r); resp.OK || resp.Err != want {
+			t.Fatalf("%q: response = %+v, want err %q", frame, resp, want)
+		}
+	}
+	if st := q.Stats(); st.Pending != 1 || st.Leased != 1 || st.Done != 0 || len(q.Results()) != 0 {
+		t.Fatalf("a v4 worker touched the queue: %+v, %d results", st, len(q.Results()))
+	}
+	if _, err := conn.Write([]byte(settle(ProtoVersion, "\x01\x06"))); err != nil {
+		t.Fatal(err)
+	}
+	if resp := readResp(t, r); !resp.OK {
+		t.Fatalf("v5 settle after the refusals = %+v", resp)
+	}
+	if res := q.Results(); len(res) != 1 || string(res[0].Outcome) != "\x01\x06" || q.Stats().Done != 1 {
+		t.Fatalf("v5 settle: results %+v, stats %+v", res, q.Stats())
 	}
 }
 

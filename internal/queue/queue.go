@@ -107,12 +107,13 @@ func (j *Job) Resolve(c *corpus.Corpus) error {
 type JobResult struct {
 	JobID  int `json:"job_id"`
 	Trials int `json:"trials"`
-	// Outcome is the whole exploration outcome (JSON of sched.Outcome),
-	// encoded once by the worker and decoded once by the coordinator's fold:
-	// on the wire it rides a settle frame's trailer as these very bytes,
-	// never re-encoded inside the JSON header.
-	Outcome json.RawMessage `json:"outcome,omitempty"`
-	Worker  string          `json:"worker,omitempty"`
+	// Outcome is the whole exploration outcome in sched.Outcome's binary
+	// form, encoded once by the worker (Outcome.Encode) and decoded once by
+	// the coordinator's fold (Outcome.Decode), whether it was settled
+	// in-process or over TCP: on the wire it rides a settle frame's trailer
+	// as these very bytes, never inside the JSON header.
+	Outcome []byte `json:"-"`
+	Worker  string `json:"worker,omitempty"`
 }
 
 // ErrClosed is returned by operations on a closed queue.

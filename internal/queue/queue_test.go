@@ -1,7 +1,6 @@
 package queue
 
 import (
-	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -123,7 +122,7 @@ func TestTCPRoundtrip(t *testing.T) {
 	if err := c.Ack(ls.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Report(JobResult{JobID: 9, Trials: 3, Outcome: json.RawMessage(`{"Trials":3}`)}); err != nil {
+	if err := c.Report(JobResult{JobID: 9, Trials: 3, Outcome: []byte(`{"Trials":3}`)}); err != nil {
 		t.Fatal(err)
 	}
 	rs := q.Results()

@@ -170,7 +170,7 @@ func (sc *scratch) record(out *Outcome, trial int, issues []detect.Issue) (crash
 		}
 		sc.seen[k] = true
 		out.Issues = append(out.Issues, is)
-		out.IssueTrial[is.ID()] = trial
+		out.IssueTrials = append(out.IssueTrials, trial)
 		if out.ExposedTrial < 0 {
 			out.ExposedTrial = trial
 		}
@@ -186,28 +186,31 @@ type Outcome struct {
 	ExercisedTrial int  // first trial where it occurred (-1 if never)
 	ExposedTrial   int  // first trial that surfaced an issue (-1 if none)
 	Issues         []detect.Issue
-	IssueTrial     map[string]int // issue ID -> trial on which it first surfaced
-	Switches       int            // total induced preemptions
-	Steps          int            // total events across trials
-	NewCoverPairs  int            `json:",omitempty"` // fresh alias instruction pairs covered (if Coverage set)
+	IssueTrials    []int // IssueTrials[i]: the trial on which Issues[i] first surfaced
+	Switches       int   // total induced preemptions
+	Steps          int   // total events across trials
+	NewCoverPairs  int   // fresh alias instruction pairs covered (if Coverage set)
 
 	// Segments accumulates this test's interleaving segments (set when
 	// the explorer's TrackSegments is on); NewSegments counts those new
 	// to this test's own accumulator. Both are pure functions of
-	// (test, seed), independent of worker placement. The JSON form (a
-	// queue worker's result) does not carry Segments.
-	Segments    *cover.Segments `json:"-"`
-	NewSegments int             `json:",omitempty"`
+	// (test, seed), independent of worker placement. The binary form (a
+	// queue worker's result, Encode) does not carry Segments.
+	Segments    *cover.Segments
+	NewSegments int
 
 	// Repro pins the first trial that surfaced a crash-level issue, for
 	// deterministic reproduction via Replay (§6). Nil when no such trial.
-	Repro *ReproState `json:",omitempty"`
+	Repro *ReproState
 }
 
 // TrialOf returns the trial on which the given issue first surfaced, or -1.
 func (o *Outcome) TrialOf(is detect.Issue) int {
-	if t, ok := o.IssueTrial[is.ID()]; ok {
-		return t
+	k := is.Key()
+	for i := range o.Issues {
+		if o.Issues[i].Key() == k {
+			return o.IssueTrials[i]
+		}
 	}
 	return -1
 }
@@ -217,7 +220,7 @@ func (o *Outcome) TrialOf(is detect.Issue) int {
 // non-deterministic rescheduling, incidental PMCs observed in a trial are
 // adopted into the set under test.
 func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
-	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1, IssueTrial: make(map[string]int)}
+	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1}
 	mTests.Inc()
 	span := obs.StartSpan("exec.test")
 	defer func() {

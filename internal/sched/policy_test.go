@@ -97,12 +97,29 @@ func TestSnowboardPolicyDefaults(t *testing.T) {
 
 func TestOutcomeTrialOf(t *testing.T) {
 	known := detect.Issue{Kind: detect.KindDataRace, WriteIns: sIns1, ReadIns: sIns2}
+	torn := detect.Issue{Kind: detect.KindDataRace, WriteIns: sIns1, ReadIns: sIns2, Torn: true}
+	panicked := detect.Issue{Kind: detect.KindPanic, Desc: "Kernel panic"}
 	unknown := detect.Issue{Kind: detect.KindDataRace, WriteIns: sIns2, ReadIns: sIns1}
-	out := Outcome{IssueTrial: map[string]int{known.ID(): 3}}
-	if got := out.TrialOf(known); got != 3 {
-		t.Fatalf("TrialOf known issue: %d", got)
+	out := Outcome{Issues: []detect.Issue{known, torn, panicked}, IssueTrials: []int{3, 5, 7}}
+	for _, tc := range []struct {
+		is   detect.Issue
+		want int
+	}{
+		{known, 3},
+		{torn, 5},
+		{panicked, 7},
+		// Matched by its deduplication key: a sighting differing only in
+		// fields the key leaves out is the same issue.
+		{detect.Issue{Kind: detect.KindPanic, Desc: "Kernel panic", BugID: 9}, 7},
+		{unknown, -1},
+		{detect.Issue{Kind: detect.KindPanic, Desc: "other"}, -1},
+	} {
+		if got := out.TrialOf(tc.is); got != tc.want {
+			t.Errorf("TrialOf(%s) = %d, want %d", tc.is.ID(), got, tc.want)
+		}
 	}
-	if got := out.TrialOf(unknown); got != -1 {
-		t.Fatalf("TrialOf unknown issue: %d", got)
+	var empty Outcome
+	if got := empty.TrialOf(known); got != -1 {
+		t.Fatalf("TrialOf on an outcome without issues: %d", got)
 	}
 }

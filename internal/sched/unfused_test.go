@@ -126,7 +126,7 @@ func prevChannelExercised(tr *trace.Trace, hint *pmc.PMC) bool {
 // access. It also returns the PMCs under test as the last trial ran, and
 // shows every trial's trace to each.
 func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace)) (Outcome, []pmc.PMC) {
-	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1, IssueTrial: make(map[string]int), Segments: cover.NewSegments()}
+	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1, Segments: cover.NewSegments()}
 	current := []pmc.PMC{*ct.Hint}
 	flags := make(map[sig]bool)
 	seen := make(map[string]bool)
@@ -158,7 +158,7 @@ func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace)) (Ou
 			}
 			seen[is.ID()] = true
 			out.Issues = append(out.Issues, is)
-			out.IssueTrial[is.ID()] = trial
+			out.IssueTrials = append(out.IssueTrials, trial)
 			if out.ExposedTrial < 0 {
 				out.ExposedTrial = trial
 			}
