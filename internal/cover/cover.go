@@ -10,7 +10,6 @@
 package cover
 
 import (
-	"fmt"
 	"sync"
 
 	"snowboard/internal/trace"
@@ -22,22 +21,27 @@ type Pair struct {
 	Second trace.Ins
 }
 
-// String renders the pair for reports.
-func (p Pair) String() string {
-	return fmt.Sprintf("%s -> %s", p.First.Name(), p.Second.Name())
-}
-
-// Coverage accumulates alias instruction pairs across trials. It is safe
-// for concurrent use.
+// Coverage accumulates alias instruction pairs across trials: a flat set
+// keyed First<<32 | Second, the way Edges keys an edge. It is safe for
+// concurrent use.
 type Coverage struct {
-	mu    sync.Mutex
-	pairs map[Pair]int
-	own   Walker // scratch of the standalone AddTrace, guarded by mu
+	mu  sync.Mutex
+	set trace.Shadow[struct{}]
+	own Walker // scratch of the standalone AddTrace, guarded by mu
 }
 
 // New returns an empty accumulator.
-func New() *Coverage {
-	return &Coverage{pairs: make(map[Pair]int)}
+func New() *Coverage { return &Coverage{} }
+
+func pairKey(first, second trace.Ins) uint64 { return uint64(first)<<32 | uint64(second) }
+
+// add puts keys in the set and returns how many were new to it.
+func (c *Coverage) add(keys []uint64) int {
+	before := c.set.Len()
+	for _, k := range keys {
+		c.set.Slot(k)
+	}
+	return c.set.Len() - before
 }
 
 // AddTrace folds one trial trace in and returns how many *new* pairs it
@@ -49,24 +53,28 @@ func (c *Coverage) AddTrace(tr *trace.Trace) int {
 	defer c.mu.Unlock()
 	c.own.view.Build(tr)
 	c.own.Walk(&c.own.view)
-	return addEach(c.pairs, c.own.pairs)
+	return c.add(c.own.pairs)
 }
 
-// Merge folds o's accumulated pairs into c (counts add) and returns how
-// many pairs were new to c. Per-worker accumulators merged in any order
-// yield the same totals as one shared accumulator. o is not modified;
-// merging an accumulator into itself is not supported.
+// Merge folds o's accumulated pairs into c and returns how many were new
+// to c. Per-worker accumulators merged in any order yield the same set as
+// one shared accumulator. o is not modified; merging an accumulator into
+// itself is not supported.
 func (c *Coverage) Merge(o *Coverage) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return addCounts(c.pairs, o.pairs)
+	before := c.set.Len()
+	for k := range o.set.All() {
+		c.set.Slot(k)
+	}
+	return c.set.Len() - before
 }
 
 // Len returns the number of distinct pairs covered so far.
 func (c *Coverage) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pairs)
+	return c.set.Len()
 }

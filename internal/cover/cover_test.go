@@ -24,6 +24,17 @@ func trOf(accs ...trace.Access) *trace.Trace {
 	return tr
 }
 
+// has reports whether c covers p.
+func (c *Coverage) has(p Pair) bool { return c.set.Get(pairKey(p.First, p.Second)) != nil }
+
+// count returns seg's hit count in s, inserting nothing.
+func (s *Segments) count(seg Segment) int {
+	if s.slots == nil {
+		return 0
+	}
+	return s.slots[s.index(seg)].n
+}
+
 func TestCrossThreadPairCovered(t *testing.T) {
 	c := New()
 	fresh := c.AddTrace(trOf(
@@ -33,8 +44,8 @@ func TestCrossThreadPairCovered(t *testing.T) {
 	if fresh != 1 || c.Len() != 1 {
 		t.Fatalf("fresh=%d len=%d", fresh, c.Len())
 	}
-	if c.pairs[Pair{First: cvW, Second: cvR}] != 1 {
-		t.Fatal("pair not counted")
+	if !c.has(Pair{First: cvW, Second: cvR}) {
+		t.Fatal("pair not covered")
 	}
 }
 
@@ -79,7 +90,7 @@ func TestInterveningAccessBreaksPair(t *testing.T) {
 	if fresh != 2 {
 		t.Fatalf("fresh=%d", fresh)
 	}
-	if c.pairs[Pair{First: cvW, Second: cvR}] != 0 {
+	if c.has(Pair{First: cvW, Second: cvR}) {
 		t.Fatal("non-adjacent pair covered")
 	}
 }
@@ -110,8 +121,8 @@ func TestFreshCountsOnlyNewPairs(t *testing.T) {
 	if fresh := c.AddTrace(tr); fresh != 0 {
 		t.Fatalf("repeat counted as fresh: %d", fresh)
 	}
-	if c.pairs[Pair{First: cvW, Second: cvR}] != 2 {
-		t.Fatal("repeat not accumulated")
+	if !c.has(Pair{First: cvW, Second: cvR}) || c.Len() != 1 {
+		t.Fatalf("repeat changed the set: len %d", c.Len())
 	}
 }
 
@@ -225,7 +236,7 @@ func TestSegmentGoldenTwoComms(t *testing.T) {
 		t.Fatalf("fresh=%d len=%d, want 1/1", fresh, s.Len())
 	}
 	want := Segment{First: comm(segAW, segBR), Second: comm(segCW, segDR)}
-	if s.segs[want] != 1 {
+	if s.count(want) != 1 {
 		t.Fatalf("golden segment %s not covered", want)
 	}
 }
@@ -243,12 +254,12 @@ func TestSegmentCollapsesConsecutiveDuplicates(t *testing.T) {
 		tAcc(1, trace.Read, segDR, 0x300), // comm: C=>D
 	))
 	ab := comm(segAW, segBR)
-	if got := s.segs[Segment{First: ab, Second: ab}]; got != 0 {
+	if got := s.count(Segment{First: ab, Second: ab}); got != 0 {
 		t.Fatalf("self-segment covered %d times, want 0", got)
 	}
 	want := Segment{First: ab, Second: comm(segCW, segDR)}
-	if fresh != 1 || s.segs[want] != 1 {
-		t.Fatalf("fresh=%d count(%s)=%d, want 1/1", fresh, want, s.segs[want])
+	if fresh != 1 || s.count(want) != 1 {
+		t.Fatalf("fresh=%d count(%s)=%d, want 1/1", fresh, want, s.count(want))
 	}
 }
 

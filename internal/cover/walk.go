@@ -29,10 +29,10 @@ type Walker struct {
 	cur   Pred        // the access being walked
 	preds []trace.Ins // the predecessors it communicates with, in address order
 
-	// The trial's distinct pairs (seen keys them First<<32 | Second) and
-	// segments, and its latest communication.
+	// The trial's distinct pairs (keyed First<<32 | Second, as Coverage
+	// keys them) and segments, and its latest communication.
 	seen     trace.Shadow[struct{}]
-	pairs    []Pair
+	pairs    []uint64
 	segs     []Segment
 	prev     Comm
 	havePrev bool
@@ -76,9 +76,9 @@ func (w *Walker) communicated() {
 		if k > 0 && pred == w.preds[k-1] { // adjacent bytes mostly share one
 			continue
 		}
-		n := w.seen.Len()
-		if w.seen.Slot(uint64(pred)<<32 | uint64(w.cur.ins)); w.seen.Len() > n {
-			w.pairs = append(w.pairs, Pair{First: pred, Second: w.cur.ins})
+		n, k := w.seen.Len(), pairKey(pred, w.cur.ins)
+		if w.seen.Slot(k); w.seen.Len() > n {
+			w.pairs = append(w.pairs, k)
 		}
 	}
 	comm := Comm{Write: w.regionOf(w.preds[0]), Read: w.regionOf(w.cur.ins)}
@@ -131,12 +131,12 @@ func (w *Walker) Fold(c *Coverage, s *Segments) (freshPairs, freshSegs int) {
 	defer w.reset()
 	if c != nil {
 		c.mu.Lock()
-		freshPairs = addEach(c.pairs, w.pairs)
+		freshPairs = c.add(w.pairs)
 		c.mu.Unlock()
 	}
 	if s != nil {
 		s.mu.Lock()
-		freshSegs = addEach(s.segs, w.segs)
+		freshSegs = s.addEach(w.segs)
 		s.mu.Unlock()
 	}
 	return freshPairs, freshSegs

@@ -205,10 +205,10 @@ func TestFusedWalkEqualsReference(t *testing.T) {
 	var k teeth
 	fusedC, fusedS := New(), NewSegments()
 	soloC, soloS := New(), NewSegments()
-	refC, refS := New(), NewSegments()
+	refC, refS := map[Pair]int{}, map[Segment]int{}
 	for iter := 0; iter < 400; iter++ {
 		tr := randTrace(rng, 1+rng.Intn(120), iter%20 == 0)
-		wantP, wantS := addCounts(refC.pairs, refPairs(tr)), addCounts(refS.segs, refSegments(tr))
+		wantP, wantS := addCounts(refC, refPairs(tr)), addCounts(refS, refSegments(tr))
 		v.Build(tr)
 		k.add(&v)
 		w.Walk(&v)
@@ -224,17 +224,17 @@ func TestFusedWalkEqualsReference(t *testing.T) {
 			t.Fatalf("iter %d: nil accumulators reported (%d, %d)", iter, p, s)
 		}
 	}
-	t.Logf("%d pairs, %d segments; %+v", refC.Len(), refS.Len(), k)
-	if refS.Len() == 0 || refC.Len() == 0 || k.lost() {
-		t.Fatalf("generator lost its teeth: %d pairs, %d segments, %+v", refC.Len(), refS.Len(), k)
+	t.Logf("%d pairs, %d segments; %+v", len(refC), len(refS), k)
+	if len(refS) == 0 || len(refC) == 0 || k.lost() {
+		t.Fatalf("generator lost its teeth: %d pairs, %d segments, %+v", len(refC), len(refS), k)
 	}
 	for name, got := range map[string]*Segments{"fused": fusedS, "standalone": soloS} {
-		if !reflect.DeepEqual(got.Export(), refS.Export()) {
+		if !reflect.DeepEqual(got.Export(), exportModel(refS)) {
 			t.Fatalf("%s segments differ from reference", name)
 		}
 	}
 	for name, got := range map[string]*Coverage{"fused": fusedC, "standalone": soloC} {
-		if !reflect.DeepEqual(got.pairs, refC.pairs) {
+		if !reflect.DeepEqual(pairsOf(got), keySet(refC)) {
 			t.Fatalf("%s pairs differ from reference", name)
 		}
 	}

@@ -90,7 +90,7 @@ func TestL2TPBugTriggersUnderAdversarialSchedule(t *testing.T) {
 		env := NewEnv(kernel.Config{Version: tc.version})
 		published := false
 		sched := vm.FuncScheduler(func(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
-			if ev.Kind == vm.EvAccess && ev.Access.Ins == publishIns {
+			if ev.Kind == vm.EvAccess && m.LastAccess().Ins == publishIns {
 				published = true
 			}
 			runnable := m.Runnable()

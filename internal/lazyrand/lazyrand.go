@@ -26,14 +26,28 @@ const (
 // constant of math/rand's, cooked[i].
 var pow, cooked [length]uint64
 
-func mulmod(a, b uint64) uint64 { return a * b % lehmerM } // a, b < 2^31
+// mulmod returns a·b mod lehmerM for a, b < lehmerM. 2^31 ≡ 1 (mod
+// lehmerM), so the product's bits from 31 up fold onto the bits below,
+// twice, and no division is needed. The second fold leaves at most
+// lehmerM, congruent to the product, and lehmerM itself only for a
+// product that is a multiple of it: with a prime modulus and factors below
+// it, only 0, which folds to 0.
+func mulmod(a, b uint64) uint64 {
+	x := a * b
+	x = x&lehmerM + x>>31 // < 2^32
+	return x&lehmerM + x>>31
+}
+
+// lehmerA2 is A² mod lehmerM: a word's third Lehmer value is its first
+// times A², without waiting for the second.
+const lehmerA2 = lehmerA * lehmerA % lehmerM
 
 // raw returns state word i for a seed already reduced into [1, lehmerM),
 // before the cooked constant is mixed in.
 func raw(seed uint64, i int) uint64 {
 	x1 := mulmod(seed, pow[i])
 	x2 := mulmod(x1, lehmerA)
-	x3 := mulmod(x2, lehmerA)
+	x3 := mulmod(x1, lehmerA2)
 	return x1<<40 ^ x2<<20 ^ x3
 }
 

@@ -39,6 +39,23 @@ func TestSourceEqualsMathRand(t *testing.T) {
 	}
 }
 
+// TestMulmodEqualsModulo: the folded reduction is the remainder, for
+// products near every boundary of the two folds and the subtraction.
+func TestMulmodEqualsModulo(t *testing.T) {
+	edges := []uint64{0, 1, 2, lehmerA, lehmerA2, 1 << 30, lehmerM - 2, lehmerM - 1}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		edges = append(edges, uint64(rng.Int63n(lehmerM)))
+	}
+	for _, a := range edges {
+		for _, b := range edges[:40] {
+			if got, want := mulmod(a, b), a*b%lehmerM; got != want {
+				t.Fatalf("mulmod(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
 // TestSeedAllocatesNothing: reseeding is what a trial does; it must be free.
 func TestSeedAllocatesNothing(t *testing.T) {
 	r := New(1)

@@ -91,7 +91,7 @@ func ProgressFrom(s Snapshot) Progress {
 		DetectReports:  s.Counter(MDetectReports),
 		QueueDepth:     s.Gauge(MQueueDepth),
 	}
-	if h := s.Histogram("exec.test.duration_ns"); h.Count > 0 && h.Sum > 0 {
+	if h := s.Histogram(MExecTestDur); h.Count > 0 && h.Sum > 0 {
 		p.ExecPerMin = float64(h.Count) / (float64(h.Sum) / float64(time.Minute))
 		p.ExecP50Ms = float64(h.Quantile(0.5)) / 1e6
 		p.ExecP99Ms = float64(h.Quantile(0.99)) / 1e6

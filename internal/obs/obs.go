@@ -54,6 +54,7 @@ const (
 	// Stage 3/4: generation and concurrent execution.
 	MGenTests        = "gen.tests"               // counter: concurrent tests generated
 	MExecTests       = "exec.tests"              // counter: concurrent tests explored
+	MExecTestDur     = "exec.test.duration_ns"   // histogram: the exec.test span, one concurrent test's exploration
 	MExecRuns        = "exec.runs"               // counter: VM executions (sequential + pair)
 	MExecCrashes     = "exec.crashes"            // counter: executions that crashed the kernel
 	MExecSteps       = "exec.steps"              // counter: VM events processed

@@ -116,19 +116,33 @@ type Set struct {
 }
 
 // writeIndex groups a Set's PMCs by write key: pmcs is in canonical
-// (pmcLess) order, so each write key owns one contiguous span. A key whose
+// (pmcLess) order, so each write key owns one contiguous span, found
+// through spans, an open-addressed table over the write keys probed from
+// the top bits of keyHash and checked against the full key. A key whose
 // filterBit is clear has no span: about half of a trial's distinct write
-// keys have no PMC, and nearly all are answered without hashing into spans.
+// keys have no PMC, and nearly all are answered without probing spans.
 type writeIndex struct {
 	entries int // len(Set.Entries) when built
 	pmcs    []PMC
-	spans   map[Key][2]int
+	reads   []int32 // reads[i] numbers pmcs[i].Read among the distinct read keys
+	nReads  int
+	spans   []span   // a power of two of them, at most half used
+	shift   uint     // 64 - log2(len(spans))
 	filter  []uint64 // a power of two of words, at least 16 bits per entry
 }
 
-// filterBit returns k's word and bit in the filter.
-func (idx *writeIndex) filterBit(k Key) (word int, bit uint64) {
-	h := ((uint64(k.Ins)<<32^k.Addr^uint64(k.Size)<<58)*0x9E3779B97F4A7C15 ^ k.Val) * 0xBF58476D1CE4E5B9
+// span is the write key of pmcs[lo] and its PMCs, pmcs[lo:hi]; hi is 0 in
+// an empty slot.
+type span struct{ lo, hi int32 }
+
+// keyHash mixes every field of k; the filter and the span table take its
+// top bits.
+func keyHash(k Key) uint64 {
+	return ((uint64(k.Ins)<<32^k.Addr^uint64(k.Size)<<58)*0x9E3779B97F4A7C15 ^ k.Val) * 0xBF58476D1CE4E5B9
+}
+
+// filterBit returns the word and bit in the filter of the key hashing to h.
+func (idx *writeIndex) filterBit(h uint64) (word int, bit uint64) {
 	h >>= 64 - 6 - bits.Len(uint(len(idx.filter)-1))
 	return int(h >> 6), 1 << (h & 63)
 }
@@ -140,15 +154,39 @@ func (idx *writeIndex) filterBit(k Key) (word int, bit uint64) {
 // count means an equal key set). Safe for concurrent use by readers; the
 // returned slice must not be modified.
 func (s *Set) ByWrite(k Key) []PMC {
-	idx := s.byWrite.Load()
-	if idx == nil || idx.entries != len(s.Entries) {
-		idx = s.buildByWrite()
+	pmcs, _ := s.ByWriteRead(k)
+	return pmcs
+}
+
+// ByWriteRead is ByWrite plus, parallel to the PMCs, the id of each one's
+// read key: the set's distinct read keys are numbered densely from 0,
+// below ReadKeys, so a caller visiting many PMCs can do per-read-key work
+// once. Neither slice may be modified.
+func (s *Set) ByWriteRead(k Key) (pmcs []PMC, reads []int32) {
+	idx := s.index()
+	h := keyHash(k)
+	if w, b := idx.filterBit(h); idx.filter[w]&b == 0 {
+		return nil, nil
 	}
-	if w, b := idx.filterBit(k); idx.filter[w]&b == 0 {
-		return nil
+	mask := len(idx.spans) - 1
+	for i := int(h >> idx.shift); idx.spans[i].hi != 0; i = (i + 1) & mask {
+		if sp := idx.spans[i]; idx.pmcs[sp.lo].Write == k {
+			return idx.pmcs[sp.lo:sp.hi], idx.reads[sp.lo:sp.hi]
+		}
 	}
-	span := idx.spans[k]
-	return idx.pmcs[span[0]:span[1]]
+	return nil, nil
+}
+
+// ReadKeys returns how many distinct read keys the set's PMCs have: the
+// bound of ByWriteRead's read key ids.
+func (s *Set) ReadKeys() int { return s.index().nReads }
+
+// index returns the write-key index of the set as it is now.
+func (s *Set) index() *writeIndex {
+	if idx := s.byWrite.Load(); idx != nil && idx.entries == len(s.Entries) {
+		return idx
+	}
+	return s.buildByWrite()
 }
 
 func (s *Set) buildByWrite() *writeIndex {
@@ -157,17 +195,49 @@ func (s *Set) buildByWrite() *writeIndex {
 	if idx := s.byWrite.Load(); idx != nil && idx.entries == len(s.Entries) {
 		return idx
 	}
-	idx := &writeIndex{entries: len(s.Entries), pmcs: s.sortedPMCs(), spans: make(map[Key][2]int),
+	pmcs := s.sortedPMCs()
+	writes := 0
+	for i := range pmcs {
+		if i == 0 || pmcs[i].Write != pmcs[i-1].Write {
+			writes++
+		}
+	}
+	idx := &writeIndex{entries: len(s.Entries), pmcs: pmcs, reads: make([]int32, len(pmcs)),
 		filter: make([]uint64, 1<<bits.Len(uint(len(s.Entries)/4)))}
-	for lo := 0; lo < len(idx.pmcs); {
+	slots := bits.Len(uint(2 * writes)) // log2 of a table 2–4 times the keys
+	idx.spans, idx.shift = make([]span, 1<<slots), uint(64-slots)
+	mask := len(idx.spans) - 1
+	for lo := 0; lo < len(pmcs); {
 		hi := lo + 1
-		for hi < len(idx.pmcs) && idx.pmcs[hi].Write == idx.pmcs[lo].Write {
+		for hi < len(pmcs) && pmcs[hi].Write == pmcs[lo].Write {
 			hi++
 		}
-		idx.spans[idx.pmcs[lo].Write] = [2]int{lo, hi}
-		w, b := idx.filterBit(idx.pmcs[lo].Write)
+		h := keyHash(pmcs[lo].Write)
+		i := int(h >> idx.shift)
+		for idx.spans[i].hi != 0 {
+			i = (i + 1) & mask
+		}
+		idx.spans[i] = span{int32(lo), int32(hi)}
+		w, b := idx.filterBit(h)
 		idx.filter[w] |= b
 		lo = hi
+	}
+	// Number the read keys in canonical order of their first PMC, through
+	// a table of 1 + that PMC's index, probed like spans.
+	rbits := 1 + bits.Len(uint(len(pmcs))) // log2 of a table over twice the PMCs
+	first := make([]int32, 1<<rbits)
+	for j := range pmcs {
+		i := int(keyHash(pmcs[j].Read) >> (64 - rbits))
+		for first[i] != 0 && pmcs[first[i]-1].Read != pmcs[j].Read {
+			i = (i + 1) & (len(first) - 1)
+		}
+		if first[i] == 0 {
+			first[i] = int32(j + 1)
+			idx.reads[j] = int32(idx.nReads)
+			idx.nReads++
+		} else {
+			idx.reads[j] = idx.reads[first[i]-1]
+		}
 	}
 	s.byWrite.Store(idx)
 	return idx

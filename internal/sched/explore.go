@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"slices"
+	"time"
 
 	"snowboard/internal/corpus"
 	"snowboard/internal/cover"
@@ -18,6 +19,7 @@ import (
 // scheduler hot path itself (per-access decisions) stays untouched.
 var (
 	mTests      = obs.C(obs.MExecTests)
+	hTestDur    = obs.H(obs.MExecTestDur) // the exec.test span's, resolved once
 	mTrials     = obs.C(obs.MSchedTrials)
 	mSwitches   = obs.C(obs.MSchedSwitches)
 	mChannelHit = obs.C(obs.MSchedChannelHit)
@@ -136,10 +138,20 @@ type scratch struct {
 	mutFlags flagSet
 
 	// findIncidental: chain heads by view word and kind (at 2·id + kind, 1 +
-	// the latest access's index), per-access links, and the candidates.
+	// the latest access's index), per-access links, the candidates, and
+	// each read key's executed answer by KnownPMCs' read key id, valid in
+	// the call whose stamp it carries.
 	heads      []int32
 	chain      []int32
 	candidates []candidate
+	reads      []readMemo
+	call       uint32
+}
+
+// readMemo is scratch.executed's answer for one read key.
+type readMemo struct {
+	call     uint32
+	n, first int32
 }
 
 // scratchFor returns the explorer's scratch reset for a new concurrent
@@ -222,9 +234,10 @@ func (o *Outcome) TrialOf(is detect.Issue) int {
 func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1}
 	mTests.Inc()
-	span := obs.StartSpan("exec.test")
+	start := time.Now()
 	defer func() {
-		dur := span.End()
+		dur := time.Since(start)
+		hTestDur.ObserveDuration(dur)
 		obs.EmitTrace(x.Trace, obs.EvPMCTested, obs.A("mode", x.Mode.String()),
 			obs.A("hinted", ct.Hint != nil), obs.A("exercised", out.Exercised),
 			obs.A("trials", out.Trials), obs.A("issues", len(out.Issues)), obs.A("dur_ns", int64(dur)))
@@ -434,13 +447,21 @@ func (x *Explorer) findIncidental(v *trace.View, current []pmc.PMC, rng *rand.Ra
 			return sigOfKey(trace.Write, p.Write) == s || sigOfKey(trace.Read, p.Read) == s
 		})
 	}
+	// Each read key's chain is walked once per call, whichever PMCs share it.
+	if n := x.KnownPMCs.ReadKeys(); len(sc.reads) < n {
+		sc.reads = make([]readMemo, n)
+	}
+	if sc.call++; sc.call == 0 {
+		clear(sc.reads)
+		sc.call = 1
+	}
 	candidates := sc.candidates[:0]
 	for i, n := 0, tr.Len(); i < n; i++ {
 		if !tr.IsWriteAt(i) || tr.StackAt(i) || tr.AtomicAt(i) {
 			continue
 		}
 		w := pmc.Key{Ins: tr.InsAt(i), Addr: tr.AddrAt(i), Size: tr.SizeAt(i), Val: tr.ValAt(i)}
-		known := x.KnownPMCs.ByWrite(w)
+		known, reads := x.KnownPMCs.ByWriteRead(w)
 		if len(known) == 0 {
 			continue
 		}
@@ -451,12 +472,15 @@ func (x *Explorer) findIncidental(v *trace.View, current []pmc.PMC, rng *rand.Ra
 		}
 		wUnderTest := underTest(trace.Write, w)
 		for j := range known {
-			p := &known[j]
-			rCount, first := sc.executed(tr, v.WordOf(p.Read.Addr), trace.Read, &p.Read)
-			if first < 0 || (wUnderTest && underTest(trace.Read, p.Read)) {
+			p, r := &known[j], &sc.reads[reads[j]]
+			if r.call != sc.call {
+				n, first := sc.executed(tr, v.WordOf(p.Read.Addr), trace.Read, &p.Read)
+				*r = readMemo{call: sc.call, n: int32(n), first: int32(first)}
+			}
+			if r.first < 0 || (wUnderTest && underTest(trace.Read, p.Read)) {
 				continue
 			}
-			candidates = append(candidates, candidate{p, wCount + rCount})
+			candidates = append(candidates, candidate{p, wCount + int(r.n)})
 		}
 	}
 	sc.candidates = candidates

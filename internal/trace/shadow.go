@@ -1,5 +1,7 @@
 package trace
 
+import "iter"
+
 // Shadow is a flat shadow-memory table: an open-addressed hash table from a
 // 64-bit key — an address, or an 8-byte word address — to a value of type T.
 // It exists for the per-trial analyses (the trial View that interns word
@@ -44,6 +46,21 @@ func (s *Shadow[T]) Reset() {
 
 // Len returns the number of keys present.
 func (s *Shadow[T]) Len() int { return s.live }
+
+// All yields every key present with its value, in table order. The table
+// must not be written while the iteration runs.
+func (s *Shadow[T]) All() iter.Seq2[uint64, *T] {
+	return func(yield func(uint64, *T) bool) {
+		if s.live == 0 {
+			return
+		}
+		for i := range s.slots {
+			if sl := &s.slots[i]; sl.gen == s.gen && !yield(sl.key, &sl.val) {
+				return
+			}
+		}
+	}
+}
 
 // index returns the slot holding key, or the empty slot where it belongs.
 // The table is never full (load ≤ 1/2), so the probe terminates.

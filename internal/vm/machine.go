@@ -108,11 +108,12 @@ type Machine struct {
 
 	lockMemo trace.Shadow[lockEdge] // LockSet.With results, kept across runs
 
-	sink     AccessSink // scheduler fast path for the current Run, if any
-	watch    *Watch     // the sink's, read at every access
-	offered  int        // accesses of the current Run that were the sink's to see
-	runMax   int        // step budget of the current Run
-	runnable []*Thread  // scratch buffer reused by Runnable
+	sink     AccessSink   // scheduler fast path for the current Run, if any
+	watch    *Watch       // the sink's, read at every access
+	offered  int          // accesses of the current Run that were the sink's to see
+	runMax   int          // step budget of the current Run
+	last     trace.Access // the latest access yielded to a scheduler without a sink
+	runnable []*Thread    // scratch buffer reused by Runnable
 
 	steps  int
 	faults []string
@@ -227,7 +228,7 @@ func (m *Machine) Spawn(name string, stackBase Addr, fn func(*Thread)) *Thread {
 // body that panicked with anything but a kernel fault is gone by then, its
 // coroutine parked; the panic is re-raised here, on the goroutine driving
 // the machine, and the other threads stay where they are until Shutdown.
-func (m *Machine) resume(t *Thread) Event {
+func (m *Machine) resume(t *Thread) EventKind {
 	ev, _ := t.cpu.next()
 	if p := t.cpu.crash; p != nil {
 		t.cpu.crash = nil
@@ -240,15 +241,15 @@ func (m *Machine) resume(t *Thread) Event {
 // step resumes thread t until its next event and applies the event's state
 // transition.
 func (m *Machine) step(t *Thread) Event {
-	ev := m.resume(t)
+	ev := Event{Kind: m.resume(t)}
 	switch ev.Kind {
 	case EvDone:
 		t.state = Done
 		m.releaseDead(t)
 	case EvFault:
 		t.state = Done
-		m.faults = append(m.faults, ev.Fault)
-		m.Console.Printf("%s", ev.Fault)
+		m.faults = append(m.faults, t.cpu.fault)
+		m.Console.Printf("%s", t.cpu.fault)
 		m.Console.Printf("CPU: %d PID: %d Comm: %s", t.ID, 100+t.ID, t.Name)
 		m.Console.Printf("---[ end trace %016x ]---", uint64(t.ID+1)*0x9e3779b97f4a7c15)
 		m.releaseDead(t)
@@ -318,6 +319,12 @@ func (m *Machine) Run(s Scheduler, maxSteps int) error {
 		}
 	}
 }
+
+// LastAccess returns the access behind the latest EvAccess of a Run whose
+// scheduler is not an AccessSink: what its Pick reads about the access it
+// is called after. A sink is shown its accesses in OnAccess, and under one
+// the value is not kept.
+func (m *Machine) LastAccess() trace.Access { return m.last }
 
 // Shutdown ends every unfinished thread and leaves all slots parked for the
 // next Spawn. It must be called when a Run ends early (step limit,

@@ -40,11 +40,12 @@ const (
 	EvFault
 )
 
-// Event is what a thread hands to the machine each time it yields.
+// Event is what the scheduler is told a thread yielded with: its kind and
+// nothing else. An EvAccess carries no access — a sink was shown it in
+// OnAccess, and any other scheduler reads it from Machine.LastAccess — and
+// an EvFault's message is on the console and in Machine.Faults.
 type Event struct {
-	Kind   EventKind
-	Access trace.Access // valid when Kind == EvAccess
-	Fault  string       // valid when Kind == EvFault
+	Kind EventKind
 }
 
 // threadKilled is panicked through a thread body to unwind it when the
@@ -87,7 +88,7 @@ type heldLock struct {
 // yield switches to the machine loop and returns when the thread is
 // resumed. A killed thread unwinds instead, and keeps unwinding if a
 // deferred call of its body gets here again.
-func (t *Thread) yield(ev Event) {
+func (t *Thread) yield(ev EventKind) {
 	if t.killed || !t.cpu.yield(ev) || t.killed {
 		panic(threadKilled{})
 	}
@@ -118,6 +119,8 @@ func (t *Thread) checkRange(addr Addr, size int) {
 // leaves this coroutine — no Event, not even the access's row value, is
 // built and no switch happens. What the sink will ask about the accesses it
 // was not shown — how many, this thread's last off its stack — is kept here.
+// A preemption yields only its kind; only a scheduler without a sink, which
+// is shown no access otherwise, has the row kept for it (LastAccess).
 func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val uint64, atomic, marked bool) {
 	m := t.m
 	stack := addr >= t.stackLo && addr < t.stackLo+trace.StackSize
@@ -137,19 +140,22 @@ func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val
 			return // fast path: keep running, no switch
 		}
 	}
-	t.yield(Event{Kind: EvAccess, Access: trace.Access{
-		Thread: t.ID,
-		Ins:    ins,
-		Kind:   kind,
-		Addr:   addr,
-		Size:   uint8(size),
-		Val:    val,
-		Atomic: atomic,
-		Marked: marked,
-		Stack:  stack,
-		RCU:    t.rcuDepth > 0,
-		Locks:  t.locks,
-	}})
+	if m.sink == nil {
+		m.last = trace.Access{
+			Thread: t.ID,
+			Ins:    ins,
+			Kind:   kind,
+			Addr:   addr,
+			Size:   uint8(size),
+			Val:    val,
+			Atomic: atomic,
+			Marked: marked,
+			Stack:  stack,
+			RCU:    t.rcuDepth > 0,
+			Locks:  t.locks,
+		}
+	}
+	t.yield(EvAccess)
 }
 
 // Load reads size bytes at addr as a little-endian value and reports the
@@ -187,7 +193,7 @@ func (t *Thread) StoreMarked(ins trace.Ins, addr Addr, size int, val uint64) {
 
 // CPURelax models a PAUSE/HALT-style instruction: a voluntary yield that the
 // liveness heuristic (is_live, §4.4.1) treats as a low-liveness signal.
-func (t *Thread) CPURelax() { t.yield(Event{Kind: EvYield}) }
+func (t *Thread) CPURelax() { t.yield(EvYield) }
 
 // --- Stack ---
 
@@ -271,7 +277,7 @@ func (t *Thread) Lock(ins trace.Ins, addr Addr) {
 		// Contended: block until the holder releases.
 		t.state = BlockedLock
 		t.waitOn = addr
-		t.yield(Event{Kind: EvBlocked})
+		t.yield(EvBlocked)
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 // is resumed with killed set and unwinds to the same parked state, so a
 // slot is never lost. Only stop, from Machine.Close, ends the coroutine.
 type vcpu struct {
-	next  func() (Event, bool)
+	next  func() (EventKind, bool)
 	stop  func()
-	yield func(Event) bool // set once the coroutine has started
+	yield func(EventKind) bool // set once the coroutine has started
 
 	// thread is the storage of the slot's current thread, refilled by
 	// every Spawn into the slot.
@@ -40,6 +40,9 @@ type vcpu struct {
 	// crash is a body's non-fault panic, re-raised by step on the
 	// goroutine that called Run.
 	crash *GuestPanic
+	// fault is the message of the simulated kernel crash that ended the
+	// body with EvFault, which step writes to the console.
+	fault string
 }
 
 func newVCPU() *vcpu {
@@ -49,24 +52,25 @@ func newVCPU() *vcpu {
 }
 
 // loop is the coroutine: run the armed body, report its last event, park.
-func (c *vcpu) loop(yield func(Event) bool) {
+// An event crosses the switch as its kind alone.
+func (c *vcpu) loop(yield func(EventKind) bool) {
 	c.yield = yield
 	for yield(c.run()) {
 	}
 }
 
 // run executes the armed thread body and returns the event that ends it.
-func (c *vcpu) run() (ev Event) {
+func (c *vcpu) run() (ev EventKind) {
 	t, fn := c.t, c.fn
 	c.t, c.fn = nil, nil
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
-			ev = Event{Kind: EvDone}
+			ev = EvDone
 		case threadKilled:
 			// Unwound by Shutdown, which ignores the event.
 		case threadFault:
-			ev = Event{Kind: EvFault, Fault: r.msg}
+			ev, c.fault = EvFault, r.msg
 		default:
 			c.crash = &GuestPanic{Thread: t.Name, Value: r, Stack: debug.Stack()}
 		}

@@ -39,6 +39,15 @@ var linkAllowlist = map[string]string{
 	// would leave EvYield emitted by nothing or drop the yield half of that
 	// case.
 	"snowboard/internal/vm.(*Thread).CPURelax": "yield fixture for the vm and sched scheduling tests",
+	// What a scheduler that is not an AccessSink reads about the access it
+	// is picked after; every shipped scheduler is a sink, and
+	// TestL2TPBugTriggersUnderAdversarialSchedule (internal/exec) is the
+	// FuncScheduler that reads it.
+	"snowboard/internal/vm.(*Machine).LastAccess": "access of a non-sink scheduler's EvAccess, for the exec scheduling test",
+	// The one-slice write-key lookup; stage 4 asks ByWriteRead for the read
+	// key ids too. TestExploreEqualsUnfused's retained incidental lookup
+	// (internal/sched) and TestByWriteFilterNeverMisses (internal/pmc) call it.
+	"snowboard/internal/pmc.(*Set).ByWrite": "write-key lookup for the sched and pmc differential tests",
 }
 
 // TestEveryFunctionIsLinked fails on any function declared in a non-test
