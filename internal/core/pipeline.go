@@ -353,15 +353,16 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 	template := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
 	// The only difference between local and queue-delivered stage 4: a
 	// queue worker (NewWorker) runs the bare template. Giving it these
-	// layers too, with each job's segment and pair sets shipped in its
-	// binary outcome, costs bench `fleet` −27.0% trials_per_s and +38%
+	// layers too, with each job's segment and pair sets shipped behind its
+	// binary outcome, costs bench `fleet` −28.9% trials_per_s and +40%
 	// wall_s (2 vCPUs, Xeon @ 2.10 GHz), past BENCHMARK.json's 0.25 bound
-	// on both. In points of the bare rate: 25.1 on the trial side (20.6
-	// KnownPMCs' incidental adoption, 4.5 the Coverage and TrackSegments
-	// walks) and 1.9 of transport. Most of adoption's share is Algorithm 2
-	// itself: the adopted PMCs raise switches per trial from 1.0 to 5.1 and
-	// sink consultations from 6.6 to 28.9 (EXPERIMENTS.md, "What the queue
-	// path still skips" and "The template's trial side on flat tables").
+	// on both. In points of the bare rate: 24.3 KnownPMCs' incidental
+	// adoption, 1.7 the Coverage and TrackSegments walks and 2.9 the
+	// shipping. Most of adoption's share is Algorithm 2 itself: the
+	// adopted PMCs raise switches per trial from 1.0 to 5.1 and sink
+	// consultations from 6.6 to 28.9 (EXPERIMENTS.md, "What the queue path
+	// still skips", "The template's trial side on flat tables" and "One
+	// row per access").
 	template.KnownPMCs, template.Coverage, template.TrackSegments = p.PMCs, cov, true
 	template.MutateSchedules, template.Trace = p.Opts.Feedback, p.trace
 	fleet := sched.NewFleet(template, p.workerEnvs(p.workers()),

@@ -235,11 +235,28 @@ type TornRead struct {
 	Len      int
 }
 
-// FindTornReads scans the trial for runs of same-instruction byte reads by
-// one thread with a conflicting write from another thread sequenced inside
-// the run — direct evidence that the reader observed a mix of old and new
-// bytes.
+// tornLookahead is how many rows past a run's last read FindTornReads looks
+// for the reading thread's next access; another thread's accesses in
+// between are the interleaving that can tear the read.
+const tornLookahead = 16
+
+// FindTornReads scans the trial for runs of same-instruction reads by one
+// thread over adjacent ascending addresses (a memcpy loop) with a
+// conflicting write from another thread sequenced inside the run — direct
+// evidence that the reader observed a mix of old and new bytes. A run
+// continues while the thread's next access, within tornLookahead rows, is
+// the same instruction reading on from where the last read ended, and it
+// is checked once it spans at least three rows: so two reads with another
+// thread's overlapping write between them are a torn read too.
+//
+// Only a thread switch can put another thread's write inside a run, so a
+// trial where no switch falls between two reads of a run reports nothing,
+// and mayTear finds that in one pass over the switches before any run is
+// collected.
 func FindTornReads(tr *trace.Trace) []TornRead {
+	if !mayTear(tr) {
+		return nil
+	}
 	n := tr.Len()
 	var out []TornRead
 	for i := 0; i < n; {
@@ -254,9 +271,9 @@ func FindTornReads(tr *trace.Trace) []TornRead {
 		for j+1 < n {
 			// Allow interleaved accesses from other threads inside the run.
 			next := -1
-			for k := j + 1; k < n && k <= j+16; k++ {
+			for k := j + 1; k < n && k <= j+tornLookahead; k++ {
 				if tr.ThreadAt(k) == aThread {
-					if tr.InsAt(k) == aIns && tr.KindAt(k) == trace.Read && tr.AddrAt(k) == tr.EndAt(j) {
+					if extendsRun(tr, j, k) {
 						next = k
 					}
 					break
@@ -267,7 +284,7 @@ func FindTornReads(tr *trace.Trace) []TornRead {
 			}
 			j = next
 		}
-		if j > i+1 { // a run of at least 3 parts
+		if j > i+1 { // the run spans at least 3 rows
 			lo, hi := tr.AddrAt(i), tr.EndAt(j)
 			// Any conflicting write sequenced strictly inside the run?
 			for k := i + 1; k < j; k++ {
@@ -285,4 +302,45 @@ func FindTornReads(tr *trace.Trace) []TornRead {
 		i = j + 1
 	}
 	return out
+}
+
+// extendsRun reports whether access k, the next access of run member j's
+// thread, continues j's run: the same instruction, a read, starting where
+// j ended.
+func extendsRun(tr *trace.Trace, j, k int) bool {
+	return tr.InsAt(k) == tr.InsAt(j) && tr.KindAt(k) == trace.Read && tr.AddrAt(k) == tr.EndAt(j)
+}
+
+// mayTear reports whether the trial has a thread switch a run can span: a
+// row s whose thread differs from row s-1's, where row s-1 is a read and
+// its thread's next access within tornLookahead rows extends it. Every
+// torn read FindTornReads reports has one — the writer sits between two
+// consecutive reads of the run, so the row after the first of them is
+// another thread's — so a trial without one has none.
+func mayTear(tr *trace.Trace) bool {
+	n := tr.Len()
+	if n < 3 {
+		return false
+	}
+	prev := tr.ThreadAt(0)
+	for s := 1; s < n; s++ {
+		t := tr.ThreadAt(s)
+		if t == prev {
+			continue
+		}
+		p, pt := s-1, prev
+		prev = t
+		if tr.KindAt(p) != trace.Read {
+			continue
+		}
+		for k := s + 1; k < n && k <= p+tornLookahead; k++ {
+			if tr.ThreadAt(k) == pt {
+				if extendsRun(tr, p, k) {
+					return true
+				}
+				break
+			}
+		}
+	}
+	return false
 }

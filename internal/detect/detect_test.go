@@ -249,6 +249,57 @@ func TestFindTornReadsNoWriterNoReport(t *testing.T) {
 	}
 }
 
+// tornRun lays out the reads of a byte-copy loop by thread 1 over 0x100,
+// one byte each, with gap[k] accesses of thread 0 before read k: the first
+// a write to read k's byte when write is set, the rest writes far away.
+func tornRun(reads int, gap map[int]int, write bool) *trace.Trace {
+	var accs []trace.Access
+	for k := 0; k < reads; k++ {
+		for g := 0; g < gap[k]; g++ {
+			addr := uint64(0x800 + g)
+			if g == 0 && write {
+				addr = 0x100 + uint64(k)
+			}
+			accs = append(accs, acc(0, trace.Write, dIns1, addr, 1, 0xBB))
+		}
+		accs = append(accs, acc(1, trace.Read, dIns2, 0x100+uint64(k), 1, 0xAA))
+	}
+	return traceOf(accs...)
+}
+
+// TestTornReadRuns pins which runs FindTornReads checks: any run spanning
+// at least three rows, so two reads with a write between them count, and
+// a run ends where its thread's next access is past the 16-row lookahead.
+// gate is whether the switch pre-check lets the scan run.
+func TestTornReadRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		tr      *trace.Trace
+		gate    bool
+		wantLen int // of the one report; 0: no report
+	}{
+		{"two reads torn across a switch", tornRun(2, map[int]int{1: 1}, true), true, 2},
+		{"six reads, no switch", tornRun(6, nil, false), false, 0},
+		{"six reads, a switch to a write elsewhere", tornRun(6, map[int]int{3: 2}, false), true, 0},
+		{"next read 16 rows on extends the run", tornRun(3, map[int]int{2: 15}, true), true, 3},
+		{"next read 17 rows on ends the run", tornRun(3, map[int]int{2: 16}, true), false, 0},
+	} {
+		if got := mayTear(tc.tr); got != tc.gate {
+			t.Errorf("%s: gate %v, want %v", tc.name, got, tc.gate)
+		}
+		torn := FindTornReads(tc.tr)
+		if tc.wantLen == 0 {
+			if torn != nil {
+				t.Errorf("%s: reported %+v", tc.name, torn)
+			}
+			continue
+		}
+		if len(torn) != 1 || torn[0].ReadIns != dIns2 || torn[0].WriteIns != dIns1 || torn[0].Addr != 0x100 || torn[0].Len != tc.wantLen {
+			t.Errorf("%s: reported %+v, want one %d-byte read at 0x100", tc.name, torn, tc.wantLen)
+		}
+	}
+}
+
 func TestClassifyRaceTable2(t *testing.T) {
 	w := trace.DefIns("eth_commit_mac_addr_change:memcpy_dev_addr")
 	r := trace.DefIns("dev_ifsioc_locked:memcpy_ifr_hwaddr")

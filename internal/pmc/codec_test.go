@@ -11,7 +11,7 @@ import (
 	"snowboard/internal/trace"
 )
 
-// randomBlock builds n structurally valid accesses in columnar form.
+// randomBlock builds a block of n structurally valid accesses.
 func randomBlock(rng *rand.Rand, n int) trace.Block {
 	var out trace.Block
 	for i := 0; i < n; i++ {
@@ -58,7 +58,7 @@ func randomProfiles(rng *rand.Rand, n int) []Profile {
 }
 
 // profilesEqual compares profile sets access-by-access (the blocks' internal
-// column slices may differ in nil-ness/capacity after a decode).
+// row slices may differ in nil-ness/capacity after a decode).
 func profilesEqual(a, b []Profile) bool {
 	if len(a) != len(b) {
 		return false

@@ -429,7 +429,7 @@ func (x *Explorer) findIncidental(v *trace.View, current []pmc.PMC, rng *rand.Ra
 	sc, tr := x.scratch, v.Trace()
 	// Chain the trial's data accesses by kind and view id of the word they
 	// start in — a key's accesses all start at its address — so that
-	// executed answers from the trace columns, without a table of keys.
+	// executed answers from the trace rows, without a table of keys.
 	sc.heads = slices.Grow(sc.heads[:0], 2*v.Words())[:2*v.Words()]
 	clear(sc.heads)
 	sc.chain = slices.Grow(sc.chain[:0], tr.Len())[:tr.Len()]
@@ -512,7 +512,7 @@ func (sc *scratch) executed(tr *trace.Trace, id uint32, kind trace.Kind, k *pmc.
 }
 
 // sigAt reports whether the i-th access has k's signature as a kind access
-// (its sig is sigOfKey(kind, k)), on the trace columns, no row built.
+// (its sig is sigOfKey(kind, k)), on the trace rows, no Access built.
 func sigAt(tr *trace.Trace, i int, kind trace.Kind, k *pmc.Key) bool {
 	return tr.InsAt(i) == k.Ins && tr.AddrAt(i) == k.Addr && tr.SizeAt(i) == k.Size && tr.KindAt(i) == kind
 }

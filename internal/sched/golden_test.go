@@ -28,7 +28,7 @@ type reproGolden struct {
 	Crashed  bool   `json:"crashed"`
 }
 
-// traceDigest hashes every column of the trace but the lockset id, which is
+// traceDigest hashes every field of the trace but the lockset id, which is
 // interned per process.
 func traceDigest(tr *trace.Trace) string {
 	h := sha256.New()

@@ -67,9 +67,10 @@ func WriteBlock(bw *bufio.Writer, b *Block) error {
 		return err
 	}
 	prevAddr := uint64(0)
-	for i := 0; i < b.Len(); i++ {
-		m := b.meta[i]
-		locks := b.locks[i].view()
+	for i := range b.rows {
+		r := &b.rows[i]
+		m := r.meta
+		locks := r.locks.view()
 		var flags byte
 		if m&metaWrite != 0 {
 			flags |= fKindWrite
@@ -95,17 +96,17 @@ func WriteBlock(bw *bufio.Writer, b *Block) error {
 		if err := putU(uint64(m >> metaThreadShift)); err != nil {
 			return err
 		}
-		if err := putU(uint64(b.ins[i])); err != nil {
+		if err := putU(uint64(r.ins)); err != nil {
 			return err
 		}
-		if err := putS(int64(b.addrs[i]) - int64(prevAddr)); err != nil {
+		if err := putS(int64(r.addr) - int64(prevAddr)); err != nil {
 			return err
 		}
-		prevAddr = b.addrs[i]
+		prevAddr = r.addr
 		if err := bw.WriteByte(byte(m & metaSizeMask)); err != nil {
 			return err
 		}
-		if err := putU(b.vals[i]); err != nil {
+		if err := putU(r.val); err != nil {
 			return err
 		}
 		if len(locks) > 0 {
@@ -144,11 +145,7 @@ func ReadBlock(br *bufio.Reader) (Block, error) {
 	if capHint > 4096 {
 		capHint = 4096
 	}
-	out.ins = make([]Ins, 0, capHint)
-	out.addrs = make([]uint64, 0, capHint)
-	out.vals = make([]uint64, 0, capHint)
-	out.meta = make([]uint32, 0, capHint)
-	out.locks = make([]LockSet, 0, capHint)
+	out.rows = make([]row, 0, capHint)
 	prevAddr := uint64(0)
 	var lockBuf []uint64
 	for i := uint64(0); i < count; i++ {
@@ -207,11 +204,13 @@ func ReadBlock(br *bufio.Reader) (Block, error) {
 			}
 			ls = InternLocks(lockBuf)
 		}
-		out.ins = append(out.ins, Ins(ins))
-		out.addrs = append(out.addrs, addr)
-		out.vals = append(out.vals, val)
-		out.meta = append(out.meta, packMeta(int(th), kind, size, flags&fAtomic != 0, flags&fMarked != 0, flags&fStack != 0, flags&fRCU != 0))
-		out.locks = append(out.locks, ls)
+		out.rows = append(out.rows, row{
+			addr:  addr,
+			val:   val,
+			ins:   Ins(ins),
+			meta:  packMeta(int(th), kind, size, flags&fAtomic != 0, flags&fMarked != 0, flags&fStack != 0, flags&fRCU != 0),
+			locks: ls,
+		})
 	}
 	return out, nil
 }

@@ -9,7 +9,16 @@ import (
 
 func randomBlock(rng *rand.Rand, n int) Block {
 	var out Block
-	for i := 0; i < n; i++ {
+	for _, a := range randomAccesses(rng, n) {
+		out.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
+	}
+	return out
+}
+
+// randomAccesses draws n accesses, Seq left zero.
+func randomAccesses(rng *rand.Rand, n int) []Access {
+	out := make([]Access, n)
+	for i := range out {
 		a := Access{
 			Thread: rng.Intn(3),
 			Ins:    Ins(rng.Uint32()),
@@ -29,7 +38,7 @@ func randomBlock(rng *rand.Rand, n int) Block {
 			locks = append(locks, uint64(0x100*(j+1)))
 		}
 		a.Locks = InternLocks(locks)
-		out.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
+		out[i] = a
 	}
 	return out
 }

@@ -35,11 +35,13 @@ func (v *View) Build(tr *Trace) {
 	v.words.Reset()
 	v.ids = slices.Grow(v.ids[:0], tr.Len())
 	v.threads = v.threads[:0]
-	for i, m := range tr.meta {
+	for i := range tr.rows {
+		r := &tr.rows[i]
+		m := r.meta
 		id := [2]uint32{NoWord, NoWord}
 		if m&(metaStack|metaAtomic) == 0 {
-			first := tr.addrs[i] >> 3
-			last := (tr.addrs[i] + uint64(m&metaSizeMask) - 1) >> 3
+			first := r.addr >> 3
+			last := (r.addr + uint64(m&metaSizeMask) - 1) >> 3
 			mask := allThreads
 			if t := m >> metaThreadShift; t < 32 && first == last {
 				mask = 1 << t

@@ -112,7 +112,7 @@ func (t *Thread) checkRange(addr Addr, size int) {
 	}
 }
 
-// record is the access hot path. It appends to the trace (columnar, zero
+// record is the access hot path. It appends one row to the trace (zero
 // allocations once the block is warm), counts the access against the run's
 // step budget, and consults the scheduler's AccessSink if it has one and
 // watches this access: unless the sink requests a preemption, control never

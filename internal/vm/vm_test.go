@@ -625,7 +625,7 @@ func TestLockWordValueVisible(t *testing.T) {
 func TestRecordAllocBudget(t *testing.T) {
 	const accessesPerRun = 4096
 	var tr trace.Trace
-	// Warm-up: size the columnar block and the machine's scratch buffers.
+	// Warm-up: size the block's rows and the machine's scratch buffers.
 	warm := newTestMachine()
 	warm.SetTrace(&tr)
 	warm.Spawn("warm", testStackBase, func(th *Thread) {
@@ -652,6 +652,7 @@ func TestRecordAllocBudget(t *testing.T) {
 		}
 	})
 	perAccess := allocs / accessesPerRun
+	t.Logf("access hot path: %.4f allocs/access (%.0f allocs per %d-access run)", perAccess, allocs, accessesPerRun)
 	if perAccess > 0.1 {
 		t.Fatalf("access hot path allocates: %.3f allocs/access (%.0f allocs per %d-access run)",
 			perAccess, allocs, accessesPerRun)
