@@ -1,19 +1,22 @@
-// Command sbexec is a Snowboard execution worker: it connects to an
-// sbqueue coordinator or an sbd control plane, leases concurrent-test jobs,
-// explores each with the PMC-hinted scheduler, and reports the outcomes
-// back. Run one per core or per machine, as the paper distributes testing
-// across its machine-B fleet.
+// Command sbexec is a Snowboard execution worker: it joins one campaign's
+// queue on an sbqueue coordinator or an sbd control plane, leases
+// concurrent-test jobs, explores each with the PMC-hinted scheduler, and
+// reports the outcomes back. Run one per core or per machine, as the paper
+// distributes testing across its machine-B fleet.
 //
 // Usage:
 //
-//	sbexec -addr 127.0.0.1:7070 [-queue campaign.<id>] [-version 5.12-rc3]
+//	sbexec -addr 127.0.0.1:7070 -queue campaign.<id> [-version 5.12-rc3]
 //	       [-workers 0] [-state dir] [-name worker-1]
 //	       [-idle-exit 5s] [-retries 8] [-http :0] [-progress 10s]
 //
-// An sbd listener serves one named queue per campaign and no default one:
-// -queue names the campaign to drain ("campaign.<id>", as GET /campaigns
-// lists ids). Every job carries its campaign's trial budget, so sbd folds
-// this worker's results into the report it would have produced alone.
+// Every listener serves one named queue per campaign and no default one,
+// so -queue is required: it names the campaign to drain ("campaign.<id>",
+// as sbqueue logs it once its jobs are pushed and GET /campaigns on sbd
+// lists ids). A queue the listener does not hold — a typo, or a campaign
+// that has not pushed its jobs yet — exits 1 naming it. Every job carries
+// its campaign's trial budget, so the coordinator folds this worker's
+// results into the report it would have produced alone.
 //
 // Delivery is at-least-once: each explorer goroutine leases a job in one
 // round trip and settles it in one more — its outcome recorded and its
@@ -27,11 +30,12 @@
 //
 // With -state, the worker opens the content-addressed artifact store rooted
 // there and resolves by-reference jobs (corpus digest + pair indices, as
-// enqueued by sbqueue -state) against it; each referenced corpus artifact
-// is decoded once per process and cached. Without -state, a by-reference
-// job cannot be explored and is nacked with a clear reason — after the
-// coordinator's retry budget it lands on the dead-letter list instead of
-// disappearing.
+// enqueued by sbqueue -state or sbd -state) against it; each referenced
+// corpus artifact is decoded once per process and cached. Without -state,
+// a by-reference job cannot be explored and is nacked with a clear reason;
+// the job redelivers — to another worker or to the coordinator's own
+// executor, which resolves it from its in-memory corpus — and lands on the
+// dead-letter list only once the coordinator's retry budget is spent.
 //
 // With -workers N the process runs N explorer goroutines against one
 // shared queue connection, each with its own simulated-kernel environment.
@@ -68,7 +72,7 @@ var mPoisoned = obs.C(obs.MWorkerPoisoned)
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "queue coordinator address")
-		qname    = flag.String("queue", "", "named queue to drain on an sbd listener (campaign.<id>); empty is sbqueue's only queue")
+		qname    = flag.String("queue", "", "campaign queue to drain (campaign.<id>, as the coordinator logs it; required)")
 		version  = flag.String("version", string(snowboard.V5_12_RC3), "simulated kernel version")
 		workers  = flag.Int("workers", 0, "explorer goroutines in this process (0 = one per CPU)")
 		stateDir = flag.String("state", "", "artifact store directory for resolving by-reference jobs (must match the coordinator's -state)")
@@ -80,6 +84,11 @@ func main() {
 		events   = flag.String("events", "", "append flight-recorder events to this file as JSONL")
 	)
 	flag.Parse()
+	if *qname == "" {
+		fmt.Fprintln(os.Stderr, "sbexec: -queue is required: name the campaign queue to drain (campaign.<id>)")
+		flag.Usage()
+		os.Exit(2)
+	}
 	diag := obs.Diag
 	diag.SetPrefix("sbexec[" + *name + "]")
 	kver, err := snowboard.ParseVersion(*version)
@@ -128,15 +137,21 @@ func main() {
 	nw := par.Workers(*workers)
 	var jobs atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
+	errs := make([]error, nw)
+	for w := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			workLoop(client, cache, kver, *name, *idleExit, &jobs)
+			errs[w] = workLoop(client, cache, kver, *name, *idleExit, &jobs)
 		}()
 	}
 	wg.Wait()
 	diag.Printf("all %d explorer goroutines done, processed %d jobs", nw, jobs.Load())
+	for _, err := range errs {
+		if errors.Is(err, queue.ErrUnknownQueue) {
+			log.Fatalf("%v on %s: check -queue, and join once the campaign has pushed its jobs", err, *addr)
+		}
+	}
 }
 
 // corpusCache resolves corpus artifacts referenced by jobs, decoding each
@@ -181,8 +196,9 @@ func (cc *corpusCache) get(hex string) (*corpus.Corpus, error) {
 // What a job computes, and how a turn settles in one frame, is
 // core.Worker.Do — shared with every other front door.
 // Network errors are retried inside the client, and only an exhausted
-// retry budget ends the loop (never the whole process via log.Fatal).
-func workLoop(client *queue.Client, cache *corpusCache, version snowboard.Version, name string, idleExit time.Duration, jobs *atomic.Int64) {
+// retry budget or an unknown queue ends the loop early; it returns that
+// error, and nil once the queue closes or idles out.
+func workLoop(client *queue.Client, cache *corpusCache, version snowboard.Version, name string, idleExit time.Duration, jobs *atomic.Int64) error {
 	env := snowboard.NewEnv(version)
 	defer env.Close()
 	w := core.NewWorker(env, name, func(job *queue.Job) error {
@@ -203,17 +219,19 @@ func workLoop(client *queue.Client, cache *corpusCache, version snowboard.Versio
 		switch {
 		case errors.Is(err, queue.ErrEmpty):
 			if time.Since(idleSince) > idleExit {
-				return
+				return nil
 			}
 			time.Sleep(100 * time.Millisecond)
 			continue
 		case errors.Is(err, queue.ErrClosed):
-			return
+			return nil
+		case errors.Is(err, queue.ErrUnknownQueue):
+			return err
 		case err != nil:
 			// The client already reconnected with backoff and gave up: the
 			// coordinator is unreachable. Leased work redelivers elsewhere.
 			obs.Diag.Printf("lease: %v — worker goroutine exiting", err)
-			return
+			return err
 		}
 		idleSince = time.Now()
 		jobs.Add(int64(len(leases)))

@@ -191,7 +191,7 @@ type Stats struct {
 	Redelivered  int // total redeliveries performed (expiry or nack)
 
 	// OldestLease is how long the longest-outstanding lease has been held
-	// (0 with no leases) — the watch view's lease-age readout.
+	// (0 with no leases).
 	OldestLease time.Duration
 }
 
