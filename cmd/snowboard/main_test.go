@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,11 @@ func TestSnowboardUsage(t *testing.T) {
 	stdout, stderr, _ := runTool(t, bin, "-h")
 	if !strings.Contains(stderr, "-seed") || !strings.Contains(stderr, "-trials") {
 		t.Fatalf("usage text missing flags:\n%s", stderr)
+	}
+	// Spans feed the *.duration_ns histograms; -events is the one JSONL
+	// stream, so there is no span trace file to ask for.
+	if regexp.MustCompile(`(?m)^ +-trace\b`).MatchString(stderr) {
+		t.Fatalf("usage text lists -trace:\n%s", stderr)
 	}
 	if stdout != "" {
 		t.Fatalf("usage leaked to stdout:\n%s", stdout)

@@ -189,10 +189,6 @@ type Stats struct {
 	Done         int // acked
 	DeadLettered int // attempts exhausted
 	Redelivered  int // total redeliveries performed (expiry or nack)
-
-	// OldestLease is how long the longest-outstanding lease has been held
-	// (0 with no leases).
-	OldestLease time.Duration
 }
 
 // pendingJob is a job waiting for delivery.
@@ -518,23 +514,13 @@ func (q *Queue) DeadLetters() []DeadJob {
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	s := Stats{
+	return Stats{
 		Pending:      len(q.jobs),
 		Leased:       len(q.leases),
 		Done:         q.acked,
 		DeadLettered: len(q.dead),
 		Redelivered:  q.redelivered,
 	}
-	if len(q.leases) > 0 {
-		oldest := time.Time{}
-		for _, l := range q.leases {
-			if oldest.IsZero() || l.since.Before(oldest) {
-				oldest = l.since
-			}
-		}
-		s.OldestLease = time.Since(oldest)
-	}
-	return s
 }
 
 // Close stops the reaper; subsequent Pushes and Reports fail, and TryLease

@@ -151,28 +151,3 @@ func TestJobTraceOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStatsOldestLease(t *testing.T) {
-	q := NewWithOptions(Options{Name: "tl-oldest"})
-	defer q.Close()
-	if st := q.Stats(); st.OldestLease != 0 {
-		t.Fatalf("idle OldestLease = %v, want 0", st.OldestLease)
-	}
-	if err := q.Push(testJob(27)); err != nil {
-		t.Fatal(err)
-	}
-	ls, err := q.TryLease()
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
-	if st := q.Stats(); st.OldestLease <= 0 {
-		t.Fatalf("OldestLease = %v with an outstanding lease, want > 0", st.OldestLease)
-	}
-	if err := q.Ack(ls.ID); err != nil {
-		t.Fatal(err)
-	}
-	if st := q.Stats(); st.OldestLease != 0 {
-		t.Fatalf("OldestLease after ack = %v, want 0", st.OldestLease)
-	}
-}
