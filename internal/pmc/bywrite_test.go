@@ -37,12 +37,12 @@ func checkByWrite(t *testing.T, name string, s *Set, model map[Key][2]int, k Key
 	span, ok := model[k]
 	if !ok {
 		if len(got) != 0 || len(reads) != 0 {
-			t.Fatalf("%s: ByWrite answers %v, which has no span", name, k)
+			t.Fatalf("%s: ByWriteRead answers %v, which has no span", name, k)
 		}
 		return
 	}
 	if len(got) != span[1]-span[0] || &got[0] != &idx.pmcs[span[0]] || len(reads) != len(got) || &reads[0] != &idx.reads[span[0]] {
-		t.Fatalf("%s: ByWrite(%v) answers %d PMCs, the model's span is %v", name, k, len(got), span)
+		t.Fatalf("%s: ByWriteRead(%v) answers %d PMCs, the model's span is %v", name, k, len(got), span)
 	}
 }
 
@@ -64,7 +64,7 @@ func collidingKey(base Key, i uint64) Key {
 	return base
 }
 
-// TestByWriteFilterNeverMisses: the filter in front of ByWrite's table may
+// TestByWriteFilterNeverMisses: the filter in front of ByWriteRead's table may
 // say yes to a key without a span, never no to one with a span — for every
 // write key of the sets two real campaigns identify, for random keys near
 // them, and for sets of every size from empty on. The table answers every
@@ -76,12 +76,13 @@ func TestByWriteFilterNeverMisses(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	check := func(name string, s *Set) (passed, absent int) {
 		t.Helper()
-		s.ByWrite(Key{})
+		s.ByWriteRead(Key{})
 		idx := s.byWrite.Load()
 		model := spanModel(idx)
 		for k := range model {
 			if w, b := idx.filterBit(keyHash(k)); idx.filter[w]&b == 0 {
-				t.Fatalf("%s: the filter says no to %v, which has %d PMCs", name, k, len(s.ByWrite(k)))
+				pmcs, _ := s.ByWriteRead(k)
+				t.Fatalf("%s: the filter says no to %v, which has %d PMCs", name, k, len(pmcs))
 			}
 			checkByWrite(t, name, s, model, k)
 		}
@@ -160,7 +161,8 @@ func TestByWriteFilterNeverMisses(t *testing.T) {
 	for i := uint64(0); i < 48; i++ {
 		checkByWrite(t, "colliding", s, model, collidingKey(base, i))
 	}
-	if k := collidingKey(base, 0); keyHash(k)>>40 != keyHash(collidingKey(base, 39))>>40 || len(s.ByWrite(k)) != 1 {
-		t.Fatalf("the colliding family does not collide or lost its members: %d PMCs for member 0", len(s.ByWrite(k)))
+	k := collidingKey(base, 0)
+	if pmcs, _ := s.ByWriteRead(k); keyHash(k)>>40 != keyHash(collidingKey(base, 39))>>40 || len(pmcs) != 1 {
+		t.Fatalf("the colliding family does not collide or lost its members: %d PMCs for member 0", len(pmcs))
 	}
 }

@@ -110,7 +110,7 @@ type Set struct {
 	// count.
 	TotalCombinations int64
 
-	// byWrite is the lazily built write-key index behind ByWrite.
+	// byWrite is the lazily built write-key index behind ByWriteRead.
 	byWrite   atomic.Pointer[writeIndex]
 	byWriteMu sync.Mutex
 }
@@ -147,21 +147,14 @@ func (idx *writeIndex) filterBit(h uint64) (word int, bit uint64) {
 	return int(h >> 6), 1 << (h & 63)
 }
 
-// ByWrite returns the PMCs whose write side is exactly k, in canonical
-// order. The index behind it is built on first use — stage 4 is its only
-// caller, so identification and set-up never pay for it — and rebuilt when
-// the set has grown since (entries are never removed, so an equal entry
-// count means an equal key set). Safe for concurrent use by readers; the
-// returned slice must not be modified.
-func (s *Set) ByWrite(k Key) []PMC {
-	pmcs, _ := s.ByWriteRead(k)
-	return pmcs
-}
-
-// ByWriteRead is ByWrite plus, parallel to the PMCs, the id of each one's
-// read key: the set's distinct read keys are numbered densely from 0,
-// below ReadKeys, so a caller visiting many PMCs can do per-read-key work
-// once. Neither slice may be modified.
+// ByWriteRead returns the PMCs whose write side is exactly k, in canonical
+// order, and, parallel to them, the id of each one's read key: the set's
+// distinct read keys are numbered densely from 0, below ReadKeys, so a
+// caller visiting many PMCs can do per-read-key work once. The index behind
+// it is built on first use — stage 4 is its only caller, so identification
+// and set-up never pay for it — and rebuilt when the set has grown since
+// (entries are never removed, so an equal entry count means an equal key
+// set). Safe for concurrent use by readers; neither slice may be modified.
 func (s *Set) ByWriteRead(k Key) (pmcs []PMC, reads []int32) {
 	idx := s.index()
 	h := keyHash(k)

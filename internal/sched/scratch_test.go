@@ -2,97 +2,21 @@ package sched
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"snowboard/internal/cover"
 	"snowboard/internal/detect"
+	"snowboard/internal/detect/model"
 	"snowboard/internal/exec"
 	"snowboard/internal/kernel"
 	"snowboard/internal/pmc"
 	"snowboard/internal/trace"
 )
 
-// refFindIncidental is the brute-force lookup findIncidental first replaced
-// — three fresh maps per trial and a scan of every KnownPMCs entry — kept as
-// a differential oracle beside prevFindIncidental. Same candidate set, same
-// total order, same single rng draw.
-func refFindIncidental(known *pmc.Set, tr *trace.Trace, current []pmc.PMC, rng *rand.Rand) (pmc.PMC, bool) {
-	curSet := make(map[sig]bool, len(current)*2)
-	for _, p := range current {
-		curSet[sigOfKey(trace.Write, p.Write)] = true
-		curSet[sigOfKey(trace.Read, p.Read)] = true
-	}
-	writesSeen := make(map[pmc.Key]int)
-	readsSeen := make(map[pmc.Key]int)
-	sigCount := make(map[sig]int)
-	for i, n := 0, tr.Len(); i < n; i++ {
-		a := tr.At(i)
-		if a.Stack || a.Atomic {
-			continue
-		}
-		k := pmc.Key{Ins: a.Ins, Addr: a.Addr, Size: a.Size, Val: a.Val}
-		if a.Kind == trace.Write {
-			writesSeen[k]++
-		} else {
-			readsSeen[k]++
-		}
-		sigCount[sigOf(&a)]++
-	}
-	var candidates []pmc.PMC
-	for key, e := range known.Entries {
-		if writesSeen[key.Write] > 0 && readsSeen[key.Read] > 0 {
-			if curSet[sigOfKey(trace.Write, key.Write)] && curSet[sigOfKey(trace.Read, key.Read)] {
-				continue
-			}
-			candidates = append(candidates, e.PMC)
-		}
-	}
-	if len(candidates) == 0 {
-		return pmc.PMC{}, false
-	}
-	freq := func(p pmc.PMC) int {
-		return sigCount[sigOfKey(trace.Write, p.Write)] + sigCount[sigOfKey(trace.Read, p.Read)]
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		a, b := candidates[i], candidates[j]
-		fa, fb := freq(a), freq(b)
-		if fa != fb {
-			return fa < fb
-		}
-		if a.Write.Ins != b.Write.Ins {
-			return a.Write.Ins < b.Write.Ins
-		}
-		if a.Write.Addr != b.Write.Addr {
-			return a.Write.Addr < b.Write.Addr
-		}
-		if a.Read.Ins != b.Read.Ins {
-			return a.Read.Ins < b.Read.Ins
-		}
-		if a.Read.Addr != b.Read.Addr {
-			return a.Read.Addr < b.Read.Addr
-		}
-		if a.Write.Val != b.Write.Val {
-			return a.Write.Val < b.Write.Val
-		}
-		if a.Read.Val != b.Read.Val {
-			return a.Read.Val < b.Read.Val
-		}
-		if a.Write.Size != b.Write.Size {
-			return a.Write.Size < b.Write.Size
-		}
-		if a.Read.Size != b.Read.Size {
-			return a.Read.Size < b.Read.Size
-		}
-		return !a.DFLeader && b.DFLeader
-	})
-	return candidates[rng.Intn((len(candidates)+3)/4)], true
-}
-
 // TestFindIncidentalEqualsBruteForce replays 50 seeds of real trials and,
-// on each, grows the set under test through the columnar lookup, the
-// map-and-sort lookup it replaced and the brute-force scan side by side:
-// every trial must adopt the same PMC.
+// on each, grows the set under test through the columnar lookup and the
+// model's brute-force scan side by side: every trial must find as many
+// candidates and adopt the same PMC.
 func TestFindIncidentalEqualsBruteForce(t *testing.T) {
 	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 	set, hint := identifyL2TP(t, env)
@@ -107,12 +31,12 @@ func TestFindIncidentalEqualsBruteForce(t *testing.T) {
 			Replay(env, ct, &ReproState{Seed: seed, PMCs: current}, &tr)
 			env.M.SetTrace(nil)
 			x.scratch.view.Build(&tr)
-			want, wantOK := refFindIncidental(set, &tr, current, rand.New(rand.NewSource(seed)))
-			prev, prevOK := prevFindIncidental(set, &tr, current, rand.New(rand.NewSource(seed)))
+			ranked := model.Incidental(set, &tr, current)
+			want, wantOK := model.Adopt(ranked, rand.New(rand.NewSource(seed)))
 			got, gotOK := x.findIncidental(&x.scratch.view, current, rand.New(rand.NewSource(seed)))
-			if got != want || gotOK != wantOK || got != prev || gotOK != prevOK {
-				t.Fatalf("seed %d with %d PMCs under test: columnar lookup adopted %v (%v), map-and-sort lookup %v (%v), brute force %v (%v)",
-					seed, len(current), got, gotOK, prev, prevOK, want, wantOK)
+			if got != want || gotOK != wantOK || len(x.scratch.candidates) != len(ranked) {
+				t.Fatalf("seed %d with %d PMCs under test: columnar lookup adopted %v (%v) of %d candidates, model %v (%v) of %d",
+					seed, len(current), got, gotOK, len(x.scratch.candidates), want, wantOK, len(ranked))
 			}
 			if !gotOK {
 				break

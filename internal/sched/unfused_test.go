@@ -13,6 +13,7 @@ import (
 	"snowboard/internal/cluster"
 	"snowboard/internal/cover"
 	"snowboard/internal/detect"
+	"snowboard/internal/detect/model"
 	"snowboard/internal/exec"
 	"snowboard/internal/fuzz"
 	"snowboard/internal/kernel"
@@ -21,113 +22,19 @@ import (
 	"snowboard/internal/vm"
 )
 
-// The per-consumer functions the explorer ran after every trial before they
-// moved onto trace columns and one shared trace.View, kept verbatim
-// (identifiers prefixed) as differential oracles.
-
-// prevFindIncidental refills three struct-keyed maps from every access and
-// sorts the whole candidate list by a [10]uint64 rank.
-func prevFindIncidental(known *pmc.Set, tr *trace.Trace, current []pmc.PMC, rng *rand.Rand) (pmc.PMC, bool) {
-	type ranked struct {
-		pmc.PMC
-		rank [10]uint64
-	}
-	writesSeen, readsSeen := make(map[pmc.Key]struct{}), make(map[pmc.Key]struct{})
-	sigCount := make(map[sig]int)
-	for i, n := 0, tr.Len(); i < n; i++ {
-		if tr.StackAt(i) || tr.AtomicAt(i) {
-			continue
-		}
-		k := pmc.Key{Ins: tr.InsAt(i), Addr: tr.AddrAt(i), Size: tr.SizeAt(i), Val: tr.ValAt(i)}
-		if tr.IsWriteAt(i) {
-			writesSeen[k] = struct{}{}
-		} else {
-			readsSeen[k] = struct{}{}
-		}
-		sigCount[sigOfKey(tr.KindAt(i), k)]++
-	}
-	underTest := func(s sig) bool {
-		return slices.ContainsFunc(current, func(p pmc.PMC) bool {
-			return sigOfKey(trace.Write, p.Write) == s || sigOfKey(trace.Read, p.Read) == s
-		})
-	}
-	var candidates []ranked
-	for w := range writesSeen {
-		ws := sigOfKey(trace.Write, w)
-		wUnderTest, wCount := underTest(ws), sigCount[ws]
-		for _, p := range known.ByWrite(w) {
-			rs := sigOfKey(trace.Read, p.Read)
-			if _, ok := readsSeen[p.Read]; !ok || (wUnderTest && underTest(rs)) {
-				continue
-			}
-			df := uint64(0)
-			if p.DFLeader {
-				df = 1
-			}
-			candidates = append(candidates, ranked{p, [...]uint64{
-				uint64(wCount + sigCount[rs]),
-				uint64(p.Write.Ins), p.Write.Addr, uint64(p.Read.Ins), p.Read.Addr,
-				p.Write.Val, p.Read.Val, uint64(p.Write.Size), uint64(p.Read.Size), df,
-			}})
-		}
-	}
-	if len(candidates) == 0 {
-		return pmc.PMC{}, false
-	}
-	slices.SortFunc(candidates, func(a, b ranked) int { return slices.Compare(a.rank[:], b.rank[:]) })
-	n := (len(candidates) + 3) / 4
-	return candidates[rng.Intn(n)].PMC, true
-}
-
-func sigOf(a *trace.Access) sig {
-	return sig{kind: a.Kind, ins: a.Ins, addr: a.Addr, size: a.Size}
-}
-
-// prevChannelExercised materializes a row per access and compares sigs.
-func prevChannelExercised(tr *trace.Trace, hint *pmc.PMC) bool {
-	ws := sigOfKey(trace.Write, hint.Write)
-	rs := sigOfKey(trace.Read, hint.Read)
-	lastWrite := -1
-	for i, n := 0, tr.Len(); i < n; i++ {
-		a := tr.At(i)
-		if sigOf(&a) == ws {
-			lastWrite = i
-			continue
-		}
-		if lastWrite >= 0 && sigOf(&a) == rs && a.Thread != tr.ThreadAt(lastWrite) {
-			w := tr.At(lastWrite)
-			if !a.Overlaps(&w) {
-				continue
-			}
-			lo, hi := a.OverlapRange(&w)
-			if a.ProjectVal(lo, hi) != w.ProjectVal(lo, hi) {
-				continue // someone else overwrote in between
-			}
-			clean := true
-			for j := lastWrite + 1; j < i; j++ {
-				if tr.IsWriteAt(j) && tr.AddrAt(j) < hi && tr.EndAt(j) > lo {
-					clean = false
-					break
-				}
-			}
-			if clean {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // unfusedExplore is Explorer.Explore (Snowboard mode, no schedule mutation)
 // with every post-trial consumer on its own: the standalone coverage
-// metrics and detect.Analyze each index the trace for themselves, the
-// channel witness and the incidental lookup are the retained ones above, and
-// every trial runs under the retained map policy below, asked about every
-// access. It also returns the PMCs under test as the last trial ran, and
-// shows every trial's trace to each.
-func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace)) (Outcome, []pmc.PMC) {
+// metrics, detect.Analyze and the incidental lookup each index the trace
+// for themselves, the channel witness scans it, and every trial runs under
+// the retained map policy below, asked about every access. It also returns
+// the PMCs under test as the last trial ran, and shows every trial's trace
+// to each, with the PMCs under test in it. TestRealTrialsEqualModel diffs
+// each of these consumers against the model on every trial.
+func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace, []pmc.PMC)) (Outcome, []pmc.PMC) {
 	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1, Segments: cover.NewSegments()}
 	current := []pmc.PMC{*ct.Hint}
+	lookup := &Explorer{KnownPMCs: x.KnownPMCs}
+	sc := lookup.scratchFor()
 	flags := make(map[sig]bool)
 	seen := make(map[string]bool)
 	var tr trace.Trace
@@ -141,13 +48,13 @@ func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace)) (Ou
 		policy := newPrevPolicy(rng, current, flags, nil)
 		res := x.Env.RunPair(ct.Writer, ct.Reader, policy, &tr)
 		x.Env.M.SetTrace(nil)
-		each(&tr)
+		each(&tr, current)
 		out.Trials = trial + 1
 		out.Switches += policy.switches
 		out.Steps += res.Steps
 		out.NewCoverPairs += x.Coverage.AddTrace(&tr)
 		out.NewSegments += out.Segments.AddTrace(&tr)
-		if !out.Exercised && prevChannelExercised(&tr, ct.Hint) {
+		if !out.Exercised && ChannelExercised(&tr, ct.Hint) {
 			out.Exercised, out.ExercisedTrial = true, trial
 		}
 		crashed := false
@@ -169,7 +76,8 @@ func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace)) (Ou
 			return out, underTest
 		}
 		if len(current) < maxCurrentPMCs {
-			if inc, ok := prevFindIncidental(x.KnownPMCs, &tr, current, rng); ok {
+			sc.view.Build(&tr)
+			if inc, ok := lookup.findIncidental(&sc.view, current, rng); ok {
 				current = append(current, inc)
 			}
 		}
@@ -222,7 +130,7 @@ func TestExploreEqualsUnfused(t *testing.T) {
 	// What the trials' traces are made of (EXPERIMENTS.md "Trial analysis").
 	var trials, accesses, stack, atomic, private, prefix int
 	var v trace.View
-	composition := func(tr *trace.Trace) {
+	composition := func(tr *trace.Trace, _ []pmc.PMC) {
 		v.Build(tr)
 		trials++
 		accesses += tr.Len()
@@ -248,7 +156,7 @@ func TestExploreEqualsUnfused(t *testing.T) {
 				ref.Coverage, ref.scratch = cover.New(), nil
 				each := composition
 				if arm > 0 {
-					each = func(*trace.Trace) {}
+					each = func(*trace.Trace, []pmc.PMC) {}
 				}
 				want, wantPMCs := unfusedExplore(&ref, ct, each)
 				have := got.Explore(ct)
@@ -513,7 +421,7 @@ func TestPolicyEqualsMapPolicy(t *testing.T) {
 				trialSeed := seed*1000 + int64(i)*10 + int64(trial)
 				at := policyPair(t, fmt.Sprintf("seed %d test %d trial %d", seed, i, trial), trialSeed, current, flags, prevFlags, nil, run).policy.SwitchEvents
 				switches += len(at)
-				if inc, ok := prevFindIncidental(set, &tr, current, rand.New(rand.NewSource(trialSeed))); ok && len(current) < maxCurrentPMCs {
+				if inc, ok := model.Adopt(model.Incidental(set, &tr, current), rand.New(rand.NewSource(trialSeed))); ok && len(current) < maxCurrentPMCs {
 					current = append(current, inc)
 					adopted++
 				}

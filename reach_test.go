@@ -44,10 +44,10 @@ var linkAllowlist = map[string]string{
 	// TestL2TPBugTriggersUnderAdversarialSchedule (internal/exec) is the
 	// FuncScheduler that reads it.
 	"snowboard/internal/vm.(*Machine).LastAccess": "access of a non-sink scheduler's EvAccess, for the exec scheduling test",
-	// The one-slice write-key lookup; stage 4 asks ByWriteRead for the read
-	// key ids too. TestExploreEqualsUnfused's retained incidental lookup
-	// (internal/sched) and TestByWriteFilterNeverMisses (internal/pmc) call it.
-	"snowboard/internal/pmc.(*Set).ByWrite": "write-key lookup for the sched and pmc differential tests",
+	// The reference model of a trial's analysis, with its trace generator
+	// and census, that the differential tests of internal/detect,
+	// internal/cover and internal/sched diff the flat analyses against.
+	"snowboard/internal/detect/model.": "trial-analysis reference for the detect, cover and sched differential tests",
 }
 
 // TestEveryFunctionIsLinked fails on any function declared in a non-test

@@ -153,6 +153,12 @@ var designRules = []designRule{
 	{"nothing_no_front_door_reaches", nothingNoFrontDoorReaches, []mutation{
 		{"internal/sched/triple.go", "package sched\n\nfunc (x *Explorer) ExploreTriple() {}\n"},
 	}},
+	// The retired names are split so that this file, which the rule reads, does not hold them.
+	{"one_reference_model", oneReferenceModel, []mutation{
+		{"internal/detect/hb_ref_test.go", "package detect\n\nfunc refFind" + "RacesHB() {}\n"},
+		{"internal/cover/walk_diff_test.go", "\ntype te" + "eth struct{}\n"},
+		{"internal/sched/scratch_test.go", "\nfunc prevFind" + "Incidental() {}\n"},
+	}},
 }
 
 // Guest memory is a two-level page table, held locks a stack on the
@@ -592,6 +598,22 @@ func theExecutorLeasesInProcess(tr *tree) []string {
 func nothingNoFrontDoorReaches(tr *tree) []string {
 	return tr.grep(tr.code(), "code no front door reaches", false,
 		"ExploreTriple", "IdentifyTriples", "RunMany", "NewEnvWithSetup", "ModePCT", "SynchronizeRCU", "TryLock(", "JobEvent", "func Register(")
+}
+
+// A trial's analysis has one reference, internal/detect/model, with one
+// trace generator and one census: a test keeping the implementation a
+// change replaced, or a generator or census of its own, is a second
+// reference back. This rule reads the _test.go files, bench/ included.
+func oneReferenceModel(tr *tree) []string {
+	var tests []*srcFile
+	for _, f := range tr.files {
+		if f.test {
+			tests = append(tests, f)
+		}
+	}
+	return tr.grep(tests, "a retired reference of a trial's analysis", true,
+		"ref"+"FindRacesHB", "ref"+"Pairs", "ref"+"Segments", "ref"+"FindTornReads", "prev"+"ChannelExercised",
+		"prev"+"FindIncidental", "ref"+"FindIncidental", "gen"+"TornTrace", "rand"+"Trace", "type "+"teeth")
 }
 
 // inspect calls fn for every node of the files.
