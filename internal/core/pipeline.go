@@ -360,9 +360,9 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 	// adoption, 1.7 the Coverage and TrackSegments walks and 2.9 the
 	// shipping. Most of adoption's share is Algorithm 2 itself: the
 	// adopted PMCs raise switches per trial from 1.0 to 5.1 and sink
-	// consultations from 6.6 to 28.9 (EXPERIMENTS.md, "What the queue path
-	// still skips", "The template's trial side on flat tables" and "One
-	// row per access").
+	// consultations from 6.6 to 28.9 (CHANGES.md, the entries "one seed,
+	// one fold, one result for stage 4", "The local template's trial side
+	// on flat tables" and "One row per access").
 	template.KnownPMCs, template.Coverage, template.TrackSegments = p.PMCs, cov, true
 	template.MutateSchedules, template.Trace = p.Opts.Feedback, p.trace
 	fleet := sched.NewFleet(template, p.workerEnvs(p.workers()),

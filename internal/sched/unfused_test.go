@@ -127,7 +127,8 @@ func realTests(t *testing.T, env *exec.Env, seed int64) (*pmc.Set, []ConcurrentT
 func TestExploreEqualsUnfused(t *testing.T) {
 	adoptions, exercised, issues, repros := 0, 0, 0, 0
 	racesOffPairs := 0
-	// What the trials' traces are made of (EXPERIMENTS.md "Trial analysis").
+	// What the trials' traces are made of (CHANGES.md, the entry "one
+	// per-trial trace view under every post-trial consumer").
 	var trials, accesses, stack, atomic, private, prefix int
 	var v trace.View
 	composition := func(tr *trace.Trace, _ []pmc.PMC) {

@@ -11,6 +11,7 @@ import (
 	"os"
 	pathpkg "path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -158,6 +159,12 @@ var designRules = []designRule{
 		{"internal/detect/hb_ref_test.go", "package detect\n\nfunc refFind" + "RacesHB() {}\n"},
 		{"internal/cover/walk_diff_test.go", "\ntype te" + "eth struct{}\n"},
 		{"internal/sched/scratch_test.go", "\nfunc prevFind" + "Incidental() {}\n"},
+	}},
+	{"doc_references_resolve", docReferencesResolve, []mutation{
+		{"DESIGN.md", "\n| Figure 1 | `TestBugL2TP` |\n"},
+		{"README.md", "\n(EXPERIMENTS.md, \"Per-trial\n  analysis\")\n"},
+		{"internal/core/pipeline.go", "\n// The flip's cost (EXPERIMENTS.md, \"What the queue path\n// still skips\").\n"},
+		{".claude/skills/verify/SKILL.md", "\n- The trial's flat tables (EXPERIMENTS.md, \"One row per access\").\n"},
 	}},
 }
 
@@ -616,6 +623,130 @@ func oneReferenceModel(tr *tree) []string {
 		"prev"+"FindIncidental", "ref"+"FindIncidental", "gen"+"TornTrace", "rand"+"Trace", "type "+"teeth")
 }
 
+// Docs name what exists: every backticked Test*, Benchmark* or Fuzz* name
+// in README.md, DESIGN.md and EXPERIMENTS.md is a function some _test.go
+// declares (a trailing * stands for any suffix; a /subtest is not
+// checked), and every `EXPERIMENTS.md "<title>"` citation in a Go comment
+// or a markdown file names a heading of EXPERIMENTS.md (one that starts
+// with the title). A citation in a code span shows the form and is not
+// one; CHANGES.md and ROADMAP.md record history and are not read.
+func docReferencesResolve(tr *tree) []string {
+	declared := map[string]bool{}
+	for _, f := range tr.files {
+		if !f.test {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				declared[fd.Name.Name] = true
+			}
+		}
+	}
+	var out []string
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		d := tr.doc(name)
+		if d == nil {
+			out = append(out, name+": missing")
+			continue
+		}
+		for _, m := range testNameRE.FindAllSubmatchIndex(d.src, -1) {
+			fn, ok := string(d.src[m[2]:m[3]]), false
+			for n := range declared {
+				ok = ok || n == fn || m[5] > m[4] && strings.HasPrefix(n, fn)
+			}
+			if !ok {
+				out = append(out, fmt.Sprintf("%s:%d: %s is declared in no _test.go", name, lineOf(d.src, m[0]), d.src[m[0]:m[1]]))
+			}
+		}
+	}
+	var headings []string
+	if d := tr.doc("EXPERIMENTS.md"); d != nil {
+		for _, line := range strings.Split(string(d.src), "\n") {
+			if t := strings.TrimLeft(line, "#"); len(t) < len(line) && strings.HasPrefix(t, " ") {
+				headings = append(headings, strings.TrimSpace(t))
+			}
+		}
+	}
+	check := func(path string, cites []citation) {
+		for _, c := range cites {
+			if !slices.ContainsFunc(headings, func(h string) bool {
+				return strings.HasPrefix(h, c.title) && !isWordByte([]byte(h), len(c.title))
+			}) {
+				out = append(out, fmt.Sprintf("%s:%d: EXPERIMENTS.md has no heading %q", path, c.line, c.title))
+			}
+		}
+	}
+	for _, f := range tr.docs {
+		if f.path != "CHANGES.md" && f.path != "ROADMAP.md" {
+			check(f.path, experimentsCitations(string(f.src), 1))
+		}
+	}
+	for _, f := range tr.files {
+		for _, g := range f.ast.Comments {
+			from, to := tr.fset.Position(g.Pos()), tr.fset.Position(g.End())
+			check(f.path, experimentsCitations(string(f.src[from.Offset:to.Offset]), from.Line))
+		}
+	}
+	return out
+}
+
+// testNameRE matches a backticked test, benchmark or fuzz target name,
+// with an optional trailing * and /subtest path.
+var testNameRE = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*)(\\*?)(?:/[^`\\s]*)?`")
+
+// A citation is one section title an EXPERIMENTS.md citation names.
+type citation struct {
+	title string
+	line  int
+}
+
+// experimentsCitations returns the titles quoted after each mention of
+// EXPERIMENTS.md in src, whose first line is line: `EXPERIMENTS.md "A"`,
+// `EXPERIMENTS.md, "A", "B" and "C"`. A title may wrap across lines, in a
+// Go comment too; it is returned with its whitespace and comment markers
+// folded to single spaces.
+func experimentsCitations(src string, line int) []citation {
+	const cite = "EXPERIMENTS.md"
+	var out []citation
+	for i := 0; ; {
+		j := strings.Index(src[i:], cite)
+		if j < 0 {
+			return out
+		}
+		i += j + len(cite)
+		start := strings.LastIndexByte(src[:i], '\n') + 1
+		if strings.Count(src[start:i], "`")%2 == 1 {
+			continue // quoted in a code span
+		}
+		for k := i; ; {
+			k += len(src[k:]) - len(strings.TrimLeft(src[k:], ", \t\n/"))
+			if strings.HasPrefix(src[k:], "and ") {
+				k += len("and ")
+				continue
+			}
+			if !strings.HasPrefix(src[k:], `"`) {
+				break
+			}
+			end := strings.IndexByte(src[k+1:], '"')
+			if end < 0 {
+				break
+			}
+			var words []string
+			for n, l := range strings.Split(src[k+1:k+1+end], "\n") {
+				if n > 0 {
+					l = strings.TrimPrefix(strings.TrimSpace(l), "//")
+				}
+				words = append(words, strings.Fields(l)...)
+			}
+			out = append(out, citation{strings.Join(words, " "), line + strings.Count(src[:k], "\n")})
+			k += end + 2
+		}
+	}
+}
+
+// lineOf is the 1-based line of src's byte i.
+func lineOf(src []byte, i int) int { return 1 + bytes.Count(src[:i], []byte("\n")) }
+
 // inspect calls fn for every node of the files.
 func inspect(files []*srcFile, fn func(f *srcFile, n ast.Node)) {
 	for _, f := range files {
@@ -633,11 +764,14 @@ const (
 	tracePath = "snowboard/internal/trace"
 )
 
-// A tree is every Go file under the repository root, parsed once.
-// Directories whose names start with "." hold no source and are skipped.
+// A tree is every Go file under the repository root, parsed once, and
+// every markdown file, read. Directories whose names start with "." hold
+// no source and are skipped, except .claude, whose skills are markdown
+// docs.
 type tree struct {
 	fset  *token.FileSet
 	files []*srcFile
+	docs  []*srcFile // the markdown files, with no ast
 }
 
 // A srcFile is one parsed file of the tree.
@@ -657,17 +791,22 @@ func loadTree(t *testing.T) *tree {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
+			if path != "." && path != ".claude" && strings.HasPrefix(d.Name(), ".") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
+		md := strings.HasSuffix(path, ".md")
+		if !md && !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
+		}
+		if md {
+			tr.docs = append(tr.docs, &srcFile{path: filepath.ToSlash(path), src: src})
+			return nil
 		}
 		f, err := tr.parse(filepath.ToSlash(path), src)
 		tr.files = append(tr.files, f)
@@ -680,7 +819,7 @@ func loadTree(t *testing.T) *tree {
 }
 
 func (tr *tree) parse(path string, src []byte) (*srcFile, error) {
-	f, err := parser.ParseFile(tr.fset, path, src, parser.SkipObjectResolution)
+	f, err := parser.ParseFile(tr.fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
 	return &srcFile{
 		path:  path,
 		src:   src,
@@ -690,10 +829,20 @@ func (tr *tree) parse(path string, src []byte) (*srcFile, error) {
 	}, err
 }
 
-// with returns the tree with m applied.
+// with returns the tree with m applied. A mutation of a markdown file
+// appends to it.
 func (tr *tree) with(t *testing.T, m mutation) *tree {
 	t.Helper()
-	out := &tree{fset: tr.fset, files: slices.Clone(tr.files)}
+	out := &tree{fset: tr.fset, files: slices.Clone(tr.files), docs: slices.Clone(tr.docs)}
+	if strings.HasSuffix(m.path, ".md") {
+		d := out.doc(m.path)
+		if d == nil {
+			t.Fatalf("mutation appends to %s, which does not exist", m.path)
+		}
+		i := slices.Index(out.docs, d)
+		out.docs[i] = &srcFile{path: d.path, src: append(slices.Clip(d.src), m.src...)}
+		return out
+	}
 	i := slices.IndexFunc(out.files, func(f *srcFile) bool { return f.path == m.path })
 	src := []byte(m.src)
 	if !strings.HasPrefix(m.src, "package ") {
@@ -712,6 +861,14 @@ func (tr *tree) with(t *testing.T, m mutation) *tree {
 		out.files[i] = f
 	}
 	return out
+}
+
+// doc is the markdown file at path, or nil.
+func (tr *tree) doc(path string) *srcFile {
+	if i := slices.IndexFunc(tr.docs, func(f *srcFile) bool { return f.path == path }); i >= 0 {
+		return tr.docs[i]
+	}
+	return nil
 }
 
 // code returns the non-test files outside bench/ whose paths match one of

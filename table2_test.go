@@ -54,7 +54,7 @@ type table2Case struct {
 	trials   int
 }
 
-func findHint(t *testing.T, set *snowboard.PMCSet, spec hintSpec) *snowboard.PMC {
+func findHint(t testing.TB, set *snowboard.PMCSet, spec hintSpec) *snowboard.PMC {
 	t.Helper()
 	var matches []snowboard.PMC
 	for key := range set.Entries {
