@@ -2,6 +2,7 @@ package snowboard_test
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"slices"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"snowboard/internal/core"
 	"snowboard/internal/detect"
 	"snowboard/internal/kernel"
+	"snowboard/internal/par"
 	"snowboard/internal/pmc"
 	"snowboard/internal/sched"
 	"snowboard/internal/trace"
@@ -208,13 +210,20 @@ func stage4Opts(shared *snowboard.Pipeline, seed int64, tests, trials int) snowb
 	return opts
 }
 
-// stage4 runs generation and execution (or the feedback loop) with opts on
-// the shared analysis and returns the report.
-func stage4(shared *snowboard.Pipeline, opts snowboard.Options) *snowboard.Report {
+// pipelineOver is a pipeline for opts over the shared analysis's corpus,
+// profiles and PMCs.
+func pipelineOver(shared *snowboard.Pipeline, opts snowboard.Options) *snowboard.Pipeline {
 	p := snowboard.NewPipeline(opts)
 	p.SetCorpus(shared.Corpus)
 	p.SetProfiles(shared.Profiles)
 	p.SetPMCs(shared.PMCs)
+	return p
+}
+
+// stage4 runs generation and execution (or the feedback loop) with opts on
+// the shared analysis and returns the report.
+func stage4(shared *snowboard.Pipeline, opts snowboard.Options) *snowboard.Report {
+	p := pipelineOver(shared, opts)
 	r := p.NewReport()
 	if opts.Feedback {
 		p.RunFeedback(r, opts.TestBudget)
@@ -232,6 +241,7 @@ func renderTable3(t *testing.T) string {
 	var rows [][]string
 	for _, m := range snowboard.Methods() {
 		exemplars, exercised, issues, pairs, slab := "", 0, 0, 0, 0
+		union := make(map[int]bool)
 		for i := range docRuns {
 			opts := stage4Opts(shared, int64(i)+17, 60, 12)
 			opts.Method = m
@@ -243,14 +253,17 @@ func renderTable3(t *testing.T) string {
 			if _, ok := r.Issues[13]; ok {
 				slab++
 			}
+			for _, id := range r.BugIDs() {
+				union[id] = true
+			}
 		}
 		if m.Kind != core.MethodPMC { // the pairing baselines cluster nothing
 			exemplars = "—"
 		}
 		rows = append(rows, []string{m.Name, exemplars, f1(exercised, docRuns), f1(issues, docRuns), f1(pairs, docRuns),
-			fmt.Sprintf("%d of %d", slab, docRuns)})
+			fmt.Sprintf("%d of %d", slab, docRuns), fmt.Sprint(slices.Sorted(maps.Keys(union)))})
 	}
-	return mdTable([]string{"Method", "Exemplar clusters", "Exercised/run", "Issues/run", "Cover-pairs/run", "#13 found"}, rows...)
+	return mdTable([]string{"Method", "Exemplar clusters", "Exercised/run", "Issues/run", "Cover-pairs/run", "#13 found", "Ids over the runs"}, rows...)
 }
 
 // renderPrecision is the share of PMC-hinted tests whose predicted channel
@@ -353,8 +366,9 @@ func profileLen(t *testing.T, env *snowboard.Env, keepStack bool) int {
 // renderAblations is one row per ablation: the value filter on the shared
 // analysis, the stack filter on the Figure 1 reader, incidental-PMC
 // adoption on the Figure 1 test (at most 1,024 trials per run, each in a
-// fresh kernel), and the cluster order under S-INS-PAIR on the shared
-// analysis (40 tests × 12 trials, the paper's "Random S-INS-PAIR" row).
+// fresh kernel) and in Table 3's campaigns, and the cluster order under
+// S-INS-PAIR on the shared analysis (40 tests × 12 trials, the paper's
+// "Random S-INS-PAIR" row).
 func renderAblations(t *testing.T) string {
 	shared := sharedAnalysis(t)
 	var filter []string
@@ -390,6 +404,23 @@ func renderAblations(t *testing.T) string {
 		}
 		incidental = append(incidental, f1(total, docRuns))
 	}
+	var rowThree [2][]string
+	for _, name := range []string{"S-CH", "S-INS-PAIR"} {
+		m, _ := snowboard.MethodByName(name)
+		with, without := 0, 0
+		for i := range docRuns {
+			opts := stage4Opts(shared, int64(i)+17, 60, 12)
+			opts.Method = m
+			if _, ok := stage4(shared, opts).Issues[3]; ok {
+				with++
+			}
+			if unadopted(shared, opts)[3] {
+				without++
+			}
+		}
+		rowThree[0] = append(rowThree[0], itoa(with))
+		rowThree[1] = append(rowThree[1], itoa(without))
+	}
 	var order []string
 	for _, o := range []struct {
 		name string
@@ -407,7 +438,27 @@ func renderAblations(t *testing.T) string {
 		[]string{"Value filter (Algorithm 1 lines 9–11)", "PMCs identified", filter[0], filter[1]},
 		[]string{"Stack filter (§4.1.1)", "accesses in the Figure 1 reader's profile", stack[0], stack[1]},
 		[]string{"Incidental-PMC adoption (Algorithm 2 lines 26–27)", "mean trials to the Figure 1 crash, seeds " + strings.Join(seeds, ", "), incidental[0], incidental[1]},
+		[]string{"Incidental-PMC adoption, unplanned clusters only", "runs finding #3 at 60 tests × 12 trials, S-CH / S-INS-PAIR, seeds 17–21", strings.Join(rowThree[0], " / ") + " of 5", strings.Join(rowThree[1], " / ") + " of 5"},
 		[]string{"Cluster order", "mean issues per S-INS-PAIR run, seeds 41–45", order[0], order[1]})
+}
+
+// unadopted is stage4's one-shot run with incidental adoption off: the
+// pipeline generates the tests, and each explores with the seed the
+// pipeline would give it on an explorer that knows no PMCs. It returns the
+// Table 2 ids found.
+func unadopted(shared *snowboard.Pipeline, opts snowboard.Options) map[int]bool {
+	p := pipelineOver(shared, opts)
+	defer p.Close()
+	x := &snowboard.Explorer{Env: p.Env, Trials: opts.Trials, Mode: snowboard.ModeSnowboard, Detect: opts.Detect,
+		Fsck: func() []string { return p.Env.K.FsckHost() }}
+	found := make(map[int]bool)
+	for i, ct := range p.GenerateTests(p.NewReport(), opts.TestBudget) {
+		x.Seed = par.UnitSeed(opts.Seed, par.StageExplore, i)
+		for _, is := range x.Explore(ct).Issues {
+			found[is.BugID] = true
+		}
+	}
+	return found
 }
 
 // renderFeedback is the feedback comparison (BENCH_feedback.json): each

@@ -235,6 +235,79 @@ func OrderClusters(cs []Cluster, o Order, rng *rand.Rand) {
 	}
 }
 
+// Index maps every PMC of a set, by its dense id (pmc.Set.ID), to the
+// clusters it falls in under one strategy: two under S-INS (its write and
+// its read instruction), one under the others, none when the strategy
+// filters it out. It is built once, from the clusters stage 3 computes and
+// on the first Planned call, so that a campaign whose tests never run
+// locally never builds it, and what a batch of tests plans is a lookup per
+// PMC, with no key built. Not safe for concurrent use.
+type Index struct {
+	set      *pmc.Set
+	entries  int
+	strategy string
+	cs       []Cluster  // what of is built from
+	of       [][2]int32 // of[id]: positions in cs, -1 where none
+}
+
+// NewIndex returns the index of cs, the clusters of set under s (as
+// Clusters returns them, in any order).
+func NewIndex(set *pmc.Set, s Strategy, cs []Cluster) *Index {
+	return &Index{set: set, entries: set.Len(), strategy: s.Name, cs: cs}
+}
+
+// Indexes reports whether ix indexes set, as it is now, under s.
+func (ix *Index) Indexes(set *pmc.Set, s Strategy) bool {
+	return ix.set == set && ix.entries == set.Len() && ix.strategy == s.Name
+}
+
+// Planned returns the PMCs of the set that share a cluster with one of
+// hints: the PMCs a test hinting a member of their cluster already stands
+// for (§4.3's premise that one exemplar stands for its cluster). A PMC the
+// strategy filters out shares no cluster, so it is never planned; under
+// S-INS a PMC is planned when either of its clusters is.
+func (ix *Index) Planned(hints []pmc.PMC) *pmc.Subset {
+	if ix.of == nil {
+		ix.build()
+	}
+	tested := make([]bool, len(ix.cs))
+	for _, h := range hints {
+		if id, ok := ix.set.ID(h); ok {
+			for _, c := range ix.of[id] {
+				if c >= 0 {
+					tested[c] = true
+				}
+			}
+		}
+	}
+	planned := pmc.NewSubset(ix.set)
+	for id, of := range ix.of {
+		if (of[0] >= 0 && tested[of[0]]) || (of[1] >= 0 && tested[of[1]]) {
+			planned.Add(id)
+		}
+	}
+	return planned
+}
+
+func (ix *Index) build() {
+	ix.of = make([][2]int32, ix.entries)
+	for id := range ix.of {
+		ix.of[id] = [2]int32{-1, -1}
+	}
+	for ci := range ix.cs {
+		for _, p := range ix.cs[ci].PMCs {
+			id, ok := ix.set.ID(p)
+			switch {
+			case !ok:
+			case ix.of[id][0] < 0:
+				ix.of[id][0] = int32(ci)
+			default:
+				ix.of[id][1] = int32(ci)
+			}
+		}
+	}
+}
+
 // Exemplar draws one member PMC from the cluster at random (§4.4: "one PMC
 // is chosen from each cluster ... one pair is chosen among them at
 // random").

@@ -461,9 +461,11 @@ func (c *Campaign) finish(r *Report, err error) {
 }
 
 // reportKey memoizes the whole campaign: same manifest, same report. v2
-// reports carry their findings; an older sbd's v1 memo is left unserved.
+// reports carry their findings; v3 feedback reports adopt only PMCs whose
+// clusters the round does not test. An older sbd's v1 or v2 memo is left
+// unserved.
 func (c *Campaign) reportKey() store.Digest {
-	return store.Key(campaignKeyPrefix, "report-v2", string(c.manifest))
+	return store.Key(campaignKeyPrefix, "report-v3", string(c.manifest))
 }
 
 // run is the campaign goroutine.

@@ -51,7 +51,8 @@ var mFeedbackRounds = obs.C(obs.MFeedbackRounds)
 const defaultFeedbackRounds = 4
 
 // maxComposedHints caps a composed test's PMC hints (primary + extras),
-// leaving maxCurrentPMCs headroom for the explorer's incidental adoption.
+// leaving maxCurrentPMCs headroom for the explorer's incidental adoption,
+// which in a round picks only PMCs of clusters the round does not test.
 const maxComposedHints = 3
 
 // feedbackRounds resolves the configured round count.
@@ -101,7 +102,7 @@ func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 			fmt.Sprintf("rounds=%d", rounds),
 			fmt.Sprintf("trials=%d", p.Opts.Trials),
 			detectPart(p.Opts.Detect),
-			"no-incidental=false", // retired option; stored keys keep the part
+			adoptionPart,
 			"prev="+prev.String(),
 			fmt.Sprintf("round=%d", i),
 		)
@@ -342,6 +343,7 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 	span := obs.StartSpan("stage.feedback")
 
 	cs := cluster.Clusters(p.PMCs, p.Opts.Method.Strategy)
+	p.indexClusters(cs)
 	// The stable uncommon-first order is the zero-credit prior; feedback
 	// reorders budget, not the clusters themselves.
 	cluster.OrderClusters(cs, cluster.UncommonFirst, nil)

@@ -64,6 +64,12 @@ type Pipeline struct {
 	// RunFeedback replaces it when resuming round state.
 	segs *cover.Segments
 
+	// plan indexes the PMC set's clusters under the method's strategy,
+	// built from the first clustering GenerateTests or RunFeedback
+	// computes: ExecuteTests derives from it, per call, which PMCs
+	// incidental adoption skips (adoptable).
+	plan *cluster.Index
+
 	// store, when attached with UseStore, memoizes stages through the
 	// content-addressed artifact store; the digests track the content
 	// addresses of the current artifacts (zero = not yet computed).
@@ -307,6 +313,7 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 	switch p.Opts.Method.Kind {
 	case MethodPMC:
 		cs := cluster.Clusters(p.PMCs, p.Opts.Method.Strategy)
+		p.indexClusters(cs)
 		cluster.OrderClusters(cs, p.Opts.Method.Order, rng)
 		r.ExemplarPMCs = len(cs)
 		for i := range cs {
@@ -350,22 +357,7 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 	span := obs.StartSpan("stage.exec")
 	cov := cover.New()
-	template := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
-	// The only difference between local and queue-delivered stage 4: a
-	// queue worker (NewWorker) runs the bare template. Giving it these
-	// layers too, with each job's segment and pair sets shipped behind its
-	// binary outcome, costs bench `fleet` −28.9% trials_per_s and +40%
-	// wall_s (2 vCPUs, Xeon @ 2.10 GHz), past BENCHMARK.json's 0.25 bound
-	// on both. In points of the bare rate: 24.3 KnownPMCs' incidental
-	// adoption, 1.7 the Coverage and TrackSegments walks and 2.9 the
-	// shipping. Most of adoption's share is Algorithm 2 itself: the
-	// adopted PMCs raise switches per trial from 1.0 to 5.1 and sink
-	// consultations from 6.6 to 28.9 (CHANGES.md, the entries "one seed,
-	// one fold, one result for stage 4", "The local template's trial side
-	// on flat tables" and "One row per access").
-	template.KnownPMCs, template.Coverage, template.TrackSegments = p.PMCs, cov, true
-	template.MutateSchedules, template.Trace = p.Opts.Feedback, p.trace
-	fleet := sched.NewFleet(template, p.workerEnvs(p.workers()),
+	fleet := sched.NewFleet(p.localExplorer(tests, cov), p.workerEnvs(p.workers()),
 		func(e *exec.Env) []string { return e.K.FsckHost() })
 	yields := p.foldOutcomes(r, tests, fleet.ExploreAll(tests, p.exploreSeeds(len(tests))))
 	r.CoverPairs += cov.Len()
@@ -374,6 +366,62 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 	r.ExecTime += d
 	p.stageDone("exec", false, d, obs.A("issues", len(r.Issues)), obs.A("segments", r.CoverSegments))
 	return yields
+}
+
+// localExplorer is ExecuteTests' template for exploring tests. A queue
+// worker (NewWorker) runs stage4Explorer bare; this one adds the Coverage
+// and TrackSegments walks, schedule mutation under feedback, and incidental
+// adoption wherever some PMC is adoptable. At full coverage — every
+// cluster has a test, as on bench `hunt`, `fleet` and the golden specs —
+// none is, so only the two coverage walks differ, and a local report
+// equals the queue-delivered one but for CoverPairs and CoverSegments
+// (TestLocalReportEqualsQueueReport). Giving workers this template too
+// then costs the walks and shipping each job's segment and pair sets
+// behind its outcome: 1.7 and 2.9 points of bench `fleet`'s bare
+// trials_per_s as measured before adoption skipped planned clusters
+// (2 vCPUs, Xeon @ 2.10 GHz), against 24.3 for adoption, which such a
+// worker no longer runs.
+func (p *Pipeline) localExplorer(tests []sched.ConcurrentTest, cov *cover.Coverage) sched.Explorer {
+	template := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
+	template.KnownPMCs, template.Planned = p.adoptable(tests)
+	template.Coverage, template.TrackSegments = cov, true
+	template.MutateSchedules, template.Trace = p.Opts.Feedback, p.trace
+	return template
+}
+
+// adoptable is what incidental adoption (Algorithm 2 lines 26–27) may pick
+// from while tests run as one batch: the known PMCs less those whose
+// clusters under the method's strategy have a test in the batch — adopting
+// one would re-explore a cluster the batch already tests, while adopting
+// one the budget never reaches is the only way to get there. With nothing
+// left it returns no set at all, so neither the lookup nor the adopted
+// PMCs' preemption points run. Without a plan (a pairing baseline, or
+// tests GenerateTests and RunFeedback did not draw) every PMC is adoptable.
+func (p *Pipeline) adoptable(tests []sched.ConcurrentTest) (*pmc.Set, *pmc.Subset) {
+	if p.plan == nil || !p.plan.Indexes(p.PMCs, p.Opts.Method.Strategy) {
+		return p.PMCs, nil
+	}
+	var hints []pmc.PMC
+	for _, ct := range tests {
+		if ct.Hint != nil {
+			hints = append(hints, *ct.Hint)
+		}
+		hints = append(hints, ct.Extra...)
+	}
+	planned := p.plan.Planned(hints)
+	if planned.Len() == p.PMCs.Len() {
+		return nil, nil
+	}
+	return p.PMCs, planned
+}
+
+// indexClusters keeps p.plan an index of cs, the PMC set's clusters under
+// the method's strategy: one index per set, which only a local
+// ExecuteTests builds out.
+func (p *Pipeline) indexClusters(cs []cluster.Cluster) {
+	if p.plan == nil || !p.plan.Indexes(p.PMCs, p.Opts.Method.Strategy) {
+		p.plan = cluster.NewIndex(p.PMCs, p.Opts.Method.Strategy, cs)
+	}
 }
 
 // foldOutcomes is the one place an Outcome turns into IssueRecords,

@@ -108,6 +108,12 @@ func detectPart(d detect.Options) string {
 	return fmt.Sprintf("detect=%t/%t/%t/0", d.Console, d.Races, d.TornReads)
 }
 
+// adoptionPart names the incidental-adoption rule in every stage-4 key. It
+// was "no-incidental=false" while adoption could pick any known PMC; now it
+// skips the PMCs whose clusters the same batch tests (Pipeline.adoptable),
+// so reports stored under the old part are never served.
+const adoptionPart = "incidental=unplanned-clusters"
+
 // reportKey identifies the generate+execute output (the full report) for a
 // given corpus and PMC set.
 func (p *Pipeline) reportKey(corpusDigest, pmcDigest store.Digest, budget int) store.Digest {
@@ -124,7 +130,7 @@ func (p *Pipeline) reportKey(corpusDigest, pmcDigest store.Digest, budget int) s
 		fmt.Sprintf("budget=%d", budget),
 		fmt.Sprintf("trials=%d", p.Opts.Trials),
 		detectPart(p.Opts.Detect),
-		"no-incidental=false", // retired option; stored keys keep the part
+		adoptionPart,
 		// Resolved feedback parameters: a feedback run and a one-shot run
 		// spend the same budget through different schedulers, so their
 		// reports must never share a key. Non-feedback runs pin rounds=0

@@ -8,11 +8,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"snowboard/internal/cluster"
 	"snowboard/internal/obs"
 	"snowboard/internal/pmc"
+	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 	"snowboard/internal/store"
 	"snowboard/internal/triage"
@@ -388,7 +391,10 @@ func stateFiles(t *testing.T, dir string) map[string]stateFile {
 // typed stage memo replaced the per-stage load/save pairs. The resume tests
 // run cold and warm under one binary, so a refactor that reorders a
 // store.Key part (or renames a meta field) would orphan every existing
-// state dir with all of them green; this one fails.
+// state dir with all of them green; this one fails. reportKey and
+// feedbackKeys[0] were re-pinned when incidental adoption began skipping
+// planned clusters (adoptionPart): a stage-4 report stored before that
+// must not be served (TestParentStage4MemosNotServed).
 func TestStageKeysGolden(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Seed = 9
@@ -415,8 +421,8 @@ func TestStageKeysGolden(t *testing.T) {
 		{"fuzzKey", p.fuzzKey().String(), "4540fcdf5fbe30241f31defe0a1ab72ea813d58ffbac831b240d8fd109672ac0"},
 		{"profileKey", p.profileKey(cd).String(), "583a68ec96ad2d8e6959da0cbdb245136e03a899cd7259accfef022997c6de58"},
 		{"identifyKey", p.identifyKey(fd).String(), "98c8d44fe7c7d276bf8992ef2708238f98ce918b265c52a04f611d020671a036"},
-		{"reportKey", p.reportKey(cd, pd, opts.TestBudget).String(), "42c2273dd7169410dba4be3cf85bacbf7af808c37626043891647f6507286b7d"},
-		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "748de131d89d4ed3fa0ac56464d9ab768ca880373eae082e315963e9d5c4a331"},
+		{"reportKey", p.reportKey(cd, pd, opts.TestBudget).String(), "1696c5e2789e9c79e05020ff9d43928710aace23ec5fdb72d7879468d5529f3b"},
+		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "551a65f3d765527afbba9a779779cee0c5f3db6945444a85c7bf67ed63ab9f7d"},
 		{"triageKey", triageKey.String(), "774c1e55f31e3c0451000edc723f7fd921290f89b969597e073fd12c3ad208ed"},
 		{"fuzzMeta", marshal(fuzzMeta{CorpusSize: 1, FuzzExecutions: 2, FuzzTimeNs: 3}), `{"corpus_size":1,"fuzz_executions":2,"fuzz_time_ns":3}`},
 		{"profileMeta", marshal(profileMeta{ProfiledAccesses: 4, ProfileTimeNs: 5}), `{"profiled_accesses":4,"profile_time_ns":5}`},
@@ -427,6 +433,123 @@ func TestStageKeysGolden(t *testing.T) {
 			t.Errorf("%s = %s, want %s — stored state dirs written before this change would no longer resume", c.name, c.got, c.want)
 		}
 	}
+}
+
+// TestParentStage4MemosNotServed: a state dir written before incidental
+// adoption skipped the PMCs of planned clusters holds reports explored
+// under the old rule. Stored under the key strings that binary used — the
+// execute memo's and the first feedback round's "no-incidental=false"
+// part, and the campaign memo's "report-v2" — a marked report is not
+// served; stored under this binary's keys the same report is, so the keys
+// are all that differs.
+func TestParentStage4MemosNotServed(t *testing.T) {
+	stale := func(p *Pipeline) *Report {
+		r := p.NewReport()
+		r.Notes = []string{"stored by an older binary"}
+		return r
+	}
+	served := func(r *Report) bool { return slices.Contains(r.Notes, "stored by an older binary") }
+	// staged returns a pipeline on a fresh state dir with stages 1–3 run and
+	// their artifacts stored.
+	staged := func(t *testing.T, feedback bool) (*Pipeline, Options) {
+		opts := stateTestOptions(t)
+		opts.Feedback = feedback
+		p, err := OpenPipeline(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		r := p.NewReport()
+		p.BuildCorpus(r)
+		if err := p.ProfileAll(r); err != nil {
+			t.Fatal(err)
+		}
+		p.IdentifyPMCs(r)
+		return p, opts
+	}
+	// parentKey is a stage-4 key as the older binary built it: parts up to
+	// the adoption part, "no-incidental=false", then tail.
+	parentKey := func(p *Pipeline, stage string, opts Options, mid []string, tail ...string) store.Digest {
+		cd, pd := p.stage4Inputs(stage)
+		m := opts.Method
+		parts := []string{keyPrefix, stage, "corpus=" + cd.String(), "pmcs=" + pd.String(),
+			fmt.Sprintf("version=%s", opts.Version), fmt.Sprintf("seed=%d", opts.Seed),
+			fmt.Sprintf("method=%d/%s/%s/%d", m.Kind, m.Name, m.Strategy.Name, m.Order),
+			fmt.Sprintf("budget=%d", opts.TestBudget)}
+		parts = append(parts, mid...)
+		parts = append(parts, fmt.Sprintf("trials=%d", opts.Trials), detectPart(opts.Detect), "no-incidental=false")
+		return store.Key(append(parts, tail...)...)
+	}
+	keyName := map[bool]string{false: "parent's", true: "current"}
+	check := func(t *testing.T, key string, r *Report, err error, current bool) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served(r) != current {
+			t.Errorf("a report stored under the %s key was served: %v, want %v", key, served(r), current)
+		}
+	}
+	t.Run("execute", func(t *testing.T) {
+		for _, current := range []bool{false, true} {
+			p, opts := staged(t, false)
+			key := parentKey(p, "execute", opts, nil, "feedback=false/0")
+			if current {
+				cd, pd := p.stage4Inputs("execute")
+				key = p.reportKey(cd, pd, opts.TestBudget)
+			}
+			saveMemo(p, "execute", key, reportCodec, stale(p), nil)
+			r, err := Run(opts)
+			check(t, keyName[current], r, err, current)
+		}
+	})
+	t.Run("feedback", func(t *testing.T) {
+		for _, current := range []bool{false, true} {
+			p, opts := staged(t, true)
+			rounds := p.feedbackRounds()
+			key := parentKey(p, "feedback-round", opts, []string{fmt.Sprintf("rounds=%d", rounds)},
+				"prev="+store.Digest{}.String(), "round=0")
+			if current {
+				key = p.feedbackKeys(opts.TestBudget, rounds)[0]
+			}
+			payload, err := reportCodec.encode(stale(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			credits := make([]int64, len(cluster.Clusters(p.PMCs, opts.Method.Strategy)))
+			saveMemo(p, "feedback", key, roundCodec, &feedbackRoundState{Credits: credits, Report: payload}, nil)
+			r, err := Run(opts)
+			check(t, keyName[current], r, err, current)
+		}
+	})
+	t.Run("campaign", func(t *testing.T) {
+		for _, current := range []bool{false, true} {
+			spec := smallSpec("stale", 5)
+			manifest, err := spec.Manifest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := store.Key(campaignKeyPrefix, "report-v2", string(manifest))
+			if current {
+				key = (&Campaign{manifest: manifest}).reportKey()
+			}
+			dir := t.TempDir()
+			p, err := OpenPipeline(Options{StateDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			saveMemo(p, "campaign", key, reportCodec, stale(p), nil)
+			p.Close()
+			reg := queue.NewRegistry(queue.Options{})
+			c, err := StartCampaign(spec, CampaignEnv{Registry: reg, StateDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := c.Wait()
+			reg.Close()
+			check(t, keyName[current], r, err, current)
+		}
+	})
 }
 
 // TestStoreAttachedChangesNothing is the differential test for the one

@@ -33,7 +33,7 @@ func spanModel(idx *writeIndex) map[Key][2]int {
 func checkByWrite(t *testing.T, name string, s *Set, model map[Key][2]int, k Key) {
 	t.Helper()
 	idx := s.byWrite.Load()
-	got, reads := s.ByWriteRead(k)
+	got, reads, id := s.ByWriteRead(k)
 	span, ok := model[k]
 	if !ok {
 		if len(got) != 0 || len(reads) != 0 {
@@ -41,8 +41,8 @@ func checkByWrite(t *testing.T, name string, s *Set, model map[Key][2]int, k Key
 		}
 		return
 	}
-	if len(got) != span[1]-span[0] || &got[0] != &idx.pmcs[span[0]] || len(reads) != len(got) || &reads[0] != &idx.reads[span[0]] {
-		t.Fatalf("%s: ByWriteRead(%v) answers %d PMCs, the model's span is %v", name, k, len(got), span)
+	if len(got) != span[1]-span[0] || &got[0] != &idx.pmcs[span[0]] || len(reads) != len(got) || &reads[0] != &idx.reads[span[0]] || id != span[0] {
+		t.Fatalf("%s: ByWriteRead(%v) answers %d PMCs from id %d, the model's span is %v", name, k, len(got), id, span)
 	}
 }
 
@@ -70,8 +70,8 @@ func collidingKey(base Key, i uint64) Key {
 // them, and for sets of every size from empty on. The table answers every
 // such key as the map model does, and so it does for a family of keys that
 // all hash alike; read key ids are dense and equal exactly when the read
-// keys are. It also reports how many keys without a span the filter lets
-// through.
+// keys are, and ID numbers every PMC by its place in the canonical order. It
+// also reports how many keys without a span the filter lets through.
 func TestByWriteFilterNeverMisses(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	check := func(name string, s *Set) (passed, absent int) {
@@ -81,13 +81,21 @@ func TestByWriteFilterNeverMisses(t *testing.T) {
 		model := spanModel(idx)
 		for k := range model {
 			if w, b := idx.filterBit(keyHash(k)); idx.filter[w]&b == 0 {
-				pmcs, _ := s.ByWriteRead(k)
+				pmcs, _, _ := s.ByWriteRead(k)
 				t.Fatalf("%s: the filter says no to %v, which has %d PMCs", name, k, len(pmcs))
 			}
 			checkByWrite(t, name, s, model, k)
 		}
 		ids := make(map[Key]int32)
 		for i, p := range idx.pmcs {
+			if id, ok := s.ID(p); !ok || id != i {
+				t.Fatalf("%s: ID(%v) = %d, %v; it is PMC %d of the canonical order", name, p, id, ok, i)
+			}
+			q := p
+			q.Read.Val ^= 1 << 63
+			if _, ok := s.ID(q); ok != (s.Entries[q] != nil) {
+				t.Fatalf("%s: ID(%v) says %v, the set holds it: %v", name, q, ok, s.Entries[q] != nil)
+			}
 			id, seen := ids[p.Read]
 			if !seen {
 				id = idx.reads[i]
@@ -162,7 +170,7 @@ func TestByWriteFilterNeverMisses(t *testing.T) {
 		checkByWrite(t, "colliding", s, model, collidingKey(base, i))
 	}
 	k := collidingKey(base, 0)
-	if pmcs, _ := s.ByWriteRead(k); keyHash(k)>>40 != keyHash(collidingKey(base, 39))>>40 || len(pmcs) != 1 {
+	if pmcs, _, _ := s.ByWriteRead(k); keyHash(k)>>40 != keyHash(collidingKey(base, 39))>>40 || len(pmcs) != 1 {
 		t.Fatalf("the colliding family does not collide or lost its members: %d PMCs for member 0", len(pmcs))
 	}
 }

@@ -9,6 +9,7 @@ package pmc
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -148,26 +149,68 @@ func (idx *writeIndex) filterBit(h uint64) (word int, bit uint64) {
 }
 
 // ByWriteRead returns the PMCs whose write side is exactly k, in canonical
-// order, and, parallel to them, the id of each one's read key: the set's
-// distinct read keys are numbered densely from 0, below ReadKeys, so a
-// caller visiting many PMCs can do per-read-key work once. The index behind
-// it is built on first use — stage 4 is its only caller, so identification
-// and set-up never pay for it — and rebuilt when the set has grown since
-// (entries are never removed, so an equal entry count means an equal key
-// set). Safe for concurrent use by readers; neither slice may be modified.
-func (s *Set) ByWriteRead(k Key) (pmcs []PMC, reads []int32) {
+// order, the dense id (ID) of the first of them, and, parallel to them, the
+// id of each one's read key: the set's distinct read keys are numbered
+// densely from 0, below ReadKeys, so a caller visiting many PMCs can do
+// per-read-key work once. The index behind it is built on first use —
+// stage 4 is its only caller, so identification and set-up never pay for
+// it — and rebuilt when the set has grown since (entries are never removed,
+// so an equal entry count means an equal key set). Safe for concurrent use
+// by readers; neither slice may be modified.
+func (s *Set) ByWriteRead(k Key) (pmcs []PMC, reads []int32, id int) {
 	idx := s.index()
 	h := keyHash(k)
 	if w, b := idx.filterBit(h); idx.filter[w]&b == 0 {
-		return nil, nil
+		return nil, nil, 0
 	}
 	mask := len(idx.spans) - 1
 	for i := int(h >> idx.shift); idx.spans[i].hi != 0; i = (i + 1) & mask {
 		if sp := idx.spans[i]; idx.pmcs[sp.lo].Write == k {
-			return idx.pmcs[sp.lo:sp.hi], idx.reads[sp.lo:sp.hi]
+			return idx.pmcs[sp.lo:sp.hi], idx.reads[sp.lo:sp.hi], int(sp.lo)
 		}
 	}
-	return nil, nil
+	return nil, nil, 0
+}
+
+// ID returns p's dense id, its position in the set's canonical order: ids
+// run from 0 below Len and stay valid until the set grows.
+func (s *Set) ID(p PMC) (int, bool) {
+	pmcs := s.index().pmcs
+	i := sort.Search(len(pmcs), func(i int) bool { return !pmcLess(pmcs[i], p) })
+	return i, i < len(pmcs) && pmcs[i] == p
+}
+
+// Subset is a subset of one Set's PMCs, a bit per dense id (Set.ID). Its
+// methods take a nil Subset as the empty one.
+type Subset struct {
+	bits []uint64
+	n    int
+}
+
+// NewSubset returns an empty subset of s.
+func NewSubset(s *Set) *Subset {
+	return &Subset{bits: make([]uint64, (s.Len()+63)/64)}
+}
+
+// Add puts the PMC with dense id id into b.
+func (b *Subset) Add(id int) {
+	if w, m := &b.bits[id>>6], uint64(1)<<(id&63); *w&m == 0 {
+		*w |= m
+		b.n++
+	}
+}
+
+// Has reports whether the PMC with dense id id is in b.
+func (b *Subset) Has(id int) bool {
+	return b != nil && b.bits[id>>6]&(1<<(id&63)) != 0
+}
+
+// Len returns how many PMCs b holds.
+func (b *Subset) Len() int {
+	if b == nil {
+		return 0
+	}
+	return b.n
 }
 
 // ReadKeys returns how many distinct read keys the set's PMCs have: the

@@ -85,6 +85,12 @@ type Explorer struct {
 	// observed during trials.
 	KnownPMCs *pmc.Set
 
+	// Planned, when set, holds the KnownPMCs adoption skips: those whose
+	// clusters have a test of their own in the same batch, so that adopting
+	// one would re-explore a cluster the batch already tests (§4.3: one
+	// exemplar stands for its cluster).
+	Planned *pmc.Subset
+
 	// Fsck, when set, produces host-side post-mortem console lines after a
 	// trial (e.g. the filesystem checker).
 	Fsck func() []string
@@ -420,8 +426,8 @@ func mutateFlips(rng *rand.Rand, base, switches []int) []int {
 }
 
 // findIncidental locates a PMC from the identified set present in the
-// accesses of v's trial but not yet under test, choosing deterministically
-// among the candidates with the trial rng.
+// accesses of v's trial, neither under test nor Planned, choosing
+// deterministically among the candidates with the trial rng.
 func (x *Explorer) findIncidental(v *trace.View, current []pmc.PMC, rng *rand.Rand) (pmc.PMC, bool) {
 	if x.KnownPMCs == nil {
 		return pmc.PMC{}, false
@@ -461,7 +467,7 @@ func (x *Explorer) findIncidental(v *trace.View, current []pmc.PMC, rng *rand.Ra
 			continue
 		}
 		w := pmc.Key{Ins: tr.InsAt(i), Addr: tr.AddrAt(i), Size: tr.SizeAt(i), Val: tr.ValAt(i)}
-		known, reads := x.KnownPMCs.ByWriteRead(w)
+		known, reads, id0 := x.KnownPMCs.ByWriteRead(w)
 		if len(known) == 0 {
 			continue
 		}
@@ -472,6 +478,9 @@ func (x *Explorer) findIncidental(v *trace.View, current []pmc.PMC, rng *rand.Ra
 		}
 		wUnderTest := underTest(trace.Write, w)
 		for j := range known {
+			if x.Planned.Has(id0 + j) {
+				continue
+			}
 			p, r := &known[j], &sc.reads[reads[j]]
 			if r.call != sc.call {
 				n, first := sc.executed(tr, v.WordOf(p.Read.Addr), trace.Read, &p.Read)

@@ -117,7 +117,9 @@ func FuzzTornReads(f *testing.F) {
 // in internal/detect): no real trial
 // trace reaches the scan, as the tally logs. The two kernel versions run
 // side by side, and each must have trials with races, pairs, segments, an
-// exercised channel and an adoption.
+// exercised channel and an adoption. Every other test explores with what
+// the tests plan as one batch (Explorer.Planned, model.Steer.Planned), and
+// those trials must have candidates the filter skipped.
 func TestRealTrialsEqualModel(t *testing.T) {
 	for _, version := range []kernel.Version{kernel.V5_3_10, kernel.V5_12_RC3} {
 		t.Run(string(version), func(t *testing.T) {
@@ -129,10 +131,11 @@ func TestRealTrialsEqualModel(t *testing.T) {
 
 func realTrialsEqualModel(t *testing.T, version kernel.Version) {
 	var c tornTally
-	var races, pairs, segments, exercised, incidental, adoptions int
+	var races, pairs, segments, exercised, incidental, adoptions, skipped int
 	for _, seed := range []int64{3, 7} {
 		env := exec.NewEnv(kernel.Config{Version: version})
 		set, tests := realTests(t, env, seed)
+		planned := []*pmc.Subset{nil, plannedByTests(set, tests)}
 		fsck := func() []string { return env.K.FsckHost() }
 		probe := &Explorer{KnownPMCs: set}
 		sc := probe.scratchFor()
@@ -140,13 +143,17 @@ func realTrialsEqualModel(t *testing.T, version kernel.Version) {
 		accModel, accSegsModel := make(map[model.Pair]int), make(map[model.Segment]int)
 		for i, ct := range tests {
 			x := &Explorer{Env: env, Trials: 12, Seed: seed*1000 + int64(i), Mode: ModeSnowboard,
-				Detect: detect.DefaultOptions(), KnownPMCs: set, Coverage: cover.New(), Fsck: fsck}
+				Detect: detect.DefaultOptions(), KnownPMCs: set, Planned: planned[i%2], Coverage: cover.New(), Fsck: fsck}
+			probe.Planned = x.Planned
 			unfusedExplore(x, ct, func(tr *trace.Trace, current []pmc.PMC) {
 				at := func(what string, got, want any) {
 					t.Helper()
 					t.Fatalf("%s seed %d test %d trial of %d accesses: %s %+v, model %+v", version, seed, i, tr.Len(), what, got, want)
 				}
-				m := model.Analyze(tr, &model.Steer{Hint: ct.Hint, Known: set, Current: current})
+				m := model.Analyze(tr, &model.Steer{Hint: ct.Hint, Known: set, Current: current, Planned: x.Planned})
+				if x.Planned != nil {
+					skipped += len(model.Incidental(set, tr, current, nil)) - len(m.Incidental)
+				}
 				wantRaces := make([]detect.RaceReport, len(m.Races))
 				for k, r := range m.Races {
 					wantRaces[k] = detect.RaceReport(r)
@@ -187,9 +194,9 @@ func realTrialsEqualModel(t *testing.T, version kernel.Version) {
 		env.Close()
 	}
 	c.log(t)
-	t.Logf("trials with races %d, pairs %d, segments %d, the channel exercised %d, an incidental candidate %d, an adoption %d",
-		races, pairs, segments, exercised, incidental, adoptions)
-	if races == 0 || pairs == 0 || segments == 0 || exercised == 0 || adoptions == 0 {
+	t.Logf("trials with races %d, pairs %d, segments %d, the channel exercised %d, an incidental candidate %d, an adoption %d; %d planned candidates skipped",
+		races, pairs, segments, exercised, incidental, adoptions, skipped)
+	if races == 0 || pairs == 0 || segments == 0 || exercised == 0 || adoptions == 0 || skipped == 0 {
 		t.Fatal("comparison lost its teeth")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"snowboard/internal/cluster"
 	"snowboard/internal/cover"
 	"snowboard/internal/detect"
 	"snowboard/internal/detect/model"
@@ -16,38 +17,58 @@ import (
 // TestFindIncidentalEqualsBruteForce replays 50 seeds of real trials and,
 // on each, grows the set under test through the columnar lookup and the
 // model's brute-force scan side by side: every trial must find as many
-// candidates and adopt the same PMC.
+// candidates and adopt the same PMC. It does so twice: with nothing
+// planned, and with the S-INS-PAIR clusters of every other PMC planned, as
+// if a batch of tests hinted them; there the filter must skip candidates.
 func TestFindIncidentalEqualsBruteForce(t *testing.T) {
 	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 	set, hint := identifyL2TP(t, env)
 	ct := ConcurrentTest{Writer: l2tpWriterProg(), Reader: l2tpReaderProg(), Hint: &hint}
-	x := &Explorer{Env: env, KnownPMCs: set}
-	x.scratchFor()
-	var tr trace.Trace
-	adopted := 0
-	for seed := int64(1); seed <= 50; seed++ {
-		current := []pmc.PMC{hint}
-		for len(current) < maxCurrentPMCs {
-			Replay(env, ct, &ReproState{Seed: seed, PMCs: current}, &tr)
-			env.M.SetTrace(nil)
-			x.scratch.view.Build(&tr)
-			ranked := model.Incidental(set, &tr, current)
-			want, wantOK := model.Adopt(ranked, rand.New(rand.NewSource(seed)))
-			got, gotOK := x.findIncidental(&x.scratch.view, current, rand.New(rand.NewSource(seed)))
-			if got != want || gotOK != wantOK || len(x.scratch.candidates) != len(ranked) {
-				t.Fatalf("seed %d with %d PMCs under test: columnar lookup adopted %v (%v) of %d candidates, model %v (%v) of %d",
-					seed, len(current), got, gotOK, len(x.scratch.candidates), want, wantOK, len(ranked))
-			}
-			if !gotOK {
-				break
-			}
-			current = append(current, got)
-			adopted++
+	var hints []pmc.PMC
+	for p := range set.Entries {
+		if id, _ := set.ID(p); id%2 == 0 {
+			hints = append(hints, p)
 		}
 	}
-	if adopted < 50 {
-		t.Fatalf("only %d adoptions over 50 seeds; the comparison lost its teeth", adopted)
+	var tr trace.Trace
+	for _, planned := range []*pmc.Subset{nil, plannedBy(set, hints...)} {
+		x := &Explorer{Env: env, KnownPMCs: set, Planned: planned}
+		x.scratchFor()
+		adopted, skipped := 0, 0
+		for seed := int64(1); seed <= 50; seed++ {
+			current := []pmc.PMC{hint}
+			for len(current) < maxCurrentPMCs {
+				Replay(env, ct, &ReproState{Seed: seed, PMCs: current}, &tr)
+				env.M.SetTrace(nil)
+				x.scratch.view.Build(&tr)
+				ranked := model.Incidental(set, &tr, current, planned)
+				skipped += len(model.Incidental(set, &tr, current, nil)) - len(ranked)
+				want, wantOK := model.Adopt(ranked, rand.New(rand.NewSource(seed)))
+				got, gotOK := x.findIncidental(&x.scratch.view, current, rand.New(rand.NewSource(seed)))
+				if got != want || gotOK != wantOK || len(x.scratch.candidates) != len(ranked) {
+					t.Fatalf("%d planned, seed %d with %d PMCs under test: columnar lookup adopted %v (%v) of %d candidates, model %v (%v) of %d",
+						planned.Len(), seed, len(current), got, gotOK, len(x.scratch.candidates), want, wantOK, len(ranked))
+				}
+				if !gotOK {
+					break
+				}
+				current = append(current, got)
+				adopted++
+			}
+		}
+		t.Logf("%d of %d PMCs planned: %d adoptions, %d candidates skipped", planned.Len(), set.Len(), adopted, skipped)
+		if adopted < 50 || (planned != nil && skipped == 0) {
+			t.Fatalf("%d planned: %d adoptions over 50 seeds, %d candidates skipped; the comparison lost its teeth", planned.Len(), adopted, skipped)
+		}
 	}
+}
+
+// plannedBy returns what a batch of tests hinting hints plans under
+// S-INS-PAIR, as the pipeline derives it: the PMCs of set sharing a cluster
+// with one of them.
+func plannedBy(set *pmc.Set, hints ...pmc.PMC) *pmc.Subset {
+	cs := cluster.Clusters(set, cluster.SInsPair)
+	return cluster.NewIndex(set, cluster.SInsPair, cs).Planned(hints)
 }
 
 // TestFleetWorkersOwnScratch: NewFleet copies the template Explorer by

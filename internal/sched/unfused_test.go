@@ -33,7 +33,7 @@ import (
 func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace, []pmc.PMC)) (Outcome, []pmc.PMC) {
 	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1, Segments: cover.NewSegments()}
 	current := []pmc.PMC{*ct.Hint}
-	lookup := &Explorer{KnownPMCs: x.KnownPMCs}
+	lookup := &Explorer{KnownPMCs: x.KnownPMCs, Planned: x.Planned}
 	sc := lookup.scratchFor()
 	flags := make(map[sig]bool)
 	seen := make(map[string]bool)
@@ -88,6 +88,16 @@ func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace, []pm
 	return out, nil
 }
 
+// plannedByTests is what realTests' tests plan as one batch (plannedBy
+// their hints).
+func plannedByTests(set *pmc.Set, tests []ConcurrentTest) *pmc.Subset {
+	var hints []pmc.PMC
+	for _, ct := range tests {
+		hints = append(hints, *ct.Hint)
+	}
+	return plannedBy(set, hints...)
+}
+
 // realTests runs stages 1–3 at the given seed on a small budget — fuzz,
 // profile, identify, S-INS-PAIR clusters uncommon first — and returns the
 // PMC set and the hinted concurrent tests generated from it.
@@ -124,6 +134,7 @@ func realTests(t *testing.T, env *exec.Env, seed int64) (*pmc.Set, []ConcurrentT
 // unfusedExplore, field by field, and adopt the same incidental PMCs in the
 // same order. A second arm runs both with the race oracle off, where the
 // coverage walker cannot ride the happens-before walk and walks by itself.
+// Every other test runs with what the tests plan as one batch (Planned).
 func TestExploreEqualsUnfused(t *testing.T) {
 	adoptions, exercised, issues, repros := 0, 0, 0, 0
 	racesOffPairs := 0
@@ -148,11 +159,12 @@ func TestExploreEqualsUnfused(t *testing.T) {
 	for _, seed := range []int64{3, 7} {
 		env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 		set, tests := realTests(t, env, seed)
+		planned := []*pmc.Subset{nil, plannedByTests(set, tests)}
 		fsck := func() []string { return env.K.FsckHost() }
 		for i, ct := range tests {
 			for arm, opts := range arms {
 				got := &Explorer{Env: env, Trials: 12, Seed: seed*1000 + int64(i), Mode: ModeSnowboard,
-					Detect: opts, KnownPMCs: set, Coverage: cover.New(), TrackSegments: true, Fsck: fsck}
+					Detect: opts, KnownPMCs: set, Planned: planned[i%2], Coverage: cover.New(), TrackSegments: true, Fsck: fsck}
 				ref := *got
 				ref.Coverage, ref.scratch = cover.New(), nil
 				each := composition
@@ -422,7 +434,7 @@ func TestPolicyEqualsMapPolicy(t *testing.T) {
 				trialSeed := seed*1000 + int64(i)*10 + int64(trial)
 				at := policyPair(t, fmt.Sprintf("seed %d test %d trial %d", seed, i, trial), trialSeed, current, flags, prevFlags, nil, run).policy.SwitchEvents
 				switches += len(at)
-				if inc, ok := model.Adopt(model.Incidental(set, &tr, current), rand.New(rand.NewSource(trialSeed))); ok && len(current) < maxCurrentPMCs {
+				if inc, ok := model.Adopt(model.Incidental(set, &tr, current, nil), rand.New(rand.NewSource(trialSeed))); ok && len(current) < maxCurrentPMCs {
 					current = append(current, inc)
 					adopted++
 				}
