@@ -72,10 +72,11 @@ func main() {
 	flag.Parse()
 	diag := obs.Diag
 	diag.SetPrefix("sbd")
-	stopSampler := obs.StartSampler(time.Second)
-	defer stopSampler()
-	stopProgress := obs.StartProgress(*progress, diag)
-	defer stopProgress()
+	stopObs, err := obs.StartCLI("", "", *progress)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stopObs()
 
 	reg := queue.NewRegistry(queue.Options{LeaseTimeout: *lease, MaxAttempts: *retries})
 	defer reg.Close()

@@ -48,7 +48,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -96,28 +95,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *events != "" {
-		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		obs.Events.SetSink(f)
-		diag.Printf("flight-recorder events -> %s", *events)
+	stopObs, err := obs.StartCLI(*events, *httpAddr, *progress)
+	if err != nil {
+		log.Fatal(err)
 	}
-	stopSampler := obs.StartSampler(time.Second)
-	defer stopSampler()
-
-	if *httpAddr != "" {
-		srv, err := obs.StartHTTP(*httpAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		diag.Printf("introspection listening on http://%s", srv.Addr())
-	}
-	stopProgress := obs.StartProgress(*progress, diag)
-	defer stopProgress()
+	defer stopObs()
 
 	client, err := queue.DialOpts(*addr, queue.DialOptions{MaxRetries: *retries, Queue: *qname})
 	if err != nil {
@@ -181,7 +163,7 @@ func (cc *corpusCache) get(hex string) (*corpus.Corpus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corpus artifact %.12s…: %v", hex, err)
 	}
-	c, err := corpus.DecodeCorpus(bytes.NewReader(payload))
+	c, err := corpus.Parse(payload)
 	if err != nil {
 		return nil, fmt.Errorf("corpus artifact %.12s…: %v", hex, err)
 	}

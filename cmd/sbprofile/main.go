@@ -44,18 +44,11 @@ func main() {
 	flag.Parse()
 	obs.Diag.SetPrefix("sbprofile")
 
-	if *httpAddr != "" {
-		srv, err := obs.StartHTTP(*httpAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		obs.Diag.Printf("introspection listening on http://%s", srv.Addr())
+	stopObs, err := obs.StartCLI("", *httpAddr, *progress)
+	if err != nil {
+		log.Fatal(err)
 	}
-	stopProgress := obs.StartProgress(*progress, obs.Diag)
-	defer stopProgress()
-	stopSampler := obs.StartSampler(time.Second)
-	defer stopSampler()
+	defer stopObs()
 
 	kver, err := snowboard.ParseVersion(*version)
 	if err != nil {

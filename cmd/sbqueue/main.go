@@ -68,19 +68,11 @@ func main() {
 	flag.Parse()
 	diag := obs.Diag
 	diag.SetPrefix("sbqueue")
-	stopSampler := obs.StartSampler(time.Second)
-	defer stopSampler()
-
-	if *httpAddr != "" {
-		srv, err := obs.StartHTTP(*httpAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		diag.Printf("introspection listening on http://%s", srv.Addr())
+	stopObs, err := obs.StartCLI("", *httpAddr, *progress)
+	if err != nil {
+		log.Fatal(err)
 	}
-	stopProgress := obs.StartProgress(*progress, diag)
-	defer stopProgress()
+	defer stopObs()
 
 	reg := queue.NewRegistry(queue.Options{LeaseTimeout: *lease, MaxAttempts: *retries})
 	defer reg.Close()

@@ -115,15 +115,11 @@ func run() int {
 		flag.Usage()
 		return exitUsage
 	}
-	if *events != "" {
-		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		obs.Events.SetSink(f)
-		defer obs.Events.SetSink(nil)
+	stopObs, err := obs.StartCLI(*events, "", 0)
+	if err != nil {
+		return fail(err)
 	}
+	defer stopObs()
 	s, err := store.Open(*stateDir)
 	if err != nil {
 		return fail(err)

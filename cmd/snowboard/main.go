@@ -52,7 +52,6 @@ func main() {
 		verbose  = flag.Bool("v", false, "verbose per-issue output")
 	)
 	flag.Parse()
-	diag := obs.Diag
 
 	kver, err := snowboard.ParseVersion(*version)
 	if err != nil {
@@ -71,29 +70,12 @@ func main() {
 	opts.Feedback = *feedback
 	opts.FeedbackRounds = *rounds
 
-	if *events != "" {
-		f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		obs.Events.SetSink(f)
-		defer obs.Events.SetSink(nil)
+	stopObs, err := obs.StartCLI(*events, *httpAddr, *progress)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
+		os.Exit(1)
 	}
-	stopSampler := obs.StartSampler(time.Second)
-	defer stopSampler()
-	if *httpAddr != "" {
-		srv, err := obs.StartHTTP(*httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		diag.Printf("introspection listening on http://%s (/metrics /progress /events /coverage /campaign /debug/pprof)", srv.Addr())
-	}
-	stopProgress := obs.StartProgress(*progress, diag)
-	defer stopProgress()
+	defer stopObs()
 
 	if *mode == "compare" {
 		runComparison(opts, *verbose, *jsonOut)

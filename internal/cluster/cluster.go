@@ -173,40 +173,12 @@ func Clusters(set *pmc.Set, s Strategy) []Cluster {
 	}
 	out := make([]Cluster, 0, len(byKey))
 	for _, c := range byKey {
-		sort.Slice(c.PMCs, func(i, j int) bool { return pmcLess(c.PMCs[i], c.PMCs[j]) })
+		sort.Slice(c.PMCs, func(i, j int) bool { return pmc.Less(c.PMCs[i], c.PMCs[j]) })
 		out = append(out, *c)
 	}
 	// Deterministic base order before cardinality sorting.
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
-}
-
-func pmcLess(a, b pmc.PMC) bool {
-	if a.Write != b.Write {
-		return keyLess(a.Write, b.Write)
-	}
-	if a.Read != b.Read {
-		return keyLess(a.Read, b.Read)
-	}
-	// DFLeader completes the order: entries are distinct map keys, so two
-	// PMCs agreeing on both access keys differ in it. Without this the
-	// comparator is not total and the unstable sort leaks map iteration
-	// order into the member list — and through Exemplar's rng.Intn draw,
-	// into which PMC each cluster tests.
-	return !a.DFLeader && b.DFLeader
-}
-
-func keyLess(a, b pmc.Key) bool {
-	if a.Ins != b.Ins {
-		return a.Ins < b.Ins
-	}
-	if a.Addr != b.Addr {
-		return a.Addr < b.Addr
-	}
-	if a.Size != b.Size {
-		return a.Size < b.Size
-	}
-	return a.Val < b.Val
 }
 
 // Order arranges clusters for exemplar selection.

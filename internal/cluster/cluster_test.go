@@ -239,7 +239,7 @@ func TestOrderClustersTieBreak(t *testing.T) {
 	}
 }
 
-// TestPMCLessTotalOrder pins the determinism fix: pmcLess must order two
+// TestPMCLessTotalOrder pins the determinism fix: pmc.Less must order two
 // PMCs that agree on both access keys but differ in DFLeader. Without that
 // the comparator is not total and sort.Slice (unstable) leaks map iteration
 // order into cluster member lists — and through Exemplar's rng draw, into
@@ -247,13 +247,13 @@ func TestOrderClustersTieBreak(t *testing.T) {
 func TestPMCLessTotalOrder(t *testing.T) {
 	plain := mk(insA, 0x100, 8, 1, insC, 0x100, 8, 0, false)
 	leader := mk(insA, 0x100, 8, 1, insC, 0x100, 8, 0, true)
-	if !pmcLess(plain, leader) {
+	if !pmc.Less(plain, leader) {
 		t.Fatal("non-leader must order before leader")
 	}
-	if pmcLess(leader, plain) {
+	if pmc.Less(leader, plain) {
 		t.Fatal("order must be antisymmetric")
 	}
-	if pmcLess(plain, plain) || pmcLess(leader, leader) {
+	if pmc.Less(plain, plain) || pmc.Less(leader, leader) {
 		t.Fatal("order must be irreflexive")
 	}
 }

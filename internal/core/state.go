@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"snowboard/internal/corpus"
 	"snowboard/internal/detect"
@@ -178,16 +176,10 @@ type codec[T any] struct {
 	decode func([]byte) (T, error)
 }
 
-// binaryCodec adapts a Writer/Reader pair of one of the SB** binary formats.
-func binaryCodec[T any](kind store.Kind, noun string, enc func(io.Writer, T) error, dec func(io.Reader) (T, error)) codec[T] {
-	return codec[T]{kind, noun,
-		func(v T) ([]byte, error) {
-			var buf bytes.Buffer
-			err := enc(&buf, v)
-			return buf.Bytes(), err
-		},
-		func(b []byte) (T, error) { return dec(bytes.NewReader(b)) },
-	}
+// binaryCodec adapts the Append/Parse pair of one of the SB** binary
+// formats.
+func binaryCodec[T any](kind store.Kind, noun string, app func([]byte, T) []byte, parse func([]byte) (T, error)) codec[T] {
+	return codec[T]{kind, noun, func(v T) ([]byte, error) { return app(nil, v), nil }, parse}
 }
 
 // One codec per artifact kind the pipeline memoizes. An SBRB bundle travels
@@ -195,9 +187,9 @@ func binaryCodec[T any](kind store.Kind, noun string, enc func(io.Writer, T) err
 // put the bundle's digest in the report, with or without a store, so this
 // codec only validates on the way back.
 var (
-	corpusCodec   = binaryCodec(store.KindCorpus, "corpus", corpus.EncodeCorpus, corpus.DecodeCorpus)
-	profilesCodec = binaryCodec(store.KindProfiles, "profile", pmc.EncodeProfiles, pmc.DecodeProfiles)
-	pmcSetCodec   = binaryCodec(store.KindPMCs, "PMC", pmc.EncodeSet, pmc.DecodeSet)
+	corpusCodec   = binaryCodec(store.KindCorpus, "corpus", corpus.Append, corpus.Parse)
+	profilesCodec = binaryCodec(store.KindProfiles, "profile", pmc.AppendProfiles, pmc.ParseProfiles)
+	pmcSetCodec   = binaryCodec(store.KindPMCs, "PMC", pmc.AppendSet, pmc.ParseSet)
 	reportCodec   = codec[*Report]{store.KindReport, "report",
 		func(r *Report) ([]byte, error) { return json.Marshal(r) },
 		func(b []byte) (*Report, error) {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io/fs"
@@ -13,11 +15,15 @@ import (
 	"time"
 
 	"snowboard/internal/cluster"
+	"snowboard/internal/corpus"
+	"snowboard/internal/detect"
+	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
 	"snowboard/internal/pmc"
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 	"snowboard/internal/store"
+	"snowboard/internal/trace"
 	"snowboard/internal/triage"
 )
 
@@ -394,7 +400,11 @@ func stateFiles(t *testing.T, dir string) map[string]stateFile {
 // state dir with all of them green; this one fails. reportKey and
 // feedbackKeys[0] were re-pinned when incidental adoption began skipping
 // planned clusters (adoptionPart): a stage-4 report stored before that
-// must not be served (TestParentStage4MemosNotServed).
+// must not be served (TestParentStage4MemosNotServed). The "bytes" rows pin
+// the artifacts themselves: the SHA-256 of each binary format's encoding of
+// goldenArtifacts' inputs, recorded before the codecs moved onto one byte
+// reader (internal/wire), since a round-trip test passes under any
+// self-consistent format.
 func TestStageKeysGolden(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Seed = 9
@@ -409,6 +419,11 @@ func TestStageKeysGolden(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	art := goldenArtifacts(t)
+	sum := func(b []byte) string {
+		d := sha256.Sum256(b)
+		return hex.EncodeToString(d[:])
 	}
 	marshal := func(v any) string {
 		b, err := json.Marshal(v)
@@ -428,10 +443,118 @@ func TestStageKeysGolden(t *testing.T) {
 		{"profileMeta", marshal(profileMeta{ProfiledAccesses: 4, ProfileTimeNs: 5}), `{"profiled_accesses":4,"profile_time_ns":5}`},
 		{"identifyMeta", marshal(identifyMeta{DistinctPMCs: 6, PMCCombinations: 7, IdentifyTimeNs: 8}), `{"distinct_pmcs":6,"pmc_combinations":7,"identify_time_ns":8}`},
 		{"TriageSummary", marshal(&TriageSummary{Signature: "sig", Bundle: "b0", Stats: triage.Stats{Replays: 9, DecisionsOrig: 10, DecisionsMin: 1}}), `{"signature":"sig","bundle":"b0","stats":{"replays":9,"decisions_orig":10,"decisions_min":1,"switches_orig":0,"switches_min":0,"writer_calls_orig":0,"writer_calls_min":0,"reader_calls_orig":0,"reader_calls_min":0}}`},
+		{"SBCO bytes", sum(art.corpus), "99c36fa6c5d0db876625b7878547f29844d60cb350a460379648b3608d6ef63f"},
+		{"SBPS bytes", sum(art.profiles), "1c355170e69fc405d484889ab983e8e1ed649071ca04ed9755d31e70e71cb786"},
+		{"SBPM bytes", sum(art.pmcs), "1131cdcc27510c9eb90b8ab3881858dabf62f557c5025fa15f16a5907c70803c"},
+		{"outcome bytes", sum(art.outcome), "980753d47c0977ddc79c7a3640b1739ed1ad2373bffb360b3d016d141ceb4a9b"},
+		{"SBAR bytes", sum(art.envelope), "0f30bea22bf73b139ab0d1911c12b772279a3276e1ab4c075d28bf7b4ad2f479"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %s, want %s — stored state dirs written before this change would no longer resume", c.name, c.got, c.want)
 		}
+	}
+}
+
+// goldenBytes holds each stored or shipped binary format's encoding of one
+// small hand-built input, the bytes TestStageKeysGolden pins.
+type goldenBytes struct{ corpus, profiles, pmcs, outcome, envelope []byte }
+
+// goldenArtifacts encodes the pinned inputs. Between them they reach every
+// branch of every encoder: a ResultArg, trace rows with locks and the
+// atomic, marked, stack and RCU flags and a backwards address delta,
+// DFLeader marks, PMCs with several pairs, an outcome with issues and a
+// Repro, and one SBAR envelope. Each binary artifact must also decode and
+// re-encode to the same bytes.
+func goldenArtifacts(t *testing.T) goldenBytes {
+	t.Helper()
+	c := corpus.NewCorpus()
+	c.Add(&corpus.Prog{Calls: []corpus.Call{
+		{Nr: kernel.SysSocketNr, Args: []corpus.Arg{corpus.Const(2), corpus.Const(1), corpus.Const(0)}},
+		{Nr: kernel.SysConnectNr, Args: []corpus.Arg{corpus.Result(0), corpus.Const(1 << 40)}},
+		{Nr: kernel.SysCloseNr},
+	}})
+	c.Add(&corpus.Prog{})
+
+	var accs trace.Block
+	accs.Record(1, 0xdeadbeef, trace.Write, 0x10040, 8, 0x1122334455667788, true, false, false, false, trace.InternLocks([]uint64{0x900, 0x880}))
+	accs.Record(2, 7, trace.Read, 0x10000, 4, 3, false, true, true, true, trace.InternLocks(nil))
+	accs.Record(0xFFFF, 1<<20, trace.Read, 0x20000, 1, 0, false, false, false, true, trace.InternLocks([]uint64{0x900}))
+	profiles := []pmc.Profile{
+		{TestID: 3, Accesses: accs, DFLeader: map[int]bool{0: true, 1: false, 2: true}},
+		{TestID: 0, DFLeader: map[int]bool{}},
+	}
+
+	wk := pmc.Key{Ins: 0xdeadbeef, Addr: 0x10040, Size: 8, Val: 0x1122334455667788}
+	rk := pmc.Key{Ins: 7, Addr: 0x10040, Size: 4, Val: 3}
+	set := pmc.NewSet()
+	set.TotalCombinations = 9
+	for _, e := range []*pmc.Entry{
+		{PMC: pmc.PMC{Write: wk, Read: rk, DFLeader: true}, Pairs: []pmc.Pair{{Writer: 1, Reader: 2}, {Writer: 1, Reader: 2}, {Writer: 4, Reader: 0}}, PairCount: 5},
+		{PMC: pmc.PMC{Write: wk, Read: rk}, Pairs: []pmc.Pair{{Writer: 0, Reader: 1}}, PairCount: 1},
+		{PMC: pmc.PMC{Write: rk, Read: wk}, PairCount: 3},
+	} {
+		set.Entries[e.PMC] = e
+	}
+
+	o := sched.Outcome{
+		Trials: 24, Exercised: true, ExercisedTrial: 2, ExposedTrial: -1,
+		Issues: []detect.Issue{
+			{Kind: detect.KindDataRace, Desc: "race: w ↔ r", WriteIns: 0xdeadbeef, ReadIns: 7, BugID: 4, Harmful: true, Torn: true},
+			{Kind: detect.KindPanic, Desc: "BUG: x", BugID: -3},
+		},
+		IssueTrials: []int{5, 23},
+		Switches:    300, Steps: 1 << 20, NewCoverPairs: 6, NewSegments: 7,
+		Repro: &sched.ReproState{
+			Seed: -42, Trial: 5,
+			PMCs:  []pmc.PMC{{Write: wk, Read: rk, DFLeader: true}, {Write: rk, Read: wk}},
+			Flags: []sched.AccessSig{{Kind: trace.Write, Ins: 9, Addr: 1 << 63, Size: 2}},
+			Flips: []int{0, 17, 1000},
+		},
+	}
+
+	var out goldenBytes
+	roundTrip := func(name string, c codec[any], v any) []byte {
+		b, err := c.encode(v)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		back, err := c.decode(b)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if again, err := c.encode(back); err != nil || !bytes.Equal(again, b) {
+			t.Fatalf("%s: decode and re-encode changed the bytes (%v)", name, err)
+		}
+		return b
+	}
+	out.corpus = roundTrip("corpus", anyCodec(corpusCodec), c)
+	out.profiles = roundTrip("profiles", anyCodec(profilesCodec), profiles)
+	out.pmcs = roundTrip("PMC set", anyCodec(pmcSetCodec), set)
+	out.outcome = o.Encode(nil)
+	var back sched.Outcome
+	if err := back.Decode(out.outcome); err != nil || !bytes.Equal(back.Encode(nil), out.outcome) {
+		t.Fatalf("outcome: decode and re-encode changed the bytes (%v)", err)
+	}
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := st.Put(store.KindPMCs, out.pmcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.envelope, err = os.ReadFile(filepath.Join(st.Dir(), "objects", store.KindPMCs.String(), d.String())); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// anyCodec erases a codec's artifact type.
+func anyCodec[T any](c codec[T]) codec[any] {
+	return codec[any]{c.kind, c.noun,
+		func(v any) ([]byte, error) { return c.encode(v.(T)) },
+		func(b []byte) (any, error) { return c.decode(b) },
 	}
 }
 

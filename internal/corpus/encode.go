@@ -1,11 +1,13 @@
 package corpus
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+
+	"snowboard/internal/wire"
 )
 
 // Compact binary serialization for whole corpora, the artifact the fuzz
@@ -13,7 +15,8 @@ import (
 // stays the human-facing per-program form; this codec is the bulk form:
 // varint-coded, canonical (equal corpora encode to identical bytes, so
 // content addresses are stable), and hardened against hostile input (the
-// decoder validates structure and never panics).
+// decoder reads through a wire.Reader, validates structure and never
+// panics).
 //
 // Layout:
 //
@@ -33,6 +36,16 @@ const (
 	maxProgs        = 1 << 22
 	maxCallsPerProg = 1 << 16
 	maxArgsPerCall  = 1 << 8
+
+	// Smallest encoded elements, in bytes: a program with no calls, a call
+	// with no args (number, arg count), an arg (kind, value).
+	minProgBytes = 1
+	minCallBytes = 2
+	minArgBytes  = 2
+
+	// estCallBytes is a typical encoded call's size, which presizes
+	// Append's output.
+	estCallBytes = 8
 )
 
 // CodecVersion identifies the corpus encoding; stage digests mix it in so a
@@ -42,126 +55,100 @@ const CodecVersion = corpusVersion
 // ErrBadCorpus reports a malformed serialized corpus.
 var ErrBadCorpus = errors.New("corpus: malformed encoding")
 
-// EncodeCorpus writes the corpus to w in the compact canonical format.
-func EncodeCorpus(w io.Writer, c *Corpus) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(corpusMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(corpusVersion); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	putU := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if err := putU(uint64(len(c.Progs))); err != nil {
-		return err
-	}
+// Append appends the corpus' compact canonical form to dst.
+func Append(dst []byte, c *Corpus) []byte {
+	calls := 0
 	for _, p := range c.Progs {
-		if err := putU(uint64(len(p.Calls))); err != nil {
-			return err
-		}
+		calls += len(p.Calls)
+	}
+	dst = slices.Grow(dst, len(corpusMagic)+1+binary.MaxVarintLen64+len(c.Progs)+calls*estCallBytes)
+	dst = append(dst, corpusMagic...)
+	dst = append(dst, corpusVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(c.Progs)))
+	for _, p := range c.Progs {
+		dst = binary.AppendUvarint(dst, uint64(len(p.Calls)))
 		for _, call := range p.Calls {
-			if err := putU(uint64(call.Nr)); err != nil {
-				return err
-			}
-			if err := putU(uint64(len(call.Args))); err != nil {
-				return err
-			}
+			dst = binary.AppendUvarint(dst, uint64(call.Nr))
+			dst = binary.AppendUvarint(dst, uint64(len(call.Args)))
 			for _, a := range call.Args {
-				if err := bw.WriteByte(byte(a.Kind)); err != nil {
-					return err
-				}
 				v := a.Val
 				if a.Kind == ResultArg {
 					v = uint64(a.Ref)
 				}
-				if err := putU(v); err != nil {
-					return err
-				}
+				dst = binary.AppendUvarint(append(dst, byte(a.Kind)), v)
 			}
 		}
 	}
-	return bw.Flush()
+	return dst
 }
 
-// DecodeCorpus parses a compact corpus, validating every program (syscall
-// numbers, argument counts, resource references) and rejecting duplicates,
-// so a successful decode reproduces the encoded corpus exactly — same
-// programs, same order, same dedup state.
-func DecodeCorpus(r io.Reader) (*Corpus, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCorpus, err)
-	}
-	if string(magic[:]) != corpusMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadCorpus, magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil || ver != corpusVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadCorpus, ver)
-	}
-	nprogs, err := binary.ReadUvarint(br)
-	if err != nil || nprogs > maxProgs {
-		return nil, fmt.Errorf("%w: program count", ErrBadCorpus)
+// Parse parses a compact corpus, validating every program (syscall
+// numbers, argument counts, resource references) and rejecting duplicates
+// and trailing bytes, so a successful parse reproduces the encoded corpus
+// exactly — same programs, same order, same dedup state.
+func Parse(src []byte) (*Corpus, error) {
+	r := wire.NewFramed(src, corpusMagic, corpusVersion, ErrBadCorpus)
+	nprogs := r.Count(minProgBytes)
+	if nprogs > maxProgs {
+		r.Fail("program count")
 	}
 	c := NewCorpus()
-	for pi := uint64(0); pi < nprogs; pi++ {
-		ncalls, err := binary.ReadUvarint(br)
-		if err != nil || ncalls > maxCallsPerProg {
-			return nil, fmt.Errorf("%w: prog %d: call count", ErrBadCorpus, pi)
+	for pi := range nprogs {
+		ncalls := r.Count(minCallBytes)
+		if ncalls > maxCallsPerProg {
+			r.Fail(fmt.Sprintf("prog %d: call count", pi))
+			ncalls = 0
 		}
-		capHint := ncalls // untrusted until calls arrive; clamp preallocation
-		if capHint > 1024 {
-			capHint = 1024
-		}
-		p := &Prog{Calls: make([]Call, 0, capHint)}
-		for ci := uint64(0); ci < ncalls; ci++ {
-			nr, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: prog %d call %d: nr", ErrBadCorpus, pi, ci)
+		// Clamp the preallocation: the count is untrusted until calls arrive.
+		p := &Prog{Calls: make([]Call, 0, min(ncalls, 1024))}
+		for ci := range ncalls {
+			call := Call{Nr: int(r.Uvarint())}
+			nargs := r.Count(minArgBytes)
+			if nargs > maxArgsPerCall {
+				r.Fail(fmt.Sprintf("prog %d call %d: arg count", pi, ci))
+				nargs = 0
 			}
-			nargs, err := binary.ReadUvarint(br)
-			if err != nil || nargs > maxArgsPerCall {
-				return nil, fmt.Errorf("%w: prog %d call %d: arg count", ErrBadCorpus, pi, ci)
-			}
-			call := Call{Nr: int(nr)}
 			if nargs > 0 {
 				call.Args = make([]Arg, 0, nargs)
 			}
-			for ai := uint64(0); ai < nargs; ai++ {
-				kind, err := br.ReadByte()
-				if err != nil {
-					return nil, fmt.Errorf("%w: prog %d call %d arg %d: kind", ErrBadCorpus, pi, ci, ai)
-				}
-				v, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, fmt.Errorf("%w: prog %d call %d arg %d: value", ErrBadCorpus, pi, ci, ai)
-				}
-				switch ArgKind(kind) {
-				case ConstArg:
+			for ai := range nargs {
+				kind, v := ArgKind(r.Byte()), r.Uvarint()
+				switch {
+				case kind == ConstArg:
 					call.Args = append(call.Args, Const(v))
-				case ResultArg:
-					if v > maxCallsPerProg {
-						return nil, fmt.Errorf("%w: prog %d call %d arg %d: ref", ErrBadCorpus, pi, ci, ai)
-					}
+				case kind == ResultArg && v <= maxCallsPerProg:
 					call.Args = append(call.Args, Result(int(v)))
 				default:
-					return nil, fmt.Errorf("%w: prog %d call %d arg %d: kind %d", ErrBadCorpus, pi, ci, ai, kind)
+					r.Fail(fmt.Sprintf("prog %d call %d arg %d: kind %d value %d", pi, ci, ai, kind, v))
 				}
 			}
 			p.Calls = append(p.Calls, call)
 		}
 		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: prog %d: %v", ErrBadCorpus, pi, err)
-		}
-		if !c.Add(p) {
-			return nil, fmt.Errorf("%w: prog %d: duplicate program", ErrBadCorpus, pi)
+			r.Fail(fmt.Sprintf("prog %d: %v", pi, err))
+		} else if !c.Add(p) {
+			r.Fail(fmt.Sprintf("prog %d: duplicate program", pi))
 		}
 	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+// EncodeCorpus writes c's Append form to w. It stays only because bench/
+// calls it.
+func EncodeCorpus(w io.Writer, c *Corpus) error {
+	_, err := w.Write(Append(nil, c))
+	return err
+}
+
+// DecodeCorpus parses the Parse form read from r. It stays only because
+// bench/ calls it.
+func DecodeCorpus(r io.Reader) (*Corpus, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCorpus, err)
+	}
+	return Parse(b)
 }

@@ -48,11 +48,8 @@ func TestCorpusRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCorpus(rng, 1+rng.Intn(40))
 
-		var buf bytes.Buffer
-		if err := EncodeCorpus(&buf, c); err != nil {
-			t.Fatalf("seed %d: encode: %v", seed, err)
-		}
-		got, err := DecodeCorpus(bytes.NewReader(buf.Bytes()))
+		buf := Append(nil, c)
+		got, err := Parse(buf)
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v", seed, err)
 		}
@@ -61,11 +58,8 @@ func TestCorpusRoundTrip(t *testing.T) {
 		}
 
 		// Decoded corpus re-encodes to identical bytes.
-		var buf2 bytes.Buffer
-		if err := EncodeCorpus(&buf2, got); err != nil {
-			t.Fatalf("seed %d: re-encode: %v", seed, err)
-		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		buf2 := Append(nil, got)
+		if !bytes.Equal(buf, buf2) {
 			t.Fatalf("seed %d: encoding not canonical", seed)
 		}
 
@@ -80,11 +74,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 }
 
 func TestCorpusRoundTripEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeCorpus(&buf, NewCorpus()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCorpus(bytes.NewReader(buf.Bytes()))
+	got, err := Parse(Append(nil, NewCorpus()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +88,9 @@ func TestCorpusRoundTripEmpty(t *testing.T) {
 func TestCorpusDecodeTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := randomCorpus(rng, 10)
-	var buf bytes.Buffer
-	if err := EncodeCorpus(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := Append(nil, c)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := DecodeCorpus(bytes.NewReader(data[:cut])); !errors.Is(err, ErrBadCorpus) {
+		if _, err := Parse(data[:cut]); !errors.Is(err, ErrBadCorpus) {
 			t.Fatalf("prefix of %d/%d bytes: err = %v, want ErrBadCorpus", cut, len(data), err)
 		}
 	}
@@ -117,9 +103,10 @@ func TestCorpusDecodeRejectsGarbage(t *testing.T) {
 		[]byte("XXXX\x01\x00"), // wrong magic
 		[]byte("SBCO\x02\x00"), // wrong version
 		append([]byte("SBCO\x01"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), // huge count
+		append(Append(nil, randomCorpus(rand.New(rand.NewSource(7)), 3)), 0),                   // a valid corpus, then a trailing byte
 	}
 	for i, data := range cases {
-		if _, err := DecodeCorpus(bytes.NewReader(data)); !errors.Is(err, ErrBadCorpus) {
+		if _, err := Parse(data); !errors.Is(err, ErrBadCorpus) {
 			t.Errorf("case %d: err = %v, want ErrBadCorpus", i, err)
 		}
 	}

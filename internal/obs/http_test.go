@@ -1,10 +1,14 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -148,5 +152,39 @@ func TestStartHTTP(t *testing.T) {
 	var p Progress
 	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStartCLI: the events file receives the flight recorder's lines until
+// stop, and a listen error leaves nothing running, the events sink
+// included.
+func TestStartCLI(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	stop, err := StartCLI(path, "127.0.0.1:0", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Events.Emit(EvCampaignDone)
+	stop()
+	Events.Emit(EvCampaignDone)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); n != 1 {
+		t.Fatalf("events file holds %d lines, want the 1 emitted before stop:\n%s", n, data)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if _, err := StartCLI(path, ln.Addr().String(), 0); err == nil {
+		t.Fatal("StartCLI on a taken address succeeded")
+	}
+	Events.Emit(EvCampaignDone)
+	if again, _ := os.ReadFile(path); !bytes.Equal(again, data) {
+		t.Fatal("a failed StartCLI left the events sink on")
 	}
 }

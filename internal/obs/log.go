@@ -110,14 +110,40 @@ func (p Progress) String() string {
 		p.IssuesFound, p.ExecPerMin, p.UptimeSec)
 }
 
-// StartProgress launches a background reporter printing one progress line
-// to l every interval (Diag when l is nil). It returns a stop function;
-// interval <= 0 disables reporting and returns a no-op stop.
-func StartProgress(interval time.Duration, l *Logger) (stop func()) {
-	if l == nil {
-		l = Diag
+// StartCLI wires a command's observability flags: flight-recorder events
+// appended as JSONL to the file events names, the introspection server on
+// httpAddr, a one-line progress report on Diag every progress, and the
+// sampler appending one sample to DefaultSeries every second. An empty
+// events or httpAddr, or a progress <= 0, leaves that part off. stop undoes
+// what StartCLI started, latest first; on an error nothing is left running.
+func StartCLI(events, httpAddr string, progress time.Duration) (stop func(), err error) {
+	var stops []func()
+	stop = func() {
+		for i := len(stops) - 1; i >= 0; i-- {
+			stops[i]()
+		}
 	}
-	return every(interval, func() { l.Printf("%s", ProgressNow()) })
+	if events != "" {
+		f, err := os.OpenFile(events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		Events.SetSink(f)
+		stops = append(stops, func() { Events.SetSink(nil); f.Close() })
+		Diag.Printf("flight-recorder events -> %s", events)
+	}
+	if httpAddr != "" {
+		srv, err := StartHTTP(httpAddr)
+		if err != nil {
+			stop()
+			return nil, err
+		}
+		stops = append(stops, func() { srv.Close() })
+		Diag.Printf("introspection listening on http://%s (/metrics /progress /events /coverage /campaign /debug/pprof)", srv.Addr())
+	}
+	stops = append(stops, every(time.Second, func() { RecordSample() }),
+		every(progress, func() { Diag.Printf("%s", ProgressNow()) }))
+	return stop, nil
 }
 
 // every runs f on a background ticker until the returned stop is called

@@ -187,10 +187,3 @@ func RecordSample() Sample {
 	DefaultSeries.Append(sm)
 	return sm
 }
-
-// StartSampler launches the periodic campaign sampler, appending one sample
-// to DefaultSeries every interval. Returns a stop function; interval <= 0
-// disables sampling and returns a no-op stop.
-func StartSampler(interval time.Duration) (stop func()) {
-	return every(interval, func() { RecordSample() })
-}

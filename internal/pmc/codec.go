@@ -1,14 +1,15 @@
 package pmc
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"snowboard/internal/trace"
+	"snowboard/internal/wire"
 )
 
 // Compact binary serialization for the two big analysis artifacts:
@@ -17,7 +18,7 @@ import (
 // test plus its double-fetch leader marks — the output of the profiling
 // stage that took the paper 40 machine-hours and was reused across all
 // eleven generation strategies of Table 3. Accesses ride the delta/varint
-// trace codec (trace.WriteBlock); DFLeader marks are delta-coded sorted
+// trace codec (trace.AppendBlock); DFLeader marks are delta-coded sorted
 // indices.
 //
 // PMC sets ("SBPM") carry the identified PMC database: entries in
@@ -25,7 +26,8 @@ import (
 // addresses are stable), each with its bounded pair list and uncapped pair
 // count.
 //
-// Both decoders are hardened: structural violations yield errors wrapping
+// Both are appended to a []byte and parsed from one through a wire.Reader:
+// structural violations, trailing bytes included, yield errors wrapping
 // ErrBadProfiles/ErrBadSet, never panics, and counts are sanity-capped
 // before allocation.
 
@@ -40,6 +42,17 @@ const (
 	maxCombinations   = int64(1) << 50
 	maxDecodedTestID  = 1 << 31
 	maxDecodedPairRef = 1 << 31
+
+	// Smallest encoded elements, in bytes: a profile is a test id, an
+	// empty block's count and a mark count; a set entry two keys, the
+	// DFLeader byte, a pair count and a pair-list length; a pair two ids.
+	minProfileBytes = 3
+	minEntryBytes   = 2*MinKeyBytes + 3
+	minPairBytes    = 2
+
+	// Typical encoded sizes, in bytes, that presize an encoder's output.
+	estProfileBytes = 4
+	estEntryBytes   = 48
 )
 
 // ProfilesCodecVersion and SetCodecVersion identify the artifact encodings;
@@ -56,35 +69,23 @@ var ErrBadProfiles = errors.New("pmc: malformed profile set encoding")
 // ErrBadSet reports a malformed serialized PMC set.
 var ErrBadSet = errors.New("pmc: malformed PMC set encoding")
 
-// EncodeProfiles writes the profile set to w in the compact canonical
-// format. DFLeader maps are emitted as sorted true-mark indices, so two
+// AppendProfiles appends the profile set's compact canonical form to dst.
+// DFLeader maps are emitted as sorted true-mark indices, so two
 // semantically equal profile sets (false entries are equivalent to absent
 // ones) encode to identical bytes.
-func EncodeProfiles(w io.Writer, profiles []Profile) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(profilesMagic); err != nil {
-		return err
+func AppendProfiles(dst []byte, profiles []Profile) []byte {
+	rows := 0
+	for i := range profiles {
+		rows += profiles[i].Accesses.Len()
 	}
-	if err := bw.WriteByte(profilesVersion); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	putU := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if err := putU(uint64(len(profiles))); err != nil {
-		return err
-	}
+	dst = slices.Grow(dst, len(profilesMagic)+1+binary.MaxVarintLen64+len(profiles)*estProfileBytes+rows*trace.EstRowBytes)
+	dst = append(dst, profilesMagic...)
+	dst = append(dst, profilesVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(profiles)))
 	for i := range profiles {
 		p := &profiles[i]
-		if err := putU(uint64(p.TestID)); err != nil {
-			return err
-		}
-		if err := trace.WriteBlock(bw, &p.Accesses); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, uint64(p.TestID))
+		dst = trace.AppendBlock(dst, &p.Accesses)
 		marks := make([]int, 0, len(p.DFLeader))
 		for idx, on := range p.DFLeader {
 			if on {
@@ -92,78 +93,62 @@ func EncodeProfiles(w io.Writer, profiles []Profile) error {
 			}
 		}
 		sort.Ints(marks)
-		if err := putU(uint64(len(marks))); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, uint64(len(marks)))
 		prev := 0
 		for _, m := range marks {
-			if err := putU(uint64(m - prev)); err != nil {
-				return err
-			}
+			dst = binary.AppendUvarint(dst, uint64(m-prev))
 			prev = m
 		}
 	}
-	return bw.Flush()
+	return dst
 }
 
-// DecodeProfiles parses a compact profile set. DFLeader marks must index
+// ParseProfiles parses a compact profile set. DFLeader marks must index
 // into the profile's accesses and be strictly increasing.
-func DecodeProfiles(r io.Reader) ([]Profile, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadProfiles, err)
-	}
-	if string(magic[:]) != profilesMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadProfiles, magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil || ver != profilesVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadProfiles, ver)
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil || count > maxProfiles {
-		return nil, fmt.Errorf("%w: profile count", ErrBadProfiles)
+func ParseProfiles(src []byte) ([]Profile, error) {
+	r := wire.NewFramed(src, profilesMagic, profilesVersion, ErrBadProfiles)
+	count := r.Count(minProfileBytes)
+	if count > maxProfiles {
+		r.Fail("profile count")
 	}
 	// Clamp the preallocation: the count is untrusted until profiles arrive.
 	out := make([]Profile, 0, 1024)
-	for i := uint64(0); i < count; i++ {
-		testID, err := binary.ReadUvarint(br)
-		if err != nil || testID > maxDecodedTestID {
-			return nil, fmt.Errorf("%w: profile %d: test id", ErrBadProfiles, i)
+	for i := range count {
+		testID := r.Uvarint()
+		if testID > maxDecodedTestID {
+			r.Fail(fmt.Sprintf("profile %d: test id", i))
 		}
-		accs, err := trace.ReadBlock(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: profile %d: %v", ErrBadProfiles, i, err)
-		}
-		nmarks, err := binary.ReadUvarint(br)
-		if err != nil || nmarks > uint64(accs.Len()) {
-			return nil, fmt.Errorf("%w: profile %d: mark count", ErrBadProfiles, i)
+		accs := trace.ReadBlock(r)
+		nmarks := r.Count(1)
+		if nmarks > accs.Len() {
+			r.Fail(fmt.Sprintf("profile %d: mark count", i))
+			nmarks = 0
 		}
 		df := make(map[int]bool, nmarks)
-		idx, first := 0, true
-		for m := uint64(0); m < nmarks; m++ {
-			d, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: profile %d: mark %d", ErrBadProfiles, i, m)
-			}
-			if !first && d == 0 {
-				return nil, fmt.Errorf("%w: profile %d: marks not strictly increasing", ErrBadProfiles, i)
+		idx := 0
+		for m := range nmarks {
+			d := r.Uvarint()
+			if m > 0 && d == 0 {
+				r.Fail(fmt.Sprintf("profile %d: marks not strictly increasing", i))
 			}
 			idx += int(d)
-			first = false
 			if idx < 0 || idx >= accs.Len() {
-				return nil, fmt.Errorf("%w: profile %d: mark index %d out of range", ErrBadProfiles, i, idx)
+				r.Fail(fmt.Sprintf("profile %d: mark index %d out of range", i, idx))
 			}
 			df[idx] = true
 		}
 		out = append(out, Profile{TestID: int(testID), Accesses: accs, DFLeader: df})
 	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
-// pmcLess orders PMCs canonically: write key, read key, then DFLeader.
-func pmcLess(a, b PMC) bool {
+// Less orders PMCs canonically: write key, read key, then DFLeader. The
+// DFLeader bit makes the order total over a set's distinct entries, so an
+// unstable sort cannot leak map iteration order into a sorted list.
+func Less(a, b PMC) bool {
 	if a.Write != b.Write {
 		return keyLess(a.Write, b.Write)
 	}
@@ -193,180 +178,122 @@ func (s *Set) sortedPMCs() []PMC {
 	for k := range s.Entries {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return pmcLess(keys[i], keys[j]) })
+	sort.Slice(keys, func(i, j int) bool { return Less(keys[i], keys[j]) })
 	return keys
 }
 
-// EncodeSet writes the PMC database to w in the compact canonical format:
+// AppendSet appends the PMC database's compact canonical form to dst:
 // entries sorted by (write key, read key, DFLeader), so equal sets — no
 // matter the identification sharding or merge order that built them —
 // encode to identical bytes.
-func EncodeSet(w io.Writer, s *Set) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(setMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(setVersion); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	putU := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	putKey := func(k Key) error {
-		if err := putU(uint64(k.Ins)); err != nil {
-			return err
-		}
-		if err := putU(k.Addr); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(k.Size); err != nil {
-			return err
-		}
-		return putU(k.Val)
-	}
-	if err := putU(uint64(s.TotalCombinations)); err != nil {
-		return err
-	}
+func AppendSet(dst []byte, s *Set) []byte {
 	keys := s.sortedPMCs()
-	if err := putU(uint64(len(keys))); err != nil {
-		return err
-	}
+	dst = slices.Grow(dst, len(setMagic)+1+2*binary.MaxVarintLen64+len(keys)*estEntryBytes)
+	dst = append(dst, setMagic...)
+	dst = append(dst, setVersion)
+	dst = binary.AppendUvarint(dst, uint64(s.TotalCombinations))
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
 		e := s.Entries[k]
-		if err := putKey(k.Write); err != nil {
-			return err
-		}
-		if err := putKey(k.Read); err != nil {
-			return err
-		}
-		var df byte
-		if k.DFLeader {
-			df = 1
-		}
-		if err := bw.WriteByte(df); err != nil {
-			return err
-		}
-		if err := putU(uint64(e.PairCount)); err != nil {
-			return err
-		}
-		if err := putU(uint64(len(e.Pairs))); err != nil {
-			return err
-		}
+		dst = AppendKey(AppendKey(dst, k.Write), k.Read)
+		dst = wire.AppendBool(dst, k.DFLeader)
+		dst = binary.AppendUvarint(dst, uint64(e.PairCount))
+		dst = binary.AppendUvarint(dst, uint64(len(e.Pairs)))
 		for _, pr := range e.Pairs {
-			if err := putU(uint64(pr.Writer)); err != nil {
-				return err
-			}
-			if err := putU(uint64(pr.Reader)); err != nil {
-				return err
-			}
+			dst = binary.AppendUvarint(dst, uint64(pr.Writer))
+			dst = binary.AppendUvarint(dst, uint64(pr.Reader))
 		}
 	}
-	return bw.Flush()
+	return dst
 }
 
-// DecodeSet parses a compact PMC database. Pair lists must respect the
+// ParseSet parses a compact PMC database. Pair lists must respect the
 // MaxPairsPerPMC bound and canonical pair order; pair counts and totals
 // must be plausible.
-func DecodeSet(r io.Reader) (*Set, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSet, err)
+func ParseSet(src []byte) (*Set, error) {
+	r := wire.NewFramed(src, setMagic, setVersion, ErrBadSet)
+	total := int64(r.Uvarint())
+	if total < 0 || total > maxCombinations {
+		r.Fail("total combinations")
 	}
-	if string(magic[:]) != setMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadSet, magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil || ver != setVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadSet, ver)
-	}
-	getU := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %s: %v", ErrBadSet, what, err)
-		}
-		return v, nil
-	}
-	getKey := func(what string) (Key, error) {
-		var k Key
-		ins, err := getU(what + " ins")
-		if err != nil {
-			return k, err
-		}
-		addr, err := getU(what + " addr")
-		if err != nil {
-			return k, err
-		}
-		size, err := br.ReadByte()
-		if err != nil {
-			return k, fmt.Errorf("%w: %s size: %v", ErrBadSet, what, err)
-		}
-		val, err := getU(what + " val")
-		if err != nil {
-			return k, err
-		}
-		if size == 0 || size > 8 {
-			return k, fmt.Errorf("%w: %s size %d", ErrBadSet, what, size)
-		}
-		return Key{Ins: trace.Ins(ins), Addr: addr, Size: size, Val: val}, nil
-	}
-	total, err := getU("total combinations")
-	if err != nil || int64(total) < 0 || int64(total) > maxCombinations {
-		return nil, fmt.Errorf("%w: total combinations", ErrBadSet)
-	}
-	count, err := getU("entry count")
-	if err != nil || count > maxEntries {
-		return nil, fmt.Errorf("%w: entry count", ErrBadSet)
+	count := r.Count(minEntryBytes)
+	if count > maxEntries {
+		r.Fail("entry count")
 	}
 	set := NewSet()
-	set.TotalCombinations = int64(total)
-	for i := uint64(0); i < count; i++ {
-		wk, err := getKey("write key")
-		if err != nil {
-			return nil, err
-		}
-		rk, err := getKey("read key")
-		if err != nil {
-			return nil, err
-		}
-		df, err := br.ReadByte()
-		if err != nil || df > 1 {
-			return nil, fmt.Errorf("%w: entry %d: df flag", ErrBadSet, i)
-		}
-		pairCount, err := getU("pair count")
-		if err != nil || int64(pairCount) < 0 || int64(pairCount) > maxCombinations {
-			return nil, fmt.Errorf("%w: entry %d: pair count", ErrBadSet, i)
-		}
-		npairs, err := getU("pair list length")
-		if err != nil || npairs > MaxPairsPerPMC || uint64(pairCount) < npairs {
-			return nil, fmt.Errorf("%w: entry %d: pair list length", ErrBadSet, i)
-		}
-		p := PMC{Write: wk, Read: rk, DFLeader: df == 1}
-		if _, dup := set.Entries[p]; dup {
-			return nil, fmt.Errorf("%w: entry %d: duplicate PMC", ErrBadSet, i)
-		}
-		e := &Entry{PMC: p, PairCount: int64(pairCount)}
-		for j := uint64(0); j < npairs; j++ {
-			w, err := getU("pair writer")
-			if err != nil || w > maxDecodedPairRef {
-				return nil, fmt.Errorf("%w: entry %d pair %d: writer", ErrBadSet, i, j)
+	set.TotalCombinations = total
+	for i := range count {
+		p := PMC{Write: ReadKey(r), Read: ReadKey(r), DFLeader: r.Bool()}
+		for _, k := range [2]Key{p.Write, p.Read} {
+			if k.Size == 0 || k.Size > 8 {
+				r.Fail(fmt.Sprintf("entry %d: key size %d", i, k.Size))
 			}
-			rd, err := getU("pair reader")
-			if err != nil || rd > maxDecodedPairRef {
-				return nil, fmt.Errorf("%w: entry %d pair %d: reader", ErrBadSet, i, j)
+		}
+		pairCount := int64(r.Uvarint())
+		if pairCount < 0 || pairCount > maxCombinations {
+			r.Fail(fmt.Sprintf("entry %d: pair count", i))
+		}
+		npairs := r.Count(minPairBytes)
+		if npairs > MaxPairsPerPMC || pairCount < int64(npairs) {
+			r.Fail(fmt.Sprintf("entry %d: pair list length", i))
+			npairs = 0
+		}
+		if _, dup := set.Entries[p]; dup {
+			r.Fail(fmt.Sprintf("entry %d: duplicate PMC", i))
+		}
+		e := &Entry{PMC: p, PairCount: pairCount}
+		for j := range npairs {
+			w, rd := r.Uvarint(), r.Uvarint()
+			if w > maxDecodedPairRef || rd > maxDecodedPairRef {
+				r.Fail(fmt.Sprintf("entry %d pair %d: writer or reader", i, j))
 			}
 			pr := Pair{Writer: int(w), Reader: int(rd)}
 			// Non-strict: pair lists keep multiplicity, so equal
 			// neighbours are legal; only descending order is malformed.
 			if j > 0 && pairLess(pr, e.Pairs[j-1]) {
-				return nil, fmt.Errorf("%w: entry %d: pairs not in canonical order", ErrBadSet, i)
+				r.Fail(fmt.Sprintf("entry %d: pairs not in canonical order", i))
 			}
 			e.Pairs = append(e.Pairs, pr)
 		}
 		set.Entries[p] = e
 	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
 	return set, nil
+}
+
+// AppendKey appends an access key: instruction, address and value as
+// uvarints, the size as one byte between address and value. The SBPM set
+// and a queue outcome's repro PMCs both carry keys in this form.
+func AppendKey(b []byte, k Key) []byte {
+	b = binary.AppendUvarint(b, uint64(k.Ins))
+	b = binary.AppendUvarint(b, k.Addr)
+	b = append(b, k.Size)
+	return binary.AppendUvarint(b, k.Val)
+}
+
+// MinKeyBytes is the smallest key AppendKey writes.
+const MinKeyBytes = 4
+
+// ReadKey reads a key AppendKey wrote.
+func ReadKey(r *wire.Reader) Key {
+	return Key{Ins: trace.ReadIns(r), Addr: r.Uvarint(), Size: r.Byte(), Val: r.Uvarint()}
+}
+
+// EncodeSet writes s's AppendSet form to w. It stays only because bench/
+// calls it.
+func EncodeSet(w io.Writer, s *Set) error {
+	_, err := w.Write(AppendSet(nil, s))
+	return err
+}
+
+// DecodeSet parses the ParseSet form read from r. It stays only because
+// bench/ calls it.
+func DecodeSet(r io.Reader) (*Set, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSet, err)
+	}
+	return ParseSet(b)
 }

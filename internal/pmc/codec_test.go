@@ -86,11 +86,8 @@ func TestProfilesRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		profiles := randomProfiles(rng, 1+rng.Intn(12))
 
-		var buf bytes.Buffer
-		if err := EncodeProfiles(&buf, profiles); err != nil {
-			t.Fatalf("seed %d: encode: %v", seed, err)
-		}
-		got, err := DecodeProfiles(bytes.NewReader(buf.Bytes()))
+		buf := AppendProfiles(nil, profiles)
+		got, err := ParseProfiles(buf)
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v", seed, err)
 		}
@@ -98,11 +95,8 @@ func TestProfilesRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: decoded profiles differ", seed)
 		}
 
-		var buf2 bytes.Buffer
-		if err := EncodeProfiles(&buf2, got); err != nil {
-			t.Fatalf("seed %d: re-encode: %v", seed, err)
-		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		buf2 := AppendProfiles(nil, got)
+		if !bytes.Equal(buf, buf2) {
 			t.Fatalf("seed %d: profile encoding not canonical", seed)
 		}
 	}
@@ -111,15 +105,14 @@ func TestProfilesRoundTrip(t *testing.T) {
 func TestProfilesDecodeTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	profiles := randomProfiles(rng, 6)
-	var buf bytes.Buffer
-	if err := EncodeProfiles(&buf, profiles); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := AppendProfiles(nil, profiles)
 	for cut := 0; cut < len(data); cut += 3 {
-		if _, err := DecodeProfiles(bytes.NewReader(data[:cut])); !errors.Is(err, ErrBadProfiles) {
+		if _, err := ParseProfiles(data[:cut]); !errors.Is(err, ErrBadProfiles) {
 			t.Fatalf("prefix of %d/%d bytes: err = %v, want ErrBadProfiles", cut, len(data), err)
 		}
+	}
+	if _, err := ParseProfiles(append(data, 0)); !errors.Is(err, ErrBadProfiles) {
+		t.Fatalf("a trailing byte: err = %v, want ErrBadProfiles", err)
 	}
 }
 
@@ -153,11 +146,8 @@ func TestSetRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomSet(rng, 1+rng.Intn(20), 1+rng.Intn(200))
 
-		var buf bytes.Buffer
-		if err := EncodeSet(&buf, s); err != nil {
-			t.Fatalf("seed %d: encode: %v", seed, err)
-		}
-		got, err := DecodeSet(bytes.NewReader(buf.Bytes()))
+		buf := AppendSet(nil, s)
+		got, err := ParseSet(buf)
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v", seed, err)
 		}
@@ -165,11 +155,8 @@ func TestSetRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: decoded set differs", seed)
 		}
 
-		var buf2 bytes.Buffer
-		if err := EncodeSet(&buf2, got); err != nil {
-			t.Fatalf("seed %d: re-encode: %v", seed, err)
-		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		buf2 := AppendSet(nil, got)
+		if !bytes.Equal(buf, buf2) {
 			t.Fatalf("seed %d: set encoding not canonical", seed)
 		}
 	}
@@ -183,11 +170,8 @@ func TestSetRoundTripDuplicatePairs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.Add(p, Pair{Writer: 5, Reader: 9})
 	}
-	var buf bytes.Buffer
-	if err := EncodeSet(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSet(bytes.NewReader(buf.Bytes()))
+	buf := AppendSet(nil, s)
+	got, err := ParseSet(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,15 +183,14 @@ func TestSetRoundTripDuplicatePairs(t *testing.T) {
 func TestSetDecodeTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := randomSet(rng, 8, 100)
-	var buf bytes.Buffer
-	if err := EncodeSet(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := AppendSet(nil, s)
 	for cut := 0; cut < len(data); cut += 3 {
-		if _, err := DecodeSet(bytes.NewReader(data[:cut])); !errors.Is(err, ErrBadSet) {
+		if _, err := ParseSet(data[:cut]); !errors.Is(err, ErrBadSet) {
 			t.Fatalf("prefix of %d/%d bytes: err = %v, want ErrBadSet", cut, len(data), err)
 		}
+	}
+	if _, err := ParseSet(append(data, 0)); !errors.Is(err, ErrBadSet) {
+		t.Fatalf("a trailing byte: err = %v, want ErrBadSet", err)
 	}
 }
 
@@ -219,11 +202,8 @@ func TestSetDecodeRejectsNonCanonicalPairs(t *testing.T) {
 	p := PMC{Write: Key{Ins: 1, Addr: 8, Size: 4, Val: 1}, Read: Key{Ins: 2, Addr: 8, Size: 4, Val: 1}}
 	s.Entries[p] = &Entry{PMC: p, Pairs: []Pair{{Writer: 9, Reader: 9}, {Writer: 1, Reader: 1}}, PairCount: 2}
 	s.TotalCombinations = 2
-	var buf bytes.Buffer
-	if err := EncodeSet(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSet(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadSet) {
+	buf := AppendSet(nil, s)
+	if _, err := ParseSet(buf); !errors.Is(err, ErrBadSet) {
 		t.Fatalf("err = %v, want ErrBadSet for descending pair list", err)
 	}
 }

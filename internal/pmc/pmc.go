@@ -117,7 +117,7 @@ type Set struct {
 }
 
 // writeIndex groups a Set's PMCs by write key: pmcs is in canonical
-// (pmcLess) order, so each write key owns one contiguous span, found
+// (Less) order, so each write key owns one contiguous span, found
 // through spans, an open-addressed table over the write keys probed from
 // the top bits of keyHash and checked against the full key. A key whose
 // filterBit is clear has no span: about half of a trial's distinct write
@@ -176,7 +176,7 @@ func (s *Set) ByWriteRead(k Key) (pmcs []PMC, reads []int32, id int) {
 // run from 0 below Len and stay valid until the set grows.
 func (s *Set) ID(p PMC) (int, bool) {
 	pmcs := s.index().pmcs
-	i := sort.Search(len(pmcs), func(i int) bool { return !pmcLess(pmcs[i], p) })
+	i := sort.Search(len(pmcs), func(i int) bool { return !Less(pmcs[i], p) })
 	return i, i < len(pmcs) && pmcs[i] == p
 }
 

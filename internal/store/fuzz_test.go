@@ -21,30 +21,21 @@ func FuzzStoreDecode(f *testing.F) {
 	// the fuzzer starts from decodable inputs and mutates toward edge cases.
 	c := corpus.NewCorpus()
 	c.Add(&corpus.Prog{Calls: []corpus.Call{{Nr: 0, Args: []corpus.Arg{corpus.Const(7)}}}})
-	var corpusBuf bytes.Buffer
-	if err := corpus.EncodeCorpus(&corpusBuf, c); err != nil {
-		f.Fatal(err)
-	}
+	corpusBuf := corpus.Append(nil, c)
 	profiles := []pmc.Profile{{TestID: 0, DFLeader: map[int]bool{}}}
-	var profBuf bytes.Buffer
-	if err := pmc.EncodeProfiles(&profBuf, profiles); err != nil {
-		f.Fatal(err)
-	}
+	profBuf := pmc.AppendProfiles(nil, profiles)
 	set := pmc.NewSet()
 	set.Add(pmc.PMC{Write: pmc.Key{Ins: 1, Addr: 16, Size: 4, Val: 3},
 		Read: pmc.Key{Ins: 2, Addr: 16, Size: 4, Val: 3}}, pmc.Pair{Writer: 0, Reader: 1})
-	var setBuf bytes.Buffer
-	if err := pmc.EncodeSet(&setBuf, set); err != nil {
-		f.Fatal(err)
-	}
+	setBuf := pmc.AppendSet(nil, set)
 
-	f.Add(envelope(KindCorpus, corpusBuf.Bytes()))
-	f.Add(envelope(KindProfiles, profBuf.Bytes()))
-	f.Add(envelope(KindPMCs, setBuf.Bytes()))
+	f.Add(envelope(KindCorpus, corpusBuf))
+	f.Add(envelope(KindProfiles, profBuf))
+	f.Add(envelope(KindPMCs, setBuf))
 	f.Add(envelope(KindReport, []byte(`{"Method":"S-INS-PAIR"}`)))
-	f.Add(corpusBuf.Bytes())
-	f.Add(profBuf.Bytes())
-	f.Add(setBuf.Bytes())
+	f.Add(corpusBuf)
+	f.Add(profBuf)
+	f.Add(setBuf)
 	f.Add([]byte("SBAR"))
 	f.Add([]byte("SBAR\x01\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Add([]byte{})
@@ -59,32 +50,23 @@ func FuzzStoreDecode(f *testing.F) {
 				t.Fatalf("envelope not stable: %v", err2)
 			}
 		}
-		if c, err := corpus.DecodeCorpus(bytes.NewReader(data)); err == nil {
-			var buf bytes.Buffer
-			if err := corpus.EncodeCorpus(&buf, c); err != nil {
-				t.Fatalf("re-encode accepted corpus: %v", err)
-			}
-			c2, err := corpus.DecodeCorpus(bytes.NewReader(buf.Bytes()))
+		if c, err := corpus.Parse(data); err == nil {
+			buf := corpus.Append(nil, c)
+			c2, err := corpus.Parse(buf)
 			if err != nil || !reflect.DeepEqual(c2.Progs, c.Progs) {
 				t.Fatalf("corpus round-trip broken after accept: %v", err)
 			}
 		}
-		if profs, err := pmc.DecodeProfiles(bytes.NewReader(data)); err == nil {
-			var buf bytes.Buffer
-			if err := pmc.EncodeProfiles(&buf, profs); err != nil {
-				t.Fatalf("re-encode accepted profiles: %v", err)
-			}
-			p2, err := pmc.DecodeProfiles(bytes.NewReader(buf.Bytes()))
+		if profs, err := pmc.ParseProfiles(data); err == nil {
+			buf := pmc.AppendProfiles(nil, profs)
+			p2, err := pmc.ParseProfiles(buf)
 			if err != nil || !reflect.DeepEqual(p2, profs) {
 				t.Fatalf("profiles round-trip broken after accept: %v", err)
 			}
 		}
-		if s, err := pmc.DecodeSet(bytes.NewReader(data)); err == nil {
-			var buf bytes.Buffer
-			if err := pmc.EncodeSet(&buf, s); err != nil {
-				t.Fatalf("re-encode accepted set: %v", err)
-			}
-			s2, err := pmc.DecodeSet(bytes.NewReader(buf.Bytes()))
+		if s, err := pmc.ParseSet(data); err == nil {
+			buf := pmc.AppendSet(nil, s)
+			s2, err := pmc.ParseSet(buf)
 			if err != nil || !reflect.DeepEqual(s2, s) {
 				t.Fatalf("set round-trip broken after accept: %v", err)
 			}

@@ -31,12 +31,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"snowboard/internal/obs"
+	"snowboard/internal/wire"
 )
 
 // Envelope constants.
@@ -54,11 +54,11 @@ type Kind uint8
 
 // Artifact kinds.
 const (
-	// KindCorpus is an encoded sequential-test corpus (corpus.EncodeCorpus).
+	// KindCorpus is an encoded sequential-test corpus (corpus.Append).
 	KindCorpus Kind = iota + 1
-	// KindProfiles is an encoded profile set (pmc.EncodeProfiles).
+	// KindProfiles is an encoded profile set (pmc.AppendProfiles).
 	KindProfiles
-	// KindPMCs is an encoded PMC database (pmc.EncodeSet).
+	// KindPMCs is an encoded PMC database (pmc.AppendSet).
 	KindPMCs
 	// KindReport is a JSON-encoded core.Report.
 	KindReport
@@ -210,56 +210,34 @@ func (s *Store) stagePath(key Digest) string {
 
 // envelope wraps payload in the SBAR framing.
 func envelope(kind Kind, payload []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(len(payload) + len(envMagic) + 2 + binary.MaxVarintLen64 + sha256.Size)
-	buf.WriteString(envMagic)
-	buf.WriteByte(envVersion)
-	buf.WriteByte(byte(kind))
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-	buf.Write(lenBuf[:n])
-	buf.Write(payload)
+	b := make([]byte, 0, len(envMagic)+2+binary.MaxVarintLen64+len(payload)+sha256.Size)
+	b = append(b, envMagic...)
+	b = append(b, envVersion, byte(kind))
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = append(b, payload...)
 	sum := sha256.Sum256(payload)
-	buf.Write(sum[:])
-	return buf.Bytes()
+	return append(b, sum[:]...)
 }
 
 // DecodeEnvelope parses and verifies one SBAR-framed artifact, returning
-// its kind and payload. It never panics on arbitrary input; any framing,
-// length, or checksum violation yields ErrCorrupt.
+// its kind and payload, which aliases data. It never panics on arbitrary
+// input; any framing, length, or checksum violation yields ErrCorrupt.
 func DecodeEnvelope(data []byte) (Kind, []byte, error) {
-	br := bytes.NewReader(data)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != envMagic {
-		return 0, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	r := wire.NewFramed(data, envMagic, envVersion, ErrCorrupt)
+	kind := Kind(r.Byte())
+	plen := r.Uvarint()
+	if plen > maxPayload {
+		r.Fail("bad payload length")
 	}
-	ver, err := br.ReadByte()
-	if err != nil || ver != envVersion {
-		return 0, nil, fmt.Errorf("%w: version %d", ErrCorrupt, ver)
+	payload := r.Bytes(int(plen))
+	sum := r.Bytes(sha256.Size)
+	if err := r.Done(); err != nil {
+		return 0, nil, err
 	}
-	kindB, err := br.ReadByte()
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated kind", ErrCorrupt)
-	}
-	plen, err := binary.ReadUvarint(br)
-	if err != nil || plen > maxPayload {
-		return 0, nil, fmt.Errorf("%w: bad payload length", ErrCorrupt)
-	}
-	if uint64(br.Len()) != plen+sha256.Size {
-		return 0, nil, fmt.Errorf("%w: truncated payload (%d bytes left, want %d)", ErrCorrupt, br.Len(), plen+sha256.Size)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
-	}
-	var want [sha256.Size]byte
-	if _, err := io.ReadFull(br, want[:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: checksum: %v", ErrCorrupt, err)
-	}
-	if sha256.Sum256(payload) != want {
+	if sha256.Sum256(payload) != [sha256.Size]byte(sum) {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	return Kind(kindB), payload, nil
+	return kind, payload, nil
 }
 
 // writeAtomic lands data at path via a temp file and rename.

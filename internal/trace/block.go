@@ -32,7 +32,8 @@ type row struct {
 // Trace is the ordered sequence of accesses collected during one execution.
 type Trace = Block
 
-// meta field packing.
+// meta field packing. Bits 4-8 are also a trace record's flag bits 0-4 on
+// the wire (encode.go).
 const (
 	metaSizeMask    = 0xF // bits 0-3: access size (1..8)
 	metaWrite       = 1 << 4

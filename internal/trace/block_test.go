@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -81,12 +79,7 @@ func TestBlockRowLayout(t *testing.T) {
 			checkModel(t, "filtered", &out, kept)
 		}
 
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		if err := WriteBlock(bw, &b); err != nil || bw.Flush() != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadBlock(bufio.NewReader(&buf))
+		back, err := decodeBlock(AppendBlock(nil, &b))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,12 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+
+	"snowboard/internal/wire"
 )
 
 // Compact binary serialization for trace blocks, the record stream that
@@ -38,167 +40,94 @@ const CodecVersion = 1
 // ErrBadTrace reports a malformed serialized trace.
 var ErrBadTrace = errors.New("trace: malformed encoding")
 
+// A record's flag bits 0-4 (write, atomic, marked, stack, RCU) are its
+// row's meta bits 4-8 shifted down; bit 5 says locks follow.
 const (
-	fKindWrite = 1 << iota
-	fAtomic
-	fMarked
-	fStack
-	fRCU
-	fLocks
+	flagShift = 4
+	flagMeta  = 0x1F
+	fLocks    = 1 << 5
 )
 
-// WriteBlock writes the record stream (count + delta/varint records) to
-// bw. It carries no magic or version: the artifact formats that embed it
-// frame several blocks inside their own envelope. The caller owns flushing
-// bw.
-func WriteBlock(bw *bufio.Writer, b *Block) error {
-	var scratch [binary.MaxVarintLen64]byte
-	putU := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	putS := func(v int64) error {
-		n := binary.PutVarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if err := putU(uint64(b.Len())); err != nil {
-		return err
-	}
+// AppendBlock appends the record stream (count + delta/varint records) to
+// dst. It carries no magic or version: the artifact formats that embed it
+// frame several blocks inside their own envelope.
+func AppendBlock(dst []byte, b *Block) []byte {
+	dst = binary.AppendUvarint(dst, uint64(b.Len()))
 	prevAddr := uint64(0)
 	for i := range b.rows {
 		r := &b.rows[i]
 		m := r.meta
 		locks := r.locks.view()
-		var flags byte
-		if m&metaWrite != 0 {
-			flags |= fKindWrite
-		}
-		if m&metaAtomic != 0 {
-			flags |= fAtomic
-		}
-		if m&metaMarked != 0 {
-			flags |= fMarked
-		}
-		if m&metaStack != 0 {
-			flags |= fStack
-		}
-		if m&metaRCU != 0 {
-			flags |= fRCU
-		}
+		flags := byte(m >> flagShift & flagMeta)
 		if len(locks) > 0 {
 			flags |= fLocks
 		}
-		if err := bw.WriteByte(flags); err != nil {
-			return err
-		}
-		if err := putU(uint64(m >> metaThreadShift)); err != nil {
-			return err
-		}
-		if err := putU(uint64(r.ins)); err != nil {
-			return err
-		}
-		if err := putS(int64(r.addr) - int64(prevAddr)); err != nil {
-			return err
-		}
+		dst = append(dst, flags)
+		dst = binary.AppendUvarint(dst, uint64(m>>metaThreadShift))
+		dst = binary.AppendUvarint(dst, uint64(r.ins))
+		dst = binary.AppendVarint(dst, int64(r.addr)-int64(prevAddr))
 		prevAddr = r.addr
-		if err := bw.WriteByte(byte(m & metaSizeMask)); err != nil {
-			return err
-		}
-		if err := putU(r.val); err != nil {
-			return err
-		}
+		dst = append(dst, byte(m&metaSizeMask))
+		dst = binary.AppendUvarint(dst, r.val)
 		if len(locks) > 0 {
-			if err := putU(uint64(len(locks))); err != nil {
-				return err
-			}
+			dst = binary.AppendUvarint(dst, uint64(len(locks)))
 			prevLock := uint64(0)
 			for _, l := range locks {
-				if err := putS(int64(l) - int64(prevLock)); err != nil {
-					return err
-				}
+				dst = binary.AppendVarint(dst, int64(l)-int64(prevLock))
 				prevLock = l
 			}
 		}
 	}
-	return nil
+	return dst
 }
 
-// ReadBlock parses one bare record stream written by WriteBlock, leaving br
-// positioned after the block's last record. Decoding errors never panic;
-// any malformed input yields an error wrapping ErrBadTrace. Decoded
-// locksets are interned.
-func ReadBlock(br *bufio.Reader) (Block, error) {
+// Encoded record sizes, in bytes: the smallest (flags, thread, ins, addr
+// delta, size and value, one byte each) and a typical one, which presizes
+// the output of an encoder embedding blocks.
+const (
+	minRowBytes = 6
+	EstRowBytes = 16
+)
+
+// ReadBlock reads one bare record stream written by AppendBlock, leaving r
+// after the block's last record. A malformed block latches r's error and
+// returns what was read; decoded locksets are interned.
+func ReadBlock(r *wire.Reader) Block {
 	var out Block
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return out, fmt.Errorf("%w: count: %v", ErrBadTrace, err)
-	}
 	const sanityMax = 1 << 28
+	count := r.Count(minRowBytes)
 	if count > sanityMax {
-		return out, fmt.Errorf("%w: implausible count %d", ErrBadTrace, count)
+		r.Fail(fmt.Sprintf("implausible record count %d", count))
+		return out
 	}
-	// The claimed count is untrusted until records actually arrive: clamp
-	// the preallocation so a short hostile input can't demand gigabytes.
-	capHint := count
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	out.rows = make([]row, 0, capHint)
+	out.rows = make([]row, 0, min(count, 4096))
 	prevAddr := uint64(0)
 	var lockBuf []uint64
-	for i := uint64(0); i < count; i++ {
-		flags, err := br.ReadByte()
-		if err != nil {
-			return out, fmt.Errorf("%w: flags: %v", ErrBadTrace, err)
-		}
-		th, err := binary.ReadUvarint(br)
-		if err != nil {
-			return out, fmt.Errorf("%w: thread: %v", ErrBadTrace, err)
-		}
+	for range count {
+		flags := r.Byte()
+		th := r.Uvarint()
 		if th > maxThread {
-			return out, fmt.Errorf("%w: thread %d", ErrBadTrace, th)
+			r.Fail(fmt.Sprintf("thread %d", th))
 		}
-		ins, err := binary.ReadUvarint(br)
-		if err != nil {
-			return out, fmt.Errorf("%w: ins: %v", ErrBadTrace, err)
-		}
-		dAddr, err := binary.ReadVarint(br)
-		if err != nil {
-			return out, fmt.Errorf("%w: addr: %v", ErrBadTrace, err)
-		}
-		addr := uint64(int64(prevAddr) + dAddr)
+		ins := ReadIns(r)
+		addr := uint64(int64(prevAddr) + r.Varint())
 		prevAddr = addr
-		size, err := br.ReadByte()
-		if err != nil {
-			return out, fmt.Errorf("%w: size: %v", ErrBadTrace, err)
-		}
+		size := r.Byte()
 		if size == 0 || size > 8 {
-			return out, fmt.Errorf("%w: size %d", ErrBadTrace, size)
+			r.Fail(fmt.Sprintf("access size %d", size))
 		}
-		val, err := binary.ReadUvarint(br)
-		if err != nil {
-			return out, fmt.Errorf("%w: val: %v", ErrBadTrace, err)
-		}
-		var kind Kind
-		if flags&fKindWrite != 0 {
-			kind = Write
-		}
+		val := r.Uvarint()
 		var ls LockSet
 		if flags&fLocks != 0 {
-			n, err := binary.ReadUvarint(br)
-			if err != nil || n > 64 {
-				return out, fmt.Errorf("%w: lock count", ErrBadTrace)
+			n := r.Count(1)
+			if n > 64 {
+				r.Fail("lock count")
+				n = 0
 			}
 			lockBuf = lockBuf[:0]
 			prevLock := uint64(0)
-			for j := uint64(0); j < n; j++ {
-				d, err := binary.ReadVarint(br)
-				if err != nil {
-					return out, fmt.Errorf("%w: lock: %v", ErrBadTrace, err)
-				}
-				l := uint64(int64(prevLock) + d)
+			for range n {
+				l := uint64(int64(prevLock) + r.Varint())
 				lockBuf = append(lockBuf, l)
 				prevLock = l
 			}
@@ -207,10 +136,20 @@ func ReadBlock(br *bufio.Reader) (Block, error) {
 		out.rows = append(out.rows, row{
 			addr:  addr,
 			val:   val,
-			ins:   Ins(ins),
-			meta:  packMeta(int(th), kind, size, flags&fAtomic != 0, flags&fMarked != 0, flags&fStack != 0, flags&fRCU != 0),
+			ins:   ins,
+			meta:  uint32(th)<<metaThreadShift | uint32(flags&flagMeta)<<flagShift | uint32(size)&metaSizeMask,
 			locks: ls,
 		})
 	}
-	return out, nil
+	return out
+}
+
+// ReadIns reads an instruction id as a uvarint and refuses one past 32 bits.
+func ReadIns(r *wire.Reader) Ins {
+	v := r.Uvarint()
+	if v > math.MaxUint32 {
+		r.Fail("instruction out of range")
+		return 0
+	}
+	return Ins(v)
 }

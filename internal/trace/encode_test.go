@@ -1,10 +1,12 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
+
+	"snowboard/internal/wire"
 )
 
 func randomBlock(rng *rand.Rand, n int) Block {
@@ -43,16 +45,18 @@ func randomAccesses(rng *rand.Rand, n int) []Access {
 	return out
 }
 
+// decodeBlock reads data as exactly one block.
+func decodeBlock(data []byte) (Block, error) {
+	r := wire.NewReader(data, ErrBadTrace)
+	b := ReadBlock(r)
+	return b, r.Done()
+}
+
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 20; round++ {
 		accs := randomBlock(rng, rng.Intn(200))
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		if err := WriteBlock(bw, &accs); err != nil || bw.Flush() != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadBlock(bufio.NewReader(&buf))
+		got, err := decodeBlock(AppendBlock(nil, &accs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,15 +73,18 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
+	var valid Block
+	valid.Record(1, 2, Write, 0x100, 4, 5, false, false, false, false, 0)
 	cases := [][]byte{
 		nil,                // no count
 		[]byte("XXXX"),     // 88 records claimed, three bytes of them
 		[]byte("SBTR\x02"), // a framed stream: the bare form reads 'S' as a count
 		[]byte("\x05"),     // truncated records
 		[]byte("\xff\xff\xff\xff\xff\xff\xff\xff\x7f"), // absurd count
+		append(AppendBlock(nil, &valid), 0),            // a valid block, then a trailing byte
 	}
 	for i, c := range cases {
-		if _, err := ReadBlock(bufio.NewReader(bytes.NewReader(c))); err == nil {
+		if _, err := decodeBlock(c); !errors.Is(err, ErrBadTrace) {
 			t.Fatalf("case %d decoded", i)
 		}
 	}
@@ -86,16 +93,11 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestDecodeRejectsBadSize(t *testing.T) {
 	var accs Block
 	accs.Record(0, 0, Read, 0x100, 8, 1, false, false, false, false, 0)
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := WriteBlock(bw, &accs); err != nil || bw.Flush() != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := AppendBlock(nil, &accs)
 	// Corrupt the size byte (it follows flags+thread+ins+addr).
 	idx := bytes.LastIndexByte(raw, 8)
 	raw[idx] = 99
-	if _, err := ReadBlock(bufio.NewReader(bytes.NewReader(raw))); err == nil {
+	if _, err := decodeBlock(raw); err == nil {
 		t.Fatal("corrupted size accepted")
 	}
 }
@@ -111,7 +113,7 @@ func TestDecodeRejectsHugeThread(t *testing.T) {
 	buf.WriteByte(0x02)                 // addr delta
 	buf.WriteByte(8)                    // size
 	buf.WriteByte(0x00)                 // val
-	if _, err := ReadBlock(bufio.NewReader(&buf)); err == nil {
+	if _, err := decodeBlock(buf.Bytes()); err == nil {
 		t.Fatal("oversized thread id accepted")
 	}
 }
@@ -123,12 +125,7 @@ func TestEncodeCompactness(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		accs.Record(0, Ins(0x1234), Read, 0x100000+uint64(i%64)*8, 8, uint64(i%7), false, false, false, false, 0)
 	}
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := WriteBlock(bw, &accs); err != nil || bw.Flush() != nil {
-		t.Fatal(err)
-	}
-	perRecord := float64(buf.Len()) / float64(accs.Len())
+	perRecord := float64(len(AppendBlock(nil, &accs))) / float64(accs.Len())
 	if perRecord > 16 {
 		t.Fatalf("encoding too fat: %.1f bytes/record", perRecord)
 	}
@@ -143,12 +140,7 @@ func TestLockSetAliasingImmunity(t *testing.T) {
 	var accs Block
 	accs.Record(0, 0, Read, 0x10, 8, 0, false, false, false, false, InternLocks(locks))
 	accs.Record(0, 0, Read, 0x20, 8, 0, false, false, false, false, InternLocks(locks))
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := WriteBlock(bw, &accs); err != nil || bw.Flush() != nil {
-		t.Fatal(err)
-	}
-	dec, err := ReadBlock(bufio.NewReader(&buf))
+	dec, err := decodeBlock(AppendBlock(nil, &accs))
 	if err != nil {
 		t.Fatal(err)
 	}

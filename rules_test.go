@@ -160,6 +160,14 @@ var designRules = []designRule{
 		{"internal/cover/walk_diff_test.go", "\ntype te" + "eth struct{}\n"},
 		{"internal/sched/scratch_test.go", "\nfunc prevFind" + "Incidental() {}\n"},
 	}},
+	{"one_byte_reader", oneByteReader, []mutation{
+		{"internal/corpus/legacy.go", "package corpus\n\nimport \"encoding/binary\"\n\nvar nprogs, _ = binary.ReadUvarint(nil)\n"},
+		{"internal/pmc/codec.go", "\ntype setReader struct {\n\tsrc []byte\n\tbad error\n}\n"},
+		{"internal/trace/encode.go", "\nfunc readDelta(br io.ByteReader) (int64, error) { return binary.ReadVarint(br) }\n"},
+		{"internal/sched/codec.go", "\ntype outcomeReader struct {\n\tb   []byte\n\terr error\n}\n"},
+		// The alias hides this call from a text match for "binary.ReadUvarint".
+		{"internal/store/envelope.go", "package store\n\nimport bin \"encoding/binary\"\n\nfunc payloadLen(r io.ByteReader) (uint64, error) { return bin.ReadUvarint(r) }\n"},
+	}},
 	{"doc_references_resolve", docReferencesResolve, []mutation{
 		{"DESIGN.md", "\n| Figure 1 | `TestBugL2TP` |\n"},
 		{"README.md", "\n(EXPERIMENTS.md, \"Per-trial\n  analysis\")\n"},
@@ -621,6 +629,38 @@ func oneReferenceModel(tr *tree) []string {
 	return tr.grep(tests, "a retired reference of a trial's analysis", true,
 		"ref"+"FindRacesHB", "ref"+"Pairs", "ref"+"Segments", "ref"+"FindTornReads", "prev"+"ChannelExercised",
 		"prev"+"FindIncidental", "ref"+"FindIncidental", "gen"+"TornTrace", "rand"+"Trace", "type "+"teeth")
+}
+
+// Every binary format decodes untrusted bytes through internal/wire's one
+// latched-error Reader. A binary.ReadUvarint/ReadVarint call, or a struct
+// of nothing but []byte and error fields (a latched reader of its own),
+// outside internal/wire is a second byte discipline back. Stage 1's
+// binary.Uvarint in the fuzz loop decodes no stored bytes and is not one.
+func oneByteReader(tr *tree) []string {
+	var out []string
+	for _, f := range tr.code() {
+		if strings.HasPrefix(f.path, "internal/wire/") {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if name := f.member(n.Fun, "encoding/binary"); name == "ReadUvarint" || name == "ReadVarint" {
+					out = append(out, tr.at(n, "binary."+name+" outside internal/wire"))
+				}
+			case *ast.StructType:
+				kinds := map[string]bool{}
+				for _, fl := range n.Fields.List {
+					kinds[types.ExprString(fl.Type)] = true
+				}
+				if len(kinds) == 2 && kinds["[]byte"] && kinds["error"] {
+					out = append(out, tr.at(n, "a latched byte reader outside internal/wire"))
+				}
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // Docs name what exists: every backticked Test*, Benchmark* or Fuzz* name
