@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"snowboard"
 	"snowboard/internal/core"
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
@@ -285,11 +284,8 @@ func foldedReport(t *testing.T, c *core.Campaign) []byte {
 // queue. It closes first after its first turn and returns how many jobs it
 // settled.
 func joinCampaign(c *core.Campaign, addr string, seed int64, first chan<- struct{}) (int, error) {
-	name := c.QueueName()
-	env := snowboard.NewEnv(snowboard.Version(c.Spec.Version))
-	defer env.Close()
 	cl, err := queue.DialOpts(addr, queue.DialOptions{
-		Queue:      name,
+		Queue:      c.QueueName(),
 		MaxRetries: 8,
 		BaseDelay:  time.Millisecond,
 		MaxDelay:   20 * time.Millisecond,
@@ -300,26 +296,36 @@ func joinCampaign(c *core.Campaign, addr string, seed int64, first chan<- struct
 		return 0, err
 	}
 	defer cl.Close()
-	w := core.NewWorker(env, "joined/"+name, nil)
-	settled := 0
-	for deadline := time.Now().Add(2 * time.Minute); time.Now().Before(deadline); {
-		leases, err := cl.LeaseN(1)
-		switch {
-		case errors.Is(err, queue.ErrClosed):
-			return settled, nil
-		case err != nil:
-			// Empty while the executor holds the last leases, or a sever
-			// that outlasted the client's retries: poll again.
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		n, _ := w.Do(cl, leases)
-		if settled += n; first != nil {
-			close(first)
-			first = nil
-		}
+	w := core.NewWorker(nil, "joined/"+c.QueueName())
+	defer w.Close()
+	return w.Join(&chaosLeaser{Client: cl, first: first}, 1, 2*time.Minute)
+}
+
+// chaosLeaser is a joined worker's flaky client. A lease failing for any
+// reason but a closed queue — empty while the executor holds the last
+// leases, or a sever that outlasted the client's retries — reads as empty,
+// so Join polls again; first closes once the worker settles its first
+// turn.
+type chaosLeaser struct {
+	*queue.Client
+	first chan<- struct{}
+}
+
+func (l *chaosLeaser) LeaseN(n int) ([]queue.Lease, error) {
+	leases, err := l.Client.LeaseN(n)
+	if err != nil && !errors.Is(err, queue.ErrClosed) {
+		err = queue.ErrEmpty
 	}
-	return settled, fmt.Errorf("queue %s never closed", name)
+	return leases, err
+}
+
+func (l *chaosLeaser) Settle(items []queue.Settlement) ([]error, error) {
+	errs, err := l.Client.Settle(items)
+	if l.first != nil {
+		close(l.first)
+		l.first = nil
+	}
+	return errs, err
 }
 
 func TestChaosFleetFairAndLossless(t *testing.T) {

@@ -66,9 +66,12 @@ func TestSbexecUsage(t *testing.T) {
 					t.Fatalf("stderr missing %q:\n%s", want, stderr.String())
 				}
 			}
-			// The trial budget travels with each job; a worker has none of its own.
-			if strings.Contains(stderr.String(), "-trials") {
-				t.Fatalf("usage text lists -trials:\n%s", stderr.String())
+			// The trial budget, kernel version and programs travel with each
+			// job; a worker has no budget, kernel or store of its own.
+			for _, flag := range []string{"-trials", "-version", "-state"} {
+				if strings.Contains(stderr.String(), flag) {
+					t.Fatalf("usage text lists %s:\n%s", flag, stderr.String())
+				}
 			}
 			if stdout.Len() != 0 {
 				t.Fatalf("usage leaked to stdout:\n%s", stdout.String())
@@ -108,15 +111,11 @@ func startGated(t *testing.T, spec core.CampaignSpec, stateDir string) (*queue.R
 // and checks what a worker owes its caller: exit 0, stdout clean (all
 // chatter belongs on stderr), its job count on stderr, and every job of
 // the queue settled.
-func drainWith(t *testing.T, worker string, reg *queue.Registry, addr string, c *core.Campaign, stateDir string, jobs int) {
+func drainWith(t *testing.T, worker string, reg *queue.Registry, addr string, c *core.Campaign, jobs int) {
 	t.Helper()
-	args := []string{"-addr", addr, "-queue", c.QueueName(),
-		"-workers", "1", "-idle-exit", "200ms", "-progress", "0"}
-	if stateDir != "" {
-		args = append(args, "-state", stateDir)
-	}
 	var wOut, wErr bytes.Buffer
-	wcmd := exec.Command(worker, args...)
+	wcmd := exec.Command(worker, "-addr", addr, "-queue", c.QueueName(),
+		"-workers", "1", "-idle-exit", "200ms", "-progress", "0")
 	wcmd.Stdout, wcmd.Stderr = &wOut, &wErr
 	if err := wcmd.Run(); err != nil {
 		t.Fatalf("worker exit error: %v\nstderr:\n%s", err, wErr.String())
@@ -140,7 +139,7 @@ func TestSbexecProcessesJobs(t *testing.T) {
 	worker := buildTool(t, "snowboard/cmd/sbexec")
 	spec := core.CampaignSpec{Name: "smoke", Seed: 1, FuzzBudget: 20, CorpusCap: 8, TestBudget: 2, Trials: 4}
 	reg, addr, c, gate := startGated(t, spec, "")
-	drainWith(t, worker, reg, addr, c, "", spec.TestBudget)
+	drainWith(t, worker, reg, addr, c, spec.TestBudget)
 	close(gate)
 	r, err := c.Wait()
 	if err != nil {
@@ -156,41 +155,44 @@ func TestSbexecProcessesJobs(t *testing.T) {
 // campaign's own executor is held at its start gate until the external
 // worker has drained the queue, so every result folded into the report is
 // sbexec's — and the report must equal the one the in-process executor
-// produces alone. The worker is given no trial budget: each job carries
-// the campaign's. With a state dir shared by the campaign and the worker,
-// jobs travel by reference and sbexec resolves them from the store.
+// produces alone. The worker is given nothing but the queue's address and
+// name: each job carries its programs, the campaign's trial budget and
+// its kernel version, so a campaign on a kernel other than the default one
+// folds the same report, and a campaign with a state dir needs no store on
+// the worker's side.
 func TestSbexecDrainsNamedCampaignQueue(t *testing.T) {
 	worker := buildTool(t, "snowboard/cmd/sbexec")
-	spec := core.CampaignSpec{Name: "joined", Seed: 3, FuzzBudget: 150, CorpusCap: 40, TestBudget: 6, Trials: 4}
-
-	run := func(external, state bool) []byte {
-		stateDir := ""
-		if state {
-			stateDir = t.TempDir()
+	for _, version := range []string{"", "5.3.10"} {
+		spec := core.CampaignSpec{Name: "joined", Seed: 3, FuzzBudget: 150, CorpusCap: 40, TestBudget: 6, Trials: 4, Version: version}
+		run := func(external, state bool) []byte {
+			stateDir := ""
+			if state {
+				stateDir = t.TempDir()
+			}
+			reg, addr, c, gate := startGated(t, spec, stateDir)
+			if external {
+				drainWith(t, worker, reg, addr, c, spec.TestBudget)
+			}
+			close(gate)
+			r, err := c.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := c.Status(); st.Executed != int64(spec.TestBudget) || r.TestedTests != spec.TestBudget {
+				t.Fatalf("status says %d executed, report folded %d of %d tests", st.Executed, r.TestedTests, spec.TestBudget)
+			}
+			r.FuzzTime, r.ProfileTime, r.IdentifyTime, r.ClusterTime, r.ExecTime = 0, 0, 0, 0, 0
+			payload, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return payload
 		}
-		reg, addr, c, gate := startGated(t, spec, stateDir)
-		if external {
-			drainWith(t, worker, reg, addr, c, stateDir, spec.TestBudget)
-		}
-		close(gate)
-		r, err := c.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := c.Status(); st.Executed != int64(spec.TestBudget) || r.TestedTests != spec.TestBudget {
-			t.Fatalf("status says %d executed, report folded %d of %d tests", st.Executed, r.TestedTests, spec.TestBudget)
-		}
-		r.FuzzTime, r.ProfileTime, r.IdentifyTime, r.ClusterTime, r.ExecTime = 0, 0, 0, 0, 0
-		payload, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return payload
-	}
-	for _, state := range []bool{false, true} {
-		alone, joined := run(false, state), run(true, state)
-		if !bytes.Equal(alone, joined) {
-			t.Fatalf("state=%t: report folded from sbexec's results differs from the in-process executor's:\n%s\nvs\n%s", state, joined, alone)
+		for _, state := range []bool{false, true} {
+			alone, joined := run(false, state), run(true, state)
+			if !bytes.Equal(alone, joined) {
+				t.Fatalf("version %q, state=%t: report folded from sbexec's results differs from the in-process executor's:\n%s\nvs\n%s", version, state, joined, alone)
+			}
 		}
 	}
 }

@@ -12,7 +12,7 @@
 //
 // With -state, the corpus, profile-set, and PMC-set artifacts are persisted
 // into the content-addressed store rooted there and their digests printed,
-// so snowboard/sbqueue/sbexec runs pointed at the same -state resume from
+// so snowboard/sbqueue/sbd runs pointed at the same -state resume from
 // them instead of re-fuzzing and re-profiling.
 package main
 

@@ -13,8 +13,9 @@
 // The campaign builds the corpus, profiles it, identifies and clusters
 // PMCs, and pushes the generated concurrent tests onto its named queue.
 // The listener opens once the jobs are pushed, and its log line names the
-// queue to join: `sbexec -addr <addr> -queue campaign.<id>`. The
-// coordinator's own executor drains the queue beside any joined workers,
+// queue to join: `sbexec -addr <addr> -queue campaign.<id>`, all a worker
+// needs, since every job carries its programs, the campaign's kernel
+// version and its trial budget. The coordinator's own executor drains the queue beside any joined workers,
 // so a run needs no worker at all. Jobs are delivered at-least-once: a
 // lease that expires unsettled (-lease) redelivers, up to -retries
 // attempts, and a job that exhausts them is dead-lettered and listed in
@@ -26,9 +27,8 @@
 // store rooted there, the campaign's manifest and finished report are
 // memoized in it (a rerun returns that report, and `sbd -state` on the
 // same directory lists the campaign), minimized SBRB repro bundles are
-// kept in it (replay with sbrepro -state), and jobs go on the wire by
-// reference — a corpus digest plus two pair indices — so joined workers
-// need the same -state to resolve them.
+// kept in it (replay with sbrepro -state). The store stays the
+// coordinator's: joined workers need no -state of their own.
 //
 // Operational chatter goes to stderr; stdout gets the final summary: the
 // delivery accounting, then the issue table as `snowboard -v` prints it
@@ -59,7 +59,7 @@ func main() {
 		corpusN  = flag.Int("corpus", 120, "corpus size cap")
 		tests    = flag.Int("tests", 200, "concurrent tests to enqueue")
 		workers  = flag.Int("workers", 0, "parallel worker goroutines for the local stages (0 = one per CPU)")
-		stateDir = flag.String("state", "", "artifact store directory: resume the campaign from it and enqueue jobs by corpus digest")
+		stateDir = flag.String("state", "", "artifact store directory: resume the campaign from it")
 		lease    = flag.Duration("lease", 30*time.Second, "worker lease timeout before an unsettled job is redelivered")
 		retries  = flag.Int("retries", 3, "delivery attempts per job before it is dead-lettered")
 		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/pprof) on this address")
@@ -102,13 +102,8 @@ func main() {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		// By-reference jobs need the coordinator's store to resolve.
-		hint := ""
-		if *stateDir != "" {
-			hint = " -state " + *stateDir
-		}
-		diag.Printf("%d jobs; queue listening on %s — join with: sbexec -addr %s -queue %s -version %s%s",
-			st.Expected, srv.Addr(), srv.Addr(), c.QueueName(), *version, hint)
+		diag.Printf("%d jobs; queue listening on %s — join with: sbexec -addr %s -queue %s",
+			st.Expected, srv.Addr(), srv.Addr(), c.QueueName())
 	}
 
 	r, err := c.Wait()

@@ -14,14 +14,12 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"snowboard"
 	"snowboard/internal/core"
 	"snowboard/internal/queue"
 )
@@ -65,26 +63,17 @@ func main() {
 				log.Fatal(err)
 			}
 			defer client.Close()
-			env := snowboard.NewEnv(snowboard.V5_12_RC3)
-			defer env.Close()
-			worker := core.NewWorker(env, fmt.Sprintf("worker-%d", id), nil)
-			for {
-				leases, err := client.LeaseN(core.TurnJobs)
-				switch {
-				case errors.Is(err, queue.ErrEmpty):
-					time.Sleep(20 * time.Millisecond)
-					continue
-				case errors.Is(err, queue.ErrClosed):
-					return
-				case err != nil:
-					log.Fatal(err)
-				}
-				// Explore the turn and settle it in one frame (or nack)
-				// exactly as sbexec and sbd do: one core.Worker behind
-				// every front door.
-				n, _ := worker.Do(client, leases)
-				settled.Add(int64(n))
+			// Each job carries its programs and kernel version, so the worker
+			// needs no kernel of its own: it boots one on its first job. It
+			// explores a turn and settles it in one frame (or nacks) exactly as
+			// sbexec and sbd do: one core.Worker behind every front door.
+			worker := core.NewWorker(nil, fmt.Sprintf("worker-%d", id))
+			defer worker.Close()
+			n, err := worker.Join(client, core.TurnJobs, time.Minute)
+			if err != nil {
+				log.Fatal(err)
 			}
+			settled.Add(int64(n))
 		}(w)
 	}
 	r, err := c.Wait()

@@ -572,10 +572,8 @@ func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 // joined worker, or a future incarnation after a restart — reproduces
 // byte-identical results.
 func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue) {
-	// By-reference jobs resolve against the pipeline's in-memory corpus,
-	// no store round-trip needed.
-	w := NewWorker(p.Env, "sbd/"+c.ID,
-		func(job *queue.Job) error { return job.Resolve(p.Corpus) })
+	w := NewWorker(p.Env, "sbd/"+c.ID)
+	defer w.Close()
 	lsr := localLeaser{q}
 	slice := c.env.slice()
 	for {

@@ -16,7 +16,6 @@ import (
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
-	"snowboard/internal/store"
 )
 
 // drain runs one core.Worker over lsr, a turn of TurnJobs leases at a
@@ -106,7 +105,7 @@ func freshCopy(base *Report) *Report {
 func runCampaign(t *testing.T, p *Pipeline, base *Report, opts Options, tests []sched.ConcurrentTest, crashFirst bool) (*Report, queue.Stats) {
 	t.Helper()
 	q := pushedQueue(t, p, tests, 5)
-	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), "core-test", nil), crashFirst)
+	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), "core-test"), crashFirst)
 	r, _ := foldReport(t, p, base, tests, q.Results(), q.DeadLetters())
 	return r, q.Stats()
 }
@@ -223,7 +222,7 @@ func TestWorkerFrontDoorsAgree(t *testing.T) {
 		if tcp {
 			lsr = serveQueue(t, q, opts.Seed, dial)
 		}
-		drain(t, q, lsr, NewWorker(p.Env.Clone(), name, nil), crashFirst)
+		drain(t, q, lsr, NewWorker(p.Env.Clone(), name), crashFirst)
 		if st := q.Stats(); crashFirst && st.Redelivered == 0 {
 			t.Errorf("%s: the abandoned lease was never redelivered: %+v", name, st)
 		}
@@ -304,7 +303,7 @@ func TestQueueFoldEqualsLocalFold(t *testing.T) {
 		q := pushedQueue(t, p, tests, 50)
 		lsr := &dupLeaser{Leaser: serveQueue(t, q, seed, flakyDial(seed))}
 		wenv := p.Env.Clone()
-		drain(t, q, lsr, NewWorker(wenv, "queue", nil), true)
+		drain(t, q, lsr, NewWorker(wenv, "queue"), true)
 		wenv.Close()
 		if st := q.Stats(); st.Redelivered == 0 {
 			t.Errorf("seed %d: the abandoned lease was never redelivered: %+v", seed, st)
@@ -419,7 +418,7 @@ func TestTurnIsTwoFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	wenv := p.Env.Clone()
-	w := NewWorker(wenv, "joined", nil)
+	w := NewWorker(wenv, "joined")
 	for turn := 0; turn < joinedTurns; turn++ {
 		leases, err := cl.LeaseN(slice)
 		if err != nil || len(leases) != slice {
@@ -527,55 +526,44 @@ func TestKeepTurnDropsFailedLeases(t *testing.T) {
 	}
 }
 
-// TestWorkerNacksUnresolvableJobs: a by-reference job reaching a worker
-// with no resolver is handed back with the reason, and after the retry
-// budget lands on the dead-letter list — accounted for, never lost.
-func TestWorkerNacksUnresolvableJobs(t *testing.T) {
-	p, _, _, tests := smallCampaign(t)
-	p.corpusDigest = store.Sum([]byte("a corpus only the coordinator has"))
-	q := pushedQueue(t, p, tests, 2)
-	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), "no-store", nil), false)
-
-	dead := q.DeadLetters()
-	if len(dead) != len(tests) {
-		t.Fatalf("%d dead letters, want %d", len(dead), len(tests))
-	}
-	for _, d := range dead {
-		if d.Attempts != 2 || !strings.Contains(d.Reason, "has no resolver") {
-			t.Errorf("dead job %d: attempts=%d reason=%q", d.Job.ID, d.Attempts, d.Reason)
-		}
-	}
-	sum, _ := AggregateResults(len(tests), q.Results(), dead)
-	if sum.Reported != 0 || len(sum.DeadJobs) != len(tests) || sum.Lost() {
-		t.Fatalf("unresolvable jobs not fully accounted for: %+v", sum)
-	}
-}
-
-// TestWorkerNacksJobsWithoutTrials: a job that carries no trial budget, or
-// one past MaxTrials, is malformed — no worker substitutes a budget of its
-// own or explores without bound — so it is nacked with the reason until it
-// dead-letters, and nothing is explored.
+// TestWorkerNacksJobsWithoutTrials: a job that carries no trial budget, one
+// past MaxTrials, or a kernel version no simulated kernel answers to is
+// malformed — no worker substitutes a budget or kernel of its own or
+// explores without bound — so it is nacked with the reason, counted as
+// poisoned, until it dead-letters, and nothing is explored.
 func TestWorkerNacksJobsWithoutTrials(t *testing.T) {
 	p, _, _, tests := smallCampaign(t)
 	q := queue.NewWithOptions(queue.Options{Name: "no-trials", MaxAttempts: 2})
 	t.Cleanup(q.Close)
 	budgets := []int{0, MaxTrials + 1}
+	version := string(p.Env.Cfg.Version)
+	want := make(map[int]string)
 	for i, ct := range tests {
-		job := queue.Job{ID: i, Seed: 1, Trials: budgets[i%2], Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint}
+		job := queue.Job{ID: i, Seed: 1, Trials: budgets[i%2], Version: version, Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint}
+		want[i] = fmt.Sprintf("trial budget %d", job.Trials)
+		if i == 0 {
+			// Well budgeted, but for a kernel the worker cannot boot.
+			job.Trials, job.Version = 4, "4.19"
+			want[i] = `unknown kernel version "4.19"`
+		}
 		if err := q.Push(job); err != nil {
 			t.Fatal(err)
 		}
 	}
-	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), "budgetless", nil), false)
+	poisoned := mPoisoned.Value()
+	w := NewWorker(p.Env.Clone(), "budgetless")
+	drain(t, q, localLeaser{q}, w, false)
 	dead, results := q.DeadLetters(), q.Results()
-	if len(dead) != len(tests) || len(results) != 0 {
-		t.Fatalf("%d dead letters and %d results, want %d and none", len(dead), len(results), len(tests))
+	if len(dead) != len(tests) || len(results) != 0 || len(w.x) != 0 {
+		t.Fatalf("%d dead letters, %d results and %d explorers, want %d and none", len(dead), len(results), len(w.x), len(tests))
 	}
 	for _, d := range dead {
-		want := fmt.Sprintf("trial budget %d", budgets[d.Job.ID%2])
-		if d.Attempts != 2 || !strings.Contains(d.Reason, want) {
-			t.Errorf("dead job %d: attempts=%d reason=%q, want %q", d.Job.ID, d.Attempts, d.Reason, want)
+		if d.Attempts != 2 || !strings.Contains(d.Reason, want[d.Job.ID]) {
+			t.Errorf("dead job %d: attempts=%d reason=%q, want %q", d.Job.ID, d.Attempts, d.Reason, want[d.Job.ID])
 		}
+	}
+	if n := mPoisoned.Value() - poisoned; n != int64(2*len(tests)) {
+		t.Errorf("worker.poisoned rose by %d, want %d: one per nacked delivery", n, 2*len(tests))
 	}
 }
 
@@ -629,7 +617,7 @@ func TestSettledJobAllocBudget(t *testing.T) {
 	tests = tests[:turn]
 	env := p.Env.Clone()
 	defer env.Close()
-	w := NewWorker(env, "budget", nil)
+	w := NewWorker(env, "budget")
 	q := queue.New()
 	defer q.Close()
 	perJob := func() float64 {

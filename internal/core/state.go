@@ -325,8 +325,7 @@ func (p *Pipeline) stage4Inputs(stage string) (cd, pd store.Digest) {
 
 // ArtifactDigests reports the content digests of the pipeline's current
 // artifacts as hex strings (empty when unknown/not yet computed), for
-// composing tools: sbprofile prints them, sbexec resolves queue jobs
-// against them.
+// composing tools: sbprofile prints them.
 func (p *Pipeline) ArtifactDigests() (corpusD, profilesD, pmcsD string) {
 	render := func(d store.Digest) string {
 		if d.IsZero() {

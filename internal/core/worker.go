@@ -7,6 +7,7 @@ import (
 
 	"snowboard/internal/detect"
 	"snowboard/internal/exec"
+	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
 	"snowboard/internal/par"
 	"snowboard/internal/queue"
@@ -15,11 +16,12 @@ import (
 
 // This file is the one recipe of stage 4, local or queue-delivered: the
 // explorer template, the per-test seeds, how tests become jobs carrying
-// them and the trial budget (PushTests), and how a leased turn of jobs is
-// explored and settled with whole outcomes (Worker.Do) — shared by sbd,
-// cmd/sbexec, cmd/sbqueue and examples/distributed. An outcome is a pure
-// function of (test, seed, trials), so FoldResults over each job's first
-// result equals local execution.
+// them with the trial budget and kernel version (PushTests), how a leased
+// turn of jobs is explored and settled with whole outcomes (Worker.Do),
+// and how a worker joins a campaign it does not own (Worker.Join) — shared
+// by sbd, cmd/sbexec, cmd/sbqueue and examples/distributed. An outcome is
+// a pure function of (test, seed, trials, version), all of them in the
+// job, so FoldResults over each job's first result equals local execution.
 
 // stage4Explorer is the explorer both ExecuteTests' fleet and queue
 // workers copy: Algorithm 2 with the suite's oracles and the host fsck.
@@ -45,20 +47,16 @@ func (p *Pipeline) exploreSeeds(n int) []int64 {
 }
 
 // PushTests enqueues tests as jobs 0..len(tests)-1, the ID space
-// FoldResults folds over, each carrying its exploration seed and the
-// pipeline's trial budget: by reference
-// (corpus digest plus pair indices, resolved by the worker) when the
-// pipeline's corpus is a stored artifact, with both programs inline
-// otherwise. Every job carries trace, so worker and delivery events stitch
-// back to the originating campaign.
+// FoldResults folds over, each carrying both programs, its exploration
+// seed, the pipeline's trial budget and kernel version — everything its
+// outcome depends on, so a worker needs nothing but the queue's address.
+// Every job carries trace, so worker and delivery events stitch back to
+// the originating campaign.
 func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace string) error {
-	corpusDigest, _, _ := p.ArtifactDigests()
 	seeds := p.exploreSeeds(len(tests))
 	for i, ct := range tests {
-		job := queue.Job{ID: i, Seed: seeds[i], Trials: p.Opts.Trials, Corpus: corpusDigest, Hint: ct.Hint, Pair: ct.Pair, Trace: trace}
-		if corpusDigest == "" {
-			job.Writer, job.Reader = ct.Writer, ct.Reader
-		}
+		job := queue.Job{ID: i, Seed: seeds[i], Trials: p.Opts.Trials, Version: string(p.Env.Cfg.Version),
+			Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint, Pair: ct.Pair, Trace: trace}
 		if err := q.Push(job); err != nil {
 			return fmt.Errorf("push job %d: %w", i, err)
 		}
@@ -69,6 +67,9 @@ func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace
 // TurnJobs is how many jobs an executor leases per turn — one lease and one
 // settle, a frame each over TCP — unless CampaignEnv.Slice says otherwise.
 const TurnJobs = 4
+
+// mPoisoned counts the jobs workers nack as malformed, on every front door.
+var mPoisoned = obs.C(obs.MWorkerPoisoned)
 
 // Leaser is where a Worker leases turns from and settles them to:
 // localLeaser on the queue in this process (sbd's executor), or a
@@ -125,26 +126,48 @@ func keepTurn(lsr Leaser, leases []queue.Lease) (stop func()) {
 	return func() { close(done) }
 }
 
-// Worker executes queue-delivered jobs on a private simulated-kernel
-// environment. It is not safe for concurrent use: run one per goroutine.
+// Worker executes queue-delivered jobs on private simulated-kernel
+// environments, one per kernel version its jobs name. It is not safe for
+// concurrent use: run one per goroutine.
 type Worker struct {
-	name    string
-	x       *sched.Explorer
-	resolve func(job *queue.Job) error
+	name string
+	env  *exec.Env // the env NewWorker was given: its owner's to close
+	x    map[kernel.Version]*sched.Explorer
 }
 
-// NewWorker returns a worker exploring on env, each job with the trial
-// budget it carries; name labels its results. resolve fills a by-reference
-// job's programs (queue.Job.Resolve against the corpus artifact it names);
-// with a nil resolver such jobs are nacked.
-func NewWorker(env *exec.Env, name string, resolve func(job *queue.Job) error) *Worker {
-	if resolve == nil {
-		resolve = func(job *queue.Job) error {
-			return fmt.Errorf("job %d references corpus artifact %.12s… but worker %s has no resolver", job.ID, job.Corpus, name)
-		}
+// NewWorker returns a worker exploring each job with the trial budget and
+// on the kernel version it carries; name labels its results. A job of
+// env's version explores on env (nil: none is given); a job of any other
+// version boots an env of that version on first use, for Close to close.
+func NewWorker(env *exec.Env, name string) *Worker {
+	return &Worker{name: name, env: env, x: make(map[kernel.Version]*sched.Explorer)}
+}
+
+// explorer returns the worker's explorer for kernel v, booting an env of
+// that version unless the worker was given one. Do sets each job's seed
+// and trials on it.
+func (w *Worker) explorer(v kernel.Version) *sched.Explorer {
+	if x, ok := w.x[v]; ok {
+		return x
 	}
-	x := stage4Explorer(env, 0, detect.DefaultOptions()) // Do sets each job's seed and trials
-	return &Worker{name: name, resolve: resolve, x: &x}
+	env := w.env
+	if env == nil || env.Cfg.Version != v {
+		env = exec.NewEnv(kernel.Config{Version: v})
+	}
+	x := stage4Explorer(env, 0, detect.DefaultOptions())
+	w.x[v] = &x
+	return &x
+}
+
+// Close closes the envs the worker booted; the one NewWorker was given
+// stays its owner's.
+func (w *Worker) Close() {
+	for v, x := range w.x {
+		if x.Env != w.env {
+			x.Env.Close()
+		}
+		delete(w.x, v)
+	}
 }
 
 // nack hands a lease back with a reason, so the job redelivers (maybe to
@@ -156,29 +179,28 @@ func (w *Worker) nack(lsr Leaser, ls queue.Lease, reason string) {
 	}
 }
 
-// Do runs a turn's leases to settlement: resolve each job (in place, in
-// leases), explore it with the seed and trial budget it carries under one
-// lease keeper for the whole turn, and settle every outcome, in its binary
-// form (result recorded, lease released), in one Settle. It returns how many leases settled with a result and how many of
-// those exercised their channel; every other lease was nacked — its job
-// malformed (a trial budget not in 1..MaxTrials) or unresolvable, or its
-// result never landed. Failures are contained to the job, never the
-// process.
+// Do runs a turn's leases to settlement: explore each job with the seed,
+// trial budget and kernel version it carries under one lease keeper for
+// the whole turn, and settle every outcome, in its binary form (result
+// recorded, lease released), in one Settle. It returns how many leases
+// settled with a result and how many of those exercised their channel;
+// every other lease was nacked — its job malformed (a trial budget not in
+// 1..MaxTrials, or an unknown kernel version; counted as worker.poisoned)
+// or its result never landed. Failures are contained to the job, never
+// the process.
 func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 	held := make([]queue.Lease, 0, len(leases))
-	for i := range leases {
-		ls := &leases[i]
+	for _, ls := range leases {
+		_, err := kernel.ParseVersion(ls.Job.Version)
 		if ls.Job.Trials <= 0 || ls.Job.Trials > MaxTrials {
-			w.nack(lsr, *ls, fmt.Sprintf("malformed job %d: trial budget %d", ls.Job.ID, ls.Job.Trials))
+			err = fmt.Errorf("trial budget %d", ls.Job.Trials)
+		}
+		if err != nil {
+			mPoisoned.Inc()
+			w.nack(lsr, ls, fmt.Sprintf("malformed job %d: %v", ls.Job.ID, err))
 			continue
 		}
-		if !ls.Job.Inline() {
-			if err := w.resolve(&ls.Job); err != nil {
-				w.nack(lsr, *ls, err.Error())
-				continue
-			}
-		}
-		held = append(held, *ls)
+		held = append(held, ls)
 	}
 	if len(held) == 0 {
 		return 0, 0
@@ -192,11 +214,12 @@ func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 	var buf []byte
 	for i := range held {
 		job := &held[i].Job
-		w.x.Seed, w.x.Trials = job.Seed, job.Trials
+		x := w.explorer(kernel.Version(job.Version))
+		x.Seed, x.Trials = job.Seed, job.Trials
 		// Tag this job's events with the originating campaign's trace, so a
 		// distributed run's timeline reads end-to-end.
-		w.x.Trace = job.Trace
-		out := w.x.Explore(sched.ConcurrentTest{
+		x.Trace = job.Trace
+		out := x.Explore(sched.ConcurrentTest{
 			Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,
 		})
 		hit[i] = out.Exercised
@@ -224,4 +247,34 @@ func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 		}
 	}
 	return settled, exercised
+}
+
+// joinPoll is how long Join waits before asking an empty queue again.
+const joinPoll = 20 * time.Millisecond
+
+// Join is how a worker joins a campaign it does not own: it leases turns
+// of up to turn jobs from lsr and runs each through Do until the queue
+// closes or stays empty for longer than idle, and returns how many leases
+// it settled with the error that ended it — nil for a closed or idle
+// queue, else the lease's (an unknown queue, or a coordinator the client's
+// retries could not reach; leased work redelivers elsewhere).
+// Campaign.executeLoop, which owns its queue and takes fair turns, keeps a
+// loop of its own.
+func (w *Worker) Join(lsr Leaser, turn int, idle time.Duration) (settled int, err error) {
+	idleSince := time.Now()
+	for {
+		leases, err := lsr.LeaseN(turn)
+		switch {
+		case errors.Is(err, queue.ErrEmpty) && time.Since(idleSince) <= idle:
+			time.Sleep(joinPoll)
+		case errors.Is(err, queue.ErrEmpty), errors.Is(err, queue.ErrClosed):
+			return settled, nil
+		case err != nil:
+			return settled, err
+		default:
+			idleSince = time.Now()
+			n, _ := w.Do(lsr, leases)
+			settled += n
+		}
+	}
 }

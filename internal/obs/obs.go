@@ -123,8 +123,8 @@ const (
 	MQueueNetReconn  = "queue.net.reconnects"      // counter: client reconnects after I/O errors
 	MQueueNetBigFrm  = "queue.net.frame_too_large" // counter: frames rejected by the size cap
 
-	// Worker-process health (cmd/sbexec).
-	MWorkerPoisoned = "worker.poisoned" // counter: jobs nacked as unprocessable by a worker
+	// Worker health (core.Worker, behind every front door).
+	MWorkerPoisoned = "worker.poisoned" // counter: deliveries nacked as malformed (trial budget, kernel version)
 
 	// Introspection-server health.
 	MObsServeErrors = "obs.http.serve_errors" // counter: introspection listeners that failed while serving

@@ -2,7 +2,6 @@ package queue_test
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -34,12 +33,10 @@ func TestChaosFleet(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// By-reference jobs (a digest plus pair indices) keep the wire frames
-	// tiny; the workers here never resolve them — they only exercise the
-	// delivery machinery.
-	digest := strings.Repeat("ab", 32)
+	// One-call programs keep the wire frames small; the workers here never
+	// explore them — they only exercise the delivery machinery.
 	for i := 0; i < jobs; i++ {
-		if err := q.Push(queue.Job{ID: i, Corpus: digest}); err != nil {
+		if err := q.Push(queue.TestJob(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

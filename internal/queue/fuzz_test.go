@@ -49,7 +49,7 @@ func FuzzQueueWire(f *testing.F) {
 		`{"op":"report","result":{"id":1}}`,
 		`{"op":"lease","v":2}`,
 		`{"op":"ack","lease":1,"v":2}`,
-		`{"op":"nack","lease":7,"reason":"crash","v":5}`,
+		`{"op":"nack","lease":7,"reason":"crash","v":6}`,
 		`{"op":"extend","lease":7,"ms":500}`,
 		`{"op":"pop","v":99}`,
 		`{"op":"lease","lease":18446744073709551615}`,
@@ -59,40 +59,42 @@ func FuzzQueueWire(f *testing.F) {
 		`null`,
 		`"pop"`,
 		"\x00\xff garbage \x7f",
-		`{"op":"lease","queue":"known","v":5}`,
+		`{"op":"lease","queue":"known","v":6}`,
 		`{"op":"report","queue":"known","result":{"job_id":1}}`,
-		`{"op":"lease","queue":"missing","v":5}`,
-		`{"op":"push","queue":"known","v":5,"job":{"id":1,"corpus":"ab"}}`,
+		`{"op":"lease","queue":"missing","v":6}`,
+		`{"op":"push","queue":"known","v":6,"job":{"id":1,"corpus":"ab"}}`,
 	} {
 		f.Add([]byte(hdr), []byte(nil))
 	}
 	for _, s := range []struct{ hdr, trailer string }{
-		// Well-formed v5 frames.
-		{`{"op":"lease","n":4,"v":5}`, ``},
-		{`{"op":"lease","queue":"known","n":2,"v":5}`, ``},
-		{`{"op":"settle","queue":"known","items":[{"lease":1,"result":{"job_id":1,"trials":2},"len":5},{"lease":2}],"trailer":5,"v":5}`, `hello`},
+		// Well-formed v6 frames.
+		{`{"op":"lease","n":4,"v":6}`, ``},
+		{`{"op":"lease","queue":"known","n":2,"v":6}`, ``},
+		{`{"op":"settle","queue":"known","items":[{"lease":1,"result":{"job_id":1,"trials":2},"len":5},{"lease":2}],"trailer":5,"v":6}`, `hello`},
 		// Declared lengths over the cap.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1048576}],"trailer":1048576,"v":5}`, `x`},
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1}],"trailer":9223372036854775807,"v":5}`, `x`},
-		{`{"op":"settle","trailer":1e30,"v":5}`, `x`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1048576}],"trailer":1048576,"v":6}`, `x`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1}],"trailer":9223372036854775807,"v":6}`, `x`},
+		{`{"op":"settle","trailer":1e30,"v":6}`, `x`},
 		// Negative or overflowing item lengths.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":-3},{"result":{"job_id":2},"len":5}],"trailer":2,"v":5}`, `ab`},
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":9223372036854775807},{"result":{"job_id":2},"len":2}],"trailer":1,"v":5}`, `a`},
-		{`{"op":"settle","trailer":-5,"v":5}`, `abcde`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":-3},{"result":{"job_id":2},"len":5}],"trailer":2,"v":6}`, `ab`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":9223372036854775807},{"result":{"job_id":2},"len":2}],"trailer":1,"v":6}`, `a`},
+		{`{"op":"settle","trailer":-5,"v":6}`, `abcde`},
 		// Item lengths that do not sum to the trailer, or ride no result.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":2},{"result":{"job_id":2},"len":2}],"trailer":5,"v":5}`, `abcde`},
-		{`{"op":"settle","items":[{"lease":1,"len":3}],"trailer":3,"v":5}`, `abc`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":2},{"result":{"job_id":2},"len":2}],"trailer":5,"v":6}`, `abcde`},
+		{`{"op":"settle","items":[{"lease":1,"len":3}],"trailer":3,"v":6}`, `abc`},
 		// A truncated trailer, and a trailer on an op that takes none.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":10}],"trailer":10,"v":5}`, `abc`},
-		{`{"op":"lease","trailer":3,"v":5}`, `abc`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":10}],"trailer":10,"v":6}`, `abc`},
+		{`{"op":"lease","trailer":3,"v":6}`, `abc`},
+		// A v5 worker's lease: it would explore on a kernel of its own.
+		{`{"op":"lease","n":4,"v":5}`, ``},
 		// A v4 worker's lease and settle: its outcomes are JSON.
 		{`{"op":"lease","n":4,"v":4}`, ``},
 		{`{"op":"settle","items":[{"lease":1,"result":{"job_id":1,"trials":3},"len":12}],"trailer":12,"v":4}`, `{"Trials":3}`},
 		// v2 report and ack frames.
 		{`{"op":"report","v":2,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
 		{`{"op":"ack","queue":"known","lease":1,"v":2}`, ``},
-		{`{"op":"report","v":5,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
-		{`{"op":"ack","queue":"known","lease":1,"v":5}`, ``},
+		{`{"op":"report","v":6,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
+		{`{"op":"ack","queue":"known","lease":1,"v":6}`, ``},
 	} {
 		f.Add([]byte(s.hdr), []byte(s.trailer))
 	}
@@ -110,7 +112,7 @@ func FuzzQueueWire(f *testing.F) {
 		defer reg.Close()
 		for _, q := range reg.queues {
 			for id := 1; id <= 2; id++ {
-				if err := q.Push(Job{ID: id, Corpus: "ab"}); err != nil {
+				if err := q.Push(testJob(id)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -35,18 +35,18 @@ var (
 // TCP transport: a Server fronts a Registry of queues; Clients (workers on
 // other machines) lease jobs and settle them. A frame is one JSON header
 // line, followed — when the header declares "trailer":N — by exactly N raw
-// bytes. Protocol version 5 has four ops, and a worker's turn costs two
+// bytes. Protocol version 6 has four ops, and a worker's turn costs two
 // frames each way, one lease and one settle:
 //
-//	{"op":"lease","n":4,"v":5}
+//	{"op":"lease","n":4,"v":6}
 //	  -> {"ok":true,"leases":[{"lease":7,"attempt":1,"ttl_ms":30000,"len":180},...],"trailer":N}
 //	     + N bytes: each granted job's JSON, "len" bytes apiece
 //	   | {"ok":false,"err":"queue: empty"|"queue: closed"}
-//	{"op":"settle","items":[{"lease":7,"result":{"job_id":3,"trials":64},"len":90},...],"trailer":N,"v":5}
+//	{"op":"settle","items":[{"lease":7,"result":{"job_id":3,"trials":64},"len":90},...],"trailer":N,"v":6}
 //	  + N bytes: each item's outcome in sched.Outcome's binary form, "len" bytes apiece
 //	  -> {"ok":true} | {"ok":true,"errs":["","queue: unknown lease",...]}
-//	{"op":"nack","lease":7,"reason":"...","v":5} -> {"ok":true}
-//	{"op":"extend","lease":7,"ms":30000,"v":5}   -> {"ok":true,"ttl_ms":30000}
+//	{"op":"nack","lease":7,"reason":"...","v":6} -> {"ok":true}
+//	{"op":"extend","lease":7,"ms":30000,"v":6}   -> {"ok":true,"ttl_ms":30000}
 //
 // A settle records each item's result and releases its lease (an item may
 // carry either alone) in one critical section, Queue.Settle; "errs" is
@@ -66,8 +66,9 @@ var (
 // they touch a queue, so an older or newer peer fails loudly instead of
 // leasing jobs it would mis-parse (a v2 worker cannot read a v4 lease
 // answer), explore differently (a v3 worker ignores the trial budget a
-// job carries and explores with its own) or settle with outcomes the fold
-// cannot read (a v4 worker sends them as JSON). A request without v is taken
+// job carries and explores with its own, a v5 worker the kernel version)
+// or settle with outcomes the fold cannot read (a v4 worker sends them as
+// JSON). A request without v is taken
 // as the server's version. A frame, header and trailer together, is
 // capped at 1 MiB: an oversized header line or a declared trailer past
 // the cap is answered with
@@ -78,14 +79,17 @@ var (
 // only while the trailer stays within half the cap.
 // A connection silent for five minutes is dropped.
 
-// ProtoVersion is the wire protocol version this build speaks. Version 5
-// settles outcomes in sched.Outcome's binary form where version 4 sent
-// JSON, so a v4 worker is refused at its first lease, before any outcome
-// of its reaches a fold. Within a version, jobs may carry an optional
+// ProtoVersion is the wire protocol version this build speaks. Version 6
+// jobs always carry both programs and their campaign's kernel version,
+// where version 5 could name a corpus artifact the worker had to resolve
+// from a shared store and let the worker pick the kernel, so a v5 worker
+// is refused at its first lease instead of exploring jobs it would read
+// wrong. Version 5 settled outcomes in sched.Outcome's binary form where
+// version 4 sent JSON. Within a version, jobs may carry an optional
 // "trace" field stitching them to the originating campaign; peers that
 // predate it ignore it (unknown JSON fields are dropped on decode), so it
 // needed no version bump.
-const ProtoVersion = 5
+const ProtoVersion = 6
 
 // Transport limits.
 const (

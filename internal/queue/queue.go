@@ -43,13 +43,10 @@ var (
 	mLeaseAge  = obs.H(obs.MQueueLeaseAge)
 )
 
-// Job is one unit of exploration work: a concurrent test, carried either
-// inline (Writer/Reader programs embedded in the job) or by reference
-// (Corpus names a corpus artifact in a shared content-addressed store and
-// Pair indexes the two programs inside it). Referencing shrinks the wire
-// format to a digest plus two integers regardless of program size and lets
-// a fleet of workers share one corpus artifact instead of receiving every
-// program inline.
+// Job is one unit of exploration work: a concurrent test with everything
+// its outcome depends on — both programs, the kernel version, the seed and
+// the trial budget — so any worker that can reach the queue explores it
+// exactly as the coordinator would, with no store or flag of its own.
 type Job struct {
 	ID int `json:"id"`
 	// Seed is the exploration seed the coordinator drew for this test —
@@ -57,47 +54,20 @@ type Job struct {
 	// neither the worker nor the delivery attempt.
 	Seed int64 `json:"seed"`
 	// Trials is the campaign's trial budget per test, set by the
-	// coordinator: an outcome is a function of (test, seed, trials), so no
-	// executor explores with a budget of its own.
-	Trials int          `json:"trials,omitempty"`
-	Writer *corpus.Prog `json:"writer,omitempty"`
-	Reader *corpus.Prog `json:"reader,omitempty"`
-	// Corpus, when non-empty, is the hex content digest of a corpus
-	// artifact (store.KindCorpus); Writer/Reader are then resolved from
-	// Pair against that corpus via Resolve.
-	Corpus string   `json:"corpus,omitempty"`
-	Hint   *pmc.PMC `json:"hint,omitempty"`
-	Pair   pmc.Pair `json:"pair"`
+	// coordinator: an outcome is a function of (test, seed, trials,
+	// version), so no executor explores with a budget of its own.
+	Trials int `json:"trials,omitempty"`
+	// Version is the simulated kernel the campaign tests (kernel.Version),
+	// so no executor explores on a kernel of its own choosing.
+	Version string       `json:"version,omitempty"`
+	Writer  *corpus.Prog `json:"writer,omitempty"`
+	Reader  *corpus.Prog `json:"reader,omitempty"`
+	Hint    *pmc.PMC     `json:"hint,omitempty"`
+	Pair    pmc.Pair     `json:"pair"`
 	// Trace stitches the job to its originating campaign: workers tag the
 	// job's events with it, so a distributed run's timeline reads
 	// end-to-end. Optional: a job without one emits untagged events.
 	Trace string `json:"trace,omitempty"`
-}
-
-// Inline reports whether the job carries its programs inline.
-func (j *Job) Inline() bool { return j.Writer != nil && j.Reader != nil }
-
-// Resolve fills Writer/Reader from the corpus the job references. It is a
-// no-op for inline jobs.
-func (j *Job) Resolve(c *corpus.Corpus) error {
-	if j.Inline() {
-		return nil
-	}
-	if c == nil {
-		return fmt.Errorf("queue: job %d references corpus %.12s but no corpus given", j.ID, j.Corpus)
-	}
-	if j.Pair.Writer < 0 || j.Pair.Writer >= c.Len() || j.Pair.Reader < 0 || j.Pair.Reader >= c.Len() {
-		return fmt.Errorf("queue: job %d pair (%d,%d) out of range for corpus of %d tests",
-			j.ID, j.Pair.Writer, j.Pair.Reader, c.Len())
-	}
-	j.Writer = c.Progs[j.Pair.Writer]
-	j.Reader = c.Progs[j.Pair.Reader]
-	if j.Pair.Writer == j.Pair.Reader {
-		// Duplicate pairing runs a program against a copy of itself; clone so
-		// resolution matches what inline generation would have carried.
-		j.Reader = j.Reader.Clone()
-	}
-	return nil
 }
 
 // JobResult carries a worker's findings back. A redelivered job may report
@@ -539,22 +509,16 @@ func (q *Queue) Close() {
 // EncodeJob serializes a job for the wire.
 func EncodeJob(j Job) ([]byte, error) { return json.Marshal(j) }
 
-// DecodeJob parses a serialized job. Inline programs are validated;
-// by-reference jobs must carry a corpus digest and in-range pair indices
-// (full bounds checking happens at Resolve time, against the corpus).
+// DecodeJob parses a serialized job and validates both of its programs; a
+// job without them is refused. Its trial budget and kernel version are the
+// worker's to check (core.Worker.Do nacks a job it cannot explore).
 func DecodeJob(data []byte) (Job, error) {
 	var j Job
 	if err := json.Unmarshal(data, &j); err != nil {
 		return Job{}, err
 	}
-	if !j.Inline() {
-		if j.Corpus == "" {
-			return Job{}, errors.New("queue: job carries neither inline programs nor a corpus digest")
-		}
-		if j.Pair.Writer < 0 || j.Pair.Reader < 0 {
-			return Job{}, errors.New("queue: by-reference job with negative pair index")
-		}
-		return j, nil
+	if j.Writer == nil || j.Reader == nil {
+		return Job{}, errors.New("queue: job carries no programs")
 	}
 	if err := j.Writer.Validate(); err != nil {
 		return Job{}, err

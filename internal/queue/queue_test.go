@@ -76,6 +76,7 @@ func TestResultsDrain(t *testing.T) {
 
 func TestJobEncodeDecode(t *testing.T) {
 	j := testJob(5)
+	j.Trials, j.Version = 4, "5.3.10"
 	data, err := EncodeJob(j)
 	if err != nil {
 		t.Fatal(err)
@@ -84,11 +85,15 @@ func TestJobEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != 5 || got.Hint == nil || got.Hint.Read.Val != 2 {
+	if got.ID != 5 || got.Hint == nil || got.Hint.Read.Val != 2 || got.Trials != 4 || got.Version != "5.3.10" {
 		t.Fatalf("decoded: %+v", got)
 	}
-	if _, err := DecodeJob([]byte(`{"id":1}`)); err == nil {
-		t.Fatal("job without programs decoded")
+	// A job names no corpus to resolve its programs from: one that carries
+	// none, as a v5 by-reference job did, is refused.
+	for _, raw := range []string{`{"id":1}`, `{"id":1,"corpus":"abcd","pair":{"Writer":0,"Reader":1}}`} {
+		if _, err := DecodeJob([]byte(raw)); err == nil {
+			t.Fatalf("job without programs decoded: %s", raw)
+		}
 	}
 	if _, err := DecodeJob([]byte(`{"id":1,"writer":{"calls":[{"nr":999}]},"reader":{"calls":[]}}`)); err == nil {
 		t.Fatal("invalid program decoded")

@@ -146,6 +146,10 @@ var designRules = []designRule{
 		{"internal/core/keep_test.go", "package core\n\nfunc init() { keepLease(nil) }\n"},
 		{"internal/core/worker.go", "\nfunc (w *Worker) Do(lsr Leaser, l queue.Lease) {}\n"},
 	}},
+	{"one_join_loop", oneJoinLoop, []mutation{
+		{"cmd/sbexec/main.go", "\nfunc lease(c *queue.Client) { c.LeaseN(1) }\n"},
+		{"examples/distributed/main.go", "\nfunc turn(c *queue.Client) { c.LeaseN(core.TurnJobs) }\n"},
+	}},
 	{"the_executor_leases_in_process", theExecutorLeasesInProcess, []mutation{
 		// The alias hides this call from a text match for "queue.Dial".
 		{"internal/core/dial.go", "package core\n\nimport q \"snowboard/internal/queue\"\n\nvar c, _ = q.DialOpts(\"\", q.DialOptions{})\n"},
@@ -576,6 +580,23 @@ func oneFrameEachWayPerTurn(tr *tree) []string {
 			out = append(out, tr.at(fd, fmt.Sprintf("Worker.Do takes %v, want %v", got, want)))
 		}
 	}
+	return out
+}
+
+// A worker joins a campaign it does not own through Worker.Join, one lease
+// loop for every front door; Campaign.executeLoop, which owns its queue,
+// keeps the other. A .LeaseN( call outside internal/core and
+// internal/queue is a copied lease loop back.
+func oneJoinLoop(tr *tree) []string {
+	var out []string
+	inspect(tr.code(), func(f *srcFile, n ast.Node) {
+		if strings.HasPrefix(f.path, "internal/core/") || strings.HasPrefix(f.path, "internal/queue/") {
+			return
+		}
+		if call, ok := n.(*ast.CallExpr); ok && isSelector(call.Fun) && lastName(call.Fun) == "LeaseN" {
+			out = append(out, tr.at(call, "a lease loop of its own (.LeaseN(); join through core.Worker.Join"))
+		}
+	})
 	return out
 }
 
