@@ -10,10 +10,11 @@
 //	          [-workers 0] [-state dir] [-top 10] [-dump-tests]
 //	          [-http :0] [-progress 10s]
 //
-// With -state, the corpus, profile-set, and PMC-set artifacts are persisted
-// into the content-addressed store rooted there and their digests printed,
-// so snowboard/sbqueue/sbd runs pointed at the same -state resume from
-// them instead of re-fuzzing and re-profiling.
+// With -state, the corpus is persisted into the content-addressed store
+// rooted there (or loaded from it), so snowboard/sbqueue/sbd runs pointed
+// at the same -state take it from there instead of re-fuzzing. Profiles
+// and PMCs are recomputed on every run: that is cheaper than reading them
+// back, so no state dir holds them.
 package main
 
 import (
@@ -35,7 +36,7 @@ func main() {
 		fuzzN    = flag.Int("fuzz", 400, "sequential fuzzing executions")
 		corpusN  = flag.Int("corpus", 120, "corpus size cap")
 		workers  = flag.Int("workers", 0, "parallel worker goroutines per stage (0 = one per CPU)")
-		stateDir = flag.String("state", "", "artifact store directory: persist corpus/profile/PMC artifacts and resume from them")
+		stateDir = flag.String("state", "", "artifact store directory: persist the corpus and resume from it (profiles and PMCs are always recomputed)")
 		top      = flag.Int("top", 10, "hottest channels to print")
 		dump     = flag.Bool("dump-tests", false, "print every corpus program")
 		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/pprof) on this address")
@@ -82,13 +83,6 @@ func main() {
 		r.ProfiledAccesses, r.ProfileTime, float64(r.ProfiledAccesses)/float64(max(r.CorpusSize, 1)))
 	fmt.Printf("PMCs: %d distinct keys, %d combinations, identified in %v\n",
 		r.DistinctPMCs, r.PMCCombinations, r.IdentifyTime)
-	if *stateDir != "" {
-		corpusD, profilesD, pmcsD := p.ArtifactDigests()
-		fmt.Printf("artifacts (state %s):\n", *stateDir)
-		fmt.Printf("  corpus   %s\n", corpusD)
-		fmt.Printf("  profiles %s\n", profilesD)
-		fmt.Printf("  pmcs     %s\n", pmcsD)
-	}
 	fmt.Println()
 
 	fmt.Printf("%-16s %9s\n", "Strategy", "Clusters")

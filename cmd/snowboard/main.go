@@ -44,7 +44,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "parallel worker goroutines per stage (0 = one per CPU); results are identical for any value")
 		feedback = flag.Bool("feedback", false, "close the loop: allocate the test budget in rounds across PMC clusters by recent interleaving-segment yield, composing independent PMCs and mutating segment-discovering schedules")
 		rounds   = flag.Int("rounds", 0, "budget-allocation rounds for -feedback (0 = default 4)")
-		stateDir = flag.String("state", "", "artifact store directory: persist every stage's output (replayable SBRB bundles included; see sbrepro) and resume from unchanged stages on re-run")
+		stateDir = flag.String("state", "", "artifact store directory: persist the corpus and the report (replayable SBRB bundles included; see sbrepro) and resume from them on re-run; profiles and PMCs are always recomputed")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")
 		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/pprof) on this address")
 		progress = flag.Duration("progress", 10*time.Second, "interval between one-line progress reports on stderr (0 disables)")

@@ -475,8 +475,9 @@ func (c *Campaign) run() {
 	c.finish(c.execute())
 }
 
-// execute is local stages 1–3 (memoized through the shared store), then
-// stage 4 through the campaign's named queue under the fair scheduler.
+// execute is local stages 1–3 (the corpus memoized through the shared
+// store, profiles and PMCs recomputed), then stage 4 through the
+// campaign's named queue under the fair scheduler.
 // The finished report is memoized campaign-level, so a restarted server
 // resumes completed campaigns byte-identically and in-flight ones re-run
 // only what the stage memos don't cover.

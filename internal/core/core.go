@@ -105,11 +105,12 @@ type Options struct {
 	Workers int
 
 	// StateDir, when non-empty, roots a content-addressed artifact store
-	// that memoizes every stage: re-running with equivalent options
-	// resumes at the first stage whose inputs changed, and several
-	// methods (Table 3 comparisons) share one corpus/profile/PMC set
-	// instead of recomputing them. Like Workers, StateDir never changes
-	// what a run computes — only whether stages execute or load.
+	// that memoizes the corpus and the report: re-running with equivalent
+	// options returns the stored report, and several methods (Table 3
+	// comparisons) share one stored corpus. Profiles and PMCs are
+	// recomputed, which costs less than reading them back. Like Workers,
+	// StateDir never changes what a run computes — only whether stages
+	// execute or load.
 	StateDir string
 }
 

@@ -78,14 +78,14 @@ type feedbackRoundState struct {
 	Report       json.RawMessage      `json:"report"` // partial Report (Metrics not yet captured)
 }
 
-// feedbackKeys derives the digest-linked chain key of every round, in the
-// style of the identify chain: round r's key pins the corpus, the PMC
-// set, every option that shapes the loop, and — through prev — the whole
-// round prefix. Returns nil when the inputs are not content-addressed (no
-// store attached, or persisting them failed).
+// feedbackKeys derives the digest-linked chain key of every round: round
+// r's key pins the corpus, the PMC set by how it is derived (pmcPart),
+// every option that shapes the loop, and — through prev — the whole round
+// prefix. Returns nil when the corpus is not content-addressed (no store
+// attached, or persisting it failed).
 func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
-	cd, pd := p.stage4Inputs("feedback")
-	if cd.IsZero() || pd.IsZero() {
+	cd := p.stage4Corpus("feedback")
+	if cd.IsZero() {
 		return nil
 	}
 	m := p.Opts.Method
@@ -94,7 +94,7 @@ func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 	for i := range keys {
 		prev = store.Key(keyPrefix, "feedback-round",
 			"corpus="+cd.String(),
-			"pmcs="+pd.String(),
+			pmcPart(p.Opts.PMC),
 			fmt.Sprintf("version=%s", p.Opts.Version),
 			fmt.Sprintf("seed=%d", p.Opts.Seed),
 			fmt.Sprintf("method=%d/%s/%s/%d", m.Kind, m.Name, m.Strategy.Name, m.Order),

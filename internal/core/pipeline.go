@@ -71,12 +71,10 @@ type Pipeline struct {
 	plan *cluster.Index
 
 	// store, when attached with UseStore, memoizes stages through the
-	// content-addressed artifact store; the digests track the content
-	// addresses of the current artifacts (zero = not yet computed).
-	store          *store.Store
-	corpusDigest   store.Digest
-	profilesDigest store.Digest
-	pmcDigest      store.Digest
+	// content-addressed artifact store; corpusDigest is the content address
+	// of the current corpus (zero = not yet computed).
+	store        *store.Store
+	corpusDigest store.Digest
 
 	// trace is the campaign this pipeline's own events (stage.done,
 	// campaign.done, feedback.round, triage.minimized) and its local
@@ -194,20 +192,10 @@ func (p *Pipeline) SetCorpus(c *corpus.Corpus) {
 // from the fixed snapshot (stage 1b), one test per work unit across the
 // worker pool. Profiles land indexed by corpus position, so the result is
 // identical to the serial loop; if several tests crash, the lowest-indexed
-// one is reported, as serially.
+// one is reported, as serially. It always computes and stores nothing:
+// profiling a corpus takes less time than reading a stored profile set back.
 func (p *Pipeline) ProfileAll(r *Report) error {
 	span := obs.StartSpan("stage.profile")
-	key := p.profileKey(contentAddress(p, "profile", &p.corpusDigest, corpusCodec, p.Corpus))
-	var meta profileMeta
-	if profiles, out, ok := loadMemo(p, "profile", key, profilesCodec, &meta); p.countStage(ok) {
-		p.Profiles = profiles
-		p.profilesDigest = out
-		r.ProfiledAccesses += meta.ProfiledAccesses
-		r.ProfileTime = time.Duration(meta.ProfileTimeNs)
-		obs.Diag.Printf("stage profile: cache hit (profiles %s, %d tests)", out.Short(), len(profiles))
-		p.stageDone("profile", true, span.End(), obs.A("accesses", r.ProfiledAccesses))
-		return nil
-	}
 	envs := p.workerEnvs(p.workers())
 	type profiled struct {
 		accs    trace.Block
@@ -223,7 +211,6 @@ func (p *Pipeline) ProfileAll(r *Report) error {
 		return profiled{accs: accs, df: df}
 	})
 	p.Profiles = p.Profiles[:0]
-	p.profilesDigest = store.Digest{}
 	accesses := 0
 	for i, u := range units {
 		if u.crashed {
@@ -235,54 +222,33 @@ func (p *Pipeline) ProfileAll(r *Report) error {
 	}
 	r.ProfiledAccesses += accesses
 	r.ProfileTime = span.End()
-	p.profilesDigest = saveMemo(p, "profile", key, profilesCodec, p.Profiles, profileMeta{
-		ProfiledAccesses: accesses,
-		ProfileTimeNs:    int64(r.ProfileTime),
-	})
 	p.stageDone("profile", false, r.ProfileTime, obs.A("accesses", r.ProfiledAccesses))
 	return nil
 }
 
-// SetProfiles installs externally computed profiles.
+// SetProfiles installs externally computed profiles. They must be the
+// profiles of the pipeline's corpus: stage-4 memo keys name the PMC set by
+// the corpus it derives from, not by its content.
 func (p *Pipeline) SetProfiles(profiles []pmc.Profile) {
 	p.Profiles = profiles
-	p.profilesDigest = store.Digest{}
 }
 
-// IdentifyPMCs runs Algorithm 1 over the profiles (stage 2): an
-// exact-profile-set memo hit restores the stored PMC set outright, and
-// anything else — no store, or a profile set not identified before, however
-// close to one that was — identifies every profile as one batch.
+// IdentifyPMCs runs Algorithm 1 over the profiles (stage 2) as one batch.
+// Like ProfileAll it always computes and stores nothing.
 func (p *Pipeline) IdentifyPMCs(r *Report) {
 	span := obs.StartSpan("stage.identify")
-	key := p.identifyKey(contentAddress(p, "identify", &p.profilesDigest, profilesCodec, p.Profiles))
-	var meta identifyMeta
-	if set, out, ok := loadMemo(p, "identify", key, pmcSetCodec, &meta); p.countStage(ok) {
-		p.PMCs = set
-		p.pmcDigest = out
-		r.DistinctPMCs = meta.DistinctPMCs
-		r.PMCCombinations = meta.PMCCombinations
-		r.IdentifyTime = time.Duration(meta.IdentifyTimeNs)
-		obs.Diag.Printf("stage identify: cache hit (pmcs %s, %d keys)", out.Short(), set.Len())
-		p.stageDone("identify", true, span.End(), obs.A("pmcs", r.DistinctPMCs))
-		return
-	}
 	p.PMCs = pmc.Identify(p.Profiles, p.Opts.PMC)
 	r.DistinctPMCs = p.PMCs.Len()
 	r.PMCCombinations = p.PMCs.TotalCombinations
 	r.IdentifyTime = span.End()
-	p.pmcDigest = saveMemo(p, "identify", key, pmcSetCodec, p.PMCs, identifyMeta{
-		DistinctPMCs:    r.DistinctPMCs,
-		PMCCombinations: r.PMCCombinations,
-		IdentifyTimeNs:  int64(r.IdentifyTime),
-	})
 	p.stageDone("identify", false, r.IdentifyTime, obs.A("pmcs", r.DistinctPMCs))
 }
 
-// SetPMCs installs an externally identified PMC set.
+// SetPMCs installs an externally identified PMC set. It must be the set
+// Opts.PMC identifies from the pipeline's corpus: stage-4 memo keys name
+// the PMC set by how it is derived (reportKey), not by its content.
 func (p *Pipeline) SetPMCs(s *pmc.Set) {
 	p.PMCs = s
-	p.pmcDigest = store.Digest{}
 }
 
 // GenerateTests produces up to budget concurrent tests under the
@@ -484,10 +450,11 @@ func (p *Pipeline) foldOutcomes(r *Report, tests []sched.ConcurrentTest, outs []
 	return yields
 }
 
-// Run executes the full pipeline. With Options.StateDir set, every stage
-// memoizes through the content-addressed artifact store rooted there: a
-// re-run with equivalent options resumes at the first stage whose inputs
-// changed, and a fully cached run returns the stored report verbatim.
+// Run executes the full pipeline. With Options.StateDir set, stages 1 and
+// 4 memoize through the content-addressed artifact store rooted there: a
+// re-run with equivalent options takes the corpus from the store, and a
+// fully cached run returns the stored report verbatim without profiling or
+// identifying.
 func Run(opts Options) (*Report, error) {
 	p, err := OpenPipeline(opts)
 	if err != nil {
@@ -496,12 +463,7 @@ func Run(opts Options) (*Report, error) {
 	defer p.Close()
 	r := p.NewReport()
 	p.BuildCorpus(r)
-	if err := p.ProfileAll(r); err != nil {
-		return nil, err
-	}
-	p.IdentifyPMCs(r)
-	cd, pd := p.stage4Inputs("execute")
-	key := p.reportKey(cd, pd, opts.TestBudget)
+	key := p.reportKey(p.stage4Corpus("execute"), opts.TestBudget)
 	if cached, out, ok := loadMemo(p, "execute", key, reportCodec, nil); p.countStage(ok) {
 		// Findings, timings, frozen metrics and all, verbatim.
 		obs.Diag.Printf("stage execute: cache hit (report %s, %d issues)", out.Short(), len(cached.Issues))
@@ -509,6 +471,10 @@ func Run(opts Options) (*Report, error) {
 		obs.RecordSample()
 		return cached, nil
 	}
+	if err := p.ProfileAll(r); err != nil {
+		return nil, err
+	}
+	p.IdentifyPMCs(r)
 	if opts.Feedback {
 		p.RunFeedback(r, opts.TestBudget)
 	} else {

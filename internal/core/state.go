@@ -10,7 +10,6 @@ import (
 	"snowboard/internal/obs"
 	"snowboard/internal/pmc"
 	"snowboard/internal/store"
-	"snowboard/internal/trace"
 	"snowboard/internal/triage"
 )
 
@@ -28,11 +27,11 @@ import (
 // diagnostic (each is treated as a miss, so the stage transparently
 // re-runs) and the fragment's restore; saveMemo owns the encode and the
 // persist; both own the rule that a pipeline without a store misses and
-// saves nothing, so no stage forks on whether one is attached. The corpus,
-// profile, PMC-set and report stages, feedback round checkpoints, triage
-// bundles and the campaign report all go through that pair. Metrics are
-// not among them: they describe the live process, and nothing about them
-// is persisted or restored.
+// saves nothing, so no stage forks on whether one is attached. The corpus
+// and report stages, feedback round checkpoints, triage bundles and the
+// campaign report all go through that pair. Metrics are not among them:
+// they describe the live process, and nothing about them is persisted or
+// restored.
 //
 // What is deliberately NOT in any key: Options.Workers (a pure performance
 // knob; reports are bit-identical at any worker count) and Options.StateDir
@@ -40,13 +39,16 @@ import (
 // options, generation method, test budget, trials, and detector options —
 // changing any of those must invalidate exactly the stages it feeds.
 //
-// The dependency chain is digest-linked, not flag-linked: the profile key
-// includes the *content digest* of the corpus, so two different fuzz
-// budgets that happen to select the same corpus share one profile artifact
-// — exactly how the paper reused one 40-hour profile corpus across all
-// eleven Table 3 generation strategies. A key derived from an input that
-// has no content digest (no store, or persisting it failed) is the zero
-// key, which never hits and files no memo entry.
+// A state dir keeps only what is dearer to recompute than to read. Stages
+// 2–3 (profiling and PMC identification) are not: profiling a corpus takes
+// less time than reading its stored profile set back, and identification
+// runs only where stage 4 is about to spend far more. They always compute
+// and store nothing, and a stage-4 key names the PMC set by how it is
+// derived — the corpus digest, the kernel version and pmcPart — the way
+// fuzzKey names the corpus by its inputs. A fully memoized run is two memo
+// hits, fuzz and execute. A key over a corpus that has no content digest
+// (no store, or persisting it failed) is the zero key, which never hits
+// and files no memo entry.
 
 // Stage-cache metrics.
 var (
@@ -73,37 +75,20 @@ func (p *Pipeline) fuzzKey() store.Digest {
 	)
 }
 
-// profileKey identifies the profiling output for a given corpus.
-func (p *Pipeline) profileKey(corpusDigest store.Digest) store.Digest {
-	if corpusDigest.IsZero() {
-		return store.Digest{}
-	}
-	return store.Key(keyPrefix, "profile",
-		fmt.Sprintf("profiles-codec=%d", pmc.ProfilesCodecVersion),
-		fmt.Sprintf("trace-codec=%d", trace.CodecVersion),
-		fmt.Sprintf("version=%s", p.Opts.Version),
-		"corpus="+corpusDigest.String(),
-	)
-}
-
-// identifyKey identifies the Algorithm 1 output for a given profile set.
-func (p *Pipeline) identifyKey(profilesDigest store.Digest) store.Digest {
-	if profilesDigest.IsZero() {
-		return store.Digest{}
-	}
-	return store.Key(keyPrefix, "identify",
-		fmt.Sprintf("set-codec=%d", pmc.SetCodecVersion),
-		"profiles="+profilesDigest.String(),
-		fmt.Sprintf("self-pairs=%t", p.Opts.PMC.AllowSelfPairs),
-		fmt.Sprintf("skip-value-filter=%t", p.Opts.PMC.SkipValueFilter),
-	)
-}
-
 // detectPart is the detector-suite part of every stage-4 key. The fourth
 // slot was the race-analysis mode; happens-before is the only one left and
 // the slot stays 0 so state dirs written by earlier binaries still hit.
 func detectPart(d detect.Options) string {
 	return fmt.Sprintf("detect=%t/%t/%t/0", d.Console, d.Races, d.TornReads)
+}
+
+// pmcPart names the PMC set in every stage-4 key by the options that, with
+// the corpus and kernel version the key also pins, derive it. No key sees
+// the set's content, so a change to what profiling or identification
+// computes must rename this part, as a change to adoption renames
+// adoptionPart, or state dirs serve reports built on the old PMC sets.
+func pmcPart(o pmc.Options) string {
+	return fmt.Sprintf("pmc=%t/%t", o.AllowSelfPairs, o.SkipValueFilter)
 }
 
 // adoptionPart names the incidental-adoption rule in every stage-4 key. It
@@ -113,15 +98,15 @@ func detectPart(d detect.Options) string {
 const adoptionPart = "incidental=unplanned-clusters"
 
 // reportKey identifies the generate+execute output (the full report) for a
-// given corpus and PMC set.
-func (p *Pipeline) reportKey(corpusDigest, pmcDigest store.Digest, budget int) store.Digest {
-	if corpusDigest.IsZero() || pmcDigest.IsZero() {
+// given corpus and the PMC set the pipeline's options derive from it.
+func (p *Pipeline) reportKey(corpusDigest store.Digest, budget int) store.Digest {
+	if corpusDigest.IsZero() {
 		return store.Digest{}
 	}
 	m := p.Opts.Method
 	return store.Key(keyPrefix, "execute",
 		"corpus="+corpusDigest.String(),
-		"pmcs="+pmcDigest.String(),
+		pmcPart(p.Opts.PMC),
 		fmt.Sprintf("version=%s", p.Opts.Version),
 		fmt.Sprintf("seed=%d", p.Opts.Seed),
 		fmt.Sprintf("method=%d/%s/%s/%d", m.Kind, m.Name, m.Strategy.Name, m.Order),
@@ -156,17 +141,6 @@ type fuzzMeta struct {
 	FuzzTimeNs     int64 `json:"fuzz_time_ns"`
 }
 
-type profileMeta struct {
-	ProfiledAccesses int   `json:"profiled_accesses"`
-	ProfileTimeNs    int64 `json:"profile_time_ns"`
-}
-
-type identifyMeta struct {
-	DistinctPMCs    int   `json:"distinct_pmcs"`
-	PMCCombinations int64 `json:"pmc_combinations"`
-	IdentifyTimeNs  int64 `json:"identify_time_ns"`
-}
-
 // codec is the stored form of one artifact kind: where the store files it,
 // what diagnostics call it, and its canonical encoding.
 type codec[T any] struct {
@@ -176,21 +150,16 @@ type codec[T any] struct {
 	decode func([]byte) (T, error)
 }
 
-// binaryCodec adapts the Append/Parse pair of one of the SB** binary
-// formats.
-func binaryCodec[T any](kind store.Kind, noun string, app func([]byte, T) []byte, parse func([]byte) (T, error)) codec[T] {
-	return codec[T]{kind, noun, func(v T) ([]byte, error) { return app(nil, v), nil }, parse}
-}
-
 // One codec per artifact kind the pipeline memoizes. An SBRB bundle travels
 // as the bytes triage.Encode produced: TriageReport needs them anyway to
 // put the bundle's digest in the report, with or without a store, so this
 // codec only validates on the way back.
 var (
-	corpusCodec   = binaryCodec(store.KindCorpus, "corpus", corpus.Append, corpus.Parse)
-	profilesCodec = binaryCodec(store.KindProfiles, "profile", pmc.AppendProfiles, pmc.ParseProfiles)
-	pmcSetCodec   = binaryCodec(store.KindPMCs, "PMC", pmc.AppendSet, pmc.ParseSet)
-	reportCodec   = codec[*Report]{store.KindReport, "report",
+	corpusCodec = codec[*corpus.Corpus]{store.KindCorpus, "corpus",
+		func(c *corpus.Corpus) ([]byte, error) { return corpus.Append(nil, c), nil },
+		corpus.Parse,
+	}
+	reportCodec = codec[*Report]{store.KindReport, "report",
 		func(r *Report) ([]byte, error) { return json.Marshal(r) },
 		func(b []byte) (*Report, error) {
 			r := new(Report)
@@ -288,21 +257,10 @@ func saveMemo[T any](p *Pipeline, stage string, key store.Digest, c codec[T], v 
 	return d
 }
 
-// contentAddress returns *d, the digest of one of the pipeline's current
-// artifacts, persisting the artifact first if it is not yet
-// content-addressed (e.g. it was installed with SetCorpus rather than built
-// by BuildCorpus). The digest stays zero without a store.
-func contentAddress[T any](p *Pipeline, stage string, d *store.Digest, c codec[T], v T) store.Digest {
-	if d.IsZero() {
-		*d = saveMemo(p, stage, store.Digest{}, c, v, nil)
-	}
-	return *d
-}
-
-// countStage accounts one of the four memoized stages (fuzz, profile,
-// identify, execute) as a store hit or miss and returns hit. Round
-// checkpoints, triage and campaign memos are not stages; a run without a
-// store moves neither counter.
+// countStage accounts one of the two memoized stages (fuzz, execute) as a
+// store hit or miss and returns hit. Round checkpoints, triage and
+// campaign memos are not stages; a run without a store moves neither
+// counter.
 func (p *Pipeline) countStage(hit bool) bool {
 	if p.store != nil {
 		if hit {
@@ -314,24 +272,13 @@ func (p *Pipeline) countStage(hit bool) bool {
 	return hit
 }
 
-// stage4Inputs returns the content digests of the current corpus and PMC
-// set — what every stage-4 memo key pins — persisting either artifact if
-// it is not yet content-addressed.
-func (p *Pipeline) stage4Inputs(stage string) (cd, pd store.Digest) {
-	cd = contentAddress(p, stage, &p.corpusDigest, corpusCodec, p.Corpus)
-	pd = contentAddress(p, stage, &p.pmcDigest, pmcSetCodec, p.PMCs)
-	return cd, pd
-}
-
-// ArtifactDigests reports the content digests of the pipeline's current
-// artifacts as hex strings (empty when unknown/not yet computed), for
-// composing tools: sbprofile prints them.
-func (p *Pipeline) ArtifactDigests() (corpusD, profilesD, pmcsD string) {
-	render := func(d store.Digest) string {
-		if d.IsZero() {
-			return ""
-		}
-		return d.String()
+// stage4Corpus returns the content digest of the current corpus — what
+// every stage-4 memo key pins — persisting the corpus first if it is not
+// yet content-addressed (it was installed with SetCorpus rather than built
+// by BuildCorpus). The digest stays zero without a store.
+func (p *Pipeline) stage4Corpus(stage string) store.Digest {
+	if p.corpusDigest.IsZero() {
+		p.corpusDigest = saveMemo(p, stage, store.Digest{}, corpusCodec, p.Corpus, nil)
 	}
-	return render(p.corpusDigest), render(p.profilesDigest), render(p.pmcDigest)
+	return p.corpusDigest
 }

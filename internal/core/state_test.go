@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -63,9 +64,10 @@ func counters() (hits, misses int64) {
 }
 
 // TestResumeWarmEqualsCold is the golden resume test: a cold run persists
-// every stage, and a second Run with the same options — a fresh Pipeline,
-// same -state — hits every stage cache and returns a report deep-equal to
-// the cold one (byte-identical as JSON, metrics included, because the full
+// the corpus and the report and nothing of stages 2–3, and a second Run
+// with the same options — a fresh Pipeline, same -state — hits both memos
+// without profiling or identifying, and returns a report deep-equal to the
+// cold one (byte-identical as JSON, metrics included, because the full
 // cache hit returns the stored report verbatim).
 func TestResumeWarmEqualsCold(t *testing.T) {
 	opts := stateTestOptions(t)
@@ -79,20 +81,30 @@ func TestResumeWarmEqualsCold(t *testing.T) {
 	if hits := h1 - h0; hits != 0 {
 		t.Errorf("cold run recorded %d stage hits, want 0", hits)
 	}
-	if misses := m1 - m0; misses != 4 {
-		t.Errorf("cold run recorded %d stage misses, want 4 (fuzz, profile, identify, execute)", misses)
+	if misses := m1 - m0; misses != 2 {
+		t.Errorf("cold run recorded %d stage misses, want 2 (fuzz, execute)", misses)
+	}
+	for _, dir := range []string{"profiles", "pmcs", "kind2", "kind3"} {
+		if _, err := os.Stat(filepath.Join(opts.StateDir, "objects", dir)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("cold run stored objects/%s (stat: %v); stages 2–3 must store nothing", dir, err)
+		}
 	}
 
+	profiled, batches := obs.C(obs.MProfileTests), obs.C(obs.MIncrBatches)
+	p0, b0 := profiled.Value(), batches.Value()
 	warm, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h2, m2 := counters()
-	if hits := h2 - h1; hits != 4 {
-		t.Errorf("warm run recorded %d stage hits, want 4", hits)
+	if hits := h2 - h1; hits != 2 {
+		t.Errorf("warm run recorded %d stage hits, want 2 (fuzz, execute)", hits)
 	}
 	if misses := m2 - m1; misses != 0 {
 		t.Errorf("warm run recorded %d stage misses, want 0", misses)
+	}
+	if p, b := profiled.Value()-p0, batches.Value()-b0; p != 0 || b != 0 {
+		t.Errorf("warm run profiled %d tests and identified %d batches, want 0 and 0", p, b)
 	}
 
 	if !reflect.DeepEqual(normalizeMetrics(warm), normalizeMetrics(cold)) {
@@ -114,9 +126,9 @@ func TestResumeWarmEqualsCold(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossMethods: Table 3's methods share one corpus, profile set,
-// and PMC database — running a second method against the same state misses
-// only the generate+execute stage.
+// TestResumeAcrossMethods: Table 3's methods share one stored corpus —
+// running a second method against the same state hits the fuzz memo and
+// misses only the generate+execute stage.
 func TestResumeAcrossMethods(t *testing.T) {
 	opts := stateTestOptions(t)
 	if _, err := Run(opts); err != nil {
@@ -133,8 +145,8 @@ func TestResumeAcrossMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	h1, m1 := counters()
-	if hits := h1 - h0; hits != 3 {
-		t.Errorf("second method recorded %d hits, want 3 (fuzz, profile, identify)", hits)
+	if hits := h1 - h0; hits != 1 {
+		t.Errorf("second method recorded %d hits, want 1 (fuzz)", hits)
 	}
 	if misses := m1 - m0; misses != 1 {
 		t.Errorf("second method recorded %d misses, want 1 (execute)", misses)
@@ -144,25 +156,26 @@ func TestResumeAcrossMethods(t *testing.T) {
 // TestStageKeysWorkerInvariant pins the cache-invalidation contract:
 // Options.Workers and Options.StateDir are pure performance/placement knobs
 // and must not change any stage key; seed, fuzz budget, corpus cap, kernel
-// version, test budget, and trials must.
+// version, test budget, and trials must. No stage-4 key carries the PMC
+// set's content, so each must change with everything that derives it: the
+// corpus, the kernel version and both PMC options.
 func TestStageKeysWorkerInvariant(t *testing.T) {
 	base := DefaultOptions()
 	base.Seed = 9
+	cd := store.Key("some", "corpus")
 	mk := func(mut func(*Options)) *Pipeline {
 		opts := base
 		if mut != nil {
 			mut(&opts)
 		}
-		// Key derivation reads only Opts; skip the kernel boot.
-		return &Pipeline{Opts: opts}
+		// Key derivation reads only Opts and the corpus digest; skip the
+		// kernel boot.
+		return &Pipeline{Opts: opts, corpusDigest: cd}
 	}
 	ref := mk(nil)
-	cd := store.Key("some", "corpus")
-	pd := store.Key("some", "profiles")
-	sd := store.Key("some", "pmcs")
-	type keys struct{ fuzz, profile, identify, report store.Digest }
+	type keys struct{ fuzz, report, feedback store.Digest }
 	keysOf := func(p *Pipeline) keys {
-		return keys{p.fuzzKey(), p.profileKey(cd), p.identifyKey(pd), p.reportKey(cd, sd, base.TestBudget)}
+		return keys{p.fuzzKey(), p.reportKey(p.corpusDigest, base.TestBudget), p.feedbackKeys(base.TestBudget, 4)[0]}
 	}
 	refKeys := keysOf(ref)
 
@@ -182,28 +195,37 @@ func TestStageKeysWorkerInvariant(t *testing.T) {
 	if mk(func(o *Options) { o.CorpusCap++ }).fuzzKey() == refKeys.fuzz {
 		t.Error("corpus cap change did not invalidate fuzz key")
 	}
-	other := mk(func(o *Options) { o.Version = "5.3.10" })
-	if other.fuzzKey() == refKeys.fuzz || other.profileKey(cd) == refKeys.profile {
-		t.Error("kernel version change did not invalidate fuzz/profile keys")
+	if mk(func(o *Options) { o.Version = "5.3.10" }).fuzzKey() == refKeys.fuzz {
+		t.Error("kernel version change did not invalidate fuzz key")
 	}
-	if mk(func(o *Options) { o.Trials++ }).reportKey(cd, sd, base.TestBudget) == refKeys.report {
+	if mk(func(o *Options) { o.Trials++ }).reportKey(cd, base.TestBudget) == refKeys.report {
 		t.Error("trials change did not invalidate report key")
 	}
-	if ref.reportKey(cd, sd, base.TestBudget+1) == refKeys.report {
+	if ref.reportKey(cd, base.TestBudget+1) == refKeys.report {
 		t.Error("test budget change did not invalidate report key")
 	}
 	m, _ := MethodByName("Random pairing")
-	if mk(func(o *Options) { o.Method = m }).reportKey(cd, sd, base.TestBudget) == refKeys.report {
+	if mk(func(o *Options) { o.Method = m }).reportKey(cd, base.TestBudget) == refKeys.report {
 		t.Error("method change did not invalidate report key")
 	}
 
-	// Digest-linked chaining: different input artifact content → different
-	// downstream keys.
-	if ref.profileKey(store.Key("other", "corpus")) == refKeys.profile {
-		t.Error("corpus content change did not invalidate profile key")
-	}
-	if ref.identifyKey(store.Key("other", "profiles")) == refKeys.identify {
-		t.Error("profiles content change did not invalidate identify key")
+	// What derives the PMC set: the corpus, the kernel version and the PMC
+	// options.
+	otherCorpus := mk(nil)
+	otherCorpus.corpusDigest = store.Key("other", "corpus")
+	for name, p := range map[string]*Pipeline{
+		"corpus content":      otherCorpus,
+		"kernel version":      mk(func(o *Options) { o.Version = "5.3.10" }),
+		"PMC.AllowSelfPairs":  mk(func(o *Options) { o.PMC.AllowSelfPairs = !o.PMC.AllowSelfPairs }),
+		"PMC.SkipValueFilter": mk(func(o *Options) { o.PMC.SkipValueFilter = !o.PMC.SkipValueFilter }),
+	} {
+		k := keysOf(p)
+		if k.report == refKeys.report {
+			t.Errorf("%s change did not invalidate the report key", name)
+		}
+		if k.feedback == refKeys.feedback {
+			t.Errorf("%s change did not invalidate the first feedback round's key", name)
+		}
 	}
 }
 
@@ -256,8 +278,8 @@ func TestResumeCorruptArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := counters(); hits-h0 != 4 {
-		t.Errorf("store did not heal: %d hits on post-corruption run, want 4", hits-h0)
+	if hits, _ := counters(); hits-h0 != 2 {
+		t.Errorf("store did not heal: %d hits on post-corruption run, want 2", hits-h0)
 	}
 	if !reflect.DeepEqual(normalizeTimings(third), normalizeTimings(first)) {
 		t.Error("healed store returned a different report")
@@ -283,11 +305,13 @@ func TestResumeIgnoresTruncatedStore(t *testing.T) {
 }
 
 // TestResumeLeavesRetiredSnapshotsAlone: a state dir an earlier binary
-// used holds artifacts of two retired kinds, each with its memo entry: SBPI
-// snapshots (store kind 7, filed under objects/pmcindex/, keyed by
-// identify-chain entries) and the SBTS campaign time-series (kind 6,
-// objects/timeseries/, keyed by version and seed). Nothing looks them up
-// any more: a warm run hits all four stages, returns the cold report,
+// used holds artifacts of four retired kinds, each with its memo entry: the
+// SBPS profile set and the SBPM PMC set (kinds 2 and 3, filed under
+// objects/profiles/ and objects/pmcs/, keyed by the profile and identify
+// memos those binaries kept), SBPI snapshots (kind 7, objects/pmcindex/,
+// keyed by identify-chain entries) and the SBTS campaign time-series (kind
+// 6, objects/timeseries/, keyed by version and seed). Nothing looks them up
+// any more: a warm run hits only fuzz and execute, returns the cold report,
 // discards nothing as corrupt, and creates, rewrites or deletes no file in
 // the state dir — the leftovers included.
 func TestResumeLeavesRetiredSnapshotsAlone(t *testing.T) {
@@ -304,7 +328,7 @@ func TestResumeLeavesRetiredSnapshotsAlone(t *testing.T) {
 	// plant files payload as a retired kind, under the objects/ directory
 	// name the binaries that wrote it used (Put files an unnamed kind under
 	// objects/kind<N>), with a memo entry under the key keyOf derives.
-	plant := func(kind store.Kind, dir string, payload []byte, keyOf func(store.Digest) store.Digest) {
+	plant := func(kind store.Kind, dir string, payload []byte, keyOf func(store.Digest) store.Digest) store.Digest {
 		d, err := st.Put(kind, payload)
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +340,23 @@ func TestResumeLeavesRetiredSnapshotsAlone(t *testing.T) {
 		if err := st.PutStage(keyOf(d), store.StageResult{Kind: kind, Out: d}); err != nil {
 			t.Fatal(err)
 		}
+		return d
 	}
+	corpora := st.List(store.KindCorpus)
+	if len(corpora) != 1 {
+		t.Fatalf("cold run stored %d corpora, want 1", len(corpora))
+	}
+	// An empty version-1 SBPS profile set under the profile key those
+	// binaries gave this corpus, and an SBPM set under the identify key they
+	// gave that profile set.
+	profiles := plant(store.Kind(2), "profiles", []byte("SBPS\x01\x00"), func(store.Digest) store.Digest {
+		return store.Key(keyPrefix, "profile", "profiles-codec=1", "trace-codec=1",
+			fmt.Sprintf("version=%s", opts.Version), "corpus="+corpora[0].String())
+	})
+	plant(store.Kind(3), "pmcs", pmc.AppendSet(nil, pmc.NewSet()), func(store.Digest) store.Digest {
+		return store.Key(keyPrefix, "identify", "set-codec=1", "profiles="+profiles.String(),
+			fmt.Sprintf("self-pairs=%t", opts.PMC.AllowSelfPairs), fmt.Sprintf("skip-value-filter=%t", opts.PMC.SkipValueFilter))
+	})
 	plant(store.Kind(7), "pmcindex", []byte("SBPI\x02 an aggregate no decoder is left for"),
 		func(d store.Digest) store.Digest { return store.Key(keyPrefix, "identify-chain", "batch="+d.String()) })
 	// A one-sample version-2 SBTS series under the key those binaries gave
@@ -334,8 +374,8 @@ func TestResumeLeavesRetiredSnapshotsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h1, _ := counters(); h1-h0 != 4 {
-		t.Errorf("warm run over an old state dir recorded %d stage hits, want 4", h1-h0)
+	if h1, _ := counters(); h1-h0 != 2 {
+		t.Errorf("warm run over an old state dir recorded %d stage hits, want 2 (fuzz, execute)", h1-h0)
 	}
 	if got := obs.C(obs.MStoreCorrupt).Value() - c0; got != 0 {
 		t.Errorf("warm run discarded %d artifacts as corrupt, want 0", got)
@@ -400,19 +440,20 @@ func stateFiles(t *testing.T, dir string) map[string]stateFile {
 // state dir with all of them green; this one fails. reportKey and
 // feedbackKeys[0] were re-pinned when incidental adoption began skipping
 // planned clusters (adoptionPart): a stage-4 report stored before that
-// must not be served (TestParentStage4MemosNotServed). The "bytes" rows pin
-// the artifacts themselves: the SHA-256 of each binary format's encoding of
+// must not be served (TestParentStage4MemosNotServed). They were re-pinned
+// again when stages 2–3 stopped being stored and pmcPart took the place of
+// the PMC set's content digest. The "bytes" rows pin the artifacts
+// themselves: the SHA-256 of each binary format's encoding of
 // goldenArtifacts' inputs, recorded before the codecs moved onto one byte
 // reader (internal/wire), since a round-trip test passes under any
-// self-consistent format.
+// self-consistent format; the SBAR row, a corpus in its envelope, was
+// recorded before stages 2–3 stopped being stored.
 func TestStageKeysGolden(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Seed = 9
 	opts.Feedback = true
 	cd := store.Key("golden", "corpus")
-	fd := store.Key("golden", "profiles")
-	pd := store.Key("golden", "pmcs")
-	p := &Pipeline{Opts: opts, corpusDigest: cd, pmcDigest: pd}
+	p := &Pipeline{Opts: opts, corpusDigest: cd}
 	triageKey, err := p.triageKey(11, IssueRecord{
 		Test:  sched.ConcurrentTest{Pair: pmc.Pair{Writer: 1, Reader: 2}},
 		Repro: &sched.ReproState{Seed: 42, Trial: 3},
@@ -434,20 +475,15 @@ func TestStageKeysGolden(t *testing.T) {
 	}
 	for _, c := range []struct{ name, got, want string }{
 		{"fuzzKey", p.fuzzKey().String(), "4540fcdf5fbe30241f31defe0a1ab72ea813d58ffbac831b240d8fd109672ac0"},
-		{"profileKey", p.profileKey(cd).String(), "583a68ec96ad2d8e6959da0cbdb245136e03a899cd7259accfef022997c6de58"},
-		{"identifyKey", p.identifyKey(fd).String(), "98c8d44fe7c7d276bf8992ef2708238f98ce918b265c52a04f611d020671a036"},
-		{"reportKey", p.reportKey(cd, pd, opts.TestBudget).String(), "1696c5e2789e9c79e05020ff9d43928710aace23ec5fdb72d7879468d5529f3b"},
-		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "551a65f3d765527afbba9a779779cee0c5f3db6945444a85c7bf67ed63ab9f7d"},
+		{"reportKey", p.reportKey(cd, opts.TestBudget).String(), "d34f96ef0c2973b0dd4f26770ffc4816506624d842c82dec770ce8cca84fdaf4"},
+		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "917914c9467419aa6aec681d1f086370cb93616e6db7c8d7e6e695e6ff5cba58"},
 		{"triageKey", triageKey.String(), "774c1e55f31e3c0451000edc723f7fd921290f89b969597e073fd12c3ad208ed"},
 		{"fuzzMeta", marshal(fuzzMeta{CorpusSize: 1, FuzzExecutions: 2, FuzzTimeNs: 3}), `{"corpus_size":1,"fuzz_executions":2,"fuzz_time_ns":3}`},
-		{"profileMeta", marshal(profileMeta{ProfiledAccesses: 4, ProfileTimeNs: 5}), `{"profiled_accesses":4,"profile_time_ns":5}`},
-		{"identifyMeta", marshal(identifyMeta{DistinctPMCs: 6, PMCCombinations: 7, IdentifyTimeNs: 8}), `{"distinct_pmcs":6,"pmc_combinations":7,"identify_time_ns":8}`},
 		{"TriageSummary", marshal(&TriageSummary{Signature: "sig", Bundle: "b0", Stats: triage.Stats{Replays: 9, DecisionsOrig: 10, DecisionsMin: 1}}), `{"signature":"sig","bundle":"b0","stats":{"replays":9,"decisions_orig":10,"decisions_min":1,"switches_orig":0,"switches_min":0,"writer_calls_orig":0,"writer_calls_min":0,"reader_calls_orig":0,"reader_calls_min":0}}`},
 		{"SBCO bytes", sum(art.corpus), "99c36fa6c5d0db876625b7878547f29844d60cb350a460379648b3608d6ef63f"},
-		{"SBPS bytes", sum(art.profiles), "1c355170e69fc405d484889ab983e8e1ed649071ca04ed9755d31e70e71cb786"},
 		{"SBPM bytes", sum(art.pmcs), "1131cdcc27510c9eb90b8ab3881858dabf62f557c5025fa15f16a5907c70803c"},
 		{"outcome bytes", sum(art.outcome), "980753d47c0977ddc79c7a3640b1739ed1ad2373bffb360b3d016d141ceb4a9b"},
-		{"SBAR bytes", sum(art.envelope), "0f30bea22bf73b139ab0d1911c12b772279a3276e1ab4c075d28bf7b4ad2f479"},
+		{"SBAR bytes", sum(art.envelope), "0aa63619285eb92ddd1cbd92fda75d3dde8b5247082d506e2f4fc298ed8dd00a"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %s, want %s — stored state dirs written before this change would no longer resume", c.name, c.got, c.want)
@@ -457,14 +493,12 @@ func TestStageKeysGolden(t *testing.T) {
 
 // goldenBytes holds each stored or shipped binary format's encoding of one
 // small hand-built input, the bytes TestStageKeysGolden pins.
-type goldenBytes struct{ corpus, profiles, pmcs, outcome, envelope []byte }
+type goldenBytes struct{ corpus, pmcs, outcome, envelope []byte }
 
 // goldenArtifacts encodes the pinned inputs. Between them they reach every
-// branch of every encoder: a ResultArg, trace rows with locks and the
-// atomic, marked, stack and RCU flags and a backwards address delta,
-// DFLeader marks, PMCs with several pairs, an outcome with issues and a
-// Repro, and one SBAR envelope. Each binary artifact must also decode and
-// re-encode to the same bytes.
+// branch of every encoder: a ResultArg, PMCs with several pairs, an
+// outcome with issues and a Repro, and one SBAR envelope. Each binary
+// artifact must also decode and re-encode to the same bytes.
 func goldenArtifacts(t *testing.T) goldenBytes {
 	t.Helper()
 	c := corpus.NewCorpus()
@@ -474,15 +508,6 @@ func goldenArtifacts(t *testing.T) goldenBytes {
 		{Nr: kernel.SysCloseNr},
 	}})
 	c.Add(&corpus.Prog{})
-
-	var accs trace.Block
-	accs.Record(1, 0xdeadbeef, trace.Write, 0x10040, 8, 0x1122334455667788, true, false, false, false, trace.InternLocks([]uint64{0x900, 0x880}))
-	accs.Record(2, 7, trace.Read, 0x10000, 4, 3, false, true, true, true, trace.InternLocks(nil))
-	accs.Record(0xFFFF, 1<<20, trace.Read, 0x20000, 1, 0, false, false, false, true, trace.InternLocks([]uint64{0x900}))
-	profiles := []pmc.Profile{
-		{TestID: 3, Accesses: accs, DFLeader: map[int]bool{0: true, 1: false, 2: true}},
-		{TestID: 0, DFLeader: map[int]bool{}},
-	}
 
 	wk := pmc.Key{Ins: 0xdeadbeef, Addr: 0x10040, Size: 8, Val: 0x1122334455667788}
 	rk := pmc.Key{Ins: 7, Addr: 0x10040, Size: 4, Val: 3}
@@ -513,23 +538,8 @@ func goldenArtifacts(t *testing.T) goldenBytes {
 	}
 
 	var out goldenBytes
-	roundTrip := func(name string, c codec[any], v any) []byte {
-		b, err := c.encode(v)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		back, err := c.decode(b)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if again, err := c.encode(back); err != nil || !bytes.Equal(again, b) {
-			t.Fatalf("%s: decode and re-encode changed the bytes (%v)", name, err)
-		}
-		return b
-	}
-	out.corpus = roundTrip("corpus", anyCodec(corpusCodec), c)
-	out.profiles = roundTrip("profiles", anyCodec(profilesCodec), profiles)
-	out.pmcs = roundTrip("PMC set", anyCodec(pmcSetCodec), set)
+	out.corpus = roundTrip(t, "corpus", c, corpus.Append, corpus.Parse)
+	out.pmcs = roundTrip(t, "PMC set", set, pmc.AppendSet, pmc.ParseSet)
 	out.outcome = o.Encode(nil)
 	var back sched.Outcome
 	if err := back.Decode(out.outcome); err != nil || !bytes.Equal(back.Encode(nil), out.outcome) {
@@ -540,22 +550,29 @@ func goldenArtifacts(t *testing.T) goldenBytes {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := st.Put(store.KindPMCs, out.pmcs)
+	d, err := st.Put(store.KindCorpus, out.corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.envelope, err = os.ReadFile(filepath.Join(st.Dir(), "objects", store.KindPMCs.String(), d.String())); err != nil {
+	if out.envelope, err = os.ReadFile(filepath.Join(st.Dir(), "objects", store.KindCorpus.String(), d.String())); err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
-// anyCodec erases a codec's artifact type.
-func anyCodec[T any](c codec[T]) codec[any] {
-	return codec[any]{c.kind, c.noun,
-		func(v any) ([]byte, error) { return c.encode(v.(T)) },
-		func(b []byte) (any, error) { return c.decode(b) },
+// roundTrip encodes v, and fails unless the bytes decode and re-encode to
+// themselves.
+func roundTrip[T any](t *testing.T, name string, v T, app func([]byte, T) []byte, parse func([]byte) (T, error)) []byte {
+	t.Helper()
+	b := app(nil, v)
+	back, err := parse(b)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
 	}
+	if !bytes.Equal(app(nil, back), b) {
+		t.Fatalf("%s: decode and re-encode changed the bytes", name)
+	}
+	return b
 }
 
 // TestParentStage4MemosNotServed: a state dir written before incidental
@@ -573,7 +590,7 @@ func TestParentStage4MemosNotServed(t *testing.T) {
 	}
 	served := func(r *Report) bool { return slices.Contains(r.Notes, "stored by an older binary") }
 	// staged returns a pipeline on a fresh state dir with stages 1–3 run and
-	// their artifacts stored.
+	// its corpus stored.
 	staged := func(t *testing.T, feedback bool) (*Pipeline, Options) {
 		opts := stateTestOptions(t)
 		opts.Feedback = feedback
@@ -593,9 +610,9 @@ func TestParentStage4MemosNotServed(t *testing.T) {
 	// parentKey is a stage-4 key as the older binary built it: parts up to
 	// the adoption part, "no-incidental=false", then tail.
 	parentKey := func(p *Pipeline, stage string, opts Options, mid []string, tail ...string) store.Digest {
-		cd, pd := p.stage4Inputs(stage)
+		pd := store.Sum(pmc.AppendSet(nil, p.PMCs))
 		m := opts.Method
-		parts := []string{keyPrefix, stage, "corpus=" + cd.String(), "pmcs=" + pd.String(),
+		parts := []string{keyPrefix, stage, "corpus=" + p.stage4Corpus(stage).String(), "pmcs=" + pd.String(),
 			fmt.Sprintf("version=%s", opts.Version), fmt.Sprintf("seed=%d", opts.Seed),
 			fmt.Sprintf("method=%d/%s/%s/%d", m.Kind, m.Name, m.Strategy.Name, m.Order),
 			fmt.Sprintf("budget=%d", opts.TestBudget)}
@@ -618,8 +635,7 @@ func TestParentStage4MemosNotServed(t *testing.T) {
 			p, opts := staged(t, false)
 			key := parentKey(p, "execute", opts, nil, "feedback=false/0")
 			if current {
-				cd, pd := p.stage4Inputs("execute")
-				key = p.reportKey(cd, pd, opts.TestBudget)
+				key = p.reportKey(p.stage4Corpus("execute"), opts.TestBudget)
 			}
 			saveMemo(p, "execute", key, reportCodec, stale(p), nil)
 			r, err := Run(opts)

@@ -92,8 +92,8 @@ const (
 
 	// Content-addressed artifact store (internal/store) and stage-graph
 	// memoization (internal/core).
-	MStoreHits         = "store.stage_hits"    // counter: pipeline stages satisfied from the store
-	MStoreMisses       = "store.stage_misses"  // counter: pipeline stages that had to run
+	MStoreHits         = "store.stage_hits"    // counter: memoized stages (fuzz, execute) satisfied from the store
+	MStoreMisses       = "store.stage_misses"  // counter: memoized stages (fuzz, execute) that had to run
 	MStoreWrites       = "store.writes"        // counter: artifact/stage files written
 	MStoreBytesWritten = "store.bytes_written" // counter: payload bytes written
 	MStoreCorrupt      = "store.corrupt"       // counter: artifacts that failed verification on read

@@ -12,138 +12,33 @@ import (
 	"snowboard/internal/wire"
 )
 
-// Compact binary serialization for the two big analysis artifacts:
-//
-// Profile sets ("SBPS") carry the shared-memory access set of every corpus
-// test plus its double-fetch leader marks — the output of the profiling
-// stage that took the paper 40 machine-hours and was reused across all
-// eleven generation strategies of Table 3. Accesses ride the delta/varint
-// trace codec (trace.AppendBlock); DFLeader marks are delta-coded sorted
-// indices.
-//
-// PMC sets ("SBPM") carry the identified PMC database: entries in
-// canonical key order (so equal sets encode to identical bytes and content
-// addresses are stable), each with its bounded pair list and uncapped pair
-// count.
-//
-// Both are appended to a []byte and parsed from one through a wire.Reader:
+// Compact binary serialization for the identified PMC database ("SBPM"):
+// entries in canonical key order (so equal sets encode to identical
+// bytes), each with its bounded pair list and uncapped pair count. It is
+// appended to a []byte and parsed from one through a wire.Reader:
 // structural violations, trailing bytes included, yield errors wrapping
-// ErrBadProfiles/ErrBadSet, never panics, and counts are sanity-capped
-// before allocation.
+// ErrBadSet, never panics, and counts are sanity-capped before allocation.
 
 const (
-	profilesMagic   = "SBPS"
-	profilesVersion = 1
-	setMagic        = "SBPM"
-	setVersion      = 1
+	setMagic   = "SBPM"
+	setVersion = 1
 
-	maxProfiles       = 1 << 22
 	maxEntries        = 1 << 24
 	maxCombinations   = int64(1) << 50
-	maxDecodedTestID  = 1 << 31
 	maxDecodedPairRef = 1 << 31
 
-	// Smallest encoded elements, in bytes: a profile is a test id, an
-	// empty block's count and a mark count; a set entry two keys, the
+	// Smallest encoded elements, in bytes: a set entry two keys, the
 	// DFLeader byte, a pair count and a pair-list length; a pair two ids.
-	minProfileBytes = 3
-	minEntryBytes   = 2*MinKeyBytes + 3
-	minPairBytes    = 2
+	minEntryBytes = 2*MinKeyBytes + 3
+	minPairBytes  = 2
 
-	// Typical encoded sizes, in bytes, that presize an encoder's output.
-	estProfileBytes = 4
-	estEntryBytes   = 48
+	// estEntryBytes is a typical entry's encoded size, which presizes the
+	// encoder's output.
+	estEntryBytes = 48
 )
-
-// ProfilesCodecVersion and SetCodecVersion identify the artifact encodings;
-// stage digests mix them in so a format change invalidates stored artifacts
-// instead of misdecoding them.
-const (
-	ProfilesCodecVersion = profilesVersion
-	SetCodecVersion      = setVersion
-)
-
-// ErrBadProfiles reports a malformed serialized profile set.
-var ErrBadProfiles = errors.New("pmc: malformed profile set encoding")
 
 // ErrBadSet reports a malformed serialized PMC set.
 var ErrBadSet = errors.New("pmc: malformed PMC set encoding")
-
-// AppendProfiles appends the profile set's compact canonical form to dst.
-// DFLeader maps are emitted as sorted true-mark indices, so two
-// semantically equal profile sets (false entries are equivalent to absent
-// ones) encode to identical bytes.
-func AppendProfiles(dst []byte, profiles []Profile) []byte {
-	rows := 0
-	for i := range profiles {
-		rows += profiles[i].Accesses.Len()
-	}
-	dst = slices.Grow(dst, len(profilesMagic)+1+binary.MaxVarintLen64+len(profiles)*estProfileBytes+rows*trace.EstRowBytes)
-	dst = append(dst, profilesMagic...)
-	dst = append(dst, profilesVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(profiles)))
-	for i := range profiles {
-		p := &profiles[i]
-		dst = binary.AppendUvarint(dst, uint64(p.TestID))
-		dst = trace.AppendBlock(dst, &p.Accesses)
-		marks := make([]int, 0, len(p.DFLeader))
-		for idx, on := range p.DFLeader {
-			if on {
-				marks = append(marks, idx)
-			}
-		}
-		sort.Ints(marks)
-		dst = binary.AppendUvarint(dst, uint64(len(marks)))
-		prev := 0
-		for _, m := range marks {
-			dst = binary.AppendUvarint(dst, uint64(m-prev))
-			prev = m
-		}
-	}
-	return dst
-}
-
-// ParseProfiles parses a compact profile set. DFLeader marks must index
-// into the profile's accesses and be strictly increasing.
-func ParseProfiles(src []byte) ([]Profile, error) {
-	r := wire.NewFramed(src, profilesMagic, profilesVersion, ErrBadProfiles)
-	count := r.Count(minProfileBytes)
-	if count > maxProfiles {
-		r.Fail("profile count")
-	}
-	// Clamp the preallocation: the count is untrusted until profiles arrive.
-	out := make([]Profile, 0, 1024)
-	for i := range count {
-		testID := r.Uvarint()
-		if testID > maxDecodedTestID {
-			r.Fail(fmt.Sprintf("profile %d: test id", i))
-		}
-		accs := trace.ReadBlock(r)
-		nmarks := r.Count(1)
-		if nmarks > accs.Len() {
-			r.Fail(fmt.Sprintf("profile %d: mark count", i))
-			nmarks = 0
-		}
-		df := make(map[int]bool, nmarks)
-		idx := 0
-		for m := range nmarks {
-			d := r.Uvarint()
-			if m > 0 && d == 0 {
-				r.Fail(fmt.Sprintf("profile %d: marks not strictly increasing", i))
-			}
-			idx += int(d)
-			if idx < 0 || idx >= accs.Len() {
-				r.Fail(fmt.Sprintf("profile %d: mark index %d out of range", i, idx))
-			}
-			df[idx] = true
-		}
-		out = append(out, Profile{TestID: int(testID), Accesses: accs, DFLeader: df})
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // Less orders PMCs canonically: write key, read key, then DFLeader. The
 // DFLeader bit makes the order total over a set's distinct entries, so an

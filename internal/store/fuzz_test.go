@@ -9,9 +9,12 @@ import (
 	"snowboard/internal/pmc"
 )
 
-// FuzzStoreDecode throws arbitrary bytes at every artifact decoder the
-// store's consumers use — the SBAR envelope itself plus the corpus,
-// profile-set, and PMC-set codecs. The contract under test: hostile,
+// FuzzStoreDecode throws arbitrary bytes at the SBAR envelope and the
+// binary artifact codecs — the corpus (which the pipeline stores) and the
+// PMC set. State dirs written before stages 2–3 stopped being stored still
+// hold PMC sets and SBPS profile sets under the retired kinds 3 and 2; no
+// decoder is left for the profile sets, so they only seed the envelope and
+// the other decoders, which must refuse them. The contract under test: hostile,
 // truncated, or bit-flipped input yields an error, never a panic and never
 // a silently wrong artifact; and anything a decoder does accept must
 // round-trip (re-encode → re-decode → deep-equal), so a decode success is
@@ -22,16 +25,16 @@ func FuzzStoreDecode(f *testing.F) {
 	c := corpus.NewCorpus()
 	c.Add(&corpus.Prog{Calls: []corpus.Call{{Nr: 0, Args: []corpus.Arg{corpus.Const(7)}}}})
 	corpusBuf := corpus.Append(nil, c)
-	profiles := []pmc.Profile{{TestID: 0, DFLeader: map[int]bool{}}}
-	profBuf := pmc.AppendProfiles(nil, profiles)
 	set := pmc.NewSet()
 	set.Add(pmc.PMC{Write: pmc.Key{Ins: 1, Addr: 16, Size: 4, Val: 3},
 		Read: pmc.Key{Ins: 2, Addr: 16, Size: 4, Val: 3}}, pmc.Pair{Writer: 0, Reader: 1})
 	setBuf := pmc.AppendSet(nil, set)
+	// One empty profile (test 0, no accesses, no marks) in version-1 SBPS.
+	profBuf := []byte("SBPS\x01\x01\x00\x00\x00")
 
 	f.Add(envelope(KindCorpus, corpusBuf))
-	f.Add(envelope(KindProfiles, profBuf))
-	f.Add(envelope(KindPMCs, setBuf))
+	f.Add(envelope(Kind(2), profBuf))
+	f.Add(envelope(Kind(3), setBuf))
 	f.Add(envelope(KindReport, []byte(`{"Method":"S-INS-PAIR"}`)))
 	f.Add(corpusBuf)
 	f.Add(profBuf)
@@ -55,13 +58,6 @@ func FuzzStoreDecode(f *testing.F) {
 			c2, err := corpus.Parse(buf)
 			if err != nil || !reflect.DeepEqual(c2.Progs, c.Progs) {
 				t.Fatalf("corpus round-trip broken after accept: %v", err)
-			}
-		}
-		if profs, err := pmc.ParseProfiles(data); err == nil {
-			buf := pmc.AppendProfiles(nil, profs)
-			p2, err := pmc.ParseProfiles(buf)
-			if err != nil || !reflect.DeepEqual(p2, profs) {
-				t.Fatalf("profiles round-trip broken after accept: %v", err)
 			}
 		}
 		if s, err := pmc.ParseSet(data); err == nil {

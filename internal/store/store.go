@@ -1,12 +1,11 @@
 // Package store is a versioned, checksummed, content-addressed on-disk
-// artifact store for pipeline outputs. The paper's pipeline is inherently
-// incremental — one 40-hour profiling pass over 129,876 sequential tests
-// was reused across all eleven generation strategies of Table 3 (§5.4) —
-// and every stage of this reproduction is a pure, bit-identical function
-// of (inputs, options, seed), which makes sound memoization a matter of
-// hashing: artifacts are addressed by the SHA-256 of their encoded bytes,
-// and a stage memo index maps a digest of (stage name, input artifact
-// digests, relevant options) to the digest of the stage's output.
+// artifact store for pipeline outputs. Every stage of this reproduction is
+// a pure, bit-identical function of (inputs, options, seed), which makes
+// sound memoization a matter of hashing: artifacts are addressed by the
+// SHA-256 of their encoded bytes, and a stage memo index maps a digest of
+// (stage name, input artifact digests, relevant options) to the digest of
+// the stage's output. What the pipeline stores, and what it recomputes
+// instead, is internal/core's choice (state.go).
 //
 // Layout under the store root:
 //
@@ -56,10 +55,10 @@ type Kind uint8
 const (
 	// KindCorpus is an encoded sequential-test corpus (corpus.Append).
 	KindCorpus Kind = iota + 1
-	// KindProfiles is an encoded profile set (pmc.AppendProfiles).
-	KindProfiles
-	// KindPMCs is an encoded PMC database (pmc.AppendSet).
-	KindPMCs
+	// 2 was the SBPS profile-set kind (objects/profiles) and 3 the SBPM
+	// PMC-set kind (objects/pmcs); both retired, never reuse.
+	_
+	_
 	// KindReport is a JSON-encoded core.Report.
 	KindReport
 	// KindStage is a stage memo entry (internal; lives under stages/).
@@ -85,10 +84,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindCorpus:
 		return "corpus"
-	case KindProfiles:
-		return "profiles"
-	case KindPMCs:
-		return "pmcs"
 	case KindReport:
 		return "report"
 	case KindStage:

@@ -59,8 +59,8 @@ func TestGetKindMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte("profile bytes")
-	d, err := s.Put(KindProfiles, payload)
+	payload := []byte("report bytes")
+	d, err := s.Put(KindReport, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,35 +94,35 @@ func TestGetCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("payload under test, long enough to flip bits in")
-	d, err := s.Put(KindPMCs, payload)
+	d, err := s.Put(KindCorpus, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Bit flip in the payload region → checksum mismatch.
-	corruptObject(t, s, KindPMCs, d, 10)
-	if _, err := s.Get(KindPMCs, d); !errors.Is(err, ErrCorrupt) {
+	corruptObject(t, s, KindCorpus, d, 10)
+	if _, err := s.Get(KindCorpus, d); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Get after payload flip = %v, want ErrCorrupt", err)
 	}
 
 	// Truncation → ErrCorrupt, never a panic.
-	path := s.objectPath(KindPMCs, d)
-	data := envelope(KindPMCs, payload)
+	path := s.objectPath(KindCorpus, d)
+	data := envelope(KindCorpus, payload)
 	for cut := 0; cut < len(data); cut += 7 {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Get(KindPMCs, d); !errors.Is(err, ErrCorrupt) {
+		if _, err := s.Get(KindCorpus, d); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("Get truncated at %d = %v, want ErrCorrupt", cut, err)
 		}
 	}
 
 	// Valid envelope whose payload hashes to a different digest (content
 	// swapped under the same name) → ErrCorrupt.
-	if err := os.WriteFile(path, envelope(KindPMCs, []byte("other content")), 0o644); err != nil {
+	if err := os.WriteFile(path, envelope(KindCorpus, []byte("other content")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(KindPMCs, d); !errors.Is(err, ErrCorrupt) {
+	if _, err := s.Get(KindCorpus, d); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Get swapped content = %v, want ErrCorrupt", err)
 	}
 }
@@ -233,10 +233,12 @@ func TestParseDigest(t *testing.T) {
 
 // TestKindValuesPinned pins what a deployed state dir holds of a Kind: its
 // byte, which is inside every SBAR envelope and every memo entry's "kind",
-// and its name, which is the objects/ subdirectory. Kinds 6 (KindSeries,
-// the SBTS time-series) and 7 (KindPMCIndex, the SBPI snapshot) are retired
-// in place: renumbering the kinds after them would make Get discard every
-// stored feedback checkpoint, SBRB bundle and campaign manifest as corrupt.
+// and its name, which is the objects/ subdirectory. Kinds 2 and 3 (the
+// SBPS profile set and the SBPM PMC set, which the pipeline now recomputes
+// instead of storing), 6 (KindSeries, the SBTS time-series) and 7
+// (KindPMCIndex, the SBPI snapshot) are retired in place: renumbering the
+// kinds after them would make Get discard every stored report, feedback
+// checkpoint, SBRB bundle and campaign manifest as corrupt.
 func TestKindValuesPinned(t *testing.T) {
 	for _, c := range []struct {
 		kind Kind
@@ -244,8 +246,6 @@ func TestKindValuesPinned(t *testing.T) {
 		name string
 	}{
 		{KindCorpus, 1, "corpus"},
-		{KindProfiles, 2, "profiles"},
-		{KindPMCs, 3, "pmcs"},
 		{KindReport, 4, "report"},
 		{KindStage, 5, "stage"},
 		{KindFeedback, 8, "feedback"},
@@ -256,7 +256,7 @@ func TestKindValuesPinned(t *testing.T) {
 			t.Errorf("kind %q = %d, want %q = %d", c.kind, uint8(c.kind), c.name, c.b)
 		}
 	}
-	for retired, want := range map[Kind]string{6: "kind6", 7: "kind7"} {
+	for retired, want := range map[Kind]string{2: "kind2", 3: "kind3", 6: "kind6", 7: "kind7"} {
 		if got := retired.String(); got != want {
 			t.Errorf("Kind(%d) = %q, want the retired slot to stay unnamed (%s)", uint8(retired), got, want)
 		}

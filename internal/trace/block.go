@@ -32,8 +32,7 @@ type row struct {
 // Trace is the ordered sequence of accesses collected during one execution.
 type Trace = Block
 
-// meta field packing. Bits 4-8 are also a trace record's flag bits 0-4 on
-// the wire (encode.go).
+// meta field packing.
 const (
 	metaSizeMask    = 0xF // bits 0-3: access size (1..8)
 	metaWrite       = 1 << 4
@@ -42,9 +41,6 @@ const (
 	metaStack       = 1 << 7
 	metaRCU         = 1 << 8
 	metaThreadShift = 16 // bits 16-31: thread id
-
-	// maxThread is the largest representable thread id (16 bits).
-	maxThread = 0xFFFF
 )
 
 func packMeta(thread int, kind Kind, size uint8, atomic, marked, stack, rcu bool) uint32 {

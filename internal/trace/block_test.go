@@ -6,6 +6,34 @@ import (
 	"testing"
 )
 
+// randomAccesses draws n accesses, Seq left zero.
+func randomAccesses(rng *rand.Rand, n int) []Access {
+	out := make([]Access, n)
+	for i := range out {
+		a := Access{
+			Thread: rng.Intn(3),
+			Ins:    Ins(rng.Uint32()),
+			Addr:   0x10000 + uint64(rng.Intn(1<<20)),
+			Size:   uint8(rng.Intn(8) + 1),
+			Atomic: rng.Intn(8) == 0,
+			Marked: rng.Intn(8) == 0,
+			Stack:  rng.Intn(8) == 0,
+			RCU:    rng.Intn(8) == 0,
+		}
+		a.Val = rng.Uint64() & ((1 << (8 * uint(a.Size))) - 1)
+		if a.Kind = Read; rng.Intn(2) == 0 {
+			a.Kind = Write
+		}
+		var locks []uint64
+		for j := 0; j < rng.Intn(3); j++ {
+			locks = append(locks, uint64(0x100*(j+1)))
+		}
+		a.Locks = InternLocks(locks)
+		out[i] = a
+	}
+	return out
+}
+
 // checkModel fails unless b holds exactly model, field by field, both as
 // At rows and through the field accessors.
 func checkModel(t *testing.T, what string, b *Block, model []Access) {
@@ -29,8 +57,8 @@ func checkModel(t *testing.T, what string, b *Block, model []Access) {
 
 // TestBlockRowLayout: a row is 32 bytes and holds no pointer, so a trace
 // is one allocation the collector never scans; and a Block reused through
-// Reset, filtered by Apply and sent through the codec equals a plain
-// []Access model of what was recorded.
+// Reset and filtered by Apply equals a plain []Access model of what was
+// recorded.
 func TestBlockRowLayout(t *testing.T) {
 	rt := reflect.TypeOf(row{})
 	if rt.Size() != 32 {
@@ -78,12 +106,6 @@ func TestBlockRowLayout(t *testing.T) {
 			out := f.Apply(&b)
 			checkModel(t, "filtered", &out, kept)
 		}
-
-		back, err := decodeBlock(AppendBlock(nil, &b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkModel(t, "decoded", &back, model)
 	}
 
 	// A warm block records a trial's worth of accesses without allocating.
@@ -95,5 +117,29 @@ func TestBlockRowLayout(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("a warm Reset and 256 Records allocate %.1f times", allocs)
+	}
+}
+
+// TestLockSetAliasingImmunity proves the old "shared slice, do not mutate"
+// footgun on Access.Locks is gone by construction: mutating the slice a
+// recorded trace hands back cannot corrupt sibling accesses or the intern
+// table, because Addrs always returns a fresh copy.
+func TestLockSetAliasingImmunity(t *testing.T) {
+	locks := []uint64{0x100, 0x200}
+	var accs Block
+	accs.Record(0, 0, Read, 0x10, 8, 0, false, false, false, false, InternLocks(locks))
+	accs.Record(0, 0, Read, 0x20, 8, 0, false, false, false, false, InternLocks(locks))
+	got := accs.At(0).Locks.Addrs()
+	got[0] = 0xdead
+	got[1] = 0xbeef
+	for i := 0; i < accs.Len(); i++ {
+		if a := accs.At(i).Locks.Addrs(); a[0] != 0x100 || a[1] != 0x200 {
+			t.Fatalf("sibling access %d lockset corrupted: %#x", i, a)
+		}
+	}
+	// The intern table itself is untouched: a fresh interning of the same
+	// set still resolves to the original addresses.
+	if a := InternLocks(locks).Addrs(); a[0] != 0x100 || a[1] != 0x200 {
+		t.Fatalf("intern table corrupted: %#x", a)
 	}
 }

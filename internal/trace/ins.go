@@ -12,9 +12,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"snowboard/internal/wire"
 )
 
 // Ins identifies a static memory-access site in the simulated kernel, the
@@ -25,6 +28,17 @@ type Ins uint32
 
 // NoIns is the zero instruction; no registered site ever maps to it.
 const NoIns Ins = 0
+
+// ReadIns reads an instruction id as a uvarint and refuses one past 32 bits.
+// The SBPM set and a queue outcome's repro PMCs carry ids in this form.
+func ReadIns(r *wire.Reader) Ins {
+	v := r.Uvarint()
+	if v > math.MaxUint32 {
+		r.Fail("instruction out of range")
+		return 0
+	}
+	return Ins(v)
+}
 
 var insRegistry = struct {
 	sync.RWMutex

@@ -15,9 +15,7 @@ import (
 // Addrs always returns a fresh copy, and the interned storage is never
 // handed out mutably.
 //
-// LockSet ids are process-local and never serialized; codecs resolve them
-// to explicit address lists on the wire (see encode.go), so the binary
-// formats are unchanged.
+// LockSet ids are process-local and never serialized.
 type LockSet uint32
 
 // lockTable is the process-wide intern table. sets[0] is the empty set.

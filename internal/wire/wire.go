@@ -1,6 +1,6 @@
 // Package wire is the byte-level discipline under every binary format of
-// the pipeline (SBCO corpora, SBPS profile sets with their trace blocks,
-// SBPM PMC sets, queue outcomes and the store's SBAR envelope). Encoders
+// the pipeline (SBCO corpora, SBPM PMC sets, queue outcomes and the store's
+// SBAR envelope). Encoders
 // append to a []byte with encoding/binary's Append* functions and
 // AppendBool; decoders read untrusted bytes through one Reader that latches
 // its first error, so a decode loop reads every field unconditionally and

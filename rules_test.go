@@ -123,8 +123,10 @@ var designRules = []designRule{
 		// The streamed shape's names are split here so this file does not hold them.
 		{"internal/core/shape_test.go", "package core\n\nfunc Stream" + "Campaign() {}\n"},
 	}},
-	{"one_way_to_resume_stage_3", oneWayToResumeStage3, []mutation{
+	// The retired names are split so that this file does not hold them.
+	{"stages_2_3_are_recomputed", stagesTwoThreeAreRecomputed, []mutation{
 		{"internal/core/state.go", "\nconst identifyBatchSize = 16\n"},
+		{"internal/core/state.go", "\nfunc (p *Pipeline) profile" + "Key() {}\n"},
 	}},
 	{"one_jsonl_stream_nothing_unread", oneJSONLStreamNothingUnread, []mutation{
 		{"internal/obs/tracer.go", "package obs\n\nimport (\n\t\"encoding/json\"\n\t\"io\"\n)\n\nfunc spans(w io.Writer) *json.Encoder { return json.NewEncoder(w) }\n"},
@@ -167,7 +169,7 @@ var designRules = []designRule{
 	{"one_byte_reader", oneByteReader, []mutation{
 		{"internal/corpus/legacy.go", "package corpus\n\nimport \"encoding/binary\"\n\nvar nprogs, _ = binary.ReadUvarint(nil)\n"},
 		{"internal/pmc/codec.go", "\ntype setReader struct {\n\tsrc []byte\n\tbad error\n}\n"},
-		{"internal/trace/encode.go", "\nfunc readDelta(br io.ByteReader) (int64, error) { return binary.ReadVarint(br) }\n"},
+		{"internal/trace/delta.go", "package trace\n\nimport (\n\t\"encoding/binary\"\n\t\"io\"\n)\n\nfunc readDelta(br io.ByteReader) (int64, error) { return binary.ReadVarint(br) }\n"},
 		{"internal/sched/codec.go", "\ntype outcomeReader struct {\n\tb   []byte\n\terr error\n}\n"},
 		// The alias hides this call from a text match for "binary.ReadUvarint".
 		{"internal/store/envelope.go", "package store\n\nimport bin \"encoding/binary\"\n\nfunc payloadLen(r io.ByteReader) (uint64, error) { return bin.ReadUvarint(r) }\n"},
@@ -452,12 +454,17 @@ func oneStageMemoOnePipelineShape(tr *tree) []string {
 	return append(out, tr.grep(tr.files, "the streaming pipeline shape", false, "Stream"+"Campaign", "Round"+"Func", `"str`+`eam"`)...)
 }
 
-// Stage 3 is an identifyKey memo hit or one pmc.Identify batch, with or
-// without a store. The SBPI snapshot chain (per-16-profile chain keys, a
-// second binary format, store kind 7) must not come back.
-func oneWayToResumeStage3(tr *tree) []string {
-	return tr.grep(tr.code(), "a second way to resume stage 3", false,
-		"identify-chain", "identifyChainKeys", "identifyBatchSize", "sbpiCodec", "KindPMCIndex", "EncodeIncremental", "DecodeIncremental", "ErrBadIncremental")
+// Stages 2–3 (profiling and PMC identification) always compute and store
+// nothing: a stage-4 key names the PMC set by how it is derived, never by
+// its content. Their memo keys and codecs, the SBPS profile-set codec and
+// the trace-record codec only it embedded, the store kinds they filed
+// under, and the SBPI snapshot chain (per-16-profile chain keys, a second
+// binary format, store kind 7) must not come back.
+func stagesTwoThreeAreRecomputed(tr *tree) []string {
+	return tr.grep(tr.code(), "stages 2–3 stored or resumed", true,
+		"identify-chain", "identifyChainKeys", "identifyBatchSize", "sbpiCodec", "KindPMCIndex", "EncodeIncremental", "DecodeIncremental", "ErrBadIncremental",
+		"profile"+"Key", "identify"+"Key", "profiles"+"Codec", "pmcSet"+"Codec", "Append"+"Profiles", "Parse"+"Profiles",
+		"Append"+"Block", "Read"+"Block", "Kind"+"Profiles", "Kind"+"PMCs")
 }
 
 // The flight recorder's EventLog sink is the one JSONL writer in
