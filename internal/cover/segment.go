@@ -142,6 +142,14 @@ func (s *Segments) addEach(segs []Segment) int {
 	return fresh
 }
 
+// Add adds one hit of each of segs, which are distinct (a trial's, as
+// Walker.Fold returns them), and returns how many had none before.
+func (s *Segments) Add(segs []Segment) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.addEach(segs)
+}
+
 // AddTrace folds one trial trace in and returns how many *new* segments it
 // contributed. The trace is walked exactly like Coverage.AddTrace to find
 // cross-thread communications; each communication is abstracted to its

@@ -124,7 +124,7 @@ func checkSetOps(t *testing.T, data []byte) {
 					batchS[w.segs[len(w.segs)-1]] = 1
 				}
 			}
-			gotP, gotS := w.Fold(covs[a], segs[a])
+			gotP, gotS, _ := w.Fold(covs[a], segs[a])
 			if wantP, wantS := addCounts(pmodel[a], batchP), addCounts(smodel[a], batchS); gotP != wantP || gotS != wantS {
 				t.Fatalf("op %d: Fold fresh (%d pairs, %d segments), model (%d, %d)", i/2, gotP, gotS, wantP, wantS)
 			}
@@ -143,7 +143,7 @@ func checkSetOps(t *testing.T, data []byte) {
 				w.segs = append(w.segs, seg)
 				batchS[seg] = 1
 			}
-			gotP, gotS := w.Fold(covs[a], segs[a])
+			gotP, gotS, _ := w.Fold(covs[a], segs[a])
 			if wantP, wantS := addCounts(pmodel[a], batchP), addCounts(smodel[a], batchS); gotP != wantP || gotS != wantS {
 				t.Fatalf("op %d: growing Fold fresh (%d pairs, %d segments), model (%d, %d)", i/2, gotP, gotS, wantP, wantS)
 			}

@@ -125,9 +125,10 @@ func (w *Walker) Walk(v *trace.View) {
 }
 
 // Fold adds the trial's pairs and segments into c and s, either of which
-// may be nil, returns how many of each were new to them, and readies the
-// walker for the next trial.
-func (w *Walker) Fold(c *Coverage, s *Segments) (freshPairs, freshSegs int) {
+// may be nil, returns how many of each were new to them and the trial's
+// segments (valid until the walker's next walk), and readies the walker for
+// the next trial.
+func (w *Walker) Fold(c *Coverage, s *Segments) (freshPairs, freshSegs int, segs []Segment) {
 	defer w.reset()
 	if c != nil {
 		c.mu.Lock()
@@ -135,9 +136,7 @@ func (w *Walker) Fold(c *Coverage, s *Segments) (freshPairs, freshSegs int) {
 		c.mu.Unlock()
 	}
 	if s != nil {
-		s.mu.Lock()
-		freshSegs = s.addEach(w.segs)
-		s.mu.Unlock()
+		freshSegs = s.Add(w.segs)
 	}
-	return freshPairs, freshSegs
+	return freshPairs, freshSegs, w.segs
 }

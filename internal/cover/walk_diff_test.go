@@ -37,7 +37,7 @@ func TestFusedWalkEqualsReference(t *testing.T) {
 		wantP, wantS := addCounts(refC, pairs), addCounts(refS, segs)
 		v.Build(tr)
 		w.Walk(&v)
-		gotP, gotS := w.Fold(fusedC, fusedS)
+		gotP, gotS, _ := w.Fold(fusedC, fusedS)
 		if gotP != wantP || gotS != wantS {
 			t.Fatalf("iter %d: fused fresh (%d pairs, %d segments), model (%d, %d)", iter, gotP, gotS, wantP, wantS)
 		}
@@ -45,7 +45,7 @@ func TestFusedWalkEqualsReference(t *testing.T) {
 			t.Fatalf("iter %d: standalone fresh (%d pairs, %d segments), model (%d, %d)", iter, p, s, wantP, wantS)
 		}
 		// Either accumulator may be nil.
-		if p, s := w.Fold(nil, nil); p != 0 || s != 0 {
+		if p, s, _ := w.Fold(nil, nil); p != 0 || s != 0 {
 			t.Fatalf("iter %d: nil accumulators reported (%d, %d)", iter, p, s)
 		}
 	}

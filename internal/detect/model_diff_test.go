@@ -116,7 +116,7 @@ func TestRaceWalkCoverageEqualsReference(t *testing.T) {
 		tr := model.Gen(data)
 		pairs, segments := model.Coverage(tr)
 		sc.Analyze(TrialInput{Trace: tr, Cover: &w}, Options{Races: true})
-		gotP, gotS := w.Fold(cov, segs)
+		gotP, gotS, _ := w.Fold(cov, segs)
 		if wantP, wantS := model.AddFresh(accP, pairs), model.AddFresh(accS, segments); gotP != wantP || gotS != wantS {
 			t.Fatalf("iter %d: riding walker fresh (%d pairs, %d segments), model (%d, %d)", iter, gotP, gotS, wantP, wantS)
 		}

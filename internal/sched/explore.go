@@ -137,6 +137,11 @@ type scratch struct {
 	walk   cover.Walker // handed to the oracles, folded after them
 	flags  flagSet
 	seen   map[detect.IssueKey]bool
+	memo   trialMemo // the call's distinct schedules
+
+	// ran, set only by tests, is shown every trial's run as its guest
+	// stops: the trace is tr, the decision log the machine's.
+	ran func(exec.Result)
 
 	// The Snowboard-mode trial scheduler and the throwaway flag set of a
 	// mutated trial.
@@ -173,6 +178,7 @@ func (x *Explorer) scratchFor() *scratch {
 	}
 	sc.flags.reset(0)
 	clear(sc.seen)
+	sc.memo.reset()
 	return sc
 }
 
@@ -336,49 +342,65 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 			switches = policy.Switches
 		}
 		x.Env.M.SetTrace(nil)
+		if sc.ran != nil {
+			sc.ran(res)
+		}
 		out.Trials = trial + 1
 		out.Switches += switches
 		out.Steps += res.Steps
 		mTrials.Inc()
 		mSwitches.Add(int64(switches))
-		sc.view.Build(tr)
-		in := detect.TrialInput{
-			Console:  res.Console,
-			Trace:    tr,
-			View:     &sc.view,
-			Hung:     res.Hung,
-			Deadlock: res.Deadlock,
-		}
-		if x.Coverage != nil || out.Segments != nil {
-			in.Cover = &sc.walk
-		}
-		if x.Fsck != nil {
-			in.PostScan = x.Fsck()
-		}
-		issues := sc.oracle.Analyze(in, x.Detect)
-		freshPairs, freshSegs := sc.walk.Fold(x.Coverage, out.Segments)
-		out.NewCoverPairs += freshPairs
-		out.NewSegments += freshSegs
-		if freshSegs > 0 && mutating && len(policy.SwitchEvents) > 0 {
-			seeds = append(seeds, schedSeed{
-				state:    keep(),
-				switches: append([]int(nil), policy.SwitchEvents...),
-			})
-			if len(seeds) > maxSchedSeeds {
-				seeds = seeds[1:]
+		// Algorithm 2 lines 26–27 (below) read the trial's view.
+		adopt := !mutated && !x.DisableIncidental && x.Mode == ModeSnowboard &&
+			x.KnownPMCs != nil && len(currentPMCs) < maxCurrentPMCs
+		if e := sc.memo.find(x.Env.M.Decisions()); e != nil {
+			// The trial made an earlier trial's decisions, so it ran as that
+			// one did: its analysis is replayed, not run.
+			sc.memo.replay(e, out.Segments)
+			if adopt {
+				sc.view.Build(tr)
 			}
-		}
+		} else {
+			sc.view.Build(tr)
+			in := detect.TrialInput{
+				Console:  res.Console,
+				Trace:    tr,
+				View:     &sc.view,
+				Hung:     res.Hung,
+				Deadlock: res.Deadlock,
+			}
+			if x.Coverage != nil || out.Segments != nil {
+				in.Cover = &sc.walk
+			}
+			if x.Fsck != nil {
+				in.PostScan = x.Fsck()
+			}
+			issues := sc.oracle.Analyze(in, x.Detect)
+			freshPairs, freshSegs, segs := sc.walk.Fold(x.Coverage, out.Segments)
+			sc.memo.add(x.Env.M.Decisions(), segs, issues)
+			out.NewCoverPairs += freshPairs
+			out.NewSegments += freshSegs
+			if freshSegs > 0 && mutating && len(policy.SwitchEvents) > 0 {
+				seeds = append(seeds, schedSeed{
+					state:    keep(),
+					switches: append([]int(nil), policy.SwitchEvents...),
+				})
+				if len(seeds) > maxSchedSeeds {
+					seeds = seeds[1:]
+				}
+			}
 
-		// Channel witness: did the hinted communication actually happen?
-		if ct.Hint != nil && !out.Exercised && ChannelExercised(tr, ct.Hint) {
-			out.Exercised = true
-			out.ExercisedTrial = trial
-			mChannelHit.Inc()
-		}
+			// Channel witness: did the hinted communication actually happen?
+			if ct.Hint != nil && !out.Exercised && ChannelExercised(tr, ct.Hint) {
+				out.Exercised = true
+				out.ExercisedTrial = trial
+				mChannelHit.Inc()
+			}
 
-		if sc.record(&out, trial, issues) {
-			out.Repro = keep()
-			break
+			if sc.record(&out, trial, issues) {
+				out.Repro = keep()
+				break
+			}
 		}
 
 		// Algorithm 2 lines 26–27: adopt one incidental PMC whose write and
@@ -387,7 +409,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		// degenerates into schedule thrash that closes the very windows the
 		// hint is meant to open. Mutation trials replay historical state
 		// and do not advance the live PMC set.
-		if !mutated && !x.DisableIncidental && x.Mode == ModeSnowboard && len(currentPMCs) < maxCurrentPMCs {
+		if adopt {
 			if inc, ok := x.findIncidental(&sc.view, currentPMCs, rng); ok {
 				currentPMCs = append(currentPMCs, inc)
 				mIncidental.Inc()

@@ -1,0 +1,147 @@
+package sched
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"testing"
+
+	"snowboard/internal/cover"
+	"snowboard/internal/detect"
+	"snowboard/internal/exec"
+	"snowboard/internal/kernel"
+	"snowboard/internal/pmc"
+	"snowboard/internal/trace"
+	"snowboard/internal/vm"
+)
+
+// ranTrial is what a trial's run leaves that its analysis reads.
+type ranTrial struct {
+	log            []vm.Decision
+	rows           []trace.Access
+	console, fsck  []string
+	hung, deadlock bool
+	steps          int
+}
+
+// TestEqualSchedulesEqualTrials guards the key of the explorer's trial memo
+// (vm.Machine.Decisions): over real tests of two seeds, in every mode, any
+// two trials of one test whose decision logs are equal must have run alike —
+// equal trace rows, console, fsck output, Hung, Deadlock and Steps — since
+// the memo answers the second with the first's analysis. A console finding
+// ends a test, so a crashing trial never repeats with every oracle on: the
+// last arm turns the console oracle off and explores the Figure 1 test,
+// whose trials can crash the kernel, so that equal logs are checked on
+// crashed trials too. Each arm must meet such pairs often enough for the
+// check to mean something, and the memo must answer exactly the trials
+// that repeat an earlier one's decisions.
+func TestEqualSchedulesEqualTrials(t *testing.T) {
+	all := detect.DefaultOptions()
+	arms := []memoArm{
+		{name: "snowboard", mode: ModeSnowboard, opts: all, floor: 150},
+		{name: "snowboard+mutate", mode: ModeSnowboard, mutate: true, opts: all, floor: 300},
+		{name: "ski", mode: ModeSKI, opts: all, floor: 80},
+		{name: "random-walk", mode: ModeRandomWalk, opts: all, floor: 15},
+	}
+	for _, seed := range []int64{3, 7} {
+		env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+		set, tests := realTests(t, env, seed)
+		for a := range arms {
+			for i, ct := range tests {
+				arms[a].explore(t, env, set, ct, seed*1000+int64(i))
+			}
+		}
+		env.Close()
+	}
+	figure1 := memoArm{name: "figure 1, console oracle off", mode: ModeSnowboard,
+		opts: detect.Options{Races: true, TornReads: true}, trialsPerTest: 64, floor: 15, eventfulFloor: 5}
+	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+	set, hint := identifyL2TP(t, env)
+	ct := ConcurrentTest{Writer: l2tpWriterProg(), Reader: l2tpReaderProg(), Hint: &hint}
+	for seed := int64(1); seed <= 40; seed++ {
+		figure1.explore(t, env, set, ct, seed)
+	}
+	env.Close()
+	for _, arm := range append(arms, figure1) {
+		t.Logf("%s: %d trials, %d pairs with equal decisions checked, %d of them with console or fsck lines, hung or deadlocked",
+			arm.name, arm.trials, arm.checked, arm.eventful)
+		if arm.checked < arm.floor || arm.eventful < arm.eventfulFloor {
+			t.Errorf("%s: %d pairs (%d eventful) checked, want at least %d (%d)", arm.name, arm.checked, arm.eventful, arm.floor, arm.eventfulFloor)
+		}
+		if arm.answered != arm.checked {
+			t.Errorf("%s: the memo answered %d trials, but %d repeated an earlier trial's decisions", arm.name, arm.answered, arm.checked)
+		}
+	}
+}
+
+// memoArm is one exploration setting of TestEqualSchedulesEqualTrials and
+// its tally.
+type memoArm struct {
+	name   string
+	mode   Mode
+	mutate bool
+	opts   detect.Options
+
+	trialsPerTest int // 0: 24
+
+	floor, eventfulFloor      int // pairs the arm must check, and of them eventful ones
+	trials, checked, eventful int
+	answered                  int // trials the memo answered (sched.trials_repeated)
+}
+
+// explore runs ct's trials and compares each with the earlier trial of the
+// same decisions, if any.
+func (arm *memoArm) explore(t *testing.T, env *exec.Env, set *pmc.Set, ct ConcurrentTest, seed int64) {
+	x := &Explorer{Env: env, Trials: cmp.Or(arm.trialsPerTest, 24), Seed: seed, Mode: arm.mode, Detect: arm.opts,
+		KnownPMCs: set, Coverage: cover.New(), TrackSegments: true, MutateSchedules: arm.mutate,
+		Fsck: func() []string { return env.K.FsckHost() }}
+	var ran []ranTrial
+	x.scratchFor().ran = func(res exec.Result) {
+		arm.trials++
+		tr := &x.scratch.tr
+		got := ranTrial{
+			log:     slices.Clone(env.M.Decisions()),
+			console: res.Console,
+			fsck:    env.K.FsckHost(),
+			hung:    res.Hung, deadlock: res.Deadlock,
+			steps: res.Steps,
+		}
+		for k := 0; k < tr.Len(); k++ {
+			got.rows = append(got.rows, tr.At(k))
+		}
+		for k := range ran {
+			if slices.Equal(ran[k].log, got.log) {
+				if diff := ran[k].diff(&got); diff != "" {
+					t.Fatalf("%s, seed %d: trials %d and %d made the same %d decisions but differ in %s",
+						arm.name, seed, k, len(ran), len(got.log), diff)
+				}
+				arm.checked++
+				if len(got.console)+len(got.fsck) > 0 || got.hung || got.deadlock {
+					arm.eventful++
+				}
+				break
+			}
+		}
+		ran = append(ran, got)
+	}
+	repeated := mRepeated.Value()
+	x.Explore(ct)
+	arm.answered += int(mRepeated.Value() - repeated)
+}
+
+// diff names the first way o's run differs from r's, or returns "".
+func (r *ranTrial) diff(o *ranTrial) string {
+	switch {
+	case r.steps != o.steps:
+		return fmt.Sprintf("steps (%d, %d)", r.steps, o.steps)
+	case r.hung != o.hung || r.deadlock != o.deadlock:
+		return fmt.Sprintf("hung/deadlock (%t/%t, %t/%t)", r.hung, r.deadlock, o.hung, o.deadlock)
+	case !slices.Equal(r.rows, o.rows):
+		return fmt.Sprintf("trace rows (%d, %d of them)", len(r.rows), len(o.rows))
+	case !slices.Equal(r.console, o.console):
+		return fmt.Sprintf("console (%q, %q)", r.console, o.console)
+	case !slices.Equal(r.fsck, o.fsck):
+		return fmt.Sprintf("fsck (%q, %q)", r.fsck, o.fsck)
+	}
+	return ""
+}

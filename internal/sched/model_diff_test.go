@@ -164,7 +164,7 @@ func realTrialsEqualModel(t *testing.T, version kernel.Version) {
 				c.check(t, tr, m.Torn)
 				sc.view.Build(tr)
 				sc.walk.Walk(&sc.view)
-				gotP, gotS := sc.walk.Fold(acc, accSegs)
+				gotP, gotS, _ := sc.walk.Fold(acc, accSegs)
 				if wantP, wantS := model.AddFresh(accModel, m.Pairs), model.AddFresh(accSegsModel, m.Segments); gotP != wantP || gotS != wantS {
 					at("fresh pairs and segments", [2]int{gotP, gotS}, [2]int{wantP, wantS})
 				}

@@ -114,6 +114,7 @@ type Machine struct {
 	runMax   int          // step budget of the current Run
 	last     trace.Access // the latest access yielded to a scheduler without a sink
 	runnable []*Thread    // scratch buffer reused by Runnable
+	picks    []Decision   // the current Run's decision log, storage reused
 
 	steps  int
 	faults []string
@@ -162,6 +163,27 @@ func (m *Machine) SetTrace(tr *trace.Trace) { m.trace = tr }
 
 // Steps returns the number of events processed by the last Run.
 func (m *Machine) Steps() int { return m.steps }
+
+// Decision is one effective scheduling decision of a run: the Pick made
+// after At events, on an event of Kind, and the thread it picked (-1: the
+// scheduler stopped the run). At, not the access index, places it: a
+// scheduler without a sink is shown every access at one index.
+type Decision struct {
+	At     int
+	Thread int32
+	Kind   EventKind
+}
+
+// Decisions returns the last Run's decision log: one entry per Pick but the
+// ones that keep running the thread that just made an access. A machine is
+// deterministic, so two runs from one memory image and one set of spawned
+// bodies whose logs are equal executed alike — events, trace, console and
+// final memory. Induction over the Picks: both runs reach each one in one
+// state, hence on one event after as many events; one that switches at an
+// access is logged there, one that keeps running is not, and a run's next
+// entry lies past that point, so equal logs agree at every Pick. The slice
+// is storage of the machine, valid until the next Run.
+func (m *Machine) Decisions() []Decision { return m.picks }
 
 // AccessIndex returns the AccessInfo.Index of the current Run's next access.
 func (m *Machine) AccessIndex() int { return m.offered }
@@ -289,6 +311,7 @@ func (m *Machine) Run(s Scheduler, maxSteps int) error {
 	m.steps = 0
 	m.runMax = maxSteps
 	m.offered = 0
+	m.picks = m.picks[:0]
 	if sink, ok := s.(AccessSink); ok {
 		m.sink, m.watch = sink, sink.Watch()
 		defer func() { m.sink, m.watch = nil, nil }()
@@ -304,7 +327,11 @@ func (m *Machine) Run(s Scheduler, maxSteps int) error {
 		}
 		t := s.Pick(m, last, ev)
 		if t == nil {
+			m.picks = append(m.picks, Decision{At: m.steps, Thread: -1, Kind: ev.Kind})
 			return nil
+		}
+		if t != last || ev.Kind != EvAccess {
+			m.picks = append(m.picks, Decision{At: m.steps, Thread: int32(t.ID), Kind: ev.Kind})
 		}
 		if t.state != Runnable {
 			panic(fmt.Sprintf("vm: scheduler picked non-runnable thread %d (%v)", t.ID, t.state))
