@@ -42,7 +42,7 @@ func main() {
 		tests    = flag.Int("tests", 60, "concurrent tests to execute")
 		trials   = flag.Int("trials", 16, "interleaving trials per concurrent test")
 		workers  = flag.Int("workers", 0, "parallel worker goroutines per stage (0 = one per CPU); results are identical for any value")
-		feedback = flag.Bool("feedback", false, "close the loop: allocate the test budget in rounds across PMC clusters by recent interleaving-segment yield, composing independent PMCs and mutating segment-discovering schedules")
+		feedback = flag.Bool("feedback", false, "close the loop: allocate the test budget in rounds across PMC clusters by recent interleaving-segment yield, composing independent PMCs into shared tests")
 		rounds   = flag.Int("rounds", 0, "budget-allocation rounds for -feedback (0 = default 4)")
 		stateDir = flag.String("state", "", "artifact store directory: persist the corpus and the report (replayable SBRB bundles included; see sbrepro) and resume from them on re-run; profiles and PMCs are always recomputed")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")

@@ -1,8 +1,10 @@
 package snowboard_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -14,6 +16,7 @@ import (
 	"snowboard/internal/core"
 	"snowboard/internal/detect"
 	"snowboard/internal/kernel"
+	"snowboard/internal/obs"
 	"snowboard/internal/par"
 	"snowboard/internal/pmc"
 	"snowboard/internal/sched"
@@ -59,12 +62,8 @@ type docTable struct {
 	render func(t *testing.T) string
 }
 
-// docRuns is the number of seeds behind every mean a table prints, and
-// feedbackRuns the feedback comparison's.
-const (
-	docRuns      = 5
-	feedbackRuns = 10
-)
+// docRuns is the number of seeds behind every mean a table prints.
+const docRuns = 5
 
 var docTables = []docTable{
 	{"figure1", renderFigure1},
@@ -220,16 +219,12 @@ func pipelineOver(shared *snowboard.Pipeline, opts snowboard.Options) *snowboard
 	return p
 }
 
-// stage4 runs generation and execution (or the feedback loop) with opts on
-// the shared analysis and returns the report.
+// stage4 runs generation and execution with opts on the shared analysis
+// and returns the report.
 func stage4(shared *snowboard.Pipeline, opts snowboard.Options) *snowboard.Report {
 	p := pipelineOver(shared, opts)
 	r := p.NewReport()
-	if opts.Feedback {
-		p.RunFeedback(r, opts.TestBudget)
-	} else {
-		p.ExecuteTests(r, p.GenerateTests(r, opts.TestBudget))
-	}
+	p.ExecuteTests(r, p.GenerateTests(r, opts.TestBudget))
 	p.Close()
 	return r
 }
@@ -461,48 +456,164 @@ func unadopted(shared *snowboard.Pipeline, opts snowboard.Options) map[int]bool 
 	return found
 }
 
-// renderFeedback is the feedback comparison (BENCH_feedback.json): each
-// seed's campaign on the shared analysis, handed 400 tests × 24 trials,
-// under the round-based segment-yield feedback loop and under the one-shot
-// uncommon-first walk. The arms do not spend the budget equally —
-// uncommon-first generates one test per cluster and stops when the
-// clusters run out — so each row gives the tests and trials the arm spent
-// and its yield per 1k trials beside the raw totals.
+// renderFeedback is the feedback loop against uncommon-first at equal
+// trials on the shared analysis, seeds 3–7. The loop is handed 400 tests ×
+// 24 trials; uncommon-first repeats its one-test-per-cluster pass until it
+// has spent as many trials, its last pass cut to the tests that should fill
+// them. A row counts if it was first exposed within the loop's trials, and
+// its first exposure is the cumulative trial, in fold order, on which it
+// surfaced: the second table gives each row's median over the seeds.
 func renderFeedback(t *testing.T) string {
 	shared := sharedAnalysis(t)
-	type sum struct{ tests, trials, issues, segments, exercised, composed int }
-	arms := []string{"uncommon-first", "feedback"}
+	arms := []string{"uncommon-first, continued", "feedback loop"}
 	var rows [][]string
-	sums := make([]sum, len(arms))
-	for i := range feedbackRuns {
-		for a, name := range arms {
-			opts := stage4Opts(shared, int64(i)+3, 400, 24)
-			opts.Feedback = a == 1
-			r := stage4(shared, opts)
-			if opts.Feedback && r.FeedbackRounds == 0 {
-				t.Fatalf("seed %d: the feedback arm ran no rounds", opts.Seed)
+	firsts := make([][]map[int]int, len(arms)) // by arm, seed
+	sums := make([]struct{ tests, trials, rows, sooner, composed int }, len(arms))
+	for i := range docRuns {
+		seed := int64(i) + 3
+		loop, loopFirst := exposureRun(t, shared, seed, 0)
+		uf, ufFirst := exposureRun(t, shared, seed, loop.TrialsRun)
+		runs := []*snowboard.Report{uf, loop}
+		first := []map[int]int{within(ufFirst, loop.TrialsRun), loopFirst}
+		for a, r := range runs {
+			firsts[a] = append(firsts[a], first[a])
+			sooner := 0
+			for id, fe := range first[a] {
+				if other, ok := first[1-a][id]; !ok || fe < other {
+					sooner++
+				}
 			}
-			ids := r.BugIDs()
+			ids := slices.Sorted(maps.Keys(first[a]))
 			s := &sums[a]
 			s.tests += r.TestedTests
 			s.trials += r.TrialsRun
-			s.issues += len(ids)
-			s.segments += r.CoverSegments
-			s.exercised += r.Exercised
+			s.rows += len(ids)
+			s.sooner += sooner
 			s.composed += r.ComposedTests
-			rows = append(rows, []string{itoa(opts.Seed), name, itoa(r.TestedTests), itoa(r.TrialsRun),
-				fmt.Sprint(len(ids), " — ", ids), itoa(r.CoverSegments), perK(r.CoverSegments, r.TrialsRun, 1),
-				perK(len(ids), r.TrialsRun, 2), itoa(r.Exercised), itoa(r.ComposedTests)})
+			rows = append(rows, []string{itoa(seed), arms[a], itoa(r.TestedTests), itoa(r.TrialsRun),
+				fmt.Sprint(len(ids), " — ", ids), itoa(sooner), itoa(r.ComposedTests)})
 		}
 	}
 	for a, name := range arms {
 		s := sums[a]
-		rows = append(rows, []string{"mean", name, f1(s.tests, feedbackRuns), f1(s.trials, feedbackRuns),
-			f1(s.issues, feedbackRuns), f1(s.segments, feedbackRuns), perK(s.segments, s.trials, 1),
-			perK(s.issues, s.trials, 2), f1(s.exercised, feedbackRuns), f1(s.composed, feedbackRuns)})
+		rows = append(rows, []string{"mean", name, f1(s.tests, docRuns), f1(s.trials, docRuns),
+			f1(s.rows, docRuns), f1(s.sooner, docRuns), f1(s.composed, docRuns)})
 	}
-	return mdTable([]string{"Seed", "Arm", "Tests run", "Trials run", "Distinct Table 2 issues", "Segments",
-		"Segments / 1k trials", "Issues / 1k trials", "Exercised", "Composed"}, rows...)
+	perSeed := mdTable([]string{"Seed", "Arm", "Tests run", "Trials run", "Table 2 rows", "Rows first exposed sooner",
+		"Composed"}, rows...)
+
+	union := map[int]bool{}
+	for _, fs := range firsts {
+		for _, f := range fs {
+			for id := range f {
+				union[id] = true
+			}
+		}
+	}
+	rows = nil
+	for _, id := range slices.Sorted(maps.Keys(union)) {
+		row := []string{"#" + itoa(id)}
+		for a := range arms {
+			row = append(row, medianExposure(firsts[a], id))
+		}
+		rows = append(rows, row)
+	}
+	return perSeed + "\n" + mdTable(append([]string{"Row"}, arms...), rows...)
+}
+
+// exposureRun is one arm of renderFeedback over the shared analysis at
+// seed, at one worker so that the pmc.tested events arrive in fold order:
+// with budget 0 the feedback loop, otherwise uncommon-first passes until
+// they have spent budget trials. It returns the report and each row's first
+// exposure.
+func exposureRun(t *testing.T, shared *snowboard.Pipeline, seed int64, budget int) (*snowboard.Report, map[int]int) {
+	opts := stage4Opts(shared, seed, 400, 24)
+	opts.Workers, opts.Feedback = 1, budget == 0
+	p := pipelineOver(shared, opts)
+	defer p.Close()
+	var perTest trialCounts
+	obs.Events.SetSink(&perTest)
+	defer obs.Events.SetSink(nil)
+	r := p.NewReport()
+	if opts.Feedback {
+		p.RunFeedback(r, opts.TestBudget)
+	}
+	for n := opts.TestBudget; r.TrialsRun < budget; {
+		p.ExecuteTests(r, p.GenerateTests(r, n))
+		n = min(r.ExemplarPMCs, max(1, (budget-r.TrialsRun)*r.TestedTests/r.TrialsRun))
+	}
+	return r, firstExposures(t, r, perTest)
+}
+
+// trialCounts is an events sink keeping each explored test's trials, in
+// emission order.
+type trialCounts []int
+
+func (c *trialCounts) Write(b []byte) (int, error) {
+	var ev obs.Event
+	if err := json.Unmarshal(b, &ev); err == nil && ev.Kind == obs.EvPMCTested {
+		n, _ := ev.Attrs["trials"].(float64)
+		*c = append(*c, int(n))
+	}
+	return len(b), nil
+}
+
+// firstExposures is each found row's first-exposure trial: the trials of
+// the tests folded before the one that found it, plus its trial (1-based).
+// perTest holds every test's trials in fold order.
+func firstExposures(t *testing.T, r *snowboard.Report, perTest []int) map[int]int {
+	prefix := []int{0}
+	for _, n := range perTest {
+		prefix = append(prefix, prefix[len(prefix)-1]+n)
+	}
+	if len(perTest) != r.TestedTests || prefix[len(perTest)] != r.TrialsRun {
+		t.Fatalf("%d pmc.tested events of %d trials for %d tests of %d trials", len(perTest), prefix[len(perTest)],
+			r.TestedTests, r.TrialsRun)
+	}
+	first := make(map[int]int, len(r.Issues))
+	for id, rec := range r.Issues {
+		first[id] = prefix[rec.TestIndex-1] + rec.Trial + 1
+	}
+	return first
+}
+
+// within keeps the rows of first that were first exposed by trial budget.
+func within(first map[int]int, budget int) map[int]int {
+	out := make(map[int]int, len(first))
+	for id, fe := range first {
+		if fe <= budget {
+			out[id] = fe
+		}
+	}
+	return out
+}
+
+// medianExposure is the median over the runs of row id's first exposure,
+// a run that never exposed it counting as later than any that did, with
+// the share of runs that did when some did not.
+func medianExposure(runs []map[int]int, id int) string {
+	const never = math.MaxInt
+	var fes []int
+	found := 0
+	for _, f := range runs {
+		fe, ok := f[id]
+		if ok {
+			found++
+		} else {
+			fe = never
+		}
+		fes = append(fes, fe)
+	}
+	slices.Sort(fes)
+	lo, hi := fes[(len(fes)-1)/2], fes[len(fes)/2]
+	out := "—"
+	if hi != never {
+		out = strconv.FormatFloat(float64(lo+hi)/2, 'f', -1, 64)
+	}
+	if found < len(fes) {
+		out += fmt.Sprintf(" (%d of %d)", found, len(fes))
+	}
+	return out
 }
 
 // docTableBlocks returns the lines between each "<!-- doctable:NAME -->"
@@ -563,11 +674,6 @@ func f1(total, n int) string { return strconv.FormatFloat(float64(total)/float64
 // pct is part/whole as a percentage to one decimal.
 func pct(part, whole int) string {
 	return strconv.FormatFloat(100*float64(part)/float64(whole), 'f', 1, 64) + "%"
-}
-
-// perK is n per 1,000 trials to prec decimals.
-func perK(n, trials, prec int) string {
-	return strconv.FormatFloat(1000*float64(n)/float64(trials), 'f', prec, 64)
 }
 
 func arrow(before, after int) string { return itoa(before) + " → " + itoa(after) }

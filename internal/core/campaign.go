@@ -462,9 +462,13 @@ func (c *Campaign) finish(r *Report, err error) {
 
 // reportKey memoizes the whole campaign: same manifest, same report. v2
 // reports carry their findings; v3 feedback reports adopt only PMCs whose
-// clusters the round does not test. An older sbd's v1 or v2 memo is left
-// unserved.
+// clusters the round does not test, and a feedback campaign's key names
+// loopPart too. An older sbd's v1 or v2 memo, or its v3 memo of a feedback
+// campaign, is left unserved.
 func (c *Campaign) reportKey() store.Digest {
+	if c.Spec.Feedback {
+		return store.Key(campaignKeyPrefix, "report-v3", loopPart, string(c.manifest))
+	}
 	return store.Key(campaignKeyPrefix, "report-v3", string(c.manifest))
 }
 

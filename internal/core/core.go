@@ -88,9 +88,8 @@ type Options struct {
 	// GenerateTests pass over the uncommon-first ranking, the test budget
 	// is spent in rounds, each allocating tests across PMC clusters
 	// proportional to their recent interleaving-segment yield
-	// (multi-armed-bandit style, seeded-deterministic), composing
-	// independent PMCs into shared tests, and mutating schedules that
-	// discovered new segments. Only meaningful for MethodPMC.
+	// (multi-armed-bandit style, seeded-deterministic) and composing
+	// independent PMCs into shared tests. Only meaningful for MethodPMC.
 	Feedback bool
 	// FeedbackRounds is the number of budget-allocation rounds a feedback
 	// run splits TestBudget into (0 = default 4).

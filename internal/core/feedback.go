@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 
 	"snowboard/internal/cluster"
@@ -28,10 +27,13 @@ import (
 //     whose test pairs land on the same writer/reader programs — into a
 //     single composed test, so one execution probes several channels
 //     ("cooperative composing"),
-//  3. executes the tests with schedule mutation enabled (sched mutates
-//     yield schedules that discovered new segments), and
+//  3. executes the tests, and
 //  4. credits each test's fresh-segment yield back to the clusters that
 //     contributed its hints, steering the next round.
+//
+// Allocation and composing each first expose some Table 2 row sooner than
+// the arm without them, at equal trials (EXPERIMENTS.md, "Feedback
+// mechanisms at equal trials").
 //
 // Every quantity that steers allocation is a pure function of test order
 // — per-test segment accumulators folded sequentially — so feedback
@@ -80,9 +82,9 @@ type feedbackRoundState struct {
 
 // feedbackKeys derives the digest-linked chain key of every round: round
 // r's key pins the corpus, the PMC set by how it is derived (pmcPart),
-// every option that shapes the loop, and — through prev — the whole round
-// prefix. Returns nil when the corpus is not content-addressed (no store
-// attached, or persisting it failed).
+// every option that shapes the loop, the loop's mechanisms (loopPart), and
+// — through prev — the whole round prefix. Returns nil when the corpus is
+// not content-addressed (no store attached, or persisting it failed).
 func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 	cd := p.stage4Corpus("feedback")
 	if cd.IsZero() {
@@ -103,6 +105,7 @@ func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 			fmt.Sprintf("trials=%d", p.Opts.Trials),
 			detectPart(p.Opts.Detect),
 			adoptionPart,
+			loopPart,
 			"prev="+prev.String(),
 			fmt.Sprintf("round=%d", i),
 		)
@@ -112,9 +115,11 @@ func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 }
 
 // resumeFeedback probes the chain keys newest-first and restores the most
-// recent persisted round: report, credits, segments, cursors. It returns
-// the next round to run (0 when nothing usable is stored) and the restored
-// exploration-walk cursor.
+// recent persisted round: report, credits, segments, cursors. The report
+// keeps what describes this run rather than the one that wrote the round —
+// its worker count and its stage 1–2 timings. It returns the next round to
+// run (0 when nothing usable is stored) and the restored exploration-walk
+// cursor.
 func (p *Pipeline) resumeFeedback(keys []store.Digest, r *Report, credits []int64) (int, int) {
 	for round := len(keys) - 1; round >= 0; round-- {
 		st, out, ok := loadMemo(p, "feedback", keys[round], roundCodec, nil)
@@ -130,7 +135,9 @@ func (p *Pipeline) resumeFeedback(keys []store.Digest, r *Report, credits []int6
 			obs.Diag.Printf("stage feedback: discarding round artifact %s: bad report: %v", out.Short(), err)
 			continue
 		}
+		run := *r
 		*r = *nr
+		r.Workers, r.FuzzTime, r.ProfileTime, r.IdentifyTime = run.Workers, run.FuzzTime, run.ProfileTime, run.IdentifyTime
 		copy(credits, st.Credits)
 		p.segs = cover.ImportSegments(st.Segments)
 		p.genCalls = st.GenCalls
@@ -238,14 +245,6 @@ func independentChannels(a, b pmc.PMC) bool {
 	}
 	return !keyOverlap(a.Write, b.Write) && !keyOverlap(a.Write, b.Read) &&
 		!keyOverlap(a.Read, b.Write) && !keyOverlap(a.Read, b.Read)
-}
-
-// clusterLabel is the short stable metric label of a cluster key, bounding
-// the gen.budget.<cluster> metric namespace regardless of key contents.
-func clusterLabel(key string) string {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return fmt.Sprintf("%08x", h.Sum32())
 }
 
 // feedbackCandidate is one cluster-drawn test before composing.
@@ -400,9 +399,6 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 				if c, ok := p.drawCandidate(cs, ci, rng); ok {
 					cands = append(cands, c)
 				}
-			}
-			if alloc[ci] > 0 {
-				obs.C(obs.MGenBudgetPrefix + clusterLabel(cs[ci].Key)).Add(int64(alloc[ci]))
 			}
 		}
 		tests, contributors := composeTests(cands)

@@ -268,8 +268,11 @@ func TestFeedbackWorkerDeterminism(t *testing.T) {
 
 // TestFeedbackResumeMatchesUninterrupted simulates a campaign killed after
 // round 1: only the first two round checkpoints are copied into a fresh
-// store, a new pipeline resumes from them, and the final state must be
-// identical to the uninterrupted campaign's.
+// store, a new pipeline at another worker count resumes from them, and the
+// final state must be identical to the uninterrupted campaign's. The
+// resumed report names the run that resumed — its worker count and stage
+// 1–2 timings (none: it ran no stage 1 or 2) — not the one that wrote the
+// rounds.
 func TestFeedbackResumeMatchesUninterrupted(t *testing.T) {
 	full, err := store.Open(t.TempDir())
 	if err != nil {
@@ -308,7 +311,7 @@ func TestFeedbackResumeMatchesUninterrupted(t *testing.T) {
 		}
 	}
 
-	pRes := NewPipeline(feedbackOpts(2))
+	pRes := NewPipeline(feedbackOpts(1))
 	pRes.UseStore(partial)
 	pRes.SetCorpus(pFull.Corpus)
 	pRes.SetProfiles(pFull.Profiles)
@@ -317,6 +320,14 @@ func TestFeedbackResumeMatchesUninterrupted(t *testing.T) {
 	pRes.RunFeedback(rRes, pRes.Opts.TestBudget)
 	if got := feedbackDigestOf(pRes, rRes); !reflect.DeepEqual(want, got) {
 		t.Fatalf("resumed campaign diverged from uninterrupted:\n  want: %+v\n  got:  %+v", want, got)
+	}
+	if rFull.Workers != 2 || rFull.FuzzTime == 0 || rFull.ProfileTime == 0 || rFull.IdentifyTime == 0 {
+		t.Fatalf("the uninterrupted run reports workers=%d and stage 1–2 times %v/%v/%v", rFull.Workers,
+			rFull.FuzzTime, rFull.ProfileTime, rFull.IdentifyTime)
+	}
+	if rRes.Workers != 1 || rRes.FuzzTime != 0 || rRes.ProfileTime != 0 || rRes.IdentifyTime != 0 {
+		t.Errorf("the resumed run reports workers=%d and stage 1–2 times %v/%v/%v, want its own: 1 and none",
+			rRes.Workers, rRes.FuzzTime, rRes.ProfileTime, rRes.IdentifyTime)
 	}
 }
 

@@ -336,12 +336,11 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 
 // localExplorer is ExecuteTests' template for exploring tests. A queue
 // worker (NewWorker) runs stage4Explorer bare; this one adds the Coverage
-// and TrackSegments walks, schedule mutation under feedback, and incidental
-// adoption wherever some PMC is adoptable. At full coverage — every
-// cluster has a test, as on bench `hunt`, `fleet` and the golden specs —
-// none is, so only the two coverage walks differ, and a local report
-// equals the queue-delivered one but for CoverPairs and CoverSegments
-// (TestLocalReportEqualsQueueReport). Giving workers this template too
+// and TrackSegments walks and incidental adoption wherever some PMC is
+// adoptable. At full coverage — every cluster has a test, as on bench
+// `hunt`, `fleet` and the golden specs — none is, so only the two coverage
+// walks differ, and a local report equals the queue-delivered one but for
+// CoverPairs and CoverSegments (TestLocalReportEqualsQueueReport). Giving workers this template too
 // then costs the walks and shipping each job's segment and pair sets
 // behind its outcome: 1.7 and 2.9 points of bench `fleet`'s bare
 // trials_per_s as measured before adoption skipped planned clusters
@@ -350,8 +349,7 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 func (p *Pipeline) localExplorer(tests []sched.ConcurrentTest, cov *cover.Coverage) sched.Explorer {
 	template := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
 	template.KnownPMCs, template.Planned = p.adoptable(tests)
-	template.Coverage, template.TrackSegments = cov, true
-	template.MutateSchedules, template.Trace = p.Opts.Feedback, p.trace
+	template.Coverage, template.TrackSegments, template.Trace = cov, true, p.trace
 	return template
 }
 

@@ -114,22 +114,26 @@ func (p *Pipeline) reportKey(corpusDigest store.Digest, budget int) store.Digest
 		fmt.Sprintf("trials=%d", p.Opts.Trials),
 		detectPart(p.Opts.Detect),
 		adoptionPart,
-		// Resolved feedback parameters: a feedback run and a one-shot run
-		// spend the same budget through different schedulers, so their
-		// reports must never share a key. Non-feedback runs pin rounds=0
-		// regardless of FeedbackRounds.
-		fmt.Sprintf("feedback=%t/%d", p.Opts.Feedback, p.resolvedFeedbackRounds()),
+		p.feedbackPart(),
 	)
 }
 
-// resolvedFeedbackRounds is the round count that actually shapes the run:
-// 0 when feedback is off, the resolved default otherwise — so
-// FeedbackRounds 0 and 4 (the default) map to one artifact key.
-func (p *Pipeline) resolvedFeedbackRounds() int {
+// loopPart names the feedback loop's mechanisms in every key of a feedback
+// run: the execute memo's, each round checkpoint's and the campaign memo's.
+// Reports and rounds stored while the loop also mutated schedules were
+// keyed without it, so they are never served.
+const loopPart = "loop=rounds+composing"
+
+// feedbackPart is the execute key's feedback part. A feedback run and a
+// one-shot run spend the same budget through different schedulers, so
+// their reports must never share a key: a one-shot run pins rounds=0
+// whatever FeedbackRounds says, and a feedback run its resolved round count
+// (FeedbackRounds 0 and the default 4 map to one key) and loopPart.
+func (p *Pipeline) feedbackPart() string {
 	if !p.Opts.Feedback {
-		return 0
+		return "feedback=false/0"
 	}
-	return p.feedbackRounds()
+	return fmt.Sprintf("feedback=true/%d/%s", p.feedbackRounds(), loopPart)
 }
 
 // Per-stage report fragments persisted in the memo entry, so a cache hit

@@ -442,7 +442,10 @@ func stateFiles(t *testing.T, dir string) map[string]stateFile {
 // planned clusters (adoptionPart): a stage-4 report stored before that
 // must not be served (TestParentStage4MemosNotServed). They were re-pinned
 // again when stages 2–3 stopped being stored and pmcPart took the place of
-// the PMC set's content digest. The "bytes" rows pin the artifacts
+// the PMC set's content digest. The two feedback rows were re-pinned once
+// more when the loop stopped mutating schedules (loopPart), and the
+// one-shot reportKey row was added then, as its parent commit computed it:
+// a one-shot key did not move. The "bytes" rows pin the artifacts
 // themselves: the SHA-256 of each binary format's encoding of
 // goldenArtifacts' inputs, recorded before the codecs moved onto one byte
 // reader (internal/wire), since a round-trip test passes under any
@@ -454,6 +457,8 @@ func TestStageKeysGolden(t *testing.T) {
 	opts.Feedback = true
 	cd := store.Key("golden", "corpus")
 	p := &Pipeline{Opts: opts, corpusDigest: cd}
+	oneShot := &Pipeline{Opts: opts, corpusDigest: cd}
+	oneShot.Opts.Feedback = false
 	triageKey, err := p.triageKey(11, IssueRecord{
 		Test:  sched.ConcurrentTest{Pair: pmc.Pair{Writer: 1, Reader: 2}},
 		Repro: &sched.ReproState{Seed: 42, Trial: 3},
@@ -475,8 +480,9 @@ func TestStageKeysGolden(t *testing.T) {
 	}
 	for _, c := range []struct{ name, got, want string }{
 		{"fuzzKey", p.fuzzKey().String(), "4540fcdf5fbe30241f31defe0a1ab72ea813d58ffbac831b240d8fd109672ac0"},
-		{"reportKey", p.reportKey(cd, opts.TestBudget).String(), "d34f96ef0c2973b0dd4f26770ffc4816506624d842c82dec770ce8cca84fdaf4"},
-		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "917914c9467419aa6aec681d1f086370cb93616e6db7c8d7e6e695e6ff5cba58"},
+		{"reportKey", oneShot.reportKey(cd, opts.TestBudget).String(), "b680861aebbbbf89612346426dc32ff78f2c2fc5196d6842923d8ad475a536a4"},
+		{"reportKey, feedback", p.reportKey(cd, opts.TestBudget).String(), "126d850449777377c7df09123a5a4d48692ba7356b81edf32a5fd951795922d6"},
+		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "5079ab84d481d85b12c64a30baf964707d0f75c22789656f782d9926f62697d4"},
 		{"triageKey", triageKey.String(), "774c1e55f31e3c0451000edc723f7fd921290f89b969597e073fd12c3ad208ed"},
 		{"fuzzMeta", marshal(fuzzMeta{CorpusSize: 1, FuzzExecutions: 2, FuzzTimeNs: 3}), `{"corpus_size":1,"fuzz_executions":2,"fuzz_time_ns":3}`},
 		{"TriageSummary", marshal(&TriageSummary{Signature: "sig", Bundle: "b0", Stats: triage.Stats{Replays: 9, DecisionsOrig: 10, DecisionsMin: 1}}), `{"signature":"sig","bundle":"b0","stats":{"replays":9,"decisions_orig":10,"decisions_min":1,"switches_orig":0,"switches_min":0,"writer_calls_orig":0,"writer_calls_min":0,"reader_calls_orig":0,"reader_calls_min":0}}`},
@@ -575,6 +581,76 @@ func roundTrip[T any](t *testing.T, name string, v T, app func([]byte, T) []byte
 	return b
 }
 
+// staleReport is a report marked as one an older binary stored.
+func staleReport(p *Pipeline) *Report {
+	r := p.NewReport()
+	r.Notes = []string{"stored by an older binary"}
+	return r
+}
+
+// checkStale fails unless r, the report of a run over a state dir holding
+// a staleReport, was served the stale one exactly when it was stored under
+// the current key.
+func checkStale(t *testing.T, r *Report, err error, current bool) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served := slices.Contains(r.Notes, "stored by an older binary"); served != current {
+		key := map[bool]string{false: "parent's", true: "current"}[current]
+		t.Errorf("a report stored under the %s key was served: %v, want %v", key, served, current)
+	}
+}
+
+// stagedPipeline returns a pipeline on a fresh state dir with stages 1–3
+// run and its corpus stored.
+func stagedPipeline(t *testing.T, feedback bool) (*Pipeline, Options) {
+	opts := stateTestOptions(t)
+	opts.Feedback = feedback
+	p, err := OpenPipeline(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	r := p.NewReport()
+	p.BuildCorpus(r)
+	if err := p.ProfileAll(r); err != nil {
+		t.Fatal(err)
+	}
+	p.IdentifyPMCs(r)
+	return p, opts
+}
+
+// storeStaleRound stores a staleReport as the first feedback round under
+// key.
+func storeStaleRound(t *testing.T, p *Pipeline, key store.Digest) {
+	payload, err := reportCodec.encode(staleReport(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	credits := make([]int64, len(cluster.Clusters(p.PMCs, p.Opts.Method.Strategy)))
+	saveMemo(p, "feedback", key, roundCodec, &feedbackRoundState{Credits: credits, Report: payload}, nil)
+}
+
+// runCampaignOver stores a staleReport as spec's campaign memo under key
+// in a fresh state dir and runs the campaign there.
+func runCampaignOver(t *testing.T, spec CampaignSpec, key store.Digest) (*Report, error) {
+	dir := t.TempDir()
+	p, err := OpenPipeline(Options{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveMemo(p, "campaign", key, reportCodec, staleReport(p), nil)
+	p.Close()
+	reg := queue.NewRegistry(queue.Options{})
+	defer reg.Close()
+	c, err := StartCampaign(spec, CampaignEnv{Registry: reg, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Wait()
+}
+
 // TestParentStage4MemosNotServed: a state dir written before incidental
 // adoption skipped the PMCs of planned clusters holds reports explored
 // under the old rule. Stored under the key strings that binary used — the
@@ -583,30 +659,6 @@ func roundTrip[T any](t *testing.T, name string, v T, app func([]byte, T) []byte
 // served; stored under this binary's keys the same report is, so the keys
 // are all that differs.
 func TestParentStage4MemosNotServed(t *testing.T) {
-	stale := func(p *Pipeline) *Report {
-		r := p.NewReport()
-		r.Notes = []string{"stored by an older binary"}
-		return r
-	}
-	served := func(r *Report) bool { return slices.Contains(r.Notes, "stored by an older binary") }
-	// staged returns a pipeline on a fresh state dir with stages 1–3 run and
-	// its corpus stored.
-	staged := func(t *testing.T, feedback bool) (*Pipeline, Options) {
-		opts := stateTestOptions(t)
-		opts.Feedback = feedback
-		p, err := OpenPipeline(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(p.Close)
-		r := p.NewReport()
-		p.BuildCorpus(r)
-		if err := p.ProfileAll(r); err != nil {
-			t.Fatal(err)
-		}
-		p.IdentifyPMCs(r)
-		return p, opts
-	}
 	// parentKey is a stage-4 key as the older binary built it: parts up to
 	// the adoption part, "no-incidental=false", then tail.
 	parentKey := func(p *Pipeline, stage string, opts Options, mid []string, tail ...string) store.Digest {
@@ -620,45 +672,30 @@ func TestParentStage4MemosNotServed(t *testing.T) {
 		parts = append(parts, fmt.Sprintf("trials=%d", opts.Trials), detectPart(opts.Detect), "no-incidental=false")
 		return store.Key(append(parts, tail...)...)
 	}
-	keyName := map[bool]string{false: "parent's", true: "current"}
-	check := func(t *testing.T, key string, r *Report, err error, current bool) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if served(r) != current {
-			t.Errorf("a report stored under the %s key was served: %v, want %v", key, served(r), current)
-		}
-	}
 	t.Run("execute", func(t *testing.T) {
 		for _, current := range []bool{false, true} {
-			p, opts := staged(t, false)
+			p, opts := stagedPipeline(t, false)
 			key := parentKey(p, "execute", opts, nil, "feedback=false/0")
 			if current {
 				key = p.reportKey(p.stage4Corpus("execute"), opts.TestBudget)
 			}
-			saveMemo(p, "execute", key, reportCodec, stale(p), nil)
+			saveMemo(p, "execute", key, reportCodec, staleReport(p), nil)
 			r, err := Run(opts)
-			check(t, keyName[current], r, err, current)
+			checkStale(t, r, err, current)
 		}
 	})
 	t.Run("feedback", func(t *testing.T) {
 		for _, current := range []bool{false, true} {
-			p, opts := staged(t, true)
+			p, opts := stagedPipeline(t, true)
 			rounds := p.feedbackRounds()
 			key := parentKey(p, "feedback-round", opts, []string{fmt.Sprintf("rounds=%d", rounds)},
 				"prev="+store.Digest{}.String(), "round=0")
 			if current {
 				key = p.feedbackKeys(opts.TestBudget, rounds)[0]
 			}
-			payload, err := reportCodec.encode(stale(p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			credits := make([]int64, len(cluster.Clusters(p.PMCs, opts.Method.Strategy)))
-			saveMemo(p, "feedback", key, roundCodec, &feedbackRoundState{Credits: credits, Report: payload}, nil)
+			storeStaleRound(t, p, key)
 			r, err := Run(opts)
-			check(t, keyName[current], r, err, current)
+			checkStale(t, r, err, current)
 		}
 	})
 	t.Run("campaign", func(t *testing.T) {
@@ -672,21 +709,71 @@ func TestParentStage4MemosNotServed(t *testing.T) {
 			if current {
 				key = (&Campaign{manifest: manifest}).reportKey()
 			}
-			dir := t.TempDir()
-			p, err := OpenPipeline(Options{StateDir: dir})
+			r, err := runCampaignOver(t, spec, key)
+			checkStale(t, r, err, current)
+		}
+	})
+}
+
+// TestMutatingLoopMemosNotServed: a state dir written while the feedback
+// loop also mutated schedules holds feedback reports and rounds that loop
+// built. Stored under the key strings that binary used — the execute
+// memo's "feedback=true/4" part, round keys without loopPart, and the
+// campaign memo's plain "report-v3" — a marked report is not served to a
+// feedback run; stored under this binary's keys it is. A one-shot run's
+// keys did not change, so its memos still serve (the "execute" and
+// "campaign" cases of TestParentStage4MemosNotServed).
+func TestMutatingLoopMemosNotServed(t *testing.T) {
+	t.Run("execute", func(t *testing.T) {
+		for _, current := range []bool{false, true} {
+			p, opts := stagedPipeline(t, true)
+			key := p.reportKey(p.stage4Corpus("execute"), opts.TestBudget)
+			if !current {
+				m := opts.Method
+				key = store.Key(keyPrefix, "execute", "corpus="+p.stage4Corpus("execute").String(), pmcPart(opts.PMC),
+					fmt.Sprintf("version=%s", opts.Version), fmt.Sprintf("seed=%d", opts.Seed),
+					fmt.Sprintf("method=%d/%s/%s/%d", m.Kind, m.Name, m.Strategy.Name, m.Order),
+					fmt.Sprintf("budget=%d", opts.TestBudget), fmt.Sprintf("trials=%d", opts.Trials),
+					detectPart(opts.Detect), adoptionPart, fmt.Sprintf("feedback=true/%d", p.feedbackRounds()))
+			}
+			saveMemo(p, "execute", key, reportCodec, staleReport(p), nil)
+			r, err := Run(opts)
+			checkStale(t, r, err, current)
+		}
+	})
+	t.Run("feedback", func(t *testing.T) {
+		for _, current := range []bool{false, true} {
+			p, opts := stagedPipeline(t, true)
+			rounds := p.feedbackRounds()
+			key := p.feedbackKeys(opts.TestBudget, rounds)[0]
+			if !current {
+				m := opts.Method
+				key = store.Key(keyPrefix, "feedback-round", "corpus="+p.stage4Corpus("feedback").String(), pmcPart(opts.PMC),
+					fmt.Sprintf("version=%s", opts.Version), fmt.Sprintf("seed=%d", opts.Seed),
+					fmt.Sprintf("method=%d/%s/%s/%d", m.Kind, m.Name, m.Strategy.Name, m.Order),
+					fmt.Sprintf("budget=%d", opts.TestBudget), fmt.Sprintf("rounds=%d", rounds),
+					fmt.Sprintf("trials=%d", opts.Trials), detectPart(opts.Detect), adoptionPart,
+					"prev="+store.Digest{}.String(), "round=0")
+			}
+			storeStaleRound(t, p, key)
+			r, err := Run(opts)
+			checkStale(t, r, err, current)
+		}
+	})
+	t.Run("campaign", func(t *testing.T) {
+		for _, current := range []bool{false, true} {
+			spec := smallSpec("stale-feedback", 5)
+			spec.Feedback = true
+			manifest, err := spec.Manifest()
 			if err != nil {
 				t.Fatal(err)
 			}
-			saveMemo(p, "campaign", key, reportCodec, stale(p), nil)
-			p.Close()
-			reg := queue.NewRegistry(queue.Options{})
-			c, err := StartCampaign(spec, CampaignEnv{Registry: reg, StateDir: dir})
-			if err != nil {
-				t.Fatal(err)
+			key := store.Key(campaignKeyPrefix, "report-v3", string(manifest))
+			if current {
+				key = (&Campaign{Spec: spec, manifest: manifest}).reportKey()
 			}
-			r, err := c.Wait()
-			reg.Close()
-			check(t, keyName[current], r, err, current)
+			r, err := runCampaignOver(t, spec, key)
+			checkStale(t, r, err, current)
 		}
 	})
 }

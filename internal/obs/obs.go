@@ -80,11 +80,8 @@ const (
 	MCoverPairs    = "cover.pairs"    // gauge: distinct alias instruction pairs covered
 	MCoverSegments = "cover.segments" // gauge: distinct interleaving segments covered
 
-	// Feedback loop (core.RunFeedback). Per-cluster budget counters are
-	// named MGenBudgetPrefix + a short stable cluster label; cardinality is
-	// bounded by the cluster count of the chosen strategy.
-	MGenBudgetPrefix = "gen.budget." // counter: tests allocated to one PMC cluster
-	MFeedbackRounds  = "gen.rounds"  // counter: feedback rounds completed
+	// Feedback loop (core.RunFeedback).
+	MFeedbackRounds = "gen.rounds" // counter: feedback rounds completed
 
 	// Post-detect triage (internal/triage via core.Pipeline.TriageReport).
 	MTriageFindings = "triage.findings"   // counter: crash-level findings minimized into bundles

@@ -107,13 +107,6 @@ type Explorer struct {
 	// breaking bit-identical reports across worker counts.
 	TrackSegments bool
 
-	// MutateSchedules enables schedule mutation (Snowboard mode only):
-	// when a trial discovers new segments, its pre-trial state plus its
-	// preemption points are kept as a mutable seed, and odd trials replay
-	// a kept seed with the switch decision flipped at a few points near
-	// its recorded preemptions instead of exploring from scratch.
-	MutateSchedules bool
-
 	// Trace stitches this explorer's flight-recorder events to a campaign
 	// (the pipeline's, or a distributed worker's leased job's; empty falls
 	// back to the process default campaign).
@@ -143,10 +136,8 @@ type scratch struct {
 	// stops: the trace is tr, the decision log the machine's.
 	ran func(exec.Result)
 
-	// The Snowboard-mode trial scheduler and the throwaway flag set of a
-	// mutated trial.
-	policy   SnowboardPolicy
-	mutFlags flagSet
+	// The Snowboard-mode trial scheduler.
+	policy SnowboardPolicy
 
 	// findIncidental: chain heads by view word and kind (at 2·id + kind, 1 +
 	// the latest access's index), per-access links, the candidates, and
@@ -279,32 +270,13 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 	sc := x.scratchFor()
 	flags, tr, rng := &sc.flags, &sc.tr, sc.rng
 
-	// Mutable yield-schedule seeds: pre-trial state + preemption points of
-	// trials that discovered new segments (MutateSchedules only).
-	type schedSeed struct {
-		state    *ReproState
-		switches []int
-	}
-	var seeds []schedSeed
-	mutating := x.MutateSchedules && x.Mode == ModeSnowboard
-
 	for trial := 0; trial < trials; trial++ {
 		trialSeed := x.Seed + int64(trial)
-		// policy is set in Snowboard mode only. pretrial stays nil (a
-		// mutated trial runs from a synthesized one) until keep materialises
-		// it for a trial worth keeping, from the flags the trial started
-		// with: those learned since come after them.
-		var pretrial *ReproState
+		// policy is set in Snowboard mode only. preFlags is how many flags
+		// the trial started with: those it learns come after them.
 		var policy *SnowboardPolicy
 		preFlags := len(flags.list)
-		keep := func() *ReproState {
-			if pretrial == nil && policy != nil {
-				pretrial = snapshotRepro(trialSeed, trial, currentPMCs, flags.list[:preFlags])
-			}
-			return pretrial
-		}
 		rng.Seed(trialSeed)
-		mutated := false
 		var res exec.Result
 		var switches int
 		switch x.Mode {
@@ -317,27 +289,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 			res = x.Env.RunPair(ct.Writer, ct.Reader, p, tr)
 		default:
 			policy = &sc.policy
-			if mutating && len(seeds) > 0 && trial%2 == 1 {
-				// Mutation trial: perturb a segment-discovering schedule
-				// near its preemption points instead of exploring fresh.
-				// The trial is a pure function of its synthesized
-				// ReproState, so it replays like any recorded trial. The
-				// explorer's rng has no draw left to make in such a trial,
-				// so it is reseeded to drive the policy.
-				sd := seeds[rng.Intn(len(seeds))]
-				pretrial = &ReproState{
-					Seed:  sd.state.Seed,
-					Trial: trial,
-					PMCs:  sd.state.PMCs,
-					Flags: sd.state.Flags,
-					Flips: mutateFlips(rng, sd.state.Flips, sd.switches),
-				}
-				policy.loadState(pretrial, rng, &sc.mutFlags)
-				mutated = true
-			} else {
-				policy.reset(rng, currentPMCs, flags)
-			}
-			policy.RecordSwitches = mutating
+			policy.reset(rng, currentPMCs, flags)
 			res = x.Env.RunPair(ct.Writer, ct.Reader, policy, tr)
 			switches = policy.Switches
 		}
@@ -351,7 +303,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		mTrials.Inc()
 		mSwitches.Add(int64(switches))
 		// Algorithm 2 lines 26–27 (below) read the trial's view.
-		adopt := !mutated && !x.DisableIncidental && x.Mode == ModeSnowboard &&
+		adopt := !x.DisableIncidental && x.Mode == ModeSnowboard &&
 			x.KnownPMCs != nil && len(currentPMCs) < maxCurrentPMCs
 		if e := sc.memo.find(x.Env.M.Decisions()); e != nil {
 			// The trial made an earlier trial's decisions, so it ran as that
@@ -380,15 +332,6 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 			sc.memo.add(x.Env.M.Decisions(), segs, issues)
 			out.NewCoverPairs += freshPairs
 			out.NewSegments += freshSegs
-			if freshSegs > 0 && mutating && len(policy.SwitchEvents) > 0 {
-				seeds = append(seeds, schedSeed{
-					state:    keep(),
-					switches: append([]int(nil), policy.SwitchEvents...),
-				})
-				if len(seeds) > maxSchedSeeds {
-					seeds = seeds[1:]
-				}
-			}
 
 			// Channel witness: did the hinted communication actually happen?
 			if ct.Hint != nil && !out.Exercised && ChannelExercised(tr, ct.Hint) {
@@ -398,7 +341,9 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 			}
 
 			if sc.record(&out, trial, issues) {
-				out.Repro = keep()
+				if policy != nil {
+					out.Repro = snapshotRepro(trialSeed, trial, currentPMCs, flags.list[:preFlags])
+				}
 				break
 			}
 		}
@@ -407,8 +352,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		// read both appeared in this trial. The set under test is capped:
 		// every member PMC adds preemption points, and an unbounded set
 		// degenerates into schedule thrash that closes the very windows the
-		// hint is meant to open. Mutation trials replay historical state
-		// and do not advance the live PMC set.
+		// hint is meant to open.
 		if adopt {
 			if inc, ok := x.findIncidental(&sc.view, currentPMCs, rng); ok {
 				currentPMCs = append(currentPMCs, inc)
@@ -422,30 +366,6 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 // maxCurrentPMCs bounds the PMC set under simultaneous test: the hint plus
 // composed co-hints and adopted incidentals.
 const maxCurrentPMCs = 4
-
-// maxSchedSeeds bounds the kept mutable yield schedules; newer discoveries
-// evict the oldest.
-const maxSchedSeeds = 4
-
-// mutateFlips derives a mutated flip set: the base seed's flips (ascending
-// and distinct, as every ReproState the explorer keeps has them) with 1–2
-// decisions toggled at points drawn within ±2 events of the seed trial's
-// recorded preemptions. Toggling (XOR) rather than adding lets a second
-// mutation of the same seed undo a harmful flip.
-func mutateFlips(rng *rand.Rand, base, switches []int) []int {
-	var buf [16]int // toggled in place, on the stack unless a seed has more flips than any did
-	out := append(buf[:0], base...)
-	n := 1 + rng.Intn(2)
-	for k := 0; k < n; k++ {
-		at := max(0, switches[rng.Intn(len(switches))]+rng.Intn(5)-2)
-		if i, found := slices.BinarySearch(out, at); found {
-			out = slices.Delete(out, i, i+1)
-		} else {
-			out = slices.Insert(out, i, at)
-		}
-	}
-	return slices.Clone(out)
-}
 
 // findIncidental locates a PMC from the identified set present in the
 // accesses of v's trial, neither under test nor Planned, choosing

@@ -39,7 +39,6 @@ func TestEqualSchedulesEqualTrials(t *testing.T) {
 	all := detect.DefaultOptions()
 	arms := []memoArm{
 		{name: "snowboard", mode: ModeSnowboard, opts: all, floor: 150},
-		{name: "snowboard+mutate", mode: ModeSnowboard, mutate: true, opts: all, floor: 300},
 		{name: "ski", mode: ModeSKI, opts: all, floor: 80},
 		{name: "random-walk", mode: ModeRandomWalk, opts: all, floor: 15},
 	}
@@ -77,10 +76,9 @@ func TestEqualSchedulesEqualTrials(t *testing.T) {
 // memoArm is one exploration setting of TestEqualSchedulesEqualTrials and
 // its tally.
 type memoArm struct {
-	name   string
-	mode   Mode
-	mutate bool
-	opts   detect.Options
+	name string
+	mode Mode
+	opts detect.Options
 
 	trialsPerTest int // 0: 24
 
@@ -93,7 +91,7 @@ type memoArm struct {
 // same decisions, if any.
 func (arm *memoArm) explore(t *testing.T, env *exec.Env, set *pmc.Set, ct ConcurrentTest, seed int64) {
 	x := &Explorer{Env: env, Trials: cmp.Or(arm.trialsPerTest, 24), Seed: seed, Mode: arm.mode, Detect: arm.opts,
-		KnownPMCs: set, Coverage: cover.New(), TrackSegments: true, MutateSchedules: arm.mutate,
+		KnownPMCs: set, Coverage: cover.New(), TrackSegments: true,
 		Fsck: func() []string { return env.K.FsckHost() }}
 	var ran []ranTrial
 	x.scratchFor().ran = func(res exec.Result) {

@@ -94,12 +94,10 @@ type SnowboardPolicy struct {
 	streakStart int
 
 	// FlipAt inverts the rng-drawn switch decision at the listed access
-	// indices (vm.AccessInfo.Index; ascending, distinct). This is the
-	// schedule-mutation mechanism: a trial that discovered new
-	// interleaving segments is replayed with a few decisions flipped near
-	// its recorded preemption points instead of exploring from scratch.
-	// The liveness force still applies after the flip, so a mutated
-	// schedule can never starve a thread.
+	// indices (vm.AccessInfo.Index; ascending, distinct): triage replays a
+	// recorded trial with some of its preemptions suppressed this way
+	// (ReproState.Flips). The liveness force still applies after the flip,
+	// so a flipped schedule can never starve a thread.
 	FlipAt []int
 	// RecordSwitches enables SwitchEvents collection.
 	RecordSwitches bool

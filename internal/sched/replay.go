@@ -41,8 +41,9 @@ type ReproState struct {
 	PMCs  []pmc.PMC   `json:"pmcs"`  // PMCs under test when the trial started
 	Flags []AccessSig `json:"flags"` // accumulated pmc_access_coming markers
 	// Flips lists access indices at which the scheduler's switch decision
-	// was inverted — set only for schedule-mutation trials, which replay a
-	// segment-discovering schedule perturbed near its preemption points.
+	// is inverted. An explored trial has none; triage's minimized states
+	// suppress preemptions with them, and states recorded by binaries that
+	// still mutated schedules carry them too.
 	Flips []int `json:"flips,omitempty"`
 }
 
@@ -75,9 +76,7 @@ func snapshotRepro(seed int64, trial int, pmcs []pmc.PMC, flags []sig) *ReproSta
 
 // loadState makes p the exact scheduler a recorded trial ran with: r
 // reseeded from the trial seed, flags (emptied first) and PMCs from the
-// snapshot, and any mutation flips re-applied. Both Replay and the
-// explorer's mutated trials construct their policy through this, so a
-// mutated trial is replayable from its ReproState alone.
+// snapshot, and its flips re-applied.
 func (p *SnowboardPolicy) loadState(st *ReproState, r *rand.Rand, flags *flagSet) {
 	flags.reset(len(st.Flags))
 	for _, f := range st.Flags {

@@ -22,10 +22,10 @@ import (
 	"snowboard/internal/vm"
 )
 
-// unfusedExplore is Explorer.Explore (Snowboard mode, no schedule mutation)
-// with every post-trial consumer on its own: the standalone coverage
-// metrics, detect.Analyze and the incidental lookup each index the trace
-// for themselves, the channel witness scans it, and every trial runs under
+// unfusedExplore is Explorer.Explore (Snowboard mode) with every
+// post-trial consumer on its own: the standalone coverage metrics,
+// detect.Analyze and the incidental lookup each index the trace for
+// themselves, the channel witness scans it, and every trial runs under
 // the retained map policy below, asked about every access. It also returns
 // the PMCs under test as the last trial ran, and shows every trial's trace
 // to each, with the PMCs under test in it. TestRealTrialsEqualModel diffs
@@ -377,9 +377,9 @@ type pairResult struct {
 // rng of one seed, and fails unless both induced the same preemptions, drew
 // from the rng equally often, left the same flags and would record the same
 // ReproState for the next trial. run drives a scheduler through the trial. A
-// trial with flips is set up the way a mutated or replayed one is — by
-// loadState, on a flag set of its own filled from the state — and leaves the
-// caller's flags alone, as a mutated trial does the explorer's.
+// trial with flips is set up the way a replayed one is — by loadState, on a
+// flag set of its own filled from the state — and leaves the caller's flags
+// alone.
 func policyPair(t *testing.T, what string, seed int64, pmcs []pmc.PMC, flags *flagSet, prevFlags map[sig]bool, flips []int, run func(trialScheduler)) pairResult {
 	t.Helper()
 	rng, src := countedRand(seed)
@@ -421,7 +421,7 @@ func policyPair(t *testing.T, what string, seed int64, pmcs []pmc.PMC, flags *fl
 // the last one with decisions flipped on and off the watched accesses and
 // past the end of the trial, and through the scripted cases of watch_test.go.
 func TestPolicyEqualsMapPolicy(t *testing.T) {
-	var switches, learned, mutated, adopted, offWatch int
+	var switches, learned, flipped, adopted, offWatch int
 	for _, seed := range []int64{3, 7} {
 		env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 		set, tests := realTests(t, env, seed)
@@ -441,12 +441,16 @@ func TestPolicyEqualsMapPolicy(t *testing.T) {
 				if len(at) == 0 || trial%2 == 0 {
 					continue
 				}
-				// What the explorer would flip, one decision anywhere in the
-				// trial, and one no access of the trial has.
+				// One or two decisions within ±2 accesses of the trial's
+				// preemptions, one anywhere in the trial, and one no access
+				// of the trial has.
 				gen := rand.New(rand.NewSource(trialSeed))
-				flips := mutateFlips(gen, nil, at)
+				var flips []int
+				for range 1 + gen.Intn(2) {
+					flips = append(flips, max(0, at[gen.Intn(len(at))]+gen.Intn(5)-2))
+				}
 				flips = append(flips, gen.Intn(tr.Len()), tr.Len()+gen.Intn(100))
-				got := policyPair(t, fmt.Sprintf("seed %d test %d trial %d mutated at %v", seed, i, trial, flips), trialSeed,
+				got := policyPair(t, fmt.Sprintf("seed %d test %d trial %d flipped at %v", seed, i, trial, flips), trialSeed,
 					current, flags, prevFlags, flips, run)
 				for _, f := range got.policy.FlipAt[:got.policy.nextFlip] {
 					offWatch += btoi(f < tr.Len() && !got.policy.watch.Sites.Has(tr.InsAt(f), tr.AddrAt(f)))
@@ -454,14 +458,14 @@ func TestPolicyEqualsMapPolicy(t *testing.T) {
 				if last := got.policy.FlipAt[len(got.policy.FlipAt)-1]; got.policy.nextFlip == len(got.policy.FlipAt) && last >= tr.Len() {
 					t.Fatalf("seed %d test %d trial %d: a flip at %d was consumed by a trial of %d accesses", seed, i, trial, last, tr.Len())
 				}
-				mutated++
+				flipped++
 			}
 			learned += len(flags.list)
 		}
 		env.Close()
 	}
-	t.Logf("%d preemptions, %d flags learned, %d adoptions, %d mutated trials, %d flips on unwatched accesses", switches, learned, adopted, mutated, offWatch)
-	if switches == 0 || learned == 0 || adopted == 0 || mutated == 0 || offWatch == 0 {
+	t.Logf("%d preemptions, %d flags learned, %d adoptions, %d flipped trials, %d flips on unwatched accesses", switches, learned, adopted, flipped, offWatch)
+	if switches == 0 || learned == 0 || adopted == 0 || flipped == 0 || offWatch == 0 {
 		t.Fatal("comparison lost its teeth")
 	}
 	for _, c := range scriptedCases() {

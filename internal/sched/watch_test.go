@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"snowboard/internal/exec"
@@ -352,7 +351,7 @@ func TestSinkConsultedAtWatchPoints(t *testing.T) {
 		}
 		calls, accesses, elsewhere = calls+asked.calls, accesses+tr.Len(), elsewhere+asked.deadline
 		if flips == nil {
-			flags = learned[0] // a mutated trial's flags are thrown away
+			flags = learned[0] // a flipped trial's flags are thrown away
 		}
 	}
 	t.Logf("asked about %d of %d accesses, %d of them for a flip off the watched sites", calls, accesses, elsewhere)
@@ -446,58 +445,5 @@ func TestFlagSetEqualsMapModel(t *testing.T) {
 	check("at the end")
 	if grown < 3 {
 		t.Fatalf("the index grew %d times: the model test never filled it", grown)
-	}
-}
-
-// prevMutateFlips is mutateFlips as it was: a set of the flips as a map,
-// toggled, and its keys sorted.
-func prevMutateFlips(rng *rand.Rand, base, switches []int) []int {
-	set := make(map[int]bool, len(base)+2)
-	for _, f := range base {
-		set[f] = true
-	}
-	n := 1 + rng.Intn(2)
-	for k := 0; k < n; k++ {
-		at := switches[rng.Intn(len(switches))] + rng.Intn(5) - 2
-		if at < 0 {
-			at = 0
-		}
-		if set[at] {
-			delete(set, at)
-		} else {
-			set[at] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// TestMutateFlipsEqualsMapVersion: toggling in the sorted list gives the
-// flips, and leaves the rng, exactly as toggling in a map and sorting did —
-// through chains of mutations of mutations, as the explorer makes them,
-// near index 0 where draws clamp and collide.
-func TestMutateFlipsEqualsMapVersion(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		gen := rand.New(rand.NewSource(seed))
-		switches := make([]int, 1+gen.Intn(4))
-		for i := range switches {
-			switches[i] = gen.Intn(12)
-		}
-		rng, prevRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		var base []int
-		for round := 0; round < 12; round++ {
-			got, want := mutateFlips(rng, base, switches), prevMutateFlips(prevRng, base, switches)
-			if !slices.Equal(got, want) || rng.Int63() != prevRng.Int63() {
-				t.Fatalf("seed %d round %d: flips %v from %v near %v, the map version %v", seed, round, got, base, switches, want)
-			}
-			if len(base) > 0 && len(got) > 0 && &got[0] == &base[0] {
-				t.Fatalf("seed %d round %d: the mutated flips share the seed's storage", seed, round)
-			}
-			base = got
-		}
 	}
 }

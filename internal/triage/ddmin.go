@@ -9,9 +9,10 @@ import (
 // decision is one entry of the unified schedule decision set ddmin works
 // over. The crashing schedule is produced by two kinds of decisions:
 //
-//   - Flip=true: an explicit ReproState.Flips entry (a mutation the
-//     feedback loop applied). Keeping it keeps the flip; dropping it
-//     removes the flip and lets the scheduler's own roll stand.
+//   - Flip=true: an explicit ReproState.Flips entry (one a state recorded
+//     by an older, schedule-mutating binary carries). Keeping it keeps the
+//     flip; dropping it removes the flip and lets the scheduler's own roll
+//     stand.
 //   - Flip=false: a preemption the trial's deterministic scheduler rolled
 //     on its own (recorded by sched.ReplayRecorded). Keeping it changes
 //     nothing; dropping it *adds* a flip at that access index, which

@@ -159,6 +159,14 @@ var designRules = []designRule{
 	}},
 	{"nothing_no_front_door_reaches", nothingNoFrontDoorReaches, []mutation{
 		{"internal/sched/triple.go", "package sched\n\nfunc (x *Explorer) ExploreTriple() {}\n"},
+		{"internal/core/pipeline.go", "\nvar _ = sched.Explorer{MutateSchedules: true}\n"},
+		{"internal/sched/explore.go", "\ntype schedSeed struct{ switches []int }\n"},
+		{"internal/sched/explore.go", "\nconst maxSchedSeeds = 4\n"},
+		{"internal/sched/explore.go", "\nfunc mutateFlips(base []int) []int { return base }\n"},
+		{"internal/sched/explore.go", "\ntype mutated struct{ mutFlags flagSet }\n"},
+		{"internal/obs/obs.go", "\nconst MGenBudgetPrefix = \"gen.rounds.\"\n"},
+		{"internal/core/feedback.go", "\nfunc clusterLabel(key string) string { return key }\n"},
+		{"internal/core/feedback.go", "\nvar perCluster = obs.C(\"gen.budget.\" + key)\n"},
 	}},
 	// The retired names are split so that this file, which the rule reads, does not hold them.
 	{"one_reference_model", oneReferenceModel, []mutation{
@@ -637,10 +645,15 @@ func theExecutorLeasesInProcess(tr *tree) []string {
 // triage signature index were reached by nothing but their own tests
 // (EXPERIMENTS.md, "What campaigns reach"), and a worker has no trial
 // budget of its own: each job carries its campaign's (TestSbexecUsage).
+// The feedback loop's schedule mutation reached no row sooner at equal
+// trials (EXPERIMENTS.md, "Feedback mechanisms at equal trials"), and its
+// per-cluster budget counters were the only metric named at run time: a
+// long-lived process gained one per cluster of every feedback campaign.
 // TestEveryFunctionIsLinked holds the rest of this rule.
 func nothingNoFrontDoorReaches(tr *tree) []string {
 	return tr.grep(tr.code(), "code no front door reaches", false,
-		"ExploreTriple", "IdentifyTriples", "RunMany", "NewEnvWithSetup", "ModePCT", "SynchronizeRCU", "TryLock(", "JobEvent", "func Register(")
+		"ExploreTriple", "IdentifyTriples", "RunMany", "NewEnvWithSetup", "ModePCT", "SynchronizeRCU", "TryLock(", "JobEvent", "func Register(",
+		"MutateSchedules", "schedSeed", "maxSchedSeeds", "mutateFlips", "mutFlags", "MGenBudgetPrefix", "clusterLabel", "gen.budget.")
 }
 
 // A trial's analysis has one reference, internal/detect/model, with one
