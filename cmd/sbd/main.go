@@ -44,7 +44,8 @@
 // job carries its campaign's seed and trial budget, and a result is the
 // test's whole outcome, folded in job order as a local run
 // folds it: reports carry findings with replayable trials and, with -state,
-// minimized SBRB bundles (sbrepro -state). Feedback campaigns run locally.
+// minimized SBRB bundles (sbrepro -state). A campaign's report, one-shot
+// or feedback, equals what `snowboard` reports for the same spec.
 package main
 
 import (

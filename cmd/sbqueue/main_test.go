@@ -73,30 +73,36 @@ func TestSbqueueDrainsWithWorker(t *testing.T) {
 	}
 }
 
-// TestSbqueueReportUnchanged pins the coordinator's stdout to goldens
-// recorded from the hand-built queue coordinator it replaced, drained by
-// one `sbexec -workers 2`: the campaign's report, alone, is byte-identical,
-// minimized bundle digests included. With -state, a rerun on the same
-// directory returns the campaign's memoized report, which is the same bytes.
+// TestSbqueueReportUnchanged pins the coordinator's stdout to goldens:
+// the campaign's report, alone, is byte-identical, minimized bundle
+// digests included (the S-CH-NULL spec has a crash-level finding), and
+// lists the findings `snowboard` reports at the same spec (60 tests leave
+// clusters untested, so incidental adoption is live on both front doors).
+// With -state, a rerun on the same directory returns the campaign's
+// memoized report, which is the same bytes.
 func TestSbqueueReportUnchanged(t *testing.T) {
 	bin := buildTool(t, "snowboard/cmd/sbqueue")
-	for _, seed := range []string{"3", "7"} {
-		args := []string{"-seed", seed, "-fuzz", "400", "-corpus", "120", "-tests", "60"}
-		want, err := os.ReadFile(filepath.Join("testdata", "seed"+seed+".txt"))
+	for _, c := range []struct{ golden, args string }{
+		{"seed3", "-seed 3 -fuzz 400 -corpus 120 -tests 60"},
+		{"seed7", "-seed 7 -fuzz 400 -corpus 120 -tests 60"},
+		{"sch-null-seed3", "-method S-CH-NULL -seed 3 -fuzz 400 -corpus 100 -tests 60"},
+	} {
+		args := strings.Fields(c.args)
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden+".txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := runCoordinator(t, bin, args...); got != string(want) {
-			t.Errorf("seed %s: report differs from the golden:\n%s\nwant:\n%s", seed, got, want)
+			t.Errorf("%s: report differs from the golden:\n%s\nwant:\n%s", c.args, got, want)
 		}
-		want, err = os.ReadFile(filepath.Join("testdata", "seed"+seed+"-state.txt"))
+		want, err = os.ReadFile(filepath.Join("testdata", c.golden+"-state.txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
 		for _, run := range []string{"cold", "memoized"} {
 			if got := runCoordinator(t, bin, append(args, "-state", dir)...); got != string(want) {
-				t.Errorf("seed %s -state (%s): report differs from the golden:\n%s\nwant:\n%s", seed, run, got, want)
+				t.Errorf("%s -state (%s): report differs from the golden:\n%s\nwant:\n%s", c.args, run, got, want)
 			}
 		}
 	}

@@ -211,9 +211,8 @@ func OrderClusters(cs []Cluster, o Order, rng *rand.Rand) {
 // clusters it falls in under one strategy: two under S-INS (its write and
 // its read instruction), one under the others, none when the strategy
 // filters it out. It is built once, from the clusters stage 3 computes and
-// on the first Planned call, so that a campaign whose tests never run
-// locally never builds it, and what a batch of tests plans is a lookup per
-// PMC, with no key built. Not safe for concurrent use.
+// on the first Unplanned call, so that what a batch of tests plans is a
+// lookup per PMC, with no key built. Not safe for concurrent use.
 type Index struct {
 	set      *pmc.Set
 	entries  int
@@ -233,12 +232,13 @@ func (ix *Index) Indexes(set *pmc.Set, s Strategy) bool {
 	return ix.set == set && ix.entries == set.Len() && ix.strategy == s.Name
 }
 
-// Planned returns the PMCs of the set that share a cluster with one of
-// hints: the PMCs a test hinting a member of their cluster already stands
-// for (§4.3's premise that one exemplar stands for its cluster). A PMC the
-// strategy filters out shares no cluster, so it is never planned; under
-// S-INS a PMC is planned when either of its clusters is.
-func (ix *Index) Planned(hints []pmc.PMC) *pmc.Subset {
+// Unplanned returns the PMCs of the set that share no cluster with any of
+// hints, in canonical order: those no test hinting a member of their
+// cluster stands for (§4.3's premise that one exemplar stands for its
+// cluster). A PMC the strategy filters out shares no cluster, so it is
+// always unplanned; under S-INS a PMC is planned when either of its
+// clusters is.
+func (ix *Index) Unplanned(hints []pmc.PMC) []pmc.PMC {
 	if ix.of == nil {
 		ix.build()
 	}
@@ -252,13 +252,26 @@ func (ix *Index) Planned(hints []pmc.PMC) *pmc.Subset {
 			}
 		}
 	}
-	planned := pmc.NewSubset(ix.set)
-	for id, of := range ix.of {
-		if (of[0] >= 0 && tested[of[0]]) || (of[1] >= 0 && tested[of[1]]) {
-			planned.Add(id)
+	unplanned := func(id int) bool {
+		of := ix.of[id]
+		return !(of[0] >= 0 && tested[of[0]]) && !(of[1] >= 0 && tested[of[1]])
+	}
+	n := 0
+	for id := range ix.of {
+		if unplanned(id) {
+			n++
 		}
 	}
-	return planned
+	if n == 0 {
+		return nil
+	}
+	out := make([]pmc.PMC, 0, n)
+	for id, p := range ix.set.PMCs() {
+		if unplanned(id) {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 func (ix *Index) build() {

@@ -11,6 +11,7 @@ import (
 	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
+	"snowboard/internal/sched"
 	"snowboard/internal/store"
 )
 
@@ -215,8 +216,9 @@ type CampaignEnv struct {
 	Turns *TurnScheduler
 
 	// ExecGate, when set, is a start barrier: every campaign blocks here
-	// after pushing its jobs and before executing the first one, so
-	// fairness tests measure campaigns that began together.
+	// after pushing each batch of jobs and before executing it, so
+	// fairness tests measure campaigns that began together. Close it to
+	// release every batch.
 	ExecGate <-chan struct{}
 
 	// Fault, when set, simulates a worker crash: a true return abandons
@@ -461,15 +463,15 @@ func (c *Campaign) finish(r *Report, err error) {
 }
 
 // reportKey memoizes the whole campaign: same manifest, same report. v2
-// reports carry their findings; v3 feedback reports adopt only PMCs whose
-// clusters the round does not test, and a feedback campaign's key names
-// loopPart too. An older sbd's v1 or v2 memo, or its v3 memo of a feedback
-// campaign, is left unserved.
+// reports carry their findings; v4 reports are explored as a local run
+// explores — with its adoption and its coverage — and a feedback
+// campaign's key names loopPart too. An older sbd's v1–v3 memo is left
+// unserved.
 func (c *Campaign) reportKey() store.Digest {
 	if c.Spec.Feedback {
-		return store.Key(campaignKeyPrefix, "report-v3", loopPart, string(c.manifest))
+		return store.Key(campaignKeyPrefix, "report-v4", loopPart, string(c.manifest))
 	}
-	return store.Key(campaignKeyPrefix, "report-v3", string(c.manifest))
+	return store.Key(campaignKeyPrefix, "report-v4", string(c.manifest))
 }
 
 // run is the campaign goroutine.
@@ -479,12 +481,14 @@ func (c *Campaign) run() {
 	c.finish(c.execute())
 }
 
-// execute is local stages 1–3 (the corpus memoized through the shared
-// store, profiles and PMCs recomputed), then stage 4 through the
-// campaign's named queue under the fair scheduler.
-// The finished report is memoized campaign-level, so a restarted server
-// resumes completed campaigns byte-identically and in-flight ones re-run
-// only what the stage memos don't cover.
+// execute runs the stage sequence Run runs (runStages: the corpus
+// memoized through the shared store, profiles and PMCs recomputed, stage 4
+// one-shot or in feedback rounds, triage), with the pause gate between
+// stages and every batch of stage 4 executed through the campaign's named
+// queue under the fair scheduler (runBatch). The finished report is
+// memoized campaign-level, so a restarted server resumes completed
+// campaigns byte-identically and in-flight ones re-run only what the stage
+// memos don't cover.
 func (c *Campaign) execute() (*Report, error) {
 	opts, err := c.Spec.BuildOptions(c.env.StateDir)
 	if err != nil {
@@ -494,8 +498,7 @@ func (c *Campaign) execute() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Before finish reports the campaign done. Covers the feedback path's
-	// worker environments and the queue path's Worker, which explores on
+	// Before finish reports the campaign done. The Worker explores on
 	// p.Env.
 	defer p.Close()
 	// The pipeline's stage, triage and feedback events are this tenant's,
@@ -510,21 +513,25 @@ func (c *Campaign) execute() (*Report, error) {
 
 	r := p.NewReport()
 	p.BuildCorpus(r)
-	c.gate()
-	if err := p.ProfileAll(r); err != nil {
-		return nil, err
+	w := NewWorker(p.Env, "sbd/"+c.ID)
+	defer w.Close()
+	// The queue opens with the first batch and stays open across batches,
+	// so a joined worker stays joined through feedback rounds. Closing it
+	// stops its lease reaper and sends a joined sbexec ErrClosed; starting
+	// the campaign again opens a fresh queue.
+	var q *queue.Queue
+	defer func() {
+		if q != nil {
+			q.Close()
+		}
+	}()
+	p.batches = func(r *Report, tests []sched.ConcurrentTest) ([]int, error) {
+		if q == nil {
+			q = c.env.Registry.Open(c.QueueName())
+		}
+		return c.runBatch(p, q, w, r, tests)
 	}
-	c.gate()
-	p.IdentifyPMCs(r)
-	c.gate()
-
-	if c.Spec.Feedback {
-		// Feedback stays local: each round's budget depends on the last
-		// round's segment yields, and queue workers run the bare template,
-		// which tracks no segments (see ExecuteTests). Rounds still memoize.
-		p.RunFeedback(r, opts.TestBudget)
-		p.TriageReport(r)
-	} else if err := c.runDistributed(p, r, opts); err != nil {
+	if err := p.runStages(r, c.gate); err != nil {
 		return nil, err
 	}
 
@@ -537,36 +544,29 @@ func (c *Campaign) execute() (*Report, error) {
 	return r, nil
 }
 
-// runDistributed pushes the generated tests onto the campaign's named
-// queue, executes them in-process, taking fair-scheduler turns between
-// slices, and folds what came back — from this executor and from any
-// worker that joined the queue over the registry's listener. It closes the
-// queue on return, which stops its lease reaper and sends a joined sbexec
-// ErrClosed; starting the campaign again opens a fresh queue.
-func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
-	cts := p.GenerateTests(r, opts.TestBudget)
-	q := c.env.Registry.Open(c.QueueName())
-	defer q.Close()
-	if err := p.PushTests(q, cts, c.Trace); err != nil {
-		return fmt.Errorf("campaign %s: %w", c.ID, err)
+// runBatch is where a campaign's batch of tests executes: pushed onto the
+// campaign's queue, executed in-process by w, taking fair-scheduler turns
+// between slices, and folded from what came back — from this executor and
+// from any worker that joined the queue over the registry's listener.
+func (c *Campaign) runBatch(p *Pipeline, q *queue.Queue, w *Worker, r *Report, tests []sched.ConcurrentTest) ([]int, error) {
+	if err := p.PushTests(q, tests, c.Trace); err != nil {
+		return nil, fmt.Errorf("campaign %s: %w", c.ID, err)
 	}
-	c.expected.Store(int64(len(cts)))
-
+	c.expected.Add(int64(len(tests)))
 	if c.env.ExecGate != nil {
 		<-c.env.ExecGate
 	}
-	span := obs.StartSpan("stage.exec")
-	c.executeLoop(p, q)
-	r.ExecTime += span.End()
+	c.executeLoop(w, q)
 
 	// Every job settled, by this executor or an sbexec that joined the queue.
-	if err := p.FoldResults(r, cts, q.Results(), q.DeadLetters()); err != nil {
-		return fmt.Errorf("campaign %s: %w", c.ID, err)
+	yields, err := p.FoldResults(r, tests, q.Results(), q.DeadLetters())
+	if err != nil {
+		return nil, fmt.Errorf("campaign %s: %w", c.ID, err)
 	}
 	if sum := r.Distributed; sum.Lost() {
-		return fmt.Errorf("campaign %s: jobs neither reported nor dead-lettered: %v", c.ID, sum.Missing)
+		return nil, fmt.Errorf("campaign %s: jobs neither reported nor dead-lettered: %v", c.ID, sum.Missing)
 	}
-	return nil
+	return yields, nil
 }
 
 // executeLoop drains the campaign's queue in fair-scheduler slices until
@@ -576,9 +576,7 @@ func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 // a job computes is Worker.Do's, so redelivery — to this executor, a
 // joined worker, or a future incarnation after a restart — reproduces
 // byte-identical results.
-func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue) {
-	w := NewWorker(p.Env, "sbd/"+c.ID)
-	defer w.Close()
+func (c *Campaign) executeLoop(w *Worker, q *queue.Queue) {
 	lsr := localLeaser{q}
 	slice := c.env.slice()
 	for {

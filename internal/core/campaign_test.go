@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -388,6 +389,51 @@ func TestCampaignFaultInjectionLosesNothing(t *testing.T) {
 	// abandoned first deliveries.
 	if r.TestedTests != sum.Expected || c.executed.Load() != int64(sum.Expected) {
 		t.Fatalf("folded %d tests, executed %d, want %d (double-counted redeliveries?)", r.TestedTests, c.executed.Load(), sum.Expected)
+	}
+}
+
+func TestPoisonedFeedbackRoundNotCheckpointed(t *testing.T) {
+	// A feedback campaign whose first job dead-letters reports it on
+	// DeadJobs and leaves no round checkpoint behind: Run on the same state
+	// dir resumes nothing and reports what a run on a fresh one does.
+	dir := t.TempDir()
+	spec := smallSpec("poisoned", 5)
+	spec.Feedback = true
+	reg := queue.NewRegistry(queue.Options{LeaseTimeout: 50 * time.Millisecond, MaxAttempts: 2})
+	defer reg.Close()
+	c, err := StartCampaign(spec, CampaignEnv{
+		StateDir: dir,
+		Registry: reg,
+		Fault:    func(jobID, attempt int) bool { return jobID == 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned, err := c.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := poisoned.Distributed; sum == nil || fmt.Sprint(sum.DeadJobs) != "[0]" {
+		t.Fatalf("the poisoned campaign's delivery accounting: %+v, want job 0 dead-lettered", sum)
+	}
+	run := func(dir string) *Report {
+		opts, err := spec.BuildOptions(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	resumed, fresh := run(dir), run(t.TempDir())
+	if fresh.FeedbackRounds < 2 || poisoned.TestedTests >= fresh.TestedTests {
+		t.Fatalf("degenerate: %d rounds; the poisoned campaign folded %d tests, a clean run %d",
+			fresh.FeedbackRounds, poisoned.TestedTests, fresh.TestedTests)
+	}
+	if got, want := normalizeTimings(resumed), normalizeTimings(fresh); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Run over the poisoned campaign's state dir differs from a fresh run:\n%+v\nvs\n%+v", got, want)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 
 // DistSummary is the distributed-mode portion of a campaign report: the
 // delivery accounting of every worker JobResult plus the queue's
-// dead-letter list, and what the fold of those results added to the report.
+// dead-letter list, summed over the batches the campaign pushed, and what
+// the fold of those results added to the report.
 // At-least-once delivery means a redelivered job can report more than once;
 // each job is counted exactly once here, and because a job carries its
 // seed, every copy of a job's result is identical — so the summary is
@@ -32,63 +33,87 @@ type DistSummary struct {
 // always be false once the queue settles.
 func (s *DistSummary) Lost() bool { return len(s.Missing) > 0 }
 
-// AggregateResults is the delivery accounting of a distributed run: each of
-// the `expected` jobs (IDs 0..expected-1, as enqueued by PushTests) counts
-// exactly once no matter how many times the queue redelivered it. The first
-// result per job ID is representative (any copy is — see DistSummary) and
-// returned in job-ID order; later copies only bump Duplicates, a result
-// naming no enqueued job is dropped, and dead-lettered jobs are surfaced so
-// a poisoned job never silently leaves the report.
-func AggregateResults(expected int, results []queue.JobResult, dead []queue.DeadJob) (DistSummary, []queue.JobResult) {
-	sum := DistSummary{Expected: expected}
+// dead counts the dead-lettered jobs s names; a nil summary names none.
+func (s *DistSummary) dead() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.DeadJobs)
+}
+
+// AggregateResults is the delivery accounting of one batch of a
+// distributed run: each of its n jobs (IDs first..first+n-1, as enqueued by
+// PushTests) counts exactly once no matter how many times the queue
+// redelivered it. The first result per job ID is representative (any copy
+// is — see DistSummary) and returned in job-ID order; later copies only
+// bump Duplicates, a result naming no job of the batch is dropped, and
+// dead-lettered jobs of the batch are surfaced so a poisoned job never
+// silently leaves the report.
+func AggregateResults(first, n int, results []queue.JobResult, dead []queue.DeadJob) (DistSummary, []queue.JobResult) {
+	sum := DistSummary{Expected: n}
+	in := func(id int) bool { return id >= first && id < first+n }
 	seen := make(map[int]bool, len(results))
-	var first []queue.JobResult
+	var firsts []queue.JobResult
 	for _, res := range results {
 		switch {
-		case res.JobID < 0 || res.JobID >= expected:
+		case !in(res.JobID):
 		case seen[res.JobID]:
 			sum.Duplicates++
 		default:
 			seen[res.JobID] = true
-			first = append(first, res)
+			firsts = append(firsts, res)
 		}
 	}
-	sum.Reported = len(first)
-	sort.Slice(first, func(i, j int) bool { return first[i].JobID < first[j].JobID })
+	sum.Reported = len(firsts)
+	sort.Slice(firsts, func(i, j int) bool { return firsts[i].JobID < firsts[j].JobID })
 	deadSet := make(map[int]bool, len(dead))
 	for _, d := range dead {
-		if !deadSet[d.Job.ID] {
+		if in(d.Job.ID) && !deadSet[d.Job.ID] {
 			deadSet[d.Job.ID] = true
 			sum.DeadJobs = append(sum.DeadJobs, d.Job.ID)
 		}
 	}
 	sort.Ints(sum.DeadJobs)
-	for id := 0; id < expected; id++ {
+	for id := first; id < first+n; id++ {
 		if !seen[id] && !deadSet[id] {
 			sum.Missing = append(sum.Missing, id)
 		}
 	}
-	return sum, first
+	return sum, firsts
 }
 
 // FoldResults is the coordinator's half of queue-delivered stage 4, run
-// once the queue PushTests filled has settled: account for delivery, fold
-// the first outcome each job reported — in job order, with the fold local
-// execution uses — triage the findings, and attach r.Distributed.
-func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) error {
-	sum, first := AggregateResults(len(tests), results, dead)
-	folded := make([]sched.ConcurrentTest, len(first))
-	outs := make([]sched.Outcome, len(first))
-	for i, res := range first {
-		folded[i] = tests[res.JobID]
+// once the batch PushTests pushed last has settled: account for delivery,
+// fold the first outcome each job reported — in job order, with the fold
+// local execution uses — and add the batch to r.Distributed. It returns
+// each test's segment yield, 0 for a test without a result.
+func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) ([]int, error) {
+	first := p.exploreUnits - len(tests)
+	sum, firsts := AggregateResults(first, len(tests), results, dead)
+	folded := make([]sched.ConcurrentTest, len(firsts))
+	outs := make([]sched.Outcome, len(firsts))
+	for i, res := range firsts {
+		folded[i] = tests[res.JobID-first]
 		if err := outs[i].Decode(res.Outcome); err != nil {
-			return fmt.Errorf("job %d: decode outcome reported by %q: %w", res.JobID, res.Worker, err)
+			return nil, fmt.Errorf("job %d: decode outcome reported by %q: %w", res.JobID, res.Worker, err)
 		}
 	}
 	trials, exercised := r.TrialsRun, r.Exercised
-	p.foldOutcomes(r, folded, outs)
-	p.TriageReport(r)
-	sum.Trials, sum.Exercised, sum.BugIDs = r.TrialsRun-trials, r.Exercised-exercised, r.BugIDs()
+	yields := make([]int, len(tests))
+	for i, y := range p.foldOutcomes(r, folded, outs) {
+		yields[firsts[i].JobID-first] = y
+	}
+	sum.Trials, sum.Exercised = r.TrialsRun-trials, r.Exercised-exercised
+	if prev := r.Distributed; prev != nil {
+		sum.Expected += prev.Expected
+		sum.Reported += prev.Reported
+		sum.Duplicates += prev.Duplicates
+		sum.Exercised += prev.Exercised
+		sum.Trials += prev.Trials
+		sum.DeadJobs = append(prev.DeadJobs, sum.DeadJobs...)
+		sum.Missing = append(prev.Missing, sum.Missing...)
+	}
+	sum.BugIDs = r.BugIDs()
 	for _, rec := range r.Issues {
 		sum.IssueIDs = append(sum.IssueIDs, rec.Issue.ID())
 	}
@@ -97,5 +122,5 @@ func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results 
 	}
 	sort.Strings(sum.IssueIDs)
 	r.Distributed = &sum
-	return nil
+	return yields, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"runtime"
@@ -13,7 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"snowboard/internal/corpus"
+	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
+	"snowboard/internal/pmc"
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 )
@@ -72,14 +76,16 @@ func pushedQueue(t *testing.T, p *Pipeline, tests []sched.ConcurrentTest, maxAtt
 }
 
 // foldReport folds a settled queue's results into a copy of base (the
-// report as stages 1–3 left it) and returns it with the delivery-dependent
-// duplicate count split off.
+// report as stages 1–3 left it), triages it as runStages does after the
+// last batch, and returns it with the delivery-dependent duplicate count
+// split off.
 func foldReport(t *testing.T, p *Pipeline, base *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) (*Report, int) {
 	t.Helper()
 	r := freshCopy(base)
-	if err := p.FoldResults(r, tests, results, dead); err != nil {
+	if _, err := p.FoldResults(r, tests, results, dead); err != nil {
 		t.Fatal(err)
 	}
+	p.TriageReport(r)
 	sum := r.Distributed
 	if sum.Lost() || len(sum.DeadJobs) != 0 || sum.Reported != len(tests) {
 		t.Fatalf("campaign did not settle cleanly: %+v", sum)
@@ -126,6 +132,61 @@ func campaignFixture(t *testing.T, opts Options) (*Pipeline, *Report, []sched.Co
 		t.Fatal("no concurrent tests generated")
 	}
 	return p, r, tests
+}
+
+// TestPushTestsFitsLeaseFrames: the longest adoption list PushTests takes,
+// of PMCs as wide as their encoding gets, travels in a lease frame and
+// decodes; one PMC more is refused in-process before any job is pushed or
+// any exploration unit drawn.
+func TestPushTestsFitsLeaseFrames(t *testing.T) {
+	widest := func(i int) pmc.PMC {
+		k := pmc.Key{Ins: math.MaxUint32, Addr: math.MaxUint64 - uint64(i), Size: 8, Val: math.MaxUint64}
+		return pmc.PMC{Write: k, Read: k, DFLeader: true}
+	}
+	ps := make([]pmc.PMC, queue.MaxAdoptBytes*3/4/len(pmc.AppendPMC(nil, widest(0))))
+	for i := range ps {
+		ps[i] = widest(i)
+	}
+	for queue.PMCList(ps).EncodedLen() > queue.MaxAdoptBytes {
+		ps = ps[:len(ps)-1]
+	}
+	if queue.PMCList(append(ps, widest(len(ps)))).EncodedLen() <= queue.MaxAdoptBytes {
+		t.Fatalf("%d PMCs is not the longest list under the cap", len(ps))
+	}
+	p := NewPipeline(DefaultOptions())
+	t.Cleanup(p.Close)
+	prog := &corpus.Prog{Calls: []corpus.Call{{Nr: kernel.SysMountNr}}}
+	tests := []sched.ConcurrentTest{{Writer: prog, Reader: prog.Clone()}}
+
+	reg := queue.NewRegistry(queue.Options{})
+	defer reg.Close()
+	srv, err := queue.ServeRegistry(reg, "127.0.0.1:0", queue.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	q := reg.Open("adopt")
+	cl, err := queue.DialOpts(srv.Addr(), queue.DialOptions{Queue: "adopt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	p.PMCs = pmc.SetOf(ps)
+	if err := p.PushTests(q, tests, ""); err != nil {
+		t.Fatalf("%d PMCs: %v", len(ps), err)
+	}
+	leases, err := cl.LeaseN(1)
+	if err != nil {
+		t.Fatalf("%d PMCs: %v", len(ps), err)
+	}
+	if got := leases[0].Job.Adopt; len(got) != len(ps) {
+		t.Fatalf("the leased job carries %d PMCs, want %d", len(got), len(ps))
+	}
+	p.PMCs = pmc.SetOf(append(ps, widest(len(ps))))
+	if err := p.PushTests(q, tests, ""); err == nil || p.exploreUnits != 1 || q.Stats() != (queue.Stats{Leased: 1}) {
+		t.Fatalf("%d PMCs: PushTests answers %v, %d units drawn, queue %+v", len(ps)+1, err, p.exploreUnits, q.Stats())
+	}
 }
 
 // smallCampaign is the shared cheap fixture: a few tests, a few trials.
@@ -278,7 +339,8 @@ func (d *dupLeaser) Settle(items []queue.Settlement) ([]error, error) {
 }
 
 // TestQueueFoldEqualsLocalFold: the same tests and seeds explored
-// in-process by the shared recipe with the queue template and folded, and
+// in-process by the shared recipe — the template and the batch's adoption
+// set — and folded, and
 // pushed through PushTests → flaky TCP → Worker.Do with one abandoned lease
 // and one duplicated report, yield deep-equal reports — issues, repro
 // state, triage, unknowns and counters: the queue adds delivery, nothing
@@ -290,6 +352,7 @@ func TestQueueFoldEqualsLocalFold(t *testing.T) {
 
 		env := p.Env.Clone()
 		x := stage4Explorer(env, opts.Trials, opts.Detect)
+		x.KnownPMCs = adoptionSet(p.adoptable(tests))
 		outs := make([]sched.Outcome, len(tests))
 		for i, s := range p.exploreSeeds(len(tests)) {
 			x.Seed = s
@@ -452,6 +515,7 @@ func TestTurnIsTwoFrames(t *testing.T) {
 	env := p.Env.Clone()
 	defer env.Close()
 	x := stage4Explorer(env, opts.Trials, opts.Detect)
+	x.KnownPMCs = adoptionSet(p.adoptable(tests))
 	outs := make([]sched.Outcome, len(tests))
 	for i, s := range p.exploreSeeds(len(tests)) {
 		x.Seed = s
@@ -580,7 +644,7 @@ func TestAggregateResultsFolds(t *testing.T) {
 		{JobID: 6, Trials: 9},
 	}
 	dead := []queue.DeadJob{{Job: queue.Job{ID: 4}, Attempts: 3, Reason: "poisoned"}}
-	sum, first := AggregateResults(6, results, dead)
+	sum, first := AggregateResults(0, 6, results, dead)
 	want := DistSummary{
 		Expected:   6,
 		Reported:   3,
@@ -594,10 +658,17 @@ func TestAggregateResultsFolds(t *testing.T) {
 	if !reflect.DeepEqual(first, []queue.JobResult{results[1], results[3], results[0]}) {
 		t.Fatalf("first results = %+v, want jobs 0, 1, 2 with job 2 from worker a", first)
 	}
+	// A later batch (jobs 4–6) counts its own jobs and nothing of the
+	// batch before it.
+	later, firstLater := AggregateResults(4, 3, results, dead)
+	if want := (DistSummary{Expected: 3, Reported: 1, DeadJobs: []int{4}, Missing: []int{5}}); !reflect.DeepEqual(later, want) ||
+		!reflect.DeepEqual(firstLater, results[4:]) {
+		t.Fatalf("AggregateResults of jobs 4–6 = %+v with %+v, want %+v with job 6", later, firstLater, want)
+	}
 	if !sum.Lost() {
 		t.Fatal("Lost() = false with missing jobs")
 	}
-	if clean, _ := AggregateResults(3, results, nil); clean.Lost() {
+	if clean, _ := AggregateResults(0, 3, results, nil); clean.Lost() {
 		t.Fatalf("Lost() = true for fully-settled campaign: %+v", clean)
 	}
 }
@@ -606,8 +677,11 @@ func TestSettledJobAllocBudget(t *testing.T) {
 	// A settled job crosses the queue as its outcome's binary form, encoded
 	// into the turn's buffer by Worker.Do and decoded by FoldResults, on
 	// every leaser. One 16-job turn over localLeaser plus the fold of what
-	// it settled is counted per job, setup aside: 20.25 measured, 21.3 with
-	// each lease's copy escaping to the heap again, 41.6 with that and JSON
+	// it settled is counted per job, setup aside: 29.75 measured (2 vCPUs,
+	// Xeon), where outcomes without their segment and pair lists
+	// and a worker that never adopted measured 19.31 under a budget of
+	// 20.75; the budget keeps that headroom. Before that, 21.3 with each
+	// lease's copy escaping to the heap again, 41.6 with that and JSON
 	// outcomes. One queue serves every turn, so its reaper starts (and
 	// allocates) before the first measured one.
 	const turn = 16
@@ -633,7 +707,7 @@ func TestSettledJobAllocBudget(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		settled, _ := w.Do(localLeaser{q}, leases)
-		err = p.FoldResults(r, tests, q.Results(), nil)
+		_, err = p.FoldResults(r, tests, q.Results(), nil)
 		runtime.ReadMemStats(&after)
 		if err != nil || settled != turn || r.Distributed.Reported != turn {
 			t.Fatalf("turn settled %d of %d jobs, fold: %v", settled, turn, err)
@@ -646,7 +720,7 @@ func TestSettledJobAllocBudget(t *testing.T) {
 		best = min(best, perJob())
 	}
 	t.Logf("%.2f allocations per settled job", best)
-	if best > 20.75 {
-		t.Fatalf("%.2f allocations per settled job, want ≤ 20.75", best)
+	if best > 31.25 {
+		t.Fatalf("%.2f allocations per settled job, want ≤ 31.25", best)
 	}
 }

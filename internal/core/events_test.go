@@ -67,7 +67,7 @@ func TestRunEventsCarryStageOutcomes(t *testing.T) {
 }
 
 // TestTenantEventsStayWithTenant: each campaign's stream holds exactly its
-// own fuzz, profile, identify and triage stage.done, whether tenants run
+// own fuzz, profile, identify, exec and triage stage.done, whether tenants run
 // one after another or side by side. The first obs.StartCampaign used to
 // become the process default every later pipeline joined, so a tenant's
 // stage events landed in another tenant's stream.
@@ -80,9 +80,8 @@ func TestTenantEventsStayWithTenant(t *testing.T) {
 			Trials: o.Trials, Workers: 2,
 		}
 	}
-	// sbd's queue path emits no exec stage.done; its stage 4 is the
-	// campaign's queue.
-	want := map[string]int{"fuzz": 1, "profile": 1, "identify": 1, "triage": 1}
+	// A campaign's stage 4 is one ExecuteTests batch, run through its queue.
+	want := map[string]int{"fuzz": 1, "profile": 1, "identify": 1, "exec": 1, "triage": 1}
 	check := func(how string, cs ...*Campaign) {
 		t.Helper()
 		for _, c := range cs {

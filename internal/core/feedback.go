@@ -152,9 +152,15 @@ func (p *Pipeline) resumeFeedback(keys []store.Digest, r *Report, credits []int6
 	return 0, 0
 }
 
-// checkpointFeedback persists the loop's state after one round.
+// checkpointFeedback persists the loop's state after one round. The
+// report is stored without its delivery accounting (Distributed), which
+// describes the run that pushed the batches, not the round: a round a
+// campaign checkpointed equals one a local run did. RunFeedback never
+// checkpoints a round in or after one that dead-lettered a job.
 func (p *Pipeline) checkpointFeedback(key store.Digest, round, testsDone, cursor int, credits []int64, r *Report) {
-	payload, err := reportCodec.encode(r)
+	stored := *r
+	stored.Distributed = nil
+	payload, err := reportCodec.encode(&stored)
 	if err != nil {
 		obs.Diag.Printf("stage feedback: encode round report: %v", err)
 		return
@@ -428,7 +434,19 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 		mGenTests.Add(int64(len(tests)))
 
 		issuesBefore := len(r.Issues)
+		deadBefore := r.Distributed.dead()
 		yields := p.ExecuteTests(r, tests)
+		if p.err != nil {
+			break // the round's batch failed: nothing of it is checkpointed
+		}
+		if keys != nil && r.Distributed.dead() > deadBefore {
+			// A dead-lettered job's findings and yield are missing from the
+			// round, and every later round steers by its credits: none of
+			// them is checkpointed, so no run resumes from one as complete.
+			// The report's DeadJobs names what was lost.
+			obs.Diag.Printf("stage feedback: round %d dead-lettered jobs; it and later rounds are not checkpointed", round)
+			keys = nil
+		}
 		newSegments := 0
 		for ti, y := range yields {
 			newSegments += y

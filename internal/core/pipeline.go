@@ -66,9 +66,16 @@ type Pipeline struct {
 
 	// plan indexes the PMC set's clusters under the method's strategy,
 	// built from the first clustering GenerateTests or RunFeedback
-	// computes: ExecuteTests derives from it, per call, which PMCs
-	// incidental adoption skips (adoptable).
+	// computes: each batch derives from it which PMCs incidental adoption
+	// may pick (adoptable).
 	plan *cluster.Index
+
+	// batches, when set, is where ExecuteTests runs a batch instead of the
+	// local fleet — a campaign's queue (Campaign.execute) — returning the
+	// batch's yields. err is the first error it returned: no batch runs
+	// after it, and runStages returns it.
+	batches func(r *Report, tests []sched.ConcurrentTest) ([]int, error)
+	err     error
 
 	// store, when attached with UseStore, memoizes stages through the
 	// content-addressed artifact store; corpusDigest is the content address
@@ -314,56 +321,49 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 	return out
 }
 
-// ExecuteTests explores each concurrent test (stage 4) across a fleet of
-// per-worker explorers, folding findings into the report in test order —
-// the fold is byte-for-byte the serial one, because each test's outcome is
-// a pure function of (test, derived seed). It returns each test's
-// fresh-segment yield against the pipeline-cumulative segment accumulator,
-// which the feedback scheduler allocates the next round's budget by.
+// ExecuteTests explores each concurrent test (stage 4) as one batch:
+// across a fleet of per-worker explorers, or, in a campaign, through its
+// queue (batches). Either way findings fold into the report in test order
+// (foldOutcomes) — byte-for-byte the serial fold, because each test's
+// outcome is a pure function of (test, derived seed, adoption list). It
+// returns each test's fresh-segment yield against the pipeline-cumulative
+// segment accumulator, which the feedback scheduler allocates the next
+// round's budget by. After a batch has failed it runs nothing (Pipeline.err).
 func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
 	span := obs.StartSpan("stage.exec")
-	cov := cover.New()
-	fleet := sched.NewFleet(p.localExplorer(tests, cov), p.workerEnvs(p.workers()),
-		func(e *exec.Env) []string { return e.K.FsckHost() })
-	yields := p.foldOutcomes(r, tests, fleet.ExploreAll(tests, p.exploreSeeds(len(tests))))
-	r.CoverPairs += cov.Len()
-	mCoverPairs.Set(int64(r.CoverPairs))
+	var yields []int
+	switch {
+	case p.err != nil:
+	case p.batches != nil:
+		yields, p.err = p.batches(r, tests)
+	default:
+		x := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
+		x.KnownPMCs, x.Trace = adoptionSet(p.adoptable(tests)), p.trace
+		fleet := sched.NewFleet(x, p.workerEnvs(p.workers()), func(e *exec.Env) []string { return e.K.FsckHost() })
+		yields = p.foldOutcomes(r, tests, fleet.ExploreAll(tests, p.exploreSeeds(len(tests))))
+	}
 	d := span.End()
 	r.ExecTime += d
 	p.stageDone("exec", false, d, obs.A("issues", len(r.Issues)), obs.A("segments", r.CoverSegments))
 	return yields
 }
 
-// localExplorer is ExecuteTests' template for exploring tests. A queue
-// worker (NewWorker) runs stage4Explorer bare; this one adds the Coverage
-// and TrackSegments walks and incidental adoption wherever some PMC is
-// adoptable. At full coverage — every cluster has a test, as on bench
-// `hunt`, `fleet` and the golden specs — none is, so only the two coverage
-// walks differ, and a local report equals the queue-delivered one but for
-// CoverPairs and CoverSegments (TestLocalReportEqualsQueueReport). Giving workers this template too
-// then costs the walks and shipping each job's segment and pair sets
-// behind its outcome: 1.7 and 2.9 points of bench `fleet`'s bare
-// trials_per_s as measured before adoption skipped planned clusters
-// (2 vCPUs, Xeon @ 2.10 GHz), against 24.3 for adoption, which such a
-// worker no longer runs.
-func (p *Pipeline) localExplorer(tests []sched.ConcurrentTest, cov *cover.Coverage) sched.Explorer {
-	template := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
-	template.KnownPMCs, template.Planned = p.adoptable(tests)
-	template.Coverage, template.TrackSegments, template.Trace = cov, true, p.trace
-	return template
-}
-
 // adoptable is what incidental adoption (Algorithm 2 lines 26–27) may pick
-// from while tests run as one batch: the known PMCs less those whose
-// clusters under the method's strategy have a test in the batch — adopting
-// one would re-explore a cluster the batch already tests, while adopting
-// one the budget never reaches is the only way to get there. With nothing
-// left it returns no set at all, so neither the lookup nor the adopted
-// PMCs' preemption points run. Without a plan (a pairing baseline, or
-// tests GenerateTests and RunFeedback did not draw) every PMC is adoptable.
-func (p *Pipeline) adoptable(tests []sched.ConcurrentTest) (*pmc.Set, *pmc.Subset) {
+// from while tests run as one batch, in canonical order: the known PMCs
+// less those whose clusters under the method's strategy have a test in the
+// batch — adopting one would re-explore a cluster the batch already tests,
+// while adopting one the budget never reaches is the only way to get
+// there. At full coverage nothing is left, so the explorer gets no set
+// (adoptionSet) and neither the lookup nor the adopted PMCs' preemption
+// points run. Without a plan (a pairing baseline, or tests GenerateTests
+// and RunFeedback did not draw) every PMC is adoptable. PushTests ships
+// the list in every job of the batch.
+func (p *Pipeline) adoptable(tests []sched.ConcurrentTest) []pmc.PMC {
+	if p.PMCs == nil {
+		return nil
+	}
 	if p.plan == nil || !p.plan.Indexes(p.PMCs, p.Opts.Method.Strategy) {
-		return p.PMCs, nil
+		return p.PMCs.PMCs()
 	}
 	var hints []pmc.PMC
 	for _, ct := range tests {
@@ -372,16 +372,12 @@ func (p *Pipeline) adoptable(tests []sched.ConcurrentTest) (*pmc.Set, *pmc.Subse
 		}
 		hints = append(hints, ct.Extra...)
 	}
-	planned := p.plan.Planned(hints)
-	if planned.Len() == p.PMCs.Len() {
-		return nil, nil
-	}
-	return p.PMCs, planned
+	return p.plan.Unplanned(hints)
 }
 
 // indexClusters keeps p.plan an index of cs, the PMC set's clusters under
-// the method's strategy: one index per set, which only a local
-// ExecuteTests builds out.
+// the method's strategy: one index per set, built out by the first batch
+// adoptable plans.
 func (p *Pipeline) indexClusters(cs []cluster.Cluster) {
 	if p.plan == nil || !p.plan.Indexes(p.PMCs, p.Opts.Method.Strategy) {
 		p.plan = cluster.NewIndex(p.PMCs, p.Opts.Method.Strategy, cs)
@@ -389,20 +385,22 @@ func (p *Pipeline) indexClusters(cs []cluster.Cluster) {
 }
 
 // foldOutcomes is the one place an Outcome turns into IssueRecords,
-// Unknown, counters and segment yields: outs[i] is tests[i]'s outcome,
-// explored by the local fleet or reported through a queue (FoldResults).
+// Unknown, counters, coverage and segment yields: outs[i] is tests[i]'s
+// outcome, explored by the local fleet or reported through a queue
+// (FoldResults). CoverPairs grows by the batch's distinct alias pairs,
+// CoverSegments is the pipeline-cumulative segment count, and yields[i] is
+// how many of tests[i]'s segments it first covered.
 func (p *Pipeline) foldOutcomes(r *Report, tests []sched.ConcurrentTest, outs []sched.Outcome) []int {
 	unknownSeen := make(map[string]struct{}, len(r.Unknown))
 	for _, u := range r.Unknown {
 		unknownSeen[u.ID()] = struct{}{}
 	}
 	yields := make([]int, len(outs))
-	segs := p.segs
+	segs, pairs := p.segs, cover.New()
 	for i, out := range outs {
 		ct := tests[i]
-		if out.Segments != nil {
-			yields[i] = segs.Merge(out.Segments)
-		}
+		yields[i] = segs.AddCounts(out.Segments)
+		pairs.AddPairs(out.Pairs)
 		r.TestedTests++
 		if ct.Hint != nil {
 			r.TestedPMCs++
@@ -443,6 +441,8 @@ func (p *Pipeline) foldOutcomes(r *Report, tests []sched.ConcurrentTest, outs []
 		}
 		mIssuesFound.Set(int64(len(r.Issues)))
 	}
+	r.CoverPairs += pairs.Len()
+	mCoverPairs.Set(int64(r.CoverPairs))
 	r.CoverSegments = segs.Len()
 	mCoverSegments.Set(int64(r.CoverSegments))
 	return yields
@@ -469,17 +469,9 @@ func Run(opts Options) (*Report, error) {
 		obs.RecordSample()
 		return cached, nil
 	}
-	if err := p.ProfileAll(r); err != nil {
+	if err := p.runStages(r, func() {}); err != nil {
 		return nil, err
 	}
-	p.IdentifyPMCs(r)
-	if opts.Feedback {
-		p.RunFeedback(r, opts.TestBudget)
-	} else {
-		tests := p.GenerateTests(r, opts.TestBudget)
-		p.ExecuteTests(r, tests)
-	}
-	p.TriageReport(r)
 	r.CaptureMetrics()
 	if d := saveMemo(p, "execute", key, reportCodec, r, nil); !d.IsZero() {
 		obs.Diag.Printf("stage execute: report artifact %s persisted", d.Short())
@@ -487,6 +479,31 @@ func Run(opts Options) (*Report, error) {
 	obs.EmitTrace(p.trace, obs.EvCampaignDone, obs.A("cache", false), obs.A("issues", len(r.Issues)))
 	obs.RecordSample()
 	return r, nil
+}
+
+// runStages is stages 2–4 and triage over the built corpus, the one stage
+// sequence of Run and Campaign.execute: profile, identify, then one batch
+// of generated tests or the feedback loop's rounds of them, and triage once
+// after the last batch. between runs before each stage (a campaign's pause
+// gate). It returns the first error a stage or a batch met.
+func (p *Pipeline) runStages(r *Report, between func()) error {
+	between()
+	if err := p.ProfileAll(r); err != nil {
+		return err
+	}
+	between()
+	p.IdentifyPMCs(r)
+	between()
+	if p.Opts.Feedback {
+		p.RunFeedback(r, p.Opts.TestBudget)
+	} else {
+		p.ExecuteTests(r, p.GenerateTests(r, p.Opts.TestBudget))
+	}
+	if p.err != nil {
+		return p.err
+	}
+	p.TriageReport(r)
+	return nil
 }
 
 // NewReport allocates an empty report bound to the pipeline's method.

@@ -653,11 +653,13 @@ func runCampaignOver(t *testing.T, spec CampaignSpec, key store.Digest) (*Report
 
 // TestParentStage4MemosNotServed: a state dir written before incidental
 // adoption skipped the PMCs of planned clusters holds reports explored
-// under the old rule. Stored under the key strings that binary used — the
+// under the old rule, and one written before queue workers adopted and
+// tracked coverage as local runs do holds campaign reports explored
+// without either. Stored under the key strings those binaries used — the
 // execute memo's and the first feedback round's "no-incidental=false"
-// part, and the campaign memo's "report-v2" — a marked report is not
-// served; stored under this binary's keys the same report is, so the keys
-// are all that differs.
+// part, and the campaign memo's "report-v2" and both forms of its
+// "report-v3" — a marked report is not served; stored under this binary's
+// keys the same report is, so the keys are all that differs.
 func TestParentStage4MemosNotServed(t *testing.T) {
 	// parentKey is a stage-4 key as the older binary built it: parts up to
 	// the adoption part, "no-incidental=false", then tail.
@@ -699,18 +701,24 @@ func TestParentStage4MemosNotServed(t *testing.T) {
 		}
 	})
 	t.Run("campaign", func(t *testing.T) {
-		for _, current := range []bool{false, true} {
+		for _, feedback := range []bool{false, true} {
 			spec := smallSpec("stale", 5)
+			spec.Feedback = feedback
 			manifest, err := spec.Manifest()
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := store.Key(campaignKeyPrefix, "report-v2", string(manifest))
-			if current {
-				key = (&Campaign{manifest: manifest}).reportKey()
+			current := (&Campaign{Spec: spec, manifest: manifest}).reportKey()
+			// The v3 memo held reports queue workers explored without
+			// adoption or coverage, under one key form per spec kind.
+			v3 := store.Key(campaignKeyPrefix, "report-v3", string(manifest))
+			if feedback {
+				v3 = store.Key(campaignKeyPrefix, "report-v3", loopPart, string(manifest))
 			}
-			r, err := runCampaignOver(t, spec, key)
-			checkStale(t, r, err, current)
+			for _, key := range []store.Digest{store.Key(campaignKeyPrefix, "report-v2", string(manifest)), v3, current} {
+				r, err := runCampaignOver(t, spec, key)
+				checkStale(t, r, err, key == current)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"snowboard/internal/detect"
@@ -10,29 +11,44 @@ import (
 	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
 	"snowboard/internal/par"
+	"snowboard/internal/pmc"
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 )
 
 // This file is the one recipe of stage 4, local or queue-delivered: the
-// explorer template, the per-test seeds, how tests become jobs carrying
-// them with the trial budget and kernel version (PushTests), how a leased
-// turn of jobs is explored and settled with whole outcomes (Worker.Do),
-// and how a worker joins a campaign it does not own (Worker.Join) — shared
-// by sbd, cmd/sbexec, cmd/sbqueue and examples/distributed. An outcome is
-// a pure function of (test, seed, trials, version), all of them in the
-// job, so FoldResults over each job's first result equals local execution.
+// explorer template, the per-test seeds, the set incidental adoption picks
+// from, how tests become jobs carrying them with the trial budget and
+// kernel version (PushTests), how a leased turn of jobs is explored and
+// settled with whole outcomes (Worker.Do), and how a worker joins a
+// campaign it does not own (Worker.Join) — shared by sbd, cmd/sbexec,
+// cmd/sbqueue and examples/distributed. An outcome is a pure function of
+// (test, seed, trials, version, adoption list), all of them in the job, so
+// FoldResults over each job's first result equals local execution.
 
 // stage4Explorer is the explorer both ExecuteTests' fleet and queue
-// workers copy: Algorithm 2 with the suite's oracles and the host fsck.
+// workers copy: Algorithm 2 with the suite's oracles and the host fsck,
+// reporting each test's own segments and alias pairs. Each sets the PMCs a
+// test may adopt (adoptionSet) and the trace its events go to.
 func stage4Explorer(env *exec.Env, trials int, opt detect.Options) sched.Explorer {
 	return sched.Explorer{
-		Env:    env,
-		Trials: trials,
-		Mode:   sched.ModeSnowboard,
-		Detect: opt,
-		Fsck:   func() []string { return env.K.FsckHost() },
+		Env:           env,
+		Trials:        trials,
+		Mode:          sched.ModeSnowboard,
+		Detect:        opt,
+		Fsck:          func() []string { return env.K.FsckHost() },
+		TrackSegments: true,
 	}
+}
+
+// adoptionSet is the set a batch's adoption list (Pipeline.adoptable)
+// builds for the explorer's KnownPMCs: none for an empty list, so neither
+// the lookup nor the adopted PMCs' preemption points run.
+func adoptionSet(adopt []pmc.PMC) *pmc.Set {
+	if len(adopt) == 0 {
+		return nil
+	}
+	return pmc.SetOf(adopt)
 }
 
 // exploreSeeds draws the next n per-test exploration seeds, the same
@@ -46,19 +62,29 @@ func (p *Pipeline) exploreSeeds(n int) []int64 {
 	return seeds
 }
 
-// PushTests enqueues tests as jobs 0..len(tests)-1, the ID space
-// FoldResults folds over, each carrying both programs, its exploration
-// seed, the pipeline's trial budget and kernel version — everything its
-// outcome depends on, so a worker needs nothing but the queue's address.
-// Every job carries trace, so worker and delivery events stitch back to
-// the originating campaign.
+// PushTests enqueues tests as one batch of jobs, each ID'd by its
+// exploration unit — the pipeline's count of tests seeded before it — so
+// the IDs of a campaign's batches continue on one queue and FoldResults
+// folds the batch pushed last. Each job carries both programs, its hints,
+// its exploration seed, the pipeline's trial budget and kernel version and
+// the batch's adoption list — everything its outcome depends on, so a
+// worker needs nothing but the queue's address. Every job carries trace,
+// so worker and delivery events stitch back to the originating campaign.
+// A batch whose adoption list is past queue.MaxAdoptBytes is refused before
+// anything is pushed: its jobs would not fit a lease frame.
 func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace string) error {
+	adopt := p.adoptable(tests)
+	if n := queue.PMCList(adopt).EncodedLen(); n > queue.MaxAdoptBytes {
+		return fmt.Errorf("the batch may adopt %d PMCs, %d bytes in every job, past the %d a job carries",
+			len(adopt), n, queue.MaxAdoptBytes)
+	}
+	first := p.exploreUnits
 	seeds := p.exploreSeeds(len(tests))
 	for i, ct := range tests {
-		job := queue.Job{ID: i, Seed: seeds[i], Trials: p.Opts.Trials, Version: string(p.Env.Cfg.Version),
-			Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint, Pair: ct.Pair, Trace: trace}
+		job := queue.Job{ID: first + i, Seed: seeds[i], Trials: p.Opts.Trials, Version: string(p.Env.Cfg.Version),
+			Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint, Pair: ct.Pair, Extra: ct.Extra, Adopt: adopt, Trace: trace}
 		if err := q.Push(job); err != nil {
-			return fmt.Errorf("push job %d: %w", i, err)
+			return fmt.Errorf("push job %d: %w", job.ID, err)
 		}
 	}
 	return nil
@@ -133,6 +159,12 @@ type Worker struct {
 	name string
 	env  *exec.Env // the env NewWorker was given: its owner's to close
 	x    map[kernel.Version]*sched.Explorer
+
+	// adopt is the last adoption list a job carried and known the set it
+	// builds: the jobs of a batch share one list, so it is built once per
+	// batch.
+	adopt []pmc.PMC
+	known *pmc.Set
 }
 
 // NewWorker returns a worker exploring each job with the trial budget and
@@ -144,8 +176,8 @@ func NewWorker(env *exec.Env, name string) *Worker {
 }
 
 // explorer returns the worker's explorer for kernel v, booting an env of
-// that version unless the worker was given one. Do sets each job's seed
-// and trials on it.
+// that version unless the worker was given one. Do sets each job's seed,
+// trials, trace and adoption set on it.
 func (w *Worker) explorer(v kernel.Version) *sched.Explorer {
 	if x, ok := w.x[v]; ok {
 		return x
@@ -179,10 +211,19 @@ func (w *Worker) nack(lsr Leaser, ls queue.Lease, reason string) {
 	}
 }
 
+// adoption returns the adoption set of a job's list, building it when the
+// list differs from the last job's.
+func (w *Worker) adoption(adopt []pmc.PMC) *pmc.Set {
+	if !slices.Equal(adopt, w.adopt) {
+		w.adopt, w.known = adopt, adoptionSet(adopt)
+	}
+	return w.known
+}
+
 // Do runs a turn's leases to settlement: explore each job with the seed,
-// trial budget and kernel version it carries under one lease keeper for
-// the whole turn, and settle every outcome, in its binary form (result
-// recorded, lease released), in one Settle. It returns how many leases
+// trial budget, kernel version and adoption list it carries under one
+// lease keeper for the whole turn, and settle every outcome, in its binary
+// form (result recorded, lease released), in one Settle. It returns how many leases
 // settled with a result and how many of those exercised their channel;
 // every other lease was nacked — its job malformed (a trial budget not in
 // 1..MaxTrials, or an unknown kernel version; counted as worker.poisoned)
@@ -215,12 +256,12 @@ func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 	for i := range held {
 		job := &held[i].Job
 		x := w.explorer(kernel.Version(job.Version))
-		x.Seed, x.Trials = job.Seed, job.Trials
+		x.Seed, x.Trials, x.KnownPMCs = job.Seed, job.Trials, w.adoption(job.Adopt)
 		// Tag this job's events with the originating campaign's trace, so a
 		// distributed run's timeline reads end-to-end.
 		x.Trace = job.Trace
 		out := x.Explore(sched.ConcurrentTest{
-			Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,
+			Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair, Extra: job.Extra,
 		})
 		hit[i] = out.Exercised
 		start := len(buf)

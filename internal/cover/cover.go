@@ -10,6 +10,8 @@
 package cover
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"snowboard/internal/trace"
@@ -70,6 +72,42 @@ func (c *Coverage) Merge(o *Coverage) int {
 		c.set.Slot(k)
 	}
 	return c.set.Len() - before
+}
+
+// AddPairs folds ps in and returns how many were new to c.
+func (c *Coverage) AddPairs(ps []Pair) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	before := c.set.Len()
+	for _, p := range ps {
+		c.set.Slot(pairKey(p.First, p.Second))
+	}
+	return c.set.Len() - before
+}
+
+// Pairs returns the covered pairs in order (First, then Second), nil when
+// there are none.
+func (c *Coverage) Pairs() []Pair {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.set.Len() == 0 {
+		return nil
+	}
+	out := make([]Pair, 0, c.set.Len())
+	for k := range c.set.All() {
+		out = append(out, Pair{First: trace.Ins(k >> 32), Second: trace.Ins(k)})
+	}
+	slices.SortFunc(out, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.First, b.First), cmp.Compare(a.Second, b.Second))
+	})
+	return out
+}
+
+// Reset empties c, keeping its storage.
+func (c *Coverage) Reset() {
+	c.mu.Lock()
+	c.set.Reset()
+	c.mu.Unlock()
 }
 
 // Len returns the number of distinct pairs covered so far.

@@ -1,8 +1,9 @@
 package cover
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"snowboard/internal/trace"
@@ -180,6 +181,28 @@ func (s *Segments) Merge(o *Segments) int {
 	return fresh
 }
 
+// AddCounts adds each entry's hits, as Export returns them, and returns how
+// many of the entries' segments had none before.
+func (s *Segments) AddCounts(entries []SegmentCount) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fresh := 0
+	for _, e := range entries {
+		if s.add(e.Seg, e.N) {
+			fresh++
+		}
+	}
+	return fresh
+}
+
+// Reset empties s, keeping its table.
+func (s *Segments) Reset() {
+	s.mu.Lock()
+	clear(s.slots)
+	s.live = 0
+	s.mu.Unlock()
+}
+
 // Len returns the number of distinct segments covered so far.
 func (s *Segments) Len() int {
 	s.mu.Lock()
@@ -187,8 +210,9 @@ func (s *Segments) Len() int {
 	return s.live
 }
 
-// Export returns the accumulator's entries in canonical (sorted) order,
-// for persistence into the artifact store.
+// Export returns the accumulator's entries in canonical (sorted) order:
+// a test's segments in its outcome, the pipeline's in a feedback
+// checkpoint.
 func (s *Segments) Export() []SegmentCount {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -198,7 +222,7 @@ func (s *Segments) Export() []SegmentCount {
 			out = append(out, SegmentCount{Seg: sl.seg, N: sl.n})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return segLess(out[i].Seg, out[j].Seg) })
+	slices.SortFunc(out, func(a, b SegmentCount) int { return segCompare(a.Seg, b.Seg) })
 	return out
 }
 
@@ -212,15 +236,7 @@ func ImportSegments(entries []SegmentCount) *Segments {
 	return s
 }
 
-func segLess(a, b Segment) bool {
-	if a.First.Write != b.First.Write {
-		return a.First.Write < b.First.Write
-	}
-	if a.First.Read != b.First.Read {
-		return a.First.Read < b.First.Read
-	}
-	if a.Second.Write != b.Second.Write {
-		return a.Second.Write < b.Second.Write
-	}
-	return a.Second.Read < b.Second.Read
+func segCompare(a, b Segment) int {
+	return cmp.Or(cmp.Compare(a.First.Write, b.First.Write), cmp.Compare(a.First.Read, b.First.Read),
+		cmp.Compare(a.Second.Write, b.Second.Write), cmp.Compare(a.Second.Read, b.Second.Read))
 }

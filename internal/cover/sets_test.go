@@ -32,7 +32,7 @@ func exportModel(m map[Segment]int) []SegmentCount {
 	for seg, n := range m {
 		out = append(out, SegmentCount{Seg: seg, N: n})
 	}
-	sort.Slice(out, func(i, j int) bool { return segLess(out[i].Seg, out[j].Seg) })
+	sort.Slice(out, func(i, j int) bool { return segCompare(out[i].Seg, out[j].Seg) < 0 })
 	return out
 }
 

@@ -55,13 +55,12 @@ type Segment struct {
 }
 
 // Steer is what a trial's search is steered by: the hint its test was
-// generated for, the identified PMCs, the PMCs under test in the trial, and
-// the identified PMCs adoption skips because their clusters are planned.
+// generated for, the PMCs the trial may adopt, and the PMCs under test in
+// the trial.
 type Steer struct {
 	Hint    *pmc.PMC
 	Known   *pmc.Set
 	Current []pmc.PMC
-	Planned *pmc.Subset
 }
 
 // Trial is everything stage 4 derives from one trial's trace.
@@ -85,7 +84,7 @@ func Analyze(tr *trace.Trace, s *Steer) Trial {
 		t.Exercised = Exercised(tr, s.Hint)
 	}
 	if s != nil && s.Known != nil {
-		t.Incidental = Incidental(s.Known, tr, s.Current, s.Planned)
+		t.Incidental = Incidental(s.Known, tr, s.Current)
 	}
 	return t
 }
@@ -455,10 +454,10 @@ func Exercised(tr *trace.Trace, hint *pmc.PMC) bool {
 // Incidental returns Algorithm 2's incidental candidates of the trial,
 // ranked: every known PMC whose write and read keys both occur among the
 // trial's data accesses, unless both its sides are under test (sides of
-// different current PMCs count) or it is planned, least frequently
-// executed signatures first, ties broken by the PMC's fields. Fresh maps
-// per call and a scan of every entry of known.
-func Incidental(known *pmc.Set, tr *trace.Trace, current []pmc.PMC, planned *pmc.Subset) []pmc.PMC {
+// different current PMCs count), least frequently executed signatures
+// first, ties broken by the PMC's fields. Fresh maps per call and a scan
+// of every entry of known.
+func Incidental(known *pmc.Set, tr *trace.Trace, current []pmc.PMC) []pmc.PMC {
 	curSet := make(map[sig]bool, len(current)*2)
 	for _, p := range current {
 		curSet[sigOfKey(trace.Write, p.Write)] = true
@@ -490,7 +489,7 @@ func Incidental(known *pmc.Set, tr *trace.Trace, current []pmc.PMC, planned *pmc
 	for p, e := range known.Entries {
 		ws, rs := sigOfKey(trace.Write, p.Write), sigOfKey(trace.Read, p.Read)
 		if seen[key{ws, p.Write.Val}] && seen[key{rs, p.Read.Val}] {
-			if id, _ := known.ID(p); (curSet[ws] && curSet[rs]) || planned.Has(id) {
+			if curSet[ws] && curSet[rs] {
 				continue
 			}
 			candidates = append(candidates, candidate{e.PMC, sigCount[ws] + sigCount[rs]})

@@ -33,7 +33,7 @@ func spanModel(idx *writeIndex) map[Key][2]int {
 func checkByWrite(t *testing.T, name string, s *Set, model map[Key][2]int, k Key) {
 	t.Helper()
 	idx := s.byWrite.Load()
-	got, reads, id := s.ByWriteRead(k)
+	got, reads := s.ByWriteRead(k)
 	span, ok := model[k]
 	if !ok {
 		if len(got) != 0 || len(reads) != 0 {
@@ -41,7 +41,7 @@ func checkByWrite(t *testing.T, name string, s *Set, model map[Key][2]int, k Key
 		}
 		return
 	}
-	if len(got) != span[1]-span[0] || &got[0] != &idx.pmcs[span[0]] || len(reads) != len(got) || &reads[0] != &idx.reads[span[0]] || id != span[0] {
+	if id, _ := s.ID(got[0]); len(got) != span[1]-span[0] || &got[0] != &idx.pmcs[span[0]] || len(reads) != len(got) || &reads[0] != &idx.reads[span[0]] || id != span[0] {
 		t.Fatalf("%s: ByWriteRead(%v) answers %d PMCs from id %d, the model's span is %v", name, k, len(got), id, span)
 	}
 }
@@ -81,7 +81,7 @@ func TestByWriteFilterNeverMisses(t *testing.T) {
 		model := spanModel(idx)
 		for k := range model {
 			if w, b := idx.filterBit(keyHash(k)); idx.filter[w]&b == 0 {
-				pmcs, _, _ := s.ByWriteRead(k)
+				pmcs, _ := s.ByWriteRead(k)
 				t.Fatalf("%s: the filter says no to %v, which has %d PMCs", name, k, len(pmcs))
 			}
 			checkByWrite(t, name, s, model, k)
@@ -170,7 +170,7 @@ func TestByWriteFilterNeverMisses(t *testing.T) {
 		checkByWrite(t, "colliding", s, model, collidingKey(base, i))
 	}
 	k := collidingKey(base, 0)
-	if pmcs, _, _ := s.ByWriteRead(k); keyHash(k)>>40 != keyHash(collidingKey(base, 39))>>40 || len(pmcs) != 1 {
+	if pmcs, _ := s.ByWriteRead(k); keyHash(k)>>40 != keyHash(collidingKey(base, 39))>>40 || len(pmcs) != 1 {
 		t.Fatalf("the colliding family does not collide or lost its members: %d PMCs for member 0", len(pmcs))
 	}
 }

@@ -29,7 +29,7 @@ const (
 
 	// Smallest encoded elements, in bytes: a set entry two keys, the
 	// DFLeader byte, a pair count and a pair-list length; a pair two ids.
-	minEntryBytes = 2*MinKeyBytes + 3
+	minEntryBytes = MinPMCBytes + 2
 	minPairBytes  = 2
 
 	// estEntryBytes is a typical entry's encoded size, which presizes the
@@ -90,8 +90,7 @@ func AppendSet(dst []byte, s *Set) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for _, k := range keys {
 		e := s.Entries[k]
-		dst = AppendKey(AppendKey(dst, k.Write), k.Read)
-		dst = wire.AppendBool(dst, k.DFLeader)
+		dst = AppendPMC(dst, k)
 		dst = binary.AppendUvarint(dst, uint64(e.PairCount))
 		dst = binary.AppendUvarint(dst, uint64(len(e.Pairs)))
 		for _, pr := range e.Pairs {
@@ -118,7 +117,7 @@ func ParseSet(src []byte) (*Set, error) {
 	set := NewSet()
 	set.TotalCombinations = total
 	for i := range count {
-		p := PMC{Write: ReadKey(r), Read: ReadKey(r), DFLeader: r.Bool()}
+		p := ReadPMC(r)
 		for _, k := range [2]Key{p.Write, p.Read} {
 			if k.Size == 0 || k.Size > 8 {
 				r.Fail(fmt.Sprintf("entry %d: key size %d", i, k.Size))
@@ -174,6 +173,19 @@ const MinKeyBytes = 4
 // ReadKey reads a key AppendKey wrote.
 func ReadKey(r *wire.Reader) Key {
 	return Key{Ins: trace.ReadIns(r), Addr: r.Uvarint(), Size: r.Byte(), Val: r.Uvarint()}
+}
+
+// AppendPMC appends a PMC: its write key, its read key, then DFLeader.
+func AppendPMC(b []byte, p PMC) []byte {
+	return wire.AppendBool(AppendKey(AppendKey(b, p.Write), p.Read), p.DFLeader)
+}
+
+// MinPMCBytes is the smallest PMC AppendPMC writes.
+const MinPMCBytes = 2*MinKeyBytes + 1
+
+// ReadPMC reads a PMC AppendPMC wrote.
+func ReadPMC(r *wire.Reader) PMC {
+	return PMC{Write: ReadKey(r), Read: ReadKey(r), DFLeader: r.Bool()}
 }
 
 // EncodeSet writes s's AppendSet form to w. It stays only because bench/

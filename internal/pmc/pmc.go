@@ -149,27 +149,26 @@ func (idx *writeIndex) filterBit(h uint64) (word int, bit uint64) {
 }
 
 // ByWriteRead returns the PMCs whose write side is exactly k, in canonical
-// order, the dense id (ID) of the first of them, and, parallel to them, the
-// id of each one's read key: the set's distinct read keys are numbered
+// order, and, parallel to them, the id of each one's read key: the set's distinct read keys are numbered
 // densely from 0, below ReadKeys, so a caller visiting many PMCs can do
 // per-read-key work once. The index behind it is built on first use —
 // stage 4 is its only caller, so identification and set-up never pay for
 // it — and rebuilt when the set has grown since (entries are never removed,
 // so an equal entry count means an equal key set). Safe for concurrent use
 // by readers; neither slice may be modified.
-func (s *Set) ByWriteRead(k Key) (pmcs []PMC, reads []int32, id int) {
+func (s *Set) ByWriteRead(k Key) (pmcs []PMC, reads []int32) {
 	idx := s.index()
 	h := keyHash(k)
 	if w, b := idx.filterBit(h); idx.filter[w]&b == 0 {
-		return nil, nil, 0
+		return nil, nil
 	}
 	mask := len(idx.spans) - 1
 	for i := int(h >> idx.shift); idx.spans[i].hi != 0; i = (i + 1) & mask {
 		if sp := idx.spans[i]; idx.pmcs[sp.lo].Write == k {
-			return idx.pmcs[sp.lo:sp.hi], idx.reads[sp.lo:sp.hi], int(sp.lo)
+			return idx.pmcs[sp.lo:sp.hi], idx.reads[sp.lo:sp.hi]
 		}
 	}
-	return nil, nil, 0
+	return nil, nil
 }
 
 // ID returns p's dense id, its position in the set's canonical order: ids
@@ -180,38 +179,9 @@ func (s *Set) ID(p PMC) (int, bool) {
 	return i, i < len(pmcs) && pmcs[i] == p
 }
 
-// Subset is a subset of one Set's PMCs, a bit per dense id (Set.ID). Its
-// methods take a nil Subset as the empty one.
-type Subset struct {
-	bits []uint64
-	n    int
-}
-
-// NewSubset returns an empty subset of s.
-func NewSubset(s *Set) *Subset {
-	return &Subset{bits: make([]uint64, (s.Len()+63)/64)}
-}
-
-// Add puts the PMC with dense id id into b.
-func (b *Subset) Add(id int) {
-	if w, m := &b.bits[id>>6], uint64(1)<<(id&63); *w&m == 0 {
-		*w |= m
-		b.n++
-	}
-}
-
-// Has reports whether the PMC with dense id id is in b.
-func (b *Subset) Has(id int) bool {
-	return b != nil && b.bits[id>>6]&(1<<(id&63)) != 0
-}
-
-// Len returns how many PMCs b holds.
-func (b *Subset) Len() int {
-	if b == nil {
-		return 0
-	}
-	return b.n
-}
+// PMCs returns the set's PMCs in canonical order (Less), each at its dense
+// id (ID). The slice is shared: it must not be modified.
+func (s *Set) PMCs() []PMC { return s.index().pmcs }
 
 // ReadKeys returns how many distinct read keys the set's PMCs have: the
 // bound of ByWriteRead's read key ids.
@@ -231,15 +201,22 @@ func (s *Set) buildByWrite() *writeIndex {
 	if idx := s.byWrite.Load(); idx != nil && idx.entries == len(s.Entries) {
 		return idx
 	}
-	pmcs := s.sortedPMCs()
+	idx := newWriteIndex(s.sortedPMCs())
+	s.byWrite.Store(idx)
+	return idx
+}
+
+// newWriteIndex indexes pmcs, distinct and in canonical order, and keeps
+// them.
+func newWriteIndex(pmcs []PMC) *writeIndex {
 	writes := 0
 	for i := range pmcs {
 		if i == 0 || pmcs[i].Write != pmcs[i-1].Write {
 			writes++
 		}
 	}
-	idx := &writeIndex{entries: len(s.Entries), pmcs: pmcs, reads: make([]int32, len(pmcs)),
-		filter: make([]uint64, 1<<bits.Len(uint(len(s.Entries)/4)))}
+	idx := &writeIndex{entries: len(pmcs), pmcs: pmcs, reads: make([]int32, len(pmcs)),
+		filter: make([]uint64, 1<<bits.Len(uint(len(pmcs)/4)))}
 	slots := bits.Len(uint(2 * writes)) // log2 of a table 2–4 times the keys
 	idx.spans, idx.shift = make([]span, 1<<slots), uint(64-slots)
 	mask := len(idx.spans) - 1
@@ -275,12 +252,32 @@ func (s *Set) buildByWrite() *writeIndex {
 			idx.reads[j] = idx.reads[first[i]-1]
 		}
 	}
-	s.byWrite.Store(idx)
 	return idx
 }
 
 // NewSet returns an empty database.
 func NewSet() *Set { return &Set{Entries: make(map[PMC]*Entry)} }
+
+// SetOf returns the set of ps, which are distinct, for lookup (ByWriteRead,
+// ID): its entries record no pairs. They share one allocation, so a set
+// built per batch costs nothing per PMC, and ps in canonical order (as
+// Set.PMCs lists them) is indexed as it is, neither copied nor sorted.
+func SetOf(ps []PMC) *Set {
+	s := &Set{Entries: make(map[PMC]*Entry, len(ps))}
+	es := make([]Entry, len(ps))
+	for i, p := range ps {
+		es[i].PMC = p
+		s.Entries[p] = &es[i]
+	}
+	sorted := len(s.Entries) == len(ps)
+	for i := 1; sorted && i < len(ps); i++ {
+		sorted = Less(ps[i-1], ps[i])
+	}
+	if sorted {
+		s.byWrite.Store(newWriteIndex(ps))
+	}
+	return s
+}
 
 // Add records one observed pair for the PMC.
 func (s *Set) Add(p PMC, pair Pair) {

@@ -49,7 +49,7 @@ func FuzzQueueWire(f *testing.F) {
 		`{"op":"report","result":{"id":1}}`,
 		`{"op":"lease","v":2}`,
 		`{"op":"ack","lease":1,"v":2}`,
-		`{"op":"nack","lease":7,"reason":"crash","v":6}`,
+		`{"op":"nack","lease":7,"reason":"crash","v":7}`,
 		`{"op":"extend","lease":7,"ms":500}`,
 		`{"op":"pop","v":99}`,
 		`{"op":"lease","lease":18446744073709551615}`,
@@ -59,33 +59,37 @@ func FuzzQueueWire(f *testing.F) {
 		`null`,
 		`"pop"`,
 		"\x00\xff garbage \x7f",
-		`{"op":"lease","queue":"known","v":6}`,
+		`{"op":"lease","queue":"known","v":7}`,
 		`{"op":"report","queue":"known","result":{"job_id":1}}`,
-		`{"op":"lease","queue":"missing","v":6}`,
-		`{"op":"push","queue":"known","v":6,"job":{"id":1,"corpus":"ab"}}`,
+		`{"op":"lease","queue":"missing","v":7}`,
+		`{"op":"push","queue":"known","v":7,"job":{"id":1,"corpus":"ab"}}`,
+		// A job with an adoption list, pushed over the wire, which no op does.
+		`{"op":"push","queue":"known","v":7,"job":{"id":3,"adopt":"AQEBAQgBAQEBCAEA"}}`,
 	} {
 		f.Add([]byte(hdr), []byte(nil))
 	}
 	for _, s := range []struct{ hdr, trailer string }{
-		// Well-formed v6 frames.
-		{`{"op":"lease","n":4,"v":6}`, ``},
-		{`{"op":"lease","queue":"known","n":2,"v":6}`, ``},
-		{`{"op":"settle","queue":"known","items":[{"lease":1,"result":{"job_id":1,"trials":2},"len":5},{"lease":2}],"trailer":5,"v":6}`, `hello`},
+		// Well-formed v7 frames.
+		{`{"op":"lease","n":4,"v":7}`, ``},
+		{`{"op":"lease","queue":"known","n":2,"v":7}`, ``},
+		{`{"op":"settle","queue":"known","items":[{"lease":1,"result":{"job_id":1,"trials":2},"len":5},{"lease":2}],"trailer":5,"v":7}`, `hello`},
 		// Declared lengths over the cap.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1048576}],"trailer":1048576,"v":6}`, `x`},
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1}],"trailer":9223372036854775807,"v":6}`, `x`},
-		{`{"op":"settle","trailer":1e30,"v":6}`, `x`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1048576}],"trailer":1048576,"v":7}`, `x`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1}],"trailer":9223372036854775807,"v":7}`, `x`},
+		{`{"op":"settle","trailer":1e30,"v":7}`, `x`},
 		// Negative or overflowing item lengths.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":-3},{"result":{"job_id":2},"len":5}],"trailer":2,"v":6}`, `ab`},
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":9223372036854775807},{"result":{"job_id":2},"len":2}],"trailer":1,"v":6}`, `a`},
-		{`{"op":"settle","trailer":-5,"v":6}`, `abcde`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":-3},{"result":{"job_id":2},"len":5}],"trailer":2,"v":7}`, `ab`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":9223372036854775807},{"result":{"job_id":2},"len":2}],"trailer":1,"v":7}`, `a`},
+		{`{"op":"settle","trailer":-5,"v":7}`, `abcde`},
 		// Item lengths that do not sum to the trailer, or ride no result.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":2},{"result":{"job_id":2},"len":2}],"trailer":5,"v":6}`, `abcde`},
-		{`{"op":"settle","items":[{"lease":1,"len":3}],"trailer":3,"v":6}`, `abc`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":2},{"result":{"job_id":2},"len":2}],"trailer":5,"v":7}`, `abcde`},
+		{`{"op":"settle","items":[{"lease":1,"len":3}],"trailer":3,"v":7}`, `abc`},
 		// A truncated trailer, and a trailer on an op that takes none.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":10}],"trailer":10,"v":6}`, `abc`},
-		{`{"op":"lease","trailer":3,"v":6}`, `abc`},
-		// A v5 worker's lease: it would explore on a kernel of its own.
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":10}],"trailer":10,"v":7}`, `abc`},
+		{`{"op":"lease","trailer":3,"v":7}`, `abc`},
+		// A v6 worker's lease: it would explore without the PMCs a job may
+		// adopt. A v5 worker's: it would explore on a kernel of its own.
+		{`{"op":"lease","n":4,"v":6}`, ``},
 		{`{"op":"lease","n":4,"v":5}`, ``},
 		// A v4 worker's lease and settle: its outcomes are JSON.
 		{`{"op":"lease","n":4,"v":4}`, ``},
@@ -93,8 +97,8 @@ func FuzzQueueWire(f *testing.F) {
 		// v2 report and ack frames.
 		{`{"op":"report","v":2,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
 		{`{"op":"ack","queue":"known","lease":1,"v":2}`, ``},
-		{`{"op":"report","v":6,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
-		{`{"op":"ack","queue":"known","lease":1,"v":6}`, ``},
+		{`{"op":"report","v":7,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
+		{`{"op":"ack","queue":"known","lease":1,"v":7}`, ``},
 	} {
 		f.Add([]byte(s.hdr), []byte(s.trailer))
 	}
@@ -112,7 +116,8 @@ func FuzzQueueWire(f *testing.F) {
 		defer reg.Close()
 		for _, q := range reg.queues {
 			for id := 1; id <= 2; id++ {
-				if err := q.Push(testJob(id)); err != nil {
+				// Job 2 carries an adoption list, so leases encode one.
+				if err := q.Push(adoptingJob(id, id-1)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -35,18 +35,18 @@ var (
 // TCP transport: a Server fronts a Registry of queues; Clients (workers on
 // other machines) lease jobs and settle them. A frame is one JSON header
 // line, followed — when the header declares "trailer":N — by exactly N raw
-// bytes. Protocol version 6 has four ops, and a worker's turn costs two
+// bytes. Protocol version 7 has four ops, and a worker's turn costs two
 // frames each way, one lease and one settle:
 //
-//	{"op":"lease","n":4,"v":6}
+//	{"op":"lease","n":4,"v":7}
 //	  -> {"ok":true,"leases":[{"lease":7,"attempt":1,"ttl_ms":30000,"len":180},...],"trailer":N}
 //	     + N bytes: each granted job's JSON, "len" bytes apiece
 //	   | {"ok":false,"err":"queue: empty"|"queue: closed"}
-//	{"op":"settle","items":[{"lease":7,"result":{"job_id":3,"trials":64},"len":90},...],"trailer":N,"v":6}
+//	{"op":"settle","items":[{"lease":7,"result":{"job_id":3,"trials":64},"len":90},...],"trailer":N,"v":7}
 //	  + N bytes: each item's outcome in sched.Outcome's binary form, "len" bytes apiece
 //	  -> {"ok":true} | {"ok":true,"errs":["","queue: unknown lease",...]}
-//	{"op":"nack","lease":7,"reason":"...","v":6} -> {"ok":true}
-//	{"op":"extend","lease":7,"ms":30000,"v":6}   -> {"ok":true,"ttl_ms":30000}
+//	{"op":"nack","lease":7,"reason":"...","v":7} -> {"ok":true}
+//	{"op":"extend","lease":7,"ms":30000,"v":7}   -> {"ok":true,"ttl_ms":30000}
 //
 // A settle records each item's result and releases its lease (an item may
 // carry either alone) in one critical section, Queue.Settle; "errs" is
@@ -66,10 +66,10 @@ var (
 // they touch a queue, so an older or newer peer fails loudly instead of
 // leasing jobs it would mis-parse (a v2 worker cannot read a v4 lease
 // answer), explore differently (a v3 worker ignores the trial budget a
-// job carries and explores with its own, a v5 worker the kernel version)
-// or settle with outcomes the fold cannot read (a v4 worker sends them as
-// JSON). A request without v is taken
-// as the server's version. A frame, header and trailer together, is
+// job carries and explores with its own, a v5 worker the kernel version,
+// a v6 worker without the PMCs the job may adopt) or settle with outcomes
+// the fold cannot read (a v4 worker sends them as JSON). A request without
+// v is taken as the server's version. A frame, header and trailer together, is
 // capped at 1 MiB: an oversized header line or a declared trailer past
 // the cap is answered with
 // {"ok":false,"err":"frame too large"} and discarded in O(1) memory — the
@@ -79,22 +79,23 @@ var (
 // only while the trailer stays within half the cap.
 // A connection silent for five minutes is dropped.
 
-// ProtoVersion is the wire protocol version this build speaks. Version 6
-// jobs always carry both programs and their campaign's kernel version,
-// where version 5 could name a corpus artifact the worker had to resolve
-// from a shared store and let the worker pick the kernel, so a v5 worker
-// is refused at its first lease instead of exploring jobs it would read
-// wrong. Version 5 settled outcomes in sched.Outcome's binary form where
-// version 4 sent JSON. Within a version, jobs may carry an optional
+// ProtoVersion is the wire protocol version this build speaks. Version 7
+// jobs carry the PMCs their test may adopt and its composed hints, which a
+// v6 worker would ignore and explore without, so it is refused at its
+// first lease. Version 6 jobs always carry both programs and their
+// campaign's kernel version, where version 5 could name a corpus artifact
+// the worker had to resolve from a shared store and let the worker pick
+// the kernel. Version 5 settled outcomes in sched.Outcome's binary form
+// where version 4 sent JSON. Within a version, jobs may carry an optional
 // "trace" field stitching them to the originating campaign; peers that
 // predate it ignore it (unknown JSON fields are dropped on decode), so it
 // needed no version bump.
-const ProtoVersion = 6
+const ProtoVersion = 7
 
 // Transport limits.
 const (
 	// maxFrame caps one frame, header line plus trailer (a job inlines two
-	// programs at most, well under 1 MiB).
+	// programs and its adoption list, at most MaxJobBytes).
 	maxFrame = 1 << 20
 	// maxTurn caps the jobs one lease frame grants, so a lease answer's
 	// header stays far below the cap.
@@ -102,6 +103,9 @@ const (
 	// leaseHdrRoom bounds the header line of a one-job lease answer, so a
 	// turn's head job may take the rest of the frame.
 	leaseHdrRoom = 256
+	// MaxJobBytes is the largest encoded job a lease answer carries: the
+	// server nacks a larger head job, which then dead-letters.
+	MaxJobBytes = maxFrame - leaseHdrRoom
 	// idleTimeout is how long the server lets a connection sit silent
 	// before dropping it. Workers poll far more often than this; only stuck
 	// or hostile peers hit it.

@@ -15,6 +15,8 @@
 package queue
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,6 +28,7 @@ import (
 	"snowboard/internal/corpus"
 	"snowboard/internal/obs"
 	"snowboard/internal/pmc"
+	"snowboard/internal/wire"
 )
 
 // Queue metrics: per-op counters shared by every queue in the process, the
@@ -44,9 +47,10 @@ var (
 )
 
 // Job is one unit of exploration work: a concurrent test with everything
-// its outcome depends on — both programs, the kernel version, the seed and
-// the trial budget — so any worker that can reach the queue explores it
-// exactly as the coordinator would, with no store or flag of its own.
+// its outcome depends on — both programs, its hints, the kernel version,
+// the seed, the trial budget and the PMCs it may adopt — so any worker that
+// can reach the queue explores it exactly as the coordinator would, with
+// no store or flag of its own.
 type Job struct {
 	ID int `json:"id"`
 	// Seed is the exploration seed the coordinator drew for this test —
@@ -64,6 +68,13 @@ type Job struct {
 	Reader  *corpus.Prog `json:"reader,omitempty"`
 	Hint    *pmc.PMC     `json:"hint,omitempty"`
 	Pair    pmc.Pair     `json:"pair"`
+	// Extra is the test's composed hints (sched.ConcurrentTest.Extra).
+	Extra []pmc.PMC `json:"extra,omitempty"`
+	// Adopt is what incidental adoption (Algorithm 2 lines 26–27) may pick
+	// from while exploring the test: the PMCs its batch leaves unplanned,
+	// in canonical order, none when empty. Every job of a batch carries the
+	// same list.
+	Adopt PMCList `json:"adopt,omitempty"`
 	// Trace stitches the job to its originating campaign: workers tag the
 	// job's events with it, so a distributed run's timeline reads
 	// end-to-end. Optional: a job without one emits untagged events.
@@ -506,11 +517,81 @@ func (q *Queue) Close() {
 	close(q.stop)
 }
 
+// MaxAdoptBytes is the most a job's adoption list may take encoded
+// (EncodedLen): half of what a lease answer carries for its head job
+// (MaxJobBytes), leaving the other half to the job's programs and hints,
+// about 1 KB at every spec (a fuzzed program has at most 12 calls). The
+// coordinator refuses a batch whose list is longer (core.PushTests), so
+// every job a campaign pushes fits a lease frame. At the ~44 encoded bytes
+// a PMC takes that is about 12,000 PMCs; the largest spec CI runs (seed 7,
+// corpus 200) has 701.
+const MaxAdoptBytes = MaxJobBytes / 2
+
+// MaxAdopt caps a job's adoption list for DecodeJob: as many of the
+// smallest PMCs (pmc.MinPMCBytes) as MaxAdoptBytes holds, so every list a
+// campaign pushes decodes.
+const MaxAdopt = MaxAdoptBytes / 4 * 3 / pmc.MinPMCBytes
+
+// PMCList is a list of PMCs that travels in JSON as one base64 string of
+// their binary form (pmc.AppendPMC), a count first: a job's adoption list
+// can run to thousands of PMCs, each several times larger as JSON objects.
+type PMCList []pmc.PMC
+
+// MarshalJSON encodes l's binary form.
+func (l PMCList) MarshalJSON() ([]byte, error) {
+	b := binary.AppendUvarint(nil, uint64(len(l)))
+	for _, p := range l {
+		b = pmc.AppendPMC(b, p)
+	}
+	return json.Marshal(b)
+}
+
+// EncodedLen is the length of l's JSON form, computed without encoding it.
+func (l PMCList) EncodedLen() int {
+	var buf [64]byte
+	n := len(binary.AppendUvarint(buf[:0], uint64(len(l))))
+	for _, p := range l {
+		n += len(pmc.AppendPMC(buf[:0], p))
+	}
+	return base64.StdEncoding.EncodedLen(n) + len(`""`)
+}
+
+// ErrBadPMCList reports a malformed PMCList encoding.
+var ErrBadPMCList = errors.New("queue: malformed PMC list")
+
+// UnmarshalJSON decodes what MarshalJSON wrote, refusing a count past
+// MaxAdopt or past what the bytes left can hold.
+func (l *PMCList) UnmarshalJSON(data []byte) error {
+	var b []byte
+	if err := json.Unmarshal(data, &b); err != nil {
+		return err
+	}
+	r := wire.NewReader(b, ErrBadPMCList)
+	n := r.Count(pmc.MinPMCBytes)
+	if n > MaxAdopt {
+		r.Fail(fmt.Sprintf("%d PMCs, the cap is %d", n, MaxAdopt))
+		n = 0
+	}
+	var out PMCList
+	if n > 0 {
+		out = make(PMCList, n)
+		for i := range out {
+			out[i] = pmc.ReadPMC(r)
+		}
+	}
+	if err := r.Done(); err != nil {
+		return err
+	}
+	*l = out
+	return nil
+}
+
 // EncodeJob serializes a job for the wire.
 func EncodeJob(j Job) ([]byte, error) { return json.Marshal(j) }
 
 // DecodeJob parses a serialized job and validates both of its programs; a
-// job without them is refused. Its trial budget and kernel version are the
+// job without them, or with a malformed adoption list (PMCList), is
+// refused. Its trial budget and kernel version are the
 // worker's to check (core.Worker.Do nacks a job it cannot explore).
 func DecodeJob(data []byte) (Job, error) {
 	var j Job

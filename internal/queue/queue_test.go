@@ -1,13 +1,18 @@
 package queue
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"snowboard/internal/corpus"
 	"snowboard/internal/kernel"
 	"snowboard/internal/pmc"
+	"snowboard/internal/trace"
 )
 
 func testJob(id int) Job {
@@ -24,6 +29,22 @@ func testJob(id int) Job {
 		},
 		Pair: pmc.Pair{Writer: 0, Reader: 1},
 	}
+}
+
+// adoptingJob is testJob(id) with an adoption list of n PMCs and one
+// composed hint.
+func adoptingJob(id, n int) Job {
+	j := testJob(id)
+	for i := range n {
+		j.Adopt = append(j.Adopt, pmc.PMC{
+			Write: pmc.Key{Ins: 7, Addr: 0x200 + uint64(i), Size: 4, Val: 1 << 40},
+			Read:  pmc.Key{Ins: 9, Addr: 0x200 + uint64(i), Size: 4},
+		})
+	}
+	if n > 0 {
+		j.Extra = []pmc.PMC{{Write: pmc.Key{Addr: 0x300, Size: 1, Val: 3}, Read: pmc.Key{Addr: 0x300, Size: 1}, DFLeader: true}}
+	}
+	return j
 }
 
 func TestQueueFIFO(t *testing.T) {
@@ -75,7 +96,7 @@ func TestResultsDrain(t *testing.T) {
 }
 
 func TestJobEncodeDecode(t *testing.T) {
-	j := testJob(5)
+	j := adoptingJob(5, 3)
 	j.Trials, j.Version = 4, "5.3.10"
 	data, err := EncodeJob(j)
 	if err != nil {
@@ -85,7 +106,8 @@ func TestJobEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != 5 || got.Hint == nil || got.Hint.Read.Val != 2 || got.Trials != 4 || got.Version != "5.3.10" {
+	if got.ID != 5 || got.Hint == nil || got.Hint.Read.Val != 2 || got.Trials != 4 || got.Version != "5.3.10" ||
+		!slices.Equal(got.Adopt, j.Adopt) || !slices.Equal(got.Extra, j.Extra) {
 		t.Fatalf("decoded: %+v", got)
 	}
 	// A job names no corpus to resolve its programs from: one that carries
@@ -97,6 +119,78 @@ func TestJobEncodeDecode(t *testing.T) {
 	}
 	if _, err := DecodeJob([]byte(`{"id":1,"writer":{"calls":[{"nr":999}]},"reader":{"calls":[]}}`)); err == nil {
 		t.Fatal("invalid program decoded")
+	}
+}
+
+// TestPMCListEncodedLen: EncodedLen is the length MarshalJSON writes.
+func TestPMCListEncodedLen(t *testing.T) {
+	l := PMCList{}
+	for i := range 200 {
+		raw, err := json.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := l.EncodedLen(); got != len(raw) {
+			t.Fatalf("%d PMCs: EncodedLen %d, MarshalJSON wrote %d bytes", len(l), got, len(raw))
+		}
+		k := pmc.Key{Ins: trace.Ins(i * 977), Addr: uint64(i) << (i % 57), Size: 8, Val: uint64(i) << 40}
+		l = append(l, pmc.PMC{Write: k, Read: pmc.Key{Addr: uint64(i)}, DFLeader: i%2 == 0})
+	}
+}
+
+// TestDecodeJobRefusesAdoptionLists: an adoption list declaring more PMCs
+// than its bytes hold, or more than MaxAdopt, is refused before anything is
+// sized by it; a list of exactly MaxAdopt decodes.
+func TestDecodeJobRefusesAdoptionLists(t *testing.T) {
+	// minimal is one PMC of pmc.MinPMCBytes: two one-byte-field keys and
+	// DFLeader.
+	minimal := pmc.AppendPMC(nil, pmc.PMC{Write: pmc.Key{Size: 1}, Read: pmc.Key{Size: 1}})
+	if len(minimal) != pmc.MinPMCBytes {
+		t.Fatalf("a minimal PMC is %d bytes, want %d", len(minimal), pmc.MinPMCBytes)
+	}
+	job := func(count uint64, pmcs int) []byte {
+		b := binary.AppendUvarint(nil, count)
+		for range pmcs {
+			b = append(b, minimal...)
+		}
+		j, err := EncodeJob(testJob(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		list, _ := json.Marshal(b)
+		return append(append(j[:len(j)-1], `,"adopt":`...), append(list, '}')...)
+	}
+	for _, tc := range []struct {
+		name        string
+		count, pmcs int
+		ok          bool
+	}{
+		{"count past the bytes", 1 << 40, 2, false},
+		{"one PMC short", 3, 2, false},
+		{"past the cap", MaxAdopt + 1, MaxAdopt + 1, false},
+		{"at the cap", MaxAdopt, MaxAdopt, true},
+	} {
+		got, err := DecodeJob(job(uint64(tc.count), tc.pmcs))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: DecodeJob error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if tc.ok && len(got.Adopt) != tc.pmcs {
+			t.Errorf("%s: %d PMCs decoded, want %d", tc.name, len(got.Adopt), tc.pmcs)
+		}
+		if !tc.ok && err != nil && !errors.Is(err, ErrBadPMCList) {
+			t.Errorf("%s: DecodeJob error %v, want ErrBadPMCList", tc.name, err)
+		}
+	}
+	// A count the bytes cannot hold sizes nothing: refusing MaxAdopt
+	// declared PMCs that carry two allocates far less than a list of
+	// MaxAdopt PMCs (72 bytes each).
+	short := job(MaxAdopt, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeJob(short)
+	runtime.ReadMemStats(&after)
+	if err == nil || after.TotalAlloc-before.TotalAlloc > 1<<20 {
+		t.Errorf("a list declaring %d PMCs in %d bytes: error %v after allocating %d bytes", MaxAdopt, len(short), err, after.TotalAlloc-before.TotalAlloc)
 	}
 }
 

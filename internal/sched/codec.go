@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"snowboard/internal/cover"
 	"snowboard/internal/detect"
 	"snowboard/internal/pmc"
 	"snowboard/internal/trace"
@@ -19,8 +20,11 @@ import (
 // uvarints, byte-sized kinds and sizes as one byte, bools as 0 or 1 (an
 // issue's two as one flags byte), a string or list as a uvarint count then
 // its elements, each issue followed by the trial it surfaced on, and Repro
-// as a 0/1 presence byte then its fields. Segments stays off the wire. Equal outcomes encode to
-// equal bytes.
+// as a 0/1 presence byte then its fields, and last, only when the outcome
+// carries any, the test's segments (each its four instructions and its hit
+// count) and its alias pairs, each list a count then its elements, so an
+// outcome without coverage encodes as it did before outcomes carried it.
+// Equal outcomes encode to equal bytes.
 const outcomeVersion = 1
 
 // Smallest encoded element of each list, in bytes: a declared count is
@@ -28,9 +32,11 @@ const outcomeVersion = 1
 // count sizes an allocation past the input.
 const (
 	minIssueBytes = 7 // kind, desc length, two instructions, bug id, flags, trial
-	minPMCBytes   = 2*pmc.MinKeyBytes + 1
+	minPMCBytes   = pmc.MinPMCBytes
 	minSigBytes   = 4 // kind, instruction, address, size
 	minFlipBytes  = 1
+	minSegBytes   = 5 // four instructions, hit count
+	minPairBytes  = 2 // two instructions
 )
 
 // ErrBadOutcome reports malformed outcome bytes.
@@ -74,32 +80,44 @@ func (o *Outcome) Encode(dst []byte) []byte {
 	b = binary.AppendVarint(b, int64(o.NewSegments))
 	st := o.Repro
 	b = wire.AppendBool(b, st != nil)
-	if st == nil {
+	if st != nil {
+		b = binary.AppendVarint(b, st.Seed)
+		b = binary.AppendVarint(b, int64(st.Trial))
+		b = binary.AppendUvarint(b, uint64(len(st.PMCs)))
+		for _, p := range st.PMCs {
+			b = pmc.AppendPMC(b, p)
+		}
+		b = binary.AppendUvarint(b, uint64(len(st.Flags)))
+		for _, f := range st.Flags {
+			b = append(b, byte(f.Kind))
+			b = binary.AppendUvarint(b, uint64(f.Ins))
+			b = binary.AppendUvarint(b, f.Addr)
+			b = append(b, f.Size)
+		}
+		b = binary.AppendUvarint(b, uint64(len(st.Flips)))
+		for _, f := range st.Flips {
+			b = binary.AppendVarint(b, int64(f))
+		}
+	}
+	if len(o.Segments) == 0 && len(o.Pairs) == 0 {
 		return b
 	}
-	b = binary.AppendVarint(b, st.Seed)
-	b = binary.AppendVarint(b, int64(st.Trial))
-	b = binary.AppendUvarint(b, uint64(len(st.PMCs)))
-	for i := range st.PMCs {
-		p := &st.PMCs[i]
-		b = pmc.AppendKey(pmc.AppendKey(b, p.Write), p.Read)
-		b = wire.AppendBool(b, p.DFLeader)
+	b = binary.AppendUvarint(b, uint64(len(o.Segments)))
+	for _, e := range o.Segments {
+		for _, ins := range [4]trace.Ins{e.Seg.First.Write, e.Seg.First.Read, e.Seg.Second.Write, e.Seg.Second.Read} {
+			b = binary.AppendUvarint(b, uint64(ins))
+		}
+		b = binary.AppendVarint(b, int64(e.N))
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.Flags)))
-	for _, f := range st.Flags {
-		b = append(b, byte(f.Kind))
-		b = binary.AppendUvarint(b, uint64(f.Ins))
-		b = binary.AppendUvarint(b, f.Addr)
-		b = append(b, f.Size)
-	}
-	b = binary.AppendUvarint(b, uint64(len(st.Flips)))
-	for _, f := range st.Flips {
-		b = binary.AppendVarint(b, int64(f))
+	b = binary.AppendUvarint(b, uint64(len(o.Pairs)))
+	for _, p := range o.Pairs {
+		b = binary.AppendUvarint(b, uint64(p.First))
+		b = binary.AppendUvarint(b, uint64(p.Second))
 	}
 	return b
 }
 
-// Decode replaces o with the outcome src encodes, Segments nil. src is
+// Decode replaces o with the outcome src encodes. src is
 // untrusted: truncated input, trailing bytes, an unknown version or a value
 // out of its field's range is an error wrapping ErrBadOutcome, never a
 // panic. Empty lists decode as nil. o keeps no reference to src.
@@ -143,10 +161,7 @@ func (o *Outcome) Decode(src []byte) error {
 		if n := r.Count(minPMCBytes); n > 0 {
 			st.PMCs = make([]pmc.PMC, n)
 			for i := range st.PMCs {
-				p := &st.PMCs[i]
-				p.Write = pmc.ReadKey(r)
-				p.Read = pmc.ReadKey(r)
-				p.DFLeader = r.Bool()
+				st.PMCs[i] = pmc.ReadPMC(r)
 			}
 		}
 		if n := r.Count(minSigBytes); n > 0 {
@@ -166,6 +181,26 @@ func (o *Outcome) Decode(src []byte) error {
 			}
 		}
 		o.Repro = st
+	}
+	if r.Len() > 0 {
+		if n := r.Count(minSegBytes); n > 0 {
+			o.Segments = make([]cover.SegmentCount, n)
+			for i := range o.Segments {
+				s := &o.Segments[i].Seg
+				s.First.Write, s.First.Read = trace.ReadIns(r), trace.ReadIns(r)
+				s.Second.Write, s.Second.Read = trace.ReadIns(r), trace.ReadIns(r)
+				o.Segments[i].N = readInt(r)
+			}
+		}
+		if n := r.Count(minPairBytes); n > 0 {
+			o.Pairs = make([]cover.Pair, n)
+			for i := range o.Pairs {
+				o.Pairs[i] = cover.Pair{First: trace.ReadIns(r), Second: trace.ReadIns(r)}
+			}
+		}
+		if o.Segments == nil && o.Pairs == nil {
+			r.Fail("empty coverage lists")
+		}
 	}
 	if err := r.Done(); err != nil {
 		*o = Outcome{}

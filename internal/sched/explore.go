@@ -81,15 +81,9 @@ type Explorer struct {
 	// (Algorithm 2 lines 26–27), for the ablation bench.
 	DisableIncidental bool
 
-	// KnownPMCs, when set, is consulted to recognize incidental PMCs
-	// observed during trials.
+	// KnownPMCs, when set, holds the PMCs a trial may adopt as incidental
+	// (Algorithm 2 lines 26–27) when it observes both their accesses.
 	KnownPMCs *pmc.Set
-
-	// Planned, when set, holds the KnownPMCs adoption skips: those whose
-	// clusters have a test of their own in the same batch, so that adopting
-	// one would re-explore a cluster the batch already tests (§4.3: one
-	// exemplar stands for its cluster).
-	Planned *pmc.Subset
 
 	// Fsck, when set, produces host-side post-mortem console lines after a
 	// trial (e.g. the filesystem checker).
@@ -99,12 +93,12 @@ type Explorer struct {
 	// coverage across trials (§2.1/§5.3.1).
 	Coverage *cover.Coverage
 
-	// TrackSegments, when set, gives every Explore call a fresh
-	// interleaving-segment accumulator (Outcome.Segments). Unlike the
-	// shared Coverage accumulator, the per-test segment set is a pure
-	// function of (test, seed) — worker-invariant — which is what lets
-	// the feedback scheduler credit clusters by segment yield without
-	// breaking bit-identical reports across worker counts.
+	// TrackSegments, when set, has every Explore call report the test's
+	// own interleaving segments and alias pairs (Outcome.Segments and
+	// Pairs). Unlike the shared Coverage accumulator, they are a pure
+	// function of (test, seed) — worker-invariant — so a fold over
+	// outcomes in test order computes a report's coverage and the feedback
+	// scheduler's segment yields the same on every front door.
 	TrackSegments bool
 
 	// Trace stitches this explorer's flight-recorder events to a campaign
@@ -127,7 +121,9 @@ type scratch struct {
 	view   trace.View // of tr, built once per trial for every post-trial consumer
 	rng    *rand.Rand // over a lazyrand.Source: reseeding per trial is free
 	oracle detect.Scratch
-	walk   cover.Walker // handed to the oracles, folded after them
+	walk   cover.Walker   // handed to the oracles, folded after them
+	segs   cover.Segments // the test's segments, when tracked
+	pairs  cover.Coverage // the test's alias pairs, when tracked
 	flags  flagSet
 	seen   map[detect.IssueKey]bool
 	memo   trialMemo // the call's distinct schedules
@@ -204,19 +200,23 @@ type Outcome struct {
 	IssueTrials    []int // IssueTrials[i]: the trial on which Issues[i] first surfaced
 	Switches       int   // total induced preemptions
 	Steps          int   // total events across trials
-	NewCoverPairs  int   // fresh alias instruction pairs covered (if Coverage set)
-
-	// Segments accumulates this test's interleaving segments (set when
-	// the explorer's TrackSegments is on); NewSegments counts those new
-	// to this test's own accumulator. Both are pure functions of
-	// (test, seed), independent of worker placement. The binary form (a
-	// queue worker's result, Encode) does not carry Segments.
-	Segments    *cover.Segments
-	NewSegments int
+	// NewCoverPairs counts fresh alias instruction pairs: new to the
+	// explorer's Coverage when it is set, else len(Pairs). NewSegments
+	// counts the test's segments, when tracked.
+	NewCoverPairs int
+	NewSegments   int
 
 	// Repro pins the first trial that surfaced a crash-level issue, for
 	// deterministic reproduction via Replay (§6). Nil when no such trial.
 	Repro *ReproState
+
+	// Segments and Pairs are this test's interleaving segments, with their
+	// hit counts, and its alias pairs, each in canonical order (set when
+	// the explorer's TrackSegments is on, nil when empty). Like every
+	// field, they are pure functions of (test, seed), independent of
+	// worker placement.
+	Segments []cover.SegmentCount
+	Pairs    []cover.Pair
 }
 
 // TrialOf returns the trial on which the given issue first surfaced, or -1.
@@ -253,9 +253,6 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 	if trials <= 0 {
 		trials = 64
 	}
-	if x.TrackSegments {
-		out.Segments = cover.NewSegments()
-	}
 
 	var currentPMCs []pmc.PMC
 	if ct.Hint != nil {
@@ -269,6 +266,15 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 	}
 	sc := x.scratchFor()
 	flags, tr, rng := &sc.flags, &sc.tr, sc.rng
+	// Where a trial's pairs and segments fold: the test's own sets when
+	// tracked, else the shared Coverage alone.
+	var segs *cover.Segments
+	pairs := x.Coverage
+	if x.TrackSegments {
+		sc.segs.Reset()
+		sc.pairs.Reset()
+		segs, pairs = &sc.segs, &sc.pairs
+	}
 
 	for trial := 0; trial < trials; trial++ {
 		trialSeed := x.Seed + int64(trial)
@@ -308,7 +314,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		if e := sc.memo.find(x.Env.M.Decisions()); e != nil {
 			// The trial made an earlier trial's decisions, so it ran as that
 			// one did: its analysis is replayed, not run.
-			sc.memo.replay(e, out.Segments)
+			sc.memo.replay(e, segs)
 			if adopt {
 				sc.view.Build(tr)
 			}
@@ -321,15 +327,15 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 				Hung:     res.Hung,
 				Deadlock: res.Deadlock,
 			}
-			if x.Coverage != nil || out.Segments != nil {
+			if pairs != nil {
 				in.Cover = &sc.walk
 			}
 			if x.Fsck != nil {
 				in.PostScan = x.Fsck()
 			}
 			issues := sc.oracle.Analyze(in, x.Detect)
-			freshPairs, freshSegs, segs := sc.walk.Fold(x.Coverage, out.Segments)
-			sc.memo.add(x.Env.M.Decisions(), segs, issues)
+			freshPairs, freshSegs, trialSegs := sc.walk.Fold(pairs, segs)
+			sc.memo.add(x.Env.M.Decisions(), trialSegs, issues)
 			out.NewCoverPairs += freshPairs
 			out.NewSegments += freshSegs
 
@@ -360,6 +366,15 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 			}
 		}
 	}
+	if segs != nil {
+		if segs.Len() > 0 {
+			out.Segments = segs.Export()
+		}
+		out.Pairs = sc.pairs.Pairs()
+		if x.Coverage != nil {
+			out.NewCoverPairs = x.Coverage.AddPairs(out.Pairs)
+		}
+	}
 	return out
 }
 
@@ -367,9 +382,9 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 // composed co-hints and adopted incidentals.
 const maxCurrentPMCs = 4
 
-// findIncidental locates a PMC from the identified set present in the
-// accesses of v's trial, neither under test nor Planned, choosing
-// deterministically among the candidates with the trial rng.
+// findIncidental locates a PMC of KnownPMCs present in the accesses of v's
+// trial and not under test, choosing deterministically among the
+// candidates with the trial rng.
 func (x *Explorer) findIncidental(v *trace.View, current []pmc.PMC, rng *rand.Rand) (pmc.PMC, bool) {
 	if x.KnownPMCs == nil {
 		return pmc.PMC{}, false
@@ -409,7 +424,7 @@ func (x *Explorer) findIncidental(v *trace.View, current []pmc.PMC, rng *rand.Ra
 			continue
 		}
 		w := pmc.Key{Ins: tr.InsAt(i), Addr: tr.AddrAt(i), Size: tr.SizeAt(i), Val: tr.ValAt(i)}
-		known, reads, id0 := x.KnownPMCs.ByWriteRead(w)
+		known, reads := x.KnownPMCs.ByWriteRead(w)
 		if len(known) == 0 {
 			continue
 		}
@@ -420,9 +435,6 @@ func (x *Explorer) findIncidental(v *trace.View, current []pmc.PMC, rng *rand.Ra
 		}
 		wUnderTest := underTest(trace.Write, w)
 		for j := range known {
-			if x.Planned.Has(id0 + j) {
-				continue
-			}
 			p, r := &known[j], &sc.reads[reads[j]]
 			if r.call != sc.call {
 				n, first := sc.executed(tr, v.WordOf(p.Read.Addr), trace.Read, &p.Read)

@@ -118,8 +118,9 @@ func FuzzTornReads(f *testing.F) {
 // trace reaches the scan, as the tally logs. The two kernel versions run
 // side by side, and each must have trials with races, pairs, segments, an
 // exercised channel and an adoption. Every other test explores with what
-// the tests plan as one batch (Explorer.Planned, model.Steer.Planned), and
-// those trials must have candidates the filter skipped.
+// the PMCs the tests leave adoptable as one batch (Explorer.KnownPMCs,
+// model.Steer.Known), and those trials must have candidates the smaller set
+// leaves out.
 func TestRealTrialsEqualModel(t *testing.T) {
 	for _, version := range []kernel.Version{kernel.V5_3_10, kernel.V5_12_RC3} {
 		t.Run(string(version), func(t *testing.T) {
@@ -135,7 +136,7 @@ func realTrialsEqualModel(t *testing.T, version kernel.Version) {
 	for _, seed := range []int64{3, 7} {
 		env := exec.NewEnv(kernel.Config{Version: version})
 		set, tests := realTests(t, env, seed)
-		planned := []*pmc.Subset{nil, plannedByTests(set, tests)}
+		known := []*pmc.Set{set, adoptableByTests(set, tests)}
 		fsck := func() []string { return env.K.FsckHost() }
 		probe := &Explorer{KnownPMCs: set}
 		sc := probe.scratchFor()
@@ -143,16 +144,16 @@ func realTrialsEqualModel(t *testing.T, version kernel.Version) {
 		accModel, accSegsModel := make(map[model.Pair]int), make(map[model.Segment]int)
 		for i, ct := range tests {
 			x := &Explorer{Env: env, Trials: 12, Seed: seed*1000 + int64(i), Mode: ModeSnowboard,
-				Detect: detect.DefaultOptions(), KnownPMCs: set, Planned: planned[i%2], Coverage: cover.New(), Fsck: fsck}
-			probe.Planned = x.Planned
+				Detect: detect.DefaultOptions(), KnownPMCs: known[i%2], Coverage: cover.New(), Fsck: fsck}
+			probe.KnownPMCs = x.KnownPMCs
 			unfusedExplore(x, ct, func(tr *trace.Trace, current []pmc.PMC) {
 				at := func(what string, got, want any) {
 					t.Helper()
 					t.Fatalf("%s seed %d test %d trial of %d accesses: %s %+v, model %+v", version, seed, i, tr.Len(), what, got, want)
 				}
-				m := model.Analyze(tr, &model.Steer{Hint: ct.Hint, Known: set, Current: current, Planned: x.Planned})
-				if x.Planned != nil {
-					skipped += len(model.Incidental(set, tr, current, nil)) - len(m.Incidental)
+				m := model.Analyze(tr, &model.Steer{Hint: ct.Hint, Known: x.KnownPMCs, Current: current})
+				if x.KnownPMCs != set {
+					skipped += len(model.Incidental(set, tr, current)) - len(m.Incidental)
 				}
 				wantRaces := make([]detect.RaceReport, len(m.Races))
 				for k, r := range m.Races {

@@ -17,9 +17,10 @@ import (
 // TestFindIncidentalEqualsBruteForce replays 50 seeds of real trials and,
 // on each, grows the set under test through the columnar lookup and the
 // model's brute-force scan side by side: every trial must find as many
-// candidates and adopt the same PMC. It does so twice: with nothing
-// planned, and with the S-INS-PAIR clusters of every other PMC planned, as
-// if a batch of tests hinted them; there the filter must skip candidates.
+// candidates and adopt the same PMC. It does so twice: adopting from the
+// whole set, and from the PMCs of the S-INS-PAIR clusters no batch test
+// plans, as if a batch of tests hinted every other PMC; there the smaller
+// set must leave candidates out.
 func TestFindIncidentalEqualsBruteForce(t *testing.T) {
 	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 	set, hint := identifyL2TP(t, env)
@@ -31,8 +32,8 @@ func TestFindIncidentalEqualsBruteForce(t *testing.T) {
 		}
 	}
 	var tr trace.Trace
-	for _, planned := range []*pmc.Subset{nil, plannedBy(set, hints...)} {
-		x := &Explorer{Env: env, KnownPMCs: set, Planned: planned}
+	for _, known := range []*pmc.Set{set, adoptableBy(set, hints...)} {
+		x := &Explorer{Env: env, KnownPMCs: known}
 		x.scratchFor()
 		adopted, skipped := 0, 0
 		for seed := int64(1); seed <= 50; seed++ {
@@ -41,13 +42,13 @@ func TestFindIncidentalEqualsBruteForce(t *testing.T) {
 				Replay(env, ct, &ReproState{Seed: seed, PMCs: current}, &tr)
 				env.M.SetTrace(nil)
 				x.scratch.view.Build(&tr)
-				ranked := model.Incidental(set, &tr, current, planned)
-				skipped += len(model.Incidental(set, &tr, current, nil)) - len(ranked)
+				ranked := model.Incidental(known, &tr, current)
+				skipped += len(model.Incidental(set, &tr, current)) - len(ranked)
 				want, wantOK := model.Adopt(ranked, rand.New(rand.NewSource(seed)))
 				got, gotOK := x.findIncidental(&x.scratch.view, current, rand.New(rand.NewSource(seed)))
 				if got != want || gotOK != wantOK || len(x.scratch.candidates) != len(ranked) {
 					t.Fatalf("%d planned, seed %d with %d PMCs under test: columnar lookup adopted %v (%v) of %d candidates, model %v (%v) of %d",
-						planned.Len(), seed, len(current), got, gotOK, len(x.scratch.candidates), want, wantOK, len(ranked))
+						set.Len()-known.Len(), seed, len(current), got, gotOK, len(x.scratch.candidates), want, wantOK, len(ranked))
 				}
 				if !gotOK {
 					break
@@ -56,19 +57,19 @@ func TestFindIncidentalEqualsBruteForce(t *testing.T) {
 				adopted++
 			}
 		}
-		t.Logf("%d of %d PMCs planned: %d adoptions, %d candidates skipped", planned.Len(), set.Len(), adopted, skipped)
-		if adopted < 50 || (planned != nil && skipped == 0) {
-			t.Fatalf("%d planned: %d adoptions over 50 seeds, %d candidates skipped; the comparison lost its teeth", planned.Len(), adopted, skipped)
+		t.Logf("%d of %d PMCs planned: %d adoptions, %d candidates skipped", set.Len()-known.Len(), set.Len(), adopted, skipped)
+		if adopted < 50 || (known != set && skipped == 0) {
+			t.Fatalf("%d planned: %d adoptions over 50 seeds, %d candidates skipped; the comparison lost its teeth", set.Len()-known.Len(), adopted, skipped)
 		}
 	}
 }
 
-// plannedBy returns what a batch of tests hinting hints plans under
-// S-INS-PAIR, as the pipeline derives it: the PMCs of set sharing a cluster
-// with one of them.
-func plannedBy(set *pmc.Set, hints ...pmc.PMC) *pmc.Subset {
+// adoptableBy returns what a batch of tests hinting hints may adopt under
+// S-INS-PAIR, as the pipeline derives it: the PMCs of set sharing no
+// cluster with any of them.
+func adoptableBy(set *pmc.Set, hints ...pmc.PMC) *pmc.Set {
 	cs := cluster.Clusters(set, cluster.SInsPair)
-	return cluster.NewIndex(set, cluster.SInsPair, cs).Planned(hints)
+	return pmc.SetOf(cluster.NewIndex(set, cluster.SInsPair, cs).Unplanned(hints))
 }
 
 // TestFleetWorkersOwnScratch: NewFleet copies the template Explorer by

@@ -31,9 +31,17 @@ import (
 // to each, with the PMCs under test in it. TestRealTrialsEqualModel diffs
 // each of these consumers against the model on every trial.
 func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace, []pmc.PMC)) (Outcome, []pmc.PMC) {
-	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1, Segments: cover.NewSegments()}
+	out := Outcome{ExercisedTrial: -1, ExposedTrial: -1}
+	segs, pairs := cover.NewSegments(), cover.New()
+	done := func(underTest []pmc.PMC) (Outcome, []pmc.PMC) {
+		if segs.Len() > 0 {
+			out.Segments = segs.Export()
+		}
+		out.Pairs = pairs.Pairs()
+		return out, underTest
+	}
 	current := []pmc.PMC{*ct.Hint}
-	lookup := &Explorer{KnownPMCs: x.KnownPMCs, Planned: x.Planned}
+	lookup := &Explorer{KnownPMCs: x.KnownPMCs}
 	sc := lookup.scratchFor()
 	flags := make(map[sig]bool)
 	seen := make(map[string]bool)
@@ -53,7 +61,8 @@ func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace, []pm
 		out.Switches += policy.switches
 		out.Steps += res.Steps
 		out.NewCoverPairs += x.Coverage.AddTrace(&tr)
-		out.NewSegments += out.Segments.AddTrace(&tr)
+		pairs.AddTrace(&tr)
+		out.NewSegments += segs.AddTrace(&tr)
 		if !out.Exercised && ChannelExercised(&tr, ct.Hint) {
 			out.Exercised, out.ExercisedTrial = true, trial
 		}
@@ -73,7 +82,7 @@ func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace, []pm
 		}
 		if crashed {
 			out.Repro = snapshotRepro(x.Seed+int64(trial), trial, current, preFlags)
-			return out, underTest
+			return done(underTest)
 		}
 		if len(current) < maxCurrentPMCs {
 			sc.view.Build(&tr)
@@ -82,20 +91,20 @@ func unfusedExplore(x *Explorer, ct ConcurrentTest, each func(*trace.Trace, []pm
 			}
 		}
 		if trial == x.Trials-1 {
-			return out, underTest
+			return done(underTest)
 		}
 	}
-	return out, nil
+	return done(nil)
 }
 
-// plannedByTests is what realTests' tests plan as one batch (plannedBy
-// their hints).
-func plannedByTests(set *pmc.Set, tests []ConcurrentTest) *pmc.Subset {
+// adoptableByTests is what realTests' tests may adopt as one batch
+// (adoptableBy their hints).
+func adoptableByTests(set *pmc.Set, tests []ConcurrentTest) *pmc.Set {
 	var hints []pmc.PMC
 	for _, ct := range tests {
 		hints = append(hints, *ct.Hint)
 	}
-	return plannedBy(set, hints...)
+	return adoptableBy(set, hints...)
 }
 
 // realTests runs stages 1–3 at the given seed on a small budget — fuzz,
@@ -134,7 +143,8 @@ func realTests(t *testing.T, env *exec.Env, seed int64) (*pmc.Set, []ConcurrentT
 // unfusedExplore, field by field, and adopt the same incidental PMCs in the
 // same order. A second arm runs both with the race oracle off, where the
 // coverage walker cannot ride the happens-before walk and walks by itself.
-// Every other test runs with what the tests plan as one batch (Planned).
+// Every other test adopts only from what the tests leave unplanned as one
+// batch (a smaller KnownPMCs).
 func TestExploreEqualsUnfused(t *testing.T) {
 	adoptions, exercised, issues, repros := 0, 0, 0, 0
 	racesOffPairs := 0
@@ -159,12 +169,12 @@ func TestExploreEqualsUnfused(t *testing.T) {
 	for _, seed := range []int64{3, 7} {
 		env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 		set, tests := realTests(t, env, seed)
-		planned := []*pmc.Subset{nil, plannedByTests(set, tests)}
+		known := []*pmc.Set{set, adoptableByTests(set, tests)}
 		fsck := func() []string { return env.K.FsckHost() }
 		for i, ct := range tests {
 			for arm, opts := range arms {
 				got := &Explorer{Env: env, Trials: 12, Seed: seed*1000 + int64(i), Mode: ModeSnowboard,
-					Detect: opts, KnownPMCs: set, Planned: planned[i%2], Coverage: cover.New(), TrackSegments: true, Fsck: fsck}
+					Detect: opts, KnownPMCs: known[i%2], Coverage: cover.New(), TrackSegments: true, Fsck: fsck}
 				ref := *got
 				ref.Coverage, ref.scratch = cover.New(), nil
 				each := composition
@@ -173,10 +183,9 @@ func TestExploreEqualsUnfused(t *testing.T) {
 				}
 				want, wantPMCs := unfusedExplore(&ref, ct, each)
 				have := got.Explore(ct)
-				if !reflect.DeepEqual(have.Segments.Export(), want.Segments.Export()) {
-					t.Fatalf("seed %d test %d %+v: segment sets differ", seed, i, opts)
+				if !reflect.DeepEqual(have.Segments, want.Segments) || !reflect.DeepEqual(have.Pairs, want.Pairs) {
+					t.Fatalf("seed %d test %d %+v: segment or pair sets differ", seed, i, opts)
 				}
-				have.Segments, want.Segments = nil, nil
 				if !reflect.DeepEqual(have, want) {
 					t.Fatalf("seed %d test %d %+v:\nexplorer %+v\nunfused  %+v", seed, i, opts, have, want)
 				}
@@ -434,7 +443,7 @@ func TestPolicyEqualsMapPolicy(t *testing.T) {
 				trialSeed := seed*1000 + int64(i)*10 + int64(trial)
 				at := policyPair(t, fmt.Sprintf("seed %d test %d trial %d", seed, i, trial), trialSeed, current, flags, prevFlags, nil, run).policy.SwitchEvents
 				switches += len(at)
-				if inc, ok := model.Adopt(model.Incidental(set, &tr, current, nil), rand.New(rand.NewSource(trialSeed))); ok && len(current) < maxCurrentPMCs {
+				if inc, ok := model.Adopt(model.Incidental(set, &tr, current), rand.New(rand.NewSource(trialSeed))); ok && len(current) < maxCurrentPMCs {
 					current = append(current, inc)
 					adopted++
 				}

@@ -123,6 +123,9 @@ func (r *Reader) Bytes(n int) []byte {
 	return v
 }
 
+// Len returns how many bytes are left unread.
+func (r *Reader) Len() int { return len(r.b) }
+
 // Done returns the latched error, or an error if bytes are left unread.
 func (r *Reader) Done() error {
 	if r.err == nil && len(r.b) > 0 {

@@ -101,6 +101,12 @@ var designRules = []designRule{
 		{"internal/core/worker.go", "\nvar second = sched.Explorer{}\n"},
 		{"cmd/sbexec/turn.go", "package main\n\nfunc keepTurn() {}\n"},
 	}},
+	{"one_template", oneTemplate, []mutation{
+		{"internal/core/local.go", "package core\n\nimport \"snowboard/internal/sched\"\n\nfunc localTemplate() sched.Explorer { return sched.Explorer{TrackSegments: true} }\n"},
+		{"internal/core/pipeline.go", "\nfunc (p *Pipeline) localExplorer() {}\n"},
+		{"internal/pmc/subset.go", "package pmc\n\nfunc NewSubset(s *Set) []uint64 { return nil }\n"},
+		{"internal/sched/explore.go", "\ntype Explorer struct{ Planned []int }\n"},
+	}},
 	{"one_identification_engine", oneIdentificationEngine, []mutation{
 		{"internal/pmc/engine.go", "package pmc\n\ntype writeRec struct{}\n"},
 		{"internal/pmc/pmc.go", "\nfunc IdentifyParallel() { identify() }\n"},
@@ -364,6 +370,34 @@ func oneDefinitionOfStage4(tr *tree) []string {
 	})
 	if len(lits) != 1 || tr.file(lits[0]) != home {
 		out = append(out, fmt.Sprintf("sched.Explorer literals in internal/core at %v, want one, in %s", sites(tr, lits), home))
+	}
+	return out
+}
+
+// Stage 4 explores every test with one template, whichever front door ran
+// it: in internal/core a sched.Explorer literal appears only in
+// stage4Explorer, and a local-only template (localExplorer), a subset of
+// planned PMCs (NewSubset) and the Explorer.Planned field it filled — which
+// let a local run adopt from what a queue worker could not — stay gone.
+func oneTemplate(tr *tree) []string {
+	core := tr.code("internal/core/*.go")
+	homes := funcs(core, "", "stage4Explorer")
+	var out []string
+	if len(homes) != 1 {
+		out = append(out, fmt.Sprintf("func stage4Explorer is declared at %v, want once in internal/core", sites(tr, homes)))
+	}
+	inspect(core, func(f *srcFile, n ast.Node) {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok || f.member(lit.Type, schedPath) != "Explorer" {
+			return
+		}
+		if !slices.ContainsFunc(homes, func(fd *ast.FuncDecl) bool { return fd.Pos() <= lit.Pos() && lit.End() <= fd.End() }) {
+			out = append(out, tr.at(lit, "a sched.Explorer literal outside stage4Explorer"))
+		}
+	})
+	out = append(out, tr.grep(tr.code(), "a second stage-4 template or a planned subset", true, "localExplorer", "NewSubset")...)
+	for _, ts := range typeSpecs(tr.code("internal/sched/*.go"), "Explorer") {
+		out = append(out, tr.fields(ts, "Planned")...)
 	}
 	return out
 }
