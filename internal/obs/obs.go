@@ -60,6 +60,7 @@ const (
 	MExecSteps       = "exec.steps"              // counter: VM events processed
 	MSchedTrials     = "sched.trials"            // counter: interleaving trials run
 	MSchedRepeated   = "sched.trials_repeated"   // counter: trials that repeated an earlier trial's schedule, their analysis replayed
+	MSchedPredicted  = "sched.trials_predicted"  // counter: repeated trials predicted from their draws, their guest not run either
 	MSchedSwitches   = "sched.switches"          // counter: induced preemptions
 	MSchedChannelHit = "sched.channel_hits"      // counter: hinted tests whose channel occurred
 	MSchedIncidental = "sched.incidental_adopts" // counter: incidental PMCs adopted (Alg. 2 l.26–27)

@@ -129,8 +129,10 @@ type scratch struct {
 	memo   trialMemo // the call's distinct schedules
 
 	// ran, set only by tests, is shown every trial's run as its guest
-	// stops: the trace is tr, the decision log the machine's.
-	ran func(exec.Result)
+	// stops: the trace is tr, the decision log the machine's. While it is
+	// set, a trial predicted from its draws still runs its guest, for ran
+	// alone, and ran is shown the key (nil for any other trial).
+	ran func(exec.Result, *memoKey)
 
 	// The Snowboard-mode trial scheduler.
 	policy SnowboardPolicy
@@ -192,7 +194,7 @@ func (sc *scratch) record(out *Outcome, trial int, issues []detect.Issue) (crash
 
 // Outcome summarizes the exploration of one concurrent test.
 type Outcome struct {
-	Trials         int  // trials actually executed
+	Trials         int  // trials explored, those predicted without a guest run included
 	Exercised      bool // the hinted memory channel occurred in ≥1 trial
 	ExercisedTrial int  // first trial where it occurred (-1 if never)
 	ExposedTrial   int  // first trial that surfaced an issue (-1 if none)
@@ -278,43 +280,62 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 
 	for trial := 0; trial < trials; trial++ {
 		trialSeed := x.Seed + int64(trial)
-		// policy is set in Snowboard mode only. preFlags is how many flags
-		// the trial started with: those it learns come after them.
+		// policy is set when a Snowboard-mode guest runs. preFlags is how
+		// many flags the trial started with: those it learns come after them.
 		var policy *SnowboardPolicy
-		preFlags := len(flags.list)
+		preFlags, prePMCs := len(flags.list), len(currentPMCs)
+		// A Snowboard trial whose draws are a key's is that key's trial.
+		var predicted *memoKey
 		rng.Seed(trialSeed)
+		if x.Mode == ModeSnowboard {
+			predicted = sc.memo.predict(rng, preFlags, prePMCs)
+			rng.Seed(trialSeed)
+		}
 		var res exec.Result
 		var switches int
-		switch x.Mode {
-		case ModeSKI:
-			p := NewSKIPolicy(rng, ct.Hint)
-			res = x.Env.RunPair(ct.Writer, ct.Reader, p, tr)
-			switches = p.Switches
-		case ModeRandomWalk:
-			p := NewRandomWalkPolicy(rng, 20)
-			res = x.Env.RunPair(ct.Writer, ct.Reader, p, tr)
-		default:
-			policy = &sc.policy
-			policy.reset(rng, currentPMCs, flags)
-			res = x.Env.RunPair(ct.Writer, ct.Reader, policy, tr)
-			switches = policy.Switches
+		if predicted == nil || sc.ran != nil {
+			switch x.Mode {
+			case ModeSKI:
+				p := NewSKIPolicy(rng, ct.Hint)
+				res = x.Env.RunPair(ct.Writer, ct.Reader, p, tr)
+				switches = p.Switches
+			case ModeRandomWalk:
+				p := NewRandomWalkPolicy(rng, 20)
+				res = x.Env.RunPair(ct.Writer, ct.Reader, p, tr)
+			default:
+				policy = &sc.policy
+				policy.reset(rng, currentPMCs, flags)
+				sc.memo.record(policy)
+				res = x.Env.RunPair(ct.Writer, ct.Reader, policy, tr)
+				switches = policy.Switches
+			}
+			x.Env.M.SetTrace(nil)
+			if sc.ran != nil {
+				sc.ran(res, predicted)
+			}
 		}
-		x.Env.M.SetTrace(nil)
-		if sc.ran != nil {
-			sc.ran(res)
+		if predicted != nil {
+			res.Steps, switches = predicted.steps, predicted.switches
 		}
 		out.Trials = trial + 1
 		out.Switches += switches
 		out.Steps += res.Steps
 		mTrials.Inc()
 		mSwitches.Add(int64(switches))
+		if predicted != nil {
+			// The trial's guest and analysis are both the key's trial's.
+			mPredicted.Inc()
+			sc.memo.replay(predicted.entry, segs)
+			continue
+		}
 		// Algorithm 2 lines 26–27 (below) read the trial's view.
 		adopt := !x.DisableIncidental && x.Mode == ModeSnowboard &&
 			x.KnownPMCs != nil && len(currentPMCs) < maxCurrentPMCs
-		if e := sc.memo.find(x.Env.M.Decisions()); e != nil {
+		entry := sc.memo.find(x.Env.M.Decisions())
+		if entry >= 0 {
 			// The trial made an earlier trial's decisions, so it ran as that
 			// one did: its analysis is replayed, not run.
-			sc.memo.replay(e, segs)
+			sc.memo.replay(entry, segs)
 			if adopt {
 				sc.view.Build(tr)
 			}
@@ -335,7 +356,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 			}
 			issues := sc.oracle.Analyze(in, x.Detect)
 			freshPairs, freshSegs, trialSegs := sc.walk.Fold(pairs, segs)
-			sc.memo.add(x.Env.M.Decisions(), trialSegs, issues)
+			entry = sc.memo.add(x.Env.M.Decisions(), trialSegs, issues)
 			out.NewCoverPairs += freshPairs
 			out.NewSegments += freshSegs
 
@@ -364,6 +385,10 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 				currentPMCs = append(currentPMCs, inc)
 				mIncidental.Inc()
 			}
+		}
+		if policy != nil && len(flags.list) == preFlags {
+			sc.memo.key(policy, memoKey{flags: preFlags, pmcs: prePMCs,
+				steps: res.Steps, switches: switches, entry: entry, trial: trial})
 		}
 	}
 	if segs != nil {

@@ -15,13 +15,30 @@ import (
 	"snowboard/internal/vm"
 )
 
-// ranTrial is what a trial's run leaves that its analysis reads.
+// ranTrial is what a trial's run leaves that its analysis reads, and the
+// preemptions the Snowboard policy counted (stale in the other modes).
 type ranTrial struct {
-	log            []vm.Decision
-	rows           []trace.Access
-	console, fsck  []string
-	hung, deadlock bool
-	steps          int
+	log             []vm.Decision
+	rows            []trace.Access
+	console, fsck   []string
+	hung, deadlock  bool
+	steps, switches int
+}
+
+// ranOf captures the run x's guest just made, for its scratch's observer.
+func ranOf(x *Explorer, res exec.Result) ranTrial {
+	tr := &x.scratch.tr
+	got := ranTrial{
+		log:     slices.Clone(x.Env.M.Decisions()),
+		console: res.Console,
+		fsck:    x.Env.K.FsckHost(),
+		hung:    res.Hung, deadlock: res.Deadlock,
+		steps: res.Steps, switches: x.scratch.policy.Switches,
+	}
+	for k := 0; k < tr.Len(); k++ {
+		got.rows = append(got.rows, tr.At(k))
+	}
+	return got
 }
 
 // TestEqualSchedulesEqualTrials guards the key of the explorer's trial memo
@@ -34,7 +51,9 @@ type ranTrial struct {
 // whose trials can crash the kernel, so that equal logs are checked on
 // crashed trials too. Each arm must meet such pairs often enough for the
 // check to mean something, and the memo must answer exactly the trials
-// that repeat an earlier one's decisions.
+// that repeat an earlier one's decisions: sched.trials_repeated counts a
+// trial predicted from its draws too, and under the observer that trial
+// still runs its guest, so it is checked like any other repeat.
 func TestEqualSchedulesEqualTrials(t *testing.T) {
 	all := detect.DefaultOptions()
 	arms := []memoArm{
@@ -94,19 +113,9 @@ func (arm *memoArm) explore(t *testing.T, env *exec.Env, set *pmc.Set, ct Concur
 		KnownPMCs: set, Coverage: cover.New(), TrackSegments: true,
 		Fsck: func() []string { return env.K.FsckHost() }}
 	var ran []ranTrial
-	x.scratchFor().ran = func(res exec.Result) {
+	x.scratchFor().ran = func(res exec.Result, _ *memoKey) {
 		arm.trials++
-		tr := &x.scratch.tr
-		got := ranTrial{
-			log:     slices.Clone(env.M.Decisions()),
-			console: res.Console,
-			fsck:    env.K.FsckHost(),
-			hung:    res.Hung, deadlock: res.Deadlock,
-			steps: res.Steps,
-		}
-		for k := 0; k < tr.Len(); k++ {
-			got.rows = append(got.rows, tr.At(k))
-		}
+		got := ranOf(x, res)
 		for k := range ran {
 			if slices.Equal(ran[k].log, got.log) {
 				if diff := ran[k].diff(&got); diff != "" {
@@ -142,4 +151,104 @@ func (r *ranTrial) diff(o *ranTrial) string {
 		return fmt.Sprintf("fsck (%q, %q)", r.fsck, o.fsck)
 	}
 	return ""
+}
+
+// TestEqualDrawsEqualTrials guards the memo's other key (memoKey): a
+// Snowboard trial whose reseeded rng draws a key's outcomes — start pick and
+// switch coins — from the key's flag count and PMC-set size is counted as
+// the key's trial without running its guest, so it must be that trial. With
+// an observer set, a predicted trial runs its guest anyway, and the run must
+// equal its key trial's in decision log, trace rows, console, fsck, Hung,
+// Deadlock, Steps and Switches, and the key must hold those Steps and
+// Switches. The arms are the real tests of two seeds with every oracle on,
+// each with no PMC to adopt (as on hunt's spec, where every cluster has its
+// own test) and together adopting from the whole set, so that the set under
+// test grows; and the Figure 1 test with the console oracle off, whose
+// trials can crash the kernel. Each arm must predict often enough for the
+// check to mean something, and the counter must count exactly the
+// predicted trials.
+func TestEqualDrawsEqualTrials(t *testing.T) {
+	all := detect.DefaultOptions()
+	adopting := &drawArm{name: "seeds 3 and 7, adopting", opts: all, floor: 8}
+	var arms []*drawArm
+	for _, seed := range []int64{3, 7} {
+		arm := &drawArm{name: fmt.Sprintf("seed %d", seed), opts: all, floor: map[int64]int{3: 300, 7: 200}[seed]}
+		env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+		set, tests := realTests(t, env, seed)
+		for i, ct := range tests {
+			arm.explore(t, env, nil, ct, seed*1000+int64(i))
+			adopting.explore(t, env, set, ct, seed*1000+int64(i))
+		}
+		env.Close()
+		arms = append(arms, arm)
+	}
+	figure1 := &drawArm{name: "figure 1, console oracle off", opts: detect.Options{Races: true, TornReads: true},
+		trialsPerTest: 64, floor: 500, eventfulFloor: 5}
+	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+	_, hint := identifyL2TP(t, env)
+	ct := ConcurrentTest{Writer: l2tpWriterProg(), Reader: l2tpReaderProg(), Hint: &hint}
+	for seed := int64(1); seed <= 40; seed++ {
+		figure1.explore(t, env, nil, ct, seed)
+	}
+	env.Close()
+	for _, arm := range append(arms, adopting, figure1) {
+		t.Logf("%s: %d trials, %d predicted from their draws and checked against their key's, %d of them with console or fsck lines, hung or deadlocked",
+			arm.name, arm.trials, arm.predicted, arm.eventful)
+		if arm.predicted < arm.floor || arm.eventful < arm.eventfulFloor {
+			t.Errorf("%s: %d predicted trials (%d eventful) checked, want at least %d (%d)",
+				arm.name, arm.predicted, arm.eventful, arm.floor, arm.eventfulFloor)
+		}
+		if arm.counted != arm.predicted {
+			t.Errorf("%s: sched.trials_predicted counted %d trials, but %d were predicted", arm.name, arm.counted, arm.predicted)
+		}
+	}
+}
+
+// drawArm is one exploration setting of TestEqualDrawsEqualTrials and its
+// tally.
+type drawArm struct {
+	name          string
+	opts          detect.Options
+	trialsPerTest int // 0: 24
+
+	floor, eventfulFloor        int // predicted trials the arm must check, and of them eventful ones
+	trials, predicted, eventful int
+	counted                     int // sched.trials_predicted
+}
+
+// explore runs ct's trials in Snowboard mode, adopting from known, and
+// compares each predicted trial's run with its key trial's.
+func (arm *drawArm) explore(t *testing.T, env *exec.Env, known *pmc.Set, ct ConcurrentTest, seed int64) {
+	x := &Explorer{Env: env, Trials: cmp.Or(arm.trialsPerTest, 24), Seed: seed, Mode: ModeSnowboard, Detect: arm.opts,
+		KnownPMCs: known, Coverage: cover.New(), TrackSegments: true,
+		Fsck: func() []string { return env.K.FsckHost() }}
+	var ran []ranTrial
+	x.scratchFor().ran = func(res exec.Result, k *memoKey) {
+		arm.trials++
+		got := ranOf(x, res)
+		if k != nil {
+			key := &ran[k.trial]
+			switch {
+			case !slices.Equal(key.log, got.log):
+				t.Fatalf("%s, seed %d: trial %d drew trial %d's outcomes but made other decisions (%d, %d of them)",
+					arm.name, seed, len(ran), k.trial, len(key.log), len(got.log))
+			case key.switches != got.switches || k.switches != got.switches:
+				t.Fatalf("%s, seed %d: trial %d drew trial %d's outcomes but switched %d times, that trial %d, its key %d",
+					arm.name, seed, len(ran), k.trial, got.switches, key.switches, k.switches)
+			case k.steps != got.steps:
+				t.Fatalf("%s, seed %d: trial %d took %d steps, its key holds %d", arm.name, seed, len(ran), got.steps, k.steps)
+			}
+			if diff := key.diff(&got); diff != "" {
+				t.Fatalf("%s, seed %d: trial %d drew trial %d's outcomes but differs in %s", arm.name, seed, len(ran), k.trial, diff)
+			}
+			arm.predicted++
+			if len(got.console)+len(got.fsck) > 0 || got.hung || got.deadlock {
+				arm.eventful++
+			}
+		}
+		ran = append(ran, got)
+	}
+	predicted := mPredicted.Value()
+	x.Explore(ct)
+	arm.counted += int(mPredicted.Value() - predicted)
 }

@@ -54,9 +54,9 @@ func pickOther(m *vm.Machine, cur *vm.Thread) *vm.Thread {
 	return nil
 }
 
-// pickNext is the Pick of the policies that decide in OnAccess: a thread
-// drawn from rng to start with, then the other one whenever the running one
-// stops or OnAccess asked for a preemption.
+// pickNext is the Pick of the baseline policies, which decide in OnAccess:
+// a thread drawn from rng to start with, then the other one whenever the
+// running one stops or OnAccess asked for a preemption.
 func pickNext(rng *rand.Rand, m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
 	if ev.Kind != vm.EvStart {
 		return pickOther(m, last)
@@ -109,6 +109,13 @@ type SnowboardPolicy struct {
 
 	// Switches counts induced preemptions, for reporting.
 	Switches int
+
+	// draws, when set (by the explorer, after reset), receives the
+	// outcomes of the trial's rng draws, for its memo: the start pick's
+	// index among starts runnable threads, then each switch coin's outcome.
+	// Nothing else draws during a run.
+	draws  *[]uint8
+	starts int
 }
 
 // reset makes p the scheduler of a new trial, keeping only its storage: an
@@ -166,12 +173,12 @@ func (p *SnowboardPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo)
 			if a.Prev.Size != 0 && p.flags.add(sig{addr: a.Prev.Addr, ins: a.Prev.Ins, kind: a.Prev.Kind, size: a.Prev.Size}) {
 				p.watch.Sites.Add(a.Prev.Ins, a.Prev.Addr)
 			}
-			doSwitch = p.rng.Intn(switchDenom) == 0
+			doSwitch = p.coin()
 		} else if p.flags.fire(s) {
 			// pmc_access_coming: the next access is likely a PMC access.
 			// Each flag fires once per trial; many flags are on hot
 			// allocator sites and would otherwise thrash the schedule.
-			doSwitch = p.rng.Intn(switchDenom) == 0
+			doSwitch = p.coin()
 		}
 	}
 	if p.nextFlip < len(p.FlipAt) && p.FlipAt[p.nextFlip] == a.Index {
@@ -192,15 +199,48 @@ func (p *SnowboardPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo)
 	return doSwitch
 }
 
+// startOutcome and coinOutcome make the draws of a Snowboard trial and
+// return what decides: the start pick's index among starts threads, and
+// whether a switch coin asks for a switch (1) or not (0) — never the value
+// drawn, which would tell apart trials that decide alike.
+func startOutcome(rng *rand.Rand, starts int) uint8 { return uint8(rng.Intn(starts)) }
+
+func coinOutcome(rng *rand.Rand) uint8 {
+	if rng.Intn(switchDenom) == 0 {
+		return 1
+	}
+	return 0
+}
+
+// coin tosses a switch coin.
+func (p *SnowboardPolicy) coin() bool {
+	return p.logDraw(coinOutcome(p.rng)) == 1
+}
+
+// logDraw logs a draw's outcome, if draws is set, and returns it.
+func (p *SnowboardPolicy) logDraw(o uint8) uint8 {
+	if p.draws != nil {
+		*p.draws = append(*p.draws, o)
+	}
+	return o
+}
+
 // Pick implements vm.Scheduler. Accesses reach it only when OnAccess asked
 // for a preemption; any other event is the running thread stopping by
-// itself, which restarts the liveness window.
+// itself, which restarts the liveness window. Run asks for the start pick
+// only when a thread is runnable.
 func (p *SnowboardPolicy) Pick(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
-	if ev.Kind != vm.EvStart && ev.Kind != vm.EvAccess {
+	switch ev.Kind {
+	case vm.EvStart:
+		runnable := m.Runnable()
+		p.starts = len(runnable)
+		return runnable[p.logDraw(startOutcome(p.rng, p.starts))]
+	case vm.EvAccess:
+	default:
 		p.streakStart = m.AccessIndex()
 		p.arm()
 	}
-	return pickNext(p.rng, m, last, ev)
+	return pickOther(m, last)
 }
 
 // everyAccess, the zero Watch, is the baseline policies': they draw or count
