@@ -131,7 +131,8 @@ type scratch struct {
 	// ran, set only by tests, is shown every trial's run as its guest
 	// stops: the trace is tr, the decision log the machine's. While it is
 	// set, a trial predicted from its draws still runs its guest, for ran
-	// alone, and ran is shown the key (nil for any other trial).
+	// alone, and ran is shown the key as predict returned it, with the
+	// trial's own Switches (nil for any other trial).
 	ran func(exec.Result, *memoKey)
 
 	// The Snowboard-mode trial scheduler.
@@ -284,7 +285,8 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 		// many flags the trial started with: those it learns come after them.
 		var policy *SnowboardPolicy
 		preFlags, prePMCs := len(flags.list), len(currentPMCs)
-		// A Snowboard trial whose draws are a key's is that key's trial.
+		// A Snowboard trial whose decisive draws are a key's is that key's
+		// trial, but for the switches its solo coins ask for.
 		var predicted *memoKey
 		rng.Seed(trialSeed)
 		if x.Mode == ModeSnowboard {

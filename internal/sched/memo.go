@@ -41,7 +41,13 @@ var (
 // state: the same snapshot, programs, flags and PMCs under test, hence the
 // same draw points with the same ranges, and by induction over the draws
 // the same run (DESIGN row 68). Such a trial adopts nothing either: the
-// key's own adoption step, under the same PMCs, found none.
+// key's own adoption step, under the same PMCs, found none. Only a key's
+// decisive outcomes must match — the start pick and the coins tossed while
+// another thread could run. A solo coin (soloDraw) keeps the running thread
+// whatever it says, so it can only move Switches and the liveness window;
+// a key whose trial ran fewer than livenessWindow steps cannot have been
+// forced, nor can a trial that runs as it does, and only such a key leaves
+// its solo coins unmatched.
 type trialMemo struct {
 	decisions []vm.Decision   // the entries' logs, back to back
 	segs      []cover.Segment // the entries' segments, back to back
@@ -52,6 +58,7 @@ type trialMemo struct {
 	trial  []uint8 // the running trial's draw outcomes, as its policy logs them
 	starts int     // the runnable threads a trial's start pick draws among: one machine state, one count
 	next   []uint8 // the next trial's draw outcomes, as far as predict has drawn them
+	hit    memoKey // the key predict matched, with the predicted trial's own Switches
 }
 
 // memoEntry is one kept trial: its log and segments as ranges of the memo's
@@ -62,9 +69,10 @@ type memoEntry struct {
 }
 
 // memoKey is one keyed trial: its draw outcomes as a range of the memo's
-// storage, the state it started in, its own Steps and Switches (a coin that
-// asks for a switch once the other thread has exited is not in the decision
-// log, so a trial of equal log may switch more), and the entry it made or
+// storage, solo coins marked unless its Steps reach livenessWindow, the
+// state it started in, its own Steps, its Switches less those its marked
+// solo coins asked for (a solo switch is not in the decision log, so a
+// trial of equal log may switch more or less), and the entry it made or
 // matched.
 type memoKey struct {
 	c0, c1          int
@@ -117,28 +125,44 @@ func (m *trialMemo) record(p *SnowboardPolicy) {
 // holds all but its draw outcomes, which p logged.
 func (m *trialMemo) key(p *SnowboardPolicy, k memoKey) {
 	k.c0, m.starts = len(m.draws), p.starts
-	m.draws = append(m.draws, m.trial...)
+	for _, o := range m.trial {
+		switch {
+		case k.steps >= livenessWindow:
+			o &^= soloDraw // a liveness force may hang on it: matched exactly
+		case o == soloDraw|1:
+			k.switches--
+		}
+		m.draws = append(m.draws, o)
+	}
 	k.c1 = len(m.draws)
 	m.keys = append(m.keys, k)
 }
 
 // predict returns the key of the trial that a trial starting with flags
-// flags and pmcs PMCs under test, its rng seeded, would repeat, or nil. It
-// draws the trial's outcomes from rng once, as far as a key needs them.
+// flags and pmcs PMCs under test, its rng seeded, would repeat, or nil.
+// The key returned holds the trial's own Switches: the key's decisive ones
+// and those the trial's solo coins ask for. It draws the trial's outcomes
+// from rng once, as far as a key needs them.
 func (m *trialMemo) predict(rng *rand.Rand, flags, pmcs int) *memoKey {
 	m.next = m.next[:0]
 	for i := range m.keys {
 		k := &m.keys[i]
-		if k.flags == flags && k.pmcs == pmcs && m.drawsAs(rng, m.draws[k.c0:k.c1]) {
-			return k
+		if k.flags != flags || k.pmcs != pmcs {
+			continue
+		}
+		if solo, ok := m.drawsAs(rng, m.draws[k.c0:k.c1]); ok {
+			m.hit = *k
+			m.hit.switches += solo
+			return &m.hit
 		}
 	}
 	return nil
 }
 
-// drawsAs reports whether the next trial's outcomes are out, drawing more
-// of them from rng as the comparison reaches them.
-func (m *trialMemo) drawsAs(rng *rand.Rand, out []uint8) bool {
+// drawsAs reports whether the next trial's outcomes are out at its decisive
+// draws, and how many of its solo coins ask for a switch, drawing more of
+// its outcomes from rng as the comparison reaches them.
+func (m *trialMemo) drawsAs(rng *rand.Rand, out []uint8) (solo int, ok bool) {
 	for i, o := range out {
 		switch {
 		case i < len(m.next):
@@ -147,11 +171,14 @@ func (m *trialMemo) drawsAs(rng *rand.Rand, out []uint8) bool {
 		default:
 			m.next = append(m.next, coinOutcome(rng))
 		}
-		if m.next[i] != o {
-			return false
+		switch {
+		case o&soloDraw != 0:
+			solo += int(m.next[i])
+		case m.next[i] != o:
+			return 0, false
 		}
 	}
-	return true
+	return solo, true
 }
 
 // replay counts a repeat of entry i's trial as its analysis would have: one

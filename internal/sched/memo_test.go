@@ -3,6 +3,7 @@ package sched
 import (
 	"cmp"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -16,13 +17,15 @@ import (
 )
 
 // ranTrial is what a trial's run leaves that its analysis reads, and the
-// preemptions the Snowboard policy counted (stale in the other modes).
+// preemptions the Snowboard policy counted and the draws it logged (stale in
+// the other modes).
 type ranTrial struct {
 	log             []vm.Decision
 	rows            []trace.Access
 	console, fsck   []string
 	hung, deadlock  bool
 	steps, switches int
+	draws           []uint8
 }
 
 // ranOf captures the run x's guest just made, for its scratch's observer.
@@ -34,6 +37,7 @@ func ranOf(x *Explorer, res exec.Result) ranTrial {
 		fsck:    x.Env.K.FsckHost(),
 		hung:    res.Hung, deadlock: res.Deadlock,
 		steps: res.Steps, switches: x.scratch.policy.Switches,
+		draws: slices.Clone(x.scratch.memo.trial),
 	}
 	for k := 0; k < tr.Len(); k++ {
 		got.rows = append(got.rows, tr.At(k))
@@ -154,25 +158,32 @@ func (r *ranTrial) diff(o *ranTrial) string {
 }
 
 // TestEqualDrawsEqualTrials guards the memo's other key (memoKey): a
-// Snowboard trial whose reseeded rng draws a key's outcomes — start pick and
-// switch coins — from the key's flag count and PMC-set size is counted as
-// the key's trial without running its guest, so it must be that trial. With
-// an observer set, a predicted trial runs its guest anyway, and the run must
-// equal its key trial's in decision log, trace rows, console, fsck, Hung,
-// Deadlock, Steps and Switches, and the key must hold those Steps and
-// Switches. The arms are the real tests of two seeds with every oracle on,
-// each with no PMC to adopt (as on hunt's spec, where every cluster has its
-// own test) and together adopting from the whole set, so that the set under
-// test grows; and the Figure 1 test with the console oracle off, whose
-// trials can crash the kernel. Each arm must predict often enough for the
+// Snowboard trial whose reseeded rng draws a key's decisive outcomes — start
+// pick and the switch coins tossed while another thread could run — from
+// the key's flag count and PMC-set size is counted as the key's trial
+// without running its guest, so it must be that trial. With an observer
+// set, a predicted trial runs its guest anyway, and the run must equal its
+// key trial's in decision log, trace rows, console, fsck, Hung, Deadlock
+// and Steps, and the key must hold those Steps. Its Switches must be the
+// count predict derived: the key's decisive switches and those its own solo
+// coins asked for, which may differ from the key trial's. Its draws must be
+// the key trial's at the same points, marked solo alike, and equal at every
+// decisive one, and at every solo one too if the key trial ran
+// livenessWindow steps. The arms are the real tests of two seeds with every
+// oracle on, each with no PMC to adopt (as on hunt's spec, where every
+// cluster has its own test) and together adopting from the whole set, so
+// that the set under test grows; and the Figure 1 test with the console
+// oracle off, whose trials can crash the kernel. Each arm must predict often
+// enough, and often enough with solo outcomes other than its key's, for the
 // check to mean something, and the counter must count exactly the
 // predicted trials.
 func TestEqualDrawsEqualTrials(t *testing.T) {
 	all := detect.DefaultOptions()
-	adopting := &drawArm{name: "seeds 3 and 7, adopting", opts: all, floor: 8}
+	adopting := &drawArm{name: "seeds 3 and 7, adopting", opts: all, floor: 139, soloFloor: 80}
 	var arms []*drawArm
 	for _, seed := range []int64{3, 7} {
-		arm := &drawArm{name: fmt.Sprintf("seed %d", seed), opts: all, floor: map[int64]int{3: 300, 7: 200}[seed]}
+		arm := &drawArm{name: fmt.Sprintf("seed %d", seed), opts: all,
+			floor: map[int64]int{3: 565, 7: 477}[seed], soloFloor: map[int64]int{3: 90, 7: 120}[seed]}
 		env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 		set, tests := realTests(t, env, seed)
 		for i, ct := range tests {
@@ -183,7 +194,7 @@ func TestEqualDrawsEqualTrials(t *testing.T) {
 		arms = append(arms, arm)
 	}
 	figure1 := &drawArm{name: "figure 1, console oracle off", opts: detect.Options{Races: true, TornReads: true},
-		trialsPerTest: 64, floor: 500, eventfulFloor: 5}
+		trialsPerTest: 64, floor: 1329, soloFloor: 450, eventfulFloor: 5}
 	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 	_, hint := identifyL2TP(t, env)
 	ct := ConcurrentTest{Writer: l2tpWriterProg(), Reader: l2tpReaderProg(), Hint: &hint}
@@ -192,11 +203,11 @@ func TestEqualDrawsEqualTrials(t *testing.T) {
 	}
 	env.Close()
 	for _, arm := range append(arms, adopting, figure1) {
-		t.Logf("%s: %d trials, %d predicted from their draws and checked against their key's, %d of them with console or fsck lines, hung or deadlocked",
-			arm.name, arm.trials, arm.predicted, arm.eventful)
-		if arm.predicted < arm.floor || arm.eventful < arm.eventfulFloor {
-			t.Errorf("%s: %d predicted trials (%d eventful) checked, want at least %d (%d)",
-				arm.name, arm.predicted, arm.eventful, arm.floor, arm.eventfulFloor)
+		t.Logf("%s: %d trials, %d predicted from their draws and checked against their key's, %d of them with other solo outcomes, %d with console or fsck lines, hung or deadlocked; longest key trial %d steps",
+			arm.name, arm.trials, arm.predicted, arm.solo, arm.eventful, arm.longest)
+		if arm.predicted < arm.floor || arm.solo < arm.soloFloor || arm.eventful < arm.eventfulFloor {
+			t.Errorf("%s: %d predicted trials (%d with other solo outcomes, %d eventful) checked, want at least %d (%d, %d)",
+				arm.name, arm.predicted, arm.solo, arm.eventful, arm.floor, arm.soloFloor, arm.eventfulFloor)
 		}
 		if arm.counted != arm.predicted {
 			t.Errorf("%s: sched.trials_predicted counted %d trials, but %d were predicted", arm.name, arm.counted, arm.predicted)
@@ -211,9 +222,12 @@ type drawArm struct {
 	opts          detect.Options
 	trialsPerTest int // 0: 24
 
-	floor, eventfulFloor        int // predicted trials the arm must check, and of them eventful ones
-	trials, predicted, eventful int
-	counted                     int // sched.trials_predicted
+	// predicted trials the arm must check, of them those whose solo
+	// outcomes differ from their key's, and eventful ones
+	floor, soloFloor, eventfulFloor   int
+	trials, predicted, solo, eventful int
+	longest                           int // the most steps a predicted trial's key took
+	counted                           int // sched.trials_predicted
 }
 
 // explore runs ct's trials in Snowboard mode, adopting from known, and
@@ -228,12 +242,16 @@ func (arm *drawArm) explore(t *testing.T, env *exec.Env, known *pmc.Set, ct Conc
 		got := ranOf(x, res)
 		if k != nil {
 			key := &ran[k.trial]
+			ok, solo := drawsMatch(key.draws, got.draws, key.steps >= livenessWindow)
 			switch {
 			case !slices.Equal(key.log, got.log):
 				t.Fatalf("%s, seed %d: trial %d drew trial %d's outcomes but made other decisions (%d, %d of them)",
 					arm.name, seed, len(ran), k.trial, len(key.log), len(got.log))
-			case key.switches != got.switches || k.switches != got.switches:
-				t.Fatalf("%s, seed %d: trial %d drew trial %d's outcomes but switched %d times, that trial %d, its key %d",
+			case !ok:
+				t.Fatalf("%s, seed %d: trial %d was predicted from trial %d's draws, but drew %v against %v",
+					arm.name, seed, len(ran), k.trial, got.draws, key.draws)
+			case k.switches != got.switches:
+				t.Fatalf("%s, seed %d: trial %d drew trial %d's outcomes but switched %d times, that trial %d, the explorer derived %d",
 					arm.name, seed, len(ran), k.trial, got.switches, key.switches, k.switches)
 			case k.steps != got.steps:
 				t.Fatalf("%s, seed %d: trial %d took %d steps, its key holds %d", arm.name, seed, len(ran), got.steps, k.steps)
@@ -242,6 +260,8 @@ func (arm *drawArm) explore(t *testing.T, env *exec.Env, known *pmc.Set, ct Conc
 				t.Fatalf("%s, seed %d: trial %d drew trial %d's outcomes but differs in %s", arm.name, seed, len(ran), k.trial, diff)
 			}
 			arm.predicted++
+			arm.solo += btoi(solo)
+			arm.longest = max(arm.longest, key.steps)
 			if len(got.console)+len(got.fsck) > 0 || got.hung || got.deadlock {
 				arm.eventful++
 			}
@@ -251,4 +271,91 @@ func (arm *drawArm) explore(t *testing.T, env *exec.Env, known *pmc.Set, ct Conc
 	predicted := mPredicted.Value()
 	x.Explore(ct)
 	arm.counted += int(mPredicted.Value() - predicted)
+}
+
+// TestLongKeysMatchSoloCoins forces what no trial of the arms above does: a
+// key trial that runs a liveness window out. Thread 0 takes a lock and
+// yields, thread 1 blocks on it, and thread 0's PMC access tosses a coin
+// while no other thread can run. Whether that solo coin asks for a switch
+// moves the start of the window by one access, so the liveness force that
+// lets thread 1 back in lands one access apart: trials whose decisive draws
+// agree run differently. So such a key must match its solo coins too. Under
+// the explorer's memo loop, every trial predicted must run as its key trial
+// did, and trials that differ from a long key's only at solo coins, and run
+// differently, must occur.
+func TestLongKeysMatchSoloCoins(t *testing.T) {
+	const lock = uint64(scriptData + 0x800)
+	hint := scriptHint()
+	sc := script{
+		{{op: 'l', ins: insLock, addr: lock}, {op: 'y'}, store(hint.Write.Ins, hint.Write.Addr),
+			{op: 'u', ins: insLock, addr: lock}, load(insFiller, scriptData+0x300).times(livenessWindow + 10)},
+		{{op: 'l', ins: insLock, addr: lock}, {op: 'u', ins: insLock, addr: lock}},
+	}
+	type run struct {
+		rows     []trace.Access
+		draws    []uint8
+		switches int
+	}
+	var memo trialMemo
+	var keyed []run
+	flags := &flagSet{}
+	predicted, apart := 0, 0
+	for seed := int64(0); seed < 64; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pre := len(flags.list)
+		k := memo.predict(rng, pre, 1)
+		rng.Seed(seed)
+		p := &SnowboardPolicy{}
+		p.reset(rng, []pmc.PMC{hint}, flags)
+		memo.record(p)
+		tr, err := sc.run(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := run{draws: slices.Clone(memo.trial), switches: p.Switches}
+		for i := 0; i < tr.Len(); i++ {
+			got.rows = append(got.rows, tr.At(i))
+		}
+		if k != nil {
+			if key := &keyed[k.trial]; !slices.Equal(key.rows, got.rows) || k.switches != got.switches {
+				t.Fatalf("seed %d: predicted from key %d's draws %v, drew %v and ran otherwise (%d switches, derived %d)",
+					seed, k.trial, key.draws, got.draws, got.switches, k.switches)
+			}
+			predicted++
+			continue
+		}
+		for _, key := range keyed {
+			if ok, solo := drawsMatch(key.draws, got.draws, false); ok && solo && !slices.Equal(key.rows, got.rows) {
+				apart++
+			}
+		}
+		if len(flags.list) == pre {
+			memo.key(p, memoKey{flags: pre, pmcs: 1, steps: tr.Len(), switches: p.Switches, trial: len(keyed)})
+			keyed = append(keyed, got)
+		}
+	}
+	t.Logf("%d keys, %d trials predicted, %d trials apart from a key only at solo coins that ran otherwise", len(keyed), predicted, apart)
+	if predicted == 0 || apart == 0 {
+		t.Fatal("the case lost its teeth")
+	}
+}
+
+// drawsMatch compares a predicted trial's logged draws with its key
+// trial's: the same number, marked solo alike, and equal at every decisive
+// one, and at every solo one too when exact. It also reports whether some
+// solo outcome differs.
+func drawsMatch(key, got []uint8, exact bool) (ok, soloDiffers bool) {
+	if len(key) != len(got) {
+		return false, false
+	}
+	for i, o := range key {
+		switch {
+		case o == got[i]:
+		case o&soloDraw == 0 || got[i]&soloDraw == 0 || exact:
+			return false, false
+		default:
+			soloDiffers = true
+		}
+	}
+	return true, soloDiffers
 }

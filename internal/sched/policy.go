@@ -112,8 +112,9 @@ type SnowboardPolicy struct {
 
 	// draws, when set (by the explorer, after reset), receives the
 	// outcomes of the trial's rng draws, for its memo: the start pick's
-	// index among starts runnable threads, then each switch coin's outcome.
-	// Nothing else draws during a run.
+	// index among starts runnable threads, then each switch coin's outcome,
+	// marked soloDraw when no other thread could run. Nothing else draws
+	// during a run.
 	draws  *[]uint8
 	starts int
 }
@@ -173,12 +174,12 @@ func (p *SnowboardPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo)
 			if a.Prev.Size != 0 && p.flags.add(sig{addr: a.Prev.Addr, ins: a.Prev.Ins, kind: a.Prev.Kind, size: a.Prev.Size}) {
 				p.watch.Sites.Add(a.Prev.Ins, a.Prev.Addr)
 			}
-			doSwitch = p.coin()
+			doSwitch = p.coin(m, t)
 		} else if p.flags.fire(s) {
 			// pmc_access_coming: the next access is likely a PMC access.
 			// Each flag fires once per trial; many flags are on hot
 			// allocator sites and would otherwise thrash the schedule.
-			doSwitch = p.coin()
+			doSwitch = p.coin(m, t)
 		}
 	}
 	if p.nextFlip < len(p.FlipAt) && p.FlipAt[p.nextFlip] == a.Index {
@@ -212,9 +213,18 @@ func coinOutcome(rng *rand.Rand) uint8 {
 	return 0
 }
 
-// coin tosses a switch coin.
-func (p *SnowboardPolicy) coin() bool {
-	return p.logDraw(coinOutcome(p.rng)) == 1
+// soloDraw marks a logged coin as solo: it was tossed while no thread but
+// the running one t was runnable (pickOther(m, t) == t), so a switch it asks
+// for keeps running t and changes only streakStart and Switches.
+const soloDraw uint8 = 0x80
+
+// coin tosses a switch coin for t's access.
+func (p *SnowboardPolicy) coin(m *vm.Machine, t *vm.Thread) bool {
+	o := coinOutcome(p.rng)
+	if p.draws != nil && pickOther(m, t) == t {
+		o |= soloDraw
+	}
+	return p.logDraw(o)&1 == 1
 }
 
 // logDraw logs a draw's outcome, if draws is set, and returns it.

@@ -269,7 +269,10 @@ func TestSelectNthEqualsSort(t *testing.T) {
 // its own count of the accesses it has seen — kept (identifiers prefixed) as
 // the differential oracle of the flag set, the flip cursor and the watch.
 // One thing is not as it was: a thread's previous access is kept per thread
-// id in a map, where an array of 16 silently stopped tracking wider ids.
+// id in a map, where an array of 16 silently stopped tracking wider ids. One
+// thing is new: it logs its draws as the explorer's policy does for the
+// memo, each coin marked solo when its own scan of the runnable threads
+// finds none but the accessing one.
 type prevPolicy struct {
 	rng          *rand.Rand
 	current      []sig
@@ -282,6 +285,7 @@ type prevPolicy struct {
 	switchEvents []int
 	accessIndex  int
 	switches     int
+	draws        []uint8
 }
 
 func newPrevPolicy(rng *rand.Rand, currentPMCs []pmc.PMC, flags map[sig]bool, flips []int) *prevPolicy {
@@ -316,10 +320,10 @@ func (p *prevPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo) bool
 				p.flags[f] = true
 				p.flagIns[f.ins] = true
 			}
-			doSwitch = p.rng.Intn(switchDenom) == 0
+			doSwitch = p.coin(m, t)
 		} else if p.flagIns[s.ins] && p.flags[s] && !p.fired[s] {
 			p.fired[s] = true
-			doSwitch = p.rng.Intn(switchDenom) == 0
+			doSwitch = p.coin(m, t)
 		}
 		p.last[t.ID] = s
 	}
@@ -339,6 +343,21 @@ func (p *prevPolicy) OnAccess(m *vm.Machine, t *vm.Thread, a vm.AccessInfo) bool
 	return false
 }
 
+// coin tosses a switch coin for t's access and logs it.
+func (p *prevPolicy) coin(m *vm.Machine, t *vm.Thread) bool {
+	doSwitch := p.rng.Intn(switchDenom) == 0
+	o := uint8(btoi(doSwitch))
+	solo := true
+	for _, u := range m.Runnable() {
+		solo = solo && u == t
+	}
+	if solo {
+		o |= soloDraw
+	}
+	p.draws = append(p.draws, o)
+	return doSwitch
+}
+
 func (p *prevPolicy) Pick(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Thread {
 	switch ev.Kind {
 	case vm.EvStart:
@@ -346,7 +365,9 @@ func (p *prevPolicy) Pick(m *vm.Machine, last *vm.Thread, ev vm.Event) *vm.Threa
 		if len(runnable) == 0 {
 			return nil
 		}
-		return runnable[p.rng.Intn(len(runnable))]
+		i := p.rng.Intn(len(runnable))
+		p.draws = append(p.draws, uint8(i))
+		return runnable[i]
 	case vm.EvBlocked, vm.EvDone, vm.EvFault, vm.EvYield:
 		p.streak = 0
 	}
@@ -379,13 +400,15 @@ type pairResult struct {
 	policy *SnowboardPolicy
 	flags  *flagSet // the set the trial ran on: the caller's, or its own if it had flips
 	draws  int
+	solo   int // coins logged solo
 }
 
 // policyPair runs one trial under SnowboardPolicy, shown what it watches,
 // and under prevPolicy, shown everything, each on its own flags and its own
 // rng of one seed, and fails unless both induced the same preemptions, drew
-// from the rng equally often, left the same flags and would record the same
-// ReproState for the next trial. run drives a scheduler through the trial. A
+// from the rng equally often and with the same logged outcomes, solo marks
+// included, left the same flags and would record the same ReproState for
+// the next trial. run drives a scheduler through the trial. A
 // trial with flips is set up the way a replayed one is — by loadState, on a
 // flag set of its own filled from the state — and leaves the caller's flags
 // alone.
@@ -403,6 +426,8 @@ func policyPair(t *testing.T, what string, seed int64, pmcs []pmc.PMC, flags *fl
 		policy.loadState(st, rng, flags)
 	}
 	policy.RecordSwitches = true
+	var draws []uint8
+	policy.draws = &draws
 	run(policy)
 	prev := newPrevPolicy(prevRng, pmcs, prevFlags, flips)
 	run(prev)
@@ -412,6 +437,9 @@ func policyPair(t *testing.T, what string, seed int64, pmcs []pmc.PMC, flags *fl
 	if src.draws != prevSrc.draws {
 		t.Fatalf("%s: %d rng draws, the map policy %d", what, src.draws, prevSrc.draws)
 	}
+	if !slices.Equal(draws, prev.draws) {
+		t.Fatalf("%s: logged draws %v, the map policy's %v", what, draws, prev.draws)
+	}
 	if len(flags.list) != len(prevFlags) || slices.ContainsFunc(flags.list, func(f sig) bool { return !prevFlags[f] }) {
 		t.Fatalf("%s: flags %v, the map policy's %v", what, flags.list, prevFlags)
 	}
@@ -420,17 +448,21 @@ func policyPair(t *testing.T, what string, seed int64, pmcs []pmc.PMC, flags *fl
 	if !bytes.Equal(state, prevState) {
 		t.Fatalf("%s: the next trial's ReproState\n%s\nfrom the map policy's flags\n%s", what, state, prevState)
 	}
-	return pairResult{policy, flags, src.draws}
+	solo := 0
+	for _, o := range draws {
+		solo += btoi(o&soloDraw != 0)
+	}
+	return pairResult{policy, flags, src.draws, solo}
 }
 
 // TestPolicyEqualsMapPolicy: SnowboardPolicy, asked only about the accesses
 // it watches, must schedule exactly as the map-probing policy asked about
-// every access — over real tests of two seeds, trial after trial on flags
+// every access, and log the same draws for the memo, solo marks included — over real tests of two seeds, trial after trial on flags
 // that persist and a PMC set that grows by adoption, in trials that replay
 // the last one with decisions flipped on and off the watched accesses and
 // past the end of the trial, and through the scripted cases of watch_test.go.
 func TestPolicyEqualsMapPolicy(t *testing.T) {
-	var switches, learned, flipped, adopted, offWatch int
+	var switches, learned, flipped, adopted, offWatch, solo int
 	for _, seed := range []int64{3, 7} {
 		env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 		set, tests := realTests(t, env, seed)
@@ -441,8 +473,10 @@ func TestPolicyEqualsMapPolicy(t *testing.T) {
 			run := func(s trialScheduler) { env.RunPair(ct.Writer, ct.Reader, s, &tr) }
 			for trial := 0; trial < 8; trial++ {
 				trialSeed := seed*1000 + int64(i)*10 + int64(trial)
-				at := policyPair(t, fmt.Sprintf("seed %d test %d trial %d", seed, i, trial), trialSeed, current, flags, prevFlags, nil, run).policy.SwitchEvents
+				ran := policyPair(t, fmt.Sprintf("seed %d test %d trial %d", seed, i, trial), trialSeed, current, flags, prevFlags, nil, run)
+				at := ran.policy.SwitchEvents
 				switches += len(at)
+				solo += ran.solo
 				if inc, ok := model.Adopt(model.Incidental(set, &tr, current), rand.New(rand.NewSource(trialSeed))); ok && len(current) < maxCurrentPMCs {
 					current = append(current, inc)
 					adopted++
@@ -468,13 +502,15 @@ func TestPolicyEqualsMapPolicy(t *testing.T) {
 					t.Fatalf("seed %d test %d trial %d: a flip at %d was consumed by a trial of %d accesses", seed, i, trial, last, tr.Len())
 				}
 				flipped++
+				solo += got.solo
 			}
 			learned += len(flags.list)
 		}
 		env.Close()
 	}
-	t.Logf("%d preemptions, %d flags learned, %d adoptions, %d flipped trials, %d flips on unwatched accesses", switches, learned, adopted, flipped, offWatch)
-	if switches == 0 || learned == 0 || adopted == 0 || flipped == 0 || offWatch == 0 {
+	t.Logf("%d preemptions, %d flags learned, %d adoptions, %d flipped trials, %d flips on unwatched accesses, %d solo coins",
+		switches, learned, adopted, flipped, offWatch, solo)
+	if switches == 0 || learned == 0 || adopted == 0 || flipped == 0 || offWatch == 0 || solo == 0 {
 		t.Fatal("comparison lost its teeth")
 	}
 	for _, c := range scriptedCases() {
