@@ -1,7 +1,7 @@
 // Command sbexec is a Snowboard execution worker: it joins one campaign's
-// queue on an sbqueue coordinator or an sbd control plane, leases
-// concurrent-test jobs, explores each with the PMC-hinted scheduler, and
-// reports the outcomes back. Run one per core or per machine, as the paper
+// queue on a `snowboard -listen` coordinator or an sbd control plane,
+// leases concurrent-test jobs, explores each with the PMC-hinted
+// scheduler, and reports the outcomes back. Run one per core or per machine, as the paper
 // distributes testing across its machine-B fleet.
 //
 // Usage:
@@ -12,8 +12,8 @@
 //
 // Every listener serves one named queue per campaign and no default one,
 // so -queue is required: it names the campaign to drain ("campaign.<id>",
-// as sbqueue logs it once its jobs are pushed and GET /campaigns on sbd
-// lists ids). A queue the listener does not hold — a typo, or a campaign
+// as `snowboard -listen` logs it once its jobs are pushed and GET
+// /campaigns on sbd lists ids). A queue the listener does not hold — a typo, or a campaign
 // that has not pushed its jobs yet — exits 1 naming it. Every job carries
 // both of its programs, its campaign's kernel version and trial budget, so
 // the worker needs nothing but the address to explore it exactly as the

@@ -151,15 +151,15 @@ func TestSbexecProcessesJobs(t *testing.T) {
 }
 
 // TestSbexecDrainsNamedCampaignQueue: `sbexec -queue campaign.<id>` joins
-// one campaign on a multi-queue listener, as sbqueue and sbd serve it. The
-// campaign's own executor is held at its start gate until the external
-// worker has drained the queue, so every result folded into the report is
-// sbexec's — and the report must equal the one the in-process executor
-// produces alone. The worker is given nothing but the queue's address and
-// name: each job carries its programs, the campaign's trial budget and
-// its kernel version, so a campaign on a kernel other than the default one
-// folds the same report, and a campaign with a state dir needs no store on
-// the worker's side.
+// one campaign on a multi-queue listener, as `snowboard -listen` and sbd
+// serve it. The campaign's own executor is held at its start gate until the
+// external worker has drained the queue, so every result folded into the
+// report is sbexec's — and the report must equal the one the in-process
+// executor produces alone. The worker is given nothing but the queue's
+// address and name: each job carries its programs, the campaign's trial
+// budget and its kernel version, so a campaign on a kernel other than the
+// default one folds the same report, and a campaign with a state dir needs
+// no store on the worker's side.
 func TestSbexecDrainsNamedCampaignQueue(t *testing.T) {
 	worker := buildTool(t, "snowboard/cmd/sbexec")
 	for _, version := range []string{"", "5.3.10"} {

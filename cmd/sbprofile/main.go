@@ -11,7 +11,7 @@
 //	          [-http :0] [-progress 10s]
 //
 // With -state, the corpus is persisted into the content-addressed store
-// rooted there (or loaded from it), so snowboard/sbqueue/sbd runs pointed
+// rooted there (or loaded from it), so snowboard and sbd runs pointed
 // at the same -state take it from there instead of re-fuzzing. Profiles
 // and PMCs are recomputed on every run: that is cheaper than reading them
 // back, so no state dir holds them.

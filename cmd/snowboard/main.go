@@ -7,11 +7,24 @@
 //
 //	snowboard [-mode full|compare] [-version 5.12-rc3] [-method S-INS-PAIR]
 //	          [-seed 1] [-fuzz 400] [-corpus 120] [-tests 60] [-trials 16]
-//	          [-feedback] [-rounds 4] [-workers 0] [-json] [-http :8080]
+//	          [-feedback] [-rounds 4] [-workers 0] [-state dir]
+//	          [-listen 127.0.0.1:7070] [-json] [-http :8080]
 //	          [-progress 10s] [-events events.jsonl] [-v]
 //
 // With -mode compare, every generation method of the paper's Table 3 runs
 // on the same profiled corpus and one row is printed per method.
+//
+// With -listen, snowboard coordinates a distributed run (§4.4.1): the
+// spec runs as one campaign — the core.Campaign sbd hosts — and once its
+// first batch is pushed, its queue is served on the address. The log line
+// names the command that joins it, `sbexec -addr <addr> -queue
+// campaign.<id>`; a job carries everything its outcome depends on, and the
+// campaign's own executor drains the queue beside any joined workers, so
+// the report is the one snowboard prints without -listen. Delivery is
+// at-least-once (a 30s lease, 3 attempts, then the job is dead-lettered
+// and listed). With -state, the campaign's report is memoized there too,
+// and `sbd -state` on the same directory lists it. The text summary is the
+// delivery accounting and the issue table -v prints.
 //
 // Only the report is written to stdout (plain text, or JSON with -json);
 // every progress and diagnostic line goes to stderr. With -http, a live
@@ -28,7 +41,9 @@ import (
 	"time"
 
 	"snowboard"
+	"snowboard/internal/core"
 	"snowboard/internal/obs"
+	"snowboard/internal/queue"
 )
 
 func main() {
@@ -45,6 +60,7 @@ func main() {
 		feedback = flag.Bool("feedback", false, "close the loop: allocate the test budget in rounds across PMC clusters by recent interleaving-segment yield, composing independent PMCs into shared tests")
 		rounds   = flag.Int("rounds", 0, "budget-allocation rounds for -feedback (0 = default 4)")
 		stateDir = flag.String("state", "", "artifact store directory: persist the corpus and the report (replayable SBRB bundles included; see sbrepro) and resume from them on re-run; profiles and PMCs are always recomputed")
+		listen   = flag.String("listen", "", "run as a distributed campaign and serve its queue on this address for sbexec workers to join (not with -mode compare)")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")
 		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/pprof) on this address")
 		progress = flag.Duration("progress", 10*time.Second, "interval between one-line progress reports on stderr (0 disables)")
@@ -56,6 +72,10 @@ func main() {
 	kver, err := snowboard.ParseVersion(*version)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
+		os.Exit(2)
+	}
+	if *listen != "" && *mode == "compare" {
+		fmt.Fprintln(os.Stderr, "snowboard: -listen coordinates one method's campaign, not -mode compare")
 		os.Exit(2)
 	}
 	opts := snowboard.DefaultOptions()
@@ -96,6 +116,18 @@ func main() {
 	}
 	opts.Method = m
 
+	if *listen != "" {
+		spec := core.CampaignSpec{
+			Version: string(kver), Method: m.Name, Seed: *seed,
+			FuzzBudget: *fuzzN, CorpusCap: *corpusN, TestBudget: *tests, Trials: *trials,
+			Workers: *workers, Feedback: *feedback, FeedbackRounds: *rounds,
+		}
+		if err := coordinate(spec, *stateDir, *listen, *jsonOut); err != nil {
+			fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 	report, err := snowboard.Run(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
@@ -105,6 +137,76 @@ func main() {
 		printJSON(report)
 	} else {
 		printReport(report, *stateDir, *verbose)
+	}
+}
+
+// coordinate runs spec as one campaign on a registry with the queue
+// defaults, serves the campaign's queue on addr once its first batch is
+// pushed, and prints the finished report: JSON, or the delivery summary.
+func coordinate(spec core.CampaignSpec, stateDir, addr string, jsonOut bool) error {
+	reg := queue.NewRegistry(queue.Options{})
+	defer reg.Close()
+	c, err := core.StartCampaign(spec, core.CampaignEnv{StateDir: stateDir, Registry: reg})
+	if err != nil {
+		return err
+	}
+	// A campaign that finishes first (a memoized rerun, or no tests)
+	// serves nothing.
+	st := c.Status()
+	for st.Expected == 0 && !finished(st) {
+		time.Sleep(10 * time.Millisecond)
+		st = c.Status()
+	}
+	if !finished(st) {
+		srv, err := queue.ServeRegistry(reg, addr, queue.ServerOptions{})
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		obs.Diag.Printf("%d jobs; queue listening on %s — join with: sbexec -addr %s -queue %s",
+			st.Expected, srv.Addr(), srv.Addr(), c.QueueName())
+	}
+	r, err := c.Wait()
+	if err != nil {
+		return err
+	}
+	if jsonOut {
+		printJSON(r)
+	} else {
+		printDelivery(r, reg.Get(c.QueueName()))
+	}
+	return nil
+}
+
+// finished reports whether the campaign has stopped running.
+func finished(st core.CampaignStatus) bool {
+	return st.State == core.CampaignDone || st.State == core.CampaignFailed
+}
+
+// printDelivery renders a coordinated campaign's summary: the delivery
+// accounting, then the issue table as -v prints it (Table 2 id, test
+// index, trial, minimized bundle), then any dead-lettered jobs. q is the
+// campaign's queue, nil when the campaign pushed nothing; a report that
+// pushed no batch has no Distributed and counts zero jobs.
+func printDelivery(r *snowboard.Report, q *queue.Queue) {
+	sum, redelivered := r.Distributed, 0
+	if sum == nil {
+		sum = &core.DistSummary{}
+	}
+	if q != nil {
+		redelivered = q.Stats().Redelivered
+	}
+	fmt.Printf("%d/%d jobs reported (%d redeliveries, %d duplicate reports folded), %d exercised their PMC channel\n",
+		sum.Reported, sum.Expected, redelivered, sum.Duplicates, sum.Exercised)
+	fmt.Printf("issues found (Table 2 numbers): %v\n", r.BugIDs())
+	fmt.Print(r.IssueTable())
+	if len(sum.DeadJobs) > 0 {
+		fmt.Printf("dead-lettered jobs after %d attempts: %v\n", queue.DefaultMaxAttempts, sum.DeadJobs)
+		if q != nil {
+			for _, d := range q.DeadLetters() {
+				obs.Diag.Printf("dead job %d (%d attempts): %s", d.Job.ID, d.Attempts, d.Reason)
+			}
+		}
 	}
 }
 

@@ -10,7 +10,7 @@
 // folded report still counts every job exactly once, and equals what a
 // local run of the same tests would have found, because a job carries its
 // seed. In production the workers are separate processes on separate
-// machines (see cmd/sbqueue and cmd/sbexec).
+// machines (see `snowboard -listen` and cmd/sbexec).
 package main
 
 import (

@@ -526,6 +526,11 @@ func (c *Campaign) execute() (*Report, error) {
 		}
 	}()
 	p.batches = func(r *Report, tests []sched.ConcurrentTest) ([]int, error) {
+		if len(tests) == 0 {
+			// Nothing to deliver: as in Run, a campaign that never tests
+			// anything reports no delivery accounting.
+			return nil, nil
+		}
 		if q == nil {
 			q = c.env.Registry.Open(c.QueueName())
 		}

@@ -320,21 +320,16 @@ func composeTests(cands []feedbackCandidate) (tests []sched.ConcurrentTest, cont
 
 // RunFeedback spends budget concurrent tests through the closed feedback
 // loop described at the top of this file (stages 3+4, interleaved per
-// round). Non-PMC methods and empty corpora degrade to the one-shot path
-// with a note.
+// round). Non-PMC methods, empty corpora and strategies that yield no
+// cluster degrade to the one-shot path with a note.
 func (p *Pipeline) RunFeedback(r *Report, budget int) {
 	if p.Opts.Method.Kind != MethodPMC {
-		note := fmt.Sprintf("feedback ignored: method %s is not PMC-guided", p.Opts.Method.Name)
-		obs.Diag.Printf("stage feedback: %s", note)
-		r.Notes = append(r.Notes, note)
-		tests := p.GenerateTests(r, budget)
-		p.ExecuteTests(r, tests)
+		p.oneShot(r, budget, fmt.Sprintf("feedback ignored: method %s is not PMC-guided", p.Opts.Method.Name))
 		return
 	}
 	if p.Corpus == nil || p.Corpus.Len() == 0 {
 		// GenerateTests records the empty-corpus note.
-		tests := p.GenerateTests(r, budget)
-		p.ExecuteTests(r, tests)
+		p.oneShot(r, budget, "")
 		return
 	}
 
@@ -348,6 +343,13 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 	span := obs.StartSpan("stage.feedback")
 
 	cs := cluster.Clusters(p.PMCs, p.Opts.Method.Strategy)
+	if len(cs) == 0 {
+		// No cluster to spend rounds on (the strategy keeps none of the
+		// PMCs): the one-shot path generates no test either.
+		span.End()
+		p.oneShot(r, budget, fmt.Sprintf("feedback ignored: method %s yields no PMC cluster", p.Opts.Method.Name))
+		return
+	}
 	p.indexClusters(cs)
 	// The stable uncommon-first order is the zero-credit prior; feedback
 	// reorders budget, not the clusters themselves.
@@ -468,4 +470,14 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 		}
 	}
 	span.End()
+}
+
+// oneShot runs the one-shot path in the feedback loop's place, noting why
+// unless note is empty.
+func (p *Pipeline) oneShot(r *Report, budget int, note string) {
+	if note != "" {
+		obs.Diag.Printf("stage feedback: %s", note)
+		r.Notes = append(r.Notes, note)
+	}
+	p.ExecuteTests(r, p.GenerateTests(r, budget))
 }

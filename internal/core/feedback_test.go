@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"snowboard/internal/pmc"
+	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 	"snowboard/internal/store"
 	"snowboard/internal/trace"
@@ -360,5 +361,45 @@ func TestFeedbackNonPMCMethodDegrades(t *testing.T) {
 	}
 	if r.TestedTests == 0 {
 		t.Fatal("degraded run executed no tests")
+	}
+}
+
+// TestFeedbackWithoutClustersDegrades: a feedback spec whose strategy
+// keeps none of the PMCs has no cluster to spend rounds on. It used to
+// divide by the cluster count — killing the process, or every tenant of
+// an sbd server — and now runs the one-shot path with a note, through Run
+// and through a campaign alike.
+func TestFeedbackWithoutClustersDegrades(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Method, _ = MethodByName("S-CH-UNALIGNED")
+	opts.FuzzBudget, opts.CorpusCap, opts.TestBudget, opts.Feedback = 1, 2, 4, true
+	local, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := queue.NewRegistry(queue.Options{})
+	defer reg.Close()
+	c, err := StartCampaign(CampaignSpec{
+		Method: opts.Method.Name, Seed: opts.Seed, FuzzBudget: opts.FuzzBudget,
+		CorpusCap: opts.CorpusCap, TestBudget: opts.TestBudget, Feedback: true,
+	}, CampaignEnv{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := c.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Report{"Run": local, "campaign": queued} {
+		if r.DistinctPMCs == 0 || r.ExemplarPMCs != 0 || r.TestedTests != 0 || len(r.Notes) != 1 {
+			t.Fatalf("%s: %d PMCs, %d clusters, %d tests, notes %q; want PMCs, no cluster, no test and one note",
+				name, r.DistinctPMCs, r.ExemplarPMCs, r.TestedTests, r.Notes)
+		}
+	}
+	if queued.Distributed != nil {
+		t.Fatalf("a campaign that pushed no job reports delivery %+v", queued.Distributed)
+	}
+	if got, want := normalizeTimings(queued), normalizeTimings(local); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the campaign's report differs from Run's:\n%+v\nvs\n%+v", got, want)
 	}
 }

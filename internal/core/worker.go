@@ -22,9 +22,10 @@ import (
 // kernel version (PushTests), how a leased turn of jobs is explored and
 // settled with whole outcomes (Worker.Do), and how a worker joins a
 // campaign it does not own (Worker.Join) — shared by sbd, cmd/sbexec,
-// cmd/sbqueue and examples/distributed. An outcome is a pure function of
-// (test, seed, trials, version, adoption list), all of them in the job, so
-// FoldResults over each job's first result equals local execution.
+// `snowboard -listen` and examples/distributed. An outcome is a pure
+// function of (test, seed, trials, version, adoption list), all of them in
+// the job, so FoldResults over each job's first result equals local
+// execution.
 
 // stage4Explorer is the explorer both ExecuteTests' fleet and queue
 // workers copy: Algorithm 2 with the suite's oracles and the host fsck,

@@ -146,8 +146,8 @@ var designRules = []designRule{
 		{"internal/queue/wait.go", "package queue\n\nconst leaseHist = \"snowboard_queue_lease_duration_ns\"\n"},
 	}},
 	{"one_coordinator", oneCoordinator, []mutation{
-		{"cmd/sbqueue/fold.go", "package main\n\nfunc fold(p *core.Pipeline) { p.FoldResults(nil) }\n"},
-		{"cmd/sbqueue/serve.go", "package main\n\nimport \"snowboard/internal/queue\"\n\nvar _, _ = queue.Serve(nil, \"\")\n"},
+		{"cmd/snowboard/fold.go", "package main\n\nfunc fold(p *core.Pipeline) { p.FoldResults(nil) }\n"},
+		{"cmd/snowboard/serve.go", "package main\n\nimport \"snowboard/internal/queue\"\n\nvar _, _ = queue.Serve(nil, \"\")\n"},
 	}},
 	{"one_frame_each_way_per_turn", oneFrameEachWayPerTurn, []mutation{
 		{"internal/queue/net.go", "\nfunc (s *Server) serveOp(op string) {\n\tswitch op {\n\tcase \"lease\", \"report\":\n\t}\n}\n"},
@@ -562,8 +562,8 @@ func oneWayToServeAQueue(tr *tree) []string {
 }
 
 // A campaign pushes its tests and folds their results in one place,
-// core.Campaign.runDistributed, whichever front door (sbd, sbqueue, the
-// distributed example) started it; and every queue listener serves a
+// core.Campaign.runBatch, whichever front door (sbd, `snowboard -listen`,
+// the distributed example) started it; and every queue listener serves a
 // registry's named campaign queues.
 func oneCoordinator(tr *tree) []string {
 	var out []string
