@@ -22,9 +22,12 @@
 // campaign's own executor drains the queue beside any joined workers, so
 // the report is the one snowboard prints without -listen. Delivery is
 // at-least-once (a 30s lease, 3 attempts, then the job is dead-lettered
-// and listed). With -state, the campaign's report is memoized there too,
-// and `sbd -state` on the same directory lists it. The text summary is the
-// delivery accounting and the issue table -v prints.
+// and listed). Once the campaign folds, its queue is closed and served a
+// moment longer, so a joined worker is told so and exits 0. With -state,
+// the campaign's report is memoized there too, and `sbd -state` on the
+// same directory lists it. The text summary is the delivery accounting
+// and the issue table -v prints. Every budget (-fuzz, -corpus, -tests,
+// -trials) must be positive, with or without -listen.
 //
 // Only the report is written to stdout (plain text, or JSON with -json);
 // every progress and diagnostic line goes to stderr. With -http, a live
@@ -69,6 +72,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// A budget is positive on both front doors: a campaign spec (-listen)
+	// would take 0 for "the default", a local run for "none".
+	for _, b := range []struct {
+		flag string
+		n    int
+	}{{"fuzz", *fuzzN}, {"corpus", *corpusN}, {"tests", *tests}, {"trials", *trials}} {
+		if b.n <= 0 {
+			fmt.Fprintf(os.Stderr, "snowboard: -%s must be positive, got %d\n", b.flag, b.n)
+			os.Exit(2)
+		}
+	}
 	kver, err := snowboard.ParseVersion(*version)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
@@ -162,7 +176,13 @@ func coordinate(spec core.CampaignSpec, stateDir, addr string, jsonOut bool) err
 		if err != nil {
 			return err
 		}
-		defer srv.Close()
+		// The campaign closes its queue when it folds. Serving on for a
+		// few join polls lets a joined worker's next lease read ErrClosed
+		// and exit 0; a closed listener would have it redial with backoff.
+		defer func() {
+			time.Sleep(queueDrain)
+			srv.Close()
+		}()
 		obs.Diag.Printf("%d jobs; queue listening on %s — join with: sbexec -addr %s -queue %s",
 			st.Expected, srv.Addr(), srv.Addr(), c.QueueName())
 	}
@@ -177,6 +197,10 @@ func coordinate(spec core.CampaignSpec, stateDir, addr string, jsonOut bool) err
 	}
 	return nil
 }
+
+// queueDrain is how long a coordinator keeps serving its campaign's closed
+// queue once the report is printed.
+const queueDrain = 5 * core.JoinPoll
 
 // finished reports whether the campaign has stopped running.
 func finished(st core.CampaignStatus) bool {

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildTool compiles the command under test into a temp dir and returns
@@ -175,7 +178,9 @@ func TestListenReportUnchanged(t *testing.T) {
 // go through its queue) prints what `snowboard -json` prints, less the
 // timings, the metrics and the delivery accounting only the queue has.
 // A feedback spec whose strategy yields no cluster tests nothing on
-// either, and the coordinator reports no delivery for it.
+// either, and the coordinator reports no delivery for it. A zero budget,
+// which a campaign spec would read as "the default" and a local run as
+// "none", is refused on both with exit 2 and no report.
 func TestListenReportEqualsLocal(t *testing.T) {
 	bin := buildTool(t, "snowboard/cmd/snowboard")
 	report := func(args ...string) map[string]any {
@@ -223,4 +228,60 @@ func TestListenReportEqualsLocal(t *testing.T) {
 		t.Fatalf("%v: %v tests, delivery %v; want none of either", args, queued["TestedTests"], queued["Distributed"])
 	}
 	same(args, local, queued)
+
+	for _, flag := range []string{"-fuzz", "-corpus", "-tests", "-trials"} {
+		for _, door := range [][]string{nil, listen} {
+			args := append([]string{"-seed", "3", flag, "0", "-json", "-progress", "0"}, door...)
+			stdout, stderr, err := runTool(t, bin, args...)
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 2 || stdout != "" || !strings.Contains(stderr, flag+" must be positive") {
+				t.Errorf("%v: %v, want exit 2, no report and the flag named\nstdout:\n%s\nstderr:\n%s", args, err, stdout, stderr)
+			}
+		}
+	}
+}
+
+// TestListenJoinedWorkerExitsPromptly: a worker joined to `snowboard
+// -listen` learns that the campaign is over from the queue itself — the
+// coordinator closes it at the fold and serves on for a few join polls —
+// so it exits 0 right after the coordinator, not after redialling a dead
+// listener with backoff (about 11 s).
+func TestListenJoinedWorkerExitsPromptly(t *testing.T) {
+	bin := buildTool(t, "snowboard/cmd/snowboard")
+	worker := buildTool(t, "snowboard/cmd/sbexec")
+	coord := exec.Command(bin, append([]string{"-seed", "7", "-tests", "300", "-progress", "0"}, listen...)...)
+	stderr, err := coord.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start(); err != nil {
+		t.Fatal(err)
+	}
+	join := regexp.MustCompile(`join with: sbexec -addr (\S+) -queue (\S+)`)
+	var m []string
+	var log strings.Builder
+	sc := bufio.NewScanner(stderr)
+	for m == nil && sc.Scan() {
+		log.WriteString(sc.Text() + "\n")
+		m = join.FindStringSubmatch(sc.Text())
+	}
+	if m == nil {
+		coord.Wait()
+		t.Fatalf("the coordinator logged no join line:\n%s", log.String())
+	}
+	go io.Copy(io.Discard, stderr)
+	var wErr bytes.Buffer
+	w := exec.Command(worker, "-addr", m[1], "-queue", m[2], "-workers", "2", "-idle-exit", "1m", "-progress", "0")
+	w.Stderr = &wErr
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Wait(); err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	folded := time.Now()
+	err = w.Wait()
+	if after := time.Since(folded); err != nil || after > 2*time.Second {
+		t.Fatalf("the worker exited %v, %v after the coordinator; want exit 0 within 2s\nstderr:\n%s", err, after, wErr.String())
+	}
 }

@@ -291,8 +291,8 @@ func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 	return settled, exercised
 }
 
-// joinPoll is how long Join waits before asking an empty queue again.
-const joinPoll = 20 * time.Millisecond
+// JoinPoll is how long Join waits before asking an empty queue again.
+const JoinPoll = 20 * time.Millisecond
 
 // Join is how a worker joins a campaign it does not own: it leases turns
 // of up to turn jobs from lsr and runs each through Do until the queue
@@ -308,7 +308,7 @@ func (w *Worker) Join(lsr Leaser, turn int, idle time.Duration) (settled int, er
 		leases, err := lsr.LeaseN(turn)
 		switch {
 		case errors.Is(err, queue.ErrEmpty) && time.Since(idleSince) <= idle:
-			time.Sleep(joinPoll)
+			time.Sleep(JoinPoll)
 		case errors.Is(err, queue.ErrEmpty), errors.Is(err, queue.ErrClosed):
 			return settled, nil
 		case err != nil:

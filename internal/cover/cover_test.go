@@ -19,7 +19,7 @@ func tAcc(th int, kind trace.Kind, ins trace.Ins, addr uint64) trace.Access {
 func trOf(accs ...trace.Access) *trace.Trace {
 	tr := &trace.Trace{}
 	for _, a := range accs {
-		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
+		tr.Record(a.Ins, a.Addr, a.Val, a.Meta())
 	}
 	return tr
 }
@@ -196,7 +196,7 @@ func benchWalk(b *testing.B, aligned bool) {
 		if aligned {
 			a.Addr, a.Size = a.Addr&^7, 8
 		}
-		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
+		tr.Record(a.Ins, a.Addr, a.Val, a.Meta())
 	}
 	c, s := New(), NewSegments()
 	c.AddTrace(tr)

@@ -33,7 +33,7 @@ func (m edgeModel) has(key uint64) bool {
 func insTrace(ins []trace.Ins) *trace.Trace {
 	var tr trace.Trace
 	for _, x := range ins {
-		tr.Record(0, x, trace.Read, 0, 0, 0, false, false, false, false, 0)
+		tr.Record(x, 0, 0, 0)
 	}
 	return &tr
 }

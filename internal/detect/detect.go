@@ -152,11 +152,14 @@ type RaceReport struct {
 // least one a plain (unmarked, non-lock-word) write, holding no common
 // lock, constitute a data race. Pairs where both sides are marked
 // (READ_ONCE/WRITE_ONCE/rcu) are intentional concurrency and skipped,
-// mirroring KCSAN's defaults.
+// mirroring KCSAN's defaults. The locks each access held are derived from
+// the trace's lock-word rows (trace.HeldLocks), the same rows the
+// happens-before analysis takes its lock edges from.
 func FindRaces(tr *trace.Trace) []RaceReport {
 	type key struct{ w, r trace.Ins }
 	seen := make(map[key]bool)
 	var out []RaceReport
+	locks := trace.HeldLocks(tr)
 
 	n := tr.Len()
 	// Group by overlap via a write index bucketed on address.
@@ -174,7 +177,7 @@ func FindRaces(tr *trace.Trace) []RaceReport {
 		if w.Marked && o.Marked {
 			return
 		}
-		if w.SharesLock(&o) {
+		if trace.SharesLock(locks[wi], locks[oi]) {
 			return
 		}
 		// For a write/write conflict the second write fills the "read"

@@ -22,7 +22,7 @@ func acc(th int, kind trace.Kind, ins trace.Ins, addr uint64, size uint8, val ui
 func traceOf(accs ...trace.Access) *trace.Trace {
 	tr := &trace.Trace{}
 	for _, a := range accs {
-		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
+		tr.Record(a.Ins, a.Addr, a.Val, a.Meta())
 	}
 	return tr
 }
@@ -69,9 +69,12 @@ func TestLocksetRaceBasic(t *testing.T) {
 func TestLocksetCommonLockSuppresses(t *testing.T) {
 	w := acc(0, trace.Write, dIns1, 0x100, 8, 1)
 	r := acc(1, trace.Read, dIns2, 0x100, 8, 0)
-	w.Locks = trace.InternLocks([]uint64{0x50})
-	r.Locks = trace.InternLocks([]uint64{0x50})
-	if races := FindRaces(traceOf(w, r)); len(races) != 0 {
+	lock := func(th int, val uint64) trace.Access { // val != 0 acquires, 0 releases
+		a := acc(th, trace.Write, dIns3, 0x50, 8, val)
+		a.Atomic = true
+		return a
+	}
+	if races := FindRaces(traceOf(lock(0, 1), w, lock(0, 0), lock(1, 2), r, lock(1, 0))); len(races) != 0 {
 		t.Fatalf("locked pair reported: %+v", races)
 	}
 }

@@ -208,21 +208,29 @@ func FindRacesHB(tr *trace.Trace) []RaceReport {
 }
 
 // findRaces walks the view's trace. Synchronization is tracked for every
-// access; the per-byte conflict check runs only for accesses to memory that
-// a second thread touched (View.Shared). That loses nothing: an unordered
-// prior is always another thread's, and the state a skipped access would
-// have left is read only by accesses to the same, equally private, word.
-// The coverage walk visits the same accesses and cells: cw, when set, rides
-// this one on the Pred of every cell.
+// access that has any; the per-byte conflict check runs only for accesses
+// to memory that a second thread touched (View.Shared). That loses
+// nothing: an unordered prior is always another thread's, and the state a
+// skipped access would have left is read only by accesses to the same,
+// equally private, word. A plain access to such memory — stack accesses
+// included — that joins no publisher's clock is skipped before its
+// thread's clock is touched: the first touch only starts the clock at 1,
+// which a later one does as well. The coverage walk visits the same
+// accesses and cells: cw, when set, rides this one on the Pred of every
+// cell.
 func (s *hbState) findRaces(v *trace.View, cw *cover.Walker) []RaceReport {
 	tr := v.Trace()
 	s.reset(v)
 	for i, n := 0, tr.Len(); i < n; i++ {
+		addr, isWrite, marked, atomic := tr.AddrAt(i), tr.IsWriteAt(i), tr.MarkedAt(i), tr.AtomicAt(i)
+		shared := v.Shared(i)
+		if !shared && !marked && !atomic && (isWrite || s.pubs&pubBit(addr) == 0) {
+			continue
+		}
 		t := tr.ThreadAt(i)
 		vc := s.clockOf(t)
-		addr, isWrite, marked := tr.AddrAt(i), tr.IsWriteAt(i), tr.MarkedAt(i)
 
-		if tr.AtomicAt(i) {
+		if atomic {
 			// Lock-word traffic: value != 0 is an acquire, 0 is a release.
 			if !isWrite {
 				continue
@@ -251,7 +259,7 @@ func (s *hbState) findRaces(v *trace.View, cw *cover.Walker) []RaceReport {
 				vc.join(s.saved(sy.pub))
 			}
 		}
-		if !v.Shared(i) { // stack accesses included
+		if !shared { // stack accesses included
 			continue
 		}
 

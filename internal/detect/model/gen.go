@@ -86,15 +86,15 @@ func Gen(data []byte) *trace.Trace {
 						other, x := (slot+1+g%(threads-1))%threads*stride, next()
 						switch x % 3 {
 						case 0:
-							tr.Record(other, Ins[x%len(Ins)], trace.Write, a.Addr+uint64(x>>2)%uint64(parts*int(size)), 1+uint8(x>>5), 0, false, false, false, false, 0)
+							tr.Record(Ins[x%len(Ins)], a.Addr+uint64(x>>2)%uint64(parts*int(size)), 0, trace.ThreadMeta(other)|trace.Meta(1+uint8(x>>5))|trace.MetaWrite)
 						case 1:
-							tr.Record(other, Ins[x%len(Ins)], trace.Write, 0x4800+uint64(x), 1, 0, false, false, false, false, 0)
+							tr.Record(Ins[x%len(Ins)], 0x4800+uint64(x), 0, trace.ThreadMeta(other)|trace.Meta(1)|trace.MetaWrite)
 						default:
-							tr.Record(other, a.Ins, trace.Read, part, size, 0, false, false, false, false, 0)
+							tr.Record(a.Ins, part, 0, trace.ThreadMeta(other)|trace.Meta(size))
 						}
 					}
 				}
-				tr.Record(th, a.Ins, trace.Read, part, size, 0, false, false, false, false, 0)
+				tr.Record(a.Ins, part, 0, trace.ThreadMeta(th)|trace.Meta(size))
 			}
 			continue
 		}
@@ -132,7 +132,7 @@ func Gen(data []byte) *trace.Trace {
 		if whole && op&0xf >= 13 {
 			a.Addr &^= 7
 		}
-		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
+		tr.Record(a.Ins, a.Addr, a.Val, a.Meta())
 	}
 	return tr
 }

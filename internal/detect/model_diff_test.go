@@ -235,7 +235,7 @@ func benchRacesHB(b *testing.B, aligned bool) {
 		if aligned {
 			a.Addr, a.Size = a.Addr&^7, 8
 		}
-		tr.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
+		tr.Record(a.Ins, a.Addr, a.Val, a.Meta())
 	}
 	var sc Scratch
 	findRacesHB(&sc, tr)

@@ -18,12 +18,12 @@ var (
 func diagTrace() *trace.Trace {
 	tr := &trace.Trace{}
 	for i := 0; i < 20; i++ {
-		tr.Record(0, dgX, trace.Write, 0x900+uint64(i), 1, 0, false, false, false, false, 0)
+		tr.Record(dgX, 0x900+uint64(i), 0, trace.Meta(1)|trace.MetaWrite)
 	}
-	tr.Record(0, dgW, trace.Write, 0x100, 8, 0x42, false, false, false, false, 0)
-	tr.Record(1, dgR, trace.Read, 0x100, 8, 0x42, false, false, false, false, 0)
+	tr.Record(dgW, 0x100, 0x42, trace.Meta(8)|trace.MetaWrite)
+	tr.Record(dgR, 0x100, 0x42, trace.ThreadMeta(1)|trace.Meta(8))
 	for i := 0; i < 20; i++ {
-		tr.Record(1, dgX, trace.Read, 0x900+uint64(i), 1, 0, false, false, false, false, 0)
+		tr.Record(dgX, 0x900+uint64(i), 0, trace.ThreadMeta(1)|trace.Meta(1))
 	}
 	return tr
 }
@@ -67,7 +67,7 @@ func TestRenderAnchorsAndElision(t *testing.T) {
 func TestRenderRowCap(t *testing.T) {
 	tr := &trace.Trace{}
 	for i := 0; i < 500; i++ {
-		tr.Record(0, dgW, trace.Write, 0x100, 8, 0, false, false, false, false, 0)
+		tr.Record(dgW, 0x100, 0, trace.Meta(8)|trace.MetaWrite)
 	}
 	out := Render(tr, diagHint(), nil, Options{Context: 2, MaxRows: 10})
 	if !strings.Contains(out, "(truncated: ") {
@@ -83,7 +83,7 @@ func TestRenderNilHintEmptyIssues(t *testing.T) {
 	// to the head of the trace instead of an empty body.
 	tr := &trace.Trace{}
 	for i := 0; i < 8; i++ {
-		tr.Record(i%2, dgW, trace.Write, 0x100, 8, 0, false, false, false, false, 0)
+		tr.Record(dgW, 0x100, 0, trace.ThreadMeta(i%2)|trace.Meta(8)|trace.MetaWrite)
 	}
 	out := Render(tr, nil, nil, Options{Context: 2, MaxRows: 64})
 	if n := strings.Count(out, "diag_test:publish"); n != 8 {
@@ -97,7 +97,7 @@ func TestRenderNilHintEmptyIssues(t *testing.T) {
 func TestRenderNilHintLongTraceTruncates(t *testing.T) {
 	tr := &trace.Trace{}
 	for i := 0; i < 50; i++ {
-		tr.Record(0, dgW, trace.Write, 0x100, 8, 0, false, false, false, false, 0)
+		tr.Record(dgW, 0x100, 0, trace.Meta(8)|trace.MetaWrite)
 	}
 	out := Render(tr, nil, nil, Options{Context: 2, MaxRows: 10})
 	if n := strings.Count(out, "diag_test:publish"); n != 10 {
@@ -120,7 +120,7 @@ func TestRenderAnchoredTruncationCountsHiddenRows(t *testing.T) {
 	// anchored rows it hid rather than silently clipping.
 	tr := &trace.Trace{}
 	for i := 0; i < 300; i++ {
-		tr.Record(0, dgW, trace.Write, 0x100, 8, 0, false, false, false, false, 0)
+		tr.Record(dgW, 0x100, 0, trace.Meta(8)|trace.MetaWrite)
 	}
 	out := Render(tr, diagHint(), nil, Options{Context: 1, MaxRows: 5})
 	if !strings.Contains(out, "(truncated: ") || !strings.Contains(out, "more rows beyond the 5-row cap") {

@@ -87,9 +87,9 @@ func TestCoverageProbe(t *testing.T) {
 	i1 := trace.DefIns("fuzz_cov:a")
 	i2 := trace.DefIns("fuzz_cov:b")
 	var tr trace.Trace
-	tr.Record(0, i1, trace.Read, 0, 0, 0, false, false, false, false, 0)
-	tr.Record(0, i2, trace.Read, 0, 0, 0, false, false, false, false, 0)
-	tr.Record(0, i1, trace.Read, 0, 0, 0, false, false, false, false, 0)
+	tr.Record(i1, 0, 0, 0)
+	tr.Record(i2, 0, 0, 0)
+	tr.Record(i1, 0, 0, 0)
 
 	cov := cover.NewEdges()
 	missing := cov.Missing(&tr, nil)

@@ -93,7 +93,7 @@ func GenCorpus(rng *rand.Rand, n int) []pmc.Profile {
 		for j := 0; j < m; j++ {
 			if j > 0 && rng.Intn(4) == 0 {
 				a := accs.At(j - 1)
-				accs.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, false, false, false, false, 0)
+				accs.Record(a.Ins, a.Addr, a.Val, a.Meta())
 				df[j] = df[j-1]
 				continue
 			}
@@ -113,7 +113,7 @@ func GenCorpus(rng *rand.Rand, n int) []pmc.Profile {
 				// more pairs than a bounded list holds.
 				acc.Ins, acc.Addr, acc.Size, acc.Val = insPool[2*(1-int(kind))], 0x104, 4, uint64(rng.Intn(2))
 			}
-			accs.Record(0, acc.Ins, kind, acc.Addr, acc.Size, acc.Val, false, false, false, false, 0)
+			accs.Record(acc.Ins, acc.Addr, acc.Val, acc.Meta())
 			if kind == trace.Read && rng.Intn(4) == 0 {
 				df[j] = true
 			}
@@ -305,7 +305,7 @@ func FromBytes(data []byte) []pmc.Profile {
 		}
 		slot := int(b[6]) % len(profiles)
 		p := &profiles[slot]
-		p.Accesses.Record(0, acc.Ins, kind, acc.Addr, acc.Size, acc.Val, false, false, false, false, 0)
+		p.Accesses.Record(acc.Ins, acc.Addr, acc.Val, acc.Meta())
 		if kind == trace.Read && b[0]&2 != 0 {
 			p.DFLeader[p.Accesses.Len()-1] = true
 		}

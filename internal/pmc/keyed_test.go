@@ -59,7 +59,7 @@ func repeated(profiles []pmc.Profile, times int) []pmc.Profile {
 					df[accs.Len()] = true
 				}
 				a := p.Accesses.At(ai)
-				accs.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
+				accs.Record(a.Ins, a.Addr, a.Val, a.Meta())
 			}
 		}
 		out[i] = pmc.Profile{TestID: p.TestID, Accesses: accs, DFLeader: df}

@@ -18,13 +18,13 @@ var (
 // wAcc and rAcc return a one-access profile: a write or a read.
 func wAcc(ins trace.Ins, addr uint64, size uint8, val uint64) trace.Block {
 	var b trace.Block
-	b.Record(0, ins, trace.Write, addr, size, val, false, false, false, false, 0)
+	b.Record(ins, addr, val, trace.Meta(size)|trace.MetaWrite)
 	return b
 }
 
 func rAcc(ins trace.Ins, addr uint64, size uint8, val uint64) trace.Block {
 	var b trace.Block
-	b.Record(0, ins, trace.Read, addr, size, val, false, false, false, false, 0)
+	b.Record(ins, addr, val, trace.Meta(size))
 	return b
 }
 
@@ -102,7 +102,7 @@ func TestIdentifyNoOverlapNoPMC(t *testing.T) {
 
 func TestIdentifySelfPairs(t *testing.T) {
 	accs := wAcc(insW1, 0x100, 8, 1)
-	accs.Record(0, insR1, trace.Read, 0x100, 8, 2, false, false, false, false, 0)
+	accs.Record(insR1, 0x100, 2, trace.Meta(8))
 	profiles := []pmc.Profile{{TestID: 0, Accesses: accs}}
 	set := identify(t, profiles, pmc.DefaultOptions())
 	if set.Len() != 1 {
@@ -117,7 +117,7 @@ func TestIdentifySelfPairs(t *testing.T) {
 
 func TestIdentifyDFLeaderPropagates(t *testing.T) {
 	reads := rAcc(insR1, 0x100, 8, 2)
-	reads.Record(0, insR2, trace.Read, 0x100, 8, 2, false, false, false, false, 0)
+	reads.Record(insR2, 0x100, 2, trace.Meta(8))
 	profiles := []pmc.Profile{
 		{TestID: 0, Accesses: wAcc(insW1, 0x100, 8, 1)},
 		{TestID: 1, Accesses: reads, DFLeader: map[int]bool{0: true}},

@@ -25,8 +25,8 @@ func hintPMC() *pmc.PMC {
 func TestChannelExercisedPositive(t *testing.T) {
 	h := hintPMC()
 	tr := &trace.Trace{}
-	tr.Record(0, sIns1, trace.Write, 0x100, 8, 7, false, false, false, false, 0)
-	tr.Record(1, sIns2, trace.Read, 0x100, 8, 7, false, false, false, false, 0)
+	tr.Record(sIns1, 0x100, 7, trace.Meta(8)|trace.MetaWrite)
+	tr.Record(sIns2, 0x100, 7, trace.ThreadMeta(1)|trace.Meta(8))
 	if !ChannelExercised(tr, h) {
 		t.Fatal("flow write->read not recognized")
 	}
@@ -35,8 +35,8 @@ func TestChannelExercisedPositive(t *testing.T) {
 func TestChannelExercisedWrongOrder(t *testing.T) {
 	h := hintPMC()
 	tr := &trace.Trace{}
-	tr.Record(1, sIns2, trace.Read, 0x100, 8, 7, false, false, false, false, 0)
-	tr.Record(0, sIns1, trace.Write, 0x100, 8, 7, false, false, false, false, 0)
+	tr.Record(sIns2, 0x100, 7, trace.ThreadMeta(1)|trace.Meta(8))
+	tr.Record(sIns1, 0x100, 7, trace.Meta(8)|trace.MetaWrite)
 	if ChannelExercised(tr, h) {
 		t.Fatal("read-before-write counted as exercised")
 	}
@@ -45,8 +45,8 @@ func TestChannelExercisedWrongOrder(t *testing.T) {
 func TestChannelExercisedSameThreadDoesNotCount(t *testing.T) {
 	h := hintPMC()
 	tr := &trace.Trace{}
-	tr.Record(0, sIns1, trace.Write, 0x100, 8, 7, false, false, false, false, 0)
-	tr.Record(0, sIns2, trace.Read, 0x100, 8, 7, false, false, false, false, 0)
+	tr.Record(sIns1, 0x100, 7, trace.Meta(8)|trace.MetaWrite)
+	tr.Record(sIns2, 0x100, 7, trace.Meta(8))
 	if ChannelExercised(tr, h) {
 		t.Fatal("same-thread flow counted as inter-thread communication")
 	}
@@ -55,9 +55,9 @@ func TestChannelExercisedSameThreadDoesNotCount(t *testing.T) {
 func TestChannelExercisedInterveningWrite(t *testing.T) {
 	h := hintPMC()
 	tr := &trace.Trace{}
-	tr.Record(0, sIns1, trace.Write, 0x100, 8, 7, false, false, false, false, 0)
-	tr.Record(1, sIns1, trace.Write, 0x100, 8, 9, false, false, false, false, 0)
-	tr.Record(1, sIns2, trace.Read, 0x100, 8, 9, false, false, false, false, 0)
+	tr.Record(sIns1, 0x100, 7, trace.Meta(8)|trace.MetaWrite)
+	tr.Record(sIns1, 0x100, 9, trace.ThreadMeta(1)|trace.Meta(8)|trace.MetaWrite)
+	tr.Record(sIns2, 0x100, 9, trace.ThreadMeta(1)|trace.Meta(8))
 	if ChannelExercised(tr, h) {
 		t.Fatal("overwritten channel counted as exercised")
 	}
@@ -66,10 +66,10 @@ func TestChannelExercisedInterveningWrite(t *testing.T) {
 func TestChannelExercisedValueMismatch(t *testing.T) {
 	h := hintPMC()
 	tr := &trace.Trace{}
-	tr.Record(0, sIns1, trace.Write, 0x100, 8, 7, false, false, false, false, 0)
+	tr.Record(sIns1, 0x100, 7, trace.Meta(8)|trace.MetaWrite)
 	// Reader observed a different value than the write put there: the
 	// dataflow did not come from this write.
-	tr.Record(1, sIns2, trace.Read, 0x100, 8, 8, false, false, false, false, 0)
+	tr.Record(sIns2, 0x100, 8, trace.ThreadMeta(1)|trace.Meta(8))
 	if ChannelExercised(tr, h) {
 		t.Fatal("mismatched value counted as exercised")
 	}

@@ -94,18 +94,32 @@ func (p *SnowboardPolicy) loadState(st *ReproState, r *rand.Rand, flags *flagSet
 	}
 }
 
-func policyFromState(st *ReproState) *SnowboardPolicy {
-	p := &SnowboardPolicy{}
-	p.loadState(st, lazyrand.New(0), &flagSet{})
-	return p
+// Replayer re-executes recorded trials. Its policy, source and flag set are
+// reloaded from each state — a lazyrand source reseeds for free — so a
+// caller that replays many trials, as triage's minimizer does, allocates
+// them once. The zero value is ready to use; a Replayer is not safe for
+// concurrent use.
+type Replayer struct {
+	policy SnowboardPolicy
+	rng    *rand.Rand
+	flags  flagSet
+}
+
+// load makes the replayer's policy the scheduler st's trial ran with.
+func (r *Replayer) load(st *ReproState) *SnowboardPolicy {
+	if r.rng == nil {
+		r.rng = lazyrand.New(0)
+	}
+	r.policy.loadState(st, r.rng, &r.flags)
+	return &r.policy
 }
 
 // Replay re-executes exactly one trial from the recorded state and returns
 // the execution result plus the trial's trace. The same kernel faults occur
 // on every call: the substrate is deterministic end to end.
 func Replay(env *exec.Env, ct ConcurrentTest, st *ReproState, tr *trace.Trace) exec.Result {
-	policy := policyFromState(st)
-	return env.RunPair(ct.Writer, ct.Reader, policy, tr)
+	var r Replayer
+	return env.RunPair(ct.Writer, ct.Reader, r.load(st), tr)
 }
 
 // ReplayRecorded is Replay with preemption recording: it additionally
@@ -114,7 +128,14 @@ func Replay(env *exec.Env, ct ConcurrentTest, st *ReproState, tr *trace.Trace) e
 // these — every scheduler-rolled preemption is a decision that can be
 // suppressed by flipping it.
 func ReplayRecorded(env *exec.Env, ct ConcurrentTest, st *ReproState, tr *trace.Trace) (exec.Result, []int) {
-	policy := policyFromState(st)
+	var r Replayer
+	return r.ReplayRecorded(env, ct, st, tr)
+}
+
+// ReplayRecorded is the package's ReplayRecorded through r. The switch
+// indices are in storage the next replay reuses.
+func (r *Replayer) ReplayRecorded(env *exec.Env, ct ConcurrentTest, st *ReproState, tr *trace.Trace) (exec.Result, []int) {
+	policy := r.load(st)
 	policy.RecordSwitches = true
 	res := env.RunPair(ct.Writer, ct.Reader, policy, tr)
 	return res, policy.SwitchEvents

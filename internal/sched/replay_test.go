@@ -70,7 +70,7 @@ func TestReplayDeterministicTrace(t *testing.T) {
 }
 
 // TestReproStateFlipsRoundTrip checks that Flips survive the JSON encoding
-// a Report's repro records go through, and that policyFromState rebuilds
+// a Report's repro records go through, and that a Replayer, reused, loads
 // the same FlipAt list.
 func TestReproStateFlipsRoundTrip(t *testing.T) {
 	st := &ReproState{Seed: 42, Trial: 3, Flips: []int{2, 7, 19}}
@@ -85,12 +85,13 @@ func TestReproStateFlipsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(st.Flips, back.Flips) {
 		t.Fatalf("flips changed across JSON: %v vs %v", st.Flips, back.Flips)
 	}
-	if policy := policyFromState(&back); !reflect.DeepEqual(policy.FlipAt, st.Flips) {
+	var r Replayer
+	if policy := r.load(&back); !reflect.DeepEqual(policy.FlipAt, st.Flips) {
 		t.Fatalf("FlipAt rebuilt as %v, want %v", policy.FlipAt, st.Flips)
 	}
 	// The cursor wants them ascending and distinct, whatever order a state
 	// lists them in; an index no access can have is dropped.
-	if policy := policyFromState(&ReproState{Flips: []int{19, 2, -1, 7, 2}}); !reflect.DeepEqual(policy.FlipAt, st.Flips) {
+	if policy := r.load(&ReproState{Flips: []int{19, 2, -1, 7, 2}}); !reflect.DeepEqual(policy.FlipAt, st.Flips) {
 		t.Fatalf("FlipAt rebuilt from an unsorted list as %v, want %v", policy.FlipAt, st.Flips)
 	}
 }

@@ -24,11 +24,6 @@ func randomAccesses(rng *rand.Rand, n int) []Access {
 		if a.Kind = Read; rng.Intn(2) == 0 {
 			a.Kind = Write
 		}
-		var locks []uint64
-		for j := 0; j < rng.Intn(3); j++ {
-			locks = append(locks, uint64(0x100*(j+1)))
-		}
-		a.Locks = InternLocks(locks)
 		out[i] = a
 	}
 	return out
@@ -55,14 +50,14 @@ func checkModel(t *testing.T, what string, b *Block, model []Access) {
 	}
 }
 
-// TestBlockRowLayout: a row is 32 bytes and holds no pointer, so a trace
+// TestBlockRowLayout: a row is 24 bytes and holds no pointer, so a trace
 // is one allocation the collector never scans; and a Block reused through
 // Reset and filtered by Apply equals a plain []Access model of what was
 // recorded.
 func TestBlockRowLayout(t *testing.T) {
 	rt := reflect.TypeOf(row{})
-	if rt.Size() != 32 {
-		t.Fatalf("a row is %d bytes, want 32", rt.Size())
+	if rt.Size() != 24 {
+		t.Fatalf("a row is %d bytes, want 24", rt.Size())
 	}
 	for i := 0; i < rt.NumField(); i++ {
 		switch f := rt.Field(i); f.Type.Kind() {
@@ -86,7 +81,7 @@ func TestBlockRowLayout(t *testing.T) {
 		warm := cap(b.rows)
 		b.Reset()
 		for _, a := range model {
-			b.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
+			b.Record(a.Ins, a.Addr, a.Val, a.Meta())
 		}
 		if len(model) <= warm && cap(b.rows) != warm {
 			t.Fatalf("round %d: Reset gave up the rows: cap %d, was %d", round, cap(b.rows), warm)
@@ -113,33 +108,9 @@ func TestBlockRowLayout(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() {
 		b.Reset()
 		for _, a := range model {
-			b.Record(a.Thread, a.Ins, a.Kind, a.Addr, a.Size, a.Val, a.Atomic, a.Marked, a.Stack, a.RCU, a.Locks)
+			b.Record(a.Ins, a.Addr, a.Val, a.Meta())
 		}
 	}); allocs != 0 {
 		t.Fatalf("a warm Reset and 256 Records allocate %.1f times", allocs)
-	}
-}
-
-// TestLockSetAliasingImmunity proves the old "shared slice, do not mutate"
-// footgun on Access.Locks is gone by construction: mutating the slice a
-// recorded trace hands back cannot corrupt sibling accesses or the intern
-// table, because Addrs always returns a fresh copy.
-func TestLockSetAliasingImmunity(t *testing.T) {
-	locks := []uint64{0x100, 0x200}
-	var accs Block
-	accs.Record(0, 0, Read, 0x10, 8, 0, false, false, false, false, InternLocks(locks))
-	accs.Record(0, 0, Read, 0x20, 8, 0, false, false, false, false, InternLocks(locks))
-	got := accs.At(0).Locks.Addrs()
-	got[0] = 0xdead
-	got[1] = 0xbeef
-	for i := 0; i < accs.Len(); i++ {
-		if a := accs.At(i).Locks.Addrs(); a[0] != 0x100 || a[1] != 0x200 {
-			t.Fatalf("sibling access %d lockset corrupted: %#x", i, a)
-		}
-	}
-	// The intern table itself is untouched: a fresh interning of the same
-	// set still resolves to the original addresses.
-	if a := InternLocks(locks).Addrs(); a[0] != 0x100 || a[1] != 0x200 {
-		t.Fatalf("intern table corrupted: %#x", a)
 	}
 }

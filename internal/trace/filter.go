@@ -26,10 +26,10 @@ func DefaultFilter(thread int) Filter {
 }
 
 // keeps reports whether the filter keeps an access with packed meta m.
-func (f Filter) keeps(m uint32) bool {
+func (f Filter) keeps(m Meta) bool {
 	return (f.Thread < 0 || int(m>>metaThreadShift) == f.Thread) &&
-		(m&metaStack == 0 || f.KeepStack) &&
-		(m&metaAtomic == 0 || f.KeepAtomics)
+		(m&MetaStack == 0 || f.KeepStack) &&
+		(m&MetaAtomic == 0 || f.KeepAtomics)
 }
 
 // Apply returns the accesses of tr that pass the filter, preserving order,

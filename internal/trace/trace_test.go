@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -138,53 +137,19 @@ func TestProjectValAgainstBytes(t *testing.T) {
 }
 
 func TestSharesLock(t *testing.T) {
-	a := Access{Locks: InternLocks([]uint64{1, 5, 9})}
-	b := Access{Locks: InternLocks([]uint64{2, 5})}
-	c := Access{Locks: InternLocks([]uint64{3, 4})}
-	var d Access
-	if !a.SharesLock(&b) {
+	a, b, c := []uint64{1, 5, 9}, []uint64{2, 5}, []uint64{3, 4}
+	if !SharesLock(a, b) {
 		t.Fatal("shared lock 5 not found")
 	}
-	if a.SharesLock(&c) || a.SharesLock(&d) || d.SharesLock(&d) {
+	if SharesLock(a, c) || SharesLock(a, nil) || SharesLock(nil, nil) {
 		t.Fatal("phantom shared lock")
-	}
-}
-
-// TestSharesLockAgainstNaive is a property test against set intersection.
-func TestSharesLockAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 1000; i++ {
-		mk := func() []uint64 {
-			n := rng.Intn(5)
-			out := make([]uint64, 0, n)
-			cur := uint64(0)
-			for j := 0; j < n; j++ {
-				cur += uint64(rng.Intn(4) + 1)
-				out = append(out, cur)
-			}
-			return out
-		}
-		la, lb := mk(), mk()
-		a := Access{Locks: InternLocks(la)}
-		b := Access{Locks: InternLocks(lb)}
-		want := false
-		for _, x := range la {
-			for _, y := range lb {
-				if x == y {
-					want = true
-				}
-			}
-		}
-		if got := a.SharesLock(&b); got != want {
-			t.Fatalf("SharesLock(%v,%v)=%v want %v", la, lb, got, want)
-		}
 	}
 }
 
 func TestTraceAppendSeq(t *testing.T) {
 	var tr Trace
 	for i := 0; i < 5; i++ {
-		tr.Record(0, 0, Read, uint64(i), 0, 0, false, false, false, false, 0)
+		tr.Record(0, uint64(i), 0, 0)
 	}
 	for i := 0; i < tr.Len(); i++ {
 		if a := tr.At(i); a.Seq != i {
@@ -199,11 +164,11 @@ func TestTraceAppendSeq(t *testing.T) {
 
 func TestFilterThreadStackAtomic(t *testing.T) {
 	var tr Trace
-	tr.Record(0, 0, Read, 1, 0, 0, false, false, false, false, 0)
-	tr.Record(1, 0, Read, 2, 0, 0, false, false, false, false, 0)
-	tr.Record(0, 0, Read, 3, 0, 0, false, false, true, false, 0)
-	tr.Record(0, 0, Read, 4, 0, 0, true, false, false, false, 0)
-	tr.Record(0, 0, Read, 5, 0, 0, false, true, false, false, 0)
+	tr.Record(0, 1, 0, 0)
+	tr.Record(0, 2, 0, ThreadMeta(1))
+	tr.Record(0, 3, 0, MetaStack)
+	tr.Record(0, 4, 0, MetaAtomic)
+	tr.Record(0, 5, 0, MetaMarked)
 
 	got := DefaultFilter(0).Apply(&tr)
 	if got.Len() != 2 || got.At(0).Addr != 1 || got.At(1).Addr != 5 {
@@ -222,11 +187,11 @@ func TestFilterThreadStackAtomic(t *testing.T) {
 }
 
 func mkRead(b *Block, ins Ins, addr uint64, size uint8, val uint64) {
-	b.Record(0, ins, Read, addr, size, val, false, false, false, false, 0)
+	b.Record(ins, addr, val, Meta(size))
 }
 
 func mkWrite(b *Block, ins Ins, addr uint64, size uint8, val uint64) {
-	b.Record(0, ins, Write, addr, size, val, false, false, false, false, 0)
+	b.Record(ins, addr, val, Meta(size)|MetaWrite)
 }
 
 func TestMarkDoubleFetches(t *testing.T) {

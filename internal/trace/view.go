@@ -18,6 +18,11 @@ type View struct {
 	words   Shadow[uint32] // word address → 1 + id
 	ids     [][2]uint32    // per access: id of its first and, if it straddles, second word
 	threads []uint32       // per id: bit t set when thread t touched the word
+
+	// The word interned last and its id: a read-modify-write of one
+	// counter, or a walk over one word, is rows in a row on the same word.
+	lastWord uint64
+	lastID   uint32
 }
 
 // NoWord is the word id of an access the view did not intern.
@@ -33,15 +38,16 @@ const allThreads = ^uint32(0)
 func (v *View) Build(tr *Trace) {
 	v.tr = tr
 	v.words.Reset()
-	v.ids = slices.Grow(v.ids[:0], tr.Len())
+	v.ids = slices.Grow(v.ids[:0], tr.Len())[:tr.Len()]
 	v.threads = v.threads[:0]
+	v.lastWord = ^uint64(0) // no word: a word is an address shifted right by 3
 	for i := range tr.rows {
 		r := &tr.rows[i]
 		m := r.meta
 		id := [2]uint32{NoWord, NoWord}
-		if m&(metaStack|metaAtomic) == 0 {
+		if m&(MetaStack|MetaAtomic) == 0 {
 			first := r.addr >> 3
-			last := (r.addr + uint64(m&metaSizeMask) - 1) >> 3
+			last := (r.addr + uint64(m&metaSize) - 1) >> 3
 			mask := allThreads
 			if t := m >> metaThreadShift; t < 32 && first == last {
 				mask = 1 << t
@@ -51,19 +57,21 @@ func (v *View) Build(tr *Trace) {
 				id[1] = v.intern(last, mask)
 			}
 		}
-		v.ids = append(v.ids, id)
+		v.ids[i] = id
 	}
 }
 
 func (v *View) intern(word uint64, mask uint32) uint32 {
-	slot := v.words.Slot(word)
-	if *slot == 0 {
-		v.threads = append(v.threads, 0)
-		*slot = uint32(len(v.threads))
+	if word != v.lastWord {
+		slot := v.words.Slot(word)
+		if *slot == 0 {
+			v.threads = append(v.threads, 0)
+			*slot = uint32(len(v.threads))
+		}
+		v.lastWord, v.lastID = word, *slot-1
 	}
-	id := *slot - 1
-	v.threads[id] |= mask
-	return id
+	v.threads[v.lastID] |= mask
+	return v.lastID
 }
 
 // Trace returns the trace the view was built over.

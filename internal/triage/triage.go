@@ -208,12 +208,19 @@ type Replayed struct {
 
 // Replay is the one way a recorded trial is re-executed and judged: replay
 // (ct, st) in env with preemption recording, detach the trace, and run the
-// detector suite (host-side fsck included) over the result. The minimizer,
-// sbrepro and the replay tests all go through it, so a finding that
+// detector suite (host-side fsck included) over the result. sbrepro and the
+// replay tests go through it, and the minimizer through the same
+// ReplayRecorded and judge on a replayer it reuses, so a finding that
 // reproduces for one reproduces for all.
 func Replay(env *exec.Env, ct sched.ConcurrentTest, st *sched.ReproState, opt detect.Options) *Replayed {
 	r := &Replayed{}
 	r.Result, r.Switches = sched.ReplayRecorded(env, ct, st, &r.Trace)
+	r.judge(env, opt)
+	return r
+}
+
+// judge detaches r's trace from env and runs the detector suite over r.
+func (r *Replayed) judge(env *exec.Env, opt detect.Options) {
 	env.M.SetTrace(nil)
 	r.Issues = detect.Analyze(detect.TrialInput{
 		Console:  r.Result.Console,
@@ -222,21 +229,25 @@ func Replay(env *exec.Env, ct sched.ConcurrentTest, st *sched.ReproState, opt de
 		Hung:     r.Result.Hung,
 		Deadlock: r.Result.Deadlock,
 	}, opt)
-	return r
 }
 
+// minimizer is one Minimize call. Its replays share one replayer and one
+// trace.
 type minimizer struct {
 	env     *exec.Env
 	opt     Options
 	replays int
+	rp      sched.Replayer
+	last    Replayed
 }
 
-// replayRecord replays (ct, st) and returns the recorded switch indices
-// and the issues.
+// replayRecord replays (ct, st) and returns the recorded switch indices,
+// valid until the next replay, and the issues.
 func (m *minimizer) replayRecord(ct sched.ConcurrentTest, st *sched.ReproState) ([]int, []detect.Issue) {
 	m.replays++
-	r := Replay(m.env, ct, st, m.opt.Detect)
-	return r.Switches, r.Issues
+	m.last.Result, m.last.Switches = m.rp.ReplayRecorded(m.env, ct, st, &m.last.Trace)
+	m.last.judge(m.env, m.opt.Detect)
+	return m.last.Switches, m.last.Issues
 }
 
 // exposes reports whether issues hold a crash-level issue signed target.

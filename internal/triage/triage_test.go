@@ -2,6 +2,7 @@ package triage
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"snowboard/internal/corpus"
@@ -100,6 +101,58 @@ func TestMinimizeNeverGrowsAndReproduces(t *testing.T) {
 	}
 	if res2.Stats.WriterCallsMin != s.WriterCallsMin || res2.Stats.ReaderCallsMin != s.ReaderCallsMin {
 		t.Fatalf("re-minimization shrank the programs further: %+v then %+v", s, res2.Stats)
+	}
+}
+
+// TestWarmReplayAllocBudget: a minimizer's replays after the first reuse
+// its replayer — policy, rng source and flag set — and its trace, so a
+// warm replay allocates what the run's result needs: under 1 KB, fewer
+// bytes than a fresh lazyrand source alone (about 4.9 KB) or the trace's
+// regrowth. Reuse carries nothing over either: replays of two states in
+// turn judge, switch and trace as fresh ones do.
+func TestWarmReplayAllocBudget(t *testing.T) {
+	env, f := l2tpFinding(t, 1)
+	m := &minimizer{env: env, opt: Options{Detect: detect.DefaultOptions()}}
+	events, _ := m.replayRecord(f.Test, f.State)
+	all := decisionSet(f.State.Flips, events)
+	states := []*sched.ReproState{f.State, candState(f.State, flipsFor(all, []int{0}))}
+	for round := 0; round < 4; round++ {
+		st := states[round%2]
+		fresh := Replay(env, f.Test, st, m.opt.Detect)
+		switches, issues := m.replayRecord(f.Test, st)
+		if !reflect.DeepEqual(switches, fresh.Switches) || !reflect.DeepEqual(issues, fresh.Issues) {
+			t.Fatalf("round %d: a warm replay switched at %v and found %v, a fresh one %v and %v",
+				round, switches, issues, fresh.Switches, fresh.Issues)
+		}
+		if m.last.Trace.Len() != fresh.Trace.Len() {
+			t.Fatalf("round %d: a warm replay traced %d accesses, a fresh one %d", round, m.last.Trace.Len(), fresh.Trace.Len())
+		}
+		for i := 0; i < fresh.Trace.Len(); i++ {
+			if m.last.Trace.At(i) != fresh.Trace.At(i) {
+				t.Fatalf("round %d: access %d is %v warm, %v fresh", round, i, m.last.Trace.At(i), fresh.Trace.At(i))
+			}
+		}
+	}
+
+	// The gate counts the replay itself: the verdict allocates what the
+	// detector suite does, through a pool the race detector drains at
+	// random.
+	replay := func() {
+		m.last.Result, m.last.Switches = m.rp.ReplayRecorded(env, f.Test, f.State, &m.last.Trace)
+		env.M.SetTrace(nil)
+	}
+	const replays = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < replays; i++ {
+		replay()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / replays; per >= 2048 {
+		t.Fatalf("a warm replay allocates %d bytes, want under 2048", per)
+	}
+	if allocs := testing.AllocsPerRun(replays, replay); allocs > 20 {
+		t.Fatalf("a warm replay allocates %.1f times, want at most 20", allocs)
 	}
 }
 

@@ -18,7 +18,7 @@ type lockModel struct {
 	want    []uint64         // per thread, the lock it is acquiring or last acquired
 	state   []ThreadState    // per thread
 	waiters map[uint64][]int // per lock, the threads that blocked on it since its last release
-	expect  [][]trace.LockSet
+	expect  [][][]uint64     // per thread, the sets its accesses are made under
 }
 
 func (l *lockModel) release(addr uint64) {
@@ -30,19 +30,20 @@ func (l *lockModel) release(addr uint64) {
 	delete(l.waiters, addr)
 }
 
-// logAccess notes that thread t's next access must be recorded under held.
+// logAccess notes that thread t's next access must be made under held.
 func (l *lockModel) logAccess(t int, held []uint64) {
-	l.expect[t] = append(l.expect[t], trace.InternLocks(held))
+	l.expect[t] = append(l.expect[t], slices.Sorted(slices.Values(held)))
 }
 
 // TestLockProgramEqualsModel runs seeded random lock programs — nested
 // acquisitions up to six deep, releases in and out of acquisition order,
-// one thread that faults holding whatever it holds — on four threads under a scheduler that switches at
-// random at every event, and checks two things against lockModel: every
-// recorded access carries exactly the interned set of the locks its thread
-// held, and after every event exactly the threads the waiter lists would
-// have woken are runnable. Blocking acquisitions take locks in ascending
-// order, so no program deadlocks.
+// one thread that faults holding whatever it holds — on four threads under
+// a scheduler that switches at random at every event, and checks two
+// things against lockModel: the set trace.HeldLocks derives for every
+// recorded access from the lock-word rows is exactly the set of locks its
+// thread held, and after every event exactly the threads the waiter lists
+// would have woken are runnable. Blocking acquisitions take locks in
+// ascending order, so no program deadlocks.
 func TestLockProgramEqualsModel(t *testing.T) {
 	const threads, locks = 4, 6
 	lockAddr := func(i int) uint64 { return testRegionBase + 0x100 + uint64(i)*8 }
@@ -53,7 +54,7 @@ func TestLockProgramEqualsModel(t *testing.T) {
 		m.SetTrace(&tr)
 		model := &lockModel{
 			held: make([][]uint64, threads), want: make([]uint64, threads), state: make([]ThreadState, threads),
-			waiters: make(map[uint64][]int), expect: make([][]trace.LockSet, threads),
+			waiters: make(map[uint64][]int), expect: make([][][]uint64, threads),
 		}
 		for id := 0; id < threads; id++ {
 			rng := rand.New(rand.NewSource(seed*100 + int64(id)))
@@ -152,13 +153,13 @@ func TestLockProgramEqualsModel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		// The k-th access of a thread was recorded under the k-th set it logged.
+		// The k-th access of a thread was made under the k-th set it logged.
 		seen := make([]int, threads)
-		for i := 0; i < tr.Len(); i++ {
+		for i, set := range trace.HeldLocks(&tr) {
 			a := tr.At(i)
-			if k := seen[a.Thread]; k >= len(model.expect[a.Thread]) || a.Locks != model.expect[a.Thread][k] {
-				t.Fatalf("seed %d: access %d, the %d-th of thread %d, recorded under locks %v, want %v",
-					seed, i, k, a.Thread, a.Locks.Addrs(), model.expect[a.Thread][min(k, len(model.expect[a.Thread])-1)].Addrs())
+			if k := seen[a.Thread]; k >= len(model.expect[a.Thread]) || !slices.Equal(set, model.expect[a.Thread][k]) {
+				t.Fatalf("seed %d: access %d, the %d-th of thread %d, made under locks %#x, want %#x",
+					seed, i, k, a.Thread, set, model.expect[a.Thread][min(k, len(model.expect[a.Thread])-1)])
 			}
 			seen[a.Thread]++
 		}

@@ -106,8 +106,6 @@ type Machine struct {
 	cpus    []*vcpu // one coroutine per thread slot, kept across runs
 	trace   *trace.Trace
 
-	lockMemo trace.Shadow[lockEdge] // LockSet.With results, kept across runs
-
 	sink     AccessSink   // scheduler fast path for the current Run, if any
 	watch    *Watch       // the sink's, read at every access
 	offered  int          // accesses of the current Run that were the sink's to see
@@ -126,25 +124,6 @@ func NewMachine() *Machine {
 		Mem:     NewMemory(),
 		Console: &Console{},
 	}
-}
-
-// lockEdge is one remembered LockSet.With: set extended by addr is with.
-type lockEdge struct {
-	set, with trace.LockSet
-	addr      Addr
-}
-
-// lockWith is set.With(addr) through the machine's memo. Interned sets are
-// process-wide and immutable, so an edge once learned holds for every later
-// run, and a thread taking a lock reaches the process-wide intern table
-// only the first time this machine sees the (set, lock) pair. Two pairs
-// that hash alike evict each other, which costs a lookup and nothing else.
-func (m *Machine) lockWith(set trace.LockSet, addr Addr) trace.LockSet {
-	e := m.lockMemo.Slot(uint64(set)<<40 ^ addr)
-	if e.with == 0 || e.set != set || e.addr != addr {
-		*e = lockEdge{set: set, with: set.With(addr), addr: addr}
-	}
-	return e.with
 }
 
 // wakeLockWaiters makes runnable every thread blocked on the lock at addr.
@@ -235,6 +214,7 @@ func (m *Machine) Spawn(name string, stackBase Addr, fn func(*Thread)) *Thread {
 	*t = Thread{
 		ID:      id,
 		Name:    name,
+		meta:    trace.ThreadMeta(id),
 		m:       m,
 		cpu:     cpu,
 		state:   Runnable,
@@ -283,11 +263,11 @@ func (m *Machine) step(t *Thread) Event {
 // sibling thread can still run (mirrors a crashed CPU being
 // fenced off; without this every fault would cascade into a deadlock).
 func (m *Machine) releaseDead(t *Thread) {
-	for _, h := range t.cpu.held {
-		m.Mem.Write(h.addr, 8, 0)
-		m.wakeLockWaiters(h.addr)
+	for _, addr := range t.cpu.held {
+		m.Mem.Write(addr, 8, 0)
+		m.wakeLockWaiters(addr)
 	}
-	t.locks, t.cpu.held = 0, t.cpu.held[:0]
+	t.cpu.held = t.cpu.held[:0]
 }
 
 // Run drives threads under the scheduler until all threads finish, the

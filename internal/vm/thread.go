@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"snowboard/internal/trace"
 )
@@ -73,16 +74,10 @@ type Thread struct {
 	stackLo Addr // kernel stack region [stackLo, stackLo+trace.StackSize)
 	sp      Addr // current stack pointer (grows down)
 
-	locks    trace.LockSet // interned set of lock addresses held; cpu.held lists them
+	meta     trace.Meta // the bits of every row it records: its id, and MetaRCU while rcuDepth > 0
 	rcuDepth int
 
 	prev AccessSite // the latest access off the stack (AccessInfo.Prev); Size 0 if none
-}
-
-// heldLock is one lock a thread holds and the set it held before taking it.
-type heldLock struct {
-	addr Addr
-	prev trace.LockSet
 }
 
 // yield switches to the machine loop and returns when the thread is
@@ -121,12 +116,20 @@ func (t *Thread) checkRange(addr Addr, size int) {
 // was not shown — how many, this thread's last off its stack — is kept here.
 // A preemption yields only its kind; only a scheduler without a sink, which
 // is shown no access otherwise, has the row kept for it (LastAccess).
-func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val uint64, atomic, marked bool) {
+//
+// flags are the access's own meta bits: trace.MetaWrite, MetaAtomic and
+// MetaMarked as they apply.
+func (t *Thread) record(ins trace.Ins, addr Addr, size int, val uint64, flags trace.Meta) {
 	m := t.m
+	meta := t.meta | flags | trace.Meta(size)
 	stack := addr >= t.stackLo && addr < t.stackLo+trace.StackSize
-	if m.trace != nil {
-		m.trace.Record(t.ID, ins, kind, addr, uint8(size), val, atomic, marked, stack, t.rcuDepth > 0, t.locks)
+	if stack {
+		meta |= trace.MetaStack
 	}
+	if m.trace != nil {
+		m.trace.Record(ins, addr, val, meta)
+	}
+	kind := meta.Kind()
 	m.steps++ // safe: the machine loop is blocked in step() while we run
 	if m.steps < m.runMax && m.sink != nil {
 		idx, w := m.offered, m.watch
@@ -148,11 +151,10 @@ func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val
 			Addr:   addr,
 			Size:   uint8(size),
 			Val:    val,
-			Atomic: atomic,
-			Marked: marked,
+			Atomic: meta&trace.MetaAtomic != 0,
+			Marked: meta&trace.MetaMarked != 0,
 			Stack:  stack,
-			RCU:    t.rcuDepth > 0,
-			Locks:  t.locks,
+			RCU:    meta&trace.MetaRCU != 0,
 		}
 	}
 	t.yield(EvAccess)
@@ -163,7 +165,7 @@ func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val
 func (t *Thread) Load(ins trace.Ins, addr Addr, size int) uint64 {
 	t.checkRange(addr, size)
 	v := t.m.Mem.Read(addr, size)
-	t.record(ins, trace.Read, addr, size, v, false, false)
+	t.record(ins, addr, size, v, 0)
 	return v
 }
 
@@ -171,7 +173,7 @@ func (t *Thread) Load(ins trace.Ins, addr Addr, size int) uint64 {
 func (t *Thread) Store(ins trace.Ins, addr Addr, size int, val uint64) {
 	t.checkRange(addr, size)
 	t.m.Mem.Write(addr, size, val)
-	t.record(ins, trace.Write, addr, size, val, false, false)
+	t.record(ins, addr, size, val, trace.MetaWrite)
 }
 
 // LoadMarked is an annotated load (READ_ONCE / rcu_dereference): it takes
@@ -180,7 +182,7 @@ func (t *Thread) Store(ins trace.Ins, addr Addr, size int, val uint64) {
 func (t *Thread) LoadMarked(ins trace.Ins, addr Addr, size int) uint64 {
 	t.checkRange(addr, size)
 	v := t.m.Mem.Read(addr, size)
-	t.record(ins, trace.Read, addr, size, v, false, true)
+	t.record(ins, addr, size, v, trace.MetaMarked)
 	return v
 }
 
@@ -188,7 +190,7 @@ func (t *Thread) LoadMarked(ins trace.Ins, addr Addr, size int) uint64 {
 func (t *Thread) StoreMarked(ins trace.Ins, addr Addr, size int, val uint64) {
 	t.checkRange(addr, size)
 	t.m.Mem.Write(addr, size, val)
-	t.record(ins, trace.Write, addr, size, val, false, true)
+	t.record(ins, addr, size, val, trace.MetaWrite|trace.MetaMarked)
 }
 
 // CPURelax models a PAUSE/HALT-style instruction: a voluntary yield that the
@@ -220,43 +222,15 @@ func (t *Thread) PopFrame(size int) {
 
 // --- Locks ---
 
-// holdLock pushes addr on the stack of held locks and extends the lockset,
-// through the machine's memo of LockSet.With.
-func (t *Thread) holdLock(addr Addr) {
-	t.cpu.held = append(t.cpu.held, heldLock{addr: addr, prev: t.locks})
-	t.locks = t.m.lockWith(t.locks, addr)
-}
-
-// dropLock removes addr, which the thread holds. Releasing the latest lock
-// taken restores the set held before it; a release out of order takes addr
-// out of every set recorded since as well.
+// dropLock removes addr, which the thread holds, from its stack of held
+// locks.
 func (t *Thread) dropLock(addr Addr) {
-	held := t.cpu.held
-	top := len(held) - 1
-	if held[top].addr == addr {
-		t.locks, t.cpu.held = held[top].prev, held[:top]
-		return
-	}
-	i := top
-	for held[i].addr != addr {
-		i--
-	}
-	for j := i + 1; j <= top; j++ {
-		held[j].prev = held[j].prev.Without(addr)
-	}
-	t.cpu.held = append(held[:i], held[i+1:]...)
-	t.locks = t.locks.Without(addr)
+	i := slices.Index(t.cpu.held, addr)
+	t.cpu.held = slices.Delete(t.cpu.held, i, i+1)
 }
 
 // HoldsLock reports whether the thread currently holds the lock at addr.
-func (t *Thread) HoldsLock(addr Addr) bool {
-	for _, h := range t.cpu.held {
-		if h.addr == addr {
-			return true
-		}
-	}
-	return false
-}
+func (t *Thread) HoldsLock(addr Addr) bool { return slices.Contains(t.cpu.held, addr) }
 
 // Lock acquires the lock word at addr (spinlock and mutex behave identically
 // under the serialized scheduler). Acquisition is a single atomic RMW event;
@@ -270,8 +244,8 @@ func (t *Thread) Lock(ins trace.Ins, addr Addr) {
 		t.checkRange(addr, 8)
 		if t.m.Mem.Read(addr, 8) == 0 {
 			t.m.Mem.Write(addr, 8, uint64(t.ID)+1)
-			t.holdLock(addr)
-			t.record(ins, trace.Write, addr, 8, uint64(t.ID)+1, true, false)
+			t.cpu.held = append(t.cpu.held, addr)
+			t.record(ins, addr, 8, uint64(t.ID)+1, trace.MetaWrite|trace.MetaAtomic)
 			return
 		}
 		// Contended: block until the holder releases.
@@ -289,13 +263,16 @@ func (t *Thread) Unlock(ins trace.Ins, addr Addr) {
 	t.m.Mem.Write(addr, 8, 0)
 	t.dropLock(addr)
 	t.m.wakeLockWaiters(addr)
-	t.record(ins, trace.Write, addr, 8, 0, true, false)
+	t.record(ins, addr, 8, 0, trace.MetaWrite|trace.MetaAtomic)
 }
 
 // --- RCU ---
 
 // RCUReadLock enters an RCU read-side critical section. Sections nest.
-func (t *Thread) RCUReadLock() { t.rcuDepth++ }
+func (t *Thread) RCUReadLock() {
+	t.rcuDepth++
+	t.meta |= trace.MetaRCU
+}
 
 // RCUReadUnlock leaves the innermost RCU read-side critical section.
 func (t *Thread) RCUReadUnlock() {
@@ -303,4 +280,7 @@ func (t *Thread) RCUReadUnlock() {
 		t.Fault("BUG: rcu_read_unlock without rcu_read_lock on thread %d", t.ID)
 	}
 	t.rcuDepth--
+	if t.rcuDepth == 0 {
+		t.meta &^= trace.MetaRCU
+	}
 }

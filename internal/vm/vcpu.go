@@ -32,10 +32,9 @@ type vcpu struct {
 	fn func(*Thread)
 
 	// held is the stack of locks the slot's current thread holds, in
-	// acquisition order, each with the set held before it: releasing the
-	// latest restores that set without a table lookup. The storage belongs
-	// to the slot, so a trial's threads allocate nothing to take locks.
-	held []heldLock
+	// acquisition order. The storage belongs to the slot, so a trial's
+	// threads allocate nothing to take locks.
+	held []Addr
 
 	// crash is a body's non-fault panic, re-raised by step on the
 	// goroutine that called Run.

@@ -44,6 +44,11 @@ var linkAllowlist = map[string]string{
 	// TestL2TPBugTriggersUnderAdversarialSchedule (internal/exec) is the
 	// FuncScheduler that reads it.
 	"snowboard/internal/vm.(*Machine).LastAccess": "access of a non-sink scheduler's EvAccess, for the exec scheduling test",
+	// An Access value's row meta, for building a trace from Access values:
+	// the tests of internal/trace, detect, cover and pmc, and the
+	// allowlisted difftest and model generators, record through it. The VM
+	// ORs a row's meta from its thread's bits and builds no Access.
+	"snowboard/internal/trace.(*Access).Meta": "trace-building fixture for the trace, detect, cover and pmc tests",
 	// The reference model of a trial's analysis, with its trace generator
 	// and census, that the differential tests of internal/detect,
 	// internal/cover and internal/sched diff the flat analyses against.

@@ -116,6 +116,11 @@ var designRules = []designRule{
 		{"internal/vm/machine.go", "\nfunc (m *Machine) spin(f func()) { go f() }\n"},
 		{"internal/vm/vcpu.go", "\ntype handoff struct{ resume chan Event }\n"},
 	}},
+	{"no_lockset_per_access", noLocksetPerAccess, []mutation{
+		{"internal/vm/thread.go", "\nvar held trace.LockSet\n"},
+		{"internal/vm/locks.go", "package vm\n\nfunc (t *Thread) Unlock(a Addr) { t.m.lockWith(0, a) }\n"},
+		{"internal/vm/locks.go", "package vm\n\nimport tr \"snowboard/internal/trace\"\n\nfunc (t *Thread) dropLock(a Addr) { t.forget(a) }\n\nfunc (t *Thread) forget(a Addr) { tr.InternLocks(nil) }\n"},
+	}},
 	{"one_address_table_after_the_trial", oneAddressTableAfterTheTrial, []mutation{
 		{"bench/shadow.go", "package main\n\ntype ByteShadow struct{}\n"},
 	}},
@@ -442,6 +447,54 @@ func oneThreadHandoff(tr *tree) []string {
 			out = append(out, tr.at(n, "a channel in the guest's thread handoff"))
 		}
 	})
+	return out
+}
+
+// A row carries no lockset: the locks an access was made under follow from
+// the trace's lock-word rows (trace.HeldLocks), derived by the one detector
+// that reads them. A trace.LockSet in internal/vm, or a call that interns
+// — an Intern… or …With/…Without name, or a Shadow slot — in a lock
+// operation or in a vm function one reaches, is the per-lock-operation
+// interning back.
+func noLocksetPerAccess(tr *tree) []string {
+	files := tr.code("internal/vm/*.go")
+	out := tr.members(files, tracePath, "LockSet")
+	decls := make(map[string][]*ast.FuncDecl)
+	for _, f := range files {
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				decls[fd.Name.Name] = append(decls[fd.Name.Name], fd)
+			}
+		}
+	}
+	var work []*ast.FuncDecl
+	for _, op := range []string{"Lock", "Unlock"} {
+		ops := funcs(files, "Thread", op)
+		if len(ops) == 0 {
+			out = append(out, "internal/vm: no (*Thread)."+op+" to check")
+		}
+		work = append(work, ops...)
+	}
+	seen := make(map[*ast.FuncDecl]bool)
+	for len(work) > 0 {
+		fd := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[fd] || fd.Body == nil {
+			continue
+		}
+		seen[fd] = true
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				name := lastName(call.Fun)
+				if strings.Contains(strings.ToLower(name), "intern") || strings.HasSuffix(name, "With") ||
+					strings.HasSuffix(name, "Without") || name == "Slot" {
+					out = append(out, tr.at(call, fd.Name.Name+" interns under a lock operation: "+name))
+				}
+				work = append(work, decls[name]...)
+			}
+			return true
+		})
+	}
 	return out
 }
 
