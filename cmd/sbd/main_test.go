@@ -136,6 +136,14 @@ func TestControlPlaneHTTP(t *testing.T) {
 		!strings.Contains(string(body), "ceilings") {
 		t.Fatalf("spec past a ceiling: status %d body %q, want 400 naming the ceilings", code, body)
 	}
+	// Each local-stage worker boots a kernel clone: a spec's fan-out is
+	// bounded like its budgets.
+	crowded := testSpec("crowded", 11)
+	crowded.Workers = core.MaxWorkers + 1
+	if code, body := postJSON(t, base+"/campaigns", crowded); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), fmt.Sprintf("workers=%d/%d", crowded.Workers, core.MaxWorkers)) {
+		t.Fatalf("workers past the ceiling: status %d body %q, want 400 naming the ceiling", code, body)
+	}
 
 	// A misspelt field would otherwise run the default budget, and a second
 	// object after the spec would be dropped unread.

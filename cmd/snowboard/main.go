@@ -1,18 +1,31 @@
-// Command snowboard runs the full testing pipeline — sequential fuzzing,
+// Command snowboard runs the testing pipeline — sequential fuzzing,
 // profiling, PMC identification, clustering, and PMC-hinted concurrent
 // exploration — against the simulated kernel, and prints a Table 3-style
 // report.
 //
 // Usage:
 //
-//	snowboard [-mode full|compare] [-version 5.12-rc3] [-method S-INS-PAIR]
-//	          [-seed 1] [-fuzz 400] [-corpus 120] [-tests 60] [-trials 16]
-//	          [-feedback] [-rounds 4] [-workers 0] [-state dir]
-//	          [-listen 127.0.0.1:7070] [-json] [-http :8080]
+//	snowboard [-mode full|compare|profile] [-version 5.12-rc3]
+//	          [-method S-INS-PAIR] [-seed 1] [-fuzz 400] [-corpus 120]
+//	          [-tests 60] [-trials 16] [-feedback] [-rounds 4] [-workers 0]
+//	          [-state dir] [-listen 127.0.0.1:7070] [-json] [-http :8080]
 //	          [-progress 10s] [-events events.jsonl] [-v]
+//
+// The flags make one campaign spec (core.CampaignSpec), and every mode
+// takes its options from it, so a spec is checked once, before anything
+// runs: a bad version or method, a zero -seed or budget (a spec would read
+// 0 as "the default"), or a budget or -workers past its core.Max* ceiling
+// exits 2 with the same message in every mode, with or without -listen.
 //
 // With -mode compare, every generation method of the paper's Table 3 runs
 // on the same profiled corpus and one row is printed per method.
+//
+// With -mode profile, only the first two stages run (§4.1–4.2): the corpus
+// is built (or, with -state, loaded), every test is profiled and the PMCs
+// identified, and their statistics are printed — the clusters per
+// strategy and the hottest channels; -v adds every corpus program, -json
+// prints the stage 1–2 report instead. Nothing is explored, so this is the
+// cheap look at what the analysis sees before spending execution budget.
 //
 // With -listen, snowboard coordinates a distributed run (§4.4.1): the
 // spec runs as one campaign — the core.Campaign sbd hosts — and once its
@@ -26,8 +39,13 @@
 // moment longer, so a joined worker is told so and exits 0. With -state,
 // the campaign's report is memoized there too, and `sbd -state` on the
 // same directory lists it. The text summary is the delivery accounting
-// and the issue table -v prints. Every budget (-fuzz, -corpus, -tests,
-// -trials) must be positive, with or without -listen.
+// and the issue table -v prints. -listen runs one method's campaign: it
+// refuses -mode compare and -mode profile.
+//
+// With -state, every mode keeps the corpus in the store rooted there, so
+// a profile run after a full run on the same directory (or the reverse)
+// takes it from there instead of re-fuzzing; profiles and PMCs are always
+// recomputed.
 //
 // Only the report is written to stdout (plain text, or JSON with -json);
 // every progress and diagnostic line goes to stderr. With -http, a live
@@ -41,9 +59,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"snowboard"
+	"snowboard/internal/cluster"
 	"snowboard/internal/core"
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
@@ -51,10 +71,10 @@ import (
 
 func main() {
 	var (
-		mode     = flag.String("mode", "full", "run mode: full (one method) or compare (all Table 3 methods)")
+		mode     = flag.String("mode", "full", "run mode: full (one method), compare (all Table 3 methods) or profile (stages 1-2 statistics only)")
 		version  = flag.String("version", string(snowboard.V5_12_RC3), "simulated kernel version (5.3.10 or 5.12-rc3)")
 		method   = flag.String("method", "S-INS-PAIR", "generation method (Table 1 strategy, 'Random S-INS-PAIR', 'Random pairing', 'Duplicate pairing')")
-		seed     = flag.Int64("seed", 1, "deterministic seed")
+		seed     = flag.Int64("seed", 1, "deterministic seed (nonzero)")
 		fuzzN    = flag.Int("fuzz", 400, "sequential fuzzing executions")
 		corpusN  = flag.Int("corpus", 120, "corpus size cap")
 		tests    = flag.Int("tests", 60, "concurrent tests to execute")
@@ -63,95 +83,91 @@ func main() {
 		feedback = flag.Bool("feedback", false, "close the loop: allocate the test budget in rounds across PMC clusters by recent interleaving-segment yield, composing independent PMCs into shared tests")
 		rounds   = flag.Int("rounds", 0, "budget-allocation rounds for -feedback (0 = default 4)")
 		stateDir = flag.String("state", "", "artifact store directory: persist the corpus and the report (replayable SBRB bundles included; see sbrepro) and resume from them on re-run; profiles and PMCs are always recomputed")
-		listen   = flag.String("listen", "", "run as a distributed campaign and serve its queue on this address for sbexec workers to join (not with -mode compare)")
+		listen   = flag.String("listen", "", "run as a distributed campaign and serve its queue on this address for sbexec workers to join (-mode full only)")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")
 		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /events, /coverage, /campaign, /debug/pprof) on this address")
 		progress = flag.Duration("progress", 10*time.Second, "interval between one-line progress reports on stderr (0 disables)")
 		events   = flag.String("events", "", "append flight-recorder events to this file as JSONL")
-		verbose  = flag.Bool("v", false, "verbose per-issue output")
+		verbose  = flag.Bool("v", false, "verbose output: the per-issue table (full, compare) or every corpus program (profile)")
 	)
 	flag.Parse()
 
-	// A budget is positive on both front doors: a campaign spec (-listen)
-	// would take 0 for "the default", a local run for "none".
+	// A spec reads 0 as "the default", so a zero seed or budget would run
+	// something other than what was asked.
+	if *seed == 0 {
+		usageError("-seed must be nonzero")
+	}
 	for _, b := range []struct {
 		flag string
 		n    int
 	}{{"fuzz", *fuzzN}, {"corpus", *corpusN}, {"tests", *tests}, {"trials", *trials}} {
 		if b.n <= 0 {
-			fmt.Fprintf(os.Stderr, "snowboard: -%s must be positive, got %d\n", b.flag, b.n)
-			os.Exit(2)
+			usageError(fmt.Sprintf("-%s must be positive, got %d", b.flag, b.n))
 		}
 	}
-	kver, err := snowboard.ParseVersion(*version)
+	switch *mode {
+	case "full", "compare", "profile":
+	default:
+		usageError(fmt.Sprintf("unknown mode %q (full, compare or profile)", *mode))
+	}
+	if *listen != "" && *mode != "full" {
+		usageError(fmt.Sprintf("-listen coordinates one method's campaign, not -mode %s", *mode))
+	}
+	spec := core.CampaignSpec{
+		Version: *version, Method: *method, Seed: *seed,
+		FuzzBudget: *fuzzN, CorpusCap: *corpusN, TestBudget: *tests, Trials: *trials,
+		Workers: *workers, Feedback: *feedback, FeedbackRounds: *rounds,
+	}
+	opts, err := spec.BuildOptions(*stateDir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
-		os.Exit(2)
+		msg := err.Error()
+		if _, ok := snowboard.MethodByName(*method); !ok {
+			msg += "; known methods:"
+			for _, m := range snowboard.Methods() {
+				msg += "\n  " + m.Name
+			}
+		}
+		usageError(msg)
 	}
-	if *listen != "" && *mode == "compare" {
-		fmt.Fprintln(os.Stderr, "snowboard: -listen coordinates one method's campaign, not -mode compare")
-		os.Exit(2)
-	}
-	opts := snowboard.DefaultOptions()
-	opts.Version = kver
-	opts.Seed = *seed
-	opts.FuzzBudget = *fuzzN
-	opts.CorpusCap = *corpusN
-	opts.TestBudget = *tests
-	opts.Trials = *trials
-	opts.Workers = *workers
-	opts.StateDir = *stateDir
-	opts.Feedback = *feedback
-	opts.FeedbackRounds = *rounds
 
 	stopObs, err := obs.StartCLI(*events, *httpAddr, *progress)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
 	defer stopObs()
 
-	if *mode == "compare" {
-		runComparison(opts, *verbose, *jsonOut)
-		return
-	}
-	if *mode != "full" {
-		fmt.Fprintf(os.Stderr, "snowboard: unknown mode %q (full or compare)\n", *mode)
-		os.Exit(2)
-	}
-
-	m, ok := snowboard.MethodByName(*method)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "snowboard: unknown method %q; known methods:\n", *method)
-		for _, mm := range snowboard.Methods() {
-			fmt.Fprintf(os.Stderr, "  %s\n", mm.Name)
+	switch {
+	case *mode == "compare":
+		runComparison(spec, *stateDir, *verbose, *jsonOut)
+	case *mode == "profile":
+		err = runProfile(opts, *verbose, *jsonOut)
+	case *listen != "":
+		err = coordinate(spec, *stateDir, *listen, *jsonOut)
+	default:
+		var r *snowboard.Report
+		if r, err = snowboard.Run(opts); err == nil {
+			if *jsonOut {
+				printJSON(r)
+			} else {
+				printReport(r, *stateDir, *verbose)
+			}
 		}
-		os.Exit(2)
 	}
-	opts.Method = m
-
-	if *listen != "" {
-		spec := core.CampaignSpec{
-			Version: string(kver), Method: m.Name, Seed: *seed,
-			FuzzBudget: *fuzzN, CorpusCap: *corpusN, TestBudget: *tests, Trials: *trials,
-			Workers: *workers, Feedback: *feedback, FeedbackRounds: *rounds,
-		}
-		if err := coordinate(spec, *stateDir, *listen, *jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	report, err := snowboard.Run(opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
-		os.Exit(1)
+		fail(err)
 	}
-	if *jsonOut {
-		printJSON(report)
-	} else {
-		printReport(report, *stateDir, *verbose)
-	}
+}
+
+// usageError reports a bad flag or spec and exits 2, before anything runs.
+func usageError(msg string) {
+	fmt.Fprintf(os.Stderr, "snowboard: %s\n", msg)
+	os.Exit(2)
+}
+
+// fail reports a run that could not finish and exits 1.
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
+	os.Exit(1)
 }
 
 // coordinate runs spec as one campaign on a registry with the queue
@@ -293,17 +309,22 @@ func printReport(r *snowboard.Report, stateDir string, verbose bool) {
 	}
 }
 
-func runComparison(base snowboard.Options, verbose, jsonOut bool) {
+// runComparison runs spec once per Table 3 method, each on the same
+// profiled corpus, and prints one row per method.
+func runComparison(spec core.CampaignSpec, stateDir string, verbose, jsonOut bool) {
 	if !jsonOut {
 		fmt.Printf("Table 3 comparison, kernel %s, %d tests x %d trials per method\n\n",
-			base.Version, base.TestBudget, base.Trials)
+			spec.Version, spec.TestBudget, spec.Trials)
 		fmt.Printf("%-20s %12s %10s %10s  %s\n", "Method", "Exemplars", "Tested", "Exercised", "Issues (test# found)")
 	}
 	var reports []jsonReport
 	for _, m := range snowboard.Methods() {
-		opts := base
-		opts.Method = m
-		r, err := snowboard.Run(opts)
+		spec.Method = m.Name
+		opts, err := spec.BuildOptions(stateDir)
+		var r *snowboard.Report
+		if err == nil {
+			r, err = snowboard.Run(opts)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "snowboard: %s: %v\n", m.Name, err)
 			continue
@@ -325,6 +346,61 @@ func runComparison(base snowboard.Options, verbose, jsonOut bool) {
 			os.Exit(1)
 		}
 	}
+}
+
+// hottestChannels is how many S-CH clusters a profile run lists.
+const hottestChannels = 10
+
+// runProfile runs stages 1–2 — the corpus, its profiles and the PMCs they
+// identify — and prints their statistics (every corpus program too when
+// verbose), or the stage 1–2 report as JSON.
+func runProfile(opts snowboard.Options, verbose, jsonOut bool) error {
+	p, err := snowboard.OpenPipeline(opts)
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+	r := p.NewReport()
+	p.BuildCorpus(r)
+	if err := p.ProfileAll(r); err != nil {
+		return err
+	}
+	p.IdentifyPMCs(r)
+	if jsonOut {
+		printJSON(r)
+		return nil
+	}
+
+	fmt.Printf("kernel %s, seed %d\n", opts.Version, opts.Seed)
+	fmt.Printf("corpus: %d tests selected from %d executions\n", r.CorpusSize, r.FuzzExecutions)
+	fmt.Printf("syscall histogram: %v\n", p.Corpus.SyscallHistogram())
+	// A fuzz budget that admits nothing selects no tests; 0/0 would print NaN.
+	fmt.Printf("profiling: %d shared accesses in %v (%.0f accesses/test)\n",
+		r.ProfiledAccesses, r.ProfileTime, float64(r.ProfiledAccesses)/float64(max(r.CorpusSize, 1)))
+	fmt.Printf("PMCs: %d distinct keys, %d combinations, identified in %v\n",
+		r.DistinctPMCs, r.PMCCombinations, r.IdentifyTime)
+	fmt.Println()
+
+	fmt.Printf("%-16s %9s\n", "Strategy", "Clusters")
+	for _, s := range snowboard.Strategies() {
+		fmt.Printf("%-16s %9d\n", s.Name, len(cluster.Clusters(p.PMCs, s)))
+	}
+
+	// Hottest channels by pair combinations under S-CH.
+	cs := cluster.Clusters(p.PMCs, cluster.SCh)
+	sort.Slice(cs, func(i, j int) bool { return cs[i].Weight > cs[j].Weight })
+	fmt.Printf("\nhottest %d channels (S-CH clusters by combination count):\n", hottestChannels)
+	for _, c := range cs[:min(hottestChannels, len(cs))] {
+		fmt.Printf("  %8d  %s -> %s\n", c.Weight, c.PMCs[0].Write.Ins.Name(), c.PMCs[0].Read.Ins.Name())
+	}
+
+	if verbose {
+		fmt.Println("\ncorpus programs:")
+		for i, prog := range p.Corpus.Progs {
+			fmt.Printf("--- test %d ---\n%s", i, prog)
+		}
+	}
+	return nil
 }
 
 func issueSummary(r *snowboard.Report) string {

@@ -5,15 +5,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"snowboard/internal/core"
 )
 
 // buildTool compiles the command under test into a temp dir and returns
@@ -95,10 +99,149 @@ func TestListenUsage(t *testing.T) {
 		t.Fatalf("usage leaked to stdout:\n%s", stdout)
 	}
 	// -listen coordinates one method's campaign.
-	stdout, stderr, err := runTool(t, bin, append(listen, "-mode", "compare")...)
+	for _, mode := range []string{"compare", "profile"} {
+		stdout, stderr, err := runTool(t, bin, append(listen, "-mode", mode)...)
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || stdout != "" {
+			t.Fatalf("-listen -mode %s: %v, want exit 2 and no report\nstdout:\n%s\nstderr:\n%s", mode, err, stdout, stderr)
+		}
+	}
+}
+
+// TestSpecRefusedOnEveryFrontDoor: the flags make one spec, checked before
+// any mode starts. A zero seed, which a spec would read as the default,
+// and every budget or -workers past its ceiling exit 2 in full mode, with
+// -listen and with -mode profile, each with the same one-line message
+// naming what is wrong, and print no report. No cell starts a run.
+func TestSpecRefusedOnEveryFrontDoor(t *testing.T) {
+	bin := buildTool(t, "snowboard/cmd/snowboard")
+	past := func(flag string, ceiling int) [3]string {
+		v := strconv.Itoa(ceiling + 1)
+		return [3]string{"-" + flag, v, flag + "=" + v + "/"}
+	}
+	for _, cell := range [][3]string{
+		{"-seed", "0", "-seed must be nonzero"},
+		past("trials", core.MaxTrials),
+		past("tests", core.MaxTestBudget),
+		past("corpus", core.MaxCorpusCap),
+		past("fuzz", core.MaxFuzzBudget),
+		past("rounds", core.MaxFeedbackRounds),
+		past("workers", core.MaxWorkers),
+	} {
+		var want string
+		for _, door := range [][]string{nil, listen, profile} {
+			args := append([]string{"-progress", "0", cell[0], cell[1]}, door...)
+			stdout, stderr, err := runTool(t, bin, args...)
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 2 || stdout != "" ||
+				strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, cell[2]) {
+				t.Errorf("%v: %v, want exit 2, no report and one line naming %q\nstdout:\n%s\nstderr:\n%s",
+					args, err, cell[2], stdout, stderr)
+				continue
+			}
+			if want == "" {
+				want = stderr
+			} else if stderr != want {
+				t.Errorf("%v: %q, want the message full mode gives, %q", args, stderr, want)
+			}
+		}
+	}
+}
+
+// durations masks a profile run's timings.
+var durations = regexp.MustCompile(`in [0-9.]+[µnm]?s`)
+
+// profile is the stage 1–2 mode.
+var profile = []string{"-mode", "profile"}
+
+// TestProfileUsage: profiling is a mode of snowboard, with its flags; the
+// knobs of the retired standalone profiler stay gone.
+func TestProfileUsage(t *testing.T) {
+	bin := buildTool(t, "snowboard/cmd/snowboard")
+	stdout, stderr, _ := runTool(t, bin, "-h")
+	if !regexp.MustCompile(`(?m)^ +-mode\b[^\n]*\n[^\n]*profile`).MatchString(stderr) {
+		t.Fatalf("usage text does not offer -mode profile:\n%s", stderr)
+	}
+	if m := regexp.MustCompile(`(?m)^ +-(top|dump-tests)\b`).FindString(stderr); m != "" {
+		t.Fatalf("usage text lists %s:\n%s", strings.TrimSpace(m), stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("usage leaked to stdout:\n%s", stdout)
+	}
+}
+
+// TestProfileUnknownVersion: a version that is neither simulated kernel
+// is a usage error, not a kernel silently booted without the version-gated
+// bugs.
+func TestProfileUnknownVersion(t *testing.T) {
+	bin := buildTool(t, "snowboard/cmd/snowboard")
+	stdout, stderr, err := runTool(t, bin, append(profile, "-version", "5.12", "-progress", "0")...)
 	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 2 || stdout != "" {
-		t.Fatalf("-listen -mode compare: %v, want exit 2 and no report\nstdout:\n%s\nstderr:\n%s", err, stdout, stderr)
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(stderr, `unknown kernel version "5.12"`) || stdout != "" {
+		t.Fatalf("err=%v stdout=%q stderr=%q, want exit 2 naming the version", err, stdout, stderr)
+	}
+}
+
+// TestProfileStats is the stage 1–2 smoke: a tiny profiling run exits 0
+// and prints the corpus/PMC statistics on stdout with no diagnostic
+// chatter mixed in; -v adds every corpus program, -json prints the stage
+// 1–2 report instead, and a zero fuzz budget is refused as in every mode.
+func TestProfileStats(t *testing.T) {
+	bin := buildTool(t, "snowboard/cmd/snowboard")
+	args := append(profile, "-seed", "1", "-fuzz", "30", "-corpus", "10")
+	stdout := mustRun(t, bin, args...)
+	for _, want := range []string{"corpus:", "profiling:", "PMCs:", "Strategy", "hottest 10 channels"} {
+		if !strings.Contains(stdout, want) {
+			t.Fatalf("stdout missing %q:\n%s", want, stdout)
+		}
+	}
+	if strings.Contains(stdout, "snowboard:") || strings.Contains(stdout, "corpus programs:") {
+		t.Fatalf("diagnostic chatter or programs on stdout without -v:\n%s", stdout)
+	}
+
+	m := regexp.MustCompile(`corpus: (\d+) tests`).FindStringSubmatch(stdout)
+	if m == nil {
+		t.Fatalf("no corpus size in:\n%s", stdout)
+	}
+	verbose := mustRun(t, bin, append(args, "-v")...)
+	head, progs, ok := strings.Cut(verbose, "\ncorpus programs:\n")
+	if n := strconv.Itoa(strings.Count(progs, "--- test ")); !ok || n != m[1] || !strings.HasPrefix(progs, "--- test 0 ---\n") {
+		t.Fatalf("-v printed %s programs, want the corpus's %s:\n%s", n, m[1], verbose)
+	}
+	if durations.ReplaceAllString(head, "") != durations.ReplaceAllString(stdout, "") {
+		t.Fatalf("-v changed the statistics:\n%s\nwant:\n%s", head, stdout)
+	}
+
+	var report map[string]any
+	if err := json.Unmarshal([]byte(mustRun(t, bin, append(args, "-json")...)), &report); err != nil {
+		t.Fatalf("-json: stdout is not one JSON report: %v", err)
+	}
+	if fmt.Sprint(report["CorpusSize"]) != m[1] || report["DistinctPMCs"] == float64(0) || report["TrialsRun"] != float64(0) {
+		t.Fatalf("-json: corpus %v, %v PMCs, %v trials; want the printed corpus, PMCs and no trials",
+			report["CorpusSize"], report["DistinctPMCs"], report["TrialsRun"])
+	}
+
+	stdout, stderr, err := runTool(t, bin, append(profile, "-fuzz", "0", "-progress", "0")...)
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 || stdout != "" || !strings.Contains(stderr, "-fuzz must be positive") {
+		t.Fatalf("-fuzz 0: %v, want exit 2 and no statistics\nstdout:\n%s\nstderr:\n%s", err, stdout, stderr)
+	}
+}
+
+// TestProfileAfterFullRunHitsFuzzMemo: every mode keeps the corpus in a
+// state dir, so a profile run on a full run's -state takes the corpus
+// from there, and prints what a stateless profile run prints.
+func TestProfileAfterFullRunHitsFuzzMemo(t *testing.T) {
+	bin := buildTool(t, "snowboard/cmd/snowboard")
+	spec := []string{"-seed", "3", "-fuzz", "60", "-corpus", "20"}
+	dir := t.TempDir()
+	mustRun(t, bin, append(spec, "-tests", "4", "-trials", "2", "-state", dir)...)
+	stdout, stderr, err := runTool(t, bin, append(append(profile, spec...), "-state", dir, "-progress", "0")...)
+	if err != nil || !strings.Contains(stderr, "stage fuzz: cache hit") {
+		t.Fatalf("profile on a full run's state: %v, want a fuzz cache hit\nstderr:\n%s", err, stderr)
+	}
+	if want := mustRun(t, bin, append(profile, spec...)...); durations.ReplaceAllString(stdout, "") != durations.ReplaceAllString(want, "") {
+		t.Fatalf("profile from the memo:\n%s\nwant, as without -state:\n%s", stdout, want)
 	}
 }
 

@@ -77,14 +77,16 @@ func (s CampaignSpec) WithDefaults() CampaignSpec {
 // Budget ceilings: a spec past one is rejected, and a worker nacks a job
 // whose trial budget is past MaxTrials as malformed, so one bad submission
 // or job cannot keep an executor exploring — and extending its lease —
-// indefinitely. Each is at least 16× the largest budget any test, example,
-// CI job, README command or bench/ spec uses.
+// indefinitely, nor boot one kernel clone per configured worker without
+// bound. Each is at least 16× the largest budget any test, example, CI
+// job, README command or bench/ spec uses.
 const (
 	MaxTrials         = 1 << 16 // interleaving trials per test
 	MaxTestBudget     = 1 << 16 // stage-4 concurrent tests
 	MaxFuzzBudget     = 1 << 20 // stage-1 fuzz candidates
 	MaxCorpusCap      = 1 << 16 // stage-1 corpus size cap
 	MaxFeedbackRounds = 1 << 8  // feedback budget-allocation rounds
+	MaxWorkers        = 1 << 8  // local-stage workers, one kernel clone each
 )
 
 // Validate rejects specs that cannot build Options. Call on the defaulted
@@ -101,10 +103,10 @@ func (s CampaignSpec) Validate() error {
 			s.FuzzBudget, s.TestBudget, s.Trials)
 	}
 	if s.FuzzBudget > MaxFuzzBudget || s.CorpusCap > MaxCorpusCap || s.TestBudget > MaxTestBudget ||
-		s.Trials > MaxTrials || s.FeedbackRounds > MaxFeedbackRounds {
-		return fmt.Errorf("campaign: budgets over their ceilings (fuzz=%d/%d corpus=%d/%d tests=%d/%d trials=%d/%d rounds=%d/%d)",
+		s.Trials > MaxTrials || s.FeedbackRounds > MaxFeedbackRounds || s.Workers > MaxWorkers {
+		return fmt.Errorf("campaign: budgets over their ceilings (fuzz=%d/%d corpus=%d/%d tests=%d/%d trials=%d/%d rounds=%d/%d workers=%d/%d)",
 			s.FuzzBudget, MaxFuzzBudget, s.CorpusCap, MaxCorpusCap, s.TestBudget, MaxTestBudget,
-			s.Trials, MaxTrials, s.FeedbackRounds, MaxFeedbackRounds)
+			s.Trials, MaxTrials, s.FeedbackRounds, MaxFeedbackRounds, s.Workers, MaxWorkers)
 	}
 	return nil
 }

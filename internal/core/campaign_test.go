@@ -69,7 +69,8 @@ func TestCampaignSpecIdentity(t *testing.T) {
 }
 
 // TestCampaignSpecBudgetCeilings: every spec budget validates up to its
-// ceiling and is refused one past it.
+// ceiling and is refused one past it. Validate alone is asked: no spec
+// here starts a run.
 func TestCampaignSpecBudgetCeilings(t *testing.T) {
 	for _, b := range []struct {
 		name    string
@@ -81,6 +82,7 @@ func TestCampaignSpecBudgetCeilings(t *testing.T) {
 		{"tests", MaxTestBudget, func(s *CampaignSpec, n int) { s.TestBudget = n }},
 		{"trials", MaxTrials, func(s *CampaignSpec, n int) { s.Trials = n }},
 		{"rounds", MaxFeedbackRounds, func(s *CampaignSpec, n int) { s.FeedbackRounds = n }},
+		{"workers", MaxWorkers, func(s *CampaignSpec, n int) { s.Workers = n }},
 	} {
 		spec := smallSpec("ceiling", 1)
 		b.set(&spec, b.ceiling)

@@ -154,6 +154,12 @@ var designRules = []designRule{
 		{"cmd/snowboard/fold.go", "package main\n\nfunc fold(p *core.Pipeline) { p.FoldResults(nil) }\n"},
 		{"cmd/snowboard/serve.go", "package main\n\nimport \"snowboard/internal/queue\"\n\nvar _, _ = queue.Serve(nil, \"\")\n"},
 	}},
+	{"one_spec_per_front_door", oneSpecPerFrontDoor, []mutation{
+		{"cmd/sbprofile/main.go", "package main\n\nimport \"flag\"\n\nvar fuzzN = flag.Int(\"fuzz\", 400, \"sequential fuzzing executions\")\n"},
+		{"cmd/sbd/budget.go", "package main\n\nimport \"flag\"\n\nfunc budget(fs *flag.FlagSet, n *int) { fs.IntVar(n, \"trials\", 16, \"\") }\n"},
+		{"cmd/snowboard/opts.go", "package main\n\nimport \"snowboard\"\n\nvar opts = snowboard.DefaultOptions()\n"},
+		{"cmd/snowboard/opts.go", "package main\n\nimport \"snowboard/internal/core\"\n\nvar opts = core.Options{Seed: 1}\n"},
+	}},
 	{"one_frame_each_way_per_turn", oneFrameEachWayPerTurn, []mutation{
 		{"internal/queue/net.go", "\nfunc (s *Server) serveOp(op string) {\n\tswitch op {\n\tcase \"lease\", \"report\":\n\t}\n}\n"},
 		{"internal/core/keep_test.go", "package core\n\nfunc init() { keepLease(nil) }\n"},
@@ -635,6 +641,41 @@ func oneCoordinator(tr *tree) []string {
 	inspect(code, func(f *srcFile, n ast.Node) {
 		if call, ok := n.(*ast.CallExpr); ok && f.member(call.Fun, queuePath) == "Serve" {
 			out = append(out, tr.at(call, "queue.Serve( outside bench/; serve a registry (queue.ServeRegistry)"))
+		}
+	})
+	return out
+}
+
+// Every pipeline mode runs one spec: cmd/snowboard turns its flags into a
+// core.CampaignSpec and takes each mode's Options from BuildOptions, which
+// defaults, validates and bounds the spec once for full, compare, profile
+// and -listen alike. A budget flag on another command, or Options built by
+// hand in cmd/snowboard (DefaultOptions( or a literal), is a second flag
+// set drifting from the spec again.
+func oneSpecPerFrontDoor(tr *tree) []string {
+	var out []string
+	declares := regexp.MustCompile(`^((Int|Int64|Uint|Uint64|Float64|String|Bool|Duration|Text)(Var)?|Var|Func)$`)
+	inspect(tr.code("cmd/*/*.go"), func(f *srcFile, n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || strings.HasPrefix(f.path, "cmd/snowboard/") || !isSelector(call.Fun) || !declares.MatchString(lastName(call.Fun)) {
+			return
+		}
+		for _, a := range call.Args {
+			if lit, ok := a.(*ast.BasicLit); ok && slices.Contains([]string{"fuzz", "corpus", "tests", "trials"}, stringValue(lit)) {
+				out = append(out, tr.at(lit, "a -"+stringValue(lit)+" flag outside cmd/snowboard"))
+			}
+		}
+	})
+	inspect(tr.code("cmd/snowboard/*.go"), func(f *srcFile, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if lastName(n.Fun) == "DefaultOptions" {
+				out = append(out, tr.at(n, "Options built by hand (DefaultOptions()); take them from CampaignSpec.BuildOptions"))
+			}
+		case *ast.CompositeLit:
+			if f.member(n.Type, "snowboard") == "Options" || f.member(n.Type, "snowboard/internal/core") == "Options" {
+				out = append(out, tr.at(n, "an Options literal; take Options from CampaignSpec.BuildOptions"))
+			}
 		}
 	})
 	return out
