@@ -144,6 +144,14 @@ func TestControlPlaneHTTP(t *testing.T) {
 		!strings.Contains(string(body), fmt.Sprintf("workers=%d/%d", crowded.Workers, core.MaxWorkers)) {
 		t.Fatalf("workers past the ceiling: status %d body %q, want 400 naming the ceiling", code, body)
 	}
+	// A negative round count would run as the default one under a
+	// campaign ID of its own.
+	negative := testSpec("negative", 11)
+	negative.Feedback, negative.FeedbackRounds = true, -3
+	if code, body := postJSON(t, base+"/campaigns", negative); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "rounds=-3") {
+		t.Fatalf("negative rounds: status %d body %q, want 400 naming the rounds", code, body)
+	}
 
 	// A misspelt field would otherwise run the default budget, and a second
 	// object after the spec would be dropped unread.

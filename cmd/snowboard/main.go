@@ -14,8 +14,9 @@
 // The flags make one campaign spec (core.CampaignSpec), and every mode
 // takes its options from it, so a spec is checked once, before anything
 // runs: a bad version or method, a zero -seed or budget (a spec would read
-// 0 as "the default"), or a budget or -workers past its core.Max* ceiling
-// exits 2 with the same message in every mode, with or without -listen.
+// 0 as "the default"), a negative -rounds or -workers, or a budget or
+// -workers past its core.Max* ceiling exits 2 with the same message in
+// every mode, with or without -listen.
 //
 // With -mode compare, every generation method of the paper's Table 3 runs
 // on the same profiled corpus and one row is printed per method.
@@ -80,8 +81,8 @@ func main() {
 		tests    = flag.Int("tests", 60, "concurrent tests to execute")
 		trials   = flag.Int("trials", 16, "interleaving trials per concurrent test")
 		workers  = flag.Int("workers", 0, "parallel worker goroutines per stage (0 = one per CPU); results are identical for any value")
-		feedback = flag.Bool("feedback", false, "close the loop: allocate the test budget in rounds across PMC clusters by recent interleaving-segment yield, composing independent PMCs into shared tests")
-		rounds   = flag.Int("rounds", 0, "budget-allocation rounds for -feedback (0 = default 4)")
+		feedback = flag.Bool("feedback", false, "spend -tests in rounds that keep walking the uncommon-first cluster order past its end, composing independent PMCs into shared tests (one-shot tests each cluster at most once)")
+		rounds   = flag.Int("rounds", 0, "rounds for -feedback, one batch each (0 = default 4)")
 		stateDir = flag.String("state", "", "artifact store directory: persist the corpus and the report (replayable SBRB bundles included; see sbrepro) and resume from them on re-run; profiles and PMCs are always recomputed")
 		listen   = flag.String("listen", "", "run as a distributed campaign and serve its queue on this address for sbexec workers to join (-mode full only)")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")

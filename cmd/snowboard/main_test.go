@@ -110,7 +110,8 @@ func TestListenUsage(t *testing.T) {
 
 // TestSpecRefusedOnEveryFrontDoor: the flags make one spec, checked before
 // any mode starts. A zero seed, which a spec would read as the default,
-// and every budget or -workers past its ceiling exit 2 in full mode, with
+// every budget or -workers past its ceiling, and a negative -rounds or
+// -workers, which would run as the default, exit 2 in full mode, with
 // -listen and with -mode profile, each with the same one-line message
 // naming what is wrong, and print no report. No cell starts a run.
 func TestSpecRefusedOnEveryFrontDoor(t *testing.T) {
@@ -127,6 +128,8 @@ func TestSpecRefusedOnEveryFrontDoor(t *testing.T) {
 		past("fuzz", core.MaxFuzzBudget),
 		past("rounds", core.MaxFeedbackRounds),
 		past("workers", core.MaxWorkers),
+		{"-rounds", "-3", "rounds=-3 "},
+		{"-workers", "-2", "workers=-2)"},
 	} {
 		var want string
 		for _, door := range [][]string{nil, listen, profile} {

@@ -462,7 +462,8 @@ func unadopted(shared *snowboard.Pipeline, opts snowboard.Options) map[int]bool 
 // has spent as many trials, its last pass cut to the tests that should fill
 // them. A row counts if it was first exposed within the loop's trials, and
 // its first exposure is the cumulative trial, in fold order, on which it
-// surfaced: the second table gives each row's median over the seeds.
+// surfaced: the second table gives each row's median over the seeds. The
+// third is the CLI's default budget (renderFeedbackCLI).
 func renderFeedback(t *testing.T) string {
 	shared := sharedAnalysis(t)
 	arms := []string{"uncommon-first, continued", "feedback loop"}
@@ -518,7 +519,60 @@ func renderFeedback(t *testing.T) string {
 		}
 		rows = append(rows, row)
 	}
-	return perSeed + "\n" + mdTable(append([]string{"Row"}, arms...), rows...)
+	return perSeed + "\n" + mdTable(append([]string{"Row"}, arms...), rows...) + "\n" + renderFeedbackCLI(t)
+}
+
+// renderFeedbackCLI is one-shot against the feedback loop at the CLI's
+// default budget (fuzz 400, corpus 120, 60 tests × 16 trials), each a
+// whole campaign with its own corpus, at seeds 3–12 on both kernel
+// versions: Table 2 rows per seed, then per campaign with the trials
+// spent, and on how many seeds the loop finds at least one-shot's rows.
+func renderFeedbackCLI(t *testing.T) string {
+	versions := []snowboard.Version{snowboard.V5_3_10, snowboard.V5_12_RC3}
+	const seeds = 10
+	var header []string
+	rows := make([][]string, seeds)
+	var rowSums, trialSums []int
+	var atLeast []string
+	for _, v := range versions {
+		var sums [2]struct{ rows, trials int }
+		ge := 0
+		for i := range rows {
+			seed := int64(i) + 3
+			if rows[i] == nil {
+				rows[i] = []string{itoa(seed)}
+			}
+			var found [2]int
+			for a, feedback := range []bool{false, true} {
+				opts := snowboard.DefaultOptions()
+				opts.Version, opts.Seed, opts.Feedback = v, seed, feedback
+				opts.FuzzBudget, opts.CorpusCap, opts.TestBudget, opts.Trials = 400, 120, 60, 16
+				r, err := snowboard.Run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				found[a] = len(r.Issues)
+				sums[a].rows += found[a]
+				sums[a].trials += r.TrialsRun
+				rows[i] = append(rows[i], itoa(found[a]))
+			}
+			if found[1] >= found[0] {
+				ge++
+			}
+		}
+		header = append(header, string(v)+" one-shot", string(v)+" `-feedback`")
+		for _, s := range sums {
+			rowSums, trialSums = append(rowSums, s.rows), append(trialSums, s.trials)
+		}
+		atLeast = append(atLeast, "", fmt.Sprintf("%d of %d", ge, seeds))
+	}
+	perCampaign, trials := []string{"rows / campaign"}, []string{"trials / campaign"}
+	for a := range rowSums {
+		perCampaign = append(perCampaign, f1(rowSums[a], seeds))
+		trials = append(trials, f1(trialSums[a], seeds))
+	}
+	rows = append(rows, perCampaign, trials, append([]string{"seeds with at least one-shot's rows"}, atLeast...))
+	return mdTable(append([]string{"Seed"}, header...), rows...)
 }
 
 // exposureRun is one arm of renderFeedback over the shared analysis at

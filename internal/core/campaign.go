@@ -85,7 +85,7 @@ const (
 	MaxTestBudget     = 1 << 16 // stage-4 concurrent tests
 	MaxFuzzBudget     = 1 << 20 // stage-1 fuzz candidates
 	MaxCorpusCap      = 1 << 16 // stage-1 corpus size cap
-	MaxFeedbackRounds = 1 << 8  // feedback budget-allocation rounds
+	MaxFeedbackRounds = 1 << 8  // feedback rounds, one batch each
 	MaxWorkers        = 1 << 8  // local-stage workers, one kernel clone each
 )
 
@@ -101,6 +101,11 @@ func (s CampaignSpec) Validate() error {
 	if s.FuzzBudget <= 0 || s.TestBudget <= 0 || s.Trials <= 0 {
 		return fmt.Errorf("campaign: budgets must be positive (fuzz=%d tests=%d trials=%d)",
 			s.FuzzBudget, s.TestBudget, s.Trials)
+	}
+	// 0 is the default for both; a negative value would run as it.
+	if s.FeedbackRounds < 0 || s.Workers < 0 {
+		return fmt.Errorf("campaign: rounds and workers must not be negative (rounds=%d workers=%d)",
+			s.FeedbackRounds, s.Workers)
 	}
 	if s.FuzzBudget > MaxFuzzBudget || s.CorpusCap > MaxCorpusCap || s.TestBudget > MaxTestBudget ||
 		s.Trials > MaxTrials || s.FeedbackRounds > MaxFeedbackRounds || s.Workers > MaxWorkers {
@@ -527,11 +532,11 @@ func (c *Campaign) execute() (*Report, error) {
 			q.Close()
 		}
 	}()
-	p.batches = func(r *Report, tests []sched.ConcurrentTest) ([]int, error) {
+	p.batches = func(r *Report, tests []sched.ConcurrentTest) error {
 		if len(tests) == 0 {
 			// Nothing to deliver: as in Run, a campaign that never tests
 			// anything reports no delivery accounting.
-			return nil, nil
+			return nil
 		}
 		if q == nil {
 			q = c.env.Registry.Open(c.QueueName())
@@ -555,9 +560,9 @@ func (c *Campaign) execute() (*Report, error) {
 // campaign's queue, executed in-process by w, taking fair-scheduler turns
 // between slices, and folded from what came back — from this executor and
 // from any worker that joined the queue over the registry's listener.
-func (c *Campaign) runBatch(p *Pipeline, q *queue.Queue, w *Worker, r *Report, tests []sched.ConcurrentTest) ([]int, error) {
+func (c *Campaign) runBatch(p *Pipeline, q *queue.Queue, w *Worker, r *Report, tests []sched.ConcurrentTest) error {
 	if err := p.PushTests(q, tests, c.Trace); err != nil {
-		return nil, fmt.Errorf("campaign %s: %w", c.ID, err)
+		return fmt.Errorf("campaign %s: %w", c.ID, err)
 	}
 	c.expected.Add(int64(len(tests)))
 	if c.env.ExecGate != nil {
@@ -566,14 +571,13 @@ func (c *Campaign) runBatch(p *Pipeline, q *queue.Queue, w *Worker, r *Report, t
 	c.executeLoop(w, q)
 
 	// Every job settled, by this executor or an sbexec that joined the queue.
-	yields, err := p.FoldResults(r, tests, q.Results(), q.DeadLetters())
-	if err != nil {
-		return nil, fmt.Errorf("campaign %s: %w", c.ID, err)
+	if err := p.FoldResults(r, tests, q.Results(), q.DeadLetters()); err != nil {
+		return fmt.Errorf("campaign %s: %w", c.ID, err)
 	}
 	if sum := r.Distributed; sum.Lost() {
-		return nil, fmt.Errorf("campaign %s: jobs neither reported nor dead-lettered: %v", c.ID, sum.Missing)
+		return fmt.Errorf("campaign %s: jobs neither reported nor dead-lettered: %v", c.ID, sum.Missing)
 	}
-	return yields, nil
+	return nil
 }
 
 // executeLoop drains the campaign's queue in fair-scheduler slices until

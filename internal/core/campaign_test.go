@@ -69,21 +69,37 @@ func TestCampaignSpecIdentity(t *testing.T) {
 }
 
 // TestCampaignSpecBudgetCeilings: every spec budget validates up to its
-// ceiling and is refused one past it. Validate alone is asked: no spec
-// here starts a run.
+// ceiling and is refused one past it. Rounds and workers, whose 0 is "the
+// default" and which WithDefaults leaves as they are, are refused below 0
+// too. Validate alone is asked: no spec here starts a run.
 func TestCampaignSpecBudgetCeilings(t *testing.T) {
 	for _, b := range []struct {
-		name    string
-		ceiling int
-		set     func(*CampaignSpec, int)
+		name     string
+		ceiling  int
+		negative bool // a negative value is refused
+		set      func(*CampaignSpec, int)
 	}{
-		{"fuzz", MaxFuzzBudget, func(s *CampaignSpec, n int) { s.FuzzBudget = n }},
-		{"corpus", MaxCorpusCap, func(s *CampaignSpec, n int) { s.CorpusCap = n }},
-		{"tests", MaxTestBudget, func(s *CampaignSpec, n int) { s.TestBudget = n }},
-		{"trials", MaxTrials, func(s *CampaignSpec, n int) { s.Trials = n }},
-		{"rounds", MaxFeedbackRounds, func(s *CampaignSpec, n int) { s.FeedbackRounds = n }},
-		{"workers", MaxWorkers, func(s *CampaignSpec, n int) { s.Workers = n }},
+		{"fuzz", MaxFuzzBudget, false, func(s *CampaignSpec, n int) { s.FuzzBudget = n }},
+		{"corpus", MaxCorpusCap, false, func(s *CampaignSpec, n int) { s.CorpusCap = n }},
+		{"tests", MaxTestBudget, false, func(s *CampaignSpec, n int) { s.TestBudget = n }},
+		{"trials", MaxTrials, false, func(s *CampaignSpec, n int) { s.Trials = n }},
+		{"rounds", MaxFeedbackRounds, true, func(s *CampaignSpec, n int) { s.FeedbackRounds = n }},
+		{"workers", MaxWorkers, true, func(s *CampaignSpec, n int) { s.Workers = n }},
 	} {
+		if b.negative {
+			spec := smallSpec("floor", 1)
+			b.set(&spec, 0)
+			if err := spec.WithDefaults().Validate(); err != nil {
+				t.Errorf("%s at 0, its default, refused: %v", b.name, err)
+			}
+			for _, n := range []int{-1, -3} {
+				b.set(&spec, n)
+				want := fmt.Sprintf("%s=%d", b.name, n)
+				if err := spec.WithDefaults().Validate(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s at %d validated: %v, want an error naming %q", b.name, n, err, want)
+				}
+			}
+		}
 		spec := smallSpec("ceiling", 1)
 		b.set(&spec, b.ceiling)
 		if err := spec.WithDefaults().Validate(); err != nil {

@@ -84,15 +84,15 @@ type Options struct {
 	Trials     int // interleaving trials per concurrent test
 	Detect     detect.Options
 
-	// Feedback closes the loop (stage 3+4 interleaved): instead of one
-	// GenerateTests pass over the uncommon-first ranking, the test budget
-	// is spent in rounds, each allocating tests across PMC clusters
-	// proportional to their recent interleaving-segment yield
-	// (multi-armed-bandit style, seeded-deterministic) and composing
-	// independent PMCs into shared tests. Only meaningful for MethodPMC.
+	// Feedback runs stages 3 and 4 interleaved (RunFeedback): instead of
+	// one GenerateTests pass that tests each cluster of the uncommon-first
+	// ranking at most once, the test budget is spent in rounds that keep
+	// walking the ranking past its end, composing independent PMCs into
+	// shared tests. Only meaningful for MethodPMC.
 	Feedback bool
-	// FeedbackRounds is the number of budget-allocation rounds a feedback
-	// run splits TestBudget into (0 = default 4).
+	// FeedbackRounds is the number of rounds a feedback run splits
+	// TestBudget into (0 = default 4): each is one batch, with its own
+	// incidental-adoption list and, with a store, its own checkpoint.
 	FeedbackRounds int
 
 	// Workers is the goroutine fan-out for every stage: fuzzing batches,
@@ -189,7 +189,7 @@ type Report struct {
 	GeneratedTests int // tests generated (can exceed executed when deduplicated)
 
 	// Feedback-loop counters (zero unless Options.Feedback).
-	FeedbackRounds int `json:",omitempty"` // budget-allocation rounds executed
+	FeedbackRounds int `json:",omitempty"` // feedback rounds executed
 	ComposedTests  int `json:",omitempty"` // tests carrying coalesced extra PMC hints
 
 	// Findings.

@@ -85,9 +85,8 @@ func AggregateResults(first, n int, results []queue.JobResult, dead []queue.Dead
 // FoldResults is the coordinator's half of queue-delivered stage 4, run
 // once the batch PushTests pushed last has settled: account for delivery,
 // fold the first outcome each job reported — in job order, with the fold
-// local execution uses — and add the batch to r.Distributed. It returns
-// each test's segment yield, 0 for a test without a result.
-func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) ([]int, error) {
+// local execution uses — and add the batch to r.Distributed.
+func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) error {
 	first := p.exploreUnits - len(tests)
 	sum, firsts := AggregateResults(first, len(tests), results, dead)
 	folded := make([]sched.ConcurrentTest, len(firsts))
@@ -95,14 +94,11 @@ func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results 
 	for i, res := range firsts {
 		folded[i] = tests[res.JobID-first]
 		if err := outs[i].Decode(res.Outcome); err != nil {
-			return nil, fmt.Errorf("job %d: decode outcome reported by %q: %w", res.JobID, res.Worker, err)
+			return fmt.Errorf("job %d: decode outcome reported by %q: %w", res.JobID, res.Worker, err)
 		}
 	}
 	trials, exercised := r.TrialsRun, r.Exercised
-	yields := make([]int, len(tests))
-	for i, y := range p.foldOutcomes(r, folded, outs) {
-		yields[firsts[i].JobID-first] = y
-	}
+	p.foldOutcomes(r, folded, outs)
 	sum.Trials, sum.Exercised = r.TrialsRun-trials, r.Exercised-exercised
 	if prev := r.Distributed; prev != nil {
 		sum.Expected += prev.Expected
@@ -122,5 +118,5 @@ func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results 
 	}
 	sort.Strings(sum.IssueIDs)
 	r.Distributed = &sum
-	return yields, nil
+	return nil
 }

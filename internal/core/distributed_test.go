@@ -82,7 +82,7 @@ func pushedQueue(t *testing.T, p *Pipeline, tests []sched.ConcurrentTest, maxAtt
 func foldReport(t *testing.T, p *Pipeline, base *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) (*Report, int) {
 	t.Helper()
 	r := freshCopy(base)
-	if _, err := p.FoldResults(r, tests, results, dead); err != nil {
+	if err := p.FoldResults(r, tests, results, dead); err != nil {
 		t.Fatal(err)
 	}
 	p.TriageReport(r)
@@ -707,7 +707,7 @@ func TestSettledJobAllocBudget(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		settled, _ := w.Do(localLeaser{q}, leases)
-		_, err = p.FoldResults(r, tests, q.Results(), nil)
+		err = p.FoldResults(r, tests, q.Results(), nil)
 		runtime.ReadMemStats(&after)
 		if err != nil || settled != turn || r.Distributed.Reported != turn {
 			t.Fatalf("turn settled %d of %d jobs, fold: %v", settled, turn, err)

@@ -120,3 +120,47 @@ func TestTenantEventsStayWithTenant(t *testing.T) {
 	defer reg.Close()
 	check("concurrent", start(reg, 3), start(reg, 7))
 }
+
+// TestFeedbackRoundEventsCountSegments: each feedback.round event's
+// segments is the round's growth in CoverSegments — what the batch's
+// exec stage.done reports cumulatively, less the batch before — so the
+// rounds' segments sum to the report's.
+func TestFeedbackRoundEventsCountSegments(t *testing.T) {
+	var buf bytes.Buffer
+	obs.Events.SetSink(&buf)
+	opts := triageOpts(3)
+	opts.Feedback = true
+	r, err := Run(opts)
+	obs.Events.SetSink(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cumulative, rounds []int // exec stage.done's segments; each round's
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var ev obs.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		n, _ := ev.Attrs["segments"].(float64)
+		switch {
+		case ev.Trace != obs.CurrentTrace():
+		case ev.Kind == obs.EvStageDone && ev.Attrs["stage"] == "exec":
+			cumulative = append(cumulative, int(n))
+		case ev.Kind == obs.EvFeedbackRound:
+			rounds = append(rounds, int(n))
+		}
+	}
+	if len(rounds) != r.FeedbackRounds || len(cumulative) != len(rounds) || len(rounds) < 2 {
+		t.Fatalf("%d feedback.round and %d exec stage.done events for %d rounds", len(rounds), len(cumulative), r.FeedbackRounds)
+	}
+	prev, sum := 0, 0
+	for i, n := range rounds {
+		if want := cumulative[i] - prev; n != want {
+			t.Errorf("round %d: segments %d, want the batch's growth %d", i, n, want)
+		}
+		prev, sum = cumulative[i], sum+n
+	}
+	if sum != r.CoverSegments || sum == 0 {
+		t.Errorf("rounds' segments sum to %d, report covers %d", sum, r.CoverSegments)
+	}
+}

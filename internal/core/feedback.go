@@ -14,42 +14,41 @@ import (
 	"snowboard/internal/store"
 )
 
-// The closed feedback loop (Options.Feedback): instead of ranking PMC
-// clusters once and walking the ranking until the test budget runs out,
-// the budget is spent in rounds. Each round
+// The feedback loop (Options.Feedback): instead of testing each PMC
+// cluster at most once in one uncommon-first pass, the budget is spent in
+// rounds, and the walk keeps going past the end of the order. Each round
 //
-//  1. allocates its share of the budget — at most half to clusters with
-//     recent interleaving-segment yield, proportional to that yield
-//     (bandit-style exploitation), the rest continuing an uncommon-first
-//     exploration walk; with no credit the walk gets everything, so a
-//     zero-signal run visits exactly the one-shot scheduler's clusters —
-//  2. coalesces independent selected PMCs — disjoint memory channels
-//     whose test pairs land on the same writer/reader programs — into a
-//     single composed test, so one execution probes several channels
-//     ("cooperative composing"),
-//  3. executes the tests, and
-//  4. credits each test's fresh-segment yield back to the clusters that
-//     contributed its hints, steering the next round.
+//  1. walks the uncommon-first cluster order where the last round left
+//     off, one draw per test of its budget, wrapping past the end — so
+//     the loop visits the one-shot scheduler's clusters first, in its
+//     order, and then visits them again;
+//  2. coalesces independent drawn PMCs — disjoint memory channels whose
+//     test pairs land on the same writer/reader programs — into a single
+//     composed test, so one execution probes several channels
+//     ("cooperative composing"), and refills what composing freed with
+//     fresh draws from the clusters the round walked; and
+//  3. executes the tests as one batch.
 //
-// Allocation and composing each first expose some Table 2 row sooner than
-// the arm without them, at equal trials (EXPERIMENTS.md, "Feedback
-// mechanisms at equal trials").
+// Composing first exposes Table 2 rows sooner than the walk without it at
+// equal trials. Allocating each round's budget by the clusters' recent
+// segment yield, which the loop also did, found fewer rows than one-shot
+// at the CLI's default budget and is gone (EXPERIMENTS.md, "Feedback
+// mechanisms at equal trials"). Rounds remain the batch, adoption and
+// checkpoint granularity.
 //
-// Every quantity that steers allocation is a pure function of test order
-// — per-test segment accumulators folded sequentially — so feedback
-// reports stay bit-identical across worker counts. With a store
-// attached, each round checkpoints its credits, cumulative segments,
-// pipeline cursors, and partial report under a digest-linked chain key,
-// so a killed feedback campaign resumes at the first unfinished round
-// and the final report matches the uninterrupted run's byte for byte
-// (modulo wall-clock timing fields).
+// Every round is a pure function of the seed and the rounds before it, so
+// feedback reports stay bit-identical across worker counts. With a store
+// attached, each round checkpoints its cumulative segments, pipeline
+// cursors, and partial report under a digest-linked chain key, so a
+// killed feedback campaign resumes at the first unfinished round and the
+// final report matches the uninterrupted run's byte for byte (modulo
+// wall-clock timing fields).
 
 // Feedback metrics.
 var mFeedbackRounds = obs.C(obs.MFeedbackRounds)
 
 // defaultFeedbackRounds is the round count when Options.FeedbackRounds is
-// unset: enough rounds for credit to steer, few enough that early rounds
-// still get a meaningful budget share.
+// unset.
 const defaultFeedbackRounds = 4
 
 // maxComposedHints caps a composed test's PMC hints (primary + extras),
@@ -67,15 +66,14 @@ func (p *Pipeline) feedbackRounds() int {
 
 // feedbackRoundState is the per-round checkpoint persisted as a
 // KindFeedback artifact, everything needed to resume the loop after the
-// round: bandit credits, the cumulative segment accumulator, the
-// deterministic seed cursors, and the partial report.
+// round: the cumulative segment accumulator, the deterministic seed
+// cursors, and the partial report.
 type feedbackRoundState struct {
 	Round        int                  `json:"round"` // 0-based, the round just finished
 	TestsDone    int                  `json:"tests_done"`
 	Cursor       int                  `json:"cursor"` // exploration-walk position after the round
 	GenCalls     int                  `json:"gen_calls"`
 	ExploreUnits int                  `json:"explore_units"`
-	Credits      []int64              `json:"credits"` // by ordered-cluster index
 	Segments     []cover.SegmentCount `json:"segments"`
 	Report       json.RawMessage      `json:"report"` // partial Report (Metrics not yet captured)
 }
@@ -115,18 +113,18 @@ func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 }
 
 // resumeFeedback probes the chain keys newest-first and restores the most
-// recent persisted round: report, credits, segments, cursors. The report
+// recent persisted round: report, segments, cursors. The report
 // keeps what describes this run rather than the one that wrote the round —
 // its worker count and its stage 1–2 timings. It returns the next round to
 // run (0 when nothing usable is stored) and the restored exploration-walk
 // cursor.
-func (p *Pipeline) resumeFeedback(keys []store.Digest, r *Report, credits []int64) (int, int) {
+func (p *Pipeline) resumeFeedback(keys []store.Digest, r *Report) (int, int) {
 	for round := len(keys) - 1; round >= 0; round-- {
 		st, out, ok := loadMemo(p, "feedback", keys[round], roundCodec, nil)
 		if !ok {
 			continue
 		}
-		if st.Round != round || len(st.Credits) != len(credits) {
+		if st.Round != round {
 			obs.Diag.Printf("stage feedback: discarding round artifact %s: shape mismatch", out.Short())
 			continue
 		}
@@ -138,7 +136,6 @@ func (p *Pipeline) resumeFeedback(keys []store.Digest, r *Report, credits []int6
 		run := *r
 		*r = *nr
 		r.Workers, r.FuzzTime, r.ProfileTime, r.IdentifyTime = run.Workers, run.FuzzTime, run.ProfileTime, run.IdentifyTime
-		copy(credits, st.Credits)
 		p.segs = cover.ImportSegments(st.Segments)
 		p.genCalls = st.GenCalls
 		p.exploreUnits = st.ExploreUnits
@@ -157,7 +154,7 @@ func (p *Pipeline) resumeFeedback(keys []store.Digest, r *Report, credits []int6
 // describes the run that pushed the batches, not the round: a round a
 // campaign checkpointed equals one a local run did. RunFeedback never
 // checkpoints a round in or after one that dead-lettered a job.
-func (p *Pipeline) checkpointFeedback(key store.Digest, round, testsDone, cursor int, credits []int64, r *Report) {
+func (p *Pipeline) checkpointFeedback(key store.Digest, round, testsDone, cursor int, r *Report) {
 	stored := *r
 	stored.Distributed = nil
 	payload, err := reportCodec.encode(&stored)
@@ -171,69 +168,9 @@ func (p *Pipeline) checkpointFeedback(key store.Digest, round, testsDone, cursor
 		Cursor:       cursor,
 		GenCalls:     p.genCalls,
 		ExploreUnits: p.exploreUnits,
-		Credits:      append([]int64(nil), credits...),
 		Segments:     p.segs.Export(),
 		Report:       payload,
 	}, nil)
-}
-
-// allocateBudget splits budget across positive-credit clusters
-// proportional to their credit, by largest remainder with index
-// tie-break (the clusters arrive uncommon-first, so ties favor rarer
-// communication). Clusters without credit get nothing — exploration of
-// unproven clusters is the cursor walk's job, not this function's. With
-// no positive credit at all the allocation is all zeros.
-func allocateBudget(budget int, credits []int64) []int {
-	n := len(credits)
-	alloc := make([]int, n)
-	if n == 0 || budget <= 0 {
-		return alloc
-	}
-	var total int64
-	for _, c := range credits {
-		if c > 0 {
-			total += c
-		}
-	}
-	if total == 0 {
-		return alloc
-	}
-	type rem struct {
-		idx int
-		rem int64
-	}
-	rems := make([]rem, 0, n)
-	given := 0
-	for i, c := range credits {
-		if c <= 0 {
-			continue
-		}
-		share := int64(budget) * c
-		alloc[i] = int(share / total)
-		rems = append(rems, rem{idx: i, rem: share % total})
-		given += alloc[i]
-	}
-	// Hand the leftover to the largest remainders, lowest index first on
-	// ties (the clusters arrive uncommon-first).
-	left := budget - given
-	for left > 0 {
-		best := -1
-		for i := range rems {
-			if rems[i].rem < 0 {
-				continue
-			}
-			if best < 0 || rems[i].rem > rems[best].rem {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		alloc[rems[best].idx]++
-		rems[best].rem = -1
-		left--
-	}
-	return alloc
 }
 
 // keyOverlap reports whether two PMC access keys touch overlapping bytes.
@@ -253,74 +190,57 @@ func independentChannels(a, b pmc.PMC) bool {
 		!keyOverlap(a.Read, b.Write) && !keyOverlap(a.Read, b.Read)
 }
 
-// feedbackCandidate is one cluster-drawn test before composing.
-type feedbackCandidate struct {
-	test    sched.ConcurrentTest
-	cluster int
-}
-
-// drawCandidate generates one concurrent test from cluster ci, or false
-// when the cluster has no executable pairs.
-func (p *Pipeline) drawCandidate(cs []cluster.Cluster, ci int, rng *rand.Rand) (feedbackCandidate, bool) {
+// drawTest generates one concurrent test from cluster ci, or false when
+// the cluster has no executable pairs.
+func (p *Pipeline) drawTest(cs []cluster.Cluster, ci int, rng *rand.Rand) (sched.ConcurrentTest, bool) {
 	ex := cluster.Exemplar(&cs[ci], rng)
 	entry := p.PMCs.Entries[ex]
 	if entry == nil || len(entry.Pairs) == 0 {
-		return feedbackCandidate{}, false
+		return sched.ConcurrentTest{}, false
 	}
 	pair := entry.Pairs[rng.Intn(len(entry.Pairs))]
 	hint := entry.PMC
-	return feedbackCandidate{
-		cluster: ci,
-		test: sched.ConcurrentTest{
-			Writer: p.Corpus.Progs[pair.Writer],
-			Reader: p.Corpus.Progs[pair.Reader],
-			Hint:   &hint,
-			Pair:   pair,
-		},
+	return sched.ConcurrentTest{
+		Writer: p.Corpus.Progs[pair.Writer],
+		Reader: p.Corpus.Progs[pair.Reader],
+		Hint:   &hint,
+		Pair:   pair,
 	}, true
 }
 
-// composeTests coalesces candidates into executable tests: candidates on
-// the same (writer, reader) corpus pair whose channels are mutually
-// independent ride along as Extra hints of the first; everything else
-// stays a standalone test. Returns the tests plus, per test, the cluster
-// indices that contributed hints (for credit attribution).
-func composeTests(cands []feedbackCandidate) (tests []sched.ConcurrentTest, contributors [][]int) {
+// composeTests coalesces drawn tests into executable ones: a test on the
+// same (writer, reader) corpus pair as an earlier one, whose channel is
+// independent of every channel the earlier one probes, rides along as an
+// Extra hint of it; everything else stays a standalone test.
+func composeTests(drawn []sched.ConcurrentTest) []sched.ConcurrentTest {
+	var tests []sched.ConcurrentTest
 	byPair := make(map[pmc.Pair]int) // corpus pair -> index into tests
-	for _, c := range cands {
-		ti, ok := byPair[c.test.Pair]
+	for _, c := range drawn {
+		ti, ok := byPair[c.Pair]
 		if ok {
 			t := &tests[ti]
-			compatible := len(t.Extra)+1 < maxComposedHints
-			if compatible && !independentChannels(*t.Hint, *c.test.Hint) {
-				compatible = false
-			}
+			compatible := len(t.Extra)+1 < maxComposedHints && independentChannels(*t.Hint, *c.Hint)
 			for _, e := range t.Extra {
 				if !compatible {
 					break
 				}
-				if !independentChannels(e, *c.test.Hint) {
-					compatible = false
-				}
+				compatible = independentChannels(e, *c.Hint)
 			}
 			if compatible {
-				t.Extra = append(t.Extra, *c.test.Hint)
-				contributors[ti] = append(contributors[ti], c.cluster)
+				t.Extra = append(t.Extra, *c.Hint)
 				continue
 			}
 		}
-		tests = append(tests, c.test)
-		contributors = append(contributors, []int{c.cluster})
+		tests = append(tests, c)
 		if !ok {
-			byPair[c.test.Pair] = len(tests) - 1
+			byPair[c.Pair] = len(tests) - 1
 		}
 	}
-	return tests, contributors
+	return tests
 }
 
-// RunFeedback spends budget concurrent tests through the closed feedback
-// loop described at the top of this file (stages 3+4, interleaved per
-// round). Non-PMC methods, empty corpora and strategies that yield no
+// RunFeedback spends budget concurrent tests through the feedback loop
+// described at the top of this file (stages 3+4, interleaved per round). Non-PMC methods, empty corpora and strategies that yield no
 // cluster degrade to the one-shot path with a note.
 func (p *Pipeline) RunFeedback(r *Report, budget int) {
 	if p.Opts.Method.Kind != MethodPMC {
@@ -351,16 +271,13 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 		return
 	}
 	p.indexClusters(cs)
-	// The stable uncommon-first order is the zero-credit prior; feedback
-	// reorders budget, not the clusters themselves.
 	cluster.OrderClusters(cs, cluster.UncommonFirst, nil)
 	r.ExemplarPMCs = len(cs)
 
-	credits := make([]int64, len(cs))
 	testsDone := 0
 	keys := p.feedbackKeys(budget, rounds)
-	// cursor is the next uncommon-first cluster the exploration walk visits.
-	startRound, cursor := p.resumeFeedback(keys, r, credits)
+	// cursor is the next uncommon-first cluster the walk visits.
+	startRound, cursor := p.resumeFeedback(keys, r)
 	if startRound > 0 {
 		// Recompute testsDone from the restored report rather than
 		// trusting the artifact alone.
@@ -368,14 +285,6 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 	}
 
 	for round := startRound; round < rounds; round++ {
-		if round > 0 {
-			// Halve credit each round so allocation follows *recent* yield:
-			// a cluster that went quiet decays back toward the uniform
-			// prior within a few rounds.
-			for i := range credits {
-				credits[i] -= credits[i] / 2
-			}
-		}
 		roundBudget := budget / rounds
 		if round < budget%rounds {
 			roundBudget++
@@ -383,46 +292,34 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 		if roundBudget <= 0 {
 			continue
 		}
-		// Explore/exploit split: at most half the round goes to clusters
-		// with recent segment yield (proportional, largest remainder); the
-		// rest continues the uncommon-first walk where it left off. With no
-		// credit yet — round 0, or a dry spell — the walk gets everything,
-		// so a zero-signal feedback run visits exactly the clusters the
-		// one-shot uncommon-first scheduler would.
-		alloc := allocateBudget(roundBudget/2, credits)
-		exploit := 0
-		for _, a := range alloc {
-			exploit += a
-		}
-		for k := 0; k < roundBudget-exploit; k++ {
-			alloc[cursor%len(cs)]++
+		// The round continues the uncommon-first walk where the last one
+		// left off, wrapping past the end of the order.
+		walked := make([]int, len(cs))
+		for range roundBudget {
+			walked[cursor%len(cs)]++
 			cursor++
 		}
 
 		rng := rand.New(rand.NewSource(par.UnitSeed(p.Opts.Seed, par.StageGenerate, p.genCalls)))
 		p.genCalls++
-		var cands []feedbackCandidate
+		var drawn []sched.ConcurrentTest
 		for ci := range cs {
-			for k := 0; k < alloc[ci]; k++ {
-				if c, ok := p.drawCandidate(cs, ci, rng); ok {
-					cands = append(cands, c)
+			for range walked[ci] {
+				if ct, ok := p.drawTest(cs, ci, rng); ok {
+					drawn = append(drawn, ct)
 				}
 			}
 		}
-		tests, contributors := composeTests(cands)
+		tests := composeTests(drawn)
 		// Composing frees budget (one execution probes several channels);
-		// refill from the allocation order so the round still spends its
-		// full execution budget.
-		refill := 0
-		for len(tests) < roundBudget && refill < len(cs) {
-			ci := refill % len(cs)
-			refill++
-			if alloc[ci] == 0 {
+		// refill from the clusters the round walked, in order, so the
+		// round still spends its full execution budget.
+		for ci := 0; len(tests) < roundBudget && ci < len(cs); ci++ {
+			if walked[ci] == 0 {
 				continue
 			}
-			if c, ok := p.drawCandidate(cs, ci, rng); ok {
-				tests = append(tests, c.test)
-				contributors = append(contributors, []int{c.cluster})
+			if ct, ok := p.drawTest(cs, ci, rng); ok {
+				tests = append(tests, ct)
 			}
 		}
 		composed := 0
@@ -435,38 +332,28 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 		r.GeneratedTests += len(tests)
 		mGenTests.Add(int64(len(tests)))
 
-		issuesBefore := len(r.Issues)
+		issuesBefore, segmentsBefore := len(r.Issues), r.CoverSegments
 		deadBefore := r.Distributed.dead()
-		yields := p.ExecuteTests(r, tests)
+		p.ExecuteTests(r, tests)
 		if p.err != nil {
 			break // the round's batch failed: nothing of it is checkpointed
 		}
 		if keys != nil && r.Distributed.dead() > deadBefore {
-			// A dead-lettered job's findings and yield are missing from the
-			// round, and every later round steers by its credits: none of
-			// them is checkpointed, so no run resumes from one as complete.
-			// The report's DeadJobs names what was lost.
+			// A dead-lettered job's findings and coverage are missing from
+			// the round, and every later round builds on it: none of them
+			// is checkpointed, so no run resumes from one as complete. The
+			// report's DeadJobs names what was lost.
 			obs.Diag.Printf("stage feedback: round %d dead-lettered jobs; it and later rounds are not checkpointed", round)
 			keys = nil
-		}
-		newSegments := 0
-		for ti, y := range yields {
-			newSegments += y
-			if y == 0 {
-				continue
-			}
-			for _, ci := range contributors[ti] {
-				credits[ci] += int64(y)
-			}
 		}
 		testsDone += len(tests)
 		r.FeedbackRounds = round + 1
 		mFeedbackRounds.Inc()
 		obs.EmitTrace(p.trace, obs.EvFeedbackRound, obs.A("round", round), obs.A("tests", len(tests)),
-			obs.A("composed", composed), obs.A("segments", newSegments),
+			obs.A("composed", composed), obs.A("segments", r.CoverSegments-segmentsBefore),
 			obs.A("issues", len(r.Issues)-issuesBefore))
 		if keys != nil {
-			p.checkpointFeedback(keys[round], round, testsDone, cursor, credits, r)
+			p.checkpointFeedback(keys[round], round, testsDone, cursor, r)
 		}
 	}
 	span.End()

@@ -12,54 +12,6 @@ import (
 	"snowboard/internal/trace"
 )
 
-// --- allocateBudget ---
-
-func TestAllocateBudgetProportional(t *testing.T) {
-	got := allocateBudget(10, []int64{30, 10, 10, 0})
-	want := []int{6, 2, 2, 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("alloc %v, want %v", got, want)
-	}
-	sum := 0
-	for _, a := range got {
-		sum += a
-	}
-	if sum != 10 {
-		t.Fatalf("allocation does not spend the budget: %d", sum)
-	}
-}
-
-func TestAllocateBudgetZeroCredits(t *testing.T) {
-	got := allocateBudget(10, []int64{0, 0, 0})
-	if !reflect.DeepEqual(got, []int{0, 0, 0}) {
-		t.Fatalf("zero-credit alloc %v, want all zeros (exploration walk's job)", got)
-	}
-	if got := allocateBudget(0, []int64{5, 5}); !reflect.DeepEqual(got, []int{0, 0}) {
-		t.Fatalf("zero-budget alloc %v", got)
-	}
-	if got := allocateBudget(5, nil); len(got) != 0 {
-		t.Fatalf("nil-credit alloc %v", got)
-	}
-}
-
-func TestAllocateBudgetNegativeCreditsExcluded(t *testing.T) {
-	got := allocateBudget(6, []int64{-4, 3, 3})
-	want := []int{0, 3, 3}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("alloc %v, want %v", got, want)
-	}
-}
-
-func TestAllocateBudgetRemainderTieBreak(t *testing.T) {
-	// 7 across three equal credits: 2 each, remainder 1 goes to the lowest
-	// index (clusters arrive uncommon-first, so ties favor rarer comms).
-	got := allocateBudget(7, []int64{5, 5, 5})
-	want := []int{3, 2, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("alloc %v, want %v", got, want)
-	}
-}
-
 // --- channel independence and composing ---
 
 func fbKey(ins trace.Ins, addr uint64, size uint8) pmc.Key {
@@ -120,29 +72,26 @@ func schedTest(pair pmc.Pair, hint *pmc.PMC) sched.ConcurrentTest {
 
 func TestComposeTestsCoalescesIndependent(t *testing.T) {
 	pair := pmc.Pair{Writer: 0, Reader: 1}
-	mkCand := func(cluster int, addr uint64) feedbackCandidate {
+	var drawn []sched.ConcurrentTest
+	for _, addr := range []uint64{0x100, 0x200, 0x300, 0x400} {
 		hint := pmc.PMC{Write: fbKey(fbInsW1, addr, 8), Read: fbKey(fbInsR1, addr+0x1000, 8)}
 		hint.Write.Ins = trace.DefIns(fmt.Sprintf("feedback_test:cw%x", addr))
 		hint.Read.Ins = trace.DefIns(fmt.Sprintf("feedback_test:cr%x", addr))
-		return feedbackCandidate{
-			cluster: cluster,
-			test:    schedTest(pair, &hint),
-		}
+		drawn = append(drawn, schedTest(pair, &hint))
 	}
-	// Three independent candidates on the same corpus pair compose into one
+	// Three independent draws on the same corpus pair compose into one
 	// test with maxComposedHints hints; the fourth starts a new test.
-	cands := []feedbackCandidate{
-		mkCand(0, 0x100), mkCand(1, 0x200), mkCand(2, 0x300), mkCand(3, 0x400),
-	}
-	tests, contributors := composeTests(cands)
+	tests := composeTests(drawn)
 	if len(tests) != 2 {
 		t.Fatalf("composed into %d tests, want 2", len(tests))
 	}
 	if got := len(tests[0].Extra) + 1; got != maxComposedHints {
 		t.Fatalf("first test carries %d hints, want %d", got, maxComposedHints)
 	}
-	if !reflect.DeepEqual(contributors[0], []int{0, 1, 2}) || !reflect.DeepEqual(contributors[1], []int{3}) {
-		t.Fatalf("contributors %v, want [[0 1 2] [3]]", contributors)
+	want := []pmc.PMC{*drawn[1].Hint, *drawn[2].Hint}
+	if !reflect.DeepEqual(tests[0].Extra, want) || tests[1].Hint != drawn[3].Hint {
+		t.Fatalf("composed %v + %v, then %v; want draws 1 and 2 riding on draw 0, then draw 3",
+			*tests[0].Hint, tests[0].Extra, *tests[1].Hint)
 	}
 }
 
@@ -150,24 +99,18 @@ func TestComposeTestsKeepsDependentApart(t *testing.T) {
 	pair := pmc.Pair{Writer: 0, Reader: 1}
 	a := pmc.PMC{Write: fbKey(fbInsW1, 0x100, 8), Read: fbKey(fbInsR1, 0x500, 8)}
 	overlapping := pmc.PMC{Write: fbKey(fbInsW2, 0x104, 8), Read: fbKey(fbInsR2, 0x600, 8)}
-	tests, contributors := composeTests([]feedbackCandidate{
-		{cluster: 0, test: schedTest(pair, &a)},
-		{cluster: 1, test: schedTest(pair, &overlapping)},
-	})
-	if len(tests) != 2 || len(tests[0].Extra) != 0 {
+	tests := composeTests([]sched.ConcurrentTest{schedTest(pair, &a), schedTest(pair, &overlapping)})
+	if len(tests) != 2 || len(tests[0].Extra) != 0 || tests[1].Hint != &overlapping {
 		t.Fatalf("overlapping channels composed: %d tests, extras %d", len(tests), len(tests[0].Extra))
-	}
-	if !reflect.DeepEqual(contributors, [][]int{{0}, {1}}) {
-		t.Fatalf("contributors %v", contributors)
 	}
 }
 
 func TestComposeTestsDistinctPairsStaySeparate(t *testing.T) {
 	a := pmc.PMC{Write: fbKey(fbInsW1, 0x100, 8), Read: fbKey(fbInsR1, 0x500, 8)}
 	b := pmc.PMC{Write: fbKey(fbInsW2, 0x200, 8), Read: fbKey(fbInsR2, 0x600, 8)}
-	tests, _ := composeTests([]feedbackCandidate{
-		{cluster: 0, test: schedTest(pmc.Pair{Writer: 0, Reader: 1}, &a)},
-		{cluster: 1, test: schedTest(pmc.Pair{Writer: 2, Reader: 3}, &b)},
+	tests := composeTests([]sched.ConcurrentTest{
+		schedTest(pmc.Pair{Writer: 0, Reader: 1}, &a),
+		schedTest(pmc.Pair{Writer: 2, Reader: 3}, &b),
 	})
 	if len(tests) != 2 {
 		t.Fatalf("distinct corpus pairs composed: %d tests", len(tests))

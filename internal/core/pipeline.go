@@ -59,9 +59,8 @@ type Pipeline struct {
 
 	// segs accumulates interleaving-segment coverage across every
 	// ExecuteTests call of this pipeline. Per-test outcomes are folded in
-	// test order, so its contents — and the per-test fresh-segment yields
-	// the feedback scheduler allocates budget by — are worker-invariant.
-	// RunFeedback replaces it when resuming round state.
+	// test order, so its contents are worker-invariant. RunFeedback
+	// replaces it when resuming round state.
 	segs *cover.Segments
 
 	// plan indexes the PMC set's clusters under the method's strategy,
@@ -71,10 +70,9 @@ type Pipeline struct {
 	plan *cluster.Index
 
 	// batches, when set, is where ExecuteTests runs a batch instead of the
-	// local fleet — a campaign's queue (Campaign.execute) — returning the
-	// batch's yields. err is the first error it returned: no batch runs
-	// after it, and runStages returns it.
-	batches func(r *Report, tests []sched.ConcurrentTest) ([]int, error)
+	// local fleet — a campaign's queue (Campaign.execute). err is the first
+	// error it returned: no batch runs after it, and runStages returns it.
+	batches func(r *Report, tests []sched.ConcurrentTest) error
 	err     error
 
 	// store, when attached with UseStore, memoizes stages through the
@@ -293,8 +291,8 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 			if len(out) >= budget {
 				break
 			}
-			if c, ok := p.drawCandidate(cs, i, rng); ok {
-				out = append(out, c.test)
+			if ct, ok := p.drawTest(cs, i, rng); ok {
+				out = append(out, ct)
 			}
 		}
 	case MethodRandomPairing:
@@ -325,10 +323,8 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 // across a fleet of per-worker explorers, or, in a campaign, through its
 // queue (batches). Either way findings fold into the report in test order
 // (foldOutcomes) — byte-for-byte the serial fold, because each test's
-// outcome is a pure function of (test, derived seed, adoption list). It
-// returns each test's fresh-segment yield against the pipeline-cumulative
-// segment accumulator, which the feedback scheduler allocates the next
-// round's budget by. After a batch has failed it runs nothing (Pipeline.err).
+// outcome is a pure function of (test, derived seed, adoption list). After
+// a batch has failed it runs nothing (Pipeline.err).
 //
 // The two paths stay because each is cheaper on some workload, and the
 // batch picks by whether it has a queue. Draining a local batch through an
@@ -342,23 +338,21 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 // job.leased/job.acked events, 3.07 / 629. The rest is per job: lease
 // records that copy the Job, the retained encoded outcome, the decoder's
 // per-issue Desc strings and the two events.
-func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) []int {
+func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) {
 	span := obs.StartSpan("stage.exec")
-	var yields []int
 	switch {
 	case p.err != nil:
 	case p.batches != nil:
-		yields, p.err = p.batches(r, tests)
+		p.err = p.batches(r, tests)
 	default:
 		x := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
 		x.KnownPMCs, x.Trace = adoptionSet(p.adoptable(tests)), p.trace
 		fleet := sched.NewFleet(x, p.workerEnvs(p.workers()), func(e *exec.Env) []string { return e.K.FsckHost() })
-		yields = p.foldOutcomes(r, tests, fleet.ExploreAll(tests, p.exploreSeeds(len(tests))))
+		p.foldOutcomes(r, tests, fleet.ExploreAll(tests, p.exploreSeeds(len(tests))))
 	}
 	d := span.End()
 	r.ExecTime += d
 	p.stageDone("exec", false, d, obs.A("issues", len(r.Issues)), obs.A("segments", r.CoverSegments))
-	return yields
 }
 
 // adoptable is what incidental adoption (Algorithm 2 lines 26–27) may pick
@@ -398,21 +392,19 @@ func (p *Pipeline) indexClusters(cs []cluster.Cluster) {
 }
 
 // foldOutcomes is the one place an Outcome turns into IssueRecords,
-// Unknown, counters, coverage and segment yields: outs[i] is tests[i]'s
-// outcome, explored by the local fleet or reported through a queue
-// (FoldResults). CoverPairs grows by the batch's distinct alias pairs,
-// CoverSegments is the pipeline-cumulative segment count, and yields[i] is
-// how many of tests[i]'s segments it first covered.
-func (p *Pipeline) foldOutcomes(r *Report, tests []sched.ConcurrentTest, outs []sched.Outcome) []int {
+// Unknown, counters and coverage: outs[i] is tests[i]'s outcome, explored
+// by the local fleet or reported through a queue (FoldResults). CoverPairs
+// grows by the batch's distinct alias pairs, and CoverSegments is the
+// pipeline-cumulative segment count.
+func (p *Pipeline) foldOutcomes(r *Report, tests []sched.ConcurrentTest, outs []sched.Outcome) {
 	unknownSeen := make(map[string]struct{}, len(r.Unknown))
 	for _, u := range r.Unknown {
 		unknownSeen[u.ID()] = struct{}{}
 	}
-	yields := make([]int, len(outs))
 	segs, pairs := p.segs, cover.New()
 	for i, out := range outs {
 		ct := tests[i]
-		yields[i] = segs.AddCounts(out.Segments)
+		segs.AddCounts(out.Segments)
 		pairs.AddPairs(out.Pairs)
 		r.TestedTests++
 		if ct.Hint != nil {
@@ -458,7 +450,6 @@ func (p *Pipeline) foldOutcomes(r *Report, tests []sched.ConcurrentTest, outs []
 	mCoverPairs.Set(int64(r.CoverPairs))
 	r.CoverSegments = segs.Len()
 	mCoverSegments.Set(int64(r.CoverSegments))
-	return yields
 }
 
 // Run executes the full pipeline. With Options.StateDir set, stages 1 and

@@ -121,8 +121,9 @@ func (p *Pipeline) reportKey(corpusDigest store.Digest, budget int) store.Digest
 // loopPart names the feedback loop's mechanisms in every key of a feedback
 // run: the execute memo's, each round checkpoint's and the campaign memo's.
 // Reports and rounds stored while the loop also mutated schedules were
-// keyed without it, so they are never served.
-const loopPart = "loop=rounds+composing"
+// keyed without it, and those stored while it allocated rounds by segment
+// yield under "loop=rounds+composing", so neither is ever served.
+const loopPart = "loop=walk+composing"
 
 // feedbackPart is the execute key's feedback part. A feedback run and a
 // one-shot run spend the same budget through different schedulers, so

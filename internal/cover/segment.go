@@ -181,18 +181,13 @@ func (s *Segments) Merge(o *Segments) int {
 	return fresh
 }
 
-// AddCounts adds each entry's hits, as Export returns them, and returns how
-// many of the entries' segments had none before.
-func (s *Segments) AddCounts(entries []SegmentCount) int {
+// AddCounts adds each entry's hits, as Export returns them.
+func (s *Segments) AddCounts(entries []SegmentCount) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fresh := 0
 	for _, e := range entries {
-		if s.add(e.Seg, e.N) {
-			fresh++
-		}
+		s.add(e.Seg, e.N)
 	}
-	return fresh
 }
 
 // Reset empties s, keeping its table.

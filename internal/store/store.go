@@ -66,8 +66,8 @@ const (
 	_ // 6 was the SBTS time-series kind (objects/timeseries); retired, never reuse
 	_ // 7 was the SBPI snapshot kind (objects/pmcindex); retired, never reuse
 	// KindFeedback is a JSON feedback-round checkpoint (core.RunFeedback):
-	// per-cluster credits, cumulative segment coverage, pipeline cursors,
-	// and the partial report after one budget-allocation round.
+	// cumulative segment coverage, pipeline cursors, and the partial report
+	// after one round.
 	KindFeedback
 	// KindRepro is an SBRB minimized repro bundle (triage.Encode): the
 	// self-contained, minimized, replayable artifact behind every

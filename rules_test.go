@@ -184,6 +184,8 @@ var designRules = []designRule{
 		{"internal/obs/obs.go", "\nconst MGenBudgetPrefix = \"gen.rounds.\"\n"},
 		{"internal/core/feedback.go", "\nfunc clusterLabel(key string) string { return key }\n"},
 		{"internal/core/feedback.go", "\nvar perCluster = obs.C(\"gen.budget.\" + key)\n"},
+		{"internal/core/feedback.go", "\nfunc allocateBudget(budget int, credits []int64) []int { return nil }\n"},
+		{"internal/core/round.go", "package core\n\ntype feedbackRoundState struct{ Credits []int64 }\n"},
 	}},
 	// The retired names are split so that this file, which the rule reads, does not hold them.
 	{"one_reference_model", oneReferenceModel, []mutation{
@@ -777,11 +779,26 @@ func theExecutorLeasesInProcess(tr *tree) []string {
 // trials (EXPERIMENTS.md, "Feedback mechanisms at equal trials"), and its
 // per-cluster budget counters were the only metric named at run time: a
 // long-lived process gained one per cluster of every feedback campaign.
+// Its round allocation — each round's budget split by the clusters'
+// decaying segment credit, checkpointed with the round — cost rows where
+// the CLI runs (rows over seeds 3–12 on both kernel versions, 20
+// campaigns; EXPERIMENTS.md, "Feedback mechanisms at equal trials"):
+//
+//	fuzz / corpus / tests × trials   one-shot   allocating   walking
+//	400 / 120 / 60 × 16 (CLI)           121          88         124
+//	600 / 150 / 80 × 16                 150         100         146
+//	600 / 150 / 400 × 24                186         187         188
+//
 // TestEveryFunctionIsLinked holds the rest of this rule.
 func nothingNoFrontDoorReaches(tr *tree) []string {
-	return tr.grep(tr.code(), "code no front door reaches", false,
+	out := tr.grep(tr.code(), "code no front door reaches", false,
 		"ExploreTriple", "IdentifyTriples", "RunMany", "NewEnvWithSetup", "ModePCT", "SynchronizeRCU", "TryLock(", "JobEvent", "func Register(",
-		"MutateSchedules", "schedSeed", "maxSchedSeeds", "mutateFlips", "mutFlags", "MGenBudgetPrefix", "clusterLabel", "gen.budget.")
+		"MutateSchedules", "schedSeed", "maxSchedSeeds", "mutateFlips", "mutFlags", "MGenBudgetPrefix", "clusterLabel", "gen.budget.",
+		"allocateBudget")
+	for _, ts := range typeSpecs(tr.code("internal/core/*.go"), "feedbackRoundState") {
+		out = append(out, tr.fields(ts, "Credits")...)
+	}
+	return out
 }
 
 // A trial's analysis has one reference, internal/detect/model, with one
