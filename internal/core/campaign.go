@@ -44,7 +44,11 @@ type CampaignSpec struct {
 	FeedbackRounds int    `json:"feedback_rounds,omitempty"`
 }
 
-// WithDefaults fills unset fields from DefaultOptions.
+// WithDefaults fills unset fields from DefaultOptions and normalizes the
+// round count, so one report has one campaign ID: a one-shot spec, which
+// runs no rounds, has none, and a feedback spec that leaves them unset has
+// defaultFeedbackRounds. A count out of range is left for Validate to
+// refuse, whatever the mode.
 func (s CampaignSpec) WithDefaults() CampaignSpec {
 	d := DefaultOptions()
 	if s.Version == "" {
@@ -70,6 +74,12 @@ func (s CampaignSpec) WithDefaults() CampaignSpec {
 	}
 	if s.Trials <= 0 {
 		s.Trials = d.Trials
+	}
+	switch {
+	case !s.Feedback && s.FeedbackRounds > 0 && s.FeedbackRounds <= MaxFeedbackRounds:
+		s.FeedbackRounds = 0
+	case s.Feedback && s.FeedbackRounds == 0:
+		s.FeedbackRounds = defaultFeedbackRounds
 	}
 	return s
 }
@@ -558,8 +568,9 @@ func (c *Campaign) execute() (*Report, error) {
 
 // runBatch is where a campaign's batch of tests executes: pushed onto the
 // campaign's queue, executed in-process by w, taking fair-scheduler turns
-// between slices, and folded from what came back — from this executor and
-// from any worker that joined the queue over the registry's listener.
+// between slices, and folded from what comes back as it settles — from
+// this executor and from any worker that joined the queue over the
+// registry's listener.
 func (c *Campaign) runBatch(p *Pipeline, q *queue.Queue, w *Worker, r *Report, tests []sched.ConcurrentTest) error {
 	if err := p.PushTests(q, tests, c.Trace); err != nil {
 		return fmt.Errorf("campaign %s: %w", c.ID, err)
@@ -568,10 +579,13 @@ func (c *Campaign) runBatch(p *Pipeline, q *queue.Queue, w *Worker, r *Report, t
 	if c.env.ExecGate != nil {
 		<-c.env.ExecGate
 	}
-	c.executeLoop(w, q)
-
-	// Every job settled, by this executor or an sbexec that joined the queue.
-	if err := p.FoldResults(r, tests, q.Results(), q.DeadLetters()); err != nil {
+	err := c.executeLoop(w, q, func() error { return p.FoldSettled(r, tests, q.Results()) })
+	if err == nil {
+		// Every job settled, by this executor or an sbexec that joined the
+		// queue.
+		err = p.FoldResults(r, tests, q.Results(), q.DeadLetters())
+	}
+	if err != nil {
 		return fmt.Errorf("campaign %s: %w", c.ID, err)
 	}
 	if sum := r.Distributed; sum.Lost() {
@@ -582,18 +596,19 @@ func (c *Campaign) runBatch(p *Pipeline, q *queue.Queue, w *Worker, r *Report, t
 
 // executeLoop drains the campaign's queue in fair-scheduler slices until
 // every job is settled, leasing and settling each turn in-process: the
-// queue lives here, so a turn costs no round trip and no job encoding. The
-// turn-taking, the pause gate and the Fault hook are the campaign's; what
-// a job computes is Worker.Do's, so redelivery — to this executor, a
-// joined worker, or a future incarnation after a restart — reproduces
-// byte-identical results.
-func (c *Campaign) executeLoop(w *Worker, q *queue.Queue) {
+// queue lives here, so a turn costs no round trip and no job encoding.
+// fold takes what has settled after every turn and every wait on
+// stragglers, and its error ends the loop. The turn-taking, the pause gate
+// and the Fault hook are the campaign's; what a job computes is
+// Worker.Do's, so redelivery — to this executor, a joined worker, or a
+// future incarnation after a restart — reproduces byte-identical results.
+func (c *Campaign) executeLoop(w *Worker, q *queue.Queue, fold func() error) error {
 	lsr := localLeaser{q}
 	slice := c.env.slice()
 	for {
 		st := q.Stats()
 		if st.Pending == 0 && st.Leased == 0 {
-			return
+			return nil
 		}
 		c.gate()
 		if c.env.Turns != nil {
@@ -616,6 +631,9 @@ func (c *Campaign) executeLoop(w *Worker, q *queue.Queue) {
 		c.exercised.Add(int64(exercised))
 		if c.env.Turns != nil {
 			c.env.Turns.Release()
+		}
+		if err := fold(); err != nil {
+			return err
 		}
 		st = q.Stats()
 		if st.Pending == 0 && st.Leased > 0 {

@@ -68,6 +68,55 @@ func TestCampaignSpecIdentity(t *testing.T) {
 	}
 }
 
+// TestFeedbackRoundsShareOneID: a round count that changes nothing about
+// the run changes nothing about the campaign ID — a one-shot spec runs no
+// rounds whatever it names, and a feedback spec naming none runs
+// defaultFeedbackRounds — and a campaign started again under the other
+// spelling, on the same state dir, is served its memoized report.
+func TestFeedbackRoundsShareOneID(t *testing.T) {
+	for _, tc := range []struct {
+		a, b CampaignSpec
+		id   string
+	}{
+		{CampaignSpec{Seed: 7, Feedback: true}, CampaignSpec{Seed: 7, Feedback: true, FeedbackRounds: defaultFeedbackRounds}, "d4c214990708"},
+		{CampaignSpec{Seed: 7}, CampaignSpec{Seed: 7, FeedbackRounds: 9}, "28cdeed889f5"},
+	} {
+		a, errA := tc.a.ID()
+		b, errB := tc.b.ID()
+		if errA != nil || errB != nil || a != b || a != tc.id {
+			t.Errorf("%+v is %s (%v), %+v is %s (%v), want both %s", tc.a, a, errA, tc.b, b, errB, tc.id)
+		}
+	}
+	dir := t.TempDir()
+	run := func(spec CampaignSpec) (string, []byte) {
+		t.Helper()
+		reg := queue.NewRegistry(queue.Options{})
+		defer reg.Close()
+		c, err := StartCampaign(spec, CampaignEnv{StateDir: dir, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.ID, b
+	}
+	spec := smallSpec("rounds", 7)
+	spec.Feedback, spec.FeedbackRounds = true, 0
+	id, first := run(spec)
+	spec.FeedbackRounds = defaultFeedbackRounds
+	again, second := run(spec)
+	if again != id || !bytes.Equal(first, second) {
+		t.Fatalf("rounds %d: campaign %s, rounds unset: %s; reports equal (timings and all): %v",
+			spec.FeedbackRounds, again, id, bytes.Equal(first, second))
+	}
+}
+
 // TestCampaignSpecBudgetCeilings: every spec budget validates up to its
 // ceiling and is refused one past it. Rounds and workers, whose 0 is "the
 // default" and which WithDefaults leaves as they are, are refused below 0

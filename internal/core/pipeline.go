@@ -75,6 +75,10 @@ type Pipeline struct {
 	batches func(r *Report, tests []sched.ConcurrentTest) error
 	err     error
 
+	// folding is the fold in progress of the batch PushTests pushed last
+	// (FoldSettled), finished by FoldResults.
+	folding *batchFold
+
 	// store, when attached with UseStore, memoizes stages through the
 	// content-addressed artifact store; corpusDigest is the content address
 	// of the current corpus (zero = not yet computed).
@@ -328,16 +332,18 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 //
 // The two paths stay because each is cheaper on some workload, and the
 // batch picks by whether it has a queue. Draining a local batch through an
-// in-process queue with Worker.Join and folding it with FoldResults was
-// measured on hunt's spec (fuzz 600, corpus 150, 400 tests × 24 trials,
-// Workers 1, seeds 3–8, 20,531 trials, 5 interleaved runs per arm, 2
-// vCPUs): allocs per trial 2.80 → 3.76 (+34%) and bytes 517 → 722 (+40%),
-// past hunt's 20% bound on both, with exec-time trials/s within noise
-// (~114k vs ~116k). Decoding in place, a presized encode buffer and
-// 16-job turns left 3.41 / 665 (+22% / +29%); even without the queue's
-// job.leased/job.acked events, 3.07 / 629. The rest is per job: lease
-// records that copy the Job, the retained encoded outcome, the decoder's
-// per-issue Desc strings and the two events.
+// in-process queue — PushTests, turns of TurnJobs through Worker.Do with
+// FoldSettled after each, then FoldResults — was measured on hunt's spec
+// (fuzz 600, corpus 150, 400 tests × 24 trials, Workers 1, seeds 3–8,
+// 20,531 trials, 5 interleaved runs per arm, 2 vCPUs): allocs per trial
+// 2.62 → 2.77 (+6.0%) and bytes 504 → 560 (+11.1%), inside hunt's 20%
+// bound on both, with trials/s within noise (medians 147k and 141k, each
+// arm spread over ±5%) and equal prefix digests. The rest is per job: the
+// job.leased and job.acked events, a turn's lease slice, the encoded
+// outcome's copy into the queue. Before lease records held an index, the
+// queue lent outcomes from a reused buffer, the fold decoded into reused
+// storage and events kept their attrs as a slice, the same probe read
+// 2.80 → 3.76 (+34%) and 517 → 722 (+40%).
 func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) {
 	span := obs.StartSpan("stage.exec")
 	switch {
@@ -393,63 +399,90 @@ func (p *Pipeline) indexClusters(cs []cluster.Cluster) {
 
 // foldOutcomes is the one place an Outcome turns into IssueRecords,
 // Unknown, counters and coverage: outs[i] is tests[i]'s outcome, explored
-// by the local fleet or reported through a queue (FoldResults). CoverPairs
+// by the local fleet (ExecuteTests) or reported through a queue
+// (FoldSettled and FoldResults fold with the same outcomeFold). CoverPairs
 // grows by the batch's distinct alias pairs, and CoverSegments is the
 // pipeline-cumulative segment count.
 func (p *Pipeline) foldOutcomes(r *Report, tests []sched.ConcurrentTest, outs []sched.Outcome) {
-	unknownSeen := make(map[string]struct{}, len(r.Unknown))
+	f := p.newOutcomeFold(r)
+	for i := range outs {
+		f.add(tests[i], &outs[i])
+	}
+	f.done()
+}
+
+// outcomeFold is foldOutcomes' state over one batch, which may reach it in
+// several chunks: the report's unknown issues so far, by key, and the
+// batch's distinct alias pairs, so CoverPairs counts each pair once.
+type outcomeFold struct {
+	r       *Report
+	segs    *cover.Segments
+	pairs   *cover.Coverage
+	unknown map[detect.IssueKey]struct{}
+}
+
+func (p *Pipeline) newOutcomeFold(r *Report) outcomeFold {
+	f := outcomeFold{r: r, segs: p.segs, pairs: cover.New(), unknown: make(map[detect.IssueKey]struct{}, len(r.Unknown))}
 	for _, u := range r.Unknown {
-		unknownSeen[u.ID()] = struct{}{}
+		f.unknown[u.Key()] = struct{}{}
 	}
-	segs, pairs := p.segs, cover.New()
-	for i, out := range outs {
-		ct := tests[i]
-		segs.AddCounts(out.Segments)
-		pairs.AddPairs(out.Pairs)
-		r.TestedTests++
-		if ct.Hint != nil {
-			r.TestedPMCs++
-			if out.Exercised {
-				r.Exercised++
-			}
+	return f
+}
+
+// add folds one test's outcome; the report keeps what it needs of it by
+// copy, but for the Repro state.
+func (f *outcomeFold) add(ct sched.ConcurrentTest, out *sched.Outcome) {
+	r := f.r
+	f.segs.AddCounts(out.Segments)
+	f.pairs.AddPairs(out.Pairs)
+	r.TestedTests++
+	if ct.Hint != nil {
+		r.TestedPMCs++
+		if out.Exercised {
+			r.Exercised++
 		}
-		r.TrialsRun += out.Trials
-		r.Switches += out.Switches
-		r.Steps += out.Steps
-		for j, is := range out.Issues {
-			if is.BugID != 0 {
-				rec, seen := r.Issues[is.BugID]
-				if !seen {
-					rec = IssueRecord{
-						Issue:     is,
-						TestIndex: r.TestedTests,
-						Trial:     out.IssueTrials[j],
-						Repro:     out.Repro,
-						Test:      ct,
-					}
-				} else if rec.Repro == nil && out.Repro != nil && detect.CrashLevel(is.Kind) {
-					// The bug was first seen as its data-race shadow; a
-					// later crash-level observation carries the replayable
-					// trial — upgrade the record.
-					rec.Issue = is
-					rec.Repro = out.Repro
-					rec.Test = ct
+	}
+	r.TrialsRun += out.Trials
+	r.Switches += out.Switches
+	r.Steps += out.Steps
+	for j, is := range out.Issues {
+		if is.BugID != 0 {
+			rec, seen := r.Issues[is.BugID]
+			if !seen {
+				rec = IssueRecord{
+					Issue:     is,
+					TestIndex: r.TestedTests,
+					Trial:     out.IssueTrials[j],
+					Repro:     out.Repro,
+					Test:      ct,
 				}
-				rec.Count++
-				r.Issues[is.BugID] = rec
-				continue
+			} else if rec.Repro == nil && out.Repro != nil && detect.CrashLevel(is.Kind) {
+				// The bug was first seen as its data-race shadow; a
+				// later crash-level observation carries the replayable
+				// trial — upgrade the record.
+				rec.Issue = is
+				rec.Repro = out.Repro
+				rec.Test = ct
 			}
-			if _, dup := unknownSeen[is.ID()]; !dup {
-				unknownSeen[is.ID()] = struct{}{}
-				r.Unknown = append(r.Unknown, is)
-			}
+			rec.Count++
+			r.Issues[is.BugID] = rec
+			continue
 		}
-		mIssuesFound.Set(int64(len(r.Issues)))
+		if _, dup := f.unknown[is.Key()]; !dup {
+			f.unknown[is.Key()] = struct{}{}
+			r.Unknown = append(r.Unknown, is)
+		}
 	}
-	r.CoverPairs += pairs.Len()
-	mCoverPairs.Set(int64(r.CoverPairs))
-	r.CoverSegments = segs.Len()
-	mCoverSegments.Set(int64(r.CoverSegments))
+	mIssuesFound.Set(int64(len(r.Issues)))
+}
+
+// done closes the batch: CoverPairs grows by its distinct alias pairs and
+// CoverSegments is the pipeline-cumulative segment count.
+func (f *outcomeFold) done() {
+	f.r.CoverPairs += f.pairs.Len()
+	mCoverPairs.Set(int64(f.r.CoverPairs))
+	f.r.CoverSegments = f.segs.Len()
+	mCoverSegments.Set(int64(f.r.CoverSegments))
 }
 
 // Run executes the full pipeline. With Options.StateDir set, stages 1 and

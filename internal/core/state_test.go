@@ -547,8 +547,8 @@ func goldenArtifacts(t *testing.T) goldenBytes {
 	out.corpus = roundTrip(t, "corpus", c, corpus.Append, corpus.Parse)
 	out.pmcs = roundTrip(t, "PMC set", set, pmc.AppendSet, pmc.ParseSet)
 	out.outcome = o.Encode(nil)
-	var back sched.Outcome
-	if err := back.Decode(out.outcome); err != nil || !bytes.Equal(back.Encode(nil), out.outcome) {
+	var dec sched.Decoder
+	if back, err := dec.Decode(out.outcome); err != nil || !bytes.Equal(back.Encode(nil), out.outcome) {
 		t.Fatalf("outcome: decode and re-encode changed the bytes (%v)", err)
 	}
 

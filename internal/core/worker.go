@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"snowboard/internal/detect"
@@ -24,8 +25,8 @@ import (
 // campaign it does not own (Worker.Join) — shared by sbd, cmd/sbexec,
 // `snowboard -listen` and examples/distributed. An outcome is a pure
 // function of (test, seed, trials, version, adoption list), all of them in
-// the job, so FoldResults over each job's first result equals local
-// execution.
+// the job (the list by digest), so the fold of each job's first result
+// equals local execution.
 
 // stage4Explorer is the explorer both ExecuteTests' fleet and queue
 // workers copy: Algorithm 2 with the suite's oracles and the host fsck,
@@ -65,19 +66,28 @@ func (p *Pipeline) exploreSeeds(n int) []int64 {
 
 // PushTests enqueues tests as one batch of jobs, each ID'd by its
 // exploration unit — the pipeline's count of tests seeded before it — so
-// the IDs of a campaign's batches continue on one queue and FoldResults
-// folds the batch pushed last. Each job carries both programs, its hints,
-// its exploration seed, the pipeline's trial budget and kernel version and
-// the batch's adoption list — everything its outcome depends on, so a
-// worker needs nothing but the queue's address. Every job carries trace,
-// so worker and delivery events stitch back to the originating campaign.
-// A batch whose adoption list is past queue.MaxAdoptBytes is refused before
-// anything is pushed: its jobs would not fit a lease frame.
+// the IDs of a campaign's batches continue on one queue and FoldSettled and
+// FoldResults fold the batch pushed last. Each job carries both programs,
+// its hints, its exploration seed, the pipeline's trial budget and kernel
+// version and its batch's adoption list by digest — everything its
+// outcome depends on, so a worker needs nothing but the queue's address.
+// The list itself is pushed once, before the jobs (queue.PushList). Every
+// job carries trace, so worker and delivery events stitch back to the
+// originating campaign. A batch whose adoption list is past
+// queue.MaxAdoptBytes is refused before anything is pushed: it would not
+// fit a lease frame.
 func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace string) error {
-	adopt := p.adoptable(tests)
-	if n := queue.PMCList(adopt).EncodedLen(); n > queue.MaxAdoptBytes {
-		return fmt.Errorf("the batch may adopt %d PMCs, %d bytes in every job, past the %d a job carries",
-			len(adopt), n, queue.MaxAdoptBytes)
+	p.folding = nil
+	list, err := queue.NewAdoptList(p.adoptable(tests))
+	if err != nil {
+		return fmt.Errorf("the batch's adoption list: %w", err)
+	}
+	var adopt string
+	if list != nil {
+		if err := q.PushList(list); err != nil {
+			return fmt.Errorf("push adoption list: %w", err)
+		}
+		adopt = list.Digest
 	}
 	first := p.exploreUnits
 	seeds := p.exploreSeeds(len(tests))
@@ -117,40 +127,74 @@ func (l localLeaser) Settle(items []queue.Settlement) ([]error, error) {
 	return l.Queue.Settle(items), nil
 }
 
-// keepTurn extends a turn's leases at half-TTL intervals until stopped, so
+// leaseKeeper extends a worker's turn's leases at half-TTL intervals, so
 // a turn longer than the queue's lease timeout is not reaped out from
-// under a live worker. One keeper serves the whole turn; a lease whose
-// extend fails (expired, or the server unreachable) is dropped from it, and
-// the keeper exits once none is left, so it never holds a shared client
+// under a live worker. One keeper serves a worker for its lifetime on one
+// timer, which fires only when a turn outlasts half its lease: a lease
+// whose extend fails (expired, or the server unreachable) is dropped, and
+// the keeper rests once none is left, so it never holds a shared client
 // retrying leases that are already gone.
-func keepTurn(lsr Leaser, leases []queue.Lease) (stop func()) {
-	ttl := max(time.Until(leases[0].Deadline), 20*time.Millisecond)
-	live := make([]uint64, len(leases))
-	for i, ls := range leases {
-		live[i] = ls.ID
+type leaseKeeper struct {
+	mu    sync.Mutex
+	lsr   Leaser
+	live  []uint64
+	every time.Duration
+	turn  uint64 // bumped by keepTurn and release, so a late extend changes nothing
+	t     *time.Timer
+}
+
+// keepTurn keeps a turn's leases until release.
+func (k *leaseKeeper) keepTurn(lsr Leaser, leases []queue.Lease) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.turn++
+	k.lsr = lsr
+	k.live = k.live[:0]
+	for _, ls := range leases {
+		k.live = append(k.live, ls.ID)
 	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(ttl / 2)
-		defer t.Stop()
-		for len(live) > 0 {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				// A lease gone is benign: its job redelivers and the fold
-				// dedups.
-				kept := live[:0]
-				for _, id := range live {
-					if _, err := lsr.Extend(id, 0); err == nil {
-						kept = append(kept, id)
-					}
-				}
-				live = kept
-			}
+	k.every = max(time.Until(leases[0].Deadline), 20*time.Millisecond) / 2
+	if k.t == nil {
+		k.t = time.AfterFunc(k.every, k.extend)
+	} else {
+		k.t.Reset(k.every)
+	}
+}
+
+// release stops keeping the turn.
+func (k *leaseKeeper) release() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.turn++
+	k.live = k.live[:0]
+	if k.t != nil {
+		k.t.Stop()
+	}
+}
+
+// extend is the timer's: one extend per live lease, made outside the lock
+// so release never waits on the leaser, then the timer re-armed while a
+// lease is left.
+func (k *leaseKeeper) extend() {
+	k.mu.Lock()
+	turn, lsr, ids := k.turn, k.lsr, append([]uint64(nil), k.live...)
+	k.mu.Unlock()
+	// A lease gone is benign: its job redelivers and the fold dedups.
+	kept := ids[:0]
+	for _, id := range ids {
+		if _, err := lsr.Extend(id, 0); err == nil {
+			kept = append(kept, id)
 		}
-	}()
-	return func() { close(done) }
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.turn != turn {
+		return
+	}
+	k.live = append(k.live[:0], kept...)
+	if len(k.live) > 0 {
+		k.t.Reset(k.every)
+	}
 }
 
 // Worker executes queue-delivered jobs on private simulated-kernel
@@ -160,12 +204,16 @@ type Worker struct {
 	name string
 	env  *exec.Env // the env NewWorker was given: its owner's to close
 	x    map[kernel.Version]*sched.Explorer
+	keep leaseKeeper
 
-	// adopt is the last adoption list a job carried and known the set it
-	// builds: the jobs of a batch share one list, so it is built once per
-	// batch.
-	adopt []pmc.PMC
-	known *pmc.Set
+	// A turn's storage, reused by the next: the leaser copies what Settle
+	// records (queue.Queue.Settle, or the settle frame), so the outcomes'
+	// encode buffer is free again once Settle returns.
+	held    []queue.Lease
+	items   []queue.Settlement
+	results []queue.JobResult
+	hit     []bool
+	buf     []byte
 }
 
 // NewWorker returns a worker exploring each job with the trial budget and
@@ -192,9 +240,10 @@ func (w *Worker) explorer(v kernel.Version) *sched.Explorer {
 	return &x
 }
 
-// Close closes the envs the worker booted; the one NewWorker was given
-// stays its owner's.
+// Close stops the worker's lease keeper and closes the envs it booted;
+// the one NewWorker was given stays its owner's.
 func (w *Worker) Close() {
+	w.keep.release()
 	for v, x := range w.x {
 		if x.Env != w.env {
 			x.Env.Close()
@@ -212,26 +261,17 @@ func (w *Worker) nack(lsr Leaser, ls queue.Lease, reason string) {
 	}
 }
 
-// adoption returns the adoption set of a job's list, building it when the
-// list differs from the last job's.
-func (w *Worker) adoption(adopt []pmc.PMC) *pmc.Set {
-	if !slices.Equal(adopt, w.adopt) {
-		w.adopt, w.known = adopt, adoptionSet(adopt)
-	}
-	return w.known
-}
-
 // Do runs a turn's leases to settlement: explore each job with the seed,
-// trial budget, kernel version and adoption list it carries under one
-// lease keeper for the whole turn, and settle every outcome, in its binary
-// form (result recorded, lease released), in one Settle. It returns how many leases
+// trial budget, kernel version and adoption list it carries while the
+// worker's lease keeper keeps the turn, and settle every outcome, in its
+// binary form (result recorded, lease released), in one Settle. It returns how many leases
 // settled with a result and how many of those exercised their channel;
 // every other lease was nacked — its job malformed (a trial budget not in
 // 1..MaxTrials, or an unknown kernel version; counted as worker.poisoned)
 // or its result never landed. Failures are contained to the job, never
 // the process.
 func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
-	held := make([]queue.Lease, 0, len(leases))
+	held := w.held[:0]
 	for _, ls := range leases {
 		_, err := kernel.ParseVersion(ls.Job.Version)
 		if ls.Job.Trials <= 0 || ls.Job.Trials > MaxTrials {
@@ -244,20 +284,22 @@ func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 		}
 		held = append(held, ls)
 	}
+	w.held = held
 	if len(held) == 0 {
 		return 0, 0
 	}
-	stopKeep := keepTurn(lsr, held)
-	items := make([]queue.Settlement, len(held))
-	results := make([]queue.JobResult, len(held))
-	hit := make([]bool, len(held))
+	w.keep.keepTurn(lsr, held)
+	n := len(held)
+	items := slices.Grow(w.items[:0], n)[:n]
+	results := slices.Grow(w.results[:0], n)[:n]
+	hit := slices.Grow(w.hit[:0], n)[:n]
 	// The turn's outcomes share one buffer, each result a capped slice of
-	// it: a settled result is kept (Queue.Settle) and never written.
-	var buf []byte
+	// it, until Settle copies them.
+	buf := w.buf[:0]
 	for i := range held {
 		job := &held[i].Job
 		x := w.explorer(kernel.Version(job.Version))
-		x.Seed, x.Trials, x.KnownPMCs = job.Seed, job.Trials, w.adoption(job.Adopt)
+		x.Seed, x.Trials, x.KnownPMCs = job.Seed, job.Trials, held[i].Adopt.Known()
 		// Tag this job's events with the originating campaign's trace, so a
 		// distributed run's timeline reads end-to-end.
 		x.Trace = job.Trace
@@ -270,7 +312,8 @@ func (w *Worker) Do(lsr Leaser, leases []queue.Lease) (settled, exercised int) {
 		results[i] = queue.JobResult{JobID: job.ID, Trials: out.Trials, Outcome: buf[start:len(buf):len(buf)], Worker: w.name}
 		items[i] = queue.Settlement{Lease: held[i].ID, Result: &results[i]}
 	}
-	stopKeep()
+	w.keep.release()
+	w.items, w.results, w.hit, w.buf = items, results, hit, buf
 	landed, err := lsr.Settle(items)
 	for i, ls := range held {
 		failed := err

@@ -60,6 +60,31 @@ type Event struct {
 // DefaultEventRing is the bounded capacity of the process-wide event log.
 const DefaultEventRing = 4096
 
+// entry is an event as the ring keeps it: the emitter's attrs as given,
+// in a few inline slots when they fit. The Attrs map is built only when
+// an event is copied out (Since, SinceTrace, the JSONL sink), so emitting
+// costs one allocation plus the boxing of the values.
+type entry struct {
+	seq    uint64
+	t      time.Time
+	kind   string
+	trace  string
+	inline [4]Attr
+	attrs  []Attr // inline[:n], or a copy when there are more
+}
+
+// event is the Event e records, Attrs map and all.
+func (e *entry) event() Event {
+	ev := Event{Seq: e.seq, T: e.t, Kind: e.kind, Trace: e.trace}
+	if len(e.attrs) > 0 {
+		ev.Attrs = make(map[string]any, len(e.attrs))
+		for _, a := range e.attrs {
+			ev.Attrs[a.Key] = a.Value
+		}
+	}
+	return ev
+}
+
 // EventLog is a bounded, race-safe event ring. Writers are lock-free (one
 // atomic sequence claim plus one atomic slot store) unless a JSONL sink is
 // attached, in which case emission serializes on the sink lock so the JSONL
@@ -67,7 +92,7 @@ const DefaultEventRing = 4096
 // writers.
 type EventLog struct {
 	seq  atomic.Uint64
-	ring []atomic.Pointer[Event]
+	ring []atomic.Pointer[entry]
 	mask uint64
 
 	sinkOn atomic.Bool
@@ -85,7 +110,7 @@ func NewEventLog(size int) *EventLog {
 	for n < size {
 		n <<= 1
 	}
-	return &EventLog{ring: make([]atomic.Pointer[Event], n), mask: uint64(n - 1)}
+	return &EventLog{ring: make([]atomic.Pointer[entry], n), mask: uint64(n - 1)}
 }
 
 // Events is the process-wide flight recorder every instrumented package
@@ -124,28 +149,28 @@ func (l *EventLog) EmitTrace(trace, kind string, attrs ...Attr) uint64 {
 	if trace == "" {
 		trace = CurrentTrace()
 	}
-	ev := &Event{T: time.Now(), Kind: kind, Trace: trace}
-	if len(attrs) > 0 {
-		ev.Attrs = make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			ev.Attrs[a.Key] = a.Value
-		}
+	e := &entry{t: time.Now(), kind: kind, trace: trace}
+	if len(attrs) <= len(e.inline) {
+		e.attrs = e.inline[:copy(e.inline[:], attrs)]
+	} else {
+		e.attrs = append([]Attr(nil), attrs...)
 	}
 	if l.sinkOn.Load() {
 		// Sink attached: claim the sequence under the sink lock so the JSONL
 		// stream is strictly ordered.
 		l.mu.Lock()
-		ev.Seq = l.seq.Add(1)
-		l.ring[ev.Seq&l.mask].Store(ev)
+		e.seq = l.seq.Add(1)
+		l.ring[e.seq&l.mask].Store(e)
 		if l.enc != nil {
-			_ = l.enc.Encode(ev)
+			ev := e.event()
+			_ = l.enc.Encode(&ev)
 		}
 		l.mu.Unlock()
-		return ev.Seq
+		return e.seq
 	}
-	ev.Seq = l.seq.Add(1)
-	l.ring[ev.Seq&l.mask].Store(ev)
-	return ev.Seq
+	e.seq = l.seq.Add(1)
+	l.ring[e.seq&l.mask].Store(e)
+	return e.seq
 }
 
 // Seq returns the last assigned sequence number (0 before any emission).
@@ -167,17 +192,17 @@ func (l *EventLog) Since(n uint64) []Event {
 // whose Trace matches are returned. Sequence numbers stay process-wide, so
 // a per-campaign reader pages with the same cursor discipline as Since.
 func (l *EventLog) SinceTrace(trace string, n uint64) []Event {
-	return l.sinceWhere(n, func(ev *Event) bool { return ev.Trace == trace })
+	return l.sinceWhere(n, func(e *entry) bool { return e.trace == trace })
 }
 
-func (l *EventLog) sinceWhere(n uint64, keep func(*Event) bool) []Event {
+func (l *EventLog) sinceWhere(n uint64, keep func(*entry) bool) []Event {
 	if l == nil {
 		return nil
 	}
 	out := make([]Event, 0, len(l.ring))
 	for i := range l.ring {
-		if ev := l.ring[i].Load(); ev != nil && ev.Seq > n && (keep == nil || keep(ev)) {
-			out = append(out, *ev)
+		if e := l.ring[i].Load(); e != nil && e.seq > n && (keep == nil || keep(e)) {
+			out = append(out, e.event())
 		}
 	}
 	// Total order: Seq values are unique by construction (each emission

@@ -121,6 +121,7 @@ const (
 	MQueueNetUnknown = "queue.net.unknown_op"      // counter: unknown ops answered
 	MQueueNetReconn  = "queue.net.reconnects"      // counter: client reconnects after I/O errors
 	MQueueNetBigFrm  = "queue.net.frame_too_large" // counter: frames rejected by the size cap
+	MQueueNetAdopt   = "queue.net.adopt_lists"     // counter: adoption lists sent in lease answers (one per batch per worker)
 
 	// Worker health (core.Worker, behind every front door).
 	MWorkerPoisoned = "worker.poisoned" // counter: deliveries nacked as malformed (trial budget, kernel version)

@@ -49,7 +49,7 @@ func FuzzQueueWire(f *testing.F) {
 		`{"op":"report","result":{"id":1}}`,
 		`{"op":"lease","v":2}`,
 		`{"op":"ack","lease":1,"v":2}`,
-		`{"op":"nack","lease":7,"reason":"crash","v":7}`,
+		`{"op":"nack","lease":7,"reason":"crash","v":8}`,
 		`{"op":"extend","lease":7,"ms":500}`,
 		`{"op":"pop","v":99}`,
 		`{"op":"lease","lease":18446744073709551615}`,
@@ -59,36 +59,40 @@ func FuzzQueueWire(f *testing.F) {
 		`null`,
 		`"pop"`,
 		"\x00\xff garbage \x7f",
-		`{"op":"lease","queue":"known","v":7}`,
+		`{"op":"lease","queue":"known","v":8}`,
 		`{"op":"report","queue":"known","result":{"job_id":1}}`,
-		`{"op":"lease","queue":"missing","v":7}`,
-		`{"op":"push","queue":"known","v":7,"job":{"id":1,"corpus":"ab"}}`,
-		// A job with an adoption list, pushed over the wire, which no op does.
-		`{"op":"push","queue":"known","v":7,"job":{"id":3,"adopt":"AQEBAQgBAQEBCAEA"}}`,
+		`{"op":"lease","queue":"missing","v":8}`,
+		`{"op":"push","queue":"known","v":8,"job":{"id":1,"corpus":"ab"}}`,
+		// A job naming an adoption list, pushed over the wire, which no op
+		// does.
+		`{"op":"push","queue":"known","v":8,"job":{"id":3,"adopt":"0123456789abcdef0123456789abcdef"}}`,
 	} {
 		f.Add([]byte(hdr), []byte(nil))
 	}
 	for _, s := range []struct{ hdr, trailer string }{
-		// Well-formed v7 frames.
-		{`{"op":"lease","n":4,"v":7}`, ``},
-		{`{"op":"lease","queue":"known","n":2,"v":7}`, ``},
-		{`{"op":"settle","queue":"known","items":[{"lease":1,"result":{"job_id":1,"trials":2},"len":5},{"lease":2}],"trailer":5,"v":7}`, `hello`},
+		// Well-formed v8 frames.
+		{`{"op":"lease","n":4,"v":8}`, ``},
+		{`{"op":"lease","queue":"known","n":2,"v":8}`, ``},
+		{`{"op":"settle","queue":"known","items":[{"lease":1,"result":{"job_id":1,"trials":2},"len":5},{"lease":2}],"trailer":5,"v":8}`, `hello`},
 		// Declared lengths over the cap.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1048576}],"trailer":1048576,"v":7}`, `x`},
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1}],"trailer":9223372036854775807,"v":7}`, `x`},
-		{`{"op":"settle","trailer":1e30,"v":7}`, `x`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1048576}],"trailer":1048576,"v":8}`, `x`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":1}],"trailer":9223372036854775807,"v":8}`, `x`},
+		{`{"op":"settle","trailer":1e30,"v":8}`, `x`},
 		// Negative or overflowing item lengths.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":-3},{"result":{"job_id":2},"len":5}],"trailer":2,"v":7}`, `ab`},
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":9223372036854775807},{"result":{"job_id":2},"len":2}],"trailer":1,"v":7}`, `a`},
-		{`{"op":"settle","trailer":-5,"v":7}`, `abcde`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":-3},{"result":{"job_id":2},"len":5}],"trailer":2,"v":8}`, `ab`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":9223372036854775807},{"result":{"job_id":2},"len":2}],"trailer":1,"v":8}`, `a`},
+		{`{"op":"settle","trailer":-5,"v":8}`, `abcde`},
 		// Item lengths that do not sum to the trailer, or ride no result.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":2},{"result":{"job_id":2},"len":2}],"trailer":5,"v":7}`, `abcde`},
-		{`{"op":"settle","items":[{"lease":1,"len":3}],"trailer":3,"v":7}`, `abc`},
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":2},{"result":{"job_id":2},"len":2}],"trailer":5,"v":8}`, `abcde`},
+		{`{"op":"settle","items":[{"lease":1,"len":3}],"trailer":3,"v":8}`, `abc`},
 		// A truncated trailer, and a trailer on an op that takes none.
-		{`{"op":"settle","items":[{"result":{"job_id":1},"len":10}],"trailer":10,"v":7}`, `abc`},
-		{`{"op":"lease","trailer":3,"v":7}`, `abc`},
-		// A v6 worker's lease: it would explore without the PMCs a job may
+		{`{"op":"settle","items":[{"result":{"job_id":1},"len":10}],"trailer":10,"v":8}`, `abc`},
+		{`{"op":"lease","trailer":3,"v":8}`, `abc`},
+		// A v7 worker's lease: it would look for the adoption list in the
+		// job. A v6 worker's: it would explore without the PMCs a job may
 		// adopt. A v5 worker's: it would explore on a kernel of its own.
+		{`{"op":"lease","n":4,"v":7}`, ``},
+		{`{"op":"lease","n":4,"have":"00","v":8}`, ``},
 		{`{"op":"lease","n":4,"v":6}`, ``},
 		{`{"op":"lease","n":4,"v":5}`, ``},
 		// A v4 worker's lease and settle: its outcomes are JSON.
@@ -97,8 +101,8 @@ func FuzzQueueWire(f *testing.F) {
 		// v2 report and ack frames.
 		{`{"op":"report","v":2,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
 		{`{"op":"ack","queue":"known","lease":1,"v":2}`, ``},
-		{`{"op":"report","v":7,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
-		{`{"op":"ack","queue":"known","lease":1,"v":7}`, ``},
+		{`{"op":"report","v":8,"result":{"job_id":1,"trials":3,"outcome":{"Trials":3}}}`, ``},
+		{`{"op":"ack","queue":"known","lease":1,"v":8}`, ``},
 	} {
 		f.Add([]byte(s.hdr), []byte(s.trailer))
 	}
@@ -115,9 +119,13 @@ func FuzzQueueWire(f *testing.F) {
 		}}
 		defer reg.Close()
 		for _, q := range reg.queues {
-			for id := 1; id <= 2; id++ {
-				// Job 2 carries an adoption list, so leases encode one.
-				if err := q.Push(adoptingJob(id, id-1)); err != nil {
+			// Job 2 names an adoption list, so a lease answer may carry it.
+			list := adoptList(2)
+			if err := q.PushList(list); err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range []Job{testJob(1), adoptingJob(2, list)} {
+				if err := q.Push(j); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -147,8 +155,8 @@ func FuzzQueueWire(f *testing.F) {
 			for _, g := range resp.Leases {
 				sum += g.Len
 			}
-			if resp.Trailer != sum {
-				t.Fatalf("response %q declares a %d-byte trailer for %d bytes of jobs", line, resp.Trailer, sum)
+			if resp.Trailer != sum+resp.Adopt {
+				t.Fatalf("response %q declares a %d-byte trailer for %d bytes of jobs and %d of adoption list", line, resp.Trailer, sum, resp.Adopt)
 			}
 			if _, err := io.CopyN(io.Discard, out, int64(resp.Trailer)); err != nil {
 				t.Fatalf("response %q: trailer short: %v", line, err)

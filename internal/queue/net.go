@@ -2,6 +2,7 @@ package queue
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,23 +31,31 @@ var (
 	mNetUnknown  = obs.C(obs.MQueueNetUnknown)
 	mNetReconn   = obs.C(obs.MQueueNetReconn)
 	mNetBigFrame = obs.C(obs.MQueueNetBigFrm)
+	mNetAdopt    = obs.C(obs.MQueueNetAdopt)
 )
 
 // TCP transport: a Server fronts a Registry of queues; Clients (workers on
 // other machines) lease jobs and settle them. A frame is one JSON header
 // line, followed — when the header declares "trailer":N — by exactly N raw
-// bytes. Protocol version 7 has four ops, and a worker's turn costs two
+// bytes. Protocol version 8 has four ops, and a worker's turn costs two
 // frames each way, one lease and one settle:
 //
-//	{"op":"lease","n":4,"v":7}
-//	  -> {"ok":true,"leases":[{"lease":7,"attempt":1,"ttl_ms":30000,"len":180},...],"trailer":N}
-//	     + N bytes: each granted job's JSON, "len" bytes apiece
+//	{"op":"lease","n":4,"have":"<digest>","v":8}
+//	  -> {"ok":true,"leases":[{"lease":7,"attempt":1,"ttl_ms":30000,"len":180},...],"adopt":A,"trailer":N}
+//	     + N bytes: each granted job's JSON, "len" bytes apiece, then the
+//	       jobs' adoption list (A bytes, AdoptList's binary form) unless
+//	       it is the one the request says the worker has
 //	   | {"ok":false,"err":"queue: empty"|"queue: closed"}
-//	{"op":"settle","items":[{"lease":7,"result":{"job_id":3,"trials":64},"len":90},...],"trailer":N,"v":7}
+//	{"op":"settle","items":[{"lease":7,"result":{"job_id":3,"trials":64},"len":90},...],"trailer":N,"v":8}
 //	  + N bytes: each item's outcome in sched.Outcome's binary form, "len" bytes apiece
 //	  -> {"ok":true} | {"ok":true,"errs":["","queue: unknown lease",...]}
-//	{"op":"nack","lease":7,"reason":"...","v":7} -> {"ok":true}
-//	{"op":"extend","lease":7,"ms":30000,"v":7}   -> {"ok":true,"ttl_ms":30000}
+//	{"op":"nack","lease":7,"reason":"...","v":8} -> {"ok":true}
+//	{"op":"extend","lease":7,"ms":30000,"v":8}   -> {"ok":true,"ttl_ms":30000}
+//
+// A job names its batch's adoption list by digest (Job.Adopt), and the
+// jobs of one lease answer all name the same one, so a worker receives
+// each batch's list once — with its first turn of the batch — and names
+// it in every lease after ("have").
 //
 // A settle records each item's result and releases its lease (an item may
 // carry either alone) in one critical section, Queue.Settle; "errs" is
@@ -75,27 +84,32 @@ var (
 // {"ok":false,"err":"frame too large"} and discarded in O(1) memory — the
 // same hostile-input clamp the artifact decoders apply — and a trailer
 // whose item lengths are negative or do not sum to it is a bad request. A
-// lease answer's head job may fill the frame; the jobs after it are granted
-// only while the trailer stays within half the cap.
+// lease answer's head job may fill the frame but for the adoption list it
+// carries (at most half the cap, MaxAdoptBytes); the jobs after it are
+// granted only while the trailer stays within half the cap.
 // A connection silent for five minutes is dropped.
 
-// ProtoVersion is the wire protocol version this build speaks. Version 7
-// jobs carry the PMCs their test may adopt and its composed hints, which a
-// v6 worker would ignore and explore without, so it is refused at its
-// first lease. Version 6 jobs always carry both programs and their
-// campaign's kernel version, where version 5 could name a corpus artifact
-// the worker had to resolve from a shared store and let the worker pick
-// the kernel. Version 5 settled outcomes in sched.Outcome's binary form
-// where version 4 sent JSON. Within a version, jobs may carry an optional
+// ProtoVersion is the wire protocol version this build speaks. Version 8
+// jobs name their batch's adoption list by digest and a lease answer
+// carries the list only to a worker that does not have it, where a
+// version 7 job carried the whole list, so a v7 worker would explore
+// without it. Version 7 jobs carry the PMCs their test may adopt and its
+// composed hints, which a v6 worker would ignore and explore without, so
+// it is refused at its first lease. Version 6 jobs always carry both
+// programs and their campaign's kernel version, where version 5 could
+// name a corpus artifact the worker had to resolve from a shared store and
+// let the worker pick the kernel. Version 5 settled outcomes in
+// sched.Outcome's binary form where version 4 sent JSON. Within a version, jobs may carry an optional
 // "trace" field stitching them to the originating campaign; peers that
 // predate it ignore it (unknown JSON fields are dropped on decode), so it
 // needed no version bump.
-const ProtoVersion = 7
+const ProtoVersion = 8
 
 // Transport limits.
 const (
-	// maxFrame caps one frame, header line plus trailer (a job inlines two
-	// programs and its adoption list, at most MaxJobBytes).
+	// maxFrame caps one frame, header line plus trailer (a lease answer's
+	// head job inlines two programs, at most MaxJobBytes with the adoption
+	// list it may carry).
 	maxFrame = 1 << 20
 	// maxTurn caps the jobs one lease frame grants, so a lease answer's
 	// header stays far below the cap.
@@ -120,6 +134,7 @@ type wireReq struct {
 	Lease   uint64     `json:"lease,omitempty"`  // nack, extend
 	Ms      int64      `json:"ms,omitempty"`     // extend: requested lease TTL
 	Reason  string     `json:"reason,omitempty"` // nack: failure description
+	Have    string     `json:"have,omitempty"`   // lease: digest of the adoption list the worker has
 	Trailer int        `json:"trailer,omitempty"`
 	// Queue names the registry queue the request addresses; empty targets
 	// the unnamed queue.
@@ -150,6 +165,7 @@ type wireResp struct {
 	Leases  []wireLease `json:"leases,omitempty"`
 	Errs    []string    `json:"errs,omitempty"`   // settle: per item, "" when settled
 	TTLMs   int64       `json:"ttl_ms,omitempty"` // extend: time until the deadline
+	Adopt   int         `json:"adopt,omitempty"`  // lease: the adoption list's bytes, last in the trailer
 	Trailer int         `json:"trailer,omitempty"`
 }
 
@@ -195,8 +211,9 @@ func readFrame(r *bufio.Reader, max int) ([]byte, error) {
 }
 
 // readTrailer reads the n-byte trailer a header line of hdr bytes
-// declared, allocating it only when the whole frame fits max.
-func readTrailer(r *bufio.Reader, hdr, n, max int) ([]byte, error) {
+// declared into buf's storage when it has room, allocating only when the
+// whole frame fits max.
+func readTrailer(r *bufio.Reader, hdr, n, max int, buf []byte) ([]byte, error) {
 	switch {
 	case n < 0:
 		return nil, errNegTrailer
@@ -205,7 +222,11 @@ func readTrailer(r *bufio.Reader, hdr, n, max int) ([]byte, error) {
 	case n == 0:
 		return nil, nil
 	}
-	b := make([]byte, n)
+	b := buf[:0]
+	if cap(b) < n {
+		b = make([]byte, n)
+	}
+	b = b[:n]
 	if _, err := io.ReadFull(r, b); err != nil {
 		return nil, fmt.Errorf("truncated trailer: %w", err)
 	}
@@ -315,6 +336,9 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	enc := json.NewEncoder(w)
+	// in holds each request's trailer in turn: a settle's outcomes are
+	// copied by Queue.Settle, so one buffer serves the connection.
+	var in []byte
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		line, readErr := readFrame(r, s.frameCap)
@@ -323,7 +347,7 @@ func (s *Server) handle(conn net.Conn) {
 			// with nothing pending.
 			return
 		}
-		resp, trailer, more := s.serveFrame(r, line, readErr)
+		resp, trailer, more := s.serveFrame(r, line, readErr, &in)
 		resp.V, resp.Trailer = ProtoVersion, len(trailer)
 		_ = enc.Encode(resp)
 		_, _ = w.Write(trailer)
@@ -341,7 +365,7 @@ func fail(err error) wireResp { return wireResp{Err: err.Error()} }
 // (reading its trailer off r), with exactly one response. Malformed frames
 // get an explicit error on the still-open connection rather than a silent
 // drop; more is false once the connection cannot carry another frame.
-func (s *Server) serveFrame(r *bufio.Reader, line []byte, readErr error) (resp wireResp, trailer []byte, more bool) {
+func (s *Server) serveFrame(r *bufio.Reader, line []byte, readErr error, buf *[]byte) (resp wireResp, trailer []byte, more bool) {
 	if errors.Is(readErr, errFrameTooLarge) {
 		mNetBigFrame.Inc()
 		mNetBadReq.Inc()
@@ -353,7 +377,10 @@ func (s *Server) serveFrame(r *bufio.Reader, line []byte, readErr error) (resp w
 		mNetBadReq.Inc()
 		return fail(fmt.Errorf("bad request: %v", err)), nil, more
 	}
-	in, err := readTrailer(r, len(line), req.Trailer, s.frameCap)
+	in, err := readTrailer(r, len(line), req.Trailer, s.frameCap, *buf)
+	if cap(in) > cap(*buf) {
+		*buf = in
+	}
 	switch {
 	case errors.Is(err, errFrameTooLarge):
 		mNetBigFrame.Inc()
@@ -387,7 +414,7 @@ func (s *Server) serveOp(req wireReq, trailer []byte) (wireResp, []byte) {
 	switch req.Op {
 	case "lease":
 		mNetLease.Inc()
-		return s.lease(q, min(req.N, maxTurn))
+		return s.lease(q, min(req.N, maxTurn), req.Have)
 	case "settle":
 		mNetSettle.Inc()
 		items, err := settlements(req.Items, trailer)
@@ -424,20 +451,29 @@ func (s *Server) serveOp(req wireReq, trailer []byte) (wireResp, []byte) {
 	}
 }
 
-// lease grants up to n jobs, their encoded bytes in the answer's trailer.
-// The head job may fill the frame but for its header; a job after it is
-// granted only while the trailer stays within half the frame cap.
-func (s *Server) lease(q *Queue, n int) (wireResp, []byte) {
+// lease grants up to n jobs of one adoption list, their encoded bytes in
+// the answer's trailer, followed by the list's unless it is the one the
+// worker has. The head job may fill the frame but for its header and that
+// list; a job after it is granted only while the trailer stays within half
+// the frame cap.
+func (s *Server) lease(q *Queue, n int, have string) (wireResp, []byte) {
 	var jobs []byte
 	var grants []wireLease
+	var adopt string    // the list every job of the turn names
+	var list *AdoptList // that list, when the worker lacks it
 	var encErr error
-	leases, err := q.leaseN(n, func(j Job) bool {
+	leases, err := q.leaseN(n, func(j *Job) bool {
 		room := s.frameCap / 2
 		if len(grants) == 0 {
 			room = s.frameCap - leaseHdrRoom
+			if adopt = j.Adopt; adopt != "" && adopt != have {
+				list = q.lists[adopt]
+			}
+		} else if j.Adopt != adopt {
+			return false
 		}
-		raw, err := EncodeJob(j)
-		if err == nil && len(jobs)+len(raw) > room {
+		raw, err := EncodeJob(*j)
+		if err == nil && len(jobs)+len(raw)+list.Len() > room {
 			err = errFrameTooLarge
 		}
 		if err != nil {
@@ -461,7 +497,13 @@ func (s *Server) lease(q *Queue, n int) (wireResp, []byte) {
 		grants[i].Lease, grants[i].Attempt = ls.ID, ls.Attempt
 		grants[i].TTLMs = time.Until(ls.Deadline).Milliseconds()
 	}
-	return wireResp{OK: true, Leases: grants}, jobs
+	resp := wireResp{OK: true, Leases: grants}
+	if list != nil {
+		mNetAdopt.Inc()
+		resp.Adopt = list.Len()
+		jobs = append(jobs, list.enc...)
+	}
+	return resp, jobs
 }
 
 // settlements checks a settle header's items against its trailer — every
@@ -566,6 +608,9 @@ type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
 	rng  *rand.Rand
+	// held is the adoption list the last lease answer carried: every
+	// lease names it, so the server sends each batch's list once.
+	held *AdoptList
 }
 
 // DialOpts connects to a queue server with the given reconnect options
@@ -654,7 +699,7 @@ func (c *Client) onceLocked(payload []byte) (wireResp, []byte, error) {
 	if err := json.Unmarshal(line, &resp); err != nil {
 		return wireResp{}, nil, err
 	}
-	trailer, err := readTrailer(c.r, len(line), resp.Trailer, maxFrame)
+	trailer, err := readTrailer(c.r, len(line), resp.Trailer, maxFrame, nil)
 	if err != nil {
 		return wireResp{}, nil, err
 	}
@@ -691,16 +736,41 @@ func (c *Client) Lease() (Lease, error) {
 }
 
 // LeaseN leases up to n jobs in one round trip — a worker's turn — with
-// Lease's errors. A job that fails to decode is nacked straight back rather
-// than left for the reaper, so it redelivers (or dead-letters, with the
-// reason) at once; its error is returned only when no job decoded.
+// Lease's errors. Each lease carries the adoption list its job names: the
+// one the client holds, or the one the answer brought, which it holds from
+// then on. A job that fails to decode, or names a list the client does
+// not have, is nacked straight back rather than left for the reaper, so it
+// redelivers (or dead-letters, with the reason) at once; its error is
+// returned only when no job decoded.
 func (c *Client) LeaseN(n int) ([]Lease, error) {
-	resp, jobs, err := c.roundTrip(wireReq{Op: "lease", N: n}, nil)
+	c.mu.Lock()
+	list := c.held
+	c.mu.Unlock()
+	have := ""
+	if list != nil {
+		have = list.Digest
+	}
+	resp, jobs, err := c.roundTrip(wireReq{Op: "lease", N: n, Have: have}, nil)
 	if err != nil {
 		return nil, err
 	}
 	if !resp.OK {
 		return nil, respError(resp.Err)
+	}
+	var listErr error
+	if resp.Adopt != 0 {
+		if resp.Adopt < 0 || resp.Adopt > len(jobs) {
+			listErr = fmt.Errorf("%w: %d bytes declared in a %d-byte trailer", ErrBadAdoptList, resp.Adopt, len(jobs))
+		} else {
+			split := len(jobs) - resp.Adopt
+			raw := bytes.Clone(jobs[split:])
+			jobs = jobs[:split]
+			if list, listErr = decodeAdoptList(raw); listErr == nil {
+				c.mu.Lock()
+				c.held = list
+				c.mu.Unlock()
+			}
+		}
 	}
 	now := time.Now()
 	out := make([]Lease, 0, len(resp.Leases))
@@ -711,13 +781,23 @@ func (c *Client) LeaseN(n int) ([]Lease, error) {
 			raw, jobs = jobs[:g.Len], jobs[g.Len:]
 		}
 		job, derr := DecodeJob(raw)
+		if derr == nil && job.Adopt != "" && (list == nil || list.Digest != job.Adopt) {
+			derr = listErr
+			if derr == nil {
+				derr = fmt.Errorf("adoption list %q not received", job.Adopt)
+			}
+		}
 		if derr != nil {
 			_ = c.Nack(g.Lease, "decode: "+derr.Error())
 			err = derr
 			continue
 		}
-		out = append(out, Lease{Job: job, ID: g.Lease, Attempt: g.Attempt,
-			Deadline: now.Add(time.Duration(g.TTLMs) * time.Millisecond)})
+		ls := Lease{Job: job, ID: g.Lease, Attempt: g.Attempt,
+			Deadline: now.Add(time.Duration(g.TTLMs) * time.Millisecond)}
+		if job.Adopt != "" {
+			ls.Adopt = list
+		}
+		out = append(out, ls)
 	}
 	if len(out) == 0 {
 		return nil, err

@@ -97,7 +97,7 @@ func TestTCPBadRequest(t *testing.T) {
 	if st := q.Stats(); st.Pending != 1 || st.Leased != 0 || st.Done != 0 {
 		t.Fatalf("unknown ops touched the queue: %+v", st)
 	}
-	if _, err := conn.Write([]byte(`{"op":"lease","v":7}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":8}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp = readResp(t, r); !resp.OK || len(resp.Leases) != 1 || resp.Leases[0].Lease == 0 {
@@ -123,7 +123,7 @@ func TestWirePushIsUnknownOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte(`{"op":"push","v":7,"job":` + string(job) + "}\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"push","v":8,"job":` + string(job) + "}\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); resp.OK || resp.Err != `unknown op "push"` {
@@ -132,7 +132,7 @@ func TestWirePushIsUnknownOp(t *testing.T) {
 	if st := q.Stats(); st.Pending != 0 {
 		t.Fatalf("wire push enqueued a job: %+v", st)
 	}
-	if _, err := conn.Write([]byte(`{"op":"lease","v":7}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":8}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); resp.OK || resp.Err != ErrEmpty.Error() {
@@ -173,7 +173,7 @@ func TestServeServesTheUnnamedQueue(t *testing.T) {
 }
 
 func TestTCPOpCounters(t *testing.T) {
-	// v7 has four ops. A turn costs one lease frame and one settle frame
+	// v8 has four ops. A turn costs one lease frame and one settle frame
 	// however many jobs it holds, outcomes cross as their very bytes, and
 	// Report and Ack are one-item settles.
 	q := New()
@@ -387,7 +387,7 @@ func TestTrailerClampAllocatesNothing(t *testing.T) {
 	r := bufio.NewReader(bytes.NewReader(nil))
 	for _, n := range []int{-1, 65, 1 << 20, 1 << 40, math.MaxInt} {
 		var err error
-		if allocs := testing.AllocsPerRun(50, func() { _, err = readTrailer(r, 10, n, 64) }); allocs != 0 || err == nil {
+		if allocs := testing.AllocsPerRun(50, func() { _, err = readTrailer(r, 10, n, 64, nil) }); allocs != 0 || err == nil {
 			t.Errorf("readTrailer(n=%d) allocated %v times, err %v", n, allocs, err)
 		}
 	}
@@ -401,7 +401,8 @@ func TestTrailerClampAllocatesNothing(t *testing.T) {
 			in.Reset(input)
 			r.Reset(in)
 			line, readErr := readFrame(r, s.frameCap)
-			resp, _, more := s.serveFrame(r, line, readErr)
+			var buf []byte
+			resp, _, more := s.serveFrame(r, line, readErr, &buf)
 			if resp.Err != errFrameTooLarge.Error() || !more {
 				t.Fatalf("trailer of %d: answer %+v, more=%v", n, resp, more)
 			}
@@ -450,14 +451,15 @@ func TestLeaseDeliversLargeJob(t *testing.T) {
 }
 
 func TestUnsupportedProtocolVersion(t *testing.T) {
-	// Only v7 is spoken: an older or newer version is refused loudly before
+	// Only v8 is spoken: an older or newer version is refused loudly before
 	// it touches the queue — a v2 worker's lease, whose answer it could not
 	// read, a v3 worker's, which would explore with a trial budget of its
 	// own, a v4 worker's, which would settle JSON outcomes, a v5 worker's,
-	// which would explore on a kernel version of its own, and a v6
-	// worker's, which would explore without the PMCs a job may adopt, lease
-	// nothing — and v2's report and ack, folded into settle, are unknown
-	// ops even under v7. The connection survives every refusal.
+	// which would explore on a kernel version of its own, a v6 worker's,
+	// which would explore without the PMCs a job may adopt, and a v7
+	// worker's, which would look for them in the job, lease nothing — and
+	// v2's report and ack, folded into settle, are unknown ops even under
+	// v8. The connection survives every refusal.
 	q := New()
 	defer q.Close()
 	srv, err := Serve(q, "127.0.0.1:0")
@@ -472,16 +474,17 @@ func TestUnsupportedProtocolVersion(t *testing.T) {
 	defer conn.Close()
 	for _, tc := range []struct{ frame, want string }{
 		{`{"op":"lease","v":99}`, "unsupported protocol version 99"},
-		{`{"op":"lease","v":8}`, "unsupported protocol version 8 (server speaks 7)"},
-		{`{"op":"lease","v":6}`, "unsupported protocol version 6 (server speaks 7)"},
-		{`{"op":"lease","v":5}`, "unsupported protocol version 5 (server speaks 7)"},
-		{`{"op":"lease","v":4}`, "unsupported protocol version 4 (server speaks 7)"},
-		{`{"op":"lease","v":3}`, "unsupported protocol version 3 (server speaks 7)"},
-		{`{"op":"lease","v":2}`, "unsupported protocol version 2 (server speaks 7)"},
-		{`{"op":"lease","v":1}`, "unsupported protocol version 1 (server speaks 7)"},
+		{`{"op":"lease","v":9}`, "unsupported protocol version 9 (server speaks 8)"},
+		{`{"op":"lease","v":7}`, "unsupported protocol version 7 (server speaks 8)"},
+		{`{"op":"lease","v":6}`, "unsupported protocol version 6 (server speaks 8)"},
+		{`{"op":"lease","v":5}`, "unsupported protocol version 5 (server speaks 8)"},
+		{`{"op":"lease","v":4}`, "unsupported protocol version 4 (server speaks 8)"},
+		{`{"op":"lease","v":3}`, "unsupported protocol version 3 (server speaks 8)"},
+		{`{"op":"lease","v":2}`, "unsupported protocol version 2 (server speaks 8)"},
+		{`{"op":"lease","v":1}`, "unsupported protocol version 1 (server speaks 8)"},
 		{`{"op":"report","v":2,"result":{"job_id":1,"outcome":{}}}`, "unsupported protocol version 2"},
-		{`{"op":"report","v":7,"result":{"job_id":1,"outcome":{}}}`, `unknown op "report"`},
-		{`{"op":"ack","lease":1,"v":7}`, `unknown op "ack"`},
+		{`{"op":"report","v":8,"result":{"job_id":1,"outcome":{}}}`, `unknown op "report"`},
+		{`{"op":"ack","lease":1,"v":8}`, `unknown op "ack"`},
 	} {
 		if _, err := conn.Write([]byte(tc.frame + "\n")); err != nil {
 			t.Fatal(err)
@@ -493,20 +496,20 @@ func TestUnsupportedProtocolVersion(t *testing.T) {
 	if st := q.Stats(); st.Pending != 1 || st.Leased != 0 || len(q.Results()) != 0 {
 		t.Fatalf("a refused version touched the queue: %+v, %d results", st, len(q.Results()))
 	}
-	if _, err := conn.Write([]byte(`{"op":"lease","v":7}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":8}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); !resp.OK || len(resp.Leases) != 1 {
-		t.Fatalf("v7 lease after the refusals = %+v", resp)
+		t.Fatalf("v8 lease after the refusals = %+v", resp)
 	}
 }
 
 func TestV4WorkerRefused(t *testing.T) {
-	// A v4 worker settles its outcomes as JSON, which no v7 fold can read.
+	// A v4 worker settles its outcomes as JSON, which no v8 fold can read.
 	// Its lease is refused, so it never holds a job; a settle it sends
 	// anyway, JSON outcome in its trailer, records nothing and releases no
 	// lease; the connection stays in sync past that trailer, and the same
-	// settle under v7 lands.
+	// settle under v8 lands.
 	q := New()
 	defer q.Close()
 	srv, err := Serve(q, "127.0.0.1:0")
@@ -533,7 +536,7 @@ func TestV4WorkerRefused(t *testing.T) {
 		if _, err := conn.Write([]byte(frame)); err != nil {
 			t.Fatal(err)
 		}
-		want := "unsupported protocol version 4 (server speaks 7)"
+		want := "unsupported protocol version 4 (server speaks 8)"
 		if resp := readResp(t, r); resp.OK || resp.Err != want {
 			t.Fatalf("%q: response = %+v, want err %q", frame, resp, want)
 		}
@@ -545,10 +548,10 @@ func TestV4WorkerRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp := readResp(t, r); !resp.OK {
-		t.Fatalf("v7 settle after the refusals = %+v", resp)
+		t.Fatalf("v8 settle after the refusals = %+v", resp)
 	}
 	if res := q.Results(); len(res) != 1 || string(res[0].Outcome) != "\x01\x06" || q.Stats().Done != 1 {
-		t.Fatalf("v7 settle: results %+v, stats %+v", res, q.Stats())
+		t.Fatalf("v8 settle: results %+v, stats %+v", res, q.Stats())
 	}
 }
 

@@ -15,8 +15,9 @@
 package queue
 
 import (
-	"encoding/base64"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,9 +49,9 @@ var (
 
 // Job is one unit of exploration work: a concurrent test with everything
 // its outcome depends on — both programs, its hints, the kernel version,
-// the seed, the trial budget and the PMCs it may adopt — so any worker that
-// can reach the queue explores it exactly as the coordinator would, with
-// no store or flag of its own.
+// the seed, the trial budget and the name of the PMCs it may adopt — so
+// any worker that can reach the queue explores it exactly as the
+// coordinator would, with no store or flag of its own.
 type Job struct {
 	ID int `json:"id"`
 	// Seed is the exploration seed the coordinator drew for this test —
@@ -70,11 +71,13 @@ type Job struct {
 	Pair    pmc.Pair     `json:"pair"`
 	// Extra is the test's composed hints (sched.ConcurrentTest.Extra).
 	Extra []pmc.PMC `json:"extra,omitempty"`
-	// Adopt is what incidental adoption (Algorithm 2 lines 26–27) may pick
-	// from while exploring the test: the PMCs its batch leaves unplanned,
-	// in canonical order, none when empty. Every job of a batch carries the
-	// same list.
-	Adopt PMCList `json:"adopt,omitempty"`
+	// Adopt names what incidental adoption (Algorithm 2 lines 26–27) may
+	// pick from while exploring the test: the digest of its batch's
+	// adoption list (AdoptList.Digest), empty when the batch leaves nothing
+	// adoptable. The list itself is pushed once per batch (PushList) and
+	// leased with the job (Lease.Adopt); over TCP it travels once per
+	// worker, not once per job.
+	Adopt string `json:"adopt,omitempty"`
 	// Trace stitches the job to its originating campaign: workers tag the
 	// job's events with it, so a distributed run's timeline reads
 	// end-to-end. Optional: a job without one emits untagged events.
@@ -146,10 +149,12 @@ func (o Options) withDefaults() Options {
 
 var queueSeq atomic.Int64
 
-// Lease is one granted delivery of a job: the job plus the handle the
-// worker uses to Ack, Nack, or Extend it before Deadline.
+// Lease is one granted delivery of a job: the job, the adoption list it
+// names, and the handle the worker uses to Ack, Nack, or Extend it before
+// Deadline.
 type Lease struct {
 	Job      Job
+	Adopt    *AdoptList // the list Job.Adopt names; nil when it names none
 	ID       uint64
 	Attempt  int // 1-based delivery attempt
 	Deadline time.Time
@@ -172,15 +177,16 @@ type Stats struct {
 	Redelivered  int // total redeliveries performed (expiry or nack)
 }
 
-// pendingJob is a job waiting for delivery.
+// pendingJob is a job waiting for delivery: its index in Queue.jobs.
 type pendingJob struct {
-	job     Job
+	idx     int
 	attempt int // completed delivery attempts
 }
 
-// activeLease is the server-side record of one outstanding lease.
+// activeLease is the server-side record of one outstanding lease: the
+// job's index in Queue.jobs, never a copy of the job.
 type activeLease struct {
-	job      Job
+	idx      int
 	attempt  int
 	deadline time.Time
 	since    time.Time
@@ -190,12 +196,26 @@ type activeLease struct {
 // channel, safe for concurrent use.
 type Queue struct {
 	opts Options
+	name any // opts.Name, boxed once for every job event's "queue" attr
 
-	mu          sync.Mutex
-	jobs        []pendingJob
-	leases      map[uint64]*activeLease
-	dead        []DeadJob
+	mu sync.Mutex
+	// jobs holds every job pushed since the queue last stood idle (nothing
+	// pending or leased), by index; pending[head:] is the delivery FIFO and
+	// leases the outstanding deliveries, both by index into jobs.
+	jobs    []Job
+	pending []pendingJob
+	head    int
+	leases  map[uint64]activeLease
+	// lists are the adoption lists pushed jobs may name (PushList).
+	lists map[string]*AdoptList
+	dead  []DeadJob
+	// results are recorded since the last Results call, their outcomes
+	// copied into arena; lent and lentArena are what that call returned,
+	// reused by the next.
 	results     []JobResult
+	arena       []byte
+	lent        []JobResult
+	lentArena   []byte
 	closed      bool
 	nextLease   uint64
 	acked       int
@@ -216,29 +236,72 @@ func NewWithOptions(o Options) *Queue {
 	o = o.withDefaults()
 	return &Queue{
 		opts:   o,
-		leases: make(map[uint64]*activeLease),
+		name:   o.Name,
+		leases: make(map[uint64]activeLease),
+		lists:  make(map[string]*AdoptList),
 		stop:   make(chan struct{}),
 		depth:  obs.G("queue." + o.Name + ".depth"),
 	}
 }
 
+// pendingLocked is how many jobs await delivery.
+func (q *Queue) pendingLocked() int { return len(q.pending) - q.head }
+
+// idleLocked reports whether no job is pending or leased: nothing refers
+// to jobs or lists any more.
+func (q *Queue) idleLocked() bool { return q.pendingLocked() == 0 && len(q.leases) == 0 }
+
 // setDepthLocked publishes the pending depth to the per-queue gauge and the
 // delta to the process-wide aggregate.
 func (q *Queue) setDepthLocked() {
-	n := int64(len(q.jobs))
+	n := int64(q.pendingLocked())
 	q.depth.Set(n)
 	mDepth.Add(n - q.last)
 	q.last = n
 }
 
-// Push enqueues a job.
+// jobEvent emits one of a job's delivery events on its trace: the queue,
+// the job and attrs.
+func (q *Queue) jobEvent(kind string, j *Job, attrs ...obs.Attr) {
+	var all [4]obs.Attr
+	all[0], all[1] = obs.Attr{Key: "queue", Value: q.name}, obs.A("job", j.ID)
+	n := 2 + copy(all[2:], attrs)
+	obs.EmitTrace(j.Trace, kind, all[:n]...)
+}
+
+// PushList makes an adoption list available to the jobs pushed after it
+// (Job.Adopt names it by digest). A queue standing idle forgets the lists
+// pushed before, as it does their jobs.
+func (q *Queue) PushList(l *AdoptList) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return ErrClosed
+	}
+	if q.idleLocked() {
+		clear(q.lists)
+	}
+	q.lists[l.Digest] = l
+	return nil
+}
+
+// Push enqueues a job. A job naming an adoption list the queue was not
+// given (PushList) is refused.
 func (q *Queue) Push(j Job) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
 	}
-	q.jobs = append(q.jobs, pendingJob{job: j})
+	if j.Adopt != "" && q.lists[j.Adopt] == nil {
+		return fmt.Errorf("queue: job %d names adoption list %q, which was never pushed", j.ID, j.Adopt)
+	}
+	if q.idleLocked() {
+		clear(q.jobs)
+		q.jobs = q.jobs[:0]
+	}
+	q.pending = append(q.pending, pendingJob{idx: len(q.jobs)})
+	q.jobs = append(q.jobs, j)
 	mPush.Inc()
 	q.setDepthLocked()
 	return nil
@@ -285,23 +348,22 @@ func (q *Queue) reapExpired(now time.Time) {
 	for _, id := range expired {
 		l := q.leases[id]
 		delete(q.leases, id)
-		obs.EmitTrace(l.job.Trace, obs.EvJobExpired, obs.A("queue", q.opts.Name),
-			obs.A("job", l.job.ID), obs.A("attempt", l.attempt))
+		q.jobEvent(obs.EvJobExpired, &q.jobs[l.idx], obs.A("attempt", l.attempt))
 		q.requeueLocked(l, "lease expired")
 	}
 }
 
 // requeueLocked returns a failed delivery to the pending list, or
 // dead-letters the job if its attempts are exhausted.
-func (q *Queue) requeueLocked(l *activeLease, reason string) {
+func (q *Queue) requeueLocked(l activeLease, reason string) {
 	if l.attempt >= q.opts.MaxAttempts {
-		q.dead = append(q.dead, DeadJob{Job: l.job, Attempts: l.attempt, Reason: reason})
+		j := &q.jobs[l.idx]
+		q.dead = append(q.dead, DeadJob{Job: *j, Attempts: l.attempt, Reason: reason})
 		mDead.Inc()
-		obs.EmitTrace(l.job.Trace, obs.EvJobDeadLetter, obs.A("queue", q.opts.Name),
-			obs.A("job", l.job.ID), obs.A("attempts", l.attempt), obs.A("reason", reason))
+		q.jobEvent(obs.EvJobDeadLetter, j, obs.A("attempts", l.attempt), obs.A("reason", reason))
 		return
 	}
-	q.jobs = append(q.jobs, pendingJob{job: l.job, attempt: l.attempt})
+	q.pending = append(q.pending, pendingJob{idx: l.idx, attempt: l.attempt})
 	q.redelivered++
 	mRedeliver.Inc()
 	q.setDepthLocked()
@@ -309,22 +371,24 @@ func (q *Queue) requeueLocked(l *activeLease, reason string) {
 
 // leaseLocked grants a lease on the head job.
 func (q *Queue) leaseLocked() Lease {
-	p := q.jobs[0]
-	q.jobs = q.jobs[1:]
+	p := q.pending[q.head]
+	if q.head++; q.head == len(q.pending) {
+		q.pending, q.head = q.pending[:0], 0
+	}
 	q.nextLease++
 	now := time.Now()
-	l := &activeLease{
-		job:      p.job,
+	l := activeLease{
+		idx:      p.idx,
 		attempt:  p.attempt + 1,
 		deadline: now.Add(q.opts.LeaseTimeout),
 		since:    now,
 	}
 	q.leases[q.nextLease] = l
 	mLease.Inc()
-	obs.EmitTrace(p.job.Trace, obs.EvJobLeased, obs.A("queue", q.opts.Name),
-		obs.A("job", p.job.ID), obs.A("attempt", l.attempt))
+	j := &q.jobs[p.idx]
+	q.jobEvent(obs.EvJobLeased, j, obs.A("attempt", l.attempt))
 	q.setDepthLocked()
-	return Lease{Job: p.job, ID: q.nextLease, Attempt: l.attempt, Deadline: l.deadline}
+	return Lease{Job: *j, Adopt: q.lists[j.Adopt], ID: q.nextLease, Attempt: l.attempt, Deadline: l.deadline}
 }
 
 // TryLease is LeaseN(1) for one job, with LeaseN's errors.
@@ -341,28 +405,29 @@ func (q *Queue) TryLease() (Lease, error) {
 // pending (jobs may still be outstanding under other workers' leases) and
 // ErrClosed on a closed queue.
 func (q *Queue) LeaseN(n int) ([]Lease, error) {
-	return q.leaseN(n, func(Job) bool { return true })
+	return q.leaseN(n, func(*Job) bool { return true })
 }
 
 // leaseN is LeaseN granting the jobs after the head only while take
 // accepts them; the server's take encodes each job into the response
 // frame. The head job is granted whatever take answers (and nothing after
 // it when take refuses it), so a job that cannot travel is nacked out of
-// the way rather than blocking the queue.
-func (q *Queue) leaseN(n int, take func(Job) bool) ([]Lease, error) {
+// the way rather than blocking the queue. take runs under the queue's
+// lock.
+func (q *Queue) leaseN(n int, take func(*Job) bool) ([]Lease, error) {
 	q.startReaper()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.jobs) == 0 {
+	if q.pendingLocked() == 0 {
 		if q.closed {
 			return nil, ErrClosed
 		}
 		return nil, ErrEmpty
 	}
 	n = max(n, 1)
-	out := make([]Lease, 0, min(n, len(q.jobs)))
-	for len(out) < n && len(q.jobs) > 0 {
-		ok := take(q.jobs[0].job)
+	out := make([]Lease, 0, min(n, q.pendingLocked()))
+	for len(out) < n && q.pendingLocked() > 0 {
+		ok := take(&q.jobs[q.pending[q.head].idx])
 		if !ok && len(out) > 0 {
 			break
 		}
@@ -383,7 +448,8 @@ type Settlement struct {
 
 // Settle records each item's result and releases its lease, the whole
 // batch in one critical section, and returns one error per item (nil:
-// settled). An item whose lease is no longer outstanding still has its
+// settled). A result's outcome bytes are copied: the caller may reuse
+// them. An item whose lease is no longer outstanding still has its
 // result recorded and gets ErrUnknownLease, which is benign: the job was
 // redelivered and the coordinator's fold deduplicates by job ID. On a
 // closed queue an item's result is refused with ErrClosed and its lease
@@ -398,7 +464,13 @@ func (q *Queue) Settle(items []Settlement) []error {
 				errs[i] = ErrClosed
 				continue
 			}
-			q.results = append(q.results, *it.Result)
+			res := *it.Result
+			if len(res.Outcome) > 0 {
+				at := len(q.arena)
+				q.arena = append(q.arena, res.Outcome...)
+				res.Outcome = q.arena[at:len(q.arena):len(q.arena)]
+			}
+			q.results = append(q.results, res)
 			mReport.Inc()
 		}
 		if it.Lease != 0 {
@@ -420,8 +492,7 @@ func (q *Queue) ackLocked(id uint64) error {
 	q.acked++
 	mAck.Inc()
 	mLeaseAge.ObserveDuration(time.Since(l.since))
-	obs.EmitTrace(l.job.Trace, obs.EvJobAcked, obs.A("queue", q.opts.Name),
-		obs.A("job", l.job.ID), obs.A("attempt", l.attempt))
+	q.jobEvent(obs.EvJobAcked, &q.jobs[l.idx], obs.A("attempt", l.attempt))
 	return nil
 }
 
@@ -439,8 +510,7 @@ func (q *Queue) Nack(id uint64, reason string) error {
 	if reason == "" {
 		reason = "nacked"
 	}
-	obs.EmitTrace(l.job.Trace, obs.EvJobNacked, obs.A("queue", q.opts.Name),
-		obs.A("job", l.job.ID), obs.A("attempt", l.attempt), obs.A("reason", reason))
+	q.jobEvent(obs.EvJobNacked, &q.jobs[l.idx], obs.A("attempt", l.attempt), obs.A("reason", reason))
 	q.requeueLocked(l, reason)
 	return nil
 }
@@ -459,6 +529,7 @@ func (q *Queue) Extend(id uint64, d time.Duration) (time.Time, error) {
 		return time.Time{}, ErrUnknownLease
 	}
 	l.deadline = time.Now().Add(d)
+	q.leases[id] = l
 	return l.deadline, nil
 }
 
@@ -471,14 +542,19 @@ func (q *Queue) isClosed() bool {
 // Report records a worker's result.
 func (q *Queue) Report(r JobResult) error { return q.Settle([]Settlement{{Result: &r}})[0] }
 
-// Results drains and returns all recorded results. At-least-once delivery
-// means the slice can hold several results for one redelivered job;
-// coordinators deduplicate by JobID (see core.AggregateResults).
+// Results drains and returns the results recorded since the last call.
+// At-least-once delivery means the slice can hold several results for one
+// redelivered job; coordinators deduplicate by JobID
+// (core.Pipeline.FoldSettled and FoldResults). The slice and its outcome
+// bytes are the queue's, lent until the next Results call reuses them: a
+// coordinator folds each drain before the next, so no outcome outlives
+// its fold.
 func (q *Queue) Results() []JobResult {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := q.results
-	q.results = nil
+	q.results, q.lent = q.lent[:0], out
+	q.arena, q.lentArena = q.lentArena[:0], q.arena
 	return out
 }
 
@@ -496,7 +572,7 @@ func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return Stats{
-		Pending:      len(q.jobs),
+		Pending:      q.pendingLocked(),
 		Leased:       len(q.leases),
 		Done:         q.acked,
 		DeadLettered: len(q.dead),
@@ -517,81 +593,105 @@ func (q *Queue) Close() {
 	close(q.stop)
 }
 
-// MaxAdoptBytes is the most a job's adoption list may take encoded
-// (EncodedLen): half of what a lease answer carries for its head job
-// (MaxJobBytes), leaving the other half to the job's programs and hints,
-// about 1 KB at every spec (a fuzzed program has at most 12 calls). The
-// coordinator refuses a batch whose list is longer (core.PushTests), so
-// every job a campaign pushes fits a lease frame. At the ~44 encoded bytes
-// a PMC takes that is about 12,000 PMCs; the largest spec CI runs (seed 7,
-// corpus 200) has 701.
-const MaxAdoptBytes = MaxJobBytes / 2
+// MaxAdoptBytes is the most a batch's adoption list may take encoded
+// (AdoptList.Len): half a lease frame, so a lease answer carrying the list
+// (once per worker and batch) still has half the frame for the turn's head
+// job, about 1 KB at every spec (a fuzzed program has at most 12 calls).
+// NewAdoptList refuses a longer list, so a batch that could not travel is
+// refused before anything is pushed. At the ~33 bytes a PMC takes that is
+// about 15,000 PMCs; the largest spec CI runs (seed 7, corpus 200) has 701.
+const MaxAdoptBytes = maxFrame / 2
 
-// MaxAdopt caps a job's adoption list for DecodeJob: as many of the
-// smallest PMCs (pmc.MinPMCBytes) as MaxAdoptBytes holds, so every list a
-// campaign pushes decodes.
-const MaxAdopt = MaxAdoptBytes / 4 * 3 / pmc.MinPMCBytes
+// MaxAdopt caps a received adoption list: as many of the smallest PMCs
+// (pmc.MinPMCBytes) as MaxAdoptBytes holds, so every list a coordinator
+// pushes decodes.
+const MaxAdopt = MaxAdoptBytes / pmc.MinPMCBytes
 
-// PMCList is a list of PMCs that travels in JSON as one base64 string of
-// their binary form (pmc.AppendPMC), a count first: a job's adoption list
-// can run to thousands of PMCs, each several times larger as JSON objects.
-type PMCList []pmc.PMC
-
-// MarshalJSON encodes l's binary form.
-func (l PMCList) MarshalJSON() ([]byte, error) {
-	b := binary.AppendUvarint(nil, uint64(len(l)))
-	for _, p := range l {
-		b = pmc.AppendPMC(b, p)
-	}
-	return json.Marshal(b)
+// AdoptList is one batch's adoption list: the PMCs incidental adoption
+// (Algorithm 2 lines 26–27) may pick from while exploring any of the
+// batch's tests, in canonical order. It is built once per batch — by the
+// coordinator that pushes it (NewAdoptList), or by a TCP worker when a
+// lease answer first carries it — and shared by every lease of the batch.
+type AdoptList struct {
+	// Digest names the list in each job of the batch (Job.Adopt): a hash
+	// of its binary form.
+	Digest string
+	PMCs   []pmc.PMC
+	set    *pmc.Set
+	enc    []byte // the binary form a lease answer carries
 }
 
-// EncodedLen is the length of l's JSON form, computed without encoding it.
-func (l PMCList) EncodedLen() int {
-	var buf [64]byte
-	n := len(binary.AppendUvarint(buf[:0], uint64(len(l))))
-	for _, p := range l {
-		n += len(pmc.AppendPMC(buf[:0], p))
+// ErrBadAdoptList reports a malformed adoption list encoding.
+var ErrBadAdoptList = errors.New("queue: malformed adoption list")
+
+// NewAdoptList builds the adoption list of ps, encoding it once for every
+// lease answer that will carry it; nil when ps is empty. A list past
+// MaxAdoptBytes is refused.
+func NewAdoptList(ps []pmc.PMC) (*AdoptList, error) {
+	if len(ps) == 0 {
+		return nil, nil
 	}
-	return base64.StdEncoding.EncodedLen(n) + len(`""`)
+	enc := binary.AppendUvarint(nil, uint64(len(ps)))
+	for _, p := range ps {
+		enc = pmc.AppendPMC(enc, p)
+	}
+	if len(enc) > MaxAdoptBytes {
+		return nil, fmt.Errorf("queue: %d PMCs to adopt take %d bytes, past the %d a lease frame carries",
+			len(ps), len(enc), MaxAdoptBytes)
+	}
+	return newAdoptList(ps, enc), nil
 }
 
-// ErrBadPMCList reports a malformed PMCList encoding.
-var ErrBadPMCList = errors.New("queue: malformed PMC list")
+func newAdoptList(ps []pmc.PMC, enc []byte) *AdoptList {
+	sum := sha256.Sum256(enc)
+	return &AdoptList{Digest: hex.EncodeToString(sum[:16]), PMCs: ps, set: pmc.SetOf(ps), enc: enc}
+}
 
-// UnmarshalJSON decodes what MarshalJSON wrote, refusing a count past
-// MaxAdopt or past what the bytes left can hold.
-func (l *PMCList) UnmarshalJSON(data []byte) error {
-	var b []byte
-	if err := json.Unmarshal(data, &b); err != nil {
-		return err
+// Known is the set the explorer adopts from (sched.Explorer.KnownPMCs),
+// built once per list; nil for a nil list.
+func (l *AdoptList) Known() *pmc.Set {
+	if l == nil {
+		return nil
 	}
-	r := wire.NewReader(b, ErrBadPMCList)
+	return l.set
+}
+
+// Len is the length of the list's binary form; 0 for a nil list.
+func (l *AdoptList) Len() int {
+	if l == nil {
+		return 0
+	}
+	return len(l.enc)
+}
+
+// decodeAdoptList parses an adoption list's binary form, refusing a count
+// past MaxAdopt or past what the bytes hold, before anything is sized by
+// it. The list keeps b.
+func decodeAdoptList(b []byte) (*AdoptList, error) {
+	r := wire.NewReader(b, ErrBadAdoptList)
 	n := r.Count(pmc.MinPMCBytes)
 	if n > MaxAdopt {
 		r.Fail(fmt.Sprintf("%d PMCs, the cap is %d", n, MaxAdopt))
 		n = 0
 	}
-	var out PMCList
-	if n > 0 {
-		out = make(PMCList, n)
-		for i := range out {
-			out[i] = pmc.ReadPMC(r)
-		}
+	ps := make([]pmc.PMC, n)
+	for i := range ps {
+		ps[i] = pmc.ReadPMC(r)
 	}
 	if err := r.Done(); err != nil {
-		return err
+		return nil, err
 	}
-	*l = out
-	return nil
+	if n == 0 {
+		return nil, fmt.Errorf("%w: no PMCs", ErrBadAdoptList)
+	}
+	return newAdoptList(ps, b), nil
 }
 
 // EncodeJob serializes a job for the wire.
 func EncodeJob(j Job) ([]byte, error) { return json.Marshal(j) }
 
 // DecodeJob parses a serialized job and validates both of its programs; a
-// job without them, or with a malformed adoption list (PMCList), is
-// refused. Its trial budget and kernel version are the
+// job without them is refused. Its trial budget and kernel version are the
 // worker's to check (core.Worker.Do nacks a job it cannot explore).
 func DecodeJob(data []byte) (Job, error) {
 	var j Job

@@ -2,7 +2,6 @@ package queue
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"runtime"
 	"slices"
@@ -31,19 +30,28 @@ func testJob(id int) Job {
 	}
 }
 
-// adoptingJob is testJob(id) with an adoption list of n PMCs and one
-// composed hint.
-func adoptingJob(id, n int) Job {
-	j := testJob(id)
-	for i := range n {
-		j.Adopt = append(j.Adopt, pmc.PMC{
+// adoptList is an adoption list of n PMCs.
+func adoptList(n int) *AdoptList {
+	ps := make([]pmc.PMC, n)
+	for i := range ps {
+		ps[i] = pmc.PMC{
 			Write: pmc.Key{Ins: 7, Addr: 0x200 + uint64(i), Size: 4, Val: 1 << 40},
 			Read:  pmc.Key{Ins: 9, Addr: 0x200 + uint64(i), Size: 4},
-		})
+		}
 	}
-	if n > 0 {
-		j.Extra = []pmc.PMC{{Write: pmc.Key{Addr: 0x300, Size: 1, Val: 3}, Read: pmc.Key{Addr: 0x300, Size: 1}, DFLeader: true}}
+	l, err := NewAdoptList(ps)
+	if err != nil {
+		panic(err)
 	}
+	return l
+}
+
+// adoptingJob is testJob(id) naming adoption list l, with one composed
+// hint.
+func adoptingJob(id int, l *AdoptList) Job {
+	j := testJob(id)
+	j.Adopt = l.Digest
+	j.Extra = []pmc.PMC{{Write: pmc.Key{Addr: 0x300, Size: 1, Val: 3}, Read: pmc.Key{Addr: 0x300, Size: 1}, DFLeader: true}}
 	return j
 }
 
@@ -96,7 +104,7 @@ func TestResultsDrain(t *testing.T) {
 }
 
 func TestJobEncodeDecode(t *testing.T) {
-	j := adoptingJob(5, 3)
+	j := adoptingJob(5, adoptList(3))
 	j.Trials, j.Version = 4, "5.3.10"
 	data, err := EncodeJob(j)
 	if err != nil {
@@ -107,7 +115,7 @@ func TestJobEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.ID != 5 || got.Hint == nil || got.Hint.Read.Val != 2 || got.Trials != 4 || got.Version != "5.3.10" ||
-		!slices.Equal(got.Adopt, j.Adopt) || !slices.Equal(got.Extra, j.Extra) {
+		got.Adopt != j.Adopt || !slices.Equal(got.Extra, j.Extra) {
 		t.Fatalf("decoded: %+v", got)
 	}
 	// A job names no corpus to resolve its programs from: one that carries
@@ -122,43 +130,57 @@ func TestJobEncodeDecode(t *testing.T) {
 	}
 }
 
-// TestPMCListEncodedLen: EncodedLen is the length MarshalJSON writes.
-func TestPMCListEncodedLen(t *testing.T) {
-	l := PMCList{}
+// TestAdoptListCodec: an adoption list's binary form decodes to the same
+// PMCs under the same digest, and its digest tells lists apart; an empty
+// list is none, and one past MaxAdoptBytes is refused.
+func TestAdoptListCodec(t *testing.T) {
+	var ps []pmc.PMC
+	digests := make(map[string]bool)
 	for i := range 200 {
-		raw, err := json.Marshal(l)
+		k := pmc.Key{Ins: trace.Ins(i * 977), Addr: uint64(i) << (i % 57), Size: 8, Val: uint64(i) << 40}
+		ps = append(ps, pmc.PMC{Write: k, Read: pmc.Key{Addr: uint64(i)}, DFLeader: i%2 == 0})
+		l, err := NewAdoptList(ps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := l.EncodedLen(); got != len(raw) {
-			t.Fatalf("%d PMCs: EncodedLen %d, MarshalJSON wrote %d bytes", len(l), got, len(raw))
+		back, err := decodeAdoptList(l.enc)
+		if err != nil || !slices.Equal(back.PMCs, ps) || back.Digest != l.Digest || back.Len() != l.Len() || back.Known().Len() != len(ps) {
+			t.Fatalf("%d PMCs: decoded %+v (%v), want %+v", len(ps), back, err, l)
 		}
-		k := pmc.Key{Ins: trace.Ins(i * 977), Addr: uint64(i) << (i % 57), Size: 8, Val: uint64(i) << 40}
-		l = append(l, pmc.PMC{Write: k, Read: pmc.Key{Addr: uint64(i)}, DFLeader: i%2 == 0})
+		digests[l.Digest] = true
+	}
+	if len(digests) != 200 {
+		t.Fatalf("200 lists share %d digests", len(digests))
+	}
+	if l, err := NewAdoptList(nil); l != nil || err != nil || l.Known() != nil || l.Len() != 0 {
+		t.Fatalf("an empty list is %+v (%v), want none", l, err)
+	}
+	wide := pmc.Key{Ins: 1 << 31, Addr: 1 << 63, Size: 8, Val: 1 << 63}
+	big := make([]pmc.PMC, MaxAdoptBytes/len(pmc.AppendPMC(nil, pmc.PMC{Write: wide, Read: wide}))+1)
+	for i := range big {
+		big[i] = pmc.PMC{Write: wide, Read: pmc.Key{Ins: 1 << 31, Addr: 1<<63 + uint64(i), Size: 8, Val: 1 << 63}}
+	}
+	if _, err := NewAdoptList(big); err == nil {
+		t.Fatalf("a list of %d wide PMCs was taken past MaxAdoptBytes", len(big))
 	}
 }
 
-// TestDecodeJobRefusesAdoptionLists: an adoption list declaring more PMCs
-// than its bytes hold, or more than MaxAdopt, is refused before anything is
-// sized by it; a list of exactly MaxAdopt decodes.
-func TestDecodeJobRefusesAdoptionLists(t *testing.T) {
+// TestDecodeAdoptListRefusesMalformed: an adoption list declaring more
+// PMCs than its bytes hold, or more than MaxAdopt, or none, is refused
+// before anything is sized by it; a list of exactly MaxAdopt decodes.
+func TestDecodeAdoptListRefusesMalformed(t *testing.T) {
 	// minimal is one PMC of pmc.MinPMCBytes: two one-byte-field keys and
 	// DFLeader.
 	minimal := pmc.AppendPMC(nil, pmc.PMC{Write: pmc.Key{Size: 1}, Read: pmc.Key{Size: 1}})
 	if len(minimal) != pmc.MinPMCBytes {
 		t.Fatalf("a minimal PMC is %d bytes, want %d", len(minimal), pmc.MinPMCBytes)
 	}
-	job := func(count uint64, pmcs int) []byte {
+	list := func(count uint64, pmcs int) []byte {
 		b := binary.AppendUvarint(nil, count)
 		for range pmcs {
 			b = append(b, minimal...)
 		}
-		j, err := EncodeJob(testJob(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		list, _ := json.Marshal(b)
-		return append(append(j[:len(j)-1], `,"adopt":`...), append(list, '}')...)
+		return b
 	}
 	for _, tc := range []struct {
 		name        string
@@ -167,27 +189,28 @@ func TestDecodeJobRefusesAdoptionLists(t *testing.T) {
 	}{
 		{"count past the bytes", 1 << 40, 2, false},
 		{"one PMC short", 3, 2, false},
+		{"no PMCs", 0, 0, false},
 		{"past the cap", MaxAdopt + 1, MaxAdopt + 1, false},
 		{"at the cap", MaxAdopt, MaxAdopt, true},
 	} {
-		got, err := DecodeJob(job(uint64(tc.count), tc.pmcs))
+		got, err := decodeAdoptList(list(uint64(tc.count), tc.pmcs))
 		if (err == nil) != tc.ok {
-			t.Errorf("%s: DecodeJob error %v, want ok=%v", tc.name, err, tc.ok)
+			t.Errorf("%s: decodeAdoptList error %v, want ok=%v", tc.name, err, tc.ok)
 		}
-		if tc.ok && len(got.Adopt) != tc.pmcs {
-			t.Errorf("%s: %d PMCs decoded, want %d", tc.name, len(got.Adopt), tc.pmcs)
+		if tc.ok && len(got.PMCs) != tc.pmcs {
+			t.Errorf("%s: %d PMCs decoded, want %d", tc.name, len(got.PMCs), tc.pmcs)
 		}
-		if !tc.ok && err != nil && !errors.Is(err, ErrBadPMCList) {
-			t.Errorf("%s: DecodeJob error %v, want ErrBadPMCList", tc.name, err)
+		if !tc.ok && err != nil && !errors.Is(err, ErrBadAdoptList) {
+			t.Errorf("%s: decodeAdoptList error %v, want ErrBadAdoptList", tc.name, err)
 		}
 	}
 	// A count the bytes cannot hold sizes nothing: refusing MaxAdopt
 	// declared PMCs that carry two allocates far less than a list of
 	// MaxAdopt PMCs (72 bytes each).
-	short := job(MaxAdopt, 2)
+	short := list(MaxAdopt, 2)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := DecodeJob(short)
+	_, err := decodeAdoptList(short)
 	runtime.ReadMemStats(&after)
 	if err == nil || after.TotalAlloc-before.TotalAlloc > 1<<20 {
 		t.Errorf("a list declaring %d PMCs in %d bytes: error %v after allocating %d bytes", MaxAdopt, len(short), err, after.TotalAlloc-before.TotalAlloc)

@@ -14,7 +14,8 @@ import (
 
 // An Outcome crosses a queue as compact bytes: a queue worker encodes it
 // once (core.Worker.Do) and the coordinator's fold decodes it once
-// (core.Pipeline.FoldResults), in-process or over TCP alike. The form is
+// (Decoder, in core.Pipeline.FoldSettled and FoldResults), in-process or
+// over TCP alike. The form is
 // outcomeVersion, then the fields in declaration order: ints as zigzag
 // varints, unsigned values (instructions, addresses, values) as
 // uvarints, byte-sized kinds and sizes as one byte, bools as 0 or 1 (an
@@ -117,12 +118,58 @@ func (o *Outcome) Encode(dst []byte) []byte {
 	return b
 }
 
-// Decode replaces o with the outcome src encodes. src is
-// untrusted: truncated input, trailing bytes, an unknown version or a value
-// out of its field's range is an error wrapping ErrBadOutcome, never a
-// panic. Empty lists decode as nil. o keeps no reference to src.
-func (o *Outcome) Decode(src []byte) error {
-	*o = Outcome{}
+// Decoder decodes a stream of outcomes into storage it keeps for the next
+// one, for a reader that copies out what it keeps (the coordinator's
+// fold): the lists of the outcome Decode returns are valid until the next
+// Decode, and an issue description is interned, so one the decoder has
+// seen before costs no allocation. Repro is always fresh: the fold keeps
+// it by reference. The zero Decoder is ready to use.
+type Decoder struct {
+	out   Outcome
+	descs map[string]string
+}
+
+// Decode replaces the decoder's outcome with the one src encodes and
+// returns it. src is untrusted: truncated input, trailing bytes, an
+// unknown version or a value out of its field's range is an error wrapping
+// ErrBadOutcome, never a panic, and leaves the zero Outcome. An empty
+// list decodes as nil from a fresh decoder and as empty from a used one.
+// The outcome keeps no reference to src.
+func (d *Decoder) Decode(src []byte) (*Outcome, error) {
+	err := d.out.decode(src, d)
+	return &d.out, err
+}
+
+// desc returns b as a string, interned.
+func (d *Decoder) desc(b []byte) string {
+	if s, ok := d.descs[string(b)]; ok {
+		return s
+	}
+	if d.descs == nil {
+		d.descs = make(map[string]string)
+	}
+	s := string(b)
+	d.descs[s] = s
+	return s
+}
+
+// list returns n zeroed elements in s's storage when it has room.
+func list[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// decode is Decode into o, reusing its lists.
+func (o *Outcome) decode(src []byte, d *Decoder) error {
+	old := *o
+	*o = Outcome{
+		Issues: old.Issues[:0], IssueTrials: old.IssueTrials[:0],
+		Segments: old.Segments[:0], Pairs: old.Pairs[:0],
+	}
 	switch {
 	case len(src) == 0:
 		return fmt.Errorf("%w: empty", ErrBadOutcome)
@@ -135,12 +182,12 @@ func (o *Outcome) Decode(src []byte) error {
 	o.ExercisedTrial = readInt(r)
 	o.ExposedTrial = readInt(r)
 	if n := r.Count(minIssueBytes); n > 0 {
-		o.Issues = make([]detect.Issue, n)
-		o.IssueTrials = make([]int, n)
+		o.Issues = list(old.Issues, n)
+		o.IssueTrials = list(old.IssueTrials, n)
 		for i := range o.Issues {
 			is := &o.Issues[i]
 			is.Kind = detect.IssueKind(r.Byte())
-			is.Desc = string(r.Bytes(r.Count(1)))
+			is.Desc = d.desc(r.Bytes(r.Count(1)))
 			is.WriteIns = trace.ReadIns(r)
 			is.ReadIns = trace.ReadIns(r)
 			is.BugID = readInt(r)
@@ -184,7 +231,7 @@ func (o *Outcome) Decode(src []byte) error {
 	}
 	if r.Len() > 0 {
 		if n := r.Count(minSegBytes); n > 0 {
-			o.Segments = make([]cover.SegmentCount, n)
+			o.Segments = list(old.Segments, n)
 			for i := range o.Segments {
 				s := &o.Segments[i].Seg
 				s.First.Write, s.First.Read = trace.ReadIns(r), trace.ReadIns(r)
@@ -193,12 +240,12 @@ func (o *Outcome) Decode(src []byte) error {
 			}
 		}
 		if n := r.Count(minPairBytes); n > 0 {
-			o.Pairs = make([]cover.Pair, n)
+			o.Pairs = list(old.Pairs, n)
 			for i := range o.Pairs {
 				o.Pairs[i] = cover.Pair{First: trace.ReadIns(r), Second: trace.ReadIns(r)}
 			}
 		}
-		if o.Segments == nil && o.Pairs == nil {
+		if len(o.Segments) == 0 && len(o.Pairs) == 0 {
 			r.Fail("empty coverage lists")
 		}
 	}

@@ -99,7 +99,7 @@ var designRules = []designRule{
 		{"internal/core/seed.go", "package core\n\nfunc JobSeed() {}\n"},
 		{"internal/core/local.go", "package core\n\nimport \"snowboard/internal/sched\"\n\nvar local = sched.Explorer{}\n"},
 		{"internal/core/worker.go", "\nvar second = sched.Explorer{}\n"},
-		{"cmd/sbexec/turn.go", "package main\n\nfunc keepTurn() {}\n"},
+		{"cmd/sbexec/turn.go", "package main\n\ntype leaseKeeper struct{}\n"},
 	}},
 	{"one_template", oneTemplate, []mutation{
 		{"internal/core/local.go", "package core\n\nimport \"snowboard/internal/sched\"\n\nfunc localTemplate() sched.Explorer { return sched.Explorer{TrackSegments: true} }\n"},
@@ -353,9 +353,9 @@ func nothingHashedOrAllocatedPerSequentialExecution(tr *tree) []string {
 
 // A queue-delivered test is seeded from the pipeline's cursor
 // (par.UnitSeed) and its job carries the seed: a job-ID-derived seed is the
-// second seed back. keepTurn and the stage-4 explorer template live in
-// internal/core/worker.go only; a second copy is a front door drifting from
-// the shared recipe again.
+// second seed back. The lease keeper (leaseKeeper) and the stage-4
+// explorer template live in internal/core/worker.go only; a second copy is
+// a front door drifting from the shared recipe again.
 func oneDefinitionOfStage4(tr *tree) []string {
 	code := tr.code()
 	out := tr.grep(code, "a job-ID-derived seed", false, "JobSeed")
@@ -372,8 +372,8 @@ func oneDefinitionOfStage4(tr *tree) []string {
 		}
 	})
 	const home = "internal/core/worker.go"
-	if fds := funcs(code, "", "keepTurn"); len(fds) != 1 || tr.file(fds[0]) != home {
-		out = append(out, fmt.Sprintf("func keepTurn is declared at %v, want once, in %s", sites(tr, fds), home))
+	if tss := typeSpecs(code, "leaseKeeper"); len(tss) != 1 || tr.file(tss[0]) != home {
+		out = append(out, fmt.Sprintf("type leaseKeeper is declared at %v, want once, in %s", sites(tr, tss), home))
 	}
 	var lits []ast.Node
 	inspect(tr.code("internal/core/*.go"), func(f *srcFile, n ast.Node) {
