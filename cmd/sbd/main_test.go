@@ -327,8 +327,8 @@ type chaosLeaser struct {
 	first chan<- struct{}
 }
 
-func (l *chaosLeaser) LeaseN(n int) ([]queue.Lease, error) {
-	leases, err := l.Client.LeaseN(n)
+func (l *chaosLeaser) LeaseN(dst []queue.Lease, n int) ([]queue.Lease, error) {
+	leases, err := l.Client.LeaseN(dst, n)
 	if err != nil && !errors.Is(err, queue.ErrClosed) {
 		err = queue.ErrEmpty
 	}

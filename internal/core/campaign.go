@@ -11,7 +11,6 @@ import (
 	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
-	"snowboard/internal/sched"
 	"snowboard/internal/store"
 )
 
@@ -169,8 +168,9 @@ func (s CampaignSpec) BuildOptions(stateDir string) (Options, error) {
 }
 
 // TurnScheduler hands out execution turns fairly across campaigns: FIFO
-// admission with at most slots concurrent holders. Each campaign acquires
-// a turn, executes a bounded slice of jobs, and releases; because
+// admission with at most slots concurrent holders. Each of a campaign's
+// executors (its pipeline's Workers) acquires a turn, executes a bounded
+// slice of jobs, and releases; because
 // finishers rejoin the tail of the line, steady-state service order is
 // round-robin and per-campaign throughput stays within a small factor at
 // equal budgets, no matter how many tenants pile on.
@@ -217,8 +217,9 @@ func (t *TurnScheduler) Release() {
 // CampaignEnv is the shared control-plane context a campaign runs in: the
 // artifact store root (durability), the multi-queue registry, and the fair
 // turn scheduler. One env is shared by every campaign on a server. A
-// campaign's executor leases its queue in-process; workers on other
-// machines join it through whatever listener serves the registry.
+// campaign's executors — its pipeline's Workers, one per worker env —
+// lease its queue in-process; workers on other machines join it through
+// whatever listener serves the registry.
 type CampaignEnv struct {
 	StateDir string          // artifact store root ("" = memory only, no resume)
 	Registry *queue.Registry // named per-campaign queues (required)
@@ -242,13 +243,6 @@ type CampaignEnv struct {
 	// the lease for (jobID, attempt) without acking, leaving redelivery to
 	// the lease reaper.
 	Fault func(jobID, attempt int) bool
-}
-
-func (e CampaignEnv) slice() int {
-	if e.Slice <= 0 {
-		return TurnJobs
-	}
-	return e.Slice
 }
 
 // Campaign states.
@@ -501,8 +495,8 @@ func (c *Campaign) run() {
 // execute runs the stage sequence Run runs (runStages: the corpus
 // memoized through the shared store, profiles and PMCs recomputed, stage 4
 // one-shot or in feedback rounds, triage), with the pause gate between
-// stages and every batch of stage 4 executed through the campaign's named
-// queue under the fair scheduler (runBatch). The finished report is
+// stages and every batch of stage 4 run as Run's (runBatch), on the
+// campaign's named queue under its gate, turns and Fault hook. The finished report is
 // memoized campaign-level, so a restarted server resumes completed
 // campaigns byte-identically and in-flight ones re-run only what the stage
 // memos don't cover.
@@ -515,8 +509,7 @@ func (c *Campaign) execute() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Before finish reports the campaign done. The Worker explores on
-	// p.Env.
+	// Before finish reports the campaign done.
 	defer p.Close()
 	// The pipeline's stage, triage and feedback events are this tenant's,
 	// not the process default campaign's.
@@ -530,31 +523,12 @@ func (c *Campaign) execute() (*Report, error) {
 
 	r := p.NewReport()
 	p.BuildCorpus(r)
-	w := NewWorker(p.Env, "sbd/"+c.ID)
-	defer w.Close()
 	// The queue opens with the first batch and stays open across batches,
-	// so a joined worker stays joined through feedback rounds. Closing it
-	// stops its lease reaper and sends a joined sbexec ErrClosed; starting
-	// the campaign again opens a fresh queue.
-	var q *queue.Queue
-	defer func() {
-		if q != nil {
-			q.Close()
-		}
-	}()
-	p.batches = func(r *Report, tests []sched.ConcurrentTest) error {
-		if len(tests) == 0 {
-			// Nothing to deliver: as in Run, a campaign that never tests
-			// anything reports no delivery accounting.
-			return nil
-		}
-		if q == nil {
-			q = c.env.Registry.Open(c.QueueName())
-		}
-		return c.runBatch(p, q, w, r, tests)
-	}
+	// so a joined worker stays joined through feedback rounds; p.Close
+	// closes it. Starting the campaign again opens a fresh queue.
+	p.camp = c
 	if err := p.runStages(r, c.gate); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("campaign %s: %w", c.ID, err)
 	}
 
 	// Metrics deliberately stay uncaptured: the obs registry is shared by
@@ -564,82 +538,4 @@ func (c *Campaign) execute() (*Report, error) {
 		obs.Diag.Printf("stage campaign: report artifact %s persisted", d.Short())
 	}
 	return r, nil
-}
-
-// runBatch is where a campaign's batch of tests executes: pushed onto the
-// campaign's queue, executed in-process by w, taking fair-scheduler turns
-// between slices, and folded from what comes back as it settles — from
-// this executor and from any worker that joined the queue over the
-// registry's listener.
-func (c *Campaign) runBatch(p *Pipeline, q *queue.Queue, w *Worker, r *Report, tests []sched.ConcurrentTest) error {
-	if err := p.PushTests(q, tests, c.Trace); err != nil {
-		return fmt.Errorf("campaign %s: %w", c.ID, err)
-	}
-	c.expected.Add(int64(len(tests)))
-	if c.env.ExecGate != nil {
-		<-c.env.ExecGate
-	}
-	err := c.executeLoop(w, q, func() error { return p.FoldSettled(r, tests, q.Results()) })
-	if err == nil {
-		// Every job settled, by this executor or an sbexec that joined the
-		// queue.
-		err = p.FoldResults(r, tests, q.Results(), q.DeadLetters())
-	}
-	if err != nil {
-		return fmt.Errorf("campaign %s: %w", c.ID, err)
-	}
-	if sum := r.Distributed; sum.Lost() {
-		return fmt.Errorf("campaign %s: jobs neither reported nor dead-lettered: %v", c.ID, sum.Missing)
-	}
-	return nil
-}
-
-// executeLoop drains the campaign's queue in fair-scheduler slices until
-// every job is settled, leasing and settling each turn in-process: the
-// queue lives here, so a turn costs no round trip and no job encoding.
-// fold takes what has settled after every turn and every wait on
-// stragglers, and its error ends the loop. The turn-taking, the pause gate
-// and the Fault hook are the campaign's; what a job computes is
-// Worker.Do's, so redelivery — to this executor, a joined worker, or a
-// future incarnation after a restart — reproduces byte-identical results.
-func (c *Campaign) executeLoop(w *Worker, q *queue.Queue, fold func() error) error {
-	lsr := localLeaser{q}
-	slice := c.env.slice()
-	for {
-		st := q.Stats()
-		if st.Pending == 0 && st.Leased == 0 {
-			return nil
-		}
-		c.gate()
-		if c.env.Turns != nil {
-			c.env.Turns.Acquire(c.ID)
-		}
-		// A turn is one lease for the whole slice and one settle. The queue
-		// refuses a lease only as empty or closed, and either leases nothing.
-		leases, _ := lsr.LeaseN(slice)
-		held := leases[:0]
-		for _, ls := range leases {
-			if c.env.Fault != nil && c.env.Fault(ls.Job.ID, ls.Attempt) {
-				// Simulated worker crash: walk away mid-lease. The reaper
-				// expires it and the job redelivers or dead-letters.
-				continue
-			}
-			held = append(held, ls)
-		}
-		settled, exercised := w.Do(lsr, held)
-		c.executed.Add(int64(settled))
-		c.exercised.Add(int64(exercised))
-		if c.env.Turns != nil {
-			c.env.Turns.Release()
-		}
-		if err := fold(); err != nil {
-			return err
-		}
-		st = q.Stats()
-		if st.Pending == 0 && st.Leased > 0 {
-			// Stragglers: leases abandoned (Fault) or held by a joined
-			// sbexec. Yield until they settle or the reaper takes them.
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
 }

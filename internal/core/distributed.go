@@ -9,7 +9,7 @@ import (
 	"snowboard/internal/sched"
 )
 
-// DistSummary is the distributed-mode portion of a campaign report: the
+// DistSummary is the delivery portion of a campaign report: the
 // delivery accounting of every worker JobResult plus the queue's
 // dead-letter list, summed over the batches the campaign pushed, and what
 // the fold of those results added to the report.
@@ -42,9 +42,9 @@ func (s *DistSummary) dead() int {
 	return len(s.DeadJobs)
 }
 
-// delivery is the accounting of one batch of a distributed run as its
-// results settle: each of its jobs (IDs first.., as enqueued by PushTests)
-// counts exactly once however many times the queue redelivered it. The
+// delivery is the accounting of one queued batch as its results settle:
+// each of its jobs (IDs first.., as enqueued by PushTests) counts exactly
+// once however many times the queue redelivered it. The
 // first result per job ID is representative (any copy is — see
 // DistSummary) and reaches the fold in job order; later copies only bump
 // Duplicates, a result naming no job of the batch is dropped, and
@@ -147,7 +147,7 @@ func (d *delivery) settle(dead []queue.DeadJob, fold func(queue.JobResult) error
 	return nil
 }
 
-// batchFold is the coordinator's fold of the batch PushTests pushed last,
+// batchFold is the pipeline's fold of the batch PushTests pushed last,
 // fed as its results settle: the delivery accounting, the outcome fold's
 // state across drains, and one decoder for every outcome, so an outcome
 // is decoded into reused storage and nothing of it outlives its fold but
@@ -188,12 +188,12 @@ func (f *batchFold) outcome(res queue.JobResult) error {
 	return nil
 }
 
-// FoldSettled is the coordinator's half of queue-delivered stage 4 while
-// the batch PushTests pushed last runs: it folds the first result of every
-// job whose predecessors have all been folded — in job order, with the
-// fold local execution uses — and holds the rest. The coordinator calls it
-// on each drain of the queue's results (Queue.Results), after every turn
-// and while it waits on stragglers; FoldResults folds what is left.
+// FoldSettled is the coordinator's half of stage 4 while the batch
+// PushTests pushed last runs: it folds the first result of every job whose
+// predecessors have all been folded — in job order — and holds the rest.
+// The coordinator calls it on each drain of the queue's results
+// (Queue.Results), after every turn and while it waits on stragglers;
+// FoldResults folds what is left.
 func (p *Pipeline) FoldSettled(r *Report, tests []sched.ConcurrentTest, results []queue.JobResult) error {
 	f := p.batchFold(r, tests)
 	return f.deliv.take(results, f.outcome)
@@ -201,20 +201,26 @@ func (p *Pipeline) FoldSettled(r *Report, tests []sched.ConcurrentTest, results 
 
 // FoldResults finishes the fold of the batch PushTests pushed last, once it
 // has settled: it folds results (the last drain; a batch nobody drained
-// before comes whole) and the results held for earlier jobs, accounts for
-// delivery, and adds the batch to r.Distributed.
-func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) error {
+// before comes whole) and the results held for earlier jobs, and returns
+// the batch's delivery accounting (a campaign's addDelivery).
+func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) (DistSummary, error) {
 	f := p.batchFold(r, tests)
 	p.folding = nil
 	if err := f.deliv.take(results, f.outcome); err != nil {
-		return err
+		return DistSummary{}, err
 	}
 	if err := f.deliv.settle(dead, f.outcome); err != nil {
-		return err
+		return DistSummary{}, err
 	}
 	f.fold.done()
 	sum := f.deliv.sum
 	sum.Trials, sum.Exercised = r.TrialsRun-f.trials, r.Exercised-f.exercised
+	return sum, nil
+}
+
+// addDelivery adds a batch's delivery accounting to r.Distributed and
+// names the issues r holds so far.
+func (r *Report) addDelivery(sum DistSummary) {
 	if prev := r.Distributed; prev != nil {
 		sum.Expected += prev.Expected
 		sum.Reported += prev.Reported
@@ -233,5 +239,4 @@ func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results 
 	}
 	sort.Strings(sum.IssueIDs)
 	r.Distributed = &sum
-	return nil
 }

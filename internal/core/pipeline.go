@@ -15,6 +15,7 @@ import (
 	"snowboard/internal/obs"
 	"snowboard/internal/par"
 	"snowboard/internal/pmc"
+	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 	"snowboard/internal/store"
 	"snowboard/internal/trace"
@@ -52,7 +53,7 @@ type Pipeline struct {
 	envs []*exec.Env
 
 	// genCalls counts GenerateTests invocations and exploreUnits counts
-	// concurrent tests seeded (exploreSeeds), so repeated stage calls keep
+	// concurrent tests seeded (PushTests), so repeated stage calls keep
 	// drawing fresh — but deterministic — seeds, like the old shared rng did.
 	genCalls     int
 	exploreUnits int
@@ -69,11 +70,14 @@ type Pipeline struct {
 	// may pick (adoptable).
 	plan *cluster.Index
 
-	// batches, when set, is where ExecuteTests runs a batch instead of the
-	// local fleet — a campaign's queue (Campaign.execute). err is the first
-	// error it returned: no batch runs after it, and runStages returns it.
-	batches func(r *Report, tests []sched.ConcurrentTest) error
-	err     error
+	// q and execs run every stage-4 batch (runBatch); camp, when set, is
+	// the campaign the pipeline runs for (Campaign.execute). err is the
+	// first error a batch met: no batch runs after it, and runStages
+	// returns it.
+	q     *queue.Queue
+	execs []*Worker
+	camp  *Campaign
+	err   error
 
 	// folding is the fold in progress of the batch PushTests pushed last
 	// (FoldSettled), finished by FoldResults.
@@ -86,8 +90,8 @@ type Pipeline struct {
 	corpusDigest store.Digest
 
 	// trace is the campaign this pipeline's own events (stage.done,
-	// campaign.done, feedback.round, triage.minimized) and its local
-	// explorers' pmc.tested/cover.new are stitched to: the process default
+	// campaign.done, feedback.round, triage.minimized) and its jobs' are
+	// stitched to: the process default
 	// campaign, or an sbd tenant's (Campaign.execute). Events emitted inside
 	// fuzz, pmc, exec and detect (cover.new while fuzzing, pmc.identified,
 	// pmc.incremental, exec.crash, race.found) take no trace and stay on the
@@ -124,10 +128,17 @@ func NewPipeline(opts Options) *Pipeline {
 	}
 }
 
-// Close closes the pipeline's environments (exec.Env.Close): a pipeline
+// Close closes the pipeline's Workers, queue and environments: a pipeline
 // that has run guests and is dropped unclosed leaks their parked vCPU
-// coroutines. Its artifacts stay readable. Idempotent.
+// coroutines and its queue's lease reaper. Its artifacts stay readable.
+// Idempotent.
 func (p *Pipeline) Close() {
+	for _, w := range p.execs {
+		w.Close()
+	}
+	if p.q != nil {
+		p.q.Close()
+	}
 	p.Env.Close()
 	for _, e := range p.envs {
 		e.Close()
@@ -323,38 +334,16 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 	return out
 }
 
-// ExecuteTests explores each concurrent test (stage 4) as one batch:
-// across a fleet of per-worker explorers, or, in a campaign, through its
-// queue (batches). Either way findings fold into the report in test order
-// (foldOutcomes) — byte-for-byte the serial fold, because each test's
-// outcome is a pure function of (test, derived seed, adoption list). After
-// a batch has failed it runs nothing (Pipeline.err).
-//
-// The two paths stay because each is cheaper on some workload, and the
-// batch picks by whether it has a queue. Draining a local batch through an
-// in-process queue — PushTests, turns of TurnJobs through Worker.Do with
-// FoldSettled after each, then FoldResults — was measured on hunt's spec
-// (fuzz 600, corpus 150, 400 tests × 24 trials, Workers 1, seeds 3–8,
-// 20,531 trials, 5 interleaved runs per arm, 2 vCPUs): allocs per trial
-// 2.62 → 2.77 (+6.0%) and bytes 504 → 560 (+11.1%), inside hunt's 20%
-// bound on both, with trials/s within noise (medians 147k and 141k, each
-// arm spread over ±5%) and equal prefix digests. The rest is per job: the
-// job.leased and job.acked events, a turn's lease slice, the encoded
-// outcome's copy into the queue. Before lease records held an index, the
-// queue lent outcomes from a reused buffer, the fold decoded into reused
-// storage and events kept their attrs as a slice, the same probe read
-// 2.80 → 3.76 (+34%) and 517 → 722 (+40%).
+// ExecuteTests explores each concurrent test (stage 4) as one batch
+// through the pipeline's queue (runBatch), as a campaign does: findings
+// fold into the report in test order as results settle, byte-for-byte the
+// serial fold at any worker count, because each test's outcome is a pure
+// function of its job. After a batch has failed it runs nothing
+// (Pipeline.err). DESIGN.md row 73 has what the queue costs a local run.
 func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) {
 	span := obs.StartSpan("stage.exec")
-	switch {
-	case p.err != nil:
-	case p.batches != nil:
-		p.err = p.batches(r, tests)
-	default:
-		x := stage4Explorer(p.Env, p.Opts.Trials, p.Opts.Detect)
-		x.KnownPMCs, x.Trace = adoptionSet(p.adoptable(tests)), p.trace
-		fleet := sched.NewFleet(x, p.workerEnvs(p.workers()), func(e *exec.Env) []string { return e.K.FsckHost() })
-		p.foldOutcomes(r, tests, fleet.ExploreAll(tests, p.exploreSeeds(len(tests))))
+	if p.err == nil {
+		p.err = p.runBatch(r, tests)
 	}
 	d := span.End()
 	r.ExecTime += d
@@ -366,9 +355,9 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) {
 // less those whose clusters under the method's strategy have a test in the
 // batch — adopting one would re-explore a cluster the batch already tests,
 // while adopting one the budget never reaches is the only way to get
-// there. At full coverage nothing is left, so the explorer gets no set
-// (adoptionSet) and neither the lookup nor the adopted PMCs' preemption
-// points run. Without a plan (a pairing baseline, or tests GenerateTests
+// there. At full coverage nothing is left, so the batch's jobs name no
+// list, the explorer gets no set and neither the lookup nor the adopted
+// PMCs' preemption points run. Without a plan (a pairing baseline, or tests GenerateTests
 // and RunFeedback did not draw) every PMC is adoptable. PushTests ships
 // the list in every job of the batch.
 func (p *Pipeline) adoptable(tests []sched.ConcurrentTest) []pmc.PMC {
@@ -397,22 +386,10 @@ func (p *Pipeline) indexClusters(cs []cluster.Cluster) {
 	}
 }
 
-// foldOutcomes is the one place an Outcome turns into IssueRecords,
-// Unknown, counters and coverage: outs[i] is tests[i]'s outcome, explored
-// by the local fleet (ExecuteTests) or reported through a queue
-// (FoldSettled and FoldResults fold with the same outcomeFold). CoverPairs
-// grows by the batch's distinct alias pairs, and CoverSegments is the
-// pipeline-cumulative segment count.
-func (p *Pipeline) foldOutcomes(r *Report, tests []sched.ConcurrentTest, outs []sched.Outcome) {
-	f := p.newOutcomeFold(r)
-	for i := range outs {
-		f.add(tests[i], &outs[i])
-	}
-	f.done()
-}
-
-// outcomeFold is foldOutcomes' state over one batch, which may reach it in
-// several chunks: the report's unknown issues so far, by key, and the
+// outcomeFold is the one place an Outcome turns into IssueRecords,
+// Unknown, counters and coverage (batchFold feeds it each job's first
+// result in job order), with its state over one batch, which may reach it
+// in several chunks: the report's unknown issues so far, by key, and the
 // batch's distinct alias pairs, so CoverPairs counts each pair once.
 type outcomeFold struct {
 	r       *Report

@@ -12,30 +12,27 @@ import (
 	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
 	"snowboard/internal/par"
-	"snowboard/internal/pmc"
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 )
 
-// This file is the one recipe of stage 4, local or queue-delivered: the
-// explorer template, the per-test seeds, the set incidental adoption picks
-// from, how tests become jobs carrying them with the trial budget and
-// kernel version (PushTests), how a leased turn of jobs is explored and
-// settled with whole outcomes (Worker.Do), and how a worker joins a
-// campaign it does not own (Worker.Join) — shared by sbd, cmd/sbexec,
-// `snowboard -listen` and examples/distributed. An outcome is a pure
+// This file is the one recipe of stage 4, whatever the front door: the
+// explorer template, how tests become jobs carrying their seeds, trial
+// budget, kernel version and adoption list (PushTests), how a pipeline
+// runs a batch through its queue (runBatch, drain), how a leased turn is
+// explored and settled with whole outcomes (Worker.Do), and how a worker
+// joins a campaign it does not own (Worker.Join). An outcome is a pure
 // function of (test, seed, trials, version, adoption list), all of them in
-// the job (the list by digest), so the fold of each job's first result
-// equals local execution.
+// the job (the list by digest), so the fold of each job's first result is
+// the same whichever worker explored it.
 
-// stage4Explorer is the explorer both ExecuteTests' fleet and queue
-// workers copy: Algorithm 2 with the suite's oracles and the host fsck,
-// reporting each test's own segments and alias pairs. Each sets the PMCs a
-// test may adopt (adoptionSet) and the trace its events go to.
-func stage4Explorer(env *exec.Env, trials int, opt detect.Options) sched.Explorer {
+// stage4Explorer is the explorer every Worker copies, one per kernel
+// version: Algorithm 2 with the oracles opt enables and the host fsck,
+// reporting each test's own segments and alias pairs. Worker.Do sets each
+// job's seed, trials, adoption set and trace on it.
+func stage4Explorer(env *exec.Env, opt detect.Options) sched.Explorer {
 	return sched.Explorer{
 		Env:           env,
-		Trials:        trials,
 		Mode:          sched.ModeSnowboard,
 		Detect:        opt,
 		Fsck:          func() []string { return env.K.FsckHost() },
@@ -43,39 +40,18 @@ func stage4Explorer(env *exec.Env, trials int, opt detect.Options) sched.Explore
 	}
 }
 
-// adoptionSet is the set a batch's adoption list (Pipeline.adoptable)
-// builds for the explorer's KnownPMCs: none for an empty list, so neither
-// the lookup nor the adopted PMCs' preemption points run.
-func adoptionSet(adopt []pmc.PMC) *pmc.Set {
-	if len(adopt) == 0 {
-		return nil
-	}
-	return pmc.SetOf(adopt)
-}
-
-// exploreSeeds draws the next n per-test exploration seeds, the same
-// whether the tests then run here or travel through a queue.
-func (p *Pipeline) exploreSeeds(n int) []int64 {
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = par.UnitSeed(p.Opts.Seed, par.StageExplore, p.exploreUnits+i)
-	}
-	p.exploreUnits += n
-	return seeds
-}
-
-// PushTests enqueues tests as one batch of jobs, each ID'd by its
-// exploration unit — the pipeline's count of tests seeded before it — so
-// the IDs of a campaign's batches continue on one queue and FoldSettled and
+// PushTests enqueues tests as one batch of jobs, each ID'd and seeded by
+// its exploration unit — the pipeline's count of tests seeded before it —
+// so a pipeline's batches continue on one queue and FoldSettled and
 // FoldResults fold the batch pushed last. Each job carries both programs,
 // its hints, its exploration seed, the pipeline's trial budget and kernel
 // version and its batch's adoption list by digest — everything its
 // outcome depends on, so a worker needs nothing but the queue's address.
-// The list itself is pushed once, before the jobs (queue.PushList). Every
-// job carries trace, so worker and delivery events stitch back to the
-// originating campaign. A batch whose adoption list is past
-// queue.MaxAdoptBytes is refused before anything is pushed: it would not
-// fit a lease frame.
+// The list itself is pushed once, before the jobs (queue.PushList), and
+// the jobs in one queue.Push. Every job carries trace, so worker and
+// delivery events stitch back to the originating campaign. A batch whose
+// adoption list is past queue.MaxAdoptBytes is refused before anything is
+// pushed: it would not fit a lease frame.
 func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace string) error {
 	p.folding = nil
 	list, err := queue.NewAdoptList(p.adoptable(tests))
@@ -90,15 +66,135 @@ func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace
 		adopt = list.Digest
 	}
 	first := p.exploreUnits
-	seeds := p.exploreSeeds(len(tests))
+	p.exploreUnits += len(tests)
+	jobs := make([]queue.Job, len(tests))
 	for i, ct := range tests {
-		job := queue.Job{ID: first + i, Seed: seeds[i], Trials: p.Opts.Trials, Version: string(p.Env.Cfg.Version),
-			Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint, Pair: ct.Pair, Extra: ct.Extra, Adopt: adopt, Trace: trace}
-		if err := q.Push(job); err != nil {
-			return fmt.Errorf("push job %d: %w", job.ID, err)
-		}
+		jobs[i] = queue.Job{ID: first + i, Seed: par.UnitSeed(p.Opts.Seed, par.StageExplore, first+i), Trials: p.Opts.Trials,
+			Version: string(p.Env.Cfg.Version), Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint, Pair: ct.Pair, Extra: ct.Extra,
+			Adopt: adopt, Trace: trace}
+	}
+	if err := q.Push(jobs...); err != nil {
+		return fmt.Errorf("push jobs %d..%d: %w", first, first+len(jobs)-1, err)
 	}
 	return nil
+}
+
+// runBatch runs every stage-4 batch, a local run's or a campaign's: pushed
+// (PushTests), drained and folded as it settles (drain), finished by
+// FoldResults. A campaign adds its delivery to the report; a local batch
+// fails on a job no Worker explored, naming it.
+func (p *Pipeline) runBatch(r *Report, tests []sched.ConcurrentTest) error {
+	if len(tests) == 0 {
+		return nil
+	}
+	q, ws := p.executors()
+	if err := p.PushTests(q, tests, p.trace); err != nil {
+		return err
+	}
+	c := p.camp
+	if c != nil {
+		c.expected.Add(int64(len(tests)))
+		if c.env.ExecGate != nil {
+			<-c.env.ExecGate
+		}
+	}
+	if err := p.drain(r, tests, q, ws); err != nil {
+		return err
+	}
+	dead := q.DeadLetters()
+	sum, err := p.FoldResults(r, tests, q.Results(), dead)
+	switch {
+	case err != nil:
+		return err
+	case sum.Lost():
+		return fmt.Errorf("jobs neither reported nor dead-lettered: %v", sum.Missing)
+	case c != nil:
+		r.addDelivery(sum)
+	case len(dead) > 0: // only this batch's: an earlier one would have failed
+		return fmt.Errorf("jobs %v dead-lettered (job %d: %s)", sum.DeadJobs, dead[0].Job.ID, dead[0].Reason)
+	}
+	return nil
+}
+
+// executors are the pipeline's queue — its campaign's, or its own — and
+// its Workers, one per worker env exploring with Options.Detect: made with
+// the first batch, closed by Close.
+func (p *Pipeline) executors() (*queue.Queue, []*Worker) {
+	if p.q == nil {
+		name := "local"
+		if c := p.camp; c != nil {
+			p.q, name = c.env.Registry.Open(c.QueueName()), "sbd/"+c.ID
+		} else {
+			p.q = queue.NewWithOptions(queue.Options{Name: name})
+		}
+		for i, env := range p.workerEnvs(p.workers()) {
+			w := NewWorker(env, fmt.Sprintf("%s/%d", name, i))
+			w.detect = p.Opts.Detect
+			p.execs = append(p.execs, w)
+		}
+	}
+	return p.q, p.execs
+}
+
+// drain is the one in-process lease → Do → fold loop: each Worker, on a
+// goroutine of its own, runs turns (Worker.Do) while a job is pending and
+// waits while one is leased elsewhere, folding what has settled after
+// each (FoldSettled, one at a time) until a fold fails or q has settled.
+// A campaign adds its pause gate, fair turns, slice and Fault hook.
+func (p *Pipeline) drain(r *Report, tests []sched.ConcurrentTest, q *queue.Queue, ws []*Worker) error {
+	var (
+		mu  sync.Mutex // one fold at a time; guards err
+		err error
+		wg  sync.WaitGroup
+	)
+	c, lsr, slice := p.camp, localLeaser{q}, TurnJobs
+	if c != nil && c.env.Slice > 0 {
+		slice = c.env.Slice
+	}
+	for _, w := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for st := q.Stats(); st.Pending+st.Leased > 0; st = q.Stats() {
+				if st.Pending == 0 { // stragglers: another Worker's, a joined one's, a crashed one's
+					time.Sleep(5 * time.Millisecond)
+				} else {
+					if c != nil {
+						c.gate()
+						if c.env.Turns != nil {
+							c.env.Turns.Acquire(c.ID)
+						}
+					}
+					w.leases, _ = lsr.LeaseN(w.leases[:0], slice) // refused only empty or closed: nothing leased
+					held := w.leases[:0]
+					for _, ls := range w.leases { // Fault: a crash walks away; the reaper redelivers
+						if c == nil || c.env.Fault == nil || !c.env.Fault(ls.Job.ID, ls.Attempt) {
+							held = append(held, ls)
+						}
+					}
+					settled, exercised := w.Do(lsr, held)
+					if c != nil {
+						if c.env.Turns != nil {
+							c.env.Turns.Release()
+						}
+						c.executed.Add(int64(settled))
+						c.exercised.Add(int64(exercised))
+					}
+				}
+				mu.Lock()
+				if err == nil {
+					err = p.FoldSettled(r, tests, q.Results())
+				}
+				failed := err != nil
+				mu.Unlock()
+				if failed {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return err
 }
 
 // TurnJobs is how many jobs an executor leases per turn — one lease and one
@@ -108,12 +204,12 @@ const TurnJobs = 4
 // mPoisoned counts the jobs workers nack as malformed, on every front door.
 var mPoisoned = obs.C(obs.MWorkerPoisoned)
 
-// Leaser is where a Worker leases turns from and settles them to:
-// localLeaser on the queue in this process (sbd's executor), or a
-// *queue.Client over TCP for a worker that joins from elsewhere (sbexec,
-// the example's fleet; chaos-injectable through its dialer).
+// Leaser is where a Worker leases turns from (into storage the caller
+// keeps) and settles them to: localLeaser on the queue in this process (a
+// pipeline's Workers), or a *queue.Client over TCP for a worker that
+// joins from elsewhere (sbexec, the example's fleet; chaos-injectable).
 type Leaser interface {
-	LeaseN(n int) ([]queue.Lease, error)
+	LeaseN(dst []queue.Lease, n int) ([]queue.Lease, error)
 	Settle(items []queue.Settlement) ([]error, error)
 	Nack(id uint64, reason string) error
 	Extend(id uint64, d time.Duration) (time.Time, error)
@@ -201,14 +297,16 @@ func (k *leaseKeeper) extend() {
 // environments, one per kernel version its jobs name. It is not safe for
 // concurrent use: run one per goroutine.
 type Worker struct {
-	name string
-	env  *exec.Env // the env NewWorker was given: its owner's to close
-	x    map[kernel.Version]*sched.Explorer
-	keep leaseKeeper
+	name   string
+	env    *exec.Env // the env NewWorker was given: its owner's to close
+	detect detect.Options
+	x      map[kernel.Version]*sched.Explorer
+	keep   leaseKeeper
 
 	// A turn's storage, reused by the next: the leaser copies what Settle
 	// records (queue.Queue.Settle, or the settle frame), so the outcomes'
 	// encode buffer is free again once Settle returns.
+	leases  []queue.Lease
 	held    []queue.Lease
 	items   []queue.Settlement
 	results []queue.JobResult
@@ -217,11 +315,11 @@ type Worker struct {
 }
 
 // NewWorker returns a worker exploring each job with the trial budget and
-// on the kernel version it carries; name labels its results. A job of
-// env's version explores on env (nil: none is given); a job of any other
-// version boots an env of that version on first use, for Close to close.
+// on the kernel version it carries, under every oracle; name labels its
+// results. A job of env's version explores on env (nil: none is given); a
+// job of any other version boots an env of that version on first use.
 func NewWorker(env *exec.Env, name string) *Worker {
-	return &Worker{name: name, env: env, x: make(map[kernel.Version]*sched.Explorer)}
+	return &Worker{name: name, env: env, detect: detect.DefaultOptions(), x: make(map[kernel.Version]*sched.Explorer)}
 }
 
 // explorer returns the worker's explorer for kernel v, booting an env of
@@ -235,7 +333,7 @@ func (w *Worker) explorer(v kernel.Version) *sched.Explorer {
 	if env == nil || env.Cfg.Version != v {
 		env = exec.NewEnv(kernel.Config{Version: v})
 	}
-	x := stage4Explorer(env, 0, detect.DefaultOptions())
+	x := stage4Explorer(env, w.detect)
 	w.x[v] = &x
 	return &x
 }
@@ -342,13 +440,12 @@ const JoinPoll = 20 * time.Millisecond
 // closes or stays empty for longer than idle, and returns how many leases
 // it settled with the error that ended it — nil for a closed or idle
 // queue, else the lease's (an unknown queue, or a coordinator the client's
-// retries could not reach; leased work redelivers elsewhere).
-// Campaign.executeLoop, which owns its queue and takes fair turns, keeps a
-// loop of its own.
+// retries could not reach; leased work redelivers elsewhere). A
+// pipeline's own Workers drain its queue with Pipeline.drain.
 func (w *Worker) Join(lsr Leaser, turn int, idle time.Duration) (settled int, err error) {
 	idleSince := time.Now()
 	for {
-		leases, err := lsr.LeaseN(turn)
+		w.leases, err = lsr.LeaseN(w.leases[:0], turn)
 		switch {
 		case errors.Is(err, queue.ErrEmpty) && time.Since(idleSince) <= idle:
 			time.Sleep(JoinPoll)
@@ -358,7 +455,7 @@ func (w *Worker) Join(lsr Leaser, turn int, idle time.Duration) (settled int, er
 			return settled, err
 		default:
 			idleSince = time.Now()
-			n, _ := w.Do(lsr, leases)
+			n, _ := w.Do(lsr, w.leases)
 			settled += n
 		}
 	}

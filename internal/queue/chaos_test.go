@@ -174,7 +174,7 @@ func oneJob(t *testing.T, c *queue.Client) bool {
 // one more, handing the turn back when the settle never landed; false once
 // the queue has closed.
 func oneTurn(t *testing.T, c *queue.Client) bool {
-	turn, err := c.LeaseN(4)
+	turn, err := c.LeaseN(nil, 4)
 	if idle(err) {
 		return true
 	}

@@ -80,7 +80,7 @@ func TestSettleIsOneCriticalSection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	turn, err := q.LeaseN(2)
+	turn, err := q.LeaseN(nil, 2)
 	if err != nil || len(turn) != 2 || turn[0].Job.ID != 1 || turn[1].Job.ID != 2 {
 		t.Fatalf("LeaseN(2) = %+v, %v; want jobs 1 and 2", turn, err)
 	}

@@ -462,7 +462,7 @@ func (s *Server) lease(q *Queue, n int, have string) (wireResp, []byte) {
 	var adopt string    // the list every job of the turn names
 	var list *AdoptList // that list, when the worker lacks it
 	var encErr error
-	leases, err := q.leaseN(n, func(j *Job) bool {
+	leases, err := q.leaseN(nil, n, func(j *Job) bool {
 		room := s.frameCap / 2
 		if len(grants) == 0 {
 			room = s.frameCap - leaseHdrRoom
@@ -728,21 +728,22 @@ func respError(msg string) error {
 // Lease fetches the next job under a lease; ErrEmpty when none are pending,
 // ErrClosed when the queue has shut down.
 func (c *Client) Lease() (Lease, error) {
-	ls, err := c.LeaseN(1)
+	ls, err := c.LeaseN(nil, 1)
 	if err != nil {
 		return Lease{}, err
 	}
 	return ls[0], nil
 }
 
-// LeaseN leases up to n jobs in one round trip — a worker's turn — with
+// LeaseN leases up to n jobs in one round trip — a worker's turn — and
+// appends them to dst, storage the caller keeps from turn to turn, with
 // Lease's errors. Each lease carries the adoption list its job names: the
-// one the client holds, or the one the answer brought, which it holds from
-// then on. A job that fails to decode, or names a list the client does
+// one the client holds, or the one the answer brought, which it holds
+// from then on. A job that fails to decode, or names a list the client does
 // not have, is nacked straight back rather than left for the reaper, so it
 // redelivers (or dead-letters, with the reason) at once; its error is
 // returned only when no job decoded.
-func (c *Client) LeaseN(n int) ([]Lease, error) {
+func (c *Client) LeaseN(dst []Lease, n int) ([]Lease, error) {
 	c.mu.Lock()
 	list := c.held
 	c.mu.Unlock()
@@ -752,10 +753,10 @@ func (c *Client) LeaseN(n int) ([]Lease, error) {
 	}
 	resp, jobs, err := c.roundTrip(wireReq{Op: "lease", N: n, Have: have}, nil)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if !resp.OK {
-		return nil, respError(resp.Err)
+		return dst, respError(resp.Err)
 	}
 	var listErr error
 	if resp.Adopt != 0 {
@@ -773,7 +774,7 @@ func (c *Client) LeaseN(n int) ([]Lease, error) {
 		}
 	}
 	now := time.Now()
-	out := make([]Lease, 0, len(resp.Leases))
+	granted := len(dst)
 	err = ErrEmpty // what an ok answer granting nothing means
 	for _, g := range resp.Leases {
 		var raw []byte
@@ -797,12 +798,12 @@ func (c *Client) LeaseN(n int) ([]Lease, error) {
 		if job.Adopt != "" {
 			ls.Adopt = list
 		}
-		out = append(out, ls)
+		dst = append(dst, ls)
 	}
-	if len(out) == 0 {
-		return nil, err
+	if len(dst) == granted {
+		return dst, err
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Settle settles a turn's leases in one round trip: the server records

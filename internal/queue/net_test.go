@@ -201,7 +201,7 @@ func TestTCPOpCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	turn, err := c.LeaseN(3)
+	turn, err := c.LeaseN(nil, 3)
 	if err != nil || len(turn) != 3 {
 		t.Fatalf("LeaseN(3) = %+v, %v", turn, err)
 	}
@@ -437,7 +437,7 @@ func TestLeaseDeliversLargeJob(t *testing.T) {
 	}
 	defer c.Close()
 	for _, want := range []int{1, 2} {
-		leases, err := c.LeaseN(4)
+		leases, err := c.LeaseN(nil, 4)
 		if err != nil {
 			t.Fatalf("lease of job %d: %v", want, err)
 		}

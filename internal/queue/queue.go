@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -285,24 +286,30 @@ func (q *Queue) PushList(l *AdoptList) error {
 	return nil
 }
 
-// Push enqueues a job. A job naming an adoption list the queue was not
-// given (PushList) is refused.
-func (q *Queue) Push(j Job) error {
+// Push enqueues jobs, in order, under one lock: a batch grows the job
+// store and the delivery FIFO once. A batch with a job naming an adoption
+// list the queue was not given (PushList) is refused whole.
+func (q *Queue) Push(jobs ...Job) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
 	}
-	if j.Adopt != "" && q.lists[j.Adopt] == nil {
-		return fmt.Errorf("queue: job %d names adoption list %q, which was never pushed", j.ID, j.Adopt)
+	for i := range jobs {
+		if a := jobs[i].Adopt; a != "" && q.lists[a] == nil {
+			return fmt.Errorf("queue: job %d names adoption list %q, which was never pushed", jobs[i].ID, a)
+		}
 	}
 	if q.idleLocked() {
 		clear(q.jobs)
 		q.jobs = q.jobs[:0]
 	}
-	q.pending = append(q.pending, pendingJob{idx: len(q.jobs)})
-	q.jobs = append(q.jobs, j)
-	mPush.Inc()
+	q.pending = slices.Grow(q.pending, len(jobs))
+	for i := range jobs {
+		q.pending = append(q.pending, pendingJob{idx: len(q.jobs) + i})
+	}
+	q.jobs = append(q.jobs, jobs...)
+	mPush.Add(int64(len(jobs)))
 	q.setDepthLocked()
 	return nil
 }
@@ -391,9 +398,9 @@ func (q *Queue) leaseLocked() Lease {
 	return Lease{Job: *j, Adopt: q.lists[j.Adopt], ID: q.nextLease, Attempt: l.attempt, Deadline: l.deadline}
 }
 
-// TryLease is LeaseN(1) for one job, with LeaseN's errors.
+// TryLease is LeaseN for one job, with LeaseN's errors.
 func (q *Queue) TryLease() (Lease, error) {
-	ls, err := q.LeaseN(1)
+	ls, err := q.LeaseN(nil, 1)
 	if err != nil {
 		return Lease{}, err
 	}
@@ -401,11 +408,12 @@ func (q *Queue) TryLease() (Lease, error) {
 }
 
 // LeaseN grants leases on up to n pending jobs (at least one) without
-// blocking — a worker's whole turn. It answers ErrEmpty when nothing is
+// blocking — a worker's whole turn — and appends them to dst, storage the
+// caller keeps from turn to turn. It answers ErrEmpty when nothing is
 // pending (jobs may still be outstanding under other workers' leases) and
-// ErrClosed on a closed queue.
-func (q *Queue) LeaseN(n int) ([]Lease, error) {
-	return q.leaseN(n, func(*Job) bool { return true })
+// ErrClosed on a closed queue, and appends nothing then.
+func (q *Queue) LeaseN(dst []Lease, n int) ([]Lease, error) {
+	return q.leaseN(dst, n, func(*Job) bool { return true })
 }
 
 // leaseN is LeaseN granting the jobs after the head only while take
@@ -414,29 +422,29 @@ func (q *Queue) LeaseN(n int) ([]Lease, error) {
 // it when take refuses it), so a job that cannot travel is nacked out of
 // the way rather than blocking the queue. take runs under the queue's
 // lock.
-func (q *Queue) leaseN(n int, take func(*Job) bool) ([]Lease, error) {
+func (q *Queue) leaseN(dst []Lease, n int, take func(*Job) bool) ([]Lease, error) {
 	q.startReaper()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.pendingLocked() == 0 {
 		if q.closed {
-			return nil, ErrClosed
+			return dst, ErrClosed
 		}
-		return nil, ErrEmpty
+		return dst, ErrEmpty
 	}
 	n = max(n, 1)
-	out := make([]Lease, 0, min(n, q.pendingLocked()))
-	for len(out) < n && q.pendingLocked() > 0 {
+	dst = slices.Grow(dst, min(n, q.pendingLocked()))
+	for granted := 0; granted < n && q.pendingLocked() > 0; granted++ {
 		ok := take(&q.jobs[q.pending[q.head].idx])
-		if !ok && len(out) > 0 {
+		if !ok && granted > 0 {
 			break
 		}
-		out = append(out, q.leaseLocked())
+		dst = append(dst, q.leaseLocked())
 		if !ok {
 			break
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Settlement is one item of a Settle: Result, when set, is recorded, and

@@ -11,7 +11,8 @@ import (
 // accumulator, and its own post-mortem checker closure, so trials run
 // without any cross-worker locking; outcomes come back indexed by test so
 // the caller folds them in the same order a single Explorer would have
-// produced.
+// produced. No front door runs one — stage 4 goes through core's queue
+// (core.Pipeline.runBatch) — but bench/ times a bare exploration with it.
 type Fleet struct {
 	workers []*Explorer
 	covs    []*cover.Coverage

@@ -154,6 +154,11 @@ var designRules = []designRule{
 		{"cmd/snowboard/fold.go", "package main\n\nfunc fold(p *core.Pipeline) { p.FoldResults(nil) }\n"},
 		{"cmd/snowboard/serve.go", "package main\n\nimport \"snowboard/internal/queue\"\n\nvar _, _ = queue.Serve(nil, \"\")\n"},
 	}},
+	{"one_stage_4_driver", oneStage4Driver, []mutation{
+		// The alias hides this call from a text match for "sched.NewFleet".
+		{"internal/core/fleet.go", "package core\n\nimport s \"snowboard/internal/sched\"\n\nvar fleet = s.NewFleet(s.Explorer{}, nil, nil)\n"},
+		{"internal/core/fleet.go", "package core\n\nimport \"snowboard/internal/sched\"\n\nfunc all(f *sched.Fleet) { f.ExploreAll(nil, nil) }\n"},
+	}},
 	{"one_spec_per_front_door", oneSpecPerFrontDoor, []mutation{
 		{"cmd/sbprofile/main.go", "package main\n\nimport \"flag\"\n\nvar fuzzN = flag.Int(\"fuzz\", 400, \"sequential fuzzing executions\")\n"},
 		{"cmd/sbd/budget.go", "package main\n\nimport \"flag\"\n\nfunc budget(fs *flag.FlagSet, n *int) { fs.IntVar(n, \"trials\", 16, \"\") }\n"},
@@ -166,8 +171,9 @@ var designRules = []designRule{
 		{"internal/core/worker.go", "\nfunc (w *Worker) Do(lsr Leaser, l queue.Lease) {}\n"},
 	}},
 	{"one_join_loop", oneJoinLoop, []mutation{
-		{"cmd/sbexec/main.go", "\nfunc lease(c *queue.Client) { c.LeaseN(1) }\n"},
-		{"examples/distributed/main.go", "\nfunc turn(c *queue.Client) { c.LeaseN(core.TurnJobs) }\n"},
+		{"cmd/sbexec/main.go", "\nfunc lease(c *queue.Client) { c.LeaseN(nil, 1) }\n"},
+		{"examples/distributed/main.go", "\nfunc turn(c *queue.Client) { c.LeaseN(nil, core.TurnJobs) }\n"},
+		{"internal/core/loop.go", "package core\n\nfunc (c *Campaign) executeLoop(l Leaser) { l.LeaseN(nil, c.turnJobs()) }\n"},
 	}},
 	{"the_executor_leases_in_process", theExecutorLeasesInProcess, []mutation{
 		// The alias hides this call from a text match for "queue.Dial".
@@ -622,10 +628,10 @@ func oneWayToServeAQueue(tr *tree) []string {
 	return out
 }
 
-// A campaign pushes its tests and folds their results in one place,
-// core.Campaign.runBatch, whichever front door (sbd, `snowboard -listen`,
-// the distributed example) started it; and every queue listener serves a
-// registry's named campaign queues.
+// Every stage-4 batch is pushed and its results folded in one place,
+// core.Pipeline.runBatch, whichever front door (core.Run, sbd, `snowboard
+// -listen`, the distributed example) ran it; and every queue listener
+// serves a registry's named campaign queues.
 func oneCoordinator(tr *tree) []string {
 	var out []string
 	code := tr.code()
@@ -636,13 +642,32 @@ func oneCoordinator(tr *tree) []string {
 				calls = append(calls, call)
 			}
 		})
-		if len(calls) != 1 || tr.file(calls[0]) != "internal/core/campaign.go" {
-			out = append(out, fmt.Sprintf(".%s( is called at %v, want once, in internal/core/campaign.go", sel, sites(tr, calls)))
+		if len(calls) != 1 || tr.file(calls[0]) != "internal/core/worker.go" {
+			out = append(out, fmt.Sprintf(".%s( is called at %v, want once, in internal/core/worker.go", sel, sites(tr, calls)))
 		}
 	}
 	inspect(code, func(f *srcFile, n ast.Node) {
 		if call, ok := n.(*ast.CallExpr); ok && f.member(call.Fun, queuePath) == "Serve" {
 			out = append(out, tr.at(call, "queue.Serve( outside bench/; serve a registry (queue.ServeRegistry)"))
+		}
+	})
+	return out
+}
+
+// A local batch runs as a campaign's does, pushed on a queue and drained
+// by in-process Workers (oneCoordinator): a per-worker fleet of explorers
+// in internal/core (sched.NewFleet, Fleet.ExploreAll) is a second stage-4
+// driver, with a fold and a worker-count invariance of its own. bench/
+// keeps the fleet to time a bare exploration.
+func oneStage4Driver(tr *tree) []string {
+	var out []string
+	inspect(tr.code("internal/core/*.go"), func(f *srcFile, n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		if f.member(call.Fun, schedPath) == "NewFleet" || isSelector(call.Fun) && lastName(call.Fun) == "ExploreAll" {
+			out = append(out, tr.at(call, "a fleet of explorers in internal/core; push the batch (Pipeline.runBatch)"))
 		}
 	})
 	return out
@@ -729,17 +754,29 @@ func oneFrameEachWayPerTurn(tr *tree) []string {
 }
 
 // A worker joins a campaign it does not own through Worker.Join, one lease
-// loop for every front door; Campaign.executeLoop, which owns its queue,
-// keeps the other. A .LeaseN( call outside internal/core and
-// internal/queue is a copied lease loop back.
+// loop for every front door; a pipeline's own Workers, which share its
+// queue's fold, drain it through Pipeline.drain, the one in-process lease
+// → Do → fold loop of a local run and a campaign alike. A .LeaseN( call
+// outside internal/queue and those two loops is a copied lease loop back.
 func oneJoinLoop(tr *tree) []string {
 	var out []string
+	isLease := func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		return ok && isSelector(call.Fun) && lastName(call.Fun) == "LeaseN"
+	}
+	loops := make(map[ast.Node]bool)
+	core := tr.code("internal/core/*.go")
+	for _, fd := range append(funcs(core, "Worker", "Join"), funcs(core, "Pipeline", "drain")...) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if isLease(n) {
+				loops[n] = true
+			}
+			return true
+		})
+	}
 	inspect(tr.code(), func(f *srcFile, n ast.Node) {
-		if strings.HasPrefix(f.path, "internal/core/") || strings.HasPrefix(f.path, "internal/queue/") {
-			return
-		}
-		if call, ok := n.(*ast.CallExpr); ok && isSelector(call.Fun) && lastName(call.Fun) == "LeaseN" {
-			out = append(out, tr.at(call, "a lease loop of its own (.LeaseN(); join through core.Worker.Join"))
+		if !strings.HasPrefix(f.path, "internal/queue/") && isLease(n) && !loops[n] {
+			out = append(out, tr.at(n, "a lease loop of its own (.LeaseN(); join through core.Worker.Join, or drain through Pipeline.drain"))
 		}
 	})
 	return out
