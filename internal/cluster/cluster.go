@@ -7,7 +7,9 @@
 package cluster
 
 import (
+	"iter"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -217,14 +219,19 @@ type Index struct {
 	set      *pmc.Set
 	entries  int
 	strategy string
-	cs       []Cluster  // what of is built from
-	of       [][2]int32 // of[id]: positions in cs, -1 where none
+	cs       []Cluster // what of is built from
+	per      int       // clusters a PMC can fall in: 2 under S-INS, else 1
+	of       []int32   // of[id*per:][:per]: positions in cs plus one, 0 where none
 }
 
 // NewIndex returns the index of cs, the clusters of set under s (as
 // Clusters returns them, in any order).
 func NewIndex(set *pmc.Set, s Strategy, cs []Cluster) *Index {
-	return &Index{set: set, entries: set.Len(), strategy: s.Name, cs: cs}
+	ix := &Index{set: set, entries: set.Len(), strategy: s.Name, cs: cs, per: 1}
+	if s.MultiKey != nil {
+		ix.per = 2
+	}
+	return ix
 }
 
 // Indexes reports whether ix indexes set, as it is now, under s.
@@ -237,27 +244,26 @@ func (ix *Index) Indexes(set *pmc.Set, s Strategy) bool {
 // cluster stands for (§4.3's premise that one exemplar stands for its
 // cluster). A PMC the strategy filters out shares no cluster, so it is
 // always unplanned; under S-INS a PMC is planned when either of its
-// clusters is.
-func (ix *Index) Unplanned(hints []pmc.PMC) []pmc.PMC {
+// clusters is. When every PMC is planned it allocates no list.
+func (ix *Index) Unplanned(hints iter.Seq[pmc.PMC]) []pmc.PMC {
 	if ix.of == nil {
 		ix.build()
 	}
 	tested := make([]bool, len(ix.cs))
-	for _, h := range hints {
+	for h := range hints {
 		if id, ok := ix.set.ID(h); ok {
-			for _, c := range ix.of[id] {
-				if c >= 0 {
-					tested[c] = true
+			for _, c := range ix.clusters(id) {
+				if c > 0 {
+					tested[c-1] = true
 				}
 			}
 		}
 	}
 	unplanned := func(id int) bool {
-		of := ix.of[id]
-		return !(of[0] >= 0 && tested[of[0]]) && !(of[1] >= 0 && tested[of[1]])
+		return !slices.ContainsFunc(ix.clusters(id), func(c int32) bool { return c > 0 && tested[c-1] })
 	}
 	n := 0
-	for id := range ix.of {
+	for id := range ix.entries {
 		if unplanned(id) {
 			n++
 		}
@@ -274,20 +280,16 @@ func (ix *Index) Unplanned(hints []pmc.PMC) []pmc.PMC {
 	return out
 }
 
+// clusters is the PMC's slots of the index.
+func (ix *Index) clusters(id int) []int32 { return ix.of[id*ix.per : (id+1)*ix.per] }
+
 func (ix *Index) build() {
-	ix.of = make([][2]int32, ix.entries)
-	for id := range ix.of {
-		ix.of[id] = [2]int32{-1, -1}
-	}
+	ix.of = make([]int32, ix.entries*ix.per)
 	for ci := range ix.cs {
 		for _, p := range ix.cs[ci].PMCs {
-			id, ok := ix.set.ID(p)
-			switch {
-			case !ok:
-			case ix.of[id][0] < 0:
-				ix.of[id][0] = int32(ci)
-			default:
-				ix.of[id][1] = int32(ci)
+			if id, ok := ix.set.ID(p); ok {
+				of := ix.clusters(id)
+				of[slices.Index(of, 0)] = int32(ci + 1)
 			}
 		}
 	}

@@ -358,8 +358,8 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) {
 // there. At full coverage nothing is left, so the batch's jobs name no
 // list, the explorer gets no set and neither the lookup nor the adopted
 // PMCs' preemption points run. Without a plan (a pairing baseline, or tests GenerateTests
-// and RunFeedback did not draw) every PMC is adoptable. PushTests ships
-// the list in every job of the batch.
+// and RunFeedback did not draw) every PMC is adoptable. PushTests pushes
+// the list once per batch, and each job names it by digest.
 func (p *Pipeline) adoptable(tests []sched.ConcurrentTest) []pmc.PMC {
 	if p.PMCs == nil {
 		return nil
@@ -367,14 +367,18 @@ func (p *Pipeline) adoptable(tests []sched.ConcurrentTest) []pmc.PMC {
 	if p.plan == nil || !p.plan.Indexes(p.PMCs, p.Opts.Method.Strategy) {
 		return p.PMCs.PMCs()
 	}
-	var hints []pmc.PMC
-	for _, ct := range tests {
-		if ct.Hint != nil {
-			hints = append(hints, *ct.Hint)
+	return p.plan.Unplanned(func(yield func(pmc.PMC) bool) {
+		for _, ct := range tests {
+			if ct.Hint != nil && !yield(*ct.Hint) {
+				return
+			}
+			for _, h := range ct.Extra {
+				if !yield(h) {
+					return
+				}
+			}
 		}
-		hints = append(hints, ct.Extra...)
-	}
-	return p.plan.Unplanned(hints)
+	})
 }
 
 // indexClusters keeps p.plan an index of cs, the PMC set's clusters under

@@ -117,9 +117,10 @@ func CrashLevel(k IssueKind) bool {
 	return false
 }
 
-// CheckConsole scans console lines for crash and corruption signatures.
-// lastAccess holds, indexed by thread id, the final access recorded before
-// a fault (NoIns for none), used to attribute panics to a kernel function.
+// CheckConsole scans console lines for crash and corruption signatures,
+// each filed under its Table 2 row (panicRow, consoleRow). lastAccess holds,
+// indexed by thread id, the final access recorded before a fault (NoIns for
+// none), by which a panic is filed.
 func CheckConsole(lines []string, lastAccess []trace.Ins) []Issue {
 	var out []Issue
 	for _, l := range lines {
@@ -127,16 +128,11 @@ func CheckConsole(lines []string, lastAccess []trace.Ins) []Issue {
 		case strings.Contains(l, "NULL pointer dereference"),
 			strings.Contains(l, "unable to handle page fault"),
 			strings.HasPrefix(l, "BUG:"):
-			is := Issue{Kind: KindPanic, Desc: l}
-			classifyPanic(&is, lastAccess)
-			out = append(out, is)
+			out = append(out, Issue{Kind: KindPanic, Desc: l}.filedUnder(panicRow(lastAccess)))
 		case strings.Contains(l, "EXT4-fs error"):
-			is := Issue{Kind: KindFSError, Desc: l}
-			classifyConsole(&is)
-			out = append(out, is)
+			out = append(out, Issue{Kind: KindFSError, Desc: l}.filedUnder(consoleRow(l)))
 		case strings.Contains(l, "blk_update_request: I/O error"):
-			is := Issue{Kind: KindIOError, Desc: l, BugID: 4, Harmful: true}
-			out = append(out, is)
+			out = append(out, Issue{Kind: KindIOError, Desc: l}.filedUnder(consoleRow(l)))
 		}
 	}
 	return out

@@ -366,6 +366,54 @@ func TestTable2RegistryConsistency(t *testing.T) {
 	if len(seen) != 17 {
 		t.Fatalf("registry has %d rows, want 17", len(seen))
 	}
+	// The catalogue names only what can match: every function it names
+	// is a registered kernel site's, and no pair, panic function or
+	// console pattern is claimed by two rules. A pair with a function some
+	// row pairs with anything is that row's already.
+	_, sites := siteFuncs()
+	anyFn := map[string]int{}
+	for _, b := range Table2 {
+		if b.ReadFn == "" {
+			anyFn[b.WriteFn] = b.ID
+		}
+	}
+	pairs, panics, console := map[[2]string]int{}, map[string]int{}, map[string]int{}
+	claim := func(id int, a, b string) {
+		for _, fn := range []string{a, b} {
+			if _, ok := sites[fn]; !ok && fn != "" {
+				t.Errorf("#%d names %q, which no kernel site belongs to", id, fn)
+			}
+			if other, ok := anyFn[fn]; ok && a != "" && b != "" {
+				t.Errorf("#%d claims %s/%s, which #%d files by %s", id, a, b, other, fn)
+			}
+		}
+		k := [2]string{min(a, b), max(a, b)}
+		if other, ok := pairs[k]; ok {
+			t.Errorf("#%d claims %s/%s, which #%d claims", id, a, b, other)
+		}
+		pairs[k] = id
+	}
+	for _, b := range Table2 {
+		claim(b.ID, b.WriteFn, b.ReadFn)
+		for _, p := range b.Races {
+			claim(b.ID, p[0], p[1])
+		}
+		for _, fn := range b.Panics {
+			if _, ok := sites[fn]; !ok {
+				t.Errorf("#%d files panics by %q, which no kernel site belongs to", b.ID, fn)
+			}
+			if other, ok := panics[fn]; ok {
+				t.Errorf("#%d files panics by %s, which #%d does", b.ID, fn, other)
+			}
+			panics[fn] = b.ID
+		}
+		for _, pat := range b.Console {
+			if other, ok := console[pat]; ok {
+				t.Errorf("#%d files console lines by %q, which #%d does", b.ID, pat, other)
+			}
+			console[pat] = b.ID
+		}
+	}
 	if _, ok := BugByID(12); !ok {
 		t.Fatal("BugByID(12) failed")
 	}

@@ -288,7 +288,9 @@ func (q *Queue) PushList(l *AdoptList) error {
 
 // Push enqueues jobs, in order, under one lock: a batch grows the job
 // store and the delivery FIFO once. A batch with a job naming an adoption
-// list the queue was not given (PushList) is refused whole.
+// list the queue was not given (PushList) is refused whole. An accepted
+// batch pushed on an idle queue becomes its job store, uncopied: the
+// caller hands jobs' backing array over and must not touch it again.
 func (q *Queue) Push(jobs ...Job) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -301,8 +303,7 @@ func (q *Queue) Push(jobs ...Job) error {
 		}
 	}
 	if q.idleLocked() {
-		clear(q.jobs)
-		q.jobs = q.jobs[:0]
+		q.jobs = jobs[:0] // the append below then copies nothing
 	}
 	q.pending = slices.Grow(q.pending, len(jobs))
 	for i := range jobs {

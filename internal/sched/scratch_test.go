@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snowboard/internal/cluster"
@@ -69,7 +70,7 @@ func TestFindIncidentalEqualsBruteForce(t *testing.T) {
 // cluster with any of them.
 func adoptableBy(set *pmc.Set, hints ...pmc.PMC) *pmc.Set {
 	cs := cluster.Clusters(set, cluster.SInsPair)
-	return pmc.SetOf(cluster.NewIndex(set, cluster.SInsPair, cs).Unplanned(hints))
+	return pmc.SetOf(cluster.NewIndex(set, cluster.SInsPair, cs).Unplanned(slices.Values(hints)))
 }
 
 // TestFleetWorkersOwnScratch: NewFleet copies the template Explorer by

@@ -207,6 +207,11 @@ var designRules = []designRule{
 		// The alias hides this call from a text match for "binary.ReadUvarint".
 		{"internal/store/envelope.go", "package store\n\nimport bin \"encoding/binary\"\n\nfunc payloadLen(r io.ByteReader) (uint64, error) { return bin.ReadUvarint(r) }\n"},
 	}},
+	{"one_table2_catalogue", oneTable2Catalogue, []mutation{
+		{"internal/detect/detect.go", "\nvar ioError = Issue{Kind: KindIOError, BugID: 4, Harmful: true}\n"},
+		{"internal/detect/detect.go", "\nfunc rht(is *Issue) { is.BugID, is.Harmful = 1, true }\n"},
+		{"internal/triage/file.go", "package triage\n\nimport \"snowboard/internal/detect\"\n\nfunc file(is *detect.Issue) { is.BugID = 13 }\n"},
+	}},
 	{"doc_references_resolve", docReferencesResolve, []mutation{
 		{"DESIGN.md", "\n| Figure 1 | `TestBugL2TP` |\n"},
 		{"README.md", "\n(EXPERIMENTS.md, \"Per-trial\n  analysis\")\n"},
@@ -883,6 +888,49 @@ func oneByteReader(tr *tree) []string {
 			return true
 		})
 	}
+	return out
+}
+
+// Every rule that files a finding under a Table 2 row is a field of that
+// KnownBug row in internal/detect/bugs.go, and race, panic and console
+// findings all take their row through one index of them: a BugID or
+// Harmful set from a literal anywhere else is a filing rule outside the
+// catalogue again.
+func oneTable2Catalogue(tr *tree) []string {
+	var out []string
+	filed := func(field, value ast.Expr) {
+		name := lastName(field)
+		if name != "BugID" && name != "Harmful" {
+			return
+		}
+		switch v := value.(type) {
+		case *ast.BasicLit:
+		case *ast.Ident:
+			if v.Name != "true" && v.Name != "false" {
+				return
+			}
+		default:
+			return
+		}
+		out = append(out, tr.at(value, name+" set from a literal; file under a Table 2 row (detect.KnownBug)"))
+	}
+	inspect(tr.code(), func(f *srcFile, n ast.Node) {
+		if f.path == "internal/detect/bugs.go" {
+			return
+		}
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			filed(n.Key, n.Value)
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					if isSelector(lhs) {
+						filed(lhs, n.Rhs[i])
+					}
+				}
+			}
+		}
+	})
 	return out
 }
 
