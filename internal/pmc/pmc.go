@@ -111,9 +111,13 @@ type Set struct {
 	// count.
 	TotalCombinations int64
 
-	// byWrite is the lazily built write-key index behind ByWriteRead.
-	byWrite   atomic.Pointer[writeIndex]
-	byWriteMu sync.Mutex
+	// order and byWrite are built lazily, each on its first use since the
+	// set last grew: order, the PMCs in canonical order, behind ID and
+	// PMCs, and byWrite, the write-key index over it behind ByWriteRead
+	// and ReadKeys.
+	order   atomic.Pointer[[]PMC]
+	byWrite atomic.Pointer[writeIndex]
+	mu      sync.Mutex
 }
 
 // writeIndex groups a Set's PMCs by write key: pmcs is in canonical
@@ -123,13 +127,12 @@ type Set struct {
 // filterBit is clear has no span: about half of a trial's distinct write
 // keys have no PMC, and nearly all are answered without probing spans.
 type writeIndex struct {
-	entries int // len(Set.Entries) when built
-	pmcs    []PMC
-	reads   []int32 // reads[i] numbers pmcs[i].Read among the distinct read keys
-	nReads  int
-	spans   []span   // a power of two of them, at most half used
-	shift   uint     // 64 - log2(len(spans))
-	filter  []uint64 // a power of two of words, at least 16 bits per entry
+	pmcs   []PMC
+	reads  []int32 // reads[i] numbers pmcs[i].Read among the distinct read keys
+	nReads int
+	spans  []span   // a power of two of them, at most half used
+	shift  uint     // 64 - log2(len(spans))
+	filter []uint64 // a power of two of words, at least 16 bits per entry
 }
 
 // span is the write key of pmcs[lo] and its PMCs, pmcs[lo:hi]; hi is 0 in
@@ -152,10 +155,10 @@ func (idx *writeIndex) filterBit(h uint64) (word int, bit uint64) {
 // order, and, parallel to them, the id of each one's read key: the set's distinct read keys are numbered
 // densely from 0, below ReadKeys, so a caller visiting many PMCs can do
 // per-read-key work once. The index behind it is built on first use —
-// stage 4 is its only caller, so identification and set-up never pay for
-// it — and rebuilt when the set has grown since (entries are never removed,
-// so an equal entry count means an equal key set). Safe for concurrent use
-// by readers; neither slice may be modified.
+// stage 4's explorer is its only caller, so identification, clustering
+// and set-up never pay for it — and rebuilt when the set has grown since
+// (entries are never removed, so an equal entry count means an equal key
+// set). Safe for concurrent use by readers; neither slice may be modified.
 func (s *Set) ByWriteRead(k Key) (pmcs []PMC, reads []int32) {
 	idx := s.index()
 	h := keyHash(k)
@@ -174,14 +177,26 @@ func (s *Set) ByWriteRead(k Key) (pmcs []PMC, reads []int32) {
 // ID returns p's dense id, its position in the set's canonical order: ids
 // run from 0 below Len and stay valid until the set grows.
 func (s *Set) ID(p PMC) (int, bool) {
-	pmcs := s.index().pmcs
+	pmcs := s.PMCs()
 	i := sort.Search(len(pmcs), func(i int) bool { return !Less(pmcs[i], p) })
 	return i, i < len(pmcs) && pmcs[i] == p
 }
 
 // PMCs returns the set's PMCs in canonical order (Less), each at its dense
 // id (ID). The slice is shared: it must not be modified.
-func (s *Set) PMCs() []PMC { return s.index().pmcs }
+func (s *Set) PMCs() []PMC {
+	if o := s.order.Load(); o != nil && len(*o) == len(s.Entries) {
+		return *o
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if o := s.order.Load(); o != nil && len(*o) == len(s.Entries) {
+		return *o
+	}
+	o := s.sortedPMCs()
+	s.order.Store(&o)
+	return o
+}
 
 // ReadKeys returns how many distinct read keys the set's PMCs have: the
 // bound of ByWriteRead's read key ids.
@@ -189,19 +204,16 @@ func (s *Set) ReadKeys() int { return s.index().nReads }
 
 // index returns the write-key index of the set as it is now.
 func (s *Set) index() *writeIndex {
-	if idx := s.byWrite.Load(); idx != nil && idx.entries == len(s.Entries) {
+	if idx := s.byWrite.Load(); idx != nil && len(idx.pmcs) == len(s.Entries) {
 		return idx
 	}
-	return s.buildByWrite()
-}
-
-func (s *Set) buildByWrite() *writeIndex {
-	s.byWriteMu.Lock()
-	defer s.byWriteMu.Unlock()
-	if idx := s.byWrite.Load(); idx != nil && idx.entries == len(s.Entries) {
+	pmcs := s.PMCs()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if idx := s.byWrite.Load(); idx != nil && len(idx.pmcs) == len(pmcs) {
 		return idx
 	}
-	idx := newWriteIndex(s.sortedPMCs())
+	idx := newWriteIndex(pmcs)
 	s.byWrite.Store(idx)
 	return idx
 }
@@ -215,7 +227,7 @@ func newWriteIndex(pmcs []PMC) *writeIndex {
 			writes++
 		}
 	}
-	idx := &writeIndex{entries: len(pmcs), pmcs: pmcs, reads: make([]int32, len(pmcs)),
+	idx := &writeIndex{pmcs: pmcs, reads: make([]int32, len(pmcs)),
 		filter: make([]uint64, 1<<bits.Len(uint(len(pmcs)/4)))}
 	slots := bits.Len(uint(2 * writes)) // log2 of a table 2–4 times the keys
 	idx.spans, idx.shift = make([]span, 1<<slots), uint(64-slots)
@@ -261,7 +273,9 @@ func NewSet() *Set { return &Set{Entries: make(map[PMC]*Entry)} }
 // SetOf returns the set of ps, which are distinct, for lookup (ByWriteRead,
 // ID): its entries record no pairs. They share one allocation, so a set
 // built per batch costs nothing per PMC, and ps in canonical order (as
-// Set.PMCs lists them) is indexed as it is, neither copied nor sorted.
+// Set.PMCs lists them) is kept and indexed as it is, neither copied nor
+// sorted. The index is built at once: such a set is an explorer's
+// adoption list, which ByWriteRead reads.
 func SetOf(ps []PMC) *Set {
 	s := &Set{Entries: make(map[PMC]*Entry, len(ps))}
 	es := make([]Entry, len(ps))
@@ -274,6 +288,7 @@ func SetOf(ps []PMC) *Set {
 		sorted = Less(ps[i-1], ps[i])
 	}
 	if sorted {
+		s.order.Store(&ps)
 		s.byWrite.Store(newWriteIndex(ps))
 	}
 	return s

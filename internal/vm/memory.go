@@ -53,12 +53,23 @@ func (r Region) Contains(addr Addr) bool { return addr >= r.Lo && addr < r.Hi }
 // and the pages it has privately materialised since (dirty), so restoring
 // base again — what every trial does — rewinds only those pages and keeps
 // their buffers on a free list for the next trial's copies.
+//
+// A thread's access asks three questions — is it valid, which page holds
+// it, may a write go in place — and the TLB answers all three with one tag
+// compare (tlbPage). An entry caches a page lying wholly inside one valid
+// region, so a hit for an in-page access is valid without the region scan,
+// and the page's owner says whether a write may go in place. A miss takes
+// the region check and the table walk, and pageFor refills the entry.
+// Restore and AddRegion flush the TLB, and newPage's caller replaces the
+// entry of the page it swapped in; Snapshot needs no flush, as it clears
+// the owner of every page it freezes, so a cached write to one misses.
 type Memory struct {
 	root    pageTable
 	regions []Region
 	base    *Snapshot // the table minus dirty equals base's; nil before the first Snapshot/Restore
 	dirty   []uint64  // numbers of the pages this Memory owns
 	free    []*page   // recycled buffers, owner already set
+	tlb     [tlbEntries]tlbEntry
 }
 
 const (
@@ -70,6 +81,18 @@ const (
 	// stays a short slice: one entry per 2 MB, 32k entries at the limit.
 	AddrLimit Addr = 1 << 36
 )
+
+// tlbEntries is the size of a Memory's TLB, direct-mapped by the low bits
+// of the page number: the pages a trial touches fit it with few conflicts,
+// and a flush clears 1 KB.
+const tlbEntries = 64
+
+// tlbEntry caches page number tag-1's page, which lies wholly inside one
+// valid region; tag 0 marks an empty entry.
+type tlbEntry struct {
+	tag uint64
+	p   *page
+}
 
 // leaf maps leafPages adjacent page numbers to their pages, nil for a page
 // nobody has touched.
@@ -166,6 +189,7 @@ func (m *Memory) AddRegion(name string, lo, hi Addr) Region {
 	r := Region{Lo: lo, Hi: hi, Name: name}
 	m.regions = append(m.regions, r)
 	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].Lo < m.regions[j].Lo })
+	m.tlb = [tlbEntries]tlbEntry{}
 	return r
 }
 
@@ -194,21 +218,34 @@ func (m *Memory) newPage(pn uint64) *page {
 	return p
 }
 
+// tlbPage returns the page holding addr when the TLB holds it and the
+// access is of 1 to 8 bytes with room for a whole word before the page's
+// end, so valid; otherwise nil, and the caller takes the checked path.
+func (m *Memory) tlbPage(addr Addr, size int) *page {
+	if e := &m.tlb[(addr>>pageShift)%tlbEntries]; e.tag == addr>>pageShift+1 && addr%PageSize <= PageSize-8 && uint(size-1) < 8 {
+		return e.p
+	}
+	return nil
+}
+
 // pageFor returns the page holding addr, for reading or for writing in
-// place. An untouched page is materialised zeroed either way; a page a
-// snapshot shares is copied before the first write.
+// place, and caches it in the TLB if it lies wholly inside a valid region.
+// An untouched page is materialised zeroed either way; a page a snapshot
+// shares is copied before the first write.
 func (m *Memory) pageFor(addr Addr, forWrite bool) *page {
 	pn := addr >> pageShift
 	p := m.root.get(pn)
-	if p == nil {
+	switch {
+	case p == nil:
 		p = m.newPage(pn)
 		p.data = [PageSize]byte{}
-		return p
-	}
-	if forWrite && p.owner != m {
+	case forWrite && p.owner != m:
 		shared := p
 		p = m.newPage(pn)
 		p.data = shared.data
+	}
+	if e, want := &m.tlb[pn%tlbEntries], (tlbEntry{tag: pn + 1, p: p}); *e != want && m.Valid(pn<<pageShift, PageSize) {
+		*e = want
 	}
 	return p
 }
@@ -232,22 +269,37 @@ func (m *Memory) WriteBytes(addr Addr, b []byte) {
 // Read returns the little-endian value of the size bytes at addr (size 1..8).
 func (m *Memory) Read(addr Addr, size int) uint64 {
 	if off := addr % PageSize; off <= PageSize-8 && uint(size) <= 8 {
-		// Inside one page with room for a whole word: one load, masked.
-		v := binary.LittleEndian.Uint64(m.pageFor(addr, false).data[off:])
-		if size < 8 {
-			v &= 1<<(8*uint(size)) - 1
-		}
-		return v
+		return loadWord(m.pageFor(addr, false), off, size)
 	}
 	var buf [8]byte
 	m.read(addr, buf[:size])
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
+// loadWord reads the size bytes (1..8) at offset off of p, where the page
+// has room for a whole word: one load, masked.
+func loadWord(p *page, off uint64, size int) uint64 {
+	v := binary.LittleEndian.Uint64(p.data[off:])
+	if size < 8 {
+		v &= 1<<(8*uint(size)) - 1
+	}
+	return v
+}
+
+// storeWord writes the low size bytes (1..8) of val at offset off of p,
+// where the page has room for a whole word: one load and one store.
+func storeWord(p *page, off uint64, size int, val uint64) {
+	if size < 8 {
+		mask := uint64(1)<<(8*uint(size)) - 1
+		val = binary.LittleEndian.Uint64(p.data[off:])&^mask | val&mask
+	}
+	binary.LittleEndian.PutUint64(p.data[off:], val)
+}
+
 // Write stores the low size bytes of val at addr, little-endian.
 func (m *Memory) Write(addr Addr, size int, val uint64) {
-	if off := addr % PageSize; off <= PageSize-8 && size == 8 {
-		binary.LittleEndian.PutUint64(m.pageFor(addr, true).data[off:], val)
+	if off := addr % PageSize; off <= PageSize-8 && uint(size-1) < 8 {
+		storeWord(m.pageFor(addr, true), off, size, val)
 		return
 	}
 	var buf [8]byte
@@ -294,4 +346,5 @@ func (m *Memory) Restore(s *Snapshot) {
 	}
 	m.dirty = m.dirty[:0]
 	m.regions = append(m.regions[:0], s.regions...)
+	m.tlb = [tlbEntries]tlbEntry{}
 }

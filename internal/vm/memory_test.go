@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -166,28 +167,14 @@ func TestMemoryEqualsFullCopyModel(t *testing.T) {
 				*model = s.model.clone()
 			}
 			for i, m := range mems {
-				if m.root.n != len(models[i].mapped) {
-					t.Fatalf("seed %d step %d: memory %d has %d pages, the model %d", seed, step, i, m.root.n, len(models[i].mapped))
-				}
+				checkAgainstModel(t, m, &models[i], func() string {
+					return fmt.Sprintf("seed %d step %d: memory %d", seed, step, i)
+				})
 				for w := 0; w < diffWins; w++ {
 					for p := 0; p < diffWinSize/PageSize; p++ {
 						base := diffWinBase(w) + uint64(p*PageSize)
-						if !models[i].mapped[base/PageSize] {
-							continue
-						}
-						want := models[i].data[w][p*PageSize : (p+1)*PageSize]
-						got := make([]byte, PageSize)
-						m.read(base, got)
-						if !bytes.Equal(got, want) {
-							at := 0
-							for got[at] == want[at] {
-								at++
-							}
-							t.Fatalf("seed %d step %d: memory %d differs from the model at %#x: %#x, want %#x",
-								seed, step, i, base+uint64(at), got[at], want[at])
-						}
-						// A scalar read across the border to the next page.
-						if p+1 < diffWinSize/PageSize && models[i].mapped[base/PageSize+1] {
+						// A scalar read across the border between two materialised pages.
+						if p+1 < diffWinSize/PageSize && models[i].mapped[base/PageSize] && models[i].mapped[base/PageSize+1] {
 							off := (p+1)*PageSize - 3
 							want := binary.LittleEndian.Uint64(models[i].data[w][off:])
 							if got := m.Read(diffWinBase(w)+uint64(off), 8); got != want {
@@ -215,6 +202,286 @@ func TestMemoryEqualsFullCopyModel(t *testing.T) {
 			pageStraddles == leafStraddles || leafStraddles == 0 || coldReads == 0 {
 			t.Fatalf("seed %d: program missed a case: %d base, %d older and %d foreign restores, %d snapshots over dirty pages, %d straddling writes of which %d between leaves, %d reads of untouched pages",
 				seed, restoredBase, restoredOlder, restoredForeign, snapDirty, pageStraddles, leafStraddles, coldReads)
+		}
+	}
+}
+
+// The windows of the thread-level differential test, on the same bases:
+// window 0 is one region of whole pages, window 1's region ends 100 bytes
+// into its last page, and window 2's region is declared only while the
+// program runs (AddRegion), so a Restore can take it away again.
+var tlbWinEnd = [diffWins]int{diffWinSize, 2*PageSize + 100, diffWinSize}
+
+const tlbLate = 2 // the window AddRegion declares
+
+// tlbModel is the full-copy model of a machine's memory as its threads see
+// it: window contents, the materialised pages, and whether the late
+// window's region is declared.
+type tlbModel struct {
+	modelMem
+	late bool
+}
+
+func (m *tlbModel) clone() tlbModel { return tlbModel{m.modelMem.clone(), m.late} }
+
+type tlbSnap struct {
+	real  *Snapshot
+	model tlbModel
+	by    int // the machine that took it
+}
+
+// end is the end offset of window w's valid bytes.
+func (m *tlbModel) end(w int) int {
+	if w == tlbLate && !m.late {
+		return 0
+	}
+	return tlbWinEnd[w]
+}
+
+// tlbAccess is one planned thread access and what the model expects of it.
+type tlbAccess struct {
+	op        int // 0 Load, 1 Store, 2 LoadMarked, 3 StoreMarked, 4 Lock, 5 Unlock
+	addr      Addr
+	size      int
+	val       uint64 // the value stored, or the value a load must return
+	held      bool   // the TLB held the access's page when it ran
+	sharedHit bool   // ... and that page was shared, so a write to it was its first
+}
+
+// TestThreadAccessEqualsFullCopyModel drives the thread-level accesses —
+// Load, Store, their marked forms, and Lock/Unlock's read and write, the
+// paths the TLB answers — on two machines that share one pool of
+// snapshots, through a seeded random program that also takes Snapshots,
+// restores the base snapshot, an older one and one the other machine
+// took, and declares a region with AddRegion, and after every step
+// compares both memories with a model that copies everything. Every load
+// must return the model's bytes, and every invalid access must fault with
+// the console line the kernel prints for it: a NULL dereference, a bad
+// size, and a page fault — past the end of a region that ends mid-page,
+// and across the end of a region from a page the TLB holds.
+func TestThreadAccessEqualsFullCopyModel(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		machines := [2]*Machine{newTestMachine(), newTestMachine()}
+		models := [2]tlbModel{{modelMem: modelMem{mapped: map[uint64]bool{}}}, {modelMem: modelMem{mapped: map[uint64]bool{}}}}
+		for _, m := range machines {
+			defer m.Close()
+			for w := 0; w < tlbLate; w++ {
+				m.Mem.AddRegion("win", diffWinBase(w), diffWinBase(w)+uint64(tlbWinEnd[w]))
+			}
+		}
+		snaps := []tlbSnap{{machines[0].Mem.Snapshot(), models[0].clone(), 0}}
+		machines[1].Mem.Restore(snaps[0].real)
+
+		var hits, nullFaults, sizeFaults, midPageFaults, heldPastEnd, sharedWrites, added int
+		var restoredBase, restoredOlder, restoredForeign int
+		for step := 0; step < 1500; step++ {
+			who := rng.Intn(2)
+			m, model := machines[who], &models[who]
+			switch op := rng.Intn(20); {
+			case op < 14: // a thread runs a few accesses
+				plan, fault := planTLBAccesses(rng, model)
+				var got []uint64
+				m.ResetRuntime()
+				err := runOne(m, func(th *Thread) {
+					for i := range plan {
+						a := &plan[i]
+						var p *page
+						if e := th.m.Mem.tlb[(a.addr>>pageShift)%tlbEntries]; e.tag == a.addr>>pageShift+1 {
+							p = e.p
+							hits++
+						}
+						a.held = p != nil
+						a.sharedHit = p != nil && p.owner == nil
+						switch a.op {
+						case 0:
+							got = append(got, th.Load(insT, a.addr, a.size))
+						case 1:
+							th.Store(insT, a.addr, a.size, a.val)
+						case 2:
+							got = append(got, th.LoadMarked(insT, a.addr, a.size))
+						case 3:
+							th.StoreMarked(insT, a.addr, a.size, a.val)
+						case 4:
+							th.Lock(insT, a.addr)
+						case 5:
+							th.Unlock(insT, a.addr)
+						}
+					}
+				})
+				if err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				loads := 0
+				for _, a := range plan {
+					if a.op == 0 || a.op == 2 {
+						if loads >= len(got) {
+							break
+						}
+						if got[loads] != a.val {
+							t.Fatalf("seed %d step %d: machine %d load of %d bytes at %#x: %#x, want %#x", seed, step, who, a.size, a.addr, got[loads], a.val)
+						}
+						loads++
+					}
+					if (a.op == 1 || a.op == 3 || a.op == 4) && a.sharedHit {
+						sharedWrites++
+					}
+				}
+				if faults := m.Faults(); fault == "" && len(faults) > 0 {
+					t.Fatalf("seed %d step %d: machine %d faulted: %q", seed, step, who, faults)
+				} else if fault != "" {
+					if len(faults) != 1 || m.Console.Lines()[0] != fault {
+						t.Fatalf("seed %d step %d: machine %d printed %q, want %q", seed, step, who, m.Console.Lines(), fault)
+					}
+					last := plan[len(plan)-1]
+					switch {
+					case last.addr < PageSize:
+						nullFaults++
+					case last.size < 1 || last.size > 8:
+						sizeFaults++
+					case last.held:
+						heldPastEnd++
+					case last.addr/PageSize == (diffWinBase(1)+uint64(tlbWinEnd[1]))/PageSize:
+						midPageFaults++
+					}
+				}
+			case op < 16: // Snapshot
+				snaps = append(snaps, tlbSnap{m.Mem.Snapshot(), model.clone(), who})
+			case op < 19: // Restore
+				s := snaps[rng.Intn(len(snaps))]
+				if rng.Intn(2) == 0 {
+					for _, c := range snaps {
+						if c.real == m.Mem.base {
+							s = c
+						}
+					}
+				}
+				switch {
+				case s.real == m.Mem.base:
+					restoredBase++
+				case s.by != who:
+					restoredForeign++
+				default:
+					restoredOlder++
+				}
+				m.Mem.Restore(s.real)
+				*model = s.model.clone()
+			default: // AddRegion
+				if !model.late {
+					m.Mem.AddRegion("late", diffWinBase(tlbLate), diffWinBase(tlbLate)+diffWinSize)
+					model.late = true
+					added++
+				}
+			}
+			for i, m := range machines {
+				checkAgainstModel(t, m.Mem, &models[i].modelMem, func() string {
+					return fmt.Sprintf("seed %d step %d: machine %d", seed, step, i)
+				})
+			}
+		}
+		if hits == 0 || nullFaults == 0 || sizeFaults == 0 || midPageFaults == 0 || heldPastEnd == 0 || sharedWrites == 0 ||
+			added == 0 || restoredBase == 0 || restoredOlder == 0 || restoredForeign == 0 {
+			t.Fatalf("seed %d: program missed a case: %d TLB hits, %d NULL, %d size, %d mid-page and %d held-page faults, %d first writes to a held shared page, %d AddRegions, %d base, %d older and %d foreign restores",
+				seed, hits, nullFaults, sizeFaults, midPageFaults, heldPastEnd, sharedWrites, added, restoredBase, restoredOlder, restoredForeign)
+		}
+	}
+}
+
+// planTLBAccesses plans one thread's accesses against model, applying
+// them to it, up to and including the first invalid one, whose console
+// line it returns ("" if every access is valid). Addresses lean towards
+// page borders and region ends.
+func planTLBAccesses(rng *rand.Rand, model *tlbModel) (plan []tlbAccess, fault string) {
+	for n := rng.Intn(6) + 1; len(plan) < n; {
+		w := rng.Intn(diffWins)
+		size := rng.Intn(8) + 1
+		var off int
+		switch rng.Intn(5) {
+		case 0:
+			off = (rng.Intn(3)+1)*PageSize - rng.Intn(12)
+		case 1:
+			off = tlbWinEnd[w] - rng.Intn(12)
+		default:
+			off = rng.Intn(diffWinSize - 8)
+		}
+		addr := diffWinBase(w) + uint64(off)
+		switch rng.Intn(40) {
+		case 0:
+			addr = uint64(rng.Intn(PageSize))
+		case 1:
+			size = 9 * rng.Intn(2)
+		}
+		op := rng.Intn(6)
+		if op >= 4 {
+			op, size = 4, 8
+		}
+		valid := addr >= PageSize && size >= 1 && size <= 8 && off+size <= model.end(w)
+		if !valid {
+			plan = append(plan, tlbAccess{op: op, addr: addr, size: size})
+			switch {
+			case size < 1 || size > 8:
+				fault = fmt.Sprintf("BUG: invalid access size %d at %#x", size, addr)
+			case addr < PageSize:
+				fault = fmt.Sprintf("BUG: kernel NULL pointer dereference, address: %#016x", addr)
+			default:
+				fault = fmt.Sprintf("BUG: unable to handle page fault for address: %#016x", addr)
+			}
+			return plan, fault
+		}
+		word := func() []byte { return model.data[w][off : off+size] }
+		model.touch(w, off, size)
+		load := func(op int) {
+			var buf [8]byte
+			copy(buf[:], word())
+			plan = append(plan, tlbAccess{op: op, addr: addr, size: size, val: binary.LittleEndian.Uint64(buf[:])})
+		}
+		store := func(op int, val uint64) {
+			plan = append(plan, tlbAccess{op: op, addr: addr, size: size, val: val})
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], val)
+			copy(word(), buf[:size])
+		}
+		switch op {
+		case 0, 2:
+			load(op)
+		case 1, 3:
+			store(op, rng.Uint64())
+		case 4: // a lock cycle on a word cleared first if it is not free
+			if binary.LittleEndian.Uint64(word()) != 0 {
+				store(1, 0)
+			}
+			plan = append(plan, tlbAccess{op: 4, addr: addr, size: 8})
+			binary.LittleEndian.PutUint64(word(), 1) // thread 0 holds it
+			load(0)
+			plan = append(plan, tlbAccess{op: 5, addr: addr, size: 8})
+			binary.LittleEndian.PutUint64(word(), 0)
+		}
+	}
+	return plan, ""
+}
+
+// checkAgainstModel compares every page model says is materialised with
+// mem, byte for byte, and the page counts; where names the comparison.
+func checkAgainstModel(t *testing.T, mem *Memory, model *modelMem, where func() string) {
+	t.Helper()
+	if mem.root.n != len(model.mapped) {
+		t.Fatalf("%s: %d pages, the model %d", where(), mem.root.n, len(model.mapped))
+	}
+	got := make([]byte, PageSize)
+	for w := 0; w < diffWins; w++ {
+		for p := 0; p < diffWinSize/PageSize; p++ {
+			base := diffWinBase(w) + uint64(p*PageSize)
+			if !model.mapped[base/PageSize] {
+				continue
+			}
+			mem.read(base, got)
+			if want := model.data[w][p*PageSize : (p+1)*PageSize]; !bytes.Equal(got, want) {
+				at := 0
+				for got[at] == want[at] {
+					at++
+				}
+				t.Fatalf("%s differs from the model at %#x: %#x, want %#x", where(), base+uint64(at), got[at], want[at])
+			}
 		}
 	}
 }
@@ -311,5 +578,64 @@ func TestRestoreAllocBudget(t *testing.T) {
 	}
 	if m.Mem.root.n != pages {
 		t.Fatal("reading snapshot pages materialised new ones")
+	}
+}
+
+// BenchmarkGuestAccess times one guest access through Thread.Load and
+// Store, with no trace and a scheduler that never preempts, and reports
+// it as ns/access: a TLB hit (loads and stores in turn over 16 pages the
+// TLB holds), a miss (loads from two pages that share a TLB entry, in
+// turn, so each one checks its range, walks the table and refills the
+// entry), and a first write to a page a snapshot shares (256 pages in
+// turn, the snapshot restored before each round of 256, which the time
+// includes).
+func BenchmarkGuestAccess(b *testing.B) {
+	const pages = testRegionSize / PageSize
+	m := newTestMachine()
+	defer m.Close()
+	for p := uint64(0); p < pages; p++ {
+		m.Mem.Write(testRegionBase+p*PageSize, 8, p)
+	}
+	snap := m.Mem.Snapshot()
+	for _, c := range []struct {
+		name   string
+		access func(th *Thread, i int)
+	}{
+		{"hit", func(th *Thread, i int) {
+			addr := testRegionBase + uint64(i%16)*PageSize + uint64(i%64)*8
+			if i&1 == 0 {
+				th.Load(insT, addr, 8)
+			} else {
+				th.Store(insT, addr, 8, uint64(i))
+			}
+		}},
+		{"miss", func(th *Thread, i int) {
+			th.Load(insT, testRegionBase+uint64(i&1)*tlbEntries*PageSize, 8)
+		}},
+		{"cow", func(th *Thread, i int) {
+			if i%pages == 0 {
+				th.m.Mem.Restore(snap)
+			}
+			th.Store(insT, testRegionBase+uint64(i%pages)*PageSize, 8, uint64(i))
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m.Mem.Restore(snap)
+			m.ResetRuntime()
+			m.Spawn("t0", testStackBase, func(th *Thread) {
+				for i := 0; i < pages; i++ { // warm: fills the TLB and the free list
+					c.access(th, i)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.access(th, i)
+				}
+				b.StopTimer()
+			})
+			if err := m.Run(SeqScheduler{}, pages+b.N+2); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/access")
+		})
 	}
 }

@@ -107,6 +107,31 @@ func (t *Thread) checkRange(addr Addr, size int) {
 	}
 }
 
+// load reads the size bytes at addr. A TLB hit answers validity and
+// translation at once; a miss checks the range, faulting as the kernel
+// would, and reads through the page table, which refills the entry.
+func (t *Thread) load(addr Addr, size int) uint64 {
+	mem := t.m.Mem
+	if p := mem.tlbPage(addr, size); p != nil {
+		return loadWord(p, addr%PageSize, size)
+	}
+	t.checkRange(addr, size)
+	return mem.Read(addr, size)
+}
+
+// store writes the low size bytes of val at addr: in place on a TLB hit
+// for a page this memory owns, otherwise checked, and through the page
+// table, which copies a shared page first and refills the entry.
+func (t *Thread) store(addr Addr, size int, val uint64) {
+	mem := t.m.Mem
+	if p := mem.tlbPage(addr, size); p != nil && p.owner == mem {
+		storeWord(p, addr%PageSize, size, val)
+		return
+	}
+	t.checkRange(addr, size)
+	mem.Write(addr, size, val)
+}
+
 // record is the access hot path. It appends one row to the trace (zero
 // allocations once the block is warm), counts the access against the run's
 // step budget, and consults the scheduler's AccessSink if it has one and
@@ -163,16 +188,14 @@ func (t *Thread) record(ins trace.Ins, addr Addr, size int, val uint64, flags tr
 // Load reads size bytes at addr as a little-endian value and reports the
 // access (with its instruction identity) to the tracer and scheduler.
 func (t *Thread) Load(ins trace.Ins, addr Addr, size int) uint64 {
-	t.checkRange(addr, size)
-	v := t.m.Mem.Read(addr, size)
+	v := t.load(addr, size)
 	t.record(ins, addr, size, v, 0)
 	return v
 }
 
 // Store writes the low size bytes of val at addr.
 func (t *Thread) Store(ins trace.Ins, addr Addr, size int, val uint64) {
-	t.checkRange(addr, size)
-	t.m.Mem.Write(addr, size, val)
+	t.store(addr, size, val)
 	t.record(ins, addr, size, val, trace.MetaWrite)
 }
 
@@ -180,16 +203,14 @@ func (t *Thread) Store(ins trace.Ins, addr Addr, size int, val uint64) {
 // part in PMC analysis like any plain access, but the race detector treats
 // a pair of marked accesses as intentionally concurrent, mirroring KCSAN.
 func (t *Thread) LoadMarked(ins trace.Ins, addr Addr, size int) uint64 {
-	t.checkRange(addr, size)
-	v := t.m.Mem.Read(addr, size)
+	v := t.load(addr, size)
 	t.record(ins, addr, size, v, trace.MetaMarked)
 	return v
 }
 
 // StoreMarked is an annotated store (WRITE_ONCE / rcu_assign_pointer).
 func (t *Thread) StoreMarked(ins trace.Ins, addr Addr, size int, val uint64) {
-	t.checkRange(addr, size)
-	t.m.Mem.Write(addr, size, val)
+	t.store(addr, size, val)
 	t.record(ins, addr, size, val, trace.MetaWrite|trace.MetaMarked)
 }
 
@@ -241,9 +262,8 @@ func (t *Thread) Lock(ins trace.Ins, addr Addr) {
 		t.Fault("BUG: recursive lock at %#x (%s)", addr, ins.Name())
 	}
 	for {
-		t.checkRange(addr, 8)
-		if t.m.Mem.Read(addr, 8) == 0 {
-			t.m.Mem.Write(addr, 8, uint64(t.ID)+1)
+		if t.load(addr, 8) == 0 {
+			t.store(addr, 8, uint64(t.ID)+1)
 			t.cpu.held = append(t.cpu.held, addr)
 			t.record(ins, addr, 8, uint64(t.ID)+1, trace.MetaWrite|trace.MetaAtomic)
 			return
@@ -260,7 +280,7 @@ func (t *Thread) Unlock(ins trace.Ins, addr Addr) {
 	if !t.HoldsLock(addr) {
 		t.Fault("BUG: unlock of lock %#x not held (%s)", addr, ins.Name())
 	}
-	t.m.Mem.Write(addr, 8, 0)
+	t.store(addr, 8, 0)
 	t.dropLock(addr)
 	t.m.wakeLockWaiters(addr)
 	t.record(ins, addr, 8, 0, trace.MetaWrite|trace.MetaAtomic)
