@@ -12,14 +12,15 @@
 //
 // Every listener serves one named queue per campaign and no default one,
 // so -queue is required: it names the campaign to drain ("campaign.<id>",
-// as `snowboard -listen` logs it once its jobs are pushed and GET
-// /campaigns on sbd lists ids). A queue the listener does not hold — a typo, or a campaign
-// that has not pushed its jobs yet — exits 1 naming it. Every job carries
-// both of its programs, its campaign's kernel version and trial budget, so
-// the worker needs nothing but the address to explore it exactly as the
-// coordinator would: the coordinator folds this worker's results into the
-// report it would have produced alone. A job of a kernel version the
-// worker has not seen yet boots that kernel on first use.
+// as `snowboard -listen` logs it and GET /campaigns on sbd lists ids); it
+// exists from the campaign's admission, and a worker that joins before the
+// first batch waits up to -idle-exit. A queue the listener does not hold
+// — a typo — exits 1 naming it. Every job carries both of its programs,
+// its campaign's kernel version and trial budget, so the worker needs
+// nothing but the address to explore it exactly as the coordinator would:
+// the coordinator folds this worker's results into the report it would
+// have produced alone. A job of a kernel version the worker has not seen
+// yet boots that kernel on first use.
 //
 // Delivery is at-least-once: each explorer goroutine leases a job in one
 // round trip and settles it in one more — its outcome recorded and its
@@ -94,8 +95,7 @@ func main() {
 	nw := par.Workers(*workers)
 	var jobs atomic.Int64
 	var wg sync.WaitGroup
-	errs := make([]error, nw)
-	for i := range errs {
+	for range nw {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -103,18 +103,16 @@ func main() {
 			defer w.Close()
 			n, err := w.Join(client, 1, *idleExit)
 			jobs.Add(int64(n))
-			if errs[i] = err; err != nil && !errors.Is(err, queue.ErrUnknownQueue) {
+			switch {
+			case errors.Is(err, queue.ErrUnknownQueue): // a typo: a campaign's queue exists from admission
+				log.Fatalf("%v on %s: check -queue", err, *addr)
+			case err != nil:
 				diag.Printf("lease: %v — worker goroutine exiting", err)
 			}
 		}()
 	}
 	wg.Wait()
 	diag.Printf("all %d explorer goroutines done, processed %d jobs", nw, jobs.Load())
-	for _, err := range errs {
-		if errors.Is(err, queue.ErrUnknownQueue) {
-			log.Fatalf("%v on %s: check -queue, and join once the campaign has pushed its jobs", err, *addr)
-		}
-	}
 }
 
 func hostDefault() string {

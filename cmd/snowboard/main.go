@@ -29,15 +29,15 @@
 // cheap look at what the analysis sees before spending execution budget.
 //
 // With -listen, snowboard coordinates a distributed run (§4.4.1): the
-// spec runs as one campaign — the core.Campaign sbd hosts — and once its
-// first batch is pushed, its queue is served on the address. The log line
-// names the command that joins it, `sbexec -addr <addr> -queue
-// campaign.<id>`; a job carries everything its outcome depends on, and the
-// campaign's own executor drains the queue beside any joined workers, so
-// the report is the one snowboard prints without -listen. Delivery is
-// at-least-once (a 30s lease, 3 attempts, then the job is dead-lettered
-// and listed). Once the campaign folds, its queue is closed and served a
-// moment longer, so a joined worker is told so and exits 0. With -state,
+// spec runs as one campaign — the core.Campaign sbd hosts — whose queue
+// is served on the address from the start. The log line names the
+// command that joins it, `sbexec -addr <addr> -queue campaign.<id>`; a job
+// carries everything its outcome depends on, and the campaign's own
+// executor drains the queue beside any joined workers, so the report is
+// the one snowboard prints without -listen. Delivery is at-least-once (a
+// 30s lease, 3 attempts, then the job is dead-lettered and listed). Once
+// the campaign folds (at once on a memoized rerun), its queue is closed
+// and served queueDrain longer, so a joined worker exits 0. With -state,
 // the campaign's report is memoized there too, and `sbd -state` on the
 // same directory lists it. The text summary is the delivery accounting
 // and the issue table -v prints. -listen runs one method's campaign: it
@@ -148,7 +148,7 @@ func main() {
 		var r *snowboard.Report
 		if r, err = snowboard.Run(opts); err == nil {
 			if *jsonOut {
-				printJSON(r)
+				printJSON(wrapJSON(r))
 			} else {
 				printReport(r, *stateDir, *verbose)
 			}
@@ -172,8 +172,8 @@ func fail(err error) {
 }
 
 // coordinate runs spec as one campaign on a registry with the queue
-// defaults, serves the campaign's queue on addr once its first batch is
-// pushed, and prints the finished report: JSON, or the delivery summary.
+// defaults, serves the campaign's queue on addr from admission, and
+// prints the finished report: JSON, or the delivery summary.
 func coordinate(spec core.CampaignSpec, stateDir, addr string, jsonOut bool) error {
 	reg := queue.NewRegistry(queue.Options{})
 	defer reg.Close()
@@ -181,34 +181,24 @@ func coordinate(spec core.CampaignSpec, stateDir, addr string, jsonOut bool) err
 	if err != nil {
 		return err
 	}
-	// A campaign that finishes first (a memoized rerun, or no tests)
-	// serves nothing.
-	st := c.Status()
-	for st.Expected == 0 && !finished(st) {
-		time.Sleep(10 * time.Millisecond)
-		st = c.Status()
+	srv, err := queue.ServeRegistry(reg, addr, queue.ServerOptions{})
+	if err != nil {
+		return err
 	}
-	if !finished(st) {
-		srv, err := queue.ServeRegistry(reg, addr, queue.ServerOptions{})
-		if err != nil {
-			return err
-		}
-		// The campaign closes its queue when it folds. Serving on for a
-		// few join polls lets a joined worker's next lease read ErrClosed
-		// and exit 0; a closed listener would have it redial with backoff.
-		defer func() {
-			time.Sleep(queueDrain)
-			srv.Close()
-		}()
-		obs.Diag.Printf("%d jobs; queue listening on %s — join with: sbexec -addr %s -queue %s",
-			st.Expected, srv.Addr(), srv.Addr(), c.QueueName())
-	}
+	// The campaign closes its queue when it finishes. Serving on for a few
+	// join polls lets a joined worker's next lease read ErrClosed and exit
+	// 0; a closed listener would have it redial with backoff.
+	defer func() {
+		time.Sleep(queueDrain)
+		srv.Close()
+	}()
+	obs.Diag.Printf("queue listening on %s — join with: sbexec -addr %s -queue %s", srv.Addr(), srv.Addr(), c.QueueName())
 	r, err := c.Wait()
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		printJSON(r)
+		printJSON(wrapJSON(r))
 	} else {
 		printDelivery(r, reg.Get(c.QueueName()))
 	}
@@ -219,34 +209,24 @@ func coordinate(spec core.CampaignSpec, stateDir, addr string, jsonOut bool) err
 // queue once the report is printed.
 const queueDrain = 5 * core.JoinPoll
 
-// finished reports whether the campaign has stopped running.
-func finished(st core.CampaignStatus) bool {
-	return st.State == core.CampaignDone || st.State == core.CampaignFailed
-}
-
 // printDelivery renders a coordinated campaign's summary: the delivery
 // accounting, then the issue table as -v prints it (Table 2 id, test
 // index, trial, minimized bundle), then any dead-lettered jobs. q is the
-// campaign's queue, nil when the campaign pushed nothing; a report that
-// pushed no batch has no Distributed and counts zero jobs.
+// campaign's queue; a report that pushed no batch has no Distributed and
+// counts zero jobs.
 func printDelivery(r *snowboard.Report, q *queue.Queue) {
-	sum, redelivered := r.Distributed, 0
+	sum := r.Distributed
 	if sum == nil {
 		sum = &core.DistSummary{}
 	}
-	if q != nil {
-		redelivered = q.Stats().Redelivered
-	}
 	fmt.Printf("%d/%d jobs reported (%d redeliveries, %d duplicate reports folded), %d exercised their PMC channel\n",
-		sum.Reported, sum.Expected, redelivered, sum.Duplicates, sum.Exercised)
+		sum.Reported, sum.Expected, q.Stats().Redelivered, sum.Duplicates, sum.Exercised)
 	fmt.Printf("issues found (Table 2 numbers): %v\n", r.BugIDs())
 	fmt.Print(r.IssueTable())
 	if len(sum.DeadJobs) > 0 {
 		fmt.Printf("dead-lettered jobs after %d attempts: %v\n", queue.DefaultMaxAttempts, sum.DeadJobs)
-		if q != nil {
-			for _, d := range q.DeadLetters() {
-				obs.Diag.Printf("dead job %d (%d attempts): %s", d.Job.ID, d.Attempts, d.Reason)
-			}
+		for _, d := range q.DeadLetters() {
+			obs.Diag.Printf("dead job %d (%d attempts): %s", d.Job.ID, d.Attempts, d.Reason)
 		}
 	}
 }
@@ -264,10 +244,11 @@ func wrapJSON(r *snowboard.Report) jsonReport {
 	return jsonReport{Report: r, BugIDs: r.BugIDs(), Accuracy: r.Accuracy(), ExecPerMin: r.ExecPerMin()}
 }
 
-func printJSON(r *snowboard.Report) {
+// printJSON writes v, a jsonReport or several, to stdout.
+func printJSON(v any) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(wrapJSON(r)); err != nil {
+	if err := enc.Encode(v); err != nil {
 		fmt.Fprintf(os.Stderr, "snowboard: encoding report: %v\n", err)
 		os.Exit(1)
 	}
@@ -340,12 +321,7 @@ func runComparison(spec core.CampaignSpec, stateDir string, verbose, jsonOut boo
 		}
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(reports); err != nil {
-			fmt.Fprintf(os.Stderr, "snowboard: encoding reports: %v\n", err)
-			os.Exit(1)
-		}
+		printJSON(reports)
 	}
 }
 
@@ -368,7 +344,7 @@ func runProfile(opts snowboard.Options, verbose, jsonOut bool) error {
 	}
 	p.IdentifyPMCs(r)
 	if jsonOut {
-		printJSON(r)
+		printJSON(wrapJSON(r))
 		return nil
 	}
 

@@ -45,13 +45,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for st := c.Status(); st.Expected == 0 && st.State != core.CampaignFailed; st = c.Status() {
-		time.Sleep(5 * time.Millisecond)
-	}
 
 	// Fleet: three workers over TCP, each with a private simulated kernel.
-	// The campaign closes its queue once every job has settled, and each
-	// worker stops there.
+	// The campaign's queue exists from admission, so they join at once and
+	// wait for the first batch. The campaign closes its queue once every
+	// job has settled, and each worker stops there.
 	var wg sync.WaitGroup
 	var settled atomic.Int64
 	for w := 0; w < 3; w++ {

@@ -217,9 +217,9 @@ func (t *TurnScheduler) Release() {
 // CampaignEnv is the shared control-plane context a campaign runs in: the
 // artifact store root (durability), the multi-queue registry, and the fair
 // turn scheduler. One env is shared by every campaign on a server. A
-// campaign's executors — its pipeline's Workers, one per worker env —
-// lease its queue in-process; workers on other machines join it through
-// whatever listener serves the registry.
+// campaign's queue lives in Registry from admission to finish; its
+// executors — its pipeline's Workers, one per worker env — lease it
+// in-process, and workers elsewhere join it through the registry's listener.
 type CampaignEnv struct {
 	StateDir string          // artifact store root ("" = memory only, no resume)
 	Registry *queue.Registry // named per-campaign queues (required)
@@ -264,7 +264,8 @@ type Campaign struct {
 
 	env      CampaignEnv
 	manifest []byte
-	started  time.Time // submission: the base of the live exec_per_min
+	started  time.Time    // submission: the base of the live exec_per_min
+	q        *queue.Queue // opened at admission, closed when the campaign finishes
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -273,7 +274,6 @@ type Campaign struct {
 	err    error
 	report *Report
 
-	expected  atomic.Int64 // jobs pushed for execution
 	executed  atomic.Int64 // jobs this campaign's executor settled
 	exercised atomic.Int64
 
@@ -298,11 +298,11 @@ type CampaignStatus struct {
 }
 
 // StartCampaign validates, registers, and launches a campaign in env; the
-// returned handle is live immediately. With a state dir, the manifest is
-// persisted as a KindCampaign artifact so a restarted server can
-// re-enumerate and resume every submission, and the finished report is
-// memoized so a completed campaign resumes byte-identically without
-// re-executing.
+// returned handle and its queue (QueueName) are live immediately. With a
+// state dir, the manifest is persisted as a KindCampaign artifact so a
+// restarted server can re-enumerate and resume every submission, and the
+// finished report is memoized so a completed campaign resumes
+// byte-identically without re-executing.
 func StartCampaign(spec CampaignSpec, env CampaignEnv) (*Campaign, error) {
 	if env.Registry == nil {
 		return nil, errors.New("campaign: env.Registry is required")
@@ -334,6 +334,7 @@ func StartCampaign(spec CampaignSpec, env CampaignEnv) (*Campaign, error) {
 		done:     make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	c.q = env.Registry.Open(c.QueueName())
 	go c.run()
 	return c, nil
 }
@@ -418,14 +419,16 @@ func (c *Campaign) Status() CampaignStatus {
 	c.mu.Lock()
 	state, err, r := c.state, c.err, c.report
 	c.mu.Unlock()
+	qs := c.q.Stats()
 	st := CampaignStatus{
-		ID:        c.ID,
-		Name:      c.Spec.Name,
-		Trace:     c.Trace,
-		State:     state,
-		Expected:  c.expected.Load(),
-		Executed:  c.executed.Load(),
-		Exercised: c.exercised.Load(),
+		ID:         c.ID,
+		Name:       c.Spec.Name,
+		Trace:      c.Trace,
+		State:      state,
+		Expected:   int64(qs.Pending + qs.Leased + qs.Done + qs.DeadLettered), // every job pushed
+		Executed:   c.executed.Load(),
+		Exercised:  c.exercised.Load(),
+		QueueDepth: int64(qs.Pending),
 	}
 	if r != nil {
 		if st.Distributed = r.Distributed; r.Distributed != nil {
@@ -437,21 +440,10 @@ func (c *Campaign) Status() CampaignStatus {
 	} else {
 		st.ExecPerMin = float64(st.Executed) / time.Since(c.started).Minutes()
 	}
-	if q := c.env.Registry.Get(c.QueueName()); q != nil {
-		st.QueueDepth = int64(q.Stats().Pending)
-	}
 	if err != nil {
 		st.Error = err.Error()
 	}
 	return st
-}
-
-func (c *Campaign) setState(s string) {
-	c.mu.Lock()
-	if !c.paused || s == CampaignDone || s == CampaignFailed {
-		c.state = s
-	}
-	c.mu.Unlock()
 }
 
 func (c *Campaign) finish(r *Report, err error) {
@@ -485,11 +477,17 @@ func (c *Campaign) reportKey() store.Digest {
 	return store.Key(campaignKeyPrefix, "report-v4", string(c.manifest))
 }
 
-// run is the campaign goroutine.
+// run is the campaign goroutine; its queue closes on every path before finish.
 func (c *Campaign) run() {
-	c.gate()
-	c.setState(CampaignRunning)
-	c.finish(c.execute())
+	c.mu.Lock()
+	for c.paused {
+		c.cond.Wait()
+	}
+	c.state = CampaignRunning
+	c.mu.Unlock()
+	r, err := c.execute()
+	c.q.Close()
+	c.finish(r, err)
 }
 
 // execute runs the stage sequence Run runs (runStages: the corpus
@@ -523,9 +521,8 @@ func (c *Campaign) execute() (*Report, error) {
 
 	r := p.NewReport()
 	p.BuildCorpus(r)
-	// The queue opens with the first batch and stays open across batches,
-	// so a joined worker stays joined through feedback rounds; p.Close
-	// closes it. Starting the campaign again opens a fresh queue.
+	// Every batch goes through the campaign's one queue, so a joined
+	// worker stays joined through feedback rounds.
 	p.camp = c
 	if err := p.runStages(r, c.gate); err != nil {
 		return nil, fmt.Errorf("campaign %s: %w", c.ID, err)

@@ -92,11 +92,8 @@ func (p *Pipeline) runBatch(r *Report, tests []sched.ConcurrentTest) error {
 		return err
 	}
 	c := p.camp
-	if c != nil {
-		c.expected.Add(int64(len(tests)))
-		if c.env.ExecGate != nil {
-			<-c.env.ExecGate
-		}
+	if c != nil && c.env.ExecGate != nil {
+		<-c.env.ExecGate
 	}
 	if err := p.drain(r, tests, q, ws); err != nil {
 		return err
@@ -116,14 +113,14 @@ func (p *Pipeline) runBatch(r *Report, tests []sched.ConcurrentTest) error {
 	return nil
 }
 
-// executors are the pipeline's queue — its campaign's, or its own — and
-// its Workers, one per worker env exploring with Options.Detect: made with
-// the first batch, closed by Close.
+// executors are the pipeline's queue — its campaign's, open since
+// admission, or its own — and its Workers, one per worker env exploring
+// with Options.Detect: made with the first batch, closed by Close.
 func (p *Pipeline) executors() (*queue.Queue, []*Worker) {
 	if p.q == nil {
 		name := "local"
 		if c := p.camp; c != nil {
-			p.q, name = c.env.Registry.Open(c.QueueName()), "sbd/"+c.ID
+			p.q, name = c.q, "sbd/"+c.ID
 		} else {
 			p.q = queue.NewWithOptions(queue.Options{Name: name})
 		}
@@ -138,9 +135,9 @@ func (p *Pipeline) executors() (*queue.Queue, []*Worker) {
 
 // drain is the one in-process lease → Do → fold loop: each Worker, on a
 // goroutine of its own, runs turns (Worker.Do) while a job is pending and
-// waits while one is leased elsewhere, folding what has settled after
-// each (FoldSettled, one at a time) until a fold fails or q has settled.
-// A campaign adds its pause gate, fair turns, slice and Fault hook.
+// waits on q.Await while one is leased elsewhere, folding what has settled
+// after each (FoldSettled, one at a time) until a fold fails or q settles
+// or closes. A campaign adds its pause gate, fair turns, slice and Fault hook.
 func (p *Pipeline) drain(r *Report, tests []sched.ConcurrentTest, q *queue.Queue, ws []*Worker) error {
 	var (
 		mu  sync.Mutex // one fold at a time; guards err
@@ -157,7 +154,9 @@ func (p *Pipeline) drain(r *Report, tests []sched.ConcurrentTest, q *queue.Queue
 			defer wg.Done()
 			for st := q.Stats(); st.Pending+st.Leased > 0; st = q.Stats() {
 				if st.Pending == 0 { // stragglers: another Worker's, a joined one's, a crashed one's
-					time.Sleep(5 * time.Millisecond)
+					if q.Await(st) == st {
+						return
+					}
 				} else {
 					if c != nil {
 						c.gate()

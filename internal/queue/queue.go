@@ -199,7 +199,8 @@ type Queue struct {
 	opts Options
 	name any // opts.Name, boxed once for every job event's "queue" attr
 
-	mu sync.Mutex
+	mu      sync.Mutex
+	changed sync.Cond // broadcast on every Stats change and on Close: Await's wake-up
 	// jobs holds every job pushed since the queue last stood idle (nothing
 	// pending or leased), by index; pending[head:] is the delivery FIFO and
 	// leases the outstanding deliveries, both by index into jobs.
@@ -235,7 +236,7 @@ func New() *Queue { return NewWithOptions(Options{}) }
 // NewWithOptions returns an empty queue with the given delivery options.
 func NewWithOptions(o Options) *Queue {
 	o = o.withDefaults()
-	return &Queue{
+	q := &Queue{
 		opts:   o,
 		name:   o.Name,
 		leases: make(map[uint64]activeLease),
@@ -243,6 +244,8 @@ func NewWithOptions(o Options) *Queue {
 		stop:   make(chan struct{}),
 		depth:  obs.G("queue." + o.Name + ".depth"),
 	}
+	q.changed.L = &q.mu
+	return q
 }
 
 // pendingLocked is how many jobs await delivery.
@@ -253,12 +256,13 @@ func (q *Queue) pendingLocked() int { return len(q.pending) - q.head }
 func (q *Queue) idleLocked() bool { return q.pendingLocked() == 0 && len(q.leases) == 0 }
 
 // setDepthLocked publishes the pending depth to the per-queue gauge and the
-// delta to the process-wide aggregate.
+// delta to the process-wide aggregate, and wakes Await: a Stats change.
 func (q *Queue) setDepthLocked() {
 	n := int64(q.pendingLocked())
 	q.depth.Set(n)
 	mDepth.Add(n - q.last)
 	q.last = n
+	q.changed.Broadcast()
 }
 
 // jobEvent emits one of a job's delivery events on its trace: the queue,
@@ -367,6 +371,7 @@ func (q *Queue) requeueLocked(l activeLease, reason string) {
 	if l.attempt >= q.opts.MaxAttempts {
 		j := &q.jobs[l.idx]
 		q.dead = append(q.dead, DeadJob{Job: *j, Attempts: l.attempt, Reason: reason})
+		q.changed.Broadcast()
 		mDead.Inc()
 		q.jobEvent(obs.EvJobDeadLetter, j, obs.A("attempts", l.attempt), obs.A("reason", reason))
 		return
@@ -499,6 +504,7 @@ func (q *Queue) ackLocked(id uint64) error {
 	}
 	delete(q.leases, id)
 	q.acked++
+	q.changed.Broadcast()
 	mAck.Inc()
 	mLeaseAge.ObserveDuration(time.Since(l.since))
 	q.jobEvent(obs.EvJobAcked, &q.jobs[l.idx], obs.A("attempt", l.attempt))
@@ -580,6 +586,22 @@ func (q *Queue) DeadLetters() []DeadJob {
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	return q.statsLocked()
+}
+
+// Await blocks until Stats differ from st or the queue is closed, and
+// returns them. No change brings Stats back to an earlier value (a lease
+// given back counts a redelivery or a dead letter): st returns only on close.
+func (q *Queue) Await(st Stats) Stats {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for !q.closed && q.statsLocked() == st {
+		q.changed.Wait()
+	}
+	return q.statsLocked()
+}
+
+func (q *Queue) statsLocked() Stats {
 	return Stats{
 		Pending:      q.pendingLocked(),
 		Leased:       len(q.leases),
@@ -600,6 +622,7 @@ func (q *Queue) Close() {
 	}
 	q.closed = true
 	close(q.stop)
+	q.changed.Broadcast()
 }
 
 // MaxAdoptBytes is the most a batch's adoption list may take encoded

@@ -14,10 +14,10 @@ var ErrUnknownQueue = errors.New("queue: unknown queue")
 
 // Registry is a set of named queues sharing one delivery configuration,
 // the multi-tenant backbone of the campaign control plane: each campaign
-// gets its own named queue ("campaign.<id>"), all of them served over a
-// single TCP listener (see ServeRegistry), with per-queue
-// "queue.<name>.depth" gauges keeping every tenant's backlog separately
-// observable.
+// gets its own named queue ("campaign.<id>"), opened when the campaign is
+// admitted and closed when it finishes, all of them served over a single
+// TCP listener (see ServeRegistry), with per-queue "queue.<name>.depth"
+// gauges keeping every tenant's backlog separately observable.
 type Registry struct {
 	template Options
 

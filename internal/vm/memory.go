@@ -38,9 +38,6 @@ type Region struct {
 	Name   string
 }
 
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(addr Addr) bool { return addr >= r.Lo && addr < r.Hi }
-
 // Memory is the guest address space: sparse pages plus the set of valid
 // regions. Pages referenced by a Snapshot are shared and copied on write.
 //
@@ -177,7 +174,7 @@ func NewMemory() *Memory {
 
 // AddRegion declares [lo, hi) valid. Regions must not overlap, and end at
 // or below AddrLimit.
-func (m *Memory) AddRegion(name string, lo, hi Addr) Region {
+func (m *Memory) AddRegion(name string, lo, hi Addr) {
 	if lo >= hi || hi > AddrLimit {
 		panic(fmt.Sprintf("vm: bad region %s [%#x,%#x)", name, lo, hi))
 	}
@@ -186,22 +183,26 @@ func (m *Memory) AddRegion(name string, lo, hi Addr) Region {
 			panic(fmt.Sprintf("vm: region %s [%#x,%#x) overlaps %s", name, lo, hi, r.Name))
 		}
 	}
-	r := Region{Lo: lo, Hi: hi, Name: name}
-	m.regions = append(m.regions, r)
+	m.regions = append(m.regions, Region{Lo: lo, Hi: hi, Name: name})
 	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].Lo < m.regions[j].Lo })
 	m.tlb = [tlbEntries]tlbEntry{}
-	return r
 }
 
 // Valid reports whether the whole range [addr, addr+size) is inside one
 // valid region.
 func (m *Memory) Valid(addr Addr, size int) bool {
-	for _, r := range m.regions {
-		if r.Contains(addr) {
-			return addr+uint64(size) <= r.Hi
+	r := m.region(addr)
+	return r != nil && addr+uint64(size) <= r.Hi
+}
+
+// region returns the valid region holding addr, or nil.
+func (m *Memory) region(addr Addr) *Region {
+	for i := range m.regions {
+		if r := &m.regions[i]; r.Lo <= addr && addr < r.Hi {
+			return r
 		}
 	}
-	return false
+	return nil
 }
 
 // newPage returns a page owned by m, registered as dirty at pn, with
@@ -229,10 +230,11 @@ func (m *Memory) tlbPage(addr Addr, size int) *page {
 }
 
 // pageFor returns the page holding addr, for reading or for writing in
-// place, and caches it in the TLB if it lies wholly inside a valid region.
-// An untouched page is materialised zeroed either way; a page a snapshot
-// shares is copied before the first write.
-func (m *Memory) pageFor(addr Addr, forWrite bool) *page {
+// place, and caches it in the TLB if it lies wholly inside a valid region
+// (r, when a thread's check found addr's, else as Valid says). An untouched
+// page is materialised zeroed either way; a page a snapshot shares is
+// copied before the first write.
+func (m *Memory) pageFor(addr Addr, forWrite bool, r *Region) *page {
 	pn := addr >> pageShift
 	p := m.root.get(pn)
 	switch {
@@ -244,7 +246,9 @@ func (m *Memory) pageFor(addr Addr, forWrite bool) *page {
 		p = m.newPage(pn)
 		p.data = shared.data
 	}
-	if e, want := &m.tlb[pn%tlbEntries], (tlbEntry{tag: pn + 1, p: p}); *e != want && m.Valid(pn<<pageShift, PageSize) {
+	lo := pn << pageShift
+	if e, want := &m.tlb[pn%tlbEntries], (tlbEntry{tag: pn + 1, p: p}); *e != want &&
+		(r == nil && m.Valid(lo, PageSize) || r != nil && r.Lo <= lo && lo+PageSize <= r.Hi) {
 		*e = want
 	}
 	return p
@@ -253,7 +257,7 @@ func (m *Memory) pageFor(addr Addr, forWrite bool) *page {
 // read fills dst with the bytes at addr.
 func (m *Memory) read(addr Addr, dst []byte) {
 	for i := 0; i < len(dst); {
-		p := m.pageFor(addr+uint64(i), false)
+		p := m.pageFor(addr+uint64(i), false, nil)
 		i += copy(dst[i:], p.data[(addr+uint64(i))%PageSize:])
 	}
 }
@@ -261,7 +265,7 @@ func (m *Memory) read(addr Addr, dst []byte) {
 // WriteBytes stores b at addr.
 func (m *Memory) WriteBytes(addr Addr, b []byte) {
 	for i := 0; i < len(b); {
-		p := m.pageFor(addr+uint64(i), true)
+		p := m.pageFor(addr+uint64(i), true, nil)
 		i += copy(p.data[(addr+uint64(i))%PageSize:], b[i:])
 	}
 }
@@ -269,7 +273,7 @@ func (m *Memory) WriteBytes(addr Addr, b []byte) {
 // Read returns the little-endian value of the size bytes at addr (size 1..8).
 func (m *Memory) Read(addr Addr, size int) uint64 {
 	if off := addr % PageSize; off <= PageSize-8 && uint(size) <= 8 {
-		return loadWord(m.pageFor(addr, false), off, size)
+		return loadWord(m.pageFor(addr, false, nil), off, size)
 	}
 	var buf [8]byte
 	m.read(addr, buf[:size])
@@ -299,7 +303,7 @@ func storeWord(p *page, off uint64, size int, val uint64) {
 // Write stores the low size bytes of val at addr, little-endian.
 func (m *Memory) Write(addr Addr, size int, val uint64) {
 	if off := addr % PageSize; off <= PageSize-8 && uint(size-1) < 8 {
-		storeWord(m.pageFor(addr, true), off, size, val)
+		storeWord(m.pageFor(addr, true, nil), off, size, val)
 		return
 	}
 	var buf [8]byte

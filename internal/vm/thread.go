@@ -95,16 +95,24 @@ func (t *Thread) Fault(format string, args ...any) {
 	panic(threadFault{msg: fmt.Sprintf(format, args...)})
 }
 
-func (t *Thread) checkRange(addr Addr, size int) {
+// checkRange faults as the kernel would on an invalid access. For one
+// inside a page it returns that page, and pageFor refills the TLB from the
+// region the check found; for one across a page border, nil.
+func (t *Thread) checkRange(addr Addr, size int, forWrite bool) *page {
 	if size <= 0 || size > 8 {
 		t.Fault("BUG: invalid access size %d at %#x", size, addr)
 	}
-	if !t.m.Mem.Valid(addr, size) {
+	r := t.m.Mem.region(addr)
+	if r == nil || addr+uint64(size) > r.Hi {
 		if addr < PageSize {
 			t.Fault("BUG: kernel NULL pointer dereference, address: %#016x", addr)
 		}
 		t.Fault("BUG: unable to handle page fault for address: %#016x", addr)
 	}
+	if addr%PageSize > PageSize-8 {
+		return nil
+	}
+	return t.m.Mem.pageFor(addr, forWrite, r)
 }
 
 // load reads the size bytes at addr. A TLB hit answers validity and
@@ -112,11 +120,13 @@ func (t *Thread) checkRange(addr Addr, size int) {
 // would, and reads through the page table, which refills the entry.
 func (t *Thread) load(addr Addr, size int) uint64 {
 	mem := t.m.Mem
-	if p := mem.tlbPage(addr, size); p != nil {
-		return loadWord(p, addr%PageSize, size)
+	p := mem.tlbPage(addr, size)
+	if p == nil {
+		if p = t.checkRange(addr, size, false); p == nil {
+			return mem.Read(addr, size)
+		}
 	}
-	t.checkRange(addr, size)
-	return mem.Read(addr, size)
+	return loadWord(p, addr%PageSize, size)
 }
 
 // store writes the low size bytes of val at addr: in place on a TLB hit
@@ -124,12 +134,14 @@ func (t *Thread) load(addr Addr, size int) uint64 {
 // table, which copies a shared page first and refills the entry.
 func (t *Thread) store(addr Addr, size int, val uint64) {
 	mem := t.m.Mem
-	if p := mem.tlbPage(addr, size); p != nil && p.owner == mem {
-		storeWord(p, addr%PageSize, size, val)
-		return
+	p := mem.tlbPage(addr, size)
+	if p == nil || p.owner != mem {
+		if p = t.checkRange(addr, size, true); p == nil {
+			mem.Write(addr, size, val)
+			return
+		}
 	}
-	t.checkRange(addr, size)
-	mem.Write(addr, size, val)
+	storeWord(p, addr%PageSize, size, val)
 }
 
 // record is the access hot path. It appends one row to the trace (zero

@@ -150,6 +150,13 @@ var designRules = []designRule{
 		{"internal/queue/wait.go", "package queue\n\nconst opPush = \"push\"\n"},
 		{"internal/queue/wait.go", "package queue\n\nconst leaseHist = \"snowboard_queue_lease_duration_ns\"\n"},
 	}},
+	{"stage_4_waits_on_its_queue", stage4WaitsOnItsQueue, []mutation{
+		{"internal/core/worker.go", "\nfunc (p *Pipeline) straggle() { time.Sleep(5 * time.Millisecond) }\n"},
+		{"cmd/snowboard/main.go", "\nfunc await(c *core.Campaign) {\n\tfor c.Status().Expected == 0 {\n\t\ttime.Sleep(10 * time.Millisecond)\n\t}\n}\n"},
+		// The alias hides this call from a text match for "time.Sleep".
+		{"internal/core/nap.go", "package core\n\nimport t \"time\"\n\nfunc nap() { t.Sleep(t.Millisecond) }\n"},
+		{"examples/distributed/main.go", "\nfunc poll() { time.Sleep(5 * time.Millisecond) }\n"},
+	}},
 	{"one_coordinator", oneCoordinator, []mutation{
 		{"cmd/snowboard/fold.go", "package main\n\nfunc fold(p *core.Pipeline) { p.FoldResults(nil) }\n"},
 		{"cmd/snowboard/serve.go", "package main\n\nimport \"snowboard/internal/queue\"\n\nvar _, _ = queue.Serve(nil, \"\")\n"},
@@ -609,17 +616,25 @@ func oneJSONLStreamNothingUnread(tr *tree) []string {
 // Every queue.Server serves a Registry (Serve registers its queue under the
 // empty name), a producer pushes in-process, a worker leases a turn with
 // LeaseN, and the frame cap and idle deadline are constants. A wire push
-// op, a blocking Queue.Lease and the sync.Cond behind it, per-queue latency
-// histograms, or a settable field on Server is a second way back.
+// op, a blocking Queue.Lease, a sync.Cond beside the one in Queue that
+// Await waits on, per-queue latency histograms, or a settable field on
+// Server is a second way back.
 func oneWayToServeAQueue(tr *tree) []string {
 	files := tr.code("internal/queue/*.go")
 	out := tr.grep(files, "a per-queue latency histogram", false, "duration_ns")
-	out = append(out, tr.members(files, "sync", "Cond")...)
+	queues := typeSpecs(files, "Queue")
+	var conds []ast.Node
 	inspect(files, func(f *srcFile, n ast.Node) {
 		if lit, ok := n.(*ast.BasicLit); ok && stringValue(lit) == "push" {
 			out = append(out, tr.at(lit, `a wire "push" op`))
 		}
+		if e, ok := n.(ast.Expr); ok && f.member(e, "sync") == "Cond" {
+			conds = append(conds, n)
+		}
 	})
+	if len(queues) != 1 || len(conds) > 1 || len(conds) == 1 && (conds[0].Pos() < queues[0].Pos() || queues[0].End() < conds[0].End()) {
+		out = append(out, fmt.Sprintf("sync.Cond in internal/queue at %v, want at most one, in type Queue", sites(tr, conds)))
+	}
 	for _, fd := range funcs(files, "Queue", "Lease") {
 		out = append(out, tr.at(fd, "a blocking Queue.Lease"))
 	}
@@ -629,6 +644,34 @@ func oneWayToServeAQueue(tr *tree) []string {
 	}
 	for _, ts := range servers {
 		out = append(out, tr.fields(ts, "MaxFrame", "IdleTimeout", "Q", "Reg")...)
+	}
+	return out
+}
+
+// Stage 4 waits on its queue (queue.Queue.Await), never on a clock: a
+// time.Sleep in internal/core, cmd/snowboard or examples/distributed is a
+// poll standing in for the queue's signal. Two sleeps time something other
+// than work arriving, and stay: Worker.Join's JoinPoll, because the wire's
+// lease op does not block, and the coordinator's queueDrain hold, which
+// serves a closed queue to joined workers for a moment.
+func stage4WaitsOnItsQueue(tr *tree) []string {
+	var out []string
+	for _, f := range tr.code("internal/core/*.go", "cmd/snowboard/*.go", "examples/distributed/*.go") {
+		join := funcs([]*srcFile{f}, "Worker", "Join")
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || f.member(call.Fun, "time") != "Sleep" || len(call.Args) != 1 {
+				return true
+			}
+			inJoin := slices.ContainsFunc(join, func(fd *ast.FuncDecl) bool { return fd.Pos() <= call.Pos() && call.End() <= fd.End() })
+			switch arg := lastName(call.Args[0]); {
+			case strings.HasPrefix(f.path, "internal/core/") && inJoin && arg == "JoinPoll":
+			case strings.HasPrefix(f.path, "cmd/snowboard/") && arg == "queueDrain":
+			default:
+				out = append(out, tr.at(call, "a sleep standing in for the queue's signal (wait with queue.Queue.Await)"))
+			}
+			return true
+		})
 	}
 	return out
 }
