@@ -94,6 +94,34 @@ type raceKey struct {
 	addr uint64
 }
 
+// raceKeys is the set of raceKeys filed in one trial, a chain of them per
+// address: a flat table holds no padded struct key, and an address's few
+// pairs compare in place.
+type raceKeys struct {
+	byAddr trace.Shadow[uint32] // 1 + index into keys of the address's latest key
+	keys   []raceKey
+	next   []uint32 // next[i]: 1 + index of the address's key before keys[i], 0 = none
+}
+
+func (s *raceKeys) reset() {
+	s.byAddr.Reset()
+	s.keys, s.next = s.keys[:0], s.next[:0]
+}
+
+// add inserts k and reports whether it was absent.
+func (s *raceKeys) add(k raceKey) bool {
+	head := s.byAddr.Slot(k.addr)
+	for i := *head; i != 0; i = s.next[i-1] {
+		if o := &s.keys[i-1]; o.w == k.w && o.r == k.r {
+			return false
+		}
+	}
+	s.keys = append(s.keys, k)
+	s.next = append(s.next, *head)
+	*head = uint32(len(s.keys))
+	return true
+}
+
 // hbState is the state of FindRacesHB, reused from trial to trial.
 type hbState struct {
 	hist   trace.WordCells[byteState] // indexed by the trial view's word ids
@@ -102,11 +130,11 @@ type hbState struct {
 	arena  []uint32                   // clock copies referenced by sync
 	clocks []vclock                   // per thread; empty = not yet started
 	spill  [][]prior                  // per spilled byte, indexed by thread - inlineReaders
-	seen   map[raceKey]bool
+	seen   raceKeys
 	out    []RaceReport
 
 	// The report just filed and the access it was filed for: the adjacent
-	// bytes of one access mostly repeat it, and skip the seen map.
+	// bytes of one access mostly repeat it, and skip the seen set.
 	filed   raceKey
 	filedAt int
 }
@@ -120,10 +148,7 @@ func (s *hbState) reset(v *trace.View) {
 		s.clocks[i] = s.clocks[i][:0]
 	}
 	s.spill = s.spill[:0]
-	if s.seen == nil {
-		s.seen = make(map[raceKey]bool)
-	}
-	clear(s.seen)
+	s.seen.reset()
 	s.out = s.out[:0]
 	s.filedAt = -1
 }
@@ -186,10 +211,9 @@ func (s *hbState) report(tr *trace.Trace, i int, b uint64, kind trace.Kind, p pr
 	if kind == trace.Read {
 		k.w, k.r = k.r, k.w
 	}
-	if (i == s.filedAt && k == s.filed) || s.seen[k] {
+	if (i == s.filedAt && k == s.filed) || !s.seen.add(k) {
 		return
 	}
-	s.seen[k] = true
 	s.filed, s.filedAt = k, i
 	rep := RaceReport{Read: tr.At(i), Write: trace.Access{
 		Thread: int(p.thread), Ins: p.ins, Kind: kind, Addr: b, Size: 1, Marked: p.marked}}

@@ -15,8 +15,10 @@ import (
 // traces, through one scratch (so the second proves the reset), and diffs
 // each trace's analysis against the model: the races of the happens-before
 // walk, alone and again with a coverage walker riding it, in report order;
-// the riding walker's pairs and segments; the torn reads. c, when set,
-// takes the census of what the traces exercised.
+// the riding walker's pairs and segments; the torn reads; and Analyze's
+// issues, against the model's races and then its torn reads, classified
+// and deduplicated by Issue.ID in first-seen order. c, when set, takes the
+// census of what the traces exercised.
 func checkTrial(t *testing.T, sc *Scratch, data []byte, c *model.Census) {
 	t.Helper()
 	var w cover.Walker
@@ -57,7 +59,44 @@ func checkTrial(t *testing.T, sc *Scratch, data []byte, c *model.Census) {
 		if got := FindTornReads(tr); !slices.Equal(got, torn) {
 			t.Fatalf("trace %v: FindTornReads %+v, model %+v", tr, got, torn)
 		}
+		var issues []Issue
+		ids := make(map[string]bool)
+		file := func(w, r trace.Ins, torn bool) {
+			is := ClassifyRace(RaceReport{Write: trace.Access{Ins: w}, Read: trace.Access{Ins: r}})
+			if torn {
+				is.Torn = true
+				is.Desc = "Torn read: " + is.Desc
+			}
+			if !ids[is.ID()] {
+				ids[is.ID()] = true
+				issues = append(issues, is)
+			}
+		}
+		for _, r := range want.Races {
+			file(r.Write.Ins, r.Read.Ins, false)
+		}
+		for _, r := range want.Torn {
+			file(r.WriteIns, r.ReadIns, true)
+		}
+		if got := sc.Analyze(TrialInput{Trace: tr}, Options{Races: true, TornReads: true}); !slices.Equal(got, issues) {
+			t.Fatalf("trace %v: Analyze %+v, model %+v", tr, got, issues)
+		}
 	}
+}
+
+// manyRaceKeys is a model.Gen trace of 512 far accesses: thread 0 stores
+// 256 words whole from four sites, then thread 1 loads each of them from
+// one of three, so the race walk files 256 distinct (write, read, address)
+// keys under 12 distinct pairs.
+func manyRaceKeys() []byte {
+	data := []byte{0}
+	for sel := 0; sel < 256; sel++ {
+		data = append(data, 0x80, 0x0e|byte(sel%4)<<4, byte(sel))
+	}
+	for sel := 0; sel < 256; sel++ {
+		data = append(data, 0x81, 0x0d|byte(3+sel%3)<<4, byte(sel))
+	}
+	return data
 }
 
 // coverageOf returns a Coverage of exactly the pairs: a walker folds in
@@ -91,6 +130,10 @@ func TestTrialAnalysisEqualsModel(t *testing.T) {
 		rng.Read(data)
 		checkTrial(t, &sc, data, &c)
 	}
+	if n := len(model.Analyze(model.Gen(manyRaceKeys()), nil).Races); n < 200 {
+		t.Fatalf("the long trace files %d race keys, want at least 200", n)
+	}
+	checkTrial(t, &sc, twice(manyRaceKeys()), &c)
 	t.Logf("%+v", c)
 	if lost := c.Lost(); len(lost) != 0 {
 		t.Fatalf("generator lost its teeth: no %v", lost)
@@ -192,6 +235,7 @@ func FuzzTrialAnalysis(f *testing.F) {
 	for _, seed := range seeds {
 		f.Add(twice(seed.trace))
 	}
+	f.Add(twice(manyRaceKeys()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			return

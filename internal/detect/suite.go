@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"sync"
 
 	"snowboard/internal/cover"
@@ -46,41 +47,72 @@ type TrialInput struct {
 // and analyzes every trial through it, so a warm trial allocates only for
 // what it finds. The zero value is ready to use; not safe for concurrent use.
 type Scratch struct {
-	view trace.View // of a trace that arrived without one
-	hb   hbState
-	last []trace.Ins
-	seen map[IssueKey]bool
-	out  []Issue
+	view  trace.View // of a trace that arrived without one
+	hb    hbState
+	last  []trace.Ins
+	filed Findings
+	out   []Issue
 
-	// classified remembers ClassifyRace per racing pair: the same few pairs
-	// race trial after trial, and classifying one builds strings.
-	classified map[racePair]Issue
+	// classified remembers ClassifyRace per racing pair (pairKey), the race
+	// at index 0 and the torn read at 1: the same few pairs race trial after
+	// trial, and classifying one builds strings.
+	classified trace.Shadow[[2]Issue]
 }
 
-// racePair keys the classification memo: ClassifyRace reads nothing else of
-// a report, and a torn read differs from a race of its pair by the prefix.
-type racePair struct {
-	w, r trace.Ins
-	torn bool
-}
+// pairKey packs a racing pair into one flat-table key.
+func pairKey(w, r trace.Ins) uint64 { return uint64(w)<<32 | uint64(r) }
 
 // classify is ClassifyRace (marked and described as a torn read when torn)
 // of a report between the two sites, remembered.
 func (sc *Scratch) classify(w, r trace.Ins, torn bool) Issue {
-	k := racePair{w, r, torn}
-	is, ok := sc.classified[k]
-	if !ok {
-		is = ClassifyRace(RaceReport{Write: trace.Access{Ins: w}, Read: trace.Access{Ins: r}})
+	is := &sc.classified.Slot(pairKey(w, r))[btoi(torn)]
+	if is.Kind != KindDataRace { // not classified yet
+		*is = ClassifyRace(RaceReport{Write: trace.Access{Ins: w}, Read: trace.Access{Ins: r}})
 		if torn {
 			is.Torn = true
 			is.Desc = "Torn read: " + is.Desc
 		}
-		if sc.classified == nil {
-			sc.classified = make(map[racePair]Issue)
-		}
-		sc.classified[k] = is
 	}
-	return is
+	return *is
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Findings is a set of issues compared as Issue.Key compares them, for a
+// caller that keeps one list of the distinct issues of a trial or a test:
+// a race is marked in a flat table by its pair (bit 1 a race, bit 2 a torn
+// read), and the few other findings (console, deadlock, hang) compare by
+// (Kind, Desc) against the list itself. The zero value is empty; not safe
+// for concurrent use.
+type Findings struct{ races trace.Shadow[uint8] }
+
+// Reset empties the set in O(1).
+func (f *Findings) Reset() { f.races.Reset() }
+
+// Add reports whether is is new to list, the issues kept so far, and marks
+// it filed: the caller appends it to list when it is new.
+func (f *Findings) Add(list []Issue, is Issue) bool {
+	if is.Kind == KindDataRace {
+		return f.addRace(is.WriteIns, is.ReadIns, is.Torn)
+	}
+	return !slices.ContainsFunc(list, func(o Issue) bool { return o.Kind == is.Kind && o.Desc == is.Desc })
+}
+
+// addRace marks the race (or torn read) of the pair and reports whether it
+// was new.
+func (f *Findings) addRace(w, r trace.Ins, torn bool) bool {
+	bit := uint8(1) << btoi(torn)
+	m := f.races.Slot(pairKey(w, r))
+	if *m&bit != 0 {
+		return false
+	}
+	*m |= bit
+	return true
 }
 
 // scratchPool backs the package-level Analyze and FindRacesHB, whose
@@ -98,15 +130,17 @@ func Analyze(in TrialInput, opt Options) []Issue {
 // Analyze is the package-level Analyze on reused state. The returned slice
 // is overwritten by the next call on the same Scratch.
 func (sc *Scratch) Analyze(in TrialInput, opt Options) []Issue {
-	if sc.seen == nil {
-		sc.seen = make(map[IssueKey]bool)
-	}
-	clear(sc.seen)
+	sc.filed.Reset()
 	sc.out = sc.out[:0]
 	add := func(is Issue) {
-		if k := is.Key(); !sc.seen[k] {
-			sc.seen[k] = true
+		if sc.filed.Add(sc.out, is) {
 			sc.out = append(sc.out, is)
+		}
+	}
+	// A race is looked up by its pair before it is classified.
+	addRace := func(w, r trace.Ins, torn bool) {
+		if sc.filed.addRace(w, r, torn) {
+			sc.out = append(sc.out, sc.classify(w, r, torn))
 		}
 	}
 
@@ -129,13 +163,13 @@ func (sc *Scratch) Analyze(in TrialInput, opt Options) []Issue {
 			in.Cover.Walk(v)
 		} else {
 			for _, r := range sc.hb.findRaces(v, in.Cover) {
-				add(sc.classify(r.Write.Ins, r.Read.Ins, false))
+				addRace(r.Write.Ins, r.Read.Ins, false)
 			}
 		}
 	}
 	if opt.TornReads && in.Trace != nil {
 		for _, t := range FindTornReads(in.Trace) {
-			add(sc.classify(t.WriteIns, t.ReadIns, true))
+			addRace(t.WriteIns, t.ReadIns, true)
 		}
 	}
 	if in.Deadlock {

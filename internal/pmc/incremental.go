@@ -12,7 +12,7 @@ import (
 // records about a PMC — its pair count and its canonically smallest pairs —
 // is a function of how often each test performed the read key and the
 // write key, not of the individual accesses. Incremental therefore keeps,
-// per side, the distinct access keys bucketed by start address, each with a
+// per side, the distinct access keys bucketed by start word, each with a
 // test-sorted (test, count) list, and classifies every overlapping (read
 // key, write key) pair exactly once: work grows with the keys, not with
 // profiles². A new batch folds into the aggregate and only the entries of
@@ -44,6 +44,16 @@ type accessKey struct {
 
 func (k *accessKey) end() uint64 { return k.Addr + uint64(k.Size) }
 
+// packed is the key as three words, which hash as plain memory: the struct
+// has padding, which the map hash steps over field by field.
+func (k *accessKey) packed() [3]uint64 {
+	df := uint64(0)
+	if k.df {
+		df = 1
+	}
+	return [3]uint64{k.Addr, k.Val, uint64(k.Ins)<<16 | uint64(k.Size)<<8 | df}
+}
+
 // testCount says one test performed an access key n times.
 type testCount struct {
 	test int
@@ -61,29 +71,30 @@ type keyObs struct {
 
 // keyIndex is one side's distinct access keys. Every access is at most
 // maxAccessSize bytes, so a range [a, a+n) can only overlap keys whose
-// start address lies in (a-maxAccessSize, a+n): bucketing by start address
-// makes the overlap query a bounded number of bucket probes.
+// start address lies in (a-maxAccessSize, a+n): bucketing by the 8-byte
+// word of the start address makes the overlap query two or three bucket
+// probes.
 type keyIndex struct {
-	byKey  map[accessKey]*keyObs
-	byAddr map[uint64][]*keyObs
+	byKey  map[[3]uint64]*keyObs // by accessKey.packed
+	byWord map[uint64][]*keyObs  // by start address >> 3
 	dirty  []*keyObs
 }
 
 func newKeyIndex() keyIndex {
-	return keyIndex{byKey: make(map[accessKey]*keyObs), byAddr: make(map[uint64][]*keyObs)}
+	return keyIndex{byKey: make(map[[3]uint64]*keyObs), byWord: make(map[uint64][]*keyObs)}
 }
 
 // insert adds the record of a key the index does not hold yet, dirty.
 func (ix *keyIndex) insert(o *keyObs) {
 	o.dirty = true
-	ix.byKey[o.accessKey] = o
-	ix.byAddr[o.Addr] = append(ix.byAddr[o.Addr], o)
+	ix.byKey[o.packed()] = o
+	ix.byWord[o.Addr>>3] = append(ix.byWord[o.Addr>>3], o)
 	ix.dirty = append(ix.dirty, o)
 }
 
 // observe records one more access with key k by test.
 func (ix *keyIndex) observe(k accessKey, test int) {
-	o := ix.byKey[k]
+	o := ix.byKey[k.packed()]
 	if o == nil {
 		o = &keyObs{accessKey: k}
 		ix.insert(o)
@@ -117,8 +128,8 @@ func (ix *keyIndex) overlapping(addr, end uint64, fn func(*keyObs)) {
 	if addr > maxAccessSize {
 		lo = addr - maxAccessSize + 1
 	}
-	for a := lo; a < end; a++ { // keys starting at or past end cannot overlap
-		for _, o := range ix.byAddr[a] {
+	for w := lo >> 3; w <= (end-1)>>3; w++ { // keys starting at or past end cannot overlap
+		for _, o := range ix.byWord[w] {
 			if o.Addr < end && addr < o.end() {
 				fn(o)
 			}

@@ -75,7 +75,7 @@ func TestIndexAgainstBruteForce(t *testing.T) {
 			t.Fatalf("round %d: %d records, %d dirty, want %d distinct keys", round, len(ix.byKey), len(ix.dirty), len(keys))
 		}
 		for k, want := range counts {
-			o := ix.byKey[k]
+			o := ix.byKey[k.packed()]
 			var total int64
 			for i, tc := range o.tests {
 				if i > 0 && o.tests[i-1].test >= tc.test {

@@ -125,8 +125,8 @@ type scratch struct {
 	segs   cover.Segments // the test's segments, when tracked
 	pairs  cover.Coverage // the test's alias pairs, when tracked
 	flags  flagSet
-	seen   map[detect.IssueKey]bool
-	memo   trialMemo // the call's distinct schedules
+	filed  detect.Findings // the test's issues so far
+	memo   trialMemo       // the call's distinct schedules
 
 	// ran, set only by tests, is shown every trial's run as its guest
 	// stops: the trace is tr, the decision log the machine's. While it is
@@ -160,14 +160,11 @@ type readMemo struct {
 func (x *Explorer) scratchFor() *scratch {
 	sc := x.scratch
 	if sc == nil {
-		sc = &scratch{
-			rng:  lazyrand.New(0),
-			seen: make(map[detect.IssueKey]bool),
-		}
+		sc = &scratch{rng: lazyrand.New(0)}
 		x.scratch = sc
 	}
 	sc.flags.reset(0)
-	clear(sc.seen)
+	sc.filed.Reset()
 	sc.memo.reset()
 	return sc
 }
@@ -178,11 +175,9 @@ func (x *Explorer) scratchFor() *scratch {
 // not end exploration; a crash-level finding does — the kernel is wedged.
 func (sc *scratch) record(out *Outcome, trial int, issues []detect.Issue) (crashed bool) {
 	for _, is := range issues {
-		k := is.Key()
-		if sc.seen[k] {
+		if !sc.filed.Add(out.Issues, is) {
 			continue
 		}
-		sc.seen[k] = true
 		out.Issues = append(out.Issues, is)
 		out.IssueTrials = append(out.IssueTrials, trial)
 		if out.ExposedTrial < 0 {

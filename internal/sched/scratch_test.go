@@ -177,3 +177,50 @@ func TestViewAllocBudget(t *testing.T) {
 		t.Fatalf("view build and analysis of a finding-free trace allocates %.0f times, budget 0", n)
 	}
 }
+
+// BenchmarkTrialAnalysis times the post-trial analysis on real trials: it
+// records the traces of about 400 trials of realTests (5.12-rc3, seed 3)
+// once, then per op builds every trace's view ("view"), or builds it and
+// runs the oracles over it through one detect.Scratch ("analyze"). Each
+// reports ns per trace row.
+func BenchmarkTrialAnalysis(b *testing.B) {
+	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+	_, tests := realTests(b, env, 3)
+	var trials []detect.TrialInput
+	rows := 0
+	x := &Explorer{Env: env, Trials: 10, Seed: 3, Mode: ModeSnowboard, Detect: detect.DefaultOptions()}
+	sc := x.scratchFor()
+	sc.ran = func(res exec.Result, _ *memoKey) {
+		tr := new(trace.Trace)
+		for i := 0; i < sc.tr.Len(); i++ {
+			a := sc.tr.At(i)
+			tr.Record(a.Ins, a.Addr, a.Val, a.Meta())
+		}
+		trials = append(trials, detect.TrialInput{Console: res.Console, Trace: tr, Hung: res.Hung, Deadlock: res.Deadlock})
+		rows += tr.Len()
+	}
+	for _, ct := range tests {
+		x.Explore(ct)
+	}
+	env.Close()
+	b.Logf("%d trials, %d rows", len(trials), rows)
+	var v trace.View
+	var oracle detect.Scratch
+	for _, arm := range []struct {
+		name    string
+		analyze bool
+	}{{"view", false}, {"analyze", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, in := range trials {
+					v.Build(in.Trace)
+					if arm.analyze {
+						in.View = &v
+						oracle.Analyze(in, detect.DefaultOptions())
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
+}

@@ -110,7 +110,7 @@ func adoptableByTests(set *pmc.Set, tests []ConcurrentTest) *pmc.Set {
 // realTests runs stages 1–3 at the given seed on a small budget — fuzz,
 // profile, identify, S-INS-PAIR clusters uncommon first — and returns the
 // PMC set and the hinted concurrent tests generated from it.
-func realTests(t *testing.T, env *exec.Env, seed int64) (*pmc.Set, []ConcurrentTest) {
+func realTests(t testing.TB, env *exec.Env, seed int64) (*pmc.Set, []ConcurrentTest) {
 	t.Helper()
 	progs := fuzz.Campaign(env, seed, 300, 60).Corpus.Progs
 	var profiles []pmc.Profile

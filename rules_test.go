@@ -219,6 +219,12 @@ var designRules = []designRule{
 		{"internal/detect/detect.go", "\nfunc rht(is *Issue) { is.BugID, is.Harmful = 1, true }\n"},
 		{"internal/triage/file.go", "package triage\n\nimport \"snowboard/internal/detect\"\n\nfunc file(is *detect.Issue) { is.BugID = 13 }\n"},
 	}},
+	{"findings_dedup_on_flat_tables", findingsDedupOnFlatTables, []mutation{
+		{"internal/detect/hb.go", "\ntype hbState struct{ seen map[raceKey]bool }\n"},
+		{"internal/detect/suite.go", "\ntype Scratch struct{ classified map[racePair]Issue }\n"},
+		{"internal/detect/suite.go", "\nfunc (sc *Scratch) seen() int { return len(map[IssueKey]bool{}) }\n"},
+		{"internal/sched/explore.go", "\ntype scratch struct{ seen map[detect.IssueKey]bool }\n"},
+	}},
 	{"doc_references_resolve", docReferencesResolve, []mutation{
 		{"DESIGN.md", "\n| Figure 1 | `TestBugL2TP` |\n"},
 		{"README.md", "\n(EXPERIMENTS.md, \"Per-trial\n  analysis\")\n"},
@@ -971,6 +977,26 @@ func oneTable2Catalogue(tr *tree) []string {
 						filed(lhs, n.Rhs[i])
 					}
 				}
+			}
+		}
+	})
+	return out
+}
+
+// A trial files the same few races over and over, so its findings are
+// deduplicated on flat tables: the happens-before walk chains its race keys
+// per address off a trace.Shadow, and detect.Scratch and the explorer's
+// per-test scratch mark races by their packed pair in one. A Go map keyed
+// by raceKey, racePair or IssueKey anywhere in internal/detect or
+// internal/sched is a padded struct hashed field by field per report coming
+// back. (core's per-job outcome fold keeps its IssueKey map: it runs once
+// per test, not per report.)
+func findingsDedupOnFlatTables(tr *tree) []string {
+	var out []string
+	inspect(tr.code("internal/detect/*.go", "internal/sched/*.go"), func(f *srcFile, n ast.Node) {
+		if m, ok := n.(*ast.MapType); ok {
+			if k := lastName(m.Key); k == "raceKey" || k == "racePair" || k == "IssueKey" {
+				out = append(out, tr.at(m, "a map keyed by "+k))
 			}
 		}
 	})
