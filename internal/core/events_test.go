@@ -24,7 +24,7 @@ func TestRunEventsCarryStageOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][]string{
-		"fuzz":     {"executed", "corpus", "repeats"},
+		"fuzz":     {"executed", "corpus", "repeats", "resumed", "prefixes", "steps_skipped"},
 		"profile":  {"accesses"},
 		"identify": {"pmcs"},
 		"exec":     {"issues", "segments"},

@@ -198,7 +198,8 @@ func (p *Pipeline) BuildCorpus(r *Report) {
 		FuzzTimeNs:     int64(r.FuzzTime),
 	})
 	p.stageDone("fuzz", false, r.FuzzTime, obs.A("executed", r.FuzzExecutions), obs.A("corpus", r.CorpusSize),
-		obs.A("repeats", res.Repeats))
+		obs.A("repeats", res.Repeats), obs.A("resumed", res.Resumed), obs.A("prefixes", res.Prefixes),
+		obs.A("steps_skipped", res.StepsSkipped))
 }
 
 // SetCorpus installs an externally built corpus (e.g. shared across the

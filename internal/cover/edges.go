@@ -10,9 +10,9 @@ import "snowboard/internal/trace"
 // communication.
 //
 // The set is a flat table with one writer and readers between writes:
-// AddTrace and Add write; Missing and Len only read (Shadow.Get writes
-// nothing), so any number of goroutines may call them at once as long as
-// no write is in flight.
+// AddTrace and Add write; Missing, MissingAfter and Len only read (a
+// Shadow's Probe writes nothing), so any number of goroutines may call
+// them at once as long as no write is in flight.
 type Edges struct {
 	set trace.Shadow[struct{}]
 }
@@ -33,10 +33,39 @@ func (c *Edges) AddTrace(tr *trace.Trace) int {
 
 // Missing appends to dst the keys of tr's edges the set does not hold and
 // returns it: nil when dst is nil and the trace adds nothing. An edge taken
-// twice may appear twice.
+// twice may appear twice, but not twice in a row: an edge that repeats the
+// pair before it, as a loop over one site does, is probed once.
 func (c *Edges) Missing(tr *trace.Trace, dst []uint64) []uint64 {
-	for i, n := 1, tr.Len(); i < n; i++ {
-		if k := edgeKey(tr.InsAt(i-1), tr.InsAt(i)); c.set.Get(k) == nil {
+	if tr.Len() == 0 {
+		return dst
+	}
+	return c.missing(tr.InsAt(0), tr, 1, dst)
+}
+
+// MissingAfter is Missing for a trace that continues a run whose last access
+// was at site prev: the edge from prev into the trace's first access is
+// probed too. With prev trace.NoIns it is Missing.
+func (c *Edges) MissingAfter(prev trace.Ins, tr *trace.Trace, dst []uint64) []uint64 {
+	if prev == trace.NoIns {
+		return c.Missing(tr, dst)
+	}
+	return c.missing(prev, tr, 0, dst)
+}
+
+// missing probes the edges of tr from its access at from on, the first
+// coming from site prev.
+func (c *Edges) missing(prev trace.Ins, tr *trace.Trace, from int, dst []uint64) []uint64 {
+	set := c.set.Probe()
+	var probed uint64
+	for i, n := from, tr.Len(); i < n; i++ {
+		cur := tr.InsAt(i)
+		k := edgeKey(prev, cur)
+		prev = cur
+		if i > from && k == probed {
+			continue
+		}
+		probed = k
+		if !set.Has(k) {
 			dst = append(dst, k)
 		}
 	}

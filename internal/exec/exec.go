@@ -46,15 +46,19 @@ type Env struct {
 	slots   [kernel.MaxProcs]runSlot
 	rets    [kernel.MaxProcs][]int64 // per-slot return values: Result.Rets
 	profile trace.Trace              // Profile's recording, copied out by the filter
+
+	states  States // call-boundary states of the programs Capture ran
+	capture bool   // a Capture is running
 }
 
 // runSlot is what a run borrows for one thread slot instead of allocating
 // it. Nothing in it outlives the next run on the Env.
 type runSlot struct {
-	prog *corpus.Prog
-	proc kernel.Proc
-	args []uint64         // reused across calls: Invoke only reads it
-	body func(*vm.Thread) // runs prog as this slot's user process; made once
+	prog  *corpus.Prog
+	start int // the call the run of prog starts at: 0 but in Resume
+	proc  kernel.Proc
+	args  []uint64         // reused across calls: Invoke only reads it
+	body  func(*vm.Thread) // runs prog as this slot's user process; made once
 }
 
 var executorNames = func() (names [kernel.MaxProcs]string) {
@@ -121,22 +125,30 @@ func (e *Env) prepare(tr *trace.Trace) {
 	e.M.SetTrace(tr)
 }
 
-// spawn arms thread and user slot i with prog for the run being prepared.
+// spawn arms thread and user slot i with prog, as a fresh process from its
+// first call, for the run being prepared.
 func (e *Env) spawn(i int, prog *corpus.Prog) {
 	s := &e.slots[i]
 	if s.body == nil {
 		s.body = func(t *vm.Thread) { e.runProg(i, t) }
 	}
-	s.prog, e.rets[i] = prog, e.rets[i][:0]
-	e.M.Spawn(executorNames[i], kernel.StackFor(i), s.body)
+	s.prog, s.start, e.rets[i] = prog, 0, e.rets[i][:0]
+	s.proc.Reset(e.K, e.M.Spawn(executorNames[i], kernel.StackFor(i), s.body), i)
 }
 
 // runProg is the thread body: it executes slot i's program as user process
-// i, appending each call's return value to e.rets[i].
+// i from the slot's start on, appending each call's return value to
+// e.rets[i]. Under Capture it records the state at every call boundary.
 func (e *Env) runProg(i int, t *vm.Thread) {
 	s := &e.slots[i]
-	s.proc.Reset(e.K, t, i)
-	for _, call := range s.prog.Calls {
+	for k := s.start; ; k++ {
+		if e.capture {
+			e.states.boundary(e.M, e.Snap, t, &s.proc)
+		}
+		if k == len(s.prog.Calls) {
+			return
+		}
+		call := &s.prog.Calls[k]
 		s.args = slices.Grow(s.args[:0], len(call.Args))[:len(call.Args)]
 		args := s.args
 		clear(args)
@@ -154,15 +166,17 @@ func (e *Env) runProg(i int, t *vm.Thread) {
 	}
 }
 
-// finish builds the Result of the run that just ended on the first n slots.
-func (e *Env) finish(err error, n int) Result {
+// finish builds the Result of the run that just ended on the first n slots,
+// which resumed a run that had made steps events and printed the lines
+// console.
+func (e *Env) finish(err error, n int, steps int, console []string) Result {
 	r := Result{
 		Rets:   e.rets[:n],
 		Faults: append([]string(nil), e.M.Faults()...),
 		Steps:  e.M.Steps(),
 	}
 	mRuns.Inc()
-	mSteps.Add(int64(r.Steps))
+	mSteps.Add(int64(r.Steps - steps))
 	if r.Crashed() {
 		mCrashes.Inc()
 		obs.Emit(obs.EvExecCrash, obs.A("faults", len(r.Faults)))
@@ -175,18 +189,40 @@ func (e *Env) finish(err error, n int) Result {
 		r.Deadlock = true
 		e.M.Shutdown()
 	}
-	r.Console = append([]string(nil), e.M.Console.Lines()...)
+	r.Console = append(append([]string(nil), console...), e.M.Console.Lines()...)
 	return r
 }
 
 // RunSequential executes prog alone from the snapshot, recording its memory
 // trace into tr (which may be nil to skip tracing). This is the profiling
-// primitive of §4.1.
+// primitive of §4.1: the resume from the empty state.
 func (e *Env) RunSequential(prog *corpus.Prog, tr *trace.Trace) Result {
+	return e.Resume(prog, State{}, tr)
+}
+
+// Resume executes prog alone from the call boundary from, a state of a
+// program whose first from.Calls calls are prog's (States.Latest), and
+// returns the Result the whole run from the snapshot would: the prefix's
+// return values, console lines and steps included. tr receives only the
+// rows of the calls from from.Calls on.
+//
+// Nothing is forked or replayed but memory: the snapshot is restored, the
+// words the prefix changed are stored over it, and a fresh thread starts
+// at call from.Calls with the prefix's descriptor table and return values.
+// At a boundary where the thread was at rest that is the state the whole
+// run has there, so the rest of the run, deterministic, is the same
+// (DESIGN row 78).
+func (e *Env) Resume(prog *corpus.Prog, from State, tr *trace.Trace) Result {
 	e.prepare(tr)
+	for _, w := range from.words {
+		e.M.Mem.Write(w.addr, 8, w.val)
+	}
 	e.spawn(0, prog)
-	err := e.M.Run(vm.SeqScheduler{}, e.maxSteps())
-	return e.finish(err, 1)
+	s := &e.slots[0]
+	s.start, e.rets[0] = from.Calls, append(e.rets[0], from.rets...)
+	s.proc.SetFDs(from.fds)
+	err := e.M.RunFrom(vm.SeqScheduler{}, from.Steps, e.maxSteps())
+	return e.finish(err, 1, from.Steps, from.console)
 }
 
 // RunPair executes writer and reader concurrently from the snapshot under
@@ -197,7 +233,7 @@ func (e *Env) RunPair(writer, reader *corpus.Prog, sched vm.Scheduler, tr *trace
 	e.spawn(0, writer)
 	e.spawn(1, reader)
 	err := e.M.Run(sched, e.maxSteps())
-	return e.finish(err, 2)
+	return e.finish(err, 2, 0, nil)
 }
 
 // Profile runs prog sequentially and returns its shared-memory access set:

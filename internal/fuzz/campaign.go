@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"encoding/binary"
-	"iter"
 	"slices"
 
 	"snowboard/internal/corpus"
@@ -24,13 +23,20 @@ var (
 
 // CampaignResult is the outcome of a fuzzing campaign: the selected corpus
 // plus the statistics Snowboard reports.
+//
+// Guest runs are Executed − Repeats − Prefixes, plus one capture per
+// program the corpus keeps (Selected).
 type CampaignResult struct {
 	Corpus    *corpus.Corpus
-	Executed  int // candidates folded, whether run or answered by the memo
+	Executed  int // candidates folded, whether run, resumed or answered without a run
 	Selected  int // programs kept for new coverage
 	Crashes   int // candidates that crashed, hung or deadlocked the kernel (rare; discarded)
-	Repeats   int // candidates answered by the memo, not run: Executed − Repeats guest runs
+	Repeats   int // candidates answered by the memo, not run
 	EdgeCount int
+
+	Resumed      int // candidates run from a call boundary of their parent, not from the first call
+	Prefixes     int // candidates that are a prefix of their parent, answered without a run
+	StepsSkipped int // guest steps the resumes and prefixes did not run
 }
 
 // Campaign runs a coverage-guided fuzzing campaign of budget executions on
@@ -61,12 +67,24 @@ const batchSize = 32
 // the campaign's memo. Its edges are already in cov (or it crashed), so the
 // result is the one running it would give.
 //
+// Every run is also deterministic, so a mutant that shares its first k
+// calls with its parent repeats the parent's run of them exactly. The fold
+// captures each program the corpus keeps once, on envs[0], into that Env's
+// exec.States, and a mutant resumes at its parent's latest call boundary
+// within the calls they share where the thread was at rest
+// (exec.Env.Resume): it runs only the rest, and probes only the rest's
+// edges and the one into it, as the parent's are all in cov. A mutant that
+// is a prefix of its parent, which ran whole without a crash, folds as "no
+// crash, no new edge" without a run.
+//
 // Unit i of every round is built in the campaign's i-th Candidate, so a
 // candidate the fold throws away allocates nothing; the fold copies out
 // only the programs the corpus keeps.
 func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) CampaignResult {
 	cov := cover.NewEdges()
 	seen := memo{at: make(map[uint64]uint64)}
+	states := envs[0].States() // program i's are those of out.Corpus.Progs[i]
+	states.Reset()
 	out := CampaignResult{Corpus: corpus.NewCorpus()}
 	traces := make([]trace.Trace, len(envs))
 	gens := make([]*Generator, len(envs))
@@ -79,8 +97,10 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 		prog    *corpus.Prog // in the unit's slot, rebuilt next round
 		edges   []uint64     // edge keys cov lacked at round start; nil for most
 		hash    uint64       // progHash(prog)
+		skipped int32        // guest steps of the whole run not run: those before a resume's boundary, or a prefix's all
 		crashed bool
 		repeat  bool // answered by seen, not run
+		prefix  bool // a prefix of its parent, not run
 	}
 	for out.Executed < budget {
 		n := budget - out.Executed
@@ -97,29 +117,42 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 			c := &slots[i]
 			// Mostly mutate existing corpus entries once one exists, like
 			// Syzkaller; otherwise generate fresh.
+			parent := -1
 			if len(snapshot) > 0 && g.rng.Intn(3) != 0 {
-				g.mutate(c, snapshot[g.rng.Intn(len(snapshot))])
+				parent = g.rng.Intn(len(snapshot))
+				g.mutate(c, snapshot[parent])
 			} else {
 				g.generate(c)
 			}
 			p := &c.Prog
-			// seen, like cov, is written only by the fold below, after
-			// every worker has returned, so probing it needs no lock. A
-			// repeat within this round is not in it yet and runs.
+			// seen, cov and states are written only by the fold below,
+			// after every worker has returned, so reading them needs no
+			// lock. A repeat within this round is not in seen yet and runs.
 			h := progHash(p)
 			if crashed, ok := seen.verdict(h, p); ok {
 				return unit{prog: p, hash: h, crashed: crashed, repeat: true}
 			}
+			var from exec.State // the first call: a run from the snapshot
+			if parent >= 0 {
+				shared := sharedCalls(p, snapshot[parent])
+				if shared == len(p.Calls) {
+					return unit{prog: p, hash: h, prefix: true, skipped: int32(states.RunSteps(parent, shared))}
+				}
+				from = states.Latest(parent, shared)
+			}
 			env, tr := envs[w], &traces[w]
-			res := env.RunSequential(p, tr)
+			res := env.Resume(p, from, tr)
 			env.M.SetTrace(nil)
+			u := unit{prog: p, hash: h, skipped: int32(from.Steps)}
 			if res.Crashed() || res.Hung || res.Deadlock {
 				// A sequential test should not crash the kernel; such
 				// programs are discarded (and would be reported as
 				// sequential bugs).
-				return unit{prog: p, hash: h, crashed: true}
+				u.crashed = true
+				return u
 			}
-			return unit{prog: p, hash: h, edges: cov.Missing(tr, nil)}
+			u.edges = cov.MissingAfter(from.Last, tr, nil)
+			return u
 		})
 		full := false
 		for _, u := range units {
@@ -129,6 +162,13 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 				out.Repeats++
 			} else {
 				seen.add(u.hash, u.prog, u.crashed)
+			}
+			out.StepsSkipped += int(u.skipped)
+			switch {
+			case u.prefix:
+				out.Prefixes++
+			case u.skipped > 0:
+				out.Resumed++
 			}
 			if u.crashed {
 				out.Crashes++
@@ -140,7 +180,9 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 				// corpus keeps a copy. Add never refuses it: a program
 				// kept before ran from the same snapshot, so its edges
 				// are in cov and this one adds none.
-				if out.Corpus.Add(u.prog.Clone()) {
+				if kept := u.prog.Clone(); out.Corpus.Add(kept) {
+					envs[0].Capture(kept, &traces[0])
+					envs[0].M.SetTrace(nil)
 					out.Selected++
 					mSelected.Inc()
 					mCorpus.Set(int64(out.Corpus.Len()))
@@ -160,6 +202,18 @@ func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) Campaign
 	out.EdgeCount = cov.Len()
 	mEdges.Set(int64(out.EdgeCount))
 	return out
+}
+
+// sharedCalls returns how many leading calls p shares with its parent.
+func sharedCalls(p, parent *corpus.Prog) int {
+	n := min(len(p.Calls), len(parent.Calls))
+	for i := range n {
+		a, b := &p.Calls[i], &parent.Calls[i]
+		if a.Nr != b.Nr || !slices.Equal(a.Args, b.Args) {
+			return i
+		}
+	}
+	return n
 }
 
 // memo is a campaign's record of every distinct program it has folded and
@@ -211,33 +265,21 @@ func (m *memo) add(h uint64, p *corpus.Prog, crashed bool) {
 	m.enc[c] = appendProg(m.enc[c], p)
 }
 
-// fields yields what identifies p: its call count, then each call's number
-// and argument count and each argument's kind, value and reference.
-func fields(p *corpus.Prog) iter.Seq[uint64] {
-	return func(yield func(uint64) bool) {
-		if !yield(uint64(len(p.Calls))) {
-			return
-		}
-		for _, c := range p.Calls {
-			if !yield(uint64(c.Nr)) || !yield(uint64(len(c.Args))) {
-				return
-			}
-			for _, a := range c.Args {
-				if !yield(uint64(a.Kind)) || !yield(a.Val) || !yield(uint64(a.Ref)) {
-					return
-				}
-			}
-		}
-	}
-}
+// What identifies a program, in order: its call count, then each call's
+// number and argument count and each argument's kind, value and reference.
+// progHash, appendProg and encodes walk these fields alike.
 
 // progHash hashes p's fields with one multiply each, cheap enough for every
 // candidate (Prog.Hash marshals JSON). The map scrambles the key again, and
 // a collision only costs the later program its memo entry.
 func progHash(p *corpus.Prog) uint64 {
-	var h uint64
-	for f := range fields(p) {
-		h = (h ^ f) * 0x9E3779B97F4A7C15
+	mix := func(h, f uint64) uint64 { return (h ^ f) * 0x9E3779B97F4A7C15 }
+	h := mix(0, uint64(len(p.Calls)))
+	for _, c := range p.Calls {
+		h = mix(mix(h, uint64(c.Nr)), uint64(len(c.Args)))
+		for _, a := range c.Args {
+			h = mix(mix(mix(h, uint64(a.Kind)), a.Val), uint64(a.Ref))
+		}
 	}
 	return h
 }
@@ -245,20 +287,38 @@ func progHash(p *corpus.Prog) uint64 {
 // appendProg appends p's fields as uvarints. The call and argument counts
 // make the encoding self-delimiting.
 func appendProg(b []byte, p *corpus.Prog) []byte {
-	for f := range fields(p) {
-		b = binary.AppendUvarint(b, f)
+	b = binary.AppendUvarint(b, uint64(len(p.Calls)))
+	for _, c := range p.Calls {
+		b = binary.AppendUvarint(b, uint64(c.Nr))
+		b = binary.AppendUvarint(b, uint64(len(c.Args)))
+		for _, a := range c.Args {
+			b = binary.AppendUvarint(b, uint64(a.Kind))
+			b = binary.AppendUvarint(b, a.Val)
+			b = binary.AppendUvarint(b, uint64(a.Ref))
+		}
 	}
 	return b
 }
 
 // encodes reports whether enc begins with p's encoding.
 func encodes(enc []byte, p *corpus.Prog) bool {
-	for f := range fields(p) {
+	next := func(f uint64) bool {
 		v, n := binary.Uvarint(enc)
-		if n <= 0 || v != f {
+		enc = enc[max(n, 0):]
+		return n > 0 && v == f
+	}
+	if !next(uint64(len(p.Calls))) {
+		return false
+	}
+	for _, c := range p.Calls {
+		if !next(uint64(c.Nr)) || !next(uint64(len(c.Args))) {
 			return false
 		}
-		enc = enc[n:]
+		for _, a := range c.Args {
+			if !next(uint64(a.Kind)) || !next(a.Val) || !next(uint64(a.Ref)) {
+				return false
+			}
+		}
 	}
 	return true
 }

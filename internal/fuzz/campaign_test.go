@@ -98,9 +98,14 @@ func perExecutionFold(env *exec.Env, seed int64, budget, maxKeep int) CampaignRe
 // repeat answered by it must fold as its run would have, crashed or not.
 // The "hangs" case runs on Envs whose step limit makes some candidates
 // hang, so crashing verdicts are remembered and reused too.
+//
+// So are resumes and prefixes, which the oracle does not have: it runs
+// every candidate whole. Every case must resume some candidates and answer
+// some prefixes, on both kernels and at hunt's shape (fuzz 600, corpus
+// 150).
 func TestCampaignEqualsPerExecutionFold(t *testing.T) {
-	envs := func(maxSteps int) (*exec.Env, []*exec.Env) {
-		base := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
+	envs := func(v kernel.Version, maxSteps int) (*exec.Env, []*exec.Env) {
+		base := exec.NewEnv(kernel.Config{Version: v})
 		base.MaxSteps = maxSteps
 		t.Cleanup(base.Close)
 		clones := make([]*exec.Env, 8)
@@ -110,25 +115,33 @@ func TestCampaignEqualsPerExecutionFold(t *testing.T) {
 		}
 		return base, clones
 	}
-	base, clones := envs(0)
-	hangBase, hangClones := envs(120)
+	base, clones := envs(kernel.V5_12_RC3, 0)
+	hangBase, hangClones := envs(kernel.V5_12_RC3, 120)
+	oldBase, oldClones := envs(kernel.V5_3_10, 0)
 	for _, tc := range []struct {
 		name            string
 		seed            int64
 		budget, maxKeep int
-		hangs           bool
+		capBinds        bool // the cap stops the campaign mid-round
+		hangs, v5_3     bool
 	}{
-		{"budget", 5, 700, 0, false},
-		{"short last round", 11, 333, 0, false},
-		{"cap mid-round", 5, 2000, 37, false},
-		{"hangs", 7, 1500, 0, true},
+		{name: "budget", seed: 5, budget: 700},
+		{name: "short last round", seed: 11, budget: 333},
+		{name: "cap mid-round", seed: 5, budget: 2000, maxKeep: 37, capBinds: true},
+		{name: "hangs", seed: 7, budget: 1500, hangs: true},
+		{name: "5.3.10", seed: 4, budget: 700, v5_3: true},
+		// The cap does not bind at this budget, as in hunt.
+		{name: "hunt's shape", seed: 6, budget: 600, maxKeep: 150},
 	} {
 		base, clones := base, clones
-		if tc.hangs {
+		switch {
+		case tc.hangs:
 			base, clones = hangBase, hangClones
+		case tc.v5_3:
+			base, clones = oldBase, oldClones
 		}
 		want := perExecutionFold(base, tc.seed, tc.budget, tc.maxKeep)
-		if tc.maxKeep > 0 && (want.Executed%batchSize == 0 || want.Executed >= tc.budget) {
+		if tc.capBinds && (want.Executed%batchSize == 0 || want.Executed >= tc.budget) {
 			t.Fatalf("%s: the cap stopped the oracle at %d executions, not mid-round", tc.name, want.Executed)
 		}
 		if tc.hangs && want.Crashes == 0 {
@@ -151,13 +164,18 @@ func TestCampaignEqualsPerExecutionFold(t *testing.T) {
 					t.Fatalf("%s, %d envs: corpus diverges from the oracle at program %d", tc.name, workers, i)
 				}
 			}
+			if got.Resumed == 0 || got.Prefixes == 0 {
+				t.Fatalf("%s, %d envs: %d resumes and %d prefixes, want some of each", tc.name, workers, got.Resumed, got.Prefixes)
+			}
 		}
 	}
 }
 
-// TestRepeatedCandidateNotRun holds the memo to its purpose: a campaign
-// whose candidate stream repeats programs answers the repeats without a
-// guest run, so its runs are its candidates less its repeats.
+// TestRepeatedCandidateNotRun holds the memo and the prefix rule to their
+// purpose: a campaign whose candidate stream repeats programs, or truncates
+// kept ones, answers those without a guest run. Its runs are its candidates
+// less its repeats and prefixes, plus the one capture of each program its
+// corpus keeps.
 func TestRepeatedCandidateNotRun(t *testing.T) {
 	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 	defer env.Close()
@@ -165,13 +183,14 @@ func TestRepeatedCandidateNotRun(t *testing.T) {
 	before := runs.Value()
 	res := Campaign(env, 3, 1000, 0)
 	ran := int(runs.Value() - before)
-	t.Logf("executed=%d repeats=%d runs=%d", res.Executed, res.Repeats, ran)
-	if res.Repeats == 0 {
-		t.Fatalf("no repeats in %d candidates", res.Executed)
+	t.Logf("executed=%d repeats=%d prefixes=%d captures=%d runs=%d",
+		res.Executed, res.Repeats, res.Prefixes, res.Selected, ran)
+	if res.Repeats == 0 || res.Prefixes == 0 {
+		t.Fatalf("%d repeats and %d prefixes in %d candidates, want some of each", res.Repeats, res.Prefixes, res.Executed)
 	}
-	if ran != res.Executed-res.Repeats {
-		t.Fatalf("%d guest runs for %d candidates with %d repeats, want %d",
-			ran, res.Executed, res.Repeats, res.Executed-res.Repeats)
+	if want := res.Executed - res.Repeats - res.Prefixes + res.Selected; ran != want {
+		t.Fatalf("%d guest runs for %d candidates with %d repeats, %d prefixes and %d captures, want %d",
+			ran, res.Executed, res.Repeats, res.Prefixes, res.Selected, want)
 	}
 }
 

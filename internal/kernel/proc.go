@@ -55,6 +55,14 @@ func (p *Proc) Reset(k *Kernel, t *vm.Thread, slot int) {
 	clear(p.args[:])
 }
 
+// FDs returns the descriptor table: storage of p, valid until its next
+// Reset or descriptor change.
+func (p *Proc) FDs() []FDesc { return p.fds }
+
+// SetFDs replaces the descriptor table with a copy of fds, as a process
+// resumed where another left off continues with that one's descriptors.
+func (p *Proc) SetFDs(fds []FDesc) { p.fds = append(p.fds[:0], fds...) }
+
 // UserBuf returns the process's user scratch base address.
 func (p *Proc) UserBuf() uint64 { return UserRegion(p.Slot) }
 

@@ -57,7 +57,7 @@ const (
 	MExecTestDur     = "exec.test.duration_ns"   // histogram: the exec.test span, one concurrent test's exploration
 	MExecRuns        = "exec.runs"               // counter: VM executions (sequential + pair)
 	MExecCrashes     = "exec.crashes"            // counter: executions that crashed the kernel
-	MExecSteps       = "exec.steps"              // counter: VM events processed
+	MExecSteps       = "exec.steps"              // counter: VM events processed; a resumed run counts only those after its boundary
 	MSchedTrials     = "sched.trials"            // counter: interleaving trials run
 	MSchedRepeated   = "sched.trials_repeated"   // counter: trials that repeated an earlier trial's schedule, their analysis replayed
 	MSchedPredicted  = "sched.trials_predicted"  // counter: repeated trials predicted from their draws, their guest not run either
@@ -69,7 +69,7 @@ const (
 	MParWorkers      = "par.workers"          // gauge: worker goroutines in active pools
 	MParQueueDepth   = "par.queue_depth"      // gauge: units not yet claimed by a worker
 	MParUnits        = "par.units"            // counter: work units executed
-	MParUnitDuration = "par.unit.duration_ns" // histogram: per-unit wall time
+	MParUnitDuration = "par.unit.duration_ns" // histogram: per-unit wall time, sampled: units whose index is a multiple of 16
 
 	// Oracles.
 	MDetectReports = "detect.reports"      // counter: raw oracle findings (incl. re-observations)

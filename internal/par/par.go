@@ -33,6 +33,13 @@ var (
 	hUnit       = obs.H(obs.MParUnitDuration)
 )
 
+// unitSample is the sampling period of the unit-duration histogram: Map
+// times the units whose index it divides. Two clock reads per unit were
+// 6.6% of a CPU profile of fuzzing campaigns (0.30 of 4.54 s; 16 campaigns
+// of 2,000 candidates, 2 vCPUs, go1.24), over observability's 2% budget;
+// one unit in 16 costs a sixteenth of that.
+const unitSample = 16
+
 // Workers resolves a configured worker count: values <= 0 mean "one per
 // available CPU" (GOMAXPROCS).
 func Workers(n int) int {
@@ -100,9 +107,13 @@ func Map[R any](workers, n int, fn func(worker, unit int) R) []R {
 
 	run := func(worker, unit int) {
 		mQueueDepth.Add(-1)
-		start := time.Now()
-		results[unit] = fn(worker, unit)
-		hUnit.ObserveDuration(time.Since(start))
+		if unit%unitSample != 0 {
+			results[unit] = fn(worker, unit)
+		} else {
+			start := time.Now()
+			results[unit] = fn(worker, unit)
+			hUnit.ObserveDuration(time.Since(start))
+		}
 		mUnits.Inc()
 	}
 

@@ -85,6 +85,39 @@ func (s *Shadow[T]) Get(key uint64) *T {
 	return nil
 }
 
+// ShadowProbe is a read-only view of a Shadow for a loop of membership
+// tests: it holds the table's slots, shift and generation by value, so a
+// loop over it keeps them in registers instead of reloading them through
+// the table at every lookup. It is valid until the table's next write.
+type ShadowProbe[T any] struct {
+	slots []shadowSlot[T]
+	shift uint
+	gen   uint32
+}
+
+// Probe returns a view of s's current contents.
+func (s *Shadow[T]) Probe() ShadowProbe[T] {
+	if s.live == 0 {
+		return ShadowProbe[T]{} // no slots: Has answers false
+	}
+	return ShadowProbe[T]{slots: s.slots, shift: s.shift, gen: s.gen}
+}
+
+// Has reports whether key is present.
+func (p ShadowProbe[T]) Has(key uint64) bool {
+	if len(p.slots) == 0 {
+		return false
+	}
+	mask := len(p.slots) - 1
+	for i := int(key * 0x9E3779B97F4A7C15 >> p.shift); ; i = (i + 1) & mask {
+		if sl := &p.slots[i]; sl.gen != p.gen {
+			return false
+		} else if sl.key == key {
+			return true
+		}
+	}
+}
+
 // Slot returns the value stored for key, inserting a zero value first when
 // the key is absent. The pointer is valid until the next Slot or Reset.
 func (s *Shadow[T]) Slot(key uint64) *T {

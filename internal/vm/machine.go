@@ -284,11 +284,18 @@ func (m *Machine) releaseDead(t *Thread) {
 // A thread body that panics with anything but a kernel fault makes Run
 // panic with a *GuestPanic on the caller's goroutine; the machine stays
 // usable (ResetRuntime, then Spawn).
-func (m *Machine) Run(s Scheduler, maxSteps int) error {
+func (m *Machine) Run(s Scheduler, maxSteps int) error { return m.RunFrom(s, 0, maxSteps) }
+
+// RunFrom is Run for threads that continue a run which had already made
+// steps events before they were spawned: a sequential run resumed at a call
+// boundary (exec.Env.Resume). The step budget and Steps count those events
+// too, so the resumed run hangs, and reports its steps, exactly as the
+// whole run would; the access numbering a sink sees starts at 0.
+func (m *Machine) RunFrom(s Scheduler, steps, maxSteps int) error {
 	if maxSteps <= 0 {
 		maxSteps = 1 << 22
 	}
-	m.steps = 0
+	m.steps = steps
 	m.runMax = maxSteps
 	m.offered = 0
 	m.picks = m.picks[:0]

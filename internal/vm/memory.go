@@ -320,6 +320,15 @@ type Snapshot struct {
 	regions []Region
 }
 
+// Word returns the 8 bytes at addr, which must be 8-byte aligned, as the
+// snapshot holds them: 0 on a page it never materialised.
+func (s *Snapshot) Word(addr Addr) uint64 {
+	if p := s.root.get(addr >> pageShift); p != nil {
+		return binary.LittleEndian.Uint64(p.data[addr%PageSize:])
+	}
+	return 0
+}
+
 // Snapshot freezes the current state. The pages m owned now belong to the
 // snapshot — other Memories may come to share them — so they leave the
 // dirty list without reaching the free list.

@@ -230,6 +230,15 @@ func (t *Thread) StoreMarked(ins trace.Ins, addr Addr, size int, val uint64) {
 // liveness heuristic (is_live, §4.4.1) treats as a low-liveness signal.
 func (t *Thread) CPURelax() { t.yield(EvYield) }
 
+// AtRest reports whether the thread holds nothing a fresh thread would not:
+// its stack is empty, it holds no lock and it is outside every RCU
+// read-side section. Between two calls of a user program a thread at rest
+// is, but for guest memory, the thread Spawn makes, which is what lets a
+// sequential run resume there (exec.Env.Resume).
+func (t *Thread) AtRest() bool {
+	return t.sp == t.stackLo+trace.StackSize && len(t.cpu.held) == 0 && t.rcuDepth == 0
+}
+
 // --- Stack ---
 
 // PushFrame reserves size bytes of kernel stack and returns the frame base.
