@@ -590,10 +590,14 @@ func exposureRun(t *testing.T, shared *snowboard.Pipeline, seed int64, budget in
 	defer obs.Events.SetSink(nil)
 	r := p.NewReport()
 	if opts.Feedback {
-		p.RunFeedback(r, opts.TestBudget)
+		if err := p.RunFeedback(r, opts.TestBudget); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for n := opts.TestBudget; r.TrialsRun < budget; {
-		p.ExecuteTests(r, p.GenerateTests(r, n))
+		if err := p.ExecuteTests(r, p.GenerateTests(r, n)); err != nil {
+			t.Fatal(err)
+		}
 		n = min(r.ExemplarPMCs, max(1, (budget-r.TrialsRun)*r.TestedTests/r.TrialsRun))
 	}
 	return r, firstExposures(t, r, perTest)

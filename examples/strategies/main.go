@@ -49,8 +49,11 @@ func main() {
 		p.SetPMCs(shared.PMCs)
 		r := p.NewReport()
 		tests := p.GenerateTests(r, opts.TestBudget)
-		p.ExecuteTests(r, tests)
+		err := p.ExecuteTests(r, tests)
 		p.Close()
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		ids := r.BugIDs()
 		sort.Ints(ids)

@@ -112,7 +112,7 @@ func TestAdoptableSkipsPlannedClusters(t *testing.T) {
 
 // TestLocalReportEqualsQueueReport: a report is a pure function of its
 // spec, not of the front door that ran it. ExecuteTests and triage give
-// the report PushTests → Worker.Do → FoldResults gives, field for field
+// the report a pushed batch → Worker.Do → the batch's finish gives, field for field
 // but the stage timings and the delivery accounting — CoverPairs and
 // CoverSegments included — at full coverage (bench hunt's spec, seeds 3
 // and 7), where nothing is adoptable, and at 40 S-INS-PAIR tests, where
@@ -140,7 +140,9 @@ func TestLocalReportEqualsQueueReport(t *testing.T) {
 		queued, _ := runCampaign(t, p, base, opts, tests, false)
 		local := freshCopy(base)
 		p.exploreUnits, p.segs = 0, cover.NewSegments()
-		p.ExecuteTests(local, tests)
+		if err := p.ExecuteTests(local, tests); err != nil {
+			t.Fatal(err)
+		}
 		p.TriageReport(local)
 		same(name, local, queued)
 	}

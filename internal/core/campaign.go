@@ -446,7 +446,7 @@ func (c *Campaign) Status() CampaignStatus {
 	return st
 }
 
-func (c *Campaign) finish(r *Report, err error) {
+func (c *Campaign) conclude(r *Report, err error) {
 	c.mu.Lock()
 	c.report, c.err = r, err
 	if err != nil {
@@ -477,7 +477,7 @@ func (c *Campaign) reportKey() store.Digest {
 	return store.Key(campaignKeyPrefix, "report-v4", string(c.manifest))
 }
 
-// run is the campaign goroutine; its queue closes on every path before finish.
+// run is the campaign goroutine; its queue closes on every path before conclude.
 func (c *Campaign) run() {
 	c.mu.Lock()
 	for c.paused {
@@ -487,7 +487,7 @@ func (c *Campaign) run() {
 	c.mu.Unlock()
 	r, err := c.execute()
 	c.q.Close()
-	c.finish(r, err)
+	c.conclude(r, err)
 }
 
 // execute runs the stage sequence Run runs (runStages: the corpus
@@ -507,7 +507,7 @@ func (c *Campaign) execute() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Before finish reports the campaign done.
+	// Before conclude reports the campaign done.
 	defer p.Close()
 	// The pipeline's stage, triage and feedback events are this tenant's,
 	// not the process default campaign's.

@@ -199,7 +199,7 @@ type Report struct {
 	// Distributed, when the run fanned out over the queue, is the
 	// exactly-once delivery accounting of worker results — including the
 	// dead-letter list, so a job that exhausted its delivery attempts is
-	// surfaced in the final report, not silently dropped (see FoldResults).
+	// surfaced in the final report, not silently dropped (see batch.finish).
 	Distributed *DistSummary `json:",omitempty"`
 
 	// Notes records degraded-mode decisions (e.g. generation skipped on an

@@ -64,7 +64,9 @@ func digestRun(t *testing.T, workers int) reportDigest {
 	}
 	p.IdentifyPMCs(r)
 	tests := p.GenerateTests(r, opts.TestBudget)
-	p.ExecuteTests(r, tests)
+	if err := p.ExecuteTests(r, tests); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
 	p.TriageReport(r)
 
 	d := reportDigest{

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 
+	"snowboard/internal/cover"
+	"snowboard/internal/detect"
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 )
@@ -42,61 +44,86 @@ func (s *DistSummary) dead() int {
 	return len(s.DeadJobs)
 }
 
-// delivery is the accounting of one queued batch as its results settle:
-// each of its jobs (IDs first.., as enqueued by PushTests) counts exactly
-// once however many times the queue redelivered it. The
-// first result per job ID is representative (any copy is — see
-// DistSummary) and reaches the fold in job order; later copies only bump
-// Duplicates, a result naming no job of the batch is dropped, and
+// batch is one stage-4 batch from its push to its fold (runBatch): the
+// delivery accounting of its jobs (IDs first.., one per exploration unit),
+// each of which counts exactly once however many times the queue
+// redelivered it; the results that settled ahead of an earlier job; the one
+// decoder its outcomes are decoded with, into reused storage, so nothing of
+// an outcome outlives its fold but what the report keeps; and the report
+// it folds into, with the report's unknown issues by key and its counts
+// when the batch was pushed. The first result per job ID is representative
+// (any copy is — see DistSummary) and is folded in job order; later copies
+// only bump Duplicates, a result naming no job of the batch is dropped, and
 // dead-lettered jobs of the batch are surfaced so a poisoned job never
-// silently leaves the report. A result that settles ahead of an earlier
-// job is held, its outcome copied, until that job settles or the batch
-// does.
-type delivery struct {
+// silently leaves the report.
+type batch struct {
+	r     *Report
+	tests []sched.ConcurrentTest
 	first int
 	sum   DistSummary
 	state []uint8 // by job index: jobSeen, jobDead
 	held  map[int]queue.JobResult
 	next  int // the lowest job index not folded yet
+	dec   sched.Decoder
+
+	segs    *cover.Segments // the pipeline's, across batches
+	pairs   *cover.Coverage // the batch's distinct alias pairs
+	unknown map[detect.IssueKey]struct{}
+	// trials and exercised are the report's counts when the batch was pushed.
+	trials, exercised int
 }
 
-// Job states in delivery.state.
+// Job states in batch.state.
 const (
 	jobSeen = 1 << iota // a result was taken
 	jobDead             // dead-lettered
 )
 
-func newDelivery(first, n int) *delivery {
-	return &delivery{first: first, sum: DistSummary{Expected: n}, state: make([]uint8, n)}
+// newBatch starts the fold of tests into r as the pipeline's next
+// exploration units.
+func (p *Pipeline) newBatch(r *Report, tests []sched.ConcurrentTest) *batch {
+	b := &batch{
+		r: r, tests: tests, first: p.exploreUnits,
+		sum: DistSummary{Expected: len(tests)}, state: make([]uint8, len(tests)),
+		segs: p.segs, pairs: cover.New(), unknown: make(map[detect.IssueKey]struct{}, len(r.Unknown)),
+		trials: r.TrialsRun, exercised: r.Exercised,
+	}
+	for _, u := range r.Unknown {
+		b.unknown[u.Key()] = struct{}{}
+	}
+	p.exploreUnits += len(tests)
+	return b
 }
 
-// take accounts for a drain of results and folds every job whose
-// predecessors have all been folded.
-func (d *delivery) take(results []queue.JobResult, fold func(queue.JobResult) error) error {
+// take is the fold while the batch runs, called on each drain of the
+// queue's results (Queue.Results), after every turn and while stragglers
+// settle: it folds the first result of every job whose predecessors have
+// all been folded — in job order — and holds the rest.
+func (b *batch) take(results []queue.JobResult) error {
 	for _, res := range results {
-		i := res.JobID - d.first
+		i := res.JobID - b.first
 		switch {
-		case i < 0 || i >= len(d.state):
-		case d.state[i]&jobSeen != 0:
-			d.sum.Duplicates++
-		case i != d.next:
-			d.state[i] |= jobSeen
-			d.sum.Reported++
+		case i < 0 || i >= len(b.state):
+		case b.state[i]&jobSeen != 0:
+			b.sum.Duplicates++
+		case i != b.next:
+			b.state[i] |= jobSeen
+			b.sum.Reported++
 			// Held past this drain: the queue lends outcomes only until
 			// its next one.
 			res.Outcome = bytes.Clone(res.Outcome)
-			if d.held == nil {
-				d.held = make(map[int]queue.JobResult)
+			if b.held == nil {
+				b.held = make(map[int]queue.JobResult)
 			}
-			d.held[i] = res
+			b.held[i] = res
 		default:
-			d.state[i] |= jobSeen
-			d.sum.Reported++
-			d.next++
-			if err := fold(res); err != nil {
+			b.state[i] |= jobSeen
+			b.sum.Reported++
+			b.next++
+			if err := b.fold(res); err != nil {
 				return err
 			}
-			if err := d.advance(fold, false); err != nil {
+			if err := b.advance(false); err != nil {
 				return err
 			}
 		}
@@ -107,115 +134,114 @@ func (d *delivery) take(results []queue.JobResult, fold func(queue.JobResult) er
 // advance folds the held results from next on, up to the first job still
 // unsettled — or past every job without a result once the batch has
 // settled.
-func (d *delivery) advance(fold func(queue.JobResult) error, settled bool) error {
-	for ; d.next < len(d.state); d.next++ {
-		res, ok := d.held[d.next]
+func (b *batch) advance(settled bool) error {
+	for ; b.next < len(b.state); b.next++ {
+		res, ok := b.held[b.next]
 		if !ok {
 			if !settled {
 				return nil
 			}
 			continue
 		}
-		delete(d.held, d.next)
-		if err := fold(res); err != nil {
+		delete(b.held, b.next)
+		if err := b.fold(res); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// settle closes the batch's accounting once its queue has settled: the held
-// results fold, in job order, and dead lists the batch's dead-lettered
-// jobs; a job neither reported nor dead-lettered is missing.
-func (d *delivery) settle(dead []queue.DeadJob, fold func(queue.JobResult) error) error {
-	if err := d.advance(fold, true); err != nil {
-		return err
+// finish closes the batch once its queue has settled: it takes results
+// (the queue's last drain; a batch nobody drained before comes whole),
+// folds the held results in job order, lists the batch's dead-lettered
+// jobs — a job neither reported nor dead-lettered is missing — and returns
+// the batch's delivery accounting (a campaign's addDelivery).
+func (b *batch) finish(results []queue.JobResult, dead []queue.DeadJob) (DistSummary, error) {
+	if err := b.take(results); err != nil {
+		return DistSummary{}, err
+	}
+	if err := b.advance(true); err != nil {
+		return DistSummary{}, err
 	}
 	for _, dj := range dead {
-		if i := dj.Job.ID - d.first; i >= 0 && i < len(d.state) {
-			d.state[i] |= jobDead
+		if i := dj.Job.ID - b.first; i >= 0 && i < len(b.state) {
+			b.state[i] |= jobDead
 		}
 	}
-	for i, st := range d.state {
+	for i, st := range b.state {
 		if st&jobDead != 0 {
-			d.sum.DeadJobs = append(d.sum.DeadJobs, d.first+i)
+			b.sum.DeadJobs = append(b.sum.DeadJobs, b.first+i)
 		}
 		if st == 0 {
-			d.sum.Missing = append(d.sum.Missing, d.first+i)
+			b.sum.Missing = append(b.sum.Missing, b.first+i)
 		}
 	}
-	return nil
+	r := b.r
+	r.CoverPairs += b.pairs.Len()
+	mCoverPairs.Set(int64(r.CoverPairs))
+	r.CoverSegments = b.segs.Len()
+	mCoverSegments.Set(int64(r.CoverSegments))
+	sum := b.sum
+	sum.Trials, sum.Exercised = r.TrialsRun-b.trials, r.Exercised-b.exercised
+	return sum, nil
 }
 
-// batchFold is the pipeline's fold of the batch PushTests pushed last,
-// fed as its results settle: the delivery accounting, the outcome fold's
-// state across drains, and one decoder for every outcome, so an outcome
-// is decoded into reused storage and nothing of it outlives its fold but
-// what the report keeps.
-type batchFold struct {
-	r     *Report
-	tests []sched.ConcurrentTest
-	deliv *delivery
-	fold  outcomeFold
-	dec   sched.Decoder
-	// trials and exercised are the report's counts when the fold began.
-	trials, exercised int
-}
-
-// batchFold returns the fold in progress of the batch tests, for r,
-// starting one if there is none.
-func (p *Pipeline) batchFold(r *Report, tests []sched.ConcurrentTest) *batchFold {
-	if f := p.folding; f != nil && f.r == r && len(f.tests) == len(tests) {
-		return f
-	}
-	p.folding = &batchFold{
-		r:      r,
-		tests:  tests,
-		deliv:  newDelivery(p.exploreUnits-len(tests), len(tests)),
-		fold:   p.newOutcomeFold(r),
-		trials: r.TrialsRun, exercised: r.Exercised,
-	}
-	return p.folding
-}
-
-// outcome decodes one job's first result and folds it.
-func (f *batchFold) outcome(res queue.JobResult) error {
-	out, err := f.dec.Decode(res.Outcome)
+// fold decodes one job's first result and adds it.
+func (b *batch) fold(res queue.JobResult) error {
+	out, err := b.dec.Decode(res.Outcome)
 	if err != nil {
 		return fmt.Errorf("job %d: decode outcome reported by %q: %w", res.JobID, res.Worker, err)
 	}
-	f.fold.add(f.tests[res.JobID-f.deliv.first], out)
+	b.add(b.tests[res.JobID-b.first], out)
 	return nil
 }
 
-// FoldSettled is the coordinator's half of stage 4 while the batch
-// PushTests pushed last runs: it folds the first result of every job whose
-// predecessors have all been folded — in job order — and holds the rest.
-// The coordinator calls it on each drain of the queue's results
-// (Queue.Results), after every turn and while it waits on stragglers;
-// FoldResults folds what is left.
-func (p *Pipeline) FoldSettled(r *Report, tests []sched.ConcurrentTest, results []queue.JobResult) error {
-	f := p.batchFold(r, tests)
-	return f.deliv.take(results, f.outcome)
-}
-
-// FoldResults finishes the fold of the batch PushTests pushed last, once it
-// has settled: it folds results (the last drain; a batch nobody drained
-// before comes whole) and the results held for earlier jobs, and returns
-// the batch's delivery accounting (a campaign's addDelivery).
-func (p *Pipeline) FoldResults(r *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) (DistSummary, error) {
-	f := p.batchFold(r, tests)
-	p.folding = nil
-	if err := f.deliv.take(results, f.outcome); err != nil {
-		return DistSummary{}, err
+// add is the one place an Outcome turns into IssueRecords, Unknown,
+// counters and coverage: the report keeps what it needs of it by copy, but
+// for the Repro state. CoverPairs counts each of the batch's pairs once.
+func (b *batch) add(ct sched.ConcurrentTest, out *sched.Outcome) {
+	r := b.r
+	b.segs.AddCounts(out.Segments)
+	b.pairs.AddPairs(out.Pairs)
+	r.TestedTests++
+	if ct.Hint != nil {
+		r.TestedPMCs++
+		if out.Exercised {
+			r.Exercised++
+		}
 	}
-	if err := f.deliv.settle(dead, f.outcome); err != nil {
-		return DistSummary{}, err
+	r.TrialsRun += out.Trials
+	r.Switches += out.Switches
+	r.Steps += out.Steps
+	for j, is := range out.Issues {
+		if is.BugID != 0 {
+			rec, seen := r.Issues[is.BugID]
+			if !seen {
+				rec = IssueRecord{
+					Issue:     is,
+					TestIndex: r.TestedTests,
+					Trial:     out.IssueTrials[j],
+					Repro:     out.Repro,
+					Test:      ct,
+				}
+			} else if rec.Repro == nil && out.Repro != nil && detect.CrashLevel(is.Kind) {
+				// The bug was first seen as its data-race shadow; a
+				// later crash-level observation carries the replayable
+				// trial — upgrade the record.
+				rec.Issue = is
+				rec.Repro = out.Repro
+				rec.Test = ct
+			}
+			rec.Count++
+			r.Issues[is.BugID] = rec
+			continue
+		}
+		if _, dup := b.unknown[is.Key()]; !dup {
+			b.unknown[is.Key()] = struct{}{}
+			r.Unknown = append(r.Unknown, is)
+		}
 	}
-	f.fold.done()
-	sum := f.deliv.sum
-	sum.Trials, sum.Exercised = r.TrialsRun-f.trials, r.Exercised-f.exercised
-	return sum, nil
+	mIssuesFound.Set(int64(len(r.Issues)))
 }
 
 // addDelivery adds a batch's delivery accounting to r.Distributed and

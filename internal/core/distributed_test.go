@@ -17,6 +17,7 @@ import (
 
 	"snowboard/internal/corpus"
 	"snowboard/internal/cover"
+	"snowboard/internal/detect"
 	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
 	"snowboard/internal/par"
@@ -59,11 +60,12 @@ func drain(t *testing.T, q *queue.Queue, lsr Leaser, w *Worker, crashFirst bool)
 }
 
 // pushedQueue returns a queue holding tests as jobs seeded from the start
-// of p's cursor, so every call enqueues the same (test, seed) pairs. The
-// lease is short so an abandoned job redelivers quickly, yet long enough
-// that the lease keeper's half-TTL extends never race the reaper on a loaded
-// machine.
-func pushedQueue(t *testing.T, p *Pipeline, tests []sched.ConcurrentTest, maxAttempts int) *queue.Queue {
+// of p's cursor, so every call enqueues the same (test, seed) pairs, and
+// their batch, which folds into a copy of base (the report as stages 1–3
+// left it). The lease is short so an abandoned job redelivers quickly, yet
+// long enough that the lease keeper's half-TTL extends never race the
+// reaper on a loaded machine.
+func pushedQueue(t *testing.T, p *Pipeline, base *Report, tests []sched.ConcurrentTest, maxAttempts int) (*queue.Queue, *batch) {
 	t.Helper()
 	q := queue.NewWithOptions(queue.Options{
 		Name:         "core-test",
@@ -72,27 +74,27 @@ func pushedQueue(t *testing.T, p *Pipeline, tests []sched.ConcurrentTest, maxAtt
 	})
 	t.Cleanup(q.Close)
 	p.exploreUnits = 0
-	if err := p.PushTests(q, tests, ""); err != nil {
+	b, err := p.pushBatch(q, freshCopy(base), tests)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return q
+	return q, b
 }
 
-// foldReport folds a settled queue's results into a copy of base (the
-// report as stages 1–3 left it), triages it as runStages does after the
-// last batch, and returns it with the delivery-dependent duplicate count
-// split off.
-func foldReport(t *testing.T, p *Pipeline, base *Report, tests []sched.ConcurrentTest, results []queue.JobResult, dead []queue.DeadJob) (*Report, int) {
+// foldReport finishes b's fold with a settled queue's results, triages its
+// report as runStages does after the last batch, and returns it with the
+// delivery-dependent duplicate count split off.
+func foldReport(t *testing.T, p *Pipeline, b *batch, results []queue.JobResult, dead []queue.DeadJob) (*Report, int) {
 	t.Helper()
-	r := freshCopy(base)
-	sum, err := p.FoldResults(r, tests, results, dead)
+	r := b.r
+	sum, err := b.finish(results, dead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.addDelivery(sum)
 	p.TriageReport(r)
 	sum = *r.Distributed
-	if sum.Lost() || len(sum.DeadJobs) != 0 || sum.Reported != len(tests) {
+	if sum.Lost() || len(sum.DeadJobs) != 0 || sum.Reported != len(b.tests) {
 		t.Fatalf("campaign did not settle cleanly: %+v", sum)
 	}
 	if r.TestedTests != sum.Reported || r.TrialsRun != sum.Trials {
@@ -118,16 +120,19 @@ func serialFold(t *testing.T, p *Pipeline, r *Report, tests []sched.ConcurrentTe
 	defer env.Close()
 	x := stage4Explorer(env, p.Opts.Detect)
 	x.Trials, x.KnownPMCs = p.Opts.Trials, list.Known()
-	f := p.newOutcomeFold(r)
+	b := p.newBatch(r, tests)
 	for i := range tests {
 		if keep == nil || keep(i) {
-			x.Seed = par.UnitSeed(p.Opts.Seed, par.StageExplore, p.exploreUnits+i)
+			x.Seed = par.UnitSeed(p.Opts.Seed, par.StageExplore, b.first+i)
 			out := x.Explore(tests[i])
-			f.add(tests[i], &out)
+			b.add(tests[i], &out)
 		}
 	}
-	p.exploreUnits += len(tests)
-	f.done()
+	// Closes the fold as a pushed batch's does; the delivery accounting,
+	// which finds every job missing, is not read.
+	if _, err := b.finish(nil, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // freshCopy copies a report as stages 1–3 left it, with an issue map of its
@@ -142,9 +147,9 @@ func freshCopy(base *Report) *Report {
 // core.Worker — the engine behind sbd, sbexec and the example — and folds.
 func runCampaign(t *testing.T, p *Pipeline, base *Report, opts Options, tests []sched.ConcurrentTest, crashFirst bool) (*Report, queue.Stats) {
 	t.Helper()
-	q := pushedQueue(t, p, tests, 5)
+	q, b := pushedQueue(t, p, base, tests, 5)
 	drain(t, q, localLeaser{q}, NewWorker(p.Env.Clone(), "core-test"), crashFirst)
-	r, _ := foldReport(t, p, base, tests, q.Results(), q.DeadLetters())
+	r, _ := foldReport(t, p, b, q.Results(), q.DeadLetters())
 	return r, q.Stats()
 }
 
@@ -166,7 +171,7 @@ func campaignFixture(t *testing.T, opts Options) (*Pipeline, *Report, []sched.Co
 	return p, r, tests
 }
 
-// TestPushTestsFitsLeaseFrames: the longest adoption list PushTests takes,
+// TestPushTestsFitsLeaseFrames: the longest adoption list a batch's push takes,
 // of PMCs as wide as their encoding gets, travels in a lease frame with
 // its batch's first job and decodes; one PMC more is refused in-process
 // before any job is pushed or any exploration unit drawn.
@@ -209,7 +214,7 @@ func TestPushTestsFitsLeaseFrames(t *testing.T) {
 	defer cl.Close()
 
 	p.PMCs = pmc.SetOf(ps)
-	if err := p.PushTests(q, tests, ""); err != nil {
+	if _, err := p.pushBatch(q, p.NewReport(), tests); err != nil {
 		t.Fatalf("%d PMCs: %v", len(ps), err)
 	}
 	leases, err := cl.LeaseN(nil, 1)
@@ -220,8 +225,8 @@ func TestPushTestsFitsLeaseFrames(t *testing.T) {
 		t.Fatalf("the leased job names list %q and brings %+v, want %d PMCs", leases[0].Job.Adopt, got, len(ps))
 	}
 	p.PMCs = pmc.SetOf(append(ps, widest(len(ps))))
-	if err := p.PushTests(q, tests, ""); err == nil || p.exploreUnits != 1 || q.Stats() != (queue.Stats{Leased: 1}) {
-		t.Fatalf("%d PMCs: PushTests answers %v, %d units drawn, queue %+v", len(ps)+1, err, p.exploreUnits, q.Stats())
+	if _, err := p.pushBatch(q, p.NewReport(), tests); err == nil || p.exploreUnits != 1 || q.Stats() != (queue.Stats{Leased: 1}) {
+		t.Fatalf("%d PMCs: pushBatch answers %v, %d units drawn, queue %+v", len(ps)+1, err, p.exploreUnits, q.Stats())
 	}
 }
 
@@ -314,7 +319,7 @@ func TestWorkerFrontDoorsAgree(t *testing.T) {
 	// run drains the tests through one door and returns each job's outcome
 	// bytes plus the folded report.
 	run := func(name string, tcp bool, dial func(string) (net.Conn, error), crashFirst bool) (map[int]string, *Report) {
-		q := pushedQueue(t, p, tests, 50)
+		q, b := pushedQueue(t, p, base, tests, 50)
 		var lsr Leaser = localLeaser{q}
 		if tcp {
 			lsr = serveQueue(t, q, opts.Seed, dial)
@@ -334,7 +339,7 @@ func TestWorkerFrontDoorsAgree(t *testing.T) {
 			}
 			perJob[res.JobID] = string(res.Outcome)
 		}
-		r, _ := foldReport(t, p, base, tests, results, q.DeadLetters())
+		r, _ := foldReport(t, p, b, results, q.DeadLetters())
 		return perJob, r
 	}
 
@@ -377,7 +382,7 @@ func (d *dupLeaser) Settle(items []queue.Settlement) ([]error, error) {
 // TestQueueFoldEqualsLocalFold: the same tests and seeds explored
 // in-process by the shared recipe — the template and the batch's adoption
 // set — and folded, and
-// pushed through PushTests → flaky TCP → Worker.Do with one abandoned lease
+// pushed as a batch → flaky TCP → Worker.Do with one abandoned lease
 // and one duplicated report, yield deep-equal reports — issues, repro
 // state, triage, unknowns and counters: the queue adds delivery, nothing
 // else.
@@ -390,7 +395,7 @@ func TestQueueFoldEqualsLocalFold(t *testing.T) {
 		serialFold(t, p, local, tests, nil)
 		p.TriageReport(local)
 
-		q := pushedQueue(t, p, tests, 50)
+		q, b := pushedQueue(t, p, base, tests, 50)
 		lsr := &dupLeaser{Leaser: serveQueue(t, q, seed, flakyDial(seed))}
 		wenv := p.Env.Clone()
 		drain(t, q, lsr, NewWorker(wenv, "queue"), true)
@@ -398,7 +403,7 @@ func TestQueueFoldEqualsLocalFold(t *testing.T) {
 		if st := q.Stats(); st.Redelivered == 0 {
 			t.Errorf("seed %d: the abandoned lease was never redelivered: %+v", seed, st)
 		}
-		queued, dups := foldReport(t, p, base, tests, q.Results(), q.DeadLetters())
+		queued, dups := foldReport(t, p, b, q.Results(), q.DeadLetters())
 		if dups == 0 {
 			t.Errorf("seed %d: the duplicated report was not counted", seed)
 		}
@@ -661,28 +666,40 @@ func TestWorkerNacksJobsWithoutTrials(t *testing.T) {
 	}
 }
 
-// aggregate is a batch's delivery accounting over results, taken as
-// drains of at most chunk results each, and dead: the summary and the
-// results it folds, in the order it folds them.
+// aggregate is the delivery accounting of a batch of n jobs from first
+// over results, taken as drains of at most chunk results each, and dead:
+// the summary and the results it folds, in the order it folds them. Each
+// result carries an outcome of one unknown issue naming it, so the
+// report's Unknown lists the folded results in fold order.
 func aggregate(t *testing.T, first, n int, results []queue.JobResult, dead []queue.DeadJob, chunk int) (DistSummary, []queue.JobResult) {
 	t.Helper()
-	d := newDelivery(first, n)
-	var folded []queue.JobResult
-	fold := func(res queue.JobResult) error {
-		folded = append(folded, res)
-		return nil
+	named := make(map[string]queue.JobResult, len(results))
+	drained := slices.Clone(results)
+	for i := range drained {
+		desc := fmt.Sprintf("result %d", i)
+		out := sched.Outcome{Issues: []detect.Issue{{Kind: detect.KindPanic, Desc: desc}}, IssueTrials: []int{0}}
+		drained[i].Outcome = out.Encode(nil)
+		named[desc] = results[i]
 	}
-	for len(results) > 0 {
-		k := min(chunk, len(results))
-		if err := d.take(results[:k], fold); err != nil {
+	p := &Pipeline{segs: cover.NewSegments(), exploreUnits: first}
+	r := &Report{Issues: make(map[int]IssueRecord)}
+	b := p.newBatch(r, make([]sched.ConcurrentTest, n))
+	for len(drained) > 0 {
+		k := min(chunk, len(drained))
+		if err := b.take(drained[:k]); err != nil {
 			t.Fatal(err)
 		}
-		results = results[k:]
+		drained = drained[k:]
 	}
-	if err := d.settle(dead, fold); err != nil {
+	sum, err := b.finish(nil, dead)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return d.sum, folded
+	var folded []queue.JobResult
+	for _, is := range r.Unknown {
+		folded = append(folded, named[is.Desc])
+	}
+	return sum, folded
 }
 
 // TestAggregateResultsFolds pins the delivery accounting: duplicates
@@ -771,19 +788,18 @@ func TestSettledJobAllocBudget(t *testing.T) {
 	var leases []queue.Lease
 	perJob := func() (allocs, bytes float64) {
 		p.exploreUnits = 0
-		if err := p.PushTests(q, tests, ""); err != nil {
+		b, err := p.pushBatch(q, freshCopy(base), tests)
+		if err != nil {
 			t.Fatal(err)
 		}
-		r := freshCopy(base)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		var err error
 		leases, err = q.LeaseN(leases[:0], turn)
 		if err != nil || len(leases) != turn {
 			t.Fatalf("LeaseN(%d) = %d leases, %v", turn, len(leases), err)
 		}
 		settled, _ := w.Do(localLeaser{q}, leases)
-		sum, err := p.FoldResults(r, tests, q.Results(), nil)
+		sum, err := b.finish(q.Results(), nil)
 		runtime.ReadMemStats(&after)
 		if err != nil || settled != turn || sum.Reported != turn {
 			t.Fatalf("turn settled %d of %d jobs, fold: %v", settled, turn, err)
@@ -806,8 +822,8 @@ func TestSettledJobAllocBudget(t *testing.T) {
 }
 
 // TestStreamingFoldEqualsLocalFold: a campaign's coordinator folds each
-// batch as its results settle (FoldSettled after every drain, FoldResults
-// once the queue has settled), and what it folds equals the local fold of
+// batch as its results settle (the batch's take after every drain, its
+// finish once the queue has settled), and what it folds equals the local fold of
 // the same tests and seeds byte for byte, DistSummary included, however
 // the results arrive. Two batches share one queue: the first at partial
 // coverage, its jobs naming an adoption list, the second at full coverage,
@@ -850,14 +866,15 @@ func TestStreamingFoldEqualsLocalFold(t *testing.T) {
 	p.exploreUnits = 0
 	var dead []int
 	for b, tests := range batches {
+		bt, err := p.pushBatch(q, r, tests)
+		if err != nil {
+			t.Fatal(err)
+		}
 		fold := func() {
 			t.Helper()
-			if err := p.FoldSettled(r, tests, q.Results()); err != nil {
+			if err := bt.take(q.Results()); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := p.PushTests(q, tests, ""); err != nil {
-			t.Fatal(err)
 		}
 		held := lease(joined, 2)
 		if len(held) != 2 || (b == 0) != (held[0].Adopt != nil) {
@@ -883,7 +900,7 @@ func TestStreamingFoldEqualsLocalFold(t *testing.T) {
 		if r.TestedTests != before+2 {
 			t.Fatalf("batch %d: %d jobs folded past the dead-lettered one, want the two before it", b, r.TestedTests-before)
 		}
-		sum, err := p.FoldResults(r, tests, q.Results(), q.DeadLetters())
+		sum, err := bt.finish(q.Results(), q.DeadLetters())
 		if err != nil {
 			t.Fatal(err)
 		}

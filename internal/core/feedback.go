@@ -240,17 +240,17 @@ func composeTests(drawn []sched.ConcurrentTest) []sched.ConcurrentTest {
 }
 
 // RunFeedback spends budget concurrent tests through the feedback loop
-// described at the top of this file (stages 3+4, interleaved per round). Non-PMC methods, empty corpora and strategies that yield no
-// cluster degrade to the one-shot path with a note.
-func (p *Pipeline) RunFeedback(r *Report, budget int) {
+// described at the top of this file (stages 3+4, interleaved per round),
+// and returns the error of a round's batch, after which no round runs.
+// Non-PMC methods, empty corpora and strategies that yield no cluster
+// degrade to the one-shot path with a note.
+func (p *Pipeline) RunFeedback(r *Report, budget int) error {
 	if p.Opts.Method.Kind != MethodPMC {
-		p.oneShot(r, budget, fmt.Sprintf("feedback ignored: method %s is not PMC-guided", p.Opts.Method.Name))
-		return
+		return p.oneShot(r, budget, fmt.Sprintf("feedback ignored: method %s is not PMC-guided", p.Opts.Method.Name))
 	}
 	if p.Corpus == nil || p.Corpus.Len() == 0 {
 		// GenerateTests records the empty-corpus note.
-		p.oneShot(r, budget, "")
-		return
+		return p.oneShot(r, budget, "")
 	}
 
 	rounds := p.feedbackRounds()
@@ -258,7 +258,7 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 		rounds = budget
 	}
 	if rounds <= 0 {
-		return
+		return nil
 	}
 	span := obs.StartSpan("stage.feedback")
 
@@ -267,8 +267,7 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 		// No cluster to spend rounds on (the strategy keeps none of the
 		// PMCs): the one-shot path generates no test either.
 		span.End()
-		p.oneShot(r, budget, fmt.Sprintf("feedback ignored: method %s yields no PMC cluster", p.Opts.Method.Name))
-		return
+		return p.oneShot(r, budget, fmt.Sprintf("feedback ignored: method %s yields no PMC cluster", p.Opts.Method.Name))
 	}
 	p.indexClusters(cs)
 	cluster.OrderClusters(cs, cluster.UncommonFirst, nil)
@@ -334,9 +333,9 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 
 		issuesBefore, segmentsBefore := len(r.Issues), r.CoverSegments
 		deadBefore := r.Distributed.dead()
-		p.ExecuteTests(r, tests)
-		if p.err != nil {
-			break // the round's batch failed: nothing of it is checkpointed
+		if err := p.ExecuteTests(r, tests); err != nil {
+			span.End()
+			return err // nothing of the round is checkpointed
 		}
 		if keys != nil && r.Distributed.dead() > deadBefore {
 			// A dead-lettered job's findings and coverage are missing from
@@ -357,14 +356,15 @@ func (p *Pipeline) RunFeedback(r *Report, budget int) {
 		}
 	}
 	span.End()
+	return nil
 }
 
 // oneShot runs the one-shot path in the feedback loop's place, noting why
 // unless note is empty.
-func (p *Pipeline) oneShot(r *Report, budget int, note string) {
+func (p *Pipeline) oneShot(r *Report, budget int, note string) error {
 	if note != "" {
 		obs.Diag.Printf("stage feedback: %s", note)
 		r.Notes = append(r.Notes, note)
 	}
-	p.ExecuteTests(r, p.GenerateTests(r, budget))
+	return p.ExecuteTests(r, p.GenerateTests(r, budget))
 }

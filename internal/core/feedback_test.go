@@ -182,7 +182,9 @@ func feedbackRun(t *testing.T, workers int, st *store.Store) (*Pipeline, *Report
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	p.IdentifyPMCs(r)
-	p.RunFeedback(r, opts.TestBudget)
+	if err := p.RunFeedback(r, opts.TestBudget); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
 	return p, r
 }
 
@@ -261,7 +263,9 @@ func TestFeedbackResumeMatchesUninterrupted(t *testing.T) {
 	pRes.SetProfiles(pFull.Profiles)
 	pRes.SetPMCs(pFull.PMCs)
 	rRes := pRes.NewReport()
-	pRes.RunFeedback(rRes, pRes.Opts.TestBudget)
+	if err := pRes.RunFeedback(rRes, pRes.Opts.TestBudget); err != nil {
+		t.Fatal(err)
+	}
 	if got := feedbackDigestOf(pRes, rRes); !reflect.DeepEqual(want, got) {
 		t.Fatalf("resumed campaign diverged from uninterrupted:\n  want: %+v\n  got:  %+v", want, got)
 	}
@@ -295,7 +299,9 @@ func TestFeedbackNonPMCMethodDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.IdentifyPMCs(r)
-	p.RunFeedback(r, opts.TestBudget)
+	if err := p.RunFeedback(r, opts.TestBudget); err != nil {
+		t.Fatal(err)
+	}
 	if r.FeedbackRounds != 0 {
 		t.Fatalf("non-PMC method ran %d feedback rounds", r.FeedbackRounds)
 	}

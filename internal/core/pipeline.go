@@ -8,7 +8,6 @@ import (
 	"snowboard/internal/cluster"
 	"snowboard/internal/corpus"
 	"snowboard/internal/cover"
-	"snowboard/internal/detect"
 	"snowboard/internal/exec"
 	"snowboard/internal/fuzz"
 	"snowboard/internal/kernel"
@@ -53,7 +52,7 @@ type Pipeline struct {
 	envs []*exec.Env
 
 	// genCalls counts GenerateTests invocations and exploreUnits counts
-	// concurrent tests seeded (PushTests), so repeated stage calls keep
+	// concurrent tests seeded (newBatch), so repeated stage calls keep
 	// drawing fresh — but deterministic — seeds, like the old shared rng did.
 	genCalls     int
 	exploreUnits int
@@ -71,17 +70,10 @@ type Pipeline struct {
 	plan *cluster.Index
 
 	// q and execs run every stage-4 batch (runBatch); camp, when set, is
-	// the campaign the pipeline runs for (Campaign.execute). err is the
-	// first error a batch met: no batch runs after it, and runStages
-	// returns it.
+	// the campaign the pipeline runs for (Campaign.execute).
 	q     *queue.Queue
 	execs []*Worker
 	camp  *Campaign
-	err   error
-
-	// folding is the fold in progress of the batch PushTests pushed last
-	// (FoldSettled), finished by FoldResults.
-	folding *batchFold
 
 	// store, when attached with UseStore, memoizes stages through the
 	// content-addressed artifact store; corpusDigest is the content address
@@ -339,16 +331,15 @@ func (p *Pipeline) GenerateTests(r *Report, budget int) []sched.ConcurrentTest {
 // through the pipeline's queue (runBatch), as a campaign does: findings
 // fold into the report in test order as results settle, byte-for-byte the
 // serial fold at any worker count, because each test's outcome is a pure
-// function of its job. After a batch has failed it runs nothing
-// (Pipeline.err). DESIGN.md row 73 has what the queue costs a local run.
-func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) {
+// function of its job. It returns the batch's error. DESIGN.md row 73 has
+// what the queue costs a local run.
+func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) error {
 	span := obs.StartSpan("stage.exec")
-	if p.err == nil {
-		p.err = p.runBatch(r, tests)
-	}
+	err := p.runBatch(r, tests)
 	d := span.End()
 	r.ExecTime += d
 	p.stageDone("exec", false, d, obs.A("issues", len(r.Issues)), obs.A("segments", r.CoverSegments))
+	return err
 }
 
 // adoptable is what incidental adoption (Algorithm 2 lines 26–27) may pick
@@ -359,7 +350,7 @@ func (p *Pipeline) ExecuteTests(r *Report, tests []sched.ConcurrentTest) {
 // there. At full coverage nothing is left, so the batch's jobs name no
 // list, the explorer gets no set and neither the lookup nor the adopted
 // PMCs' preemption points run. Without a plan (a pairing baseline, or tests GenerateTests
-// and RunFeedback did not draw) every PMC is adoptable. PushTests pushes
+// and RunFeedback did not draw) every PMC is adoptable. pushBatch pushes
 // the list once per batch, and each job names it by digest.
 func (p *Pipeline) adoptable(tests []sched.ConcurrentTest) []pmc.PMC {
 	if p.PMCs == nil {
@@ -389,82 +380,6 @@ func (p *Pipeline) indexClusters(cs []cluster.Cluster) {
 	if p.plan == nil || !p.plan.Indexes(p.PMCs, p.Opts.Method.Strategy) {
 		p.plan = cluster.NewIndex(p.PMCs, p.Opts.Method.Strategy, cs)
 	}
-}
-
-// outcomeFold is the one place an Outcome turns into IssueRecords,
-// Unknown, counters and coverage (batchFold feeds it each job's first
-// result in job order), with its state over one batch, which may reach it
-// in several chunks: the report's unknown issues so far, by key, and the
-// batch's distinct alias pairs, so CoverPairs counts each pair once.
-type outcomeFold struct {
-	r       *Report
-	segs    *cover.Segments
-	pairs   *cover.Coverage
-	unknown map[detect.IssueKey]struct{}
-}
-
-func (p *Pipeline) newOutcomeFold(r *Report) outcomeFold {
-	f := outcomeFold{r: r, segs: p.segs, pairs: cover.New(), unknown: make(map[detect.IssueKey]struct{}, len(r.Unknown))}
-	for _, u := range r.Unknown {
-		f.unknown[u.Key()] = struct{}{}
-	}
-	return f
-}
-
-// add folds one test's outcome; the report keeps what it needs of it by
-// copy, but for the Repro state.
-func (f *outcomeFold) add(ct sched.ConcurrentTest, out *sched.Outcome) {
-	r := f.r
-	f.segs.AddCounts(out.Segments)
-	f.pairs.AddPairs(out.Pairs)
-	r.TestedTests++
-	if ct.Hint != nil {
-		r.TestedPMCs++
-		if out.Exercised {
-			r.Exercised++
-		}
-	}
-	r.TrialsRun += out.Trials
-	r.Switches += out.Switches
-	r.Steps += out.Steps
-	for j, is := range out.Issues {
-		if is.BugID != 0 {
-			rec, seen := r.Issues[is.BugID]
-			if !seen {
-				rec = IssueRecord{
-					Issue:     is,
-					TestIndex: r.TestedTests,
-					Trial:     out.IssueTrials[j],
-					Repro:     out.Repro,
-					Test:      ct,
-				}
-			} else if rec.Repro == nil && out.Repro != nil && detect.CrashLevel(is.Kind) {
-				// The bug was first seen as its data-race shadow; a
-				// later crash-level observation carries the replayable
-				// trial — upgrade the record.
-				rec.Issue = is
-				rec.Repro = out.Repro
-				rec.Test = ct
-			}
-			rec.Count++
-			r.Issues[is.BugID] = rec
-			continue
-		}
-		if _, dup := f.unknown[is.Key()]; !dup {
-			f.unknown[is.Key()] = struct{}{}
-			r.Unknown = append(r.Unknown, is)
-		}
-	}
-	mIssuesFound.Set(int64(len(r.Issues)))
-}
-
-// done closes the batch: CoverPairs grows by its distinct alias pairs and
-// CoverSegments is the pipeline-cumulative segment count.
-func (f *outcomeFold) done() {
-	f.r.CoverPairs += f.pairs.Len()
-	mCoverPairs.Set(int64(f.r.CoverPairs))
-	f.r.CoverSegments = f.segs.Len()
-	mCoverSegments.Set(int64(f.r.CoverSegments))
 }
 
 // Run executes the full pipeline. With Options.StateDir set, stages 1 and
@@ -513,13 +428,14 @@ func (p *Pipeline) runStages(r *Report, between func()) error {
 	between()
 	p.IdentifyPMCs(r)
 	between()
+	var err error
 	if p.Opts.Feedback {
-		p.RunFeedback(r, p.Opts.TestBudget)
+		err = p.RunFeedback(r, p.Opts.TestBudget)
 	} else {
-		p.ExecuteTests(r, p.GenerateTests(r, p.Opts.TestBudget))
+		err = p.ExecuteTests(r, p.GenerateTests(r, p.Opts.TestBudget))
 	}
-	if p.err != nil {
-		return p.err
+	if err != nil {
+		return err
 	}
 	p.TriageReport(r)
 	return nil

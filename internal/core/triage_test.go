@@ -213,7 +213,9 @@ func TestTriageResumeSkipsMinimizedFindings(t *testing.T) {
 		}
 		p.IdentifyPMCs(r)
 		tests := p.GenerateTests(r, opts.TestBudget)
-		p.ExecuteTests(r, tests)
+		if err := p.ExecuteTests(r, tests); err != nil {
+			t.Fatal(err)
+		}
 		p.TriageReport(r)
 		return r
 	}

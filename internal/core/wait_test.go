@@ -40,16 +40,16 @@ func TestStragglerSettleEndsDrainPromptly(t *testing.T) {
 	var lags []time.Duration
 	for range 25 {
 		p.exploreUnits = 0
-		if err := p.PushTests(q, tests, ""); err != nil {
+		b, err := p.pushBatch(q, freshCopy(base), tests)
+		if err != nil {
 			t.Fatal(err)
 		}
 		held, err := q.TryLease()
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := freshCopy(base)
 		drained := make(chan error, 1)
-		go func() { drained <- p.drain(r, tests, q, ws) }()
+		go func() { drained <- p.drain(b, q, ws) }()
 		lsr := &settleLeaser{localLeaser: localLeaser{q}}
 		if n, _ := joined.Do(lsr, []queue.Lease{held}); n != 1 {
 			t.Fatalf("the joined worker settled %d of its 1 job", n)
@@ -58,7 +58,7 @@ func TestStragglerSettleEndsDrainPromptly(t *testing.T) {
 			t.Fatal(err)
 		}
 		lags = append(lags, time.Since(lsr.settled))
-		sum, err := p.FoldResults(r, tests, q.Results(), q.DeadLetters())
+		sum, err := b.finish(q.Results(), q.DeadLetters())
 		if err != nil || sum.Reported != len(tests) || sum.Lost() {
 			t.Fatalf("fold: %v, summary %+v", err, sum)
 		}

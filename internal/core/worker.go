@@ -18,7 +18,7 @@ import (
 
 // This file is the one recipe of stage 4, whatever the front door: the
 // explorer template, how tests become jobs carrying their seeds, trial
-// budget, kernel version and adoption list (PushTests), how a pipeline
+// budget, kernel version and adoption list (pushBatch), how a pipeline
 // runs a batch through its queue (runBatch, drain), how a leased turn is
 // explored and settled with whole outcomes (Worker.Do), and how a worker
 // joins a campaign it does not own (Worker.Join). An outcome is a pure
@@ -40,66 +40,66 @@ func stage4Explorer(env *exec.Env, opt detect.Options) sched.Explorer {
 	}
 }
 
-// PushTests enqueues tests as one batch of jobs, each ID'd and seeded by
+// pushBatch enqueues tests as one batch of jobs, each ID'd and seeded by
 // its exploration unit — the pipeline's count of tests seeded before it —
-// so a pipeline's batches continue on one queue and FoldSettled and
-// FoldResults fold the batch pushed last. Each job carries both programs,
-// its hints, its exploration seed, the pipeline's trial budget and kernel
-// version and its batch's adoption list by digest — everything its
-// outcome depends on, so a worker needs nothing but the queue's address.
-// The list itself is pushed once, before the jobs (queue.PushList), and
-// the jobs in one queue.Push. Every job carries trace, so worker and
+// so a pipeline's batches continue on one queue, and returns the batch,
+// which folds into r. Each job carries both programs, its hints, its
+// exploration seed, the pipeline's trial budget and kernel version and its
+// batch's adoption list by digest — everything its outcome depends on, so
+// a worker needs nothing but the queue's address. The list itself is
+// pushed once, before the jobs (queue.PushList), and the jobs in one
+// queue.Push. Every job carries the pipeline's trace, so worker and
 // delivery events stitch back to the originating campaign. A batch whose
 // adoption list is past queue.MaxAdoptBytes is refused before anything is
 // pushed: it would not fit a lease frame.
-func (p *Pipeline) PushTests(q *queue.Queue, tests []sched.ConcurrentTest, trace string) error {
-	p.folding = nil
+func (p *Pipeline) pushBatch(q *queue.Queue, r *Report, tests []sched.ConcurrentTest) (*batch, error) {
 	list, err := queue.NewAdoptList(p.adoptable(tests))
 	if err != nil {
-		return fmt.Errorf("the batch's adoption list: %w", err)
+		return nil, fmt.Errorf("the batch's adoption list: %w", err)
 	}
 	var adopt string
 	if list != nil {
 		if err := q.PushList(list); err != nil {
-			return fmt.Errorf("push adoption list: %w", err)
+			return nil, fmt.Errorf("push adoption list: %w", err)
 		}
 		adopt = list.Digest
 	}
-	first := p.exploreUnits
-	p.exploreUnits += len(tests)
+	b := p.newBatch(r, tests)
 	jobs := make([]queue.Job, len(tests))
 	for i, ct := range tests {
-		jobs[i] = queue.Job{ID: first + i, Seed: par.UnitSeed(p.Opts.Seed, par.StageExplore, first+i), Trials: p.Opts.Trials,
+		id := b.first + i
+		jobs[i] = queue.Job{ID: id, Seed: par.UnitSeed(p.Opts.Seed, par.StageExplore, id), Trials: p.Opts.Trials,
 			Version: string(p.Env.Cfg.Version), Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint, Pair: ct.Pair, Extra: ct.Extra,
-			Adopt: adopt, Trace: trace}
+			Adopt: adopt, Trace: p.trace}
 	}
 	if err := q.Push(jobs...); err != nil {
-		return fmt.Errorf("push jobs %d..%d: %w", first, first+len(jobs)-1, err)
+		return nil, fmt.Errorf("push jobs %d..%d: %w", b.first, b.first+len(jobs)-1, err)
 	}
-	return nil
+	return b, nil
 }
 
 // runBatch runs every stage-4 batch, a local run's or a campaign's: pushed
-// (PushTests), drained and folded as it settles (drain), finished by
-// FoldResults. A campaign adds its delivery to the report; a local batch
+// (pushBatch), drained and folded as it settles (drain), finished by the
+// batch's finish. A campaign adds its delivery to the report; a local batch
 // fails on a job no Worker explored, naming it.
 func (p *Pipeline) runBatch(r *Report, tests []sched.ConcurrentTest) error {
 	if len(tests) == 0 {
 		return nil
 	}
 	q, ws := p.executors()
-	if err := p.PushTests(q, tests, p.trace); err != nil {
+	b, err := p.pushBatch(q, r, tests)
+	if err != nil {
 		return err
 	}
 	c := p.camp
 	if c != nil && c.env.ExecGate != nil {
 		<-c.env.ExecGate
 	}
-	if err := p.drain(r, tests, q, ws); err != nil {
+	if err := p.drain(b, q, ws); err != nil {
 		return err
 	}
 	dead := q.DeadLetters()
-	sum, err := p.FoldResults(r, tests, q.Results(), dead)
+	sum, err := b.finish(q.Results(), dead)
 	switch {
 	case err != nil:
 		return err
@@ -136,9 +136,9 @@ func (p *Pipeline) executors() (*queue.Queue, []*Worker) {
 // drain is the one in-process lease → Do → fold loop: each Worker, on a
 // goroutine of its own, runs turns (Worker.Do) while a job is pending and
 // waits on q.Await while one is leased elsewhere, folding what has settled
-// after each (FoldSettled, one at a time) until a fold fails or q settles
-// or closes. A campaign adds its pause gate, fair turns, slice and Fault hook.
-func (p *Pipeline) drain(r *Report, tests []sched.ConcurrentTest, q *queue.Queue, ws []*Worker) error {
+// after each (b's take, one at a time) until a fold fails or q settles or
+// closes. A campaign adds its pause gate, fair turns, slice and Fault hook.
+func (p *Pipeline) drain(b *batch, q *queue.Queue, ws []*Worker) error {
 	var (
 		mu  sync.Mutex // one fold at a time; guards err
 		err error
@@ -182,7 +182,7 @@ func (p *Pipeline) drain(r *Report, tests []sched.ConcurrentTest, q *queue.Queue
 				}
 				mu.Lock()
 				if err == nil {
-					err = p.FoldSettled(r, tests, q.Results())
+					err = b.take(q.Results())
 				}
 				failed := err != nil
 				mu.Unlock()

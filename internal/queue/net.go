@@ -64,7 +64,7 @@ var (
 // inside the header. v2's report and ack ops are gone (Client.Report and
 // Client.Ack are one-item settles), and push was never a wire op: jobs are
 // pushed in-process by the producer that owns the queue
-// (Pipeline.PushTests). A peer sending any of the three gets
+// (core's Pipeline.runBatch). A peer sending any of the three gets
 // {"ok":false,"err":"unknown op \"push\""}, as for any unknown op.
 //
 // Every request may name its queue ("queue":"campaign.<id>"); without a

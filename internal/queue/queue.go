@@ -560,7 +560,7 @@ func (q *Queue) Report(r JobResult) error { return q.Settle([]Settlement{{Result
 // Results drains and returns the results recorded since the last call.
 // At-least-once delivery means the slice can hold several results for one
 // redelivered job; coordinators deduplicate by JobID
-// (core.Pipeline.FoldSettled and FoldResults). The slice and its outcome
+// (the fold of core's stage-4 batch). The slice and its outcome
 // bytes are the queue's, lent until the next Results call reuses them: a
 // coordinator folds each drain before the next, so no outcome outlives
 // its fold.

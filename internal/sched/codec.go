@@ -14,7 +14,7 @@ import (
 
 // An Outcome crosses a queue as compact bytes: a queue worker encodes it
 // once (core.Worker.Do) and the coordinator's fold decodes it once
-// (Decoder, in core.Pipeline.FoldSettled and FoldResults), in-process or
+// (Decoder, in the fold of core's stage-4 batch), in-process or
 // over TCP alike. The form is
 // outcomeVersion, then the fields in declaration order: ints as zigzag
 // varints, unsigned values (instructions, addresses, values) as

@@ -158,8 +158,14 @@ var designRules = []designRule{
 		{"examples/distributed/main.go", "\nfunc poll() { time.Sleep(5 * time.Millisecond) }\n"},
 	}},
 	{"one_coordinator", oneCoordinator, []mutation{
-		{"cmd/snowboard/fold.go", "package main\n\nfunc fold(p *core.Pipeline) { p.FoldResults(nil) }\n"},
+		{"internal/core/fold.go", "package core\n\nfunc fold(b *batch) { b.finish(nil, nil) }\n"},
+		{"internal/core/campaign.go", "\nfunc (c *Campaign) push(p *Pipeline) { p.pushBatch(c.q, nil, nil) }\n"},
 		{"cmd/snowboard/serve.go", "package main\n\nimport \"snowboard/internal/queue\"\n\nvar _, _ = queue.Serve(nil, \"\")\n"},
+	}},
+	{"one_batch_value", oneBatchValue, []mutation{
+		{"internal/core/pipeline.go", "\ntype Pipeline struct{ folding *batch }\n"},
+		{"internal/core/pipeline.go", "\ntype Pipeline struct{ err error }\n"},
+		{"internal/core/distributed.go", "\nfunc (p *Pipeline) FoldSettled(r *Report, results []queue.JobResult) error { return nil }\n"},
 	}},
 	{"one_stage_4_driver", oneStage4Driver, []mutation{
 		// The alias hides this call from a text match for "sched.NewFleet".
@@ -224,6 +230,11 @@ var designRules = []designRule{
 		{"internal/detect/suite.go", "\ntype Scratch struct{ classified map[racePair]Issue }\n"},
 		{"internal/detect/suite.go", "\nfunc (sc *Scratch) seen() int { return len(map[IssueKey]bool{}) }\n"},
 		{"internal/sched/explore.go", "\ntype scratch struct{ seen map[detect.IssueKey]bool }\n"},
+	}},
+	{"ci_runs_only_tests_that_exist", ciRunsOnlyTestsThatExist, []mutation{
+		{ciWorkflow, "\n      - name: A renamed test\n        run: go test -race -run 'TestChaosFleet|TestGone' ./internal/queue ./internal/core\n"},
+		{ciWorkflow, "\n      - name: A renamed fuzz target\n        run: go test -run '^$' -fuzz '^FuzzEdge$' -fuzztime 10s ./internal/cover\n"},
+		{ciWorkflow, "\n      - name: A benchmark of another package\n        run: |\n          go test -run '^$' \\\n            -bench 'BenchmarkGuestAccess' ./internal/sched/\n"},
 	}},
 	{"doc_references_resolve", docReferencesResolve, []mutation{
 		{"DESIGN.md", "\n| Figure 1 | `TestBugL2TP` |\n"},
@@ -682,16 +693,17 @@ func stage4WaitsOnItsQueue(tr *tree) []string {
 	return out
 }
 
-// Every stage-4 batch is pushed and its results folded in one place,
+// Every stage-4 batch is pushed and its fold finished in one place,
 // core.Pipeline.runBatch, whichever front door (core.Run, sbd, `snowboard
-// -listen`, the distributed example) ran it; and every queue listener
-// serves a registry's named campaign queues.
+// -listen`, the distributed example) ran it: one pushBatch( and one
+// .finish( in internal/core, where the unexported batch lives; and every
+// queue listener serves a registry's named campaign queues.
 func oneCoordinator(tr *tree) []string {
 	var out []string
 	code := tr.code()
-	for _, sel := range []string{"PushTests", "FoldResults"} {
+	for _, sel := range []string{"pushBatch", "finish"} {
 		var calls []ast.Node
-		inspect(code, func(f *srcFile, n ast.Node) {
+		inspect(tr.code("internal/core/*.go"), func(f *srcFile, n ast.Node) {
 			if call, ok := n.(*ast.CallExpr); ok && isSelector(call.Fun) && lastName(call.Fun) == sel {
 				calls = append(calls, call)
 			}
@@ -705,6 +717,50 @@ func oneCoordinator(tr *tree) []string {
 			out = append(out, tr.at(call, "queue.Serve( outside bench/; serve a registry (queue.ServeRegistry)"))
 		}
 	})
+	return out
+}
+
+// A stage-4 batch is one value, core's batch: runBatch pushes it, drain
+// feeds it each drain of results and runBatch finishes it, so the Pipeline
+// keeps no fold in progress — no field of a type that takes a drain of
+// results (a method with a []queue.JobResult parameter), and no error
+// field parking a batch's failure for a later call to find — and exports
+// no method taking results, through which a caller would drive a fold of
+// its own.
+func oneBatchValue(tr *tree) []string {
+	var out []string
+	folds := map[string]bool{}
+	for _, f := range tr.code("internal/core/*.go") {
+		for _, d := range f.ast.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !slices.Contains(paramTypes(fd), "[]queue.JobResult") {
+				continue
+			}
+			if recvName(fd) != "Pipeline" {
+				folds[recvName(fd)] = true
+			} else if fd.Name.IsExported() {
+				out = append(out, tr.at(fd, "Pipeline."+fd.Name.Name+" takes results; fold a batch through runBatch"))
+			}
+		}
+	}
+	if len(folds) == 0 {
+		out = append(out, "internal/core: no type takes a drain of results to check Pipeline's fields against")
+	}
+	for _, ts := range typeSpecs(tr.code("internal/core/*.go"), "Pipeline") {
+		st, ok := ts.Type.(*ast.StructType)
+		if !ok {
+			out = append(out, tr.at(ts, "Pipeline is not a struct"))
+			continue
+		}
+		for _, fl := range st.Fields.List {
+			ast.Inspect(fl.Type, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && (folds[id.Name] || id.Name == "error") {
+					out = append(out, tr.at(fl, "a Pipeline field of type "+types.ExprString(fl.Type)+": a batch's fold state or error belongs to the batch"))
+				}
+				return true
+			})
+		}
+	}
 	return out
 }
 
@@ -1070,6 +1126,147 @@ func docReferencesResolve(tr *tree) []string {
 	return out
 }
 
+// ciWorkflow is the CI workflow, the one non-markdown doc the tree reads.
+const ciWorkflow = ".github/workflows/ci.yml"
+
+// CI runs only tests that exist: go test passes when a -run, -fuzz or
+// -bench pattern matches nothing, so a renamed test empties the CI step
+// that names it, silently. Every alternative of such a pattern on a go
+// test line of the workflow matches a function a _test.go of the packages
+// the line names declares: a Test, Fuzz or Example function for -run (its
+// first /-separated element; subtests are not checked), a Fuzz function
+// for -fuzz, a Benchmark for -bench. An alternative matching the empty
+// name ('^$', run nothing) needs none.
+func ciRunsOnlyTestsThatExist(tr *tree) []string {
+	ci := tr.doc(ciWorkflow)
+	if ci == nil {
+		return []string{ciWorkflow + ": missing"}
+	}
+	declared := map[string][]string{} // by package directory
+	for _, f := range tr.files {
+		if !f.test {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				declared[pathpkg.Dir(f.path)] = append(declared[pathpkg.Dir(f.path)], fd.Name.Name)
+			}
+		}
+	}
+	kinds := map[string][]string{"-run": {"Test", "Fuzz", "Example"}, "-fuzz": {"Fuzz"}, "-bench": {"Benchmark"}}
+	var out []string
+	for _, cmd := range goTestCommands(string(ci.src)) {
+		var pkgs []string
+		for _, w := range cmd.words {
+			if w == "." || strings.HasPrefix(w, "./") {
+				pkgs = append(pkgs, pathpkg.Clean(w))
+			}
+		}
+		for i, w := range cmd.words {
+			flag, pattern, ok := strings.Cut(w, "=")
+			if !ok && i+1 < len(cmd.words) {
+				pattern = cmd.words[i+1]
+			}
+			if kinds[flag] == nil {
+				continue
+			}
+			if flag == "-run" {
+				pattern = splitPattern(pattern, '/')[0]
+			}
+			for _, alt := range splitPattern(pattern, '|') {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					out = append(out, fmt.Sprintf("%s:%d: %s alternative %q: %v", ciWorkflow, cmd.line, flag, alt, err))
+					continue
+				}
+				if re.MatchString("") || slices.ContainsFunc(pkgs, func(pkg string) bool {
+					return slices.ContainsFunc(declared[pkg], func(fn string) bool {
+						return re.MatchString(fn) && slices.ContainsFunc(kinds[flag], func(k string) bool { return strings.HasPrefix(fn, k) })
+					})
+				}) {
+					continue
+				}
+				out = append(out, fmt.Sprintf("%s:%d: %s alternative %q matches no %s function in %v",
+					ciWorkflow, cmd.line, flag, alt, strings.Join(kinds[flag], ", "), pkgs))
+			}
+		}
+	}
+	return out
+}
+
+// A goTestCommand is one go test command of a workflow: its words from
+// "go test" up to the first shell operator, quotes removed, and its line.
+type goTestCommand struct {
+	words []string
+	line  int
+}
+
+// goTestCommands returns the go test commands in src. A trailing
+// backslash continues a command on the next line.
+func goTestCommands(src string) []goTestCommand {
+	var out []goTestCommand
+	lines := strings.Split(src, "\n")
+	for n := 0; n < len(lines); n++ {
+		line, at := lines[n], n+1
+		for strings.HasSuffix(line, "\\") && n+1 < len(lines) {
+			n++
+			line = strings.TrimSuffix(line, "\\") + " " + lines[n]
+		}
+		i := strings.Index(line, "go test ")
+		if i < 0 {
+			continue
+		}
+		var words []string
+		var w strings.Builder
+		inWord, quote := false, byte(0)
+	scan:
+		for _, c := range []byte(line[i:] + " ") {
+			switch {
+			case quote != 0 && c == quote:
+				quote = 0
+			case quote != 0:
+				w.WriteByte(c)
+			case c == '\'' || c == '"':
+				quote, inWord = c, true
+			case c == ' ' || c == '\t':
+				if inWord {
+					words = append(words, w.String())
+				}
+				w.Reset()
+				inWord = false
+			case strings.IndexByte("|;&>", c) >= 0:
+				break scan
+			default:
+				w.WriteByte(c)
+				inWord = true
+			}
+		}
+		out = append(out, goTestCommand{words, at})
+	}
+	return out
+}
+
+// splitPattern splits a go test pattern at each sep outside parentheses
+// and brackets, as go test splits a -run pattern into its levels.
+func splitPattern(pattern string, sep byte) []string {
+	var out []string
+	depth, start := 0, 0
+	for i := 0; i < len(pattern); i++ {
+		switch c := pattern[i]; {
+		case c == '\\':
+			i++
+		case c == '(' || c == '[':
+			depth++
+		case c == ')' || c == ']':
+			depth--
+		case c == sep && depth == 0:
+			out = append(out, pattern[start:i])
+			start = i + 1
+		}
+	}
+	return append(out, pattern[start:])
+}
+
 // testNameRE matches a backticked test, benchmark or fuzz target name,
 // with an optional trailing * and /subtest path.
 var testNameRE = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*)(\\*?)(?:/[^`\\s]*)?`")
@@ -1145,13 +1342,13 @@ const (
 )
 
 // A tree is every Go file under the repository root, parsed once, and
-// every markdown file, read. Directories whose names start with "." hold
-// no source and are skipped, except .claude, whose skills are markdown
-// docs.
+// every markdown file and the CI workflow, read. Directories whose names
+// start with "." hold no source and are skipped, except .claude, whose
+// skills are markdown docs, and .github, which holds the workflow.
 type tree struct {
 	fset  *token.FileSet
 	files []*srcFile
-	docs  []*srcFile // the markdown files, with no ast
+	docs  []*srcFile // the markdown files and the CI workflow, with no ast
 }
 
 // A srcFile is one parsed file of the tree.
@@ -1171,12 +1368,12 @@ func loadTree(t *testing.T) *tree {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && path != ".claude" && strings.HasPrefix(d.Name(), ".") {
+			if path != "." && path != ".claude" && path != ".github" && strings.HasPrefix(d.Name(), ".") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		md := strings.HasSuffix(path, ".md")
+		md := strings.HasSuffix(path, ".md") || filepath.ToSlash(path) == ciWorkflow
 		if !md && !strings.HasSuffix(path, ".go") {
 			return nil
 		}
@@ -1209,12 +1406,11 @@ func (tr *tree) parse(path string, src []byte) (*srcFile, error) {
 	}, err
 }
 
-// with returns the tree with m applied. A mutation of a markdown file
-// appends to it.
+// with returns the tree with m applied. A mutation of a doc appends to it.
 func (tr *tree) with(t *testing.T, m mutation) *tree {
 	t.Helper()
 	out := &tree{fset: tr.fset, files: slices.Clone(tr.files), docs: slices.Clone(tr.docs)}
-	if strings.HasSuffix(m.path, ".md") {
+	if !strings.HasSuffix(m.path, ".go") {
 		d := out.doc(m.path)
 		if d == nil {
 			t.Fatalf("mutation appends to %s, which does not exist", m.path)
