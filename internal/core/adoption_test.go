@@ -139,7 +139,7 @@ func TestLocalReportEqualsQueueReport(t *testing.T) {
 		}
 		queued, _ := runCampaign(t, p, base, opts, tests, false)
 		local := freshCopy(base)
-		p.exploreUnits, p.segs = 0, cover.NewSegments()
+		p.exploreUnits, p.segs, p.pairs = 0, cover.NewSegments(), cover.New()
 		if err := p.ExecuteTests(local, tests); err != nil {
 			t.Fatal(err)
 		}

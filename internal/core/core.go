@@ -183,8 +183,8 @@ type Report struct {
 	TrialsRun      int
 	Switches       int
 	Steps          int
-	CoverPairs     int // distinct alias instruction pairs covered (Krace metric)
-	CoverSegments  int // distinct interleaving segments covered (2-grams of communications)
+	CoverPairs     int // distinct alias instruction pairs covered over the run, every batch and round (Krace metric)
+	CoverSegments  int // distinct interleaving segments covered over the run (2-grams of communications)
 	ExecTime       time.Duration
 	GeneratedTests int // tests generated (can exceed executed when deduplicated)
 

@@ -67,7 +67,7 @@ type batch struct {
 	dec   sched.Decoder
 
 	segs    *cover.Segments // the pipeline's, across batches
-	pairs   *cover.Coverage // the batch's distinct alias pairs
+	pairs   *cover.Coverage // the pipeline's, across batches
 	unknown map[detect.IssueKey]struct{}
 	// trials and exercised are the report's counts when the batch was pushed.
 	trials, exercised int
@@ -85,7 +85,7 @@ func (p *Pipeline) newBatch(r *Report, tests []sched.ConcurrentTest) *batch {
 	b := &batch{
 		r: r, tests: tests, first: p.exploreUnits,
 		sum: DistSummary{Expected: len(tests)}, state: make([]uint8, len(tests)),
-		segs: p.segs, pairs: cover.New(), unknown: make(map[detect.IssueKey]struct{}, len(r.Unknown)),
+		segs: p.segs, pairs: p.pairs, unknown: make(map[detect.IssueKey]struct{}, len(r.Unknown)),
 		trials: r.TrialsRun, exercised: r.Exercised,
 	}
 	for _, u := range r.Unknown {
@@ -177,7 +177,7 @@ func (b *batch) finish(results []queue.JobResult, dead []queue.DeadJob) (DistSum
 		}
 	}
 	r := b.r
-	r.CoverPairs += b.pairs.Len()
+	r.CoverPairs = b.pairs.Len()
 	mCoverPairs.Set(int64(r.CoverPairs))
 	r.CoverSegments = b.segs.Len()
 	mCoverSegments.Set(int64(r.CoverSegments))
@@ -198,7 +198,7 @@ func (b *batch) fold(res queue.JobResult) error {
 
 // add is the one place an Outcome turns into IssueRecords, Unknown,
 // counters and coverage: the report keeps what it needs of it by copy, but
-// for the Repro state. CoverPairs counts each of the batch's pairs once.
+// for the Repro state.
 func (b *batch) add(ct sched.ConcurrentTest, out *sched.Outcome) {
 	r := b.r
 	b.segs.AddCounts(out.Segments)

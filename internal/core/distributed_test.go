@@ -681,7 +681,7 @@ func aggregate(t *testing.T, first, n int, results []queue.JobResult, dead []que
 		drained[i].Outcome = out.Encode(nil)
 		named[desc] = results[i]
 	}
-	p := &Pipeline{segs: cover.NewSegments(), exploreUnits: first}
+	p := &Pipeline{segs: cover.NewSegments(), pairs: cover.New(), exploreUnits: first}
 	r := &Report{Issues: make(map[int]IssueRecord)}
 	b := p.newBatch(r, make([]sched.ConcurrentTest, n))
 	for len(drained) > 0 {
@@ -909,7 +909,7 @@ func TestStreamingFoldEqualsLocalFold(t *testing.T) {
 
 	// The local fold of every job but the dead ones, from the same seeds.
 	want := freshCopy(base)
-	p.exploreUnits, p.segs = 0, cover.NewSegments()
+	p.exploreUnits, p.segs, p.pairs = 0, cover.NewSegments(), cover.New()
 	sum := DistSummary{DeadJobs: dead, Duplicates: 2 * len(batches)}
 	for _, tests := range batches {
 		first := p.exploreUnits

@@ -66,8 +66,8 @@ func (p *Pipeline) feedbackRounds() int {
 
 // feedbackRoundState is the per-round checkpoint persisted as a
 // KindFeedback artifact, everything needed to resume the loop after the
-// round: the cumulative segment accumulator, the deterministic seed
-// cursors, and the partial report.
+// round: the cumulative segment and alias-pair accumulators, the
+// deterministic seed cursors, and the partial report.
 type feedbackRoundState struct {
 	Round        int                  `json:"round"` // 0-based, the round just finished
 	TestsDone    int                  `json:"tests_done"`
@@ -75,6 +75,7 @@ type feedbackRoundState struct {
 	GenCalls     int                  `json:"gen_calls"`
 	ExploreUnits int                  `json:"explore_units"`
 	Segments     []cover.SegmentCount `json:"segments"`
+	Pairs        []cover.Pair         `json:"pairs"`
 	Report       json.RawMessage      `json:"report"` // partial Report (Metrics not yet captured)
 }
 
@@ -113,7 +114,7 @@ func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 }
 
 // resumeFeedback probes the chain keys newest-first and restores the most
-// recent persisted round: report, segments, cursors. The report
+// recent persisted round: report, segments, pairs, cursors. The report
 // keeps what describes this run rather than the one that wrote the round —
 // its worker count and its stage 1–2 timings. It returns the next round to
 // run (0 when nothing usable is stored) and the restored exploration-walk
@@ -137,6 +138,8 @@ func (p *Pipeline) resumeFeedback(keys []store.Digest, r *Report) (int, int) {
 		*r = *nr
 		r.Workers, r.FuzzTime, r.ProfileTime, r.IdentifyTime = run.Workers, run.FuzzTime, run.ProfileTime, run.IdentifyTime
 		p.segs = cover.ImportSegments(st.Segments)
+		p.pairs = cover.New()
+		p.pairs.AddPairs(st.Pairs)
 		p.genCalls = st.GenCalls
 		p.exploreUnits = st.ExploreUnits
 		mIssuesFound.Set(int64(len(r.Issues)))
@@ -169,6 +172,7 @@ func (p *Pipeline) checkpointFeedback(key store.Digest, round, testsDone, cursor
 		GenCalls:     p.genCalls,
 		ExploreUnits: p.exploreUnits,
 		Segments:     p.segs.Export(),
+		Pairs:        p.pairs.Pairs(),
 		Report:       payload,
 	}, nil)
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
+	"snowboard/internal/cover"
 	"snowboard/internal/pmc"
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
@@ -121,7 +123,7 @@ func TestComposeTestsDistinctPairsStaySeparate(t *testing.T) {
 
 // feedbackDigest flattens everything the feedback determinism contract
 // covers, mirroring reportDigest for the one-shot path, plus the new
-// segment, round, and composition counters.
+// segment, alias-pair, round, and composition counters.
 type feedbackDigest struct {
 	Issues       map[int]string
 	Counters     [8]int
@@ -132,6 +134,7 @@ type feedbackDigest struct {
 	Generated    int
 	ExemplarPMC  int
 	SegmentsHash uint64
+	PairsHash    uint64
 }
 
 func feedbackDigestOf(p *Pipeline, r *Report) feedbackDigest {
@@ -153,6 +156,9 @@ func feedbackDigestOf(p *Pipeline, r *Report) feedbackDigest {
 	for _, sc := range p.segs.Export() {
 		d.SegmentsHash = fnv1a(d.SegmentsHash, fmt.Sprintf("%d:%d:%d:%d:%d",
 			sc.Seg.First.Write, sc.Seg.First.Read, sc.Seg.Second.Write, sc.Seg.Second.Read, sc.N))
+	}
+	for _, pr := range p.pairs.Pairs() {
+		d.PairsHash = fnv1a(d.PairsHash, fmt.Sprintf("%d:%d", pr.First, pr.Second))
 	}
 	return d
 }
@@ -209,6 +215,93 @@ func TestFeedbackWorkerDeterminism(t *testing.T) {
 		if d := feedbackDigestOf(p, r); !reflect.DeepEqual(d1, d) {
 			t.Errorf("%s diverged from workers=1:\n  a: %+v\n  b: %+v", tc.name, d1, d)
 		}
+	}
+}
+
+// pairLeaser records the alias pairs of every outcome a worker settles
+// through it: over the run, and over the batch being drained.
+type pairLeaser struct {
+	Leaser
+	dec        sched.Decoder
+	run, batch map[cover.Pair]bool
+}
+
+func (l *pairLeaser) Settle(items []queue.Settlement) ([]error, error) {
+	for _, it := range items {
+		out, err := l.dec.Decode(it.Result.Outcome)
+		if err != nil {
+			return nil, err
+		}
+		for _, pr := range out.Pairs {
+			l.run[pr], l.batch[pr] = true, true
+		}
+	}
+	return l.Leaser.Settle(items)
+}
+
+// TestFeedbackCoverPairsCountsTheRun: a feedback report's CoverPairs is
+// the number of distinct alias pairs over the whole run — the union of
+// every outcome's Pairs across rounds — not the sum of each round's
+// distinct pairs, which counts a pair once per round it shows up in. A
+// worker joined to a feedback campaign settles every job of every round
+// while the campaign's executor waits at its gate, recording each
+// outcome's pairs; the local run of the same spec reports the same count.
+// TestFeedbackResumeMatchesUninterrupted holds a resumed run's pair set to
+// the uninterrupted one's.
+func TestFeedbackCoverPairsCountsTheRun(t *testing.T) {
+	spec := smallSpec("pairs", 7)
+	spec.FuzzBudget, spec.CorpusCap, spec.TestBudget, spec.Trials = 220, 45, 16, 6
+	spec.Feedback = true
+	reg := queue.NewRegistry(queue.Options{})
+	defer reg.Close()
+	gate := make(chan struct{})
+	c, err := StartCampaign(spec, CampaignEnv{Registry: reg, ExecGate: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(nil, "joined")
+	defer w.Close()
+	lsr := &pairLeaser{Leaser: localLeaser{reg.Get(c.QueueName())}, run: make(map[cover.Pair]bool)}
+	perRound := 0
+	for pushed := int64(0); ; {
+		// Wait for the next batch, or the end of the campaign.
+		for end := time.Now().Add(time.Minute); c.Status().Expected == pushed && c.Report() == nil; time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(end) {
+				t.Fatal("the campaign pushed no batch after", pushed, "jobs")
+			}
+		}
+		if c.Report() != nil {
+			break
+		}
+		pushed = c.Status().Expected
+		lsr.batch = make(map[cover.Pair]bool)
+		if _, err := w.Join(lsr, TurnJobs, 0); err != nil {
+			t.Fatal(err)
+		}
+		perRound += len(lsr.batch)
+		gate <- struct{}{}
+	}
+	r, err := c.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d rounds: %d distinct pairs, %d summed over rounds", r.FeedbackRounds, len(lsr.run), perRound)
+	if r.FeedbackRounds < 2 || perRound <= len(lsr.run) {
+		t.Fatalf("%d rounds with %d distinct pairs and %d summed over rounds: no pair repeats across rounds", r.FeedbackRounds, len(lsr.run), perRound)
+	}
+	if r.CoverPairs != len(lsr.run) {
+		t.Fatalf("CoverPairs = %d, want the %d distinct pairs the outcomes carry", r.CoverPairs, len(lsr.run))
+	}
+	opts, err := spec.BuildOptions("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.CoverPairs != r.CoverPairs {
+		t.Fatalf("the local run reports %d pairs, the campaign %d", local.CoverPairs, r.CoverPairs)
 	}
 }
 

@@ -57,11 +57,13 @@ type Pipeline struct {
 	genCalls     int
 	exploreUnits int
 
-	// segs accumulates interleaving-segment coverage across every
-	// ExecuteTests call of this pipeline. Per-test outcomes are folded in
-	// test order, so its contents are worker-invariant. RunFeedback
-	// replaces it when resuming round state.
-	segs *cover.Segments
+	// segs and pairs accumulate interleaving-segment and alias-pair
+	// coverage across every ExecuteTests call of this pipeline, so
+	// CoverSegments and CoverPairs count the run's distinct ones. Per-test
+	// outcomes are folded in test order, so their contents are
+	// worker-invariant. RunFeedback replaces them when resuming round state.
+	segs  *cover.Segments
+	pairs *cover.Coverage
 
 	// plan indexes the PMC set's clusters under the method's strategy,
 	// built from the first clustering GenerateTests or RunFeedback
@@ -116,6 +118,7 @@ func NewPipeline(opts Options) *Pipeline {
 		Opts:  opts,
 		Env:   exec.NewEnv(kernel.Config{Version: opts.Version}),
 		segs:  cover.NewSegments(),
+		pairs: cover.New(),
 		trace: obs.EnsureCampaign("snowboard").Trace,
 	}
 }

@@ -121,9 +121,11 @@ func (p *Pipeline) reportKey(corpusDigest store.Digest, budget int) store.Digest
 // loopPart names the feedback loop's mechanisms in every key of a feedback
 // run: the execute memo's, each round checkpoint's and the campaign memo's.
 // Reports and rounds stored while the loop also mutated schedules were
-// keyed without it, and those stored while it allocated rounds by segment
-// yield under "loop=rounds+composing", so neither is ever served.
-const loopPart = "loop=walk+composing"
+// keyed without it, those stored while it allocated rounds by segment
+// yield under "loop=rounds+composing", and those whose CoverPairs added
+// each round's distinct pairs (a round stored no pair set) under
+// "loop=walk+composing", so none is ever served.
+const loopPart = "loop=walk+composing/pairs=run"
 
 // feedbackPart is the execute key's feedback part. A feedback run and a
 // one-shot run spend the same budget through different schedulers, so

@@ -445,7 +445,10 @@ func stateFiles(t *testing.T, dir string) map[string]stateFile {
 // more when the loop stopped mutating schedules (loopPart), and the
 // one-shot reportKey row was added then, as its parent commit computed it:
 // a one-shot key did not move. The two feedback rows moved once more, with
-// loopPart, when the loop stopped allocating rounds by segment yield. The
+// loopPart, when the loop stopped allocating rounds by segment yield, and
+// again when CoverPairs began counting the run's distinct pairs and a round
+// began storing its pair set (345989d0… → a798dbc1…, e14161b4… →
+// e3d78e9a…). The
 // "bytes" rows pin the artifacts themselves: the SHA-256 of each binary
 // format's encoding of goldenArtifacts' inputs, recorded before the codecs
 // moved onto one byte reader (internal/wire), since a round-trip test
@@ -481,8 +484,8 @@ func TestStageKeysGolden(t *testing.T) {
 	for _, c := range []struct{ name, got, want string }{
 		{"fuzzKey", p.fuzzKey().String(), "4540fcdf5fbe30241f31defe0a1ab72ea813d58ffbac831b240d8fd109672ac0"},
 		{"reportKey", oneShot.reportKey(cd, opts.TestBudget).String(), "b680861aebbbbf89612346426dc32ff78f2c2fc5196d6842923d8ad475a536a4"},
-		{"reportKey, feedback", p.reportKey(cd, opts.TestBudget).String(), "345989d0cd5ce873dbb6656201ac46e0228efc911d365056e8c4db4df9cecf7d"},
-		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "e14161b411f1dbbcb77d5c5b56816f6dc21a9dc7250adec0550c536db8e42be3"},
+		{"reportKey, feedback", p.reportKey(cd, opts.TestBudget).String(), "a798dbc1c68f80ae5a3dfb2e229326f28624c1efb6e9a48eb820ee26cb5a5d1d"},
+		{"feedbackKeys[0]", p.feedbackKeys(opts.TestBudget, 4)[0].String(), "e3d78e9ac6dd4e6e6dc69f23fc0d144066a1e0e5cf27c902ae17a3d76f257076"},
 		{"triageKey", triageKey.String(), "774c1e55f31e3c0451000edc723f7fd921290f89b969597e073fd12c3ad208ed"},
 		{"fuzzMeta", marshal(fuzzMeta{CorpusSize: 1, FuzzExecutions: 2, FuzzTimeNs: 3}), `{"corpus_size":1,"fuzz_executions":2,"fuzz_time_ns":3}`},
 		{"TriageSummary", marshal(&TriageSummary{Signature: "sig", Bundle: "b0", Stats: triage.Stats{Replays: 9, DecisionsOrig: 10, DecisionsMin: 1}}), `{"signature":"sig","bundle":"b0","stats":{"replays":9,"decisions_orig":10,"decisions_min":1,"switches_orig":0,"switches_min":0,"writer_calls_orig":0,"writer_calls_min":0,"reader_calls_orig":0,"reader_calls_min":0}}`},
@@ -723,28 +726,30 @@ func TestParentStage4MemosNotServed(t *testing.T) {
 }
 
 // TestMutatingLoopMemosNotServed: a state dir written while the feedback
-// loop also mutated schedules, or while it allocated rounds by segment
-// yield, holds feedback reports and rounds that loop built. Stored under
-// the key strings those binaries used — the execute memo's
-// "feedback=true/4" part and its "feedback=true/4/loop=rounds+composing",
-// round keys without loopPart and with "loop=rounds+composing", and the
-// campaign memo's plain "report-v3" and its "report-v4" with
-// "loop=rounds+composing" — a marked report is not served to a feedback
-// run; stored under this binary's keys it is. A one-shot run's keys did
-// not change, so its memos still serve (the "execute" and "campaign"
-// cases of TestParentStage4MemosNotServed).
+// loop also mutated schedules, while it allocated rounds by segment yield,
+// or while its CoverPairs added each round's distinct pairs, holds
+// feedback reports and rounds that loop built. Stored under the key
+// strings those binaries used — the execute memo's "feedback=true/4" part
+// and its "feedback=true/4/<loop>", round keys without loopPart and with
+// each older <loop>, and the campaign memo's plain "report-v3" and its
+// "report-v4" with each older <loop> — a marked report is not served to a
+// feedback run; stored under this binary's keys it is. A one-shot run's
+// keys did not change, so its memos still serve (the "execute" and
+// "campaign" cases of TestParentStage4MemosNotServed).
 func TestMutatingLoopMemosNotServed(t *testing.T) {
-	const allocatingLoop = "loop=rounds+composing"
-	// olds are the keys the older binaries used, then the current key.
+	// The loopParts of older binaries, by the key index i that uses them;
+	// i == 0 is the key without one, and i == len(loops)+1 the current key.
+	loops := []string{"loop=rounds+composing", "loop=walk+composing"}
+	current := len(loops) + 1
 	t.Run("execute", func(t *testing.T) {
-		for i := range 3 {
+		for i := range current + 1 {
 			p, opts := stagedPipeline(t, true)
 			key := p.reportKey(p.stage4Corpus("execute"), opts.TestBudget)
-			if i < 2 {
+			if i < current {
 				m := opts.Method
 				part := fmt.Sprintf("feedback=true/%d", p.feedbackRounds())
-				if i == 1 {
-					part += "/" + allocatingLoop
+				if i > 0 {
+					part += "/" + loops[i-1]
 				}
 				key = store.Key(keyPrefix, "execute", "corpus="+p.stage4Corpus("execute").String(), pmcPart(opts.PMC),
 					fmt.Sprintf("version=%s", opts.Version), fmt.Sprintf("seed=%d", opts.Seed),
@@ -754,33 +759,33 @@ func TestMutatingLoopMemosNotServed(t *testing.T) {
 			}
 			saveMemo(p, "execute", key, reportCodec, staleReport(p), nil)
 			r, err := Run(opts)
-			checkStale(t, r, err, i == 2)
+			checkStale(t, r, err, i == current)
 		}
 	})
 	t.Run("feedback", func(t *testing.T) {
-		for i := range 3 {
+		for i := range current + 1 {
 			p, opts := stagedPipeline(t, true)
 			rounds := p.feedbackRounds()
 			key := p.feedbackKeys(opts.TestBudget, rounds)[0]
-			if i < 2 {
+			if i < current {
 				m := opts.Method
 				parts := []string{keyPrefix, "feedback-round", "corpus=" + p.stage4Corpus("feedback").String(), pmcPart(opts.PMC),
 					fmt.Sprintf("version=%s", opts.Version), fmt.Sprintf("seed=%d", opts.Seed),
 					fmt.Sprintf("method=%d/%s/%s/%d", m.Kind, m.Name, m.Strategy.Name, m.Order),
 					fmt.Sprintf("budget=%d", opts.TestBudget), fmt.Sprintf("rounds=%d", rounds),
 					fmt.Sprintf("trials=%d", opts.Trials), detectPart(opts.Detect), adoptionPart}
-				if i == 1 {
-					parts = append(parts, allocatingLoop)
+				if i > 0 {
+					parts = append(parts, loops[i-1])
 				}
 				key = store.Key(append(parts, "prev="+store.Digest{}.String(), "round=0")...)
 			}
 			storeStaleRound(t, p, key)
 			r, err := Run(opts)
-			checkStale(t, r, err, i == 2)
+			checkStale(t, r, err, i == current)
 		}
 	})
 	t.Run("campaign", func(t *testing.T) {
-		for i := range 3 {
+		for i := range current + 1 {
 			spec := smallSpec("stale-feedback", 5)
 			spec.Feedback = true
 			manifest, err := spec.Manifest()
@@ -788,14 +793,14 @@ func TestMutatingLoopMemosNotServed(t *testing.T) {
 				t.Fatal(err)
 			}
 			key := (&Campaign{Spec: spec, manifest: manifest}).reportKey()
-			switch i {
-			case 0:
+			switch {
+			case i == 0:
 				key = store.Key(campaignKeyPrefix, "report-v3", string(manifest))
-			case 1:
-				key = store.Key(campaignKeyPrefix, "report-v4", allocatingLoop, string(manifest))
+			case i < current:
+				key = store.Key(campaignKeyPrefix, "report-v4", loops[i-1], string(manifest))
 			}
 			r, err := runCampaignOver(t, spec, key)
-			checkStale(t, r, err, i == 2)
+			checkStale(t, r, err, i == current)
 		}
 	})
 }
