@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
+	"snowboard/internal/detect"
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
 )
@@ -70,7 +72,10 @@ func TestRunEventsCarryStageOutcomes(t *testing.T) {
 // own fuzz, profile, identify, exec and triage stage.done, whether tenants run
 // one after another or side by side. The first obs.StartCampaign used to
 // become the process default every later pipeline joined, so a tenant's
-// stage events landed in another tenant's stream.
+// stage events landed in another tenant's stream. A tenant that finds a
+// crash-level issue has race.found on its own stream, and no race.found
+// lands on any other: the oracles used to emit it on the process default,
+// from triage's replays too.
 func TestTenantEventsStayWithTenant(t *testing.T) {
 	spec := func(seed int64) CampaignSpec {
 		o := triageOpts(seed)
@@ -82,12 +87,39 @@ func TestTenantEventsStayWithTenant(t *testing.T) {
 	}
 	// A campaign's stage 4 is one ExecuteTests batch, run through its queue.
 	want := map[string]int{"fuzz": 1, "profile": 1, "identify": 1, "exec": 1, "triage": 1}
-	check := func(how string, cs ...*Campaign) {
+	check := func(how string, since uint64, cs ...*Campaign) {
 		t.Helper()
 		for _, c := range cs {
 			if _, err := c.Wait(); err != nil {
 				t.Fatalf("%s: %v", how, err)
 			}
+		}
+		found := map[string]int{} // race.found events by trace
+		for _, ev := range obs.Events.Since(since) {
+			if ev.Kind == obs.EvRaceFound {
+				found[ev.Trace]++
+			}
+		}
+		crashes := 0
+		for _, c := range cs {
+			r := c.Report()
+			crashed := slices.ContainsFunc(r.Unknown, func(is detect.Issue) bool { return detect.CrashLevel(is.Kind) })
+			for _, rec := range r.Issues {
+				crashed = crashed || rec.Repro != nil || detect.CrashLevel(rec.Issue.Kind)
+			}
+			if crashed != (found[c.Trace] > 0) {
+				t.Errorf("%s: %s found a crash-level issue %v, and its stream holds %d race.found", how, c.Spec.Name, crashed, found[c.Trace])
+			}
+			if crashed {
+				crashes++
+			}
+			delete(found, c.Trace)
+		}
+		if crashes == 0 {
+			t.Errorf("%s: no tenant found a crash-level issue", how)
+		}
+		if len(found) > 0 {
+			t.Errorf("%s: race.found on streams no tenant owns: %v", how, found)
 		}
 		for _, c := range cs {
 			got := map[string]int{}
@@ -110,15 +142,17 @@ func TestTenantEventsStayWithTenant(t *testing.T) {
 	}
 
 	reg := queue.NewRegistry(queue.Options{})
+	since := obs.Events.Seq()
 	a := start(reg, 3)
 	a.Wait()
 	b := start(reg, 7)
-	check("sequential", a, b)
+	check("sequential", since, a, b)
 	reg.Close()
 
 	reg = queue.NewRegistry(queue.Options{})
 	defer reg.Close()
-	check("concurrent", start(reg, 3), start(reg, 7))
+	since = obs.Events.Seq()
+	check("concurrent", since, start(reg, 3), start(reg, 7))
 }
 
 // TestFeedbackRoundEventsCountSegments: each feedback.round event's

@@ -84,12 +84,12 @@ type Pipeline struct {
 	corpusDigest store.Digest
 
 	// trace is the campaign this pipeline's own events (stage.done,
-	// campaign.done, feedback.round, triage.minimized) and its jobs' are
-	// stitched to: the process default
-	// campaign, or an sbd tenant's (Campaign.execute). Events emitted inside
-	// fuzz, pmc, exec and detect (cover.new while fuzzing, pmc.identified,
-	// pmc.incremental, exec.crash, race.found) take no trace and stay on the
-	// process default.
+	// campaign.done, feedback.round, triage.minimized) and its jobs' —
+	// delivery events and the explorer's pmc.tested, cover.new and
+	// race.found — are stitched to: the process default campaign, or an
+	// sbd tenant's (Campaign.execute). Events emitted inside fuzz, pmc and
+	// exec (cover.new while fuzzing, pmc.identified, pmc.incremental,
+	// exec.crash) take no trace and stay on the process default.
 	trace string
 }
 

@@ -183,13 +183,6 @@ func (sc *Scratch) Analyze(in TrialInput, opt Options) []Issue {
 		if is.Harmful {
 			mHarmful.Inc()
 		}
-		// Flight-record crash-level findings only: exploration breaks off on
-		// a crash, so these stay bounded, while benign races show up in
-		// nearly every trial and would flood the ring.
-		if CrashLevel(is.Kind) {
-			obs.Emit(obs.EvRaceFound, obs.A("kind", is.Kind.String()),
-				obs.A("harmful", is.Harmful), obs.A("desc", is.Desc))
-		}
 	}
 	return sc.out
 }

@@ -101,9 +101,10 @@ type Explorer struct {
 	// scheduler's segment yields the same on every front door.
 	TrackSegments bool
 
-	// Trace stitches this explorer's flight-recorder events to a campaign
-	// (the pipeline's, or a distributed worker's leased job's; empty falls
-	// back to the process default campaign).
+	// Trace stitches this explorer's flight-recorder events (pmc.tested,
+	// cover.new, race.found) to a campaign (the pipeline's, or a
+	// distributed worker's leased job's; empty falls back to the process
+	// default campaign).
 	Trace string
 
 	// scratch is the reusable per-trial state, created on first use. A copy
@@ -173,7 +174,10 @@ func (x *Explorer) scratchFor() *scratch {
 // and reports whether a fresh one is crash-level. Benign races (e.g. the
 // ubiquitous slab counter, issue #13) show up in almost every trial and must
 // not end exploration; a crash-level finding does — the kernel is wedged.
-func (sc *scratch) record(out *Outcome, trial int, issues []detect.Issue) (crashed bool) {
+// Each fresh crash-level finding is flight-recorded on trace (race.found):
+// exploration breaks off on one, so these stay bounded, while benign races
+// would flood the ring.
+func (sc *scratch) record(out *Outcome, trial int, issues []detect.Issue, trace string) (crashed bool) {
 	for _, is := range issues {
 		if !sc.filed.Add(out.Issues, is) {
 			continue
@@ -183,7 +187,11 @@ func (sc *scratch) record(out *Outcome, trial int, issues []detect.Issue) (crash
 		if out.ExposedTrial < 0 {
 			out.ExposedTrial = trial
 		}
-		crashed = crashed || detect.CrashLevel(is.Kind)
+		if detect.CrashLevel(is.Kind) {
+			crashed = true
+			obs.EmitTrace(trace, obs.EvRaceFound, obs.A("kind", is.Kind.String()),
+				obs.A("harmful", is.Harmful), obs.A("desc", is.Desc))
+		}
 	}
 	return crashed
 }
@@ -364,7 +372,7 @@ func (x *Explorer) Explore(ct ConcurrentTest) Outcome {
 				mChannelHit.Inc()
 			}
 
-			if sc.record(&out, trial, issues) {
+			if sc.record(&out, trial, issues, x.Trace) {
 				if policy != nil {
 					out.Repro = snapshotRepro(trialSeed, trial, currentPMCs, flags.list[:preFlags])
 				}
